@@ -12,7 +12,7 @@
 //	       [-plan-cache-remote host:port] [-plan-cache-remote-timeout 250ms]
 //	       [-plan-cache-remote-namespace opass1] [-plan-cache-remote-ttl 10m]
 //	       [-max-body-mb 1024] [-max-nodes N] [-max-procs N] [-max-tasks N]
-//	       [-max-inputs-per-task N] [-legacy-decode]
+//	       [-max-inputs-per-task N]
 //
 // Endpoints (see internal/httpapi):
 //
@@ -49,7 +49,6 @@
 // decoded problem. Oversized requests are rejected early and cheaply — the
 // streaming decoder enforces the caps incrementally, so a rejected request
 // costs O(1) memory no matter how large its body claims to be.
-// -legacy-decode restores the buffering decoder (diagnostic escape hatch).
 //
 // On SIGINT/SIGTERM the server drains the admission queues
 // (queued requests get 503 immediately), stops accepting new connections,
@@ -119,8 +118,6 @@ func main() {
 	maxTasks := flag.Int("max-tasks", httpapi.DefaultMaxTasks, "maximum tasks per request")
 	maxInputs := flag.Int("max-inputs-per-task", httpapi.DefaultMaxInputsPerTask,
 		"maximum inputs a single task may list")
-	legacyDecode := flag.Bool("legacy-decode", false,
-		"buffer and decode request bodies in one piece instead of streaming")
 	flag.Parse()
 
 	// Map the CLI's "0 disables / 0 never expires" convention onto the
@@ -169,7 +166,6 @@ func main() {
 		RemoteTier:          tier,
 		RemoteTierNamespace: *remoteNamespace,
 		RemoteTierTTL:       remoteTTLOpt,
-		LegacyDecode:        *legacyDecode,
 		Limits: httpapi.RequestLimits{
 			BodyBytes:     *maxBodyMB << 20,
 			Nodes:         *maxNodes,

@@ -96,69 +96,6 @@ func TestChunkEpochsStampOnlyAffectedChunks(t *testing.T) {
 	check(fb, bBefore)
 }
 
-// TestOnPlacementChangeReportsAffectedChunks asserts the observer fires once
-// per mutation with exactly the chunk IDs whose replica sets changed.
-func TestOnPlacementChangeReportsAffectedChunks(t *testing.T) {
-	fs := New(testView(8), Config{Seed: 46})
-	var events [][]ChunkID
-	fs.OnPlacementChange(func(ids []ChunkID) {
-		events = append(events, append([]ChunkID(nil), ids...))
-	})
-
-	f, err := fs.Create("/obs", 128) // 2 chunks
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 1 || len(events[0]) != len(f.Chunks) {
-		t.Fatalf("create notified %v, want one event covering %d chunks", events, len(f.Chunks))
-	}
-
-	events = nil
-	c := fs.Chunk(f.Chunks[1])
-	free := -1
-	for n := 0; n < 8; n++ {
-		if !c.HostedOn(n) {
-			free = n
-			break
-		}
-	}
-	if err := fs.AddReplica(c.ID, free); err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 1 || len(events[0]) != 1 || events[0][0] != c.ID {
-		t.Fatalf("AddReplica notified %v, want [[%d]]", events, c.ID)
-	}
-
-	// Node-membership-only changes notify with no chunks.
-	empty := -1
-	for n := 0; n < 8; n++ {
-		if len(fs.HostedBy(n)) == 0 {
-			empty = n
-			break
-		}
-	}
-	if empty < 0 {
-		t.Fatal("no replica-free node in the fixture")
-	}
-	events = nil
-	if err := fs.MarkDead(empty); err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 1 || len(events[0]) != 0 {
-		t.Fatalf("MarkDead notified %v, want one empty event", events)
-	}
-
-	// Unregistering stops notifications.
-	fs.OnPlacementChange(nil)
-	events = nil
-	if err := fs.RemoveReplica(c.ID, free); err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 0 {
-		t.Fatalf("unregistered observer still notified: %v", events)
-	}
-}
-
 // TestEpochReadsRaceWithMutations is the race-detector regression for the
 // formerly-unsynchronized epoch counter: a reader polling Epoch() (as the
 // planning service does while fingerprinting) races admin mutations on

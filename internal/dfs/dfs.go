@@ -125,10 +125,6 @@ type FileSystem struct {
 	// read-only consumers (plan fingerprinting under an HTTP handler) may
 	// observe it concurrently with an admin mutation on another goroutine.
 	epoch atomic.Uint64
-	// onPlacementChange, if set, is invoked synchronously after every
-	// placement mutation with the chunk IDs whose replica sets changed
-	// (empty for node-membership-only changes such as AddNode).
-	onPlacementChange func(changed []ChunkID)
 	// reserved holds paths leased to open FileWriters (the namenode's write
 	// lease): the namespace entry does not exist yet, but no other writer —
 	// and no namespace operation — may claim the name.
@@ -199,21 +195,9 @@ func (fs *FileSystem) Snapshot() MetadataSnapshot {
 	}
 }
 
-// OnPlacementChange registers fn to be called synchronously after every
-// placement mutation with the IDs of the chunks whose replica sets changed
-// (empty for node-membership-only changes). At most one observer is
-// supported; registering replaces the previous one, and nil unregisters.
-// The plan-cache bridge uses this to invalidate exactly the cached plans
-// that read a mutated chunk. fn runs with the mutation already applied; it
-// must not mutate the file system reentrantly, and it must not retain or
-// mutate the slice beyond the call (it may alias internal state).
-func (fs *FileSystem) OnPlacementChange(fn func(changed []ChunkID)) {
-	fs.onPlacementChange = fn
-}
-
-// bumpEpoch records one placement mutation: the global counter advances,
-// every affected chunk is stamped with the new value, and the placement
-// observer (if any) is notified. Mutating entry points call it exactly once
+// bumpEpoch records one placement mutation: the global counter advances
+// and every affected chunk is stamped with the new value. Mutating entry
+// points call it exactly once
 // per successful operation (compound operations such as MoveReplica may
 // bump more than once through their primitives — only monotonicity matters,
 // not the step size).
@@ -221,9 +205,6 @@ func (fs *FileSystem) bumpEpoch(affected ...ChunkID) {
 	e := fs.epoch.Add(1)
 	for _, id := range affected {
 		fs.chunks[int(id)].epoch = e
-	}
-	if fs.onPlacementChange != nil {
-		fs.onPlacementChange(affected)
 	}
 }
 

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"opass/internal/core"
@@ -32,56 +31,6 @@ func (s *steerer) ReadStarted(node int, sizeMB float64) {
 		s.started = map[int]float64{}
 	}
 	s.started[node] += sizeMB
-}
-
-// TestRunBalancerSteersRemoteReads mirrors
-// TestServingBalancerSteersRemoteReads for the single-job path: PR 7 wired
-// the serving balancer only into RunJobsScheduled, so Run/RunContext
-// silently never consulted it.
-func TestRunBalancerSteersRemoteReads(t *testing.T) {
-	r := buildRig(t, 8, 40, 21, dfs.RandomPlacement{})
-	// RankStatic ignores locality, guaranteeing remote reads to steer.
-	a, err := core.RankStatic{}.Assign(r.prob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bal := &steerer{}
-	opts := r.opts("rank")
-	opts.Balancer = bal
-	res, err := RunAssignment(opts, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	remote := 0
-	startedWant := map[int]float64{}
-	for _, rec := range res.Records {
-		startedWant[rec.SrcNode] += rec.SizeMB
-		if rec.Local {
-			continue
-		}
-		remote++
-		// Every remote read must have gone where the balancer said: the
-		// lowest-numbered holder of its chunk.
-		holders := r.fs.Chunk(rec.Chunk).Replicas
-		best := -1
-		for _, h := range holders {
-			if h != rec.DstNode && (best < 0 || h < best) {
-				best = h
-			}
-		}
-		if rec.SrcNode != best {
-			t.Fatalf("remote read of chunk %d served by %d, balancer chose %d", rec.Chunk, rec.SrcNode, best)
-		}
-	}
-	if remote == 0 {
-		t.Fatal("no remote reads; the balancer path was not exercised")
-	}
-	if bal.picks != remote {
-		t.Fatalf("balancer consulted %d times for %d remote reads", bal.picks, remote)
-	}
-	if !reflect.DeepEqual(bal.started, startedWant) {
-		t.Fatalf("ReadStarted tally %v, want %v", bal.started, startedWant)
-	}
 }
 
 // TestRunBalancerSkipsCrashedHolders: the steered pick must choose among

@@ -30,7 +30,7 @@ func affectedSet(p *core.Problem, pending [][]int, stamp core.PlanStamp, node in
 }
 
 // TestDeltaReplanSplicesOnlyAffectedTasks pins the surgical contract of
-// replanPendingDelta after a permanent crash: unaffected tasks keep their
+// ReplanBacklogDelta after a permanent crash: unaffected tasks keep their
 // process and dispatch order, affected tasks are re-matched over the
 // survivors, and together they still cover the backlog exactly once.
 func TestDeltaReplanSplicesOnlyAffectedTasks(t *testing.T) {
@@ -58,7 +58,7 @@ func TestDeltaReplanSplicesOnlyAffectedTasks(t *testing.T) {
 
 	finished := make([]bool, r.prob.NumProcs())
 	weight := func(node int) float64 { return 1 }
-	spliced, rematched, err := replanPendingDelta(r.prob, src, finished, weight, seed, victim, stamp)
+	spliced, rematched, err := ReplanBacklogDelta(r.prob, src, finished, weight, seed, victim, stamp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestDeltaReplanNoAffectedTasksIsANoOp(t *testing.T) {
 	src := NewListSource(a.Lists)
 	stamp := core.StampProblem(r.prob)
 	before := src.Pending()
-	spliced, rematched, err := replanPendingDelta(r.prob, src, make([]bool, 4), func(int) float64 { return 1 }, 3, spare, stamp)
+	spliced, rematched, err := ReplanBacklogDelta(r.prob, src, make([]bool, 4), func(int) float64 { return 1 }, 3, spare, stamp)
 	if err != nil {
 		t.Fatal(err)
 	}

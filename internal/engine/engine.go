@@ -17,12 +17,10 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"opass/internal/cluster"
 	"opass/internal/core"
 	"opass/internal/dfs"
-	"opass/internal/simnet"
 )
 
 // TaskSource feeds tasks to idle processes. Implementations include static
@@ -141,21 +139,17 @@ type Options struct {
 	// the §IV-D "load capacity" skew — so survivors absorb the backlog
 	// locally.
 	Replan bool
-	// ReplanFull forces every replan to re-match the entire backlog, the
-	// pre-incremental behavior. By default a replan triggered by a node
-	// event re-matches only the affected pending tasks — those whose input
-	// chunks changed placement epoch, have a replica on the event node, or
-	// are queued on that node's processes (see replanPendingDelta) — which
-	// is the O(delta) path the incremental plannerbench series measures.
+	// ReplanFull forces every replan to re-match the entire backlog. By
+	// default a replan triggered by a node event re-matches only the
+	// affected pending tasks (see ReplanBacklogDelta) — the O(delta) path
+	// the incremental plannerbench series measures.
 	ReplanFull bool
 	// ReplanSeed seeds the re-matching (each replan round perturbs it).
 	ReplanSeed int64
 	// Balancer, when non-nil, chooses the replica holder for every remote
-	// read and is told of every read start — the single-job mirror of the
-	// ServingBalancer consultation RunJobsScheduled performs (PR 7 only
-	// wired it into the scheduled multi-job path, silently ignoring it for
-	// Run/RunContext). Holders passed to PickRemote never include the
-	// reader or a crashed node.
+	// read and is told of every read start. Holders passed to PickRemote
+	// never include the reader or a crashed node. RunJobsScheduled fills it
+	// from a scheduler that implements ServingBalancer.
 	Balancer ReadSteerer
 	// Advisor, when non-nil, runs a placement-advisory pass every
 	// AdvisorInterval seconds of virtual time while any process is still
@@ -218,6 +212,34 @@ func (o *Options) validate() error {
 	}
 	if o.Advisor != nil && o.AdvisorInterval <= 0 {
 		return fmt.Errorf("engine: advisor interval %v must be positive", o.AdvisorInterval)
+	}
+	for _, fail := range o.Failures {
+		if fail.Node < 0 || fail.Node >= o.Topo.NumNodes() {
+			return fmt.Errorf("engine: failure on invalid node %d", fail.Node)
+		}
+		if fail.At < 0 {
+			return fmt.Errorf("engine: failure time %v must be non-negative", fail.At)
+		}
+		if fail.RecoverAt != 0 && fail.RecoverAt <= fail.At {
+			return fmt.Errorf("engine: node %d recovery at %v must be after the failure at %v", fail.Node, fail.RecoverAt, fail.At)
+		}
+	}
+	if o.RepairDelay < 0 {
+		return fmt.Errorf("engine: repair delay %v must be non-negative", o.RepairDelay)
+	}
+	for _, d := range o.Degradations {
+		if d.Node < 0 || d.Node >= o.Topo.NumNodes() {
+			return fmt.Errorf("engine: degradation on invalid node %d", d.Node)
+		}
+		if d.At < 0 {
+			return fmt.Errorf("engine: degradation time %v must be non-negative", d.At)
+		}
+		if d.Until != 0 && d.Until <= d.At {
+			return fmt.Errorf("engine: node %d degradation end %v must be after its start %v", d.Node, d.Until, d.At)
+		}
+		if d.DiskFactor <= 0 || d.DiskFactor > 1 || d.NICFactor <= 0 || d.NICFactor > 1 {
+			return fmt.Errorf("engine: node %d degradation factors %v/%v must be in (0,1]", d.Node, d.DiskFactor, d.NICFactor)
+		}
 	}
 	return nil
 }
@@ -347,50 +369,6 @@ func (r *Result) LocalReads() int {
 	return n
 }
 
-// pendingKind distinguishes the flow types the engine launches.
-type pendingKind int
-
-const (
-	kindRead pendingKind = iota
-	kindCompute
-	kindFailure
-	kindRecovery
-	kindRepair
-	kindDegrade
-	kindRestore
-	kindAdvisor
-)
-
-type pending struct {
-	kind pendingKind
-	proc int        // kindRead / kindCompute
-	node int        // kindFailure/kindRecovery/kindRepair/kindRestore: the node
-	idx  int        // kindFailure: Failures index; kindDegrade: Degradations index
-	rec  ReadRecord // valid for kindRead
-}
-
-// abortRun carries a fatal simulation error (e.g. data loss) out of the
-// completion callbacks.
-type abortRun struct{ err error }
-
-// detachWaiting hands back the current waiting list as an independent batch
-// and leaves the live list empty WITHOUT sharing the backing array: while
-// the batch is being re-polled, Poll callbacks may re-enter the engine and
-// append fresh waiters, and an aliased `w = w[:0]` would write those appends
-// into the very slots the batch iteration is still reading (the PR 1
-// aliasing bug). Stealing the array for the batch is both alias-free and
-// copy-free; the live list re-grows from nil.
-func detachWaiting(w *[]int) []int {
-	ws := *w
-	*w = nil
-	return ws
-}
-
-// stepBudget is the number of simulation events the drain loop advances
-// between cancellation checks: a cancelled context stops consuming CPU
-// within at most this many events.
-const stepBudget = 64
-
 // Run executes tasks from src until every process has drained, returning
 // the trace. The topology's network must be idle; the run may start at a
 // non-zero virtual time (sequential rounds share one clock) and all times
@@ -407,499 +385,28 @@ func Run(opts Options, src TaskSource) (*Result, error) {
 // started — reads, compute timers, failure timers — is torn down, leaving
 // the topology's network idle and reusable.
 func RunContext(ctx context.Context, opts Options, src TaskSource) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("engine: run aborted before start: %w", err)
-	}
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	net := opts.Topo.Net()
-	if net.Active() != 0 {
-		return nil, fmt.Errorf("engine: network busy with %d flows at run start", net.Active())
-	}
-	start := net.Now()
-	p := opts.Problem
-	numProcs := p.NumProcs()
-
-	res := &Result{
-		Strategy:            opts.Strategy,
-		ServedMB:            make([]float64, opts.Topo.NumNodes()),
-		ProcFinish:          make([]float64, numProcs),
-		PeakConcurrentReads: make([]int, opts.Topo.NumNodes()),
-	}
-	curReads := make([]int, opts.Topo.NumNodes())
-	diskWork0 := make([]float64, opts.Topo.NumNodes())
-	for n := 0; n < opts.Topo.NumNodes(); n++ {
+	net, nodes := opts.Topo.Net(), opts.Topo.NumNodes()
+	diskWork0 := make([]float64, nodes)
+	for n := range diskWork0 {
 		diskWork0[n] = net.WorkMB(opts.Topo.DiskResource(n))
 	}
-
-	poller, isPolling := src.(PollingSource)
-	if !isPolling {
-		poller = pollAdapter{src}
-	}
-
-	type state struct {
-		task  int
-		input int
-	}
-	states := make([]state, numProcs)
-	inflight := make(map[simnet.FlowID]pending, numProcs)
-	var waiting []int
-	failed := make(map[int]bool)
-	degraded := make(map[int]float64) // node -> disk factor currently in effect
-	finished := make([]bool, numProcs)
-
-	// Pending fault timers (failure/recovery/repair/degrade/restore) are
-	// simnet flows, but they are not work: counting them as active would
-	// keep "stalled" false while every worker sits in the waiting list,
-	// letting a PollWait-answering source park the whole cluster until a
-	// far-future timer fires. Track them separately and subtract them from
-	// the active-work check.
-	auxTimers := 0
-	activeWork := func() int { return net.Active() - auxTimers }
-
-	var startTask, startInput, finishProc func(proc int)
-	var retryWaiting func()
-
-	avoidFailed := func(node int) bool { return failed[node] }
-
-	// nodeWeight is a process's current "load capacity" (§IV-D) for
-	// replanning. Failures take down a node's storage service, not its
-	// process: the process keeps computing but every read it issues goes
-	// remote, so its share is discounted by the remote/local read-speed
-	// ratio rather than zeroed — zeroing it would idle a live worker (and,
-	// for a transient outage, drain its list and terminate it before the
-	// node comes back). Degraded nodes are discounted by their disk factor.
-	remoteFactor := opts.Topo.UncontendedLocalRead(64) / opts.Topo.UncontendedRemoteRead(64)
-	nodeWeight := func(node int) float64 {
-		if failed[node] {
-			return remoteFactor
-		}
-		if f, ok := degraded[node]; ok {
-			return f
-		}
-		return 1
-	}
-	replannable, canReplan := src.(ReplannableSource)
-	// stamp snapshots the placement epochs of the problem's read set at run
-	// start and after every splice: the delta replanner diffs live epochs
-	// against it to find the tasks a placement event actually moved.
-	var stamp core.PlanStamp
-	if opts.Replan && canReplan {
-		stamp = core.StampProblem(p)
-	}
-	maybeReplan := func(eventNode int) {
-		if !opts.Replan || !canReplan {
-			return
-		}
-		seed := opts.ReplanSeed + int64(res.Replans)
-		var (
-			spliced   bool
-			rematched int
-			err       error
-		)
-		if opts.ReplanFull || eventNode < 0 {
-			spliced, err = replanPending(p, replannable, finished, nodeWeight, seed)
-		} else {
-			spliced, rematched, err = replanPendingDelta(p, replannable, finished, nodeWeight, seed, eventNode, stamp)
-		}
-		if err != nil {
-			panic(abortRun{err})
-		}
-		if spliced {
-			res.Replans++
-			res.DeltaReplannedTasks += rematched
-		}
-		// Refresh even without a splice: every epoch change up to this event
-		// either re-matched a pending task just now or concerns a task that
-		// is no longer pending, so older deltas need not be re-examined.
-		stamp = core.StampProblem(p)
-	}
-
-	startInput = func(proc int) {
-		st := &states[proc]
-		task := &p.Tasks[st.task]
-		// Rotate the input order by task ID: concurrent tasks then touch
-		// the datasets in staggered order instead of all processes slamming
-		// dataset A, then B, then C in lockstep — parallel programs issue
-		// their requests independently, and the lockstep convoy is an
-		// artifact of a fixed input order.
-		in := task.Inputs[(st.input+st.task)%len(task.Inputs)]
-		node := p.ProcNode[proc]
-		srcNode, local, err := opts.FS.PickReplicaAvoiding(in.Chunk, node, uint64(res.Retries), avoidFailed)
-		if err != nil {
-			panic(abortRun{fmt.Errorf("engine: process %d task %d: %w (all replica holders crashed)", proc, st.task, err)})
-		}
-		if opts.Balancer != nil {
-			if !local {
-				// The steerer chooses among the live holders (the reader is
-				// never one here: a live co-located replica would have made
-				// the pick local, and a crashed one is not a holder).
-				var holders []int
-				for _, r := range opts.FS.Chunk(in.Chunk).Replicas {
-					if r != node && !failed[r] {
-						holders = append(holders, r)
-					}
-				}
-				srcNode = opts.Balancer.PickRemote(node, holders, in.SizeMB)
-				ok := false
-				for _, h := range holders {
-					if h == srcNode {
-						ok = true
-						break
-					}
-				}
-				if !ok {
-					panic(abortRun{fmt.Errorf("engine: balancer picked node %d, not a live holder of chunk %d", srcNode, in.Chunk)})
-				}
-			}
-			opts.Balancer.ReadStarted(srcNode, in.SizeMB)
-		}
-		opts.FS.RecordRead(in.Chunk, node, local, in.SizeMB, net.Now())
-		path := opts.Topo.ReadPath(srcNode, node)
-		curReads[srcNode]++
-		if curReads[srcNode] > res.PeakConcurrentReads[srcNode] {
-			res.PeakConcurrentReads[srcNode] = curReads[srcNode]
-		}
-		id := net.Start(path, in.SizeMB, opts.Topo.ReadLatency(srcNode), fmt.Sprintf("p%d/t%d/c%d", proc, st.task, in.Chunk))
-		inflight[id] = pending{
-			kind: kindRead,
-			proc: proc,
-			rec: ReadRecord{
-				Proc:    proc,
-				Task:    st.task,
-				Chunk:   in.Chunk,
-				SrcNode: srcNode,
-				DstNode: node,
-				Local:   local,
-				SizeMB:  in.SizeMB,
-				Start:   net.Now() - start,
-			},
-		}
-	}
-
-	startTask = func(proc int) {
-		stalled := activeWork() == 0 && len(waiting) == 0
-		task, st := poller.Poll(proc, stalled)
-		switch st {
-		case PollDone:
-			finishProc(proc)
-			return
-		case PollWait:
-			if stalled {
-				panic("engine: polling source answered wait while the cluster is stalled")
-			}
-			waiting = append(waiting, proc)
-			return
-		}
-		if task < 0 || task >= len(p.Tasks) {
-			panic(fmt.Sprintf("engine: source produced invalid task %d", task))
-		}
-		states[proc] = state{task: task, input: 0}
-		res.TasksRun++
-		startInput(proc)
-	}
-
-	// retryWaiting re-polls every waiting process, repeating while any poll
-	// makes progress. When nothing is in flight the poll is marked stalled,
-	// which obliges the source to answer (delay scheduling's timeout).
-	retryWaiting = func() {
-		for len(waiting) > 0 {
-			stalled := activeWork() == 0
-			// Detach before iterating: appends below would otherwise write
-			// into the backing array the batch still aliases (and Poll
-			// callbacks can re-enter this path through completion events).
-			ws := detachWaiting(&waiting)
-			progress := false
-			for _, proc := range ws {
-				task, st := poller.Poll(proc, stalled)
-				switch st {
-				case PollDone:
-					finishProc(proc)
-					progress = true
-				case PollWait:
-					if stalled {
-						panic("engine: polling source answered wait while the cluster is stalled")
-					}
-					waiting = append(waiting, proc)
-				default:
-					if task < 0 || task >= len(p.Tasks) {
-						panic(fmt.Sprintf("engine: source produced invalid task %d", task))
-					}
-					states[proc] = state{task: task, input: 0}
-					res.TasksRun++
-					startInput(proc)
-					progress = true
-				}
-			}
-			if !progress {
-				return // sleep until the next completion event
-			}
-		}
-	}
-
-	remaining := numProcs
-	finishProc = func(proc int) {
-		res.ProcFinish[proc] = net.Now() - start
-		finished[proc] = true
-		remaining--
-	}
-
-	// scheduleAdvisor arms the next advisory pass. Advisor timers are aux
-	// flows like the fault timers: they must not count as active work, or a
-	// recurring tick would keep a PollWait-answering source parked forever.
-	scheduleAdvisor := func() {
-		id := net.Start(nil, 0, opts.AdvisorInterval, fmt.Sprintf("advisor/t%d", res.AdvisorTicks))
-		inflight[id] = pending{kind: kindAdvisor}
-		auxTimers++
-	}
-
-	net.OnComplete(func(now float64, f *simnet.Flow) {
-		pd, ok := inflight[f.ID]
-		if !ok {
-			panic(fmt.Sprintf("engine: completion for unknown flow %d (%s)", f.ID, f.Label))
-		}
-		delete(inflight, f.ID)
-		proc := pd.proc
-		switch pd.kind {
-		case kindRead:
-			rec := pd.rec
-			rec.End = now - start
-			curReads[rec.SrcNode]--
-			res.Records = append(res.Records, rec)
-			res.ServedMB[rec.SrcNode] += rec.SizeMB
-			if !rec.Local {
-				if opts.Topo.RackOf(rec.SrcNode) == opts.Topo.RackOf(rec.DstNode) {
-					res.RackLocalMB += rec.SizeMB
-				} else {
-					res.CrossRackMB += rec.SizeMB
-				}
-			}
-			st := &states[proc]
-			st.input++
-			if st.input < len(p.Tasks[st.task].Inputs) {
-				startInput(proc)
-				break
-			}
-			// All inputs read: compute phase, if any.
-			if opts.ComputeTime != nil {
-				ct := opts.ComputeTime(st.task)
-				if opts.ComputeFactor != nil {
-					ct *= opts.ComputeFactor(proc)
-				}
-				if ct > 0 {
-					id := net.Start(nil, 0, ct, fmt.Sprintf("p%d/t%d/compute", proc, st.task))
-					inflight[id] = pending{kind: kindCompute, proc: proc}
-					break
-				}
-			}
-			startTask(proc)
-		case kindCompute:
-			startTask(proc)
-		case kindFailure:
-			// The node's storage service is gone: future picks avoid it and
-			// every read it was serving restarts against another replica.
-			auxTimers--
-			fail := opts.Failures[pd.idx]
-			failed[pd.node] = true
-			res.FailedNodes = append(res.FailedNodes, pd.node)
-			if fail.RecoverAt == 0 && (opts.Repair || opts.Replan) {
-				// A permanent loss with the recovery subsystem on: record
-				// the crash in the namenode so repair and replanning see the
-				// true placement. (Transient outages never touch metadata —
-				// the node returns with its data intact.)
-				if _, _, err := opts.FS.Crash(pd.node); err != nil {
-					panic(abortRun{fmt.Errorf("engine: crash of node %d: %w", pd.node, err)})
-				}
-				if opts.Repair {
-					id := net.Start(nil, 0, opts.RepairDelay+1e-9, fmt.Sprintf("repair/node%d", pd.node))
-					inflight[id] = pending{kind: kindRepair, node: pd.node}
-					auxTimers++
-				}
-			}
-			var victims []simnet.FlowID
-			for id, infl := range inflight {
-				if infl.kind == kindRead && infl.rec.SrcNode == pd.node {
-					victims = append(victims, id)
-				}
-			}
-			// Deterministic retry order.
-			sort.Slice(victims, func(i, j int) bool { return victims[i] < victims[j] })
-			for _, id := range victims {
-				if net.Cancel(id) < 0 {
-					// Completed in the same event batch: its handler will
-					// run normally, no retry needed.
-					continue
-				}
-				victim := inflight[id]
-				delete(inflight, id)
-				curReads[victim.rec.SrcNode]--
-				res.Retries++
-				startInput(victim.proc) // re-picks avoiding failed nodes
-			}
-			maybeReplan(pd.node)
-		case kindRecovery:
-			// The DataNode process restarted; its replicas serve again. The
-			// per-read replica pick re-captures locality on its own, and a
-			// replan rebalances the surviving backlog shares.
-			auxTimers--
-			delete(failed, pd.node)
-			res.RecoveredNodes = append(res.RecoveredNodes, pd.node)
-			maybeReplan(pd.node)
-		case kindRepair:
-			// The namenode's replication monitor caught up: under-replicated
-			// chunks regain copies on live nodes, changing the placement
-			// truth — exactly when a replan can win back locality.
-			auxTimers--
-			res.RepairedChunks += opts.FS.ReReplicate()
-			maybeReplan(pd.node)
-		case kindDegrade:
-			auxTimers--
-			d := opts.Degradations[pd.idx]
-			degraded[d.Node] = d.DiskFactor
-			opts.Topo.DegradeNode(d.Node, d.DiskFactor, d.NICFactor)
-			maybeReplan(d.Node)
-		case kindRestore:
-			auxTimers--
-			delete(degraded, pd.node)
-			opts.Topo.DegradeNode(pd.node, 1, 1)
-			maybeReplan(pd.node)
-		case kindAdvisor:
-			// Periodic placement-advisory pass: the advisor reads the access
-			// telemetry and may move replicas; a change makes a full replan
-			// of the pending backlog worthwhile (the new copies are placement
-			// truth the in-flight lists know nothing about).
-			auxTimers--
-			res.AdvisorTicks++
-			if opts.Advisor.Tick(now) {
-				maybeReplan(-1)
-			}
-			if remaining > 0 {
-				scheduleAdvisor()
-			}
-		}
-		// A completion may free up a task a waiting process was hoping for
-		// (or leave the cluster stalled, forcing the source's hand).
-		retryWaiting()
-	})
-
-	// Schedule the DataNode crashes (and recoveries) as timers.
-	for i, fail := range opts.Failures {
-		if fail.Node < 0 || fail.Node >= opts.Topo.NumNodes() {
-			return nil, fmt.Errorf("engine: failure on invalid node %d", fail.Node)
-		}
-		if fail.At < 0 {
-			return nil, fmt.Errorf("engine: failure time %v must be non-negative", fail.At)
-		}
-		if fail.RecoverAt != 0 && fail.RecoverAt <= fail.At {
-			return nil, fmt.Errorf("engine: node %d recovery at %v must be after the failure at %v", fail.Node, fail.RecoverAt, fail.At)
-		}
-		// A zero delay would complete before any read begins; nudge it to
-		// "immediately after start" semantics either way.
-		id := net.Start(nil, 0, fail.At+1e-9, fmt.Sprintf("fail/node%d", fail.Node))
-		inflight[id] = pending{kind: kindFailure, node: fail.Node, idx: i}
-		auxTimers++
-		if fail.RecoverAt > 0 {
-			id := net.Start(nil, 0, fail.RecoverAt+1e-9, fmt.Sprintf("recover/node%d", fail.Node))
-			inflight[id] = pending{kind: kindRecovery, node: fail.Node}
-			auxTimers++
-		}
-	}
-	if opts.RepairDelay < 0 {
-		return nil, fmt.Errorf("engine: repair delay %v must be non-negative", opts.RepairDelay)
-	}
-	// Schedule the degradation windows.
-	for i, d := range opts.Degradations {
-		if d.Node < 0 || d.Node >= opts.Topo.NumNodes() {
-			return nil, fmt.Errorf("engine: degradation on invalid node %d", d.Node)
-		}
-		if d.At < 0 {
-			return nil, fmt.Errorf("engine: degradation time %v must be non-negative", d.At)
-		}
-		if d.Until != 0 && d.Until <= d.At {
-			return nil, fmt.Errorf("engine: node %d degradation end %v must be after its start %v", d.Node, d.Until, d.At)
-		}
-		if d.DiskFactor <= 0 || d.DiskFactor > 1 || d.NICFactor <= 0 || d.NICFactor > 1 {
-			return nil, fmt.Errorf("engine: node %d degradation factors %v/%v must be in (0,1]", d.Node, d.DiskFactor, d.NICFactor)
-		}
-		id := net.Start(nil, 0, d.At+1e-9, fmt.Sprintf("degrade/node%d", d.Node))
-		inflight[id] = pending{kind: kindDegrade, node: d.Node, idx: i}
-		auxTimers++
-		if d.Until > 0 {
-			id := net.Start(nil, 0, d.Until+1e-9, fmt.Sprintf("restore/node%d", d.Node))
-			inflight[id] = pending{kind: kindRestore, node: d.Node, idx: i}
-			auxTimers++
-		}
-	}
-	if opts.Advisor != nil {
-		scheduleAdvisor()
-	}
-	// Whatever happens below, hand the shared topology back healthy: any
-	// degradation still in effect at exit (Until == 0, or an aborted run) is
-	// lifted so sequential rounds see nominal bandwidth again.
-	defer func() {
-		for node := range degraded {
-			opts.Topo.DegradeNode(node, 1, 1)
-		}
-	}()
-
-	if err := func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				if ab, ok := r.(abortRun); ok {
-					err = ab.err
-					return
-				}
-				panic(r)
-			}
-		}()
-		for proc := 0; proc < numProcs; proc++ {
-			startTask(proc)
-		}
-		retryWaiting()
-		for {
-			// Drain in budgeted slices instead of an uninterruptible
-			// net.Run(): between slices a cancelled context aborts the run.
-			for net.StepN(stepBudget) {
-				if err := ctx.Err(); err != nil {
-					return fmt.Errorf("engine: run aborted after %d events: %w", net.Completed(), err)
-				}
-			}
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("engine: run aborted after %d events: %w", net.Completed(), err)
-			}
-			if len(waiting) == 0 {
-				break
-			}
-			retryWaiting() // the cluster is stalled: sources are forced to answer
-		}
-		return nil
-	}(); err != nil {
-		// Tear down whatever the aborted run left in flight (reads, compute
-		// and failure timers) so the shared network returns to idle —
-		// sequential rounds and retried requests reuse the same clock.
-		victims := make([]simnet.FlowID, 0, len(inflight))
-		for id := range inflight {
-			victims = append(victims, id)
-		}
-		sort.Slice(victims, func(i, j int) bool { return victims[i] < victims[j] })
-		for _, id := range victims {
-			net.Cancel(id)
-		}
-		net.OnComplete(nil)
+	rt := newJob(JobSpec{
+		Problem:     opts.Problem,
+		Source:      src,
+		ComputeTime: opts.ComputeTime,
+		Strategy:    opts.Strategy,
+	}, nodes)
+	rt.computeFactor = opts.ComputeFactor
+	if err := simulate(ctx, &opts, []*job{rt}, nil); err != nil {
 		return nil, err
 	}
-	net.OnComplete(nil)
-	// The makespan is when the last process finished — not net.Now(), which
-	// may include failure timers that fired after the job drained.
-	for _, fin := range res.ProcFinish {
-		if fin > res.Makespan {
-			res.Makespan = fin
-		}
-	}
-	res.DiskUtilization = make([]float64, opts.Topo.NumNodes())
+	res := rt.res
+	res.DiskUtilization = make([]float64, nodes)
 	if res.Makespan > 0 {
-		for n := 0; n < opts.Topo.NumNodes(); n++ {
+		for n := range diskWork0 {
 			moved := net.WorkMB(opts.Topo.DiskResource(n)) - diskWork0[n]
 			res.DiskUtilization[n] = moved / (opts.Topo.NodeProfile(n).DiskMBps * res.Makespan)
 		}

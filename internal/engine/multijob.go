@@ -3,15 +3,13 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"opass/internal/cluster"
 	"opass/internal/core"
 	"opass/internal/dfs"
-	"opass/internal/simnet"
 )
 
-// This file implements concurrent multi-job execution. §V-C1 of the paper
+// This file is the concurrent multi-job entry to the event loop. §V-C1 of the paper
 // notes that "clusters are usually shared by multiple applications. Thus,
 // Opass may not greatly enhance the performance of parallel data requests
 // due to the adjustment of HDFS" — a co-running job's reads land on the
@@ -86,17 +84,16 @@ type ServingBalancer interface {
 // RunJobs executes every job concurrently on the shared topology and file
 // system, returning one Result per job. Each Result's times are relative to
 // the run start; Result.Arrival records the job's release time so
-// JobMakespan reports completion-minus-arrival. Node-failure injection is
-// not supported in concurrent mode.
+// JobMakespan reports completion-minus-arrival. JobSpec carries no fault
+// schedule: failure injection is an Options (single-job) feature.
 func RunJobs(topo *cluster.Topology, fs *dfs.FileSystem, jobs []JobSpec) ([]*Result, error) {
 	return RunJobsContext(context.Background(), topo, fs, jobs)
 }
 
-// RunJobsContext is RunJobs under cooperative cancellation: the drain loop
-// advances the simulation in stepBudget-event slices and polls ctx between
-// slices. On abort every in-flight flow the run started — reads, compute
-// and arrival timers — is torn down, leaving the shared network idle and
-// reusable (mirroring single-job RunContext).
+// RunJobsContext is RunJobs under cooperative cancellation, with
+// RunContext's abort semantics: every in-flight flow the run started —
+// reads, compute and arrival timers — is torn down, leaving the shared
+// network idle and reusable.
 func RunJobsContext(ctx context.Context, topo *cluster.Topology, fs *dfs.FileSystem, jobs []JobSpec) ([]*Result, error) {
 	return RunJobsScheduled(ctx, topo, fs, jobs, nil)
 }
@@ -107,31 +104,13 @@ func RunJobsContext(ctx context.Context, topo *cluster.Topology, fs *dfs.FileSys
 // it is informed of the job's actual per-node service load when the job
 // drains. A nil sched degrades to plain concurrent execution.
 func RunJobsScheduled(ctx context.Context, topo *cluster.Topology, fs *dfs.FileSystem, jobs []JobSpec, sched ClusterScheduler) ([]*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("engine: run aborted before start: %w", err)
-	}
 	if topo == nil || fs == nil {
 		return nil, fmt.Errorf("engine: RunJobs requires a topology and file system")
 	}
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("engine: no jobs")
 	}
-	net := topo.Net()
-	if net.Active() != 0 {
-		return nil, fmt.Errorf("engine: network busy with %d flows at run start", net.Active())
-	}
-	balancer, _ := sched.(ServingBalancer)
-	start := net.Now()
-
-	type jobRT struct {
-		spec      JobSpec
-		poller    PollingSource
-		states    []state2
-		res       *Result
-		waiting   []int
-		remaining int // processes not yet finished
-	}
-	rts := make([]*jobRT, len(jobs))
+	rts := make([]*job, len(jobs))
 	for j, spec := range jobs {
 		if spec.Problem == nil {
 			return nil, fmt.Errorf("engine: job %d missing problem", j)
@@ -150,277 +129,16 @@ func RunJobsScheduled(ctx context.Context, topo *cluster.Topology, fs *dfs.FileS
 		if spec.StartAt < 0 {
 			return nil, fmt.Errorf("engine: job %d negative start time", j)
 		}
-		rt := &jobRT{
-			spec:      spec,
-			states:    make([]state2, spec.Problem.NumProcs()),
-			remaining: spec.Problem.NumProcs(),
-			res: &Result{
-				Strategy:   spec.Strategy,
-				Arrival:    spec.StartAt,
-				ServedMB:   make([]float64, topo.NumNodes()),
-				ProcFinish: make([]float64, spec.Problem.NumProcs()),
-			},
-		}
-		if spec.Source != nil {
-			rt.poller = asPoller(spec.Source)
-		}
-		rts[j] = rt
+		rts[j] = newJob(spec, topo.NumNodes())
 	}
-
-	type key struct{ job, proc int }
-	type pend struct {
-		kind pendingKind
-		key  key
-		rec  ReadRecord
-	}
-	inflight := make(map[simnet.FlowID]pend)
-	totalWaiting := 0
-
-	var startTask func(j, proc int)
-	startInput := func(j, proc int) {
-		rt := rts[j]
-		st := &rt.states[proc]
-		p := rt.spec.Problem
-		task := &p.Tasks[st.task]
-		in := task.Inputs[(st.input+st.task)%len(task.Inputs)]
-		node := p.ProcNode[proc]
-		srcNode, local, err := fs.PickReplicaAvoiding(in.Chunk, node, 0, nil)
-		if err != nil {
-			panic(abortRun{err})
-		}
-		if balancer != nil {
-			if !local {
-				holders := fs.Chunk(in.Chunk).Replicas
-				srcNode = balancer.PickRemote(node, holders, in.SizeMB)
-				ok := false
-				for _, h := range holders {
-					if h == srcNode {
-						ok = true
-						break
-					}
-				}
-				if !ok {
-					panic(abortRun{fmt.Errorf("engine: balancer picked node %d, not a holder of chunk %d", srcNode, in.Chunk)})
-				}
-			}
-			balancer.ReadStarted(srcNode, in.SizeMB)
-		}
-		fs.RecordRead(in.Chunk, node, local, in.SizeMB, net.Now())
-		id := net.Start(topo.ReadPath(srcNode, node), in.SizeMB, topo.ReadLatency(srcNode),
-			fmt.Sprintf("j%d/p%d/t%d", j, proc, st.task))
-		inflight[id] = pend{kind: kindRead, key: key{j, proc}, rec: ReadRecord{
-			Proc: proc, Task: st.task, Chunk: in.Chunk,
-			SrcNode: srcNode, DstNode: node, Local: local,
-			SizeMB: in.SizeMB, Start: net.Now() - start,
-		}}
-	}
-
-	finishProc := func(j, proc int) {
-		rt := rts[j]
-		rt.res.ProcFinish[proc] = net.Now() - start
-		rt.remaining--
-		if rt.remaining == 0 && sched != nil {
-			sched.JobFinished(j, append([]float64(nil), rt.res.ServedMB...))
-		}
-	}
-
-	startTask = func(j, proc int) {
-		rt := rts[j]
-		stalled := net.Active() == 0 && totalWaiting == 0
-		task, st := rt.poller.Poll(proc, stalled)
-		switch st {
-		case PollDone:
-			finishProc(j, proc)
-			return
-		case PollWait:
-			if stalled {
-				panic("engine: polling source answered wait while the cluster is stalled")
-			}
-			rt.waiting = append(rt.waiting, proc)
-			totalWaiting++
-			return
-		}
-		if task < 0 || task >= len(rt.spec.Problem.Tasks) {
-			panic(fmt.Sprintf("engine: job %d source produced invalid task %d", j, task))
-		}
-		rt.states[proc] = state2{task: task, input: 0}
-		rt.res.TasksRun++
-		startInput(j, proc)
-	}
-
-	// releaseJob fires at the job's arrival: consult the scheduler (which
-	// may plan the job against the residual cluster and hand back a fresh
-	// source), then start every process.
-	releaseJob := func(j int, now float64) {
-		rt := rts[j]
-		if sched != nil {
-			src, err := sched.JobArriving(j, rt.spec, now)
-			if err != nil {
-				panic(abortRun{fmt.Errorf("engine: scheduling job %d: %w", j, err)})
-			}
-			if src != nil {
-				rt.poller = asPoller(src)
-			}
-		}
-		if rt.poller == nil {
-			panic(abortRun{fmt.Errorf("engine: job %d has no task source at arrival", j)})
-		}
-		for proc := 0; proc < rt.spec.Problem.NumProcs(); proc++ {
-			startTask(j, proc)
-		}
-	}
-
-	retryWaiting := func() {
-		for totalWaiting > 0 {
-			stalled := net.Active() == 0
-			progress := false
-			for j, rt := range rts {
-				if len(rt.waiting) == 0 {
-					continue
-				}
-				// Detach before iterating, exactly as single-job Run does:
-				// startTask below may append re-waiting processes, and with
-				// an in-place `rt.waiting[:0]` truncation those appends
-				// would land in the backing array this loop is reading.
-				ws := detachWaiting(&rt.waiting)
-				totalWaiting -= len(ws)
-				for _, proc := range ws {
-					before := totalWaiting
-					startTask(j, proc)
-					if totalWaiting == before {
-						progress = true // the proc got a task or finished
-					}
-				}
-			}
-			if !progress {
-				if stalled && totalWaiting > 0 {
-					panic("engine: all jobs waiting with no work in flight")
-				}
-				return
-			}
-		}
-	}
-
-	net.OnComplete(func(now float64, f *simnet.Flow) {
-		pd, ok := inflight[f.ID]
-		if !ok {
-			panic(fmt.Sprintf("engine: completion for unknown flow %d (%s)", f.ID, f.Label))
-		}
-		delete(inflight, f.ID)
-		j, proc := pd.key.job, pd.key.proc
-		rt := rts[j]
-		switch pd.kind {
-		case kindRead:
-			rec := pd.rec
-			rec.End = now - start
-			rt.res.Records = append(rt.res.Records, rec)
-			rt.res.ServedMB[rec.SrcNode] += rec.SizeMB
-			if !rec.Local {
-				if topo.RackOf(rec.SrcNode) == topo.RackOf(rec.DstNode) {
-					rt.res.RackLocalMB += rec.SizeMB
-				} else {
-					rt.res.CrossRackMB += rec.SizeMB
-				}
-			}
-			st := &rt.states[proc]
-			st.input++
-			if st.input < len(rt.spec.Problem.Tasks[st.task].Inputs) {
-				startInput(j, proc)
-				break
-			}
-			if rt.spec.ComputeTime != nil {
-				if ct := rt.spec.ComputeTime(st.task); ct > 0 {
-					id := net.Start(nil, 0, ct, fmt.Sprintf("j%d/p%d/compute", j, proc))
-					inflight[id] = pend{kind: kindCompute, key: pd.key}
-					break
-				}
-			}
-			startTask(j, proc)
-		case kindCompute:
-			startTask(j, proc)
-		case kindFailure:
-			// Job arrival timer: release every process of job j.
-			releaseJob(j, now-start)
-		}
-		retryWaiting()
-	})
-
-	if err := func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				if ab, ok := r.(abortRun); ok {
-					err = ab.err
-					return
-				}
-				panic(r)
-			}
-		}()
-		for j, rt := range rts {
-			if rt.spec.StartAt > 0 {
-				// Reuse the failure kind as a simple arrival timer keyed to
-				// the job (node field unused here).
-				id := net.Start(nil, 0, rt.spec.StartAt, fmt.Sprintf("j%d/arrival", j))
-				inflight[id] = pend{kind: kindFailure, key: key{job: j, proc: -1}}
-				continue
-			}
-			releaseJob(j, 0)
-		}
-		retryWaiting()
-		for {
-			// Drain in budgeted slices instead of an uninterruptible
-			// net.Run(): between slices a cancelled context aborts the run.
-			for net.StepN(stepBudget) {
-				if err := ctx.Err(); err != nil {
-					return fmt.Errorf("engine: run aborted after %d events: %w", net.Completed(), err)
-				}
-			}
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("engine: run aborted after %d events: %w", net.Completed(), err)
-			}
-			if totalWaiting == 0 {
-				break
-			}
-			retryWaiting()
-		}
-		return nil
-	}(); err != nil {
-		// Tear down whatever the aborted run left in flight (reads, compute
-		// and arrival timers) so the shared network returns to idle.
-		victims := make([]simnet.FlowID, 0, len(inflight))
-		for id := range inflight {
-			victims = append(victims, id)
-		}
-		sort.Slice(victims, func(i, j int) bool { return victims[i] < victims[j] })
-		for _, id := range victims {
-			net.Cancel(id)
-		}
-		net.OnComplete(nil)
+	opts := Options{Topo: topo, FS: fs}
+	opts.Balancer, _ = sched.(ReadSteerer)
+	if err := simulate(ctx, &opts, rts, sched); err != nil {
 		return nil, err
 	}
-	net.OnComplete(nil)
-
 	results := make([]*Result, len(jobs))
 	for j, rt := range rts {
-		for _, fin := range rt.res.ProcFinish {
-			if fin > rt.res.Makespan {
-				rt.res.Makespan = fin
-			}
-		}
 		results[j] = rt.res
 	}
 	return results, nil
-}
-
-// asPoller lifts a TaskSource into a PollingSource.
-func asPoller(src TaskSource) PollingSource {
-	if p, ok := src.(PollingSource); ok {
-		return p
-	}
-	return pollAdapter{src}
-}
-
-// state2 mirrors Run's per-process progress record.
-type state2 struct {
-	task  int
-	input int
 }

@@ -98,80 +98,86 @@ func TestRunJobsScheduledPlansAtArrival(t *testing.T) {
 	}
 }
 
-// steerBalancer is a ServingBalancer that forces every remote read to the
-// lowest-numbered holder and tallies what it was told.
+// steerBalancer is steerer as a ServingBalancer.
 type steerBalancer struct {
 	schedRecorder
-	picks   int
-	started map[int]float64
+	*steerer
 }
 
-func (b *steerBalancer) PickRemote(reader int, holders []int, sizeMB float64) int {
-	b.picks++
-	best := holders[0]
-	for _, h := range holders[1:] {
-		if h < best {
-			best = h
-		}
-	}
-	return best
-}
-
-func (b *steerBalancer) ReadStarted(node int, sizeMB float64) {
-	b.started[node] += sizeMB
-}
-
+// TestServingBalancerSteersRemoteReads: through either entry point every
+// remote read goes where the steerer said and every read start is reported.
 func TestServingBalancerSteersRemoteReads(t *testing.T) {
-	r, probA, probB := twoJobRig(t, 8, 24, 92)
-	aA, _ := core.SingleData{}.Assign(probA)
-	// RankStatic ignores locality, guaranteeing remote reads to steer.
-	aB, _ := core.RankStatic{}.Assign(probB)
-	bal := &steerBalancer{
-		schedRecorder: schedRecorder{
-			srcs:     map[int]TaskSource{0: NewListSource(aA.Lists), 1: NewListSource(aB.Lists)},
-			arrivals: map[int]float64{},
-			finished: map[int][]float64{},
-		},
-		started: map[int]float64{},
+	type rigged struct {
+		r      *rig
+		pA, pB *core.Problem
+		aA, aB *core.Assignment
 	}
-	results, err := RunJobsScheduled(context.Background(), r.topo, r.fs, []JobSpec{
-		{Problem: probA, Strategy: "a"},
-		{Problem: probB, Strategy: "b"},
-	}, bal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	remote := 0
-	startedWant := map[int]float64{}
-	for _, res := range results {
-		for _, rec := range res.Records {
-			startedWant[rec.SrcNode] += rec.SizeMB
-			if rec.Local {
-				continue
+	cases := []struct {
+		name string
+		run  func(x rigged, bal *steerer) ([]*Result, error)
+	}{
+		{"Run", func(x rigged, bal *steerer) ([]*Result, error) {
+			res, err := Run(Options{Topo: x.r.topo, FS: x.r.fs, Problem: x.pB, Balancer: bal}, NewListSource(x.aB.Lists))
+			return []*Result{res}, err
+		}},
+		{"RunJobsScheduled", func(x rigged, bal *steerer) ([]*Result, error) {
+			sched := &steerBalancer{
+				schedRecorder: schedRecorder{
+					srcs:     map[int]TaskSource{0: NewListSource(x.aA.Lists), 1: NewListSource(x.aB.Lists)},
+					arrivals: map[int]float64{},
+					finished: map[int][]float64{},
+				},
+				steerer: bal,
 			}
-			remote++
-			// Every remote read must have gone where the balancer said:
-			// the lowest-numbered holder of its chunk.
-			holders := r.fs.Chunk(rec.Chunk).Replicas
-			best := holders[0]
-			for _, h := range holders[1:] {
-				if h < best {
-					best = h
+			return RunJobsScheduled(context.Background(), x.r.topo, x.r.fs, []JobSpec{
+				{Problem: x.pA, Strategy: "a"},
+				{Problem: x.pB, Strategy: "b"},
+			}, sched)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r, probA, probB := twoJobRig(t, 8, 24, 92)
+			aA, _ := core.SingleData{}.Assign(probA)
+			// RankStatic ignores locality, guaranteeing remote reads to steer.
+			aB, _ := core.RankStatic{}.Assign(probB)
+			bal := &steerer{}
+			results, err := tc.run(rigged{r, probA, probB, aA, aB}, bal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			remote := 0
+			startedWant := map[int]float64{}
+			for _, res := range results {
+				for _, rec := range res.Records {
+					startedWant[rec.SrcNode] += rec.SizeMB
+					if rec.Local {
+						continue
+					}
+					remote++
+					// Every remote read must have gone where the steerer
+					// said: the lowest-numbered holder of its chunk.
+					best := -1
+					for _, h := range r.fs.Chunk(rec.Chunk).Replicas {
+						if h != rec.DstNode && (best < 0 || h < best) {
+							best = h
+						}
+					}
+					if rec.SrcNode != best {
+						t.Fatalf("remote read of chunk %d served by %d, balancer chose %d", rec.Chunk, rec.SrcNode, best)
+					}
 				}
 			}
-			if rec.SrcNode != best {
-				t.Fatalf("remote read of chunk %d served by %d, balancer chose %d", rec.Chunk, rec.SrcNode, best)
+			if remote == 0 {
+				t.Fatal("no remote reads; the balancer path was not exercised")
 			}
-		}
-	}
-	if remote == 0 {
-		t.Fatal("no remote reads; the balancer path was not exercised")
-	}
-	if bal.picks != remote {
-		t.Fatalf("balancer consulted %d times for %d remote reads", bal.picks, remote)
-	}
-	if !reflect.DeepEqual(bal.started, startedWant) {
-		t.Fatalf("ReadStarted tally %v, want %v", bal.started, startedWant)
+			if bal.picks != remote {
+				t.Fatalf("balancer consulted %d times for %d remote reads", bal.picks, remote)
+			}
+			if !reflect.DeepEqual(bal.started, startedWant) {
+				t.Fatalf("ReadStarted tally %v, want %v", bal.started, startedWant)
+			}
+		})
 	}
 }
 
@@ -195,43 +201,6 @@ func TestRunJobsDeterministic(t *testing.T) {
 	for j := range first {
 		if !reflect.DeepEqual(first[j], second[j]) {
 			t.Fatalf("job %d differs between identical runs:\n%+v\n%+v", j, first[j], second[j])
-		}
-	}
-}
-
-func TestRunJobsContextMidRunCancel(t *testing.T) {
-	r, probA, probB := twoJobRig(t, 8, 40, 94)
-	aA, _ := core.SingleData{}.Assign(probA)
-	aB, _ := core.SingleData{}.Assign(probB)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	src := &cancellingSource{inner: NewListSource(aA.Lists), cancel: cancel, after: 10}
-	results, err := RunJobsContext(ctx, r.topo, r.fs, []JobSpec{
-		{Problem: probA, Source: src, Strategy: "a"},
-		// Job 1's far-future arrival timer is an in-flight flow the abort
-		// must tear down too.
-		{Problem: probB, Source: NewListSource(aB.Lists), Strategy: "b", StartAt: 1e6},
-	})
-	if results != nil {
-		t.Fatalf("got partial results %v, want nil", results)
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if got := r.topo.Net().Active(); got != 0 {
-		t.Fatalf("network has %d active flows after mid-run abort", got)
-	}
-	// The shared substrate must be reusable for a follow-up run.
-	rerun, err := RunJobs(r.topo, r.fs, []JobSpec{
-		{Problem: probA, Source: NewListSource(aA.Lists), Strategy: "a"},
-		{Problem: probB, Source: NewListSource(aB.Lists), Strategy: "b"},
-	})
-	if err != nil {
-		t.Fatalf("rerun after abort failed: %v", err)
-	}
-	for j, res := range rerun {
-		if res.TasksRun != 40 {
-			t.Fatalf("rerun job %d executed %d tasks, want 40", j, res.TasksRun)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"math"
+	"reflect"
 	"testing"
 
 	"opass/internal/cluster"
@@ -125,8 +125,18 @@ func TestRunJobsMatchesSingleRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(single.Makespan-multi[0].Makespan) > 1e-9 {
-		t.Fatalf("makespans differ: %v vs %v", single.Makespan, multi[0].Makespan)
+	m := multi[0]
+	if single.Makespan != m.Makespan || single.TasksRun != m.TasksRun {
+		t.Fatalf("makespan/tasks differ: %v/%d vs %v/%d", single.Makespan, single.TasksRun, m.Makespan, m.TasksRun)
+	}
+	if !reflect.DeepEqual(single.Records, m.Records) {
+		t.Fatalf("records differ:\n%+v\n%+v", single.Records, m.Records)
+	}
+	if !reflect.DeepEqual(single.ServedMB, m.ServedMB) {
+		t.Fatalf("served MB differ: %v vs %v", single.ServedMB, m.ServedMB)
+	}
+	if !reflect.DeepEqual(single.ProcFinish, m.ProcFinish) {
+		t.Fatalf("process finish times differ: %v vs %v", single.ProcFinish, m.ProcFinish)
 	}
 }
 

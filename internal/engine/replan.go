@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"opass/internal/core"
@@ -51,98 +52,11 @@ func (s *ListSource) Splice(lists [][]int) {
 	}
 }
 
-// replanPending re-matches the backlog of src against the current placement
-// in p.FS and splices the result back. Processes that already terminated
-// receive nothing; the rest are weighted by weight(node) — fractions shrink
-// a process's share (a degraded disk, or a storage-dead node whose reads
-// all go remote), zero excludes it entirely — mirroring the §IV-D
-// load-capacity skew. It reports whether a new backlog was spliced.
-func replanPending(p *core.Problem, src ReplannableSource, finished []bool, weight func(node int) float64, seed int64) (bool, error) {
-	pendingLists := src.Pending()
-	if len(pendingLists) != len(finished) {
-		return false, fmt.Errorf("engine: replan: source reports %d processes, problem has %d", len(pendingLists), len(finished))
-	}
-	var taskIDs []int
-	for _, list := range pendingLists {
-		taskIDs = append(taskIDs, list...)
-	}
-	if len(taskIDs) == 0 {
-		return false, nil
-	}
-	sort.Ints(taskIDs)
-	var alive []int
-	for proc := range pendingLists {
-		if !finished[proc] {
-			alive = append(alive, proc)
-		}
-	}
-	if len(alive) == 0 {
-		// A backlog with every process terminated cannot happen with list
-		// sources (a process only terminates once its list drains); leave
-		// the backlog untouched rather than strand it silently.
-		return false, nil
-	}
-
-	// Build a dense sub-problem over the backlog and the live processes.
-	sub := &core.Problem{
-		FS:       p.FS,
-		ProcNode: make([]int, len(alive)),
-		Tasks:    make([]core.Task, len(taskIDs)),
-	}
-	weights := make([]float64, len(alive))
-	uniform := true
-	var sum float64
-	for i, proc := range alive {
-		sub.ProcNode[i] = p.ProcNode[proc]
-		weights[i] = weight(p.ProcNode[proc])
-		sum += weights[i]
-		if weights[i] != weights[0] {
-			uniform = false
-		}
-	}
-	multi := false
-	for i, id := range taskIDs {
-		sub.Tasks[i] = core.Task{ID: i, Inputs: p.Tasks[id].Inputs}
-		if len(p.Tasks[id].Inputs) > 1 {
-			multi = true
-		}
-	}
-
-	var (
-		a   *core.Assignment
-		err error
-	)
-	if multi {
-		a, err = core.MultiData{Seed: seed}.Assign(sub)
-	} else {
-		sd := core.SingleData{Seed: seed}
-		// Skewed shares only when they differ and are usable; all-equal (or
-		// degenerate all-zero) weights fall back to the uniform quota.
-		if !uniform && sum > 0 {
-			sd.Weights = weights
-		}
-		a, err = sd.Assign(sub)
-	}
-	if err != nil {
-		return false, fmt.Errorf("engine: replan: %w", err)
-	}
-
-	lists := make([][]int, len(pendingLists))
-	for i, proc := range alive {
-		mapped := make([]int, len(a.Lists[i]))
-		for k, st := range a.Lists[i] {
-			mapped[k] = taskIDs[st]
-		}
-		lists[proc] = mapped
-	}
-	src.Splice(lists)
-	return true, nil
-}
-
-// replanPendingDelta is the O(delta) variant of replanPending: instead of
-// re-matching the whole backlog it re-matches only the pending tasks the
-// placement event could have moved, and leaves everything else queued where
-// it was. A pending task is affected when
+// ReplanBacklogDelta re-matches the part of src's backlog the placement event
+// at eventNode could have moved against the current placement in p.FS,
+// splices the result back, and leaves everything else queued where it was —
+// the O(delta) replan. stamp must have been captured by core.StampProblem
+// before the event mutated p.FS. A pending task is affected when
 //
 //   - an input chunk's placement epoch changed since stamp (a permanent
 //     crash dropped its replica from the namenode, repair re-created one,
@@ -152,26 +66,33 @@ func replanPending(p *core.Problem, src ReplannableSource, finished []bool, weig
 //     touching metadata), or
 //   - the task is queued on a process hosted on eventNode (the process's
 //     load capacity changed, so its backlog share must be revisited), or
-//   - the task is displaced: it sits at the tail of a queue holding more
-//     than its process's §IV-D share of the backlog (accumulated progress
-//     imbalance a full re-match would have leveled as a side effect).
+//   - the task is displaced: it cannot be read locally where it is queued,
+//     or it sits at the tail of a queue holding more than its process's
+//     §IV-D share of the backlog (accumulated progress imbalance).
 //
-// Affected tasks are re-matched against the live processes with
+// A negative eventNode means no event attribution is available: every
+// pending task is affected and nothing is kept — the full re-match.
+//
+// Processes that already terminated receive nothing; the rest are weighted
+// by weight(node) — fractions shrink a process's share (a degraded disk, or
+// a storage-dead node whose reads all go remote), zero excludes it —
+// mirroring the §IV-D load-capacity skew. A delta re-match uses
 // slack-weighted quotas: each process's share of the re-matched data is
-// what its §IV-D load-capacity share of the TOTAL backlog says it deserves,
-// minus the data it already keeps — so survivors that kept a full queue
-// absorb little, drained processes absorb much, and the spliced result
-// lands close to the full re-match's balance at a fraction of the cost.
-// The re-matched tasks are appended after each process's kept backlog.
+// what its load-capacity share of the TOTAL backlog says it deserves, minus
+// the data it already keeps — so survivors that kept a full queue absorb
+// little, drained processes absorb much, and the spliced result lands close
+// to the full re-match's balance at a fraction of the cost. The re-matched
+// tasks are appended after each process's kept backlog.
 //
 // It reports whether a splice happened and how many tasks were re-matched.
-func replanPendingDelta(p *core.Problem, src ReplannableSource, finished []bool, weight func(node int) float64, seed int64, eventNode int, stamp core.PlanStamp) (bool, int, error) {
+func ReplanBacklogDelta(p *core.Problem, src ReplannableSource, finished []bool, weight func(node int) float64, seed int64, eventNode int, stamp core.PlanStamp) (spliced bool, rematched int, err error) {
 	pendingLists := src.Pending()
 	if len(pendingLists) != len(finished) {
 		return false, 0, fmt.Errorf("engine: replan: source reports %d processes, problem has %d", len(pendingLists), len(finished))
 	}
+	full := eventNode < 0
 	affected := func(id, proc int) bool {
-		if p.ProcNode[proc] == eventNode {
+		if full || p.ProcNode[proc] == eventNode {
 			return true
 		}
 		if stamp.Dirty(p, id) {
@@ -185,8 +106,7 @@ func replanPendingDelta(p *core.Problem, src ReplannableSource, finished []bool,
 		// Displaced: the task cannot be read locally where it is queued —
 		// the prior matching left it stranded remote (quota pressure, or an
 		// earlier fault took its co-located copy). Any event frees or
-		// shifts quota, so give the matcher another chance at a local home;
-		// a full re-match would retry these as a side effect.
+		// shifts quota, so give the matcher another chance at a local home.
 		return p.CoLocatedMB(proc, id) == 0
 	}
 
@@ -215,24 +135,29 @@ func replanPendingDelta(p *core.Problem, src ReplannableSource, finished []bool,
 		}
 	}
 	if len(alive) == 0 {
+		// A backlog with every process terminated cannot happen with list
+		// sources (a process only terminates once its list drains); leave
+		// the backlog untouched rather than strand it silently.
 		return false, 0, nil
 	}
 
 	raw := make([]float64, len(alive))
 	var rawSum float64
+	uniform := true
 	for i, proc := range alive {
 		raw[i] = weight(p.ProcNode[proc])
 		rawSum += raw[i]
+		if raw[i] != raw[0] {
+			uniform = false
+		}
 	}
 
-	// Displaced tasks: a fault event is also the moment accumulated
-	// progress imbalance surfaces — processes that fell behind hold
-	// backlogs well past their §IV-D share while early finishers sit near
-	// empty, and a full re-match would have leveled that as a side effect.
-	// Shed from the tail of each kept queue any load beyond the process's
-	// share of the whole backlog (keeping a one-task tolerance so balanced
-	// queues shed nothing) and let the re-match redistribute it together
-	// with the event-affected tasks.
+	// A fault event is also the moment accumulated progress imbalance
+	// surfaces — processes that fell behind hold backlogs well past their
+	// §IV-D share while early finishers sit near empty. Shed from the tail
+	// of each kept queue any load beyond the process's share of the whole
+	// backlog (keeping a one-task tolerance so balanced queues shed nothing)
+	// and let the re-match redistribute it with the event-affected tasks.
 	if rawSum > 0 {
 		for i, proc := range alive {
 			share := raw[i] / rawSum * totalMB
@@ -250,10 +175,15 @@ func replanPendingDelta(p *core.Problem, src ReplannableSource, finished []bool,
 	}
 	sort.Ints(taskIDs)
 
+	// Build a dense sub-problem over the re-matched tasks and the live
+	// processes.
 	sub := &core.Problem{
 		FS:       p.FS,
 		ProcNode: make([]int, len(alive)),
 		Tasks:    make([]core.Task, len(taskIDs)),
+	}
+	for i, proc := range alive {
+		sub.ProcNode[i] = p.ProcNode[proc]
 	}
 	multi := false
 	for i, id := range taskIDs {
@@ -264,16 +194,12 @@ func replanPendingDelta(p *core.Problem, src ReplannableSource, finished []bool,
 	}
 
 	// Slack quotas: desired share of the whole backlog minus the data each
-	// process keeps. Degenerate slacks (every process already at or over its
-	// share — possible when the affected set is tiny) fall back to the raw
-	// load-capacity weights of replanPending.
-	for i, proc := range alive {
-		sub.ProcNode[i] = p.ProcNode[proc]
-	}
+	// process keeps. A full re-match keeps nothing, so its slack would only
+	// be the raw weights rescaled; it takes them as they are, which keeps
+	// its plans byte-identical to the quotas SingleData derives unaided.
 	slack := make([]float64, len(alive))
 	var slackSum float64
-	uniform := true
-	if rawSum > 0 {
+	if !full && rawSum > 0 {
 		for i, proc := range alive {
 			slack[i] = raw[i]/rawSum*totalMB - keptMB[proc]
 			if slack[i] < 0 {
@@ -282,20 +208,15 @@ func replanPendingDelta(p *core.Problem, src ReplannableSource, finished []bool,
 			slackSum += slack[i]
 		}
 	}
-	for i := range raw {
-		if raw[i] != raw[0] {
-			uniform = false
-		}
-	}
 
-	var (
-		a   *core.Assignment
-		err error
-	)
+	var a *core.Assignment
 	if multi {
 		a, err = core.MultiData{Seed: seed}.Assign(sub)
 	} else {
 		sd := core.SingleData{Seed: seed}
+		// Skewed shares only when they differ and are usable; degenerate
+		// slacks (every process at or over its share) fall back to the raw
+		// weights, and all-equal or all-zero raw weights to the uniform quota.
 		switch {
 		case slackSum > 0:
 			sd.Weights = slack
@@ -310,6 +231,7 @@ func replanPendingDelta(p *core.Problem, src ReplannableSource, finished []bool,
 
 	lists := kept
 	for i, proc := range alive {
+		lists[proc] = slices.Grow(lists[proc], len(a.Lists[i]))
 		for _, st := range a.Lists[i] {
 			lists[proc] = append(lists[proc], taskIDs[st])
 		}
@@ -324,14 +246,6 @@ func replanPendingDelta(p *core.Problem, src ReplannableSource, finished []bool,
 // event loops and for the plannerbench replan series; RunContext calls the
 // same code through its fault hooks.
 func ReplanBacklog(p *core.Problem, src ReplannableSource, finished []bool, weight func(node int) float64, seed int64) (bool, error) {
-	return replanPending(p, src, finished, weight, seed)
-}
-
-// ReplanBacklogDelta is the O(delta) counterpart of ReplanBacklog: it
-// re-matches only the pending tasks the placement event at eventNode could
-// have moved (epoch-dirty since stamp, a replica on eventNode, or queued on
-// one of its processes) and reports how many tasks that was. stamp must
-// have been captured by core.StampProblem before the event mutated p.FS.
-func ReplanBacklogDelta(p *core.Problem, src ReplannableSource, finished []bool, weight func(node int) float64, seed int64, eventNode int, stamp core.PlanStamp) (spliced bool, rematched int, err error) {
-	return replanPendingDelta(p, src, finished, weight, seed, eventNode, stamp)
+	spliced, _, err := ReplanBacklogDelta(p, src, finished, weight, seed, -1, core.PlanStamp{})
+	return spliced, err
 }

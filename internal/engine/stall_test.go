@@ -3,6 +3,7 @@ package engine
 import (
 	"testing"
 
+	"opass/internal/core"
 	"opass/internal/dfs"
 )
 
@@ -63,5 +64,35 @@ func TestStalledDetectionIgnoresFailureTimers(t *testing.T) {
 	// crash timer.
 	if res.Makespan >= failAt {
 		t.Fatalf("makespan %.1fs reached the failure time %.0fs: workers were parked on the crash timer", res.Makespan, failAt)
+	}
+}
+
+// TestRunJobsStalledDetectionIgnoresArrivalTimers is the same regression for
+// arrival timers: a job still waiting for its StartAt is not work in flight,
+// so a patient job running beside it must not be parked until it arrives.
+func TestRunJobsStalledDetectionIgnoresArrivalTimers(t *testing.T) {
+	const nodes, tasks = 8, 24
+	const arriveAt = 500.0
+	r, probA, probB := twoJobRig(t, nodes, tasks, 3)
+	aB, err := core.RankStatic{}.Assign(probB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &patientSource{total: tasks}
+	results, err := RunJobs(r.topo, r.fs, []JobSpec{
+		{Problem: probA, Source: src, Strategy: "patient"},
+		{Problem: probB, Source: NewListSource(aB.Lists), Strategy: "late", StartAt: arriveAt},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if results[0].TasksRun != tasks || results[1].TasksRun != tasks {
+		t.Fatalf("tasks run = %d, %d, want %d each", results[0].TasksRun, results[1].TasksRun, tasks)
+	}
+	if src.waits == 0 {
+		t.Fatal("source never answered PollWait; the waiting path was not exercised")
+	}
+	if got := results[0].Makespan; got >= arriveAt/2 {
+		t.Fatalf("patient job makespan %.1fs: workers were parked on the other job's arrival timer at %.0fs", got, arriveAt)
 	}
 }

@@ -66,19 +66,6 @@ type layoutView struct{ n int }
 func (v layoutView) NumNodes() int  { return v.n }
 func (v layoutView) RackOf(int) int { return 0 }
 
-// decodeProblem parses and validates a request into a core.Problem backed
-// by an in-memory file system that mirrors the submitted block layout.
-// The streaming path is the default; LegacyDecode selects the whole-body
-// decoder. The two paths accept and reject identical requests, but build
-// the mirror FS differently (bulk vs incremental), so their snapshot
-// epochs — and hence their shared-tier keyspaces — differ.
-func (s *Server) decodeProblem(w http.ResponseWriter, r *http.Request) (*PlanRequest, *core.Problem, *apiError) {
-	if s.legacyDecode {
-		return decodeProblemLegacy(w, r, s.limits)
-	}
-	return decodeProblemStreaming(w, r, s.limits)
-}
-
 // decodeFailure maps a decoder error to the right rejection: body-limit
 // overruns become 413, everything else a generic 400.
 func decodeFailure(err error) *apiError {
@@ -92,13 +79,14 @@ func decodeFailure(err error) *apiError {
 	return badRequest("invalid", "bad request body: %w", err)
 }
 
-// decodeProblemStreaming parses the request with a token-level decoder:
-// tasks are consumed one object at a time into compact columnar
-// accumulators instead of a materialized []TaskSpec, so peak decode memory
-// tracks the problem's resident size, and the mirror FS is built with one
-// bulk CreateChunksReplicated call (one chunk block, one epoch bump)
-// instead of per-input namenode operations.
-func decodeProblemStreaming(w http.ResponseWriter, r *http.Request, lim RequestLimits) (*PlanRequest, *core.Problem, *apiError) {
+// decodeProblem parses and validates a request into a core.Problem backed
+// by an in-memory file system that mirrors the submitted block layout. It
+// walks the body with a token-level decoder: tasks are consumed one object
+// at a time into compact columnar accumulators instead of a materialized
+// []TaskSpec, so peak decode memory tracks the problem's resident size, and
+// the mirror FS is built with one bulk CreateChunksReplicated call (one
+// chunk block, one epoch bump) instead of per-input namenode operations.
+func decodeProblem(w http.ResponseWriter, r *http.Request, lim RequestLimits) (*PlanRequest, *core.Problem, *apiError) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, lim.BodyBytes))
 	dec.DisallowUnknownFields()
 
@@ -345,105 +333,6 @@ func resolveProcNodes(req *PlanRequest, lim RequestLimits) ([]int, *apiError) {
 		}
 	}
 	return procNodes, nil
-}
-
-// decodeProblemLegacy is the whole-body decoder: one json.Decode into the
-// full PlanRequest, then validation over the materialized structs. Kept as
-// a compat escape hatch and as the behavioral reference the streaming
-// path's tests compare against.
-func decodeProblemLegacy(w http.ResponseWriter, r *http.Request, lim RequestLimits) (*PlanRequest, *core.Problem, *apiError) {
-	var req PlanRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, lim.BodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return nil, nil, decodeFailure(err)
-	}
-	if req.Nodes <= 0 {
-		return nil, nil, badRequest("invalid", "nodes must be positive")
-	}
-	if req.Nodes > lim.Nodes {
-		return nil, nil, badRequest("invalid", "nodes %d exceeds maximum %d", req.Nodes, lim.Nodes)
-	}
-	if len(req.Tasks) == 0 {
-		return nil, nil, badRequest("invalid", "tasks must be non-empty")
-	}
-	if apiErr := validateFaults(&req); apiErr != nil {
-		return nil, nil, apiErr
-	}
-	// Cap planner work before any of it happens: a huge body of
-	// one-replica micro-tasks must not drive unbounded planning.
-	if len(req.Tasks) > lim.Tasks {
-		return nil, nil, badRequest("too_many_tasks",
-			"request lists %d tasks, exceeding maximum %d", len(req.Tasks), lim.Tasks)
-	}
-	for ti := range req.Tasks {
-		if len(req.Tasks[ti].Inputs) > lim.InputsPerTask {
-			return nil, nil, badRequest("too_many_inputs",
-				"task %d lists %d inputs, exceeding maximum %d per task", ti, len(req.Tasks[ti].Inputs), lim.InputsPerTask)
-		}
-	}
-	procNodes, apiErr := resolveProcNodes(&req, lim)
-	if apiErr != nil {
-		return nil, nil, apiErr
-	}
-	// Mirror the layout into an in-memory FS: each input becomes a chunk
-	// created with its first replica, then the remaining replicas are added
-	// (per-input replica counts may differ, unlike a Config-level factor).
-	var firstReps [][]int
-	for _, task := range req.Tasks {
-		for _, in := range task.Inputs {
-			if len(in.Replicas) > 0 {
-				firstReps = append(firstReps, []int{in.Replicas[0]})
-			} else {
-				firstReps = append(firstReps, []int{0}) // rejected below
-			}
-		}
-	}
-	fs := dfs.New(layoutView{req.Nodes}, dfs.Config{
-		Replication: 1,
-		Placement:   dfs.FixedPlacement{Replicas: firstReps},
-	})
-	prob := &core.Problem{ProcNode: procNodes, FS: fs}
-	for ti, task := range req.Tasks {
-		if len(task.Inputs) == 0 {
-			return nil, nil, badRequest("invalid", "task %d has no inputs", ti)
-		}
-		coreTask := core.Task{ID: ti}
-		for ii, in := range task.Inputs {
-			if in.SizeMB <= 0 {
-				return nil, nil, badRequest("invalid", "task %d input %d: size_mb must be positive", ti, ii)
-			}
-			if len(in.Replicas) == 0 {
-				return nil, nil, badRequest("invalid", "task %d input %d: replicas must be non-empty", ti, ii)
-			}
-			seen := map[int]bool{}
-			for _, rep := range in.Replicas {
-				if rep < 0 || rep >= req.Nodes {
-					return nil, nil, badRequest("invalid", "task %d input %d: replica node %d outside cluster", ti, ii, rep)
-				}
-				if seen[rep] {
-					return nil, nil, badRequest("invalid", "task %d input %d: duplicate replica node %d", ti, ii, rep)
-				}
-				seen[rep] = true
-			}
-			f, err := fs.CreateChunks(fmt.Sprintf("/layout/t%d/i%d", ti, ii), []float64{in.SizeMB})
-			if err != nil {
-				return nil, nil, &apiError{status: http.StatusInternalServerError, reason: "internal", err: err}
-			}
-			id := f.Chunks[0]
-			for _, rep := range in.Replicas[1:] {
-				if err := fs.AddReplica(id, rep); err != nil {
-					return nil, nil, &apiError{status: http.StatusInternalServerError, reason: "internal", err: err}
-				}
-			}
-			coreTask.Inputs = append(coreTask.Inputs, core.Input{Chunk: id, SizeMB: in.SizeMB})
-		}
-		prob.Tasks = append(prob.Tasks, coreTask)
-	}
-	if err := prob.Validate(); err != nil {
-		return nil, nil, badRequest("invalid", "%w", err)
-	}
-	return &req, prob, nil
 }
 
 // validateFaults rejects malformed fault specs with specific messages

@@ -11,11 +11,76 @@ import (
 
 	"opass/internal/bipartite"
 	"opass/internal/core"
+	"opass/internal/dfs"
 	"opass/internal/telemetry"
 )
 
-// bothPaths runs fn against a streaming-decode server and a legacy-decode
-// server, proving the two request paths accept and reject identically.
+// decodeProblemReference is the differential oracle for decodeProblem: one
+// encoding/json Decode of the whole body into PlanRequest, then the same
+// checks over the materialized structs. It must accept and reject exactly
+// what the streaming decoder does, and build the same problem.
+func decodeProblemReference(w http.ResponseWriter, r *http.Request, lim RequestLimits) (*PlanRequest, *core.Problem, *apiError) {
+	req := &PlanRequest{}
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, lim.BodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(req); err != nil {
+		return nil, nil, decodeFailure(err)
+	}
+	switch {
+	case req.Nodes <= 0 || len(req.Tasks) == 0:
+		return nil, nil, badRequest("invalid", "nodes must be positive and tasks non-empty")
+	case req.Nodes > lim.Nodes:
+		return nil, nil, badRequest("invalid", "nodes %d exceeds maximum %d", req.Nodes, lim.Nodes)
+	case len(req.Tasks) > lim.Tasks:
+		return nil, nil, badRequest("too_many_tasks", "more than maximum %d tasks", lim.Tasks)
+	}
+	if apiErr := validateFaults(req); apiErr != nil {
+		return nil, nil, apiErr
+	}
+	procNodes, apiErr := resolveProcNodes(req, lim)
+	if apiErr != nil {
+		return nil, nil, apiErr
+	}
+	var sizes []float64
+	var replicas [][]int
+	prob := &core.Problem{ProcNode: procNodes, Tasks: make([]core.Task, len(req.Tasks))}
+	for ti, task := range req.Tasks {
+		if len(task.Inputs) > lim.InputsPerTask {
+			return nil, nil, badRequest("too_many_inputs", "task %d: more than maximum %d inputs per task", ti, lim.InputsPerTask)
+		}
+		prob.Tasks[ti].ID = ti
+		for _, in := range task.Inputs {
+			seen := map[int]bool{}
+			for _, rep := range in.Replicas {
+				if rep < 0 || rep >= req.Nodes || seen[rep] {
+					return nil, nil, badRequest("invalid", "task %d: replica node %d outside cluster or repeated", ti, rep)
+				}
+				seen[rep] = true
+			}
+			if in.SizeMB <= 0 || len(in.Replicas) == 0 {
+				return nil, nil, badRequest("invalid", "task %d: input needs a positive size_mb and a replica", ti)
+			}
+			prob.Tasks[ti].Inputs = append(prob.Tasks[ti].Inputs, core.Input{Chunk: dfs.ChunkID(len(sizes)), SizeMB: in.SizeMB})
+			sizes, replicas = append(sizes, in.SizeMB), append(replicas, in.Replicas)
+		}
+		if len(task.Inputs) == 0 {
+			return nil, nil, badRequest("invalid", "task %d has no inputs", ti)
+		}
+	}
+	prob.FS = dfs.New(layoutView{req.Nodes}, dfs.Config{Replication: 1})
+	if _, err := prob.FS.CreateChunksReplicated("/layout/tasks", sizes, replicas); err != nil {
+		return nil, nil, &apiError{status: http.StatusInternalServerError, reason: "internal", err: err}
+	}
+	if err := prob.Validate(); err != nil {
+		return nil, nil, badRequest("invalid", "%w", err)
+	}
+	req.weight = int64(len(req.Tasks) + len(sizes))
+	return req, prob, nil
+}
+
+// bothPaths runs fn against a server using the streaming decoder and one
+// using the reference decoder, proving the two accept and reject
+// identically.
 func bothPaths(t *testing.T, opts ServerOptions, fn func(t *testing.T, srv *httptest.Server, reg *telemetry.Registry)) {
 	t.Helper()
 	for _, mode := range []struct {
@@ -24,10 +89,13 @@ func bothPaths(t *testing.T, opts ServerOptions, fn func(t *testing.T, srv *http
 	}{{"streaming", false}, {"legacy", true}} {
 		t.Run(mode.name, func(t *testing.T) {
 			o := opts
-			o.LegacyDecode = mode.legacy
 			reg := telemetry.NewRegistry()
 			o.Registry = reg
-			srv := httptest.NewServer(NewServer(o))
+			s := NewServer(o)
+			if mode.legacy {
+				s.decode = decodeProblemReference
+			}
+			srv := httptest.NewServer(s)
 			defer srv.Close()
 			fn(t, srv, reg)
 		})
@@ -183,7 +251,7 @@ func TestStreamingFieldOrder(t *testing.T) {
 }
 
 // TestStreamingUnknownFields: unknown keys are rejected at the top level
-// and inside nested task/input objects, matching the legacy decoder's
+// and inside nested task/input objects, matching the reference decoder's
 // DisallowUnknownFields behavior.
 func TestStreamingUnknownFields(t *testing.T) {
 	bothPaths(t, ServerOptions{}, func(t *testing.T, srv *httptest.Server, reg *telemetry.Registry) {
@@ -205,7 +273,7 @@ func TestStreamingUnknownFields(t *testing.T) {
 }
 
 // TestStreamingLegacyPlanParity: the same mixed-shape request produces the
-// same plan through both decode paths — different FS construction, same
+// same plan through the streaming decoder and the reference decoder — same
 // problem, byte-identical assignment.
 func TestStreamingLegacyPlanParity(t *testing.T) {
 	req := PlanRequest{Nodes: 6, Seed: 11, ProcNodes: []int{0, 1, 2, 3, 4, 5, 0, 3}}
@@ -218,7 +286,11 @@ func TestStreamingLegacyPlanParity(t *testing.T) {
 	}
 	var got [2]PlanResponse
 	for i, legacy := range []bool{false, true} {
-		srv := httptest.NewServer(NewServer(ServerOptions{LegacyDecode: legacy}))
+		s := NewServer(ServerOptions{})
+		if legacy {
+			s.decode = decodeProblemReference
+		}
+		srv := httptest.NewServer(s)
 		resp, body := post(t, srv, "/v1/plan", req)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("legacy=%v: status %d: %.300s", legacy, resp.StatusCode, body)
@@ -236,9 +308,9 @@ func TestStreamingLegacyPlanParity(t *testing.T) {
 	}
 }
 
-// TestStreamingValidationParity: requests the legacy path rejects are
-// rejected by the streaming path too (the TestValidationErrors table plus
-// fault-spec shapes).
+// TestStreamingValidationParity: malformed requests (the
+// TestValidationErrors table plus fault-spec shapes) are rejected by the
+// streaming decoder and the reference decoder alike.
 func TestStreamingValidationParity(t *testing.T) {
 	cases := []string{
 		`{"nodes": 0, "tasks": [{"inputs": [{"size_mb": 1, "replicas": [0]}]}]}`,
@@ -257,18 +329,18 @@ func TestStreamingValidationParity(t *testing.T) {
 		`[1, 2]`,
 		`{"nodes": 4, "tasks": [{"inputs": [{"size_mb": 1, "replicas": [0]}]}], "tasks": []}`,
 	}
-	srv := httptest.NewServer(Handler())
-	defer srv.Close()
-	for i, body := range cases {
-		resp, err := http.Post(srv.URL+"/v1/plan", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
+	bothPaths(t, ServerOptions{}, func(t *testing.T, srv *httptest.Server, _ *telemetry.Registry) {
+		for i, body := range cases {
+			resp, err := http.Post(srv.URL+"/v1/plan", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("case %d: status %d, want 400: %s", i, resp.StatusCode, body)
+			}
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("case %d: status %d, want 400: %s", i, resp.StatusCode, body)
-		}
-	}
+	})
 }
 
 // TestCompactJSONAndPretty: responses are compact by default; ?pretty=1

@@ -38,7 +38,6 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"opass/internal/bipartite"
@@ -108,12 +107,6 @@ const (
 	// current footprint.
 	MetricPlanCacheEntries = "opass_plan_cache_entries"
 	MetricPlanCacheBytes   = "opass_plan_cache_bytes"
-	// MetricPlanCachePartialInvalidations counts cache entries evicted by
-	// tag-scoped (per-file) invalidation rather than a full flush. The
-	// HTTP service plans against per-request snapshots, so this stays zero
-	// here; library embedders sharing a live FileSystem through
-	// plancache.ProblemCache drive it.
-	MetricPlanCachePartialInvalidations = "opass_plan_cache_partial_invalidations_total"
 	// MetricPlanCacheRemote* count the shared (L2) plan-cache tier's
 	// traffic: plans adopted from another replica (hits), lookups that fell
 	// through to the local planner (misses), backend failures treated as
@@ -298,11 +291,6 @@ type ServerOptions struct {
 	// Limits overrides the request-decode bounds; zero fields mean the
 	// package defaults (see RequestLimits).
 	Limits RequestLimits
-	// LegacyDecode routes /v1/plan and /v1/simulate through the
-	// whole-body request decoder instead of the streaming one — a compat
-	// escape hatch, and the behavioral reference the streaming path's
-	// tests compare against.
-	LegacyDecode bool
 	// RemoteTier, when non-nil, is the shared L2 plan cache consulted
 	// (and populated) inside the planner singleflight, letting N opassd
 	// replicas dedupe planner work fleet-wide. Backend failures degrade
@@ -326,10 +314,10 @@ type Server struct {
 	simAdmit   *admitter
 	queueWait  time.Duration
 	reqTimeout time.Duration
-	// limits bounds the request decoders; legacyDecode selects the
-	// whole-body path over the streaming default.
-	limits       RequestLimits
-	legacyDecode bool
+	// limits bounds the request decoder. decode is decodeProblem; tests swap
+	// in their encoding/json reference decoder to compare the two.
+	limits RequestLimits
+	decode func(http.ResponseWriter, *http.Request, RequestLimits) (*PlanRequest, *core.Problem, *apiError)
 	// tier is the shared L2 plan cache (nil when not configured); tierNS
 	// and tierTTL shape its keys and entry lifetimes.
 	tier    plancache.Tier
@@ -339,10 +327,6 @@ type Server struct {
 	// disabled. /v1/plan and /v1/simulate share it (the simulation itself
 	// is never cached).
 	planCache *plancache.Cache[cachedPlan]
-	// partialsSeen is the last plancache partial-invalidation total already
-	// exported; the plan path exports the monotonic difference so the
-	// counter tracks the cache's lifetime Stats without double counting.
-	partialsSeen atomic.Uint64
 	// plannerRan, when set, is called once per actual planner invocation —
 	// a test hook proving cache hits and coalesced requests skip the
 	// planner.
@@ -409,7 +393,6 @@ func NewServer(opts ServerOptions) *Server {
 	reg.Help(MetricPlanCacheEvictions, "Plan-cache entries dropped by capacity bounds or TTL.")
 	reg.Help(MetricPlanCacheEntries, "Plans currently cached.")
 	reg.Help(MetricPlanCacheBytes, "Estimated bytes of plans currently cached.")
-	reg.Help(MetricPlanCachePartialInvalidations, "Plan-cache entries evicted by tag-scoped invalidation instead of a full flush.")
 	reg.Help(MetricPlanCacheRemoteHits, "Plans adopted from the shared remote cache tier.")
 	reg.Help(MetricPlanCacheRemoteMisses, "Remote-tier lookups that fell through to the local planner.")
 	reg.Help(MetricPlanCacheRemoteErrors, "Remote-tier backend failures, treated as misses.")
@@ -428,14 +411,14 @@ func NewServer(opts ServerOptions) *Server {
 		reqTimeout = DefaultRequestTimeout
 	}
 	s := &Server{
-		reg:          reg,
-		logger:       opts.Logger,
-		planAdmit:    newAdmitter(maxInflight),
-		simAdmit:     newAdmitter(maxInflight),
-		queueWait:    queueWait,
-		reqTimeout:   reqTimeout,
-		limits:       opts.Limits.withDefaults(),
-		legacyDecode: opts.LegacyDecode,
+		reg:        reg,
+		logger:     opts.Logger,
+		planAdmit:  newAdmitter(maxInflight),
+		simAdmit:   newAdmitter(maxInflight),
+		queueWait:  queueWait,
+		reqTimeout: reqTimeout,
+		limits:     opts.Limits.withDefaults(),
+		decode:     decodeProblem,
 	}
 	if opts.RemoteTier != nil {
 		s.tier = opts.RemoteTier
@@ -484,9 +467,6 @@ func NewServer(opts ServerOptions) *Server {
 		})
 		reg.Gauge(MetricPlanCacheEntries).Set(0)
 		reg.Gauge(MetricPlanCacheBytes).Set(0)
-		// Instantiate the partial-invalidation counter at zero so the
-		// family is scrapeable before the first tag-scoped eviction.
-		reg.Counter(MetricPlanCachePartialInvalidations)
 	}
 
 	mux := http.NewServeMux()
@@ -519,7 +499,7 @@ func (s *Server) Drain() {
 }
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	req, prob, apiErr := s.decodeProblem(w, r)
+	req, prob, apiErr := s.decode(w, r, s.limits)
 	if apiErr != nil {
 		s.reject(w, r, apiErr)
 		return
@@ -540,7 +520,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	req, prob, apiErr := s.decodeProblem(w, r)
+	req, prob, apiErr := s.decode(w, r, s.limits)
 	if apiErr != nil {
 		s.reject(w, r, apiErr)
 		return
@@ -618,17 +598,7 @@ func (s *Server) reject(w http.ResponseWriter, r *http.Request, apiErr *apiError
 // units: one per task plus one per input (planner cost scales with locality
 // edges, simulation cost with read flows — both proportional to inputs).
 func workWeight(req *PlanRequest) int64 {
-	w := req.weight
-	if w == 0 { // legacy decode path: Tasks is materialized
-		w = int64(len(req.Tasks))
-		for i := range req.Tasks {
-			w += int64(len(req.Tasks[i].Inputs))
-		}
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return max(req.weight, 1)
 }
 
 // admit passes the request through the route's admission gate, recording
@@ -802,8 +772,8 @@ type tierPlan struct {
 // namenode-metadata snapshot epoch of the mirror FS the plan was computed
 // against, and the content-addressed problem fingerprint. Replicas that
 // decoded the same request produce identical snapshots, so keys collide
-// exactly when the metadata agrees; any divergence (including the legacy
-// vs streaming FS-build paths) lands in disjoint keyspaces.
+// exactly when the metadata agrees; any divergence lands in disjoint
+// keyspaces.
 func (s *Server) tierKeyFor(prob *core.Problem, key plancache.Key) string {
 	snap := prob.FS.Snapshot()
 	return plancache.TierKey(fmt.Sprintf("%s/e%d", s.tierNS, snap.Epoch), key)
@@ -860,33 +830,22 @@ func (s *Server) tierPublish(ctx context.Context, prob *core.Problem, key planca
 	s.reg.Counter(MetricPlanCacheRemoteSets).Inc()
 }
 
-// plan answers the request from the fingerprinted plan cache when it can,
-// running the planner (at most once across concurrent identical requests)
-// when it cannot. With the cache disabled it degenerates to computePlan.
+// plan answers the request from the fingerprinted plan cache or the shared
+// tier when it can, running the planner when it cannot — at most once
+// across concurrent identical requests when the cache is on.
 func (s *Server) plan(ctx context.Context, req *PlanRequest, prob *core.Problem) (PlanResponse, *core.Assignment, error) {
 	assigner, apiErr := pickAssigner(req, prob)
 	if apiErr != nil {
 		return PlanResponse{}, nil, apiErr
 	}
-	if s.planCache == nil {
-		if s.tier == nil {
-			return s.computePlan(ctx, assigner, prob)
-		}
-		key := planFingerprint(prob, assigner.Name(), req.Seed)
-		if cp, ok := s.tierFetch(ctx, prob, key); ok {
-			return cp.resp, cp.a, nil
-		}
-		resp, a, err := s.computePlan(ctx, assigner, prob)
-		if err == nil {
-			s.tierPublish(ctx, prob, key, &resp, a)
-		}
-		return resp, a, err
+	if s.planCache == nil && s.tier == nil {
+		return s.computePlan(ctx, assigner, prob)
 	}
 	key := planFingerprint(prob, assigner.Name(), req.Seed)
-	cached, outcome, err := s.planCache.Do(ctx, key, func(cctx context.Context) (cachedPlan, int64, error) {
-		// The shared tier is consulted inside the flight: when another
-		// replica already planned this fingerprint, its plan is adopted
-		// and the local planner never runs.
+	// compute is what a cache miss costs. The shared tier is consulted
+	// inside the flight: when another replica already planned this
+	// fingerprint, its plan is adopted and the local planner never runs.
+	compute := func(cctx context.Context) (cachedPlan, int64, error) {
 		if cp, ok := s.tierFetch(cctx, prob, key); ok {
 			return cp, planSizeBytes(&cp.resp), nil
 		}
@@ -896,7 +855,12 @@ func (s *Server) plan(ctx context.Context, req *PlanRequest, prob *core.Problem)
 		}
 		s.tierPublish(cctx, prob, key, &resp, a)
 		return cachedPlan{resp: resp, a: a}, planSizeBytes(&resp), nil
-	})
+	}
+	if s.planCache == nil { // no L1: nothing to coalesce on or count
+		cached, _, err := compute(ctx)
+		return cached.resp, cached.a, err
+	}
+	cached, outcome, err := s.planCache.Do(ctx, key, compute)
 	switch outcome {
 	case plancache.Hit:
 		s.reg.Counter(MetricPlanCacheHits).Inc()
@@ -908,13 +872,7 @@ func (s *Server) plan(ctx context.Context, req *PlanRequest, prob *core.Problem)
 	stats := s.planCache.Stats()
 	s.reg.Gauge(MetricPlanCacheEntries).Set(float64(stats.Entries))
 	s.reg.Gauge(MetricPlanCacheBytes).Set(float64(stats.Bytes))
-	if prev := s.partialsSeen.Swap(stats.PartialInvalidations); stats.PartialInvalidations > prev {
-		s.reg.Counter(MetricPlanCachePartialInvalidations).Add(float64(stats.PartialInvalidations - prev))
-	}
-	if err != nil {
-		return PlanResponse{}, nil, err
-	}
-	return cached.resp, cached.a, nil
+	return cached.resp, cached.a, err
 }
 
 // computePlan runs the resolved strategy over the decoded problem under

@@ -252,8 +252,16 @@ func TestWriteJSONCountsEncodeFailures(t *testing.T) {
 }
 
 func TestWorkWeight(t *testing.T) {
-	req := layoutRequest("opass") // 8 tasks, 1 input each
-	if got := workWeight(&req); got != 16 {
+	raw, err := json.Marshal(layoutRequest("opass")) // 8 tasks, 1 input each
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := httptest.NewRequest(http.MethodPost, "/v1/plan", bytes.NewReader(raw))
+	req, _, apiErr := decodeProblem(httptest.NewRecorder(), r, RequestLimits{}.withDefaults())
+	if apiErr != nil {
+		t.Fatal(apiErr)
+	}
+	if got := workWeight(req); got != 16 {
 		t.Fatalf("workWeight = %d, want 16 (8 tasks + 8 inputs)", got)
 	}
 	empty := PlanRequest{}

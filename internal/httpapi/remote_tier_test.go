@@ -8,15 +8,16 @@ import (
 	"testing"
 
 	"opass/internal/plancache"
+	"opass/internal/plancache/plancachetest"
 	"opass/internal/telemetry"
 )
 
 // replica builds one opassd-like server wired to the shared tier, with a
 // planner-invocation counter.
-func replica(t *testing.T, tier plancache.Tier, legacy bool) (*httptest.Server, *telemetry.Registry, *atomic.Int64) {
+func replica(t *testing.T, tier plancache.Tier) (*httptest.Server, *telemetry.Registry, *atomic.Int64) {
 	t.Helper()
 	reg := telemetry.NewRegistry()
-	s := NewServer(ServerOptions{Registry: reg, RemoteTier: tier, LegacyDecode: legacy})
+	s := NewServer(ServerOptions{Registry: reg, RemoteTier: tier})
 	var ran atomic.Int64
 	s.plannerRan = func() { ran.Add(1) }
 	srv := httptest.NewServer(s)
@@ -28,7 +29,7 @@ func replica(t *testing.T, tier plancache.Tier, legacy bool) (*httptest.Server, 
 // replicas sharing a memcached-protocol tier serve a repeated request with
 // exactly one planner run between them, and return identical plans.
 func TestTwoReplicasOnePlannerRun(t *testing.T) {
-	mc, err := plancache.NewMemcachedServer()
+	mc, err := plancachetest.NewMemcachedServer()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,8 +39,8 @@ func TestTwoReplicasOnePlannerRun(t *testing.T) {
 	tierB := plancache.NewRemote(mc.Addr(), plancache.RemoteOptions{})
 	defer tierB.Close()
 
-	srvA, regA, ranA := replica(t, tierA, false)
-	srvB, regB, ranB := replica(t, tierB, false)
+	srvA, regA, ranA := replica(t, tierA)
+	srvB, regB, ranB := replica(t, tierB)
 
 	req := layoutRequest("opass")
 	respA, bodyA := post(t, srvA, "/v1/plan", req)
@@ -96,32 +97,10 @@ func TestTwoReplicasOnePlannerRun(t *testing.T) {
 	}
 }
 
-// TestTierKeyspaceSeparatesDecodePaths: the legacy and streaming decoders
-// build the mirror FS differently (incremental vs bulk), so their snapshot
-// epochs differ and they must not serve each other's tier entries.
-func TestTierKeyspaceSeparatesDecodePaths(t *testing.T) {
-	tier := plancache.NewMemoryTier(plancache.Options{MaxEntries: 64})
-	srvA, _, ranA := replica(t, tier, false) // streaming
-	srvC, _, ranC := replica(t, tier, true)  // legacy
-
-	req := layoutRequest("opass")
-	post(t, srvA, "/v1/plan", req)
-	post(t, srvC, "/v1/plan", req)
-	if ranA.Load() != 1 || ranC.Load() != 1 {
-		t.Fatalf("planner runs A=%d C=%d, want 1 and 1 (disjoint keyspaces)", ranA.Load(), ranC.Load())
-	}
-	// Same path, same keyspace: a second streaming replica dedupes.
-	srvB, _, ranB := replica(t, tier, false)
-	post(t, srvB, "/v1/plan", req)
-	if ranB.Load() != 0 {
-		t.Fatalf("second streaming replica ran the planner %d times, want 0", ranB.Load())
-	}
-}
-
 // TestTierFailureDegradesToLocal: a dead remote tier must cost errors
 // counters only — every request still plans locally and succeeds.
 func TestTierFailureDegradesToLocal(t *testing.T) {
-	mc, err := plancache.NewMemcachedServer()
+	mc, err := plancachetest.NewMemcachedServer()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +109,7 @@ func TestTierFailureDegradesToLocal(t *testing.T) {
 	r := plancache.NewRemote(addr, plancache.RemoteOptions{})
 	defer r.Close()
 
-	srv, reg, ran := replica(t, r, false)
+	srv, reg, ran := replica(t, r)
 	resp, body := post(t, srv, "/v1/plan", layoutRequest("opass"))
 	if resp.StatusCode != 200 {
 		t.Fatalf("request failed with dead tier: %d %s", resp.StatusCode, body)

@@ -2,7 +2,7 @@
 // I/O time summaries (average, maximum, minimum, standard deviation — the
 // three metrics of Figures 7–11), per-node served-data loads (the balance
 // metric of Figures 1, 8 and 10), Jain's fairness index as an aggregate
-// balance score, and simple histograms and traces for figure regeneration.
+// balance score, and simple traces for figure regeneration.
 package metrics
 
 import (
@@ -104,69 +104,6 @@ func JainIndex(xs []float64) float64 {
 		return 1 // all zero: trivially balanced
 	}
 	return sum * sum / (float64(len(xs)) * sq)
-}
-
-// Histogram buckets values into equal-width bins over [lo, hi); values
-// outside the range clamp to the first/last bin.
-type Histogram struct {
-	Lo, Hi float64
-	Bins   []int
-}
-
-// NewHistogram creates a histogram with n bins spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic(fmt.Sprintf("metrics: bad histogram range [%v,%v) with %d bins", lo, hi, n))
-	}
-	return &Histogram{Lo: lo, Hi: hi, Bins: make([]int, n)}
-}
-
-// Add records one observation. NaN observations are dropped (converting
-// NaN to int is implementation-defined in Go, so they must not reach the
-// index arithmetic); ±Inf clamps to the first/last bin like any other
-// out-of-range value.
-func (h *Histogram) Add(x float64) {
-	if math.IsNaN(x) {
-		return
-	}
-	if x < h.Lo { // covers -Inf
-		h.Bins[0]++
-		return
-	}
-	if x >= h.Hi { // covers +Inf
-		h.Bins[len(h.Bins)-1]++
-		return
-	}
-	i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Bins)))
-	// Float rounding at the top edge can still land one past the end.
-	if i >= len(h.Bins) {
-		i = len(h.Bins) - 1
-	}
-	h.Bins[i]++
-}
-
-// Total reports the number of observations recorded.
-func (h *Histogram) Total() int {
-	t := 0
-	for _, b := range h.Bins {
-		t += b
-	}
-	return t
-}
-
-// CDF returns the cumulative fraction at each bin upper edge.
-func (h *Histogram) CDF() []float64 {
-	out := make([]float64, len(h.Bins))
-	total := h.Total()
-	if total == 0 {
-		return out
-	}
-	run := 0
-	for i, b := range h.Bins {
-		run += b
-		out[i] = float64(run) / float64(total)
-	}
-	return out
 }
 
 // BootstrapCI estimates a two-sided confidence interval for the mean of xs

@@ -96,61 +96,6 @@ func TestPropertyJainInRange(t *testing.T) {
 	}
 }
 
-func TestHistogramAndCDF(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{0.5, 1, 3, 5, 7, 9, 11, -2} {
-		h.Add(x)
-	}
-	if h.Total() != 8 {
-		t.Fatalf("total = %d, want 8", h.Total())
-	}
-	// -2 clamps to bin 0, 11 clamps to bin 4.
-	if h.Bins[0] != 3 { // 0.5, 1, -2
-		t.Fatalf("bin0 = %d, want 3", h.Bins[0])
-	}
-	cdf := h.CDF()
-	if cdf[len(cdf)-1] != 1.0 {
-		t.Fatalf("cdf final = %v, want 1", cdf[len(cdf)-1])
-	}
-	for i := 1; i < len(cdf); i++ {
-		if cdf[i] < cdf[i-1] {
-			t.Fatal("cdf not monotone")
-		}
-	}
-}
-
-func TestHistogramNonFinite(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	// NaN must be dropped, not converted to an implementation-defined bin.
-	h.Add(math.NaN())
-	if h.Total() != 0 {
-		t.Fatalf("NaN was recorded: bins %v", h.Bins)
-	}
-	// ±Inf clamp to the edge bins like any other out-of-range value.
-	h.Add(math.Inf(-1))
-	h.Add(math.Inf(1))
-	if h.Bins[0] != 1 || h.Bins[len(h.Bins)-1] != 1 {
-		t.Fatalf("Inf not clamped to edges: bins %v", h.Bins)
-	}
-	if h.Total() != 2 {
-		t.Fatalf("total = %d, want 2", h.Total())
-	}
-	// The exact upper edge lands in the last bin (clamped, half-open range).
-	h.Add(10)
-	if h.Bins[len(h.Bins)-1] != 2 {
-		t.Fatalf("upper edge not clamped into last bin: bins %v", h.Bins)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on bad range")
-		}
-	}()
-	NewHistogram(5, 5, 3)
-}
-
 func TestSeriesDownsample(t *testing.T) {
 	var s Series
 	for i := 0; i < 100; i++ {

@@ -11,105 +11,26 @@ import (
 
 // TestStoreOverwriteAccounting pins the refresh branch of storeLocked: when
 // an existing key is overwritten, the old entry's bytes are released before
-// the new size is charged and its old tags are detached before the new ones
-// attach. The branch is unreachable through Do today (a live entry is a
-// hit, an expired one is removed first), so this white-box test keeps the
-// accounting honest for any future caller.
+// the new size is charged. The branch is unreachable through Do today (a
+// live entry is a hit, an expired one is removed first), so this white-box
+// test keeps the accounting honest for any future caller.
 func TestStoreOverwriteAccounting(t *testing.T) {
 	c := New[int](Options{})
 	k := keyOf("k")
 	c.mu.Lock()
-	c.storeLocked(k, 1, 100, []uint64{1, 2})
+	c.storeLocked(k, 1, 100)
 	c.mu.Unlock()
 	if s := c.Stats(); s.Bytes != 100 || s.Entries != 1 {
 		t.Fatalf("after insert: %+v, want 100 bytes / 1 entry", s)
 	}
 	c.mu.Lock()
-	c.storeLocked(k, 2, 40, []uint64{2, 3})
+	c.storeLocked(k, 2, 40)
 	c.mu.Unlock()
 	if s := c.Stats(); s.Bytes != 40 || s.Entries != 1 {
 		t.Fatalf("after overwrite: %+v, want 40 bytes / 1 entry (old size released)", s)
 	}
-	// The old tag must no longer reach the entry; the new one must.
-	if n := c.InvalidateTags(1); n != 0 {
-		t.Fatalf("stale tag 1 invalidated %d entries, want 0", n)
-	}
-	if n := c.InvalidateTags(3); n != 1 {
-		t.Fatalf("tag 3 invalidated %d entries, want 1", n)
-	}
-	if s := c.Stats(); s.Bytes != 0 || s.Entries != 0 {
-		t.Fatalf("after invalidation: %+v, want empty cache", s)
-	}
-}
-
-// TestInvalidateTags covers the surgical-invalidation primitive: only
-// entries carrying a named tag are dropped, multi-tag entries are dropped
-// once, and the partial-invalidation stat counts exactly the drops.
-func TestInvalidateTags(t *testing.T) {
-	c := New[int](Options{})
-	var calls atomic.Int64
-	store := func(name string, tags ...uint64) {
-		t.Helper()
-		if _, _, err := c.DoTagged(context.Background(), keyOf(name), tags, constant(&calls, 1, 10)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	store("a", 1, 2)
-	store("b", 2, 3)
-	store("c", 4)
-	store("untagged")
-
-	// Tag 2 reaches a and b; tag 9 reaches nothing.
-	if n := c.InvalidateTags(9, 2); n != 2 {
-		t.Fatalf("InvalidateTags(9,2) = %d, want 2", n)
-	}
-	s := c.Stats()
-	if s.Entries != 2 || s.Bytes != 20 {
-		t.Fatalf("after invalidation: %+v, want 2 entries / 20 bytes", s)
-	}
-	if s.PartialInvalidations != 2 || s.Evictions != 2 {
-		t.Fatalf("counters: %+v, want 2 partial invalidations counted as evictions", s)
-	}
-	// Survivors still hit; dropped keys recompute.
-	if _, oc, _ := c.DoTagged(context.Background(), keyOf("c"), []uint64{4}, constant(&calls, 1, 10)); oc != Hit {
-		t.Fatalf("untouched entry outcome = %v, want Hit", oc)
-	}
-	if _, oc, _ := c.DoTagged(context.Background(), keyOf("a"), []uint64{1, 2}, constant(&calls, 1, 10)); oc != Miss {
-		t.Fatalf("invalidated entry outcome = %v, want Miss", oc)
-	}
-	// Naming an entry's tags twice drops it once.
-	if n := c.InvalidateTags(1, 2); n != 1 {
-		t.Fatalf("InvalidateTags(1,2) = %d, want 1 (entry dropped once)", n)
-	}
-}
-
-// TestInvalidateTagsNotifiesOnEvict: tag invalidations flow through OnEvict
-// like every other eviction, with the post-eviction totals.
-func TestInvalidateTagsNotifiesOnEvict(t *testing.T) {
-	type report struct {
-		evicted, entries int
-		bytes            int64
-	}
-	var mu sync.Mutex
-	var reports []report
-	c := New[int](Options{OnEvict: func(evicted, entries int, bytes int64) {
-		mu.Lock()
-		reports = append(reports, report{evicted, entries, bytes})
-		mu.Unlock()
-	}})
-	var calls atomic.Int64
-	for i, tags := range [][]uint64{{1}, {1}, {2}} {
-		if _, _, err := c.DoTagged(context.Background(), keyOf(fmt.Sprint(i)), tags, constant(&calls, i, 5)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := c.InvalidateTags(1); n != 2 {
-		t.Fatalf("invalidated %d, want 2", n)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(reports) != 1 || reports[0] != (report{evicted: 2, entries: 1, bytes: 5}) {
-		t.Fatalf("OnEvict reports = %+v, want one {2 1 5}", reports)
+	if v, oc, _ := c.Do(context.Background(), k, nil); v != 2 || oc != Hit {
+		t.Fatalf("Do after overwrite = (%d, %v), want the new value as a hit", v, oc)
 	}
 }
 
@@ -136,7 +57,7 @@ func TestOnEvictTotalsConverge(t *testing.T) {
 			var calls atomic.Int64
 			for i := 0; i < 200; i++ {
 				key := keyOf(fmt.Sprintf("g%d-i%d", g, i))
-				if _, _, err := c.DoTagged(context.Background(), key, []uint64{uint64(i)}, constant(&calls, i, 3)); err != nil {
+				if _, _, err := c.Do(context.Background(), key, constant(&calls, i, 3)); err != nil {
 					t.Error(err)
 					return
 				}

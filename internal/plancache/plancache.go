@@ -14,7 +14,7 @@
 // cached placement must stay fresh — while mutations to files a problem
 // does not read leave its fingerprint, and thus its cached plan, hot.
 //
-// Four mechanisms compose:
+// Three mechanisms compose:
 //
 //   - Content addressing: Key is a SHA-256 over length-framed sections
 //     (KeyOf), so distinct problems cannot collide by field aliasing and
@@ -27,12 +27,6 @@
 //     any single caller's cancellation and is cancelled only when every
 //     waiter has given up — one impatient client cannot abort work others
 //     are still waiting for, but work nobody wants stops promptly.
-//   - Surgical invalidation: entries may carry tags (DoTagged) — for plans,
-//     the chunk IDs the problem reads — and InvalidateTags evicts exactly
-//     the entries touching a mutated tag. Fingerprint epochs already keep
-//     stale entries from being HIT; tagging additionally releases their
-//     memory the moment the mutation lands instead of waiting for LRU/TTL
-//     pressure, and drives the partial-invalidation counter.
 package plancache
 
 import (
@@ -114,7 +108,6 @@ type entry[V any] struct {
 	size    int64
 	expires time.Time // zero means never
 	elem    *list.Element
-	tags    []uint64
 }
 
 // call is one in-flight shared compute.
@@ -137,9 +130,7 @@ type Cache[V any] struct {
 	lru       *list.List // front = most recently used
 	bytes     int64
 	calls     map[Key]*call[V]
-	byTag     map[uint64]map[Key]struct{}
 	evictions uint64
-	partials  uint64
 
 	// notifyMu serializes OnEvict callbacks. Totals are re-read under mu
 	// inside the critical section, so callbacks observe entry/byte totals in
@@ -158,7 +149,6 @@ func New[V any](opts Options) *Cache[V] {
 		entries: make(map[Key]*entry[V]),
 		lru:     list.New(),
 		calls:   make(map[Key]*call[V]),
-		byTag:   make(map[uint64]map[Key]struct{}),
 	}
 }
 
@@ -166,54 +156,14 @@ func New[V any](opts Options) *Cache[V] {
 type Stats struct {
 	Entries   int
 	Bytes     int64
-	Evictions uint64 // lifetime total, including TTL expiries and invalidations
-	// PartialInvalidations counts entries evicted by InvalidateTags — plans
-	// dropped because a placement mutation touched a chunk they read, as
-	// opposed to capacity or TTL evictions.
-	PartialInvalidations uint64
+	Evictions uint64 // lifetime total, including TTL expiries
 }
 
 // Stats reports the current entry/byte totals and lifetime evictions.
 func (c *Cache[V]) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return Stats{Entries: c.lru.Len(), Bytes: c.bytes, Evictions: c.evictions, PartialInvalidations: c.partials}
-}
-
-// Get returns the cached value for key without joining or starting a
-// compute — the plain-lookup face of the cache used by the Tier adapter.
-// A hit refreshes the entry's LRU position; an expired entry is evicted
-// and reported as a miss.
-func (c *Cache[V]) Get(key Key) (V, bool) {
-	now := c.opts.Now()
-	expired := 0
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	if ok && (e.expires.IsZero() || now.Before(e.expires)) {
-		c.lru.MoveToFront(e.elem)
-		v := e.val
-		c.mu.Unlock()
-		return v, true
-	}
-	if ok {
-		c.removeLocked(e)
-		c.evictions++
-		expired = 1
-	}
-	c.mu.Unlock()
-	c.notifyEvict(expired)
-	var zero V
-	return zero, false
-}
-
-// Put stores a value directly, bypassing the singleflight machinery — for
-// values computed elsewhere (another replica via the shared tier). Bounds
-// and TTL apply exactly as for values landed by Do.
-func (c *Cache[V]) Put(key Key, v V, size int64) {
-	c.mu.Lock()
-	evicted := c.storeLocked(key, v, size, nil)
-	c.mu.Unlock()
-	c.notifyEvict(evicted)
+	return Stats{Entries: c.lru.Len(), Bytes: c.bytes, Evictions: c.evictions}
 }
 
 // Do returns the value for key, computing it at most once across
@@ -232,16 +182,6 @@ func (c *Cache[V]) Put(key Key, v V, size int64) {
 // cache. The reported Outcome tells whether this caller led the flight
 // (Miss), attached to one (Coalesced), or was served from the cache (Hit).
 func (c *Cache[V]) Do(ctx context.Context, key Key, compute func(context.Context) (V, int64, error)) (V, Outcome, error) {
-	return c.DoTagged(ctx, key, nil, compute)
-}
-
-// DoTagged is Do with invalidation tags attached to the stored entry: a
-// later InvalidateTags call naming any of them evicts it. For plans the
-// tags are the chunk IDs the problem reads, so a placement mutation can
-// drop exactly the affected entries. Tags must be a pure function of the
-// key (callers coalescing on the same key are assumed to pass equal tags;
-// the flight leader's tags win).
-func (c *Cache[V]) DoTagged(ctx context.Context, key Key, tags []uint64, compute func(context.Context) (V, int64, error)) (V, Outcome, error) {
 	now := c.opts.Now()
 	expired := 0
 	c.mu.Lock()
@@ -269,12 +209,12 @@ func (c *Cache[V]) DoTagged(ctx context.Context, key Key, tags []uint64, compute
 	c.calls[key] = cl
 	c.mu.Unlock()
 	c.notifyEvict(expired)
-	go c.run(key, cl, cctx, cancel, tags, compute)
+	go c.run(key, cl, cctx, cancel, compute)
 	return c.wait(ctx, cl, Miss)
 }
 
 // run executes the shared compute and publishes its result.
-func (c *Cache[V]) run(key Key, cl *call[V], cctx context.Context, cancel context.CancelFunc, tags []uint64, compute func(context.Context) (V, int64, error)) {
+func (c *Cache[V]) run(key Key, cl *call[V], cctx context.Context, cancel context.CancelFunc, compute func(context.Context) (V, int64, error)) {
 	v, size, err := compute(cctx)
 	cancel() // release the context's resources; waiters are signalled via done
 	c.mu.Lock()
@@ -282,37 +222,13 @@ func (c *Cache[V]) run(key Key, cl *call[V], cctx context.Context, cancel contex
 	delete(c.calls, key)
 	evicted := 0
 	if err == nil {
-		evicted = c.storeLocked(key, v, size, tags)
+		evicted = c.storeLocked(key, v, size)
 	}
 	c.mu.Unlock()
 	// close(done) happens after the fields above are set; waiters that see
 	// the close observe them without taking the lock.
 	close(cl.done)
 	c.notifyEvict(evicted)
-}
-
-// InvalidateTags evicts every entry carrying any of the given tags and
-// returns how many entries were dropped. It is the surgical-invalidation
-// hook: a placement mutation names the chunks it touched, and only cached
-// plans reading those chunks pay. In-flight computes are not interrupted
-// (their results land with post-mutation fingerprints or are superseded on
-// the next lookup); entries without a named tag are untouched.
-func (c *Cache[V]) InvalidateTags(tags ...uint64) int {
-	c.mu.Lock()
-	removed := 0
-	for _, tag := range tags {
-		for key := range c.byTag[tag] {
-			if e, ok := c.entries[key]; ok {
-				c.removeLocked(e)
-				removed++
-			}
-		}
-	}
-	c.evictions += uint64(removed)
-	c.partials += uint64(removed)
-	c.mu.Unlock()
-	c.notifyEvict(removed)
-	return removed
 }
 
 // wait blocks until the shared compute finishes or ctx is done. A departing
@@ -337,10 +253,9 @@ func (c *Cache[V]) wait(ctx context.Context, cl *call[V], oc Outcome) (V, Outcom
 
 // storeLocked inserts (or refreshes) an entry and enforces the bounds,
 // returning how many entries were evicted. On a refresh the old entry's
-// bytes are released before the new size is charged (the delta update) and
-// its old tags are dropped before the new ones attach, so neither the byte
-// accounting nor the tag index can drift when a key is overwritten.
-func (c *Cache[V]) storeLocked(key Key, v V, size int64, tags []uint64) int {
+// bytes are released before the new size is charged (the delta update), so
+// the byte accounting cannot drift when a key is overwritten.
+func (c *Cache[V]) storeLocked(key Key, v V, size int64) int {
 	if size < 0 {
 		size = 0
 	}
@@ -350,16 +265,13 @@ func (c *Cache[V]) storeLocked(key Key, v V, size int64, tags []uint64) int {
 	}
 	if e, ok := c.entries[key]; ok {
 		c.bytes += size - e.size
-		c.untagLocked(e)
-		e.val, e.size, e.expires, e.tags = v, size, expires, tags
-		c.tagLocked(e)
+		e.val, e.size, e.expires = v, size, expires
 		c.lru.MoveToFront(e.elem)
 	} else {
-		e := &entry[V]{key: key, val: v, size: size, expires: expires, tags: tags}
+		e := &entry[V]{key: key, val: v, size: size, expires: expires}
 		e.elem = c.lru.PushFront(e)
 		c.entries[key] = e
 		c.bytes += size
-		c.tagLocked(e)
 	}
 	evicted := 0
 	for c.overBoundLocked() {
@@ -388,29 +300,6 @@ func (c *Cache[V]) removeLocked(e *entry[V]) {
 	c.lru.Remove(e.elem)
 	delete(c.entries, e.key)
 	c.bytes -= e.size
-	c.untagLocked(e)
-}
-
-func (c *Cache[V]) tagLocked(e *entry[V]) {
-	for _, tag := range e.tags {
-		m := c.byTag[tag]
-		if m == nil {
-			m = make(map[Key]struct{})
-			c.byTag[tag] = m
-		}
-		m[e.key] = struct{}{}
-	}
-}
-
-func (c *Cache[V]) untagLocked(e *entry[V]) {
-	for _, tag := range e.tags {
-		if m := c.byTag[tag]; m != nil {
-			delete(m, e.key)
-			if len(m) == 0 {
-				delete(c.byTag, tag)
-			}
-		}
-	}
 }
 
 // notifyEvict delivers an OnEvict callback for evicted entries. The caller

@@ -1,4 +1,7 @@
-package plancache
+// Package plancachetest holds test support for the shared plan-cache tier:
+// an in-process memcached-protocol server, kept out of package plancache so
+// it is not linked into opassd.
+package plancachetest
 
 import (
 	"bufio"
@@ -12,7 +15,7 @@ import (
 )
 
 // MemcachedServer is a minimal in-process server speaking the subset of
-// the memcached text protocol the Remote client uses (get/set, plus
+// the memcached text protocol plancache.Remote uses (get/set, plus
 // delete/flush_all/version for operational tests). It exists so the
 // shared-tier path can be exercised end to end — unit tests, the -race CI
 // job, and local multi-replica experiments — without a memcached binary in
@@ -26,7 +29,7 @@ type MemcachedServer struct {
 	items  map[string]mcItem
 	closed bool
 
-	now func() time.Time // test clock override
+	now func() time.Time // see SetClock
 }
 
 type mcItem struct {
@@ -47,6 +50,10 @@ func NewMemcachedServer() (*MemcachedServer, error) {
 	go s.acceptLoop()
 	return s, nil
 }
+
+// SetClock overrides the clock item expiry runs on. Call it before the
+// first request.
+func (s *MemcachedServer) SetClock(now func() time.Time) { s.now = now }
 
 // Addr returns the host:port the server listens on.
 func (s *MemcachedServer) Addr() string { return s.ln.Addr().String() }
@@ -101,7 +108,7 @@ func (s *MemcachedServer) serve(c net.Conn) {
 		if closed {
 			return
 		}
-		line, err := readLine(br)
+		line, err := br.ReadString('\n')
 		if err != nil {
 			return
 		}
@@ -170,7 +177,7 @@ func (s *MemcachedServer) handleSet(br *bufio.Reader, bw *bufio.Writer, args []s
 	key, flags := args[0], args[1]
 	exptime, err1 := strconv.Atoi(args[2])
 	size, err2 := strconv.Atoi(args[3])
-	if err1 != nil || err2 != nil || size < 0 || validKey(key) != nil {
+	if err1 != nil || err2 != nil || size < 0 || len(key) > 250 {
 		fmt.Fprintf(bw, "CLIENT_ERROR bad command line format\r\n")
 		return fmt.Errorf("malformed set header")
 	}

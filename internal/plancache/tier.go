@@ -8,8 +8,8 @@ import (
 
 // This file defines the shared cache tier: a byte-oriented backend behind
 // the per-process Cache, letting N opassd replicas dedupe planner work
-// fleet-wide. The in-process Cache stays the L1 — typed values, coalescing,
-// surgical invalidation — while a Tier is the L2 consulted inside the
+// fleet-wide. The in-process Cache stays the L1 — typed values, coalescing —
+// while a Tier is the L2 consulted inside the
 // singleflight compute: before running the planner the flight leader asks
 // the tier for the fingerprint's serialized plan, and after a genuine
 // compute it publishes the result for every other replica.
@@ -42,32 +42,3 @@ type Tier interface {
 func TierKey(namespace string, k Key) string {
 	return fmt.Sprintf("%s:%x", namespace, k[:])
 }
-
-// MemoryTier adapts the in-process LRU machinery to the Tier interface —
-// the single-replica backend, and the reference implementation the remote
-// backend's tests compare against. Entry lifetime follows the tier's
-// Options (MaxEntries/MaxBytes/TTL); the per-Set ttl parameter is ignored,
-// since a local tier shares the process's freshness budget.
-type MemoryTier struct {
-	c *Cache[[]byte]
-}
-
-// NewMemoryTier creates a MemoryTier bounded by opts.
-func NewMemoryTier(opts Options) *MemoryTier {
-	return &MemoryTier{c: New[[]byte](opts)}
-}
-
-// Get implements Tier.
-func (m *MemoryTier) Get(ctx context.Context, key string) ([]byte, bool, error) {
-	v, ok := m.c.Get(KeyOf([]byte(key)))
-	return v, ok, nil
-}
-
-// Set implements Tier.
-func (m *MemoryTier) Set(ctx context.Context, key string, value []byte, ttl time.Duration) error {
-	m.c.Put(KeyOf([]byte(key)), value, int64(len(value)))
-	return nil
-}
-
-// Stats reports the underlying cache's totals.
-func (m *MemoryTier) Stats() Stats { return m.c.Stats() }

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"opass/internal/plancache/plancachetest"
 )
 
 // tierConformance drives any Tier through the contract the httpapi layer
@@ -46,12 +48,8 @@ func tierConformance(t *testing.T, tier Tier) {
 	}
 }
 
-func TestMemoryTierConformance(t *testing.T) {
-	tierConformance(t, NewMemoryTier(Options{MaxEntries: 16}))
-}
-
 func TestRemoteTierConformance(t *testing.T) {
-	srv, err := NewMemcachedServer()
+	srv, err := plancachetest.NewMemcachedServer()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +66,7 @@ func TestRemoteTierConformance(t *testing.T) {
 // TestRemoteTierTTLExpiry asserts a TTL'd entry vanishes after its
 // exptime (driven through the server's test clock).
 func TestRemoteTierTTLExpiry(t *testing.T) {
-	srv, err := NewMemcachedServer()
+	srv, err := plancachetest.NewMemcachedServer()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +74,7 @@ func TestRemoteTierTTLExpiry(t *testing.T) {
 	base := time.Now()
 	now := base
 	var mu sync.Mutex
-	srv.now = func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
+	srv.SetClock(func() time.Time { mu.Lock(); defer mu.Unlock(); return now })
 
 	r := NewRemote(srv.Addr(), RemoteOptions{})
 	defer r.Close()
@@ -101,7 +99,7 @@ func TestRemoteTierTTLExpiry(t *testing.T) {
 // TestRemoteTierConnReuse asserts sequential exchanges share pooled
 // connections instead of redialing.
 func TestRemoteTierConnReuse(t *testing.T) {
-	srv, err := NewMemcachedServer()
+	srv, err := plancachetest.NewMemcachedServer()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +130,7 @@ func TestRemoteTierConnReuse(t *testing.T) {
 // misses upstream) and counts them; invalid keys are rejected before any
 // network traffic.
 func TestRemoteTierErrorPaths(t *testing.T) {
-	srv, err := NewMemcachedServer()
+	srv, err := plancachetest.NewMemcachedServer()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +161,7 @@ func TestRemoteTierErrorPaths(t *testing.T) {
 // fleet-of-replicas shape — verifying every value round-trips intact.
 // Meaningful mainly under -race.
 func TestRemoteTierConcurrent(t *testing.T) {
-	srv, err := NewMemcachedServer()
+	srv, err := plancachetest.NewMemcachedServer()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,37 +200,5 @@ func TestRemoteTierConcurrent(t *testing.T) {
 	}
 	if srv.Len() != workers*rounds {
 		t.Fatalf("server holds %d items, want %d", srv.Len(), workers*rounds)
-	}
-}
-
-// TestCacheGetPut covers the direct (non-singleflight) cache face the
-// MemoryTier adapter uses: LRU refresh, TTL expiry, byte-bound eviction.
-func TestCacheGetPut(t *testing.T) {
-	base := time.Now()
-	now := base
-	c := New[string](Options{MaxEntries: 2, TTL: time.Minute, Now: func() time.Time { return now }})
-	k1, k2, k3 := KeyOf([]byte("1")), KeyOf([]byte("2")), KeyOf([]byte("3"))
-
-	if _, ok := c.Get(k1); ok {
-		t.Fatal("hit on empty cache")
-	}
-	c.Put(k1, "a", 1)
-	c.Put(k2, "b", 1)
-	if v, ok := c.Get(k1); !ok || v != "a" {
-		t.Fatalf("Get(k1) = %q ok=%v", v, ok)
-	}
-	c.Put(k3, "c", 1) // k2 is LRU now (k1 was refreshed by the Get)
-	if _, ok := c.Get(k2); ok {
-		t.Fatal("k2 survived LRU eviction")
-	}
-	if _, ok := c.Get(k1); !ok {
-		t.Fatal("k1 evicted despite refresh")
-	}
-	now = base.Add(2 * time.Minute)
-	if _, ok := c.Get(k1); ok {
-		t.Fatal("k1 served past TTL")
-	}
-	if st := c.Stats(); st.Entries != 1 { // k3 remains (expired but unread)
-		t.Fatalf("entries = %d, want 1", st.Entries)
 	}
 }
