@@ -26,34 +26,9 @@ func MatchAugmenting(g *Graph, quota []int) (owner []int, size int) {
 // O(V+E) pass, so cancellation lands within a single search) and its error
 // is returned instead of a partial matching.
 func MatchAugmentingContext(ctx context.Context, g *Graph, quota []int) (owner []int, size int, err error) {
-	return matchAugmenting(ctx, g, quota, nil)
-}
-
-// MatchAugmentingWarmContext is MatchAugmentingContext warm-started from a
-// prior matching: seed[f] names the process that owned file f before (or
-// -1), and entries that are still legal — the locality edge exists in g and
-// the process has quota left, checked in ascending file order — are adopted
-// without search. Only files whose seats broke (or that were never matched)
-// go through augmenting-path repair, so a one-replica-move-stale matching
-// costs O(delta) searches instead of O(files).
-//
-// The result is a maximum matching like the cold solve's (same size, by
-// max-flow duality). When the seed is itself a maximum matching that is
-// still fully legal, no augmenting path exists and the output is the seed,
-// byte for byte — the golden-plan warm tests pin this.
-func MatchAugmentingWarmContext(ctx context.Context, g *Graph, quota []int, seed []int) (owner []int, size int, err error) {
-	return matchAugmenting(ctx, g, quota, seed)
-}
-
-// matchAugmenting is the shared matcher body; a nil seed means the greedy
-// cold initialization.
-func matchAugmenting(ctx context.Context, g *Graph, quota []int, seed []int) (owner []int, size int, err error) {
 	numP, numF := g.NumP(), g.NumF()
 	if len(quota) != numP {
 		panic("bipartite: quota length mismatch")
-	}
-	if seed != nil && len(seed) != numF {
-		panic("bipartite: seed length mismatch")
 	}
 	owner = make([]int, numF)
 	for f := range owner {
@@ -86,32 +61,13 @@ func matchAugmenting(ctx context.Context, g *Graph, quota []int, seed []int) (ow
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
-	if seed == nil {
-		// Greedy initialization: cheap and removes most augmentation work.
-		for f := 0; f < numF; f++ {
-			for _, e := range g.EdgesOfF(f) {
-				if len(owned[e.P]) < quota[e.P] {
-					attach(f, e.P)
-					size++
-					break
-				}
-			}
-		}
-	} else {
-		// Warm initialization: adopt every still-legal prior seat. Illegal
-		// entries (edge gone after a replica move, process over quota) are
-		// dropped and their files re-enter the augmenting loop below.
-		for f := 0; f < numF; f++ {
-			p := seed[f]
-			if p < 0 || p >= numP || len(owned[p]) >= quota[p] {
-				continue
-			}
-			for _, e := range g.EdgesOfF(f) {
-				if e.P == p {
-					attach(f, p)
-					size++
-					break
-				}
+	// Greedy initialization: cheap and removes most augmentation work.
+	for f := 0; f < numF; f++ {
+		for _, e := range g.EdgesOfF(f) {
+			if len(owned[e.P]) < quota[e.P] {
+				attach(f, e.P)
+				size++
+				break
 			}
 		}
 	}

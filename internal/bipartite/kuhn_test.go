@@ -137,7 +137,7 @@ func TestPropertyMatchAugmentingMatchesFlow(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(prop, quickConfig(300)); err != nil {
 		t.Fatal(err)
 	}
 }

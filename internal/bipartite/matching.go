@@ -76,24 +76,6 @@ func AssignMaxLocality(g *Graph, quotas, sizes []int64, algo Algorithm) AssignRe
 // cancellation: the solver checks ctx between augmenting rounds and returns
 // ctx's error instead of a partial assignment when it fires.
 func AssignMaxLocalityContext(ctx context.Context, g *Graph, quotas, sizes []int64, algo Algorithm) (AssignResult, error) {
-	return assignMaxLocality(ctx, g, quotas, sizes, algo, nil)
-}
-
-// AssignMaxLocalityWarmContext is AssignMaxLocalityContext warm-started from
-// a prior assignment: for every seed[f] = p whose locality edge survives with
-// enough capacity (edge cap, process quota, and file demand all >= sizes[f]),
-// the file's full flow is pre-pushed along s->p->f->t before the max-flow run,
-// so the solver only augments — and, via residual arcs, re-routes — the flow
-// the prior assignment no longer covers. The flow VALUE always equals the
-// cold solve's (max flow is unique in value); the specific assignment may
-// differ whenever the optimum is not unique, exactly as two cold runs with
-// different arc insertion orders may differ.
-func AssignMaxLocalityWarmContext(ctx context.Context, g *Graph, quotas, sizes []int64, algo Algorithm, seed []int) (AssignResult, error) {
-	return assignMaxLocality(ctx, g, quotas, sizes, algo, seed)
-}
-
-// assignMaxLocality is the shared solver body; a nil seed means a cold solve.
-func assignMaxLocality(ctx context.Context, g *Graph, quotas, sizes []int64, algo Algorithm, seed []int) (AssignResult, error) {
 	if err := ctx.Err(); err != nil {
 		return AssignResult{}, err
 	}
@@ -104,21 +86,17 @@ func assignMaxLocality(ctx context.Context, g *Graph, quotas, sizes []int64, alg
 		panic(fmt.Sprintf("bipartite: %d sizes for %d files", len(sizes), g.NumF()))
 	}
 	numP, numF := g.NumP(), g.NumF()
-	if seed != nil && len(seed) != numF {
-		panic(fmt.Sprintf("bipartite: %d seed entries for %d files", len(seed), numF))
-	}
 	s := 0
 	procBase := 1
 	fileBase := 1 + numP
 	t := 1 + numP + numF
 	fn := NewFlowNetwork(t + 1)
 
-	spArc := make([]int, numP)
 	for p := 0; p < numP; p++ {
 		if quotas[p] < 0 {
 			panic(fmt.Sprintf("bipartite: quota[%d] = %d must be non-negative", p, quotas[p]))
 		}
-		spArc[p] = fn.AddArc(s, procBase+p, quotas[p])
+		fn.AddArc(s, procBase+p, quotas[p])
 	}
 	type pfArc struct {
 		p, f, id int
@@ -136,43 +114,11 @@ func assignMaxLocality(ctx context.Context, g *Graph, quotas, sizes []int64, alg
 			pf = append(pf, pfArc{p: p, f: e.F, id: fn.AddArc(procBase+p, fileBase+e.F, c)})
 		}
 	}
-	ftArc := make([]int, numF)
 	for f := 0; f < numF; f++ {
 		if sizes[f] <= 0 {
 			panic(fmt.Sprintf("bipartite: size[%d] = %d must be positive", f, sizes[f]))
 		}
-		ftArc[f] = fn.AddArc(fileBase+f, t, sizes[f])
-	}
-
-	// Warm start: pre-push each surviving prior assignment's full flow. A
-	// seed entry is adopted only when every arc of its s->p->f->t path still
-	// has sizes[f] of capacity left; broken entries (replica moved away, edge
-	// capped lower, quota exhausted) are skipped and their flow is rebuilt by
-	// the solver below.
-	var seeded int64
-	if seed != nil {
-		pfID := make(map[int64]int, len(pf))
-		for _, a := range pf {
-			pfID[int64(a.p)*int64(numF)+int64(a.f)] = a.id
-		}
-		for f := 0; f < numF; f++ {
-			p := seed[f]
-			if p < 0 || p >= numP {
-				continue
-			}
-			id, ok := pfID[int64(p)*int64(numF)+int64(f)]
-			if !ok {
-				continue
-			}
-			sz := sizes[f]
-			if fn.Residual(spArc[p]) < sz || fn.Residual(id) < sz || fn.Residual(ftArc[f]) < sz {
-				continue
-			}
-			fn.Push(spArc[p], sz)
-			fn.Push(id, sz)
-			fn.Push(ftArc[f], sz)
-			seeded += sz
-		}
+		fn.AddArc(fileBase+f, t, sizes[f])
 	}
 
 	var value int64
@@ -183,7 +129,6 @@ func assignMaxLocality(ctx context.Context, g *Graph, quotas, sizes []int64, alg
 	default:
 		value = fn.MaxFlowEK(s, t)
 	}
-	value += seeded
 	if err := fn.StopErr(); err != nil {
 		return AssignResult{}, err
 	}

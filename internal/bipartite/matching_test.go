@@ -178,7 +178,7 @@ func TestPropertyMatchingMatchesBruteForce(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(prop, quickConfig(60)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -256,7 +256,7 @@ func TestPropertyAssignmentInvariants(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(prop, quickConfig(50)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -49,9 +49,6 @@ func NewFlowNetwork(n int) *FlowNetwork {
 // N reports the vertex count.
 func (fn *FlowNetwork) N() int { return fn.n }
 
-// NumArcs reports the number of forward arcs added.
-func (fn *FlowNetwork) NumArcs() int { return len(fn.to) / 2 }
-
 // AddArc adds a directed arc u->v with the given capacity and returns its
 // arc ID, usable with Flow after a max-flow run.
 func (fn *FlowNetwork) AddArc(u, v int, capacity int64) int {
@@ -90,25 +87,6 @@ func (fn *FlowNetwork) Residual(id int) int64 {
 		panic(fmt.Sprintf("bipartite: %d is not a forward arc ID", id))
 	}
 	return fn.cap[id]
-}
-
-// Push manually routes amount units of flow along forward arc id, consuming
-// residual capacity exactly as an augmenting path would. It is the seeding
-// primitive for warm-started solves: pushing a prior assignment's flow along
-// each arc of its s->p->f->t path yields a feasible flow that MaxFlowEK /
-// MaxFlowDinic then extend to optimality, doing only the work the prior
-// solution no longer covers. The caller must keep the pushes conservative
-// (equal amounts along every arc of a path); Push only checks per-arc
-// residual capacity.
-func (fn *FlowNetwork) Push(id int, amount int64) {
-	if id < 0 || id >= len(fn.to) || id%2 != 0 {
-		panic(fmt.Sprintf("bipartite: %d is not a forward arc ID", id))
-	}
-	if amount < 0 || amount > fn.cap[id] {
-		panic(fmt.Sprintf("bipartite: push of %d exceeds residual %d on arc %d", amount, fn.cap[id], id))
-	}
-	fn.cap[id] -= amount
-	fn.cap[id^1] += amount
 }
 
 // Reset restores all arcs to their original capacities (flows removed),

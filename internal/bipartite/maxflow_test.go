@@ -6,6 +6,13 @@ import (
 	"testing/quick"
 )
 
+// quickConfig pins the property tests' input stream: quick.Check seeds from
+// the clock by default, which turns a rare counterexample into a red build
+// nobody can reproduce.
+func quickConfig(maxCount int) *quick.Config {
+	return &quick.Config{MaxCount: maxCount, Rand: rand.New(rand.NewSource(1))}
+}
+
 func TestMaxFlowSimplePath(t *testing.T) {
 	fn := NewFlowNetwork(3)
 	a := fn.AddArc(0, 1, 10)
@@ -145,7 +152,7 @@ func TestPropertyMaxFlowMatchesOracle(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 80}); err != nil {
+	if err := quick.Check(prop, quickConfig(80)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -158,7 +165,7 @@ func TestPropertyFlowConservation(t *testing.T) {
 		var recs []arcRec
 		// Recover forward arcs from internal layout via AddArc order: forward
 		// arcs are even IDs; reconstruct endpoints from the residual twin.
-		for id := 0; id < fn.NumArcs()*2; id += 2 {
+		for id := 0; id < len(fn.to); id += 2 {
 			recs = append(recs, arcRec{u: fn.to[id^1], v: fn.to[id], id: id})
 		}
 		fn.MaxFlowEK(s, tt)
@@ -183,7 +190,7 @@ func TestPropertyFlowConservation(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(prop, quickConfig(60)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -64,7 +64,7 @@ func TestGraphSortedAdjacencyInvariant(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(prop, quickConfig(200)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -149,7 +149,7 @@ func TestMatchAugmentingParityRandomQuotas(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 400}); err != nil {
+	if err := quick.Check(prop, quickConfig(400)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -261,7 +262,7 @@ func TestPropertyAssignersProduceValidAssignments(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
+	if err := quick.Check(prop, quickConfig(25)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -286,33 +287,61 @@ func TestPropertyOpassDominatesBaselineLocality(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
+	if err := quick.Check(prop, quickConfig(25)); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// quickConfig pins the property tests' input stream: quick.Check seeds from
+// the clock by default, which turns a rare counterexample into a red build
+// nobody can reproduce.
+func quickConfig(maxCount int) *quick.Config {
+	return &quick.Config{MaxCount: maxCount, Rand: rand.New(rand.NewSource(1))}
+}
+
+// multiDataValidWithinQuota runs Algorithm 1 and checks what it guarantees:
+// a valid assignment with every process at its equal-count quota.
+func multiDataValidWithinQuota(t *testing.T, p *Problem, seed int64) *Assignment {
+	t.Helper()
+	a, err := MultiData{Seed: seed}.Assign(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Validate(p); err != nil {
+		t.Fatal(err)
+	}
+	for proc, q := range taskQuotas(len(p.Tasks), p.NumProcs()) {
+		if len(a.Lists[proc]) != q {
+			t.Fatalf("seed %d: proc %d owns %d tasks, quota %d", seed, proc, len(a.Lists[proc]), q)
+		}
+	}
+	return a
 }
 
 func TestMultiDataPropertyValidAndLocal(t *testing.T) {
 	prop := func(seed int64, rawNodes uint8) bool {
 		nodes := 4 + int(rawNodes)%12
-		p := multiProblem(t, nodes, nodes*3, seed)
-		a, err := MultiData{Seed: seed}.Assign(p)
-		if err != nil {
-			t.Error(err)
-			return false
-		}
-		if err := a.Validate(p); err != nil {
-			t.Error(err)
-			return false
-		}
-		rank, _ := RankStatic{}.Assign(p)
-		if a.PlannedLocalMB+1e-6 < rank.PlannedLocalMB {
-			t.Errorf("seed %d: multi opass %v < rank %v", seed, a.PlannedLocalMB, rank.PlannedLocalMB)
-			return false
-		}
+		multiDataValidWithinQuota(t, multiProblem(t, nodes, nodes*3, seed), seed)
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 20}); err != nil {
+	if err := quick.Check(prop, quickConfig(20)); err != nil {
 		t.Fatal(err)
+	}
+
+	// "At least rank-static's locality" is not part of the property: like
+	// Gale-Shapley, Algorithm 1 is optimal for each proposer, not in total.
+	// On this 4-node / 12-task problem it plans 610 MB local against
+	// rank-static's 630 MB.
+	const seed = 1693867134031852014
+	p := multiProblem(t, 4, 12, seed)
+	a := multiDataValidWithinQuota(t, p, seed)
+	rank, err := RankStatic{}.Assign(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.PlannedLocalMB != 610 || rank.PlannedLocalMB != 630 {
+		t.Fatalf("counterexample drifted: multi-data %v MB local, rank-static %v MB; want 610 and 630",
+			a.PlannedLocalMB, rank.PlannedLocalMB)
 	}
 }
 
@@ -402,20 +431,6 @@ func TestRandomDispatcherServesAllOnce(t *testing.T) {
 	}
 }
 
-func TestFIFODispatcherOrder(t *testing.T) {
-	p, _ := buildSingle(t, 4, 6, 12, dfs.RandomPlacement{})
-	d := NewFIFODispatcher(p)
-	for want := 0; want < 6; want++ {
-		got, ok := d.Next(1)
-		if !ok || got != want {
-			t.Fatalf("Next = %d,%v, want %d", got, ok, want)
-		}
-	}
-	if d.Remaining() != 0 {
-		t.Fatal("remaining != 0 after drain")
-	}
-}
-
 func TestEKAndDinicSameLocality(t *testing.T) {
 	p, _ := buildSingle(t, 32, 320, 13, dfs.RandomPlacement{})
 	ek, err := SingleData{Algorithm: bipartite.EdmondsKarp}.Assign(p)
@@ -428,5 +443,30 @@ func TestEKAndDinicSameLocality(t *testing.T) {
 	}
 	if ek.PlannedLocalMB != dn.PlannedLocalMB {
 		t.Fatalf("EK local %v != Dinic local %v", ek.PlannedLocalMB, dn.PlannedLocalMB)
+	}
+}
+
+// TestPickAssignerScalesSolver pins the solver seam: left at its zero value,
+// SingleData.Algorithm resolves to Edmonds-Karp below directMatchTasks
+// equal-size tasks and to the direct matcher from there up — Edmonds-Karp
+// does not finish at 1M tasks. The two solvers reach the same locality
+// through different tie-breaks, so which one ran shows in the plan itself.
+func TestPickAssignerScalesSolver(t *testing.T) {
+	owners := func(p *Problem, algo bipartite.Algorithm) []int {
+		t.Helper()
+		a, err := SingleData{Algorithm: algo, Seed: 9}.Assign(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a.Owner
+	}
+	below, _ := buildSingle(t, 16, directMatchTasks-1, 9, dfs.RandomPlacement{})
+	at, _ := buildSingle(t, 16, directMatchTasks, 9, dfs.RandomPlacement{})
+
+	if slices.Equal(owners(below, 0), owners(below, bipartite.Kuhn)) {
+		t.Errorf("%d tasks: default solver produced the direct matcher's plan, want Edmonds-Karp's", len(below.Tasks))
+	}
+	if !slices.Equal(owners(at, 0), owners(at, bipartite.Kuhn)) {
+		t.Errorf("%d tasks: default solver did not produce the direct matcher's plan", len(at.Tasks))
 	}
 }

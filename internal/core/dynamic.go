@@ -122,27 +122,3 @@ func (d *RandomDispatcher) Next(_ int) (task int, ok bool) {
 	d.pool = d.pool[:len(d.pool)-1]
 	return task, true
 }
-
-// FIFODispatcher hands tasks out in ID order — a deterministic non-random
-// baseline used in tests and the ablation suite.
-type FIFODispatcher struct {
-	next, n int
-}
-
-// NewFIFODispatcher builds a dispatcher over all tasks of the problem.
-func NewFIFODispatcher(p *Problem) *FIFODispatcher {
-	return &FIFODispatcher{n: len(p.Tasks)}
-}
-
-// Remaining reports how many tasks have not yet been handed out.
-func (d *FIFODispatcher) Remaining() int { return d.n - d.next }
-
-// Next hands any idle process the next task in ID order.
-func (d *FIFODispatcher) Next(_ int) (task int, ok bool) {
-	if d.next >= d.n {
-		return 0, false
-	}
-	task = d.next
-	d.next++
-	return task, true
-}

@@ -39,6 +39,11 @@ type goldenPlans struct {
 	// when only 16 of the 64 processes ask for work — the last three quarters
 	// of the job exercises the steal scan.
 	DynamicOrder []int `json:"dynamic_order"`
+	// Guard holds the Owner arrays of goldenGuardCases: the post-solve
+	// repair stages (rack pass, random pass, count and MB accounting) that
+	// the five plans above never reach because replicated single-rack data
+	// matches almost every task in the solver.
+	Guard map[string][]int `json:"repair_guard"`
 }
 
 // goldenSingleProblem is the seeded single-data case all golden plans use.
@@ -86,6 +91,122 @@ func goldenMultiProblem(t testing.TB) *Problem {
 	return p
 }
 
+// goldenRacked is the layout of the repair-guard problems: 32 nodes in 4
+// racks, one process per node, one replica per chunk — so per-node chunk
+// counts overflow the quotas and about a tenth of the tasks leave the solver
+// unmatched, for the rack pass and then the random pass to place.
+func goldenRacked(seed int64) (fs *dfs.FileSystem, procNode, nodeRack []int) {
+	v := rackedView{32, 4}
+	fs = dfs.New(v, dfs.Config{Seed: seed, Placement: dfs.RandomPlacement{}, Replication: 1})
+	for i := 0; i < v.n; i++ {
+		procNode = append(procNode, i)
+		nodeRack = append(nodeRack, v.RackOf(i))
+	}
+	return fs, procNode, nodeRack
+}
+
+// goldenRackedProblem is a single-data problem of 320 chunks (10 per
+// process) on the goldenRacked layout; sizeOf gives chunk i's size in MB.
+func goldenRackedProblem(t testing.TB, sizeOf func(i int) float64) *Problem {
+	t.Helper()
+	fs, procNode, nodeRack := goldenRacked(11)
+	sizes := make([]float64, 320)
+	for i := range sizes {
+		sizes[i] = sizeOf(i)
+	}
+	if _, err := fs.CreateChunks("/data", sizes); err != nil {
+		t.Fatal(err)
+	}
+	p, err := SingleDataProblem(fs, []string{"/data"}, procNode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.NodeRack = nodeRack
+	return p
+}
+
+// goldenRackedMultiProblem is the three-input (30/20/10 MB) workload, 320
+// tasks on the goldenRacked layout, so Algorithm 1's own node→rack→random
+// repair loop runs with rack edges present.
+func goldenRackedMultiProblem(t testing.TB) *Problem {
+	t.Helper()
+	fs, procNode, nodeRack := goldenRacked(13)
+	p := &Problem{FS: fs, ProcNode: procNode, NodeRack: nodeRack}
+	inputs := []float64{30, 20, 10}
+	for i := 0; i < 320; i++ {
+		f, err := fs.CreateChunks(fmt.Sprintf("/t%d", i), inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		task := Task{ID: i}
+		for j, sz := range inputs {
+			task.Inputs = append(task.Inputs, Input{Chunk: f.Chunks[j], SizeMB: sz})
+		}
+		p.Tasks = append(p.Tasks, task)
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// goldenGuardCases names every (planner, problem) pair locked under
+// "repair_guard". Weights carry a zero and fractional entries so the MB
+// ledger sees an ineligible process and non-integral shares.
+func goldenGuardCases(t testing.TB) map[string]func() (*Assignment, error) {
+	equal := func(int) float64 { return 64 }
+	unequal := func(i int) float64 { return float64(32 + 16*(i%3)) } // 32, 48, 64 MB
+	weights := func(m int) []float64 {
+		w := make([]float64, m)
+		for i := range w {
+			w[i] = []float64{1, 0.5, 2.25, 0.75}[i%4]
+		}
+		w[5] = 0
+		return w
+	}
+	bias := func(nodes int) []float64 {
+		b := make([]float64, nodes)
+		for i := range b {
+			b[i] = []float64{1, 0.4, 0.85}[i%3]
+		}
+		return b
+	}
+	racked, rackedUnequal := goldenRackedProblem(t, equal), goldenRackedProblem(t, unequal)
+	flat := goldenRackedProblem(t, equal)
+	flat.NodeRack = nil
+	flatUnequal := goldenRackedProblem(t, unequal)
+	flatUnequal.NodeRack = nil
+	multi := goldenRackedMultiProblem(t)
+	sp := goldenSingleProblem(t)
+	run := func(a Assigner, p *Problem) func() (*Assignment, error) {
+		return func() (*Assignment, error) { return a.Assign(p) }
+	}
+	return map[string]func() (*Assignment, error){
+		"racked/single_ek":          run(SingleData{Seed: 3}, racked),
+		"racked/single_kuhn":        run(SingleData{Seed: 3, Algorithm: bipartite.Kuhn}, racked),
+		"racked/greedy":             run(GreedyLocality{Seed: 3}, racked),
+		"racked/multi_on_single":    run(MultiData{Seed: 3}, racked),
+		"racked/multi":              run(MultiData{Seed: 3}, multi),
+		"racked/multi_nodebias":     run(MultiData{Seed: 3, NodeBias: bias(32)}, multi),
+		"racked/single_weighted":    run(SingleData{Seed: 3, Weights: weights(32)}, racked),
+		"racked/single_nodebias":    run(SingleData{Seed: 3, NodeBias: bias(32)}, racked),
+		"racked/single_unequal":     run(SingleData{Seed: 3}, rackedUnequal),
+		"racked/single_unequal_w":   run(SingleData{Seed: 3, Weights: weights(32)}, rackedUnequal),
+		"racked/greedy_unequal":     run(GreedyLocality{Seed: 3}, rackedUnequal),
+		"flat/single_unreplicated":  run(SingleData{Seed: 3}, flat),
+		"flat/greedy_unreplicated":  run(GreedyLocality{Seed: 3}, flat),
+		"flat/single_weighted":      run(SingleData{Seed: 3, Weights: weights(32)}, flat),
+		"flat/single_unequal":       run(SingleData{Seed: 3}, flatUnequal),
+		"flat/single_unequal_dinic": run(SingleData{Seed: 3, Algorithm: bipartite.Dinic}, flatUnequal),
+		"flat/single_unequal_w":     run(SingleData{Seed: 3, Weights: weights(32)}, flatUnequal),
+		"replicated/weighted":       run(SingleData{Seed: 7, Weights: weights(64)}, sp),
+		"replicated/nodebias":       run(SingleData{Seed: 7, NodeBias: bias(64)}, sp),
+		"replicated/weighted_bias":  run(SingleData{Seed: 7, Weights: weights(64), NodeBias: bias(64)}, sp),
+		"replicated/greedy":         run(GreedyLocality{Seed: 7}, sp),
+		"replicated/random_static":  run(RandomStatic{Seed: 7}, sp),
+	}
+}
+
 // computeGoldenPlans runs every locked planner on the seeded problems.
 func computeGoldenPlans(t testing.TB) *goldenPlans {
 	t.Helper()
@@ -130,6 +251,14 @@ func computeGoldenPlans(t testing.TB) *goldenPlans {
 		}
 		out.DynamicOrder = append(out.DynamicOrder, task)
 	}
+	out.Guard = make(map[string][]int)
+	for name, plan := range goldenGuardCases(t) {
+		a, err := plan()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		out.Guard[name] = a.Owner
+	}
 	return out
 }
 
@@ -159,16 +288,24 @@ func TestGoldenPlans(t *testing.T) {
 	if err := json.Unmarshal(blob, &want); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct {
+	type planCase struct {
 		name      string
 		got, want []int
-	}{
+	}
+	cases := []planCase{
 		{"single-data/edmonds-karp", got.SingleEK, want.SingleEK},
 		{"single-data/dinic", got.SingleDinic, want.SingleDinic},
 		{"single-data/kuhn", got.SingleKuhn, want.SingleKuhn},
 		{"multi-data", got.Multi, want.Multi},
 		{"dynamic-order", got.DynamicOrder, want.DynamicOrder},
-	} {
+	}
+	if len(got.Guard) != len(want.Guard) {
+		t.Errorf("repair guard has %d plans, golden file has %d", len(got.Guard), len(want.Guard))
+	}
+	for name, plan := range got.Guard {
+		cases = append(cases, planCase{"repair-guard/" + name, plan, want.Guard[name]})
+	}
+	for _, c := range cases {
 		if len(c.got) != len(c.want) {
 			t.Errorf("%s: plan length %d, want %d", c.name, len(c.got), len(c.want))
 			continue

@@ -16,7 +16,7 @@ import (
 //     first, the classic matching heuristic), and
 //  2. give each task to its co-located process with the most remaining
 //     quota, then
-//  3. repair the leftovers exactly like the flow planner.
+//  3. repair the leftovers exactly like the flow planner (finishAssignment).
 //
 // The ablation benchmarks (BenchmarkPlanner*) and the quality experiment
 // compare it against the optimal flow matching: it typically reaches within
@@ -98,14 +98,5 @@ func (g GreedyLocality) AssignContext(ctx context.Context, p *Problem) (*Assignm
 		}
 	}
 
-	// Rack tier: steer leftover tasks to rack-local under-quota processes
-	// before the random repair (a no-op unless the problem spans racks).
-	rackRepairCounts(p, ix, owner)
-	rng := rand.New(rand.NewSource(g.Seed))
-	repairUnmatched(p, owner, rng)
-
-	a := &Assignment{Owner: owner, Lists: buildLists(p, owner)}
-	sortEachList(a.Lists)
-	fillLocality(p, a)
-	return a, nil
+	return finishAssignment(p, ix, owner, nil, rand.New(rand.NewSource(g.Seed))), nil
 }

@@ -68,17 +68,10 @@ func greedyProbeReference(t *testing.T, p *Problem, seed int64) *Assignment {
 		}
 	}
 
-	if p.RackTiered() {
-		ix := NewLocalityIndex(p)
-		rackRepairCounts(p, ix, owner)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	repairUnmatched(p, owner, rng)
-
-	a := &Assignment{Owner: owner, Lists: buildLists(p, owner)}
-	sortEachList(a.Lists)
-	fillLocality(p, a)
-	return a
+	// The shared repair pipeline only reads the index's rack tier.
+	ix := NewLocalityIndex(p)
+	defer ix.Release()
+	return finishAssignment(p, ix, owner, nil, rand.New(rand.NewSource(seed)))
 }
 
 // TestGreedyLocalityIndexParity proves the index-backed greedy planner is

@@ -81,7 +81,7 @@ func TestGreedyPropertyNeverExceedsFlow(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 20}); err != nil {
+	if err := quick.Check(prop, quickConfig(20)); err != nil {
 		t.Fatal(err)
 	}
 }

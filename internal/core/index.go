@@ -52,7 +52,6 @@ type LocalityIndex struct {
 	// Rack tier (see rack.go): built only for rack-tiered problems.
 	rackTiered bool
 	byTaskRack [][]LocalityEdge // task -> rack-local edges, Proc-ascending
-	rackEdges  int
 
 	// Pooled-buffer bookkeeping for Release: every standard arena block the
 	// build carved edge slices from, and the byProc transpose backing.
@@ -88,17 +87,17 @@ var backingPool sync.Pool
 // scratchPool recycles per-worker accumulation scratch between builds.
 var scratchPool sync.Pool
 
-// buildScratch is the per-worker accumulation state shared by the node-tier
-// and rack-tier index builders: accumulated MB per process plus an epoch
-// stamp so the arrays reset in O(touched) instead of O(m) per task. The
-// epoch survives pooling — it only ever increments, so stale stamps from a
-// previous build can never collide with a fresh epoch.
+// buildScratch is buildTier's per-worker accumulation state: accumulated MB
+// per process plus an epoch stamp so the arrays reset in O(touched) instead
+// of O(m) per task. The epoch survives pooling — it only ever increments,
+// so stale stamps from a previous build can never collide with a fresh
+// epoch.
 type buildScratch struct {
 	mb      []float64
 	stamp   []int
 	epoch   int
 	touched []int
-	racks   []int          // rack-tier builder only: racks of the current input
+	racks   []int          // rack tier only: racks of the current input
 	arena   []LocalityEdge // remaining tail of the current block
 	blocks  []*[]LocalityEdge
 }
@@ -155,6 +154,84 @@ func (s *buildScratch) handoff(ix *LocalityIndex, mu *sync.Mutex) {
 	scratchPool.Put(s)
 }
 
+// add accumulates mb megabytes of the current task onto process proc.
+func (s *buildScratch) add(proc int, mb float64) {
+	if s.stamp[proc] != s.epoch {
+		s.stamp[proc] = s.epoch
+		s.mb[proc] = 0
+		s.touched = append(s.touched, proc)
+	}
+	s.mb[proc] += mb
+}
+
+// buildTier fills one tier of the index: dst[t] receives task t's edges,
+// Proc-ascending, weighted by whatever accumulate adds for t through
+// buildScratch.add. The per-task accumulations are independent, so large
+// problems fan out over a bounded GOMAXPROCS worker pool drawing tasks from
+// an atomic cursor; the serial loop and every worker poll ctx once per
+// indexCtxStride tasks. On a ctx error dst is partial and the caller must
+// Release the index (the arena blocks drawn so far are already handed to it).
+func (ix *LocalityIndex) buildTier(ctx context.Context, dst [][]LocalityEdge, accumulate func(s *buildScratch, t int)) error {
+	n, m := len(dst), ix.p.NumProcs()
+	perTask := func(s *buildScratch, t int) {
+		s.epoch++
+		s.touched = s.touched[:0]
+		accumulate(s, t)
+		if len(s.touched) == 0 {
+			return
+		}
+		sort.Ints(s.touched)
+		es := s.carve(len(s.touched))
+		for i, proc := range s.touched {
+			es[i] = LocalityEdge{Proc: proc, Task: t, MB: s.mb[proc]}
+		}
+		dst[t] = es
+	}
+
+	workers := runtime.GOMAXPROCS(0)
+	if workers > n {
+		workers = n
+	}
+	if n < indexParallelThreshold || workers <= 1 {
+		s := newScratch(m)
+		defer s.handoff(ix, nil)
+		for t := 0; t < n; t++ {
+			if t%indexCtxStride == 0 && ctx.Err() != nil {
+				return ctx.Err()
+			}
+			perTask(s, t)
+		}
+		return nil
+	}
+	var mu sync.Mutex
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			s := newScratch(m)
+			defer func() {
+				s.handoff(ix, &mu)
+				wg.Done()
+			}()
+			for done := 0; ; done++ {
+				if done%indexCtxStride == 0 && ctx.Err() != nil {
+					return // partial tier; reported below
+				}
+				t := int(next.Add(1)) - 1
+				if t >= n {
+					return
+				}
+				perTask(s, t)
+			}
+		}()
+	}
+	wg.Wait()
+	// ctx errors are sticky: if it fired at any point some worker may have
+	// bailed mid-build, so dst cannot be trusted.
+	return ctx.Err()
+}
+
 // getBacking fetches (or allocates) a contiguous edge slice of length n.
 // Every element is overwritten by the transpose fill, so stale pooled
 // contents are harmless. A pooled slice too small for n is dropped.
@@ -197,81 +274,21 @@ func NewLocalityIndexContext(ctx context.Context, p *Problem) (*LocalityIndex, e
 		}
 	}
 
-	buildTask := func(s *buildScratch, t int) {
-		s.epoch++
-		s.touched = s.touched[:0]
+	err := ix.buildTier(ctx, ix.byTask, func(s *buildScratch, t int) {
 		for _, in := range p.Tasks[t].Inputs {
 			for _, node := range p.FS.Chunk(in.Chunk).Replicas {
 				if node < 0 || node >= len(procsOn) {
 					continue
 				}
 				for _, proc := range procsOn[node] {
-					if s.stamp[proc] != s.epoch {
-						s.stamp[proc] = s.epoch
-						s.mb[proc] = 0
-						s.touched = append(s.touched, proc)
-					}
-					s.mb[proc] += in.SizeMB
+					s.add(proc, in.SizeMB)
 				}
 			}
 		}
-		if len(s.touched) == 0 {
-			return
-		}
-		sort.Ints(s.touched)
-		es := s.carve(len(s.touched))
-		for i, proc := range s.touched {
-			es[i] = LocalityEdge{Proc: proc, Task: t, MB: s.mb[proc]}
-		}
-		ix.byTask[t] = es
-	}
-
-	workers := runtime.GOMAXPROCS(0)
-	if n < indexParallelThreshold || workers <= 1 {
-		s := newScratch(m)
-		for t := 0; t < n; t++ {
-			if t%indexCtxStride == 0 && ctx.Err() != nil {
-				s.handoff(ix, nil)
-				ix.Release()
-				return nil, ctx.Err()
-			}
-			buildTask(s, t)
-		}
-		s.handoff(ix, nil)
-	} else {
-		if workers > n {
-			workers = n
-		}
-		var mu sync.Mutex
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				s := newScratch(m)
-				defer func() {
-					s.handoff(ix, &mu)
-					wg.Done()
-				}()
-				for done := 0; ; done++ {
-					if done%indexCtxStride == 0 && ctx.Err() != nil {
-						return // partial build; caller returns ctx.Err()
-					}
-					t := int(next.Add(1)) - 1
-					if t >= n {
-						return
-					}
-					buildTask(s, t)
-				}
-			}()
-		}
-		wg.Wait()
-		// ctx errors are sticky: if it fired at any point some worker may
-		// have bailed mid-build, so the byTask view cannot be trusted.
-		if err := ctx.Err(); err != nil {
-			ix.Release()
-			return nil, err
-		}
+	})
+	if err != nil {
+		ix.Release()
+		return nil, err
 	}
 
 	// Transpose into the per-process view with a counting sort over one

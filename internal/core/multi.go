@@ -149,59 +149,36 @@ func (md MultiData) AssignContext(ctx context.Context, p *Problem) (*Assignment,
 	}
 	// Repair: tasks nobody claimed (either zero affinity everywhere or all
 	// co-located processes filled their quotas with better matches) go to
-	// the under-quota process holding the most of their data, falling back
-	// to random balance.
+	// the process with room holding the most of their data — node-locally
+	// if any does, else rack-locally (no rack edges exist on single-rack
+	// problems, keeping rack-oblivious runs byte-identical) — and failing
+	// both to the ledger's random pick. The largest bias-weighted share
+	// wins, lowest rank on ties: edges arrive process-ascending and the
+	// comparison is strict. This is finishAssignment's pipeline under a
+	// different tie-break rule, so it keeps its own loop over the same
+	// ledger.
 	rng := rand.New(rand.NewSource(md.Seed))
-	loadMB := make([]float64, m)
-	for t, o := range owner {
-		if o >= 0 {
-			loadMB[o] += p.Tasks[t].SizeMB()
-		}
-	}
+	l := newQuotaLedger(p, owner, nil)
 	for t := 0; t < n; t++ {
 		if owner[t] >= 0 {
 			continue
 		}
-		// Among under-quota processes holding any of the task's data, the
-		// largest share wins (lowest rank on ties — TaskEdges is
-		// process-ascending and the comparison is strict).
 		best, bestW := -1, 0.0
-		for _, e := range ix.TaskEdges(t) {
-			if counts[e.Proc] >= quotas[e.Proc] {
-				continue
+		for _, tier := range [2][]LocalityEdge{ix.TaskEdges(t), ix.TaskRackEdges(t)} {
+			if best >= 0 {
+				break
 			}
-			if w := biasOf(e.Proc) * e.MB; w > bestW {
-				best, bestW = e.Proc, w
-			}
-		}
-		if best < 0 || bestW <= 0 {
-			// Rack tier: no under-quota process holds any of the task's
-			// data node-locally, so try rack-local holders before falling
-			// back to a blind random pick. Empty on single-rack problems,
-			// keeping rack-oblivious runs byte-identical.
-			for _, e := range ix.TaskRackEdges(t) {
-				if counts[e.Proc] >= quotas[e.Proc] {
-					continue
-				}
-				if w := biasOf(e.Proc) * e.MB; w > bestW {
+			for _, e := range tier {
+				if w := biasOf(e.Proc) * e.MB; w > bestW && l.hasRoom(e.Proc) {
 					best, bestW = e.Proc, w
 				}
 			}
 		}
-		if best < 0 || bestW <= 0 {
-			if proc := pickSmallest(loadMB, counts, quotas, rng); proc >= 0 {
-				best = proc
-			} else if best < 0 {
-				best = 0
-			}
+		if best < 0 {
+			best = l.pick(rng)
 		}
 		owner[t] = best
-		counts[best]++
-		loadMB[best] += p.Tasks[t].SizeMB()
+		l.give(best, p.Tasks[t].SizeMB())
 	}
-
-	a := &Assignment{Owner: owner, Lists: buildLists(p, owner)}
-	sortEachList(a.Lists)
-	fillLocality(p, a)
-	return a, nil
+	return newAssignment(p, owner, nil), nil
 }

@@ -10,8 +10,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
-	"sort"
 
 	"opass/internal/bipartite"
 	"opass/internal/dfs"
@@ -158,12 +156,12 @@ type Assignment struct {
 	// assignment; PlannedTotalMB is the total input data.
 	PlannedLocalMB float64
 	PlannedTotalMB float64
-	// Matched, when non-nil, records which owners came out of the locality
-	// solver (flow network or matching) as opposed to the random repair step
-	// for unmatched tasks. Warm-started replans seed the solver only from
-	// matched entries: a repair-assigned owner reflects a coin flip, not a
-	// locality decision, and seeding it could displace genuine matches.
-	// Planners that have no solver/repair split leave it nil.
+	// Matched, when non-nil, records which owners are locality decisions of
+	// the planner's solver (flow network, matcher, greedy pass) as opposed to
+	// the repair stages that home the tasks it left unmatched (see
+	// finishAssignment). It is observability only — the matched fraction is
+	// how far the placement is from supporting a full matching. Planners
+	// with no solver/repair split leave it nil.
 	Matched []bool
 }
 
@@ -214,15 +212,6 @@ func fillLocality(p *Problem, a *Assignment) {
 	for t, proc := range a.Owner {
 		a.PlannedLocalMB += p.CoLocatedMB(proc, t)
 	}
-}
-
-// buildLists derives per-process ordered lists from Owner.
-func buildLists(p *Problem, owner []int) [][]int {
-	lists := make([][]int, p.NumProcs())
-	for t, proc := range owner {
-		lists[proc] = append(lists[proc], t)
-	}
-	return lists
 }
 
 // Assigner is a task-assignment strategy: Opass planners and baselines.
@@ -408,37 +397,4 @@ func localityGraph(p *Problem, ix *LocalityIndex, scale int64) *bipartite.Graph 
 		byP[proc] = out
 	})
 	return bipartite.NewGraphFromSorted(m, n, byP)
-}
-
-// pickSmallest returns the index of the under-quota process with the least
-// assigned MB, breaking ties uniformly at random — the repair rule for
-// unmatched tasks ("we randomly assign unmatched tasks to each such
-// process", §IV-B).
-func pickSmallest(loadMB []float64, counts, quotas []int, rng *rand.Rand) int {
-	best := -1
-	ties := 0
-	for i := range loadMB {
-		if counts[i] >= quotas[i] {
-			continue
-		}
-		switch {
-		case best == -1 || loadMB[i] < loadMB[best]:
-			best = i
-			ties = 1
-		case loadMB[i] == loadMB[best]:
-			ties++
-			if rng.Intn(ties) == 0 {
-				best = i
-			}
-		}
-	}
-	return best
-}
-
-// sortEachList orders every process's list by task ID for deterministic
-// execution order.
-func sortEachList(lists [][]int) {
-	for i := range lists {
-		sort.Ints(lists[i])
-	}
 }

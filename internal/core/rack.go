@@ -2,10 +2,8 @@ package core
 
 import (
 	"context"
-	"runtime"
+	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"opass/internal/dfs"
 )
@@ -71,9 +69,7 @@ func (ix *LocalityIndex) buildRackTier(ctx context.Context) error {
 		return nil
 	}
 	ix.rackTiered = true
-	n := len(p.Tasks)
-	m := p.NumProcs()
-	ix.byTaskRack = make([][]LocalityEdge, n)
+	ix.byTaskRack = make([][]LocalityEdge, len(p.Tasks))
 
 	numRacks := 0
 	for _, r := range p.NodeRack {
@@ -88,116 +84,28 @@ func (ix *LocalityIndex) buildRackTier(ctx context.Context) error {
 		procsInRack[r] = append(procsInRack[r], proc)
 	}
 
-	hostedOn := func(replicas []int, node int) bool {
-		for _, r := range replicas {
-			if r == node {
-				return true
-			}
-		}
-		return false
-	}
-
-	buildTask := func(s *buildScratch, t int) {
-		s.epoch++
-		s.touched = s.touched[:0]
+	return ix.buildTier(ctx, ix.byTaskRack, func(s *buildScratch, t int) {
 		for _, in := range p.Tasks[t].Inputs {
 			replicas := p.FS.Chunk(in.Chunk).Replicas
 			s.racks = s.racks[:0]
 			for _, node := range replicas {
-				if node < 0 || node >= len(p.NodeRack) {
-					continue
-				}
-				r := p.NodeRack[node]
-				dup := false
-				for _, seen := range s.racks {
-					if seen == r {
-						dup = true
-						break
-					}
-				}
-				if !dup {
-					s.racks = append(s.racks, r)
+				if node >= 0 && node < len(p.NodeRack) && !slices.Contains(s.racks, p.NodeRack[node]) {
+					s.racks = append(s.racks, p.NodeRack[node])
 				}
 			}
 			for _, r := range s.racks {
 				for _, proc := range procsInRack[r] {
-					if hostedOn(replicas, p.ProcNode[proc]) {
-						continue // node tier, not rack tier
+					if !slices.Contains(replicas, p.ProcNode[proc]) { // else node tier, not rack tier
+						s.add(proc, in.SizeMB)
 					}
-					if s.stamp[proc] != s.epoch {
-						s.stamp[proc] = s.epoch
-						s.mb[proc] = 0
-						s.touched = append(s.touched, proc)
-					}
-					s.mb[proc] += in.SizeMB
 				}
 			}
 		}
-		if len(s.touched) == 0 {
-			return
-		}
-		sort.Ints(s.touched)
-		es := s.carve(len(s.touched))
-		for i, proc := range s.touched {
-			es[i] = LocalityEdge{Proc: proc, Task: t, MB: s.mb[proc]}
-		}
-		ix.byTaskRack[t] = es
-	}
-
-	workers := runtime.GOMAXPROCS(0)
-	if n < indexParallelThreshold || workers <= 1 {
-		s := newScratch(m)
-		for t := 0; t < n; t++ {
-			if t%indexCtxStride == 0 && ctx.Err() != nil {
-				s.handoff(ix, nil)
-				return ctx.Err()
-			}
-			buildTask(s, t)
-		}
-		s.handoff(ix, nil)
-	} else {
-		if workers > n {
-			workers = n
-		}
-		var mu sync.Mutex
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				s := newScratch(m)
-				defer func() {
-					s.handoff(ix, &mu)
-					wg.Done()
-				}()
-				for done := 0; ; done++ {
-					if done%indexCtxStride == 0 && ctx.Err() != nil {
-						return
-					}
-					t := int(next.Add(1)) - 1
-					if t >= n {
-						return
-					}
-					buildTask(s, t)
-				}
-			}()
-		}
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
-	for _, es := range ix.byTaskRack {
-		ix.rackEdges += len(es)
-	}
-	return nil
+	})
 }
 
 // RackTiered reports whether the index carries rack-tier edges.
 func (ix *LocalityIndex) RackTiered() bool { return ix.rackTiered }
-
-// NumRackEdges reports the number of rack-tier edges.
-func (ix *LocalityIndex) NumRackEdges() int { return ix.rackEdges }
 
 // TaskRackEdges returns task t's rack-tier edges in ascending process
 // order, or nil when the problem is not rack-tiered. The slice is a
@@ -222,89 +130,4 @@ func (ix *LocalityIndex) RackCoLocatedMB(proc, task int) float64 {
 		return es[i].MB
 	}
 	return 0
-}
-
-// rackRepairCounts steers still-unmatched tasks to rack-local processes
-// under the equal-count quotas of repairUnmatched: each unmatched task (in
-// ascending ID order, deterministically — no randomness in this tier) goes
-// to the under-quota process with the most rack-local bytes, ties broken by
-// lower current load and then lower rank. Tasks with no under-quota
-// rack-local process stay unmatched for the random repair. Owners assigned
-// here are repair decisions, not solver matches, so callers must not mark
-// them Matched (warm-started replans only seed solver matches).
-func rackRepairCounts(p *Problem, ix *LocalityIndex, owner []int) {
-	if !ix.RackTiered() {
-		return
-	}
-	n, m := len(owner), p.NumProcs()
-	quotas := taskQuotas(n, m)
-	counts := make([]int, m)
-	loadMB := make([]float64, m)
-	for t, o := range owner {
-		if o >= 0 {
-			counts[o]++
-			loadMB[o] += p.Tasks[t].SizeMB()
-		}
-	}
-	for t := 0; t < n; t++ {
-		if owner[t] >= 0 {
-			continue
-		}
-		best, bestMB := -1, 0.0
-		for _, e := range ix.TaskRackEdges(t) {
-			if counts[e.Proc] >= quotas[e.Proc] {
-				continue
-			}
-			// Strict comparisons keep the lowest rank on full ties: edges
-			// arrive process-ascending.
-			if best == -1 || e.MB > bestMB ||
-				(e.MB == bestMB && loadMB[e.Proc] < loadMB[best]) {
-				best, bestMB = e.Proc, e.MB
-			}
-		}
-		if best < 0 {
-			continue
-		}
-		owner[t] = best
-		counts[best]++
-		loadMB[best] += p.Tasks[t].SizeMB()
-	}
-}
-
-// rackRepairWeighted is rackRepairCounts under MB quotas (the weighted
-// planner's accounting): only processes with positive remaining quota slack
-// are eligible, with ties on rack-local bytes broken by larger slack and
-// then lower rank.
-func rackRepairWeighted(p *Problem, ix *LocalityIndex, owner []int, quotasMB []int64) {
-	if !ix.RackTiered() {
-		return
-	}
-	n, m := len(owner), p.NumProcs()
-	loadMB := make([]float64, m)
-	for t, o := range owner {
-		if o >= 0 {
-			loadMB[o] += p.Tasks[t].SizeMB()
-		}
-	}
-	slack := func(i int) float64 { return float64(quotasMB[i]) - loadMB[i] }
-	for t := 0; t < n; t++ {
-		if owner[t] >= 0 {
-			continue
-		}
-		best, bestMB := -1, 0.0
-		for _, e := range ix.TaskRackEdges(t) {
-			if slack(e.Proc) <= 0 {
-				continue
-			}
-			if best == -1 || e.MB > bestMB ||
-				(e.MB == bestMB && slack(e.Proc) > slack(best)) {
-				best, bestMB = e.Proc, e.MB
-			}
-		}
-		if best < 0 {
-			continue
-		}
-		owner[t] = best
-		loadMB[best] += p.Tasks[t].SizeMB()
-	}
 }

@@ -1,0 +1,160 @@
+package core
+
+import "math/rand"
+
+// This file is the post-solve half of every planner: a solver (max flow,
+// the direct matcher, the greedy pass, Algorithm 1) places the tasks it can
+// place node-locally, and the repair stages here home the rest — first in a
+// rack that holds their data, then wherever there is most room.
+
+// quotaLedger is the accounting the repair stages share: what each process
+// has been given so far and how much more it may take. It keeps one of two
+// books, fixed at construction. The count book is the paper's "equal number
+// of tasks" constraint: process i may own quota[i] tasks, and among
+// processes with a free slot the one with the least assigned MB is the
+// better home. The MB book is the weighted planner's: process i may own
+// quotaMB[i] megabytes, and the better home is the one with more of that
+// left.
+type quotaLedger struct {
+	quotaMB []int64 // MB book; nil selects the count book
+	quota   []int   // count book: taskQuotas(n, m)
+	count   []int
+	loadMB  []float64
+}
+
+// newQuotaLedger opens a ledger over p's processes with every already-owned
+// task of owner entered. A nil quotaMB selects the count book.
+func newQuotaLedger(p *Problem, owner []int, quotaMB []int64) *quotaLedger {
+	m := p.NumProcs()
+	l := &quotaLedger{quotaMB: quotaMB, count: make([]int, m), loadMB: make([]float64, m)}
+	if quotaMB == nil {
+		l.quota = taskQuotas(len(owner), m)
+	}
+	for t, o := range owner {
+		if o >= 0 {
+			l.give(o, p.Tasks[t].SizeMB())
+		}
+	}
+	return l
+}
+
+// give enters a task of sizeMB megabytes under process i.
+func (l *quotaLedger) give(i int, sizeMB float64) {
+	l.count[i]++
+	l.loadMB[i] += sizeMB
+}
+
+// headroom orders processes as homes for one more task: more is better. In
+// the MB book it is the quota left (negative once overdrawn); in the count
+// book, where slots are all-or-nothing, it is the negated load, so "more
+// headroom" reads "least assigned MB" — the paper's rule (§IV-B).
+func (l *quotaLedger) headroom(i int) float64 {
+	if l.quotaMB != nil {
+		return float64(l.quotaMB[i]) - l.loadMB[i]
+	}
+	return -l.loadMB[i]
+}
+
+// hasRoom reports whether process i is still under its quota.
+func (l *quotaLedger) hasRoom(i int) bool {
+	if l.quotaMB != nil {
+		return l.headroom(i) > 0
+	}
+	return l.count[i] < l.quota[i]
+}
+
+// pick returns the home for a task no locality tier could place: the
+// process with the most headroom, ties broken uniformly at random ("we
+// randomly assign unmatched tasks to each such process", §IV-B). The count
+// book only considers processes with a free slot; one always exists, because
+// the count quotas sum to the task count and this task is not yet entered.
+// The MB book considers every process: MB quotas rarely leave a gap the last
+// tasks fit exactly, so most-quota-left is the rule even when every process
+// is overdrawn.
+func (l *quotaLedger) pick(rng *rand.Rand) int {
+	best, ties := -1, 0
+	for i := range l.loadMB {
+		if l.quotaMB == nil && !l.hasRoom(i) {
+			continue
+		}
+		switch h := l.headroom(i); {
+		case best == -1 || h > l.headroom(best):
+			best, ties = i, 1
+		case h == l.headroom(best):
+			ties++
+			if rng.Intn(ties) == 0 {
+				best = i
+			}
+		}
+	}
+	return best
+}
+
+// finishAssignment completes a solver's partial owner vector (-1 = left
+// unmatched) into an Assignment, in three stages whose decisions are of
+// three different kinds:
+//
+//  1. solver-matched: owners already set are locality decisions and are
+//     recorded in Assignment.Matched;
+//  2. rack-steered: with a rack map (rack.go), each unmatched task — in
+//     ascending ID order, with no randomness — goes to the process with room
+//     holding the most of its data rack-locally, ties to more headroom and
+//     then lower rank; without rack edges the stage is a structural no-op,
+//     so rack-oblivious plans stay byte-identical;
+//  3. random repair: whatever is still unmatched goes to quotaLedger.pick.
+//
+// quotaMB selects the ledger's book (nil: equal task counts).
+func finishAssignment(p *Problem, ix *LocalityIndex, owner []int, quotaMB []int64, rng *rand.Rand) *Assignment {
+	matched := make([]bool, len(owner))
+	for t, o := range owner {
+		matched[t] = o >= 0
+	}
+	l := newQuotaLedger(p, owner, quotaMB)
+	if ix.RackTiered() {
+		for t := range owner {
+			if owner[t] >= 0 {
+				continue
+			}
+			best, bestMB := -1, 0.0
+			for _, e := range ix.TaskRackEdges(t) {
+				if !l.hasRoom(e.Proc) {
+					continue
+				}
+				// Strict comparisons keep the lowest rank on full ties: edges
+				// arrive process-ascending.
+				if best == -1 || e.MB > bestMB ||
+					(e.MB == bestMB && l.headroom(e.Proc) > l.headroom(best)) {
+					best, bestMB = e.Proc, e.MB
+				}
+			}
+			if best >= 0 {
+				owner[t] = best
+				l.give(best, p.Tasks[t].SizeMB())
+			}
+		}
+		// Re-enter the steered tasks in ID order: loads are float sums and
+		// pick detects ties by exact equality, so the order of addition is
+		// part of the plan.
+		l = newQuotaLedger(p, owner, quotaMB)
+	}
+	for t := range owner {
+		if owner[t] < 0 {
+			owner[t] = l.pick(rng)
+			l.give(owner[t], p.Tasks[t].SizeMB())
+		}
+	}
+	return newAssignment(p, owner, matched)
+}
+
+// newAssignment wraps a complete owner vector: per-process lists in
+// ascending task order (the deterministic execution order) and the planned
+// locality. matched is nil for planners with no solver/repair split.
+func newAssignment(p *Problem, owner []int, matched []bool) *Assignment {
+	lists := make([][]int, p.NumProcs())
+	for t, proc := range owner { // ascending t keeps every list sorted
+		lists[proc] = append(lists[proc], t)
+	}
+	a := &Assignment{Owner: owner, Lists: lists, Matched: matched}
+	fillLocality(p, a)
+	return a
+}

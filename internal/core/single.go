@@ -18,8 +18,11 @@ import (
 // cancellation policy), and then randomly assigns any unmatched tasks to
 // processes that are still below their TotalSize/m share.
 type SingleData struct {
-	// Algorithm selects the max-flow solver; the zero value is
-	// Edmonds-Karp, as in the paper.
+	// Algorithm forces a solver (Dinic or Kuhn, for tests and the §V-C2
+	// ablation). The zero value lets the planner choose from the problem:
+	// Edmonds-Karp, as in the paper, except that equal-size problems of
+	// directMatchTasks tasks or more go to the direct matcher. Kuhn on
+	// unequal sizes falls back to Edmonds-Karp.
 	Algorithm bipartite.Algorithm
 	// Seed drives the random repair step for unmatched tasks.
 	Seed int64
@@ -47,14 +50,8 @@ func (s SingleData) Assign(p *Problem) (*Assignment, error) {
 }
 
 // AssignContext implements ContextAssigner: the locality-index fan-out and
-// the max-flow augmenting loop poll ctx and abort with its error.
+// the solver's augmenting loop poll ctx and abort with its error.
 func (s SingleData) AssignContext(ctx context.Context, p *Problem) (*Assignment, error) {
-	return s.assign(ctx, p, nil)
-}
-
-// assign is the shared planner body; a non-nil seed warm-starts the solver
-// from a prior assignment's solver-matched owners (see AssignWarmContext).
-func (s SingleData) assign(ctx context.Context, p *Problem, seed []int) (*Assignment, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -114,7 +111,8 @@ func (s SingleData) assign(ctx context.Context, p *Problem, seed []int) (*Assign
 	if err != nil {
 		return nil, err
 	}
-	if equalSizes(sizes) {
+	equal := equalSizes(sizes)
+	if equal {
 		// With equal task sizes the paper's constraint is really "equal
 		// (or weight-proportional) task counts"; expressing the quota as
 		// counts*size keeps the flow formulation correct even when there
@@ -132,60 +130,53 @@ func (s SingleData) assign(ctx context.Context, p *Problem, seed []int) (*Assign
 		}
 	}
 
+	// The solver seam. Equal sizes degenerate the flow problem to quota-
+	// constrained bipartite matching, which the direct matcher solves
+	// without building the flow network; unequal sizes need a flow solver.
+	// Left at its zero value, Algorithm is resolved from the problem:
+	// Edmonds-Karp, the paper's solver, wherever it finishes, and the
+	// matcher from directMatchTasks equal-size tasks up.
+	algo := s.Algorithm
+	switch {
+	case !equal && algo == bipartite.Kuhn:
+		algo = bipartite.EdmondsKarp
+	case equal && algo == bipartite.EdmondsKarp && n >= directMatchTasks:
+		algo = bipartite.Kuhn
+	}
 	var owner []int
-	if s.Algorithm == bipartite.Kuhn && equalSizes(sizes) {
-		// Equal sizes degenerate the flow problem to quota-constrained
-		// bipartite matching, which the direct matcher solves without
-		// building the flow network.
+	if algo == bipartite.Kuhn {
 		quotaTasks := make([]int, m)
 		for i, q := range quotasMB {
 			quotaTasks[i] = int(q / sizes[0])
 		}
-		owner, _, err = bipartite.MatchAugmentingWarmContext(ctx, g, quotaTasks, seed)
-		if err != nil {
-			return nil, err
-		}
+		owner, _, err = bipartite.MatchAugmentingContext(ctx, g, quotaTasks)
 	} else {
-		algo := s.Algorithm
-		if algo == bipartite.Kuhn {
-			algo = bipartite.EdmondsKarp // unequal sizes: matching does not apply
-		}
-		res, err := bipartite.AssignMaxLocalityWarmContext(ctx, g, quotasMB, sizes, algo, seed)
-		if err != nil {
-			return nil, err
-		}
-		owner = append([]int(nil), res.Owner...)
+		var res bipartite.AssignResult
+		res, err = bipartite.AssignMaxLocalityContext(ctx, g, quotasMB, sizes, algo)
+		owner = res.Owner
+	}
+	if err != nil {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	matched := make([]bool, n)
-	for t, o := range owner {
-		matched[t] = o >= 0
+	// Weighted shares are repaired against the MB quotas the solver used,
+	// equal shares against equal task counts (a nil ledger quota).
+	var repairMB []int64
+	if weights != nil {
+		repairMB = quotasMB
 	}
-	// Rack tier: before the random repair crosses an uplink, hand unmatched
-	// tasks to an under-quota process in a rack that holds their data. The
-	// node-local solve above is untouched, and on single-rack problems this
-	// is a structural no-op (no rack edges exist), so rack-oblivious plans
-	// stay byte-identical. Rack-steered owners stay Matched=false: they are
-	// repair decisions, not solver matches, and must not seed warm starts.
-	if weights == nil {
-		rackRepairCounts(p, ix, owner)
-	} else {
-		rackRepairWeighted(p, ix, owner, quotasMB)
-	}
-	rng := rand.New(rand.NewSource(s.Seed))
-	if weights == nil {
-		repairUnmatched(p, owner, rng)
-	} else {
-		repairUnmatchedWeighted(p, owner, quotasMB, rng)
-	}
-
-	a := &Assignment{Owner: owner, Lists: buildLists(p, owner), Matched: matched}
-	sortEachList(a.Lists)
-	fillLocality(p, a)
-	return a, nil
+	return finishAssignment(p, ix, owner, repairMB, rand.New(rand.NewSource(s.Seed))), nil
 }
+
+// directMatchTasks is the equal-size problem size from which SingleData's
+// default solver is the direct augmenting matcher. Edmonds-Karp pays one BFS
+// per matched task, which is already ~1 minute at 50k tasks and hopeless at
+// 1M; 2^13 tasks keeps the paper-faithful solver on every paper-scale
+// problem while bulk layouts get the solver that finishes there. The choice
+// depends only on the problem, so cached plans stay deterministic.
+const directMatchTasks = 1 << 13
 
 // equalSizes reports whether every task size is identical.
 func equalSizes(sizes []int64) bool {
@@ -269,79 +260,6 @@ func shareQuotas(total int64, m int, weights []float64) ([]int64, error) {
 	return quotas, nil
 }
 
-// repairUnmatchedWeighted assigns leftover tasks to the process with the
-// most remaining MB quota (weight-aware variant of repairUnmatched).
-func repairUnmatchedWeighted(p *Problem, owner []int, quotasMB []int64, rng *rand.Rand) {
-	m := p.NumProcs()
-	loadMB := make([]float64, m)
-	for t, o := range owner {
-		if o >= 0 {
-			loadMB[o] += p.Tasks[t].SizeMB()
-		}
-	}
-	for t := range owner {
-		if owner[t] >= 0 {
-			continue
-		}
-		best, ties := -1, 0
-		for i := 0; i < m; i++ {
-			slack := float64(quotasMB[i]) - loadMB[i]
-			var bestSlack float64
-			if best >= 0 {
-				bestSlack = float64(quotasMB[best]) - loadMB[best]
-			}
-			switch {
-			case best == -1 || slack > bestSlack:
-				best = i
-				ties = 1
-			case slack == bestSlack:
-				ties++
-				if rng.Intn(ties) == 0 {
-					best = i
-				}
-			}
-		}
-		owner[t] = best
-		loadMB[best] += p.Tasks[t].SizeMB()
-	}
-}
-
-// repairUnmatched assigns every task with owner -1 to an under-quota
-// process chosen by least current load (ties broken randomly), falling back
-// to global least-load if rounding left no process under its count quota.
-func repairUnmatched(p *Problem, owner []int, rng *rand.Rand) {
-	n, m := len(owner), p.NumProcs()
-	quotas := taskQuotas(n, m)
-	counts := make([]int, m)
-	loadMB := make([]float64, m)
-	for t, o := range owner {
-		if o >= 0 {
-			counts[o]++
-			loadMB[o] += p.Tasks[t].SizeMB()
-		}
-	}
-	// Deterministic order over unmatched tasks.
-	for t := 0; t < n; t++ {
-		if owner[t] >= 0 {
-			continue
-		}
-		proc := pickSmallest(loadMB, counts, quotas, rng)
-		if proc < 0 {
-			// All processes at count quota (possible with unequal sizes):
-			// fall back to the least-loaded process overall.
-			proc = 0
-			for i := 1; i < m; i++ {
-				if loadMB[i] < loadMB[proc] {
-					proc = i
-				}
-			}
-		}
-		owner[t] = proc
-		counts[proc]++
-		loadMB[proc] += p.Tasks[t].SizeMB()
-	}
-}
-
 // RankStatic is the baseline assignment the paper attributes to ParaView
 // (§II-B): process i receives the contiguous file interval
 // [i*n/m, (i+1)*n/m), decided purely by process rank with no knowledge of
@@ -365,9 +283,7 @@ func (RankStatic) Assign(p *Problem) (*Assignment, error) {
 			owner[t] = i
 		}
 	}
-	a := &Assignment{Owner: owner, Lists: buildLists(p, owner)}
-	fillLocality(p, a)
-	return a, nil
+	return newAssignment(p, owner, nil), nil
 }
 
 // RandomStatic deals tasks to processes uniformly at random while keeping
@@ -399,8 +315,5 @@ func (r RandomStatic) Assign(p *Problem) (*Assignment, error) {
 		owner[t] = proc
 		used++
 	}
-	a := &Assignment{Owner: owner, Lists: buildLists(p, owner)}
-	sortEachList(a.Lists)
-	fillLocality(p, a)
-	return a, nil
+	return newAssignment(p, owner, nil), nil
 }

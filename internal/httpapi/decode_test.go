@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"opass/internal/bipartite"
 	"opass/internal/core"
 	"opass/internal/dfs"
 	"opass/internal/telemetry"
@@ -355,27 +354,5 @@ func TestCompactJSONAndPretty(t *testing.T) {
 	_, body = post(t, srv, "/v1/plan?pretty=1", layoutRequest("opass"))
 	if !bytes.Contains(body, []byte("\n  ")) {
 		t.Fatalf("?pretty=1 response is not indented: %.200q", body)
-	}
-}
-
-// TestPickAssignerScalesSolver: above kuhnTaskThreshold the default strategy
-// must select the direct matcher — Edmonds-Karp does not finish at 1M tasks.
-func TestPickAssignerScalesSolver(t *testing.T) {
-	small := &core.Problem{Tasks: make([]core.Task, 64)}
-	req := &PlanRequest{}
-	a, apiErr := pickAssigner(req, small)
-	if apiErr != nil {
-		t.Fatal(apiErr)
-	}
-	if sd, ok := a.(core.SingleData); !ok || sd.Algorithm != bipartite.EdmondsKarp {
-		t.Fatalf("small problem assigner = %#v, want SingleData with Edmonds-Karp", a)
-	}
-	big := &core.Problem{Tasks: make([]core.Task, kuhnTaskThreshold)}
-	a, apiErr = pickAssigner(req, big)
-	if apiErr != nil {
-		t.Fatal(apiErr)
-	}
-	if sd, ok := a.(core.SingleData); !ok || sd.Algorithm != bipartite.Kuhn {
-		t.Fatalf("large problem assigner = %#v, want SingleData with Kuhn", a)
 	}
 }

@@ -40,7 +40,6 @@ import (
 	"strconv"
 	"time"
 
-	"opass/internal/bipartite"
 	"opass/internal/cluster"
 	"opass/internal/core"
 	"opass/internal/engine"
@@ -694,13 +693,6 @@ func (s *Server) writeJSON(w http.ResponseWriter, r *http.Request, status int, v
 	}
 }
 
-// kuhnTaskThreshold is the single-data problem size above which the server
-// swaps Edmonds-Karp for the direct augmenting matcher. Edmonds-Karp pays
-// one BFS per matched task, which is already ~1 minute at 50k tasks and
-// hopeless at 1M; 2^13 tasks keeps the paper-faithful solver on every
-// paper-scale problem while bulk layouts get the solver that finishes there.
-const kuhnTaskThreshold = 1 << 13
-
 // pickAssigner resolves the request's strategy to a planner. The resolved
 // name (not the raw strategy string) keys the plan cache, so "" and
 // "opass" share entries.
@@ -717,17 +709,7 @@ func pickAssigner(req *PlanRequest, prob *core.Problem) (core.Assigner, *apiErro
 		if multi {
 			return core.MultiData{Seed: req.Seed}, nil
 		}
-		sd := core.SingleData{Seed: req.Seed}
-		if len(prob.Tasks) >= kuhnTaskThreshold {
-			// Edmonds-Karp augments one unit of flow per BFS, which stops
-			// scaling far below 1M tasks. Above the threshold switch to the
-			// direct matcher: with equal task sizes (the common bulk layout)
-			// it skips the flow network entirely, and with unequal sizes
-			// SingleData falls back to Edmonds-Karp on its own. The choice
-			// depends only on the problem, so cached plans stay deterministic.
-			sd.Algorithm = bipartite.Kuhn
-		}
-		return sd, nil
+		return core.SingleData{Seed: req.Seed}, nil
 	case "rank":
 		return core.RankStatic{}, nil
 	case "random":

@@ -135,7 +135,7 @@ func (w *World) Run(program func(r *Rank)) (float64, error) {
 	if net.Active() != 0 {
 		return 0, fmt.Errorf("mpi: network busy at world start")
 	}
-	net.OnComplete(w.onComplete)
+	net.OnComplete(w.onCompleteLocked)
 	defer net.OnComplete(nil)
 
 	w.mu.Lock()
@@ -177,11 +177,10 @@ func (w *World) Run(program func(r *Rank)) (float64, error) {
 			continue // matching woke ranks or started flows
 		}
 		if net.Active() > 0 {
-			// Advance to the next event; completions wake ranks via
-			// onComplete (which takes the lock itself), so release it.
-			w.mu.Unlock()
+			// Advance to the next event with the lock held: a rank woken by
+			// a completion mid-step must not reach net.Start (which it
+			// calls under w.mu) while Step is still mutating the network.
 			net.Step()
-			w.mu.Lock()
 			continue
 		}
 		w.err = fmt.Errorf("mpi: deadlock — %d ranks blocked with no pending events", w.alive)
@@ -303,10 +302,9 @@ func (w *World) startMessageLocked(sd *sendReq, rv *recvReq) {
 	w.wakeups[id] = append(w.wakeups[id], sd.waiter, rv.waiter)
 }
 
-// onComplete wakes the waiters parked on a finished flow.
-func (w *World) onComplete(_ float64, f *simnet.Flow) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
+// onCompleteLocked wakes the waiters parked on a finished flow. The network
+// calls it from inside Step, which the driver runs under w.mu.
+func (w *World) onCompleteLocked(_ float64, f *simnet.Flow) {
 	ws := w.wakeups[f.ID]
 	delete(w.wakeups, f.ID)
 	for _, wt := range ws {

@@ -305,7 +305,11 @@ func canonLabels(labels []Label) ([]Label, string) {
 	return cp, b.String()
 }
 
-func (r *Registry) lookup(name string, kind metricKind, labels []Label) *series {
+// lookup returns the series for name+labels, creating it — metric included —
+// on first use. Everything happens under the one lock, so a series is
+// complete and immutable from the moment a scrape can see it. buckets is
+// consulted only when a histogram is created; nil means DefBuckets.
+func (r *Registry) lookup(name string, kind metricKind, buckets []float64, labels []Label) *series {
 	cp, ls := canonLabels(labels)
 	key := metricKey{name: name, labels: ls}
 	r.mu.Lock()
@@ -320,6 +324,17 @@ func (r *Registry) lookup(name string, kind metricKind, labels []Label) *series 
 		panic(fmt.Sprintf("telemetry: metric %q re-registered with a different type", name))
 	}
 	s := &series{name: name, labels: cp, kind: kind}
+	switch kind {
+	case kindCounter:
+		s.counter = &Counter{}
+	case kindGauge:
+		s.gauge = &Gauge{}
+	case kindHistogram:
+		if buckets == nil {
+			buckets = DefBuckets
+		}
+		s.hist = newHistogram(buckets)
+	}
 	r.series[key] = s
 	r.kinds[name] = kind
 	return s
@@ -328,40 +343,19 @@ func (r *Registry) lookup(name string, kind metricKind, labels []Label) *series 
 // Counter returns (creating on first use) the counter series for
 // name+labels.
 func (r *Registry) Counter(name string, labels ...Label) *Counter {
-	s := r.lookup(name, kindCounter, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s.counter == nil {
-		s.counter = &Counter{}
-	}
-	return s.counter
+	return r.lookup(name, kindCounter, nil, labels).counter
 }
 
 // Gauge returns (creating on first use) the gauge series for name+labels.
 func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
-	s := r.lookup(name, kindGauge, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s.gauge == nil {
-		s.gauge = &Gauge{}
-	}
-	return s.gauge
+	return r.lookup(name, kindGauge, nil, labels).gauge
 }
 
 // Histogram returns (creating on first use) the histogram series for
 // name+labels. buckets is consulted only on first creation; nil means
 // DefBuckets.
 func (r *Registry) Histogram(name string, buckets []float64, labels ...Label) *Histogram {
-	s := r.lookup(name, kindHistogram, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s.hist == nil {
-		if buckets == nil {
-			buckets = DefBuckets
-		}
-		s.hist = newHistogram(buckets)
-	}
-	return s.hist
+	return r.lookup(name, kindHistogram, buckets, labels).hist
 }
 
 // promLabels renders {k="v",...} or "" for an unlabeled series, with extra
