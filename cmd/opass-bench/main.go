@@ -3,369 +3,123 @@
 //
 // Usage:
 //
-//	opass-bench [flags] [experiment ...]
+//	opass-bench [flags] [study ...]
 //
-// With no arguments every experiment runs in order. Experiments:
+// The studies are the catalogue of internal/experiments (opass-bench -h
+// lists them and the flags; EXPERIMENTS.md discusses each); with no
+// arguments every one runs in catalogue order. Two names run more than a
+// catalogue study:
 //
-//	fig1      Figure 1  — motivating imbalance (64 nodes, 128 chunks)
-//	fig3      Figure 3  — §III analytical CDFs and quoted probabilities
-//	fig7      Figures 7a/7b + 8a/8b — cluster-size sweep (16..80 nodes)
-//	fig7c     Figures 7c + 8c — 64-node single-data trace
-//	fig9      Figures 9 + 10  — 64-node multi-data trace
-//	fig11     Figure 11 — 64-node dynamic master/worker trace
-//	fig12     Figure 12 — ParaView pipeline
-//	overhead  §V-C1 — planner overhead ratio
-//	scale     §V-C2 — planner wall time vs problem size, then the full
-//	          streaming request path at bulk scale (1k→10k procs carrying
-//	          100k→1M tasks at -scale 1; see -scalejson)
-//	ablation-placement  skewed placement with/without balancer
-//	dynamic-masters     random vs delay scheduling vs Opass masters
-//	hetero              §IV-D heterogeneous cluster, static vs dynamic
-//	greedy              greedy heuristic vs optimal flow planner
-//	redistribution      MRAP-style replica migration cost/benefit
-//	replication         replication factor vs achievable locality
-//	sensitivity         disk seek-penalty calibration sweep
-//	faults              DataNode crashes mid-job with read failover
-//	chaos               seeded fault sweep: failover vs replan+repair, with
-//	                    invariant checks (needs >= 8 nodes, so -scale <= 8)
-//	racks               oversubscribed multi-rack fabric study
-//	shared              co-running jobs interference study (§V-C1)
-//	jobmix              staggered job mix: isolated per-job plans vs the
-//	                    cluster-level scheduler (see -benchjson)
-//	advisor             adaptive replication: static 3-way vs the access-
-//	                    driven replication advisor on a shifting hotspot
-//	                    (see -benchjson)
-//	datasize            dataset-size sweep at fixed cluster size
-//	planner             planner hot-path microbenchmarks (probe vs locality
-//	                    index; see -benchjson)
-//
-// Flags:
-//
-//	-seed N         random seed (default 42)
-//	-scale N        divide cluster sizes by N for quick runs (default 1 = paper scale)
-//	-out DIR        also write figure data as CSV into DIR
-//	-repeat N       replicate trace experiments over N seeds, reporting mean±sd
-//	-benchjson F    write the planner experiment's results as JSON to F
-//	                (the committed BENCH_planner.json is generated this way)
-//	-scalejson F    write the scale experiment's streaming-path trajectory as
-//	                JSON to F (the committed BENCH_scale.json is generated
-//	                this way)
+//	scale    after the §V-C2 planner timings, drives the full streaming
+//	         request path at bulk scale (1k→10k procs carrying 100k→1M
+//	         tasks at -scale 1; see -scalejson)
+//	planner  planner hot-path microbenchmarks (probe vs locality index;
+//	         see -benchjson); not part of the default run
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"opass/internal/experiments"
-	"opass/internal/plot"
-	"opass/internal/traceio"
 )
 
+// options are the flags that shape what a study's run leaves behind.
+type options struct {
+	cfg       experiments.Config
+	outDir    string // "" disables CSV export
+	repeats   int    // 1 = single run
+	benchJSON string // "" disables the BENCH_planner.json merge
+	scaleJSON string // "" disables the BENCH_scale.json export
+}
+
+// extras are the two runs that are not catalogue studies: scale's runs
+// after the catalogue study of the same name, planner on its own.
+var extras = map[string]func(options) error{
+	"scale":   func(o options) error { return scaleStudy(o.cfg.Scale, o.cfg.Seed, o.scaleJSON) },
+	"planner": func(o options) error { return plannerExperiment(o.benchJSON) },
+}
+
 func main() {
-	seed := flag.Int64("seed", 42, "random seed for placement and scheduling")
-	scale := flag.Int("scale", 1, "divide paper cluster sizes by this factor")
-	out := flag.String("out", "", "directory to write figure data as CSV (created if missing)")
-	repeat := flag.Int("repeat", 1, "repeat trace experiments over this many seeds and report mean±sd")
-	benchjson := flag.String("benchjson", "", "write the planner experiment's results as JSON to this file")
-	scalejson := flag.String("scalejson", "", "write the scale experiment's streaming-path trajectory as JSON to this file (the committed BENCH_scale.json is generated this way)")
+	var o options
+	flag.Int64Var(&o.cfg.Seed, "seed", 42, "random seed for placement and scheduling")
+	flag.IntVar(&o.cfg.Scale, "scale", 1, "divide paper cluster sizes by this factor")
+	flag.StringVar(&o.outDir, "out", "", "directory to write figure data as CSV (created if missing)")
+	flag.IntVar(&o.repeats, "repeat", 1, "repeat trace studies over this many seeds and report mean±sd")
+	flag.StringVar(&o.benchJSON, "benchjson", "", "merge planner, jobmix, advisor and racks results into this JSON file")
+	flag.StringVar(&o.scaleJSON, "scalejson", "", "write the scale study's streaming-path trajectory as JSON to this file (the committed BENCH_scale.json is generated this way)")
+	flag.Usage = func() {
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: opass-bench [flags] [study ...]\n\nstudies:\n")
+		for _, st := range experiments.Catalog() {
+			fmt.Fprintf(flag.CommandLine.Output(), "  %-19s %s\n", st.Name, st.Title)
+		}
+		fmt.Fprintf(flag.CommandLine.Output(), "  %-19s planner hot-path microbenchmarks (not in the default run)\n\nflags:\n", "planner")
+		flag.PrintDefaults()
+	}
 	flag.Parse()
-	repeats = *repeat
-	benchJSONPath = *benchjson
-	scaleJSONPath = *scalejson
-	if *out != "" {
-		if err := os.MkdirAll(*out, 0o755); err != nil {
+	if o.outDir != "" {
+		if err := os.MkdirAll(o.outDir, 0o755); err != nil {
 			fmt.Fprintf(os.Stderr, "opass-bench: %v\n", err)
 			os.Exit(1)
 		}
 	}
-	outDir = *out
-
-	cfg := experiments.Config{Seed: *seed, Scale: *scale}
 	names := flag.Args()
 	if len(names) == 0 {
-		names = []string{
-			"fig1", "fig3", "fig7", "fig7c", "fig9", "fig11", "fig12",
-			"overhead", "scale", "ablation-placement",
-			"dynamic-masters", "hetero", "greedy",
-			"redistribution", "replication", "sensitivity", "faults", "chaos", "racks", "shared", "jobmix", "advisor", "datasize",
+		for _, st := range experiments.Catalog() {
+			names = append(names, st.Name)
 		}
 	}
 	for i, name := range names {
 		if i > 0 {
 			fmt.Println()
 		}
-		if err := run(name, cfg); err != nil {
+		if err := run(name, o); err != nil {
 			fmt.Fprintf(os.Stderr, "opass-bench: %s: %v\n", name, err)
 			os.Exit(1)
 		}
 	}
 }
 
-func run(name string, cfg experiments.Config) error {
-	switch name {
-	case "fig1":
-		r, err := experiments.Fig1(cfg)
+// run executes one named study and whatever its result offers beyond the
+// rendered rows: plots, seed replication, CSV export, the BENCH merge.
+func run(name string, o options) error {
+	st, known := experiments.Lookup(name)
+	extra := extras[name]
+	if !known && extra == nil {
+		return fmt.Errorf("unknown study %q (opass-bench -h lists them)", name)
+	}
+	if known {
+		res, err := st.Run(o.cfg)
 		if err != nil {
 			return err
 		}
-		fmt.Print(r.Render())
-	case "fig3":
-		r := experiments.Fig3(cfg)
-		fmt.Print(r.Render())
-		names := make([]string, len(r.Sizes))
-		series := make([][]float64, len(r.Sizes))
-		for i, m := range r.Sizes {
-			names[i] = fmt.Sprintf("m=%d", m)
-			series[i] = r.Quoted[m]
-		}
-		fmt.Print(plot.CDF("\nCDF of chunks read locally (k = 0..20)", names, series, 64, 12))
-	case "fig7", "fig8":
-		r, err := experiments.SingleDataSweep(cfg, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r.Render())
-	case "fig7c", "fig8c":
-		r, err := renderTrace(experiments.Fig7cTrace, cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(plot.Trace("\nI/O time per operation, without Opass (s)", r.Baseline.IOTimes, 72, 10))
-		fmt.Print(plot.Trace("I/O time per operation, with Opass (s)", r.Opass.IOTimes, 72, 10))
-		fmt.Println("\ndata served per node (MB), without Opass:")
-		fmt.Println("  " + plot.Sparkline(r.Baseline.ServedMB))
-		fmt.Println("data served per node (MB), with Opass:")
-		fmt.Println("  " + plot.Sparkline(r.Opass.ServedMB))
-		if err := exportTrace("fig7c", r); err != nil {
-			return err
-		}
-	case "fig9", "fig10":
-		r, err := renderTrace(experiments.Fig9Trace, cfg)
-		if err != nil {
-			return err
-		}
-		if err := exportTrace("fig9", r); err != nil {
-			return err
-		}
-	case "fig11":
-		r, err := renderTrace(experiments.Fig11Trace, cfg)
-		if err != nil {
-			return err
-		}
-		if err := exportTrace("fig11", r); err != nil {
-			return err
-		}
-	case "fig12":
-		r, err := experiments.Fig12(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r.Render())
-		fmt.Print(plot.Trace("\nvtkFileSeriesReader call times, stock (s)", r.Stock.CallTimes, 72, 8))
-		fmt.Print(plot.Trace("vtkFileSeriesReader call times, with Opass (s)", r.Opass.CallTimes, 72, 8))
-	case "dynamic-masters":
-		r, err := experiments.DynamicStrategies(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r.Render())
-	case "hetero":
-		r, err := experiments.HeteroStaticVsDynamic(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r.Render())
-	case "greedy":
-		rows, err := experiments.GreedyVsFlow(cfg, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.RenderGreedy(rows))
-	case "datasize":
-		rows, err := experiments.DataSizeSweep(cfg, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.RenderDataSweep(rows, cfg.Nodes(64)))
-	case "shared":
-		r, err := experiments.SharedCluster(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r.Render())
-	case "jobmix":
-		r, err := experiments.JobMix(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r.Render())
-		if benchJSONPath != "" {
-			wrap := struct {
-				Jobmix *experiments.JobMixResult `json:"jobmix"`
-			}{r}
-			if err := mergeBenchJSON(benchJSONPath, wrap); err != nil {
+		fmt.Print(res.Render())
+		if _, ok := res.(*experiments.TraceResult); ok && o.repeats > 1 {
+			rep, err := experiments.Replicate(st, o.cfg, o.repeats)
+			if err != nil {
 				return err
 			}
-			fmt.Printf("(wrote %s)\n", benchJSONPath)
+			fmt.Print(rep.Render())
 		}
-	case "advisor":
-		r, err := experiments.AdvisorStudy(cfg)
-		if err != nil {
-			return err
+		if p, ok := res.(interface{ Plot() string }); ok {
+			fmt.Print(p.Plot())
 		}
-		fmt.Print(r.Render())
-		if benchJSONPath != "" {
-			wrap := struct {
-				Advisor *experiments.AdvisorResult `json:"advisor"`
-			}{r}
-			if err := mergeBenchJSON(benchJSONPath, wrap); err != nil {
+		if e, ok := res.(interface{ Export(dir, name string) error }); ok && o.outDir != "" {
+			if err := e.Export(o.outDir, st.Name); err != nil {
 				return err
 			}
-			fmt.Printf("(wrote %s)\n", benchJSONPath)
+			fmt.Printf("(wrote %s CSVs to %s)\n", st.Name, o.outDir)
 		}
-	case "racks":
-		r, err := experiments.RackTopology(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r.Render())
-		if benchJSONPath != "" {
-			wrap := struct {
-				Racks *experiments.RackStudyResult `json:"racks"`
-			}{r}
-			if err := mergeBenchJSON(benchJSONPath, wrap); err != nil {
+		if k, ok := res.(interface{ BenchKey() string }); ok && o.benchJSON != "" {
+			if err := mergeBenchJSON(o.benchJSON, map[string]any{k.BenchKey(): res}); err != nil {
 				return err
 			}
-			fmt.Printf("(wrote %s)\n", benchJSONPath)
-		}
-	case "faults":
-		r, err := experiments.FaultTolerance(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r.Render())
-	case "chaos":
-		r, err := experiments.Chaos(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r.Render())
-	case "redistribution":
-		r, err := experiments.Redistribution(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r.Render())
-	case "replication":
-		rows, err := experiments.ReplicationSweep(cfg, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.RenderReplication(rows))
-	case "sensitivity":
-		rows, err := experiments.SeekPenaltySensitivity(cfg, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.RenderSensitivity(rows))
-	case "overhead":
-		r, err := experiments.Overhead(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r.Render())
-	case "scale":
-		rows, err := experiments.PlannerScale(cfg, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.RenderScale(rows))
-		if err := scaleStudy(cfg.Scale, cfg.Seed, scaleJSONPath); err != nil {
-			return err
-		}
-	case "ablation-placement":
-		r, err := experiments.AblationPlacement(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r.Render())
-	case "planner":
-		return plannerExperiment(benchJSONPath)
-	default:
-		return fmt.Errorf("unknown experiment %q", name)
-	}
-	return nil
-}
-
-// outDir is the -out flag target ("" disables CSV export).
-var outDir string
-
-// repeats is the -repeat flag (1 = single run).
-var repeats int
-
-// benchJSONPath is the -benchjson flag ("" disables the JSON export).
-var benchJSONPath string
-
-// scaleJSONPath is the -scalejson flag ("" disables the JSON export).
-var scaleJSONPath string
-
-// renderTrace prints a trace experiment, replicated across seeds when
-// -repeat is above 1.
-func renderTrace(f func(experiments.Config) (*experiments.TraceResult, error), cfg experiments.Config) (*experiments.TraceResult, error) {
-	r, err := f(cfg)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Print(r.Render())
-	if repeats > 1 {
-		rep, err := experiments.Replicate(f, cfg, repeats)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Print(rep.Render())
-	}
-	return r, nil
-}
-
-// exportTrace writes a paired trace's per-read durations and per-node loads
-// as CSV series under the -out directory.
-func exportTrace(name string, r *experiments.TraceResult) error {
-	if outDir == "" {
-		return nil
-	}
-	for _, side := range []struct {
-		label string
-		res   experiments.StrategyResult
-	}{{"baseline", r.Baseline}, {"opass", r.Opass}} {
-		f, err := os.Create(filepath.Join(outDir, fmt.Sprintf("%s_%s_io.csv", name, side.label)))
-		if err != nil {
-			return err
-		}
-		xs := make([]float64, len(side.res.IOTimes))
-		for i := range xs {
-			xs[i] = float64(i)
-		}
-		err = traceio.WriteSeriesCSV(f, "op_index", xs, []string{"io_time_s"}, [][]float64{side.res.IOTimes})
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		f, err = os.Create(filepath.Join(outDir, fmt.Sprintf("%s_%s_served.csv", name, side.label)))
-		if err != nil {
-			return err
-		}
-		err = traceio.WriteNodeLoadCSV(f, side.res.ServedMB)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
+			fmt.Printf("(wrote %s)\n", o.benchJSON)
 		}
 	}
-	fmt.Printf("(wrote %s CSVs to %s)\n", name, outDir)
+	if extra != nil {
+		return extra(o)
+	}
 	return nil
 }

@@ -51,8 +51,17 @@ func runPlannerBench() (*benchReport, error) {
 		GeneratedBy: "opass-bench planner",
 		GoMaxProcs:  runtime.GOMAXPROCS(0),
 	}
-	record := func(name string, procs, tasks int, fn func(b *testing.B)) benchResult {
-		r := testing.Benchmark(fn)
+	// record times fn in a testing.B loop; an error from fn fails the
+	// benchmark.
+	record := func(name string, procs, tasks int, fn func() error) benchResult {
+		r := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := fn(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 		row := benchResult{
 			Name:        name,
 			Procs:       procs,
@@ -68,7 +77,7 @@ func runPlannerBench() (*benchReport, error) {
 	}
 	// pair benchmarks a slow/fast contrast (baseSuffix vs fastSuffix) and
 	// records the speedup of the second over the first.
-	pair := func(name, baseSuffix, fastSuffix string, procs, tasks int, base, fast func(b *testing.B)) {
+	pair := func(name, baseSuffix, fastSuffix string, procs, tasks int, base, fast func() error) {
 		p := record(name+"/"+baseSuffix, procs, tasks, base)
 		ix := record(name+"/"+fastSuffix, procs, tasks, fast)
 		if ix.NsPerOp > 0 {
@@ -76,6 +85,9 @@ func runPlannerBench() (*benchReport, error) {
 				Name: name, Procs: procs, Tasks: tasks, Speedup: p.NsPerOp / ix.NsPerOp,
 			})
 		}
+	}
+	plan := func(as core.Assigner, p *core.Problem) func() error {
+		return func() error { _, err := as.Assign(p); return err }
 	}
 
 	for _, procs := range plannerbench.Sizes {
@@ -90,62 +102,17 @@ func runPlannerBench() (*benchReport, error) {
 		}
 
 		pair("locality-graph", "probe", "indexed", procs, tasks,
-			func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					plannerbench.LocalityGraphProbe(sp)
-				}
-			},
-			func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					plannerbench.LocalityGraphIndexed(sp)
-				}
-			})
+			func() error { plannerbench.LocalityGraphProbe(sp); return nil },
+			func() error { plannerbench.LocalityGraphIndexed(sp); return nil })
 		pair("multidata-prefs", "probe", "indexed", procs, tasks,
-			func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					plannerbench.MultiPrefsProbe(mp)
-				}
-			},
-			func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					plannerbench.MultiPrefsIndexed(mp)
-				}
-			})
+			func() error { plannerbench.MultiPrefsProbe(mp); return nil },
+			func() error { plannerbench.MultiPrefsIndexed(mp); return nil })
 
-		for _, c := range []struct {
-			name string
-			algo bipartite.Algorithm
-		}{
-			{"planner/single-ek", bipartite.EdmondsKarp},
-			{"planner/single-dinic", bipartite.Dinic},
-			{"planner/single-kuhn", bipartite.Kuhn},
-		} {
-			algo := c.algo
-			record(c.name, procs, tasks, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := (core.SingleData{Algorithm: algo}).Assign(sp); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-		record("planner/multidata", procs, tasks, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := (core.MultiData{}).Assign(mp); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		a, err := (core.SingleData{}).Assign(sp)
-		if err != nil {
-			return nil, err
-		}
+		record("planner/single-ek", procs, tasks, plan(core.SingleData{Algorithm: bipartite.EdmondsKarp}, sp))
+		record("planner/single-dinic", procs, tasks, plan(core.SingleData{Algorithm: bipartite.Dinic}, sp))
+		record("planner/single-kuhn", procs, tasks, plan(core.SingleData{Algorithm: bipartite.Kuhn}, sp))
+		record("planner/multidata", procs, tasks, plan(core.MultiData{}, mp))
+
 		// Incremental series: one DataNode loss answered by a full backlog
 		// re-match versus the O(delta) replan. The speedup row is the
 		// epoch machinery's payoff; the acceptance bar is delta < 10% of
@@ -155,40 +122,27 @@ func runPlannerBench() (*benchReport, error) {
 			return nil, err
 		}
 		pair("replan-after-crash", "cold", "delta", procs, tasks,
-			func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if err := rig.ReplanCold(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			},
-			func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := rig.ReplanDelta(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
+			rig.ReplanCold,
+			func() error { _, err := rig.ReplanDelta(); return err })
 
-		record("planner/dynamic-drain", procs, tasks, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s, err := core.NewDynamicScheduler(sp, a)
-				if err != nil {
-					b.Fatal(err)
+		a, err := (core.SingleData{}).Assign(sp)
+		if err != nil {
+			return nil, err
+		}
+		record("planner/dynamic-drain", procs, tasks, func() error {
+			s, err := core.NewDynamicScheduler(sp, a)
+			if err != nil {
+				return err
+			}
+			// Only a quarter of the processes ask for work so the tail
+			// of the drain exercises the steal scan.
+			askers := procs / 4
+			proc := 0
+			for {
+				if _, ok := s.Next(proc); !ok {
+					return nil
 				}
-				// Only a quarter of the processes ask for work so the tail
-				// of the drain exercises the steal scan.
-				askers := procs / 4
-				proc := 0
-				for {
-					if _, ok := s.Next(proc); !ok {
-						break
-					}
-					proc = (proc + 7) % askers
-				}
+				proc = (proc + 7) % askers
 			}
 		})
 	}

@@ -151,7 +151,7 @@ func (s *heapSampler) Peak() uint64 {
 // real planner run, and the request deadline is lifted so paper-scale rows
 // are bounded by the planner, not by the serving default.
 func scaleStudy(cfg int, seed int64, jsonPath string) error {
-	srv := httptest.NewServer(httpapi.NewHandler(httpapi.ServerOptions{
+	srv := httptest.NewServer(httpapi.NewServer(httpapi.ServerOptions{
 		Registry:         telemetry.NewRegistry(),
 		PlanCacheEntries: -1,
 		RequestTimeout:   time.Hour,

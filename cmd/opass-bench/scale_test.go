@@ -52,7 +52,7 @@ func TestWriteScaleBody(t *testing.T) {
 		}
 	}
 
-	srv := httptest.NewServer(httpapi.NewHandler(httpapi.ServerOptions{
+	srv := httptest.NewServer(httpapi.NewServer(httpapi.ServerOptions{
 		Registry: telemetry.NewRegistry(),
 	}))
 	defer srv.Close()

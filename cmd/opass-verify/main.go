@@ -1,7 +1,8 @@
 // Command opass-verify checks the reproduction's headline claims end to end
 // and prints one PASS/FAIL row per claim — a fast self-check that the
 // simulated substrate still reproduces the paper's shapes on this machine,
-// without running the full test suite.
+// without running the full test suite. The claims are those the checked
+// studies of the internal/experiments catalogue state.
 //
 // Usage:
 //
@@ -18,149 +19,40 @@ import (
 	"opass/internal/experiments"
 )
 
-type check struct {
-	name  string
-	claim string
-	run   func(cfg experiments.Config) (bool, string)
-}
-
 func main() {
 	seed := flag.Int64("seed", 42, "random seed")
 	scale := flag.Int("scale", 2, "cluster-size divisor (1 = paper scale)")
 	flag.Parse()
 	cfg := experiments.Config{Seed: *seed, Scale: *scale}
 
-	checks := []check{
-		{
-			name:  "sec3-locality-decay",
-			claim: "P(X>5) matches the paper's quoted probabilities",
-			run: func(cfg experiments.Config) (bool, string) {
-				r := experiments.Fig3(cfg)
-				got := r.PGreater5[128]
-				return got > 0.20 && got < 0.23, fmt.Sprintf("P(X>5)|m=128 = %.4f (paper 0.2143)", got)
-			},
-		},
-		{
-			name:  "sec3-node-counts",
-			claim: "expected node service counts match §III-B",
-			run: func(cfg experiments.Config) (bool, string) {
-				r := experiments.Fig3(cfg)
-				ok := r.NodesAtMost1 > 9.5 && r.NodesAtMost1 < 13 && r.NodesAtLeast8 > 4.5 && r.NodesAtLeast8 < 8
-				return ok, fmt.Sprintf("nodes<=1: %.1f (paper 11), nodes>=8: %.1f (paper 6)", r.NodesAtMost1, r.NodesAtLeast8)
-			},
-		},
-		{
-			name:  "fig1-imbalance",
-			claim: "rank assignment produces hot and idle nodes",
-			run: func(cfg experiments.Config) (bool, string) {
-				r, err := experiments.Fig1(cfg)
-				if err != nil {
-					return false, err.Error()
-				}
-				ideal := len(r.Run.IOTimes) / r.Run.Nodes
-				return r.MaxChunks > ideal && r.IdleNodes > 0,
-					fmt.Sprintf("max=%d (ideal %d), idle=%d", r.MaxChunks, ideal, r.IdleNodes)
-			},
-		},
-		{
-			name:  "fig7c-single-data",
-			claim: "Opass cuts the average single-data I/O time >= 2x",
-			run: func(cfg experiments.Config) (bool, string) {
-				r, err := experiments.Fig7cTrace(cfg)
-				if err != nil {
-					return false, err.Error()
-				}
-				return r.AvgRatio() >= 2 && r.Opass.Local >= 0.9,
-					fmt.Sprintf("improvement %.2fx, locality %.0f%%", r.AvgRatio(), 100*r.Opass.Local)
-			},
-		},
-		{
-			name:  "fig8c-balance",
-			claim: "Opass balances data served across nodes",
-			run: func(cfg experiments.Config) (bool, string) {
-				r, err := experiments.Fig7cTrace(cfg)
-				if err != nil {
-					return false, err.Error()
-				}
-				return r.Opass.Fairness > r.Baseline.Fairness && r.Opass.Fairness > 0.99,
-					fmt.Sprintf("jain %.3f -> %.3f", r.Baseline.Fairness, r.Opass.Fairness)
-			},
-		},
-		{
-			name:  "fig9-multi-data",
-			claim: "multi-data improvement exists but is partial",
-			run: func(cfg experiments.Config) (bool, string) {
-				r, err := experiments.Fig9Trace(cfg)
-				if err != nil {
-					return false, err.Error()
-				}
-				return r.AvgRatio() > 1.2 && r.Opass.Local < 0.95,
-					fmt.Sprintf("improvement %.2fx, locality %.0f%%", r.AvgRatio(), 100*r.Opass.Local)
-			},
-		},
-		{
-			name:  "fig11-dynamic",
-			claim: "Opass-guided master beats the random master",
-			run: func(cfg experiments.Config) (bool, string) {
-				r, err := experiments.Fig11Trace(cfg)
-				if err != nil {
-					return false, err.Error()
-				}
-				return r.AvgRatio() >= 1.5,
-					fmt.Sprintf("improvement %.2fx (paper 2.7x at 64 nodes)", r.AvgRatio())
-			},
-		},
-		{
-			name:  "fig12-paraview",
-			claim: "ParaView call times drop in mean and deviation",
-			run: func(cfg experiments.Config) (bool, string) {
-				r, err := experiments.Fig12(cfg)
-				if err != nil {
-					return false, err.Error()
-				}
-				return r.OpassIO.Mean < r.StockIO.Mean && r.OpassIO.StdDev < r.StockIO.StdDev,
-					fmt.Sprintf("mean %.2fs->%.2fs, sd %.2f->%.2f",
-						r.StockIO.Mean, r.OpassIO.Mean, r.StockIO.StdDev, r.OpassIO.StdDev)
-			},
-		},
-		{
-			name:  "overhead",
-			claim: "planning costs under 1% of the data access it saves",
-			run: func(cfg experiments.Config) (bool, string) {
-				r, err := experiments.Overhead(cfg)
-				if err != nil {
-					return false, err.Error()
-				}
-				return r.OverheadRatio < 0.01, fmt.Sprintf("ratio %.5f%%", 100*r.OverheadRatio)
-			},
-		},
-		{
-			name:  "faults",
-			claim: "jobs survive DataNode crashes via read failover",
-			run: func(cfg experiments.Config) (bool, string) {
-				r, err := experiments.FaultTolerance(cfg)
-				if err != nil {
-					return false, err.Error()
-				}
-				return len(r.Faulty.IOTimes) >= len(r.Healthy.IOTimes),
-					fmt.Sprintf("%d reads completed, %d failed over", len(r.Faulty.IOTimes), r.Retries)
-			},
-		},
-	}
-
-	failures := 0
-	for _, c := range checks {
-		ok, detail := c.run(cfg)
+	checks, failures := 0, 0
+	row := func(ok bool, name, statement, detail string) {
 		status := "PASS"
 		if !ok {
 			status = "FAIL"
 			failures++
 		}
-		fmt.Printf("%-4s %-22s %-55s %s\n", status, c.name, c.claim, detail)
+		checks++
+		fmt.Printf("%-4s %-22s %-55s %s\n", status, name, statement, detail)
+	}
+	for _, st := range experiments.Catalog() {
+		if !st.Checked {
+			continue
+		}
+		res, err := st.Run(cfg)
+		if err != nil {
+			row(false, st.Name, st.Title, err.Error())
+			continue
+		}
+		if c, ok := res.(experiments.Claimer); ok {
+			for _, claim := range c.Claims() {
+				row(claim.Holds, claim.Name, claim.Statement, claim.Detail)
+			}
+		}
 	}
 	if failures > 0 {
-		fmt.Fprintf(os.Stderr, "opass-verify: %d of %d checks failed\n", failures, len(checks))
+		fmt.Fprintf(os.Stderr, "opass-verify: %d of %d checks failed\n", failures, checks)
 		os.Exit(1)
 	}
-	fmt.Printf("all %d checks passed\n", len(checks))
+	fmt.Printf("all %d checks passed\n", checks)
 }

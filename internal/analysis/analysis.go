@@ -163,18 +163,6 @@ func ExpectedMaxServed(p LocalReadParams) float64 {
 	return e
 }
 
-// ImbalanceRatio is the §III-B skew headline: the expected busiest node's
-// service count over the fair share n/m. It grows with the cluster size at
-// fixed chunks-per-node — the analytical root of Figure 8(a)'s widening
-// max/min gap.
-func ImbalanceRatio(p LocalReadParams) float64 {
-	fair := float64(p.Chunks) / float64(p.Nodes)
-	if fair == 0 {
-		return 0
-	}
-	return ExpectedMaxServed(p) / fair
-}
-
 // MonteCarloResult aggregates a placement/assignment simulation.
 type MonteCarloResult struct {
 	// LocalCDF[k] estimates P(X <= k) for the whole-job local-read count.

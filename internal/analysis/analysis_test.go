@@ -222,19 +222,3 @@ func TestExpectedMaxServedFigure1(t *testing.T) {
 		t.Fatalf("E[max served] = %v, paper observes >6", got)
 	}
 }
-
-func TestImbalanceRatioGrowsWithClusterSize(t *testing.T) {
-	// At fixed 10 chunks per node, the skew ratio widens with m — the
-	// analytical counterpart of Figure 8(a).
-	prev := 0.0
-	for _, m := range []int{16, 32, 64, 128} {
-		r := ImbalanceRatio(LocalReadParams{Chunks: 10 * m, Replication: 3, Nodes: m})
-		if r <= 1 {
-			t.Fatalf("m=%d: ratio %v must exceed 1", m, r)
-		}
-		if r <= prev {
-			t.Fatalf("m=%d: ratio %v not growing (prev %v)", m, r, prev)
-		}
-		prev = r
-	}
-}

@@ -98,5 +98,5 @@ func (g GreedyLocality) AssignContext(ctx context.Context, p *Problem) (*Assignm
 		}
 	}
 
-	return finishAssignment(p, ix, owner, nil, rand.New(rand.NewSource(g.Seed))), nil
+	return finishAssignment(p, ix, owner, nil, 0, rand.New(rand.NewSource(g.Seed))), nil
 }

@@ -71,7 +71,7 @@ func greedyProbeReference(t *testing.T, p *Problem, seed int64) *Assignment {
 	// The shared repair pipeline only reads the index's rack tier.
 	ix := NewLocalityIndex(p)
 	defer ix.Release()
-	return finishAssignment(p, ix, owner, nil, rand.New(rand.NewSource(seed)))
+	return finishAssignment(p, ix, owner, nil, 0, rand.New(rand.NewSource(seed)))
 }
 
 // TestGreedyLocalityIndexParity proves the index-backed greedy planner is

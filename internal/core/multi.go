@@ -158,7 +158,7 @@ func (md MultiData) AssignContext(ctx context.Context, p *Problem) (*Assignment,
 	// different tie-break rule, so it keeps its own loop over the same
 	// ledger.
 	rng := rand.New(rand.NewSource(md.Seed))
-	l := newQuotaLedger(p, owner, nil)
+	l := newQuotaLedger(p, owner, nil, 0)
 	for t := 0; t < n; t++ {
 		if owner[t] >= 0 {
 			continue

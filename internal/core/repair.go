@@ -13,20 +13,23 @@ import "math/rand"
 // of tasks" constraint: process i may own quota[i] tasks, and among
 // processes with a free slot the one with the least assigned MB is the
 // better home. The MB book is the weighted planner's: process i may own
-// quotaMB[i] megabytes, and the better home is the one with more of that
-// left.
+// quotaMB[i] capacity units (1/scale MB, the solver's encoding), loads are
+// entered in the same units, and the better home is the one with more of
+// its quota left.
 type quotaLedger struct {
-	quotaMB []int64 // MB book; nil selects the count book
+	quotaMB []int64 // MB book, in capacity units; nil selects the count book
+	scale   int64   // MB book: capacity units per MB
 	quota   []int   // count book: taskQuotas(n, m)
 	count   []int
-	loadMB  []float64
+	load    []float64 // MB in the count book, capacity units in the MB book
 }
 
 // newQuotaLedger opens a ledger over p's processes with every already-owned
-// task of owner entered. A nil quotaMB selects the count book.
-func newQuotaLedger(p *Problem, owner []int, quotaMB []int64) *quotaLedger {
+// task of owner entered. A nil quotaMB selects the count book; otherwise
+// quotaMB is in 1/scale MB.
+func newQuotaLedger(p *Problem, owner []int, quotaMB []int64, scale int64) *quotaLedger {
 	m := p.NumProcs()
-	l := &quotaLedger{quotaMB: quotaMB, count: make([]int, m), loadMB: make([]float64, m)}
+	l := &quotaLedger{quotaMB: quotaMB, scale: scale, count: make([]int, m), load: make([]float64, m)}
 	if quotaMB == nil {
 		l.quota = taskQuotas(len(owner), m)
 	}
@@ -41,7 +44,10 @@ func newQuotaLedger(p *Problem, owner []int, quotaMB []int64) *quotaLedger {
 // give enters a task of sizeMB megabytes under process i.
 func (l *quotaLedger) give(i int, sizeMB float64) {
 	l.count[i]++
-	l.loadMB[i] += sizeMB
+	if l.quotaMB != nil {
+		sizeMB = float64(capUnits(sizeMB, l.scale))
+	}
+	l.load[i] += sizeMB
 }
 
 // headroom orders processes as homes for one more task: more is better. In
@@ -50,9 +56,9 @@ func (l *quotaLedger) give(i int, sizeMB float64) {
 // headroom" reads "least assigned MB" — the paper's rule (§IV-B).
 func (l *quotaLedger) headroom(i int) float64 {
 	if l.quotaMB != nil {
-		return float64(l.quotaMB[i]) - l.loadMB[i]
+		return float64(l.quotaMB[i]) - l.load[i]
 	}
-	return -l.loadMB[i]
+	return -l.load[i]
 }
 
 // hasRoom reports whether process i is still under its quota.
@@ -73,7 +79,7 @@ func (l *quotaLedger) hasRoom(i int) bool {
 // is overdrawn.
 func (l *quotaLedger) pick(rng *rand.Rand) int {
 	best, ties := -1, 0
-	for i := range l.loadMB {
+	for i := range l.load {
 		if l.quotaMB == nil && !l.hasRoom(i) {
 			continue
 		}
@@ -103,13 +109,14 @@ func (l *quotaLedger) pick(rng *rand.Rand) int {
 //     so rack-oblivious plans stay byte-identical;
 //  3. random repair: whatever is still unmatched goes to quotaLedger.pick.
 //
-// quotaMB selects the ledger's book (nil: equal task counts).
-func finishAssignment(p *Problem, ix *LocalityIndex, owner []int, quotaMB []int64, rng *rand.Rand) *Assignment {
+// quotaMB selects the ledger's book (nil: equal task counts) and is in
+// 1/scale MB.
+func finishAssignment(p *Problem, ix *LocalityIndex, owner []int, quotaMB []int64, scale int64, rng *rand.Rand) *Assignment {
 	matched := make([]bool, len(owner))
 	for t, o := range owner {
 		matched[t] = o >= 0
 	}
-	l := newQuotaLedger(p, owner, quotaMB)
+	l := newQuotaLedger(p, owner, quotaMB, scale)
 	if ix.RackTiered() {
 		for t := range owner {
 			if owner[t] >= 0 {
@@ -135,7 +142,7 @@ func finishAssignment(p *Problem, ix *LocalityIndex, owner []int, quotaMB []int6
 		// Re-enter the steered tasks in ID order: loads are float sums and
 		// pick detects ties by exact equality, so the order of addition is
 		// part of the plan.
-		l = newQuotaLedger(p, owner, quotaMB)
+		l = newQuotaLedger(p, owner, quotaMB, scale)
 	}
 	for t := range owner {
 		if owner[t] < 0 {

@@ -167,7 +167,7 @@ func (s SingleData) AssignContext(ctx context.Context, p *Problem) (*Assignment,
 	if weights != nil {
 		repairMB = quotasMB
 	}
-	return finishAssignment(p, ix, owner, repairMB, rand.New(rand.NewSource(s.Seed))), nil
+	return finishAssignment(p, ix, owner, repairMB, scale, rand.New(rand.NewSource(s.Seed))), nil
 }
 
 // directMatchTasks is the equal-size problem size from which SingleData's

@@ -31,50 +31,36 @@ type RedistributionResult struct {
 // quarter of the nodes).
 func Redistribution(cfg Config) (*RedistributionResult, error) {
 	nodes := cfg.scale(64)
-	build := func() (*workload.Rig, *core.Assignment, error) {
-		rig, err := workload.SingleSpec{
-			Nodes: nodes, ChunksPerProc: 10, Seed: cfg.Seed,
-			Placement: dfs.ClusteredPlacement{},
-		}.Build()
-		if err != nil {
-			return nil, nil, err
+	rig := workload.SingleSpec{
+		Nodes: nodes, ChunksPerProc: 10, Seed: cfg.Seed,
+		Placement: dfs.ClusteredPlacement{},
+	}
+	opass := core.SingleData{Seed: cfg.Seed}
+	var migration *core.RedistributionPlan
+	migrate := func(rig *workload.Rig, plan *core.Assignment) (engine.TaskSource, error) {
+		var err error
+		if migration, err = core.PlanRedistribution(rig.Prob, plan); err != nil {
+			return nil, err
 		}
-		a, err := (core.SingleData{Seed: cfg.Seed}).Assign(rig.Prob)
-		if err != nil {
-			return nil, nil, err
+		if err := migration.Apply(rig.Prob); err != nil {
+			return nil, err
 		}
-		return rig, a, nil
+		return engine.NewListSource(plan.Lists), nil
 	}
-	rigBefore, aBefore, err := build()
-	if err != nil {
-		return nil, err
-	}
-	resBefore, err := runAssignment(rigBefore, aBefore, "opass-skewed")
-	if err != nil {
-		return nil, err
-	}
-	rigAfter, aAfter, err := build()
-	if err != nil {
-		return nil, err
-	}
-	plan, err := core.PlanRedistribution(rigAfter.Prob, aAfter)
-	if err != nil {
-		return nil, err
-	}
-	if err := plan.Apply(rigAfter.Prob); err != nil {
-		return nil, err
-	}
-	resAfter, err := runAssignment(rigAfter, aAfter, "opass-redistributed")
+	runs, err := runArms(
+		arm{label: "opass-skewed", rig: rig.Build, plan: opass},
+		arm{label: "opass-redistributed", rig: rig.Build, plan: opass, source: migrate},
+	)
 	if err != nil {
 		return nil, err
 	}
 	return &RedistributionResult{
 		Nodes:         nodes,
-		Before:        strategyResult(nodes, resBefore),
-		After:         strategyResult(nodes, resAfter),
-		MovedMB:       plan.MovedMB,
-		Migrations:    len(plan.Migrations),
-		BreakEvenRuns: plan.BreakEvenRuns,
+		Before:        runs[0],
+		After:         runs[1],
+		MovedMB:       migration.MovedMB,
+		Migrations:    len(migration.Migrations),
+		BreakEvenRuns: migration.BreakEvenRuns,
 	}, nil
 }
 
@@ -91,162 +77,71 @@ func (r *RedistributionResult) Render() string {
 	return b.String()
 }
 
-// ReplicationRow is one replication-factor sample.
-type ReplicationRow struct {
-	Replication int
-	// PlannedLocality is Opass's achievable locality; FullMatching reports
-	// whether every task found a co-located owner.
-	PlannedLocality float64
-	BaselineLocal   float64
-	OpassMakespan   float64
-	BaseMakespan    float64
+// ReplicationResult is the replication-factor sweep: X is the factor, and
+// Opass.Planned the locality the planner can achieve with that many copies.
+type ReplicationResult struct {
+	Rows []PairedRow[int]
 }
 
 // ReplicationSweep studies how the replication factor shapes what Opass
 // can achieve: with r=1 a full matching rarely exists; HDFS's default r=3
 // already supports one almost always — the structural reason §IV-A's graph
 // has enough edges.
-func ReplicationSweep(cfg Config, factors []int) ([]ReplicationRow, error) {
-	if len(factors) == 0 {
-		factors = []int{1, 2, 3, 5}
-	}
+func ReplicationSweep(cfg Config) (*ReplicationResult, error) {
 	nodes := cfg.scale(64)
-	var rows []ReplicationRow
-	for _, r := range factors {
-		build := func() (*workload.Rig, error) {
-			topo := cluster.New(nodes, cluster.Marmot())
-			fs := dfs.New(topo, dfs.Config{Seed: cfg.Seed, Replication: r})
-			if _, err := fs.Create("/dataset", float64(nodes*10*64)); err != nil {
-				return nil, err
-			}
-			procNode := make([]int, nodes)
-			for i := range procNode {
-				procNode[i] = i
-			}
-			prob, err := core.SingleDataProblem(fs, []string{"/dataset"}, procNode)
-			if err != nil {
-				return nil, err
-			}
-			return &workload.Rig{Topo: topo, FS: fs, Prob: prob}, nil
+	rows, err := sweepPaired([]int{1, 2, 3, 5}, func(r int) rigBuilder {
+		return func() (*workload.Rig, error) {
+			return datasetRig(cluster.New(nodes, cluster.Marmot()), dfs.Config{Seed: cfg.Seed, Replication: r})
 		}
-		rigOp, err := build()
-		if err != nil {
-			return nil, err
-		}
-		aOp, err := (core.SingleData{Seed: cfg.Seed}).Assign(rigOp.Prob)
-		if err != nil {
-			return nil, err
-		}
-		resOp, err := runAssignment(rigOp, aOp, "opass")
-		if err != nil {
-			return nil, err
-		}
-		rigBase, err := build()
-		if err != nil {
-			return nil, err
-		}
-		aBase, err := (core.RankStatic{}).Assign(rigBase.Prob)
-		if err != nil {
-			return nil, err
-		}
-		resBase, err := runAssignment(rigBase, aBase, "rank")
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, ReplicationRow{
-			Replication:     r,
-			PlannedLocality: aOp.LocalityFraction(),
-			BaselineLocal:   resBase.LocalFraction(),
-			OpassMakespan:   resOp.Makespan,
-			BaseMakespan:    resBase.Makespan,
-		})
+	}, core.SingleData{Seed: cfg.Seed})
+	if err != nil {
+		return nil, err
 	}
-	return rows, nil
+	return &ReplicationResult{Rows: rows}, nil
 }
 
-// RenderReplication prints the replication sweep.
-func RenderReplication(rows []ReplicationRow) string {
+// Render prints the replication sweep.
+func (res *ReplicationResult) Render() string {
 	var b strings.Builder
 	b.WriteString("Ablation — replication factor vs achievable locality\n")
 	fmt.Fprintf(&b, "%3s %14s %14s %14s %14s\n", "r", "opass locality", "rank locality", "opass makespan", "rank makespan")
-	for _, r := range rows {
+	for _, r := range res.Rows {
 		fmt.Fprintf(&b, "%3d %13.1f%% %13.1f%% %13.1fs %13.1fs\n",
-			r.Replication, 100*r.PlannedLocality, 100*r.BaselineLocal, r.OpassMakespan, r.BaseMakespan)
+			r.X, 100*r.Opass.Planned, 100*r.Baseline.Local, r.Opass.Makespan, r.Baseline.Makespan)
 	}
 	return b.String()
 }
 
-// SensitivityRow is one seek-penalty sample.
-type SensitivityRow struct {
-	Alpha        float64
-	BaselineMean float64
-	BaselineMax  float64
-	OpassMean    float64
-	Improvement  float64
+// SensitivityResult is the seek-penalty sweep: X is the contention model's
+// alpha.
+type SensitivityResult struct {
+	Rows []PairedRow[float64]
 }
 
 // SeekPenaltySensitivity sweeps the disk contention model's alpha and
 // reports how the headline improvement responds — the calibration
 // sensitivity study backing the EXPERIMENTS.md discussion of why alpha=0.3
 // was chosen.
-func SeekPenaltySensitivity(cfg Config, alphas []float64) ([]SensitivityRow, error) {
-	if len(alphas) == 0 {
-		alphas = []float64{0, 0.15, 0.3, 0.45, 0.6}
-	}
-	nodes := cfg.scale(64)
-	var rows []SensitivityRow
-	for _, alpha := range alphas {
+func SeekPenaltySensitivity(cfg Config) (*SensitivityResult, error) {
+	rows, err := sweepPaired([]float64{0, 0.15, 0.3, 0.45, 0.6}, func(alpha float64) rigBuilder {
 		prof := cluster.Marmot()
 		prof.DiskSeekPenalty = alpha
-		run := func(as core.Assigner) (StrategyResult, error) {
-			rig, err := workload.SingleSpec{
-				Nodes: nodes, ChunksPerProc: 10, Seed: cfg.Seed, Profile: &prof,
-			}.Build()
-			if err != nil {
-				return StrategyResult{}, err
-			}
-			a, err := as.Assign(rig.Prob)
-			if err != nil {
-				return StrategyResult{}, err
-			}
-			res, err := engine.RunAssignment(engine.Options{
-				Topo: rig.Topo, FS: rig.FS, Problem: rig.Prob, Strategy: as.Name(),
-			}, a)
-			if err != nil {
-				return StrategyResult{}, err
-			}
-			return strategyResult(nodes, res), nil
-		}
-		base, err := run(core.RankStatic{})
-		if err != nil {
-			return nil, err
-		}
-		op, err := run(core.SingleData{Seed: cfg.Seed})
-		if err != nil {
-			return nil, err
-		}
-		row := SensitivityRow{
-			Alpha:        alpha,
-			BaselineMean: base.IO.Mean,
-			BaselineMax:  base.IO.Max,
-			OpassMean:    op.IO.Mean,
-		}
-		if op.IO.Mean > 0 {
-			row.Improvement = base.IO.Mean / op.IO.Mean
-		}
-		rows = append(rows, row)
+		return workload.SingleSpec{Nodes: cfg.scale(64), ChunksPerProc: 10, Seed: cfg.Seed, Profile: &prof}.Build
+	}, core.SingleData{Seed: cfg.Seed})
+	if err != nil {
+		return nil, err
 	}
-	return rows, nil
+	return &SensitivityResult{Rows: rows}, nil
 }
 
-// RenderSensitivity prints the seek-penalty sweep.
-func RenderSensitivity(rows []SensitivityRow) string {
+// Render prints the seek-penalty sweep.
+func (res *SensitivityResult) Render() string {
 	var b strings.Builder
 	b.WriteString("Ablation — disk seek-penalty sensitivity (baseline vs Opass avg I/O)\n")
 	fmt.Fprintf(&b, "%6s %14s %14s %12s %12s\n", "alpha", "baseline mean", "baseline max", "opass mean", "improvement")
-	for _, r := range rows {
+	for _, r := range res.Rows {
 		fmt.Fprintf(&b, "%6.2f %13.2fs %13.2fs %11.2fs %11.2fx\n",
-			r.Alpha, r.BaselineMean, r.BaselineMax, r.OpassMean, r.Improvement)
+			r.X, r.Baseline.IO.Mean, r.Baseline.IO.Max, r.Opass.IO.Mean, r.AvgRatio())
 	}
 	return b.String()
 }

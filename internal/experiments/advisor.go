@@ -9,6 +9,7 @@ import (
 	"opass/internal/core"
 	"opass/internal/dfs"
 	"opass/internal/engine"
+	"opass/internal/workload"
 )
 
 // The advisor experiment quantifies ROADMAP item 2 (adaptive replication):
@@ -128,30 +129,25 @@ func runAdvisorSide(label string, rig *advisorRig, adv *advisor.Advisor, interva
 			if err != nil {
 				return side, err
 			}
-			a, err := (core.SingleData{Seed: seed + int64(round)}).Assign(prob)
+			res, err := runOn(&workload.Rig{Topo: rig.topo, FS: rig.fs, Prob: prob}, arm{
+				label: label,
+				plan:  core.SingleData{Seed: seed + int64(round)},
+				tweak: func(o *engine.Options) {
+					if adv != nil {
+						o.Advisor = adv
+						o.AdvisorInterval = interval
+						o.Replan = true
+						o.ReplanSeed = seed + int64(round)
+					}
+				},
+			})
 			if err != nil {
 				return side, err
 			}
-			opts := engine.Options{
-				Topo:     rig.topo,
-				FS:       rig.fs,
-				Problem:  prob,
-				Strategy: label,
-			}
-			if adv != nil {
-				opts.Advisor = adv
-				opts.AdvisorInterval = interval
-				opts.Replan = true
-				opts.ReplanSeed = seed + int64(round)
-			}
-			res, err := engine.RunAssignment(opts, a)
-			if err != nil {
-				return side, err
-			}
-			side.RoundLocal = append(side.RoundLocal, res.LocalFraction())
-			side.MakespanS += res.Makespan
+			side.RoundLocal = append(side.RoundLocal, res.Local)
+			side.MakespanS += res.run.Makespan
 			if r == advisorRounds-1 {
-				side.SteadyLocal += res.LocalFraction()
+				side.SteadyLocal += res.Local
 			}
 			round++
 		}
@@ -231,3 +227,6 @@ func (r *AdvisorResult) Render() string {
 		r.Ticks, r.ReplicasAdded, r.ReplicasRemoved, r.BudgetMB, 100*r.SteadyLocalGain)
 	return b.String()
 }
+
+// BenchKey is the study's key in BENCH_planner.json.
+func (r *AdvisorResult) BenchKey() string { return "advisor" }

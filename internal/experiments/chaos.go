@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"opass/internal/core"
@@ -9,18 +10,12 @@ import (
 	"opass/internal/workload"
 )
 
-// This file is the chaos harness: a sweep of seeded fault scenarios run
-// three times each — per-read failover only (the baseline the original
-// fault experiment exercises), the recovery subsystem with full-backlog
-// replans, and the recovery subsystem on its default O(delta) replan path.
-// Every run is checked against hard invariants (the network ends idle, no
-// read is served by a dead node, every variant executes every task). The
-// scenarios flag which strict improvements the full replan must show; the
-// delta replan is held to tolerance bands around the failover baseline
-// plus surgical-count gates, because re-matching only the affected tasks
-// keeps the unaffected backlog's (randomly drawn) remote sources — a
-// different contention roll than the full re-match, not a planning
-// regression (the per-process task distributions come out identical).
+// This file is the chaos study: a sweep of seeded fault scenarios run three
+// times each — per-read failover only (what the faults study exercises),
+// the recovery subsystem with full-backlog replans, and the recovery
+// subsystem on its default O(delta) replan path. Every run is checked
+// against hard invariants (checkInvariants) and every scenario against the
+// improvements it asserts (gate).
 
 // ChaosScenario is one seeded fault injection to sweep.
 type ChaosScenario struct {
@@ -30,21 +25,19 @@ type ChaosScenario struct {
 	RepairDelay  float64
 	// AssertLocality requires the full-replan run to strictly beat the
 	// failover-only run on post-failure local fraction; AssertMakespan
-	// requires a strictly shorter makespan. The delta-replan run is held
-	// to the same flags with small tolerance bands (see deltaMakespanSlack
-	// and deltaLocalitySlack). Transient scenarios assert neither — there
-	// the harness only checks the safety invariants.
+	// requires a strictly shorter makespan. Transient scenarios assert
+	// neither — there only the safety invariants are checked.
 	AssertLocality bool
 	AssertMakespan bool
 }
 
 // Tolerance bands for the delta-replan gates. The delta path produces the
 // same per-process task distribution as the full re-match, but tasks it
-// leaves queued keep their previously drawn remote sources, so makespan
-// and post-fault locality jitter by contention luck. Measured worst cases
-// across 16/32/64-node sweeps: makespan ratio 1.006 vs failover
-// (crash-late), locality deficit 0.003 — the bands leave ~3x headroom
-// without letting a real regression through.
+// leaves queued keep their previously drawn remote sources — a different
+// contention roll, not a planning regression — so makespan and post-fault
+// locality jitter. Measured worst cases across 16/32/64-node sweeps:
+// makespan ratio 1.006 vs failover (crash-late), locality deficit 0.003 —
+// the bands leave ~3x headroom without letting a real regression through.
 const (
 	deltaMakespanSlack = 1.02 // delta makespan <= failover makespan x this
 	deltaLocalitySlack = 0.02 // delta post-local >= failover post-local - this
@@ -125,18 +118,14 @@ type ChaosResult struct {
 // faultStart returns the virtual time of the first fault event — the
 // cutoff for the post-failure locality comparison.
 func faultStart(s ChaosScenario) float64 {
-	start := -1.0
+	start := math.Inf(1)
 	for _, f := range s.Failures {
-		if start < 0 || f.At < start {
-			start = f.At
-		}
+		start = math.Min(start, f.At)
 	}
 	for _, d := range s.Degradations {
-		if start < 0 || d.At < start {
-			start = d.At
-		}
+		start = math.Min(start, d.At)
 	}
-	if start < 0 {
+	if math.IsInf(start, 1) {
 		return 0
 	}
 	return start
@@ -163,9 +152,9 @@ func postLocalFraction(res *engine.Result, after float64) float64 {
 
 // checkInvariants enforces the scenario-independent safety properties of a
 // completed run.
-func checkInvariants(scenario string, seed int64, rig *workload.Rig, s ChaosScenario, res *engine.Result, tasks int) error {
-	where := fmt.Sprintf("chaos %s seed %d (%s)", scenario, seed, res.Strategy)
-	if n := rig.Topo.Net().Active(); n != 0 {
+func checkInvariants(s ChaosScenario, run StrategyResult, tasks int) error {
+	res, where := run.run, run.Strategy
+	if n := run.rig.Topo.Net().Active(); n != 0 {
 		return fmt.Errorf("%s: %d flows still active after the run", where, n)
 	}
 	if res.TasksRun != tasks {
@@ -177,12 +166,41 @@ func checkInvariants(scenario string, seed int64, rig *workload.Rig, s ChaosScen
 			if rec.SrcNode != f.Node {
 				continue
 			}
-			down := rec.End > f.At+1e-9 && (until == 0 || rec.Start < until)
-			if down {
+			if rec.End > f.At+1e-9 && (until == 0 || rec.Start < until) {
 				return fmt.Errorf("%s: read of chunk %d served by node %d while it was down (%.3f-%.3f)",
 					where, rec.Chunk, f.Node, rec.Start, rec.End)
 			}
 		}
+	}
+	return nil
+}
+
+// gate returns the first improvement the scenario asserts and the row
+// misses. The full re-match must strictly beat failover; the delta re-match
+// is held to the same flags within the tolerance bands, plus the
+// surgical-count gates: it must actually replan, and must touch strictly
+// fewer tasks than a full re-match would.
+func (s ChaosScenario) gate(row ChaosRun, deltaReplans, tasks int) error {
+	asserted := s.AssertLocality || s.AssertMakespan
+	switch {
+	case s.AssertLocality && !(row.ReplanPostLocal > row.FailoverPostLocal):
+		return fmt.Errorf("post-failure local fraction did not improve (replan %.4f vs failover %.4f)",
+			row.ReplanPostLocal, row.FailoverPostLocal)
+	case s.AssertMakespan && !(row.Replan.Makespan < row.Failover.Makespan):
+		return fmt.Errorf("makespan did not improve (replan %.3f vs failover %.3f)",
+			row.Replan.Makespan, row.Failover.Makespan)
+	case asserted && row.Replans == 0:
+		return fmt.Errorf("recovery run never replanned")
+	case s.AssertLocality && row.DeltaPostLocal < row.FailoverPostLocal-deltaLocalitySlack:
+		return fmt.Errorf("delta post-failure local fraction regressed (delta %.4f vs failover %.4f)",
+			row.DeltaPostLocal, row.FailoverPostLocal)
+	case s.AssertMakespan && row.Delta.Makespan > row.Failover.Makespan*deltaMakespanSlack:
+		return fmt.Errorf("delta makespan regressed (delta %.3f vs failover %.3f)",
+			row.Delta.Makespan, row.Failover.Makespan)
+	case asserted && deltaReplans == 0:
+		return fmt.Errorf("delta recovery run never replanned")
+	case asserted && (row.DeltaReplannedTasks <= 0 || row.DeltaReplannedTasks >= tasks):
+		return fmt.Errorf("delta replan was not surgical (%d of %d tasks re-matched)", row.DeltaReplannedTasks, tasks)
 	}
 	return nil
 }
@@ -202,97 +220,52 @@ func Chaos(cfg Config) (*ChaosResult, error) {
 	out := &ChaosResult{Nodes: nodes}
 	for _, s := range chaosScenarios(nodes) {
 		for _, seed := range []int64{cfg.Seed, cfg.Seed + 1} {
-			run := func(label string) (*workload.Rig, *engine.Result, error) {
-				rig, err := workload.SingleSpec{Nodes: nodes, ChunksPerProc: chunksPerProc, Seed: seed}.Build()
-				if err != nil {
-					return nil, nil, err
-				}
-				a, err := (core.SingleData{Seed: seed}).Assign(rig.Prob)
-				if err != nil {
-					return nil, nil, err
-				}
-				opts := engine.Options{
-					Topo: rig.Topo, FS: rig.FS, Problem: rig.Prob,
-					Failures: s.Failures, Degradations: s.Degradations,
-				}
-				if label != "failover" {
-					opts.Replan = true
-					opts.ReplanFull = label == "replan-full"
-					opts.Repair = true
-					opts.RepairDelay = s.RepairDelay
-					opts.ReplanSeed = seed
-				}
-				opts.Strategy = label
-				res, err := engine.RunAssignment(opts, a)
-				if err != nil {
-					return nil, nil, fmt.Errorf("chaos %s seed %d (%s): %w", s.Name, seed, label, err)
-				}
-				if err := checkInvariants(s.Name, seed, rig, s, res, tasks); err != nil {
-					return nil, nil, err
-				}
-				return rig, res, nil
+			faults := func(o *engine.Options) {
+				o.Failures, o.Degradations = s.Failures, s.Degradations
 			}
-			_, fo, err := run("failover")
+			recovery := func(full bool) func(*engine.Options) {
+				return func(o *engine.Options) {
+					faults(o)
+					o.Replan, o.ReplanFull, o.ReplanSeed = true, full, seed
+					o.Repair, o.RepairDelay = true, s.RepairDelay
+				}
+			}
+			rig := workload.SingleSpec{Nodes: nodes, ChunksPerProc: chunksPerProc, Seed: seed}
+			opass := core.SingleData{Seed: seed}
+			runs, err := runArms(
+				arm{label: "failover", rig: rig.Build, plan: opass, tweak: faults},
+				arm{label: "replan-full", rig: rig.Build, plan: opass, tweak: recovery(true)},
+				arm{label: "replan-delta", rig: rig.Build, plan: opass, tweak: recovery(false)},
+			)
+			fail := func(err error) (*ChaosResult, error) {
+				return nil, fmt.Errorf("chaos %s seed %d: %w", s.Name, seed, err)
+			}
 			if err != nil {
-				return nil, err
+				return fail(err)
 			}
-			_, rp, err := run("replan-full")
-			if err != nil {
-				return nil, err
+			for _, run := range runs {
+				if err := checkInvariants(s, run, tasks); err != nil {
+					return fail(err)
+				}
 			}
-			_, dl, err := run("replan-delta")
-			if err != nil {
-				return nil, err
-			}
+			fo, rp, dl := runs[0], runs[1], runs[2]
 			cut := faultStart(s)
 			row := ChaosRun{
 				Scenario:            s.Name,
 				Seed:                seed,
-				Failover:            strategyResult(nodes, fo),
-				Replan:              strategyResult(nodes, rp),
-				Delta:               strategyResult(nodes, dl),
-				FailoverPostLocal:   postLocalFraction(fo, cut),
-				ReplanPostLocal:     postLocalFraction(rp, cut),
-				DeltaPostLocal:      postLocalFraction(dl, cut),
-				Replans:             rp.Replans,
-				RepairedChunks:      rp.RepairedChunks,
-				Retries:             rp.Retries,
-				DeltaReplannedTasks: dl.DeltaReplannedTasks,
+				Failover:            fo,
+				Replan:              rp,
+				Delta:               dl,
+				FailoverPostLocal:   postLocalFraction(fo.run, cut),
+				ReplanPostLocal:     postLocalFraction(rp.run, cut),
+				DeltaPostLocal:      postLocalFraction(dl.run, cut),
+				Replans:             rp.run.Replans,
+				RepairedChunks:      rp.run.RepairedChunks,
+				Retries:             rp.run.Retries,
+				DeltaReplannedTasks: dl.run.DeltaReplannedTasks,
 			}
-			// Full re-match: strict improvement over failover wherever the
-			// scenario asserts it.
-			if s.AssertLocality && !(row.ReplanPostLocal > row.FailoverPostLocal) {
-				return nil, fmt.Errorf("chaos %s seed %d: post-failure local fraction did not improve (replan %.4f vs failover %.4f)",
-					s.Name, seed, row.ReplanPostLocal, row.FailoverPostLocal)
-			}
-			if s.AssertMakespan && !(row.Replan.Makespan < row.Failover.Makespan) {
-				return nil, fmt.Errorf("chaos %s seed %d: makespan did not improve (replan %.3f vs failover %.3f)",
-					s.Name, seed, row.Replan.Makespan, row.Failover.Makespan)
-			}
-			if (s.AssertLocality || s.AssertMakespan) && row.Replans == 0 {
-				return nil, fmt.Errorf("chaos %s seed %d: recovery run never replanned", s.Name, seed)
-			}
-			// Delta re-match: same flags, tolerance-banded (unaffected tasks
-			// keep their previously drawn remote sources, so the tail jitters
-			// by contention luck), plus the surgical-count gates — the delta
-			// run must actually replan, and must touch strictly fewer tasks
-			// than a full re-match would.
-			if s.AssertLocality && row.DeltaPostLocal < row.FailoverPostLocal-deltaLocalitySlack {
-				return nil, fmt.Errorf("chaos %s seed %d: delta post-failure local fraction regressed (delta %.4f vs failover %.4f)",
-					s.Name, seed, row.DeltaPostLocal, row.FailoverPostLocal)
-			}
-			if s.AssertMakespan && row.Delta.Makespan > row.Failover.Makespan*deltaMakespanSlack {
-				return nil, fmt.Errorf("chaos %s seed %d: delta makespan regressed (delta %.3f vs failover %.3f)",
-					s.Name, seed, row.Delta.Makespan, row.Failover.Makespan)
-			}
-			if s.AssertLocality || s.AssertMakespan {
-				if dl.Replans == 0 {
-					return nil, fmt.Errorf("chaos %s seed %d: delta recovery run never replanned", s.Name, seed)
-				}
-				if row.DeltaReplannedTasks <= 0 || row.DeltaReplannedTasks >= tasks {
-					return nil, fmt.Errorf("chaos %s seed %d: delta replan was not surgical (%d of %d tasks re-matched)",
-						s.Name, seed, row.DeltaReplannedTasks, tasks)
-				}
+			if err := s.gate(row, dl.run.Replans, tasks); err != nil {
+				return fail(err)
 			}
 			out.Runs = append(out.Runs, row)
 		}

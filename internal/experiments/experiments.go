@@ -1,9 +1,11 @@
 // Package experiments regenerates every figure and quoted result of the
-// Opass paper's evaluation (§III and §V) from the simulated substrate. Each
-// Fig* function returns a structured result with a Render method that
-// prints rows comparable to the corresponding figure; cmd/opass-bench is a
-// thin CLI over this package and bench_test.go wraps each experiment in a
-// testing.B benchmark.
+// Opass paper's evaluation (§III and §V), and the extensions beyond it, from
+// the simulated substrate. Catalog (catalog.go) lists every study once; a
+// study is a function from a Config to a Result that renders itself as rows
+// comparable to the corresponding figure and, where the paper quotes a
+// number, states its claims. harness.go is the one build-plan-run-summarise
+// routine the single-job studies share. cmd/opass-bench, cmd/opass-verify,
+// cmd/opass-report and the root BenchmarkStudy are loops over the catalogue.
 //
 // The experiments follow the paper's configuration: one process per node,
 // 3-way replication, 64 MB chunks, ten chunks per process for the
@@ -13,13 +15,17 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 
 	"opass/internal/analysis"
 	"opass/internal/core"
-	"opass/internal/engine"
-	"opass/internal/metrics"
+	"opass/internal/plot"
+	"opass/internal/traceio"
 	"opass/internal/workload"
 )
 
@@ -34,79 +40,12 @@ type Config struct {
 	Scale int
 }
 
+// scale maps a paper cluster size through the divisor, never below 4 nodes.
 func (c Config) scale(n int) int {
-	s := c.Scale
-	if s <= 1 {
+	if c.Scale <= 1 {
 		return n
 	}
-	v := n / s
-	if v < 4 {
-		v = 4
-	}
-	return v
-}
-
-// StrategyResult captures one strategy's run within an experiment.
-type StrategyResult struct {
-	Strategy string
-	Nodes    int
-	IO       metrics.Summary // per-read I/O time (s)
-	Served   metrics.Summary // per-node served data (MB)
-	ServedMB []float64
-	IOTimes  []float64
-	Local    float64 // fraction of bytes read locally
-	// Makespan is completion minus arrival — for staggered concurrent jobs
-	// this is the latency the job's owner observes, not the wall-clock end
-	// of the whole mix. Single runs arrive at 0, so nothing changes there.
-	Makespan float64
-	Fairness float64
-	// MeanDiskUtilization is the average fraction of disk bandwidth used
-	// across nodes during the run (parallel-use efficiency).
-	MeanDiskUtilization float64
-}
-
-func strategyResult(nodes int, res *engine.Result) StrategyResult {
-	io := res.IOTimes()
-	var util float64
-	if len(res.DiskUtilization) > 0 {
-		for _, u := range res.DiskUtilization {
-			util += u
-		}
-		util /= float64(len(res.DiskUtilization))
-	}
-	return StrategyResult{
-		Strategy:            res.Strategy,
-		Nodes:               nodes,
-		IO:                  metrics.Summarize(io),
-		Served:              metrics.Summarize(res.ServedMB),
-		ServedMB:            append([]float64(nil), res.ServedMB...),
-		IOTimes:             io,
-		Local:               res.LocalFraction(),
-		Makespan:            res.JobMakespan(),
-		Fairness:            metrics.JainIndex(res.ServedMB),
-		MeanDiskUtilization: util,
-	}
-}
-
-// runSingle builds a fresh single-data rig and executes it under the given
-// assigner. Each strategy gets an identical, independently-built rig (same
-// seed ⇒ same placement), so comparisons are paired.
-func runSingle(nodes, chunksPerProc int, seed int64, as core.Assigner) (StrategyResult, error) {
-	rig, err := workload.SingleSpec{Nodes: nodes, ChunksPerProc: chunksPerProc, Seed: seed}.Build()
-	if err != nil {
-		return StrategyResult{}, err
-	}
-	a, err := as.Assign(rig.Prob)
-	if err != nil {
-		return StrategyResult{}, err
-	}
-	res, err := engine.RunAssignment(engine.Options{
-		Topo: rig.Topo, FS: rig.FS, Problem: rig.Prob, Strategy: as.Name(),
-	}, a)
-	if err != nil {
-		return StrategyResult{}, err
-	}
-	return strategyResult(nodes, res), nil
+	return max(4, n/c.Scale)
 }
 
 // Fig1Result is the motivating experiment: 64 nodes, 128 chunks, rank
@@ -132,43 +71,27 @@ type Fig1Result struct {
 func Fig1(cfg Config) (*Fig1Result, error) {
 	nodes := cfg.scale(64)
 	chunks := 2 * nodes // 128 chunks on 64 nodes: 2 per node ideally
-	rig, err := workload.SingleSpec{Nodes: nodes, ChunksPerProc: chunks / nodes, Seed: cfg.Seed}.Build()
+	runs, err := runArms(arm{
+		rig:  workload.SingleSpec{Nodes: nodes, ChunksPerProc: chunks / nodes, Seed: cfg.Seed}.Build,
+		plan: core.RankStatic{},
+	})
 	if err != nil {
 		return nil, err
 	}
-	a, err := core.RankStatic{}.Assign(rig.Prob)
-	if err != nil {
-		return nil, err
-	}
-	res, err := engine.RunAssignment(engine.Options{
-		Topo: rig.Topo, FS: rig.FS, Problem: rig.Prob, Strategy: "rank-static",
-	}, a)
-	if err != nil {
-		return nil, err
-	}
-	out := &Fig1Result{
-		Run:          strategyResult(nodes, res),
-		ChunksServed: make([]int, nodes),
-	}
-	for _, rec := range res.Records {
+	out := &Fig1Result{Run: runs[0], ChunksServed: make([]int, nodes)}
+	for _, rec := range out.Run.run.Records {
 		out.ChunksServed[rec.SrcNode]++
 	}
 	for _, c := range out.ChunksServed {
-		if c > out.MaxChunks {
-			out.MaxChunks = c
-		}
 		if c == 0 {
 			out.IdleNodes++
 		}
 	}
+	out.MaxChunks = slices.Max(out.ChunksServed)
+	out.PeakConcurrency = slices.Max(out.Run.run.PeakConcurrentReads)
 	out.PredictedMax = analysis.ExpectedMaxServed(analysis.LocalReadParams{
-		Chunks: chunks, Replication: rig.FS.Config().Replication, Nodes: nodes,
+		Chunks: chunks, Replication: out.Run.rig.FS.Config().Replication, Nodes: nodes,
 	})
-	for _, p := range res.PeakConcurrentReads {
-		if p > out.PeakConcurrency {
-			out.PeakConcurrency = p
-		}
-	}
 	return out, nil
 }
 
@@ -179,46 +102,46 @@ func (r *Fig1Result) Render() string {
 		r.Run.Nodes, len(r.Run.IOTimes))
 	fmt.Fprintf(&b, "(a) chunks served per node: ideal=%d max=%d (model predicts %.1f) idle-nodes=%d\n",
 		len(r.Run.IOTimes)/r.Run.Nodes, r.MaxChunks, r.PredictedMax, r.IdleNodes)
-	fmt.Fprintf(&b, "    per-node: %s\n", intBars(r.ChunksServed))
+	fmt.Fprintf(&b, "    per-node: %s\n", strings.Trim(fmt.Sprint(r.ChunksServed), "[]"))
 	fmt.Fprintf(&b, "(b) I/O times: %s spread=%.1fx\n", r.Run.IO, r.Run.IO.Spread())
 	fmt.Fprintf(&b, "    deepest disk queue: %d concurrent reads\n", r.PeakConcurrency)
 	fmt.Fprintf(&b, "    local bytes: %.1f%%\n", 100*r.Run.Local)
 	return b.String()
 }
 
-// SweepRow is one (cluster size, strategy) cell of Figures 7a/7b/8a/8b.
-type SweepRow struct {
-	Nodes    int
-	Baseline StrategyResult
-	Opass    StrategyResult
+// Claims states Figure 1's point: rank assignment leaves hot and idle nodes.
+func (r *Fig1Result) Claims() []Claim {
+	ideal := len(r.Run.IOTimes) / r.Run.Nodes
+	return []Claim{{
+		Name:      "fig1-imbalance",
+		Statement: "rank assignment produces hot and idle nodes",
+		Holds:     r.MaxChunks > ideal && r.IdleNodes > 0,
+		Detail:    fmt.Sprintf("max=%d (ideal %d), idle=%d", r.MaxChunks, ideal, r.IdleNodes),
+		Rows: []ClaimRow{
+			{"max chunks served by one node", ">6", fmt.Sprintf("%d (model: %.1f)", r.MaxChunks, r.PredictedMax)},
+			{"idle nodes", `"some"`, fmt.Sprintf("%d", r.IdleNodes)},
+			{"I/O time spread", `"vary greatly"`, fmt.Sprintf("%.1fx", r.Run.IO.Spread())},
+		},
+	}}
 }
 
-// SweepResult holds the cluster-size sweep of Figures 7 and 8.
+// SweepResult holds the cluster-size sweep of Figures 7 and 8, one row per
+// cluster size.
 type SweepResult struct {
-	Rows []SweepRow
+	Rows []PairedRow[int]
 }
 
 // SingleDataSweep reproduces Figures 7(a,b) and 8(a,b): the per-chunk I/O
 // time and per-node served-data statistics across cluster sizes, with and
 // without Opass. Ten chunks per process, as in the paper.
-func SingleDataSweep(cfg Config, sizes []int) (*SweepResult, error) {
-	if len(sizes) == 0 {
-		sizes = []int{16, 32, 48, 64, 80}
+func SingleDataSweep(cfg Config) (*SweepResult, error) {
+	rows, err := sweepPaired([]int{16, 32, 48, 64, 80}, func(paper int) rigBuilder {
+		return workload.SingleSpec{Nodes: cfg.scale(paper), ChunksPerProc: 10, Seed: cfg.Seed + int64(paper)}.Build
+	}, core.SingleData{Seed: cfg.Seed})
+	if err != nil {
+		return nil, err
 	}
-	out := &SweepResult{}
-	for _, raw := range sizes {
-		nodes := cfg.scale(raw)
-		base, err := runSingle(nodes, 10, cfg.Seed+int64(raw), core.RankStatic{})
-		if err != nil {
-			return nil, err
-		}
-		op, err := runSingle(nodes, 10, cfg.Seed+int64(raw), core.SingleData{Seed: cfg.Seed})
-		if err != nil {
-			return nil, err
-		}
-		out.Rows = append(out.Rows, SweepRow{Nodes: nodes, Baseline: base, Opass: op})
-	}
-	return out, nil
+	return &SweepResult{Rows: rows}, nil
 }
 
 // Render prints the sweep in the paper's avg/max/min format.
@@ -228,7 +151,7 @@ func (r *SweepResult) Render() string {
 	fmt.Fprintf(&b, "%6s | %-30s | %-30s\n", "nodes", "without Opass (avg/min/max)", "with Opass (avg/min/max)")
 	for _, row := range r.Rows {
 		fmt.Fprintf(&b, "%6d | %9.2f %9.2f %9.2f | %9.2f %9.2f %9.2f\n",
-			row.Nodes,
+			row.Baseline.Nodes,
 			row.Baseline.IO.Mean, row.Baseline.IO.Min, row.Baseline.IO.Max,
 			row.Opass.IO.Mean, row.Opass.IO.Min, row.Opass.IO.Max)
 	}
@@ -236,31 +159,26 @@ func (r *SweepResult) Render() string {
 	fmt.Fprintf(&b, "%6s | %-30s | %-30s\n", "nodes", "without Opass (avg/min/max)", "with Opass (avg/min/max)")
 	for _, row := range r.Rows {
 		fmt.Fprintf(&b, "%6d | %9.0f %9.0f %9.0f | %9.0f %9.0f %9.0f\n",
-			row.Nodes,
+			row.Baseline.Nodes,
 			row.Baseline.Served.Mean, row.Baseline.Served.Min, row.Baseline.Served.Max,
 			row.Opass.Served.Mean, row.Opass.Served.Min, row.Opass.Served.Max)
 	}
 	b.WriteString("\nlocality (bytes read locally)\n")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%6d | %29.1f%% | %29.1f%%\n", row.Nodes, 100*row.Baseline.Local, 100*row.Opass.Local)
+		fmt.Fprintf(&b, "%6d | %29.1f%% | %29.1f%%\n", row.Baseline.Nodes, 100*row.Baseline.Local, 100*row.Opass.Local)
 	}
 	return b.String()
 }
 
 // TraceResult holds a paired 64-node trace (Figures 7c+8c, 9+10, 11).
 type TraceResult struct {
-	Title    string
-	Baseline StrategyResult
-	Opass    StrategyResult
+	Title string
+	Pair
+	claims []Claim
 }
 
-// AvgRatio is the paper's headline metric: baseline avg I/O over Opass avg.
-func (r *TraceResult) AvgRatio() float64 {
-	if r.Opass.IO.Mean == 0 {
-		return 0
-	}
-	return r.Baseline.IO.Mean / r.Opass.IO.Mean
-}
+// Claims returns what the trace's study checks against the paper.
+func (r *TraceResult) Claims() []Claim { return r.claims }
 
 // Render prints the trace statistics and per-node service loads.
 func (r *TraceResult) Render() string {
@@ -280,126 +198,125 @@ func (r *TraceResult) Render() string {
 	return b.String()
 }
 
+// Plot draws both sides' per-operation I/O times (the paper's trace plots)
+// and per-node served data.
+func (r *TraceResult) Plot() string {
+	var b strings.Builder
+	b.WriteString(plot.Trace("\nI/O time per operation, without Opass (s)", r.Baseline.IOTimes, 72, 10))
+	b.WriteString(plot.Trace("I/O time per operation, with Opass (s)", r.Opass.IOTimes, 72, 10))
+	fmt.Fprintf(&b, "\ndata served per node (MB), without Opass:\n  %s\n", plot.Sparkline(r.Baseline.ServedMB))
+	fmt.Fprintf(&b, "data served per node (MB), with Opass:\n  %s\n", plot.Sparkline(r.Opass.ServedMB))
+	return b.String()
+}
+
+// Export writes both sides' per-read durations and per-node loads as CSV
+// series named <name>_<side>_{io,served}.csv under dir.
+func (r *TraceResult) Export(dir, name string) error {
+	for _, side := range []struct {
+		label string
+		res   StrategyResult
+	}{{"baseline", r.Baseline}, {"opass", r.Opass}} {
+		xs := make([]float64, len(side.res.IOTimes))
+		for i := range xs {
+			xs[i] = float64(i)
+		}
+		var io, served bytes.Buffer
+		if err := traceio.WriteSeriesCSV(&io, "op_index", xs, []string{"io_time_s"}, [][]float64{side.res.IOTimes}); err != nil {
+			return err
+		}
+		if err := traceio.WriteNodeLoadCSV(&served, side.res.ServedMB); err != nil {
+			return err
+		}
+		prefix := filepath.Join(dir, name+"_"+side.label)
+		if err := os.WriteFile(prefix+"_io.csv", io.Bytes(), 0o644); err != nil {
+			return err
+		}
+		if err := os.WriteFile(prefix+"_served.csv", served.Bytes(), 0o644); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Fig7cTrace reproduces Figures 7(c) and 8(c): the 64-node, 640-chunk
 // single-data trace under rank assignment vs Opass.
 func Fig7cTrace(cfg Config) (*TraceResult, error) {
-	nodes := cfg.scale(64)
-	base, err := runSingle(nodes, 10, cfg.Seed, core.RankStatic{})
+	pair, err := paired(
+		workload.SingleSpec{Nodes: cfg.scale(64), ChunksPerProc: 10, Seed: cfg.Seed}.Build,
+		core.SingleData{Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}
-	op, err := runSingle(nodes, 10, cfg.Seed, core.SingleData{Seed: cfg.Seed})
-	if err != nil {
-		return nil, err
-	}
-	return &TraceResult{
-		Title:    "Figures 7c/8c — parallel single-data access trace",
-		Baseline: base,
-		Opass:    op,
-	}, nil
+	r := &TraceResult{Title: "Figures 7c/8c — parallel single-data access trace", Pair: pair}
+	base, op := pair.Baseline, pair.Opass
+	r.claims = []Claim{{
+		Name:      "fig7c-single-data",
+		Statement: "Opass cuts the average single-data I/O time >= 2x",
+		Holds:     r.AvgRatio() >= 2 && op.Local >= 0.9,
+		Detail:    fmt.Sprintf("improvement %.2fx, locality %.0f%%", r.AvgRatio(), 100*op.Local),
+		Rows: []ClaimRow{
+			{"avg I/O improvement", "~4x", fmt.Sprintf("%.2fx", r.AvgRatio())},
+			{"remote data without Opass", ">90%", fmt.Sprintf("%.1f%%", 100*(1-base.Local))},
+			{"Opass locality", "~100%", fmt.Sprintf("%.1f%%", 100*op.Local)},
+		},
+	}, {
+		Name:      "fig8c-balance",
+		Statement: "Opass balances data served across nodes",
+		Holds:     op.Fairness > base.Fairness && op.Fairness > 0.99,
+		Detail:    fmt.Sprintf("jain %.3f -> %.3f", base.Fairness, op.Fairness),
+		Rows: []ClaimRow{
+			{"served/node balance (Jain)", "—", fmt.Sprintf("%.3f → %.3f", base.Fairness, op.Fairness)},
+		},
+	}}
+	return r, nil
 }
 
 // Fig9Trace reproduces Figures 9 and 10: multi-data tasks (30+20+10 MB
 // inputs) under the default assignment vs Opass's Algorithm 1.
 func Fig9Trace(cfg Config) (*TraceResult, error) {
-	nodes := cfg.scale(64)
-	run := func(as core.Assigner) (StrategyResult, error) {
-		rig, err := workload.MultiSpec{Nodes: nodes, TasksPerProc: 10, Seed: cfg.Seed}.Build()
-		if err != nil {
-			return StrategyResult{}, err
-		}
-		a, err := as.Assign(rig.Prob)
-		if err != nil {
-			return StrategyResult{}, err
-		}
-		res, err := engine.RunAssignment(engine.Options{
-			Topo: rig.Topo, FS: rig.FS, Problem: rig.Prob, Strategy: as.Name(),
-		}, a)
-		if err != nil {
-			return StrategyResult{}, err
-		}
-		return strategyResult(nodes, res), nil
-	}
-	base, err := run(core.RankStatic{})
+	pair, err := paired(
+		workload.MultiSpec{Nodes: cfg.scale(64), TasksPerProc: 10, Seed: cfg.Seed}.Build,
+		core.MultiData{Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}
-	op, err := run(core.MultiData{Seed: cfg.Seed})
-	if err != nil {
-		return nil, err
-	}
-	return &TraceResult{
-		Title:    "Figures 9/10 — parallel multi-data access trace",
-		Baseline: base,
-		Opass:    op,
-	}, nil
+	r := &TraceResult{Title: "Figures 9/10 — parallel multi-data access trace", Pair: pair}
+	op := pair.Opass
+	r.claims = []Claim{{
+		Name:      "fig9-multi-data",
+		Statement: "multi-data improvement exists but is partial",
+		Holds:     r.AvgRatio() > 1.2 && op.Local < 0.95,
+		Detail:    fmt.Sprintf("improvement %.2fx, locality %.0f%%", r.AvgRatio(), 100*op.Local),
+		Rows: []ClaimRow{
+			{"avg I/O improvement", "~2x", fmt.Sprintf("%.2fx", r.AvgRatio())},
+			{"Opass locality (partial by design)", "—", fmt.Sprintf("%.1f%%", 100*op.Local)},
+		},
+	}}
+	return r, nil
 }
 
 // Fig11Trace reproduces Figure 11: dynamic master/worker access with
 // irregular task times — the default random master vs the Opass-guided
 // master of §IV-D.
 func Fig11Trace(cfg Config) (*TraceResult, error) {
-	nodes := cfg.scale(64)
-	run := func(opass bool) (StrategyResult, error) {
-		rig, err := workload.DynamicSpec{
-			Nodes: nodes, ChunksPerProc: 10, Seed: cfg.Seed,
-			ComputeMean: 0.5, ComputeSigma: 1.0,
-		}.Build()
-		if err != nil {
-			return StrategyResult{}, err
-		}
-		var src engine.TaskSource
-		name := "random-dynamic"
-		if opass {
-			plan, err := core.SingleData{Seed: cfg.Seed}.Assign(rig.Prob)
-			if err != nil {
-				return StrategyResult{}, err
-			}
-			sched, err := core.NewDynamicScheduler(rig.Prob, plan)
-			if err != nil {
-				return StrategyResult{}, err
-			}
-			src = sched
-			name = "opass-dynamic"
-		} else {
-			src = core.NewRandomDispatcher(rig.Prob, cfg.Seed)
-		}
-		res, err := engine.Run(engine.Options{
-			Topo: rig.Topo, FS: rig.FS, Problem: rig.Prob,
-			ComputeTime: rig.Compute, Strategy: name,
-		}, src)
-		if err != nil {
-			return StrategyResult{}, err
-		}
-		return strategyResult(nodes, res), nil
+	rig := workload.DynamicSpec{
+		Nodes: cfg.scale(64), ChunksPerProc: 10, Seed: cfg.Seed,
+		ComputeMean: 0.5, ComputeSigma: 1.0,
 	}
-	base, err := run(false)
+	runs, err := runArms(
+		arm{label: "random-dynamic", rig: rig.Build, source: randomMaster(cfg.Seed)},
+		arm{label: "opass-dynamic", rig: rig.Build, plan: core.SingleData{Seed: cfg.Seed}, source: opassMaster},
+	)
 	if err != nil {
 		return nil, err
 	}
-	op, err := run(true)
-	if err != nil {
-		return nil, err
-	}
-	return &TraceResult{
-		Title:    "Figure 11 — dynamic data access trace",
-		Baseline: base,
-		Opass:    op,
-	}, nil
+	r := &TraceResult{Title: "Figure 11 — dynamic data access trace", Pair: Pair{Baseline: runs[0], Opass: runs[1]}}
+	r.claims = []Claim{{
+		Name:      "fig11-dynamic",
+		Statement: "Opass-guided master beats the random master",
+		Holds:     r.AvgRatio() >= 1.5,
+		Detail:    fmt.Sprintf("improvement %.2fx (paper 2.7x at 64 nodes)", r.AvgRatio()),
+		Rows:      []ClaimRow{{"avg I/O improvement", "2.7x", fmt.Sprintf("%.2fx", r.AvgRatio())}},
+	}}
+	return r, nil
 }
-
-// intBars renders small integer vectors compactly.
-func intBars(xs []int) string {
-	var b strings.Builder
-	for i, x := range xs {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%d", x)
-	}
-	return b.String()
-}
-
-// Nodes maps a paper-scale cluster size through the configured scale
-// divisor, for callers that size their own workloads.
-func (c Config) Nodes(paper int) int { return c.scale(paper) }

@@ -15,11 +15,8 @@ func TestFig1ShowsImbalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ideal := len(r.Run.IOTimes) / r.Run.Nodes
-	if r.MaxChunks <= ideal {
-		t.Fatalf("max served %d not above ideal %d — no imbalance?", r.MaxChunks, ideal)
-	}
-	// Figure 1b: read times vary widely under the baseline.
+	// Figure 1b: read times vary widely under the baseline. (The hot-and-idle
+	// node claim of Figure 1a is checked by TestCatalogueClaimsHold.)
 	if r.Run.IO.Spread() < 2 {
 		t.Fatalf("I/O spread %.2f, expected > 2x", r.Run.IO.Spread())
 	}
@@ -29,18 +26,16 @@ func TestFig1ShowsImbalance(t *testing.T) {
 }
 
 func TestFig3MatchesPaperNumbers(t *testing.T) {
-	r := Fig3(quick())
-	if math.Abs(r.PGreater5[64]-0.8109) > 0.02 {
-		t.Fatalf("P(X>5)|m=64 = %v, paper 0.8109", r.PGreater5[64])
+	r, err := Fig3(quick())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if math.Abs(r.PGreater5[128]-0.2143) > 0.02 {
-		t.Fatalf("P(X>5)|m=128 = %v, paper 0.2143", r.PGreater5[128])
-	}
-	if math.Abs(r.NodesAtMost1-11) > 1.5 {
-		t.Fatalf("nodes<=1 = %v, paper 11", r.NodesAtMost1)
-	}
-	if math.Abs(r.NodesAtLeast8-6) > 1.5 {
-		t.Fatalf("nodes>=8 = %v, paper 6", r.NodesAtLeast8)
+	// The m=128 probability and the §III-B node counts are claims
+	// (TestCatalogueClaimsHold); the other quoted sizes are checked here.
+	for m, paper := range map[int]float64{64: 0.8109, 256: 0.0164, 512: 0.0046} {
+		if math.Abs(r.PGreater5[m]-paper) > 0.02 {
+			t.Fatalf("P(X>5)|m=%d = %v, paper %v", m, r.PGreater5[m], paper)
+		}
 	}
 	out := r.Render()
 	for _, want := range []string{"Figure 3", "81.09%", "Monte-Carlo"} {
@@ -51,22 +46,22 @@ func TestFig3MatchesPaperNumbers(t *testing.T) {
 }
 
 func TestSweepShapeMatchesFig7(t *testing.T) {
-	r, err := SingleDataSweep(Config{Seed: 7, Scale: 2}, []int{16, 32, 48})
+	r, err := SingleDataSweep(Config{Seed: 7, Scale: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) != 3 {
+	if len(r.Rows) != 5 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
 	for _, row := range r.Rows {
 		// Opass beats the baseline on mean I/O time at every size.
 		if row.Opass.IO.Mean >= row.Baseline.IO.Mean {
 			t.Fatalf("nodes=%d: opass mean %v >= baseline %v",
-				row.Nodes, row.Opass.IO.Mean, row.Baseline.IO.Mean)
+				row.X, row.Opass.IO.Mean, row.Baseline.IO.Mean)
 		}
 		// Opass locality is high; baseline's decays with cluster size.
 		if row.Opass.Local < 0.9 {
-			t.Fatalf("nodes=%d: opass locality %v", row.Nodes, row.Opass.Local)
+			t.Fatalf("nodes=%d: opass locality %v", row.X, row.Opass.Local)
 		}
 	}
 	// Figure 7a: the baseline's max I/O time grows with cluster size while
@@ -89,21 +84,11 @@ func TestFig7cTraceShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// §V-A1: "the average I/O operation time with the use of Opass is a
-	// quarter of that without" — at reduced scale we require at least 2x.
-	if ratio := r.AvgRatio(); ratio < 2 {
-		t.Fatalf("avg I/O improvement %vx, want >= 2x", ratio)
-	}
-	// >90% of data remote without Opass (§V-A1).
+	// The >= 2x improvement, Opass's locality and the Figure 8c balance are
+	// claims (TestCatalogueClaimsHold). >90% of data is remote without Opass
+	// (§V-A1).
 	if r.Baseline.Local > 0.35 {
 		t.Fatalf("baseline locality %v unexpectedly high", r.Baseline.Local)
-	}
-	if r.Opass.Local < 0.9 {
-		t.Fatalf("opass locality %v", r.Opass.Local)
-	}
-	// Figure 8c shape: served data much more balanced with Opass.
-	if r.Opass.Fairness <= r.Baseline.Fairness {
-		t.Fatalf("opass fairness %v <= baseline %v", r.Opass.Fairness, r.Baseline.Fairness)
 	}
 	if !strings.Contains(r.Render(), "7c/8c") {
 		t.Fatal("render missing title")
@@ -115,15 +100,7 @@ func TestFig9TraceShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// §V-A2: improvement exists but is smaller than single-data ("part of
-	// data must be read remotely"); the paper reports ~2x on averages.
-	if ratio := r.AvgRatio(); ratio < 1.2 {
-		t.Fatalf("multi-data improvement %vx, want >= 1.2x", ratio)
-	}
-	// Opass cannot reach full locality with three scattered inputs.
-	if r.Opass.Local > 0.98 {
-		t.Fatalf("multi-data locality %v suspiciously perfect", r.Opass.Local)
-	}
+	// §V-A2's partial improvement is a claim (TestCatalogueClaimsHold).
 	if r.Opass.Local <= r.Baseline.Local {
 		t.Fatal("opass locality not better")
 	}
@@ -134,11 +111,7 @@ func TestFig11TraceShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// §V-A3: the paper reports 2.7x on average I/O time; require >= 1.5x at
-	// reduced scale.
-	if ratio := r.AvgRatio(); ratio < 1.5 {
-		t.Fatalf("dynamic improvement %vx, want >= 1.5x", ratio)
-	}
+	// §V-A3's improvement factor is a claim (TestCatalogueClaimsHold).
 	if r.Opass.Local <= r.Baseline.Local {
 		t.Fatal("opass dynamic locality not better")
 	}
@@ -149,13 +122,8 @@ func TestFig12Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// §V-B: Opass lowers the mean and tightens the deviation.
-	if r.OpassIO.Mean >= r.StockIO.Mean {
-		t.Fatalf("opass call mean %v >= stock %v", r.OpassIO.Mean, r.StockIO.Mean)
-	}
-	if r.OpassIO.StdDev >= r.StockIO.StdDev {
-		t.Fatalf("opass call sd %v >= stock %v", r.OpassIO.StdDev, r.StockIO.StdDev)
-	}
+	// §V-B's lower mean and tighter deviation are a claim
+	// (TestCatalogueClaimsHold); the total execution time drops too.
 	if r.Opass.TotalSeconds >= r.Stock.TotalSeconds {
 		t.Fatalf("opass total %v >= stock %v", r.Opass.TotalSeconds, r.Stock.TotalSeconds)
 	}
@@ -169,10 +137,7 @@ func TestOverheadTiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// §V-C1: matching overhead under 1% of the data access it optimizes.
-	if r.OverheadRatio > 0.01 {
-		t.Fatalf("overhead ratio %v, paper says < 1%%", r.OverheadRatio)
-	}
+	// §V-C1's "under 1%" is a claim (TestCatalogueClaimsHold).
 	if r.LocalityGained < 0.9 {
 		t.Fatalf("planned locality %v", r.LocalityGained)
 	}
@@ -182,19 +147,19 @@ func TestOverheadTiny(t *testing.T) {
 }
 
 func TestPlannerScaleRows(t *testing.T) {
-	rows, err := PlannerScale(Config{Seed: 1}, []int{8, 16})
+	res, err := PlannerScale(Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
+	if len(res.Rows) != 4 {
+		t.Fatalf("rows = %d", len(res.Rows))
 	}
-	for _, r := range rows {
+	for _, r := range res.Rows {
 		if r.EKWall <= 0 || r.DinicWall <= 0 || r.Algorithm1 <= 0 {
 			t.Fatalf("non-positive wall time: %+v", r)
 		}
 	}
-	if !strings.Contains(RenderScale(rows), "planner wall time") {
+	if !strings.Contains(res.Render(), "planner wall time") {
 		t.Fatal("render missing")
 	}
 }
@@ -206,9 +171,9 @@ func TestAblationPlacement(t *testing.T) {
 	}
 	// With a quarter of the nodes empty, a full matching is impossible;
 	// after the balancer, achievable locality improves.
-	if r.PlannedLocalitySkewed >= r.PlannedLocalityBalanced {
+	if r.Skewed.Planned >= r.Balanced.Planned {
 		t.Fatalf("balancer did not improve achievable locality: %v vs %v",
-			r.PlannedLocalitySkewed, r.PlannedLocalityBalanced)
+			r.Skewed.Planned, r.Balanced.Planned)
 	}
 	if !strings.Contains(r.Render(), "Ablation") {
 		t.Fatal("render missing")
@@ -216,13 +181,13 @@ func TestAblationPlacement(t *testing.T) {
 }
 
 func TestConfigScale(t *testing.T) {
-	if (Config{}).Nodes(64) != 64 {
+	if (Config{}).scale(64) != 64 {
 		t.Fatal("zero scale must be identity")
 	}
-	if (Config{Scale: 4}).Nodes(64) != 16 {
+	if (Config{Scale: 4}).scale(64) != 16 {
 		t.Fatal("scale 4 wrong")
 	}
-	if (Config{Scale: 100}).Nodes(64) != 4 {
+	if (Config{Scale: 100}).scale(64) != 4 {
 		t.Fatal("scale floor wrong")
 	}
 }

@@ -29,55 +29,23 @@ type DynamicStrategiesResult struct {
 // DynamicStrategies runs the dynamic workload of Figure 11 under the
 // random master, delay scheduling, and Opass's §IV-D scheduler.
 func DynamicStrategies(cfg Config) (*DynamicStrategiesResult, error) {
-	nodes := cfg.scale(64)
 	const maxSkips = 3
-	run := func(kind string) (StrategyResult, error) {
-		rig, err := workload.DynamicSpec{
-			Nodes: nodes, ChunksPerProc: 10, Seed: cfg.Seed,
-			ComputeMean: 0.5, ComputeSigma: 1.0,
-		}.Build()
-		if err != nil {
-			return StrategyResult{}, err
-		}
-		var src engine.TaskSource
-		switch kind {
-		case "random-dynamic":
-			src = core.NewRandomDispatcher(rig.Prob, cfg.Seed)
-		case "delay-scheduling":
-			src = delay.NewDispatcher(rig.Prob, maxSkips, cfg.Seed)
-		case "opass-dynamic":
-			plan, err := core.SingleData{Seed: cfg.Seed}.Assign(rig.Prob)
-			if err != nil {
-				return StrategyResult{}, err
-			}
-			sched, err := core.NewDynamicScheduler(rig.Prob, plan)
-			if err != nil {
-				return StrategyResult{}, err
-			}
-			src = sched
-		}
-		res, err := engine.Run(engine.Options{
-			Topo: rig.Topo, FS: rig.FS, Problem: rig.Prob,
-			ComputeTime: rig.Compute, Strategy: kind,
-		}, src)
-		if err != nil {
-			return StrategyResult{}, err
-		}
-		return strategyResult(nodes, res), nil
+	rig := workload.DynamicSpec{
+		Nodes: cfg.scale(64), ChunksPerProc: 10, Seed: cfg.Seed,
+		ComputeMean: 0.5, ComputeSigma: 1.0,
 	}
-	random, err := run("random-dynamic")
+	delayMaster := func(rig *workload.Rig, _ *core.Assignment) (engine.TaskSource, error) {
+		return delay.NewDispatcher(rig.Prob, maxSkips, cfg.Seed), nil
+	}
+	runs, err := runArms(
+		arm{label: "random-dynamic", rig: rig.Build, source: randomMaster(cfg.Seed)},
+		arm{label: "delay-scheduling", rig: rig.Build, source: delayMaster},
+		arm{label: "opass-dynamic", rig: rig.Build, plan: core.SingleData{Seed: cfg.Seed}, source: opassMaster},
+	)
 	if err != nil {
 		return nil, err
 	}
-	dl, err := run("delay-scheduling")
-	if err != nil {
-		return nil, err
-	}
-	op, err := run("opass-dynamic")
-	if err != nil {
-		return nil, err
-	}
-	return &DynamicStrategiesResult{Random: random, Delay: dl, Opass: op, MaxSkips: maxSkips}, nil
+	return &DynamicStrategiesResult{Random: runs[0], Delay: runs[1], Opass: runs[2], MaxSkips: maxSkips}, nil
 }
 
 // Render prints the three-way comparison.
@@ -117,62 +85,27 @@ func HeteroStaticVsDynamic(cfg Config) (*HeteroResult, error) {
 		}
 		return 1
 	}
-	run := func(mode string) (StrategyResult, error) {
-		rig, err := workload.DynamicSpec{
-			Nodes: nodes, ChunksPerProc: 10, Seed: cfg.Seed,
-			ComputeMean: 1.0, ComputeSigma: 0.5,
-		}.Build()
-		if err != nil {
-			return StrategyResult{}, err
-		}
-		planner := core.SingleData{Seed: cfg.Seed}
-		if mode == "weighted" {
-			// "Load capacity" weights: a node that computes 3x slower
-			// receives a third of the share.
-			weights := make([]float64, nodes)
-			for i := range weights {
-				weights[i] = 1 / factor(i)
-			}
-			planner.Weights = weights
-		}
-		plan, err := planner.Assign(rig.Prob)
-		if err != nil {
-			return StrategyResult{}, err
-		}
-		var src engine.TaskSource
-		name := "opass-static-" + mode
-		if mode == "dynamic" {
-			sched, err := core.NewDynamicScheduler(rig.Prob, plan)
-			if err != nil {
-				return StrategyResult{}, err
-			}
-			src = sched
-			name = "opass-dynamic"
-		} else {
-			src = engine.NewListSource(plan.Lists)
-		}
-		res, err := engine.Run(engine.Options{
-			Topo: rig.Topo, FS: rig.FS, Problem: rig.Prob,
-			ComputeTime: rig.Compute, ComputeFactor: factor, Strategy: name,
-		}, src)
-		if err != nil {
-			return StrategyResult{}, err
-		}
-		return strategyResult(nodes, res), nil
+	// "Load capacity" weights: a node that computes 3x slower receives a
+	// third of the share.
+	weights := make([]float64, nodes)
+	for i := range weights {
+		weights[i] = 1 / factor(i)
 	}
-	st, err := run("equal")
+	rig := workload.DynamicSpec{
+		Nodes: nodes, ChunksPerProc: 10, Seed: cfg.Seed,
+		ComputeMean: 1.0, ComputeSigma: 0.5,
+	}
+	equal := core.SingleData{Seed: cfg.Seed}
+	skew := func(o *engine.Options) { o.ComputeFactor = factor }
+	runs, err := runArms(
+		arm{label: "opass-static-equal", rig: rig.Build, plan: equal, tweak: skew},
+		arm{label: "opass-static-weighted", rig: rig.Build, plan: core.SingleData{Seed: cfg.Seed, Weights: weights}, tweak: skew},
+		arm{label: "opass-dynamic", rig: rig.Build, plan: equal, source: opassMaster, tweak: skew},
+	)
 	if err != nil {
 		return nil, err
 	}
-	wt, err := run("weighted")
-	if err != nil {
-		return nil, err
-	}
-	dy, err := run("dynamic")
-	if err != nil {
-		return nil, err
-	}
-	return &HeteroResult{Static: st, Weighted: wt, Dynamic: dy, SlowNodes: slow, SlowFactor: slowFactor}, nil
+	return &HeteroResult{Static: runs[0], Weighted: runs[1], Dynamic: runs[2], SlowNodes: slow, SlowFactor: slowFactor}, nil
 }
 
 // Render prints the heterogeneous comparison.
@@ -188,6 +121,12 @@ func (r *HeteroResult) Render() string {
 	return b.String()
 }
 
+// Headline is the study's line in opass-report.
+func (r *HeteroResult) Headline() string {
+	return fmt.Sprintf("Heterogeneous cluster: dynamic dispatch %.2fx, capacity-weighted static %.2fx over equal static.",
+		r.Static.Makespan/r.Dynamic.Makespan, r.Static.Makespan/r.Weighted.Makespan)
+}
+
 // GreedyQualityRow is one size point of the greedy-vs-flow trade-off.
 type GreedyQualityRow struct {
 	Procs, Tasks     int
@@ -198,48 +137,48 @@ type GreedyQualityRow struct {
 	QualityRetention float64 // greedy locality / flow locality
 }
 
+// GreedyResult is the greedy-vs-flow trade-off across problem sizes.
+type GreedyResult struct {
+	Rows []GreedyQualityRow
+}
+
 // GreedyVsFlow measures the scalable heuristic planner against the optimal
 // flow planner across problem sizes — the §V-C2 future-work trade-off.
-func GreedyVsFlow(cfg Config, sizes []int) ([]GreedyQualityRow, error) {
-	if len(sizes) == 0 {
-		sizes = []int{16, 32, 64, 128}
-	}
-	var rows []GreedyQualityRow
-	for _, nodes := range sizes {
+func GreedyVsFlow(cfg Config) (*GreedyResult, error) {
+	out := &GreedyResult{}
+	for _, nodes := range []int{16, 32, 64, 128} {
 		rig, err := workload.SingleSpec{Nodes: nodes, ChunksPerProc: 10, Seed: cfg.Seed}.Build()
 		if err != nil {
 			return nil, err
 		}
 		row := GreedyQualityRow{Procs: nodes, Tasks: len(rig.Prob.Tasks)}
-		start := time.Now()
-		flow, err := (core.SingleData{Seed: cfg.Seed}).Assign(rig.Prob)
+		flow, wall, err := timePlan(core.SingleData{Seed: cfg.Seed}, rig.Prob)
 		if err != nil {
 			return nil, err
 		}
-		row.FlowWall = time.Since(start)
-		start = time.Now()
-		greedy, err := (core.GreedyLocality{Seed: cfg.Seed}).Assign(rig.Prob)
+		row.FlowWall = wall
+		greedy, wall, err := timePlan(core.GreedyLocality{Seed: cfg.Seed}, rig.Prob)
 		if err != nil {
 			return nil, err
 		}
-		row.GreedyWall = time.Since(start)
+		row.GreedyWall = wall
 		row.FlowLocal = flow.LocalityFraction()
 		row.GreedyLocal = greedy.LocalityFraction()
 		if row.FlowLocal > 0 {
 			row.QualityRetention = row.GreedyLocal / row.FlowLocal
 		}
-		rows = append(rows, row)
+		out.Rows = append(out.Rows, row)
 	}
-	return rows, nil
+	return out, nil
 }
 
-// RenderGreedy prints the greedy-vs-flow rows.
-func RenderGreedy(rows []GreedyQualityRow) string {
+// Render prints the greedy-vs-flow rows.
+func (res *GreedyResult) Render() string {
 	var b strings.Builder
 	b.WriteString("Extension — greedy heuristic vs optimal flow planner (§V-C2 future work)\n")
 	fmt.Fprintf(&b, "%6s %7s %12s %12s %10s %10s %9s\n",
 		"procs", "tasks", "flow wall", "greedy wall", "flow loc", "greedy loc", "retained")
-	for _, r := range rows {
+	for _, r := range res.Rows {
 		fmt.Fprintf(&b, "%6d %7d %12s %12s %9.1f%% %9.1f%% %8.1f%%\n",
 			r.Procs, r.Tasks, r.FlowWall, r.GreedyWall,
 			100*r.FlowLocal, 100*r.GreedyLocal, 100*r.QualityRetention)

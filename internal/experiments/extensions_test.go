@@ -57,14 +57,14 @@ func TestHeteroDynamicBeatsStatic(t *testing.T) {
 }
 
 func TestGreedyVsFlowRows(t *testing.T) {
-	rows, err := GreedyVsFlow(Config{Seed: 5}, []int{8, 16})
+	res, err := GreedyVsFlow(Config{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
+	if len(res.Rows) != 4 {
+		t.Fatalf("rows = %d", len(res.Rows))
 	}
-	for _, r := range rows {
+	for _, r := range res.Rows {
 		if r.GreedyLocal > r.FlowLocal+1e-9 {
 			t.Fatalf("greedy %v beat the optimum %v", r.GreedyLocal, r.FlowLocal)
 		}
@@ -72,7 +72,7 @@ func TestGreedyVsFlowRows(t *testing.T) {
 			t.Fatalf("greedy retention %v below 85%%", r.QualityRetention)
 		}
 	}
-	if !strings.Contains(RenderGreedy(rows), "retained") {
+	if !strings.Contains(res.Render(), "retained") {
 		t.Fatal("render missing header")
 	}
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math"
 	"strings"
 
 	"opass/internal/cluster"
@@ -98,14 +97,8 @@ type jobMixRig struct {
 func buildJobMixRig(nodes, jobs int, seed int64) (*jobMixRig, error) {
 	topo := cluster.New(nodes, cluster.Marmot())
 	fs := dfs.New(topo, dfs.Config{Seed: seed})
-	window := nodes / 2
-	if window < 2 {
-		window = 2
-	}
-	stride := nodes / jobs
-	if stride < 1 {
-		stride = 1
-	}
+	window := JobMixWindow(nodes)
+	stride := max(1, nodes/jobs)
 	stagger := jobMixStaggerFrac * float64(jobMixChunksPerProc) * topo.UncontendedLocalRead(64)
 	rig := &jobMixRig{topo: topo, fs: fs}
 	for j := 0; j < jobs; j++ {
@@ -127,17 +120,35 @@ func buildJobMixRig(nodes, jobs int, seed int64) (*jobMixRig, error) {
 	return rig, nil
 }
 
-// JobMixWindow reports the per-job process window used at this node count
-// (exported for the invariant tests).
-func JobMixWindow(nodes int) int {
-	w := nodes / 2
-	if w < 2 {
-		w = 2
+// JobMixWindow reports the per-job process window used at this node count.
+func JobMixWindow(nodes int) int { return max(2, nodes/2) }
+
+// runJobMix builds the mix from seed and runs it to completion. With a nil
+// sched every job is planned against an empty cluster before the run;
+// otherwise sched plans each arrival against the residual load.
+func runJobMix(nodes int, seed int64, label string, sched engine.ClusterScheduler) (*jobMixRig, []*engine.Result, error) {
+	rig, err := buildJobMixRig(nodes, jobMixJobs, seed)
+	if err != nil {
+		return nil, nil, err
 	}
-	return w
+	specs := make([]engine.JobSpec, jobMixJobs)
+	for j, prob := range rig.probs {
+		specs[j] = engine.JobSpec{Problem: prob, Strategy: label, StartAt: rig.arrivals[j]}
+		if sched == nil {
+			a, err := (core.SingleData{Seed: seed + int64(j)}).Assign(prob)
+			if err != nil {
+				return nil, nil, err
+			}
+			specs[j].Source = engine.NewListSource(a.Lists)
+		}
+	}
+	results, err := engine.RunJobsScheduled(context.Background(), rig.topo, rig.fs, specs, sched)
+	return rig, results, err
 }
 
-// JobMix runs the isolated-vs-scheduled study.
+// JobMix runs the isolated-vs-scheduled study: the same placement and
+// arrival pattern, planned per job in isolation and then by the
+// cluster-level scheduler.
 func JobMix(cfg Config) (*JobMixResult, error) {
 	nodes := cfg.scale(64)
 	out := &JobMixResult{
@@ -146,51 +157,18 @@ func JobMix(cfg Config) (*JobMixResult, error) {
 		Window:  JobMixWindow(nodes),
 		Balance: jobMixBalance,
 	}
-
-	// Isolated: every job planned against an empty cluster.
-	iso, err := buildJobMixRig(nodes, jobMixJobs, cfg.Seed)
+	iso, isoRes, err := runJobMix(nodes, cfg.Seed, "isolated", nil)
 	if err != nil {
 		return nil, err
 	}
 	out.StagerS = iso.arrivals[1] - iso.arrivals[0]
-	isoSpecs := make([]engine.JobSpec, jobMixJobs)
-	for j, prob := range iso.probs {
-		a, err := (core.SingleData{Seed: cfg.Seed + int64(j)}).Assign(prob)
-		if err != nil {
-			return nil, err
-		}
-		isoSpecs[j] = engine.JobSpec{
-			Problem:  prob,
-			Source:   engine.NewListSource(a.Lists),
-			Strategy: "isolated",
-			StartAt:  iso.arrivals[j],
-		}
-	}
-	isoRes, err := engine.RunJobs(iso.topo, iso.fs, isoSpecs)
-	if err != nil {
-		return nil, err
-	}
 	out.Isolated = jobMixSide("isolated", nodes, isoRes)
 
-	// Scheduled: identical placement, but each arrival is planned by the
-	// cluster-level scheduler against the residual load.
-	sch, err := buildJobMixRig(nodes, jobMixJobs, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
 	gs, err := globalsched.New(nodes, globalsched.Options{Balance: jobMixBalance, Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}
-	schSpecs := make([]engine.JobSpec, jobMixJobs)
-	for j, prob := range sch.probs {
-		schSpecs[j] = engine.JobSpec{
-			Problem:  prob,
-			Strategy: "globalsched",
-			StartAt:  sch.arrivals[j],
-		}
-	}
-	schRes, err := engine.RunJobsScheduled(context.Background(), sch.topo, sch.fs, schSpecs, gs)
+	_, schRes, err := runJobMix(nodes, cfg.Seed, "globalsched", gs)
 	if err != nil {
 		return nil, err
 	}
@@ -210,15 +188,8 @@ func jobMixSide(label string, nodes int, results []*engine.Result) JobMixSide {
 	side := JobMixSide{Label: label, ServedMB: make([]float64, nodes)}
 	var endTime, totalMB, localMB float64
 	for _, res := range results {
-		jm := res.JobMakespan()
-		side.JobMakespans = append(side.JobMakespans, jm)
-		side.MakespanMean += jm
-		if jm > side.MakespanMax {
-			side.MakespanMax = jm
-		}
-		if res.Makespan > endTime {
-			endTime = res.Makespan
-		}
+		side.JobMakespans = append(side.JobMakespans, res.JobMakespan())
+		endTime = max(endTime, res.Makespan)
 		for n, mb := range res.ServedMB {
 			side.ServedMB[n] += mb
 		}
@@ -229,23 +200,18 @@ func jobMixSide(label string, nodes int, results []*engine.Result) JobMixSide {
 			}
 		}
 	}
-	if len(results) > 0 {
-		side.MakespanMean /= float64(len(results))
-	}
+	makespans := metrics.Summarize(side.JobMakespans)
+	side.MakespanMean, side.MakespanMax = makespans.Mean, makespans.Max
 	if endTime > 0 {
 		side.ThroughputMBps = totalMB / endTime
 	}
 	if totalMB > 0 {
 		side.Local = localMB / totalMB
 	}
-	maxMB, minMB := math.Inf(-1), math.Inf(1)
-	for _, mb := range side.ServedMB {
-		maxMB = math.Max(maxMB, mb)
-		minMB = math.Min(minMB, mb)
-	}
-	side.SpreadMB = maxMB - minMB
-	if minMB > 0 {
-		side.MaxMinRatio = maxMB / minMB
+	served := metrics.Summarize(side.ServedMB)
+	side.SpreadMB = served.Max - served.Min
+	if served.Min > 0 {
+		side.MaxMinRatio = served.Max / served.Min
 	}
 	side.Fairness = metrics.JainIndex(side.ServedMB)
 	return side
@@ -266,3 +232,6 @@ func (r *JobMixResult) Render() string {
 		r.SpreadGain, r.ThroughputRatio)
 	return b.String()
 }
+
+// BenchKey is the study's key in BENCH_planner.json.
+func (r *JobMixResult) BenchKey() string { return "jobmix" }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -16,19 +15,11 @@ import (
 // cluster served, and the shared network drains back to idle.
 func TestJobMixInvariants(t *testing.T) {
 	const nodes = 16
-	rig, err := buildJobMixRig(nodes, jobMixJobs, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
 	gs, err := globalsched.New(nodes, globalsched.Options{Balance: jobMixBalance, Seed: 31})
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs := make([]engine.JobSpec, jobMixJobs)
-	for j, prob := range rig.probs {
-		specs[j] = engine.JobSpec{Problem: prob, Strategy: "globalsched", StartAt: rig.arrivals[j]}
-	}
-	results, err := engine.RunJobsScheduled(context.Background(), rig.topo, rig.fs, specs, gs)
+	rig, results, err := runJobMix(nodes, 31, "globalsched", gs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,19 +70,11 @@ func TestJobMixInvariants(t *testing.T) {
 func TestJobMixScheduledDeterministic(t *testing.T) {
 	const nodes = 16
 	run := func() []*engine.Result {
-		rig, err := buildJobMixRig(nodes, jobMixJobs, 32)
-		if err != nil {
-			t.Fatal(err)
-		}
 		gs, err := globalsched.New(nodes, globalsched.Options{Balance: jobMixBalance, Seed: 32})
 		if err != nil {
 			t.Fatal(err)
 		}
-		specs := make([]engine.JobSpec, jobMixJobs)
-		for j, prob := range rig.probs {
-			specs[j] = engine.JobSpec{Problem: prob, Strategy: "globalsched", StartAt: rig.arrivals[j]}
-		}
-		results, err := engine.RunJobsScheduled(context.Background(), rig.topo, rig.fs, specs, gs)
+		_, results, err := runJobMix(nodes, 32, "globalsched", gs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,7 +7,7 @@ import (
 	"opass/internal/cluster"
 	"opass/internal/core"
 	"opass/internal/dfs"
-	"opass/internal/engine"
+	"opass/internal/workload"
 )
 
 // RackRow is one cell of the rack-topology study.
@@ -70,75 +70,44 @@ func RackTopology(cfg Config) (*RackStudyResult, error) {
 	}
 
 	out := &RackStudyResult{Nodes: nodes, Racks: racks}
-	type combo struct {
+	for _, c := range []struct {
 		placementName string
 		placement     dfs.Placement
 		assigner      core.Assigner
-	}
-	combos := []combo{
+	}{
 		{"random", dfs.RandomPlacement{}, core.RankStatic{}},
 		{"rack-aware", dfs.RackAwarePlacement{Writer: -1}, core.RankStatic{}},
 		{"random", dfs.RandomPlacement{}, core.SingleData{Seed: cfg.Seed}},
 		{"rack-aware", dfs.RackAwarePlacement{Writer: -1}, core.SingleData{Seed: cfg.Seed}},
-	}
-	for _, c := range combos {
-		topo := cluster.NewRacked(nodes, racks, cluster.Marmot())
-		// Size each rack's uplink from its actual member count; with
-		// nodes % racks != 0 a uniform nodes/racks sizing both truncates
-		// and misattributes bandwidth across the uneven racks.
-		topo.SetRackOversubscription(4)
+	} {
+		runs, err := runArms(arm{plan: c.assigner, rig: func() (*workload.Rig, error) {
+			topo := cluster.NewRacked(nodes, racks, cluster.Marmot())
+			// Size each rack's uplink from its actual member count; with
+			// nodes % racks != 0 a uniform nodes/racks sizing both truncates
+			// and misattributes bandwidth across the uneven racks.
+			topo.SetRackOversubscription(4)
+			return datasetRig(topo, dfs.Config{Seed: cfg.Seed, Placement: c.placement})
+		}})
+		if err != nil {
+			return nil, err
+		}
+		run, topo := runs[0], runs[0].rig.Topo
 		if out.UplinkMBps == 0 {
 			for _, n := range topo.RackNodes(0) {
 				out.UplinkMBps += topo.NodeProfile(n).NICMBps
 			}
 			out.UplinkMBps /= 4
 		}
-		fs := dfs.New(topo, dfs.Config{Seed: cfg.Seed, Placement: c.placement})
-		if _, err := fs.Create("/dataset", float64(nodes*10*64)); err != nil {
-			return nil, err
-		}
-		procNode := make([]int, nodes)
-		for i := range procNode {
-			procNode[i] = i
-		}
-		prob, err := core.SingleDataProblem(fs, []string{"/dataset"}, procNode)
-		if err != nil {
-			return nil, err
-		}
-		a, err := c.assigner.Assign(prob)
-		if err != nil {
-			return nil, err
-		}
-		res, err := engine.RunAssignment(engine.Options{
-			Topo: topo, FS: fs, Problem: prob, Strategy: c.assigner.Name(),
-		}, a)
-		if err != nil {
-			return nil, err
-		}
-		var cross, total float64
-		for _, rec := range res.Records {
-			total += rec.SizeMB
-			if topo.RackOf(rec.SrcNode) != topo.RackOf(rec.DstNode) {
-				cross += rec.SizeMB
-			}
-		}
-		io := 0.0
-		for _, d := range res.IOTimes() {
-			io += d
-		}
-		avgIO, crossFrac := 0.0, 0.0
-		if len(res.Records) > 0 {
-			avgIO = io / float64(len(res.Records))
-		}
-		if total > 0 {
-			crossFrac = cross / total
+		crossFrac := 0.0
+		if total := run.Served.Sum; total > 0 {
+			crossFrac = run.run.CrossRackMB / total
 		}
 		out.Rows = append(out.Rows, RackRow{
 			Placement: c.placementName,
-			Strategy:  c.assigner.Name(),
-			Makespan:  res.Makespan,
-			AvgIO:     avgIO,
-			Local:     res.LocalFraction(),
+			Strategy:  run.Strategy,
+			Makespan:  run.run.Makespan,
+			AvgIO:     run.IO.Mean,
+			Local:     run.Local,
 			CrossRack: crossFrac,
 		})
 	}
@@ -169,38 +138,25 @@ func RackTopology(cfg Config) (*RackStudyResult, error) {
 	}
 	for _, ratio := range []float64{1, 2, 4, 8} {
 		for _, tiered := range []bool{false, true} {
-			topo := cluster.NewHeterogeneousRacked(profiles, racks)
-			topo.SetRackOversubscription(ratio)
-			fs := dfs.New(topo, dfs.Config{
-				Seed: cfg.Seed, Placement: dfs.FixedPlacement{Replicas: rows}, Replication: 1,
-			})
-			if _, err := fs.Create("/dataset", float64(nodes*10*64)); err != nil {
-				return nil, err
-			}
-			procNode := make([]int, nodes)
-			for i := range procNode {
-				procNode[i] = i
-			}
-			prob, err := core.SingleDataProblem(fs, []string{"/dataset"}, procNode)
-			if err != nil {
-				return nil, err
-			}
 			matcher := "rack-oblivious"
 			if tiered {
-				prob.SetNodeRacksFromView(topo)
 				matcher = "rack-tiered"
 			}
-			asg := core.SingleData{Seed: cfg.Seed}
-			a, err := asg.Assign(prob)
+			runs, err := runArms(arm{plan: core.SingleData{Seed: cfg.Seed}, rig: func() (*workload.Rig, error) {
+				topo := cluster.NewHeterogeneousRacked(profiles, racks)
+				topo.SetRackOversubscription(ratio)
+				rig, err := datasetRig(topo, dfs.Config{
+					Seed: cfg.Seed, Placement: dfs.FixedPlacement{Replicas: rows}, Replication: 1,
+				})
+				if err == nil && tiered {
+					rig.Prob.SetNodeRacksFromView(topo)
+				}
+				return rig, err
+			}})
 			if err != nil {
 				return nil, err
 			}
-			res, err := engine.RunAssignment(engine.Options{
-				Topo: topo, FS: fs, Problem: prob, Strategy: asg.Name(),
-			}, a)
-			if err != nil {
-				return nil, err
-			}
+			res := runs[0].run
 			out.Sweep = append(out.Sweep, RackSweepRow{
 				Ratio:       ratio,
 				Matcher:     matcher,
@@ -213,6 +169,9 @@ func RackTopology(cfg Config) (*RackStudyResult, error) {
 	}
 	return out, nil
 }
+
+// BenchKey is the study's key in BENCH_planner.json.
+func (r *RackStudyResult) BenchKey() string { return "racks" }
 
 // Render prints the rack study grid and the oversubscription sweep.
 func (r *RackStudyResult) Render() string {

@@ -2,8 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"strings"
+
+	"opass/internal/metrics"
 )
 
 // ReplicatedTrace aggregates a trace experiment over several seeds — the
@@ -12,19 +13,18 @@ import (
 type ReplicatedTrace struct {
 	Title string
 	Runs  []*TraceResult
-	// Per-seed improvement factors (baseline avg I/O / Opass avg I/O) and
-	// their mean / standard deviation.
-	Ratios    []float64
-	RatioMean float64
-	RatioSD   float64
+	// Ratios are the per-seed improvement factors (baseline avg I/O / Opass
+	// avg I/O); Ratio summarizes them.
+	Ratios []float64
+	Ratio  metrics.Summary
 	// Locality means across seeds.
 	BaselineLocalMean float64
 	OpassLocalMean    float64
 }
 
-// Replicate runs the trace experiment n times with seeds cfg.Seed,
-// cfg.Seed+1, ... and aggregates the headline metrics.
-func Replicate(f func(Config) (*TraceResult, error), cfg Config, n int) (*ReplicatedTrace, error) {
+// Replicate runs a trace study n times with seeds cfg.Seed, cfg.Seed+1, ...
+// and aggregates the headline metrics.
+func Replicate(st Study, cfg Config, n int) (*ReplicatedTrace, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("experiments: replication count %d must be positive", n)
 	}
@@ -32,30 +32,25 @@ func Replicate(f func(Config) (*TraceResult, error), cfg Config, n int) (*Replic
 	for i := 0; i < n; i++ {
 		c := cfg
 		c.Seed = cfg.Seed + int64(i)
-		r, err := f(c)
+		res, err := st.Run(c)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: replication %d: %w", i, err)
+		}
+		r, ok := res.(*TraceResult)
+		if !ok {
+			return nil, fmt.Errorf("experiments: %s is not a paired trace; only those replicate", st.Name)
 		}
 		if out.Title == "" {
 			out.Title = r.Title
 		}
 		out.Runs = append(out.Runs, r)
-		ratio := r.AvgRatio()
-		out.Ratios = append(out.Ratios, ratio)
-		out.RatioMean += ratio
+		out.Ratios = append(out.Ratios, r.AvgRatio())
 		out.BaselineLocalMean += r.Baseline.Local
 		out.OpassLocalMean += r.Opass.Local
 	}
-	fn := float64(n)
-	out.RatioMean /= fn
-	out.BaselineLocalMean /= fn
-	out.OpassLocalMean /= fn
-	var ss float64
-	for _, ratio := range out.Ratios {
-		d := ratio - out.RatioMean
-		ss += d * d
-	}
-	out.RatioSD = math.Sqrt(ss / fn)
+	out.Ratio = metrics.Summarize(out.Ratios)
+	out.BaselineLocalMean /= float64(n)
+	out.OpassLocalMean /= float64(n)
 	return out, nil
 }
 
@@ -63,7 +58,7 @@ func Replicate(f func(Config) (*TraceResult, error), cfg Config, n int) (*Replic
 func (r *ReplicatedTrace) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s — %d seeds\n", r.Title, len(r.Runs))
-	fmt.Fprintf(&b, "  avg I/O improvement: %.2fx ± %.2f (per seed:", r.RatioMean, r.RatioSD)
+	fmt.Fprintf(&b, "  avg I/O improvement: %.2fx ± %.2f (per seed:", r.Ratio.Mean, r.Ratio.StdDev)
 	for _, ratio := range r.Ratios {
 		fmt.Fprintf(&b, " %.2f", ratio)
 	}

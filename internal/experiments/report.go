@@ -5,114 +5,43 @@ import (
 	"strings"
 )
 
-// MarkdownReport runs every paper experiment at the configured scale and
-// emits a paper-vs-measured markdown document — the machine-generated
-// counterpart of EXPERIMENTS.md, suitable for regression archives
-// (cmd/opass-report).
+// MarkdownReport runs every checked study of the catalogue at the
+// configured scale and emits a paper-vs-measured markdown document — the
+// machine-generated counterpart of EXPERIMENTS.md, suitable for regression
+// archives (cmd/opass-report). A study's claims become one table under its
+// title; the headlines of the studies beyond the paper are listed last.
 func MarkdownReport(cfg Config) (string, error) {
-	var b strings.Builder
+	var b, extensions strings.Builder
 	b.WriteString("# Opass reproduction report\n\n")
+	divisor := max(1, cfg.Scale)
 	fmt.Fprintf(&b, "Configuration: seed %d, scale divisor %d (paper cluster sizes / %d).\n\n",
-		cfg.Seed, max(1, cfg.Scale), max(1, cfg.Scale))
-
-	// §III analytics.
-	f3 := Fig3(cfg)
-	b.WriteString("## §III analytical models\n\n")
-	b.WriteString("| quantity | paper | measured |\n|---|---|---|\n")
-	fmt.Fprintf(&b, "| P(X>5), m=64 | 81.09%% | %.2f%% |\n", 100*f3.PGreater5[64])
-	fmt.Fprintf(&b, "| P(X>5), m=128 | 21.43%% | %.2f%% |\n", 100*f3.PGreater5[128])
-	fmt.Fprintf(&b, "| P(X>5), m=256 | 1.64%% | %.2f%% |\n", 100*f3.PGreater5[256])
-	fmt.Fprintf(&b, "| E[nodes serving ≤1 chunk] (m=128) | 11 | %.1f |\n", f3.NodesAtMost1)
-	fmt.Fprintf(&b, "| E[nodes serving ≥8 chunks] (m=128) | 6 | %.1f |\n\n", f3.NodesAtLeast8)
-
-	// Figure 1.
-	f1, err := Fig1(cfg)
-	if err != nil {
-		return "", err
+		cfg.Seed, divisor, divisor)
+	for _, st := range Catalog() {
+		if !st.Checked {
+			continue
+		}
+		res, err := st.Run(cfg)
+		if err != nil {
+			return "", fmt.Errorf("%s: %w", st.Name, err)
+		}
+		if c, ok := res.(Claimer); ok {
+			var rows []ClaimRow
+			for _, claim := range c.Claims() {
+				rows = append(rows, claim.Rows...)
+			}
+			if len(rows) > 0 {
+				fmt.Fprintf(&b, "## %s\n\n| quantity | paper | measured |\n|---|---|---|\n", st.Title)
+				for _, row := range rows {
+					fmt.Fprintf(&b, "| %s | %s | %s |\n", row.Quantity, row.Paper, row.Measured)
+				}
+				b.WriteString("\n")
+			}
+		}
+		if h, ok := res.(Headliner); ok {
+			fmt.Fprintf(&extensions, "- %s\n", h.Headline())
+		}
 	}
-	b.WriteString("## Figure 1 — motivating imbalance\n\n")
-	b.WriteString("| quantity | paper | measured |\n|---|---|---|\n")
-	fmt.Fprintf(&b, "| max chunks served by one node | >6 | %d (model: %.1f) |\n", f1.MaxChunks, f1.PredictedMax)
-	fmt.Fprintf(&b, "| idle nodes | \"some\" | %d |\n", f1.IdleNodes)
-	fmt.Fprintf(&b, "| I/O time spread | \"vary greatly\" | %.1fx |\n\n", f1.Run.IO.Spread())
-
-	// Figure 7c/8c.
-	f7, err := Fig7cTrace(cfg)
-	if err != nil {
-		return "", err
-	}
-	b.WriteString("## Figures 7c/8c — single-data trace\n\n")
-	b.WriteString("| quantity | paper | measured |\n|---|---|---|\n")
-	fmt.Fprintf(&b, "| avg I/O improvement | ~4x | %.2fx |\n", f7.AvgRatio())
-	fmt.Fprintf(&b, "| remote data without Opass | >90%% | %.1f%% |\n", 100*(1-f7.Baseline.Local))
-	fmt.Fprintf(&b, "| Opass locality | ~100%% | %.1f%% |\n", 100*f7.Opass.Local)
-	fmt.Fprintf(&b, "| served/node balance (Jain) | — | %.3f → %.3f |\n\n", f7.Baseline.Fairness, f7.Opass.Fairness)
-
-	// Figure 9.
-	f9, err := Fig9Trace(cfg)
-	if err != nil {
-		return "", err
-	}
-	b.WriteString("## Figures 9/10 — multi-data trace\n\n")
-	b.WriteString("| quantity | paper | measured |\n|---|---|---|\n")
-	fmt.Fprintf(&b, "| avg I/O improvement | ~2x | %.2fx |\n", f9.AvgRatio())
-	fmt.Fprintf(&b, "| Opass locality (partial by design) | — | %.1f%% |\n\n", 100*f9.Opass.Local)
-
-	// Figure 11.
-	f11, err := Fig11Trace(cfg)
-	if err != nil {
-		return "", err
-	}
-	b.WriteString("## Figure 11 — dynamic master/worker\n\n")
-	b.WriteString("| quantity | paper | measured |\n|---|---|---|\n")
-	fmt.Fprintf(&b, "| avg I/O improvement | 2.7x | %.2fx |\n\n", f11.AvgRatio())
-
-	// Figure 12.
-	f12, err := Fig12(cfg)
-	if err != nil {
-		return "", err
-	}
-	b.WriteString("## Figure 12 — ParaView\n\n")
-	b.WriteString("| quantity | paper | measured |\n|---|---|---|\n")
-	fmt.Fprintf(&b, "| stock call time | 5.48s (sd 1.339) | %.2fs (sd %.3f) |\n", f12.StockIO.Mean, f12.StockIO.StdDev)
-	fmt.Fprintf(&b, "| Opass call time | 3.07s (sd 0.316) | %.2fs (sd %.3f) |\n", f12.OpassIO.Mean, f12.OpassIO.StdDev)
-	fmt.Fprintf(&b, "| total execution | 167s → 98s | %.0fs → %.0fs |\n\n", f12.Stock.TotalSeconds, f12.Opass.TotalSeconds)
-
-	// Overhead.
-	oh, err := Overhead(cfg)
-	if err != nil {
-		return "", err
-	}
-	b.WriteString("## §V-C1 — planner overhead\n\n")
-	fmt.Fprintf(&b, "Matching took %.3f ms against %.0f s of simulated data access (%.5f%%; paper: <1%%).\n\n",
-		float64(oh.PlannerWall.Microseconds())/1000, oh.SimulatedIO, 100*oh.OverheadRatio)
-
-	// Extensions summary.
 	b.WriteString("## Extensions beyond the paper\n\n")
-	hetero, err := HeteroStaticVsDynamic(cfg)
-	if err != nil {
-		return "", err
-	}
-	fmt.Fprintf(&b, "- Heterogeneous cluster: dynamic dispatch %.2fx, capacity-weighted static %.2fx over equal static.\n",
-		hetero.Static.Makespan/hetero.Dynamic.Makespan, hetero.Static.Makespan/hetero.Weighted.Makespan)
-	shared, err := SharedCluster(cfg)
-	if err != nil {
-		return "", err
-	}
-	fmt.Fprintf(&b, "- Shared cluster: a co-running oblivious job slows the Opass job %.2fx; its reads stay %.0f%% local.\n",
-		shared.Slowdown, 100*shared.Shared.Local)
-	ft, err := FaultTolerance(cfg)
-	if err != nil {
-		return "", err
-	}
-	fmt.Fprintf(&b, "- Fault tolerance: with %d DataNode crashes mid-job, all %d reads complete (%d failed over).\n",
-		len(ft.Crashes), len(ft.Faulty.IOTimes), ft.Retries)
+	b.WriteString(extensions.String())
 	return b.String(), nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -212,7 +212,7 @@ func TestNodesProcsLimitBoundary(t *testing.T) {
 // before nodes/proc_nodes (JSON key order is not guaranteed) and still
 // apply node-dependent validation correctly.
 func TestStreamingFieldOrder(t *testing.T) {
-	srv := httptest.NewServer(Handler())
+	srv := httptest.NewServer(NewServer(ServerOptions{}))
 	defer srv.Close()
 	body := `{"tasks": [
 		{"inputs": [{"size_mb": 16, "replicas": [0]}]},
@@ -345,7 +345,7 @@ func TestStreamingValidationParity(t *testing.T) {
 // TestCompactJSONAndPretty: responses are compact by default; ?pretty=1
 // opts into indented output.
 func TestCompactJSONAndPretty(t *testing.T) {
-	srv := httptest.NewServer(Handler())
+	srv := httptest.NewServer(NewServer(ServerOptions{}))
 	defer srv.Close()
 	_, body := post(t, srv, "/v1/plan", layoutRequest("opass"))
 	if bytes.Contains(bytes.TrimRight(body, "\n"), []byte("\n")) {

@@ -26,7 +26,7 @@ func faultRequest(strategy string) PlanRequest {
 
 func TestSimulateWithFaultModel(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	srv := httptest.NewServer(NewHandler(ServerOptions{Registry: reg}))
+	srv := httptest.NewServer(NewServer(ServerOptions{Registry: reg}))
 	defer srv.Close()
 
 	req := faultRequest("opass")
@@ -71,7 +71,7 @@ func TestSimulateWithFaultModel(t *testing.T) {
 }
 
 func TestSimulateTransientFailureReportsRecovery(t *testing.T) {
-	srv := httptest.NewServer(Handler())
+	srv := httptest.NewServer(NewServer(ServerOptions{}))
 	defer srv.Close()
 
 	req := faultRequest("opass")
@@ -93,7 +93,7 @@ func TestSimulateTransientFailureReportsRecovery(t *testing.T) {
 }
 
 func TestFaultSpecValidation(t *testing.T) {
-	srv := httptest.NewServer(Handler())
+	srv := httptest.NewServer(NewServer(ServerOptions{}))
 	defer srv.Close()
 
 	cases := []func(*PlanRequest){
@@ -127,7 +127,7 @@ func TestFaultSpecValidation(t *testing.T) {
 // The fault model is simulate-only: /v1/plan accepts the fields but the
 // plan it returns is computed from the layout as given.
 func TestPlanIgnoresFaultModel(t *testing.T) {
-	srv := httptest.NewServer(Handler())
+	srv := httptest.NewServer(NewServer(ServerOptions{}))
 	defer srv.Close()
 
 	plain, body := post(t, srv, "/v1/plan", faultRequest("opass"))
@@ -166,7 +166,7 @@ func TestPlanIgnoresFaultModel(t *testing.T) {
 // was surgical rather than a full backlog re-match.
 func TestSimulateDeltaReplanMetric(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	srv := httptest.NewServer(NewHandler(ServerOptions{Registry: reg}))
+	srv := httptest.NewServer(NewServer(ServerOptions{Registry: reg}))
 	defer srv.Close()
 
 	req := faultRequest("opass")

@@ -56,7 +56,6 @@ const (
 	MetricPlans          = "opass_plans_total"
 	MetricSimRuns        = "opass_sim_runs_total"
 	MetricSimTasks       = "opass_sim_tasks_total"
-	MetricSimRetries     = "opass_sim_retries_total"
 	// MetricEngineRetries, MetricEngineReplans and MetricEngineRepairedChunks
 	// count the engine's fault-recovery work across all simulations: reads
 	// retried after a DataNode loss, backlog replans spliced into running
@@ -340,14 +339,6 @@ type cachedPlan struct {
 	a    *core.Assignment
 }
 
-// Handler returns the service's HTTP handler with default telemetry (a
-// private registry, no request logging) and default limits.
-func Handler() http.Handler { return NewServer(ServerOptions{}) }
-
-// NewHandler returns the service's HTTP handler wired to the given
-// telemetry sinks and limits.
-func NewHandler(opts ServerOptions) http.Handler { return NewServer(opts) }
-
 // routeLabel bounds metric label cardinality to the known route set.
 func routeLabel(r *http.Request) string {
 	switch r.URL.Path {
@@ -370,7 +361,6 @@ func NewServer(opts ServerOptions) *Server {
 	reg.Help(MetricPlans, "Successful plans computed, by strategy.")
 	reg.Help(MetricSimRuns, "Simulations executed.")
 	reg.Help(MetricSimTasks, "Tasks executed across all simulations.")
-	reg.Help(MetricSimRetries, "Reads retried after DataNode failures across all simulations.")
 	reg.Help(MetricEngineRetries, "Reads retried after DataNode failures across all simulations.")
 	reg.Help(MetricEngineReplans, "Backlog replans spliced into running simulations.")
 	reg.Help(MetricEngineRepairedChunks, "Chunks restored to full replication by the repair pass, across all simulations.")
@@ -567,7 +557,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	// (lifetime totals) so load tests can watch throughput live.
 	s.reg.Counter(MetricSimRuns).Inc()
 	s.reg.Counter(MetricSimTasks).Add(float64(res.TasksRun))
-	s.reg.Counter(MetricSimRetries).Add(float64(res.Retries))
 	s.reg.Counter(MetricEngineRetries).Add(float64(res.Retries))
 	s.reg.Counter(MetricEngineReplans).Add(float64(res.Replans))
 	s.reg.Counter(MetricEngineDeltaReplanned).Add(float64(res.DeltaReplannedTasks))

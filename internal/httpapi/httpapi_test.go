@@ -38,7 +38,7 @@ func layoutRequest(strategy string) PlanRequest {
 }
 
 func TestHealthz(t *testing.T) {
-	srv := httptest.NewServer(Handler())
+	srv := httptest.NewServer(NewServer(ServerOptions{}))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/healthz")
 	if err != nil {
@@ -51,7 +51,7 @@ func TestHealthz(t *testing.T) {
 }
 
 func TestPlanEndpoint(t *testing.T) {
-	srv := httptest.NewServer(Handler())
+	srv := httptest.NewServer(NewServer(ServerOptions{}))
 	defer srv.Close()
 	resp, body := post(t, srv, "/v1/plan", layoutRequest("opass"))
 	if resp.StatusCode != http.StatusOK {
@@ -80,7 +80,7 @@ func TestPlanEndpoint(t *testing.T) {
 }
 
 func TestPlanStrategies(t *testing.T) {
-	srv := httptest.NewServer(Handler())
+	srv := httptest.NewServer(NewServer(ServerOptions{}))
 	defer srv.Close()
 	for _, s := range []string{"", "opass", "rank", "random", "greedy"} {
 		resp, body := post(t, srv, "/v1/plan", layoutRequest(s))
@@ -95,7 +95,7 @@ func TestPlanStrategies(t *testing.T) {
 }
 
 func TestPlanMultiInput(t *testing.T) {
-	srv := httptest.NewServer(Handler())
+	srv := httptest.NewServer(NewServer(ServerOptions{}))
 	defer srv.Close()
 	req := PlanRequest{Nodes: 4, Seed: 2}
 	for i := 0; i < 4; i++ {
@@ -116,7 +116,7 @@ func TestPlanMultiInput(t *testing.T) {
 }
 
 func TestSimulateEndpoint(t *testing.T) {
-	srv := httptest.NewServer(Handler())
+	srv := httptest.NewServer(NewServer(ServerOptions{}))
 	defer srv.Close()
 	resp, body := post(t, srv, "/v1/simulate", layoutRequest("opass"))
 	if resp.StatusCode != http.StatusOK {
@@ -138,7 +138,7 @@ func TestSimulateEndpoint(t *testing.T) {
 }
 
 func TestValidationErrors(t *testing.T) {
-	srv := httptest.NewServer(Handler())
+	srv := httptest.NewServer(NewServer(ServerOptions{}))
 	defer srv.Close()
 	cases := []PlanRequest{
 		{Nodes: 0, Tasks: []TaskSpec{{Inputs: []InputSpec{{SizeMB: 1, Replicas: []int{0}}}}}},
@@ -164,7 +164,7 @@ func TestValidationErrors(t *testing.T) {
 }
 
 func TestMethodRouting(t *testing.T) {
-	srv := httptest.NewServer(Handler())
+	srv := httptest.NewServer(NewServer(ServerOptions{}))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/v1/plan")
 	if err != nil {

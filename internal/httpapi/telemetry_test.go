@@ -33,7 +33,7 @@ func scrape(t *testing.T, srv *httptest.Server) string {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	srv := httptest.NewServer(Handler())
+	srv := httptest.NewServer(NewServer(ServerOptions{}))
 	defer srv.Close()
 
 	// Drive traffic: two plans (different strategies), one simulate, one
@@ -92,7 +92,7 @@ func TestMetricsEndpoint(t *testing.T) {
 
 func TestMetricsSharedRegistry(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	srv := httptest.NewServer(NewHandler(ServerOptions{Registry: reg}))
+	srv := httptest.NewServer(NewServer(ServerOptions{Registry: reg}))
 	defer srv.Close()
 	post(t, srv, "/v1/plan", layoutRequest("rank"))
 	if got := reg.Counter(MetricPlans, telemetry.L("strategy", "rank-static")).Value(); got != 1 {
@@ -104,7 +104,7 @@ func TestRequestIDAndLogging(t *testing.T) {
 	var buf bytes.Buffer
 	var mu sync.Mutex
 	logger := slog.New(slog.NewJSONHandler(lockedWriter{&mu, &buf}, nil))
-	srv := httptest.NewServer(NewHandler(ServerOptions{Logger: logger}))
+	srv := httptest.NewServer(NewServer(ServerOptions{Logger: logger}))
 	defer srv.Close()
 
 	resp, _ := post(t, srv, "/v1/plan", layoutRequest(""))
@@ -138,7 +138,7 @@ func (l lockedWriter) Write(p []byte) (int, error) {
 }
 
 func TestBodyTooLargeReturns413(t *testing.T) {
-	srv := httptest.NewServer(NewHandler(ServerOptions{
+	srv := httptest.NewServer(NewServer(ServerOptions{
 		Limits: RequestLimits{BodyBytes: 64 << 10},
 	}))
 	defer srv.Close()
@@ -176,7 +176,7 @@ func TestBodyTooLargeReturns413(t *testing.T) {
 }
 
 func TestProcNodesValidation(t *testing.T) {
-	srv := httptest.NewServer(Handler())
+	srv := httptest.NewServer(NewServer(ServerOptions{}))
 	defer srv.Close()
 	req := layoutRequest("")
 	req.ProcNodes = []int{0, 1, 2, 7}
@@ -209,7 +209,7 @@ func TestProcNodesValidation(t *testing.T) {
 // race-free.
 func TestConcurrentHandlers(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	srv := httptest.NewServer(NewHandler(ServerOptions{Registry: reg}))
+	srv := httptest.NewServer(NewServer(ServerOptions{Registry: reg}))
 	defer srv.Close()
 
 	const workers, iters = 8, 10

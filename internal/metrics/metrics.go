@@ -8,8 +8,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"math/rand"
-	"sort"
 )
 
 // Summary holds the distribution statistics of a sample.
@@ -69,25 +67,6 @@ func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.3f min=%.3f max=%.3f sd=%.3f", s.Count, s.Mean, s.Min, s.Max, s.StdDev)
 }
 
-// Percentile returns the p-th percentile (0..100) of xs using
-// nearest-rank on a sorted copy. It panics on an empty sample or a
-// percentile outside [0,100].
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		panic("metrics: percentile of empty sample")
-	}
-	if p < 0 || p > 100 {
-		panic(fmt.Sprintf("metrics: percentile %v out of range", p))
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p == 0 {
-		return sorted[0]
-	}
-	rank := int(math.Ceil(p / 100 * float64(len(sorted))))
-	return sorted[rank-1]
-}
-
 // JainIndex computes Jain's fairness index sum(x)^2 / (n*sum(x^2)): 1.0 for
 // a perfectly balanced load vector, approaching 1/n as the load concentrates
 // on one node.
@@ -104,39 +83,6 @@ func JainIndex(xs []float64) float64 {
 		return 1 // all zero: trivially balanced
 	}
 	return sum * sum / (float64(len(xs)) * sq)
-}
-
-// BootstrapCI estimates a two-sided confidence interval for the mean of xs
-// by resampling (percentile bootstrap): resamples draws with replacement,
-// confidence in (0,1), rng seeded by the caller for reproducibility. It
-// panics on an empty sample or out-of-range confidence.
-func BootstrapCI(xs []float64, resamples int, confidence float64, seed int64) (lo, hi float64) {
-	if len(xs) == 0 {
-		panic("metrics: bootstrap of empty sample")
-	}
-	if confidence <= 0 || confidence >= 1 {
-		panic(fmt.Sprintf("metrics: confidence %v out of (0,1)", confidence))
-	}
-	if resamples <= 0 {
-		resamples = 1000
-	}
-	rng := rand.New(rand.NewSource(seed))
-	means := make([]float64, resamples)
-	for i := range means {
-		var s float64
-		for j := 0; j < len(xs); j++ {
-			s += xs[rng.Intn(len(xs))]
-		}
-		means[i] = s / float64(len(xs))
-	}
-	sort.Float64s(means)
-	alpha := (1 - confidence) / 2
-	loIdx := int(alpha * float64(resamples))
-	hiIdx := int((1 - alpha) * float64(resamples))
-	if hiIdx >= resamples {
-		hiIdx = resamples - 1
-	}
-	return means[loIdx], means[hiIdx]
 }
 
 // Point is one sample of a time series.

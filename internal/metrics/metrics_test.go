@@ -35,36 +35,6 @@ func TestSpreadZeroMin(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{5, 1, 4, 2, 3}
-	if p := Percentile(xs, 50); p != 3 {
-		t.Fatalf("p50 = %v, want 3", p)
-	}
-	if p := Percentile(xs, 100); p != 5 {
-		t.Fatalf("p100 = %v, want 5", p)
-	}
-	if p := Percentile(xs, 0); p != 1 {
-		t.Fatalf("p0 = %v, want 1", p)
-	}
-}
-
-func TestPercentilePanics(t *testing.T) {
-	for i, fn := range []func(){
-		func() { Percentile(nil, 50) },
-		func() { Percentile([]float64{1}, -1) },
-		func() { Percentile([]float64{1}, 101) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: expected panic", i)
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
 func TestJainIndex(t *testing.T) {
 	if j := JainIndex([]float64{10, 10, 10, 10}); math.Abs(j-1) > 1e-12 {
 		t.Fatalf("balanced Jain = %v, want 1", j)
@@ -134,48 +104,5 @@ func TestPropertySummaryBounds(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestBootstrapCI(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	xs := make([]float64, 200)
-	for i := range xs {
-		xs[i] = 10 + rng.NormFloat64()
-	}
-	lo, hi := BootstrapCI(xs, 2000, 0.95, 42)
-	if lo >= hi {
-		t.Fatalf("degenerate interval [%v,%v]", lo, hi)
-	}
-	// The true mean 10 should fall inside a 95% interval for this sample.
-	if lo > 10.5 || hi < 9.5 {
-		t.Fatalf("interval [%v,%v] implausibly far from 10", lo, hi)
-	}
-	// Wider confidence -> wider interval.
-	lo99, hi99 := BootstrapCI(xs, 2000, 0.99, 42)
-	if hi99-lo99 <= hi-lo {
-		t.Fatalf("99%% interval [%v,%v] not wider than 95%% [%v,%v]", lo99, hi99, lo, hi)
-	}
-	// Deterministic given the seed.
-	lo2, hi2 := BootstrapCI(xs, 2000, 0.95, 42)
-	if lo2 != lo || hi2 != hi {
-		t.Fatal("bootstrap not deterministic")
-	}
-}
-
-func TestBootstrapCIPanics(t *testing.T) {
-	for i, fn := range []func(){
-		func() { BootstrapCI(nil, 100, 0.95, 1) },
-		func() { BootstrapCI([]float64{1}, 100, 0, 1) },
-		func() { BootstrapCI([]float64{1}, 100, 1, 1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: expected panic", i)
-				}
-			}()
-			fn()
-		}()
 	}
 }

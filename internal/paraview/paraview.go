@@ -210,43 +210,6 @@ func RunPipeline(topo *cluster.Topology, fs *dfs.FileSystem, ds *MultiBlockDatas
 	return res, nil
 }
 
-// RepeatedResult aggregates several full pipeline runs, as the paper does
-// ("We run the tests 5 times and the average execution time...").
-type RepeatedResult struct {
-	Runs []*PipelineResult
-	// MeanTotalSeconds averages the end-to-end execution times.
-	MeanTotalSeconds float64
-	// AllCallTimes concatenates every run's reader call times.
-	AllCallTimes []float64
-}
-
-// RunPipelineRepeated executes the pipeline `repeats` times on fresh
-// clusters whose placement seeds differ per run (seed, seed+1, ...), and
-// aggregates. buildFS constructs the cluster and dataset for a given seed.
-func RunPipelineRepeated(repeats int, baseSeed int64,
-	buildFS func(seed int64) (*cluster.Topology, *dfs.FileSystem, *MultiBlockDataset, error),
-	cfg PipelineConfig) (*RepeatedResult, error) {
-	if repeats <= 0 {
-		return nil, fmt.Errorf("paraview: repeats %d must be positive", repeats)
-	}
-	out := &RepeatedResult{}
-	for i := 0; i < repeats; i++ {
-		topo, fs, ds, err := buildFS(baseSeed + int64(i))
-		if err != nil {
-			return nil, err
-		}
-		res, err := RunPipeline(topo, fs, ds, cfg)
-		if err != nil {
-			return nil, err
-		}
-		out.Runs = append(out.Runs, res)
-		out.MeanTotalSeconds += res.TotalSeconds
-		out.AllCallTimes = append(out.AllCallTimes, res.CallTimes...)
-	}
-	out.MeanTotalSeconds /= float64(repeats)
-	return out, nil
-}
-
 // DefaultConfig returns the §V-B calibration: 56 MB reads, XML parse cost
 // that puts an uncontended Opass call at about 3 s, and a per-step Mesa
 // rendering cost; with 10 steps over 640 blocks on 64 nodes this lands near

@@ -181,36 +181,3 @@ func TestPipelineWrapsAroundDataset(t *testing.T) {
 		t.Fatalf("served %v, want %v", served, 16*56.0)
 	}
 }
-
-func TestRunPipelineRepeated(t *testing.T) {
-	build := func(seed int64) (*cluster.Topology, *dfs.FileSystem, *MultiBlockDataset, error) {
-		topo := cluster.New(8, cluster.Marmot())
-		fs := dfs.New(topo, dfs.Config{Seed: seed})
-		ds, err := CreateDataset(fs, "/p", 16, 56)
-		return topo, fs, ds, err
-	}
-	cfg := PipelineConfig{
-		Steps: 2, BlocksPerStep: 8, ParseSeconds: 0.5, RenderSeconds: 1,
-		Assigner: core.SingleData{},
-	}
-	rep, err := RunPipelineRepeated(3, 7, build, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Runs) != 3 {
-		t.Fatalf("runs = %d", len(rep.Runs))
-	}
-	if len(rep.AllCallTimes) != 3*16 {
-		t.Fatalf("calls = %d, want 48", len(rep.AllCallTimes))
-	}
-	var sum float64
-	for _, r := range rep.Runs {
-		sum += r.TotalSeconds
-	}
-	if got := sum / 3; got != rep.MeanTotalSeconds {
-		t.Fatalf("mean total %v != %v", rep.MeanTotalSeconds, got)
-	}
-	if _, err := RunPipelineRepeated(0, 1, build, cfg); err == nil {
-		t.Fatal("zero repeats must fail")
-	}
-}

@@ -62,41 +62,6 @@ func Trace(title string, ys []float64, width, height int) string {
 	return b.String()
 }
 
-// Bars renders a horizontal bar chart of per-item values (Figure 1a/8c
-// style: one bar per node).
-func Bars(title string, labels []string, values []float64, width int) string {
-	if len(labels) != len(values) {
-		panic(fmt.Sprintf("plot: %d labels for %d values", len(labels), len(values)))
-	}
-	if width < 8 {
-		width = 8
-	}
-	var hi float64
-	for _, v := range values {
-		if v > hi {
-			hi = v
-		}
-	}
-	var b strings.Builder
-	b.WriteString(title)
-	b.WriteByte('\n')
-	labelW := 0
-	for _, l := range labels {
-		if len(l) > labelW {
-			labelW = len(l)
-		}
-	}
-	for i, v := range values {
-		n := 0
-		if hi > 0 {
-			n = int(math.Round(v / hi * float64(width)))
-		}
-		fmt.Fprintf(&b, "%-*s |%s%s %.0f\n", labelW, labels[i],
-			strings.Repeat("#", n), strings.Repeat(" ", width-n), v)
-	}
-	return b.String()
-}
-
 // CDF renders step functions (Figure 3 style): one line per named series,
 // sampled at each integer k in [0, len(series)-1].
 func CDF(title string, names []string, series [][]float64, width, height int) string {

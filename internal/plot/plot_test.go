@@ -47,36 +47,6 @@ func TestTraceClampsTinyDimensions(t *testing.T) {
 	}
 }
 
-func TestBars(t *testing.T) {
-	out := Bars("loads", []string{"n0", "n1", "n2"}, []float64{10, 5, 0}, 10)
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("lines = %d", len(lines))
-	}
-	if !strings.Contains(lines[1], strings.Repeat("#", 10)) {
-		t.Fatalf("max bar not full width: %q", lines[1])
-	}
-	if strings.Contains(lines[3], "#") {
-		t.Fatalf("zero bar must be empty: %q", lines[3])
-	}
-}
-
-func TestBarsPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Bars("x", []string{"a"}, []float64{1, 2}, 10)
-}
-
-func TestBarsAllZero(t *testing.T) {
-	out := Bars("z", []string{"a", "b"}, []float64{0, 0}, 10)
-	if strings.Contains(out, "#") {
-		t.Fatal("all-zero bars must render empty")
-	}
-}
-
 func TestCDF(t *testing.T) {
 	s1 := []float64{0, 0.5, 1}
 	s2 := []float64{0, 0.2, 0.4}

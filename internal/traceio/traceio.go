@@ -16,34 +16,6 @@ import (
 	"opass/internal/metrics"
 )
 
-// WriteReadsCSV writes one row per chunk read: the Figure 7c/9/11/12 data.
-func WriteReadsCSV(w io.Writer, records []engine.ReadRecord) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"index", "proc", "task", "chunk", "src_node", "dst_node", "local", "size_mb", "start_s", "end_s", "duration_s"}); err != nil {
-		return fmt.Errorf("traceio: %w", err)
-	}
-	for i, r := range records {
-		row := []string{
-			strconv.Itoa(i),
-			strconv.Itoa(r.Proc),
-			strconv.Itoa(r.Task),
-			strconv.Itoa(int(r.Chunk)),
-			strconv.Itoa(r.SrcNode),
-			strconv.Itoa(r.DstNode),
-			strconv.FormatBool(r.Local),
-			fmtFloat(r.SizeMB),
-			fmtFloat(r.Start),
-			fmtFloat(r.End),
-			fmtFloat(r.Duration()),
-		}
-		if err := cw.Write(row); err != nil {
-			return fmt.Errorf("traceio: %w", err)
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
 // WriteNodeLoadCSV writes one row per node: the Figure 1a/8c/10 data.
 func WriteNodeLoadCSV(w io.Writer, servedMB []float64) error {
 	cw := csv.NewWriter(w)
@@ -104,16 +76,6 @@ func WriteSummaryJSON(w io.Writer, res *engine.Result) error {
 		return fmt.Errorf("traceio: %w", err)
 	}
 	return nil
-}
-
-// ReadSummaryJSON parses an envelope written by WriteSummaryJSON — used by
-// regression tooling comparing two recorded runs.
-func ReadSummaryJSON(r io.Reader) (Summary, error) {
-	var s Summary
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return Summary{}, fmt.Errorf("traceio: %w", err)
-	}
-	return s, nil
 }
 
 // WriteSeriesCSV writes (x, y...) rows for multi-series figures such as the

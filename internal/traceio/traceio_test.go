@@ -3,6 +3,7 @@ package traceio
 import (
 	"bytes"
 	"encoding/csv"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -34,27 +35,6 @@ func result(t testing.TB) *engine.Result {
 	return res
 }
 
-func TestWriteReadsCSV(t *testing.T) {
-	res := result(t)
-	var buf bytes.Buffer
-	if err := WriteReadsCSV(&buf, res.Records); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != len(res.Records)+1 {
-		t.Fatalf("rows = %d, want %d", len(rows), len(res.Records)+1)
-	}
-	if rows[0][0] != "index" || rows[0][10] != "duration_s" {
-		t.Fatalf("header = %v", rows[0])
-	}
-	if rows[1][6] != "true" && rows[1][6] != "false" {
-		t.Fatalf("local column = %q", rows[1][6])
-	}
-}
-
 func TestWriteNodeLoadCSV(t *testing.T) {
 	res := result(t)
 	var buf bytes.Buffer
@@ -79,8 +59,8 @@ func TestSummaryJSONRoundTrip(t *testing.T) {
 	if !strings.Contains(buf.String(), "\"strategy\": \"rank\"") {
 		t.Fatalf("json = %s", buf.String())
 	}
-	got, err := ReadSummaryJSON(&buf)
-	if err != nil {
+	var got Summary
+	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Strategy != "rank" || got.Tasks != 12 {
@@ -88,12 +68,6 @@ func TestSummaryJSONRoundTrip(t *testing.T) {
 	}
 	if got.Makespan != res.Makespan {
 		t.Fatalf("makespan %v != %v", got.Makespan, res.Makespan)
-	}
-}
-
-func TestReadSummaryJSONBadInput(t *testing.T) {
-	if _, err := ReadSummaryJSON(strings.NewReader("{nope")); err == nil {
-		t.Fatal("bad JSON must fail")
 	}
 }
 
