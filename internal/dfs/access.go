@@ -221,7 +221,7 @@ func (fs *FileSystem) SetReplicationTarget(id ChunkID, target int) error {
 // bill the advisor keeps within budget.
 func (fs *FileSystem) TotalStoredMB() float64 {
 	var s float64
-	for _, n := range fs.liveNodes() {
+	for _, n := range fs.LiveNodes() {
 		s += fs.StoredMB(n)
 	}
 	return s

@@ -1,8 +1,9 @@
 package dfs
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // This file implements the cluster-administration operations the paper
@@ -51,32 +52,16 @@ func (fs *FileSystem) Decommission(node int) (moved int, err error) {
 	if fs.dead[node] {
 		return 0, fmt.Errorf("dfs: decommission %d: node is not live", node)
 	}
-	hosted := append([]ChunkID(nil), fs.perNode[node]...)
-	fs.dead[node] = true
-	delete(fs.perNode, node)
-	live := fs.liveNodes()
+	hosted := fs.dropNode(node)
+	live := fs.LiveNodes()
 	for _, id := range hosted {
 		c := fs.chunks[int(id)]
-		// Drop the dead replica.
-		out := c.Replicas[:0]
-		for _, r := range c.Replicas {
-			if r != node {
-				out = append(out, r)
-			}
+		// No destination means the cluster is smaller than the replication
+		// factor; accept the reduced redundancy, as HDFS does.
+		if dst := fs.repairTarget(c, live); dst >= 0 {
+			fs.attach(c, dst)
+			moved++
 		}
-		c.Replicas = out
-		// Re-replicate onto a live node without a copy, restoring rack
-		// diversity when the topology spans racks.
-		dst := fs.repairTarget(c, live)
-		if dst < 0 {
-			// Cluster smaller than the replication factor; accept the
-			// reduced redundancy, as HDFS does.
-			continue
-		}
-		c.Replicas = append(c.Replicas, dst)
-		sort.Ints(c.Replicas)
-		fs.perNode[dst] = append(fs.perNode[dst], id)
-		moved++
 	}
 	fs.bumpEpoch(hosted...)
 	return moved, nil
@@ -97,19 +82,10 @@ func (fs *FileSystem) Crash(node int) (underReplicated, lost []ChunkID, err erro
 	if fs.dead[node] {
 		return nil, nil, nil
 	}
-	hosted := append([]ChunkID(nil), fs.perNode[node]...)
-	sort.Slice(hosted, func(i, j int) bool { return hosted[i] < hosted[j] })
-	fs.dead[node] = true
-	delete(fs.perNode, node)
+	hosted := fs.dropNode(node)
+	slices.Sort(hosted)
 	for _, id := range hosted {
 		c := fs.chunks[int(id)]
-		out := c.Replicas[:0]
-		for _, r := range c.Replicas {
-			if r != node {
-				out = append(out, r)
-			}
-		}
-		c.Replicas = out
 		switch {
 		case len(c.Replicas) == 0:
 			lost = append(lost, id)
@@ -156,7 +132,7 @@ func (fs *FileSystem) repairTarget(c *Chunk, live []int) int {
 // skipped. It returns the number of chunks repaired and bumps the
 // placement epoch when any replica was created, invalidating cached plans.
 func (fs *FileSystem) ReReplicate() (repaired int) {
-	live := fs.liveNodes()
+	live := fs.LiveNodes()
 	var touched []ChunkID
 	for _, c := range fs.chunks {
 		if c.deleted || len(c.Replicas) == 0 || len(c.Replicas) >= c.target {
@@ -168,9 +144,7 @@ func (fs *FileSystem) ReReplicate() (repaired int) {
 			if dst < 0 {
 				break // cluster smaller than the factor; accept reduced redundancy
 			}
-			c.Replicas = append(c.Replicas, dst)
-			sort.Ints(c.Replicas)
-			fs.perNode[dst] = append(fs.perNode[dst], c.ID)
+			fs.attach(c, dst)
 			added = true
 		}
 		if added {
@@ -195,12 +169,10 @@ func (fs *FileSystem) AddReplica(id ChunkID, node int) error {
 	if c.HostedOn(node) {
 		return fmt.Errorf("dfs: chunk %d already has a replica on node %d", id, node)
 	}
-	c.Replicas = append(c.Replicas, node)
-	sort.Ints(c.Replicas)
+	fs.attach(c, node)
 	if len(c.Replicas) > c.target {
 		c.target = len(c.Replicas)
 	}
-	fs.perNode[node] = append(fs.perNode[node], id)
 	fs.bumpEpoch(id)
 	return nil
 }
@@ -217,23 +189,10 @@ func (fs *FileSystem) RemoveReplica(id ChunkID, node int) error {
 	if len(c.Replicas) <= 1 {
 		return fmt.Errorf("dfs: refusing to remove the last replica of chunk %d", id)
 	}
-	out := c.Replicas[:0]
-	for _, r := range c.Replicas {
-		if r != node {
-			out = append(out, r)
-		}
-	}
-	c.Replicas = out
+	fs.detach(c, node)
 	if c.target > len(c.Replicas) {
 		c.target = len(c.Replicas)
 	}
-	hosted := fs.perNode[node][:0]
-	for _, h := range fs.perNode[node] {
-		if h != id {
-			hosted = append(hosted, h)
-		}
-	}
-	fs.perNode[node] = hosted
 	fs.bumpEpoch(id)
 	return nil
 }
@@ -342,7 +301,7 @@ type BalanceReport struct {
 // Utilization computes a balance report with the given relative threshold
 // (e.g. 0.1 flags nodes more than 10% above/below the mean).
 func (fs *FileSystem) Utilization(threshold float64) BalanceReport {
-	live := fs.liveNodes()
+	live := fs.LiveNodes()
 	rep := BalanceReport{MinMB: -1}
 	var total float64
 	for _, n := range live {
@@ -380,41 +339,22 @@ func (fs *FileSystem) Balance(threshold float64) int {
 	if threshold <= 0 {
 		threshold = 0.1
 	}
+	// Ties go to the lowest node ID: MaxFunc and MinFunc keep the first.
+	byStored := func(a, b int) int { return cmp.Compare(fs.StoredMB(a), fs.StoredMB(b)) }
 	moved := 0
 	for iter := 0; iter < 10*len(fs.chunks)+10; iter++ {
 		rep := fs.Utilization(threshold)
 		if len(rep.Overloaded) == 0 || len(rep.Underloaded) == 0 {
 			break
 		}
-		src := fs.mostLoaded(rep.Overloaded)
-		dst := fs.leastLoaded(rep.Underloaded)
+		src := slices.MaxFunc(rep.Overloaded, byStored)
+		dst := slices.MinFunc(rep.Underloaded, byStored)
 		if !fs.moveOneReplica(src, dst, fs.StoredMB(src)-rep.MeanMB) {
 			break
 		}
 		moved++
 	}
 	return moved
-}
-
-func (fs *FileSystem) mostLoaded(nodes []int) int {
-	best, bestMB := nodes[0], -1.0
-	for _, n := range nodes {
-		if s := fs.StoredMB(n); s > bestMB {
-			best, bestMB = n, s
-		}
-	}
-	return best
-}
-
-func (fs *FileSystem) leastLoaded(nodes []int) int {
-	best := nodes[0]
-	bestMB := fs.StoredMB(best)
-	for _, n := range nodes[1:] {
-		if s := fs.StoredMB(n); s < bestMB {
-			best, bestMB = n, s
-		}
-	}
-	return best
 }
 
 // moveOneReplica relocates one replica from src to dst. It picks the
@@ -447,22 +387,8 @@ func (fs *FileSystem) moveOneReplica(src, dst int, overageMB float64) bool {
 		pick = smallest
 	}
 	c := fs.chunks[int(pick)]
-	out := c.Replicas[:0]
-	for _, r := range c.Replicas {
-		if r != src {
-			out = append(out, r)
-		}
-	}
-	c.Replicas = append(out, dst)
-	sort.Ints(c.Replicas)
-	hosted := fs.perNode[src][:0]
-	for _, id := range fs.perNode[src] {
-		if id != pick {
-			hosted = append(hosted, id)
-		}
-	}
-	fs.perNode[src] = hosted
-	fs.perNode[dst] = append(fs.perNode[dst], pick)
+	fs.detach(c, src)
+	fs.attach(c, dst)
 	fs.bumpEpoch(pick)
 	return true
 }

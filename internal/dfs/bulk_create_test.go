@@ -2,6 +2,7 @@ package dfs
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 )
 
@@ -146,4 +147,74 @@ func mustStat(t *testing.T, fs *FileSystem, name string) *File {
 		t.Fatalf("Stat(%q): %v", name, err)
 	}
 	return f
+}
+
+// badRowPlacement places chunk 0 like RandomPlacement and returns a fixed,
+// invalid row for every later chunk.
+type badRowPlacement struct{ row []int }
+
+func (p badRowPlacement) Place(rng *rand.Rand, v ClusterView, live []int, r int, c *Chunk) []int {
+	if c.Index == 0 {
+		return RandomPlacement{}.Place(rng, v, live, r, c)
+	}
+	return p.row
+}
+
+// TestFailedCreateLeavesNothingBehind is the orphan-chunk regression: a
+// create that fails on its second chunk used to keep the first one in the
+// chunk table and the per-node index, with no file, no epoch bump and an
+// fsck error.
+func TestFailedCreateLeavesNothingBehind(t *testing.T) {
+	viaPolicy := func(fs *FileSystem) error {
+		_, err := fs.CreateChunks("/x", []float64{64, 64})
+		return err
+	}
+	cases := []struct {
+		name      string
+		placement Placement // nil: the default; otherwise the failure is the policy's row
+		create    func(fs *FileSystem) error
+	}{
+		{"CreateChunks bad size", nil, func(fs *FileSystem) error {
+			_, err := fs.CreateChunks("/x", []float64{64, 0})
+			return err
+		}},
+		{"CreateChunksReplicated bad second row", nil, func(fs *FileSystem) error {
+			_, err := fs.CreateChunksReplicated("/x", []float64{64, 64}, [][]int{{0, 1}, {2, 7}})
+			return err
+		}},
+		{"policy row on a dead node", badRowPlacement{[]int{0, 1, 7}}, viaPolicy},
+		{"policy row with a duplicate", badRowPlacement{[]int{0, 1, 1}}, viaPolicy},
+		{"policy row too short", badRowPlacement{[]int{0, 1}}, viaPolicy},
+	}
+	for _, tc := range cases {
+		build := func() *FileSystem {
+			fs := New(testView(8), Config{Seed: 9, Placement: tc.placement})
+			if err := fs.MarkDead(7); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fs.CreateChunksReplicated("/kept", []float64{64, 32}, [][]int{{0, 1, 2}, {3, 4, 5}}); err != nil {
+				t.Fatal(err)
+			}
+			return fs
+		}
+		fs, twin := build(), build()
+		if err := tc.create(fs); err == nil {
+			t.Errorf("%s: create succeeded, want error", tc.name)
+			continue
+		}
+		if fs.NumChunks() != twin.NumChunks() || fs.TotalStoredMB() != twin.TotalStoredMB() ||
+			fs.Epoch() != twin.Epoch() || len(fs.Files()) != len(twin.Files()) {
+			t.Errorf("%s: failed create left state behind: chunks %d stored %v MB epoch %d files %v, want %d, %v, %d, %v",
+				tc.name, fs.NumChunks(), fs.TotalStoredMB(), fs.Epoch(), fs.Files(),
+				twin.NumChunks(), twin.TotalStoredMB(), twin.Epoch(), twin.Files())
+		}
+		if problems := fs.Fsck(); len(problems) != 0 {
+			t.Errorf("%s: fsck after failed create: %v", tc.name, problems)
+		}
+		// A create the file system can reject on its own draws no placement
+		// randomness, so later files land where they would have anyway.
+		if tc.placement == nil && fs.rng.Int63() != twin.rng.Int63() {
+			t.Errorf("%s: failed create drew from the placement RNG", tc.name)
+		}
+	}
 }

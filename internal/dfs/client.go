@@ -241,20 +241,6 @@ func (r *FileReader) account(c *Chunk, n int64) {
 	}
 }
 
-// ChunkReplica reports which node serves (or will serve) a chunk for this
-// reader, pinning the choice so subsequent reads agree with the answer.
-func (r *FileReader) ChunkReplica(id ChunkID) int {
-	if r.replicaOf == nil {
-		r.replicaOf = make(map[ChunkID]int)
-	}
-	if node, ok := r.replicaOf[id]; ok {
-		return node
-	}
-	node, _ := r.client.fs.PickReplica(id, r.client.node)
-	r.replicaOf[id] = node
-	return node
-}
-
 // Close releases the reader, as hdfsCloseFile does.
 func (r *FileReader) Close() error {
 	if r.closed {
@@ -274,11 +260,8 @@ func (r *FileReader) Close() error {
 // buffering all its data only to collide at Close. The reservation is
 // released when the writer closes (successfully or not) or aborts.
 func (c *Client) Create(path string) (*FileWriter, error) {
-	if _, ok := c.fs.files[path]; ok {
-		return nil, fmt.Errorf("%w: %q", ErrExists, path)
-	}
-	if c.fs.reserved[path] {
-		return nil, fmt.Errorf("%w: %q (already open for writing)", ErrExists, path)
+	if err := c.fs.nameFree(path); err != nil {
+		return nil, err
 	}
 	c.fs.reserved[path] = true
 	return &FileWriter{client: c, path: path}, nil

@@ -3,6 +3,7 @@ package dfs
 import (
 	"bytes"
 	"io"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -162,14 +163,11 @@ func TestReaderPinsReplicaPerChunk(t *testing.T) {
 	fs.Create("/f", 64)
 	r, _ := fs.Client(-1).Open("/f") // external: every chunk remote
 	defer r.Close()
-	f, _ := fs.Stat("/f")
-	id := f.Chunks[0]
-	first := r.ChunkReplica(id)
 	buf := make([]byte, 1024)
 	for i := 0; i < 5; i++ {
 		r.Read(buf)
-		if got := r.ChunkReplica(id); got != first {
-			t.Fatalf("replica changed mid-stream: %d -> %d", first, got)
+		if served := r.Stats().ServedBytes; len(served) != 1 {
+			t.Fatalf("one chunk served by %d nodes after read %d: %v", len(served), i, served)
 		}
 	}
 }
@@ -268,7 +266,7 @@ func TestPropertyRoundTripArbitrary(t *testing.T) {
 		}
 		return bytes.Equal(got, raw)
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(30))}); err != nil {
 		t.Fatal(err)
 	}
 }

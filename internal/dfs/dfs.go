@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -67,14 +68,7 @@ func (c *Chunk) Epoch() uint64 { return c.epoch }
 func (c *Chunk) ReplicationTarget() int { return c.target }
 
 // HostedOn reports whether the chunk has a replica on node.
-func (c *Chunk) HostedOn(node int) bool {
-	for _, r := range c.Replicas {
-		if r == node {
-			return true
-		}
-	}
-	return false
-}
+func (c *Chunk) HostedOn(node int) bool { return slices.Contains(c.Replicas, node) }
 
 // File is a named sequence of chunks.
 type File struct {
@@ -214,8 +208,11 @@ var (
 	ErrNotFound = errors.New("dfs: file not found")
 )
 
-// liveNodes lists nodes that can accept replicas, in ascending order.
-func (fs *FileSystem) liveNodes() []int {
+// LiveNodes lists the nodes that can currently host replicas, in ascending
+// ID order. After node removal the live IDs are not contiguous, so callers
+// iterating per-node state must range over this slice rather than counting
+// 0..NumLiveNodes().
+func (fs *FileSystem) LiveNodes() []int {
 	nodes := make([]int, 0, fs.view.NumNodes())
 	for i := 0; i < fs.view.NumNodes(); i++ {
 		if !fs.dead[i] {
@@ -226,13 +223,58 @@ func (fs *FileSystem) liveNodes() []int {
 }
 
 // NumLiveNodes reports how many nodes currently host replicas.
-func (fs *FileSystem) NumLiveNodes() int { return len(fs.liveNodes()) }
+func (fs *FileSystem) NumLiveNodes() int { return len(fs.LiveNodes()) }
 
-// LiveNodes lists the nodes that can currently host replicas, in ascending
-// ID order. After node removal the live IDs are not contiguous, so callers
-// iterating per-node state must range over this slice rather than counting
-// 0..NumLiveNodes().
-func (fs *FileSystem) LiveNodes() []int { return fs.liveNodes() }
+// attach, detach and dropNode are the only writers of a chunk's replica
+// list and of the per-node index, which keeps the invariant Fsck checks:
+// c.Replicas is sorted and distinct, and node's index lists c exactly when
+// c.Replicas lists node. attach appends to the index and detach filters it
+// in place, so a node's index keeps the order its replicas arrived in — the
+// order the balancer's tie-break and Decommission's RNG draws follow.
+// Callers check liveness and membership first and own the policy: the
+// chunk's target and which chunks get the epoch stamp.
+func (fs *FileSystem) attach(c *Chunk, node int) {
+	c.Replicas = append(c.Replicas, node)
+	for i := len(c.Replicas) - 1; i > 0 && c.Replicas[i-1] > node; i-- {
+		c.Replicas[i-1], c.Replicas[i] = node, c.Replicas[i-1]
+	}
+	fs.perNode[node] = append(fs.perNode[node], c.ID)
+}
+
+func (fs *FileSystem) detach(c *Chunk, node int) {
+	c.Replicas = without(c.Replicas, node)
+	fs.perNode[node] = without(fs.perNode[node], c.ID)
+}
+
+// without filters v out of xs in place, keeping the order of the rest.
+func without[T comparable](xs []T, v T) []T {
+	return slices.DeleteFunc(xs, func(x T) bool { return x == v })
+}
+
+// dropNode marks node dead and takes its replica off every chunk it
+// hosted, returning those chunks in the node's index order. The index
+// entry goes whole, which is why this is not a loop over detach.
+func (fs *FileSystem) dropNode(node int) []ChunkID {
+	hosted := fs.perNode[node]
+	delete(fs.perNode, node)
+	fs.dead[node] = true
+	for _, id := range hosted {
+		c := fs.chunks[int(id)]
+		c.Replicas = without(c.Replicas, node)
+	}
+	return hosted
+}
+
+// nameFree reports ErrExists when name is a file or is leased to a writer.
+func (fs *FileSystem) nameFree(name string) error {
+	if _, ok := fs.files[name]; ok {
+		return fmt.Errorf("%w: %q", ErrExists, name)
+	}
+	if fs.reserved[name] {
+		return fmt.Errorf("%w: %q (open for writing)", ErrExists, name)
+	}
+	return nil
+}
 
 // Create writes a file of sizeMB, splitting it into chunks of the
 // configured chunk size (the final chunk may be smaller) and placing each
@@ -252,93 +294,86 @@ func (fs *FileSystem) Create(name string, sizeMB float64) (*File, error) {
 	return fs.CreateChunks(name, sizes)
 }
 
-// CreateChunks writes a file from explicit chunk sizes. It is the primitive
-// behind Create and is used directly by workloads whose logical pieces do
-// not align with the chunk size (e.g. the 56 MB ParaView blocks).
-func (fs *FileSystem) CreateChunks(name string, sizesMB []float64) (*File, error) {
-	if _, ok := fs.files[name]; ok {
-		return nil, fmt.Errorf("%w: %q", ErrExists, name)
-	}
-	if fs.reserved[name] {
-		return nil, fmt.Errorf("%w: %q (open for writing)", ErrExists, name)
+// checkCreate rejects a create that no placement could make succeed: a
+// taken name, no chunks, a non-positive size.
+func (fs *FileSystem) checkCreate(name string, sizesMB []float64) error {
+	if err := fs.nameFree(name); err != nil {
+		return err
 	}
 	if len(sizesMB) == 0 {
-		return nil, fmt.Errorf("dfs: create %q: no chunks", name)
+		return fmt.Errorf("dfs: create %q: no chunks", name)
 	}
-	live := fs.liveNodes()
+	for i, s := range sizesMB {
+		if s <= 0 {
+			return fmt.Errorf("dfs: create %q: chunk %d size %v must be positive", name, i, s)
+		}
+	}
+	return nil
+}
+
+// CreateChunks writes a file from explicit chunk sizes, placing each
+// chunk's replicas with the placement policy. It is the primitive behind
+// Create and is used directly by workloads whose logical pieces do not
+// align with the chunk size (e.g. the 56 MB ParaView blocks). A failed
+// create writes nothing and, unless the policy itself returned a bad row,
+// draws nothing from the RNG.
+func (fs *FileSystem) CreateChunks(name string, sizesMB []float64) (*File, error) {
+	if err := fs.checkCreate(name, sizesMB); err != nil {
+		return nil, err
+	}
+	live := fs.LiveNodes()
 	r := fs.cfg.Replication
 	if r > len(live) {
 		return nil, fmt.Errorf("dfs: create %q: replication %d exceeds %d live nodes", name, r, len(live))
 	}
-	f := &File{Name: name}
+	rows := make([][]int, len(sizesMB))
+	// What a policy may read of the chunk it places; the chunk itself is
+	// built only once every row has passed validation.
+	next := Chunk{File: name}
 	for i, s := range sizesMB {
-		if s <= 0 {
-			return nil, fmt.Errorf("dfs: create %q: chunk %d size %v must be positive", name, i, s)
-		}
-		c := &Chunk{
-			ID:     ChunkID(len(fs.chunks)),
-			File:   name,
-			Index:  i,
-			SizeMB: s,
-		}
-		c.Replicas = fs.cfg.Placement.Place(fs.rng, fs.view, live, r, c)
-		if err := validateReplicas(c.Replicas, live, r); err != nil {
-			return nil, fmt.Errorf("dfs: create %q chunk %d: %w", name, i, err)
-		}
-		sort.Ints(c.Replicas)
-		c.target = len(c.Replicas)
-		fs.chunks = append(fs.chunks, c)
-		f.Chunks = append(f.Chunks, c.ID)
-		f.SizeMB += s
-		for _, node := range c.Replicas {
-			fs.perNode[node] = append(fs.perNode[node], c.ID)
+		next.ID, next.Index, next.SizeMB = ChunkID(len(fs.chunks)+i), i, s
+		rows[i] = fs.cfg.Placement.Place(fs.rng, fs.view, live, r, &next)
+		if len(rows[i]) != r {
+			return nil, fmt.Errorf("dfs: create %q: placement returned %d replicas for chunk %d, want %d", name, len(rows[i]), i, r)
 		}
 	}
-	fs.files[name] = f
-	fs.order = append(fs.order, name)
-	fs.bumpEpoch(f.Chunks...)
-	return f, nil
+	return fs.createFile(name, sizesMB, rows)
 }
 
 // CreateChunksReplicated writes a file from explicit per-chunk sizes AND
 // explicit per-chunk replica lists, bypassing the placement policy and the
 // Config replication factor: chunk i is hosted exactly on replicas[i]
-// (de-duplicated sorted copy; the list may be any positive length). It is
-// the bulk primitive behind the HTTP service's streaming request decoder,
-// which mirrors a million-input layout into one file with one allocation
-// per chunk and a single epoch bump instead of a file, a path string, and
-// an epoch per input. Replica lists are validated against live nodes; a
+// (sorted copy; the list may be any positive length). It is the bulk
+// primitive behind the HTTP service's streaming request decoder, which
+// mirrors a million-input layout into one file with one allocation per
+// chunk and a single epoch bump instead of a file, a path string, and an
+// epoch per input. Replica lists are validated against live nodes; a
 // duplicate or dead node fails the whole create with nothing written.
 func (fs *FileSystem) CreateChunksReplicated(name string, sizesMB []float64, replicas [][]int) (*File, error) {
-	if _, ok := fs.files[name]; ok {
-		return nil, fmt.Errorf("%w: %q", ErrExists, name)
-	}
-	if fs.reserved[name] {
-		return nil, fmt.Errorf("%w: %q (open for writing)", ErrExists, name)
-	}
-	if len(sizesMB) == 0 {
-		return nil, fmt.Errorf("dfs: create %q: no chunks", name)
+	if err := fs.checkCreate(name, sizesMB); err != nil {
+		return nil, err
 	}
 	if len(replicas) != len(sizesMB) {
 		return nil, fmt.Errorf("dfs: create %q: %d replica lists for %d chunks", name, len(replicas), len(sizesMB))
 	}
-	// Validate everything before mutating any state, so a bad input cannot
-	// leave a half-created file behind.
-	for i, s := range sizesMB {
-		if s <= 0 {
-			return nil, fmt.Errorf("dfs: create %q: chunk %d size %v must be positive", name, i, s)
-		}
-		if len(replicas[i]) == 0 {
+	return fs.createFile(name, sizesMB, replicas)
+}
+
+// createFile is the one place chunks come into being: it validates every
+// replica row before mutating any state, so a bad row cannot leave a
+// half-created file behind, then builds the file with one epoch bump.
+// checkCreate has already passed name and sizesMB.
+func (fs *FileSystem) createFile(name string, sizesMB []float64, replicas [][]int) (*File, error) {
+	for i, row := range replicas {
+		if len(row) == 0 {
 			return nil, fmt.Errorf("dfs: create %q: chunk %d has no replicas", name, i)
 		}
-		for j, node := range replicas[i] {
+		for j, node := range row {
 			if node < 0 || node >= fs.view.NumNodes() || fs.dead[node] {
 				return nil, fmt.Errorf("dfs: create %q: chunk %d replica node %d not live", name, i, node)
 			}
-			for _, prev := range replicas[i][:j] {
-				if prev == node {
-					return nil, fmt.Errorf("dfs: create %q: chunk %d duplicate replica node %d", name, i, node)
-				}
+			if slices.Contains(row[:j], node) {
+				return nil, fmt.Errorf("dfs: create %q: chunk %d duplicate replica node %d", name, i, node)
 			}
 		}
 	}
@@ -353,41 +388,19 @@ func (fs *FileSystem) CreateChunksReplicated(name string, sizesMB []float64, rep
 		c.File = name
 		c.Index = i
 		c.SizeMB = s
-		c.Replicas = append([]int(nil), replicas[i]...)
-		sort.Ints(c.Replicas)
+		c.Replicas = make([]int, 0, len(replicas[i]))
+		for _, node := range replicas[i] {
+			fs.attach(c, node)
+		}
 		c.target = len(c.Replicas)
 		fs.chunks = append(fs.chunks, c)
 		f.Chunks = append(f.Chunks, c.ID)
 		f.SizeMB += s
-		for _, node := range c.Replicas {
-			fs.perNode[node] = append(fs.perNode[node], c.ID)
-		}
 	}
 	fs.files[name] = f
 	fs.order = append(fs.order, name)
 	fs.bumpEpoch(f.Chunks...)
 	return f, nil
-}
-
-func validateReplicas(replicas, live []int, r int) error {
-	if len(replicas) != r {
-		return fmt.Errorf("placement returned %d replicas, want %d", len(replicas), r)
-	}
-	seen := make(map[int]bool, r)
-	liveSet := make(map[int]bool, len(live))
-	for _, n := range live {
-		liveSet[n] = true
-	}
-	for _, n := range replicas {
-		if seen[n] {
-			return fmt.Errorf("duplicate replica node %d", n)
-		}
-		if !liveSet[n] {
-			return fmt.Errorf("replica node %d is not live", n)
-		}
-		seen[n] = true
-	}
-	return nil
 }
 
 // Delete removes a file from the namespace and releases its replicas from
@@ -401,26 +414,14 @@ func (fs *FileSystem) Delete(name string) error {
 	}
 	for _, id := range f.Chunks {
 		c := fs.chunks[int(id)]
-		for _, node := range c.Replicas {
-			hosted := fs.perNode[node][:0]
-			for _, h := range fs.perNode[node] {
-				if h != id {
-					hosted = append(hosted, h)
-				}
-			}
-			fs.perNode[node] = hosted
+		for len(c.Replicas) > 0 {
+			fs.detach(c, c.Replicas[len(c.Replicas)-1])
 		}
-		c.Replicas = nil
 		c.data = nil
 		c.deleted = true
 	}
 	delete(fs.files, name)
-	for i, n := range fs.order {
-		if n == name {
-			fs.order = append(fs.order[:i], fs.order[i+1:]...)
-			break
-		}
-	}
+	fs.order = without(fs.order, name)
 	fs.bumpEpoch(f.Chunks...)
 	return nil
 }
@@ -435,11 +436,8 @@ func (fs *FileSystem) Rename(oldName, newName string) error {
 	if oldName == newName {
 		return nil
 	}
-	if _, ok := fs.files[newName]; ok {
-		return fmt.Errorf("%w: %q", ErrExists, newName)
-	}
-	if fs.reserved[newName] {
-		return fmt.Errorf("%w: %q (open for writing)", ErrExists, newName)
+	if err := fs.nameFree(newName); err != nil {
+		return err
 	}
 	delete(fs.files, oldName)
 	f.Name = newName
@@ -513,40 +511,6 @@ func (fs *FileSystem) BlockLocations(name string) ([]BlockLocation, error) {
 	return locs, nil
 }
 
-// BlockLocationsFor returns the placement of every chunk of a file with
-// each chunk's replicas sorted by network distance from the reader — node,
-// then rack, then off-rack — mirroring how the HDFS namenode orders
-// getBlockLocations results for a client host. Ties within a distance tier
-// keep ascending node order.
-func (fs *FileSystem) BlockLocationsFor(name string, reader int) ([]BlockLocation, error) {
-	locs, err := fs.BlockLocations(name)
-	if err != nil {
-		return nil, err
-	}
-	tier := func(node int) int {
-		switch {
-		case node == reader:
-			return 0
-		case reader >= 0 && reader < fs.view.NumNodes() &&
-			fs.view.RackOf(node) == fs.view.RackOf(reader):
-			return 1
-		default:
-			return 2
-		}
-	}
-	for i := range locs {
-		reps := locs[i].Replicas
-		sort.Slice(reps, func(a, b int) bool {
-			ta, tb := tier(reps[a]), tier(reps[b])
-			if ta != tb {
-				return ta < tb
-			}
-			return reps[a] < reps[b]
-		})
-	}
-	return locs, nil
-}
-
 // HostedBy lists the chunks with a replica on node, in ID order.
 func (fs *FileSystem) HostedBy(node int) []ChunkID {
 	ids := append([]ChunkID(nil), fs.perNode[node]...)
@@ -563,81 +527,59 @@ func (fs *FileSystem) StoredMB(node int) float64 {
 	return s
 }
 
-// PickReplica applies the HDFS client read policy for a reader on node
-// reader, in network-distance order like the namenode's block-location
-// sorting: a co-located replica first, then a replica in the reader's rack,
-// then any replica. Among equally-distant candidates the choice is drawn
-// from a hash of (seed, chunk, reader) rather than a shared random stream,
-// so it is uniform across chunk/reader pairs — the 1/r assumption of
-// §III-B — yet independent of call order, which keeps concurrent
-// simulations (the MPI runtime's goroutine ranks) bit-for-bit reproducible.
-// (On single-rack topologies the rack tier is the whole replica set, so the
-// behavior matches the paper's single-switch testbed exactly.)
-func (fs *FileSystem) PickReplica(id ChunkID, reader int) (node int, local bool) {
-	c := fs.Chunk(id)
-	if len(c.Replicas) == 0 {
-		panic(fmt.Sprintf("dfs: chunk %d has no replicas", id))
-	}
-	for _, r := range c.Replicas {
-		if r == reader {
-			return r, true
-		}
-	}
-	candidates := c.Replicas
-	if reader >= 0 && reader < fs.view.NumNodes() {
-		rack := fs.view.RackOf(reader)
-		var sameRack []int
-		for _, r := range c.Replicas {
-			if fs.view.RackOf(r) == rack {
-				sameRack = append(sameRack, r)
-			}
-		}
-		if len(sameRack) > 0 {
-			candidates = sameRack
-		}
-	}
-	h := splitmix(uint64(fs.cfg.Seed)<<32 ^ uint64(id)<<16 ^ uint64(uint32(reader)))
-	return candidates[int(h%uint64(len(candidates)))], false
-}
-
 // ErrNoReplica reports that every replica of a chunk is unavailable.
 var ErrNoReplica = errors.New("dfs: no live replica")
 
-// PickReplicaAvoiding is PickReplica restricted to replica holders for
-// which avoid returns false — the read-failover path a client takes when a
-// DataNode stops responding. It applies the same network-distance order
-// (node, rack, anywhere). The salt keeps successive retries of the same
-// (chunk, reader) pair from re-picking deterministically identical nodes.
+// PickReplicaAvoiding applies the HDFS client read policy for a reader on
+// node reader, over the replica holders for which avoid returns false (nil
+// avoids none; the engine passes its crashed-node set — the failover a
+// client makes when a DataNode stops responding). Candidates narrow in
+// network-distance order like the namenode's block-location sorting: a
+// co-located replica first, then the replicas in the reader's rack, then
+// all of them. Among equally-distant candidates the choice is drawn from a
+// hash of (seed, chunk, reader, salt) rather than a shared random stream,
+// so it is uniform across chunk/reader pairs — the 1/r assumption of
+// §III-B — yet independent of call order, which keeps concurrent
+// simulations (the MPI runtime's goroutine ranks) bit-for-bit reproducible.
+// The salt keeps successive retries of one (chunk, reader) pair from
+// re-picking the same node. (On single-rack topologies the rack tier is the
+// whole replica set, so the behavior matches the paper's single-switch
+// testbed exactly.)
 func (fs *FileSystem) PickReplicaAvoiding(id ChunkID, reader int, salt uint64, avoid func(node int) bool) (node int, local bool, err error) {
-	c := fs.Chunk(id)
-	candidates := make([]int, 0, len(c.Replicas))
-	for _, r := range c.Replicas {
-		if avoid == nil || !avoid(r) {
-			candidates = append(candidates, r)
+	candidates := fs.Chunk(id).Replicas
+	if avoid != nil {
+		kept := make([]int, 0, len(candidates))
+		for _, r := range candidates {
+			if !avoid(r) {
+				kept = append(kept, r)
+			}
 		}
+		candidates = kept
 	}
 	if len(candidates) == 0 {
 		return -1, false, fmt.Errorf("%w: chunk %d", ErrNoReplica, id)
 	}
-	for _, r := range candidates {
-		if r == reader {
-			return r, true, nil
-		}
+	if slices.Contains(candidates, reader) {
+		return reader, true, nil
 	}
 	if reader >= 0 && reader < fs.view.NumNodes() {
 		rack := fs.view.RackOf(reader)
-		var sameRack []int
-		for _, r := range candidates {
-			if fs.view.RackOf(r) == rack {
-				sameRack = append(sameRack, r)
-			}
-		}
-		if len(sameRack) > 0 {
+		if sameRack := filter(candidates, func(r int) bool { return fs.view.RackOf(r) == rack }); len(sameRack) > 0 {
 			candidates = sameRack
 		}
 	}
 	h := splitmix(uint64(fs.cfg.Seed)<<32 ^ uint64(id)<<16 ^ uint64(uint32(reader)) ^ salt<<48)
 	return candidates[int(h%uint64(len(candidates)))], false, nil
+}
+
+// PickReplica is PickReplicaAvoiding with no node avoided and no retry
+// salt, for callers that treat a chunk with no replica left as a bug.
+func (fs *FileSystem) PickReplica(id ChunkID, reader int) (node int, local bool) {
+	node, local, err := fs.PickReplicaAvoiding(id, reader, 0, nil)
+	if err != nil {
+		panic(err)
+	}
+	return node, local
 }
 
 // splitmix is the splitmix64 finalizer, a cheap high-quality integer hash.
@@ -650,8 +592,3 @@ func splitmix(x uint64) uint64 {
 	x ^= x >> 31
 	return x
 }
-
-// Rand exposes the file system's deterministic RNG so that co-simulated
-// components (e.g. the execution engine's random fallback decisions) share
-// one seeded stream.
-func (fs *FileSystem) Rand() *rand.Rand { return fs.rng }

@@ -339,7 +339,7 @@ func TestPropertyPlacementInvariants(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(30))}); err != nil {
 		t.Fatal(err)
 	}
 }

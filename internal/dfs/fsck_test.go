@@ -1,7 +1,9 @@
 package dfs
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -15,56 +17,161 @@ func TestFsckCleanOnFreshFS(t *testing.T) {
 	}
 }
 
-// TestPropertyFsckSurvivesMutations runs random sequences of the
-// mutation-heavy admin operations and checks the namenode never becomes
-// inconsistent.
+// ledgerEntry is what TestPropertyFsckSurvivesMutations remembers of a chunk
+// between steps.
+type ledgerEntry struct {
+	replicas []int
+	target   int
+	epoch    uint64
+}
+
+func snapshotLedger(fs *FileSystem) []ledgerEntry {
+	snap := make([]ledgerEntry, len(fs.chunks))
+	for i, c := range fs.chunks {
+		snap[i] = ledgerEntry{append([]int(nil), c.Replicas...), c.target, c.epoch}
+	}
+	return snap
+}
+
+// TestPropertyFsckSurvivesMutations drives random sequences of every
+// placement mutation — including creates and moves that must fail — and
+// checks after each step that the namenode is consistent, that no replica
+// sits on a dead node, and that a chunk whose replica set or target changed
+// got a newer epoch (the direction plan-cache invalidation relies on; a
+// rolled-back move may bump the epoch without a net change, never the
+// reverse). After ReReplicate no repairable chunk may stay below its target.
 func TestPropertyFsckSurvivesMutations(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		nodes := 8 + rng.Intn(8)
-		fs := newFS(nodes, seed)
+		fs := New(rackedView(nodes, 1+rng.Intn(3)), Config{Seed: seed})
 		if _, err := fs.Create("/data", float64(20+rng.Intn(30))*64); err != nil {
 			t.Error(err)
 			return false
 		}
-		for step := 0; step < 12; step++ {
-			switch rng.Intn(5) {
+		created := 0
+		// liveChunk picks a chunk that still has a replica; ok is false when
+		// crashes and deletes have left none.
+		liveChunk := func() (c *Chunk, ok bool) {
+			for try := 0; try < 4*len(fs.chunks); try++ {
+				if c := fs.chunks[rng.Intn(len(fs.chunks))]; len(c.Replicas) > 0 {
+					return c, true
+				}
+			}
+			return nil, false
+		}
+		for step := 0; step < 16; step++ {
+			before, epochBefore := snapshotLedger(fs), fs.Epoch()
+			mustFail, repaired := false, false
+			var err error
+			op := rng.Intn(13)
+			c, ok := liveChunk()
+			if !ok {
+				op = 8 // nothing left to mutate: write a new file
+			}
+			switch op {
 			case 0:
 				fs.Balance(0.05 + rng.Float64()*0.3)
 			case 1:
-				// Decommission a random live node (if enough remain).
 				if fs.NumLiveNodes() > 4 {
-					for n := 0; n < nodes; n++ {
-						v := (n + rng.Intn(nodes)) % nodes
-						if len(fs.HostedBy(v)) > 0 {
-							fs.Decommission(v)
-							break
-						}
-					}
+					fs.Decommission(fs.LiveNodes()[rng.Intn(fs.NumLiveNodes())])
 				}
 			case 2:
-				// Random replica move.
-				id := ChunkID(rng.Intn(fs.NumChunks()))
-				c := fs.Chunk(id)
-				src := c.Replicas[rng.Intn(len(c.Replicas))]
-				dst := rng.Intn(nodes)
-				_ = fs.MoveReplica(id, src, dst) // may legitimately fail
+				// May legitimately fail (dst dead or already a holder).
+				_ = fs.MoveReplica(c.ID, c.Replicas[rng.Intn(len(c.Replicas))], rng.Intn(nodes))
 			case 3:
-				id := ChunkID(rng.Intn(fs.NumChunks()))
-				_ = fs.AddReplica(id, rng.Intn(nodes))
+				_ = fs.AddReplica(c.ID, rng.Intn(nodes))
 			case 4:
-				id := ChunkID(rng.Intn(fs.NumChunks()))
-				c := fs.Chunk(id)
-				_ = fs.RemoveReplica(id, c.Replicas[rng.Intn(len(c.Replicas))])
+				_ = fs.RemoveReplica(c.ID, c.Replicas[rng.Intn(len(c.Replicas))])
+			case 5:
+				if fs.NumLiveNodes() > 4 {
+					fs.Crash(fs.LiveNodes()[rng.Intn(fs.NumLiveNodes())])
+				}
+			case 6:
+				fs.ReReplicate()
+				repaired = true
+			case 7:
+				if len(fs.Files()) > 1 {
+					err = fs.Delete(fs.Files()[rng.Intn(len(fs.Files()))])
+				}
+			case 8:
+				created++
+				_, err = fs.Create(fmt.Sprintf("/more%d", created), float64(1+rng.Intn(6))*64)
+			case 9:
+				_ = fs.SetReplicationTarget(c.ID, 1+rng.Intn(5))
+			case 10:
+				// A node rejoins empty, or an empty node is withdrawn.
+				if n := rng.Intn(nodes); fs.dead[n] {
+					err = fs.AddNode(n)
+				} else if len(fs.perNode[n]) == 0 && fs.NumLiveNodes() > 4 {
+					err = fs.MarkDead(n)
+				}
+			case 11:
+				mustFail = true
+				if rng.Intn(2) == 0 {
+					_, err = fs.CreateChunks("/bad", []float64{64, 64, -1})
+				} else {
+					_, err = fs.CreateChunksReplicated("/bad", []float64{64, 64}, [][]int{{fs.LiveNodes()[0]}, {nodes}})
+				}
+			case 12:
+				// The add half succeeds, the remove half cannot: src holds no
+				// copy. The move must fail and roll the add back.
+				mustFail = true
+				free := filter(fs.LiveNodes(), func(n int) bool { return !c.HostedOn(n) })
+				if len(free) < 2 {
+					mustFail = false
+					break
+				}
+				err = fs.MoveReplica(c.ID, free[0], free[1])
+			}
+			if mustFail != (err != nil) {
+				t.Errorf("seed %d step %d op %d: err = %v, want failure: %v", seed, step, op, err, mustFail)
+				return false
 			}
 			if problems := fs.Fsck(); len(problems) != 0 {
-				t.Errorf("seed %d step %d: fsck found %v", seed, step, problems)
+				t.Errorf("seed %d step %d op %d: fsck found %v", seed, step, op, problems)
+				return false
+			}
+			if fs.Epoch() < epochBefore {
+				t.Errorf("seed %d step %d op %d: epoch went back %d -> %d", seed, step, op, epochBefore, fs.Epoch())
+				return false
+			}
+			live := fs.LiveNodes()
+			for i, c := range fs.chunks {
+				for _, r := range c.Replicas {
+					if fs.dead[r] {
+						t.Errorf("seed %d step %d op %d: chunk %d has a replica on dead node %d", seed, step, op, c.ID, r)
+						return false
+					}
+				}
+				if i < len(before) {
+					was := before[i]
+					changed := was.target != c.target || !slices.Equal(was.replicas, c.Replicas)
+					if changed && c.epoch <= was.epoch {
+						t.Errorf("seed %d step %d op %d: chunk %d went %v/%d -> %v/%d with its epoch still %d",
+							seed, step, op, c.ID, was.replicas, was.target, c.Replicas, c.target, c.epoch)
+						return false
+					}
+					if mustFail && changed {
+						t.Errorf("seed %d step %d op %d: failed operation changed chunk %d", seed, step, op, c.ID)
+						return false
+					}
+				}
+				if repaired && len(c.Replicas) > 0 && len(c.Replicas) < c.target && len(c.Replicas) < len(live) {
+					t.Errorf("seed %d step %d: ReReplicate left chunk %d at %d of %d replicas with %d live nodes",
+						seed, step, c.ID, len(c.Replicas), c.target, len(live))
+					return false
+				}
+			}
+			if mustFail && op == 11 && (len(fs.chunks) != len(before) || fs.Epoch() != epochBefore) {
+				t.Errorf("seed %d step %d: failed create left %d chunks (was %d), epoch %d (was %d)",
+					seed, step, len(fs.chunks), len(before), fs.Epoch(), epochBefore)
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(61))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -206,44 +313,5 @@ func TestRename(t *testing.T) {
 	}
 	if err := fs.Rename("/new", "/new"); err != nil {
 		t.Fatal("self-rename should be a no-op")
-	}
-}
-
-func TestBlockLocationsForDistanceOrder(t *testing.T) {
-	v := rackedView(8, 2) // racks: node%2
-	fs := New(v, Config{Seed: 67, Placement: FixedPlacement{Replicas: [][]int{
-		{1, 4, 6}, // reader 6: 6 first (node), then 4 (rack 0 = 6%2... ) — verify below
-		{3, 5, 7},
-	}}})
-	if _, err := fs.CreateChunks("/f", []float64{64, 64}); err != nil {
-		t.Fatal(err)
-	}
-	// Reader on node 6 (rack 0): chunk 0 replicas {1,4,6}: node 6 first,
-	// then node 4 (rack 0), then node 1 (rack 1).
-	locs, err := fs.BlockLocationsFor("/f", 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{6, 4, 1}
-	for i, n := range locs[0].Replicas {
-		if n != want[i] {
-			t.Fatalf("chunk 0 order %v, want %v", locs[0].Replicas, want)
-		}
-	}
-	// Chunk 1 {3,5,7} for reader 6: no node match, no rack-0 replica (all
-	// odd = rack 1): plain ascending.
-	want1 := []int{3, 5, 7}
-	for i, n := range locs[1].Replicas {
-		if n != want1[i] {
-			t.Fatalf("chunk 1 order %v, want %v", locs[1].Replicas, want1)
-		}
-	}
-	// External reader: ascending order everywhere.
-	ext, _ := fs.BlockLocationsFor("/f", -1)
-	if ext[0].Replicas[0] != 1 {
-		t.Fatalf("external order %v", ext[0].Replicas)
-	}
-	if _, err := fs.BlockLocationsFor("/missing", 0); err == nil {
-		t.Fatal("missing file must fail")
 	}
 }

@@ -3,6 +3,7 @@ package dfs
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -56,7 +57,7 @@ func (p RackAwarePlacement) Place(rng *rand.Rand, view ClusterView, live []int, 
 	}
 
 	first := p.Writer
-	if first < 0 || !contains(live, first) {
+	if first < 0 || !slices.Contains(live, first) {
 		// No writer pinned, or the pinned writer is dead/out of range:
 		// rotate over chunks either way. Falling back to a random node
 		// would silently break the rotating-writer determinism callers
@@ -127,7 +128,7 @@ func (RoundRobinPlacement) Place(_ *rand.Rand, _ ClusterView, live []int, r int,
 	used := map[int]bool{}
 	for i, n := range out {
 		for used[n] {
-			n = live[(indexOf(live, n)+1)%len(live)]
+			n = live[(slices.Index(live, n)+1)%len(live)]
 		}
 		out[i] = n
 		used[n] = true
@@ -154,24 +155,6 @@ func (p FixedPlacement) Place(_ *rand.Rand, _ ClusterView, live []int, r int, c 
 		panic(fmt.Sprintf("dfs: fixed placement row %d has %d replicas, want %d", c.ID, len(row), r))
 	}
 	return append([]int(nil), row...)
-}
-
-func contains(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-func indexOf(xs []int, v int) int {
-	for i, x := range xs {
-		if x == v {
-			return i
-		}
-	}
-	return -1
 }
 
 func filter(xs []int, keep func(int) bool) []int {

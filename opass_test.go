@@ -163,6 +163,17 @@ func TestBadInputs(t *testing.T) {
 	}); err == nil {
 		t.Fatal("out-of-range piece must fail")
 	}
+	// A non-positive piece fails the whole store: no chunk, no stored
+	// megabyte and no epoch bump may survive it.
+	fs := c.FS()
+	chunks, stored, epoch := fs.NumChunks(), fs.TotalStoredMB(), fs.Epoch()
+	if err := c.StorePieces("/pieces", []float64{64, 0}); err == nil {
+		t.Fatal("non-positive piece must fail")
+	}
+	if fs.NumChunks() != chunks || fs.TotalStoredMB() != stored || fs.Epoch() != epoch || len(fs.Fsck()) != 0 {
+		t.Fatalf("failed StorePieces left state behind: chunks %d stored %v MB epoch %d fsck %v, want %d, %v, %d, none",
+			fs.NumChunks(), fs.TotalStoredMB(), fs.Epoch(), fs.Fsck(), chunks, stored, epoch)
+	}
 }
 
 func TestOptionsPropagate(t *testing.T) {
