@@ -86,8 +86,9 @@ func BenchmarkPlannerSingleDataDinic(b *testing.B) {
 	}
 }
 
-// BenchmarkPlannerSingleDataKuhn measures the direct matching fast path.
-func BenchmarkPlannerSingleDataKuhn(b *testing.B) {
+// BenchmarkPlannerSingleDataMatcher measures the default solver, the phased
+// matcher.
+func BenchmarkPlannerSingleDataMatcher(b *testing.B) {
 	for _, nodes := range []int{32, 64, 128, 256} {
 		b.Run(fmt.Sprintf("procs=%d", nodes), func(b *testing.B) {
 			p := plannerProblem(b, nodes)

@@ -36,7 +36,8 @@ type benchSpeedup struct {
 	Speedup float64 `json:"speedup"`
 }
 
-// benchReport is the BENCH_planner.json document.
+// benchReport is one GOMAXPROCS value's entry (see perProcsKey) of the
+// BENCH_planner.json document.
 type benchReport struct {
 	GeneratedBy string         `json:"generated_by"`
 	GoMaxProcs  int            `json:"go_max_procs"`
@@ -110,7 +111,7 @@ func runPlannerBench() (*benchReport, error) {
 
 		record("planner/single-ek", procs, tasks, plan(core.SingleData{Algorithm: bipartite.EdmondsKarp}, sp))
 		record("planner/single-dinic", procs, tasks, plan(core.SingleData{Algorithm: bipartite.Dinic}, sp))
-		record("planner/single-kuhn", procs, tasks, plan(core.SingleData{Algorithm: bipartite.Kuhn}, sp))
+		record("planner/single-matcher", procs, tasks, plan(core.SingleData{Algorithm: bipartite.Kuhn}, sp))
 		record("planner/multidata", procs, tasks, plan(core.MultiData{}, mp))
 
 		// Incremental series: one DataNode loss answered by a full backlog
@@ -164,12 +165,17 @@ func plannerExperiment(path string) error {
 	if path == "" {
 		return nil
 	}
-	if err := mergeBenchJSON(path, rep); err != nil {
+	if err := mergeBenchJSON(path, map[string]any{perProcsKey(rep.GoMaxProcs): rep}); err != nil {
 		return err
 	}
 	fmt.Printf("(wrote %s)\n", path)
 	return nil
 }
+
+// perProcsKey is the top-level BENCH key of a timing report. There is one
+// per GOMAXPROCS value, so a run at NumCPU lands beside the GOMAXPROCS=1 run
+// in the same document instead of replacing it.
+func perProcsKey(procs int) string { return fmt.Sprintf("gomaxprocs_%d", procs) }
 
 // mergeBenchJSON updates the BENCH json document in place: v's top-level
 // fields replace the matching keys of the existing document, and keys

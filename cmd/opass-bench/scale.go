@@ -25,8 +25,10 @@ import (
 // heap should stay within a small constant of the problem's resident size.
 
 // scaleSizes is the proc-count trajectory at -scale 1; tasks are always
-// scaleTasksPerProc per process. -scale divides every entry, so the CI smoke
-// (-scale 20) walks 64→512 procs / 6.4k→51.2k tasks through the same path.
+// scaleTasksPerProc per process. -scale divides every entry: -scale 20 walks
+// 64→512 procs / 6.4k→51.2k tasks through the same path in a second or two,
+// and CI runs the full -scale 1 sweep under a timeout so a planner that falls
+// back to ~n² fails the job.
 var scaleSizes = []int{1280, 2560, 5120, 10240}
 
 const scaleTasksPerProc = 100
@@ -44,7 +46,8 @@ type scaleRow struct {
 	LocalityFraction float64 `json:"locality_fraction"`
 }
 
-// scaleReport is the BENCH_scale.json document.
+// scaleReport is one GOMAXPROCS value's entry (see perProcsKey) of the
+// BENCH_scale.json document.
 type scaleReport struct {
 	GeneratedBy string     `json:"generated_by"`
 	GoMaxProcs  int        `json:"go_max_procs"`
@@ -227,7 +230,7 @@ func scaleStudy(cfg int, seed int64, jsonPath string) error {
 	if jsonPath == "" {
 		return nil
 	}
-	if err := mergeBenchJSON(jsonPath, rep); err != nil {
+	if err := mergeBenchJSON(jsonPath, map[string]any{perProcsKey(rep.GoMaxProcs): rep}); err != nil {
 		return err
 	}
 	fmt.Printf("(wrote %s)\n", jsonPath)

@@ -5,21 +5,24 @@ import (
 	"fmt"
 )
 
-// Algorithm selects the max-flow solver used by AssignMaxLocality.
+// Algorithm selects the solver behind the single-data planner: the phased
+// matcher for equal-size problems, or one of two max-flow algorithms for
+// AssignMaxLocality.
 type Algorithm int
 
 const (
+	// Kuhn is the direct phased matcher (MatchAugmenting) and the zero
+	// value. It only applies when every task has the same size, where the
+	// flow problem degenerates to quota-constrained bipartite matching;
+	// AssignMaxLocality and the single-data planner on unequal sizes treat
+	// it as Edmonds-Karp. The name predates the phased algorithm.
+	Kuhn Algorithm = iota
 	// EdmondsKarp is Ford-Fulkerson with BFS augmenting paths — the
 	// algorithm the paper's implementation uses.
-	EdmondsKarp Algorithm = iota
+	EdmondsKarp
 	// Dinic is the blocking-flow algorithm, used by the scalability
 	// ablation.
 	Dinic
-	// Kuhn is the direct augmenting-path matcher (MatchAugmenting). It
-	// only applies when every task has the same size, where the flow
-	// problem degenerates to quota-constrained bipartite matching; the
-	// single-data planner falls back to Edmonds-Karp otherwise.
-	Kuhn
 )
 
 // String implements fmt.Stringer.

@@ -446,27 +446,35 @@ func TestEKAndDinicSameLocality(t *testing.T) {
 	}
 }
 
-// TestPickAssignerScalesSolver pins the solver seam: left at its zero value,
-// SingleData.Algorithm resolves to Edmonds-Karp below directMatchTasks
-// equal-size tasks and to the direct matcher from there up — Edmonds-Karp
-// does not finish at 1M tasks. The two solvers reach the same locality
-// through different tie-breaks, so which one ran shows in the plan itself.
-func TestPickAssignerScalesSolver(t *testing.T) {
-	owners := func(p *Problem, algo bipartite.Algorithm) []int {
+// TestSolverSeam pins the one-line solver rule: the zero value of
+// SingleData.Algorithm is the phased matcher at every equal-size problem
+// size, a named flow solver is really run (Edmonds-Karp reaches the same
+// locality through different tie-breaks, so which solver ran shows in the
+// plan itself — the §V-C2 ablation must not silently time the matcher), and
+// the matcher on unequal sizes falls back to the Edmonds-Karp plan.
+// TestGoldenPlans holds explicit EdmondsKarp to the single_ek golden.
+func TestSolverSeam(t *testing.T) {
+	owners := func(p *Problem, s SingleData) []int {
 		t.Helper()
-		a, err := SingleData{Algorithm: algo, Seed: 9}.Assign(p)
+		s.Seed = 9
+		a, err := s.Assign(p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return a.Owner
 	}
-	below, _ := buildSingle(t, 16, directMatchTasks-1, 9, dfs.RandomPlacement{})
-	at, _ := buildSingle(t, 16, directMatchTasks, 9, dfs.RandomPlacement{})
-
-	if slices.Equal(owners(below, 0), owners(below, bipartite.Kuhn)) {
-		t.Errorf("%d tasks: default solver produced the direct matcher's plan, want Edmonds-Karp's", len(below.Tasks))
+	for _, tasks := range []int{100, 1 << 13} {
+		p, _ := buildSingle(t, 16, tasks, 9, dfs.RandomPlacement{})
+		def := owners(p, SingleData{})
+		if !slices.Equal(def, owners(p, SingleData{Algorithm: bipartite.Kuhn})) {
+			t.Errorf("%d tasks: default solver did not produce the matcher's plan", tasks)
+		}
+		if slices.Equal(def, owners(p, SingleData{Algorithm: bipartite.EdmondsKarp})) {
+			t.Errorf("%d tasks: explicit Edmonds-Karp produced the matcher's plan", tasks)
+		}
 	}
-	if !slices.Equal(owners(at, 0), owners(at, bipartite.Kuhn)) {
-		t.Errorf("%d tasks: default solver did not produce the direct matcher's plan", len(at.Tasks))
+	unequal := goldenSingleProblems(t)["racked-unequal"]
+	if !slices.Equal(owners(unequal, SingleData{Algorithm: bipartite.Kuhn}), owners(unequal, SingleData{Algorithm: bipartite.EdmondsKarp})) {
+		t.Error("unequal sizes: the matcher did not fall back to the Edmonds-Karp plan")
 	}
 }

@@ -17,10 +17,12 @@ import (
 // under testdata/ were generated from the pre-index implementation
 // (CoLocatedMB probe loops and copy-and-sort adjacency), so a pass here
 // proves the locality-index refactor is byte-for-byte behavior-preserving
-// on those planners. single_kuhn was re-locked after the detach hardening
-// in MatchAugmenting (swap-remove changes which equally-sized matching
-// Kuhn picks; size parity with the flow solvers is asserted by
-// TestMatchAugmentingParityRandomQuotas). Regenerate with:
+// on the flow planners and Algorithm 1. single_kuhn, dynamic_order and every
+// equal-size repair_guard entry planned by the default solver were re-locked
+// when the phased matcher replaced the per-file augmenting search and became
+// the default: it picks a different maximum matching of the same size
+// (TestGoldenProblemsLocalityParity asserts locality parity with
+// Edmonds-Karp on every single-data golden problem). Regenerate with:
 //
 //	go test ./internal/core -run TestGoldenPlans -update
 var updateGolden = flag.Bool("update", false, "rewrite the golden plan file")
@@ -150,12 +152,28 @@ func goldenRackedMultiProblem(t testing.TB) *Problem {
 	return p
 }
 
+// goldenSingleProblems are the single-data problems the golden plans are
+// locked on: the replicated 64-node case, and the unreplicated racked layout
+// with equal and unequal (32/48/64 MB) chunk sizes, each also with its rack
+// tier dropped ("flat").
+func goldenSingleProblems(t testing.TB) map[string]*Problem {
+	equal := func(int) float64 { return 64 }
+	unequal := func(i int) float64 { return float64(32 + 16*(i%3)) }
+	flat, flatUnequal := goldenRackedProblem(t, equal), goldenRackedProblem(t, unequal)
+	flat.NodeRack, flatUnequal.NodeRack = nil, nil
+	return map[string]*Problem{
+		"replicated":     goldenSingleProblem(t),
+		"racked":         goldenRackedProblem(t, equal),
+		"racked-unequal": goldenRackedProblem(t, unequal),
+		"flat":           flat,
+		"flat-unequal":   flatUnequal,
+	}
+}
+
 // goldenGuardCases names every (planner, problem) pair locked under
 // "repair_guard". Weights carry a zero and fractional entries so the MB
 // ledger sees an ineligible process and non-integral shares.
 func goldenGuardCases(t testing.TB) map[string]func() (*Assignment, error) {
-	equal := func(int) float64 { return 64 }
-	unequal := func(i int) float64 { return float64(32 + 16*(i%3)) } // 32, 48, 64 MB
 	weights := func(m int) []float64 {
 		w := make([]float64, m)
 		for i := range w {
@@ -171,18 +189,16 @@ func goldenGuardCases(t testing.TB) map[string]func() (*Assignment, error) {
 		}
 		return b
 	}
-	racked, rackedUnequal := goldenRackedProblem(t, equal), goldenRackedProblem(t, unequal)
-	flat := goldenRackedProblem(t, equal)
-	flat.NodeRack = nil
-	flatUnequal := goldenRackedProblem(t, unequal)
-	flatUnequal.NodeRack = nil
+	single := goldenSingleProblems(t)
+	racked, rackedUnequal := single["racked"], single["racked-unequal"]
+	flat, flatUnequal := single["flat"], single["flat-unequal"]
 	multi := goldenRackedMultiProblem(t)
-	sp := goldenSingleProblem(t)
+	sp := single["replicated"]
 	run := func(a Assigner, p *Problem) func() (*Assignment, error) {
 		return func() (*Assignment, error) { return a.Assign(p) }
 	}
 	return map[string]func() (*Assignment, error){
-		"racked/single_ek":          run(SingleData{Seed: 3}, racked),
+		"racked/single_ek":          run(SingleData{Seed: 3, Algorithm: bipartite.EdmondsKarp}, racked),
 		"racked/single_kuhn":        run(SingleData{Seed: 3, Algorithm: bipartite.Kuhn}, racked),
 		"racked/greedy":             run(GreedyLocality{Seed: 3}, racked),
 		"racked/multi_on_single":    run(MultiData{Seed: 3}, racked),
@@ -260,6 +276,33 @@ func computeGoldenPlans(t testing.TB) *goldenPlans {
 		out.Guard[name] = a.Owner
 	}
 	return out
+}
+
+// TestGoldenProblemsLocalityParity holds the default solver to the paper's
+// on every single-data golden problem: tie-breaks may differ from
+// Edmonds-Karp's, the data read locally and the number of tasks the solver
+// matched may not.
+func TestGoldenProblemsLocalityParity(t *testing.T) {
+	for name, p := range goldenSingleProblems(t) {
+		plan := func(algo bipartite.Algorithm) (localMB float64, matched int) {
+			a, err := SingleData{Seed: 3, Algorithm: algo}.Assign(p)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for _, m := range a.Matched {
+				if m {
+					matched++
+				}
+			}
+			return a.PlannedLocalMB, matched
+		}
+		defMB, defMatched := plan(bipartite.Kuhn)
+		ekMB, ekMatched := plan(bipartite.EdmondsKarp)
+		if defMB != ekMB || defMatched != ekMatched {
+			t.Errorf("%s: default plans %v MB local over %d matched tasks, Edmonds-Karp %v MB over %d",
+				name, defMB, defMatched, ekMB, ekMatched)
+		}
+	}
 }
 
 func goldenPath() string { return filepath.Join("testdata", "golden_plans.json") }

@@ -12,17 +12,18 @@ import (
 
 // SingleData is the Opass planner for parallel single-data access (§IV-B):
 // every task consumes one chunk file and every process must receive an
-// equal share of the data. The planner encodes the locality graph as the
-// flow network of Figure 5, computes a maximum flow with Ford-Fulkerson
-// (whose flow-augmenting paths implement the paper's assignment
-// cancellation policy), and then randomly assigns any unmatched tasks to
-// processes that are still below their TotalSize/m share.
+// equal share of the data. The planner computes a maximum locality
+// assignment on the flow network of Figure 5 — by maximum flow
+// (Ford-Fulkerson, whose flow-augmenting paths implement the paper's
+// assignment cancellation policy), or, when all tasks have one size and the
+// network degenerates to quota-constrained matching, with the phased
+// matcher — and then randomly assigns any unmatched tasks to processes that
+// are still below their TotalSize/m share.
 type SingleData struct {
-	// Algorithm forces a solver (Dinic or Kuhn, for tests and the §V-C2
-	// ablation). The zero value lets the planner choose from the problem:
-	// Edmonds-Karp, as in the paper, except that equal-size problems of
-	// directMatchTasks tasks or more go to the direct matcher. Kuhn on
-	// unequal sizes falls back to Edmonds-Karp.
+	// Algorithm names the solver. The zero value (bipartite.Kuhn) is the
+	// phased matcher, which solves equal-size problems directly; on unequal
+	// sizes it falls back to Edmonds-Karp. EdmondsKarp and Dinic force that
+	// flow solver at any sizes, for tests and the §V-C2 ablation.
 	Algorithm bipartite.Algorithm
 	// Seed drives the random repair step for unmatched tasks.
 	Seed int64
@@ -131,20 +132,11 @@ func (s SingleData) AssignContext(ctx context.Context, p *Problem) (*Assignment,
 	}
 
 	// The solver seam. Equal sizes degenerate the flow problem to quota-
-	// constrained bipartite matching, which the direct matcher solves
-	// without building the flow network; unequal sizes need a flow solver.
-	// Left at its zero value, Algorithm is resolved from the problem:
-	// Edmonds-Karp, the paper's solver, wherever it finishes, and the
-	// matcher from directMatchTasks equal-size tasks up.
-	algo := s.Algorithm
-	switch {
-	case !equal && algo == bipartite.Kuhn:
-		algo = bipartite.EdmondsKarp
-	case equal && algo == bipartite.EdmondsKarp && n >= directMatchTasks:
-		algo = bipartite.Kuhn
-	}
+	// constrained bipartite matching, which the matcher solves without
+	// building the flow network; unequal sizes, or a named flow solver, go
+	// through the network of Figure 5.
 	var owner []int
-	if algo == bipartite.Kuhn {
+	if equal && s.Algorithm == bipartite.Kuhn {
 		quotaTasks := make([]int, m)
 		for i, q := range quotasMB {
 			quotaTasks[i] = int(q / sizes[0])
@@ -152,7 +144,7 @@ func (s SingleData) AssignContext(ctx context.Context, p *Problem) (*Assignment,
 		owner, _, err = bipartite.MatchAugmentingContext(ctx, g, quotaTasks)
 	} else {
 		var res bipartite.AssignResult
-		res, err = bipartite.AssignMaxLocalityContext(ctx, g, quotasMB, sizes, algo)
+		res, err = bipartite.AssignMaxLocalityContext(ctx, g, quotasMB, sizes, s.Algorithm)
 		owner = res.Owner
 	}
 	if err != nil {
@@ -169,14 +161,6 @@ func (s SingleData) AssignContext(ctx context.Context, p *Problem) (*Assignment,
 	}
 	return finishAssignment(p, ix, owner, repairMB, scale, rand.New(rand.NewSource(s.Seed))), nil
 }
-
-// directMatchTasks is the equal-size problem size from which SingleData's
-// default solver is the direct augmenting matcher. Edmonds-Karp pays one BFS
-// per matched task, which is already ~1 minute at 50k tasks and hopeless at
-// 1M; 2^13 tasks keeps the paper-faithful solver on every paper-scale
-// problem while bulk layouts get the solver that finishes there. The choice
-// depends only on the problem, so cached plans stay deterministic.
-const directMatchTasks = 1 << 13
 
 // equalSizes reports whether every task size is identical.
 func equalSizes(sizes []int64) bool {

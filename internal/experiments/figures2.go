@@ -266,7 +266,7 @@ type ScaleRow struct {
 	Procs, Tasks int
 	EKWall       time.Duration
 	DinicWall    time.Duration
-	KuhnWall     time.Duration
+	MatcherWall  time.Duration
 	Algorithm1   time.Duration
 }
 
@@ -295,7 +295,7 @@ func PlannerScale(cfg Config) (*ScaleResult, error) {
 		if _, row.DinicWall, err = timePlan(core.SingleData{Algorithm: bipartite.Dinic, Seed: cfg.Seed}, single.Prob); err != nil {
 			return nil, err
 		}
-		if _, row.KuhnWall, err = timePlan(core.SingleData{Algorithm: bipartite.Kuhn, Seed: cfg.Seed}, single.Prob); err != nil {
+		if _, row.MatcherWall, err = timePlan(core.SingleData{Algorithm: bipartite.Kuhn, Seed: cfg.Seed}, single.Prob); err != nil {
 			return nil, err
 		}
 		if _, row.Algorithm1, err = timePlan(core.MultiData{Seed: cfg.Seed}, multi.Prob); err != nil {
@@ -310,9 +310,9 @@ func PlannerScale(cfg Config) (*ScaleResult, error) {
 func (res *ScaleResult) Render() string {
 	var b strings.Builder
 	b.WriteString("§V-C2 — planner wall time vs problem size\n")
-	fmt.Fprintf(&b, "%6s %7s %12s %12s %12s %12s\n", "procs", "tasks", "flow(EK)", "flow(Dinic)", "match(Kuhn)", "algorithm1")
+	fmt.Fprintf(&b, "%6s %7s %12s %12s %12s %12s\n", "procs", "tasks", "flow(EK)", "flow(Dinic)", "matcher", "algorithm1")
 	for _, r := range res.Rows {
-		fmt.Fprintf(&b, "%6d %7d %12s %12s %12s %12s\n", r.Procs, r.Tasks, r.EKWall, r.DinicWall, r.KuhnWall, r.Algorithm1)
+		fmt.Fprintf(&b, "%6d %7d %12s %12s %12s %12s\n", r.Procs, r.Tasks, r.EKWall, r.DinicWall, r.MatcherWall, r.Algorithm1)
 	}
 	return b.String()
 }
