@@ -1,7 +1,6 @@
 package httpapi
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -66,9 +65,14 @@ type layoutView struct{ n int }
 func (v layoutView) NumNodes() int  { return v.n }
 func (v layoutView) RackOf(int) int { return 0 }
 
-// decodeFailure maps a decoder error to the right rejection: body-limit
-// overruns become 413, everything else a generic 400.
+// decodeFailure maps a decoder error to the right rejection: a limit the
+// decoder enforced itself keeps its own bucket, a body-limit overrun becomes
+// 413, everything else a generic 400.
 func decodeFailure(err error) *apiError {
+	var apiErr *apiError
+	if errors.As(err, &apiErr) {
+		return apiErr
+	}
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
 		return &apiError{
@@ -79,17 +83,32 @@ func decodeFailure(err error) *apiError {
 	return badRequest("invalid", "bad request body: %w", err)
 }
 
-// decodeProblem parses and validates a request into a core.Problem backed
-// by an in-memory file system that mirrors the submitted block layout. It
-// walks the body with a token-level decoder: tasks are consumed one object
-// at a time into compact columnar accumulators instead of a materialized
-// []TaskSpec, so peak decode memory tracks the problem's resident size, and
-// the mirror FS is built with one bulk CreateChunksReplicated call (one
-// chunk block, one epoch bump) instead of per-input namenode operations.
-func decodeProblem(w http.ResponseWriter, r *http.Request, lim RequestLimits) (*PlanRequest, *core.Problem, *apiError) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, lim.BodyBytes))
-	dec.DisallowUnknownFields()
+// The accepted keys of each object in the request grammar (the json tags of
+// PlanRequest, TaskSpec, InputSpec, FailureSpec and DegradationSpec).
+var (
+	requestFields = []string{"nodes", "proc_nodes", "strategy", "seed", "tasks",
+		"failures", "degradations", "replan", "repair", "repair_delay_seconds"}
+	taskFields        = []string{"inputs"}
+	inputFields       = []string{"size_mb", "replicas"}
+	failureFields     = []string{"node", "at_seconds", "recover_at_seconds"}
+	degradationFields = []string{"node", "at_seconds", "until_seconds", "disk_factor", "nic_factor"}
+)
 
+// decodeProblem parses and validates a request into a core.Problem backed
+// by an in-memory file system that mirrors the submitted block layout. The
+// body is scanned once through a pooled fixed-size window: tasks land in
+// compact columnar accumulators instead of a materialized []TaskSpec, so
+// peak decode memory tracks the problem's resident size, and the mirror FS
+// is built with one bulk CreateChunksReplicated call (one chunk block, one
+// epoch bump) instead of per-input namenode operations.
+func decodeProblem(w http.ResponseWriter, r *http.Request, lim RequestLimits) (*PlanRequest, *core.Problem, *apiError) {
+	lx := newLexer(http.MaxBytesReader(w, r.Body, lim.BodyBytes))
+	defer lx.release()
+	return decodeRequest(lx, lim)
+}
+
+// decodeRequest is decodeProblem over a caller-supplied lexer.
+func decodeRequest(lx *lexer, lim RequestLimits) (*PlanRequest, *core.Problem, *apiError) {
 	req := &PlanRequest{}
 	var (
 		taskInputs []int32   // inputs per task, in task order
@@ -99,60 +118,107 @@ func decodeProblem(w http.ResponseWriter, r *http.Request, lim RequestLimits) (*
 	)
 	repOff = append(repOff, 0)
 
-	tok, err := dec.Token()
-	if err != nil {
-		return nil, nil, decodeFailure(err)
-	}
-	if d, ok := tok.(json.Delim); !ok || d != '{' {
-		return nil, nil, badRequest("invalid", "bad request body: expected a JSON object")
-	}
-	sawTasks := false
-	for dec.More() {
-		keyTok, err := dec.Token()
-		if err != nil {
-			return nil, nil, decodeFailure(err)
-		}
-		key, _ := keyTok.(string)
-		switch key {
+	// Every cap is checked as its element arrives, so an over-limit request
+	// is rejected at the first offending element whatever follows it.
+	for seen := uint(0); lx.member(requestFields, &seen); {
+		switch lx.name {
 		case "nodes":
-			err = dec.Decode(&req.Nodes)
+			req.Nodes = lx.int()
 		case "strategy":
-			err = dec.Decode(&req.Strategy)
+			req.Strategy = string(lx.str())
 		case "seed":
-			err = dec.Decode(&req.Seed)
+			req.Seed = lx.int64()
 		case "replan":
-			err = dec.Decode(&req.Replan)
+			req.Replan = lx.bool()
 		case "repair":
-			err = dec.Decode(&req.Repair)
+			req.Repair = lx.bool()
 		case "repair_delay_seconds":
-			err = dec.Decode(&req.RepairDelaySeconds)
+			req.RepairDelaySeconds = lx.float()
 		case "failures":
-			err = dec.Decode(&req.Failures)
+			for i := 0; lx.elem(i); i++ {
+				var f FailureSpec
+				for seen := uint(0); lx.member(failureFields, &seen); {
+					switch lx.name {
+					case "node":
+						f.Node = lx.int()
+					case "at_seconds":
+						f.AtSeconds = lx.float()
+					case "recover_at_seconds":
+						f.RecoverAtSeconds = lx.float()
+					}
+				}
+				req.Failures = append(req.Failures, f)
+			}
 		case "degradations":
-			err = dec.Decode(&req.Degradations)
+			for i := 0; lx.elem(i); i++ {
+				var d DegradationSpec
+				for seen := uint(0); lx.member(degradationFields, &seen); {
+					switch lx.name {
+					case "node":
+						d.Node = lx.int()
+					case "at_seconds":
+						d.AtSeconds = lx.float()
+					case "until_seconds":
+						d.UntilSeconds = lx.float()
+					case "disk_factor":
+						d.DiskFactor = lx.float()
+					case "nic_factor":
+						d.NICFactor = lx.float()
+					}
+				}
+				req.Degradations = append(req.Degradations, d)
+			}
 		case "proc_nodes":
-			if apiErr := decodeProcNodesStream(dec, req, lim); apiErr != nil {
-				return nil, nil, apiErr
+			for i := 0; lx.elem(i); i++ {
+				if i >= lim.Procs {
+					lx.fail(badRequest("invalid",
+						"proc_nodes lists more processes than the maximum %d", lim.Procs))
+				}
+				req.ProcNodes = append(req.ProcNodes, lx.int())
 			}
 		case "tasks":
-			if sawTasks {
-				return nil, nil, badRequest("invalid", "bad request body: duplicate tasks field")
+			for ti := 0; lx.elem(ti); ti++ {
+				if ti >= lim.Tasks {
+					lx.fail(badRequest("too_many_tasks",
+						"request lists more than maximum %d tasks", lim.Tasks))
+				}
+				ii := 0
+				for seen := uint(0); lx.member(taskFields, &seen); { // "inputs" is the only field
+					for ; lx.elem(ii); ii++ {
+						if ii >= lim.InputsPerTask {
+							lx.fail(badRequest("too_many_inputs",
+								"task %d lists more than maximum %d inputs per task", ti, lim.InputsPerTask))
+						}
+						size := 0.0
+						for seen := uint(0); lx.member(inputFields, &seen); {
+							switch lx.name {
+							case "size_mb":
+								size = lx.float()
+							case "replicas":
+								for i := 0; lx.elem(i); i++ {
+									reps = append(reps, lx.int())
+								}
+							}
+						}
+						if size <= 0 {
+							lx.fail(badRequest("invalid", "task %d input %d: size_mb must be positive", ti, ii))
+						}
+						if len(reps) == repOff[len(repOff)-1] {
+							lx.fail(badRequest("invalid", "task %d input %d: replicas must be non-empty", ti, ii))
+						}
+						sizes = append(sizes, size)
+						repOff = append(repOff, len(reps))
+					}
+				}
+				if ii == 0 {
+					lx.fail(badRequest("invalid", "task %d has no inputs", ti))
+				}
+				taskInputs = append(taskInputs, int32(ii))
 			}
-			sawTasks = true
-			var apiErr *apiError
-			taskInputs, sizes, repOff, reps, apiErr = decodeTasksStream(dec, lim, taskInputs, sizes, repOff, reps)
-			if apiErr != nil {
-				return nil, nil, apiErr
-			}
-		default:
-			return nil, nil, badRequest("invalid", "bad request body: unknown field %q", key)
-		}
-		if err != nil {
-			return nil, nil, decodeFailure(err)
 		}
 	}
-	if _, err := dec.Token(); err != nil { // closing brace
-		return nil, nil, decodeFailure(err)
+	if lx.finish(); lx.err != nil {
+		return nil, nil, decodeFailure(lx.err)
 	}
 
 	numTasks := len(taskInputs)
@@ -225,91 +291,6 @@ func decodeProblem(w http.ResponseWriter, r *http.Request, lim RequestLimits) (*
 	}
 	req.weight = int64(numTasks + numInputs)
 	return req, prob, nil
-}
-
-// decodeProcNodesStream consumes the proc_nodes array one element at a
-// time, rejecting at the first process past the cap.
-func decodeProcNodesStream(dec *json.Decoder, req *PlanRequest, lim RequestLimits) *apiError {
-	tok, err := dec.Token()
-	if err != nil {
-		return decodeFailure(err)
-	}
-	if tok == nil { // JSON null
-		return nil
-	}
-	if d, ok := tok.(json.Delim); !ok || d != '[' {
-		return badRequest("invalid", "bad request body: proc_nodes must be an array")
-	}
-	for dec.More() {
-		if len(req.ProcNodes) >= lim.Procs {
-			return badRequest("invalid",
-				"proc_nodes lists more processes than the maximum %d", lim.Procs)
-		}
-		var n int
-		if err := dec.Decode(&n); err != nil {
-			return decodeFailure(err)
-		}
-		req.ProcNodes = append(req.ProcNodes, n)
-	}
-	if _, err := dec.Token(); err != nil { // closing bracket
-		return decodeFailure(err)
-	}
-	return nil
-}
-
-// decodeTasksStream consumes the tasks array one task at a time into the
-// columnar accumulators, enforcing the task and per-task input caps as
-// each element arrives. One TaskSpec is reused across iterations; its
-// contents are copied out before the next Decode overwrites them.
-func decodeTasksStream(dec *json.Decoder, lim RequestLimits, taskInputs []int32, sizes []float64, repOff, reps []int) ([]int32, []float64, []int, []int, *apiError) {
-	fail := func(apiErr *apiError) ([]int32, []float64, []int, []int, *apiError) {
-		return taskInputs, sizes, repOff, reps, apiErr
-	}
-	tok, err := dec.Token()
-	if err != nil {
-		return fail(decodeFailure(err))
-	}
-	if tok == nil { // JSON null: same as absent
-		return taskInputs, sizes, repOff, reps, nil
-	}
-	if d, ok := tok.(json.Delim); !ok || d != '[' {
-		return fail(badRequest("invalid", "bad request body: tasks must be an array"))
-	}
-	var task TaskSpec
-	for dec.More() {
-		ti := len(taskInputs)
-		if ti >= lim.Tasks {
-			return fail(badRequest("too_many_tasks",
-				"request lists more than maximum %d tasks", lim.Tasks))
-		}
-		task.Inputs = task.Inputs[:0]
-		if err := dec.Decode(&task); err != nil {
-			return fail(decodeFailure(err))
-		}
-		if len(task.Inputs) > lim.InputsPerTask {
-			return fail(badRequest("too_many_inputs",
-				"task %d lists %d inputs, exceeding maximum %d per task", ti, len(task.Inputs), lim.InputsPerTask))
-		}
-		if len(task.Inputs) == 0 {
-			return fail(badRequest("invalid", "task %d has no inputs", ti))
-		}
-		for ii, in := range task.Inputs {
-			if in.SizeMB <= 0 {
-				return fail(badRequest("invalid", "task %d input %d: size_mb must be positive", ti, ii))
-			}
-			if len(in.Replicas) == 0 {
-				return fail(badRequest("invalid", "task %d input %d: replicas must be non-empty", ti, ii))
-			}
-			sizes = append(sizes, in.SizeMB)
-			reps = append(reps, in.Replicas...)
-			repOff = append(repOff, len(reps))
-		}
-		taskInputs = append(taskInputs, int32(len(task.Inputs)))
-	}
-	if _, err := dec.Token(); err != nil { // closing bracket
-		return fail(decodeFailure(err))
-	}
-	return taskInputs, sizes, repOff, reps, nil
 }
 
 // resolveProcNodes validates the submitted process list (or synthesizes

@@ -2,12 +2,19 @@ package httpapi
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"opass/internal/core"
 	"opass/internal/dfs"
@@ -17,10 +24,18 @@ import (
 // decodeProblemReference is the differential oracle for decodeProblem: one
 // encoding/json Decode of the whole body into PlanRequest, then the same
 // checks over the materialized structs. It must accept and reject exactly
-// what the streaming decoder does, and build the same problem.
+// what the scanner does, and build the same problem. encoding/json alone is
+// laxer than the request grammar, so strictBody runs first.
 func decodeProblemReference(w http.ResponseWriter, r *http.Request, lim RequestLimits) (*PlanRequest, *core.Problem, *apiError) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, lim.BodyBytes))
+	if err != nil {
+		return nil, nil, decodeFailure(err)
+	}
+	if err := strictBody(body); err != nil {
+		return nil, nil, decodeFailure(err)
+	}
 	req := &PlanRequest{}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, lim.BodyBytes))
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(req); err != nil {
 		return nil, nil, decodeFailure(err)
@@ -77,8 +92,68 @@ func decodeProblemReference(w http.ResponseWriter, r *http.Request, lim RequestL
 	return req, prob, nil
 }
 
-// bothPaths runs fn against a server using the streaming decoder and one
-// using the reference decoder, proving the two accept and reject
+// strictBody rejects the bodies encoding/json would take but the request
+// grammar does not. Each check is one divergence class of TestDecodeGrammar:
+// escapes and non-ASCII bytes (which only a string can hold), keys that are
+// not lower case (encoding/json folds case; every field name is lower case),
+// a key repeated within one object, null as an array element (it would
+// decode to a zero element), and anything but whitespace after the value.
+func strictBody(body []byte) error {
+	for _, c := range body {
+		if c == '\\' || c >= 0x80 {
+			return errors.New("escape or non-ASCII byte")
+		}
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	if err := strictValue(dec, false); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("data after the request object")
+	}
+	return nil
+}
+
+func strictValue(dec *json.Decoder, inArray bool) error {
+	tok, err := dec.Token()
+	if err != nil {
+		return err
+	}
+	switch tok {
+	case json.Delim('{'):
+		keys := map[string]bool{}
+		for dec.More() {
+			tok, err := dec.Token()
+			if err != nil {
+				return err
+			}
+			key := tok.(string)
+			if keys[key] || key != strings.ToLower(key) {
+				return fmt.Errorf("key %q repeated or not lower case", key)
+			}
+			keys[key] = true
+			if err := strictValue(dec, false); err != nil {
+				return err
+			}
+		}
+		_, err = dec.Token()
+	case json.Delim('['):
+		for dec.More() {
+			if err := strictValue(dec, true); err != nil {
+				return err
+			}
+		}
+		_, err = dec.Token()
+	case nil:
+		if inArray {
+			return errors.New("null array element")
+		}
+	}
+	return err
+}
+
+// bothPaths runs fn against a server using the scanner ("streaming") and one
+// using the reference decoder ("legacy"), proving the two accept and reject
 // identically.
 func bothPaths(t *testing.T, opts ServerOptions, fn func(t *testing.T, srv *httptest.Server, reg *telemetry.Registry)) {
 	t.Helper()
@@ -355,4 +430,364 @@ func TestCompactJSONAndPretty(t *testing.T) {
 	if !bytes.Contains(body, []byte("\n  ")) {
 		t.Fatalf("?pretty=1 response is not indented: %.200q", body)
 	}
+}
+
+// benchBody renders a request the way bench/ does: compact JSON, one process
+// per node, every task with the same input sizes and three distinct uniform
+// replicas per input; faults adds the simulate-faults workload's fault model.
+func benchBody(nodes, tasks int, sizes []float64, faults bool, seed int64) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	b := fmt.Appendf(nil, `{"nodes":%d,"seed":%d`, nodes, rng.Int63n(1<<31))
+	if faults {
+		b = fmt.Appendf(b, `,"failures":[{"node":%d,"at_seconds":3}],"degradations":[{"node":%d,"at_seconds":1,"disk_factor":0.5,"nic_factor":0.5}],"replan":true,"repair":true,"repair_delay_seconds":2`,
+			rng.Intn(nodes), rng.Intn(nodes))
+	}
+	b = append(b, `,"tasks":[`...)
+	for t := 0; t < tasks; t++ {
+		if t > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"inputs":[`...)
+		for i, size := range sizes {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			p := rng.Perm(nodes)
+			b = fmt.Appendf(b, `{"size_mb":%v,"replicas":[%d,%d,%d]}`, size, p[0], p[1], p[2])
+		}
+		b = append(b, `]}`...)
+	}
+	return append(b, `]}`...)
+}
+
+// BenchmarkDecodeProblem times the decoder alone (scan, validation, mirror
+// FS build) over the bodies of the three bench/ plan workloads that differ
+// in shape.
+func BenchmarkDecodeProblem(b *testing.B) {
+	lim := RequestLimits{}.withDefaults()
+	for _, w := range []struct {
+		name  string
+		tasks int
+		sizes []float64
+	}{
+		{"paper-single", 2560, []float64{64}},
+		{"paper-multi", 2560, []float64{30, 20, 10}},
+		{"fleet-bulk", 25600, []float64{64}},
+	} {
+		body := benchBody(256, w.tasks, w.sizes, false, 1)
+		b.Run(w.name, func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r := httptest.NewRequest(http.MethodPost, "/v1/plan", bytes.NewReader(body))
+				if _, _, apiErr := decodeProblem(httptest.NewRecorder(), r, lim); apiErr != nil {
+					b.Fatal(apiErr)
+				}
+			}
+		})
+	}
+}
+
+// oneTask is the smallest valid task list, for rows that vary something else.
+const oneTask = `"tasks":[{"inputs":[{"size_mb":1,"replicas":[0]}]}]`
+
+// staleFieldBodies each follow a fully populated task with one that omits a
+// field. A decoder that reuses one TaskSpec across tasks lets the earlier
+// task's values stand in for the omitted ones and plans over data the client
+// never sent.
+var staleFieldBodies = []string{
+	`{"nodes":4,"tasks":[{"inputs":[{"size_mb":64,"replicas":[1]}]},{"inputs":[{"replicas":[2]}]}]}`,
+	`{"nodes":4,"tasks":[{"inputs":[{"size_mb":64,"replicas":[1]}]},{"inputs":[{"size_mb":64}]}]}`,
+	`{"nodes":4,"tasks":[{"inputs":[{"size_mb":64,"replicas":[1]}]},{"inputs":[null]}]}`,
+}
+
+// TestDecodeNoStaleFields: a field the client omitted is absent, whatever an
+// earlier task carried.
+func TestDecodeNoStaleFields(t *testing.T) {
+	for _, body := range staleFieldBodies {
+		bothPaths(t, ServerOptions{}, func(t *testing.T, srv *httptest.Server, reg *telemetry.Registry) {
+			resp, out := postRaw(t, srv, body)
+			rejection(t, reg, resp, out, http.StatusBadRequest, "invalid", "")
+		})
+	}
+}
+
+// grammarRows pins the accepted request grammar, one row per class. The
+// classes marked (strictBody) are those where encoding/json alone would
+// answer differently and the reference decoder relies on its pre-check.
+var grammarRows = []struct {
+	class, body string
+	status      int
+}{
+	{"baseline", `{"nodes":4,` + oneTask + `}`, 200},
+	{"whitespace anywhere", " {\n\t\"nodes\" : 4 ,\r\n \"tasks\" : [ { \"inputs\" : [ { \"size_mb\" : 1 , \"replicas\" : [ 0 , 1 ] } ] } ] } \n", 200},
+	{"integer literal for a float field", `{"nodes":4,"repair_delay_seconds":2,` + oneTask + `}`, 200},
+	{"fraction and exponent for a float field", `{"nodes":4,"tasks":[{"inputs":[{"size_mb":0.25e1,"replicas":[0]}]}]}`, 200},
+	{"key case, top level (strictBody)", `{"Nodes":4,` + oneTask + `}`, 400},
+	{"key case, task (strictBody)", `{"nodes":4,"tasks":[{"Inputs":[{"size_mb":1,"replicas":[0]}]}]}`, 400},
+	{"key case, input (strictBody)", `{"nodes":4,"tasks":[{"inputs":[{"SIZE_MB":1,"replicas":[0]}]}]}`, 400},
+	{"duplicate key, top level (strictBody)", `{"nodes":4,"nodes":4,` + oneTask + `}`, 400},
+	{"duplicate key, task (strictBody)", `{"nodes":4,"tasks":[{"inputs":[{"size_mb":1,"replicas":[0]}],"inputs":[]}]}`, 400},
+	{"duplicate key, input (strictBody)", `{"nodes":4,"tasks":[{"inputs":[{"size_mb":1,"size_mb":1,"replicas":[0]}]}]}`, 400},
+	{"duplicate key, failure (strictBody)", `{"nodes":4,"failures":[{"node":1,"node":1,"at_seconds":1}],` + oneTask + `}`, 400},
+	{"trailing garbage (strictBody)", `{"nodes":4,` + oneTask + `}garbage`, 400},
+	{"trailing second object (strictBody)", `{"nodes":4,` + oneTask + `} {}`, 400},
+	{"fraction for an integer field", `{"nodes":4.0,` + oneTask + `}`, 400},
+	{"exponent for an integer field", `{"nodes":4,"tasks":[{"inputs":[{"size_mb":1,"replicas":[1e0]}]}]}`, 400},
+	{"integer overflow", `{"nodes":4,"seed":9223372036854775808,` + oneTask + `}`, 400},
+	{"leading zero", `{"nodes":04,` + oneTask + `}`, 400},
+	{"leading plus", `{"nodes":+4,` + oneTask + `}`, 400},
+	{"bare fraction", `{"nodes":4,"tasks":[{"inputs":[{"size_mb":.5,"replicas":[0]}]}]}`, 400},
+	{"float out of range", `{"nodes":4,"tasks":[{"inputs":[{"size_mb":1e999,"replicas":[0]}]}]}`, 400},
+	{"string for a number", `{"nodes":"4",` + oneTask + `}`, 400},
+	{"number for a string", `{"nodes":4,"strategy":7,` + oneTask + `}`, 400},
+	{"number for a bool", `{"nodes":4,"replan":1,` + oneTask + `}`, 400},
+	{"null scalar is absent", `{"nodes":4,"seed":null,"strategy":null,"replan":null,` + oneTask + `}`, 200},
+	{"null proc_nodes is absent", `{"nodes":4,"proc_nodes":null,` + oneTask + `}`, 200},
+	{"null failures is absent", `{"nodes":4,"failures":null,"degradations":null,` + oneTask + `}`, 200},
+	{"null nodes is absent", `{"nodes":null,` + oneTask + `}`, 400},
+	{"null tasks is absent", `{"nodes":4,"tasks":null}`, 400},
+	{"null inputs is absent", `{"nodes":4,"tasks":[{"inputs":null}]}`, 400},
+	{"null replicas is absent", `{"nodes":4,"tasks":[{"inputs":[{"size_mb":1,"replicas":null}]}]}`, 400},
+	{"null replica element (strictBody)", `{"nodes":4,"tasks":[{"inputs":[{"size_mb":1,"replicas":[null]}]}]}`, 400},
+	{"null proc_nodes element (strictBody)", `{"nodes":4,"proc_nodes":[null],` + oneTask + `}`, 400},
+	{"null failure element (strictBody)", `{"nodes":4,"failures":[null],` + oneTask + `}`, 400},
+	{"escape in a value (strictBody)", `{"nodes":4,"strategy":"op\u0061ss",` + oneTask + `}`, 400},
+	{"escape in a key (strictBody)", `{"no\u0064es":4,` + oneTask + `}`, 400},
+	{"non-ASCII string (strictBody)", `{"nodes":4,"strategy":"opäss",` + oneTask + `}`, 400},
+	{"control byte in a string", "{\"nodes\":4,\"strategy\":\"op\tass\"," + oneTask + "}", 400},
+	{"trailing comma, object", `{"nodes":4,` + oneTask + `,}`, 400},
+	{"trailing comma, array", `{"nodes":4,"tasks":[{"inputs":[{"size_mb":1,"replicas":[0,]}]}]}`, 400},
+	{"missing comma", `{"nodes":4 ` + oneTask + `}`, 400},
+	{"object for an array", `{"nodes":4,"tasks":{}}`, 400},
+	{"truncated", `{"nodes":4,"tasks":[{"inputs":[{"size_mb":1,"repl`, 400},
+	{"empty body", ``, 400},
+}
+
+// TestDecodeGrammar: both decoders give every row the same answer, and every
+// rejection lands in the "invalid" bucket.
+func TestDecodeGrammar(t *testing.T) {
+	for _, row := range grammarRows {
+		t.Run(row.class, func(t *testing.T) {
+			bothPaths(t, ServerOptions{}, func(t *testing.T, srv *httptest.Server, reg *telemetry.Registry) {
+				resp, out := postRaw(t, srv, row.body)
+				if row.status == http.StatusOK {
+					if resp.StatusCode != http.StatusOK {
+						t.Fatalf("status %d, want 200: %.200s", resp.StatusCode, out)
+					}
+					return
+				}
+				rejection(t, reg, resp, out, row.status, "invalid", "")
+			})
+		})
+	}
+}
+
+// postRaw posts a literal body to /v1/plan.
+func postRaw(t *testing.T, srv *httptest.Server, body string) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Post(srv.URL+"/v1/plan", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, out
+}
+
+// decodeOutcome is what a decoder made of one body, in comparable form.
+type decodeOutcome struct {
+	req    *PlanRequest
+	canon  []byte // Problem.AppendCanonical, nil on rejection
+	status int
+	reason string
+	err    error
+}
+
+func outcomeOf(req *PlanRequest, prob *core.Problem, apiErr *apiError) decodeOutcome {
+	if apiErr != nil {
+		return decodeOutcome{status: apiErr.status, reason: apiErr.reason, err: apiErr}
+	}
+	return decodeOutcome{req: req, canon: prob.AppendCanonical(nil), status: http.StatusOK}
+}
+
+// same reports how two outcomes differ, or "". capBuckets relaxes the reason
+// comparison for a body with two defects: the scanner reports the first in
+// document order, the reference the first in its own check order, so one may
+// name a cap where the other says "invalid". The Boundary tests pin each cap
+// bucket one defect at a time.
+func (a decodeOutcome) same(b decodeOutcome) string {
+	switch {
+	case a.status != b.status:
+		return fmt.Sprintf("status %d (%v) vs %d (%v)", a.status, a.err, b.status, b.err)
+	case a.status != http.StatusOK:
+		if a.reason != b.reason && a.reason != "invalid" && b.reason != "invalid" {
+			return fmt.Sprintf("reason %s (%v) vs %s (%v)", a.reason, a.err, b.reason, b.err)
+		}
+		return ""
+	case !bytes.Equal(a.canon, b.canon):
+		return "canonical problem encodings differ"
+	}
+	x, y := a.req, b.req
+	if x.Nodes != y.Nodes || x.Seed != y.Seed || x.Strategy != y.Strategy || x.Replan != y.Replan ||
+		x.Repair != y.Repair || x.RepairDelaySeconds != y.RepairDelaySeconds || x.weight != y.weight ||
+		!slices.Equal(x.ProcNodes, y.ProcNodes) || !slices.Equal(x.Failures, y.Failures) ||
+		!slices.Equal(x.Degradations, y.Degradations) {
+		return fmt.Sprintf("requests differ: %+v vs %+v", *x, *y)
+	}
+	return ""
+}
+
+// fuzzWindow is the shrunken window FuzzDecode replays every body through:
+// the smallest that still holds the longest key ("repair_delay_seconds" and
+// its quotes), so a refill lands inside nearly every token.
+const fuzzWindow = 24
+
+// FuzzDecode holds the scanner to the reference decoder on arbitrary bytes:
+// same accept/reject and status, same reason bucket, and on accept the same
+// problem and request scalars. Each body is decoded twice by the scanner —
+// whole, and one byte per Read through a fuzzWindow-byte window — so every
+// token meets a refill boundary. The caps are small enough for the fuzzer to
+// reach.
+func FuzzDecode(f *testing.F) {
+	for _, body := range staleFieldBodies {
+		f.Add([]byte(body))
+	}
+	for _, row := range grammarRows {
+		f.Add([]byte(row.body))
+	}
+	lim := RequestLimits{BodyBytes: 1 << 20, Nodes: 64, Procs: 8, Tasks: 16, InputsPerTask: 3}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		request := func() *http.Request {
+			return httptest.NewRequest(http.MethodPost, "/v1/plan", bytes.NewReader(body))
+		}
+		want := outcomeOf(decodeProblemReference(httptest.NewRecorder(), request(), lim))
+		if diff := outcomeOf(decodeProblem(httptest.NewRecorder(), request(), lim)).same(want); diff != "" {
+			t.Fatalf("scanner vs reference: %s\nbody: %q", diff, body)
+		}
+		small := &lexer{r: iotest.OneByteReader(bytes.NewReader(body)), buf: make([]byte, fuzzWindow)}
+		got := outcomeOf(decodeRequest(small, lim))
+		if errors.Is(got.err, errTokenTooLong) {
+			return // by definition depends on the window
+		}
+		if diff := got.same(want); diff != "" {
+			t.Fatalf("scanner through a %d-byte window vs reference: %s\nbody: %q", fuzzWindow, diff, body)
+		}
+	})
+}
+
+// TestDecodeHostileInputBounded: what a rejected body costs does not depend
+// on how much of it follows the offending element — neither a task list far
+// past the cap nor a string far longer than the window grows an allocation.
+func TestDecodeHostileInputBounded(t *testing.T) {
+	lim := RequestLimits{Tasks: 100}.withDefaults()
+	pastCap := func(tasks int) []byte { return benchBody(8, tasks, []float64{64}, false, 1) }
+	longKey := func(n int) []byte { return []byte(`{"` + strings.Repeat("k", n)) }
+	for _, tc := range []struct {
+		name         string
+		short, long  []byte
+		status       int
+		reason, frag string
+	}{
+		{"one task past the cap", pastCap(101), pastCap(200_000), 400, "too_many_tasks", "maximum 100 tasks"},
+		{"string where a key belongs", longKey(2 * windowSize), longKey(1 << 20), 400, "invalid", "window"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// One caller-owned window across runs, as the pool provides in
+			// service (the pool itself drops entries at random under -race).
+			lx := &lexer{buf: make([]byte, windowSize)}
+			cost := func(body []byte) (allocs float64, bytesPerRun uint64) {
+				rd := bytes.NewReader(nil)
+				run := func() {
+					rd.Reset(body)
+					*lx = lexer{buf: lx.buf, r: rd}
+					_, _, apiErr := decodeRequest(lx, lim)
+					if apiErr == nil || apiErr.status != tc.status || apiErr.reason != tc.reason ||
+						!strings.Contains(apiErr.Error(), tc.frag) {
+						t.Fatalf("got %v, want %d %s containing %q", apiErr, tc.status, tc.reason, tc.frag)
+					}
+				}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				allocs = testing.AllocsPerRun(20, run)
+				runtime.ReadMemStats(&after)
+				return allocs, (after.TotalAlloc - before.TotalAlloc) / 21
+			}
+			shortAllocs, shortBytes := cost(tc.short)
+			longAllocs, longBytes := cost(tc.long)
+			t.Logf("short body: %.0f allocs, %d B per rejection; long body: %.0f allocs, %d B", shortAllocs, shortBytes, longAllocs, longBytes)
+			if longAllocs > shortAllocs+2 || longBytes > shortBytes+shortBytes/4+1024 {
+				t.Fatalf("rejection cost grows with the body: %.0f allocs / %d B for %d bytes, %.0f allocs / %d B for %d bytes",
+					shortAllocs, shortBytes, len(tc.short), longAllocs, longBytes, len(tc.long))
+			}
+		})
+	}
+}
+
+// TestDecodeWindowReleased: the pooled window goes back on every way out of
+// the decoder — success, each kind of rejection, and a client that
+// disconnects mid-body.
+func TestDecodeWindowReleased(t *testing.T) {
+	valid := string(benchBody(8, 16, []float64{30, 20, 10}, true, 1))
+	lim := RequestLimits{BodyBytes: 4 * windowSize, Tasks: 16, InputsPerTask: 3}.withDefaults()
+	for _, tc := range []struct {
+		name   string
+		body   io.Reader
+		status int
+	}{
+		{"success", strings.NewReader(valid), 200},
+		{"syntax error", strings.NewReader(valid[:len(valid)/2] + "?"), 400},
+		{"validation error", strings.NewReader(`{"nodes":4,"tasks":[{"inputs":[{"size_mb":1,"replicas":[9]}]}]}`), 400},
+		{"task cap", bytes.NewReader(benchBody(8, 17, []float64{64}, false, 1)), 400},
+		{"input cap", bytes.NewReader(benchBody(8, 2, []float64{1, 2, 3, 4}, false, 1)), 400},
+		{"window overrun", strings.NewReader(`{"` + strings.Repeat("k", 2*windowSize)), 400},
+		{"trailing data", strings.NewReader(valid[:len(valid)-1] + " }x"), 400},
+		{"body limit", strings.NewReader(valid[:len(valid)-1] + strings.Repeat(" ", 4*windowSize) + "}"), 413},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out := lexersOut.Load()
+			r := httptest.NewRequest(http.MethodPost, "/v1/simulate", tc.body)
+			_, _, apiErr := decodeProblem(httptest.NewRecorder(), r, lim)
+			status := http.StatusOK
+			if apiErr != nil {
+				status = apiErr.status
+			}
+			if status != tc.status {
+				t.Fatalf("status %d (%v), want %d", status, apiErr, tc.status)
+			}
+			if got := lexersOut.Load(); got != out {
+				t.Fatalf("%d windows out after the request, %d before", got, out)
+			}
+		})
+	}
+	t.Run("client disconnect mid-body", func(t *testing.T) {
+		srv := httptest.NewServer(NewServer(ServerOptions{}))
+		defer srv.Close()
+		out := lexersOut.Load()
+		body, feed := io.Pipe()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL+"/v1/plan", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if resp, err := http.DefaultClient.Do(req); err == nil {
+				resp.Body.Close()
+			}
+		}()
+		if _, err := io.WriteString(feed, valid[:len(valid)/2]); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "decoder blocked on the rest of the body", func() bool { return lexersOut.Load() == out+1 })
+		cancel()
+		waitFor(t, "window returned", func() bool { return lexersOut.Load() == out })
+		feed.Close() // the transport's write loop is still reading the body; Do returns once it stops
+		<-done
+	})
 }

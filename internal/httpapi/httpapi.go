@@ -86,6 +86,9 @@ const (
 	MetricRequestsCancelled = "opass_requests_cancelled_total"
 	// MetricRequestQueueSeconds observes time spent waiting for admission.
 	MetricRequestQueueSeconds = "opass_request_queue_seconds"
+	// MetricRequestDecodeSeconds observes the request decoder: reading the
+	// body, scanning it, and building the mirror file system.
+	MetricRequestDecodeSeconds = "opass_request_decode_seconds"
 	// MetricResponseErrors counts response bodies that failed to encode or
 	// write (typically the client hanging up mid-body).
 	MetricResponseErrors = "opass_response_write_errors_total"
@@ -218,7 +221,7 @@ type PlanRequest struct {
 	RepairDelaySeconds float64           `json:"repair_delay_seconds,omitempty"`
 
 	// weight caches the admission work estimate (tasks + inputs) computed
-	// during streaming decode, where Tasks is never materialized.
+	// by the decoder, which never materializes Tasks.
 	weight int64
 }
 
@@ -375,6 +378,7 @@ func NewServer(opts ServerOptions) *Server {
 	reg.Help(MetricRequestsShed, "Requests refused by the admission layer, by route and reason.")
 	reg.Help(MetricRequestsCancelled, "Admitted requests abandoned mid-work, by route and reason.")
 	reg.Help(MetricRequestQueueSeconds, "Time spent waiting for admission, by route.")
+	reg.Help(MetricRequestDecodeSeconds, "Time spent reading and decoding the request body into a problem, by route.")
 	reg.Help(MetricResponseErrors, "Response bodies that failed to write, by route.")
 	reg.Help(MetricPlanCacheHits, "Plans served from the fingerprinted plan cache.")
 	reg.Help(MetricPlanCacheMisses, "Plans that ran the planner and populated the cache.")
@@ -487,10 +491,22 @@ func (s *Server) Drain() {
 	s.simAdmit.drain()
 }
 
-func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
+// decodeBody runs the request decoder under its stage clock and answers a
+// rejection itself; ok=false means the response has already been written.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request) (req *PlanRequest, prob *core.Problem, ok bool) {
+	start := time.Now()
 	req, prob, apiErr := s.decode(w, r, s.limits)
+	s.reg.Histogram(MetricRequestDecodeSeconds, nil, telemetry.L("route", routeLabel(r))).Observe(time.Since(start).Seconds())
 	if apiErr != nil {
 		s.reject(w, r, apiErr)
+		return nil, nil, false
+	}
+	return req, prob, true
+}
+
+func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
+	req, prob, ok := s.decodeBody(w, r)
+	if !ok {
 		return
 	}
 	release, ok := s.admit(w, r, s.planAdmit, workWeight(req))
@@ -509,9 +525,8 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	req, prob, apiErr := s.decode(w, r, s.limits)
-	if apiErr != nil {
-		s.reject(w, r, apiErr)
+	req, prob, ok := s.decodeBody(w, r)
+	if !ok {
 		return
 	}
 	release, ok := s.admit(w, r, s.simAdmit, workWeight(req))

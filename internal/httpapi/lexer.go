@@ -1,0 +1,402 @@
+package httpapi
+
+import (
+	"errors"
+	"fmt"
+	"io"
+	"strconv"
+	"sync"
+	"sync/atomic"
+)
+
+// windowSize is the lexer's fixed read window. No token of a well-formed
+// request comes near it (the longest is a 22-byte key), so a token that
+// fills it is hostile and is rejected rather than grown into.
+const windowSize = 64 << 10
+
+var errTokenTooLong = errors.New("token longer than the decoder's window")
+
+// lexer is a single-pass scanner for the request grammar: objects with a
+// known key set, arrays, integers, floats, booleans, unescaped ASCII
+// strings and null. It reads through a fixed window, so memory does not
+// depend on the body, and it fails once: after the first error every method
+// is a no-op returning zero values, and the loops built on elem and member
+// end. Callers check err when they are done.
+type lexer struct {
+	r        io.Reader
+	buf      []byte // the window; unread input is buf[pos:end]
+	pos, end int
+	rerr     error  // why reading stopped: io.EOF, a transport or a body-limit error
+	err      error  // first failure of any kind
+	name     string // set by member: the field whose value is at the cursor
+}
+
+var lexerPool = sync.Pool{New: func() any { return &lexer{buf: make([]byte, windowSize)} }}
+
+// lexersOut counts lexers taken from the pool and not yet returned.
+var lexersOut atomic.Int64
+
+func newLexer(r io.Reader) *lexer {
+	lx := lexerPool.Get().(*lexer)
+	lexersOut.Add(1)
+	lx.r = r
+	return lx
+}
+
+// release returns the lexer and its window to the pool. Nothing the lexer
+// handed out (str, number) may be used afterwards.
+func (lx *lexer) release() {
+	*lx = lexer{buf: lx.buf}
+	lexersOut.Add(-1)
+	lexerPool.Put(lx)
+}
+
+// fail records the first error and empties the window, which is what makes
+// every later call see no input.
+func (lx *lexer) fail(err error) {
+	if lx.err == nil {
+		lx.err = err
+		lx.pos = lx.end
+	}
+}
+
+// fill slides the unread bytes to the front of the window and reads more
+// input behind them, reporting whether any arrived. Slices into the window
+// taken before a fill are stale after it.
+func (lx *lexer) fill() bool {
+	if lx.err != nil || lx.rerr != nil {
+		return false
+	}
+	if lx.pos > 0 {
+		lx.end = copy(lx.buf, lx.buf[lx.pos:lx.end])
+		lx.pos = 0
+	}
+	if lx.end == len(lx.buf) {
+		lx.fail(errTokenTooLong)
+		return false
+	}
+	for {
+		n, err := lx.r.Read(lx.buf[lx.end:])
+		lx.end += n
+		lx.rerr = err
+		if n > 0 || err != nil {
+			return n > 0
+		}
+	}
+}
+
+// short records that the input stopped inside a value: the read error when
+// there was one (so a body over the limit stays a 413), else unexpected EOF.
+func (lx *lexer) short() {
+	if lx.rerr != nil && lx.rerr != io.EOF {
+		lx.fail(lx.rerr)
+	} else {
+		lx.fail(io.ErrUnexpectedEOF)
+	}
+}
+
+// unexpected records that the byte at the cursor, or the end of the input,
+// is not what the grammar wants there.
+func (lx *lexer) unexpected(want string) {
+	if lx.pos < lx.end {
+		lx.fail(fmt.Errorf("invalid character %q, want %s", lx.buf[lx.pos], want))
+	} else {
+		lx.short()
+	}
+}
+
+// peek skips whitespace and returns the next byte without consuming it, or
+// 0 when there is none.
+func (lx *lexer) peek() byte {
+	if lx.pos < lx.end && lx.buf[lx.pos] > ' ' {
+		return lx.buf[lx.pos]
+	}
+	return lx.skip()
+}
+
+func (lx *lexer) skip() byte {
+	for lx.err == nil {
+		for ; lx.pos < lx.end; lx.pos++ {
+			if c := lx.buf[lx.pos]; c != ' ' && c != '\n' && c != '\t' && c != '\r' {
+				return c
+			}
+		}
+		if !lx.fill() {
+			break
+		}
+	}
+	return 0
+}
+
+// finish checks that only whitespace follows and that the input ended
+// cleanly rather than on a read error.
+func (lx *lexer) finish() {
+	if lx.peek() != 0 || lx.pos < lx.end {
+		lx.fail(fmt.Errorf("invalid character %q after the request object", lx.buf[lx.pos]))
+	} else if lx.rerr != io.EOF {
+		lx.short()
+	}
+}
+
+// elem steps through an array. Called before each element with the number
+// already consumed, it takes the opening '[' or the separating ',' and
+// reports whether an element follows; when none does it takes the ']'.
+func (lx *lexer) elem(i int) bool {
+	c := lx.peek()
+	if i == 0 {
+		if c != '[' {
+			lx.unexpected("an array")
+			return false
+		}
+		lx.pos++
+		if lx.peek() == ']' {
+			lx.pos++
+			return false
+		}
+		return true
+	}
+	switch c {
+	case ',':
+		lx.pos++
+		return true
+	case ']':
+		lx.pos++
+		return false
+	}
+	lx.unexpected("',' or ']'")
+	return false
+}
+
+// member steps through an object the way elem steps through an array,
+// leaving the cursor on a value and that field's name in lx.name. Keys must
+// equal one of names byte for byte and appear at most once: *seen, zero
+// before the first call, has bit 0 set once the '{' is taken and bit i+1
+// once names[i] has appeared. A null value means "absent" for every field,
+// as it does to encoding/json, and is skipped here.
+func (lx *lexer) member(names []string, seen *uint) bool {
+	for {
+		c := lx.peek()
+		if *seen == 0 {
+			if c != '{' {
+				lx.unexpected("an object")
+				return false
+			}
+			*seen = 1
+			lx.pos++
+			if lx.peek() == '}' {
+				lx.pos++
+				return false
+			}
+		} else if c == '}' {
+			lx.pos++
+			return false
+		} else if c == ',' {
+			lx.pos++
+		} else {
+			lx.unexpected("',' or '}'")
+			return false
+		}
+		key := lx.str() // aliases the window: matched before the next peek can refill it
+		i := 0
+		for i < len(names) && string(key) != names[i] {
+			i++
+		}
+		switch {
+		case lx.err != nil:
+			return false
+		case i == len(names):
+			lx.fail(fmt.Errorf("unknown field %.40q", key))
+			return false
+		case *seen&(2<<i) != 0:
+			lx.fail(fmt.Errorf("duplicate field %q", key))
+			return false
+		}
+		*seen |= 2 << i
+		if lx.peek() != ':' {
+			lx.unexpected("':'")
+			return false
+		}
+		lx.pos++
+		if lx.peek() != 'n' {
+			lx.name = names[i]
+			return true
+		}
+		lx.literal("null")
+	}
+}
+
+// literal consumes word, whose first byte the caller saw at the cursor.
+func (lx *lexer) literal(word string) {
+	for lx.end-lx.pos < len(word) {
+		if !lx.fill() {
+			lx.short()
+			return
+		}
+	}
+	if string(lx.buf[lx.pos:lx.pos+len(word)]) != word {
+		lx.unexpected(word)
+		return
+	}
+	lx.pos += len(word)
+}
+
+func (lx *lexer) bool() bool {
+	switch lx.peek() {
+	case 't':
+		lx.literal("true")
+		return true
+	case 'f':
+		lx.literal("false")
+		return false
+	}
+	lx.unexpected("true or false")
+	return false
+}
+
+// str consumes a string and returns its bytes, which alias the window and
+// are valid until the next lexer call. No request field needs more than
+// printable ASCII, so escapes and bytes outside it are errors, and a key
+// can be compared without unescaping.
+func (lx *lexer) str() []byte {
+	if lx.peek() != '"' {
+		lx.unexpected("a string")
+		return nil
+	}
+	for i := 1; ; i++ { // offset from pos, which fill moves
+		if lx.pos+i == lx.end && !lx.fill() {
+			lx.short()
+			return nil
+		}
+		if c := lx.buf[lx.pos+i]; c == '"' {
+			s := lx.buf[lx.pos+1 : lx.pos+i]
+			lx.pos += i + 1
+			return s
+		} else if c < ' ' || c == '\\' || c >= 0x80 {
+			lx.fail(errors.New("strings must be printable ASCII without escapes"))
+			return nil
+		}
+	}
+}
+
+// number consumes a JSON number and returns its text (valid until the next
+// lexer call) and whether it is written as an integer, with no fraction or
+// exponent.
+func (lx *lexer) number() (tok []byte, integer bool) {
+	lx.peek()
+	n := 0
+	for {
+		if lx.pos+n == lx.end && !lx.fill() {
+			lx.short() // no request ends on a number
+			return nil, false
+		}
+		if !numberByte[lx.buf[lx.pos+n]] {
+			break
+		}
+		n++
+	}
+	if n == 0 {
+		lx.unexpected("a number")
+		return nil, false
+	}
+	tok = lx.buf[lx.pos : lx.pos+n]
+	lx.pos += n
+	// -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?
+	i := 0
+	if tok[0] == '-' {
+		i = 1
+	}
+	j := digits(tok, i)
+	ok := j > i && (tok[i] != '0' || j == i+1)
+	integer = j == n
+	if ok && j < n && tok[j] == '.' {
+		i = j + 1
+		j = digits(tok, i)
+		ok = j > i
+	}
+	if ok && j < n && (tok[j] == 'e' || tok[j] == 'E') {
+		i = j + 1
+		if i < n && (tok[i] == '+' || tok[i] == '-') {
+			i++
+		}
+		j = digits(tok, i)
+		ok = j > i
+	}
+	if !ok || j != n {
+		lx.fail(fmt.Errorf("malformed number %.40q", tok))
+		return nil, false
+	}
+	return tok, integer
+}
+
+// numberByte marks the bytes a JSON number is made of.
+var numberByte = [256]bool{'0': true, '1': true, '2': true, '3': true, '4': true, '5': true, '6': true,
+	'7': true, '8': true, '9': true, '-': true, '+': true, '.': true, 'e': true, 'E': true}
+
+// digits returns the index after the run of digits that starts at tok[i].
+func digits(tok []byte, i int) int {
+	for i < len(tok) && tok[i] >= '0' && tok[i] <= '9' {
+		i++
+	}
+	return i
+}
+
+// small converts an integer literal of at most 18 bytes, too short to
+// overflow.
+func small(tok []byte) int64 {
+	neg := tok[0] == '-'
+	if neg {
+		tok = tok[1:]
+	}
+	var v int64
+	for _, c := range tok {
+		v = v*10 + int64(c-'0')
+	}
+	if neg {
+		return -v
+	}
+	return v
+}
+
+func (lx *lexer) int64() int64 {
+	tok, integer := lx.number()
+	switch {
+	case lx.err != nil:
+		return 0
+	case !integer:
+		lx.fail(fmt.Errorf("number %.40s is not an integer", tok))
+		return 0
+	case len(tok) <= 18:
+		return small(tok)
+	}
+	v, err := strconv.ParseInt(string(tok), 10, 64)
+	if err != nil {
+		lx.fail(err)
+	}
+	return v
+}
+
+func (lx *lexer) int() int {
+	v := lx.int64()
+	if int64(int(v)) != v {
+		lx.fail(fmt.Errorf("number %d overflows int", v))
+	}
+	return int(v)
+}
+
+// float converts exactly as encoding/json does (strconv.ParseFloat), with a
+// shortcut for the unsigned integer literals sizes are written as: below
+// 10^15 they are exact in a float64.
+func (lx *lexer) float() float64 {
+	tok, integer := lx.number()
+	switch {
+	case lx.err != nil:
+		return 0
+	case integer && tok[0] != '-' && len(tok) <= 15:
+		return float64(small(tok))
+	}
+	v, err := strconv.ParseFloat(string(tok), 64)
+	if err != nil {
+		lx.fail(err)
+	}
+	return v
+}

@@ -59,6 +59,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		`opass_http_requests_total{method="POST",route="/v1/simulate",status="200"} 1`,
 		`opass_http_requests_total{method="POST",route="/v1/plan",status="400"} 1`,
 		`opass_http_request_duration_seconds_count{route="/v1/plan"} 3`,
+		// The decode stage is timed for every request that reaches it,
+		// rejected ones included.
+		`opass_request_decode_seconds_count{route="/v1/plan"} 3`,
+		`opass_request_decode_seconds_count{route="/v1/simulate"} 1`,
 		// Per-strategy planner-latency histograms recorded inside
 		// computePlan(). The simulate request reuses the cached opass plan
 		// from the identical /v1/plan request, so opass-flow ran once.
