@@ -17,12 +17,10 @@ import (
 	"testing"
 
 	"opass/internal/bipartite"
-	"opass/internal/cluster"
 	"opass/internal/core"
 	"opass/internal/dfs"
 	"opass/internal/engine"
 	"opass/internal/experiments"
-	"opass/internal/mpi"
 	"opass/internal/plannerbench"
 	"opass/internal/simnet"
 	"opass/internal/workload"
@@ -30,7 +28,7 @@ import (
 
 // BenchmarkStudy regenerates every study of the experiments catalogue end to
 // end, one sub-benchmark per study (BenchmarkStudy/fig7c, ...). The seed is
-// opass-bench's default: the chaos study's strict replan-beats-failover
+// opass bench's default: the chaos study's strict replan-beats-failover
 // gates do not hold on every seed.
 func BenchmarkStudy(b *testing.B) {
 	for _, st := range experiments.Catalog() {
@@ -373,36 +371,6 @@ func BenchmarkEngineStaticRun(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkMPIWorld measures the goroutine-rank runtime on a 32-rank
-// master/worker job with 320 reads.
-func BenchmarkMPIWorld(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		topo := cluster.New(32, cluster.Marmot())
-		fs := dfs.New(topo, dfs.Config{Seed: int64(i)})
-		f, err := fs.Create("/db", 64*320)
-		if err != nil {
-			b.Fatal(err)
-		}
-		w := mpi.NewWorld(topo, fs, identity(32))
-		if _, err := w.Run(func(r *mpi.Rank) {
-			for t := r.ID(); t < len(f.Chunks); t += r.Size() {
-				r.ReadChunk(f.Chunks[t])
-			}
-			r.Barrier()
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func identity(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }
 
 func engineRun(rig *workload.Rig, a *core.Assignment) (*engine.Result, error) {

@@ -17,8 +17,8 @@ import (
 	"opass/internal/cluster"
 	"opass/internal/core"
 	"opass/internal/dfs"
-	"opass/internal/metrics"
-	"opass/internal/paraview"
+	"opass/internal/report"
+	"opass/internal/workload"
 )
 
 func main() {
@@ -33,7 +33,7 @@ func main() {
 	stock := run(*nodes, blocks, *seed, core.RankStatic{})
 	withOpass := run(*nodes, blocks, *seed, core.SingleData{Seed: *seed})
 
-	ss, so := metrics.Summarize(stock.CallTimes), metrics.Summarize(withOpass.CallTimes)
+	ss, so := report.StatsOf(stock.CallTimes), report.StatsOf(withOpass.CallTimes)
 	fmt.Printf("vtkFileSeriesReader call times (paper: 5.48s sd 1.339 -> 3.07s sd 0.316):\n")
 	fmt.Printf("  stock ParaView : mean %.2fs  sd %.3f  min %.2fs  max %.2fs\n", ss.Mean, ss.StdDev, ss.Min, ss.Max)
 	fmt.Printf("  with Opass     : mean %.2fs  sd %.3f  min %.2fs  max %.2fs\n", so.Mean, so.StdDev, so.Min, so.Max)
@@ -47,16 +47,16 @@ func main() {
 	fmt.Println()
 }
 
-func run(nodes, blocks int, seed int64, assigner core.Assigner) *paraview.PipelineResult {
+func run(nodes, blocks int, seed int64, assigner core.Assigner) *workload.PipelineResult {
 	topo := cluster.New(nodes, cluster.Marmot())
 	fs := dfs.New(topo, dfs.Config{Seed: seed})
-	ds, err := paraview.CreateDataset(fs, "/protein", blocks, 56)
+	ds, err := workload.CreateMultiBlock(fs, "/protein", blocks, 56)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := paraview.DefaultConfig(assigner)
+	cfg := workload.DefaultPipeline(assigner)
 	cfg.BlocksPerStep = nodes
-	res, err := paraview.RunPipeline(topo, fs, ds, cfg)
+	res, err := workload.RunPipeline(topo, fs, ds, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -51,7 +51,7 @@ func Marmot() Profile {
 
 // Topology is a cluster of nodes on a single switch, wired into a
 // simnet.Network. Nodes may be homogeneous (New) or carry per-node
-// hardware profiles (NewHeterogeneous) for the §IV-D heterogeneous
+// hardware profiles (NewHeterogeneousRacked) for the §IV-D heterogeneous
 // environment experiments. Racks>1 assigns nodes to racks round-robin for
 // rack-aware placement experiments; the switch itself stays non-blocking,
 // as on Marmot.
@@ -87,13 +87,6 @@ func NewRacked(n, racks int, p Profile) *Topology {
 		profiles[i] = p
 	}
 	return NewHeterogeneousRacked(profiles, racks)
-}
-
-// NewHeterogeneous builds a Topology with one profile per node and a
-// single rack — the heterogeneous environment of §IV-D, where disk and NIC
-// speeds differ between nodes.
-func NewHeterogeneous(profiles []Profile) *Topology {
-	return NewHeterogeneousRacked(profiles, 1)
 }
 
 // NewHeterogeneousRacked builds a heterogeneous Topology across racks.
@@ -243,9 +236,6 @@ func (t *Topology) SetRackOversubscription(ratio float64) {
 	}
 	t.SetPerRackUplinks(per)
 }
-
-// HasRackUplinks reports whether cross-rack traffic is bandwidth-limited.
-func (t *Topology) HasRackUplinks() bool { return t.uplinkOut != nil }
 
 // RemoteReadPath is the resource path of a read served by src on behalf of a
 // process running on dst: the source disk, the source NIC transmit

@@ -9,7 +9,7 @@ func TestHeterogeneousProfilesApply(t *testing.T) {
 	fast := Marmot()
 	slow := Marmot()
 	slow.DiskMBps = 25 // a worn disk at a third of the speed
-	topo := NewHeterogeneous([]Profile{fast, slow, fast})
+	topo := NewHeterogeneousRacked([]Profile{fast, slow, fast}, 1)
 	if topo.NumNodes() != 3 {
 		t.Fatalf("nodes = %d", topo.NumNodes())
 	}
@@ -29,9 +29,9 @@ func TestHeterogeneousProfilesApply(t *testing.T) {
 
 func TestHeterogeneousValidation(t *testing.T) {
 	for i, fn := range []func(){
-		func() { NewHeterogeneous(nil) },
-		func() { NewHeterogeneous([]Profile{{DiskMBps: 0, NICMBps: 100}}) },
-		func() { NewHeterogeneous([]Profile{{DiskMBps: 100, NICMBps: -1}}) },
+		func() { NewHeterogeneousRacked(nil, 1) },
+		func() { NewHeterogeneousRacked([]Profile{{DiskMBps: 0, NICMBps: 100}}, 1) },
+		func() { NewHeterogeneousRacked([]Profile{{DiskMBps: 100, NICMBps: -1}}, 1) },
 		func() { NewHeterogeneousRacked([]Profile{Marmot()}, 0) },
 	} {
 		func() {
@@ -48,7 +48,7 @@ func TestHeterogeneousValidation(t *testing.T) {
 func TestReadLatencyPerNode(t *testing.T) {
 	a, b := Marmot(), Marmot()
 	b.ReadLatency = 0.2
-	topo := NewHeterogeneous([]Profile{a, b})
+	topo := NewHeterogeneousRacked([]Profile{a, b}, 1)
 	if topo.ReadLatency(0) != a.ReadLatency || topo.ReadLatency(1) != 0.2 {
 		t.Fatal("per-node latency wrong")
 	}
@@ -66,9 +66,6 @@ func TestHomogeneousStillUniform(t *testing.T) {
 func TestRackUplinksAddedToCrossRackPaths(t *testing.T) {
 	topo := NewRacked(8, 2, Marmot())
 	topo.SetRackUplinks(500)
-	if !topo.HasRackUplinks() {
-		t.Fatal("uplinks not recorded")
-	}
 	// Same rack (0 and 2 are both rack 0): 3 resources.
 	if p := topo.RemoteReadPath(0, 2); len(p) != 3 {
 		t.Fatalf("same-rack path length %d, want 3", len(p))

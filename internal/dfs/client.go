@@ -110,7 +110,7 @@ func (c *Client) Open(path string) (*FileReader, error) {
 }
 
 // FileReader is a sequential/positional reader over a file, mirroring
-// hdfsRead / hdfsPread / hdfsSeek / hdfsTell.
+// hdfsRead / hdfsPread.
 type FileReader struct {
 	client *Client
 	file   *File
@@ -131,34 +131,8 @@ type FileReader struct {
 // Size reports the file length in bytes.
 func (r *FileReader) Size() int64 { return bytesOf(r.file.SizeMB) }
 
-// Tell reports the current offset, as hdfsTell does.
-func (r *FileReader) Tell() int64 { return r.pos }
-
 // Stats returns the accumulated replica accounting.
 func (r *FileReader) Stats() ReadStats { return r.stats }
-
-// Seek implements io.Seeker.
-func (r *FileReader) Seek(offset int64, whence int) (int64, error) {
-	if r.closed {
-		return 0, fmt.Errorf("dfs: seek on closed reader for %q", r.file.Name)
-	}
-	var abs int64
-	switch whence {
-	case io.SeekStart:
-		abs = offset
-	case io.SeekCurrent:
-		abs = r.pos + offset
-	case io.SeekEnd:
-		abs = r.Size() + offset
-	default:
-		return 0, fmt.Errorf("dfs: invalid whence %d", whence)
-	}
-	if abs < 0 {
-		return 0, fmt.Errorf("dfs: negative seek position %d", abs)
-	}
-	r.pos = abs
-	return abs, nil
-}
 
 // Read implements io.Reader (hdfsRead).
 func (r *FileReader) Read(p []byte) (int, error) {

@@ -73,39 +73,6 @@ func TestSyntheticContentDeterministic(t *testing.T) {
 	}
 }
 
-func TestSeekAndTell(t *testing.T) {
-	fs := New(testView(8), Config{Seed: 3})
-	fs.Create("/f", 1)
-	r, _ := fs.Client(0).Open("/f")
-	defer r.Close()
-	if r.Size() != 1*MiB {
-		t.Fatalf("size = %d", r.Size())
-	}
-	if pos, err := r.Seek(100, io.SeekStart); err != nil || pos != 100 {
-		t.Fatalf("seek start: %d %v", pos, err)
-	}
-	if pos, err := r.Seek(50, io.SeekCurrent); err != nil || pos != 150 {
-		t.Fatalf("seek current: %d %v", pos, err)
-	}
-	if pos, err := r.Seek(-10, io.SeekEnd); err != nil || pos != 1*MiB-10 {
-		t.Fatalf("seek end: %d %v", pos, err)
-	}
-	if r.Tell() != 1*MiB-10 {
-		t.Fatalf("tell = %d", r.Tell())
-	}
-	buf := make([]byte, 100)
-	n, err := r.Read(buf)
-	if n != 10 || (err != nil && err != io.EOF) {
-		t.Fatalf("read at tail: n=%d err=%v", n, err)
-	}
-	if _, err := r.Seek(-5, io.SeekStart); err == nil {
-		t.Fatal("negative seek must fail")
-	}
-	if _, err := r.Seek(0, 99); err == nil {
-		t.Fatal("bad whence must fail")
-	}
-}
-
 func TestReadPastEOF(t *testing.T) {
 	fs := New(testView(8), Config{Seed: 4})
 	fs.Create("/f", 1)
@@ -205,9 +172,6 @@ func TestReaderErrors(t *testing.T) {
 	r.Close()
 	if _, err := r.Read(make([]byte, 4)); err == nil {
 		t.Fatal("read after close must fail")
-	}
-	if _, err := r.Seek(0, io.SeekStart); err == nil {
-		t.Fatal("seek after close must fail")
 	}
 	if err := r.Close(); err == nil {
 		t.Fatal("double close must fail")

@@ -358,17 +358,6 @@ func (r *Result) LocalFraction() float64 {
 	return local / total
 }
 
-// LocalReads counts records served from the reader's own disk.
-func (r *Result) LocalReads() int {
-	n := 0
-	for _, rec := range r.Records {
-		if rec.Local {
-			n++
-		}
-	}
-	return n
-}
-
 // Run executes tasks from src until every process has drained, returning
 // the trace. The topology's network must be idle; the run may start at a
 // non-zero virtual time (sequential rounds share one clock) and all times

@@ -213,18 +213,6 @@ func TestMultipleProcsPerNode(t *testing.T) {
 	}
 }
 
-func TestLocalReadsCounter(t *testing.T) {
-	r := buildRig(t, 8, 40, 78, dfs.RoundRobinPlacement{})
-	a, _ := core.SingleData{}.Assign(r.prob)
-	res, err := RunAssignment(r.opts("opass"), a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.LocalReads() != 40 {
-		t.Fatalf("local reads = %d, want 40 (all local)", res.LocalReads())
-	}
-}
-
 func TestRunAssignmentRejectsInvalidAssignment(t *testing.T) {
 	r := buildRig(t, 4, 8, 79, dfs.RandomPlacement{})
 	bad := &core.Assignment{Owner: []int{0}, Lists: make([][]int, 4)}

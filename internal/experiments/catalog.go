@@ -4,14 +4,14 @@ import "slices"
 
 // Result is what every study returns: it renders itself as the text rows
 // comparable to the paper's figure. A result may also implement Claimer,
-// Headliner, and the optional interfaces cmd/opass-bench looks for
+// Headliner, and the optional interfaces `opass bench` looks for
 // (Plot() string, Export(dir, name string) error, BenchKey() string).
 type Result interface {
 	Render() string
 }
 
-// Claim is one statement a study checks against the paper. opass-verify
-// prints Name, Statement and Detail as a PASS/FAIL row; opass-report
+// Claim is one statement a study checks against the paper. opass verify
+// prints Name, Statement and Detail as a PASS/FAIL row; opass report
 // tabulates Rows; TestCatalogueClaimsHold fails when Holds is false.
 type Claim struct {
 	Name      string
@@ -34,20 +34,20 @@ type Claimer interface {
 }
 
 // Headliner is a result of a study beyond the paper that reports itself as
-// one sentence in opass-report's extensions list.
+// one sentence in opass report's extensions list.
 type Headliner interface {
 	Headline() string
 }
 
 // Study is one entry of the catalogue.
 type Study struct {
-	// Name is what opass-bench, BenchmarkStudy and the docs call the study;
+	// Name is what opass bench, BenchmarkStudy and the docs call the study;
 	// Aliases are the other figure numbers the same run regenerates.
 	Name    string
 	Aliases []string
 	Title   string
 	// Checked marks the studies whose results state claims or a headline —
-	// the set opass-verify checks and opass-report tabulates. It is derived
+	// the set opass verify checks and opass report tabulates. It is derived
 	// from the result type.
 	Checked bool
 	Run     func(Config) (Result, error)
@@ -70,8 +70,8 @@ func study[R Result](name, title string, run func(Config) (R, error), aliases ..
 	}
 }
 
-// Catalog lists every study once, in the order opass-bench, opass-verify
-// and opass-report run them: the paper's figures and quoted numbers first,
+// Catalog lists every study once, in the order opass bench, opass verify
+// and opass report run them: the paper's figures and quoted numbers first,
 // then the extensions.
 func Catalog() []Study {
 	return []Study{

@@ -84,7 +84,7 @@ func TestCatalogueGolden(t *testing.T) {
 }
 
 // TestCatalogueClaimsHold runs every checked study at the quick config and
-// fails on any claim that does not hold — the thresholds opass-verify
+// fails on any claim that does not hold — the thresholds opass verify
 // prints.
 func TestCatalogueClaimsHold(t *testing.T) {
 	claims := 0
@@ -109,12 +109,12 @@ func TestCatalogueClaimsHold(t *testing.T) {
 		}
 	}
 	if claims != 10 {
-		t.Errorf("catalogue states %d claims, want the 10 opass-verify has always printed", claims)
+		t.Errorf("catalogue states %d claims, want the 10 opass verify has always printed", claims)
 	}
 }
 
 // TestCatalogueNames checks that names and aliases are unique and that every
-// name opass-bench ever accepted still resolves.
+// name opass bench ever accepted still resolves.
 func TestCatalogueNames(t *testing.T) {
 	seen := map[string]bool{}
 	for _, st := range Catalog() {
@@ -147,7 +147,7 @@ func TestCatalogueNames(t *testing.T) {
 
 // TestCatalogueDocumented fails when a study is missing from the places that
 // describe the catalogue in prose: EXPERIMENTS.md, DESIGN.md §4 and the
-// README's opass-bench command list.
+// README's opass bench command list.
 func TestCatalogueDocumented(t *testing.T) {
 	section := func(file, from, to string) string {
 		blob, err := os.ReadFile(filepath.Join("..", "..", file))
@@ -170,7 +170,7 @@ func TestCatalogueDocumented(t *testing.T) {
 	docs := map[string]string{
 		"EXPERIMENTS.md":                section("EXPERIMENTS.md", "#", ""),
 		"DESIGN.md §4":                  section("DESIGN.md", "## 4.", "\n## 5."),
-		"README.md opass-bench studies": section("README.md", "### opass-bench studies", "\n## "),
+		"README.md opass bench studies": section("README.md", "### `opass bench` studies", "\n## "),
 	}
 	for _, st := range Catalog() {
 		for where, text := range docs {

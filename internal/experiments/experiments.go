@@ -4,8 +4,8 @@
 // study is a function from a Config to a Result that renders itself as rows
 // comparable to the corresponding figure and, where the paper quotes a
 // number, states its claims. harness.go is the one build-plan-run-summarise
-// routine the single-job studies share. cmd/opass-bench, cmd/opass-verify,
-// cmd/opass-report and the root BenchmarkStudy are loops over the catalogue.
+// routine the single-job studies share. `opass bench`, `opass verify`,
+// `opass report` and the root BenchmarkStudy are loops over the catalogue.
 //
 // The experiments follow the paper's configuration: one process per node,
 // 3-way replication, 64 MB chunks, ten chunks per process for the
@@ -22,10 +22,8 @@ import (
 	"slices"
 	"strings"
 
-	"opass/internal/analysis"
 	"opass/internal/core"
-	"opass/internal/plot"
-	"opass/internal/traceio"
+	"opass/internal/report"
 	"opass/internal/workload"
 )
 
@@ -89,7 +87,7 @@ func Fig1(cfg Config) (*Fig1Result, error) {
 	}
 	out.MaxChunks = slices.Max(out.ChunksServed)
 	out.PeakConcurrency = slices.Max(out.Run.run.PeakConcurrentReads)
-	out.PredictedMax = analysis.ExpectedMaxServed(analysis.LocalReadParams{
+	out.PredictedMax = ExpectedMaxServed(LocalReadParams{
 		Chunks: chunks, Replication: out.Run.rig.FS.Config().Replication, Nodes: nodes,
 	})
 	return out, nil
@@ -202,10 +200,10 @@ func (r *TraceResult) Render() string {
 // and per-node served data.
 func (r *TraceResult) Plot() string {
 	var b strings.Builder
-	b.WriteString(plot.Trace("\nI/O time per operation, without Opass (s)", r.Baseline.IOTimes, 72, 10))
-	b.WriteString(plot.Trace("I/O time per operation, with Opass (s)", r.Opass.IOTimes, 72, 10))
-	fmt.Fprintf(&b, "\ndata served per node (MB), without Opass:\n  %s\n", plot.Sparkline(r.Baseline.ServedMB))
-	fmt.Fprintf(&b, "data served per node (MB), with Opass:\n  %s\n", plot.Sparkline(r.Opass.ServedMB))
+	b.WriteString(report.Trace("\nI/O time per operation, without Opass (s)", r.Baseline.IOTimes, 72, 10))
+	b.WriteString(report.Trace("I/O time per operation, with Opass (s)", r.Opass.IOTimes, 72, 10))
+	fmt.Fprintf(&b, "\ndata served per node (MB), without Opass:\n  %s\n", report.Sparkline(r.Baseline.ServedMB))
+	fmt.Fprintf(&b, "data served per node (MB), with Opass:\n  %s\n", report.Sparkline(r.Opass.ServedMB))
 	return b.String()
 }
 
@@ -221,10 +219,10 @@ func (r *TraceResult) Export(dir, name string) error {
 			xs[i] = float64(i)
 		}
 		var io, served bytes.Buffer
-		if err := traceio.WriteSeriesCSV(&io, "op_index", xs, []string{"io_time_s"}, [][]float64{side.res.IOTimes}); err != nil {
+		if err := report.WriteSeriesCSV(&io, "op_index", xs, []string{"io_time_s"}, [][]float64{side.res.IOTimes}); err != nil {
 			return err
 		}
-		if err := traceio.WriteNodeLoadCSV(&served, side.res.ServedMB); err != nil {
+		if err := report.WriteNodeLoadCSV(&served, side.res.ServedMB); err != nil {
 			return err
 		}
 		prefix := filepath.Join(dir, name+"_"+side.label)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"opass/internal/core"
-	"opass/internal/delay"
 	"opass/internal/engine"
 	"opass/internal/workload"
 )
@@ -35,7 +34,7 @@ func DynamicStrategies(cfg Config) (*DynamicStrategiesResult, error) {
 		ComputeMean: 0.5, ComputeSigma: 1.0,
 	}
 	delayMaster := func(rig *workload.Rig, _ *core.Assignment) (engine.TaskSource, error) {
-		return delay.NewDispatcher(rig.Prob, maxSkips, cfg.Seed), nil
+		return engine.NewDelayDispatcher(rig.Prob, maxSkips), nil
 	}
 	runs, err := runArms(
 		arm{label: "random-dynamic", rig: rig.Build, source: randomMaster(cfg.Seed)},
@@ -121,7 +120,7 @@ func (r *HeteroResult) Render() string {
 	return b.String()
 }
 
-// Headline is the study's line in opass-report.
+// Headline is the study's line in opass report.
 func (r *HeteroResult) Headline() string {
 	return fmt.Sprintf("Heterogeneous cluster: dynamic dispatch %.2fx, capacity-weighted static %.2fx over equal static.",
 		r.Static.Makespan/r.Dynamic.Makespan, r.Static.Makespan/r.Weighted.Makespan)

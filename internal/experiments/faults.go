@@ -67,7 +67,7 @@ func (r *FaultResult) Claims() []Claim {
 	}}
 }
 
-// Headline is the study's line in opass-report.
+// Headline is the study's line in opass report.
 func (r *FaultResult) Headline() string {
 	return fmt.Sprintf("Fault tolerance: with %d DataNode crashes mid-job, all %d reads complete (%d failed over).",
 		len(r.Crashes), len(r.Faulty.IOTimes), r.Retries)

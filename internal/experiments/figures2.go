@@ -5,14 +5,11 @@ import (
 	"strings"
 	"time"
 
-	"opass/internal/analysis"
 	"opass/internal/bipartite"
 	"opass/internal/cluster"
 	"opass/internal/core"
 	"opass/internal/dfs"
-	"opass/internal/metrics"
-	"opass/internal/paraview"
-	"opass/internal/plot"
+	"opass/internal/report"
 	"opass/internal/workload"
 )
 
@@ -31,7 +28,7 @@ type Fig3Result struct {
 	NodesAtMost1  float64
 	NodesAtLeast8 float64
 	// MonteCarlo cross-checks for m=128.
-	MC analysis.MonteCarloResult
+	MC MonteCarloResult
 }
 
 // Fig3 computes the §III analytical results with a Monte-Carlo
@@ -46,18 +43,18 @@ func Fig3(cfg Config) (*Fig3Result, error) {
 		PGreater5: map[int]float64{},
 	}
 	for _, m := range sizes {
-		p := analysis.LocalReadParams{Chunks: n, Replication: r, Nodes: m}
+		p := LocalReadParams{Chunks: n, Replication: r, Nodes: m}
 		q := make([]float64, kMax+1)
 		for k := 0; k <= kMax; k++ {
-			q[k] = analysis.LocalReadCDFQuoted(p, k)
+			q[k] = LocalReadCDFQuoted(p, k)
 		}
 		out.Quoted[m] = q
 		out.PGreater5[m] = 1 - q[5]
 	}
-	p128 := analysis.LocalReadParams{Chunks: n, Replication: r, Nodes: 128}
-	out.NodesAtMost1 = analysis.ExpectedNodesServingAtMost(p128, 1)
-	out.NodesAtLeast8 = analysis.ExpectedNodesServingAtLeast(p128, 8)
-	out.MC = analysis.MonteCarlo(p128, 200, kMax, cfg.Seed)
+	p128 := LocalReadParams{Chunks: n, Replication: r, Nodes: 128}
+	out.NodesAtMost1 = ExpectedNodesServingAtMost(p128, 1)
+	out.NodesAtLeast8 = ExpectedNodesServingAtLeast(p128, 8)
+	out.MC = MonteCarlo(p128, 200, kMax, cfg.Seed)
 	return out, nil
 }
 
@@ -126,33 +123,33 @@ func (r *Fig3Result) Plot() string {
 		names[i] = fmt.Sprintf("m=%d", m)
 		series[i] = r.Quoted[m]
 	}
-	return plot.CDF("\nCDF of chunks read locally (k = 0..20)", names, series, 64, 12)
+	return report.CDF("\nCDF of chunks read locally (k = 0..20)", names, series, 64, 12)
 }
 
 // Fig12Result holds the ParaView experiment.
 type Fig12Result struct {
-	Stock *paraview.PipelineResult
-	Opass *paraview.PipelineResult
+	Stock *workload.PipelineResult
+	Opass *workload.PipelineResult
 	// Call time summaries — the paper quotes mean 5.48 s (sd 1.339) stock
 	// vs 3.07 s (sd 0.316) with Opass, totals 167 s vs 98 s.
-	StockIO metrics.Summary
-	OpassIO metrics.Summary
+	StockIO report.Stats
+	OpassIO report.Stats
 }
 
 // Fig12 reproduces the §V-B ParaView experiment.
 func Fig12(cfg Config) (*Fig12Result, error) {
 	nodes := cfg.scale(64)
 	blocks := 10 * nodes // 640 blocks at paper scale
-	run := func(as core.Assigner) (*paraview.PipelineResult, error) {
+	run := func(as core.Assigner) (*workload.PipelineResult, error) {
 		topo := cluster.New(nodes, cluster.Marmot())
 		fs := dfs.New(topo, dfs.Config{Seed: cfg.Seed})
-		ds, err := paraview.CreateDataset(fs, "/protein", blocks, 56)
+		ds, err := workload.CreateMultiBlock(fs, "/protein", blocks, 56)
 		if err != nil {
 			return nil, err
 		}
-		c := paraview.DefaultConfig(as)
+		c := workload.DefaultPipeline(as)
 		c.BlocksPerStep = nodes // 64 datasets per rendering at paper scale
-		return paraview.RunPipeline(topo, fs, ds, c)
+		return workload.RunPipeline(topo, fs, ds, c)
 	}
 	stock, err := run(core.RankStatic{})
 	if err != nil {
@@ -165,8 +162,8 @@ func Fig12(cfg Config) (*Fig12Result, error) {
 	return &Fig12Result{
 		Stock:   stock,
 		Opass:   op,
-		StockIO: metrics.Summarize(stock.CallTimes),
-		OpassIO: metrics.Summarize(op.CallTimes),
+		StockIO: report.StatsOf(stock.CallTimes),
+		OpassIO: report.StatsOf(op.CallTimes),
 	}, nil
 }
 
@@ -201,8 +198,8 @@ func (r *Fig12Result) Claims() []Claim {
 
 // Plot draws both pipelines' reader call times.
 func (r *Fig12Result) Plot() string {
-	return plot.Trace("\nvtkFileSeriesReader call times, stock (s)", r.Stock.CallTimes, 72, 8) +
-		plot.Trace("vtkFileSeriesReader call times, with Opass (s)", r.Opass.CallTimes, 72, 8)
+	return report.Trace("\nvtkFileSeriesReader call times, stock (s)", r.Stock.CallTimes, 72, 8) +
+		report.Trace("vtkFileSeriesReader call times, with Opass (s)", r.Opass.CallTimes, 72, 8)
 }
 
 // OverheadResult quantifies §V-C1: the matching overhead relative to the

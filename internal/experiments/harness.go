@@ -8,7 +8,7 @@ import (
 	"opass/internal/core"
 	"opass/internal/dfs"
 	"opass/internal/engine"
-	"opass/internal/metrics"
+	"opass/internal/report"
 	"opass/internal/workload"
 )
 
@@ -22,8 +22,8 @@ import (
 type StrategyResult struct {
 	Strategy string
 	Nodes    int
-	IO       metrics.Summary // per-read I/O time (s)
-	Served   metrics.Summary // per-node served data (MB)
+	IO       report.Stats // per-read I/O time (s)
+	Served   report.Stats // per-node served data (MB)
 	ServedMB []float64
 	IOTimes  []float64
 	Local    float64 // fraction of bytes read locally
@@ -48,18 +48,18 @@ type StrategyResult struct {
 }
 
 func strategyResult(nodes int, res *engine.Result) StrategyResult {
-	io := res.IOTimes()
+	sum := report.Summarize(res)
 	return StrategyResult{
-		Strategy:            res.Strategy,
+		Strategy:            sum.Strategy,
 		Nodes:               nodes,
-		IO:                  metrics.Summarize(io),
-		Served:              metrics.Summarize(res.ServedMB),
+		IO:                  sum.IO,
+		Served:              sum.Served,
 		ServedMB:            append([]float64(nil), res.ServedMB...),
-		IOTimes:             io,
-		Local:               res.LocalFraction(),
+		IOTimes:             res.IOTimes(),
+		Local:               sum.LocalFraction,
 		Makespan:            res.JobMakespan(),
-		Fairness:            metrics.JainIndex(res.ServedMB),
-		MeanDiskUtilization: metrics.Summarize(res.DiskUtilization).Mean,
+		Fairness:            sum.Fairness,
+		MeanDiskUtilization: report.StatsOf(res.DiskUtilization).Mean,
 		run:                 res,
 	}
 }

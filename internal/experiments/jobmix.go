@@ -10,7 +10,7 @@ import (
 	"opass/internal/dfs"
 	"opass/internal/engine"
 	"opass/internal/globalsched"
-	"opass/internal/metrics"
+	"opass/internal/report"
 )
 
 // The jobmix experiment quantifies ROADMAP item 1: a staggered mix of
@@ -200,7 +200,7 @@ func jobMixSide(label string, nodes int, results []*engine.Result) JobMixSide {
 			}
 		}
 	}
-	makespans := metrics.Summarize(side.JobMakespans)
+	makespans := report.StatsOf(side.JobMakespans)
 	side.MakespanMean, side.MakespanMax = makespans.Mean, makespans.Max
 	if endTime > 0 {
 		side.ThroughputMBps = totalMB / endTime
@@ -208,12 +208,12 @@ func jobMixSide(label string, nodes int, results []*engine.Result) JobMixSide {
 	if totalMB > 0 {
 		side.Local = localMB / totalMB
 	}
-	served := metrics.Summarize(side.ServedMB)
+	served := report.StatsOf(side.ServedMB)
 	side.SpreadMB = served.Max - served.Min
 	if served.Min > 0 {
 		side.MaxMinRatio = served.Max / served.Min
 	}
-	side.Fairness = metrics.JainIndex(side.ServedMB)
+	side.Fairness = report.JainIndex(side.ServedMB)
 	return side
 }
 

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"opass/internal/metrics"
+	"opass/internal/report"
 )
 
 // ReplicatedTrace aggregates a trace experiment over several seeds — the
@@ -16,7 +16,7 @@ type ReplicatedTrace struct {
 	// Ratios are the per-seed improvement factors (baseline avg I/O / Opass
 	// avg I/O); Ratio summarizes them.
 	Ratios []float64
-	Ratio  metrics.Summary
+	Ratio  report.Stats
 	// Locality means across seeds.
 	BaselineLocalMean float64
 	OpassLocalMean    float64
@@ -48,7 +48,7 @@ func Replicate(st Study, cfg Config, n int) (*ReplicatedTrace, error) {
 		out.BaselineLocalMean += r.Baseline.Local
 		out.OpassLocalMean += r.Opass.Local
 	}
-	out.Ratio = metrics.Summarize(out.Ratios)
+	out.Ratio = report.StatsOf(out.Ratios)
 	out.BaselineLocalMean /= float64(n)
 	out.OpassLocalMean /= float64(n)
 	return out, nil

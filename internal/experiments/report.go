@@ -8,7 +8,7 @@ import (
 // MarkdownReport runs every checked study of the catalogue at the
 // configured scale and emits a paper-vs-measured markdown document — the
 // machine-generated counterpart of EXPERIMENTS.md, suitable for regression
-// archives (cmd/opass-report). A study's claims become one table under its
+// archives (`opass report`). A study's claims become one table under its
 // title; the headlines of the studies beyond the paper are listed last.
 func MarkdownReport(cfg Config) (string, error) {
 	var b, extensions strings.Builder

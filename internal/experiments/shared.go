@@ -95,7 +95,7 @@ func (r *SharedClusterResult) Render() string {
 	return b.String()
 }
 
-// Headline is the study's line in opass-report.
+// Headline is the study's line in opass report.
 func (r *SharedClusterResult) Headline() string {
 	return fmt.Sprintf("Shared cluster: a co-running oblivious job slows the Opass job %.2fx; its reads stay %.0f%% local.",
 		r.Slowdown, 100*r.Shared.Local)

@@ -1,10 +1,12 @@
 package httpapi
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 
@@ -189,5 +191,47 @@ func TestSimulateDeltaReplanMetric(t *testing.T) {
 	}
 	if delta >= float64(len(req.Tasks)) {
 		t.Fatalf("%s = %v, want fewer than the %d-task job", MetricEngineDeltaReplanned, delta, len(req.Tasks))
+	}
+}
+
+// TestSimulateSummaryGolden pins the bytes of the `summary` object — field
+// names, order and omitempty behaviour — for one run that populates every
+// fault counter: a permanent crash, a transient one, replan and repair.
+// To accept an intended change delete the golden file and run once.
+func TestSimulateSummaryGolden(t *testing.T) {
+	srv := httptest.NewServer(NewServer(ServerOptions{}))
+	defer srv.Close()
+
+	req := faultRequest("opass")
+	req.Failures = []FailureSpec{
+		{Node: 1, AtSeconds: 0.5},
+		{Node: 2, AtSeconds: 0.3, RecoverAtSeconds: 1.5},
+	}
+	req.Replan = true
+	req.Repair = true
+	req.RepairDelaySeconds = 1.0
+	resp, body := post(t, srv, "/v1/simulate", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	var out struct {
+		Summary json.RawMessage `json:"summary"`
+	}
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	const path = "testdata/simulate_summary.golden"
+	want, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		if err := os.WriteFile(path, out.Summary, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Fatalf("no golden file; wrote %s — review it and re-run", path)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Summary, want) {
+		t.Fatalf("summary differs from %s\n--- got\n%s\n--- want\n%s", path, out.Summary, want)
 	}
 }

@@ -44,8 +44,8 @@ import (
 	"opass/internal/core"
 	"opass/internal/engine"
 	"opass/internal/plancache"
+	"opass/internal/report"
 	"opass/internal/telemetry"
-	"opass/internal/traceio"
 )
 
 // Metric family names recorded by the handler (beyond the per-route series
@@ -238,8 +238,8 @@ type PlanResponse struct {
 
 // SimulateResponse is the body returned by POST /v1/simulate.
 type SimulateResponse struct {
-	Plan    PlanResponse    `json:"plan"`
-	Summary traceio.Summary `json:"summary"`
+	Plan    PlanResponse   `json:"plan"`
+	Summary report.Summary `json:"summary"`
 }
 
 // errorBody is the JSON error envelope.
@@ -582,7 +582,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	s.reg.Gauge(MetricSimLastTasksRun).Set(float64(res.TasksRun))
 	s.reg.Gauge(MetricSimLastRetries).Set(float64(res.Retries))
 	s.reg.Gauge(MetricSimLastLocality).Set(res.LocalFraction())
-	s.writeJSON(w, r, http.StatusOK, SimulateResponse{Plan: resp, Summary: traceio.Summarize(res)})
+	s.writeJSON(w, r, http.StatusOK, SimulateResponse{Plan: resp, Summary: report.Summarize(res)})
 }
 
 // reject answers a decode failure, bucketing it in the rejection counter.

@@ -1,5 +1,5 @@
 // Package plannerbench holds the planner hot-path benchmark bodies shared
-// by the repo-root testing.B benchmarks and the opass-bench CLI (which
+// by the repo-root testing.B benchmarks and the `opass bench planner` experiment (which
 // replays them through testing.Benchmark to emit BENCH_planner.json). Each
 // pair of functions contrasts the pre-index implementation — O(procs ×
 // tasks × inputs × replicas) CoLocatedMB probe sweeps — with the shared

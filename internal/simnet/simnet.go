@@ -69,10 +69,6 @@ type Flow struct {
 // Remaining reports the MB still to transfer.
 func (f *Flow) Remaining() float64 { return f.remaining }
 
-// Rate reports the flow's current transfer rate in MB/s. It is zero while
-// the flow is in its startup-delay phase.
-func (f *Flow) Rate() float64 { return f.rate }
-
 // CompletionHandler is invoked by Run whenever a flow finishes. The handler
 // runs with the clock at the completion instant and may start new flows.
 type CompletionHandler func(now float64, f *Flow)
@@ -179,9 +175,6 @@ func (n *Network) Utilization(id ResourceID, since float64) float64 {
 func (n *Network) Resource(id ResourceID) Resource {
 	return n.resources[int(id)]
 }
-
-// NumResources reports how many resources are registered.
-func (n *Network) NumResources() int { return len(n.resources) }
 
 // Now reports the current virtual time in seconds.
 func (n *Network) Now() float64 { return n.now }

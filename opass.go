@@ -33,7 +33,6 @@ import (
 	"opass/internal/advisor"
 	"opass/internal/cluster"
 	"opass/internal/core"
-	"opass/internal/delay"
 	"opass/internal/dfs"
 	"opass/internal/engine"
 	"opass/internal/globalsched"
@@ -449,7 +448,7 @@ func (c *Cluster) RunWithOptions(p *Plan, opts RunOptions) (*Report, error) {
 			if skips <= 0 {
 				skips = 3
 			}
-			src = delay.NewDispatcher(p.Problem, skips, c.seed)
+			src = engine.NewDelayDispatcher(p.Problem, skips)
 		case MasterRandom:
 			src = core.NewRandomDispatcher(p.Problem, c.seed)
 		default:

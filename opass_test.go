@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"opass/internal/dfs"
+	"opass/internal/report"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -398,5 +399,39 @@ func TestFacadeAdvisor(t *testing.T) {
 	// Dynamic plans have no re-matchable backlog; the advisor is refused.
 	if _, err := c.RunWithOptions(plan.AsDynamic(), RunOptions{Advisor: adv}); err == nil {
 		t.Fatal("advisor accepted a dynamic plan")
+	}
+}
+
+// TestReportAgreesWithSummary ties the facade's Report to report.Summarize,
+// the one place run statistics are computed, so the two cannot drift.
+func TestReportAgreesWithSummary(t *testing.T) {
+	c, err := NewClusterWithOptions(16, Options{Seed: 31})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Store("/data", 16*10*64); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := c.PlanSingleData(StrategyRank, "/data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := c.Run(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := ReportOf(rep.Raw())
+	want := report.Summarize(rep.Raw())
+	if got.IO != want.IO || got.Served != want.Served {
+		t.Errorf("IO %+v / Served %+v, summary has %+v / %+v", got.IO, got.Served, want.IO, want.Served)
+	}
+	if got.LocalFraction != want.LocalFraction || got.Fairness != want.Fairness {
+		t.Errorf("local %v fairness %v, summary has %v and %v", got.LocalFraction, got.Fairness, want.LocalFraction, want.Fairness)
+	}
+	if got.Makespan != want.Makespan || got.TasksRun != want.Tasks {
+		t.Errorf("makespan %v tasks %d, summary has %v and %d", got.Makespan, got.TasksRun, want.Makespan, want.Tasks)
+	}
+	if want.IO.Count != 160 || want.LocalFraction == 0 || want.LocalFraction == 1 {
+		t.Errorf("run too trivial to compare: %+v", want)
 	}
 }

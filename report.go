@@ -5,7 +5,7 @@ import (
 	"strings"
 
 	"opass/internal/engine"
-	"opass/internal/metrics"
+	"opass/internal/report"
 )
 
 // Report summarizes one executed plan with the statistics the paper
@@ -17,11 +17,11 @@ type Report struct {
 	// trace plotted in Figures 7c, 9, 11 and 12).
 	IOTimes []float64
 	// IO summarizes IOTimes (avg/max/min/stddev — Figures 7a/7b).
-	IO metrics.Summary
+	IO report.Stats
 	// ServedMB is the data served per storage node (Figures 8 and 10).
 	ServedMB []float64
 	// Served summarizes ServedMB across nodes.
-	Served metrics.Summary
+	Served report.Stats
 	// LocalFraction is the fraction of bytes read from the reader's own
 	// disk.
 	LocalFraction float64
@@ -49,19 +49,19 @@ type Report struct {
 }
 
 func newReport(res *engine.Result) *Report {
-	io := res.IOTimes()
+	sum := report.Summarize(res)
 	return &Report{
-		Strategy:      res.Strategy,
-		IOTimes:       io,
-		IO:            metrics.Summarize(io),
+		Strategy:      sum.Strategy,
+		IOTimes:       res.IOTimes(),
+		IO:            sum.IO,
 		ServedMB:      append([]float64(nil), res.ServedMB...),
-		Served:        metrics.Summarize(res.ServedMB),
-		LocalFraction: res.LocalFraction(),
-		Makespan:      res.Makespan,
+		Served:        sum.Served,
+		LocalFraction: sum.LocalFraction,
+		Makespan:      sum.Makespan,
 		Arrival:       res.Arrival,
 		JobMakespan:   res.JobMakespan(),
-		Fairness:      metrics.JainIndex(res.ServedMB),
-		TasksRun:      res.TasksRun,
+		Fairness:      sum.Fairness,
+		TasksRun:      sum.Tasks,
 		RackLocalMB:   res.RackLocalMB,
 		CrossRackMB:   res.CrossRackMB,
 		res:           res,
