@@ -15,9 +15,8 @@ import (
 
 // This file implements the "planner" experiment: the planner hot-path
 // microbenchmarks replayed through testing.Benchmark, printed as a table
-// and optionally serialized to BENCH_planner.json (-benchjson). The JSON
-// seeds the repo's perf trajectory: every probe/indexed pair records the
-// speedup of the locality-index refactor at each problem size.
+// and optionally serialized to BENCH_planner.json (-benchjson), the repo's
+// per-stage perf trajectory at each problem size.
 
 // benchResult is one serialized benchmark row.
 type benchResult struct {
@@ -29,7 +28,7 @@ type benchResult struct {
 	BytesPerOp  int64   `json:"bytes_per_op"`
 }
 
-// benchSpeedup contrasts a probe/indexed pair.
+// benchSpeedup contrasts a slow/fast pair.
 type benchSpeedup struct {
 	Name    string  `json:"name"`
 	Procs   int     `json:"procs"`
@@ -103,13 +102,10 @@ func runPlannerBench(w io.Writer) (*benchReport, error) {
 			return nil, err
 		}
 
-		pair("locality-graph", "probe", "indexed", procs, tasks,
-			func() error { plannerbench.LocalityGraphProbe(sp); return nil },
-			func() error { plannerbench.LocalityGraphIndexed(sp); return nil })
-		pair("multidata-prefs", "probe", "indexed", procs, tasks,
-			func() error { plannerbench.MultiPrefsProbe(mp); return nil },
-			func() error { plannerbench.MultiPrefsIndexed(mp); return nil })
-
+		record("planner/index-build", procs, tasks, func() error {
+			core.NewLocalityIndex(sp).Release()
+			return nil
+		})
 		record("planner/single-ek", procs, tasks, plan(core.SingleData{Algorithm: bipartite.EdmondsKarp}, sp))
 		record("planner/single-dinic", procs, tasks, plan(core.SingleData{Algorithm: bipartite.Dinic}, sp))
 		record("planner/single-matcher", procs, tasks, plan(core.SingleData{Algorithm: bipartite.Kuhn}, sp))

@@ -94,7 +94,7 @@ func (g *Graph) AddEdge(p, f int, weight int64) {
 // backing array; visiting processes in ascending order lands each list
 // process-ascending, matching the incremental builder's invariant.
 // Invalid input panics, mirroring AddEdge. This is the bulk path behind
-// the planners' parallel locality-graph build.
+// the planners' locality-graph build.
 func NewGraphFromSorted(numP, numF int, byP [][]Edge) *Graph {
 	if numP < 0 || numF < 0 {
 		panic(fmt.Sprintf("bipartite: invalid graph dimensions %dx%d", numP, numF))
@@ -137,27 +137,6 @@ func NewGraphFromSorted(numP, numF int, byP [][]Edge) *Graph {
 		}
 	}
 	return g
-}
-
-// Reserve pre-sizes the adjacency lists for callers that know vertex
-// degrees up front (the locality index does), eliminating append-growth
-// reallocations during a bulk build. Nil slices leave that side untouched;
-// reserving below a list's current length is a no-op for it.
-func (g *Graph) Reserve(procDeg, fileDeg []int) {
-	for p, d := range procDeg {
-		if p < g.numP && d > len(g.byP[p]) && d > cap(g.byP[p]) {
-			es := make([]Edge, len(g.byP[p]), d)
-			copy(es, g.byP[p])
-			g.byP[p] = es
-		}
-	}
-	for f, d := range fileDeg {
-		if f < g.numF && d > len(g.byF[f]) && d > cap(g.byF[f]) {
-			es := make([]Edge, len(g.byF[f]), d)
-			copy(es, g.byF[f])
-			g.byF[f] = es
-		}
-	}
 }
 
 // searchF returns the position of the first edge with .F >= f.

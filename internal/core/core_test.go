@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -476,5 +477,29 @@ func TestSolverSeam(t *testing.T) {
 	unequal := goldenSingleProblems(t)["racked-unequal"]
 	if !slices.Equal(owners(unequal, SingleData{Algorithm: bipartite.Kuhn}), owners(unequal, SingleData{Algorithm: bipartite.EdmondsKarp})) {
 		t.Error("unequal sizes: the matcher did not fall back to the Edmonds-Karp plan")
+	}
+}
+
+// TestAssignerFor pins the strategy table the facade and the service share,
+// including that "" is not a strategy here (the service maps it to "opass"
+// before asking) and that the error carries no package prefix.
+func TestAssignerFor(t *testing.T) {
+	for _, c := range []struct {
+		strategy string
+		multi    bool
+		want     string
+	}{
+		{"opass", false, "opass-flow"}, {"opass", true, "opass-matching"},
+		{"rank", true, "rank-static"}, {"random", false, "random-static"}, {"greedy", false, "opass-greedy"},
+	} {
+		a, err := AssignerFor(c.strategy, 1, c.multi)
+		if err != nil || a.Name() != c.want {
+			t.Errorf("AssignerFor(%q, multi=%v) = (%v, %v), want %s", c.strategy, c.multi, a, err, c.want)
+		}
+	}
+	for _, bad := range []string{"", "bogus"} {
+		if _, err := AssignerFor(bad, 1, false); err == nil || err.Error() != fmt.Sprintf("unknown strategy %q", bad) {
+			t.Errorf("AssignerFor(%q) error = %v", bad, err)
+		}
 	}
 }

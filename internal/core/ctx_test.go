@@ -3,8 +3,13 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
+	"runtime"
+	"runtime/debug"
 	"sync/atomic"
 	"testing"
+	"time"
+	"unsafe"
 
 	"opass/internal/dfs"
 )
@@ -102,5 +107,68 @@ func TestAssignContextLiveMatchesAssign(t *testing.T) {
 		if plain.Owner[i] != ctxed.Owner[i] {
 			t.Fatalf("owner[%d] differs: %d vs %d", i, plain.Owner[i], ctxed.Owner[i])
 		}
+	}
+}
+
+// TestCancelledPlanLeavesNothingBehind trips the context at every poll a
+// clean plan makes — the index build's stride polls, the matcher's phases,
+// Algorithm 1's proposal loop — and asserts each cancelled plan returns
+// (nil, Canceled), leaves the goroutine count where it started, and hands
+// the pooled index buffer back: the build that follows it allocates no new
+// edge array. (testing.AllocsPerRun cannot state the last clause — its
+// warm-up run would refill the pool — so the bytes of one build are read
+// from MemStats; under -race sync.Pool drops Puts at random and the clause
+// is skipped.)
+func TestCancelledPlanLeavesNothingBehind(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))  // MultiData's sort fan-out spawns workers
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a GC between Put and Get would empty the pool
+	single, _ := buildSingle(t, 24, 2048, 7, dfs.RandomPlacement{})
+	racked, v := buildRacked(t, 16, 4, 1024, 1, 8)
+	racked.SetNodeRacksFromView(v)
+	for _, c := range []struct {
+		name string
+		a    ContextAssigner
+		p    *Problem
+	}{
+		{"single", SingleData{}, single},
+		{"racked-single", SingleData{}, racked},
+		{"greedy", GreedyLocality{}, single},
+		{"multi", MultiData{}, multiProblem(t, 16, 3000, 9)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			clean := &trippedCtx{Context: context.Background(), after: math.MaxInt64}
+			if _, err := AssignContext(clean, c.a, c.p); err != nil {
+				t.Fatal(err)
+			}
+			polls := clean.calls.Load()
+			ix := NewLocalityIndex(c.p)
+			indexPolls := int64(1 + (len(c.p.Tasks)+indexCtxStride-1)/indexCtxStride) // AssignContext's own, then the node tier's
+			edgeArrayBytes := uint64(ix.NumEdges()) * uint64(unsafe.Sizeof(LocalityEdge{}))
+			ix.Release()
+			if polls <= indexPolls+1 {
+				t.Fatalf("a clean plan polls ctx %d times, %d of them before the solver: no solver poll to trip", polls, indexPolls)
+			}
+			goroutines := runtime.NumGoroutine()
+			for k := int64(1); k < polls; k++ {
+				a, err := AssignContext(&trippedCtx{Context: context.Background(), after: k}, c.a, c.p)
+				if a != nil || !errors.Is(err, context.Canceled) {
+					t.Fatalf("tripped at poll %d of %d: got (%v, %v), want (nil, context.Canceled)", k+1, polls, a, err)
+				}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				NewLocalityIndex(c.p).Release()
+				runtime.ReadMemStats(&after)
+				if got := after.TotalAlloc - before.TotalAlloc; !raceEnabled && got >= edgeArrayBytes {
+					t.Fatalf("tripped at poll %d of %d (%d in the index build): the next build allocated %d B, an edge array is %d B",
+						k+1, polls, indexPolls, got, edgeArrayBytes)
+				}
+			}
+			for i := 0; runtime.NumGoroutine() > goroutines; i++ { // fan-out workers may still be exiting
+				if i == 1000 {
+					t.Fatalf("%d goroutines after the cancelled plans, %d before", runtime.NumGoroutine(), goroutines)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
 	}
 }

@@ -35,7 +35,7 @@ func (g GreedyLocality) Assign(p *Problem) (*Assignment, error) {
 
 // AssignContext implements ContextAssigner. The candidate discovery that
 // used to dominate — an O(m·n) CoLocatedMB probe sweep — now reads the
-// locality index, whose parallel O(edges) build yields the same candidate
+// locality index, whose O(edges) build yields the same candidate
 // sets in the same ascending-process order with bit-identical MB values
 // (the index contract), so plans are byte-identical to the probe-based
 // planner; the greedy parity test checks the two paths against each other.

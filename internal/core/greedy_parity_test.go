@@ -76,7 +76,7 @@ func greedyProbeReference(t *testing.T, p *Problem, seed int64) *Assignment {
 
 // TestGreedyLocalityIndexParity proves the index-backed greedy planner is
 // byte-identical to the probe-based one across placements, problem sizes
-// spanning the serial and parallel index-build paths, multi-input tasks,
+// spanning small and large index builds, multi-input tasks,
 // and the rack tier.
 func TestGreedyLocalityIndexParity(t *testing.T) {
 	type prob struct {
@@ -95,7 +95,7 @@ func TestGreedyLocalityIndexParity(t *testing.T) {
 		{"random small", 8, 64, 1, dfs.RandomPlacement{}},
 		{"random medium", 16, 160, 2, dfs.RandomPlacement{}},
 		{"round-robin", 12, 96, 3, dfs.RoundRobinPlacement{}},
-		{"parallel index build", 24, 2*indexParallelThreshold + 32, 4, dfs.RandomPlacement{}},
+		{"large index build", 24, 512 + 32, 4, dfs.RandomPlacement{}},
 		{"skewed clustered", 10, 80, 5, dfs.ClusteredPlacement{}},
 	} {
 		p, _ := buildSingle(t, c.nodes, c.chunks, c.seed, c.pol)

@@ -1,33 +1,100 @@
 package core
 
 import (
+	"bytes"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
 	"opass/internal/dfs"
 )
 
-// TestLocalityIndexMatchesProbes asserts the index reproduces
-// Problem.CoLocatedMB bit-for-bit over every (proc, task) pair — the
-// invariant the golden-plan equivalence rests on — on both single-data and
-// multi-data problems, across the serial and parallel build paths.
-func TestLocalityIndexMatchesProbes(t *testing.T) {
+// indexOracleProblems are the shapes the index tests sweep: single- and
+// multi-input tasks, a task count past the old worker-pool threshold, two
+// process ranks per node (interleaved, so a node's ranks are not adjacent),
+// and rack-tiered layouts with one and with three replicas per chunk.
+func indexOracleProblems(t *testing.T) map[string]*Problem {
 	single, _ := buildSingle(t, 16, 160, 9, dfs.RandomPlacement{})
-	large, _ := buildSingle(t, 24, 2*indexParallelThreshold, 10, dfs.RandomPlacement{})
-	multi := goldenMultiProblem(t)
-	for name, p := range map[string]*Problem{"single": single, "parallel-build": large, "multi": multi} {
+	large, _ := buildSingle(t, 24, 512, 10, dfs.RandomPlacement{})
+	shared := multiProblem(t, 8, 40, 14)
+	shared.ProcNode = append(shared.ProcNode, shared.ProcNode...)
+	racked, v := buildRacked(t, 16, 4, 160, 3, 15)
+	racked.SetNodeRacksFromView(v)
+	return map[string]*Problem{
+		"single": single, "large": large, "multi": goldenMultiProblem(t),
+		"multi-proc-per-node": shared, "racked": racked, "racked-multi": goldenRackedMultiProblem(t),
+	}
+}
+
+// rackProbeMB is the brute-force rack tier: the bytes of task's inputs with
+// a replica in proc's rack but none on proc's own node.
+func rackProbeMB(p *Problem, proc, task int) float64 {
+	node := p.ProcNode[proc]
+	var s float64
+	for _, in := range p.Tasks[task].Inputs {
+		c := p.FS.Chunk(in.Chunk)
+		if c.HostedOn(node) {
+			continue
+		}
+		for _, r := range c.Replicas {
+			if p.NodeRack[r] == p.NodeRack[node] {
+				s += in.SizeMB
+				break
+			}
+		}
+	}
+	return s
+}
+
+// TestLocalityIndexMatchesProbes asserts every view of the index reproduces
+// a brute-force probe sweep bit-for-bit over every (proc, task) pair — the
+// invariant the golden-plan equivalence rests on — whatever the storage
+// layout behind the views.
+func TestLocalityIndexMatchesProbes(t *testing.T) {
+	for name, p := range indexOracleProblems(t) {
 		t.Run(name, func(t *testing.T) {
 			ix := NewLocalityIndex(p)
+			defer ix.Release()
+			if ix.RackTiered() != p.RackTiered() {
+				t.Fatalf("index RackTiered = %v, problem says %v", ix.RackTiered(), p.RackTiered())
+			}
+			byProc := make([][]LocalityEdge, p.NumProcs())
 			edges := 0
 			for task := range p.Tasks {
+				var want, wantRack []LocalityEdge
 				for proc := 0; proc < p.NumProcs(); proc++ {
-					want := p.CoLocatedMB(proc, task)
-					if got := ix.CoLocatedMB(proc, task); got != want {
-						t.Fatalf("index MB(proc=%d, task=%d) = %v, probe says %v", proc, task, got, want)
+					mb := p.CoLocatedMB(proc, task)
+					if got := ix.CoLocatedMB(proc, task); got != mb {
+						t.Fatalf("index MB(proc=%d, task=%d) = %v, probe says %v", proc, task, got, mb)
 					}
-					if want > 0 {
-						edges++
+					if mb > 0 {
+						e := LocalityEdge{Proc: proc, Task: task, MB: mb}
+						want = append(want, e)
+						byProc[proc] = append(byProc[proc], e)
 					}
+					if !p.RackTiered() {
+						continue
+					}
+					rmb := rackProbeMB(p, proc, task)
+					if got := ix.RackCoLocatedMB(proc, task); got != rmb {
+						t.Fatalf("index rack MB(proc=%d, task=%d) = %v, probe says %v", proc, task, got, rmb)
+					}
+					if rmb > 0 {
+						wantRack = append(wantRack, LocalityEdge{Proc: proc, Task: task, MB: rmb})
+					}
+				}
+				edges += len(want)
+				if got := ix.TaskEdges(task); !slices.Equal(got, want) {
+					t.Fatalf("TaskEdges(%d) = %v, probes say %v", task, got, want)
+				}
+				if got := ix.TaskRackEdges(task); !slices.Equal(got, wantRack) {
+					t.Fatalf("TaskRackEdges(%d) = %v, probes say %v", task, got, wantRack)
+				}
+			}
+			for proc, want := range byProc {
+				if got := ix.ProcEdges(proc); !slices.Equal(got, want) {
+					t.Fatalf("ProcEdges(%d) = %v, probes say %v", proc, got, want)
 				}
 			}
 			if ix.NumEdges() != edges {
@@ -37,62 +104,73 @@ func TestLocalityIndexMatchesProbes(t *testing.T) {
 	}
 }
 
-// TestLocalityIndexViewsSorted asserts the ordering contracts TaskEdges and
-// ProcEdges document, and that both views agree on the edge set.
+// TestLocalityIndexViewsSorted asserts the ordering contracts TaskEdges,
+// TaskRackEdges and ProcEdges document, and that the two node-tier views
+// hold NumEdges edges each.
 func TestLocalityIndexViewsSorted(t *testing.T) {
-	p, _ := buildSingle(t, 16, 160, 11, dfs.RandomPlacement{})
-	ix := NewLocalityIndex(p)
-	type key struct{ proc, task int }
-	fromTasks := map[key]float64{}
-	for task := range p.Tasks {
-		es := ix.TaskEdges(task)
-		if !sort.SliceIsSorted(es, func(a, b int) bool { return es[a].Proc < es[b].Proc }) {
-			t.Fatalf("TaskEdges(%d) not process-ascending: %v", task, es)
-		}
-		for _, e := range es {
-			if e.Task != task || e.MB <= 0 {
-				t.Fatalf("TaskEdges(%d) contains foreign or empty edge %+v", task, e)
+	for name, p := range indexOracleProblems(t) {
+		ix := NewLocalityIndex(p)
+		byTask, byProc := 0, 0
+		for task := range p.Tasks {
+			for tier, es := range [][]LocalityEdge{ix.TaskEdges(task), ix.TaskRackEdges(task)} {
+				if !sort.SliceIsSorted(es, func(a, b int) bool { return es[a].Proc < es[b].Proc }) {
+					t.Fatalf("%s: tier %d edges of task %d not process-ascending: %v", name, tier, task, es)
+				}
+				for _, e := range es {
+					if e.Task != task || e.MB <= 0 {
+						t.Fatalf("%s: tier %d edges of task %d contain foreign or empty edge %+v", name, tier, task, e)
+					}
+				}
 			}
-			fromTasks[key{e.Proc, e.Task}] = e.MB
+			byTask += len(ix.TaskEdges(task))
 		}
-	}
-	seen := 0
-	for proc := 0; proc < p.NumProcs(); proc++ {
-		es := ix.ProcEdges(proc)
-		if !sort.SliceIsSorted(es, func(a, b int) bool { return es[a].Task < es[b].Task }) {
-			t.Fatalf("ProcEdges(%d) not task-ascending: %v", proc, es)
-		}
-		for _, e := range es {
-			if w, ok := fromTasks[key{e.Proc, e.Task}]; !ok || w != e.MB {
-				t.Fatalf("ProcEdges(%d) edge %+v disagrees with TaskEdges view (%v, %v)", proc, e, w, ok)
+		for proc := 0; proc < p.NumProcs(); proc++ {
+			es := ix.ProcEdges(proc)
+			if !sort.SliceIsSorted(es, func(a, b int) bool { return es[a].Task < es[b].Task }) {
+				t.Fatalf("%s: ProcEdges(%d) not task-ascending: %v", name, proc, es)
 			}
-			seen++
+			for _, e := range es {
+				if e.Proc != proc || e.MB <= 0 {
+					t.Fatalf("%s: ProcEdges(%d) contains foreign or empty edge %+v", name, proc, e)
+				}
+			}
+			byProc += len(es)
 		}
-	}
-	if seen != ix.NumEdges() {
-		t.Fatalf("ProcEdges enumerates %d edges, index reports %d", seen, ix.NumEdges())
+		if byTask != ix.NumEdges() || byProc != ix.NumEdges() {
+			t.Fatalf("%s: views enumerate %d / %d edges, index reports %d", name, byTask, byProc, ix.NumEdges())
+		}
+		ix.Release()
 	}
 }
 
-// TestLocalityIndexParallelDeterminism asserts repeated builds (which race
-// worker goroutines over the task space) always produce identical views.
-func TestLocalityIndexParallelDeterminism(t *testing.T) {
-	p, _ := buildSingle(t, 24, 2*indexParallelThreshold, 12, dfs.RandomPlacement{})
-	base := NewLocalityIndex(p)
-	for round := 0; round < 5; round++ {
-		ix := NewLocalityIndex(p)
-		if ix.NumEdges() != base.NumEdges() {
-			t.Fatalf("round %d: %d edges, want %d", round, ix.NumEdges(), base.NumEdges())
-		}
-		for task := range p.Tasks {
-			a, b := base.TaskEdges(task), ix.TaskEdges(task)
-			if len(a) != len(b) {
-				t.Fatalf("round %d task %d: %d edges, want %d", round, task, len(b), len(a))
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("round %d task %d edge %d: %+v, want %+v", round, task, i, b[i], a[i])
-				}
+// TestPlansIdenticalAcrossGOMAXPROCS plans every index-backed planner at
+// GOMAXPROCS 1, 2 and 8 and asserts byte-identical Owner and Lists. The
+// index, the graph build and the size sums are serial; MultiData's
+// per-process preference sort is the one fan-out left, so it is the only
+// place worker count could leak into a plan.
+func TestPlansIdenticalAcrossGOMAXPROCS(t *testing.T) {
+	single, _ := buildSingle(t, 24, 512, 12, dfs.RandomPlacement{})
+	cases := []struct {
+		name string
+		a    Assigner
+		p    *Problem
+	}{
+		{"single", SingleData{Seed: 1}, single},
+		{"greedy", GreedyLocality{Seed: 2}, single},
+		{"multi", MultiData{Seed: 3}, goldenMultiProblem(t)},
+		{"racked-single", SingleData{Seed: 4}, goldenRackedProblem(t, func(int) float64 { return 64 })},
+		{"racked-multi", MultiData{Seed: 5}, goldenRackedMultiProblem(t)},
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, c := range cases {
+		var base []byte
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			got := planBytes(t, c.a, c.p)
+			if base == nil {
+				base = got
+			} else if !bytes.Equal(got, base) {
+				t.Errorf("%s: plan at GOMAXPROCS=%d differs from the one at 1", c.name, procs)
 			}
 		}
 	}

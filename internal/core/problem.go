@@ -222,9 +222,32 @@ type Assigner interface {
 	Assign(p *Problem) (*Assignment, error)
 }
 
+// AssignerFor is the one strategy table: "opass" is the paper's planner
+// (MultiData when any task has several inputs, else SingleData), "rank" and
+// "random" the locality-oblivious baselines, "greedy" the near-linear
+// heuristic. The error for any other name carries no package prefix, so the
+// facade and the service can each put their own in front of it.
+func AssignerFor(strategy string, seed int64, multi bool) (Assigner, error) {
+	switch strategy {
+	case "opass":
+		if multi {
+			return MultiData{Seed: seed}, nil
+		}
+		return SingleData{Seed: seed}, nil
+	case "rank":
+		return RankStatic{}, nil
+	case "random":
+		return RandomStatic{Seed: seed}, nil
+	case "greedy":
+		return GreedyLocality{Seed: seed}, nil
+	default:
+		return nil, fmt.Errorf("unknown strategy %q", strategy)
+	}
+}
+
 // ContextAssigner is implemented by planners whose Assign supports
 // cooperative cancellation: the planner periodically polls ctx (inside its
-// flow loop, proposal rounds, and index fan-out) and returns ctx's error
+// flow loop, proposal rounds, and index build) and returns ctx's error
 // instead of running a doomed plan to completion. The heavy planners
 // (SingleData, MultiData, GreedyLocality) implement it; the O(n) baselines
 // do not need to.
@@ -299,12 +322,6 @@ func taskQuotas(n, m int) []int {
 // units a real workload is an exabyte. Normal problems never see it.)
 const maxCapUnits = int64(1) << 40
 
-// capScaleChunk is the stride of the parallel task-size reductions in
-// capacityScale and the planners' size precomputation. Chunk boundaries
-// depend only on the task count, so chunk-ordered reductions are
-// deterministic across worker counts.
-const capScaleChunk = 4096
-
 // capacityScale picks the integer unit of the flow encoding: capacities
 // are expressed in 1/scale MB. Whole-MB workloads keep scale 1 — the
 // paper's encoding, with capUnits(x, 1) rounding to the nearest MB. When
@@ -316,29 +333,13 @@ const capScaleChunk = 4096
 // total workload fits in maxCapUnits units, which is what makes the int64
 // flow sums overflow-proof no matter how the task sizes are distributed.
 func capacityScale(p *Problem) int64 {
-	n := len(p.Tasks)
-	chunks := (n + capScaleChunk - 1) / capScaleChunk
-	mins := make([]float64, chunks)
-	totals := make([]float64, chunks)
-	parallelChunks(n, capScaleChunk, func(lo, hi int) {
-		minSize := math.Inf(1)
-		var total float64
-		for t := lo; t < hi; t++ {
-			s := p.Tasks[t].SizeMB()
-			if s < minSize {
-				minSize = s
-			}
-			total += s
-		}
-		mins[lo/capScaleChunk] = minSize
-		totals[lo/capScaleChunk] = total
-	})
 	minSize, totalMB := math.Inf(1), 0.0
-	for i := range mins {
-		if mins[i] < minSize {
-			minSize = mins[i]
+	for t := range p.Tasks {
+		s := p.Tasks[t].SizeMB()
+		if s < minSize {
+			minSize = s
 		}
-		totalMB += totals[i] // chunk order: deterministic float sum
+		totalMB += s
 	}
 	scale := int64(1)
 	if minSize < 1 {
@@ -374,27 +375,19 @@ func capUnits(size float64, scale int64) int64 {
 // an edge (p, t) weighted by the co-located data in capacity units
 // whenever any input of task t has a replica on process p's node. The
 // index's per-process adjacency is already in the graph's insertion order,
-// so the build is a pure transcription: one shared backing array carved by
-// per-process offsets, filled in parallel (the per-edge unit rounding is
-// the dominant cost at 1M tasks), then handed to the bulk graph
-// constructor, which transposes the per-file view with a counting sort.
-// The edge weights are the same capUnits values the incremental AddEdge
-// path produced, so plans stay byte-identical — the golden tests prove it.
+// so the build is a pure transcription into one shared backing array carved
+// by per-process offsets, then handed to the bulk graph constructor, which
+// transposes the per-file view with a counting sort.
 func localityGraph(p *Problem, ix *LocalityIndex, scale int64) *bipartite.Graph {
 	m, n := p.NumProcs(), len(p.Tasks)
-	offs := make([]int, m+1)
-	for proc := 0; proc < m; proc++ {
-		offs[proc+1] = offs[proc] + len(ix.ProcEdges(proc))
-	}
-	backing := make([]bipartite.Edge, offs[m])
+	backing := make([]bipartite.Edge, 0, ix.NumEdges())
 	byP := make([][]bipartite.Edge, m)
-	parallelFor(m, func(proc int) {
-		es := ix.ProcEdges(proc)
-		out := backing[offs[proc]:offs[proc+1]:offs[proc+1]]
-		for i, e := range es {
-			out[i] = bipartite.Edge{P: proc, F: e.Task, Weight: capUnits(e.MB, scale)}
+	for proc := range byP {
+		lo := len(backing)
+		for _, e := range ix.ProcEdges(proc) {
+			backing = append(backing, bipartite.Edge{P: proc, F: e.Task, Weight: capUnits(e.MB, scale)})
 		}
-		byP[proc] = out
-	})
+		byP[proc] = backing[lo:len(backing):len(backing)]
+	}
 	return bipartite.NewGraphFromSorted(m, n, byP)
 }

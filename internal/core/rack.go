@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"slices"
-	"sort"
 
 	"opass/internal/dfs"
 )
@@ -69,34 +68,29 @@ func (ix *LocalityIndex) buildRackTier(ctx context.Context) error {
 		return nil
 	}
 	ix.rackTiered = true
-	ix.byTaskRack = make([][]LocalityEdge, len(p.Tasks))
 
-	numRacks := 0
-	for _, r := range p.NodeRack {
-		if r+1 > numRacks {
-			numRacks = r + 1
-		}
-	}
 	// Processes per rack, rank-ascending (ProcNode order).
-	procsInRack := make([][]int, numRacks)
+	rackOf := make([]int, len(p.ProcNode))
 	for proc, node := range p.ProcNode {
-		r := p.NodeRack[node]
-		procsInRack[r] = append(procsInRack[r], proc)
+		rackOf[proc] = p.NodeRack[node]
 	}
+	procsInRack := groupRanks(rackOf, slices.Max(p.NodeRack)+1)
 
-	return ix.buildTier(ctx, ix.byTaskRack, func(s *buildScratch, t int) {
+	// No edge bound is passed: a tight one needs the per-input rack dedupe
+	// below, so a cold buffer grows by append instead.
+	return ix.buildTier(ctx, &ix.buf.byTaskRack, 0, func(b *indexBuf, t int) {
 		for _, in := range p.Tasks[t].Inputs {
 			replicas := p.FS.Chunk(in.Chunk).Replicas
-			s.racks = s.racks[:0]
+			b.racks = b.racks[:0]
 			for _, node := range replicas {
-				if node >= 0 && node < len(p.NodeRack) && !slices.Contains(s.racks, p.NodeRack[node]) {
-					s.racks = append(s.racks, p.NodeRack[node])
+				if node >= 0 && node < len(p.NodeRack) && !slices.Contains(b.racks, p.NodeRack[node]) {
+					b.racks = append(b.racks, p.NodeRack[node])
 				}
 			}
-			for _, r := range s.racks {
+			for _, r := range b.racks {
 				for _, proc := range procsInRack[r] {
 					if !slices.Contains(replicas, p.ProcNode[proc]) { // else node tier, not rack tier
-						s.add(proc, in.SizeMB)
+						b.add(proc, in.SizeMB)
 					}
 				}
 			}
@@ -114,7 +108,7 @@ func (ix *LocalityIndex) TaskRackEdges(t int) []LocalityEdge {
 	if !ix.rackTiered {
 		return nil
 	}
-	return ix.byTaskRack[t]
+	return ix.buf.byTaskRack.row(t)
 }
 
 // RackCoLocatedMB returns the rack-tier bytes for (proc, task): input data
@@ -124,10 +118,5 @@ func (ix *LocalityIndex) RackCoLocatedMB(proc, task int) float64 {
 	if !ix.rackTiered {
 		return 0
 	}
-	es := ix.byTaskRack[task]
-	i := sort.Search(len(es), func(k int) bool { return es[k].Proc >= proc })
-	if i < len(es) && es[i].Proc == proc {
-		return es[i].MB
-	}
-	return 0
+	return mbOf(ix.buf.byTaskRack.row(task), proc)
 }

@@ -17,14 +17,14 @@ func snapshotEdges(p *Problem, ix *LocalityIndex) [][]LocalityEdge {
 }
 
 // TestLocalityIndexReleaseReuse cycles pooled buffers through builds of
-// different shapes — small/serial, large/parallel, rack-tiered, different
+// different shapes — small, large, rack-tiered, different
 // process counts — asserting every rebuilt index is identical to a
 // snapshot taken before any buffer recycling. Stale pool contents (old
-// epochs in scratch stamps, leftover edges in arena blocks and transpose
+// epochs in scratch stamps, leftover edges in the flat arrays and transpose
 // backings) must never leak into a later index.
 func TestLocalityIndexReleaseReuse(t *testing.T) {
 	small, _ := buildSingle(t, 8, 64, 21, dfs.RandomPlacement{})
-	large, _ := buildSingle(t, 24, 2*indexParallelThreshold+64, 22, dfs.RandomPlacement{})
+	large, _ := buildSingle(t, 24, 512+64, 22, dfs.RandomPlacement{})
 	tiered, _ := buildSingle(t, 16, 128, 23, dfs.RandomPlacement{})
 	racks := make([]int, 16)
 	for i := range racks {
@@ -94,7 +94,7 @@ func TestLocalityIndexReleaseReuse(t *testing.T) {
 // recycling cannot mix buffers between in-flight plans.
 func TestPlannersConcurrentPooledBuffers(t *testing.T) {
 	p1, _ := buildSingle(t, 8, 80, 31, dfs.RandomPlacement{})
-	p2, _ := buildSingle(t, 12, 2*indexParallelThreshold, 32, dfs.RandomPlacement{})
+	p2, _ := buildSingle(t, 12, 512, 32, dfs.RandomPlacement{})
 	p3 := goldenMultiProblem(t)
 
 	runs := []struct {

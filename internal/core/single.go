@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync/atomic"
 
 	"opass/internal/bipartite"
 )
@@ -50,7 +49,7 @@ func (s SingleData) Assign(p *Problem) (*Assignment, error) {
 	return s.AssignContext(context.Background(), p)
 }
 
-// AssignContext implements ContextAssigner: the locality-index fan-out and
+// AssignContext implements ContextAssigner: the locality-index build and
 // the solver's augmenting loop poll ctx and abort with its error.
 func (s SingleData) AssignContext(ctx context.Context, p *Problem) (*Assignment, error) {
 	if err := p.Validate(); err != nil {
@@ -85,7 +84,7 @@ func (s SingleData) AssignContext(ctx context.Context, p *Problem) (*Assignment,
 	if err != nil {
 		return nil, err
 	}
-	// The index is request-scoped: hand its arena blocks back to the pool on
+	// The index is request-scoped: hand its buffers back to the pool on
 	// every exit path so a service replanning at 1M tasks reuses them
 	// instead of paying the allocator per request.
 	defer ix.Release()
@@ -94,21 +93,14 @@ func (s SingleData) AssignContext(ctx context.Context, p *Problem) (*Assignment,
 
 	// Per-process data quota: TotalSize/m (or weight-proportional shares),
 	// in whole capacity units (1/scale MB) with the rounding remainder
-	// spread over the first processes so quotas sum to the total. The
-	// per-task unit conversions are independent; int64 addition is exact,
-	// so chunked parallel partial sums reduce to the same total in any
-	// order.
+	// spread over the first processes so quotas sum to the total.
 	sizes := make([]int64, n)
-	var total atomic.Int64
-	parallelChunks(n, capScaleChunk, func(lo, hi int) {
-		var sub int64
-		for t := lo; t < hi; t++ {
-			sizes[t] = capUnits(p.Tasks[t].SizeMB(), scale)
-			sub += sizes[t]
-		}
-		total.Add(sub)
-	})
-	quotasMB, err := shareQuotas(total.Load(), m, weights)
+	var total int64
+	for t := range sizes {
+		sizes[t] = capUnits(p.Tasks[t].SizeMB(), scale)
+		total += sizes[t]
+	}
+	quotasMB, err := shareQuotas(total, m, weights)
 	if err != nil {
 		return nil, err
 	}

@@ -38,9 +38,6 @@ type Chunk struct {
 	SizeMB   float64 // chunk payload size
 	Replicas []int   // distinct node IDs hosting a copy
 
-	// data holds the chunk payload for files written through a FileWriter;
-	// nil for size-only files, whose reads serve a synthetic pattern.
-	data []byte
 	// deleted marks a tombstoned chunk (its file was removed).
 	deleted bool
 	// target is this chunk's replication target — per-chunk metadata, as
@@ -119,10 +116,6 @@ type FileSystem struct {
 	// read-only consumers (plan fingerprinting under an HTTP handler) may
 	// observe it concurrently with an admin mutation on another goroutine.
 	epoch atomic.Uint64
-	// reserved holds paths leased to open FileWriters (the namenode's write
-	// lease): the namespace entry does not exist yet, but no other writer —
-	// and no namespace operation — may claim the name.
-	reserved map[string]bool
 	// access is the per-chunk access accounting (nil until
 	// EnableAccessStats) feeding the replication advisor.
 	access *accessStats
@@ -138,13 +131,12 @@ func New(view ClusterView, cfg Config) *FileSystem {
 		panic(fmt.Sprintf("dfs: chunk size %v must be positive", cfg.ChunkSizeMB))
 	}
 	return &FileSystem{
-		cfg:      cfg,
-		view:     view,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		files:    make(map[string]*File),
-		perNode:  make(map[int][]ChunkID),
-		dead:     make(map[int]bool),
-		reserved: make(map[string]bool),
+		cfg:     cfg,
+		view:    view,
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		files:   make(map[string]*File),
+		perNode: make(map[int][]ChunkID),
+		dead:    make(map[int]bool),
 	}
 }
 
@@ -265,13 +257,10 @@ func (fs *FileSystem) dropNode(node int) []ChunkID {
 	return hosted
 }
 
-// nameFree reports ErrExists when name is a file or is leased to a writer.
+// nameFree reports ErrExists when name is already a file.
 func (fs *FileSystem) nameFree(name string) error {
 	if _, ok := fs.files[name]; ok {
 		return fmt.Errorf("%w: %q", ErrExists, name)
-	}
-	if fs.reserved[name] {
-		return fmt.Errorf("%w: %q (open for writing)", ErrExists, name)
 	}
 	return nil
 }
@@ -417,7 +406,6 @@ func (fs *FileSystem) Delete(name string) error {
 		for len(c.Replicas) > 0 {
 			fs.detach(c, c.Replicas[len(c.Replicas)-1])
 		}
-		c.data = nil
 		c.deleted = true
 	}
 	delete(fs.files, name)
@@ -570,16 +558,6 @@ func (fs *FileSystem) PickReplicaAvoiding(id ChunkID, reader int, salt uint64, a
 	}
 	h := splitmix(uint64(fs.cfg.Seed)<<32 ^ uint64(id)<<16 ^ uint64(uint32(reader)) ^ salt<<48)
 	return candidates[int(h%uint64(len(candidates)))], false, nil
-}
-
-// PickReplica is PickReplicaAvoiding with no node avoided and no retry
-// salt, for callers that treat a chunk with no replica left as a bug.
-func (fs *FileSystem) PickReplica(id ChunkID, reader int) (node int, local bool) {
-	node, local, err := fs.PickReplicaAvoiding(id, reader, 0, nil)
-	if err != nil {
-		panic(err)
-	}
-	return node, local
 }
 
 // splitmix is the splitmix64 finalizer, a cheap high-quality integer hash.

@@ -131,9 +131,9 @@ func TestPickReplicaPrefersLocal(t *testing.T) {
 	f, _ := fs.Create("/a", 64)
 	c := fs.Chunk(f.Chunks[0])
 	reader := c.Replicas[1]
-	node, local := fs.PickReplica(c.ID, reader)
+	node, local, _ := fs.PickReplicaAvoiding(c.ID, reader, 0, nil)
 	if !local || node != reader {
-		t.Fatalf("PickReplica(%d, co-located %d) = (%d,%v), want local", c.ID, reader, node, local)
+		t.Fatalf("PickReplicaAvoiding(%d, co-located %d) = (%d,%v), want local", c.ID, reader, node, local)
 	}
 }
 
@@ -149,7 +149,7 @@ func TestPickReplicaRemoteIsAReplica(t *testing.T) {
 		}
 	}
 	for i := 0; i < 20; i++ {
-		node, local := fs.PickReplica(c.ID, reader)
+		node, local, _ := fs.PickReplicaAvoiding(c.ID, reader, 0, nil)
 		if local {
 			t.Fatalf("read from non-replica node %d reported local", reader)
 		}
@@ -360,7 +360,7 @@ func TestPropertyPickReplicaDistribution(t *testing.T) {
 			if c.HostedOn(reader) {
 				continue
 			}
-			node, local := fs.PickReplica(id, reader)
+			node, local, _ := fs.PickReplicaAvoiding(id, reader, 0, nil)
 			if local {
 				t.Fatal("non-co-located read reported local")
 			}
@@ -395,9 +395,9 @@ func TestPickReplicaDeterministic(t *testing.T) {
 				break
 			}
 		}
-		first, _ := fs.PickReplica(id, reader)
+		first, _, _ := fs.PickReplicaAvoiding(id, reader, 0, nil)
 		for i := 0; i < 5; i++ {
-			if got, _ := fs.PickReplica(id, reader); got != first {
+			if got, _, _ := fs.PickReplicaAvoiding(id, reader, 0, nil); got != first {
 				t.Fatalf("pick changed across calls: %d vs %d", got, first)
 			}
 		}

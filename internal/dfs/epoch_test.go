@@ -1,7 +1,6 @@
 package dfs
 
 import (
-	"strings"
 	"testing"
 )
 
@@ -33,7 +32,7 @@ func TestEpochBumpsOnEveryPlacementMutation(t *testing.T) {
 		t.Fatalf("fresh file system epoch = %d, want 0", fs.Epoch())
 	}
 
-	// Writes: Create (via CreateChunks) and the client write pipeline.
+	// Writes: Create (via CreateChunks).
 	bumped(t, fs, "Create", true, func() error {
 		_, err := fs.Create("/a", 128)
 		return err
@@ -41,16 +40,6 @@ func TestEpochBumpsOnEveryPlacementMutation(t *testing.T) {
 	bumped(t, fs, "CreateChunks", true, func() error {
 		_, err := fs.CreateChunks("/b", []float64{64, 64})
 		return err
-	})
-	bumped(t, fs, "FileWriter.Close", true, func() error {
-		w, err := fs.Client(0).Create("/written")
-		if err != nil {
-			return err
-		}
-		if _, err := w.Write([]byte(strings.Repeat("x", 4096))); err != nil {
-			return err
-		}
-		return w.Close()
 	})
 
 	// Replica surgery.

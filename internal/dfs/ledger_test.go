@@ -32,7 +32,7 @@ func dumpLedger(b *strings.Builder, fs *FileSystem) {
 		avoid := func(n int) bool { return n == avoided }
 		b.WriteString("  pick:")
 		for reader := -1; reader < nodes; reader++ {
-			n, local := fs.PickReplica(c.ID, reader)
+			n, local, _ := fs.PickReplicaAvoiding(c.ID, reader, 0, nil)
 			fmt.Fprintf(b, " %d>%d%s", reader, n, localMark(local))
 			for _, salt := range []uint64{0, 3} {
 				n, local, err := fs.PickReplicaAvoiding(c.ID, reader, salt, avoid)

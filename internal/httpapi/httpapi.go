@@ -708,21 +708,15 @@ func pickAssigner(req *PlanRequest, prob *core.Problem) (core.Assigner, *apiErro
 			break
 		}
 	}
-	switch req.Strategy {
-	case "", "opass":
-		if multi {
-			return core.MultiData{Seed: req.Seed}, nil
-		}
-		return core.SingleData{Seed: req.Seed}, nil
-	case "rank":
-		return core.RankStatic{}, nil
-	case "random":
-		return core.RandomStatic{Seed: req.Seed}, nil
-	case "greedy":
-		return core.GreedyLocality{Seed: req.Seed}, nil
-	default:
-		return nil, badRequest("invalid", "unknown strategy %q", req.Strategy)
+	strategy := req.Strategy
+	if strategy == "" {
+		strategy = "opass"
 	}
+	as, err := core.AssignerFor(strategy, req.Seed, multi)
+	if err != nil {
+		return nil, badRequest("invalid", "%v", err)
+	}
+	return as, nil
 }
 
 // planFingerprint derives the cache key: the canonical problem encoding

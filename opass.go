@@ -175,21 +175,11 @@ type Plan struct {
 func (p *Plan) Locality() float64 { return p.Assignment.LocalityFraction() }
 
 func (c *Cluster) assigner(s Strategy, multi bool) (core.Assigner, error) {
-	switch s {
-	case StrategyOpass:
-		if multi {
-			return core.MultiData{Seed: c.seed}, nil
-		}
-		return core.SingleData{Seed: c.seed}, nil
-	case StrategyRank:
-		return core.RankStatic{}, nil
-	case StrategyRandom:
-		return core.RandomStatic{Seed: c.seed}, nil
-	case StrategyGreedy:
-		return core.GreedyLocality{Seed: c.seed}, nil
-	default:
-		return nil, fmt.Errorf("opass: unknown strategy %q", s)
+	as, err := core.AssignerFor(string(s), c.seed, multi)
+	if err != nil {
+		return nil, fmt.Errorf("opass: %w", err)
 	}
+	return as, nil
 }
 
 // PlanSingleData assigns one task per chunk of the given files, with every
