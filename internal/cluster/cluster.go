@@ -157,10 +157,12 @@ func (t *Topology) check(node int) {
 }
 
 // LocalReadPath is the resource path of a read served from the reader's own
-// disk: only that disk is used — no network traversal.
+// disk: only that disk is used — no network traversal. The result is a
+// read-only, capacity-capped view of the topology's own disk table (nothing
+// is allocated; Network.Start copies the path it is given).
 func (t *Topology) LocalReadPath(node int) []simnet.ResourceID {
 	t.check(node)
-	return []simnet.ResourceID{t.disk[node]}
+	return t.disk[node : node+1 : node+1]
 }
 
 // RackNodes returns the members of rack r, node-ascending.

@@ -1,6 +1,6 @@
 package core
 
-import "opass/internal/dfs"
+import "slices"
 
 // This file is the planner-side half of incremental replanning. A plan
 // computed at time T can be kept or repaired in part at time T' as long as
@@ -15,30 +15,46 @@ import "opass/internal/dfs"
 // Dirty compares the live epochs against the stamp to find the tasks whose
 // inputs moved.
 type PlanStamp struct {
-	epochs map[dfs.ChunkID]uint64
+	// epochs holds one epoch per (task, input) in problem order; task t's
+	// inputs are epochs[offs[t]:offs[t+1]]. Two flat arrays instead of a map
+	// by chunk: the engine re-stamps after every placement event, and both
+	// that and Dirty are then straight walks over the problem.
+	epochs []uint64
+	offs   []int
 }
 
 // StampProblem captures the current placement epochs of p's read set.
 func StampProblem(p *Problem) PlanStamp {
-	st := PlanStamp{epochs: make(map[dfs.ChunkID]uint64)}
-	for i := range p.Tasks {
-		for _, in := range p.Tasks[i].Inputs {
-			if _, ok := st.epochs[in.Chunk]; !ok {
-				st.epochs[in.Chunk] = p.FS.Chunk(in.Chunk).Epoch()
-			}
-		}
-	}
+	var st PlanStamp
+	st.Refresh(p)
 	return st
 }
 
+// Refresh re-captures the stamp for p's current placement in place, reusing
+// the stamp's storage.
+func (st *PlanStamp) Refresh(p *Problem) {
+	// Every task has at least one input: exact for single-data problems.
+	st.epochs, st.offs = slices.Grow(st.epochs[:0], len(p.Tasks)), slices.Grow(st.offs[:0], len(p.Tasks)+1)
+	for i := range p.Tasks {
+		st.offs = append(st.offs, len(st.epochs))
+		for _, in := range p.Tasks[i].Inputs {
+			st.epochs = append(st.epochs, p.FS.Chunk(in.Chunk).Epoch())
+		}
+	}
+	st.offs = append(st.offs, len(st.epochs))
+}
+
 // Dirty reports whether task t of p has an input whose placement epoch
-// differs from the stamp. A chunk absent from the stamp (the problem gained
-// inputs, or the stamp is the zero value) counts as dirty — the
-// conservative answer.
+// differs from the stamp. A task the stamp does not cover (the stamp is the
+// zero value, or the problem gained tasks) or whose input count changed since
+// counts as dirty — the conservative answer.
 func (st PlanStamp) Dirty(p *Problem, t int) bool {
-	for _, in := range p.Tasks[t].Inputs {
-		then, ok := st.epochs[in.Chunk]
-		if !ok || then != p.FS.Chunk(in.Chunk).Epoch() {
+	inputs := p.Tasks[t].Inputs
+	if t+1 >= len(st.offs) || st.offs[t+1]-st.offs[t] != len(inputs) {
+		return true
+	}
+	for i, then := range st.epochs[st.offs[t]:st.offs[t+1]] {
+		if then != p.FS.Chunk(inputs[i].Chunk).Epoch() {
 			return true
 		}
 	}

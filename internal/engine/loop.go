@@ -65,6 +65,10 @@ type procState struct{ task, input int }
 
 func newJob(spec JobSpec, nodes int) *job {
 	procs := spec.Problem.NumProcs()
+	reads := 0 // every input is read to completion exactly once
+	for i := range spec.Problem.Tasks {
+		reads += len(spec.Problem.Tasks[i].Inputs)
+	}
 	return &job{
 		spec:      spec,
 		procs:     make([]procState, procs),
@@ -77,6 +81,7 @@ func newJob(spec JobSpec, nodes int) *job {
 			ServedMB:            make([]float64, nodes),
 			ProcFinish:          make([]float64, procs),
 			PeakConcurrentReads: make([]int, nodes),
+			Records:             make([]ReadRecord, 0, reads),
 		},
 	}
 }
@@ -156,7 +161,6 @@ func simulate(ctx context.Context, opts *Options, jobs []*job, sched ClusterSche
 		net:      net,
 		start:    net.Now(),
 		jobs:     jobs,
-		inflight: make(map[simnet.FlowID]pending),
 		failed:   make(map[int]bool),
 		degraded: make(map[int]float64),
 		// Failures take down a node's storage service, not its process: the
@@ -171,6 +175,8 @@ func simulate(ctx context.Context, opts *Options, jobs []*job, sched ClusterSche
 	for _, rt := range jobs {
 		s.remaining += rt.remaining
 	}
+	// Each process has one read or compute phase in flight at a time.
+	s.inflight = make(map[simnet.FlowID]pending, s.remaining)
 
 	net.OnComplete(func(now float64, f *simnet.Flow) {
 		pd, ok := s.inflight[f.ID]
@@ -366,7 +372,11 @@ func (s *sim) startInput(j, proc int) {
 	// A, then B, then C in lockstep — an artifact of a fixed input order.
 	in := task.Inputs[(st.input+st.task)%len(task.Inputs)]
 	node := p.ProcNode[proc]
-	srcNode, local, err := fs.PickReplicaAvoiding(in.Chunk, node, uint64(rt.res.Retries), s.avoidFailed)
+	avoid := s.avoidFailed
+	if len(s.failed) == 0 {
+		avoid = nil // the common case: the picker then filters (and allocates) nothing
+	}
+	srcNode, local, err := fs.PickReplicaAvoiding(in.Chunk, node, uint64(rt.res.Retries), avoid)
 	if err != nil {
 		panic(abortRun{fmt.Errorf("engine: process %d task %d: %w (all replica holders crashed)", proc, st.task, err)})
 	}
@@ -391,8 +401,9 @@ func (s *sim) startInput(j, proc int) {
 	fs.RecordRead(in.Chunk, node, local, in.SizeMB, s.net.Now())
 	rt.curReads[srcNode]++
 	rt.res.PeakConcurrentReads[srcNode] = max(rt.res.PeakConcurrentReads[srcNode], rt.curReads[srcNode])
-	id := s.net.Start(topo.ReadPath(srcNode, node), in.SizeMB, topo.ReadLatency(srcNode),
-		fmt.Sprintf("j%d/p%d/t%d/c%d", j, proc, st.task, in.Chunk))
+	// One label per kind, not per flow: what a flow is doing for whom is in
+	// its pending record.
+	id := s.net.Start(topo.ReadPath(srcNode, node), in.SizeMB, topo.ReadLatency(srcNode), "read")
 	s.inflight[id] = pending{kind: kindRead, job: j, proc: proc, rec: ReadRecord{
 		Proc: proc, Task: st.task, Chunk: in.Chunk,
 		SrcNode: srcNode, DstNode: node, Local: local,
@@ -430,7 +441,7 @@ func (s *sim) readDone(pd pending, now float64) {
 			ct *= rt.computeFactor(pd.proc)
 		}
 		if ct > 0 {
-			id := s.net.Start(nil, 0, ct, fmt.Sprintf("j%d/p%d/t%d/compute", pd.job, pd.proc, st.task))
+			id := s.net.Start(nil, 0, ct, "compute")
 			s.inflight[id] = pending{kind: kindCompute, job: pd.job, proc: pd.proc}
 			return
 		}
@@ -518,7 +529,7 @@ func (s *sim) maybeReplan(eventNode int) {
 		// Refresh even without a splice: every epoch change up to this event
 		// either re-matched a pending task just now or concerns a task that
 		// is no longer pending, so older deltas need not be re-examined.
-		rt.stamp = core.StampProblem(p)
+		rt.stamp.Refresh(p)
 	}
 }
 

@@ -73,6 +73,14 @@ const (
 	// oversubscribed core fabric charges for).
 	MetricEngineRackLocalMB = "opass_engine_rack_local_mb_total"
 	MetricEngineCrossRackMB = "opass_engine_cross_rack_mb_total"
+	// MetricSimEngineSeconds observes the host time of the engine stage of a
+	// /v1/simulate request (everything after the plan), and MetricSimEvents /
+	// MetricSimRateRecomputes count the simulator's work inside it: events
+	// stepped and max-min rate solves. With the planner-latency histogram
+	// they split one simulate request into plan and simulate.
+	MetricSimEngineSeconds  = "opass_sim_engine_seconds"
+	MetricSimEvents         = "opass_sim_events_total"
+	MetricSimRateRecomputes = "opass_sim_rate_recomputes_total"
 	MetricSimLastMakespan   = "opass_sim_last_makespan_seconds"
 	MetricSimLastTasksRun   = "opass_sim_last_tasks_run"
 	MetricSimLastRetries    = "opass_sim_last_retries"
@@ -370,6 +378,9 @@ func NewServer(opts ServerOptions) *Server {
 	reg.Help(MetricEngineDeltaReplanned, "Tasks re-matched by incremental (delta) replans across all simulations.")
 	reg.Help(MetricEngineRackLocalMB, "Remote megabytes served within the reader's rack, across all simulations.")
 	reg.Help(MetricEngineCrossRackMB, "Remote megabytes that crossed a rack uplink, across all simulations.")
+	reg.Help(MetricSimEngineSeconds, "Host time the simulation engine ran for one simulate request, in seconds.")
+	reg.Help(MetricSimEvents, "Simulator events stepped (delay expiries and completion batches) across all simulations.")
+	reg.Help(MetricSimRateRecomputes, "Max-min fair rate recomputations across all simulations.")
 	reg.Help(MetricSimLastMakespan, "Makespan of the most recent simulation, seconds of virtual time.")
 	reg.Help(MetricSimLastTasksRun, "Tasks executed by the most recent simulation.")
 	reg.Help(MetricSimLastRetries, "Retried reads in the most recent simulation.")
@@ -560,7 +571,9 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			DiskFactor: d.DiskFactor, NICFactor: d.NICFactor,
 		})
 	}
+	engineStart := time.Now()
 	res, err := engine.RunAssignmentContext(ctx, eopts, assignment)
+	s.reg.Histogram(MetricSimEngineSeconds, nil).Observe(time.Since(engineStart).Seconds())
 	if err != nil {
 		if s.aborted(w, r, err) {
 			return
@@ -572,6 +585,8 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	// (lifetime totals) so load tests can watch throughput live.
 	s.reg.Counter(MetricSimRuns).Inc()
 	s.reg.Counter(MetricSimTasks).Add(float64(res.TasksRun))
+	s.reg.Counter(MetricSimEvents).Add(float64(topo.Net().Events()))
+	s.reg.Counter(MetricSimRateRecomputes).Add(float64(topo.Net().RateRecomputes()))
 	s.reg.Counter(MetricEngineRetries).Add(float64(res.Retries))
 	s.reg.Counter(MetricEngineReplans).Add(float64(res.Replans))
 	s.reg.Counter(MetricEngineDeltaReplanned).Add(float64(res.DeltaReplannedTasks))

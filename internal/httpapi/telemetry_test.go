@@ -63,6 +63,13 @@ func TestMetricsEndpoint(t *testing.T) {
 		// rejected ones included.
 		`opass_request_decode_seconds_count{route="/v1/plan"} 3`,
 		`opass_request_decode_seconds_count{route="/v1/simulate"} 1`,
+		// Inside the one simulate request: host time of the engine stage, and
+		// the simulator's work. The layout is 4 nodes x 2 local 64 MB reads
+		// each, in lockstep: per wave one event when the read latencies expire
+		// and one when the reads complete, each following a rate recompute.
+		"opass_sim_engine_seconds_count 1",
+		"opass_sim_events_total 4",
+		"opass_sim_rate_recomputes_total 4",
 		// Per-strategy planner-latency histograms recorded inside
 		// computePlan(). The simulate request reuses the cached opass plan
 		// from the identical /v1/plan request, so opass-flow ran once.

@@ -1,0 +1,80 @@
+package simnet
+
+import (
+	"math/rand"
+	"runtime"
+	"strconv"
+	"testing"
+)
+
+// BenchmarkNetworkStep drains a cluster-shaped network the way the engine
+// does — one sequential reader per node, each completion starting that
+// reader's next read — and reports the simulator's cost per event. all-local
+// gives every flow its own disk (one progressive-filling round per flow, the
+// simulate-faults shape); 30%-remote routes reads through the source's tx and
+// the reader's rx, so flows share bottlenecks.
+func BenchmarkNetworkStep(b *testing.B) {
+	for _, nodes := range []int{128, 1024} {
+		for _, remote := range []float64{0, 0.3} {
+			name := "all-local"
+			if remote > 0 {
+				name = "30pct-remote"
+			}
+			b.Run(name+"/nodes="+strconv.Itoa(nodes), func(b *testing.B) {
+				var events int64
+				var ms0, ms1 runtime.MemStats
+				runtime.ReadMemStats(&ms0)
+				for i := 0; i < b.N; i++ {
+					events += drainCluster(nodes, 10, remote)
+				}
+				runtime.ReadMemStats(&ms1)
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+				b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/float64(events), "allocs/event")
+				b.ReportMetric(float64(events)/float64(b.N), "events/op")
+			})
+		}
+	}
+}
+
+// drainCluster builds a nodes-node network (Marmot-like disk, tx and rx per
+// node), runs reads chained reads per node to completion and returns the
+// number of events stepped. It uses only Network's public methods, so the
+// same file measures any commit.
+func drainCluster(nodes, reads int, remoteFrac float64) int64 {
+	rng := rand.New(rand.NewSource(1))
+	n := New()
+	disk, tx, rx := make([]ResourceID, nodes), make([]ResourceID, nodes), make([]ResourceID, nodes)
+	for i := 0; i < nodes; i++ {
+		disk[i] = n.AddResource("disk", 75, 0.25)
+		tx[i] = n.AddResource("tx", 117, 0)
+		rx[i] = n.AddResource("rx", 117, 0)
+	}
+	owner := map[FlowID]int{}
+	left := make([]int, nodes)
+	read := func(node int) {
+		left[node]--
+		path := []ResourceID{disk[node]}
+		if rng.Float64() < remoteFrac {
+			src := (node + 1 + rng.Intn(nodes-1)) % nodes
+			path = []ResourceID{disk[src], tx[src], rx[node]}
+		}
+		// Sizes vary a little so completions do not all share one instant.
+		owner[n.Start(path, 60+8*rng.Float64(), 0.012, "read")] = node
+	}
+	n.OnComplete(func(now float64, f *Flow) {
+		node := owner[f.ID]
+		delete(owner, f.ID)
+		if left[node] > 0 {
+			read(node)
+		}
+	})
+	for node := range left {
+		left[node] = reads
+		read(node)
+	}
+	var events int64
+	for n.Step() {
+		events++
+	}
+	return events + 1
+}

@@ -29,7 +29,7 @@ package simnet
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // ResourceID names a resource registered with a Network.
@@ -64,6 +64,7 @@ type Flow struct {
 	remaining float64
 	delayLeft float64
 	rate      float64
+	frozen    bool // recomputeRates scratch: rate settled, or not transferring
 }
 
 // Remaining reports the MB still to transfer.
@@ -76,29 +77,38 @@ type CompletionHandler func(now float64, f *Flow)
 // Network is a set of resources and the flows sharing them. The zero value
 // is not usable; use New.
 type Network struct {
-	resources []Resource
-	flows     map[FlowID]*Flow
-	order     []FlowID // deterministic iteration order of active flows
-	nextID    FlowID
-	now       float64
-	onDone    CompletionHandler
-	dirty     bool // rates need recomputation
+	resources []resource
+	// flows holds the in-flight flows in ascending ID — IDs grow monotonically,
+	// Start appends and retiring compacts in place — so it is both the table
+	// (Cancel binary-searches it) and the deterministic iteration order.
+	flows  []*Flow
+	now    float64
+	onDone CompletionHandler
+	dirty  bool // rates need recomputation
 
-	// scales[i] multiplies resources[i].Capacity; 1 for a healthy resource.
-	// Degraded-node fault injection lowers it (a sick disk or flapping NIC
-	// delivering a fraction of nominal throughput).
-	scales []float64
+	// Scratch reused across rate computations. touched lists the resources
+	// some transferring flow crossed in the last recompute (load is zero on all
+	// others); byRes is the CSR body: resource r's transferring flows, by ID,
+	// are byRes[r.pos-r.load : r.pos].
+	touched  []int
+	byRes    []*Flow
+	finished []*Flow // completeFinished's batch buffer
 
-	// scratch buffers reused across rate computations
-	load    []int
-	remCap  []float64
-	cnt     []int
-	started int64
-	done    int64
+	started, done, events, recomputes int64
+}
 
-	// workMB accumulates megabytes moved through each resource — the raw
+// resource is a Resource with its run-time state and the solver's scratch.
+type resource struct {
+	Resource
+	// scale multiplies Capacity; 1 when healthy. Degraded-node fault injection
+	// lowers it (a sick disk or flapping NIC delivering a fraction of nominal).
+	scale float64
+	// workMB accumulates the megabytes moved through the resource — the raw
 	// material of utilization metrics (how busy each disk/NIC was).
-	workMB []float64
+	workMB float64
+
+	load, cnt, pos int     // transferring flows, the unfrozen of them, CSR cursor
+	remCap         float64 // capacity not yet handed to frozen flows
 }
 
 // timeEpsilon bounds the smallest interval the simulator will advance; it
@@ -109,9 +119,7 @@ const timeEpsilon = 1e-9
 const sizeEpsilon = 1e-9
 
 // New returns an empty Network with its clock at zero.
-func New() *Network {
-	return &Network{flows: make(map[FlowID]*Flow)}
-}
+func New() *Network { return &Network{} }
 
 // AddResource registers a resource and returns its ID. Capacity must be
 // positive and seekPenalty non-negative.
@@ -122,19 +130,8 @@ func (n *Network) AddResource(name string, capacity, seekPenalty float64) Resour
 	if seekPenalty < 0 {
 		panic(fmt.Sprintf("simnet: resource %q seek penalty %v must be non-negative", name, seekPenalty))
 	}
-	n.resources = append(n.resources, Resource{Name: name, Capacity: capacity, SeekPenalty: seekPenalty})
-	n.growScratch()
+	n.resources = append(n.resources, resource{Resource: Resource{name, capacity, seekPenalty}, scale: 1})
 	return ResourceID(len(n.resources) - 1)
-}
-
-func (n *Network) growScratch() {
-	for len(n.load) < len(n.resources) {
-		n.load = append(n.load, 0)
-		n.remCap = append(n.remCap, 0)
-		n.cnt = append(n.cnt, 0)
-		n.workMB = append(n.workMB, 0)
-		n.scales = append(n.scales, 1)
-	}
 }
 
 // SetScale sets the capacity multiplier of resource id: a degraded device
@@ -148,17 +145,15 @@ func (n *Network) SetScale(id ResourceID, scale float64) {
 	if scale <= 0 || math.IsNaN(scale) || math.IsInf(scale, 0) {
 		panic(fmt.Sprintf("simnet: resource %q scale %v must be positive and finite", n.resources[int(id)].Name, scale))
 	}
-	n.scales[int(id)] = scale
+	n.resources[id].scale = scale
 	n.dirty = true
 }
 
 // Scale reports the current capacity multiplier of resource id.
-func (n *Network) Scale(id ResourceID) float64 { return n.scales[int(id)] }
+func (n *Network) Scale(id ResourceID) float64 { return n.resources[id].scale }
 
 // WorkMB reports the megabytes that have moved through resource id so far.
-func (n *Network) WorkMB(id ResourceID) float64 {
-	return n.workMB[int(id)]
-}
+func (n *Network) WorkMB(id ResourceID) float64 { return n.resources[id].workMB }
 
 // Utilization reports the fraction of resource id's capacity used over the
 // window [since, Now()]: work done divided by capacity times elapsed time.
@@ -168,13 +163,11 @@ func (n *Network) Utilization(id ResourceID, since float64) float64 {
 	if elapsed <= 0 {
 		return 0
 	}
-	return n.workMB[int(id)] / (n.resources[int(id)].Capacity * elapsed)
+	return n.resources[id].workMB / (n.resources[id].Capacity * elapsed)
 }
 
 // Resource returns the definition of id.
-func (n *Network) Resource(id ResourceID) Resource {
-	return n.resources[int(id)]
-}
+func (n *Network) Resource(id ResourceID) Resource { return n.resources[id].Resource }
 
 // Now reports the current virtual time in seconds.
 func (n *Network) Now() float64 { return n.now }
@@ -184,6 +177,13 @@ func (n *Network) Started() int64 { return n.started }
 
 // Completed reports the total number of flows that have finished.
 func (n *Network) Completed() int64 { return n.done }
+
+// Events reports the events stepped so far: delay expiries and completion
+// batches, each one pass over the active flows.
+func (n *Network) Events() int64 { return n.events }
+
+// RateRecomputes reports the max-min rate solves run so far.
+func (n *Network) RateRecomputes() int64 { return n.recomputes }
 
 // Active reports the number of in-flight flows.
 func (n *Network) Active() int { return len(n.flows) }
@@ -210,8 +210,7 @@ func (n *Network) Start(path []ResourceID, sizeMB, delay float64, label string) 
 			panic(fmt.Sprintf("simnet: flow %q references unknown resource %d", label, r))
 		}
 	}
-	id := n.nextID
-	n.nextID++
+	id := FlowID(n.started) // IDs count up from zero, which keeps flows sorted
 	f := &Flow{
 		ID:        id,
 		Label:     label,
@@ -222,106 +221,106 @@ func (n *Network) Start(path []ResourceID, sizeMB, delay float64, label string) 
 		remaining: sizeMB,
 		delayLeft: delay,
 	}
-	n.flows[id] = f
-	n.order = append(n.order, id)
+	n.flows = append(n.flows, f)
 	n.started++
 	n.dirty = true
 	return id
 }
 
-// recomputeRates assigns every transferring flow its max-min fair rate.
+// recomputeRates assigns every transferring flow its max-min fair rate by
+// progressive filling, in O(sum of path lengths + rounds x touched resources):
+// a round scans only resources some transferring flow crosses and walks only
+// the bottleneck's own flow list. Each float update keeps the operands, and
+// each resource the update order (ascending flow ID), of the all-flows-per-
+// round formulation in reference_test.go: rates are bit-identical to it.
 func (n *Network) recomputeRates() {
 	n.dirty = false
-	// Count transferring flows per resource to derive effective capacities.
-	for i := range n.resources {
-		n.load[i] = 0
+	n.recomputes++
+	// Count transferring flows per resource; only the resources the last
+	// recompute touched hold a stale count.
+	res := n.resources
+	for _, i := range n.touched {
+		res[i].load = 0
 	}
-	transferring := 0
-	for _, id := range n.order {
-		f := n.flows[id]
-		if f == nil || f.delayLeft > 0 || f.remaining <= 0 {
+	n.touched = n.touched[:0]
+	left := 0
+	for _, f := range n.flows {
+		f.frozen = f.delayLeft > 0 || f.remaining <= 0 // not transferring
+		if f.frozen {
 			continue
 		}
-		transferring++
-		for _, r := range f.Path {
-			n.load[int(r)]++
+		left++
+		for _, i := range f.Path {
+			if res[i].load == 0 {
+				n.touched = append(n.touched, int(i))
+			}
+			res[i].load++
 		}
 	}
-	if transferring == 0 {
-		return
+	// Effective capacities, and each touched resource's slot in the CSR.
+	end := 0
+	for _, i := range n.touched {
+		r := &res[i]
+		effective := r.Capacity * r.scale
+		r.remCap = effective / (1 + r.SeekPenalty*float64(r.load-1))
+		r.cnt, r.pos = r.load, end
+		end += r.load
 	}
-	for i, r := range n.resources {
-		k := n.load[i]
-		n.cnt[i] = k
-		effective := r.Capacity * n.scales[i]
-		if k == 0 {
-			n.remCap[i] = effective
+	n.byRes = slices.Grow(n.byRes[:0], end)[:end]
+	for _, f := range n.flows {
+		if f.frozen {
 			continue
 		}
-		n.remCap[i] = effective / (1 + r.SeekPenalty*float64(k-1))
+		for _, i := range f.Path {
+			n.byRes[res[i].pos] = f
+			res[i].pos++ // ends one past the resource's list
+		}
 	}
 	// Progressive filling: repeatedly saturate the tightest resource.
-	frozen := make(map[FlowID]bool, transferring)
-	for left := transferring; left > 0; {
-		// Find the bottleneck resource: smallest per-flow fair share.
-		best := -1
-		bestShare := math.Inf(1)
-		for i := range n.resources {
-			if n.cnt[i] == 0 {
+	for left > 0 {
+		// Find the bottleneck resource: smallest per-flow fair share, ties
+		// to the lowest resource index (touched is in first-use order).
+		best, bestShare := -1, math.Inf(1)
+		for _, i := range n.touched {
+			if res[i].cnt == 0 {
 				continue
 			}
-			share := n.remCap[i] / float64(n.cnt[i])
-			if share < bestShare {
-				bestShare = share
-				best = i
+			share := res[i].remCap / float64(res[i].cnt)
+			if share < bestShare || (share == bestShare && i < best) {
+				best, bestShare = i, share
 			}
 		}
 		if best < 0 {
-			// No flow traverses any resource; all remaining flows are
-			// unconstrained, which cannot happen because transferring flows
-			// must have non-empty paths.
+			// Unreachable: a transferring flow has a non-empty path, so an
+			// unfrozen one keeps some touched resource's cnt above zero.
 			panic("simnet: unconstrained transferring flow")
 		}
 		// Freeze every unfrozen flow crossing the bottleneck at the share.
-		for _, id := range n.order {
-			f := n.flows[id]
-			if f == nil || frozen[f.ID] || f.delayLeft > 0 || f.remaining <= 0 {
+		for _, f := range n.byRes[res[best].pos-res[best].load : res[best].pos] {
+			if f.frozen {
 				continue
 			}
-			crosses := false
-			for _, r := range f.Path {
-				if int(r) == best {
-					crosses = true
-					break
-				}
-			}
-			if !crosses {
-				continue
-			}
-			frozen[f.ID] = true
-			f.rate = bestShare
+			f.frozen, f.rate = true, bestShare
 			left--
-			for _, r := range f.Path {
-				i := int(r)
-				n.remCap[i] -= bestShare
-				if n.remCap[i] < 0 {
-					n.remCap[i] = 0
+			for _, i := range f.Path {
+				r := &res[i]
+				r.remCap -= bestShare
+				if r.remCap < 0 {
+					r.remCap = 0
 				}
-				n.cnt[i]--
+				r.cnt--
 			}
 		}
 	}
 }
 
 // nextEvent returns the time until the earliest delay expiry or flow
-// completion, or +Inf when no flows are active.
+// completion, or +Inf when no flows are active. A linear scan, not a heap:
+// most events change most rates, which re-keys the heap, and the lazy progress
+// accounting a heap wants would reorder advance's float updates.
 func (n *Network) nextEvent() float64 {
 	dt := math.Inf(1)
-	for _, id := range n.order {
-		f := n.flows[id]
-		if f == nil {
-			continue
-		}
+	for _, f := range n.flows {
 		if f.delayLeft > 0 {
 			if f.delayLeft < dt {
 				dt = f.delayLeft
@@ -348,6 +347,13 @@ func (n *Network) Step() bool {
 	if len(n.flows) == 0 {
 		return false
 	}
+	n.step(math.Inf(1))
+	return len(n.flows) > 0
+}
+
+// step advances a busy network to its next event and reports true, or only
+// as far as deadline when that comes first and reports false.
+func (n *Network) step(deadline float64) bool {
 	if n.dirty {
 		n.recomputeRates()
 	}
@@ -360,19 +366,20 @@ func (n *Network) Step() bool {
 	if dt < 0 {
 		dt = 0
 	}
+	if n.now+dt > deadline {
+		n.advance(deadline - n.now)
+		return false
+	}
+	n.events++
 	n.advance(dt)
 	n.completeFinished()
-	return len(n.flows) > 0
+	return true
 }
 
 // advance moves the clock forward by dt, draining delays and transfers.
 func (n *Network) advance(dt float64) {
 	n.now += dt
-	for _, id := range n.order {
-		f := n.flows[id]
-		if f == nil {
-			continue
-		}
+	for _, f := range n.flows {
 		if f.delayLeft > 0 {
 			f.delayLeft -= dt
 			if f.delayLeft <= timeEpsilon {
@@ -385,54 +392,45 @@ func (n *Network) advance(dt float64) {
 			f.remaining -= f.rate * dt
 			moved := f.rate * dt
 			for _, r := range f.Path {
-				n.workMB[int(r)] += moved
+				n.resources[r].workMB += moved
 			}
 		}
 	}
 }
 
 // completeFinished retires every flow that has no delay and no data left,
-// invoking the completion handler. Handlers may start new flows.
+// invoking the completion handler. One pass collects the batch (in table, so
+// ID, order) and compacts the table: finished flows are gone before handlers
+// run, which may start new flows and get -1 cancelling a batch-mate.
 func (n *Network) completeFinished() {
-	var finished []*Flow
-	for _, id := range n.order {
-		f := n.flows[id]
-		if f == nil || f.delayLeft > 0 {
+	batch, keep := n.finished[:0], n.flows[:0]
+	for _, f := range n.flows {
+		if f.delayLeft > 0 || f.remaining > sizeEpsilon {
+			keep = append(keep, f)
 			continue
 		}
-		if f.remaining <= sizeEpsilon {
-			f.remaining = 0
-			f.rate = 0
-			f.End = n.now
-			finished = append(finished, f)
-		}
+		f.remaining = 0
+		f.rate = 0
+		f.End = n.now
+		batch = append(batch, f)
 	}
-	if len(finished) == 0 {
+	if len(batch) == 0 {
 		return
 	}
-	sort.Slice(finished, func(i, j int) bool { return finished[i].ID < finished[j].ID })
-	for _, f := range finished {
-		delete(n.flows, f.ID)
-		n.done++
-	}
-	n.compactOrder()
+	clear(n.flows[len(keep):])
+	n.flows = keep
+	n.done += int64(len(batch))
 	n.dirty = true
 	if n.onDone != nil {
-		for _, f := range finished {
+		// The buffer is detached while handlers run, so a handler that steps
+		// the network itself cannot overwrite the batch being delivered.
+		n.finished = nil
+		for _, f := range batch {
 			n.onDone(n.now, f)
 		}
 	}
-}
-
-// compactOrder drops retired IDs from the iteration order.
-func (n *Network) compactOrder() {
-	keep := n.order[:0]
-	for _, id := range n.order {
-		if _, ok := n.flows[id]; ok {
-			keep = append(keep, id)
-		}
-	}
-	n.order = keep
+	clear(batch)
+	n.finished = batch
 }
 
 // Cancel aborts an in-flight flow: it is removed immediately, no completion
@@ -441,12 +439,12 @@ func (n *Network) compactOrder() {
 // not active (already completed or cancelled). Used to model failures —
 // a crashed serving node tears down its transfers mid-flight.
 func (n *Network) Cancel(id FlowID) float64 {
-	f, ok := n.flows[id]
+	i, ok := slices.BinarySearchFunc(n.flows, id, func(f *Flow, id FlowID) int { return int(f.ID - id) })
 	if !ok {
 		return -1
 	}
-	delete(n.flows, id)
-	n.compactOrder()
+	f := n.flows[i]
+	n.flows = slices.Delete(n.flows, i, i+1)
 	n.dirty = true
 	return f.remaining
 }
@@ -476,20 +474,7 @@ func (n *Network) StepN(budget int) bool {
 // RunUntil advances the simulation until the clock reaches deadline or no
 // flows remain, whichever comes first. It reports whether flows remain.
 func (n *Network) RunUntil(deadline float64) bool {
-	for len(n.flows) > 0 && n.now < deadline {
-		if n.dirty {
-			n.recomputeRates()
-		}
-		dt := n.nextEvent()
-		if math.IsInf(dt, 1) {
-			panic("simnet: deadlock — active flows cannot progress")
-		}
-		if n.now+dt > deadline {
-			n.advance(deadline - n.now)
-			return true
-		}
-		n.advance(dt)
-		n.completeFinished()
+	for len(n.flows) > 0 && n.now < deadline && n.step(deadline) {
 	}
 	return len(n.flows) > 0
 }
