@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 )
 
 // This file defines the canonical binary encoding of an assignment problem,
@@ -11,7 +12,7 @@ import (
 // + its parameters): the encoding captures the problem side of that tuple
 // exactly — the proc→node map, every task's inputs with chunk identity and
 // size, and each referenced chunk's replica list stamped with that chunk's
-// own placement epoch (dfs.Chunk.Epoch). Only the chunks the problem
+// own placement epoch (Placement.ChunkEpoch). Only the chunks the problem
 // actually reads contribute, so a placement mutation on an unrelated file
 // leaves the fingerprint — and any cached plan keyed by it — untouched,
 // while any mutation of a referenced chunk's replica set changes it.
@@ -29,6 +30,7 @@ import (
 // plancache.KeyOf) together with the strategy name and planner parameters
 // to form a cache key.
 func (p *Problem) AppendCanonical(b []byte) []byte {
+	b = slices.Grow(b, p.canonicalLen())
 	var u [8]byte
 	put := func(v uint64) {
 		binary.LittleEndian.PutUint64(u[:], v)
@@ -45,11 +47,11 @@ func (p *Problem) AppendCanonical(b []byte) []byte {
 		for _, in := range t.Inputs {
 			put(uint64(in.Chunk))
 			put(math.Float64bits(in.SizeMB))
-			c := p.FS.Chunk(in.Chunk)
-			put(c.Epoch())
-			put(math.Float64bits(c.SizeMB))
-			put(uint64(len(c.Replicas)))
-			for _, r := range c.Replicas {
+			put(p.FS.ChunkEpoch(in.Chunk))
+			put(math.Float64bits(p.FS.ChunkSizeMB(in.Chunk)))
+			replicas := p.FS.Replicas(in.Chunk)
+			put(uint64(len(replicas)))
+			for _, r := range replicas {
 				put(uint64(r))
 			}
 		}
@@ -68,4 +70,19 @@ func (p *Problem) AppendCanonical(b []byte) []byte {
 		}
 	}
 	return b
+}
+
+// canonicalLen is the exact byte length AppendCanonical appends, so the
+// buffer is sized once instead of doubling its way up to it.
+func (p *Problem) canonicalLen() int {
+	words := 2 + len(p.ProcNode) + len(p.Tasks)
+	for i := range p.Tasks {
+		for _, in := range p.Tasks[i].Inputs {
+			words += 5 + len(p.FS.Replicas(in.Chunk))
+		}
+	}
+	if p.RackTiered() {
+		words += 1 + len(p.NodeRack)
+	}
+	return 8 * words
 }

@@ -185,7 +185,7 @@ func NewLocalityIndexContext(ctx context.Context, p *Problem) (*LocalityIndex, e
 	maxEdges := 0
 	for t := range p.Tasks {
 		for _, in := range p.Tasks[t].Inputs {
-			for _, node := range p.FS.Chunk(in.Chunk).Replicas {
+			for _, node := range p.FS.Replicas(in.Chunk) {
 				if node >= 0 && node < len(procsOn) {
 					maxEdges += len(procsOn[node])
 				}
@@ -195,7 +195,7 @@ func NewLocalityIndexContext(ctx context.Context, p *Problem) (*LocalityIndex, e
 
 	err := ix.buildTier(ctx, &b.byTask, maxEdges, func(b *indexBuf, t int) {
 		for _, in := range p.Tasks[t].Inputs {
-			for _, node := range p.FS.Chunk(in.Chunk).Replicas {
+			for _, node := range p.FS.Replicas(in.Chunk) {
 				if node < 0 || node >= len(procsOn) {
 					continue
 				}

@@ -33,11 +33,10 @@ func rackProbeMB(p *Problem, proc, task int) float64 {
 	node := p.ProcNode[proc]
 	var s float64
 	for _, in := range p.Tasks[task].Inputs {
-		c := p.FS.Chunk(in.Chunk)
-		if c.HostedOn(node) {
+		if p.HostedOn(in.Chunk, node) {
 			continue
 		}
-		for _, r := range c.Replicas {
+		for _, r := range p.FS.Replicas(in.Chunk) {
 			if p.NodeRack[r] == p.NodeRack[node] {
 				s += in.SizeMB
 				break

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"opass/internal/bipartite"
 	"opass/internal/dfs"
@@ -39,15 +40,15 @@ func (t *Task) SizeMB() float64 {
 }
 
 // Problem is a complete assignment problem: which processes run where,
-// which tasks must be executed, and the file system holding the chunk
-// placement metadata.
+// which tasks must be executed, and the placement of the chunks they read.
 type Problem struct {
 	// ProcNode[i] is the cluster node hosting process rank i.
 	ProcNode []int
 	// Tasks to assign; IDs must equal their slice index.
 	Tasks []Task
-	// FS supplies chunk placement (the namenode metadata Opass queries).
-	FS *dfs.FileSystem
+	// FS supplies chunk placement (the namenode metadata Opass queries): a
+	// *dfs.FileSystem, or a Layout when the placement is only ever read.
+	FS Placement
 	// NodeRack, when non-nil, maps each cluster node to its rack id. It
 	// enables the graded-locality tier (node-local > rack-local > remote)
 	// in the planners: tasks the locality solver leaves unmatched are
@@ -115,11 +116,16 @@ func (p *Problem) CoLocatedMB(proc, task int) float64 {
 	node := p.ProcNode[proc]
 	var s float64
 	for _, in := range p.Tasks[task].Inputs {
-		if p.FS.Chunk(in.Chunk).HostedOn(node) {
+		if p.HostedOn(in.Chunk, node) {
 			s += in.SizeMB
 		}
 	}
 	return s
+}
+
+// HostedOn reports whether chunk id has a replica on node.
+func (p *Problem) HostedOn(id dfs.ChunkID, node int) bool {
+	return slices.Contains(p.FS.Replicas(id), node)
 }
 
 // SingleDataProblem builds a Problem with one task per chunk of the given

@@ -80,7 +80,7 @@ func (ix *LocalityIndex) buildRackTier(ctx context.Context) error {
 	// below, so a cold buffer grows by append instead.
 	return ix.buildTier(ctx, &ix.buf.byTaskRack, 0, func(b *indexBuf, t int) {
 		for _, in := range p.Tasks[t].Inputs {
-			replicas := p.FS.Chunk(in.Chunk).Replicas
+			replicas := p.FS.Replicas(in.Chunk)
 			b.racks = b.racks[:0]
 			for _, node := range replicas {
 				if node >= 0 && node < len(p.NodeRack) && !slices.Contains(b.racks, p.NodeRack[node]) {

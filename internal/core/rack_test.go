@@ -130,7 +130,7 @@ func crossRackTasks(p *Problem, v rackedView, owner []int) int {
 		rack := v.RackOf(p.ProcNode[owner[ti]])
 		inRack := false
 		for _, in := range task.Inputs {
-			for _, rep := range p.FS.Chunk(in.Chunk).Replicas {
+			for _, rep := range p.FS.Replicas(in.Chunk) {
 				if v.RackOf(rep) == rack {
 					inRack = true
 				}

@@ -51,11 +51,13 @@ type RedistributionPlan struct {
 }
 
 // PlanRedistribution computes the replica moves that make assignment a
-// fully local on problem p. For every input chunk not hosted on its owner's
-// node, one replica is relocated there — taken from the replica holder
-// currently hosting the most data, so the move also reduces storage skew.
-// The file system is not modified; use Apply.
-func PlanRedistribution(p *Problem, a *Assignment) (*RedistributionPlan, error) {
+// fully local on problem p, whose placement fs holds. For every input chunk
+// not hosted on its owner's node, one replica is relocated there — taken
+// from the replica holder currently hosting the most data, so the move also
+// reduces storage skew. It enumerates the store (live nodes, stored bytes),
+// which the planners' read-only Placement view does not offer, so it takes
+// the file system itself. The file system is not modified; use Apply.
+func PlanRedistribution(fs *dfs.FileSystem, p *Problem, a *Assignment) (*RedistributionPlan, error) {
 	if err := a.Validate(p); err != nil {
 		return nil, err
 	}
@@ -63,18 +65,18 @@ func PlanRedistribution(p *Problem, a *Assignment) (*RedistributionPlan, error) 
 	// Track hypothetical placement changes so multiple tasks sharing a
 	// chunk don't double-move it.
 	moved := map[int]Migration{} // chunk -> its planned move
-	live := p.FS.LiveNodes()
+	live := fs.LiveNodes()
 	// Live node IDs are not contiguous after a node removal, so donor
 	// loads must be seeded per live ID — counting 0..NumLiveNodes() would
 	// read high-ID holders as empty and mis-rank donors.
 	hostedMB := make(map[int]float64, len(live))
 	for _, n := range live {
-		hostedMB[n] = p.FS.StoredMB(n)
+		hostedMB[n] = fs.StoredMB(n)
 	}
 	for t, owner := range a.Owner {
 		node := p.ProcNode[owner]
 		for _, in := range p.Tasks[t].Inputs {
-			c := p.FS.Chunk(in.Chunk)
+			c := fs.Chunk(in.Chunk)
 			if c.HostedOn(node) {
 				continue
 			}
@@ -107,7 +109,7 @@ func PlanRedistribution(p *Problem, a *Assignment) (*RedistributionPlan, error) 
 	for t, owner := range a.Owner {
 		node := p.ProcNode[owner]
 		for _, in := range p.Tasks[t].Inputs {
-			c := p.FS.Chunk(in.Chunk)
+			c := fs.Chunk(in.Chunk)
 			if !c.HostedOn(node) {
 				plan.RemoteMBPerRun += in.SizeMB
 			}
@@ -136,12 +138,12 @@ func hostedAfter(c *dfs.Chunk, moved map[int]Migration, node int) bool {
 	return c.HostedOn(node)
 }
 
-// Apply executes the plan against the problem's file system. It returns an
-// error on the first migration that fails (earlier moves stay applied, as
-// a real migration tool's partial progress would).
-func (plan *RedistributionPlan) Apply(p *Problem) error {
+// Apply executes the plan against the file system it was computed over. It
+// returns an error on the first migration that fails (earlier moves stay
+// applied, as a real migration tool's partial progress would).
+func (plan *RedistributionPlan) Apply(fs *dfs.FileSystem) error {
 	for _, m := range plan.Migrations {
-		if err := p.FS.MoveReplica(dfsChunkID(m.Chunk), m.From, m.To); err != nil {
+		if err := fs.MoveReplica(dfsChunkID(m.Chunk), m.From, m.To); err != nil {
 			return fmt.Errorf("core: applying migration of chunk %d: %w", m.Chunk, err)
 		}
 	}

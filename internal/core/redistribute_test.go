@@ -6,6 +6,9 @@ import (
 	"opass/internal/dfs"
 )
 
+// storeOf is the file system behind a test problem's placement view.
+func storeOf(p *Problem) *dfs.FileSystem { return p.FS.(*dfs.FileSystem) }
+
 func TestRedistributionMakesAssignmentLocal(t *testing.T) {
 	// Clustered placement: all data on nodes 0..2 of 8, so Opass cannot get
 	// past partial locality; redistribution should finish the job.
@@ -17,14 +20,14 @@ func TestRedistributionMakesAssignmentLocal(t *testing.T) {
 	if a.LocalityFraction() >= 1 {
 		t.Fatalf("locality already %v; fixture broken", a.LocalityFraction())
 	}
-	plan, err := PlanRedistribution(p, a)
+	plan, err := PlanRedistribution(storeOf(p), p, a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plan.MovedMB == 0 || len(plan.Migrations) == 0 {
 		t.Fatal("plan moved nothing despite remote inputs")
 	}
-	if err := plan.Apply(p); err != nil {
+	if err := plan.Apply(storeOf(p)); err != nil {
 		t.Fatal(err)
 	}
 	// Recompute locality of the SAME assignment on the mutated placement.
@@ -51,7 +54,7 @@ func TestRedistributionMakesAssignmentLocal(t *testing.T) {
 func TestRedistributionBreakEven(t *testing.T) {
 	p, _ := buildSingle(t, 8, 40, 32, dfs.ClusteredPlacement{})
 	a, _ := SingleData{}.Assign(p)
-	plan, err := PlanRedistribution(p, a)
+	plan, err := PlanRedistribution(storeOf(p), p, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +71,7 @@ func TestRedistributionNoopWhenFullyLocal(t *testing.T) {
 	if a.LocalityFraction() != 1 {
 		t.Fatal("fixture should be fully local")
 	}
-	plan, err := PlanRedistribution(p, a)
+	plan, err := PlanRedistribution(storeOf(p), p, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +87,11 @@ func TestRedistributionMultiData(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := a.LocalityFraction()
-	plan, err := PlanRedistribution(p, a)
+	plan, err := PlanRedistribution(storeOf(p), p, a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := plan.Apply(p); err != nil {
+	if err := plan.Apply(storeOf(p)); err != nil {
 		t.Fatal(err)
 	}
 	fillLocality(p, a)
@@ -104,7 +107,7 @@ func TestRedistributionMultiData(t *testing.T) {
 func TestRedistributionValidatesAssignment(t *testing.T) {
 	p, _ := buildSingle(t, 4, 8, 35, dfs.RandomPlacement{})
 	bad := &Assignment{Owner: []int{0}, Lists: make([][]int, 4)}
-	if _, err := PlanRedistribution(p, bad); err == nil {
+	if _, err := PlanRedistribution(storeOf(p), p, bad); err == nil {
 		t.Fatal("invalid assignment must be rejected")
 	}
 }
@@ -133,7 +136,7 @@ func TestRedistributionSharedChunkAcrossOwners(t *testing.T) {
 		FS: fs,
 	}
 	a := &Assignment{Owner: []int{0, 1}, Lists: [][]int{{0}, {1}}}
-	plan, err := PlanRedistribution(p, a)
+	plan, err := PlanRedistribution(storeOf(p), p, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +157,7 @@ func TestRedistributionSharedChunkAcrossOwners(t *testing.T) {
 		t.Fatalf("BreakEvenRuns = %v, want 1", plan.BreakEvenRuns)
 	}
 	// The residual forecast matches reality: apply and recompute locality.
-	if err := plan.Apply(p); err != nil {
+	if err := plan.Apply(storeOf(p)); err != nil {
 		t.Fatal(err)
 	}
 	fillLocality(p, a)
@@ -191,7 +194,7 @@ func TestRedistributionDonatedReplicaResidual(t *testing.T) {
 		FS: fs,
 	}
 	a := &Assignment{Owner: []int{0, 1}, Lists: [][]int{{0}, {1}}}
-	plan, err := PlanRedistribution(p, a)
+	plan, err := PlanRedistribution(storeOf(p), p, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +245,7 @@ func TestRedistributionDonorAfterNodeRemoval(t *testing.T) {
 		FS:       fs,
 	}
 	a := &Assignment{Owner: []int{0}, Lists: [][]int{{0}}}
-	plan, err := PlanRedistribution(p, a)
+	plan, err := PlanRedistribution(storeOf(p), p, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +255,7 @@ func TestRedistributionDonorAfterNodeRemoval(t *testing.T) {
 	if got := plan.Migrations[0].From; got != 7 {
 		t.Fatalf("donor = node %d, want 7 (the most loaded holder; high live IDs must be seeded)", got)
 	}
-	if err := plan.Apply(p); err != nil {
+	if err := plan.Apply(storeOf(p)); err != nil {
 		t.Fatal(err)
 	}
 	if problems := fs.Fsck(); len(problems) != 0 {

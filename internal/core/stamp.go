@@ -38,7 +38,7 @@ func (st *PlanStamp) Refresh(p *Problem) {
 	for i := range p.Tasks {
 		st.offs = append(st.offs, len(st.epochs))
 		for _, in := range p.Tasks[i].Inputs {
-			st.epochs = append(st.epochs, p.FS.Chunk(in.Chunk).Epoch())
+			st.epochs = append(st.epochs, p.FS.ChunkEpoch(in.Chunk))
 		}
 	}
 	st.offs = append(st.offs, len(st.epochs))
@@ -54,7 +54,7 @@ func (st PlanStamp) Dirty(p *Problem, t int) bool {
 		return true
 	}
 	for i, then := range st.epochs[st.offs[t]:st.offs[t+1]] {
-		if then != p.FS.Chunk(inputs[i].Chunk).Epoch() {
+		if then != p.FS.ChunkEpoch(inputs[i].Chunk) {
 			return true
 		}
 	}

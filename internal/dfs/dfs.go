@@ -158,10 +158,8 @@ func (fs *FileSystem) View() ClusterView { return fs.view }
 // to read concurrently with mutations on other goroutines.
 func (fs *FileSystem) Epoch() uint64 { return fs.epoch.Load() }
 
-// MetadataSnapshot is a summary of the namenode state at one epoch. It is
-// the namespace token the shared plan-cache tier uses: two opassd replicas
-// mirroring the same layout produce the same snapshot, so remote cache
-// keys derived from it collide exactly when the metadata agrees.
+// MetadataSnapshot is a summary of the namenode state at one epoch: two
+// stores that went through the same writes produce the same snapshot.
 type MetadataSnapshot struct {
 	Epoch  uint64 `json:"epoch"`
 	Files  int    `json:"files"`
@@ -170,8 +168,7 @@ type MetadataSnapshot struct {
 }
 
 // Snapshot captures the current metadata epoch and object counts. Like
-// Epoch it is cheap; unlike Epoch it also pins the namespace shape, so a
-// replica that merely reset its counter cannot alias another's keys.
+// Epoch it is cheap; unlike Epoch it also pins the namespace shape.
 func (fs *FileSystem) Snapshot() MetadataSnapshot {
 	return MetadataSnapshot{
 		Epoch:  fs.epoch.Load(),
@@ -333,9 +330,9 @@ func (fs *FileSystem) CreateChunks(name string, sizesMB []float64) (*File, error
 // explicit per-chunk replica lists, bypassing the placement policy and the
 // Config replication factor: chunk i is hosted exactly on replicas[i]
 // (sorted copy; the list may be any positive length). It is the bulk
-// primitive behind the HTTP service's streaming request decoder, which
-// mirrors a million-input layout into one file with one allocation per
-// chunk and a single epoch bump instead of a file, a path string, and an
+// primitive behind /v1/simulate, which mirrors a submitted layout into one
+// file with one allocation per chunk and a single epoch bump — every chunk
+// at epoch 1 in a fresh store — instead of a file, a path string, and an
 // epoch per input. Replica lists are validated against live nodes; a
 // duplicate or dead node fails the whole create with nothing written.
 func (fs *FileSystem) CreateChunksReplicated(name string, sizesMB []float64, replicas [][]int) (*File, error) {
@@ -471,6 +468,14 @@ func (fs *FileSystem) Chunk(id ChunkID) *Chunk {
 
 // NumChunks reports the total chunk count across all files.
 func (fs *FileSystem) NumChunks() int { return len(fs.chunks) }
+
+// Replicas, ChunkEpoch and ChunkSizeMB are the read-only placement view the
+// planners consume (core.Placement): Chunk(id)'s replica list, placement
+// epoch and size. Like Chunk they panic on an unknown or deleted id, and the
+// replica slice is the ledger's own — callers must not write to it.
+func (fs *FileSystem) Replicas(id ChunkID) []int      { return fs.Chunk(id).Replicas }
+func (fs *FileSystem) ChunkEpoch(id ChunkID) uint64   { return fs.Chunk(id).epoch }
+func (fs *FileSystem) ChunkSizeMB(id ChunkID) float64 { return fs.Chunk(id).SizeMB }
 
 // BlockLocation describes one chunk's placement, mirroring HDFS's
 // getFileBlockLocations response.

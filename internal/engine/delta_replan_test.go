@@ -19,7 +19,7 @@ func affectedSet(p *core.Problem, pending [][]int, stamp core.PlanStamp, node in
 				continue
 			}
 			for _, in := range p.Tasks[id].Inputs {
-				if p.FS.Chunk(in.Chunk).HostedOn(node) {
+				if p.HostedOn(in.Chunk, node) {
 					out[id] = true
 					break
 				}

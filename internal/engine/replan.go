@@ -99,7 +99,7 @@ func ReplanBacklogDelta(p *core.Problem, src ReplannableSource, finished []bool,
 			return true
 		}
 		for _, in := range p.Tasks[id].Inputs {
-			if p.FS.Chunk(in.Chunk).HostedOn(eventNode) {
+			if p.HostedOn(in.Chunk, eventNode) {
 				return true
 			}
 		}

@@ -39,10 +39,10 @@ func Redistribution(cfg Config) (*RedistributionResult, error) {
 	var migration *core.RedistributionPlan
 	migrate := func(rig *workload.Rig, plan *core.Assignment) (engine.TaskSource, error) {
 		var err error
-		if migration, err = core.PlanRedistribution(rig.Prob, plan); err != nil {
+		if migration, err = core.PlanRedistribution(rig.FS, rig.Prob, plan); err != nil {
 			return nil, err
 		}
-		if err := migration.Apply(rig.Prob); err != nil {
+		if err := migration.Apply(rig.FS); err != nil {
 			return nil, err
 		}
 		return engine.NewListSource(plan.Lists), nil

@@ -22,6 +22,7 @@ package globalsched
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"opass/internal/core"
@@ -385,16 +386,16 @@ func plannedLoad(p *core.Problem, a *core.Assignment, nodes int) []float64 {
 		owner := a.Owner[t]
 		node := p.ProcNode[owner]
 		for _, in := range p.Tasks[t].Inputs {
-			c := p.FS.Chunk(in.Chunk)
-			if c.HostedOn(node) {
+			replicas := p.FS.Replicas(in.Chunk)
+			if slices.Contains(replicas, node) {
 				charge[node] += in.SizeMB
 				continue
 			}
-			if len(c.Replicas) == 0 {
+			if len(replicas) == 0 {
 				continue
 			}
-			share := in.SizeMB / float64(len(c.Replicas))
-			for _, r := range c.Replicas {
+			share := in.SizeMB / float64(len(replicas))
+			for _, r := range replicas {
 				if r < nodes {
 					charge[r] += share
 				}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 
 	"opass/internal/core"
 	"opass/internal/dfs"
@@ -94,13 +95,13 @@ var (
 	degradationFields = []string{"node", "at_seconds", "until_seconds", "disk_factor", "nic_factor"}
 )
 
-// decodeProblem parses and validates a request into a core.Problem backed
-// by an in-memory file system that mirrors the submitted block layout. The
-// body is scanned once through a pooled fixed-size window: tasks land in
-// compact columnar accumulators instead of a materialized []TaskSpec, so
-// peak decode memory tracks the problem's resident size, and the mirror FS
-// is built with one bulk CreateChunksReplicated call (one chunk block, one
-// epoch bump) instead of per-input namenode operations.
+// decodeProblem parses and validates a request into a core.Problem whose
+// placement is the submitted block layout itself. The body is scanned once
+// through a pooled fixed-size window into pooled columnar accumulators (sizes,
+// replica offsets, replica nodes); exact-size copies of those arrays become
+// the problem's core.Layout, the read-only placement view the planners index
+// directly. No file system is built here: /v1/simulate, whose engine mutates
+// placement, mirrors the layout into one itself (mirrorFS).
 func decodeProblem(w http.ResponseWriter, r *http.Request, lim RequestLimits) (*PlanRequest, *core.Problem, *apiError) {
 	lx := newLexer(http.MaxBytesReader(w, r.Body, lim.BodyBytes))
 	defer lx.release()
@@ -110,13 +111,8 @@ func decodeProblem(w http.ResponseWriter, r *http.Request, lim RequestLimits) (*
 // decodeRequest is decodeProblem over a caller-supplied lexer.
 func decodeRequest(lx *lexer, lim RequestLimits) (*PlanRequest, *core.Problem, *apiError) {
 	req := &PlanRequest{}
-	var (
-		taskInputs []int32   // inputs per task, in task order
-		sizes      []float64 // per-input sizes, task-major
-		repOff     []int     // input i's replicas are reps[repOff[i]:repOff[i+1]]
-		reps       []int
-	)
-	repOff = append(repOff, 0)
+	acc := &lx.acc
+	acc.reset()
 
 	// Every cap is checked as its element arrives, so an over-limit request
 	// is rejected at the first offending element whatever follows it.
@@ -196,24 +192,24 @@ func decodeRequest(lx *lexer, lim RequestLimits) (*PlanRequest, *core.Problem, *
 								size = lx.float()
 							case "replicas":
 								for i := 0; lx.elem(i); i++ {
-									reps = append(reps, lx.int())
+									acc.reps = append(acc.reps, lx.int())
 								}
 							}
 						}
 						if size <= 0 {
 							lx.fail(badRequest("invalid", "task %d input %d: size_mb must be positive", ti, ii))
 						}
-						if len(reps) == repOff[len(repOff)-1] {
+						if len(acc.reps) == acc.repOff[len(acc.repOff)-1] {
 							lx.fail(badRequest("invalid", "task %d input %d: replicas must be non-empty", ti, ii))
 						}
-						sizes = append(sizes, size)
-						repOff = append(repOff, len(reps))
+						acc.sizes = append(acc.sizes, size)
+						acc.repOff = append(acc.repOff, len(acc.reps))
 					}
 				}
 				if ii == 0 {
 					lx.fail(badRequest("invalid", "task %d has no inputs", ti))
 				}
-				taskInputs = append(taskInputs, int32(ii))
+				acc.taskInputs = append(acc.taskInputs, int32(ii))
 			}
 		}
 	}
@@ -221,6 +217,7 @@ func decodeRequest(lx *lexer, lim RequestLimits) (*PlanRequest, *core.Problem, *
 		return nil, nil, decodeFailure(lx.err)
 	}
 
+	taskInputs, sizes, repOff, reps := acc.taskInputs, acc.sizes, acc.repOff, acc.reps
 	numTasks := len(taskInputs)
 	numInputs := len(sizes)
 	if req.Nodes <= 0 {
@@ -242,7 +239,9 @@ func decodeRequest(lx *lexer, lim RequestLimits) (*PlanRequest, *core.Problem, *
 	// Replica range/distinctness, deferred from the streaming loop because
 	// JSON key order does not guarantee nodes arrives before tasks. The
 	// stamp array replaces a per-input set: stamp[n] == i marks node n as
-	// already seen for input i.
+	// already seen for input i. Each checked row is then insertion-sorted in
+	// place: the placement view promises ascending rows, the order the dfs
+	// ledger keeps and every fingerprint was defined over.
 	stamp := make([]int, req.Nodes)
 	for i := range stamp {
 		stamp[i] = -1
@@ -250,7 +249,8 @@ func decodeRequest(lx *lexer, lim RequestLimits) (*PlanRequest, *core.Problem, *
 	in := 0
 	for ti := 0; ti < numTasks; ti++ {
 		for ii := 0; ii < int(taskInputs[ti]); ii++ {
-			for _, rep := range reps[repOff[in]:repOff[in+1]] {
+			row := reps[repOff[in]:repOff[in+1]]
+			for k, rep := range row {
 				if rep < 0 || rep >= req.Nodes {
 					return nil, nil, badRequest("invalid", "task %d input %d: replica node %d outside cluster", ti, ii, rep)
 				}
@@ -258,22 +258,18 @@ func decodeRequest(lx *lexer, lim RequestLimits) (*PlanRequest, *core.Problem, *
 					return nil, nil, badRequest("invalid", "task %d input %d: duplicate replica node %d", ti, ii, rep)
 				}
 				stamp[rep] = in
+				for ; k > 0 && row[k-1] > rep; k-- {
+					row[k-1], row[k] = rep, row[k-1]
+				}
 			}
 			in++
 		}
 	}
-	// Mirror the layout into an in-memory FS: every input is one chunk of
-	// one bulk-created file, sharing the flattened replica arena.
-	replicaLists := make([][]int, numInputs)
-	for i := range replicaLists {
-		replicaLists[i] = reps[repOff[i]:repOff[i+1]]
-	}
-	fs := dfs.New(layoutView{req.Nodes}, dfs.Config{Replication: 1})
-	f, err := fs.CreateChunksReplicated("/layout/tasks", sizes, replicaLists)
-	if err != nil {
-		return nil, nil, &apiError{status: http.StatusInternalServerError, reason: "internal", err: err}
-	}
-	prob := &core.Problem{ProcNode: procNodes, FS: fs}
+	// The problem keeps exact-size copies: the accumulators go back to the
+	// pool with the lexer and the next request overwrites them.
+	prob := &core.Problem{ProcNode: procNodes, FS: &core.Layout{
+		SizesMB: slices.Clone(sizes), RepOff: slices.Clone(repOff), Reps: slices.Clone(reps),
+	}}
 	prob.Tasks = make([]core.Task, numTasks)
 	backing := make([]core.Input, numInputs)
 	in = 0
@@ -281,7 +277,7 @@ func decodeRequest(lx *lexer, lim RequestLimits) (*PlanRequest, *core.Problem, *
 		k := int(taskInputs[ti])
 		ins := backing[in : in+k : in+k]
 		for j := range ins {
-			ins[j] = core.Input{Chunk: f.Chunks[in+j], SizeMB: sizes[in+j]}
+			ins[j] = core.Input{Chunk: dfs.ChunkID(in + j), SizeMB: sizes[in+j]}
 		}
 		prob.Tasks[ti] = core.Task{ID: ti, Inputs: ins}
 		in += k
@@ -291,6 +287,20 @@ func decodeRequest(lx *lexer, lim RequestLimits) (*PlanRequest, *core.Problem, *
 	}
 	req.weight = int64(numTasks + numInputs)
 	return req, prob, nil
+}
+
+// mirrorFS builds the in-memory file system /v1/simulate runs against: one
+// bulk-created file holding the layout's chunks in order, so chunk ids are
+// equal by construction. The engine crashes nodes and repairs chunks, which
+// the read-only layout cannot express; /v1/plan never calls this.
+func mirrorFS(nodes int, l *core.Layout) (*dfs.FileSystem, error) {
+	rows := make([][]int, len(l.SizesMB))
+	for i := range rows {
+		rows[i] = l.Replicas(dfs.ChunkID(i))
+	}
+	fs := dfs.New(layoutView{nodes}, dfs.Config{Replication: 1})
+	_, err := fs.CreateChunksReplicated("/layout/tasks", l.SizesMB, rows)
+	return fs, err
 }
 
 // resolveProcNodes validates the submitted process list (or synthesizes

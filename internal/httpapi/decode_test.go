@@ -81,10 +81,11 @@ func decodeProblemReference(w http.ResponseWriter, r *http.Request, lim RequestL
 			return nil, nil, badRequest("invalid", "task %d has no inputs", ti)
 		}
 	}
-	prob.FS = dfs.New(layoutView{req.Nodes}, dfs.Config{Replication: 1})
-	if _, err := prob.FS.CreateChunksReplicated("/layout/tasks", sizes, replicas); err != nil {
+	fs := dfs.New(layoutView{req.Nodes}, dfs.Config{Replication: 1})
+	if _, err := fs.CreateChunksReplicated("/layout/tasks", sizes, replicas); err != nil {
 		return nil, nil, &apiError{status: http.StatusInternalServerError, reason: "internal", err: err}
 	}
+	prob.FS = fs
 	if err := prob.Validate(); err != nil {
 		return nil, nil, badRequest("invalid", "%w", err)
 	}
@@ -460,20 +461,23 @@ func benchBody(nodes, tasks int, sizes []float64, faults bool, seed int64) []byt
 	return append(b, `]}`...)
 }
 
-// BenchmarkDecodeProblem times the decoder alone (scan, validation, mirror
-// FS build) over the bodies of the three bench/ plan workloads that differ
-// in shape.
+// benchShapes are the bodies of the three bench/ plan workloads that differ in
+// shape (256 processes each).
+var benchShapes = []struct {
+	name  string
+	tasks int
+	sizes []float64
+}{
+	{"paper-single", 2560, []float64{64}},
+	{"paper-multi", 2560, []float64{30, 20, 10}},
+	{"fleet-bulk", 25600, []float64{64}},
+}
+
+// BenchmarkDecodeProblem times the decoder alone (scan, validation, layout
+// copy) over benchShapes.
 func BenchmarkDecodeProblem(b *testing.B) {
 	lim := RequestLimits{}.withDefaults()
-	for _, w := range []struct {
-		name  string
-		tasks int
-		sizes []float64
-	}{
-		{"paper-single", 2560, []float64{64}},
-		{"paper-multi", 2560, []float64{30, 20, 10}},
-		{"fleet-bulk", 25600, []float64{64}},
-	} {
+	for _, w := range benchShapes {
 		body := benchBody(256, w.tasks, w.sizes, false, 1)
 		b.Run(w.name, func(b *testing.B) {
 			b.SetBytes(int64(len(body)))
@@ -486,6 +490,46 @@ func BenchmarkDecodeProblem(b *testing.B) {
 			}
 		})
 	}
+}
+
+// discardResponse is a ResponseWriter that keeps the status and drops the
+// body, so BenchmarkPlanRequest's B/op is the handler's, not a recorder's.
+type discardResponse struct {
+	header http.Header
+	status int
+}
+
+func (d *discardResponse) Header() http.Header         { return d.header }
+func (d *discardResponse) WriteHeader(status int)      { d.status = status }
+func (d *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
+
+// BenchmarkPlanRequest times the whole /v1/plan handler — middleware, decode,
+// admission, fingerprint or planner, encode — over benchShapes with the plan
+// cache off, plus the cache-hit path on the paper-single body.
+func BenchmarkPlanRequest(b *testing.B) {
+	serve := func(b *testing.B, s *Server, body []byte) {
+		w := &discardResponse{header: http.Header{}}
+		s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/plan", bytes.NewReader(body)))
+		if w.status != http.StatusOK {
+			b.Fatalf("status %d", w.status)
+		}
+	}
+	run := func(name string, opts ServerOptions, body []byte) {
+		b.Run(name, func(b *testing.B) {
+			s := NewServer(opts)
+			serve(b, s, body) // fills the cache when it is on
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serve(b, s, body)
+			}
+		})
+	}
+	for _, w := range benchShapes {
+		run(w.name, ServerOptions{PlanCacheEntries: -1}, benchBody(256, w.tasks, w.sizes, false, 1))
+	}
+	run("cache-hit", ServerOptions{}, benchBody(256, 2560, []float64{64}, false, 1))
 }
 
 // oneTask is the smallest valid task list, for rows that vary something else.
@@ -696,14 +740,15 @@ func TestDecodeHostileInputBounded(t *testing.T) {
 		{"string where a key belongs", longKey(2 * windowSize), longKey(1 << 20), 400, "invalid", "window"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			// One caller-owned window across runs, as the pool provides in
-			// service (the pool itself drops entries at random under -race).
+			// One caller-owned lexer — window and accumulators — across runs,
+			// as the pool provides in service (the pool itself drops entries
+			// at random under -race).
 			lx := &lexer{buf: make([]byte, windowSize)}
 			cost := func(body []byte) (allocs float64, bytesPerRun uint64) {
 				rd := bytes.NewReader(nil)
 				run := func() {
 					rd.Reset(body)
-					*lx = lexer{buf: lx.buf, r: rd}
+					lx.reset(rd)
 					_, _, apiErr := decodeRequest(lx, lim)
 					if apiErr == nil || apiErr.status != tc.status || apiErr.reason != tc.reason ||
 						!strings.Contains(apiErr.Error(), tc.frag) {
@@ -727,29 +772,44 @@ func TestDecodeHostileInputBounded(t *testing.T) {
 	}
 }
 
+// wayOut is one way out of the decoder: a body and the status it earns under
+// waysOutLimits.
+type wayOut struct {
+	name   string
+	body   string
+	status int
+}
+
+var waysOutLimits = RequestLimits{BodyBytes: 4 * windowSize, Tasks: 16, InputsPerTask: 3}.withDefaults()
+
+// waysOut lists a success and one body per kind of rejection, the last of
+// them failing in the replica post-pass after earlier rows were sorted in
+// place. valid is the accepted body the others are cut from.
+func waysOut() (valid string, ways []wayOut) {
+	valid = string(benchBody(8, 16, []float64{30, 20, 10}, true, 1))
+	return valid, []wayOut{
+		{"success", valid, 200},
+		{"syntax error", valid[:len(valid)/2] + "?", 400},
+		{"validation error", `{"nodes":4,"tasks":[{"inputs":[{"size_mb":1,"replicas":[9]}]}]}`, 400},
+		{"task cap", string(benchBody(8, 17, []float64{64}, false, 1)), 400},
+		{"input cap", string(benchBody(8, 2, []float64{1, 2, 3, 4}, false, 1)), 400},
+		{"window overrun", `{"` + strings.Repeat("k", 2*windowSize), 400},
+		{"trailing data", valid[:len(valid)-1] + " }x", 400},
+		{"body limit", valid[:len(valid)-1] + strings.Repeat(" ", 4*windowSize) + "}", 413},
+		{"post-pass error after sorted rows", `{"nodes":4,"tasks":[{"inputs":[{"size_mb":8,"replicas":[3,1,2]},{"size_mb":8,"replicas":[2,0]}]},{"inputs":[{"size_mb":8,"replicas":[1,9]}]}]}`, 400},
+	}
+}
+
 // TestDecodeWindowReleased: the pooled window goes back on every way out of
 // the decoder — success, each kind of rejection, and a client that
 // disconnects mid-body.
 func TestDecodeWindowReleased(t *testing.T) {
-	valid := string(benchBody(8, 16, []float64{30, 20, 10}, true, 1))
-	lim := RequestLimits{BodyBytes: 4 * windowSize, Tasks: 16, InputsPerTask: 3}.withDefaults()
-	for _, tc := range []struct {
-		name   string
-		body   io.Reader
-		status int
-	}{
-		{"success", strings.NewReader(valid), 200},
-		{"syntax error", strings.NewReader(valid[:len(valid)/2] + "?"), 400},
-		{"validation error", strings.NewReader(`{"nodes":4,"tasks":[{"inputs":[{"size_mb":1,"replicas":[9]}]}]}`), 400},
-		{"task cap", bytes.NewReader(benchBody(8, 17, []float64{64}, false, 1)), 400},
-		{"input cap", bytes.NewReader(benchBody(8, 2, []float64{1, 2, 3, 4}, false, 1)), 400},
-		{"window overrun", strings.NewReader(`{"` + strings.Repeat("k", 2*windowSize)), 400},
-		{"trailing data", strings.NewReader(valid[:len(valid)-1] + " }x"), 400},
-		{"body limit", strings.NewReader(valid[:len(valid)-1] + strings.Repeat(" ", 4*windowSize) + "}"), 413},
-	} {
+	valid, ways := waysOut()
+	lim := waysOutLimits
+	for _, tc := range ways {
 		t.Run(tc.name, func(t *testing.T) {
 			out := lexersOut.Load()
-			r := httptest.NewRequest(http.MethodPost, "/v1/simulate", tc.body)
+			r := httptest.NewRequest(http.MethodPost, "/v1/simulate", strings.NewReader(tc.body))
 			_, _, apiErr := decodeProblem(httptest.NewRecorder(), r, lim)
 			status := http.StatusOK
 			if apiErr != nil {

@@ -95,7 +95,8 @@ const (
 	// MetricRequestQueueSeconds observes time spent waiting for admission.
 	MetricRequestQueueSeconds = "opass_request_queue_seconds"
 	// MetricRequestDecodeSeconds observes the request decoder: reading the
-	// body, scanning it, and building the mirror file system.
+	// body, scanning it, validating it and copying out the layout arrays the
+	// planners read placement from.
 	MetricRequestDecodeSeconds = "opass_request_decode_seconds"
 	// MetricResponseErrors counts response bodies that failed to encode or
 	// write (typically the client hanging up mid-body).
@@ -389,7 +390,7 @@ func NewServer(opts ServerOptions) *Server {
 	reg.Help(MetricRequestsShed, "Requests refused by the admission layer, by route and reason.")
 	reg.Help(MetricRequestsCancelled, "Admitted requests abandoned mid-work, by route and reason.")
 	reg.Help(MetricRequestQueueSeconds, "Time spent waiting for admission, by route.")
-	reg.Help(MetricRequestDecodeSeconds, "Time spent reading and decoding the request body into a problem, by route.")
+	reg.Help(MetricRequestDecodeSeconds, "Time spent reading, scanning and validating the request body into a problem over its layout arrays (no file system is built), by route.")
 	reg.Help(MetricResponseErrors, "Response bodies that failed to write, by route.")
 	reg.Help(MetricPlanCacheHits, "Plans served from the fingerprinted plan cache.")
 	reg.Help(MetricPlanCacheMisses, "Plans that ran the planner and populated the cache.")
@@ -547,16 +548,24 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	ctx, cancel := context.WithTimeout(r.Context(), s.reqTimeout)
 	defer cancel()
+	// The engine crashes nodes and repairs chunks, so a simulation runs
+	// against a file system mirroring the submitted layout; installed before
+	// planning, it is the one placement the plan, the engine and the replans
+	// all read. (The decoder's problems are always Layout-backed.)
+	fs, err := mirrorFS(req.Nodes, prob.FS.(*core.Layout))
+	if err != nil {
+		s.writeJSON(w, r, http.StatusInternalServerError, errorBody{Error: err.Error()})
+		return
+	}
+	prob.FS = fs
 	resp, assignment, err := s.plan(ctx, req, prob)
 	if err != nil {
 		s.planFailed(w, r, err)
 		return
 	}
 	topo := cluster.New(req.Nodes, cluster.Marmot())
-	// Rebuild the problem against the simulation topology (the layout
-	// FS carries no hardware).
 	eopts := engine.Options{
-		Topo: topo, FS: prob.FS, Problem: prob, Strategy: resp.Strategy,
+		Topo: topo, FS: fs, Problem: prob, Strategy: resp.Strategy,
 		Replan: req.Replan, Repair: req.Repair,
 		RepairDelay: req.RepairDelaySeconds, ReplanSeed: req.Seed,
 	}
@@ -763,15 +772,15 @@ type tierPlan struct {
 	TotalMB float64      `json:"total_mb"`
 }
 
-// tierKeyFor derives the remote key: the configured namespace, the
-// namenode-metadata snapshot epoch of the mirror FS the plan was computed
-// against, and the content-addressed problem fingerprint. Replicas that
-// decoded the same request produce identical snapshots, so keys collide
-// exactly when the metadata agrees; any divergence lands in disjoint
-// keyspaces.
-func (s *Server) tierKeyFor(prob *core.Problem, key plancache.Key) string {
-	snap := prob.FS.Snapshot()
-	return plancache.TierKey(fmt.Sprintf("%s/e%d", s.tierNS, snap.Epoch), key)
+// tierKeyFor derives the remote key: the configured namespace, the placement
+// epoch of a submitted layout, and the content-addressed problem fingerprint.
+// Every request carries its complete layout and is planned as first written —
+// epoch 1, whether read through the decoder's core.Layout or /v1/simulate's
+// mirror before the engine touches it — so the segment is the constant "e1",
+// the keyspace every earlier release published into; the fingerprint, which
+// covers each chunk's replicas and epoch, is what tells layouts apart.
+func (s *Server) tierKeyFor(key plancache.Key) string {
+	return plancache.TierKey(s.tierNS+"/e1", key)
 }
 
 // tierFetch asks the shared tier for an already-computed plan. Every
@@ -781,7 +790,7 @@ func (s *Server) tierFetch(ctx context.Context, prob *core.Problem, key plancach
 	if s.tier == nil {
 		return cachedPlan{}, false
 	}
-	data, ok, err := s.tier.Get(ctx, s.tierKeyFor(prob, key))
+	data, ok, err := s.tier.Get(ctx, s.tierKeyFor(key))
 	if err != nil {
 		s.reg.Counter(MetricPlanCacheRemoteErrors).Inc()
 		return cachedPlan{}, false
@@ -809,7 +818,7 @@ func (s *Server) tierFetch(ctx context.Context, prob *core.Problem, key plancach
 
 // tierPublish offers a freshly computed plan to the shared tier; failures
 // are counted and otherwise ignored (the local response is already in hand).
-func (s *Server) tierPublish(ctx context.Context, prob *core.Problem, key plancache.Key, resp *PlanResponse, a *core.Assignment) {
+func (s *Server) tierPublish(ctx context.Context, key plancache.Key, resp *PlanResponse, a *core.Assignment) {
 	if s.tier == nil {
 		return
 	}
@@ -818,7 +827,7 @@ func (s *Server) tierPublish(ctx context.Context, prob *core.Problem, key planca
 		s.reg.Counter(MetricPlanCacheRemoteErrors).Inc()
 		return
 	}
-	if err := s.tier.Set(ctx, s.tierKeyFor(prob, key), data, s.tierTTL); err != nil {
+	if err := s.tier.Set(ctx, s.tierKeyFor(key), data, s.tierTTL); err != nil {
 		s.reg.Counter(MetricPlanCacheRemoteErrors).Inc()
 		return
 	}
@@ -848,7 +857,7 @@ func (s *Server) plan(ctx context.Context, req *PlanRequest, prob *core.Problem)
 		if err != nil {
 			return cachedPlan{}, 0, err
 		}
-		s.tierPublish(cctx, prob, key, &resp, a)
+		s.tierPublish(cctx, key, &resp, a)
 		return cachedPlan{resp: resp, a: a}, planSizeBytes(&resp), nil
 	}
 	if s.planCache == nil { // no L1: nothing to coalesce on or count

@@ -29,6 +29,25 @@ type lexer struct {
 	rerr     error  // why reading stopped: io.EOF, a transport or a body-limit error
 	err      error  // first failure of any kind
 	name     string // set by member: the field whose value is at the cursor
+
+	// acc is where decodeRequest gathers the submitted layout. It rides on
+	// the lexer so the grown arrays are pooled with the window, under the one
+	// release discipline.
+	acc layoutAcc
+}
+
+// layoutAcc accumulates a request's layout as it streams in, task-major:
+// compact columns instead of a materialized []TaskSpec.
+type layoutAcc struct {
+	taskInputs []int32   // inputs per task, in task order
+	sizes      []float64 // per-input sizes
+	repOff     []int     // input i's replicas are reps[repOff[i]:repOff[i+1]]
+	reps       []int
+}
+
+// reset empties the accumulator, keeping its storage.
+func (a *layoutAcc) reset() {
+	*a = layoutAcc{a.taskInputs[:0], a.sizes[:0], append(a.repOff[:0], 0), a.reps[:0]}
 }
 
 var lexerPool = sync.Pool{New: func() any { return &lexer{buf: make([]byte, windowSize)} }}
@@ -43,10 +62,17 @@ func newLexer(r io.Reader) *lexer {
 	return lx
 }
 
-// release returns the lexer and its window to the pool. Nothing the lexer
-// handed out (str, number) may be used afterwards.
+// reset readies the lexer for another body, keeping only its window and its
+// accumulator storage.
+func (lx *lexer) reset(r io.Reader) {
+	*lx = lexer{r: r, buf: lx.buf, acc: lx.acc}
+}
+
+// release returns the lexer, its window and its accumulator storage to the
+// pool. Nothing the lexer handed out (str, number) or accumulated may be used
+// afterwards: the next request overwrites both.
 func (lx *lexer) release() {
-	*lx = lexer{buf: lx.buf}
+	lx.reset(nil)
 	lexersOut.Add(-1)
 	lexerPool.Put(lx)
 }

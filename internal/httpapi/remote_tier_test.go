@@ -1,11 +1,16 @@
 package httpapi
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"opass/internal/plancache"
 	"opass/internal/plancache/plancachetest"
@@ -119,5 +124,57 @@ func TestTierFailureDegradesToLocal(t *testing.T) {
 	}
 	if got := metricValue(t, reg, MetricPlanCacheRemoteErrors); got < 2 {
 		t.Fatalf("remote errors = %v, want >= 2 (failed get + failed set)", got)
+	}
+}
+
+// recordingTier is an in-memory Tier that remembers the keys it was asked
+// to store.
+type recordingTier struct {
+	mu   sync.Mutex
+	data map[string][]byte
+	sets []string
+}
+
+func (r *recordingTier) Get(_ context.Context, key string) ([]byte, bool, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	v, ok := r.data[key]
+	return v, ok, nil
+}
+
+func (r *recordingTier) Set(_ context.Context, key string, value []byte, _ time.Duration) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.data == nil {
+		r.data = map[string][]byte{}
+	}
+	r.data[key] = value
+	r.sets = append(r.sets, key)
+	return nil
+}
+
+// TestRemoteTierKeyPinned pins the fleet keyspace: the remote key of a
+// literal request is the exact string every release since the shared tier
+// shipped has published under — namespace, "/e1", the fingerprint in hex — on
+// both routes, so replicas of mixed versions keep adopting each other's plans.
+// The replica rows are unsorted on purpose: the fingerprint is over the
+// ascending row, as the dfs ledger kept it when the key was first defined.
+func TestRemoteTierKeyPinned(t *testing.T) {
+	const body = `{"nodes":4,"seed":7,"tasks":[{"inputs":[{"size_mb":64,"replicas":[2,0]}]},{"inputs":[{"size_mb":32,"replicas":[3,1,0]}]}]}`
+	const want = "opass1/e1:5a8bd194896324277002ad4a3479d069a79df24ae7fe9ec9a7c6d85e6126f90d"
+	for _, route := range []string{"/v1/plan", "/v1/simulate"} {
+		tier := &recordingTier{}
+		srv, _, _ := replica(t, tier)
+		resp, err := http.Post(srv.URL+route, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", route, resp.StatusCode)
+		}
+		if len(tier.sets) != 1 || tier.sets[0] != want {
+			t.Errorf("%s published under %q, want %q", route, tier.sets, want)
+		}
 	}
 }

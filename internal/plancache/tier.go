@@ -37,8 +37,8 @@ type Tier interface {
 // TierKey renders a content-addressed Key under a namespace as a key every
 // Tier backend accepts (hex keeps it within memcached's 250-byte printable
 // key rules for any namespace up to ~180 bytes). Namespaces version the
-// keyspace: embedding the namenode metadata snapshot epoch means replicas
-// whose metadata disagrees can never serve each other's plans.
+// keyspace: the service embeds its wire-format version and the placement
+// epoch of a submitted layout (see httpapi's tierKeyFor).
 func TierKey(namespace string, k Key) string {
 	return fmt.Sprintf("%s:%x", namespace, k[:])
 }

@@ -34,16 +34,17 @@ type ReplanRig struct {
 // epochs of every chunk that lost a replica, exactly what a namenode
 // processing a DataNode loss does.
 func BuildReplanRig(procs int) (*ReplanRig, error) {
-	p, err := BuildSingle(procs)
+	rig, err := singleRig(procs)
 	if err != nil {
 		return nil, err
 	}
+	p := rig.Prob
 	a, err := core.SingleData{Seed: 1}.Assign(p)
 	if err != nil {
 		return nil, err
 	}
 	stamp := core.StampProblem(p)
-	if _, _, err := p.FS.Crash(ReplanVictim); err != nil {
+	if _, _, err := rig.FS.Crash(ReplanVictim); err != nil {
 		return nil, err
 	}
 	return &ReplanRig{Prob: p, Lists: a.Lists, Stamp: stamp}, nil

@@ -18,11 +18,17 @@ const TasksPerProc = 10
 
 // BuildSingle constructs the seeded single-data problem at the given scale.
 func BuildSingle(procs int) (*core.Problem, error) {
-	rig, err := workload.SingleSpec{Nodes: procs, ChunksPerProc: TasksPerProc, Seed: 1}.Build()
+	rig, err := singleRig(procs)
 	if err != nil {
 		return nil, err
 	}
 	return rig.Prob, nil
+}
+
+// singleRig is BuildSingle with the file system the problem reads, for the
+// replan rig, which mutates it.
+func singleRig(procs int) (*workload.Rig, error) {
+	return workload.SingleSpec{Nodes: procs, ChunksPerProc: TasksPerProc, Seed: 1}.Build()
 }
 
 // BuildMulti constructs the seeded 30/20/10 MB multi-data problem at the

@@ -253,14 +253,14 @@ type RedistributionPlan struct {
 	BreakEvenRuns float64
 
 	inner *core.RedistributionPlan
-	prob  *core.Problem
+	fs    *dfs.FileSystem
 }
 
 // PlanRedistribution computes the replica moves that would make every read
 // of the plan local (the MRAP-style extension the paper cites as beyond
 // scope). The cluster is not modified until Apply is called.
 func (c *Cluster) PlanRedistribution(p *Plan) (*RedistributionPlan, error) {
-	inner, err := core.PlanRedistribution(p.Problem, p.Assignment)
+	inner, err := core.PlanRedistribution(c.fs, p.Problem, p.Assignment)
 	if err != nil {
 		return nil, err
 	}
@@ -269,13 +269,13 @@ func (c *Cluster) PlanRedistribution(p *Plan) (*RedistributionPlan, error) {
 		MovedMB:       inner.MovedMB,
 		BreakEvenRuns: inner.BreakEvenRuns,
 		inner:         inner,
-		prob:          p.Problem,
+		fs:            c.fs,
 	}, nil
 }
 
 // Apply executes the planned migrations against the cluster's file system.
 func (rp *RedistributionPlan) Apply() error {
-	return rp.inner.Apply(rp.prob)
+	return rp.inner.Apply(rp.fs)
 }
 
 // NodeFailure schedules a DataNode crash during a run (see RunOptions).
