@@ -20,57 +20,25 @@ import (
 	"sort"
 
 	"opass/internal/dfs"
-	"opass/internal/telemetry"
 )
 
-// Metric family names recorded when Options.Metrics is set.
+// The classification thresholds and redundancy bounds. A chunk is hot when
+// its popularity degree (decayed served MB over the fleet mean) is at least
+// hotFactor and cold at or below coldFactor. The advisor never trims a chunk
+// below minReplicas copies and never grows one past maxReplicas (further
+// capped by the live-node count).
 const (
-	// MetricTicks counts advisor passes.
-	MetricTicks = "opass_advisor_ticks_total"
-	// MetricReplicasAdded / MetricReplicasRemoved count replica copies
-	// created for hot chunks and trimmed from cold chunks.
-	MetricReplicasAdded   = "opass_advisor_replicas_added_total"
-	MetricReplicasRemoved = "opass_advisor_replicas_removed_total"
-	// MetricTargetsRaised / MetricTargetsLowered count replication-target
-	// (setrep) changes in each direction.
-	MetricTargetsRaised  = "opass_advisor_targets_raised_total"
-	MetricTargetsLowered = "opass_advisor_targets_lowered_total"
-	// MetricHot / MetricWarm / MetricCold gauge the classification of the
-	// fleet at the last tick.
-	MetricHot  = "opass_advisor_hot_chunks"
-	MetricWarm = "opass_advisor_warm_chunks"
-	MetricCold = "opass_advisor_cold_chunks"
-	// MetricStoredMB gauges the cluster's stored megabytes after the last
-	// tick; MetricBudgetMB the budget it is held under.
-	MetricStoredMB = "opass_advisor_stored_mb"
-	MetricBudgetMB = "opass_advisor_budget_mb"
+	hotFactor   = 2
+	coldFactor  = 0.25
+	minReplicas = 2
+	maxReplicas = 5
 )
 
 // Options configures an Advisor.
 type Options struct {
-	// HotFactor is the popularity-degree threshold above which a chunk is
-	// hot: score >= HotFactor * fleet mean. Must exceed 1. Default 2.
-	HotFactor float64
-	// ColdFactor is the popularity-degree threshold at or below which a
-	// chunk is cold: score <= ColdFactor * fleet mean. Must be in [0, 1).
-	// Default 0.25.
-	ColdFactor float64
-	// MinReplicas floors every chunk's replica count: the advisor never
-	// trims below it. Must be at least 1. Default 2.
-	MinReplicas int
-	// MaxReplicas caps how many copies a hot chunk may gain (further capped
-	// by the live-node count). Must be at least MinReplicas. Default 5.
-	MaxReplicas int
-	// BudgetMB bounds the cluster's total stored megabytes: the advisor
-	// adds no replica that would push dfs.TotalStoredMB past it. Default:
-	// the stored megabytes at New (adaptive replication then only trades
-	// space, never grows the bill).
-	BudgetMB float64
 	// MaxActions caps replica additions and removals per tick (each
 	// direction separately), so one pass never storms the cluster. Default 4.
 	MaxActions int
-	// Metrics, when non-nil, receives the opass_advisor_* series.
-	Metrics *telemetry.Registry
 }
 
 // Stats is the advisor's cumulative action count plus the fleet
@@ -88,9 +56,14 @@ type Stats struct {
 // safe for concurrent use; the engine drives Tick sequentially in
 // virtual-time order, matching the namenode's single-goroutine discipline.
 type Advisor struct {
-	fs    *dfs.FileSystem
-	opts  Options
-	stats Stats
+	fs         *dfs.FileSystem
+	maxActions int
+	// budgetMB bounds the cluster's total stored megabytes: the advisor adds
+	// no replica that would push dfs.TotalStoredMB past it. It is the stored
+	// megabytes at New, so adaptive replication only trades space and never
+	// grows the bill.
+	budgetMB float64
+	stats    Stats
 }
 
 // New builds an advisor over fs. Access accounting must already be enabled
@@ -99,56 +72,13 @@ func New(fs *dfs.FileSystem, opts Options) (*Advisor, error) {
 	if !fs.AccessStatsEnabled() {
 		return nil, fmt.Errorf("advisor: access accounting disabled; call EnableAccessStats first")
 	}
-	if opts.HotFactor == 0 {
-		opts.HotFactor = 2
-	}
-	if opts.HotFactor <= 1 {
-		return nil, fmt.Errorf("advisor: hot factor %v must exceed 1", opts.HotFactor)
-	}
-	if opts.ColdFactor == 0 {
-		opts.ColdFactor = 0.25
-	}
-	if opts.ColdFactor < 0 || opts.ColdFactor >= 1 {
-		return nil, fmt.Errorf("advisor: cold factor %v must be in [0, 1)", opts.ColdFactor)
-	}
-	if opts.MinReplicas == 0 {
-		opts.MinReplicas = 2
-	}
-	if opts.MinReplicas < 1 {
-		return nil, fmt.Errorf("advisor: min replicas %d must be at least 1", opts.MinReplicas)
-	}
-	if opts.MaxReplicas == 0 {
-		opts.MaxReplicas = 5
-	}
-	if opts.MaxReplicas < opts.MinReplicas {
-		return nil, fmt.Errorf("advisor: max replicas %d below min %d", opts.MaxReplicas, opts.MinReplicas)
-	}
-	if opts.BudgetMB == 0 {
-		opts.BudgetMB = fs.TotalStoredMB()
-	}
-	if opts.BudgetMB < 0 {
-		return nil, fmt.Errorf("advisor: budget %v MB must be positive", opts.BudgetMB)
-	}
 	if opts.MaxActions == 0 {
 		opts.MaxActions = 4
 	}
 	if opts.MaxActions < 0 {
 		return nil, fmt.Errorf("advisor: max actions %d must be positive", opts.MaxActions)
 	}
-	if m := opts.Metrics; m != nil {
-		m.Help(MetricTicks, "Advisor passes over the access accounting.")
-		m.Help(MetricReplicasAdded, "Replica copies created for hot chunks.")
-		m.Help(MetricReplicasRemoved, "Replica copies trimmed from cold chunks.")
-		m.Help(MetricTargetsRaised, "Replication targets raised (setrep up).")
-		m.Help(MetricTargetsLowered, "Replication targets lowered (setrep down).")
-		m.Help(MetricHot, "Chunks classified hot at the last tick.")
-		m.Help(MetricWarm, "Chunks classified warm at the last tick.")
-		m.Help(MetricCold, "Chunks classified cold at the last tick.")
-		m.Help(MetricStoredMB, "Cluster stored MB after the last tick.")
-		m.Help(MetricBudgetMB, "Storage budget the advisor holds the cluster under.")
-		m.Gauge(MetricBudgetMB).Set(opts.BudgetMB)
-	}
-	return &Advisor{fs: fs, opts: opts}, nil
+	return &Advisor{fs: fs, maxActions: opts.MaxActions, budgetMB: fs.TotalStoredMB()}, nil
 }
 
 // Stats returns the cumulative action counts and last-tick classification.
@@ -167,7 +97,6 @@ type chunkState struct {
 // promotes hot chunks that still see remote demand, placing each new copy on
 // the remote reader pulling the most megabytes.
 func (a *Advisor) Tick(now float64) bool {
-	fs := a.fs
 	a.stats.Ticks++
 
 	chunks := a.liveChunks(now)
@@ -185,12 +114,12 @@ func (a *Advisor) Tick(now float64) bool {
 	if mean > 0 {
 		for _, c := range chunks {
 			switch pd := c.score / mean; {
-			case pd >= a.opts.HotFactor:
+			case pd >= hotFactor:
 				nHot++
 				if c.st.RemoteMB > 1e-6 {
 					hot = append(hot, c)
 				}
-			case pd <= a.opts.ColdFactor:
+			case pd <= coldFactor:
 				nCold++
 				cold = append(cold, c)
 			default:
@@ -206,13 +135,6 @@ func (a *Advisor) Tick(now float64) bool {
 	}
 
 	a.stats.Hot, a.stats.Warm, a.stats.Cold = nHot, nWarm, nCold
-	if m := a.opts.Metrics; m != nil {
-		m.Counter(MetricTicks).Inc()
-		m.Gauge(MetricHot).Set(float64(nHot))
-		m.Gauge(MetricWarm).Set(float64(nWarm))
-		m.Gauge(MetricCold).Set(float64(nCold))
-		m.Gauge(MetricStoredMB).Set(fs.TotalStoredMB())
-	}
 	return changed
 }
 
@@ -235,7 +157,7 @@ func (a *Advisor) liveChunks(now float64) []chunkState {
 }
 
 // trimCold sheds one copy from each of the coldest over-replicated chunks,
-// up to MaxActions. The replica leaves the most-loaded holder, so trimming
+// up to maxActions. The replica leaves the most-loaded holder, so trimming
 // doubles as a nudge toward balanced utilization. The setrep-down comes
 // first so the intent is declared even if the physical remove fails.
 func (a *Advisor) trimCold(cold []chunkState) bool {
@@ -248,11 +170,11 @@ func (a *Advisor) trimCold(cold []chunkState) bool {
 	changed := false
 	actions := 0
 	for _, c := range cold {
-		if actions >= a.opts.MaxActions {
+		if actions >= a.maxActions {
 			break
 		}
 		ch := a.fs.Chunk(c.id)
-		if len(ch.Replicas) <= a.opts.MinReplicas {
+		if len(ch.Replicas) <= minReplicas {
 			continue
 		}
 		if ch.ReplicationTarget() > len(ch.Replicas)-1 {
@@ -260,7 +182,6 @@ func (a *Advisor) trimCold(cold []chunkState) bool {
 				continue
 			}
 			a.stats.TargetsLowered++
-			a.count(MetricTargetsLowered)
 			changed = true
 		}
 		victim := ch.Replicas[0]
@@ -273,7 +194,6 @@ func (a *Advisor) trimCold(cold []chunkState) bool {
 			continue
 		}
 		a.stats.ReplicasRemoved++
-		a.count(MetricReplicasRemoved)
 		changed = true
 		actions++
 	}
@@ -281,7 +201,7 @@ func (a *Advisor) trimCold(cold []chunkState) bool {
 }
 
 // promoteHot raises the replication of the hottest remote-heavy chunks, up
-// to MaxActions and within the storage budget. On a multi-rack cluster each
+// to maxActions and within the storage budget. On a multi-rack cluster each
 // new copy lands in the hottest remote *rack* lacking one (see
 // promotionTarget); otherwise it lands on the node whose processes pulled
 // the most remote megabytes (the head of RemoteReaders), with the
@@ -298,21 +218,18 @@ func (a *Advisor) promoteHot(hot []chunkState, now float64) bool {
 	for _, n := range live {
 		alive[n] = true
 	}
-	cap := a.opts.MaxReplicas
-	if cap > len(live) {
-		cap = len(live)
-	}
+	cap := min(maxReplicas, len(live))
 	changed := false
 	actions := 0
 	for _, c := range hot {
-		if actions >= a.opts.MaxActions {
+		if actions >= a.maxActions {
 			break
 		}
 		ch := a.fs.Chunk(c.id)
 		if len(ch.Replicas) >= cap {
 			continue
 		}
-		if a.fs.TotalStoredMB()+ch.SizeMB > a.opts.BudgetMB {
+		if a.fs.TotalStoredMB()+ch.SizeMB > a.budgetMB {
 			continue // a smaller hot chunk later in the list may still fit
 		}
 		dst := a.promotionTarget(c.id, ch, alive, live, now)
@@ -324,14 +241,12 @@ func (a *Advisor) promoteHot(hot []chunkState, now float64) bool {
 				continue
 			}
 			a.stats.TargetsRaised++
-			a.count(MetricTargetsRaised)
 			changed = true
 		}
 		if err := a.fs.AddReplica(c.id, dst); err != nil {
 			continue
 		}
 		a.stats.ReplicasAdded++
-		a.count(MetricReplicasAdded)
 		changed = true
 		actions++
 	}
@@ -418,10 +333,4 @@ func multiRack(view dfs.ClusterView) bool {
 		}
 	}
 	return false
-}
-
-func (a *Advisor) count(name string) {
-	if m := a.opts.Metrics; m != nil {
-		m.Counter(name).Inc()
-	}
 }

@@ -2,11 +2,9 @@ package advisor
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"opass/internal/dfs"
-	"opass/internal/telemetry"
 )
 
 type view struct{ nodes int }
@@ -44,19 +42,8 @@ func TestNewValidation(t *testing.T) {
 		t.Fatal("accepted a file system without access accounting")
 	}
 	fs.EnableAccessStats(100)
-	for _, bad := range []Options{
-		{HotFactor: 1},
-		{HotFactor: 0.5},
-		{ColdFactor: 1},
-		{ColdFactor: -0.1},
-		{MinReplicas: -1},
-		{MinReplicas: 4, MaxReplicas: 3},
-		{BudgetMB: -10},
-		{MaxActions: -1},
-	} {
-		if _, err := New(fs, bad); err == nil {
-			t.Fatalf("accepted bad options %+v", bad)
-		}
+	if _, err := New(fs, Options{MaxActions: -1}); err == nil {
+		t.Fatal("accepted a negative MaxActions")
 	}
 	if _, err := New(fs, Options{}); err != nil {
 		t.Fatalf("rejected defaults: %v", err)
@@ -87,19 +74,27 @@ func TestTickWithoutTrafficIsQuiet(t *testing.T) {
 
 // TestHotChunkGainsReplicaAtRemoteReader is the core promotion path: a chunk
 // far above the fleet mean whose demand keeps arriving remotely gains a copy
-// on the node pulling it, with the target raised first.
+// on the node pulling it, with the target raised first. An unread chunk's
+// third copy is trimmed in the same pass to fund it.
 func TestHotChunkGainsReplicaAtRemoteReader(t *testing.T) {
 	fs := dfs.New(view{6}, dfs.Config{
 		Replication: 2,
 		Placement: dfs.FixedPlacement{Replicas: [][]int{
 			{0, 1},                 // /hot
-			{2, 3}, {2, 4}, {3, 4}, // /cold: mildly-read filler
+			{2, 3}, {2, 4}, {3, 4}, // /warm: mildly-read filler
+			{3, 4}, // /old: never read; gains a third copy below
 		}},
 	})
 	if _, err := fs.Create("/hot", 64); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.CreateChunks("/cold", []float64{64, 64, 64}); err != nil {
+	if _, err := fs.CreateChunks("/warm", []float64{64, 64, 64}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.Create("/old", 64); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.AddReplica(4, 2); err != nil { // /old now has three copies, target 3
 		t.Fatal(err)
 	}
 	fs.EnableAccessStats(1e4)
@@ -111,7 +106,8 @@ func TestHotChunkGainsReplicaAtRemoteReader(t *testing.T) {
 	for id := dfs.ChunkID(1); id <= 3; id++ {
 		fs.RecordRead(id, 2, true, 64, 5)
 	}
-	a, err := New(fs, Options{BudgetMB: 4096})
+	budget := fs.TotalStoredMB()
+	a, err := New(fs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,8 +123,8 @@ func TestHotChunkGainsReplicaAtRemoteReader(t *testing.T) {
 		t.Fatalf("hot chunk target = %d, want 3", got)
 	}
 	st := a.Stats()
-	if st.ReplicasAdded != 1 || st.TargetsRaised != 1 {
-		t.Fatalf("stats = %+v, want one add and one raise", st)
+	if st.ReplicasAdded != 1 || st.TargetsRaised != 1 || st.ReplicasRemoved != 1 {
+		t.Fatalf("stats = %+v, want one add and one raise funded by one trim", st)
 	}
 	if st.Hot < 1 {
 		t.Fatalf("stats = %+v, want at least one hot chunk", st)
@@ -138,12 +134,12 @@ func TestHotChunkGainsReplicaAtRemoteReader(t *testing.T) {
 	if got := fs.Epoch() - before; got < 2 {
 		t.Fatalf("epoch advanced by %d, want >= 2 (one per mutation)", got)
 	}
-	checkInvariants(t, fs, 4096)
+	checkInvariants(t, fs, budget)
 }
 
 // TestColdChunkTrimmedFromMostLoadedHolder is the demotion path: a chunk far
 // below the mean sheds its excess copy from the fullest node, target lowered
-// first, and never drops below MinReplicas.
+// first, and never drops below minReplicas.
 func TestColdChunkTrimmedFromMostLoadedHolder(t *testing.T) {
 	fs := dfs.New(view{5}, dfs.Config{
 		Replication: 2,
@@ -190,7 +186,7 @@ func TestColdChunkTrimmedFromMostLoadedHolder(t *testing.T) {
 	}
 	checkInvariants(t, fs, budget)
 
-	// A second pass must respect the MinReplicas floor: the chunk is still
+	// A second pass must respect the minReplicas floor: the chunk is still
 	// cold but already at two copies.
 	if a.Tick(20) {
 		t.Fatal("second tick reported a change at the replica floor")
@@ -220,7 +216,7 @@ func TestBudgetBlocksPromotion(t *testing.T) {
 		fs.RecordRead(id, 0, true, 64, 5) // warm filler, nothing cold to trim
 	}
 	budget := fs.TotalStoredMB()
-	a, err := New(fs, Options{ColdFactor: 0.01})
+	a, err := New(fs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,48 +278,4 @@ func TestTrimFundsPromotionWithinBudget(t *testing.T) {
 		t.Fatalf("abandoned chunk still at %d replicas, want 2", got)
 	}
 	checkInvariants(t, fs, budget)
-}
-
-func TestMetricsRecorded(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	fs := dfs.New(view{6}, dfs.Config{
-		Replication: 2,
-		Placement:   dfs.FixedPlacement{Replicas: [][]int{{0, 1}, {2, 3}, {2, 4}, {3, 4}}},
-	})
-	if _, err := fs.CreateChunks("/d", []float64{64, 64, 64, 64}); err != nil {
-		t.Fatal(err)
-	}
-	fs.EnableAccessStats(1e4)
-	for i := 0; i < 10; i++ {
-		fs.RecordRead(0, 5, false, 64, float64(i))
-	}
-	for id := dfs.ChunkID(1); id <= 3; id++ {
-		fs.RecordRead(id, 2, true, 64, 5)
-	}
-	a, err := New(fs, Options{BudgetMB: 4096, Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Tick(10)
-	if got := reg.Counter(MetricTicks).Value(); got != 1 {
-		t.Fatalf("%s = %v, want 1", MetricTicks, got)
-	}
-	if got := reg.Counter(MetricReplicasAdded).Value(); got != 1 {
-		t.Fatalf("%s = %v, want 1", MetricReplicasAdded, got)
-	}
-	if got := reg.Gauge(MetricStoredMB).Value(); got != fs.TotalStoredMB() {
-		t.Fatalf("%s = %v, want %v", MetricStoredMB, got, fs.TotalStoredMB())
-	}
-	if got := reg.Gauge(MetricBudgetMB).Value(); got != 4096 {
-		t.Fatalf("%s = %v, want 4096", MetricBudgetMB, got)
-	}
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{MetricTicks, MetricHot, MetricWarm, MetricCold} {
-		if !strings.Contains(sb.String(), name) {
-			t.Fatalf("exposition missing %s:\n%s", name, sb.String())
-		}
-	}
 }

@@ -119,8 +119,13 @@ func TestAssignContextLiveMatchesAssign(t *testing.T) {
 // warm-up run would refill the pool — so the bytes of one build are read
 // from MemStats; under -race sync.Pool drops Puts at random and the clause
 // is skipped.)
+//
+// Each case trips every poll twice. The goroutine clause runs at
+// GOMAXPROCS(2), so MultiData's sort fan-out spawns workers. The allocation
+// clause runs at GOMAXPROCS(1): with two Ps a Release's Put can land in the
+// other P's private pool slot, which the next Get cannot reach.
 func TestCancelledPlanLeavesNothingBehind(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))  // MultiData's sort fan-out spawns workers
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a GC between Put and Get would empty the pool
 	single, _ := buildSingle(t, 24, 2048, 7, dfs.RandomPlacement{})
 	racked, v := buildRacked(t, 16, 4, 1024, 1, 8)
@@ -148,12 +153,29 @@ func TestCancelledPlanLeavesNothingBehind(t *testing.T) {
 			if polls <= indexPolls+1 {
 				t.Fatalf("a clean plan polls ctx %d times, %d of them before the solver: no solver poll to trip", polls, indexPolls)
 			}
-			goroutines := runtime.NumGoroutine()
-			for k := int64(1); k < polls; k++ {
-				a, err := AssignContext(&trippedCtx{Context: context.Background(), after: k}, c.a, c.p)
-				if a != nil || !errors.Is(err, context.Canceled) {
-					t.Fatalf("tripped at poll %d of %d: got (%v, %v), want (nil, context.Canceled)", k+1, polls, a, err)
+			tripEvery := func(after func(k int64)) {
+				for k := int64(1); k < polls; k++ {
+					a, err := AssignContext(&trippedCtx{Context: context.Background(), after: k}, c.a, c.p)
+					if a != nil || !errors.Is(err, context.Canceled) {
+						t.Fatalf("tripped at poll %d of %d: got (%v, %v), want (nil, context.Canceled)", k+1, polls, a, err)
+					}
+					after(k)
 				}
+			}
+
+			runtime.GOMAXPROCS(2)
+			goroutines := runtime.NumGoroutine()
+			tripEvery(func(int64) {})
+			for i := 0; runtime.NumGoroutine() > goroutines; i++ { // fan-out workers may still be exiting
+				if i == 1000 {
+					t.Fatalf("%d goroutines after the cancelled plans, %d before", runtime.NumGoroutine(), goroutines)
+				}
+				time.Sleep(time.Millisecond)
+			}
+
+			runtime.GOMAXPROCS(1)
+			NewLocalityIndex(c.p).Release() // the pool's one remaining slot may be empty
+			tripEvery(func(k int64) {
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
 				NewLocalityIndex(c.p).Release()
@@ -162,13 +184,7 @@ func TestCancelledPlanLeavesNothingBehind(t *testing.T) {
 					t.Fatalf("tripped at poll %d of %d (%d in the index build): the next build allocated %d B, an edge array is %d B",
 						k+1, polls, indexPolls, got, edgeArrayBytes)
 				}
-			}
-			for i := 0; runtime.NumGoroutine() > goroutines; i++ { // fan-out workers may still be exiting
-				if i == 1000 {
-					t.Fatalf("%d goroutines after the cancelled plans, %d before", runtime.NumGoroutine(), goroutines)
-				}
-				time.Sleep(time.Millisecond)
-			}
+			})
 		})
 	}
 }

@@ -128,8 +128,8 @@ func goldenRackedProblem(t testing.TB, sizeOf func(i int) float64) *Problem {
 }
 
 // goldenRackedMultiProblem is the three-input (30/20/10 MB) workload, 320
-// tasks on the goldenRacked layout, so Algorithm 1's own node→rack→random
-// repair loop runs with rack edges present.
+// tasks on the goldenRacked layout, so Algorithm 1's unmatched tasks reach
+// finishAssignment's rack pass with rack edges present.
 func goldenRackedMultiProblem(t testing.TB) *Problem {
 	t.Helper()
 	fs, procNode, nodeRack := goldenRacked(13)

@@ -149,40 +149,11 @@ func (md MultiData) AssignContext(ctx context.Context, p *Problem) (*Assignment,
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Repair: tasks nobody claimed (either zero affinity everywhere or all
-	// co-located processes filled their quotas with better matches) go to
-	// the process with room holding the most of their data — node-locally
-	// if any does, else rack-locally (no rack edges exist on single-rack
-	// problems, keeping rack-oblivious runs byte-identical) — and failing
-	// both to the ledger's random pick. The largest bias-weighted share
-	// wins, lowest rank on ties: edges arrive process-ascending and the
-	// comparison is strict. This is finishAssignment's pipeline under a
-	// different tie-break rule, so it keeps its own loop over the same
-	// ledger.
-	rng := rand.New(rand.NewSource(md.Seed))
-	l := newQuotaLedger(p, owner, nil, 0)
-	for t := 0; t < n; t++ {
-		if owner[t] >= 0 {
-			continue
-		}
-		best, bestW := -1, 0.0
-		for _, tier := range [2][]LocalityEdge{ix.TaskEdges(t), ix.TaskRackEdges(t)} {
-			if best >= 0 {
-				break
-			}
-			for _, e := range tier {
-				if w := biasOf(e.Proc) * e.MB; w > bestW && l.hasRoom(e.Proc) {
-					best, bestW = e.Proc, w
-				}
-			}
-		}
-		if best < 0 {
-			best = l.pick(rng)
-		}
-		owner[t] = best
-		l.give(best, p.Tasks[t].SizeMB())
-	}
-	return newAssignment(p, owner, nil), nil
+	// Tasks nobody claimed have no co-located process left with room: a
+	// process under quota leaves the queue only once it has proposed to every
+	// task it holds data for, and an owned task never becomes unowned. So
+	// the shared repair pipeline places them, rack tier then random.
+	return finishAssignment(p, ix, owner, nil, 0, rand.New(rand.NewSource(md.Seed))), nil
 }
 
 // parallelFor runs fn(i) for i in [0, n) over a bounded GOMAXPROCS worker

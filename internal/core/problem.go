@@ -163,11 +163,11 @@ type Assignment struct {
 	PlannedLocalMB float64
 	PlannedTotalMB float64
 	// Matched, when non-nil, records which owners are locality decisions of
-	// the planner's solver (flow network, matcher, greedy pass) as opposed to
-	// the repair stages that home the tasks it left unmatched (see
-	// finishAssignment). It is observability only — the matched fraction is
-	// how far the placement is from supporting a full matching. Planners
-	// with no solver/repair split leave it nil.
+	// the planner's solver (flow network, matcher, greedy pass, Algorithm 1)
+	// as opposed to the repair stages that home the tasks it left unmatched
+	// (see finishAssignment). It is observability only — the matched
+	// fraction is how far the placement is from supporting a full matching.
+	// Planners with no solver/repair split (the baselines) leave it nil.
 	Matched []bool
 }
 

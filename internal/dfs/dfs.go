@@ -158,26 +158,6 @@ func (fs *FileSystem) View() ClusterView { return fs.view }
 // to read concurrently with mutations on other goroutines.
 func (fs *FileSystem) Epoch() uint64 { return fs.epoch.Load() }
 
-// MetadataSnapshot is a summary of the namenode state at one epoch: two
-// stores that went through the same writes produce the same snapshot.
-type MetadataSnapshot struct {
-	Epoch  uint64 `json:"epoch"`
-	Files  int    `json:"files"`
-	Chunks int    `json:"chunks"`
-	Nodes  int    `json:"nodes"`
-}
-
-// Snapshot captures the current metadata epoch and object counts. Like
-// Epoch it is cheap; unlike Epoch it also pins the namespace shape.
-func (fs *FileSystem) Snapshot() MetadataSnapshot {
-	return MetadataSnapshot{
-		Epoch:  fs.epoch.Load(),
-		Files:  len(fs.files),
-		Chunks: len(fs.chunks),
-		Nodes:  fs.view.NumNodes(),
-	}
-}
-
 // bumpEpoch records one placement mutation: the global counter advances
 // and every affected chunk is stamped with the new value. Mutating entry
 // points call it exactly once

@@ -19,7 +19,7 @@ import (
 // side records reads into the namenode's access accounting and lets the
 // replication advisor re-point copies between rounds and mid-round (advisor
 // ticks trigger backlog replans). Because the advisor funds every hot-chunk
-// promotion by trimming cold datasets to MinReplicas, the advised side must
+// promotion by trimming cold datasets to its replica floor, the advised side must
 // end no larger than it started: the win is locality per stored byte, not
 // locality bought with more storage.
 

@@ -21,50 +21,24 @@ package globalsched
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 
 	"opass/internal/core"
 	"opass/internal/engine"
-	"opass/internal/telemetry"
 )
 
-// Metric family names recorded when Options.Metrics is set.
-const (
-	// MetricJobs counts jobs planned by the scheduler.
-	MetricJobs = "opass_globalsched_jobs_total"
-	// MetricPlannedMB accumulates the planned service megabytes charged to
-	// the cluster across all scheduled jobs.
-	MetricPlannedMB = "opass_globalsched_planned_mb_total"
-	// MetricLoadMax / MetricLoadMin / MetricLoadSpread are gauges of the
-	// current cumulative per-node service load: the hottest node, the
-	// coldest node, and their difference (the max/min-served fairness
-	// accounting). Planned charges are replaced by actual served MB as jobs
-	// finish.
-	MetricLoadMax    = "opass_globalsched_load_max_mb"
-	MetricLoadMin    = "opass_globalsched_load_min_mb"
-	MetricLoadSpread = "opass_globalsched_load_spread_mb"
-	// MetricRemoteSteered counts remote reads the serving balancer steered
-	// to the least-served replica holder (OS4M-style operation-level
-	// balancing; see engine.ServingBalancer).
-	MetricRemoteSteered = "opass_globalsched_remote_steered_total"
-	// MetricRackLocalSteered counts the subset of steered remote reads that
-	// stayed inside the reader's rack (tiered steering under Options.NodeRack).
-	MetricRackLocalSteered = "opass_globalsched_rack_local_steered_total"
-)
+// minBias floors every node's bias factor so no node is ever fully
+// excluded (a starving bias of 0 would be rejected by the planners).
+const minBias = 0.05
 
 // Options configures a Scheduler.
 type Options struct {
 	// Balance is the locality-vs-global-balance knob in [0, 1]: a node's
 	// bias is (1-Balance) + Balance * (its residual headroom / the largest
 	// residual headroom). 0 disables biasing entirely (isolated plans);
-	// 1 makes a node with no headroom as unattractive as MinBias allows.
+	// 1 makes a node with no headroom as unattractive as minBias allows.
 	Balance float64
-	// MinBias floors every node's bias factor so no node is ever fully
-	// excluded (a starving bias of 0 would be rejected by the planners).
-	// Default 0.05.
-	MinBias float64
 	// Seed drives the per-job matchers' repair randomness; job j plans
 	// with Seed+j so jobs do not share coin flips.
 	Seed int64
@@ -75,8 +49,6 @@ type Options struct {
 	// job's matcher plans with the same rack map (core.Problem.NodeRack).
 	// Nil keeps the rack-oblivious behavior.
 	NodeRack []int
-	// Metrics, when non-nil, receives the opass_globalsched_* series.
-	Metrics *telemetry.Registry
 }
 
 // Scheduler is a cluster-level job-mix scheduler. It implements
@@ -100,30 +72,14 @@ func New(numNodes int, opts Options) (*Scheduler, error) {
 	if opts.Balance < 0 || opts.Balance > 1 {
 		return nil, fmt.Errorf("globalsched: balance %v must be in [0, 1]", opts.Balance)
 	}
-	if opts.MinBias < 0 || opts.MinBias > 1 {
-		return nil, fmt.Errorf("globalsched: min bias %v must be in [0, 1]", opts.MinBias)
-	}
-	if opts.MinBias == 0 {
-		opts.MinBias = 0.05
-	}
-	s := &Scheduler{
+	return &Scheduler{
 		nodes:   numNodes,
 		opts:    opts,
 		load:    make([]float64, numNodes),
 		served:  make([]float64, numNodes),
 		planned: make(map[int][]float64),
 		plans:   make(map[int]*core.Assignment),
-	}
-	if m := opts.Metrics; m != nil {
-		m.Help(MetricJobs, "Jobs planned by the cluster-level scheduler.")
-		m.Help(MetricPlannedMB, "Planned service MB charged across scheduled jobs.")
-		m.Help(MetricLoadMax, "Hottest node's cumulative service load (MB).")
-		m.Help(MetricLoadMin, "Coldest node's cumulative service load (MB).")
-		m.Help(MetricLoadSpread, "Max minus min cumulative per-node service load (MB).")
-		m.Help(MetricRemoteSteered, "Remote reads steered to the least-served replica holder.")
-		m.Help(MetricRackLocalSteered, "Steered remote reads served within the reader's rack.")
-	}
-	return s, nil
+	}, nil
 }
 
 // JobArriving implements engine.ClusterScheduler: plan the arriving job
@@ -155,18 +111,11 @@ func (s *Scheduler) JobArriving(job int, spec engine.JobSpec, now float64) (engi
 		return nil, fmt.Errorf("globalsched: job %d: %w", job, err)
 	}
 	charge := plannedLoad(p, a, s.nodes)
-	var chargedMB float64
 	for n, mb := range charge {
 		s.load[n] += mb
-		chargedMB += mb
 	}
 	s.planned[job] = charge
 	s.plans[job] = a
-	if m := s.opts.Metrics; m != nil {
-		m.Counter(MetricJobs).Inc()
-		m.Counter(MetricPlannedMB).Add(chargedMB)
-	}
-	s.recordLoad()
 	return engine.NewListSource(a.Lists), nil
 }
 
@@ -189,7 +138,6 @@ func (s *Scheduler) JobFinished(job int, servedMB []float64) {
 			s.load[n] = 0
 		}
 	}
-	s.recordLoad()
 }
 
 // PickRemote implements engine.ServingBalancer: a remote read is served by
@@ -218,15 +166,8 @@ func (s *Scheduler) PickRemote(reader int, holders []int, sizeMB float64) int {
 			bestSame = h
 		}
 	}
-	rackLocal := bestSame >= 0
-	if rackLocal {
-		best = bestSame
-	}
-	if m := s.opts.Metrics; m != nil {
-		m.Counter(MetricRemoteSteered).Inc()
-		if rackLocal {
-			m.Counter(MetricRackLocalSteered).Inc()
-		}
+	if bestSame >= 0 {
+		return bestSame
 	}
 	return best
 }
@@ -264,7 +205,7 @@ func (s *Scheduler) Served() []float64 {
 // nodes the job can actually place work on (its processes' nodes — an
 // unreachable cold node elsewhere must not flatten the contrast the job's
 // own matcher sees), blended with 1 by the Balance knob and floored at
-// MinBias. An idle cluster (or Balance 0) yields no bias at all.
+// minBias. An idle cluster (or Balance 0) yields no bias at all.
 func (s *Scheduler) biases(jobMB float64, procNodes []int) []float64 {
 	if s.opts.Balance == 0 || jobMB <= 0 {
 		return nil
@@ -295,8 +236,8 @@ func (s *Scheduler) biases(jobMB float64, procNodes []int) []float64 {
 	bias := make([]float64, s.nodes)
 	for n := range bias {
 		b := (1 - s.opts.Balance) + s.opts.Balance*(resid[n]/maxResid)
-		if b < s.opts.MinBias {
-			b = s.opts.MinBias
+		if b < minBias {
+			b = minBias
 		}
 		if b > 1 {
 			b = 1
@@ -315,53 +256,12 @@ func (s *Scheduler) Load() []float64 {
 	return append([]float64(nil), s.load...)
 }
 
-// MaxMin returns the hottest and coldest node's cumulative service load.
-func (s *Scheduler) MaxMin() (maxMB, minMB float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return maxMin(s.load)
-}
-
-// SpreadMB is the max-min spread of the cumulative per-node service load.
-func (s *Scheduler) SpreadMB() float64 {
-	maxMB, minMB := s.MaxMin()
-	return maxMB - minMB
-}
-
 // Plan returns the assignment the scheduler computed for a job, or nil if
 // the job was never scheduled.
 func (s *Scheduler) Plan(job int) *core.Assignment {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.plans[job]
-}
-
-// recordLoad refreshes the load gauges. Callers hold s.mu.
-func (s *Scheduler) recordLoad() {
-	m := s.opts.Metrics
-	if m == nil {
-		return
-	}
-	maxMB, minMB := maxMin(s.load)
-	m.Gauge(MetricLoadMax).Set(maxMB)
-	m.Gauge(MetricLoadMin).Set(minMB)
-	m.Gauge(MetricLoadSpread).Set(maxMB - minMB)
-}
-
-func maxMin(xs []float64) (maxV, minV float64) {
-	maxV, minV = math.Inf(-1), math.Inf(1)
-	for _, x := range xs {
-		if x > maxV {
-			maxV = x
-		}
-		if x < minV {
-			minV = x
-		}
-	}
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	return maxV, minV
 }
 
 // singleInput reports whether every task reads exactly one chunk (the flow

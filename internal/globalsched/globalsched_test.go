@@ -9,7 +9,6 @@ import (
 	"opass/internal/core"
 	"opass/internal/dfs"
 	"opass/internal/engine"
-	"opass/internal/telemetry"
 	"opass/internal/workload"
 )
 
@@ -22,23 +21,18 @@ func TestNewValidation(t *testing.T) {
 		{"zero nodes", 0, Options{}},
 		{"balance above 1", 8, Options{Balance: 1.5}},
 		{"negative balance", 8, Options{Balance: -0.1}},
-		{"min bias above 1", 8, Options{MinBias: 2}},
 	} {
 		if _, err := New(tc.nodes, tc.opts); err == nil {
 			t.Errorf("%s: New accepted invalid options", tc.name)
 		}
 	}
-	s, err := New(8, Options{Balance: 0.5})
-	if err != nil {
+	if _, err := New(8, Options{Balance: 0.5}); err != nil {
 		t.Fatal(err)
-	}
-	if s.opts.MinBias != 0.05 {
-		t.Fatalf("default MinBias = %v, want 0.05", s.opts.MinBias)
 	}
 }
 
 func TestBiasesResidualShape(t *testing.T) {
-	s, err := New(4, Options{Balance: 0.5, MinBias: 0.05})
+	s, err := New(4, Options{Balance: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,8 +55,8 @@ func TestBiasesResidualShape(t *testing.T) {
 		t.Fatalf("idle nodes biased to %v/%v, want 1", b[2], b[3])
 	}
 	for n, v := range b {
-		if v < s.opts.MinBias || v > 1 {
-			t.Fatalf("bias[%d] = %v outside [MinBias, 1]", n, v)
+		if v < minBias || v > 1 {
+			t.Fatalf("bias[%d] = %v outside [minBias, 1]", n, v)
 		}
 	}
 
@@ -106,9 +100,8 @@ func schedRig(t *testing.T, nodes, chunksPerProc int, seed int64) (*cluster.Topo
 }
 
 func TestJobArrivingPlansAndCharges(t *testing.T) {
-	reg := telemetry.NewRegistry()
 	_, _, prob := schedRig(t, 8, 4, 5)
-	s, err := New(8, Options{Balance: 0.5, Metrics: reg})
+	s, err := New(8, Options{Balance: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,12 +125,6 @@ func TestJobArrivingPlansAndCharges(t *testing.T) {
 	}
 	if math.Abs(total-prob.TotalMB()) > 1e-6 {
 		t.Fatalf("planned charge sums to %v MB, job is %v MB", total, prob.TotalMB())
-	}
-	if got := reg.Counter(MetricJobs).Value(); got != 1 {
-		t.Fatalf("%s = %v, want 1", MetricJobs, got)
-	}
-	if got := reg.Counter(MetricPlannedMB).Value(); math.Abs(got-prob.TotalMB()) > 1e-6 {
-		t.Fatalf("%s = %v, want %v", MetricPlannedMB, got, prob.TotalMB())
 	}
 
 	// Reconciliation replaces the planned charge with the actual profile.

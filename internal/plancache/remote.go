@@ -28,7 +28,6 @@ type Remote struct {
 	addr    string
 	dial    func(ctx context.Context) (net.Conn, error)
 	timeout time.Duration
-	maxIdle int
 
 	mu     sync.Mutex
 	idle   []*remoteConn
@@ -45,8 +44,6 @@ type RemoteOptions struct {
 	// Timeout bounds each network exchange (dial, write, read). <= 0 means
 	// DefaultRemoteTimeout. The per-call ctx deadline, when earlier, wins.
 	Timeout time.Duration
-	// MaxIdleConns bounds the pooled idle connections; <= 0 means 4.
-	MaxIdleConns int
 	// Dial overrides the dialer for tests; nil dials TCP to the address.
 	Dial func(ctx context.Context) (net.Conn, error)
 }
@@ -55,6 +52,9 @@ type RemoteOptions struct {
 // configured: long enough for a multi-MB plan body on a LAN, short enough
 // that a dead memcached never stalls a planning request noticeably.
 const DefaultRemoteTimeout = 250 * time.Millisecond
+
+// remoteMaxIdle bounds the pooled idle connections.
+const remoteMaxIdle = 4
 
 type remoteConn struct {
 	c net.Conn
@@ -68,14 +68,10 @@ func NewRemote(addr string, opts RemoteOptions) *Remote {
 	r := &Remote{
 		addr:    addr,
 		timeout: opts.Timeout,
-		maxIdle: opts.MaxIdleConns,
 		dial:    opts.Dial,
 	}
 	if r.timeout <= 0 {
 		r.timeout = DefaultRemoteTimeout
-	}
-	if r.maxIdle <= 0 {
-		r.maxIdle = 4
 	}
 	if r.dial == nil {
 		r.dial = func(ctx context.Context) (net.Conn, error) {
@@ -280,7 +276,7 @@ func (r *Remote) acquire(ctx context.Context) (*remoteConn, error) {
 
 func (r *Remote) release(rc *remoteConn) {
 	r.mu.Lock()
-	if !r.closed && len(r.idle) < r.maxIdle {
+	if !r.closed && len(r.idle) < remoteMaxIdle {
 		r.idle = append(r.idle, rc)
 		r.mu.Unlock()
 		return

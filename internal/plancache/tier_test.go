@@ -166,7 +166,7 @@ func TestRemoteTierConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	r := NewRemote(srv.Addr(), RemoteOptions{MaxIdleConns: 8})
+	r := NewRemote(srv.Addr(), RemoteOptions{})
 	defer r.Close()
 
 	const workers = 8

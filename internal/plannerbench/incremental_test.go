@@ -32,42 +32,3 @@ func TestReplanRig(t *testing.T) {
 		})
 	}
 }
-
-// BenchmarkReplanCold and BenchmarkReplanDelta are the incremental series:
-// the same single-node-loss event answered by a whole-backlog re-match
-// versus the O(delta) replan.
-func BenchmarkReplanCold(b *testing.B) {
-	for _, procs := range Sizes {
-		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
-			r, err := BuildReplanRig(procs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := r.ReplanCold(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkReplanDelta(b *testing.B) {
-	for _, procs := range Sizes {
-		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
-			r, err := BuildReplanRig(procs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := r.ReplanDelta(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

@@ -18,8 +18,8 @@ import (
 //
 //	task_id, compute_s, input_mb[, input_mb...]
 //
-// Task IDs must be dense from 0; each input becomes a chunk placed by the
-// configured policy (random by default, like HDFS). Comments start with #.
+// Task IDs must be dense from 0; each input becomes a chunk placed
+// uniformly at random, like HDFS. Comments start with #.
 
 // TraceTask is one parsed row.
 type TraceTask struct {
@@ -75,11 +75,9 @@ func ParseTrace(r io.Reader) ([]TraceTask, error) {
 
 // TraceSpec materializes a parsed trace on a fresh cluster.
 type TraceSpec struct {
-	Nodes     int
-	Tasks     []TraceTask
-	Seed      int64
-	Placement dfs.Placement
-	Profile   *cluster.Profile
+	Nodes int
+	Tasks []TraceTask
+	Seed  int64
 }
 
 // Build materializes the trace workload: each input becomes one chunk, and
@@ -91,12 +89,8 @@ func (s TraceSpec) Build() (*Rig, error) {
 	if len(s.Tasks) == 0 {
 		return nil, fmt.Errorf("workload: trace spec has no tasks")
 	}
-	prof := cluster.Marmot()
-	if s.Profile != nil {
-		prof = *s.Profile
-	}
-	topo := cluster.New(s.Nodes, prof)
-	fs := dfs.New(topo, dfs.Config{Seed: s.Seed, Placement: s.Placement})
+	topo := cluster.New(s.Nodes, cluster.Marmot())
+	fs := dfs.New(topo, dfs.Config{Seed: s.Seed})
 	prob := &core.Problem{ProcNode: identityProcs(s.Nodes), FS: fs}
 	compute := make([]float64, len(s.Tasks))
 	for _, tt := range s.Tasks {

@@ -32,7 +32,6 @@ type Rig struct {
 type SingleSpec struct {
 	Nodes         int
 	ChunksPerProc int
-	ChunkMB       float64 // 0 means 64, the HDFS default used in the paper
 	Seed          int64
 	Placement     dfs.Placement // nil means random, as in the paper
 	Profile       *cluster.Profile
@@ -43,17 +42,13 @@ func (s SingleSpec) Build() (*Rig, error) {
 	if s.Nodes <= 0 || s.ChunksPerProc <= 0 {
 		return nil, fmt.Errorf("workload: invalid single spec %+v", s)
 	}
-	chunkMB := s.ChunkMB
-	if chunkMB == 0 {
-		chunkMB = 64
-	}
 	prof := cluster.Marmot()
 	if s.Profile != nil {
 		prof = *s.Profile
 	}
 	topo := cluster.New(s.Nodes, prof)
-	fs := dfs.New(topo, dfs.Config{Seed: s.Seed, ChunkSizeMB: chunkMB, Placement: s.Placement})
-	total := float64(s.Nodes*s.ChunksPerProc) * chunkMB
+	fs := dfs.New(topo, dfs.Config{Seed: s.Seed, Placement: s.Placement})
+	total := float64(s.Nodes*s.ChunksPerProc) * 64
 	if _, err := fs.Create("/dataset", total); err != nil {
 		return nil, err
 	}
@@ -66,15 +61,12 @@ func (s SingleSpec) Build() (*Rig, error) {
 }
 
 // MultiSpec describes the multi-data workload: TasksPerProc tasks per
-// process, each reading one piece from each of the datasets in InputsMB
-// (defaults to the paper's 30/20/10 MB triple).
+// process, each reading one piece from each of the paper's three datasets
+// (30, 20 and 10 MB pieces).
 type MultiSpec struct {
 	Nodes        int
 	TasksPerProc int
-	InputsMB     []float64
 	Seed         int64
-	Placement    dfs.Placement
-	Profile      *cluster.Profile
 }
 
 // Build materializes the workload.
@@ -82,16 +74,9 @@ func (s MultiSpec) Build() (*Rig, error) {
 	if s.Nodes <= 0 || s.TasksPerProc <= 0 {
 		return nil, fmt.Errorf("workload: invalid multi spec %+v", s)
 	}
-	inputs := s.InputsMB
-	if len(inputs) == 0 {
-		inputs = []float64{30, 20, 10}
-	}
-	prof := cluster.Marmot()
-	if s.Profile != nil {
-		prof = *s.Profile
-	}
-	topo := cluster.New(s.Nodes, prof)
-	fs := dfs.New(topo, dfs.Config{Seed: s.Seed, Placement: s.Placement})
+	inputs := []float64{30, 20, 10}
+	topo := cluster.New(s.Nodes, cluster.Marmot())
+	fs := dfs.New(topo, dfs.Config{Seed: s.Seed})
 	n := s.Nodes * s.TasksPerProc
 	// Each input class is its own dataset ("the gene datasets of species"):
 	// dataset j holds n pieces of inputs[j] MB, one per task.
@@ -135,8 +120,6 @@ type DynamicSpec struct {
 	// ComputeSigma is the sigma of the underlying normal; larger values
 	// give heavier tails. Defaults to 0.8 when ComputeMean > 0.
 	ComputeSigma float64
-	Placement    dfs.Placement
-	Profile      *cluster.Profile
 }
 
 // Build materializes the workload.
@@ -145,8 +128,6 @@ func (s DynamicSpec) Build() (*Rig, error) {
 		Nodes:         s.Nodes,
 		ChunksPerProc: s.ChunksPerProc,
 		Seed:          s.Seed,
-		Placement:     s.Placement,
-		Profile:       s.Profile,
 	}.Build()
 	if err != nil {
 		return nil, err

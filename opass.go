@@ -60,6 +60,10 @@ const (
 // Master selects the dispatch policy of a dynamic (master/worker) run.
 type Master string
 
+// delayMaxSkips is the D parameter of MasterDelay: how many times an idle
+// worker may be asked to wait before it receives a non-local task.
+const delayMaxSkips = 3
+
 // Dynamic masters.
 const (
 	// MasterAuto follows the plan's strategy: Opass plans use the §IV-D
@@ -77,9 +81,6 @@ const (
 
 // Options configures a simulated cluster.
 type Options struct {
-	// Profile is the hardware calibration; the zero value means the Marmot
-	// profile used in the paper.
-	Profile cluster.Profile
 	// Replication is the chunk replication factor (default 3).
 	Replication int
 	// ChunkMB is the chunk size in MB (default 64).
@@ -106,20 +107,17 @@ func NewCluster(n int) (*Cluster, error) {
 	return NewClusterWithOptions(n, Options{})
 }
 
-// NewClusterWithOptions builds a cluster of n nodes.
+// NewClusterWithOptions builds a cluster of n nodes, calibrated to the
+// Marmot testbed used in the paper.
 func NewClusterWithOptions(n int, opts Options) (*Cluster, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("opass: cluster size %d must be positive", n)
-	}
-	prof := opts.Profile
-	if prof == (cluster.Profile{}) {
-		prof = cluster.Marmot()
 	}
 	racks := opts.Racks
 	if racks <= 0 {
 		racks = 1
 	}
-	topo := cluster.NewRacked(n, racks, prof)
+	topo := cluster.NewRacked(n, racks, cluster.Marmot())
 	fs := dfs.New(topo, dfs.Config{
 		ChunkSizeMB: opts.ChunkMB,
 		Replication: opts.Replication,
@@ -283,25 +281,11 @@ type NodeFailure = engine.NodeFailure
 
 // AdvisorOptions tunes the adaptive replication advisor (NewAdvisor).
 type AdvisorOptions struct {
-	// HalfLife is the access-score decay half-life in seconds of virtual
-	// time; scores of past reads halve every HalfLife seconds. Default:
-	// roughly ten uncontended local chunk reads — long enough to see a
+	// Interval is the advisory period in seconds of virtual time. The
+	// default is a quarter of the access-score decay half-life, which is
+	// roughly ten uncontended local chunk reads: long enough to see a
 	// workload's shape, short enough that last phase's heat goes stale.
-	HalfLife float64
-	// Interval is the advisory period in seconds of virtual time (default
-	// HalfLife/4).
 	Interval float64
-	// HotFactor / ColdFactor are the popularity-degree classification
-	// thresholds; MinReplicas / MaxReplicas bound per-chunk redundancy;
-	// BudgetMB caps the cluster's stored megabytes and MaxActions the
-	// replica changes per pass. Zero values take the advisor's defaults
-	// (see internal/advisor.Options).
-	HotFactor   float64
-	ColdFactor  float64
-	MinReplicas int
-	MaxReplicas int
-	BudgetMB    float64
-	MaxActions  int
 }
 
 // Advisor is the adaptive replication loop bound to one cluster: reads
@@ -343,10 +327,7 @@ func (a *Advisor) Stats() AdvisorStats {
 // RunWithOptions to let it adjust replication while plans execute; runs
 // without it still feed the accounting.
 func (c *Cluster) NewAdvisor(opts AdvisorOptions) (*Advisor, error) {
-	halfLife := opts.HalfLife
-	if halfLife == 0 {
-		halfLife = 10 * c.topo.UncontendedLocalRead(c.fs.Config().ChunkSizeMB)
-	}
+	halfLife := 10 * c.topo.UncontendedLocalRead(c.fs.Config().ChunkSizeMB)
 	interval := opts.Interval
 	if interval == 0 {
 		interval = halfLife / 4
@@ -355,14 +336,7 @@ func (c *Cluster) NewAdvisor(opts AdvisorOptions) (*Advisor, error) {
 		return nil, fmt.Errorf("opass: advisor interval %v must be positive", interval)
 	}
 	c.fs.EnableAccessStats(halfLife)
-	inner, err := advisor.New(c.fs, advisor.Options{
-		HotFactor:   opts.HotFactor,
-		ColdFactor:  opts.ColdFactor,
-		MinReplicas: opts.MinReplicas,
-		MaxReplicas: opts.MaxReplicas,
-		BudgetMB:    opts.BudgetMB,
-		MaxActions:  opts.MaxActions,
-	})
+	inner, err := advisor.New(c.fs, advisor.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -377,8 +351,6 @@ type RunOptions struct {
 	// Master selects the dispatch policy for dynamic plans (MasterAuto
 	// follows the plan's strategy).
 	Master Master
-	// DelayMaxSkips is the D parameter of MasterDelay (default 3).
-	DelayMaxSkips int
 	// Failures schedules DataNode crashes during the run; in-flight reads
 	// served by a crashed node fail over to surviving replicas.
 	Failures []NodeFailure
@@ -434,11 +406,7 @@ func (c *Cluster) RunWithOptions(p *Plan, opts RunOptions) (*Report, error) {
 				return nil, err
 			}
 		case MasterDelay:
-			skips := opts.DelayMaxSkips
-			if skips <= 0 {
-				skips = 3
-			}
-			src = engine.NewDelayDispatcher(p.Problem, skips)
+			src = engine.NewDelayDispatcher(p.Problem, delayMaxSkips)
 		case MasterRandom:
 			src = core.NewRandomDispatcher(p.Problem, c.seed)
 		default:
