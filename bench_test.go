@@ -204,54 +204,58 @@ func BenchmarkReplanAfterCrashDelta(b *testing.B) {
 }
 
 // BenchmarkMaxFlowEK and BenchmarkMaxFlowDinic isolate the flow solvers on
-// the raw locality network (64 procs x 640 files x 3 replicas).
-func maxflowNetwork(b *testing.B) (*bipartite.FlowNetwork, int, int) {
+// the raw locality network (64 procs x 640 files x 3 replicas). A solve
+// consumes its network, so each iteration builds a fresh one off the clock.
+func maxflowNetwork(b *testing.B) (build func() *bipartite.FlowNetwork, s, t int) {
 	b.Helper()
 	rig, err := workload.SingleSpec{Nodes: 64, ChunksPerProc: 10, Seed: 1}.Build()
 	if err != nil {
 		b.Fatal(err)
 	}
-	g := bipartite.NewGraph(64, len(rig.Prob.Tasks))
-	for t := range rig.Prob.Tasks {
-		for proc := 0; proc < 64; proc++ {
-			if w := rig.Prob.CoLocatedMB(proc, t); w > 0 {
-				g.AddEdge(proc, t, int64(w))
+	files := len(rig.Prob.Tasks)
+	var local [][2]int // (proc, file), process-major and file-ascending
+	for p := 0; p < 64; p++ {
+		for f := 0; f < files; f++ {
+			if rig.Prob.CoLocatedMB(p, f) > 0 {
+				local = append(local, [2]int{p, f})
 			}
 		}
 	}
-	n := 64 + len(rig.Prob.Tasks) + 2
-	fn := bipartite.NewFlowNetwork(n)
-	s, t := 0, n-1
-	for p := 0; p < 64; p++ {
-		fn.AddArc(s, 1+p, 640)
-	}
-	for p := 0; p < 64; p++ {
-		for _, e := range g.EdgesOfP(p) {
-			fn.AddArc(1+p, 1+64+e.F, 64)
+	n := 64 + files + 2
+	s, t = 0, n-1
+	return func() *bipartite.FlowNetwork {
+		fn := bipartite.NewFlowNetwork(n)
+		for p := 0; p < 64; p++ {
+			fn.AddArc(s, 1+p, 640)
 		}
-	}
-	for f := 0; f < len(rig.Prob.Tasks); f++ {
-		fn.AddArc(1+64+f, t, 64)
-	}
-	return fn, s, t
+		for _, e := range local {
+			fn.AddArc(1+e[0], 1+64+e[1], 64)
+		}
+		for f := 0; f < files; f++ {
+			fn.AddArc(1+64+f, t, 64)
+		}
+		return fn
+	}, s, t
 }
 
 // BenchmarkMaxFlowEK measures Edmonds-Karp on the 64x640 locality network.
 func BenchmarkMaxFlowEK(b *testing.B) {
-	fn, s, t := maxflowNetwork(b)
-	b.ResetTimer()
+	build, s, t := maxflowNetwork(b)
 	for i := 0; i < b.N; i++ {
-		fn.Reset()
+		b.StopTimer()
+		fn := build()
+		b.StartTimer()
 		fn.MaxFlowEK(s, t)
 	}
 }
 
 // BenchmarkMaxFlowDinic measures Dinic on the same network.
 func BenchmarkMaxFlowDinic(b *testing.B) {
-	fn, s, t := maxflowNetwork(b)
-	b.ResetTimer()
+	build, s, t := maxflowNetwork(b)
 	for i := 0; i < b.N; i++ {
-		fn.Reset()
+		b.StopTimer()
+		fn := build()
+		b.StartTimer()
 		fn.MaxFlowDinic(s, t)
 	}
 }

@@ -6,10 +6,7 @@
 // matching built on top.
 package bipartite
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Edge connects a process to a file in the locality graph. Weight is the
 // number of megabytes of the file's data that the process can read locally
@@ -30,20 +27,6 @@ type Graph struct {
 	edges      int
 }
 
-// NewGraph creates an empty locality graph with numP processes and numF
-// files.
-func NewGraph(numP, numF int) *Graph {
-	if numP < 0 || numF < 0 {
-		panic(fmt.Sprintf("bipartite: invalid graph dimensions %dx%d", numP, numF))
-	}
-	return &Graph{
-		numP: numP,
-		numF: numF,
-		byP:  make([][]Edge, numP),
-		byF:  make([][]Edge, numF),
-	}
-}
-
 // NumP reports the number of process vertices.
 func (g *Graph) NumP() int { return g.numP }
 
@@ -53,48 +36,13 @@ func (g *Graph) NumF() int { return g.numF }
 // NumEdges reports the number of locality edges.
 func (g *Graph) NumEdges() int { return g.edges }
 
-// AddEdge records that process p can read weight MB of file f locally.
-// Adding a parallel edge accumulates weight (a process may be co-located
-// with several inputs of a multi-input file/task). The adjacency lists are
-// kept sorted on insert, so builders that add edges in ascending order —
-// as the planners' locality-graph construction does — append in O(1) and
-// never trigger a shift.
-func (g *Graph) AddEdge(p, f int, weight int64) {
-	if p < 0 || p >= g.numP {
-		panic(fmt.Sprintf("bipartite: process %d out of range [0,%d)", p, g.numP))
-	}
-	if f < 0 || f >= g.numF {
-		panic(fmt.Sprintf("bipartite: file %d out of range [0,%d)", f, g.numF))
-	}
-	if weight <= 0 {
-		panic(fmt.Sprintf("bipartite: edge (%d,%d) weight %d must be positive", p, f, weight))
-	}
-	i := searchF(g.byP[p], f)
-	if i < len(g.byP[p]) && g.byP[p][i].F == f {
-		g.byP[p][i].Weight += weight
-		j := searchP(g.byF[f], p)
-		if j >= len(g.byF[f]) || g.byF[f][j].P != p {
-			panic("bipartite: index desync")
-		}
-		g.byF[f][j].Weight += weight
-		return
-	}
-	e := Edge{P: p, F: f, Weight: weight}
-	g.byP[p] = insertEdge(g.byP[p], i, e)
-	g.byF[f] = insertEdge(g.byF[f], searchP(g.byF[f], p), e)
-	g.edges++
-}
-
 // NewGraphFromSorted builds a graph in one shot from complete per-process
 // adjacency lists: byP[p] must hold process p's edges in ascending file
-// order with distinct files, positive weights, and P set to p — exactly
-// what an in-order AddEdge loop would have produced, minus the per-edge
-// binary searches. The graph takes ownership of byP without copying and
-// derives the per-file adjacency by a counting-sort transpose over one
-// backing array; visiting processes in ascending order lands each list
-// process-ascending, matching the incremental builder's invariant.
-// Invalid input panics, mirroring AddEdge. This is the bulk path behind
-// the planners' locality-graph build.
+// order with distinct files, positive weights, and P set to p. The graph
+// takes ownership of byP without copying and derives the per-file adjacency
+// by a counting-sort transpose over one backing array; visiting processes in
+// ascending order lands each list process-ascending. Invalid input panics.
+// This is the planners' locality-graph build.
 func NewGraphFromSorted(numP, numF int, byP [][]Edge) *Graph {
 	if numP < 0 || numF < 0 {
 		panic(fmt.Sprintf("bipartite: invalid graph dimensions %dx%d", numP, numF))
@@ -139,56 +87,12 @@ func NewGraphFromSorted(numP, numF int, byP [][]Edge) *Graph {
 	return g
 }
 
-// searchF returns the position of the first edge with .F >= f.
-func searchF(es []Edge, f int) int {
-	return sort.Search(len(es), func(i int) bool { return es[i].F >= f })
-}
-
-// searchP returns the position of the first edge with .P >= p.
-func searchP(es []Edge, p int) int {
-	return sort.Search(len(es), func(i int) bool { return es[i].P >= p })
-}
-
-// insertEdge places e at position i, shifting the tail (a no-op append for
-// in-order builders).
-func insertEdge(es []Edge, i int, e Edge) []Edge {
-	es = append(es, Edge{})
-	copy(es[i+1:], es[i:])
-	es[i] = e
-	return es
-}
-
 // EdgesOfP lists the edges incident to process p in ascending file order.
 // The returned slice is a read-only view owned by the graph: callers must
-// not modify it, and it is invalidated by the next AddEdge touching p.
+// not modify it.
 func (g *Graph) EdgesOfP(p int) []Edge { return g.byP[p] }
 
 // EdgesOfF lists the edges incident to file f in ascending process order.
 // The returned slice is a read-only view owned by the graph: callers must
-// not modify it, and it is invalidated by the next AddEdge touching f.
+// not modify it.
 func (g *Graph) EdgesOfF(f int) []Edge { return g.byF[f] }
-
-// Weight returns the locality weight between p and f, zero when no edge
-// exists. It binary-searches the sorted adjacency.
-func (g *Graph) Weight(p, f int) int64 {
-	es := g.byP[p]
-	i := searchF(es, f)
-	if i < len(es) && es[i].F == f {
-		return es[i].Weight
-	}
-	return 0
-}
-
-// Degrees returns per-process and per-file edge counts — a quick skew probe
-// used by diagnostics.
-func (g *Graph) Degrees() (procDeg, fileDeg []int) {
-	procDeg = make([]int, g.numP)
-	fileDeg = make([]int, g.numF)
-	for p := range g.byP {
-		procDeg[p] = len(g.byP[p])
-	}
-	for f := range g.byF {
-		fileDeg[f] = len(g.byF[f])
-	}
-	return procDeg, fileDeg
-}

@@ -171,34 +171,3 @@ func AssignMaxLocalityContext(ctx context.Context, g *Graph, quotas, sizes []int
 	}
 	return res, nil
 }
-
-// MaxMatchingSize computes the size of a maximum cardinality matching in g
-// treating every edge as admissible (weights ignored), via unit-capacity
-// max flow. Used as a cross-check oracle in tests and by diagnostics to
-// report how far a placement is from supporting a full matching.
-func MaxMatchingSize(g *Graph, algo Algorithm) int {
-	numP, numF := g.NumP(), g.NumF()
-	if numP == 0 || numF == 0 {
-		return 0
-	}
-	s := 0
-	procBase := 1
-	fileBase := 1 + numP
-	t := 1 + numP + numF
-	fn := NewFlowNetwork(t + 1)
-	for p := 0; p < numP; p++ {
-		fn.AddArc(s, procBase+p, 1)
-	}
-	for p := 0; p < numP; p++ {
-		for _, e := range g.EdgesOfP(p) {
-			fn.AddArc(procBase+p, fileBase+e.F, 1)
-		}
-	}
-	for f := 0; f < numF; f++ {
-		fn.AddArc(fileBase+f, t, 1)
-	}
-	if algo == Dinic {
-		return int(fn.MaxFlowDinic(s, t))
-	}
-	return int(fn.MaxFlowEK(s, t))
-}

@@ -22,9 +22,8 @@ func TestGraphEdgeAccounting(t *testing.T) {
 	if g.NumEdges() != 3 || g.Weight(0, 1) != 94 {
 		t.Fatalf("parallel edge: edges=%d weight=%d, want 3, 94", g.NumEdges(), g.Weight(0, 1))
 	}
-	pd, fd := g.Degrees()
-	if pd[0] != 2 || fd[1] != 2 {
-		t.Fatalf("degrees wrong: %v %v", pd, fd)
+	if len(g.EdgesOfP(0)) != 2 || len(g.EdgesOfF(1)) != 2 {
+		t.Fatalf("degrees wrong: %v %v", g.EdgesOfP(0), g.EdgesOfF(1))
 	}
 }
 

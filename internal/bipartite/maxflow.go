@@ -46,9 +46,6 @@ func NewFlowNetwork(n int) *FlowNetwork {
 	}
 }
 
-// N reports the vertex count.
-func (fn *FlowNetwork) N() int { return fn.n }
-
 // AddArc adds a directed arc u->v with the given capacity and returns its
 // arc ID, usable with Flow after a max-flow run.
 func (fn *FlowNetwork) AddArc(u, v int, capacity int64) int {
@@ -79,23 +76,6 @@ func (fn *FlowNetwork) Flow(id int) int64 {
 		panic(fmt.Sprintf("bipartite: %d is not a forward arc ID", id))
 	}
 	return fn.cap[id^1]
-}
-
-// Residual reports the remaining capacity on forward arc id.
-func (fn *FlowNetwork) Residual(id int) int64 {
-	if id < 0 || id >= len(fn.to) || id%2 != 0 {
-		panic(fmt.Sprintf("bipartite: %d is not a forward arc ID", id))
-	}
-	return fn.cap[id]
-}
-
-// Reset restores all arcs to their original capacities (flows removed),
-// allowing the same network to be solved again with another algorithm.
-func (fn *FlowNetwork) Reset() {
-	for i := 0; i < len(fn.cap); i += 2 {
-		fn.cap[i] += fn.cap[i+1]
-		fn.cap[i+1] = 0
-	}
 }
 
 // SetStop installs a cancellation hook (typically a context's Err method)

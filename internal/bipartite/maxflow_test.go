@@ -23,9 +23,6 @@ func TestMaxFlowSimplePath(t *testing.T) {
 	if fn.Flow(a) != 7 || fn.Flow(b) != 7 {
 		t.Fatalf("arc flows = %d,%d, want 7,7", fn.Flow(a), fn.Flow(b))
 	}
-	if fn.Residual(a) != 3 {
-		t.Fatalf("residual = %d, want 3", fn.Residual(a))
-	}
 }
 
 func TestMaxFlowClassicDiamond(t *testing.T) {
@@ -48,18 +45,6 @@ func TestMaxFlowDisconnected(t *testing.T) {
 	fn.AddArc(2, 3, 5)
 	if got := fn.MaxFlowEK(0, 3); got != 0 {
 		t.Fatalf("max flow = %d, want 0", got)
-	}
-}
-
-func TestResetRestoresCapacities(t *testing.T) {
-	fn := NewFlowNetwork(3)
-	fn.AddArc(0, 1, 10)
-	fn.AddArc(1, 2, 7)
-	first := fn.MaxFlowEK(0, 2)
-	fn.Reset()
-	second := fn.MaxFlowDinic(0, 2)
-	if first != second || second != 7 {
-		t.Fatalf("flows after reset: %d then %d, want 7 both", first, second)
 	}
 }
 
@@ -140,11 +125,10 @@ func fordFulkersonRef(n int, arcs [][3]int64, s, t int) int64 {
 
 func TestPropertyMaxFlowMatchesOracle(t *testing.T) {
 	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		fn, arcs, s, tt := randomNetwork(rng)
-		want := fordFulkersonRef(fn.N(), arcs, s, tt)
+		fn, arcs, s, tt := randomNetwork(rand.New(rand.NewSource(seed)))
+		want := fordFulkersonRef(fn.n, arcs, s, tt)
 		ek := fn.MaxFlowEK(s, tt)
-		fn.Reset()
+		fn, _, _, _ = randomNetwork(rand.New(rand.NewSource(seed)))
 		dn := fn.MaxFlowDinic(s, tt)
 		if ek != want || dn != want {
 			t.Errorf("seed %d: EK=%d Dinic=%d oracle=%d", seed, ek, dn, want)
@@ -169,7 +153,7 @@ func TestPropertyFlowConservation(t *testing.T) {
 			recs = append(recs, arcRec{u: fn.to[id^1], v: fn.to[id], id: id})
 		}
 		fn.MaxFlowEK(s, tt)
-		net := make([]int64, fn.N())
+		net := make([]int64, fn.n)
 		for _, r := range recs {
 			f := fn.Flow(r.id)
 			if f < 0 {
@@ -179,7 +163,7 @@ func TestPropertyFlowConservation(t *testing.T) {
 			net[r.u] -= f
 			net[r.v] += f
 		}
-		for v := 0; v < fn.N(); v++ {
+		for v := 0; v < fn.n; v++ {
 			if v == s || v == tt {
 				continue
 			}

@@ -15,9 +15,6 @@ import (
 	"opass/internal/simnet"
 )
 
-// NodeID identifies a cluster node. Nodes are numbered 0..N-1.
-type NodeID int
-
 // Profile is the per-node hardware calibration.
 type Profile struct {
 	// DiskMBps is the sequential read bandwidth of the node's disk.
@@ -179,27 +176,12 @@ func (t *Topology) RackNodes(r int) []int {
 	return nodes
 }
 
-// SetRackUplinks installs oversubscribed rack uplinks of the given
-// bandwidth per direction: every cross-rack read additionally traverses the
-// source rack's outbound uplink and the destination rack's inbound uplink,
-// so racks contend for their shared links to the core switch. Call before
-// running traffic; it panics when the topology has a single rack.
-func (t *Topology) SetRackUplinks(uplinkMBps float64) {
-	if uplinkMBps <= 0 {
-		panic(fmt.Sprintf("cluster: uplink bandwidth %v must be positive", uplinkMBps))
-	}
-	per := make([]float64, t.racks)
-	for r := range per {
-		per[r] = uplinkMBps
-	}
-	t.SetPerRackUplinks(per)
-}
-
-// SetPerRackUplinks installs rack uplinks with an individual bandwidth per
-// rack (one value per rack, both directions) — the shape
-// SetRackOversubscription needs when racks have unequal member counts.
-// Panics when the topology has a single rack or any bandwidth is
-// non-positive.
+// SetPerRackUplinks installs oversubscribed rack uplinks with an individual
+// bandwidth per rack (one value per rack, both directions): every cross-rack
+// read additionally traverses the source rack's outbound uplink and the
+// destination rack's inbound uplink, so racks contend for their shared links
+// to the core switch. Call before running traffic; it panics when the
+// topology has a single rack or any bandwidth is non-positive.
 func (t *Topology) SetPerRackUplinks(uplinkMBps []float64) {
 	if t.racks <= 1 {
 		panic("cluster: rack uplinks need at least two racks")

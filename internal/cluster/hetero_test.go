@@ -65,7 +65,7 @@ func TestHomogeneousStillUniform(t *testing.T) {
 
 func TestRackUplinksAddedToCrossRackPaths(t *testing.T) {
 	topo := NewRacked(8, 2, Marmot())
-	topo.SetRackUplinks(500)
+	topo.SetPerRackUplinks([]float64{500, 500})
 	// Same rack (0 and 2 are both rack 0): 3 resources.
 	if p := topo.RemoteReadPath(0, 2); len(p) != 3 {
 		t.Fatalf("same-rack path length %d, want 3", len(p))
@@ -81,7 +81,7 @@ func TestRackUplinkContention(t *testing.T) {
 	// cross-rack reads becomes the bottleneck (~33 MB/s each), while the
 	// same traffic within a rack runs at disk speed.
 	topo := NewRacked(8, 2, Marmot())
-	topo.SetRackUplinks(100)
+	topo.SetPerRackUplinks([]float64{100, 100})
 	net := topo.Net()
 	// Readers on rack 1 (nodes 1,3,5) pull from distinct rack-0 disks
 	// (nodes 0,2,4): all three flows share rack0's uplink-out.
@@ -97,9 +97,9 @@ func TestRackUplinkContention(t *testing.T) {
 
 func TestRackUplinkValidation(t *testing.T) {
 	for i, fn := range []func(){
-		func() { New(4, Marmot()).SetRackUplinks(100) },          // single rack
-		func() { NewRacked(4, 2, Marmot()).SetRackUplinks(0) },   // zero bw
-		func() { NewRacked(4, 2, Marmot()).SetRackUplinks(-10) }, // negative
+		func() { New(4, Marmot()).SetPerRackUplinks([]float64{100}) },               // single rack
+		func() { NewRacked(4, 2, Marmot()).SetPerRackUplinks([]float64{0, 0}) },     // zero bw
+		func() { NewRacked(4, 2, Marmot()).SetPerRackUplinks([]float64{-10, -10}) }, // negative
 	} {
 		func() {
 			defer func() {

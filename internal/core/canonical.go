@@ -16,7 +16,7 @@ import (
 // actually reads contribute, so a placement mutation on an unrelated file
 // leaves the fingerprint — and any cached plan keyed by it — untouched,
 // while any mutation of a referenced chunk's replica set changes it.
-// File names never enter the encoding: a Rename leaves fingerprints stable,
+// File names never enter the encoding: a renamed file keeps its fingerprint,
 // which is correct because plans depend only on placement, not on names.
 //
 // The encoding is deliberately not a serialization format: there is no

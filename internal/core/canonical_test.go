@@ -122,43 +122,39 @@ func TestCanonicalSensitivity(t *testing.T) {
 	}
 }
 
-// TestCanonicalRenameIndependent: Rename is namespace-only, so the
-// fingerprint of a problem over the renamed file is byte-identical to the
-// one computed before — a cache hit after a rename is correct, not stale.
-// The planner's output must be name-independent too, or the stable
-// fingerprint would serve a wrong plan.
+// TestCanonicalRenameIndependent: a file name never reaches the fingerprint.
+// The same file written under another name, on a file system with the same
+// seed, encodes byte-identically — block locations are keyed by chunk IDs,
+// not names — so a cache hit across names is correct, not stale. The
+// planner's output must be name-independent too, or the stable fingerprint
+// would serve a wrong plan.
 func TestCanonicalRenameIndependent(t *testing.T) {
-	p, fs := buildSingle(t, 8, 24, 74, dfs.RandomPlacement{})
-	before := p.AppendCanonical(nil)
-	planBefore, err := SingleData{Seed: 7}.Assign(p)
-	if err != nil {
+	p, _ := buildSingle(t, 8, 24, 74, dfs.RandomPlacement{})
+	fs := dfs.New(view{8}, dfs.Config{Seed: 74, Placement: dfs.RandomPlacement{}})
+	if _, err := fs.Create("/data-renamed", 24*64); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.Rename("/data", "/data-renamed"); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(before, p.AppendCanonical(nil)) {
-		t.Fatal("rename changed the canonical encoding: a file name leaks into the fingerprint")
-	}
-	planAfter, err := SingleData{Seed: 7}.Assign(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slicesEqualInt(planBefore.Owner, planAfter.Owner) {
-		t.Fatal("rename changed the planner's assignment: a file name leaks into planning state")
-	}
-	// Rebuilding the problem from the new name yields the same encoding as
-	// well: block locations are keyed by chunk IDs, not names.
 	procNode := make([]int, 8)
 	for i := range procNode {
 		procNode[i] = i
 	}
-	p2, err := SingleDataProblem(fs, []string{"/data-renamed"}, procNode)
+	renamed, err := SingleDataProblem(fs, []string{"/data-renamed"}, procNode)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(before, p2.AppendCanonical(nil)) {
-		t.Fatal("problem rebuilt from the renamed file encodes differently")
+	if !bytes.Equal(p.AppendCanonical(nil), renamed.AppendCanonical(nil)) {
+		t.Fatal("the renamed file encodes differently: a file name leaks into the fingerprint")
+	}
+	planBefore, err := SingleData{Seed: 7}.Assign(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planAfter, err := SingleData{Seed: 7}.Assign(renamed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slicesEqualInt(planBefore.Owner, planAfter.Owner) {
+		t.Fatal("the renamed file plans differently: a file name leaks into planning state")
 	}
 }
 

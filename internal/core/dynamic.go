@@ -43,9 +43,6 @@ func NewDynamicScheduler(p *Problem, a *Assignment) (*DynamicScheduler, error) {
 	return &DynamicScheduler{p: p, ix: NewLocalityIndex(p), lists: lists, remain: total}, nil
 }
 
-// Remaining reports how many tasks have not yet been handed out.
-func (s *DynamicScheduler) Remaining() int { return s.remain }
-
 // Next hands the idle process proc its next task. It reports ok=false when
 // every list is drained.
 func (s *DynamicScheduler) Next(proc int) (task int, ok bool) {
@@ -107,9 +104,6 @@ func NewRandomDispatcher(p *Problem, seed int64) *RandomDispatcher {
 	}
 	return &RandomDispatcher{pool: pool, rng: rand.New(rand.NewSource(seed))}
 }
-
-// Remaining reports how many tasks have not yet been handed out.
-func (d *RandomDispatcher) Remaining() int { return len(d.pool) }
 
 // Next hands any idle process a random remaining task.
 func (d *RandomDispatcher) Next(_ int) (task int, ok bool) {

@@ -67,7 +67,7 @@ func PlanRedistribution(fs *dfs.FileSystem, p *Problem, a *Assignment) (*Redistr
 	moved := map[int]Migration{} // chunk -> its planned move
 	live := fs.LiveNodes()
 	// Live node IDs are not contiguous after a node removal, so donor
-	// loads must be seeded per live ID — counting 0..NumLiveNodes() would
+	// loads must be seeded per live ID — counting 0..len(LiveNodes()) would
 	// read high-ID holders as empty and mis-rank donors.
 	hostedMB := make(map[int]float64, len(live))
 	for _, n := range live {

@@ -217,7 +217,7 @@ func TestRedistributionDonatedReplicaResidual(t *testing.T) {
 
 // TestRedistributionDonorAfterNodeRemoval is the regression test for the
 // donor-load seeding bug: live node IDs are not contiguous after a node
-// removal, and the old 0..NumLiveNodes() seeding loop read high-ID holders
+// removal, and the old 0..len(LiveNodes()) seeding loop read high-ID holders
 // as hosting nothing, so the most loaded holder was never picked as donor.
 func TestRedistributionDonorAfterNodeRemoval(t *testing.T) {
 	fs := dfs.New(view{8}, dfs.Config{
@@ -228,7 +228,7 @@ func TestRedistributionDonorAfterNodeRemoval(t *testing.T) {
 			{3, 7},
 		}},
 	})
-	if err := fs.MarkDead(1); err != nil { // live IDs: {0,2,...,7}, NumLiveNodes()=7
+	if err := fs.MarkDead(1); err != nil { // live IDs: {0,2,...,7}, len(LiveNodes())=7
 		t.Fatal(err)
 	}
 	f, err := fs.CreateChunks("/data", []float64{64})

@@ -29,52 +29,27 @@ func (fs *FileSystem) AddNode(node int) error {
 
 // MarkDead pre-declares a node as not-yet-live so that datasets can be
 // created before the node "joins". It fails if the node already hosts
-// replicas (decommission instead).
+// replicas (crash it instead).
 func (fs *FileSystem) MarkDead(node int) error {
 	if node < 0 || node >= fs.view.NumNodes() {
 		return fmt.Errorf("dfs: mark dead %d: outside cluster view", node)
 	}
 	if len(fs.perNode[node]) > 0 {
-		return fmt.Errorf("dfs: mark dead %d: node hosts %d replicas; use Decommission", node, len(fs.perNode[node]))
+		return fmt.Errorf("dfs: mark dead %d: node hosts %d replicas; use Crash", node, len(fs.perNode[node]))
 	}
 	fs.dead[node] = true
 	fs.bumpEpoch()
 	return nil
 }
 
-// Decommission removes a node and re-replicates every chunk it hosted onto
-// live nodes that do not already hold a copy, as the HDFS namenode does when
-// a datanode is retired. It returns the number of replicas moved.
-func (fs *FileSystem) Decommission(node int) (moved int, err error) {
-	if node < 0 || node >= fs.view.NumNodes() {
-		return 0, fmt.Errorf("dfs: decommission %d: outside cluster view", node)
-	}
-	if fs.dead[node] {
-		return 0, fmt.Errorf("dfs: decommission %d: node is not live", node)
-	}
-	hosted := fs.dropNode(node)
-	live := fs.LiveNodes()
-	for _, id := range hosted {
-		c := fs.chunks[int(id)]
-		// No destination means the cluster is smaller than the replication
-		// factor; accept the reduced redundancy, as HDFS does.
-		if dst := fs.repairTarget(c, live); dst >= 0 {
-			fs.attach(c, dst)
-			moved++
-		}
-	}
-	fs.bumpEpoch(hosted...)
-	return moved, nil
-}
-
 // Crash records an unplanned DataNode loss, as the namenode does when a
 // datanode misses its heartbeats: the node is marked dead and every replica
-// it hosted is dropped from the chunk metadata. Unlike Decommission nothing
-// is copied here — repair is a separate, slower pass (ReReplicate), and the
-// window between the two is exactly what the engine's fault injection
-// studies. It returns the chunks left under-replicated and the chunks that
-// lost their last replica (unreadable until the node returns). Crashing an
-// already-dead node is a no-op.
+// it hosted is dropped from the chunk metadata. Nothing is copied here —
+// repair is a separate, slower pass (ReReplicate), and the window between
+// the two is exactly what the engine's fault injection studies. It returns
+// the chunks left under-replicated and the chunks that lost their last
+// replica (unreadable until the node returns). Crashing an already-dead node
+// is a no-op.
 func (fs *FileSystem) Crash(node int) (underReplicated, lost []ChunkID, err error) {
 	if node < 0 || node >= fs.view.NumNodes() {
 		return nil, nil, fmt.Errorf("dfs: crash %d: outside cluster view of %d nodes", node, fs.view.NumNodes())
@@ -222,7 +197,7 @@ func (fs *FileSystem) MoveReplica(id ChunkID, src, dst int) error {
 // versa, replicas are distinct and live, file sizes equal the sum of their
 // chunks, and every chunk belongs to exactly one file. It returns the list
 // of problems found (empty means healthy). The mutation-heavy operations
-// (balancer, decommission, redistribution) are fuzzed against it.
+// (balancer, crash and repair, redistribution) are fuzzed against it.
 func (fs *FileSystem) Fsck() []string {
 	var problems []string
 	// Replica lists vs per-node index.

@@ -11,8 +11,8 @@
 //   - the HDFS client read policy: serve from the local disk when a replica
 //     is co-located with the reader, otherwise from a uniformly random
 //     replica holder;
-//   - node addition, decommissioning with re-replication, and a balancer —
-//     the events the paper cites as sources of placement skew.
+//   - node addition, crashes with re-replication, and a balancer — the
+//     events the paper cites as sources of placement skew.
 //
 // Data contents are never materialized; chunks carry sizes only, which is
 // all the scheduling and simulation layers need.
@@ -47,9 +47,9 @@ type Chunk struct {
 	// lowered by an explicit RemoveReplica (the setrep analogy).
 	target int
 	// epoch is the value of the file system's global placement epoch at the
-	// last mutation that touched THIS chunk's replica set. It is keyed to the
-	// chunk, never to the file name, so Rename leaves it (and every
-	// fingerprint derived from it) untouched.
+	// last mutation that touched THIS chunk's replica set, so a mutation to
+	// an unrelated file leaves it (and every fingerprint derived from it)
+	// untouched.
 	epoch uint64
 }
 
@@ -111,7 +111,7 @@ type FileSystem struct {
 	order   []string // deterministic file iteration order
 	chunks  []*Chunk
 	perNode map[int][]ChunkID // node -> hosted chunks
-	dead    map[int]bool      // decommissioned nodes
+	dead    map[int]bool      // crashed or not-yet-added nodes
 	// epoch is bumped on every placement mutation. It is atomic because
 	// read-only consumers (plan fingerprinting under an HTTP handler) may
 	// observe it concurrently with an admin mutation on another goroutine.
@@ -151,11 +151,10 @@ func (fs *FileSystem) View() ClusterView { return fs.view }
 // Epoch is a monotonic placement-version counter: every operation that
 // changes which replicas live where — or which nodes may host them — bumps
 // it (writes, deletes, replica add/remove/move, node add/remove, the
-// balancer). Namespace-only operations (Rename) do not. It is retained for
-// compatibility as a coarse "anything changed" signal; callers that want
-// surgical invalidation should consult the per-chunk epochs (Chunk.Epoch)
-// instead, which move only when that chunk's replica set does. It is safe
-// to read concurrently with mutations on other goroutines.
+// balancer). It is a coarse "anything changed" signal; callers that want
+// surgical invalidation should consult the per-chunk epochs (ChunkEpoch)
+// instead, which move only when that chunk's replica set does. It is safe to
+// read concurrently with mutations on other goroutines.
 func (fs *FileSystem) Epoch() uint64 { return fs.epoch.Load() }
 
 // bumpEpoch records one placement mutation: the global counter advances
@@ -180,7 +179,7 @@ var (
 // LiveNodes lists the nodes that can currently host replicas, in ascending
 // ID order. After node removal the live IDs are not contiguous, so callers
 // iterating per-node state must range over this slice rather than counting
-// 0..NumLiveNodes().
+// 0..len(LiveNodes()).
 func (fs *FileSystem) LiveNodes() []int {
 	nodes := make([]int, 0, fs.view.NumNodes())
 	for i := 0; i < fs.view.NumNodes(); i++ {
@@ -191,15 +190,12 @@ func (fs *FileSystem) LiveNodes() []int {
 	return nodes
 }
 
-// NumLiveNodes reports how many nodes currently host replicas.
-func (fs *FileSystem) NumLiveNodes() int { return len(fs.LiveNodes()) }
-
 // attach, detach and dropNode are the only writers of a chunk's replica
 // list and of the per-node index, which keeps the invariant Fsck checks:
 // c.Replicas is sorted and distinct, and node's index lists c exactly when
 // c.Replicas lists node. attach appends to the index and detach filters it
 // in place, so a node's index keeps the order its replicas arrived in — the
-// order the balancer's tie-break and Decommission's RNG draws follow.
+// order the balancer's tie-break and ReReplicate's RNG draws follow.
 // Callers check liveness and membership first and own the policy: the
 // chunk's target and which chunks get the epoch stamp.
 func (fs *FileSystem) attach(c *Chunk, node int) {
@@ -388,34 +384,6 @@ func (fs *FileSystem) Delete(name string) error {
 	delete(fs.files, name)
 	fs.order = without(fs.order, name)
 	fs.bumpEpoch(f.Chunks...)
-	return nil
-}
-
-// Rename moves a file to a new name (hdfs dfs -mv). Chunk IDs and replica
-// placement are untouched; only the namespace entry changes.
-func (fs *FileSystem) Rename(oldName, newName string) error {
-	f, ok := fs.files[oldName]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNotFound, oldName)
-	}
-	if oldName == newName {
-		return nil
-	}
-	if err := fs.nameFree(newName); err != nil {
-		return err
-	}
-	delete(fs.files, oldName)
-	f.Name = newName
-	fs.files[newName] = f
-	for _, id := range f.Chunks {
-		fs.chunks[int(id)].File = newName
-	}
-	for i, n := range fs.order {
-		if n == oldName {
-			fs.order[i] = newName
-			break
-		}
-	}
 	return nil
 }
 

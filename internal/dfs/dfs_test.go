@@ -219,40 +219,6 @@ func TestRoundRobinPlacementEven(t *testing.T) {
 	}
 }
 
-func TestDecommissionReReplicates(t *testing.T) {
-	fs := newFS(10, 11)
-	fs.Create("/a", 64*40)
-	victim := 0
-	hosted := len(fs.HostedBy(victim))
-	if hosted == 0 {
-		t.Skip("victim hosts nothing under this seed")
-	}
-	moved, err := fs.Decommission(victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moved != hosted {
-		t.Fatalf("moved %d, want %d", moved, hosted)
-	}
-	if fs.NumLiveNodes() != 9 {
-		t.Fatalf("live nodes = %d, want 9", fs.NumLiveNodes())
-	}
-	// Every chunk must still have 3 distinct live replicas, none on victim.
-	for i := 0; i < fs.NumChunks(); i++ {
-		c := fs.Chunk(ChunkID(i))
-		if len(c.Replicas) != 3 {
-			t.Fatalf("chunk %d has %d replicas after decommission", i, len(c.Replicas))
-		}
-		if c.HostedOn(victim) {
-			t.Fatalf("chunk %d still on decommissioned node", i)
-		}
-	}
-	// Double decommission fails.
-	if _, err := fs.Decommission(victim); err == nil {
-		t.Fatal("second decommission should fail")
-	}
-}
-
 func TestAddNodeAndSkew(t *testing.T) {
 	fs := newFS(8, 12)
 	// Nodes 6,7 join late: mark dead before writing.

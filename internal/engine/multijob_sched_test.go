@@ -98,7 +98,7 @@ func TestRunJobsScheduledPlansAtArrival(t *testing.T) {
 	}
 }
 
-// steerBalancer is steerer as a ServingBalancer.
+// steerBalancer is a ClusterScheduler that is also a ReadSteerer.
 type steerBalancer struct {
 	schedRecorder
 	*steerer

@@ -34,7 +34,7 @@ const (
 	// that the ~1% locality loss does not cost aggregate throughput. Most
 	// of the spread win comes from the serving-side balancer (the
 	// least-served remote-replica pick), which biasing alone cannot
-	// reach — see engine.ServingBalancer.
+	// reach — see engine.ReadSteerer.
 	jobMixBalance = 0.5
 	// jobMixStaggerFrac staggers arrivals by this fraction of one job's
 	// uncontended read time, so the mix overlaps heavily but not fully.

@@ -140,7 +140,7 @@ func (s *Scheduler) JobFinished(job int, servedMB []float64) {
 	}
 }
 
-// PickRemote implements engine.ServingBalancer: a remote read is served by
+// PickRemote implements engine.ReadSteerer: a remote read is served by
 // the least-served holder in the nearest tier. With a rack map (tiered
 // steering) the reader's own rack is tried first — the least-served live
 // rack-local holder wins before any cross-rack candidate is considered —
@@ -181,7 +181,7 @@ func (s *Scheduler) rackOf(node int) int {
 	return s.opts.NodeRack[node]
 }
 
-// ReadStarted implements engine.ServingBalancer: keep the live per-node
+// ReadStarted implements engine.ReadSteerer: keep the live per-node
 // serving tally PickRemote selects against.
 func (s *Scheduler) ReadStarted(node int, sizeMB float64) {
 	s.mu.Lock()

@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -32,11 +31,6 @@ type Remote struct {
 	mu     sync.Mutex
 	idle   []*remoteConn
 	closed bool
-
-	hits   atomic.Uint64
-	misses atomic.Uint64
-	errors atomic.Uint64
-	sets   atomic.Uint64
 }
 
 // RemoteOptions configures a Remote tier.
@@ -82,24 +76,6 @@ func NewRemote(addr string, opts RemoteOptions) *Remote {
 	return r
 }
 
-// RemoteStats is a point-in-time summary of the remote tier's traffic.
-type RemoteStats struct {
-	Hits   uint64
-	Misses uint64
-	Errors uint64
-	Sets   uint64
-}
-
-// Stats reports lifetime hit/miss/error/set counts.
-func (r *Remote) Stats() RemoteStats {
-	return RemoteStats{
-		Hits:   r.hits.Load(),
-		Misses: r.misses.Load(),
-		Errors: r.errors.Load(),
-		Sets:   r.sets.Load(),
-	}
-}
-
 // Close drops all pooled connections. In-flight exchanges finish on their
 // own connections; subsequent calls dial fresh.
 func (r *Remote) Close() {
@@ -130,7 +106,6 @@ func validKey(key string) error {
 // Get implements Tier with the memcached "get" verb.
 func (r *Remote) Get(ctx context.Context, key string) ([]byte, bool, error) {
 	if err := validKey(key); err != nil {
-		r.errors.Add(1)
 		return nil, false, err
 	}
 	var value []byte
@@ -173,13 +148,7 @@ func (r *Remote) Get(ctx context.Context, key string) ([]byte, bool, error) {
 		}
 	})
 	if err != nil {
-		r.errors.Add(1)
 		return nil, false, err
-	}
-	if found {
-		r.hits.Add(1)
-	} else {
-		r.misses.Add(1)
 	}
 	return value, found, nil
 }
@@ -187,7 +156,6 @@ func (r *Remote) Get(ctx context.Context, key string) ([]byte, bool, error) {
 // Set implements Tier with the memcached "set" verb.
 func (r *Remote) Set(ctx context.Context, key string, value []byte, ttl time.Duration) error {
 	if err := validKey(key); err != nil {
-		r.errors.Add(1)
 		return err
 	}
 	exptime := 0
@@ -202,7 +170,7 @@ func (r *Remote) Set(ctx context.Context, key string, value []byte, ttl time.Dur
 			exptime = 30*24*3600 - 1
 		}
 	}
-	err := r.exchange(ctx, func(rc *remoteConn) error {
+	return r.exchange(ctx, func(rc *remoteConn) error {
 		if _, err := fmt.Fprintf(rc.w, "set %s 0 %d %d\r\n", key, exptime, len(value)); err != nil {
 			return err
 		}
@@ -224,12 +192,6 @@ func (r *Remote) Set(ctx context.Context, key string, value []byte, ttl time.Dur
 		}
 		return nil
 	})
-	if err != nil {
-		r.errors.Add(1)
-		return err
-	}
-	r.sets.Add(1)
-	return nil
 }
 
 // exchange runs one request/response round on a pooled connection under

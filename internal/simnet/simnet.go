@@ -67,9 +67,6 @@ type Flow struct {
 	frozen    bool // recomputeRates scratch: rate settled, or not transferring
 }
 
-// Remaining reports the MB still to transfer.
-func (f *Flow) Remaining() float64 { return f.remaining }
-
 // CompletionHandler is invoked by Run whenever a flow finishes. The handler
 // runs with the clock at the completion instant and may start new flows.
 type CompletionHandler func(now float64, f *Flow)
@@ -165,9 +162,6 @@ func (n *Network) Utilization(id ResourceID, since float64) float64 {
 	}
 	return n.resources[id].workMB / (n.resources[id].Capacity * elapsed)
 }
-
-// Resource returns the definition of id.
-func (n *Network) Resource(id ResourceID) Resource { return n.resources[id].Resource }
 
 // Now reports the current virtual time in seconds.
 func (n *Network) Now() float64 { return n.now }
@@ -467,14 +461,6 @@ func (n *Network) StepN(budget int) bool {
 		if !n.Step() {
 			return false
 		}
-	}
-	return len(n.flows) > 0
-}
-
-// RunUntil advances the simulation until the clock reaches deadline or no
-// flows remain, whichever comes first. It reports whether flows remain.
-func (n *Network) RunUntil(deadline float64) bool {
-	for len(n.flows) > 0 && n.now < deadline && n.step(deadline) {
 	}
 	return len(n.flows) > 0
 }

@@ -54,7 +54,7 @@ func TestMiddlewareRecordsMetrics(t *testing.T) {
 	if got := reg.Counter(MetricHTTPRequests, L("route", "/route"), L("method", "GET"), L("status", "400")).Value(); got != 1 {
 		t.Fatalf("400 count = %v, want 1", got)
 	}
-	if got := reg.Histogram(MetricHTTPDuration, nil, L("route", "/route")).Count(); got != 3 {
+	if got := reg.Histogram(MetricHTTPDuration, nil, L("route", "/route")).Snapshot().Count; got != 3 {
 		t.Fatalf("latency observations = %d, want 3", got)
 	}
 	if got := reg.Gauge(MetricHTTPInflight).Value(); got != 0 {

@@ -1,8 +1,7 @@
 // Package telemetry is the service-side measurement layer: a
 // concurrency-safe metrics registry (counters, gauges, and bucketed latency
-// histograms with quantile summaries) plus HTTP middleware that stamps a
-// request ID, writes one structured log line per request, and records
-// status/latency per route.
+// histograms) plus HTTP middleware that stamps a request ID, writes one
+// structured log line per request, and records status/latency per route.
 //
 // It is deliberately distinct from internal/metrics: that package computes
 // the *simulation* statistics the paper reports (I/O time summaries, Jain
@@ -111,17 +110,14 @@ func (g *Gauge) Value() float64 {
 }
 
 // Histogram buckets observations by upper bound (cumulative, Prometheus
-// style) and tracks count/sum/min/max so quantiles can be summarized
-// without retaining samples.
+// style) and tracks count and sum, which is all the exposition needs;
+// quantiles are the scraper's histogram_quantile.
 type Histogram struct {
-	mu      sync.Mutex
-	bounds  []float64 // strictly increasing upper bounds; +Inf implicit
-	counts  []uint64  // len(bounds)+1; last is the +Inf bucket
-	count   uint64
-	sum     float64
-	minV    float64
-	maxV    float64
-	touched bool
+	mu     sync.Mutex
+	bounds []float64 // strictly increasing upper bounds; +Inf implicit
+	counts []uint64  // len(bounds)+1; last is the +Inf bucket
+	count  uint64
+	sum    float64
 }
 
 func newHistogram(bounds []float64) *Histogram {
@@ -146,13 +142,6 @@ func (h *Histogram) Observe(v float64) {
 	} else if v > 0 {
 		h.sum += h.bounds[len(h.bounds)-1]
 	}
-	if !h.touched || v < h.minV {
-		h.minV = v
-	}
-	if !h.touched || v > h.maxV {
-		h.maxV = v
-	}
-	h.touched = true
 }
 
 // HistogramSnapshot is a consistent copy of a histogram's state.
@@ -161,8 +150,6 @@ type HistogramSnapshot struct {
 	Counts []uint64 // per-bucket (non-cumulative); last is +Inf
 	Count  uint64
 	Sum    float64
-	Min    float64
-	Max    float64
 }
 
 // Snapshot copies the histogram under its lock.
@@ -174,81 +161,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		Counts: append([]uint64(nil), h.counts...),
 		Count:  h.count,
 		Sum:    h.sum,
-		Min:    h.minV,
-		Max:    h.maxV,
 	}
-}
-
-// Count reports the number of observations.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Mean is the average observation, or 0 when empty.
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / float64(s.Count)
-}
-
-// Quantile estimates the q-th quantile (0..1) by linear interpolation
-// within the containing bucket, the same estimate Prometheus's
-// histogram_quantile computes. Observations in the +Inf bucket report the
-// recorded maximum. An empty histogram reports NaN.
-func (s HistogramSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 || math.IsNaN(q) {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(s.Count)
-	var run uint64
-	for i, c := range s.Counts {
-		run += c
-		if float64(run) < rank {
-			continue
-		}
-		if i == len(s.Counts)-1 { // +Inf bucket
-			return s.Max
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = s.Bounds[i-1]
-		}
-		hi := s.Bounds[i]
-		if c == 0 {
-			// The quantile landed on an empty bucket (possible at the rank
-			// boundaries, e.g. Quantile(0) against an untouched first bucket).
-			// Its upper bound can sit outside the observed range, so clamp
-			// exactly as the interpolated path below does.
-			if hi < s.Min {
-				return s.Min
-			}
-			if hi > s.Max {
-				return s.Max
-			}
-			return hi
-		}
-		frac := (rank - float64(run-c)) / float64(c)
-		v := lo + (hi-lo)*frac
-		// Never report outside the observed range (tightens the first and
-		// last occupied buckets).
-		if v < s.Min {
-			v = s.Min
-		}
-		if v > s.Max {
-			v = s.Max
-		}
-		return v
-	}
-	return s.Max
 }
 
 // metricKey identifies one labeled series.
