@@ -17,11 +17,8 @@ import (
 )
 
 // exportSeams are the exported names under internal/ that no non-test code
-// names but a test in another package uses as a seam or an oracle, plus a
-// short backlog (reasons starting "backlog:") of names only their own
-// package's tests read that are still to be deleted or moved into a _test.go
-// file. Keys are import paths below opass/internal/, then the receiver type
-// for a method.
+// names but a test in another package uses as a seam or an oracle. Keys are
+// import paths below opass/internal/, then the receiver type for a method.
 var exportSeams = map[string]string{
 	"dfs.FileSystem.Fsck":     "engine's chaos, core's redistribute, advisor's and the root facade's tests end on a fsck-clean ledger",
 	"dfs.FileSystem.HostedBy": "engine's delta_replan_test reads which chunks a crashed node held",
@@ -31,13 +28,7 @@ var exportSeams = map[string]string{
 	"simnet.Network.Scale":    "engine's chaos_test reads a resource's degradation multiplier mid-run",
 	"plancache/plancachetest": "the in-process memcached that httpapi's remote-tier tests dial",
 
-	"cluster.Topology.Profile":     "backlog: cluster_test reads the calibration it built the topology from",
-	"dfs.Chunk.Epoch":              "backlog: dfs's epoch tests read the per-chunk stamp",
-	"dfs.FileSystem.Delete":        "backlog: dfs's ledger, epoch and fsck tests drive it",
-	"globalsched.Scheduler.Load":   "backlog: globalsched_test reads the window load",
-	"globalsched.Scheduler.Plan":   "backlog: globalsched_test reads a job's plan",
-	"globalsched.Scheduler.Served": "backlog: globalsched_test reads the serving tally",
-	"simnet.Network.Utilization":   "backlog: simnet_test checks work over capacity",
+	"globalsched.Scheduler.Load": "experiments' TestJobMixInvariants checks the reconciled load equals the cluster's served profile",
 }
 
 // TestExportsHaveNonTestCallers holds internal/ to one rule: an exported

@@ -12,19 +12,14 @@ func NewGraph(numP, numF int) *Graph {
 	if numP < 0 || numF < 0 {
 		panic(fmt.Sprintf("bipartite: invalid graph dimensions %dx%d", numP, numF))
 	}
-	return &Graph{
-		numP: numP,
-		numF: numF,
-		byP:  make([][]Edge, numP),
-		byF:  make([][]Edge, numF),
-	}
+	return &Graph{numP: numP, numF: numF, byP: make([][]Edge, numP)}
 }
 
 // AddEdge records that process p can read weight MB of file f locally.
 // Adding a parallel edge accumulates weight (a process may be co-located
-// with several inputs of a multi-input file/task). The adjacency lists are
-// kept sorted on insert, so adding edges in ascending order appends in O(1)
-// and never shifts.
+// with several inputs of a multi-input file/task). Each process's list is
+// kept file-sorted on insert, so adding edges in ascending order appends in
+// O(1) and never shifts.
 func (g *Graph) AddEdge(p, f int, weight int64) {
 	if p < 0 || p >= g.numP {
 		panic(fmt.Sprintf("bipartite: process %d out of range [0,%d)", p, g.numP))
@@ -38,27 +33,27 @@ func (g *Graph) AddEdge(p, f int, weight int64) {
 	i := searchF(g.byP[p], f)
 	if i < len(g.byP[p]) && g.byP[p][i].F == f {
 		g.byP[p][i].Weight += weight
-		j := searchP(g.byF[f], p)
-		if j >= len(g.byF[f]) || g.byF[f][j].P != p {
-			panic("bipartite: index desync")
-		}
-		g.byF[f][j].Weight += weight
 		return
 	}
-	e := Edge{P: p, F: f, Weight: weight}
-	g.byP[p] = insertEdge(g.byP[p], i, e)
-	g.byF[f] = insertEdge(g.byF[f], searchP(g.byF[f], p), e)
+	g.byP[p] = insertEdge(g.byP[p], i, Edge{P: p, F: f, Weight: weight})
 	g.edges++
+}
+
+// EdgesOfF lists the edges incident to file f in ascending process order,
+// gathered from every process's list.
+func (g *Graph) EdgesOfF(f int) []Edge {
+	var out []Edge
+	for _, es := range g.byP {
+		if i := searchF(es, f); i < len(es) && es[i].F == f {
+			out = append(out, es[i])
+		}
+	}
+	return out
 }
 
 // searchF returns the position of the first edge with .F >= f.
 func searchF(es []Edge, f int) int {
 	return sort.Search(len(es), func(i int) bool { return es[i].F >= f })
-}
-
-// searchP returns the position of the first edge with .P >= p.
-func searchP(es []Edge, p int) int {
-	return sort.Search(len(es), func(i int) bool { return es[i].P >= p })
 }
 
 // insertEdge places e at position i, shifting the tail (a no-op append for
@@ -68,6 +63,19 @@ func insertEdge(es []Edge, i int, e Edge) []Edge {
 	copy(es[i+1:], es[i:])
 	es[i] = e
 	return es
+}
+
+// rowsOf lists g's edges file-side, the matcher's input, file by file
+// through EdgesOfF — independently of MatchAugmenting's transpose.
+func rowsOf(g *Graph) *Rows {
+	rows := &Rows{Off: make([]int, 1, g.numF+1)}
+	for f := 0; f < g.numF; f++ {
+		for _, e := range g.EdgesOfF(f) {
+			rows.Edges = append(rows.Edges, LocalityEdge{Proc: e.P, Task: f, MB: float64(e.Weight)})
+		}
+		rows.Off = append(rows.Off, len(rows.Edges))
+	}
+	return rows
 }
 
 // Weight returns the locality weight between p and f, zero when no edge

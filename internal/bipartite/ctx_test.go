@@ -21,7 +21,7 @@ func figure5Graph() *Graph {
 func TestMatchAugmentingContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	owner, size, err := MatchAugmentingContext(ctx, figure5Graph(), []int{2, 2})
+	owner, size, err := MatchRows(ctx, rowsOf(figure5Graph()), []int{2, 2})
 	if owner != nil || size != 0 {
 		t.Fatalf("got partial matching (%v, %d) from a cancelled ctx", owner, size)
 	}
@@ -31,7 +31,7 @@ func TestMatchAugmentingContextCancelled(t *testing.T) {
 }
 
 func TestMatchAugmentingContextLiveMatchesPlain(t *testing.T) {
-	owner, size, err := MatchAugmentingContext(context.Background(), figure5Graph(), []int{2, 2})
+	owner, size, err := MatchRows(context.Background(), rowsOf(figure5Graph()), []int{2, 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,33 @@
-// Package bipartite provides the graph machinery behind Opass's planners:
-// the process↔file locality graph of §IV-A, a general max-flow solver with
-// two algorithms (Ford-Fulkerson with BFS augmenting paths, i.e.
-// Edmonds-Karp, as the paper uses; and Dinic's algorithm as a faster
-// alternative used in the scalability ablation), and maximum bipartite
-// matching built on top.
+// Package bipartite holds the solvers of Opass's single-data planner (§IV-B)
+// over the §IV-A locality relation: the phased matcher (MatchRows), which
+// reads file-side Rows — the locality index's task rows, in place — and max
+// flow over the Figure 5 network built from a process-side Graph, by
+// Edmonds-Karp (the paper's) or Dinic (the scalability ablation's).
 package bipartite
 
 import "fmt"
+
+// LocalityEdge is one edge of the §IV-A locality relation: process Proc
+// holds MB megabytes of task Task's input data on its local disks.
+type LocalityEdge struct {
+	Proc int
+	Task int
+	MB   float64
+}
+
+// Rows is a list of edge rows stored flat: row i is Edges[Off[i]:Off[i+1]].
+// MatchRows reads them file-side, the layout of the locality index's task view.
+type Rows struct {
+	Edges []LocalityEdge
+	Off   []int
+}
+
+// Row returns row i, capacity-capped so a caller's append cannot reach the
+// next row.
+func (r *Rows) Row(i int) []LocalityEdge {
+	lo, hi := r.Off[i], r.Off[i+1]
+	return r.Edges[lo:hi:hi]
+}
 
 // Edge connects a process to a file in the locality graph. Weight is the
 // number of megabytes of the file's data that the process can read locally
@@ -17,13 +38,12 @@ type Edge struct {
 	Weight int64
 }
 
-// Graph is the bipartite locality graph G = (P, F, E) of §IV-A: processes on
-// one side, chunk files on the other, an edge wherever a file has a replica
-// co-located with a process.
+// Graph is the process side of the §IV-A locality graph G = (P, F, E): for
+// each process, an edge to every file that has a replica co-located with
+// it. It is the flow solvers' input (AssignMaxLocality).
 type Graph struct {
 	numP, numF int
 	byP        [][]Edge // edges grouped by process, file-ascending
-	byF        [][]Edge // edges grouped by file, process-ascending
 	edges      int
 }
 
@@ -36,13 +56,10 @@ func (g *Graph) NumF() int { return g.numF }
 // NumEdges reports the number of locality edges.
 func (g *Graph) NumEdges() int { return g.edges }
 
-// NewGraphFromSorted builds a graph in one shot from complete per-process
-// adjacency lists: byP[p] must hold process p's edges in ascending file
-// order with distinct files, positive weights, and P set to p. The graph
-// takes ownership of byP without copying and derives the per-file adjacency
-// by a counting-sort transpose over one backing array; visiting processes in
-// ascending order lands each list process-ascending. Invalid input panics.
-// This is the planners' locality-graph build.
+// NewGraphFromSorted builds a graph from complete per-process adjacency
+// lists: byP[p] must hold process p's edges in ascending file order with
+// distinct files, positive weights, and P set to p. The graph takes
+// ownership of byP without copying. Invalid input panics.
 func NewGraphFromSorted(numP, numF int, byP [][]Edge) *Graph {
 	if numP < 0 || numF < 0 {
 		panic(fmt.Sprintf("bipartite: invalid graph dimensions %dx%d", numP, numF))
@@ -50,8 +67,7 @@ func NewGraphFromSorted(numP, numF int, byP [][]Edge) *Graph {
 	if len(byP) != numP {
 		panic(fmt.Sprintf("bipartite: %d adjacency lists for %d processes", len(byP), numP))
 	}
-	g := &Graph{numP: numP, numF: numF, byP: byP, byF: make([][]Edge, numF)}
-	degF := make([]int, numF)
+	g := &Graph{numP: numP, numF: numF, byP: byP}
 	for p, es := range byP {
 		g.edges += len(es)
 		for i, e := range es {
@@ -67,21 +83,6 @@ func NewGraphFromSorted(numP, numF int, byP [][]Edge) *Graph {
 			if i > 0 && es[i-1].F >= e.F {
 				panic(fmt.Sprintf("bipartite: adjacency of process %d not file-ascending at %d", p, i))
 			}
-			degF[e.F]++
-		}
-	}
-	backing := make([]Edge, g.edges)
-	pos := make([]int, numF)
-	off := 0
-	for f, d := range degF {
-		pos[f] = off
-		g.byF[f] = backing[off : off+d : off+d]
-		off += d
-	}
-	for _, es := range byP {
-		for _, e := range es {
-			backing[pos[e.F]] = e
-			pos[e.F]++
 		}
 	}
 	return g
@@ -91,8 +92,3 @@ func NewGraphFromSorted(numP, numF int, byP [][]Edge) *Graph {
 // The returned slice is a read-only view owned by the graph: callers must
 // not modify it.
 func (g *Graph) EdgesOfP(p int) []Edge { return g.byP[p] }
-
-// EdgesOfF lists the edges incident to file f in ascending process order.
-// The returned slice is a read-only view owned by the graph: callers must
-// not modify it.
-func (g *Graph) EdgesOfF(f int) []Edge { return g.byF[f] }

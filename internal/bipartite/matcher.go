@@ -14,55 +14,74 @@ import (
 // Hopcroft-Karp generalised to process quotas: it augments along a maximal
 // set of shortest augmenting paths per phase instead of one path per BFS,
 // so it never builds the flow network and does O(E) work per phase over a
-// handful of phases where Edmonds-Karp pays one BFS per task.
+// handful of phases where Edmonds-Karp pays one BFS per task. It reads file-
+// side Rows, so the planner hands it the locality index's task rows as is.
 
-// MatchAugmenting computes a maximum quota-constrained matching of files to
-// processes with the phased matcher. It returns owner[f] = process or -1
-// and the matching size. The size always equals the max-flow formulation's
-// (asserted by property tests and FuzzMatchAugmenting); only the specific
-// assignment may differ.
+// MatchAugmenting runs MatchRows, uncancellable, over g's edges; bench/'s
+// tracer times a Graph build and the match as two spans. The rows come from
+// a counting sort by file that visits processes in ascending order, so each
+// lands process-ascending; off[f+1] is file f's write cursor.
 func MatchAugmenting(g *Graph, quota []int) (owner []int, size int) {
-	owner, size, _ = MatchAugmentingContext(context.Background(), g, quota)
+	off := make([]int, g.numF+2)
+	for _, es := range g.byP {
+		for _, e := range es {
+			off[e.F+2]++
+		}
+	}
+	for f := 2; f < len(off); f++ {
+		off[f] += off[f-1]
+	}
+	rows := Rows{Edges: make([]LocalityEdge, g.edges), Off: off[:g.numF+1]}
+	for _, es := range g.byP {
+		for _, e := range es {
+			rows.Edges[off[e.F+1]] = LocalityEdge{Proc: e.P, Task: e.F, MB: float64(e.Weight)}
+			off[e.F+1]++
+		}
+	}
+	owner, size, _ = MatchRows(context.Background(), &rows, quota)
 	return owner, size
 }
 
-// MatchAugmentingContext is MatchAugmenting under cooperative cancellation:
-// ctx is polled once per phase (a phase is O(E), so cancellation lands
-// within one pass over the graph) and its error is returned instead of a
-// partial matching.
+// MatchRows computes a maximum matching of files to processes in which
+// process p owns at most quota[p] files. Row f of rows lists the processes
+// co-located with file f, distinct and ascending; only Proc is read. It
+// returns owner[f] = process or -1 and the matching size, which always
+// equals the max-flow formulation's (FuzzMatchAugmenting); only the specific
+// assignment may differ. ctx is polled once per O(E) phase, and its error
+// is returned instead of a partial matching.
 //
 // An augmenting path alternates free file → full process → one of its
 // files → … → process with spare quota. Each phase layers the processes by
 // BFS distance from the free files, stopping at the first layer that holds a
 // process with spare quota, then runs one depth-first search per free file
 // along strictly increasing layers. Both sides keep a current-arc cursor
-// that only moves forward within a phase (a file's into its edge list, a
+// that only moves forward within a phase (a file's into its row, a
 // process's into the files it owns), so a dead end is never re-entered and
 // the phase touches every edge at most once.
 //
 // Quotas must be non-negative. A process can never own more files than it
 // has edges, so its slots are carved for min(quota, degree): quotas far
-// above numF cost nothing.
-func MatchAugmentingContext(ctx context.Context, g *Graph, quota []int) (owner []int, size int, err error) {
-	numP, numF := g.NumP(), g.NumF()
-	if len(quota) != numP {
-		panic("bipartite: quota length mismatch")
-	}
+// above the file count cost nothing.
+func MatchRows(ctx context.Context, rows *Rows, quota []int) (owner []int, size int, err error) {
+	numP, numF := len(quota), len(rows.Off)-1
 	if numF > math.MaxInt32 {
 		panic(fmt.Sprintf("bipartite: %d files exceed the matcher's int32 file ids", numF))
 	}
 	// Process p's owned files live in slots[off[p] : off[p]+cnt[p]], carved
 	// from one backing array; a displaced file's slot is overwritten in
-	// place by the file that displaced it.
+	// place by the file that displaced it. off[p+1] first counts p's degree.
 	off := make([]int, numP+1)
+	for _, e := range rows.Edges[rows.Off[0]:rows.Off[numF]] {
+		off[e.Proc+1]++
+	}
 	for p, q := range quota {
 		if q < 0 {
 			panic(fmt.Sprintf("bipartite: quota[%d] = %d must be non-negative", p, q))
 		}
-		off[p+1] = off[p] + min(q, len(g.EdgesOfP(p)))
+		off[p+1] = off[p] + min(q, off[p+1])
 	}
 	m := matcher{
-		g:     g,
+		rows:  rows,
 		owner: make([]int, numF),
 		off:   off,
 		slots: make([]int32, off[numP]),
@@ -97,9 +116,9 @@ func MatchAugmentingContext(ctx context.Context, g *Graph, quota []int) (owner [
 	}
 }
 
-// matcher is the working state of one MatchAugmentingContext call.
+// matcher is the working state of one MatchRows call.
 type matcher struct {
-	g     *Graph
+	rows  *Rows
 	owner []int   // owner[f] = process or -1
 	off   []int   // slot range of process p is slots[off[p]:off[p+1]]
 	slots []int32 // files owned, cnt[p] of them from off[p]
@@ -109,7 +128,7 @@ type matcher struct {
 	level []int32 // BFS layer of each process this phase, -1 unreached
 	last  int32   // the layer that holds a process with spare quota
 	itP   []int32 // current-arc cursor into a process's slots
-	itF   []int32 // current-arc cursor into EdgesOfF(f)
+	itF   []int32 // current-arc cursor into row f
 
 	frontier, next []int32 // BFS queues
 	pathF, pathP   []int32 // DFS stack: pathF[i+1] is owned by pathP[i]
@@ -127,10 +146,10 @@ func (m *matcher) layer() bool {
 	}
 	m.frontier = m.frontier[:0]
 	reach := func(f int32, l int32, into []int32) []int32 {
-		for _, e := range m.g.EdgesOfF(int(f)) {
-			if m.level[e.P] < 0 && m.off[e.P+1] > m.off[e.P] {
-				m.level[e.P] = l
-				into = append(into, int32(e.P))
+		for _, e := range m.rows.Row(int(f)) {
+			if m.level[e.Proc] < 0 && m.off[e.Proc+1] > m.off[e.Proc] {
+				m.level[e.Proc] = l
+				into = append(into, int32(e.Proc))
 			}
 		}
 		return into
@@ -165,10 +184,10 @@ func (m *matcher) augment(f0 int32) bool {
 	for len(m.pathF) > 0 {
 		depth := len(m.pathF) - 1
 		f := m.pathF[depth]
-		es := m.g.EdgesOfF(int(f))
+		es := m.rows.Row(int(f))
 		descended := false
 		for int(m.itF[f]) < len(es) {
-			p := int32(es[m.itF[f]].P)
+			p := int32(es[m.itF[f]].Proc)
 			if m.level[p] != int32(depth) {
 				m.itF[f]++
 				continue

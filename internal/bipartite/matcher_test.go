@@ -223,7 +223,7 @@ func (c *flipCtx) Err() error {
 func TestMatchAugmentingCancelMidway(t *testing.T) {
 	g, quota := phasedChain()
 	ctx := &flipCtx{Context: context.Background()}
-	owner, size, err := MatchAugmentingContext(ctx, g, quota)
+	owner, size, err := MatchRows(ctx, rowsOf(g), quota)
 	if owner != nil || size != 0 || !errors.Is(err, context.Canceled) {
 		t.Fatalf("got (%v, %d, %v), want (nil, 0, context.Canceled)", owner, size, err)
 	}
@@ -251,12 +251,14 @@ func TestMatchAugmentingQuotaHygiene(t *testing.T) {
 	}
 }
 
-// fuzzGraph decodes bytes into a small locality graph and a quota vector:
-// procs-1 (mod 8), files-1 (mod 24), one quota byte per process (mod 32,
-// so both 0 and values above the file count occur), then one byte per file
-// whose low bits are the processes it is co-located with — edges are
-// duplicate-free by construction. Missing bytes read as zero.
-func fuzzGraph(data []byte) (*Graph, []int) {
+// fuzzGraph decodes bytes into a small locality relation and a quota
+// vector: procs-1 (mod 8), files-1 (mod 24), one quota byte per process (mod
+// 32, so both 0 and values above the file count occur), then one byte per
+// file whose low bits are the processes it is co-located with — edges are
+// duplicate-free by construction. The relation comes back twice: as the
+// file-side rows the matcher reads, built straight from the masks, and as
+// the Graph the flow oracles read. Missing bytes read as zero.
+func fuzzGraph(data []byte) (*Rows, *Graph, []int) {
 	next := func() byte {
 		if len(data) == 0 {
 			return 0
@@ -270,21 +272,24 @@ func fuzzGraph(data []byte) (*Graph, []int) {
 	for p := range quota {
 		quota[p] = int(next() % 32)
 	}
+	rows := &Rows{Off: make([]int, 1, numF+1)}
 	g := NewGraph(numP, numF)
 	for f := 0; f < numF; f++ {
 		mask := next()
 		for p := 0; p < numP; p++ {
 			if mask&(1<<p) != 0 {
+				rows.Edges = append(rows.Edges, LocalityEdge{Proc: p, Task: f, MB: 1})
 				g.AddEdge(p, f, 1)
 			}
 		}
+		rows.Off = append(rows.Off, len(rows.Edges))
 	}
-	return g, quota
+	return rows, g, quota
 }
 
 // FuzzMatchAugmenting holds the matcher to both flow oracles on arbitrary
-// small graphs: same size, only real edges, quotas respected, and the same
-// owners on a second call.
+// small relations: same size, only real edges, quotas respected, the same
+// owners on a second call, and the same owners through the Graph adapter.
 func FuzzMatchAugmenting(f *testing.F) {
 	f.Add([]byte{1, 1, 1, 1, 0b11, 0b01})                                                   // TestMatchAugmentingNeedsDisplacement
 	f.Add([]byte{4, 4, 1, 1, 1, 1, 1, 0b00011, 0b00110, 0b00001, 0b11000, 0b01000})         // phasedChain: three phases
@@ -292,13 +297,19 @@ func FuzzMatchAugmenting(f *testing.F) {
 	f.Add([]byte{3, 5, 0, 0, 0, 0, 0b1111, 0b0101, 0b0011, 0b1000, 0b0110, 0b1001})         // all-zero quotas
 	f.Add([]byte{1, 23, 31, 0, 1, 3, 1, 3, 1, 3, 1, 3, 1, 3, 1, 3, 1, 3, 1, 3, 1, 3, 1, 3}) // quota above the file count
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, quota := fuzzGraph(data)
-		owner, size := MatchAugmenting(g, quota)
+		rows, g, quota := fuzzGraph(data)
+		owner, size, err := MatchRows(context.Background(), rows, quota)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if msg := checkMatching(g, quota, owner, size); msg != "" {
 			t.Fatalf("quota %v: %s (owner %v)", quota, msg, owner)
 		}
-		if again, _ := MatchAugmenting(g, quota); !slices.Equal(owner, again) {
+		if again, _, _ := MatchRows(context.Background(), rows, quota); !slices.Equal(owner, again) {
 			t.Fatalf("quota %v: second call returned %v, first %v", quota, again, owner)
+		}
+		if viaGraph, n := MatchAugmenting(g, quota); n != size || !slices.Equal(owner, viaGraph) {
+			t.Fatalf("quota %v: Graph adapter returned %v (size %d), rows %v (size %d)", quota, viaGraph, n, owner, size)
 		}
 	})
 }

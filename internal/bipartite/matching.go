@@ -11,7 +11,7 @@ import (
 type Algorithm int
 
 const (
-	// Kuhn is the direct phased matcher (MatchAugmenting) and the zero
+	// Kuhn is the direct phased matcher (MatchRows) and the zero
 	// value. It only applies when every task has the same size, where the
 	// flow problem degenerates to quota-constrained bipartite matching;
 	// AssignMaxLocality and the single-data planner on unequal sizes treat

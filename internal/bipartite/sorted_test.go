@@ -69,25 +69,31 @@ func TestGraphSortedAdjacencyInvariant(t *testing.T) {
 	}
 }
 
-// TestGraphEdgeViewsAreStableAcrossCalls pins the zero-copy contract: two
+// TestGraphEdgeViewsAreStableAcrossCalls pins the zero-copy contract of the
+// two views the solvers read: a process's list and a file-side row. Two
 // calls return the same backing data and repeated calls do not allocate
-// fresh sorted copies (the regression that made every MatchAugmenting
-// visit re-sort adjacency).
+// fresh sorted copies (the regression that made every matcher visit
+// re-sort adjacency).
 func TestGraphEdgeViewsAreStableAcrossCalls(t *testing.T) {
 	g := NewGraph(3, 3)
-	g.AddEdge(2, 1, 4)
-	g.AddEdge(0, 1, 2)
+	g.AddEdge(1, 2, 4)
+	g.AddEdge(1, 0, 2)
 	g.AddEdge(1, 1, 3)
-	a, b := g.EdgesOfF(1), g.EdgesOfF(1)
-	if len(a) != 3 || len(b) != 3 {
-		t.Fatalf("views %v / %v, want 3 edges each", a, b)
+	rows := rowsOf(g)
+	a, b := g.EdgesOfP(1), g.EdgesOfP(1)
+	r, s := rows.Row(1), rows.Row(1)
+	if len(a) != 3 || len(b) != 3 || len(r) != 1 || len(s) != 1 {
+		t.Fatalf("views %v / %v and rows %v / %v, want 3 and 1 edges", a, b, r, s)
 	}
-	if &a[0] != &b[0] {
-		t.Fatal("EdgesOfF returned different backing arrays; views must be zero-copy")
+	if &a[0] != &b[0] || &r[0] != &s[0] {
+		t.Fatal("views returned different backing arrays; they must be zero-copy")
+	}
+	if cap(r) != len(r) {
+		t.Fatalf("row has capacity %d past its %d edges; an append would reach the next row", cap(r), len(r))
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		_ = g.EdgesOfF(1)
 		_ = g.EdgesOfP(2)
+		_ = rows.Row(1)
 	})
 	if allocs != 0 {
 		t.Fatalf("edge views allocate %.1f allocs per call pair, want 0", allocs)

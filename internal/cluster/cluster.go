@@ -118,10 +118,6 @@ func NewHeterogeneousRacked(profiles []Profile, racks int) *Topology {
 // Net exposes the underlying fluid-flow network.
 func (t *Topology) Net() *simnet.Network { return t.net }
 
-// Profile returns node 0's hardware profile — the cluster profile for
-// homogeneous topologies.
-func (t *Topology) Profile() Profile { return t.profiles[0] }
-
 // NodeProfile returns the hardware profile of a specific node.
 func (t *Topology) NodeProfile(node int) Profile {
 	t.check(node)

@@ -48,7 +48,7 @@ func TestRemotePathDegeneratesToLocal(t *testing.T) {
 func TestSimulatedLocalReadMatchesCalibration(t *testing.T) {
 	topo := New(2, Marmot())
 	net := topo.Net()
-	net.Start(topo.LocalReadPath(0), 64, topo.Profile().ReadLatency, "read")
+	net.Start(topo.LocalReadPath(0), 64, topo.NodeProfile(0).ReadLatency, "read")
 	end := net.Run()
 	want := topo.UncontendedLocalRead(64)
 	if math.Abs(end-want) > 1e-6 {
@@ -94,16 +94,16 @@ func TestDiskContentionInflatesReads(t *testing.T) {
 	topo := New(9, Marmot())
 	net := topo.Net()
 	for dst := 1; dst <= 8; dst++ {
-		net.Start(topo.RemoteReadPath(0, dst), 64, topo.Profile().ReadLatency, "r")
+		net.Start(topo.RemoteReadPath(0, dst), 64, topo.NodeProfile(0).ReadLatency, "r")
 	}
 	end := net.Run()
-	ideal := 8 * 64.0 / topo.Profile().DiskMBps // fair share, no penalty
+	ideal := 8 * 64.0 / topo.NodeProfile(0).DiskMBps // fair share, no penalty
 	if end <= ideal {
 		t.Fatalf("contended end %v should exceed penalty-free bound %v", end, ideal)
 	}
 	// And it must stay within the modeled degradation.
-	alpha := topo.Profile().DiskSeekPenalty
-	worst := 8*64.0/(topo.Profile().DiskMBps/(1+alpha*7)) + 1
+	alpha := topo.NodeProfile(0).DiskSeekPenalty
+	worst := 8*64.0/(topo.NodeProfile(0).DiskMBps/(1+alpha*7)) + 1
 	if end > worst {
 		t.Fatalf("contended end %v exceeds modeled worst case %v", end, worst)
 	}

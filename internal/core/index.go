@@ -5,6 +5,8 @@ import (
 	"slices"
 	"sort"
 	"sync"
+
+	"opass/internal/bipartite"
 )
 
 // This file implements the shared locality index behind every planner's hot
@@ -14,8 +16,9 @@ import (
 // every (process, task) pair, an O(m·n·inputs·replicas) sweep. The index
 // inverts the problem once: node→processes from ProcNode and chunk→replicas
 // from the namenode metadata, yielding every (process, task, MB) locality
-// edge in O(edges) total. SingleData's flow-network build, MultiData's
-// preference lists, and the dynamic scheduler's steal scan all run off it.
+// edge in O(edges) total. SingleData's matcher (on the task rows, in place)
+// and flow-network build, MultiData's preference lists, and the dynamic
+// scheduler's steal scan all run off it.
 //
 // The per-task accumulation order matches CoLocatedMB exactly (inputs in
 // declaration order, each added once per co-located process), so the
@@ -34,27 +37,9 @@ import (
 // planners) call Release when done; long-lived holders (the dynamic
 // scheduler) simply never release and the GC reclaims the buffer.
 
-// LocalityEdge is one edge of the §IV-A bipartite locality graph: process
-// Proc holds MB megabytes of task Task's input data on its local disks.
-type LocalityEdge struct {
-	Proc int
-	Task int
-	MB   float64
-}
-
-// edgeRows is a list of edge rows stored flat: row i is
-// edges[off[i]:off[i+1]].
-type edgeRows struct {
-	edges []LocalityEdge
-	off   []int
-}
-
-// row returns row i, capacity-capped so a caller's append cannot reach the
-// next row.
-func (r *edgeRows) row(i int) []LocalityEdge {
-	lo, hi := r.off[i], r.off[i+1]
-	return r.edges[lo:hi:hi]
-}
+// LocalityEdge is one edge of the §IV-A locality graph. It is bipartite's
+// edge type, so the phased matcher reads the index's task rows in place.
+type LocalityEdge = bipartite.LocalityEdge
 
 // LocalityIndex is the inverted locality view of a Problem. It is immutable
 // after construction; the underlying Problem and FileSystem must not change
@@ -78,10 +63,10 @@ const indexCtxStride = 512
 // build overwrites every element it later reads, and the stamps only ever
 // compare against a fresh epoch.
 type indexBuf struct {
-	byTask     edgeRows // task -> edges, Proc-ascending
-	byProc     edgeRows // proc -> edges, Task-ascending
-	byTaskRack edgeRows // task -> rack-tier edges, Proc-ascending
-	pos        []int    // transpose write cursors, one per process
+	byTask     bipartite.Rows // task -> edges, Proc-ascending
+	byProc     bipartite.Rows // proc -> edges, Task-ascending
+	byTaskRack bipartite.Rows // task -> rack-tier edges, Proc-ascending
+	pos        []int          // transpose write cursors, one per process
 
 	// Accumulated MB per process for the current task, with an epoch stamp
 	// so the arrays reset in O(touched) instead of O(m) per task. The epoch
@@ -135,16 +120,16 @@ func (b *indexBuf) add(proc int, mb float64) {
 // cold buffer is allocated once instead of grown. The loop polls ctx once
 // per indexCtxStride tasks; on a ctx error dst is partial and the caller
 // must Release the index.
-func (ix *LocalityIndex) buildTier(ctx context.Context, dst *edgeRows, maxEdges int, accumulate func(b *indexBuf, t int)) error {
+func (ix *LocalityIndex) buildTier(ctx context.Context, dst *bipartite.Rows, maxEdges int, accumulate func(b *indexBuf, t int)) error {
 	n, b := len(ix.p.Tasks), ix.buf
-	dst.off = slices.Grow(dst.off[:0], n+1)[:n+1]
-	edges := slices.Grow(dst.edges[:0], maxEdges)
+	dst.Off = slices.Grow(dst.Off[:0], n+1)[:n+1]
+	edges := slices.Grow(dst.Edges[:0], maxEdges)
 	for t := 0; t < n; t++ {
 		if t%indexCtxStride == 0 && ctx.Err() != nil {
-			dst.edges = edges // a freshly sized array still serves the next build
+			dst.Edges = edges // a freshly sized array still serves the next build
 			return ctx.Err()
 		}
-		dst.off[t] = len(edges)
+		dst.Off[t] = len(edges)
 		b.epoch++
 		b.touched = b.touched[:0]
 		accumulate(b, t)
@@ -153,8 +138,8 @@ func (ix *LocalityIndex) buildTier(ctx context.Context, dst *edgeRows, maxEdges 
 			edges = append(edges, LocalityEdge{Proc: proc, Task: t, MB: b.mb[proc]})
 		}
 	}
-	dst.off[n] = len(edges)
-	dst.edges = edges
+	dst.Off[n] = len(edges)
+	dst.Edges = edges
 	return nil
 }
 
@@ -213,8 +198,8 @@ func NewLocalityIndexContext(ctx context.Context, p *Problem) (*LocalityIndex, e
 	// Transpose into the per-process view with a counting sort. Tasks are
 	// visited in ascending order, so byProc stays Task-ascending without a
 	// comparison sort.
-	edges := b.byTask.edges
-	off := slices.Grow(b.byProc.off[:0], m+1)[:m+1]
+	edges := b.byTask.Edges
+	off := slices.Grow(b.byProc.Off[:0], m+1)[:m+1]
 	clear(off)
 	for _, e := range edges {
 		off[e.Proc+1]++
@@ -223,12 +208,12 @@ func NewLocalityIndexContext(ctx context.Context, p *Problem) (*LocalityIndex, e
 		off[proc+1] += off[proc]
 	}
 	b.pos = append(b.pos[:0], off[:m]...)
-	byProc := slices.Grow(b.byProc.edges[:0], len(edges))[:len(edges)]
+	byProc := slices.Grow(b.byProc.Edges[:0], len(edges))[:len(edges)]
 	for _, e := range edges {
 		byProc[b.pos[e.Proc]] = e
 		b.pos[e.Proc]++
 	}
-	b.byProc = edgeRows{edges: byProc, off: off}
+	b.byProc = bipartite.Rows{Edges: byProc, Off: off}
 	ix.edges = len(edges)
 
 	if err := ix.buildRackTier(ctx); err != nil {
@@ -263,17 +248,17 @@ func (ix *LocalityIndex) NumEdges() int { return ix.edges }
 
 // TaskEdges returns task t's locality edges in ascending process order. The
 // slice is a read-only view owned by the index.
-func (ix *LocalityIndex) TaskEdges(t int) []LocalityEdge { return ix.buf.byTask.row(t) }
+func (ix *LocalityIndex) TaskEdges(t int) []LocalityEdge { return ix.buf.byTask.Row(t) }
 
 // ProcEdges returns process p's locality edges in ascending task order. The
 // slice is a read-only view owned by the index.
-func (ix *LocalityIndex) ProcEdges(p int) []LocalityEdge { return ix.buf.byProc.row(p) }
+func (ix *LocalityIndex) ProcEdges(p int) []LocalityEdge { return ix.buf.byProc.Row(p) }
 
 // CoLocatedMB returns the co-located megabytes for (proc, task) by binary
 // search — the same value Problem.CoLocatedMB computes by probing, in
 // O(log degree) instead of O(inputs·replicas).
 func (ix *LocalityIndex) CoLocatedMB(proc, task int) float64 {
-	return mbOf(ix.buf.byTask.row(task), proc)
+	return mbOf(ix.buf.byTask.Row(task), proc)
 }
 
 // mbOf looks proc up in a Proc-ascending edge row; zero when absent.

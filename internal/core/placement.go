@@ -12,7 +12,7 @@ type Placement interface {
 	// Replicas lists the nodes hosting the chunk, ascending. The slice is
 	// the view's own storage: read-only to the caller.
 	Replicas(id dfs.ChunkID) []int
-	// ChunkEpoch is the chunk's placement epoch (dfs.Chunk.Epoch).
+	// ChunkEpoch is the chunk's placement epoch (dfs.FileSystem.ChunkEpoch).
 	ChunkEpoch(id dfs.ChunkID) uint64
 	// ChunkSizeMB is the chunk's payload size.
 	ChunkSizeMB(id dfs.ChunkID) float64

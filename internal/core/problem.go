@@ -382,8 +382,7 @@ func capUnits(size float64, scale int64) int64 {
 // whenever any input of task t has a replica on process p's node. The
 // index's per-process adjacency is already in the graph's insertion order,
 // so the build is a pure transcription into one shared backing array carved
-// by per-process offsets, then handed to the bulk graph constructor, which
-// transposes the per-file view with a counting sort.
+// by per-process offsets. Only the flow solvers read it.
 func localityGraph(p *Problem, ix *LocalityIndex, scale int64) *bipartite.Graph {
 	m, n := p.NumProcs(), len(p.Tasks)
 	backing := make([]bipartite.Edge, 0, ix.NumEdges())

@@ -108,7 +108,7 @@ func (ix *LocalityIndex) TaskRackEdges(t int) []LocalityEdge {
 	if !ix.rackTiered {
 		return nil
 	}
-	return ix.buf.byTaskRack.row(t)
+	return ix.buf.byTaskRack.Row(t)
 }
 
 // RackCoLocatedMB returns the rack-tier bytes for (proc, task): input data
@@ -118,5 +118,5 @@ func (ix *LocalityIndex) RackCoLocatedMB(proc, task int) float64 {
 	if !ix.rackTiered {
 		return 0
 	}
-	return mbOf(ix.buf.byTaskRack.row(task), proc)
+	return mbOf(ix.buf.byTaskRack.Row(task), proc)
 }

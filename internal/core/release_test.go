@@ -1,7 +1,10 @@
 package core
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
+	"unsafe"
 
 	"opass/internal/dfs"
 )
@@ -135,6 +138,40 @@ func TestPlannersConcurrentPooledBuffers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestSingleDataPlanAllocatesLessThanItsEdges: an equal-size single-data
+// plan hands the pooled index's task rows to the matcher in place, so once
+// the pool is warm the whole plan allocates less than one copy of its
+// locality edges — no Graph, no per-file transpose. It runs at
+// GOMAXPROCS(1) with the GC off so the warm-up's Release is the buffer the
+// measured plan gets back, and is skipped under -race, where sync.Pool
+// drops Puts at random.
+func TestSingleDataPlanAllocatesLessThanItsEdges(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under -race")
+	}
+	p := benchSpec(256, 25600, []float64{64}, 3).csrBacked()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if _, err := (SingleData{}).Assign(p); err != nil {
+		t.Fatal(err)
+	}
+	ix := NewLocalityIndex(p)
+	edges := ix.NumEdges()
+	ix.Release()
+	budget := uint64(edges) * uint64(unsafe.Sizeof(LocalityEdge{}))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := (SingleData{}).Assign(p); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	if got >= budget {
+		t.Fatalf("a warm %d-task plan allocated %d B, one copy of its %d edges is %d B", len(p.Tasks), got, edges, budget)
+	}
+	t.Logf("%d-task plan: %d B allocated, edge budget %d B", len(p.Tasks), got, budget)
 }
 
 // TestLocalityIndexDoubleReleasePanics pins the misuse guard.

@@ -89,7 +89,6 @@ func (s SingleData) AssignContext(ctx context.Context, p *Problem) (*Assignment,
 	// instead of paying the allocator per request.
 	defer ix.Release()
 	scale := capacityScale(p)
-	g := localityGraph(p, ix, scale)
 
 	// Per-process data quota: TotalSize/m (or weight-proportional shares),
 	// in whole capacity units (1/scale MB) with the rounding remainder
@@ -124,19 +123,19 @@ func (s SingleData) AssignContext(ctx context.Context, p *Problem) (*Assignment,
 	}
 
 	// The solver seam. Equal sizes degenerate the flow problem to quota-
-	// constrained bipartite matching, which the matcher solves without
-	// building the flow network; unequal sizes, or a named flow solver, go
-	// through the network of Figure 5.
+	// constrained bipartite matching, which the matcher solves in place on
+	// the index's task rows; unequal sizes, or a named flow solver, build the
+	// locality graph and go through the network of Figure 5.
 	var owner []int
 	if equal && s.Algorithm == bipartite.Kuhn {
 		quotaTasks := make([]int, m)
 		for i, q := range quotasMB {
 			quotaTasks[i] = int(q / sizes[0])
 		}
-		owner, _, err = bipartite.MatchAugmentingContext(ctx, g, quotaTasks)
+		owner, _, err = bipartite.MatchRows(ctx, &ix.buf.byTask, quotaTasks)
 	} else {
 		var res bipartite.AssignResult
-		res, err = bipartite.AssignMaxLocalityContext(ctx, g, quotasMB, sizes, s.Algorithm)
+		res, err = bipartite.AssignMaxLocalityContext(ctx, localityGraph(p, ix, scale), quotasMB, sizes, s.Algorithm)
 		owner = res.Owner
 	}
 	if err != nil {

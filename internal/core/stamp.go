@@ -5,7 +5,7 @@ import "slices"
 // This file is the planner-side half of incremental replanning. A plan
 // computed at time T can be kept or repaired in part at time T' as long as
 // the caller can tell which of the problem's chunks moved in between;
-// per-chunk placement epochs (dfs.Chunk.Epoch) provide exactly that signal
+// per-chunk placement epochs (dfs.FileSystem.ChunkEpoch) provide exactly that signal
 // without diffing replica lists. The engine's delta replan (internal/engine)
 // is the consumer: it keeps the tasks a PlanStamp reports clean and plans
 // the dirty ones cold as a dense sub-problem.

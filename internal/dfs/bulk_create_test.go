@@ -37,8 +37,8 @@ func TestCreateChunksReplicated(t *testing.T) {
 				t.Fatalf("chunk %d replicas %v, want sorted %v", i, c.Replicas, wantReplicas[i])
 			}
 		}
-		if c.Epoch() != fs.Epoch() {
-			t.Fatalf("chunk %d epoch %d, want %d", i, c.Epoch(), fs.Epoch())
+		if c.epoch != fs.Epoch() {
+			t.Fatalf("chunk %d epoch %d, want %d", i, c.epoch, fs.Epoch())
 		}
 	}
 	// perNode indexes must agree with the replica lists.

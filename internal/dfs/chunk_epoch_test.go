@@ -9,7 +9,7 @@ import (
 func chunkEpochs(fs *FileSystem, f *File) []uint64 {
 	out := make([]uint64, len(f.Chunks))
 	for i, id := range f.Chunks {
-		out[i] = fs.Chunk(id).Epoch()
+		out[i] = fs.Chunk(id).epoch
 	}
 	return out
 }
@@ -29,7 +29,7 @@ func TestChunkEpochsStampOnlyAffectedChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, id := range fa.Chunks {
-		if got := fs.Chunk(id).Epoch(); got == 0 {
+		if got := fs.Chunk(id).epoch; got == 0 {
 			t.Fatalf("chunk %d of /a created with zero epoch", i)
 		}
 	}

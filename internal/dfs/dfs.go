@@ -49,16 +49,12 @@ type Chunk struct {
 	// epoch is the value of the file system's global placement epoch at the
 	// last mutation that touched THIS chunk's replica set, so a mutation to
 	// an unrelated file leaves it (and every fingerprint derived from it)
-	// untouched.
+	// untouched. Fingerprints built from chunk epochs
+	// (core.Problem.AppendCanonical) change exactly when one of the chunks
+	// they read moved, which is what makes surgical plan-cache invalidation
+	// sound. FileSystem.ChunkEpoch reads it.
 	epoch uint64
 }
-
-// Epoch returns the chunk's placement epoch: the global epoch value at the
-// last mutation of this chunk's replica set. Fingerprints built from chunk
-// epochs (core.Problem.AppendCanonical) change exactly when one of the
-// chunks they read moved — a mutation to an unrelated file leaves them
-// stable, which is what makes surgical plan-cache invalidation sound.
-func (c *Chunk) Epoch() uint64 { return c.epoch }
 
 // ReplicationTarget returns the chunk's replication target: how many
 // replicas Crash considers healthy and ReReplicate restores.
@@ -363,28 +359,6 @@ func (fs *FileSystem) createFile(name string, sizesMB []float64, replicas [][]in
 	fs.order = append(fs.order, name)
 	fs.bumpEpoch(f.Chunks...)
 	return f, nil
-}
-
-// Delete removes a file from the namespace and releases its replicas from
-// every node, like hdfs dfs -rm. Its chunk IDs become tombstones: Chunk()
-// panics on them, so stale references fail fast rather than silently
-// reading freed data.
-func (fs *FileSystem) Delete(name string) error {
-	f, ok := fs.files[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	for _, id := range f.Chunks {
-		c := fs.chunks[int(id)]
-		for len(c.Replicas) > 0 {
-			fs.detach(c, c.Replicas[len(c.Replicas)-1])
-		}
-		c.deleted = true
-	}
-	delete(fs.files, name)
-	fs.order = without(fs.order, name)
-	fs.bumpEpoch(f.Chunks...)
-	return nil
 }
 
 // Stat returns the file metadata for name.

@@ -58,10 +58,9 @@ type Scheduler struct {
 	mu      sync.Mutex
 	nodes   int
 	opts    Options
-	load    []float64         // cumulative per-node service MB
+	load    []float64         // per-node service MB: finished jobs' actuals, running jobs' charges
 	served  []float64         // live per-node serving, fed by ReadStarted
 	planned map[int][]float64 // job -> planned charge, until reconciled
-	plans   map[int]*core.Assignment
 }
 
 // New builds a scheduler for a cluster of numNodes storage nodes.
@@ -78,7 +77,6 @@ func New(numNodes int, opts Options) (*Scheduler, error) {
 		load:    make([]float64, numNodes),
 		served:  make([]float64, numNodes),
 		planned: make(map[int][]float64),
-		plans:   make(map[int]*core.Assignment),
 	}, nil
 }
 
@@ -115,7 +113,6 @@ func (s *Scheduler) JobArriving(job int, spec engine.JobSpec, now float64) (engi
 		s.load[n] += mb
 	}
 	s.planned[job] = charge
-	s.plans[job] = a
 	return engine.NewListSource(a.Lists), nil
 }
 
@@ -191,14 +188,6 @@ func (s *Scheduler) ReadStarted(node int, sizeMB float64) {
 	}
 }
 
-// Served returns a copy of the live per-node serving tally (MB) — the
-// bytes each node has actually begun serving across all scheduled jobs.
-func (s *Scheduler) Served() []float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]float64(nil), s.served...)
-}
-
 // biases computes the per-node bias for a job of jobMB total input: the
 // residual headroom of node n against the ideal even split of the cluster's
 // work including this job, normalized by the largest headroom among the
@@ -254,14 +243,6 @@ func (s *Scheduler) Load() []float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]float64(nil), s.load...)
-}
-
-// Plan returns the assignment the scheduler computed for a job, or nil if
-// the job was never scheduled.
-func (s *Scheduler) Plan(job int) *core.Assignment {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.plans[job]
 }
 
 // singleInput reports whether every task reads exactly one chunk (the flow

@@ -99,6 +99,19 @@ func schedRig(t *testing.T, nodes, chunksPerProc int, seed int64) (*cluster.Topo
 	return topo, fs, prob
 }
 
+// drained pulls every process's task list out of the source JobArriving
+// returned: the plan the scheduler handed the engine.
+func drained(src engine.TaskSource, p *core.Problem) *core.Assignment {
+	a := &core.Assignment{Owner: make([]int, len(p.Tasks)), Lists: make([][]int, p.NumProcs())}
+	for proc := range a.Lists {
+		for task, ok := src.Next(proc); ok; task, ok = src.Next(proc) {
+			a.Lists[proc] = append(a.Lists[proc], task)
+			a.Owner[task] = proc
+		}
+	}
+	return a
+}
+
 func TestJobArrivingPlansAndCharges(t *testing.T) {
 	_, _, prob := schedRig(t, 8, 4, 5)
 	s, err := New(8, Options{Balance: 0.5})
@@ -112,15 +125,11 @@ func TestJobArrivingPlansAndCharges(t *testing.T) {
 	if src == nil {
 		t.Fatal("JobArriving returned no source")
 	}
-	a := s.Plan(0)
-	if a == nil {
-		t.Fatal("no plan recorded for job 0")
-	}
-	if err := a.Validate(prob); err != nil {
+	if err := drained(src, prob).Validate(prob); err != nil {
 		t.Fatalf("scheduler's plan invalid: %v", err)
 	}
 	var total float64
-	for _, mb := range s.Load() {
+	for _, mb := range s.load {
 		total += mb
 	}
 	if math.Abs(total-prob.TotalMB()) > 1e-6 {
@@ -131,8 +140,7 @@ func TestJobArrivingPlansAndCharges(t *testing.T) {
 	actual := make([]float64, 8)
 	actual[3] = 123
 	s.JobFinished(0, actual)
-	load := s.Load()
-	for n, mb := range load {
+	for n, mb := range s.load {
 		want := 0.0
 		if n == 3 {
 			want = 123
@@ -143,8 +151,8 @@ func TestJobArrivingPlansAndCharges(t *testing.T) {
 	}
 	// A second JobFinished for the same job is a no-op.
 	s.JobFinished(0, actual)
-	if got := s.Load(); math.Abs(got[3]-123) > 1e-6 {
-		t.Fatalf("double reconciliation changed load to %v", got[3])
+	if math.Abs(s.load[3]-123) > 1e-6 {
+		t.Fatalf("double reconciliation changed load to %v", s.load[3])
 	}
 }
 
@@ -173,9 +181,8 @@ func TestPickRemoteLeastServed(t *testing.T) {
 	if got := s.PickRemote(3, []int{1, 3}, 64); got != 1 {
 		t.Fatalf("PickRemote tie = %d, want 1", got)
 	}
-	served := s.Served()
-	if served[0] != 100 || served[2] != 50 {
-		t.Fatalf("served tally = %v", served)
+	if s.served[0] != 100 || s.served[2] != 50 {
+		t.Fatalf("served tally = %v", s.served)
 	}
 }
 
@@ -208,17 +215,15 @@ func TestScheduledRunEndToEnd(t *testing.T) {
 			want[n] += mb
 		}
 	}
-	served := s.Served()
 	for n := range want {
-		if math.Abs(served[n]-want[n]) > 1e-6 {
-			t.Fatalf("served[%d] = %v, run says %v", n, served[n], want[n])
+		if math.Abs(s.served[n]-want[n]) > 1e-6 {
+			t.Fatalf("served[%d] = %v, run says %v", n, s.served[n], want[n])
 		}
 	}
 	// Both jobs drained, so the reconciled load equals the actual profile.
-	load := s.Load()
 	for n := range want {
-		if math.Abs(load[n]-want[n]) > 1e-6 {
-			t.Fatalf("load[%d] = %v after both jobs finished, want %v", n, load[n], want[n])
+		if math.Abs(s.load[n]-want[n]) > 1e-6 {
+			t.Fatalf("load[%d] = %v after both jobs finished, want %v", n, s.load[n], want[n])
 		}
 	}
 }
@@ -239,7 +244,7 @@ func TestMultiDataJobsUseMatchingPlanner(t *testing.T) {
 	if src == nil {
 		t.Fatal("no source for multi-data job")
 	}
-	if err := s.Plan(0).Validate(rig.Prob); err != nil {
+	if err := drained(src, rig.Prob).Validate(rig.Prob); err != nil {
 		t.Fatalf("multi-data plan invalid: %v", err)
 	}
 }

@@ -8,7 +8,7 @@
 //
 // The cache is safe only because invalidation is tied to file-system
 // mutations: fingerprints embed the per-chunk placement epochs of exactly
-// the chunks a problem reads (dfs.Chunk.Epoch via
+// the chunks a problem reads (dfs.FileSystem.ChunkEpoch via
 // core.Problem.AppendCanonical), so a plan computed against stale placement
 // can never be served for a mutated one — the delay-scheduling lesson that
 // cached placement must stay fresh — while mutations to files a problem

@@ -136,8 +136,8 @@ func (n *Network) AddResource(name string, capacity, seekPenalty float64) Resour
 // multiplier must be positive. Rates are recomputed at the next event, so
 // in-flight transfers slow down (or speed up) from the current instant on —
 // the fluid-model analogue of a device losing throughput mid-transfer.
-// Nominal Capacity, and with it Utilization's denominator, is unchanged, so
-// a degraded disk correctly reports low utilization of its rated bandwidth.
+// Nominal Capacity is unchanged, so a degraded disk's WorkMB correctly reads
+// as low utilization of its rated bandwidth.
 func (n *Network) SetScale(id ResourceID, scale float64) {
 	if scale <= 0 || math.IsNaN(scale) || math.IsInf(scale, 0) {
 		panic(fmt.Sprintf("simnet: resource %q scale %v must be positive and finite", n.resources[int(id)].Name, scale))
@@ -151,17 +151,6 @@ func (n *Network) Scale(id ResourceID) float64 { return n.resources[id].scale }
 
 // WorkMB reports the megabytes that have moved through resource id so far.
 func (n *Network) WorkMB(id ResourceID) float64 { return n.resources[id].workMB }
-
-// Utilization reports the fraction of resource id's capacity used over the
-// window [since, Now()]: work done divided by capacity times elapsed time.
-// It returns 0 for an empty window.
-func (n *Network) Utilization(id ResourceID, since float64) float64 {
-	elapsed := n.now - since
-	if elapsed <= 0 {
-		return 0
-	}
-	return n.resources[id].workMB / (n.resources[id].Capacity * elapsed)
-}
 
 // Now reports the current virtual time in seconds.
 func (n *Network) Now() float64 { return n.now }
