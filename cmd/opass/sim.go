@@ -80,12 +80,17 @@ func simRun(nodes, chunksPerProc int, chunkMB float64, repl int, strategy opass.
 	var plan *opass.Plan
 	if multi {
 		n := nodes * chunksPerProc
-		for name, sz := range map[string]float64{"/setA": 30, "/setB": 20, "/setC": 10} {
+		// A slice, not a map: the store order decides placement, and -seed
+		// must reproduce the run.
+		for _, set := range []struct {
+			name string
+			mb   float64
+		}{{"/setA", 30}, {"/setB", 20}, {"/setC", 10}} {
 			sizes := make([]float64, n)
 			for i := range sizes {
-				sizes[i] = sz
+				sizes[i] = set.mb
 			}
-			if err := c.StorePieces(name, sizes); err != nil {
+			if err := c.StorePieces(set.name, sizes); err != nil {
 				return nil, err
 			}
 		}

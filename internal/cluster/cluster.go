@@ -140,9 +140,6 @@ func (t *Topology) RackOf(node int) int {
 	return node % t.racks
 }
 
-// NumRacks reports the rack count.
-func (t *Topology) NumRacks() int { return t.racks }
-
 func (t *Topology) check(node int) {
 	if node < 0 || node >= t.n {
 		panic(fmt.Sprintf("cluster: node %d out of range [0,%d)", node, t.n))

@@ -58,8 +58,8 @@ func TestSimulatedLocalReadMatchesCalibration(t *testing.T) {
 
 func TestRackAssignmentRoundRobin(t *testing.T) {
 	topo := NewRacked(8, 3, Marmot())
-	if topo.NumRacks() != 3 {
-		t.Fatalf("racks = %d, want 3", topo.NumRacks())
+	if topo.racks != 3 {
+		t.Fatalf("racks = %d, want 3", topo.racks)
 	}
 	for i := 0; i < 8; i++ {
 		if topo.RackOf(i) != i%3 {

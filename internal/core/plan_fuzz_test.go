@@ -15,8 +15,10 @@ import (
 // replicas, and up to 24 tasks. A mode byte picks single- or multi-input
 // tasks (1–3 inputs), and one input size for every task — so the single-data
 // planner takes its matcher path — or a size per input from a table that
-// includes sub-MB sizes.
-func planSpec(data []byte) layoutSpec {
+// includes sub-MB sizes. Last come a load-capacity weight per process, at
+// least one of them positive, and a bias factor per node; zero bytes draw
+// weight 1 and bias 1.
+func planSpec(data []byte) (s layoutSpec, weights, bias []float64) {
 	next := func(n int) int {
 		if len(data) == 0 {
 			return 0
@@ -26,7 +28,7 @@ func planSpec(data []byte) layoutSpec {
 		return v
 	}
 	sizeTable := []float64{64, 2.5, 1, 0.4, 48}
-	s := layoutSpec{nodes: 1 + next(8)}
+	s = layoutSpec{nodes: 1 + next(8)}
 	for i, procs := 0, 1+next(8); i < procs; i++ {
 		s.procNode = append(s.procNode, next(s.nodes))
 	}
@@ -60,21 +62,36 @@ func planSpec(data []byte) layoutSpec {
 		}
 		s.tasks = append(s.tasks, task)
 	}
-	return s
+	weightTable, biasTable := []float64{1, 0, 0.5, 2, 3}, []float64{1, 0.5, 0.25}
+	positive := false
+	for range s.procNode {
+		w := weightTable[next(len(weightTable))]
+		weights, positive = append(weights, w), positive || w > 0
+	}
+	if !positive {
+		weights[next(len(weights))] = 1
+	}
+	for range s.nodes {
+		bias = append(bias, biasTable[next(len(biasTable))])
+	}
+	return s, weights, bias
 }
 
-// FuzzPlan holds every strategy AssignerFor serves to its contract on
+// FuzzPlan holds every strategy AssignerFor serves, and the opass planner
+// with drawn load-capacity weights and node bias, to its contract on
 // arbitrary small Layout-backed problems: a valid assignment, and each
-// process within its quota — ⌊n/m⌋ or ⌈n/m⌉ tasks, except the single-data
+// process within its quota — ⌊n/m⌋ or ⌈n/m⌉ tasks unweighted, exactly
+// weightedTaskQuotas(n, m, weight·bias) weighted, except the single-data
 // planner on unequal sizes, whose quota is the data share and which is held
 // to it on the tasks its solver matched. On equal sizes the single-data plan
 // must also be maximum-locality: the tasks the matcher placed, times the
-// task size, equal the Edmonds-Karp flow value over the locality graph.
+// task size, equal the Edmonds-Karp flow value over the locality graph
+// under the same quotas.
 func FuzzPlan(f *testing.F) {
 	f.Add([]byte{})
 	// Random byte strings long enough to fill every field: a spread of
-	// equal- and unequal-size, single- and multi-input, racked and flat
-	// problems for the fuzzer to mutate.
+	// equal- and unequal-size, single- and multi-input, racked and flat,
+	// weighted and biased problems for the fuzzer to mutate.
 	rng := rand.New(rand.NewSource(28))
 	for i := 0; i < 8; i++ {
 		seed := make([]byte, 160)
@@ -82,7 +99,7 @@ func FuzzPlan(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		spec := planSpec(data)
+		spec, weights, bias := planSpec(data)
 		p := spec.csrBacked()
 		if err := p.Validate(); err != nil {
 			t.Fatal(err)
@@ -96,17 +113,39 @@ func FuzzPlan(f *testing.F) {
 			total += units[task]
 		}
 		equal := equalSizes(units)
+		type planner struct {
+			as      Assigner
+			weights []float64 // the quota weights it plans under; nil is equal shares
+		}
+		var planners []planner
 		for _, strategy := range []string{"opass", "rank", "random", "greedy"} {
 			as, err := AssignerFor(strategy, 9, spec.multi())
 			if err != nil {
 				t.Fatal(err)
 			}
+			planners = append(planners, planner{as: as})
+		}
+		if spec.multi() {
+			// Bias reorders proposals but leaves Algorithm 1's equal counts.
+			planners = append(planners, planner{as: MultiData{Seed: 9, NodeBias: bias}})
+		} else {
+			wb := make([]float64, m)
+			for proc, node := range p.ProcNode {
+				wb[proc] = weights[proc] * bias[node]
+			}
+			planners = append(planners, planner{SingleData{Seed: 9, Weights: weights, NodeBias: bias}, wb})
+		}
+		for _, pl := range planners {
+			as, name := pl.as, pl.as.Name()
+			if pl.weights != nil {
+				name += " weighted"
+			}
 			a, err := as.Assign(p)
 			if err != nil {
-				t.Fatalf("%s: %v", as.Name(), err)
+				t.Fatalf("%s: %v", name, err)
 			}
 			if err := a.Validate(p); err != nil {
-				t.Fatalf("%s: %v", as.Name(), err)
+				t.Fatalf("%s: %v", name, err)
 			}
 			matched, matchedUnits := 0, make([]int64, m)
 			for task, ok := range a.Matched {
@@ -117,20 +156,27 @@ func FuzzPlan(f *testing.F) {
 			}
 			_, flow := as.(SingleData)
 			if flow && !equal {
-				share, err := shareQuotas(total, m, nil)
+				share, err := shareQuotas(total, m, pl.weights)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for proc, got := range matchedUnits {
 					if got > share[proc] {
-						t.Fatalf("%s: process %d matched %d units over its share %d", as.Name(), proc, got, share[proc])
+						t.Fatalf("%s: process %d matched %d units over its share %d", name, proc, got, share[proc])
 					}
 				}
 				continue
 			}
+			counts := taskQuotas(n, m)
+			if pl.weights != nil {
+				counts = weightedTaskQuotas(n, m, pl.weights)
+			}
 			for proc, list := range a.Lists {
-				if len(list) != n/m && len(list) != (n+m-1)/m {
-					t.Fatalf("%s: process %d owns %d of %d tasks over %d processes", as.Name(), proc, len(list), n, m)
+				if pl.weights != nil && len(list) != counts[proc] {
+					t.Fatalf("%s: process %d owns %d tasks, its weighted quota is %d", name, proc, len(list), counts[proc])
+				}
+				if pl.weights == nil && len(list) != n/m && len(list) != (n+m-1)/m {
+					t.Fatalf("%s: process %d owns %d of %d tasks over %d processes", name, proc, len(list), n, m)
 				}
 			}
 			if !flow {
@@ -138,13 +184,13 @@ func FuzzPlan(f *testing.F) {
 			}
 			ix := NewLocalityIndex(p)
 			quotas := make([]int64, m)
-			for proc, c := range taskQuotas(n, m) {
+			for proc, c := range counts {
 				quotas[proc] = int64(c) * units[0]
 			}
 			oracle := bipartite.AssignMaxLocality(localityGraph(p, ix, scale), quotas, units, bipartite.EdmondsKarp)
 			ix.Release()
 			if got := int64(matched) * units[0]; got != oracle.LocalMB {
-				t.Fatalf("matcher placed %d tasks of %d units = %d, Edmonds-Karp flow %d", matched, units[0], got, oracle.LocalMB)
+				t.Fatalf("%s: matcher placed %d tasks of %d units = %d, Edmonds-Karp flow %d", name, matched, units[0], got, oracle.LocalMB)
 			}
 		}
 	})

@@ -110,7 +110,7 @@ func (fs *FileSystem) ReReplicate() (repaired int) {
 	live := fs.LiveNodes()
 	var touched []ChunkID
 	for _, c := range fs.chunks {
-		if c.deleted || len(c.Replicas) == 0 || len(c.Replicas) >= c.target {
+		if len(c.Replicas) == 0 || len(c.Replicas) >= c.target {
 			continue
 		}
 		added := false
@@ -215,12 +215,6 @@ func (fs *FileSystem) Fsck() []string {
 	}
 	chunkOwner := map[ChunkID]string{}
 	for _, c := range fs.chunks {
-		if c.deleted {
-			if len(c.Replicas) != 0 || len(indexed[c.ID]) != 0 {
-				problems = append(problems, fmt.Sprintf("deleted chunk %d still has replicas", c.ID))
-			}
-			continue
-		}
 		seen := map[int]bool{}
 		for _, r := range c.Replicas {
 			if seen[r] {

@@ -38,8 +38,6 @@ type Chunk struct {
 	SizeMB   float64 // chunk payload size
 	Replicas []int   // distinct node IDs hosting a copy
 
-	// deleted marks a tombstoned chunk (its file was removed).
-	deleted bool
 	// target is this chunk's replication target — per-chunk metadata, as
 	// HDFS keeps per-file replication factors, so layouts built with
 	// AddReplica beyond the Config factor still repair to their real
@@ -375,17 +373,12 @@ func (fs *FileSystem) Files() []string {
 	return append([]string(nil), fs.order...)
 }
 
-// Chunk returns the chunk with the given ID. It panics on IDs of deleted
-// files, so stale references surface immediately.
+// Chunk returns the chunk with the given ID. It panics on an unknown ID.
 func (fs *FileSystem) Chunk(id ChunkID) *Chunk {
 	if int(id) < 0 || int(id) >= len(fs.chunks) {
 		panic(fmt.Sprintf("dfs: chunk %d out of range", id))
 	}
-	c := fs.chunks[int(id)]
-	if c.deleted {
-		panic(fmt.Sprintf("dfs: chunk %d belongs to the deleted file %q", id, c.File))
-	}
-	return c
+	return fs.chunks[int(id)]
 }
 
 // NumChunks reports the total chunk count across all files.
@@ -393,8 +386,8 @@ func (fs *FileSystem) NumChunks() int { return len(fs.chunks) }
 
 // Replicas, ChunkEpoch and ChunkSizeMB are the read-only placement view the
 // planners consume (core.Placement): Chunk(id)'s replica list, placement
-// epoch and size. Like Chunk they panic on an unknown or deleted id, and the
-// replica slice is the ledger's own — callers must not write to it.
+// epoch and size. Like Chunk they panic on an unknown id, and the replica
+// slice is the ledger's own — callers must not write to it.
 func (fs *FileSystem) Replicas(id ChunkID) []int      { return fs.Chunk(id).Replicas }
 func (fs *FileSystem) ChunkEpoch(id ChunkID) uint64   { return fs.Chunk(id).epoch }
 func (fs *FileSystem) ChunkSizeMB(id ChunkID) float64 { return fs.Chunk(id).SizeMB }

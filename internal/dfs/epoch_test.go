@@ -67,9 +67,6 @@ func TestEpochBumpsOnEveryPlacementMutation(t *testing.T) {
 		return err
 	})
 
-	// Deletes release replicas from their nodes.
-	bumped(t, fs, "Delete", true, func() error { return fs.Delete("/b") })
-
 	// Node membership: crash, re-add, pre-declare dead.
 	bumped(t, fs, "Crash", true, func() error {
 		_, _, err := fs.Crash(7)
@@ -89,12 +86,6 @@ func TestEpochBumpsOnEveryPlacementMutation(t *testing.T) {
 	bumped(t, fs, "AddReplica(duplicate)", false, func() error {
 		if err := fs.AddReplica(c.ID, c.Replicas[0]); err == nil {
 			t.Fatal("duplicate add succeeded")
-		}
-		return nil
-	})
-	bumped(t, fs, "Delete(missing)", false, func() error {
-		if err := fs.Delete("/nope"); err == nil {
-			t.Fatal("missing delete succeeded")
 		}
 		return nil
 	})

@@ -51,7 +51,7 @@ func TestPropertyFsckSurvivesMutations(t *testing.T) {
 		}
 		created := 0
 		// liveChunk picks a chunk that still has a replica; ok is false when
-		// crashes and deletes have left none.
+		// crashes have left none.
 		liveChunk := func() (c *Chunk, ok bool) {
 			for try := 0; try < 4*len(fs.chunks); try++ {
 				if c := fs.chunks[rng.Intn(len(fs.chunks))]; len(c.Replicas) > 0 {
@@ -64,10 +64,10 @@ func TestPropertyFsckSurvivesMutations(t *testing.T) {
 			before, epochBefore := snapshotLedger(fs), fs.Epoch()
 			mustFail, repaired := false, false
 			var err error
-			op := rng.Intn(13)
+			op := rng.Intn(12)
 			c, ok := liveChunk()
 			if !ok {
-				op = 8 // nothing left to mutate: write a new file
+				op = 7 // nothing left to mutate: write a new file
 			}
 			switch op {
 			case 0:
@@ -94,29 +94,25 @@ func TestPropertyFsckSurvivesMutations(t *testing.T) {
 				fs.ReReplicate()
 				repaired = true
 			case 7:
-				if len(fs.Files()) > 1 {
-					err = fs.Delete(fs.Files()[rng.Intn(len(fs.Files()))])
-				}
-			case 8:
 				created++
 				_, err = fs.Create(fmt.Sprintf("/more%d", created), float64(1+rng.Intn(6))*64)
-			case 9:
+			case 8:
 				_ = fs.SetReplicationTarget(c.ID, 1+rng.Intn(5))
-			case 10:
+			case 9:
 				// A node rejoins empty, or an empty node is withdrawn.
 				if n := rng.Intn(nodes); fs.dead[n] {
 					err = fs.AddNode(n)
 				} else if len(fs.perNode[n]) == 0 && len(fs.LiveNodes()) > 4 {
 					err = fs.MarkDead(n)
 				}
-			case 11:
+			case 10:
 				mustFail = true
 				if rng.Intn(2) == 0 {
 					_, err = fs.CreateChunks("/bad", []float64{64, 64, -1})
 				} else {
 					_, err = fs.CreateChunksReplicated("/bad", []float64{64, 64}, [][]int{{fs.LiveNodes()[0]}, {nodes}})
 				}
-			case 12:
+			case 11:
 				// The add half succeeds, the remove half cannot: src holds no
 				// copy. The move must fail and roll the add back.
 				mustFail = true
@@ -166,7 +162,7 @@ func TestPropertyFsckSurvivesMutations(t *testing.T) {
 					return false
 				}
 			}
-			if mustFail && op == 11 && (len(fs.chunks) != len(before) || fs.Epoch() != epochBefore) {
+			if mustFail && op == 10 && (len(fs.chunks) != len(before) || fs.Epoch() != epochBefore) {
 				t.Errorf("seed %d step %d: failed create left %d chunks (was %d), epoch %d (was %d)",
 					seed, step, len(fs.chunks), len(before), fs.Epoch(), epochBefore)
 				return false
@@ -188,68 +184,6 @@ func TestFsckDetectsCorruption(t *testing.T) {
 	c.Replicas = append(c.Replicas, 7)
 	if len(fs.Fsck()) == 0 {
 		t.Fatal("fsck missed a replica/index desync")
-	}
-}
-
-func TestDeleteRemovesFileAndReplicas(t *testing.T) {
-	fs := newFS(8, 63)
-	f, _ := fs.Create("/doomed", 64*5)
-	fs.Create("/keeper", 64*3)
-	ids := append([]ChunkID(nil), f.Chunks...)
-	if err := fs.Delete("/doomed"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fs.Stat("/doomed"); err == nil {
-		t.Fatal("stat of deleted file must fail")
-	}
-	for n := 0; n < 8; n++ {
-		for _, id := range fs.HostedBy(n) {
-			for _, gone := range ids {
-				if id == gone {
-					t.Fatalf("node %d still hosts deleted chunk %d", n, id)
-				}
-			}
-		}
-	}
-	if problems := fs.Fsck(); len(problems) != 0 {
-		t.Fatalf("fsck after delete: %v", problems)
-	}
-	// Files() no longer lists it; the keeper survives.
-	files := fs.Files()
-	if len(files) != 1 || files[0] != "/keeper" {
-		t.Fatalf("files = %v", files)
-	}
-	// Tombstoned chunk access panics.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on deleted chunk access")
-		}
-	}()
-	fs.Chunk(ids[0])
-}
-
-func TestDeleteMissingFile(t *testing.T) {
-	fs := newFS(4, 64)
-	if err := fs.Delete("/nope"); err == nil {
-		t.Fatal("deleting a missing file must fail")
-	}
-}
-
-func TestDeleteThenRecreate(t *testing.T) {
-	fs := newFS(8, 65)
-	fs.Create("/a", 64*2)
-	if err := fs.Delete("/a"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fs.Create("/a", 64*4); err != nil {
-		t.Fatalf("recreate after delete: %v", err)
-	}
-	f, _ := fs.Stat("/a")
-	if len(f.Chunks) != 4 {
-		t.Fatalf("recreated file has %d chunks", len(f.Chunks))
-	}
-	if problems := fs.Fsck(); len(problems) != 0 {
-		t.Fatalf("fsck: %v", problems)
 	}
 }
 

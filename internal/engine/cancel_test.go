@@ -86,11 +86,11 @@ func TestRunContextMidRunCancelLeavesNetworkIdle(t *testing.T) {
 			}
 			return []*Result{res}, err
 		}},
-		{"RunJobsContext", func(ctx context.Context, r *rig, probA, probB *core.Problem, srcA, srcB TaskSource, startB float64) ([]*Result, error) {
-			return RunJobsContext(ctx, r.topo, r.fs, []JobSpec{
+		{"RunJobsScheduled", func(ctx context.Context, r *rig, probA, probB *core.Problem, srcA, srcB TaskSource, startB float64) ([]*Result, error) {
+			return RunJobsScheduled(ctx, r.topo, r.fs, []JobSpec{
 				{Problem: probA, Source: srcA},
 				{Problem: probB, Source: srcB, StartAt: startB},
-			})
+			}, nil)
 		}},
 	}
 	for _, tc := range cases {

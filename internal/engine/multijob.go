@@ -81,22 +81,18 @@ type ReadSteerer interface {
 // JobMakespan reports completion-minus-arrival. JobSpec carries no fault
 // schedule: failure injection is an Options (single-job) feature.
 func RunJobs(topo *cluster.Topology, fs *dfs.FileSystem, jobs []JobSpec) ([]*Result, error) {
-	return RunJobsContext(context.Background(), topo, fs, jobs)
+	return RunJobsScheduled(context.Background(), topo, fs, jobs, nil)
 }
 
-// RunJobsContext is RunJobs under cooperative cancellation, with
-// RunContext's abort semantics: every in-flight flow the run started —
-// reads, compute and arrival timers — is torn down, leaving the shared
-// network idle and reusable.
-func RunJobsContext(ctx context.Context, topo *cluster.Topology, fs *dfs.FileSystem, jobs []JobSpec) ([]*Result, error) {
-	return RunJobsScheduled(ctx, topo, fs, jobs, nil)
-}
-
-// RunJobsScheduled is RunJobsContext with a cluster-level scheduler hooked
-// into the arrival events: sched (when non-nil) is consulted as each job's
-// processes are released and may hand the job a freshly planned TaskSource;
-// it is informed of the job's actual per-node service load when the job
-// drains. A nil sched degrades to plain concurrent execution.
+// RunJobsScheduled is RunJobs under cooperative cancellation, with a
+// cluster-level scheduler hooked into the arrival events. A cancelled or
+// expired ctx aborts with RunContext's semantics: every in-flight flow the
+// run started — reads, compute and arrival timers — is torn down, leaving
+// the shared network idle and reusable. sched (when non-nil) is consulted
+// as each job's processes are released and may hand the job a freshly
+// planned TaskSource; it is informed of the job's actual per-node service
+// load when the job drains. A nil sched degrades to plain concurrent
+// execution.
 func RunJobsScheduled(ctx context.Context, topo *cluster.Topology, fs *dfs.FileSystem, jobs []JobSpec, sched ClusterScheduler) ([]*Result, error) {
 	if topo == nil || fs == nil {
 		return nil, fmt.Errorf("engine: RunJobs requires a topology and file system")

@@ -210,9 +210,9 @@ func TestRunJobsScheduledAlreadyCancelled(t *testing.T) {
 	aA, _ := core.SingleData{}.Assign(probA)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	results, err := RunJobsContext(ctx, r.topo, r.fs, []JobSpec{
+	results, err := RunJobsScheduled(ctx, r.topo, r.fs, []JobSpec{
 		{Problem: probA, Source: NewListSource(aA.Lists), Strategy: "a"},
-	})
+	}, nil)
 	if results != nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("results=%v err=%v, want nil results and context.Canceled", results, err)
 	}

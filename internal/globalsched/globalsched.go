@@ -42,13 +42,6 @@ type Options struct {
 	// Seed drives the per-job matchers' repair randomness; job j plans
 	// with Seed+j so jobs do not share coin flips.
 	Seed int64
-	// NodeRack, when non-nil, maps each node to its rack and upgrades both
-	// levers to graded locality tiers: PickRemote prefers the least-served
-	// holder *inside the reader's rack* before crossing an uplink (the
-	// "nearest tier" refinement of OS4M's least-served rule), and each
-	// job's matcher plans with the same rack map (core.Problem.NodeRack).
-	// Nil keeps the rack-oblivious behavior.
-	NodeRack []int
 }
 
 // Scheduler is a cluster-level job-mix scheduler. It implements
@@ -91,12 +84,6 @@ func (s *Scheduler) JobArriving(job int, spec engine.JobSpec, now float64) (engi
 			return nil, fmt.Errorf("globalsched: job %d process on node %d outside %d-node cluster", job, node, s.nodes)
 		}
 	}
-	if p.NodeRack == nil && len(s.opts.NodeRack) > 0 {
-		// Plan the job with the scheduler's rack map so its matcher grades
-		// locality the same way the steerer does (no-op on single-rack
-		// maps — core disables the tier there).
-		p.NodeRack = s.opts.NodeRack
-	}
 	bias := s.biases(p.TotalMB(), p.ProcNode)
 	var as core.Assigner
 	if singleInput(p) {
@@ -138,13 +125,9 @@ func (s *Scheduler) JobFinished(job int, servedMB []float64) {
 }
 
 // PickRemote implements engine.ReadSteerer: a remote read is served by
-// the least-served holder in the nearest tier. With a rack map (tiered
-// steering) the reader's own rack is tried first — the least-served live
-// rack-local holder wins before any cross-rack candidate is considered —
-// and only a rack with no holder at all sends the read over an uplink.
-// Within a tier the holder with the least live serving so far wins (ties
-// broken by lowest node id — deterministic, and immediately
-// self-correcting since the chosen holder's tally grows by the read).
+// the live holder with the least live serving so far (ties broken by the
+// first holder listed — deterministic, and immediately self-correcting
+// since the chosen holder's tally grows by the read).
 // Ownership bias cannot place this load: a remote read under the default
 // HDFS policy lands on a uniformly-random holder, which is exactly the
 // serving variance §III-B quantifies and OS4M eliminates by deciding at
@@ -152,30 +135,13 @@ func (s *Scheduler) JobFinished(job int, servedMB []float64) {
 func (s *Scheduler) PickRemote(reader int, holders []int, sizeMB float64) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rr := s.rackOf(reader)
-	best, bestSame := holders[0], -1
+	best := holders[0]
 	for _, h := range holders {
 		if h != best && h < len(s.served) && s.served[h] < s.served[best] {
 			best = h
 		}
-		if rr >= 0 && s.rackOf(h) == rr &&
-			(bestSame < 0 || (h < len(s.served) && s.served[h] < s.served[bestSame])) {
-			bestSame = h
-		}
-	}
-	if bestSame >= 0 {
-		return bestSame
 	}
 	return best
-}
-
-// rackOf resolves a node's rack under Options.NodeRack, or -1 when the
-// scheduler is rack-oblivious or the node is outside the map.
-func (s *Scheduler) rackOf(node int) int {
-	if len(s.opts.NodeRack) == 0 || node < 0 || node >= len(s.opts.NodeRack) {
-		return -1
-	}
-	return s.opts.NodeRack[node]
 }
 
 // ReadStarted implements engine.ReadSteerer: keep the live per-node

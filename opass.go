@@ -15,27 +15,25 @@
 //
 // # Quick start
 //
-//	c, _ := opass.NewCluster(16)          // 16 simulated nodes
-//	c.Store("/data", 16*10*64)            // 160 chunks of 64 MB, 3-way replicated
+//	c, _ := opass.NewClusterWithOptions(16, opass.Options{}) // 16 nodes, HDFS defaults
+//	c.Store("/data", 16*10*64)                              // 160 chunks of 64 MB, 3-way replicated
 //	plan, _ := c.PlanSingleData(opass.StrategyOpass, "/data")
 //	report, _ := c.Run(plan)
 //	fmt.Println(report)
 //
 // The sub-packages under internal/ hold the building blocks (simnet, dfs,
-// bipartite, core, engine, ...); this package is the stable facade over
-// them.
+// bipartite, core, engine, ...); this package is the one point where an
+// application asks for a plan and runs it, as the paper's ParaView reader
+// and mpiBLAST master do.
 package opass
 
 import (
-	"context"
 	"fmt"
 
-	"opass/internal/advisor"
 	"opass/internal/cluster"
 	"opass/internal/core"
 	"opass/internal/dfs"
 	"opass/internal/engine"
-	"opass/internal/globalsched"
 )
 
 // Strategy names an assignment policy.
@@ -57,29 +55,7 @@ const (
 	StrategyGreedy Strategy = "greedy"
 )
 
-// Master selects the dispatch policy of a dynamic (master/worker) run.
-type Master string
-
-// delayMaxSkips is the D parameter of MasterDelay: how many times an idle
-// worker may be asked to wait before it receives a non-local task.
-const delayMaxSkips = 3
-
-// Dynamic masters.
-const (
-	// MasterAuto follows the plan's strategy: Opass plans use the §IV-D
-	// scheduler, others the random master.
-	MasterAuto Master = ""
-	// MasterOpass uses the §IV-D guideline lists with locality-aware
-	// stealing.
-	MasterOpass Master = "opass"
-	// MasterRandom hands an idle worker a uniformly random remaining task.
-	MasterRandom Master = "random"
-	// MasterDelay uses delay scheduling (Zaharia et al., EuroSys'10): an
-	// idle worker briefly waits for a local task before accepting any.
-	MasterDelay Master = "delay"
-)
-
-// Options configures a simulated cluster.
+// Options configures a simulated cluster; zero fields take HDFS defaults.
 type Options struct {
 	// Replication is the chunk replication factor (default 3).
 	Replication int
@@ -87,11 +63,6 @@ type Options struct {
 	ChunkMB float64
 	// Seed makes all placement and scheduling randomness reproducible.
 	Seed int64
-	// Placement overrides the replica placement policy (default: uniform
-	// random, like HDFS seen from an external writer).
-	Placement dfs.Placement
-	// Racks spreads nodes round-robin over this many racks (default 1).
-	Racks int
 }
 
 // Cluster is a simulated compute/storage cluster running a distributed
@@ -102,39 +73,21 @@ type Cluster struct {
 	seed int64
 }
 
-// NewCluster builds a cluster of n nodes with default options.
-func NewCluster(n int) (*Cluster, error) {
-	return NewClusterWithOptions(n, Options{})
-}
-
 // NewClusterWithOptions builds a cluster of n nodes, calibrated to the
-// Marmot testbed used in the paper.
+// Marmot testbed used in the paper. Replicas are placed uniformly at
+// random, like HDFS seen from an external writer.
 func NewClusterWithOptions(n int, opts Options) (*Cluster, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("opass: cluster size %d must be positive", n)
 	}
-	racks := opts.Racks
-	if racks <= 0 {
-		racks = 1
-	}
-	topo := cluster.NewRacked(n, racks, cluster.Marmot())
+	topo := cluster.New(n, cluster.Marmot())
 	fs := dfs.New(topo, dfs.Config{
 		ChunkSizeMB: opts.ChunkMB,
 		Replication: opts.Replication,
-		Placement:   opts.Placement,
 		Seed:        opts.Seed,
 	})
 	return &Cluster{topo: topo, fs: fs, seed: opts.Seed}, nil
 }
-
-// Topology exposes the underlying simulated hardware.
-func (c *Cluster) Topology() *cluster.Topology { return c.topo }
-
-// FS exposes the underlying distributed file system.
-func (c *Cluster) FS() *dfs.FileSystem { return c.fs }
-
-// NumNodes reports the cluster size.
-func (c *Cluster) NumNodes() int { return c.topo.NumNodes() }
 
 // Store writes a file of sizeMB into the DFS, chunked and replicated.
 func (c *Cluster) Store(name string, sizeMB float64) error {
@@ -172,12 +125,17 @@ type Plan struct {
 // Locality is the planned fraction of data that will be read locally.
 func (p *Plan) Locality() float64 { return p.Assignment.LocalityFraction() }
 
-func (c *Cluster) assigner(s Strategy, multi bool) (core.Assigner, error) {
+// plan assigns prob's tasks under strategy s.
+func (c *Cluster) plan(s Strategy, prob *core.Problem, multi bool) (*Plan, error) {
 	as, err := core.AssignerFor(string(s), c.seed, multi)
 	if err != nil {
 		return nil, fmt.Errorf("opass: %w", err)
 	}
-	return as, nil
+	a, err := as.Assign(prob)
+	if err != nil {
+		return nil, err
+	}
+	return &Plan{Strategy: s, Assignment: a, Problem: prob}, nil
 }
 
 // PlanSingleData assigns one task per chunk of the given files, with every
@@ -188,23 +146,13 @@ func (c *Cluster) PlanSingleData(s Strategy, files ...string) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	prob.SetNodeRacksFromView(c.fs.View())
-	as, err := c.assigner(s, false)
-	if err != nil {
-		return nil, err
-	}
-	a, err := as.Assign(prob)
-	if err != nil {
-		return nil, err
-	}
-	return &Plan{Strategy: s, Assignment: a, Problem: prob}, nil
+	return c.plan(s, prob, false)
 }
 
 // PlanMultiData assigns multi-input tasks — Algorithm 1 under
 // StrategyOpass.
 func (c *Cluster) PlanMultiData(s Strategy, tasks []TaskSpec) (*Plan, error) {
 	prob := &core.Problem{ProcNode: c.procNodes(), FS: c.fs}
-	prob.SetNodeRacksFromView(c.fs.View())
 	for i, spec := range tasks {
 		task := core.Task{ID: i}
 		for _, ref := range spec.Inputs {
@@ -220,127 +168,17 @@ func (c *Cluster) PlanMultiData(s Strategy, tasks []TaskSpec) (*Plan, error) {
 		}
 		prob.Tasks = append(prob.Tasks, task)
 	}
-	as, err := c.assigner(s, true)
-	if err != nil {
-		return nil, err
-	}
-	a, err := as.Assign(prob)
-	if err != nil {
-		return nil, err
-	}
-	return &Plan{Strategy: s, Assignment: a, Problem: prob}, nil
+	return c.plan(s, prob, true)
 }
 
-// AsDynamic converts a static plan into a dynamic master/worker plan whose
-// master follows the §IV-D rules (own list first, then locality-aware
-// stealing from the longest list).
+// AsDynamic converts a static plan into a dynamic master/worker plan. An
+// Opass or greedy plan's master follows the §IV-D rules (own list first,
+// then locality-aware stealing from the longest list); any other plan's
+// master hands an idle worker a uniformly random remaining task.
 func (p *Plan) AsDynamic() *Plan {
 	cp := *p
 	cp.Dynamic = true
 	return &cp
-}
-
-// RedistributionPlan describes the replica migrations that would make a
-// plan fully local, and their cost.
-type RedistributionPlan struct {
-	// Migrations counts planned replica moves; MovedMB their total traffic.
-	Migrations int
-	MovedMB    float64
-	// BreakEvenRuns is MovedMB divided by the remote traffic the plan
-	// incurs per execution — how many runs amortize the migration.
-	BreakEvenRuns float64
-
-	inner *core.RedistributionPlan
-	fs    *dfs.FileSystem
-}
-
-// PlanRedistribution computes the replica moves that would make every read
-// of the plan local (the MRAP-style extension the paper cites as beyond
-// scope). The cluster is not modified until Apply is called.
-func (c *Cluster) PlanRedistribution(p *Plan) (*RedistributionPlan, error) {
-	inner, err := core.PlanRedistribution(c.fs, p.Problem, p.Assignment)
-	if err != nil {
-		return nil, err
-	}
-	return &RedistributionPlan{
-		Migrations:    len(inner.Migrations),
-		MovedMB:       inner.MovedMB,
-		BreakEvenRuns: inner.BreakEvenRuns,
-		inner:         inner,
-		fs:            c.fs,
-	}, nil
-}
-
-// Apply executes the planned migrations against the cluster's file system.
-func (rp *RedistributionPlan) Apply() error {
-	return rp.inner.Apply(rp.fs)
-}
-
-// NodeFailure schedules a DataNode crash during a run (see RunOptions).
-type NodeFailure = engine.NodeFailure
-
-// AdvisorOptions tunes the adaptive replication advisor (NewAdvisor).
-type AdvisorOptions struct {
-	// Interval is the advisory period in seconds of virtual time. The
-	// default is a quarter of the access-score decay half-life, which is
-	// roughly ten uncontended local chunk reads: long enough to see a
-	// workload's shape, short enough that last phase's heat goes stale.
-	Interval float64
-}
-
-// Advisor is the adaptive replication loop bound to one cluster: reads
-// recorded by runs feed its access accounting, and periodic passes during
-// advised runs re-point replicas at the demand (see RunOptions.Advisor).
-type Advisor struct {
-	inner    *advisor.Advisor
-	interval float64
-}
-
-// AdvisorStats reports an advisor's cumulative actions and the hot/warm/
-// cold classification at its last pass.
-type AdvisorStats struct {
-	Ticks           int
-	ReplicasAdded   int
-	ReplicasRemoved int
-	TargetsRaised   int
-	TargetsLowered  int
-	Hot, Warm, Cold int
-}
-
-// Stats returns the advisor's counters.
-func (a *Advisor) Stats() AdvisorStats {
-	st := a.inner.Stats()
-	return AdvisorStats{
-		Ticks:           st.Ticks,
-		ReplicasAdded:   st.ReplicasAdded,
-		ReplicasRemoved: st.ReplicasRemoved,
-		TargetsRaised:   st.TargetsRaised,
-		TargetsLowered:  st.TargetsLowered,
-		Hot:             st.Hot,
-		Warm:            st.Warm,
-		Cold:            st.Cold,
-	}
-}
-
-// NewAdvisor enables per-chunk access accounting on the cluster's file
-// system and builds a replication advisor over it. Pass the advisor to
-// RunWithOptions to let it adjust replication while plans execute; runs
-// without it still feed the accounting.
-func (c *Cluster) NewAdvisor(opts AdvisorOptions) (*Advisor, error) {
-	halfLife := 10 * c.topo.UncontendedLocalRead(c.fs.Config().ChunkSizeMB)
-	interval := opts.Interval
-	if interval == 0 {
-		interval = halfLife / 4
-	}
-	if interval <= 0 {
-		return nil, fmt.Errorf("opass: advisor interval %v must be positive", interval)
-	}
-	c.fs.EnableAccessStats(halfLife)
-	inner, err := advisor.New(c.fs, advisor.Options{})
-	if err != nil {
-		return nil, err
-	}
-	return &Advisor{inner: inner, interval: interval}, nil
 }
 
 // RunOptions tune an execution.
@@ -348,17 +186,6 @@ type RunOptions struct {
 	// ComputeTime, when non-nil, gives each task's post-read compute time
 	// in seconds.
 	ComputeTime func(task int) float64
-	// Master selects the dispatch policy for dynamic plans (MasterAuto
-	// follows the plan's strategy).
-	Master Master
-	// Failures schedules DataNode crashes during the run; in-flight reads
-	// served by a crashed node fail over to surviving replicas.
-	Failures []NodeFailure
-	// Advisor, when non-nil, runs adaptive replication passes during the
-	// execution (static plans only): the advisor may add, remove or re-point
-	// replicas mid-run, and the not-yet-started backlog is re-matched
-	// against the new placement after every pass that changed something.
-	Advisor *Advisor
 }
 
 // Run executes a plan on the cluster and reports the trace statistics.
@@ -373,177 +200,27 @@ func (c *Cluster) RunWithOptions(p *Plan, opts RunOptions) (*Report, error) {
 		FS:          c.fs,
 		Problem:     p.Problem,
 		ComputeTime: opts.ComputeTime,
-		Failures:    opts.Failures,
 		Strategy:    string(p.Strategy),
-	}
-	if opts.Advisor != nil {
-		if p.Dynamic {
-			return nil, fmt.Errorf("opass: the replication advisor requires a static plan (dynamic backlogs cannot be re-matched)")
-		}
-		eopts.Advisor = opts.Advisor.inner
-		eopts.AdvisorInterval = opts.Advisor.interval
-		eopts.Replan = true
-		eopts.ReplanSeed = c.seed
 	}
 	var (
 		res *engine.Result
 		err error
 	)
-	if p.Dynamic {
-		master := opts.Master
-		if master == MasterAuto {
-			if p.Strategy == StrategyOpass || p.Strategy == StrategyGreedy {
-				master = MasterOpass
-			} else {
-				master = MasterRandom
-			}
-		}
-		var src engine.TaskSource
-		switch master {
-		case MasterOpass:
-			src, err = core.NewDynamicScheduler(p.Problem, p.Assignment)
-			if err != nil {
-				return nil, err
-			}
-		case MasterDelay:
-			src = engine.NewDelayDispatcher(p.Problem, delayMaxSkips)
-		case MasterRandom:
-			src = core.NewRandomDispatcher(p.Problem, c.seed)
-		default:
-			return nil, fmt.Errorf("opass: unknown master %q", master)
-		}
-		res, err = engine.Run(eopts, src)
-	} else {
+	switch {
+	case !p.Dynamic:
 		res, err = engine.RunAssignment(eopts, p.Assignment)
+	case p.Strategy == StrategyOpass || p.Strategy == StrategyGreedy:
+		var sched *core.DynamicScheduler
+		if sched, err = core.NewDynamicScheduler(p.Problem, p.Assignment); err == nil {
+			res, err = engine.Run(eopts, sched)
+		}
+	default:
+		res, err = engine.Run(eopts, core.NewRandomDispatcher(p.Problem, c.seed))
 	}
 	if err != nil {
 		return nil, err
 	}
 	return newReport(res), nil
-}
-
-// RunConcurrent executes several plans simultaneously on the cluster — the
-// shared-cluster scenario of §V-C1, where one application's reads contend
-// with another's. Dynamic plans use their strategy's master; static plans
-// walk their lists. Reports are returned in plan order.
-func (c *Cluster) RunConcurrent(plans []*Plan) ([]*Report, error) {
-	return c.RunConcurrentContext(context.Background(), plans)
-}
-
-// RunConcurrentContext is RunConcurrent under cooperative cancellation: a
-// cancelled or expired context aborts the mix mid-simulation, tearing down
-// every in-flight flow so the cluster's network returns to idle.
-func (c *Cluster) RunConcurrentContext(ctx context.Context, plans []*Plan) ([]*Report, error) {
-	jobs := make([]engine.JobSpec, len(plans))
-	for i, p := range plans {
-		var src engine.TaskSource
-		if p.Dynamic {
-			if p.Strategy == StrategyOpass || p.Strategy == StrategyGreedy {
-				sched, err := core.NewDynamicScheduler(p.Problem, p.Assignment)
-				if err != nil {
-					return nil, err
-				}
-				src = sched
-			} else {
-				src = core.NewRandomDispatcher(p.Problem, c.seed+int64(i))
-			}
-		} else {
-			src = engine.NewListSource(p.Assignment.Lists)
-		}
-		jobs[i] = engine.JobSpec{
-			Problem:  p.Problem,
-			Source:   src,
-			Strategy: string(p.Strategy),
-		}
-	}
-	results, err := engine.RunJobsContext(ctx, c.topo, c.fs, jobs)
-	if err != nil {
-		return nil, err
-	}
-	reports := make([]*Report, len(results))
-	for i, res := range results {
-		reports[i] = newReport(res)
-	}
-	return reports, nil
-}
-
-// JobMixJob is one application of a staggered job mix: a planned problem
-// and its arrival time.
-type JobMixJob struct {
-	// Plan carries the job's problem. Under global scheduling only the
-	// problem matters — the scheduler replans it at arrival against the
-	// residual cluster; Plan.Assignment is the job's isolated fallback.
-	Plan *Plan
-	// StartAt is the job's arrival delay in seconds of virtual time.
-	StartAt float64
-}
-
-// JobMixOptions tunes RunJobMix.
-type JobMixOptions struct {
-	// Balance is the locality-vs-global-balance knob in [0, 1] (see
-	// internal/globalsched): 0 plans each job in isolation even at arrival,
-	// 1 plans purely by residual node headroom.
-	Balance float64
-	// Isolated disables the cluster scheduler entirely: every job runs its
-	// own precomputed Plan.Assignment — the uncoordinated baseline the
-	// globally-scheduled run is compared against.
-	Isolated bool
-}
-
-// RunJobMix executes a staggered mix of jobs under the cluster-level
-// scheduler (or, with Isolated, as uncoordinated per-job plans). Each
-// report's JobMakespan is measured from the job's own arrival.
-func (c *Cluster) RunJobMix(jobs []JobMixJob, opts JobMixOptions) ([]*Report, error) {
-	return c.RunJobMixContext(context.Background(), jobs, opts)
-}
-
-// RunJobMixContext is RunJobMix under cooperative cancellation.
-func (c *Cluster) RunJobMixContext(ctx context.Context, jobs []JobMixJob, opts JobMixOptions) ([]*Report, error) {
-	specs := make([]engine.JobSpec, len(jobs))
-	for i, j := range jobs {
-		if j.Plan == nil {
-			return nil, fmt.Errorf("opass: job %d has no plan", i)
-		}
-		specs[i] = engine.JobSpec{
-			Problem:  j.Plan.Problem,
-			Strategy: string(j.Plan.Strategy),
-			StartAt:  j.StartAt,
-		}
-		if opts.Isolated {
-			specs[i].Source = engine.NewListSource(j.Plan.Assignment.Lists)
-		}
-	}
-	var sched engine.ClusterScheduler
-	if !opts.Isolated {
-		gsOpts := globalsched.Options{
-			Balance: opts.Balance,
-			Seed:    c.seed,
-		}
-		if c.topo.NumRacks() > 1 {
-			racks := make([]int, c.topo.NumNodes())
-			for i := range racks {
-				racks[i] = c.topo.RackOf(i)
-			}
-			gsOpts.NodeRack = racks
-		}
-		gs, err := globalsched.New(c.NumNodes(), gsOpts)
-		if err != nil {
-			return nil, err
-		}
-		sched = gs
-		for i := range specs {
-			specs[i].Strategy = "globalsched"
-		}
-	}
-	results, err := engine.RunJobsScheduled(ctx, c.topo, c.fs, specs, sched)
-	if err != nil {
-		return nil, err
-	}
-	reports := make([]*Report, len(results))
-	for i, res := range results {
-		reports[i] = newReport(res)
-	}
-	return reports, nil
 }
 
 func (c *Cluster) procNodes() []int {

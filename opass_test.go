@@ -4,12 +4,11 @@ import (
 	"strings"
 	"testing"
 
-	"opass/internal/dfs"
 	"opass/internal/report"
 )
 
 func TestQuickstartFlow(t *testing.T) {
-	c, err := NewCluster(16)
+	c, err := NewClusterWithOptions(16, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,10 +147,10 @@ func TestDynamicPlanExecution(t *testing.T) {
 }
 
 func TestBadInputs(t *testing.T) {
-	if _, err := NewCluster(0); err == nil {
+	if _, err := NewClusterWithOptions(0, Options{}); err == nil {
 		t.Fatal("zero nodes must fail")
 	}
-	c, _ := NewCluster(4)
+	c, _ := NewClusterWithOptions(4, Options{})
 	if _, err := c.PlanSingleData(StrategyOpass, "/missing"); err == nil {
 		t.Fatal("missing file must fail")
 	}
@@ -166,7 +165,7 @@ func TestBadInputs(t *testing.T) {
 	}
 	// A non-positive piece fails the whole store: no chunk, no stored
 	// megabyte and no epoch bump may survive it.
-	fs := c.FS()
+	fs := c.fs
 	chunks, stored, epoch := fs.NumChunks(), fs.TotalStoredMB(), fs.Epoch()
 	if err := c.StorePieces("/pieces", []float64{64, 0}); err == nil {
 		t.Fatal("non-positive piece must fail")
@@ -182,8 +181,6 @@ func TestOptionsPropagate(t *testing.T) {
 		Replication: 2,
 		ChunkMB:     32,
 		Seed:        9,
-		Placement:   dfs.RoundRobinPlacement{},
-		Racks:       2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -191,17 +188,14 @@ func TestOptionsPropagate(t *testing.T) {
 	if err := c.Store("/data", 6*32); err != nil {
 		t.Fatal(err)
 	}
-	if c.FS().NumChunks() != 6 {
-		t.Fatalf("chunks = %d, want 6 (32 MB chunk size)", c.FS().NumChunks())
+	if c.fs.NumChunks() != 6 {
+		t.Fatalf("chunks = %d, want 6 (32 MB chunk size)", c.fs.NumChunks())
 	}
-	locs, _ := c.FS().BlockLocations("/data")
+	locs, _ := c.fs.BlockLocations("/data")
 	for _, l := range locs {
 		if len(l.Replicas) != 2 {
 			t.Fatalf("replication = %d, want 2", len(l.Replicas))
 		}
-	}
-	if c.Topology().NumRacks() != 2 {
-		t.Fatal("racks option lost")
 	}
 }
 
@@ -229,8 +223,11 @@ func TestGreedyStrategyFacade(t *testing.T) {
 	}
 }
 
+// TestMasterSelection runs every strategy's plan through its dynamic
+// master: the §IV-D scheduler for opass and greedy, the random dispatcher
+// for the rest.
 func TestMasterSelection(t *testing.T) {
-	build := func() (*Cluster, *Plan) {
+	for _, s := range []Strategy{StrategyOpass, StrategyGreedy, StrategyRank, StrategyRandom} {
 		c, err := NewClusterWithOptions(8, Options{Seed: 12})
 		if err != nil {
 			t.Fatal(err)
@@ -238,167 +235,17 @@ func TestMasterSelection(t *testing.T) {
 		if err := c.Store("/data", 8*5*64); err != nil {
 			t.Fatal(err)
 		}
-		plan, err := c.PlanSingleData(StrategyOpass, "/data")
+		plan, err := c.PlanSingleData(s, "/data")
 		if err != nil {
 			t.Fatal(err)
 		}
-		return c, plan.AsDynamic()
-	}
-	for _, master := range []Master{MasterAuto, MasterOpass, MasterRandom, MasterDelay} {
-		c, plan := build()
-		rep, err := c.RunWithOptions(plan, RunOptions{Master: master})
+		rep, err := c.Run(plan.AsDynamic())
 		if err != nil {
-			t.Fatalf("master %q: %v", master, err)
+			t.Fatalf("%s: %v", s, err)
 		}
 		if rep.TasksRun != 40 {
-			t.Fatalf("master %q ran %d tasks", master, rep.TasksRun)
+			t.Fatalf("%s master ran %d tasks, want 40", s, rep.TasksRun)
 		}
-	}
-	c, plan := build()
-	if _, err := c.RunWithOptions(plan, RunOptions{Master: Master("bogus")}); err == nil {
-		t.Fatal("bogus master must fail")
-	}
-}
-
-func TestFacadeRedistribution(t *testing.T) {
-	c, err := NewClusterWithOptions(8, Options{Seed: 21, Placement: dfs.ClusteredPlacement{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Store("/data", 8*5*64); err != nil {
-		t.Fatal(err)
-	}
-	plan, err := c.PlanSingleData(StrategyOpass, "/data")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Locality() >= 1 {
-		t.Fatal("fixture should start partially local")
-	}
-	rp, err := c.PlanRedistribution(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rp.Migrations == 0 || rp.MovedMB == 0 {
-		t.Fatalf("empty redistribution plan: %+v", rp)
-	}
-	if err := rp.Apply(); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := c.Run(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.LocalFraction != 1.0 {
-		t.Fatalf("post-migration locality %v", rep.LocalFraction)
-	}
-}
-
-func TestFacadeFailureInjection(t *testing.T) {
-	c, err := NewClusterWithOptions(8, Options{Seed: 22})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Store("/data", 8*10*64); err != nil {
-		t.Fatal(err)
-	}
-	plan, err := c.PlanSingleData(StrategyOpass, "/data")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := c.RunWithOptions(plan, RunOptions{
-		Failures: []NodeFailure{{Node: 2, At: 1.0}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.TasksRun != 80 {
-		t.Fatalf("tasks = %d", rep.TasksRun)
-	}
-	if rep.LocalFraction >= 1.0 {
-		t.Fatalf("crash should cost some locality: %v", rep.LocalFraction)
-	}
-}
-
-func TestRunConcurrent(t *testing.T) {
-	c, err := NewClusterWithOptions(8, Options{Seed: 31})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Store("/a", 8*5*64); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Store("/b", 8*5*64); err != nil {
-		t.Fatal(err)
-	}
-	pa, err := c.PlanSingleData(StrategyOpass, "/a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pb, err := c.PlanSingleData(StrategyRank, "/b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	reports, err := c.RunConcurrent([]*Plan{pa, pb.AsDynamic()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) != 2 {
-		t.Fatalf("reports = %d", len(reports))
-	}
-	for i, rep := range reports {
-		if rep.TasksRun != 40 {
-			t.Fatalf("plan %d ran %d tasks", i, rep.TasksRun)
-		}
-	}
-	// The opass job keeps its locality despite the noisy neighbor.
-	if reports[0].LocalFraction < 0.9 {
-		t.Fatalf("opass locality %v under co-running job", reports[0].LocalFraction)
-	}
-}
-
-func TestFacadeAdvisor(t *testing.T) {
-	c, err := NewClusterWithOptions(8, Options{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Store("/hot", 8*4*64); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Store("/cold", 8*4*64); err != nil {
-		t.Fatal(err)
-	}
-	adv, err := c.NewAdvisor(AdvisorOptions{Interval: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := c.PlanSingleData(StrategyOpass, "/hot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	budget := c.FS().TotalStoredMB()
-	for i := 0; i < 3; i++ {
-		rep, err := c.RunWithOptions(plan, RunOptions{Advisor: adv})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.TasksRun != 32 {
-			t.Fatalf("run %d executed %d tasks", i, rep.TasksRun)
-		}
-	}
-	st := adv.Stats()
-	if st.Ticks == 0 {
-		t.Fatal("advisor never ticked across three runs")
-	}
-	if got := c.FS().TotalStoredMB(); got > budget+1e-9 {
-		t.Fatalf("stored %v MB exceeds the initial %v MB", got, budget)
-	}
-	if problems := c.FS().Fsck(); len(problems) != 0 {
-		t.Fatalf("fsck after advised runs: %v", problems)
-	}
-	// Dynamic plans have no re-matchable backlog; the advisor is refused.
-	if _, err := c.RunWithOptions(plan.AsDynamic(), RunOptions{Advisor: adv}); err == nil {
-		t.Fatal("advisor accepted a dynamic plan")
 	}
 }
 

@@ -25,15 +25,8 @@ type Report struct {
 	// LocalFraction is the fraction of bytes read from the reader's own
 	// disk.
 	LocalFraction float64
-	// Makespan is the job's virtual execution time in seconds, measured
-	// from the start of the run (which, in a concurrent mix, may predate
-	// the job's arrival).
+	// Makespan is the job's virtual execution time in seconds.
 	Makespan float64
-	// Arrival is when the job's processes were released, relative to run
-	// start (0 for single-job runs); JobMakespan is completion minus
-	// arrival — the latency the job's owner observes in a staggered mix.
-	Arrival     float64
-	JobMakespan float64
 	// Fairness is Jain's index over ServedMB (1.0 = perfectly balanced).
 	Fairness float64
 	// TasksRun counts executed tasks.
@@ -58,8 +51,6 @@ func newReport(res *engine.Result) *Report {
 		Served:        sum.Served,
 		LocalFraction: sum.LocalFraction,
 		Makespan:      sum.Makespan,
-		Arrival:       res.Arrival,
-		JobMakespan:   res.JobMakespan(),
 		Fairness:      sum.Fairness,
 		TasksRun:      sum.Tasks,
 		RackLocalMB:   res.RackLocalMB,
@@ -72,7 +63,7 @@ func newReport(res *engine.Result) *Report {
 func (r *Report) Raw() *engine.Result { return r.res }
 
 // ReportOf wraps a raw engine result in a Report — for tools that drive the
-// execution engine directly (custom sources, multi-job runs, trace replay).
+// execution engine directly, such as opass sim's trace replay.
 func ReportOf(res *engine.Result) *Report { return newReport(res) }
 
 // String renders a one-line summary.
