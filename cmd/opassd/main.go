@@ -8,7 +8,6 @@
 //	opassd [-addr :8700] [-log-format text|json] [-log-level debug|info|warn|error]
 //	       [-quiet] [-drain-timeout 15s] [-max-inflight N] [-queue-wait 2s]
 //	       [-request-timeout 55s] [-plan-cache-entries 4096] [-plan-cache-mb 64]
-//	       [-plan-cache-ttl 5m]
 //	       [-plan-cache-remote host:port] [-plan-cache-remote-timeout 250ms]
 //	       [-plan-cache-remote-namespace opass1] [-plan-cache-remote-ttl 10m]
 //	       [-max-body-mb 1024] [-max-nodes N] [-max-procs N] [-max-tasks N]
@@ -31,9 +30,10 @@
 //
 // Identical plan requests are answered from a fingerprinted plan cache
 // (concurrent identical requests share one planner run): -plan-cache-entries
-// and -plan-cache-mb bound it, -plan-cache-ttl bounds entry age (0 means
-// entries never expire), and -plan-cache-entries=0 disables caching. Cache
-// effectiveness is visible at /metrics as opass_plan_cache_*.
+// and -plan-cache-mb bound it, and -plan-cache-entries=0 disables caching.
+// Entries have no age limit: the fingerprint covers the whole submitted
+// layout, so a cached plan cannot go stale. Cache effectiveness is visible at
+// /metrics as opass_plan_cache_*.
 //
 // -plan-cache-remote points a fleet of opassd replicas at one shared
 // memcached-protocol cache: a plan computed by any replica is published
@@ -41,8 +41,9 @@
 // repeated request costs the fleet exactly one planner run. The backend is
 // best-effort — timeouts and errors fall back to the local planner and are
 // counted as opass_plan_cache_remote_errors_total. -plan-cache-remote-ttl
-// bounds entry age on the backend (0 means no expiry) and
-// -plan-cache-remote-namespace isolates fleets sharing one backend.
+// bounds entry age on the backend (0 means no expiry), which limits how long
+// plans from an older binary are served fleet-wide during a rolling deploy,
+// and -plan-cache-remote-namespace isolates fleets sharing one backend.
 //
 // Request admission limits are tunable: -max-body-mb bounds the request
 // body, -max-nodes/-max-procs/-max-tasks/-max-inputs-per-task bound the
@@ -101,8 +102,6 @@ func main() {
 		"maximum cached plans; 0 disables the plan cache entirely")
 	planCacheMB := flag.Int("plan-cache-mb", httpapi.DefaultPlanCacheMB,
 		"maximum memory the plan cache may hold, in MiB")
-	planCacheTTL := flag.Duration("plan-cache-ttl", httpapi.DefaultPlanCacheTTL,
-		"maximum age of a cached plan; 0 means cached plans never expire")
 	remoteAddr := flag.String("plan-cache-remote", "",
 		"host:port of a shared memcached-protocol plan cache; empty disables the shared tier")
 	remoteTimeout := flag.Duration("plan-cache-remote-timeout", plancache.DefaultRemoteTimeout,
@@ -126,10 +125,6 @@ func main() {
 	entriesOpt := *planCacheEntries
 	if entriesOpt <= 0 {
 		entriesOpt = -1
-	}
-	ttlOpt := *planCacheTTL
-	if ttlOpt <= 0 {
-		ttlOpt = -1
 	}
 	remoteTTLOpt := *remoteTTL
 	if remoteTTLOpt <= 0 {
@@ -162,7 +157,6 @@ func main() {
 		RequestTimeout:      *requestTimeout,
 		PlanCacheEntries:    entriesOpt,
 		PlanCacheMB:         *planCacheMB,
-		PlanCacheTTL:        ttlOpt,
 		RemoteTier:          tier,
 		RemoteTierNamespace: *remoteNamespace,
 		RemoteTierTTL:       remoteTTLOpt,

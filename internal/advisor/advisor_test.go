@@ -77,21 +77,16 @@ func TestTickWithoutTrafficIsQuiet(t *testing.T) {
 // on the node pulling it, with the target raised first. An unread chunk's
 // third copy is trimmed in the same pass to fund it.
 func TestHotChunkGainsReplicaAtRemoteReader(t *testing.T) {
-	fs := dfs.New(view{6}, dfs.Config{
-		Replication: 2,
-		Placement: dfs.FixedPlacement{Replicas: [][]int{
-			{0, 1},                 // /hot
-			{2, 3}, {2, 4}, {3, 4}, // /warm: mildly-read filler
-			{3, 4}, // /old: never read; gains a third copy below
-		}},
-	})
-	if _, err := fs.Create("/hot", 64); err != nil {
+	fs := dfs.New(view{6}, dfs.Config{Replication: 2})
+	if _, err := fs.CreateChunksReplicated("/hot", []float64{64}, [][]int{{0, 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.CreateChunks("/warm", []float64{64, 64, 64}); err != nil {
+	// Mildly-read filler.
+	if _, err := fs.CreateChunksReplicated("/warm", []float64{64, 64, 64}, [][]int{{2, 3}, {2, 4}, {3, 4}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.Create("/old", 64); err != nil {
+	// Never read; gains a third copy below.
+	if _, err := fs.CreateChunksReplicated("/old", []float64{64}, [][]int{{3, 4}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.AddReplica(4, 2); err != nil { // /old now has three copies, target 3
@@ -141,21 +136,16 @@ func TestHotChunkGainsReplicaAtRemoteReader(t *testing.T) {
 // below the mean sheds its excess copy from the fullest node, target lowered
 // first, and never drops below minReplicas.
 func TestColdChunkTrimmedFromMostLoadedHolder(t *testing.T) {
-	fs := dfs.New(view{5}, dfs.Config{
-		Replication: 2,
-		Placement: dfs.FixedPlacement{Replicas: [][]int{
-			{0, 1}, // /cold: never read; gains a third copy below
-			{3, 4}, // /hot
-			{2, 3}, // /ballast: makes node 2 the fullest cold holder
-		}},
-	})
-	if _, err := fs.Create("/cold", 64); err != nil {
+	fs := dfs.New(view{5}, dfs.Config{Replication: 2})
+	// Never read; gains a third copy below.
+	if _, err := fs.CreateChunksReplicated("/cold", []float64{64}, [][]int{{0, 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.Create("/hot", 64); err != nil {
+	if _, err := fs.CreateChunksReplicated("/hot", []float64{64}, [][]int{{3, 4}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.CreateChunks("/ballast", []float64{128}); err != nil {
+	// Makes node 2 the fullest cold holder.
+	if _, err := fs.CreateChunksReplicated("/ballast", []float64{128}, [][]int{{2, 3}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.AddReplica(0, 2); err != nil { // cold now {0, 1, 2}, target 3
@@ -201,11 +191,8 @@ func TestColdChunkTrimmedFromMostLoadedHolder(t *testing.T) {
 // and nothing to trim, a hot chunk cannot gain a copy — space must be freed
 // first.
 func TestBudgetBlocksPromotion(t *testing.T) {
-	fs := dfs.New(view{4}, dfs.Config{
-		Replication: 2,
-		Placement:   dfs.FixedPlacement{Replicas: [][]int{{0, 1}, {2, 3}, {0, 2}, {1, 3}}},
-	})
-	if _, err := fs.CreateChunks("/data", []float64{64, 64, 64, 64}); err != nil {
+	fs := dfs.New(view{4}, dfs.Config{Replication: 2})
+	if _, err := fs.CreateChunksReplicated("/data", []float64{64, 64, 64, 64}, [][]int{{0, 1}, {2, 3}, {0, 2}, {1, 3}}); err != nil {
 		t.Fatal(err)
 	}
 	fs.EnableAccessStats(1e4)
@@ -233,21 +220,16 @@ func TestBudgetBlocksPromotion(t *testing.T) {
 // promote) lets a shifting workload re-point its replicas without ever
 // exceeding the original storage bill.
 func TestTrimFundsPromotionWithinBudget(t *testing.T) {
-	fs := dfs.New(view{6}, dfs.Config{
-		Replication: 2,
-		Placement: dfs.FixedPlacement{Replicas: [][]int{
-			{0, 1},         // /old: formerly hot, now abandoned; 3rd copy below
-			{3, 4},         // /new: the current hotspot
-			{0, 5}, {1, 5}, // warm filler
-		}},
-	})
-	if _, err := fs.Create("/old", 64); err != nil {
+	fs := dfs.New(view{6}, dfs.Config{Replication: 2})
+	// Formerly hot, now abandoned; gains a third copy below.
+	if _, err := fs.CreateChunksReplicated("/old", []float64{64}, [][]int{{0, 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.Create("/new", 64); err != nil {
+	// The current hotspot.
+	if _, err := fs.CreateChunksReplicated("/new", []float64{64}, [][]int{{3, 4}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.CreateChunks("/filler", []float64{64, 64}); err != nil {
+	if _, err := fs.CreateChunksReplicated("/filler", []float64{64, 64}, [][]int{{0, 5}, {1, 5}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.AddReplica(0, 2); err != nil { // old now {0, 1, 2}, target 3

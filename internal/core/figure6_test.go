@@ -7,9 +7,8 @@ import (
 )
 
 // TestAlgorithm1Figure6 reconstructs the Figure 6 walk-through of §IV-C
-// with an explicit co-location table (realized through FixedPlacement:
-// every table cell becomes one single-replica input on that process's
-// node). The two behaviours the paper narrates must both occur:
+// with an explicit co-location table (every table cell becomes one
+// single-replica input on that process's node). The two behaviours the paper narrates must both occur:
 //
 //   - "task t4 has the highest priority to be assigned to process P0
 //     because there is 40 MB of data associated with t4 that can be
@@ -31,7 +30,6 @@ func TestAlgorithm1Figure6(t *testing.T) {
 
 	// Realize the table: chunk k (created in order) lives only on the node
 	// of the process whose cell it encodes.
-	var rows [][]int
 	type cell struct {
 		proc, task int
 		mb         float64
@@ -40,19 +38,15 @@ func TestAlgorithm1Figure6(t *testing.T) {
 	for p := 0; p < procs; p++ {
 		for task := 0; task < tasks; task++ {
 			if table[p][task] > 0 {
-				rows = append(rows, []int{p})
 				cells = append(cells, cell{proc: p, task: task, mb: table[p][task]})
 			}
 		}
 	}
-	fs := dfs.New(view{procs}, dfs.Config{
-		Replication: 1,
-		Placement:   dfs.FixedPlacement{Replicas: rows},
-	})
+	fs := dfs.New(view{procs}, dfs.Config{Replication: 1})
 	prob := &Problem{ProcNode: []int{0, 1, 2, 3}, FS: fs}
 	taskInputs := make([][]Input, tasks)
 	for i, c := range cells {
-		f, err := fs.CreateChunks(itoa(i), []float64{c.mb})
+		f, err := fs.CreateChunksReplicated(itoa(i), []float64{c.mb}, [][]int{{c.proc}})
 		if err != nil {
 			t.Fatal(err)
 		}

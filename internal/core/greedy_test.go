@@ -214,13 +214,10 @@ func TestFewerTasksThanProcs(t *testing.T) {
 	// 2 tasks on a 4-process cluster: the flow planner must still match
 	// both tasks to co-located processes (TotalSize/m would be half a task;
 	// the count-based quota keeps the formulation feasible).
-	fs := dfs.New(view{4}, dfs.Config{
-		Replication: 2,
-		Placement:   dfs.FixedPlacement{Replicas: [][]int{{0, 2}, {1, 3}}},
-	})
+	fs := dfs.New(view{4}, dfs.Config{Replication: 2})
 	prob := &Problem{ProcNode: []int{0, 1, 2, 3}, FS: fs}
-	for i := 0; i < 2; i++ {
-		f, err := fs.CreateChunks(itoa(i), []float64{64})
+	for i, row := range [][]int{{0, 2}, {1, 3}} {
+		f, err := fs.CreateChunksReplicated(itoa(i), []float64{64}, [][]int{row})
 		if err != nil {
 			t.Fatal(err)
 		}

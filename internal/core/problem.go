@@ -98,6 +98,18 @@ func (p *Problem) Validate() error {
 	return nil
 }
 
+// MultiInput reports whether any task reads more than one input: the shape
+// that takes the multi-data planner (Algorithm 1) instead of the single-data
+// flow formulation.
+func (p *Problem) MultiInput() bool {
+	for i := range p.Tasks {
+		if len(p.Tasks[i].Inputs) > 1 {
+			return true
+		}
+	}
+	return false
+}
+
 // NumProcs reports the process count.
 func (p *Problem) NumProcs() int { return len(p.ProcNode) }
 

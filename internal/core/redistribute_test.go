@@ -118,11 +118,8 @@ func TestRedistributionValidatesAssignment(t *testing.T) {
 // so the other's bytes stay remote every run. The old code counted those
 // bytes as eliminated, halving BreakEvenRuns.
 func TestRedistributionSharedChunkAcrossOwners(t *testing.T) {
-	fs := dfs.New(view{4}, dfs.Config{
-		Replication: 2,
-		Placement:   dfs.FixedPlacement{Replicas: [][]int{{2, 3}}},
-	})
-	f, err := fs.CreateChunks("/shared", []float64{64})
+	fs := dfs.New(view{4}, dfs.Config{Replication: 2})
+	f, err := fs.CreateChunksReplicated("/shared", []float64{64}, [][]int{{2, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,15 +170,12 @@ func TestRedistributionSharedChunkAcrossOwners(t *testing.T) {
 // co-located task was reading, so that task turns remote after Apply.
 func TestRedistributionDonatedReplicaResidual(t *testing.T) {
 	// Chunk on {2,3}; node 2 is made the most loaded holder so it donates.
-	fs := dfs.New(view{4}, dfs.Config{
-		Replication: 2,
-		Placement:   dfs.FixedPlacement{Replicas: [][]int{{2, 3}, {2, 3}}},
-	})
-	f, err := fs.CreateChunks("/shared", []float64{64})
+	fs := dfs.New(view{4}, dfs.Config{Replication: 2})
+	f, err := fs.CreateChunksReplicated("/shared", []float64{64}, [][]int{{2, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.CreateChunks("/ballast", []float64{1}); err != nil {
+	if _, err := fs.CreateChunksReplicated("/ballast", []float64{1}, [][]int{{2, 3}}); err != nil {
 		t.Fatal(err) // also on {2,3}: keeps loads equal, Replicas[0]=2 donates
 	}
 	shared := f.Chunks[0]
@@ -220,22 +214,16 @@ func TestRedistributionDonatedReplicaResidual(t *testing.T) {
 // removal, and the old 0..len(LiveNodes()) seeding loop read high-ID holders
 // as hosting nothing, so the most loaded holder was never picked as donor.
 func TestRedistributionDonorAfterNodeRemoval(t *testing.T) {
-	fs := dfs.New(view{8}, dfs.Config{
-		Replication: 2,
-		Placement: dfs.FixedPlacement{Replicas: [][]int{
-			{2, 7}, // the chunk to re-home
-			{3, 7}, // ballast making node 7 the most loaded holder
-			{3, 7},
-		}},
-	})
+	fs := dfs.New(view{8}, dfs.Config{Replication: 2})
 	if err := fs.MarkDead(1); err != nil { // live IDs: {0,2,...,7}, len(LiveNodes())=7
 		t.Fatal(err)
 	}
-	f, err := fs.CreateChunks("/data", []float64{64})
+	f, err := fs.CreateChunksReplicated("/data", []float64{64}, [][]int{{2, 7}}) // the chunk to re-home
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.CreateChunks("/ballast", []float64{128, 128}); err != nil {
+	// Ballast making node 7 the most loaded holder.
+	if _, err := fs.CreateChunksReplicated("/ballast", []float64{128, 128}, [][]int{{3, 7}, {3, 7}}); err != nil {
 		t.Fatal(err)
 	}
 	// Loads: node 2 = 64, node 3 = 256, node 7 = 320 — node 7 must donate.

@@ -32,18 +32,13 @@ func TestBalanceOvershootConverges(t *testing.T) {
 	// Replication 1 so every chunk has exactly one movable copy.
 	// Node 0: 100 + 5x4 = 120 MB. Nodes 1-3: 40 MB each. Mean 60,
 	// threshold 0.1 -> bounds [54, 66].
-	fs := New(testView(4), Config{
-		Replication: 1,
-		Placement: FixedPlacement{Replicas: [][]int{
-			{0}, {0}, {0}, {0}, {0}, {0}, // /big: 100 + 5x4
-			{1}, {2}, {3}, // /n1 /n2 /n3: 40 each
-		}},
-	})
-	if _, err := fs.CreateChunks("/big", []float64{100, 4, 4, 4, 4, 4}); err != nil {
+	fs := New(testView(4), Config{Replication: 1})
+	if _, err := fs.CreateChunksReplicated("/big", []float64{100, 4, 4, 4, 4, 4},
+		[][]int{{0}, {0}, {0}, {0}, {0}, {0}}); err != nil {
 		t.Fatal(err)
 	}
 	for i, n := range []string{"/n1", "/n2", "/n3"} {
-		if _, err := fs.CreateChunks(n, []float64{40}); err != nil {
+		if _, err := fs.CreateChunksReplicated(n, []float64{40}, [][]int{{i + 1}}); err != nil {
 			t.Fatalf("create %s (%d): %v", n, i, err)
 		}
 	}
@@ -85,12 +80,12 @@ func TestBalanceStillConvergesOnUniformChunks(t *testing.T) {
 	for i := range rows {
 		rows[i] = []int{0} // all twelve 10 MB chunks start on node 0
 	}
-	fs := New(testView(4), Config{Replication: 1, Placement: FixedPlacement{Replicas: rows}})
+	fs := New(testView(4), Config{Replication: 1})
 	sizes := make([]float64, 12)
 	for i := range sizes {
 		sizes[i] = 10
 	}
-	if _, err := fs.CreateChunks("/skew", sizes); err != nil {
+	if _, err := fs.CreateChunksReplicated("/skew", sizes, rows); err != nil {
 		t.Fatal(err)
 	}
 	fs.Balance(0.1)
@@ -109,11 +104,8 @@ func TestBalanceStillConvergesOnUniformChunks(t *testing.T) {
 // must roll back the added copy, restore the replication target, and leave
 // the replica list sorted.
 func TestMoveReplicaRollbackRestoresState(t *testing.T) {
-	fs := New(testView(5), Config{
-		Replication: 3,
-		Placement:   FixedPlacement{Replicas: [][]int{{0, 1, 2}}},
-	})
-	f, err := fs.Create("/a", 64)
+	fs := New(testView(5), Config{Replication: 3})
+	f, err := fs.CreateChunksReplicated("/a", []float64{64}, [][]int{{0, 1, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

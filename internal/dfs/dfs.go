@@ -107,8 +107,8 @@ type FileSystem struct {
 	perNode map[int][]ChunkID // node -> hosted chunks
 	dead    map[int]bool      // crashed or not-yet-added nodes
 	// epoch is bumped on every placement mutation. It is atomic because
-	// read-only consumers (plan fingerprinting under an HTTP handler) may
-	// observe it concurrently with an admin mutation on another goroutine.
+	// Epoch promises a monotonic read from any goroutine, including one
+	// polling for placement changes while an admin mutation runs elsewhere.
 	epoch atomic.Uint64
 	// access is the per-chunk access accounting (nil until
 	// EnableAccessStats) feeding the replication advisor.

@@ -186,31 +186,3 @@ func TestFsckDetectsCorruption(t *testing.T) {
 		t.Fatal("fsck missed a replica/index desync")
 	}
 }
-
-func TestFixedPlacement(t *testing.T) {
-	rows := [][]int{{0, 1, 2}, {3, 4, 5}, {1, 3, 7}}
-	fs := New(testView(8), Config{Placement: FixedPlacement{Replicas: rows}})
-	f, err := fs.Create("/a", 64*3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, id := range f.Chunks {
-		c := fs.Chunk(id)
-		want := append([]int(nil), rows[i]...)
-		if len(c.Replicas) != 3 {
-			t.Fatalf("chunk %d replicas %v", i, c.Replicas)
-		}
-		for _, w := range want {
-			if !c.HostedOn(w) {
-				t.Fatalf("chunk %d missing replica on %d", i, w)
-			}
-		}
-	}
-	// More chunks than rows panics.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on missing row")
-		}
-	}()
-	fs.Create("/overflow", 64)
-}

@@ -1,7 +1,6 @@
 package dfs
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
@@ -134,27 +133,6 @@ func (RoundRobinPlacement) Place(_ *rand.Rand, _ ClusterView, live []int, r int,
 		used[n] = true
 	}
 	return out
-}
-
-// FixedPlacement places each chunk exactly where the caller says: chunk
-// with global ID i goes to Replicas[i]. It lets tests and external layout
-// descriptions (e.g. the opassd planning service) reconstruct a real
-// cluster's placement bit-for-bit. Creating more chunks than Replicas has
-// rows panics.
-type FixedPlacement struct {
-	Replicas [][]int
-}
-
-// Place implements Placement.
-func (p FixedPlacement) Place(_ *rand.Rand, _ ClusterView, live []int, r int, c *Chunk) []int {
-	if int(c.ID) >= len(p.Replicas) {
-		panic(fmt.Sprintf("dfs: fixed placement has no row for chunk %d", c.ID))
-	}
-	row := p.Replicas[int(c.ID)]
-	if len(row) != r {
-		panic(fmt.Sprintf("dfs: fixed placement row %d has %d replicas, want %d", c.ID, len(row), r))
-	}
-	return append([]int(nil), row...)
 }
 
 func filter(xs []int, keep func(int) bool) []int {

@@ -113,8 +113,8 @@ func TestReReplicateRestoresFactorAndInvalidatesPlans(t *testing.T) {
 // (the HTTP API's construction) must repair to the chunk's real redundancy,
 // not the config default: replication targets are per-chunk metadata.
 func TestReReplicateHonorsPerChunkTarget(t *testing.T) {
-	fs := New(testView(6), Config{Seed: 15, Replication: 1, Placement: FixedPlacement{Replicas: [][]int{{0}, {1}}}})
-	f, err := fs.CreateChunks("/layout", []float64{64, 64})
+	fs := New(testView(6), Config{Seed: 15, Replication: 1})
+	f, err := fs.CreateChunksReplicated("/layout", []float64{64, 64}, [][]int{{0}, {1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,22 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 
 	"opass/internal/core"
 	"opass/internal/dfs"
 )
+
+// backlog copies each process's not-yet-dispatched tasks out of src, in
+// dispatch order.
+func backlog(src *ListSource) [][]int {
+	out := make([][]int, len(src.lists))
+	for i, list := range src.lists {
+		out[i] = slices.Clone(list[src.pos[i]:])
+	}
+	return out
+}
 
 // affectedSet computes, independently of the replanner, which pending tasks
 // the event at node could have moved: epoch-dirty inputs, inputs with a
@@ -44,7 +55,7 @@ func TestDeltaReplanSplicesOnlyAffectedTasks(t *testing.T) {
 	a := opassAssignment(t, r, seed)
 	src := NewListSource(a.Lists)
 	stamp := core.StampProblem(r.prob)
-	before := src.Pending()
+	before := backlog(src)
 
 	// The event: the victim's DataNode is lost for good and the namenode
 	// drops its replicas (bumping the affected chunks' epochs).
@@ -69,7 +80,7 @@ func TestDeltaReplanSplicesOnlyAffectedTasks(t *testing.T) {
 		t.Fatalf("re-matched %d tasks, affected set has %d", rematched, len(affected))
 	}
 
-	after := src.Pending()
+	after := backlog(src)
 	seen := map[int]int{}
 	for proc, list := range after {
 		// Each process's kept prefix must be its old list minus the affected
@@ -131,7 +142,7 @@ func TestDeltaReplanNoAffectedTasksIsANoOp(t *testing.T) {
 	a := opassAssignment(t, r, 3)
 	src := NewListSource(a.Lists)
 	stamp := core.StampProblem(r.prob)
-	before := src.Pending()
+	before := backlog(src)
 	spliced, rematched, err := ReplanBacklogDelta(r.prob, src, make([]bool, 4), func(int) float64 { return 1 }, 3, spare, stamp)
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +150,7 @@ func TestDeltaReplanNoAffectedTasksIsANoOp(t *testing.T) {
 	if spliced || rematched != 0 {
 		t.Fatalf("no-op event spliced=%v rematched=%d", spliced, rematched)
 	}
-	after := src.Pending()
+	after := backlog(src)
 	for proc := range before {
 		if len(before[proc]) != len(after[proc]) {
 			t.Fatalf("proc %d backlog changed on a no-op event", proc)

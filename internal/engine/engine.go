@@ -133,10 +133,10 @@ type Options struct {
 	// whenever the placement truth changes — permanent crash, repair
 	// completion, recovery, degradation onset or end — and splices the new
 	// lists into the running source, restoring locality instead of letting
-	// it decay into random remote reads. It requires a ReplannableSource
-	// (e.g. ListSource); other sources are left untouched. Processes on
-	// storage-dead nodes get weight 0 and degraded nodes their DiskFactor —
-	// the §IV-D "load capacity" skew — so survivors absorb the backlog
+	// it decay into random remote reads. It applies to a ListSource; other
+	// sources hold no per-process backlog and are left untouched. Processes
+	// on storage-dead nodes get weight 0 and degraded nodes their DiskFactor
+	// — the §IV-D "load capacity" skew — so survivors absorb the backlog
 	// locally.
 	Replan bool
 	// ReplanFull forces every replan to re-match the entire backlog. By
@@ -176,72 +176,88 @@ type AdvisorTicker interface {
 	Tick(now float64) bool
 }
 
-// NodeFailure is one scheduled DataNode crash.
+// NodeFailure is one scheduled DataNode crash. The json tags are the
+// /v1/simulate wire form, which decodes straight into this type.
 type NodeFailure struct {
-	Node int
-	At   float64 // seconds after run start
+	Node int     `json:"node"`
+	At   float64 `json:"at_seconds"` // seconds after run start
 	// RecoverAt, when positive, restores the node's storage service at that
 	// time (a transient outage: the DataNode process restarts with its data
 	// intact, so the namenode metadata never changes). It must be greater
 	// than At. Zero means the crash is permanent.
-	RecoverAt float64
+	RecoverAt float64 `json:"recover_at_seconds,omitempty"`
 }
 
 // NodeDegradation is one scheduled slow-node window: from At to Until
 // (Until 0 = rest of the run) the node's disk runs at DiskFactor and both
 // NIC directions at NICFactor of nominal bandwidth. Factors are in (0, 1].
 type NodeDegradation struct {
-	Node       int
-	At         float64
-	Until      float64
-	DiskFactor float64
-	NICFactor  float64
+	Node       int     `json:"node"`
+	At         float64 `json:"at_seconds"`
+	Until      float64 `json:"until_seconds,omitempty"`
+	DiskFactor float64 `json:"disk_factor"`
+	NICFactor  float64 `json:"nic_factor"`
+}
+
+// ValidateFaults checks a fault model against a cluster with the given
+// number of nodes. It is the one statement of these rules: Options.validate
+// applies it to the run's topology, and the planning service to a submitted
+// request before it plans anything. Every comparison is written so that NaN
+// fails it.
+func ValidateFaults(nodes int, failures []NodeFailure, degradations []NodeDegradation, repairDelay float64) error {
+	for i, f := range failures {
+		switch {
+		case f.Node < 0 || f.Node >= nodes:
+			return fmt.Errorf("engine: failures[%d]: node %d outside the %d-node cluster", i, f.Node, nodes)
+		case !(f.At >= 0):
+			return fmt.Errorf("engine: failures[%d]: time %v must be non-negative", i, f.At)
+		case f.RecoverAt != 0 && !(f.RecoverAt > f.At):
+			return fmt.Errorf("engine: failures[%d]: recovery at %v must be after the failure at %v", i, f.RecoverAt, f.At)
+		}
+	}
+	if !(repairDelay >= 0) {
+		return fmt.Errorf("engine: repair delay %v must be non-negative", repairDelay)
+	}
+	for i, d := range degradations {
+		switch {
+		case d.Node < 0 || d.Node >= nodes:
+			return fmt.Errorf("engine: degradations[%d]: node %d outside the %d-node cluster", i, d.Node, nodes)
+		case !(d.At >= 0):
+			return fmt.Errorf("engine: degradations[%d]: time %v must be non-negative", i, d.At)
+		case d.Until != 0 && !(d.Until > d.At):
+			return fmt.Errorf("engine: degradations[%d]: end %v must be after its start %v", i, d.Until, d.At)
+		case !(d.DiskFactor > 0 && d.DiskFactor <= 1) || !(d.NICFactor > 0 && d.NICFactor <= 1):
+			return fmt.Errorf("engine: degradations[%d]: factors %v/%v must be in (0,1]", i, d.DiskFactor, d.NICFactor)
+		}
+	}
+	return nil
+}
+
+// validateJob is the check every job passes before the loop runs it: a
+// structurally valid problem whose processes all sit on nodes of topo.
+func validateJob(p *core.Problem, topo *cluster.Topology) error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	for _, node := range p.ProcNode {
+		if node < 0 || node >= topo.NumNodes() {
+			return fmt.Errorf("engine: process on node %d outside %d-node topology", node, topo.NumNodes())
+		}
+	}
+	return nil
 }
 
 func (o *Options) validate() error {
 	if o.Topo == nil || o.FS == nil || o.Problem == nil {
 		return fmt.Errorf("engine: options require Topo, FS and Problem")
 	}
-	if err := o.Problem.Validate(); err != nil {
+	if err := validateJob(o.Problem, o.Topo); err != nil {
 		return err
-	}
-	for _, node := range o.Problem.ProcNode {
-		if node < 0 || node >= o.Topo.NumNodes() {
-			return fmt.Errorf("engine: process on node %d outside %d-node topology", node, o.Topo.NumNodes())
-		}
 	}
 	if o.Advisor != nil && o.AdvisorInterval <= 0 {
 		return fmt.Errorf("engine: advisor interval %v must be positive", o.AdvisorInterval)
 	}
-	for _, fail := range o.Failures {
-		if fail.Node < 0 || fail.Node >= o.Topo.NumNodes() {
-			return fmt.Errorf("engine: failure on invalid node %d", fail.Node)
-		}
-		if fail.At < 0 {
-			return fmt.Errorf("engine: failure time %v must be non-negative", fail.At)
-		}
-		if fail.RecoverAt != 0 && fail.RecoverAt <= fail.At {
-			return fmt.Errorf("engine: node %d recovery at %v must be after the failure at %v", fail.Node, fail.RecoverAt, fail.At)
-		}
-	}
-	if o.RepairDelay < 0 {
-		return fmt.Errorf("engine: repair delay %v must be non-negative", o.RepairDelay)
-	}
-	for _, d := range o.Degradations {
-		if d.Node < 0 || d.Node >= o.Topo.NumNodes() {
-			return fmt.Errorf("engine: degradation on invalid node %d", d.Node)
-		}
-		if d.At < 0 {
-			return fmt.Errorf("engine: degradation time %v must be non-negative", d.At)
-		}
-		if d.Until != 0 && d.Until <= d.At {
-			return fmt.Errorf("engine: node %d degradation end %v must be after its start %v", d.Node, d.Until, d.At)
-		}
-		if d.DiskFactor <= 0 || d.DiskFactor > 1 || d.NICFactor <= 0 || d.NICFactor > 1 {
-			return fmt.Errorf("engine: node %d degradation factors %v/%v must be in (0,1]", d.Node, d.DiskFactor, d.NICFactor)
-		}
-	}
-	return nil
+	return ValidateFaults(o.Topo.NumNodes(), o.Failures, o.Degradations, o.RepairDelay)
 }
 
 // ReadRecord describes one chunk read: who read what from where and how

@@ -161,11 +161,8 @@ func (g *gatedSource) Poll(proc int, stalled bool) (int, PollState) {
 // surviving replica instead of hanging or touching the dead node.
 func TestFailureOfNodeWaitingProcDependsOn(t *testing.T) {
 	topo := cluster.New(8, cluster.Marmot())
-	fs := dfs.New(topo, dfs.Config{
-		Seed:      65,
-		Placement: dfs.FixedPlacement{Replicas: [][]int{{2, 3, 4}, {5, 6, 7}}},
-	})
-	if _, err := fs.Create("/data", 2*64); err != nil {
+	fs := dfs.New(topo, dfs.Config{Seed: 65})
+	if _, err := fs.CreateChunksReplicated("/data", []float64{64, 64}, [][]int{{2, 3, 4}, {5, 6, 7}}); err != nil {
 		t.Fatal(err)
 	}
 	prob, err := core.SingleDataProblem(fs, []string{"/data"}, []int{0, 1})

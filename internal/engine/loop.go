@@ -48,9 +48,10 @@ type job struct {
 	computeFactor func(proc int) float64 // Options.ComputeFactor; nil means 1.0
 	poller        PollingSource          // set when the job is released
 	// replannable is the job's source when the run replans and the source
-	// allows it; stamp snapshots the placement epochs of the problem's read
-	// set at release and after every replan, for the delta replanner to diff.
-	replannable ReplannableSource
+	// is a ListSource; stamp snapshots the placement epochs of the problem's
+	// read set at release and after every replan, for the delta replanner to
+	// diff.
+	replannable *ListSource
 	stamp       core.PlanStamp
 	procs       []procState
 	finished    []bool
@@ -353,7 +354,7 @@ func (s *sim) release(j int, now float64) {
 		panic(abortRun{fmt.Errorf("engine: job %d has no task source at arrival", j)})
 	}
 	rt.poller = asPoller(src)
-	if rs, ok := src.(ReplannableSource); ok && s.opts.Replan {
+	if rs, ok := src.(*ListSource); ok && s.opts.Replan {
 		rt.replannable, rt.stamp = rs, core.StampProblem(rt.spec.Problem)
 	}
 	for proc := range rt.procs {

@@ -108,13 +108,8 @@ func RunJobsScheduled(ctx context.Context, topo *cluster.Topology, fs *dfs.FileS
 		if spec.Source == nil && sched == nil {
 			return nil, fmt.Errorf("engine: job %d missing source (only scheduled runs may omit it)", j)
 		}
-		if err := spec.Problem.Validate(); err != nil {
+		if err := validateJob(spec.Problem, topo); err != nil {
 			return nil, fmt.Errorf("engine: job %d: %w", j, err)
-		}
-		for _, node := range spec.Problem.ProcNode {
-			if node < 0 || node >= topo.NumNodes() {
-				return nil, fmt.Errorf("engine: job %d process on invalid node %d", j, node)
-			}
 		}
 		if spec.StartAt < 0 {
 			return nil, fmt.Errorf("engine: job %d negative start time", j)

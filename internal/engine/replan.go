@@ -18,45 +18,12 @@ import (
 // the paper's balanced, local access pattern for the work that has not
 // begun (§III–IV applied online).
 
-// ReplannableSource is a TaskSource whose undispatched backlog can be
-// inspected and replaced mid-run — the seam replanning needs. ListSource
-// implements it; master/worker sources hold no per-process backlog and are
-// left untouched by replanning.
-type ReplannableSource interface {
-	TaskSource
-	// Pending returns each process's not-yet-dispatched tasks in dispatch
-	// order. The caller owns the returned slices.
-	Pending() [][]int
-	// Splice replaces every process's undispatched backlog. len(lists)
-	// must equal the process count; in-flight tasks are unaffected.
-	Splice(lists [][]int)
-}
-
-// Pending implements ReplannableSource.
-func (s *ListSource) Pending() [][]int {
-	out := make([][]int, len(s.lists))
-	for i := range s.lists {
-		out[i] = append([]int(nil), s.lists[i][s.pos[i]:]...)
-	}
-	return out
-}
-
-// Splice implements ReplannableSource.
-func (s *ListSource) Splice(lists [][]int) {
-	if len(lists) != len(s.lists) {
-		panic(fmt.Sprintf("engine: splice %d lists into a %d-process source", len(lists), len(s.lists)))
-	}
-	for i := range lists {
-		s.lists[i] = append([]int(nil), lists[i]...)
-		s.pos[i] = 0
-	}
-}
-
 // ReplanBacklogDelta re-matches the part of src's backlog the placement event
 // at eventNode could have moved against the current placement in p.FS,
-// splices the result back, and leaves everything else queued where it was —
-// the O(delta) replan. stamp must have been captured by core.StampProblem
-// before the event mutated p.FS. A pending task is affected when
+// installs the result as src's new backlog, and leaves everything else
+// queued where it was — the O(delta) replan. stamp must have been captured
+// by core.StampProblem before the event mutated p.FS. A pending task is
+// affected when
 //
 //   - an input chunk's placement epoch changed since stamp (a permanent
 //     crash dropped its replica from the namenode, repair re-created one,
@@ -85,10 +52,9 @@ func (s *ListSource) Splice(lists [][]int) {
 // tasks are appended after each process's kept backlog.
 //
 // It reports whether a splice happened and how many tasks were re-matched.
-func ReplanBacklogDelta(p *core.Problem, src ReplannableSource, finished []bool, weight func(node int) float64, seed int64, eventNode int, stamp core.PlanStamp) (spliced bool, rematched int, err error) {
-	pendingLists := src.Pending()
-	if len(pendingLists) != len(finished) {
-		return false, 0, fmt.Errorf("engine: replan: source reports %d processes, problem has %d", len(pendingLists), len(finished))
+func ReplanBacklogDelta(p *core.Problem, src *ListSource, finished []bool, weight func(node int) float64, seed int64, eventNode int, stamp core.PlanStamp) (spliced bool, rematched int, err error) {
+	if len(src.lists) != len(finished) {
+		return false, 0, fmt.Errorf("engine: replan: source holds %d processes, problem has %d", len(src.lists), len(finished))
 	}
 	full := eventNode < 0
 	affected := func(id, proc int) bool {
@@ -110,12 +76,14 @@ func ReplanBacklogDelta(p *core.Problem, src ReplannableSource, finished []bool,
 		return p.CoLocatedMB(proc, id) == 0
 	}
 
-	kept := make([][]int, len(pendingLists))
-	keptMB := make([]float64, len(pendingLists))
+	// Each process's pending rows are read in place; the source is written
+	// only once the new backlog is complete.
+	kept := make([][]int, len(src.lists))
+	keptMB := make([]float64, len(src.lists))
 	var taskIDs []int
 	var totalMB float64
-	for proc, list := range pendingLists {
-		for _, id := range list {
+	for proc, list := range src.lists {
+		for _, id := range list[src.pos[proc]:] {
 			totalMB += p.Tasks[id].SizeMB()
 			if affected(id, proc) {
 				taskIDs = append(taskIDs, id)
@@ -129,7 +97,7 @@ func ReplanBacklogDelta(p *core.Problem, src ReplannableSource, finished []bool,
 		return false, 0, nil
 	}
 	var alive []int
-	for proc := range pendingLists {
+	for proc := range src.lists {
 		if !finished[proc] {
 			alive = append(alive, proc)
 		}
@@ -185,12 +153,8 @@ func ReplanBacklogDelta(p *core.Problem, src ReplannableSource, finished []bool,
 	for i, proc := range alive {
 		sub.ProcNode[i] = p.ProcNode[proc]
 	}
-	multi := false
 	for i, id := range taskIDs {
 		sub.Tasks[i] = core.Task{ID: i, Inputs: p.Tasks[id].Inputs}
-		if len(p.Tasks[id].Inputs) > 1 {
-			multi = true
-		}
 	}
 
 	// Slack quotas: desired share of the whole backlog minus the data each
@@ -210,7 +174,7 @@ func ReplanBacklogDelta(p *core.Problem, src ReplannableSource, finished []bool,
 	}
 
 	var a *core.Assignment
-	if multi {
+	if sub.MultiInput() {
 		a, err = core.MultiData{Seed: seed}.Assign(sub)
 	} else {
 		sd := core.SingleData{Seed: seed}
@@ -229,23 +193,13 @@ func ReplanBacklogDelta(p *core.Problem, src ReplannableSource, finished []bool,
 		return false, 0, fmt.Errorf("engine: replan: %w", err)
 	}
 
-	lists := kept
 	for i, proc := range alive {
-		lists[proc] = slices.Grow(lists[proc], len(a.Lists[i]))
+		kept[proc] = slices.Grow(kept[proc], len(a.Lists[i]))
 		for _, st := range a.Lists[i] {
-			lists[proc] = append(lists[proc], taskIDs[st])
+			kept[proc] = append(kept[proc], taskIDs[st])
 		}
 	}
-	src.Splice(lists)
+	copy(src.lists, kept)
+	clear(src.pos)
 	return true, len(taskIDs), nil
-}
-
-// ReplanBacklog re-matches src's entire backlog against the current
-// placement in p.FS — the whole-backlog replan the engine uses when no
-// event attribution is available. Exported for embedders driving their own
-// event loops and for the plannerbench replan series; RunContext calls the
-// same code through its fault hooks.
-func ReplanBacklog(p *core.Problem, src ReplannableSource, finished []bool, weight func(node int) float64, seed int64) (bool, error) {
-	spliced, _, err := ReplanBacklogDelta(p, src, finished, weight, seed, -1, core.PlanStamp{})
-	return spliced, err
 }

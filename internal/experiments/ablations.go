@@ -91,7 +91,7 @@ func ReplicationSweep(cfg Config) (*ReplicationResult, error) {
 	nodes := cfg.scale(64)
 	rows, err := sweepPaired([]int{1, 2, 3, 5}, func(r int) rigBuilder {
 		return func() (*workload.Rig, error) {
-			return datasetRig(cluster.New(nodes, cluster.Marmot()), dfs.Config{Seed: cfg.Seed, Replication: r})
+			return datasetRig(cluster.New(nodes, cluster.Marmot()), dfs.Config{Seed: cfg.Seed, Replication: r}, nil)
 		}
 	}, core.SingleData{Seed: cfg.Seed})
 	if err != nil {

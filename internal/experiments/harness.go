@@ -71,11 +71,22 @@ type rigBuilder func() (*workload.Rig, error)
 
 // datasetRig stores the paper's dataset — ten 64 MB chunks per node — on
 // topo under fsCfg and poses the single-data problem with one process per
-// node.
-func datasetRig(topo *cluster.Topology, fsCfg dfs.Config) (*workload.Rig, error) {
+// node. Non-nil rows place chunk i exactly on rows[i] instead of by the
+// configured policy.
+func datasetRig(topo *cluster.Topology, fsCfg dfs.Config, rows [][]int) (*workload.Rig, error) {
 	nodes := topo.NumNodes()
 	fs := dfs.New(topo, fsCfg)
-	if _, err := fs.Create("/dataset", float64(nodes*10*64)); err != nil {
+	var err error
+	if rows == nil {
+		_, err = fs.Create("/dataset", float64(nodes*10*64))
+	} else {
+		sizes := make([]float64, len(rows))
+		for i := range sizes {
+			sizes[i] = 64
+		}
+		_, err = fs.CreateChunksReplicated("/dataset", sizes, rows)
+	}
+	if err != nil {
 		return nil, err
 	}
 	procNode := make([]int, nodes)

@@ -86,7 +86,7 @@ func RackTopology(cfg Config) (*RackStudyResult, error) {
 			// nodes % racks != 0 a uniform nodes/racks sizing both truncates
 			// and misattributes bandwidth across the uneven racks.
 			topo.SetRackOversubscription(4)
-			return datasetRig(topo, dfs.Config{Seed: cfg.Seed, Placement: c.placement})
+			return datasetRig(topo, dfs.Config{Seed: cfg.Seed, Placement: c.placement}, nil)
 		}})
 		if err != nil {
 			return nil, err
@@ -145,9 +145,7 @@ func RackTopology(cfg Config) (*RackStudyResult, error) {
 			runs, err := runArms(arm{plan: core.SingleData{Seed: cfg.Seed}, rig: func() (*workload.Rig, error) {
 				topo := cluster.NewHeterogeneousRacked(profiles, racks)
 				topo.SetRackOversubscription(ratio)
-				rig, err := datasetRig(topo, dfs.Config{
-					Seed: cfg.Seed, Placement: dfs.FixedPlacement{Replicas: rows}, Replication: 1,
-				})
+				rig, err := datasetRig(topo, dfs.Config{Seed: cfg.Seed, Replication: 1}, rows)
 				if err == nil && tiered {
 					rig.Prob.SetNodeRacksFromView(topo)
 				}

@@ -86,10 +86,10 @@ func (s *Scheduler) JobArriving(job int, spec engine.JobSpec, now float64) (engi
 	}
 	bias := s.biases(p.TotalMB(), p.ProcNode)
 	var as core.Assigner
-	if singleInput(p) {
-		as = core.SingleData{Seed: s.opts.Seed + int64(job), NodeBias: bias}
-	} else {
+	if p.MultiInput() {
 		as = core.MultiData{Seed: s.opts.Seed + int64(job), NodeBias: bias}
+	} else {
+		as = core.SingleData{Seed: s.opts.Seed + int64(job), NodeBias: bias}
 	}
 	a, err := as.Assign(p)
 	if err != nil {
@@ -209,17 +209,6 @@ func (s *Scheduler) Load() []float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]float64(nil), s.load...)
-}
-
-// singleInput reports whether every task reads exactly one chunk (the flow
-// planner's domain; anything else goes to the matching planner).
-func singleInput(p *core.Problem) bool {
-	for i := range p.Tasks {
-		if len(p.Tasks[i].Inputs) != 1 {
-			return false
-		}
-	}
-	return true
 }
 
 // plannedLoad estimates the per-node service megabytes of an assignment:

@@ -8,6 +8,7 @@ import (
 
 	"opass/internal/core"
 	"opass/internal/dfs"
+	"opass/internal/engine"
 )
 
 // Default request-decode limits. They are sized for the fleet scale the
@@ -60,12 +61,6 @@ func (l RequestLimits) withDefaults() RequestLimits {
 	return l
 }
 
-// layoutView is the minimal cluster view for a submitted layout.
-type layoutView struct{ n int }
-
-func (v layoutView) NumNodes() int  { return v.n }
-func (v layoutView) RackOf(int) int { return 0 }
-
 // decodeFailure maps a decoder error to the right rejection: a limit the
 // decoder enforced itself keeps its own bucket, a body-limit overrun becomes
 // 413, everything else a generic 400.
@@ -85,7 +80,8 @@ func decodeFailure(err error) *apiError {
 }
 
 // The accepted keys of each object in the request grammar (the json tags of
-// PlanRequest, TaskSpec, InputSpec, FailureSpec and DegradationSpec).
+// PlanRequest, TaskSpec, InputSpec, engine.NodeFailure and
+// engine.NodeDegradation).
 var (
 	requestFields = []string{"nodes", "proc_nodes", "strategy", "seed", "tasks",
 		"failures", "degradations", "replan", "repair", "repair_delay_seconds"}
@@ -132,30 +128,30 @@ func decodeRequest(lx *lexer, lim RequestLimits) (*PlanRequest, *core.Problem, *
 			req.RepairDelaySeconds = lx.float()
 		case "failures":
 			for i := 0; lx.elem(i); i++ {
-				var f FailureSpec
+				var f engine.NodeFailure
 				for seen := uint(0); lx.member(failureFields, &seen); {
 					switch lx.name {
 					case "node":
 						f.Node = lx.int()
 					case "at_seconds":
-						f.AtSeconds = lx.float()
+						f.At = lx.float()
 					case "recover_at_seconds":
-						f.RecoverAtSeconds = lx.float()
+						f.RecoverAt = lx.float()
 					}
 				}
 				req.Failures = append(req.Failures, f)
 			}
 		case "degradations":
 			for i := 0; lx.elem(i); i++ {
-				var d DegradationSpec
+				var d engine.NodeDegradation
 				for seen := uint(0); lx.member(degradationFields, &seen); {
 					switch lx.name {
 					case "node":
 						d.Node = lx.int()
 					case "at_seconds":
-						d.AtSeconds = lx.float()
+						d.At = lx.float()
 					case "until_seconds":
-						d.UntilSeconds = lx.float()
+						d.Until = lx.float()
 					case "disk_factor":
 						d.DiskFactor = lx.float()
 					case "nic_factor":
@@ -229,8 +225,8 @@ func decodeRequest(lx *lexer, lim RequestLimits) (*PlanRequest, *core.Problem, *
 	if numTasks == 0 {
 		return nil, nil, badRequest("invalid", "tasks must be non-empty")
 	}
-	if apiErr := validateFaults(req); apiErr != nil {
-		return nil, nil, apiErr
+	if err := engine.ValidateFaults(req.Nodes, req.Failures, req.Degradations, req.RepairDelaySeconds); err != nil {
+		return nil, nil, badRequest("invalid", "%w", err)
 	}
 	procNodes, apiErr := resolveProcNodes(req, lim)
 	if apiErr != nil {
@@ -289,16 +285,17 @@ func decodeRequest(lx *lexer, lim RequestLimits) (*PlanRequest, *core.Problem, *
 	return req, prob, nil
 }
 
-// mirrorFS builds the in-memory file system /v1/simulate runs against: one
-// bulk-created file holding the layout's chunks in order, so chunk ids are
-// equal by construction. The engine crashes nodes and repairs chunks, which
-// the read-only layout cannot express; /v1/plan never calls this.
-func mirrorFS(nodes int, l *core.Layout) (*dfs.FileSystem, error) {
+// mirrorFS builds the in-memory file system /v1/simulate runs against, over
+// the simulated cluster view: one bulk-created file holding the layout's
+// chunks in order, so chunk ids are equal by construction. The engine
+// crashes nodes and repairs chunks, which the read-only layout cannot
+// express; /v1/plan never calls this.
+func mirrorFS(view dfs.ClusterView, l *core.Layout) (*dfs.FileSystem, error) {
 	rows := make([][]int, len(l.SizesMB))
 	for i := range rows {
 		rows[i] = l.Replicas(dfs.ChunkID(i))
 	}
-	fs := dfs.New(layoutView{nodes}, dfs.Config{Replication: 1})
+	fs := dfs.New(view, dfs.Config{Replication: 1})
 	_, err := fs.CreateChunksReplicated("/layout/tasks", l.SizesMB, rows)
 	return fs, err
 }
@@ -324,39 +321,4 @@ func resolveProcNodes(req *PlanRequest, lim RequestLimits) ([]int, *apiError) {
 		}
 	}
 	return procNodes, nil
-}
-
-// validateFaults rejects malformed fault specs with specific messages
-// before any planning happens — the engine re-validates, but its errors
-// would surface as a 500 after the planner already ran.
-func validateFaults(req *PlanRequest) *apiError {
-	for i, f := range req.Failures {
-		if f.Node < 0 || f.Node >= req.Nodes {
-			return badRequest("invalid", "failures[%d]: node %d outside cluster", i, f.Node)
-		}
-		if f.AtSeconds < 0 {
-			return badRequest("invalid", "failures[%d]: at_seconds must be non-negative", i)
-		}
-		if f.RecoverAtSeconds != 0 && f.RecoverAtSeconds <= f.AtSeconds {
-			return badRequest("invalid", "failures[%d]: recover_at_seconds must be after at_seconds", i)
-		}
-	}
-	for i, d := range req.Degradations {
-		if d.Node < 0 || d.Node >= req.Nodes {
-			return badRequest("invalid", "degradations[%d]: node %d outside cluster", i, d.Node)
-		}
-		if d.AtSeconds < 0 {
-			return badRequest("invalid", "degradations[%d]: at_seconds must be non-negative", i)
-		}
-		if d.UntilSeconds != 0 && d.UntilSeconds <= d.AtSeconds {
-			return badRequest("invalid", "degradations[%d]: until_seconds must be after at_seconds", i)
-		}
-		if !(d.DiskFactor > 0 && d.DiskFactor <= 1) || !(d.NICFactor > 0 && d.NICFactor <= 1) {
-			return badRequest("invalid", "degradations[%d]: disk_factor and nic_factor must be in (0, 1]", i)
-		}
-	}
-	if req.RepairDelaySeconds < 0 {
-		return badRequest("invalid", "repair_delay_seconds must be non-negative")
-	}
-	return nil
 }

@@ -18,6 +18,7 @@ import (
 
 	"opass/internal/core"
 	"opass/internal/dfs"
+	"opass/internal/engine"
 	"opass/internal/telemetry"
 )
 
@@ -48,8 +49,8 @@ func decodeProblemReference(w http.ResponseWriter, r *http.Request, lim RequestL
 	case len(req.Tasks) > lim.Tasks:
 		return nil, nil, badRequest("too_many_tasks", "more than maximum %d tasks", lim.Tasks)
 	}
-	if apiErr := validateFaults(req); apiErr != nil {
-		return nil, nil, apiErr
+	if err := engine.ValidateFaults(req.Nodes, req.Failures, req.Degradations, req.RepairDelaySeconds); err != nil {
+		return nil, nil, badRequest("invalid", "%w", err)
 	}
 	procNodes, apiErr := resolveProcNodes(req, lim)
 	if apiErr != nil {
@@ -81,7 +82,7 @@ func decodeProblemReference(w http.ResponseWriter, r *http.Request, lim RequestL
 			return nil, nil, badRequest("invalid", "task %d has no inputs", ti)
 		}
 	}
-	fs := dfs.New(layoutView{req.Nodes}, dfs.Config{Replication: 1})
+	fs := dfs.New(fsView{req.Nodes}, dfs.Config{Replication: 1})
 	if _, err := fs.CreateChunksReplicated("/layout/tasks", sizes, replicas); err != nil {
 		return nil, nil, &apiError{status: http.StatusInternalServerError, reason: "internal", err: err}
 	}

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"opass/internal/engine"
 	"opass/internal/telemetry"
 )
 
@@ -32,7 +33,7 @@ func TestSimulateWithFaultModel(t *testing.T) {
 	defer srv.Close()
 
 	req := faultRequest("opass")
-	req.Failures = []FailureSpec{{Node: 1, AtSeconds: 0.5}}
+	req.Failures = []engine.NodeFailure{{Node: 1, At: 0.5}}
 	req.Replan = true
 	req.Repair = true
 	req.RepairDelaySeconds = 1.0
@@ -77,7 +78,7 @@ func TestSimulateTransientFailureReportsRecovery(t *testing.T) {
 	defer srv.Close()
 
 	req := faultRequest("opass")
-	req.Failures = []FailureSpec{{Node: 2, AtSeconds: 0.3, RecoverAtSeconds: 1.5}}
+	req.Failures = []engine.NodeFailure{{Node: 2, At: 0.3, RecoverAt: 1.5}}
 	resp, body := post(t, srv, "/v1/simulate", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
@@ -99,20 +100,20 @@ func TestFaultSpecValidation(t *testing.T) {
 	defer srv.Close()
 
 	cases := []func(*PlanRequest){
-		func(r *PlanRequest) { r.Failures = []FailureSpec{{Node: 99, AtSeconds: 1}} },
-		func(r *PlanRequest) { r.Failures = []FailureSpec{{Node: 0, AtSeconds: -1}} },
-		func(r *PlanRequest) { r.Failures = []FailureSpec{{Node: 0, AtSeconds: 2, RecoverAtSeconds: 1}} },
+		func(r *PlanRequest) { r.Failures = []engine.NodeFailure{{Node: 99, At: 1}} },
+		func(r *PlanRequest) { r.Failures = []engine.NodeFailure{{Node: 0, At: -1}} },
+		func(r *PlanRequest) { r.Failures = []engine.NodeFailure{{Node: 0, At: 2, RecoverAt: 1}} },
 		func(r *PlanRequest) {
-			r.Degradations = []DegradationSpec{{Node: 0, AtSeconds: 1, DiskFactor: 0, NICFactor: 1}}
+			r.Degradations = []engine.NodeDegradation{{Node: 0, At: 1, DiskFactor: 0, NICFactor: 1}}
 		},
 		func(r *PlanRequest) {
-			r.Degradations = []DegradationSpec{{Node: 0, AtSeconds: 1, DiskFactor: 0.5, NICFactor: 1.5}}
+			r.Degradations = []engine.NodeDegradation{{Node: 0, At: 1, DiskFactor: 0.5, NICFactor: 1.5}}
 		},
 		func(r *PlanRequest) {
-			r.Degradations = []DegradationSpec{{Node: 0, AtSeconds: 2, UntilSeconds: 1, DiskFactor: 0.5, NICFactor: 0.5}}
+			r.Degradations = []engine.NodeDegradation{{Node: 0, At: 2, Until: 1, DiskFactor: 0.5, NICFactor: 0.5}}
 		},
 		func(r *PlanRequest) {
-			r.Degradations = []DegradationSpec{{Node: 99, AtSeconds: 1, DiskFactor: 0.5, NICFactor: 0.5}}
+			r.Degradations = []engine.NodeDegradation{{Node: 99, At: 1, DiskFactor: 0.5, NICFactor: 0.5}}
 		},
 		func(r *PlanRequest) { r.RepairDelaySeconds = -1 },
 	}
@@ -142,7 +143,7 @@ func TestPlanIgnoresFaultModel(t *testing.T) {
 	}
 
 	req := faultRequest("opass")
-	req.Failures = []FailureSpec{{Node: 1, AtSeconds: 0.5}}
+	req.Failures = []engine.NodeFailure{{Node: 1, At: 0.5}}
 	req.Replan = true
 	resp, body := post(t, srv, "/v1/plan", req)
 	if resp.StatusCode != http.StatusOK {
@@ -172,7 +173,7 @@ func TestSimulateDeltaReplanMetric(t *testing.T) {
 	defer srv.Close()
 
 	req := faultRequest("opass")
-	req.Failures = []FailureSpec{{Node: 1, AtSeconds: 0.5}}
+	req.Failures = []engine.NodeFailure{{Node: 1, At: 0.5}}
 	req.Replan = true
 	resp, body := post(t, srv, "/v1/simulate", req)
 	if resp.StatusCode != http.StatusOK {
@@ -203,9 +204,9 @@ func TestSimulateSummaryGolden(t *testing.T) {
 	defer srv.Close()
 
 	req := faultRequest("opass")
-	req.Failures = []FailureSpec{
-		{Node: 1, AtSeconds: 0.5},
-		{Node: 2, AtSeconds: 0.3, RecoverAtSeconds: 1.5},
+	req.Failures = []engine.NodeFailure{
+		{Node: 1, At: 0.5},
+		{Node: 2, At: 0.3, RecoverAt: 1.5},
 	}
 	req.Replan = true
 	req.Repair = true

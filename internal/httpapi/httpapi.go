@@ -111,7 +111,7 @@ const (
 	// request's in-flight planner run instead of starting their own.
 	MetricPlanCacheCoalesced = "opass_plan_cache_coalesced_total"
 	// MetricPlanCacheEvictions counts cache entries dropped by the
-	// entry/byte bounds or by TTL expiry.
+	// entry/byte bounds.
 	MetricPlanCacheEvictions = "opass_plan_cache_evictions_total"
 	// MetricPlanCacheEntries and MetricPlanCacheBytes gauge the cache's
 	// current footprint.
@@ -150,12 +150,6 @@ const (
 	DefaultPlanCacheEntries = 4096
 	// DefaultPlanCacheMB bounds the cache's estimated memory in MiB.
 	DefaultPlanCacheMB = 64
-	// DefaultPlanCacheTTL bounds how long a cached plan may be served. The
-	// fingerprint already invalidates on any placement change visible in
-	// the request (and on dfs.FileSystem.Epoch for library callers); the
-	// TTL is a second line of defense against layouts that drift outside
-	// the fingerprint's view.
-	DefaultPlanCacheTTL = 5 * time.Minute
 )
 
 // Shared-tier defaults; ServerOptions overrides them and opassd exposes
@@ -165,7 +159,9 @@ const (
 	// when the tierPlan wire format changes so mixed-version fleets land
 	// in disjoint keyspaces instead of failing to decode each other.
 	DefaultRemoteTierNamespace = "opass1"
-	// DefaultRemoteTierTTL bounds a published plan's remote lifetime.
+	// DefaultRemoteTierTTL bounds a published plan's remote lifetime, and so
+	// how long plans from an older binary stay reachable fleet-wide during a
+	// rolling deploy.
 	DefaultRemoteTierTTL = 10 * time.Minute
 )
 
@@ -186,27 +182,6 @@ type TaskSpec struct {
 	Inputs []InputSpec `json:"inputs"`
 }
 
-// FailureSpec schedules a DataNode outage in a simulation: the node stops
-// serving reads at at_seconds; a zero recover_at_seconds makes the loss
-// permanent, a positive one (strictly after at_seconds) brings the node
-// back with its data intact.
-type FailureSpec struct {
-	Node             int     `json:"node"`
-	AtSeconds        float64 `json:"at_seconds"`
-	RecoverAtSeconds float64 `json:"recover_at_seconds,omitempty"`
-}
-
-// DegradationSpec slows a node's hardware in a simulation: from at_seconds
-// until until_seconds (zero = rest of the run) its disk and NIC run at the
-// given fractions of nominal speed (each in (0, 1]).
-type DegradationSpec struct {
-	Node         int     `json:"node"`
-	AtSeconds    float64 `json:"at_seconds"`
-	UntilSeconds float64 `json:"until_seconds,omitempty"`
-	DiskFactor   float64 `json:"disk_factor"`
-	NICFactor    float64 `json:"nic_factor"`
-}
-
 // PlanRequest is the body of POST /v1/plan and /v1/simulate.
 type PlanRequest struct {
 	// Nodes is the cluster size; processes default to one per node
@@ -219,15 +194,16 @@ type PlanRequest struct {
 
 	// The fault model below only affects /v1/simulate (and is excluded
 	// from the plan-cache fingerprint): /v1/plan answers from the layout
-	// as given. Replan re-runs the planner over the not-yet-started
-	// backlog whenever the placement truth changes mid-run; Repair
-	// re-replicates under-replicated chunks RepairDelaySeconds after a
-	// permanent crash.
-	Failures           []FailureSpec     `json:"failures,omitempty"`
-	Degradations       []DegradationSpec `json:"degradations,omitempty"`
-	Replan             bool              `json:"replan,omitempty"`
-	Repair             bool              `json:"repair,omitempty"`
-	RepairDelaySeconds float64           `json:"repair_delay_seconds,omitempty"`
+	// as given. Failures and Degradations are the engine's own types;
+	// engine.ValidateFaults checks them. Replan re-runs the planner over
+	// the not-yet-started backlog whenever the placement truth changes
+	// mid-run; Repair re-replicates under-replicated chunks
+	// RepairDelaySeconds after a permanent crash.
+	Failures           []engine.NodeFailure     `json:"failures,omitempty"`
+	Degradations       []engine.NodeDegradation `json:"degradations,omitempty"`
+	Replan             bool                     `json:"replan,omitempty"`
+	Repair             bool                     `json:"repair,omitempty"`
+	RepairDelaySeconds float64                  `json:"repair_delay_seconds,omitempty"`
 
 	// weight caches the admission work estimate (tasks + inputs) computed
 	// by the decoder, which never materializes Tasks.
@@ -293,11 +269,9 @@ type ServerOptions struct {
 	// request runs the planner).
 	PlanCacheEntries int
 	// PlanCacheMB bounds the plan cache's estimated memory in MiB; 0 means
-	// DefaultPlanCacheMB.
+	// DefaultPlanCacheMB. Entries never expire: the fingerprint covers every
+	// byte a planner reads, so an entry cannot go stale.
 	PlanCacheMB int
-	// PlanCacheTTL bounds a cached plan's age; 0 means
-	// DefaultPlanCacheTTL, negative means entries never expire.
-	PlanCacheTTL time.Duration
 	// Limits overrides the request-decode bounds; zero fields mean the
 	// package defaults (see RequestLimits).
 	Limits RequestLimits
@@ -395,7 +369,7 @@ func NewServer(opts ServerOptions) *Server {
 	reg.Help(MetricPlanCacheHits, "Plans served from the fingerprinted plan cache.")
 	reg.Help(MetricPlanCacheMisses, "Plans that ran the planner and populated the cache.")
 	reg.Help(MetricPlanCacheCoalesced, "Requests that attached to an in-flight identical planner run.")
-	reg.Help(MetricPlanCacheEvictions, "Plan-cache entries dropped by capacity bounds or TTL.")
+	reg.Help(MetricPlanCacheEvictions, "Plan-cache entries dropped by capacity bounds.")
 	reg.Help(MetricPlanCacheEntries, "Plans currently cached.")
 	reg.Help(MetricPlanCacheBytes, "Estimated bytes of plans currently cached.")
 	reg.Help(MetricPlanCacheRemoteHits, "Plans adopted from the shared remote cache tier.")
@@ -453,17 +427,9 @@ func NewServer(opts ServerOptions) *Server {
 		if mb <= 0 {
 			mb = DefaultPlanCacheMB
 		}
-		ttl := opts.PlanCacheTTL
-		switch {
-		case ttl == 0:
-			ttl = DefaultPlanCacheTTL
-		case ttl < 0:
-			ttl = 0 // plancache: no expiry
-		}
 		s.planCache = plancache.New[cachedPlan](plancache.Options{
 			MaxEntries: entries,
 			MaxBytes:   int64(mb) << 20,
-			TTL:        ttl,
 			OnEvict: func(evicted, entries int, bytes int64) {
 				reg.Counter(MetricPlanCacheEvictions).Add(float64(evicted))
 				reg.Gauge(MetricPlanCacheEntries).Set(float64(entries))
@@ -549,10 +515,12 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.reqTimeout)
 	defer cancel()
 	// The engine crashes nodes and repairs chunks, so a simulation runs
-	// against a file system mirroring the submitted layout; installed before
-	// planning, it is the one placement the plan, the engine and the replans
-	// all read. (The decoder's problems are always Layout-backed.)
-	fs, err := mirrorFS(req.Nodes, prob.FS.(*core.Layout))
+	// against a file system mirroring the submitted layout over the
+	// simulated cluster; installed before planning, it is the one placement
+	// the plan, the engine and the replans all read. (The decoder's problems
+	// are always Layout-backed.)
+	topo := cluster.New(req.Nodes, cluster.Marmot())
+	fs, err := mirrorFS(topo, prob.FS.(*core.Layout))
 	if err != nil {
 		s.writeJSON(w, r, http.StatusInternalServerError, errorBody{Error: err.Error()})
 		return
@@ -563,22 +531,11 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.planFailed(w, r, err)
 		return
 	}
-	topo := cluster.New(req.Nodes, cluster.Marmot())
 	eopts := engine.Options{
 		Topo: topo, FS: fs, Problem: prob, Strategy: resp.Strategy,
+		Failures: req.Failures, Degradations: req.Degradations,
 		Replan: req.Replan, Repair: req.Repair,
 		RepairDelay: req.RepairDelaySeconds, ReplanSeed: req.Seed,
-	}
-	for _, f := range req.Failures {
-		eopts.Failures = append(eopts.Failures, engine.NodeFailure{
-			Node: f.Node, At: f.AtSeconds, RecoverAt: f.RecoverAtSeconds,
-		})
-	}
-	for _, d := range req.Degradations {
-		eopts.Degradations = append(eopts.Degradations, engine.NodeDegradation{
-			Node: d.Node, At: d.AtSeconds, Until: d.UntilSeconds,
-			DiskFactor: d.DiskFactor, NICFactor: d.NICFactor,
-		})
 	}
 	engineStart := time.Now()
 	res, err := engine.RunAssignmentContext(ctx, eopts, assignment)
@@ -725,18 +682,11 @@ func (s *Server) writeJSON(w http.ResponseWriter, r *http.Request, status int, v
 // name (not the raw strategy string) keys the plan cache, so "" and
 // "opass" share entries.
 func pickAssigner(req *PlanRequest, prob *core.Problem) (core.Assigner, *apiError) {
-	multi := false
-	for i := range prob.Tasks {
-		if len(prob.Tasks[i].Inputs) > 1 {
-			multi = true
-			break
-		}
-	}
 	strategy := req.Strategy
 	if strategy == "" {
 		strategy = "opass"
 	}
-	as, err := core.AssignerFor(strategy, req.Seed, multi)
+	as, err := core.AssignerFor(strategy, req.Seed, prob.MultiInput())
 	if err != nil {
 		return nil, badRequest("invalid", "%v", err)
 	}

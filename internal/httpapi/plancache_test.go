@@ -59,11 +59,8 @@ func requestFromFS(fs *dfs.FileSystem, f *dfs.File, strategy string) PlanRequest
 func TestPlanCacheHitAndMoveReplicaInvalidation(t *testing.T) {
 	srv, runs, reg := countingServer(t, ServerOptions{})
 
-	fs := dfs.New(fsView{4}, dfs.Config{
-		Replication: 2,
-		Placement:   dfs.FixedPlacement{Replicas: [][]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}}},
-	})
-	f, err := fs.CreateChunks("/data", []float64{64, 64, 64, 64})
+	fs := dfs.New(fsView{4}, dfs.Config{Replication: 2})
+	f, err := fs.CreateChunksReplicated("/data", []float64{64, 64, 64, 64}, [][]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,22 +214,5 @@ func TestSimulateSharesPlanCache(t *testing.T) {
 	}
 	if got := runs.Load(); got != 1 {
 		t.Fatalf("planner ran %d times across plan+simulate of one layout, want 1", got)
-	}
-}
-
-// TestPlanCacheTTLExpiry verifies a positive PlanCacheTTL bounds entry age:
-// after the TTL elapses an identical request recomputes.
-func TestPlanCacheTTLExpiry(t *testing.T) {
-	srv, runs, _ := countingServer(t, ServerOptions{PlanCacheTTL: 50 * time.Millisecond})
-	req := layoutRequest("opass")
-	post(t, srv, "/v1/plan", req)
-	post(t, srv, "/v1/plan", req)
-	if got := runs.Load(); got != 1 {
-		t.Fatalf("planner ran %d times before TTL, want 1", got)
-	}
-	time.Sleep(80 * time.Millisecond)
-	post(t, srv, "/v1/plan", req)
-	if got := runs.Load(); got != 2 {
-		t.Fatalf("planner ran %d times after TTL expiry, want 2", got)
 	}
 }

@@ -20,8 +20,9 @@
 //     (KeyOf), so distinct problems cannot collide by field aliasing and
 //     equality of keys is equality of problems.
 //   - Bounded retention: an LRU doubly-linked list enforces entry and
-//     byte bounds; entries also carry a TTL so a plan cannot outlive the
-//     operator's freshness budget even if it stays hot.
+//     byte bounds. Entries have no age limit: a key covers every byte its
+//     value was computed from, so an entry cannot go stale, and expiring it
+//     would only recompute the same bytes.
 //   - Coalescing (singleflight): concurrent Do calls with the same key
 //     share one compute. The shared compute's context is detached from
 //     any single caller's cancellation and is cancelled only when every
@@ -35,7 +36,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"sync"
-	"time"
 )
 
 // Key is a content-addressed cache key.
@@ -91,23 +91,17 @@ type Options struct {
 	// no byte bound. A single value larger than the bound is evicted
 	// immediately after insertion (it can never fit).
 	MaxBytes int64
-	// TTL bounds entry age from insertion; <= 0 means entries never
-	// expire.
-	TTL time.Duration
-	// Now overrides the clock for tests; nil means time.Now.
-	Now func() time.Time
 	// OnEvict, if set, is called (outside the cache lock) after evictions
 	// with the number of entries evicted and the cache's new entry/byte
-	// totals. TTL expiries count as evictions.
+	// totals.
 	OnEvict func(evicted int, entries int, bytes int64)
 }
 
 type entry[V any] struct {
-	key     Key
-	val     V
-	size    int64
-	expires time.Time // zero means never
-	elem    *list.Element
+	key  Key
+	val  V
+	size int64
+	elem *list.Element
 }
 
 // call is one in-flight shared compute.
@@ -141,9 +135,6 @@ type Cache[V any] struct {
 
 // New creates a cache with the given bounds.
 func New[V any](opts Options) *Cache[V] {
-	if opts.Now == nil {
-		opts.Now = time.Now
-	}
 	return &Cache[V]{
 		opts:    opts,
 		entries: make(map[Key]*entry[V]),
@@ -156,7 +147,7 @@ func New[V any](opts Options) *Cache[V] {
 type Stats struct {
 	Entries   int
 	Bytes     int64
-	Evictions uint64 // lifetime total, including TTL expiries
+	Evictions uint64 // lifetime total
 }
 
 // Stats reports the current entry/byte totals and lifetime evictions.
@@ -182,24 +173,16 @@ func (c *Cache[V]) Stats() Stats {
 // cache. The reported Outcome tells whether this caller led the flight
 // (Miss), attached to one (Coalesced), or was served from the cache (Hit).
 func (c *Cache[V]) Do(ctx context.Context, key Key, compute func(context.Context) (V, int64, error)) (V, Outcome, error) {
-	now := c.opts.Now()
-	expired := 0
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
-		if e.expires.IsZero() || now.Before(e.expires) {
-			c.lru.MoveToFront(e.elem)
-			v := e.val
-			c.mu.Unlock()
-			return v, Hit, nil
-		}
-		c.removeLocked(e)
-		c.evictions++
-		expired = 1
+		c.lru.MoveToFront(e.elem)
+		v := e.val
+		c.mu.Unlock()
+		return v, Hit, nil
 	}
 	if cl, ok := c.calls[key]; ok {
 		cl.waiters++
 		c.mu.Unlock()
-		c.notifyEvict(expired)
 		return c.wait(ctx, cl, Coalesced)
 	}
 	// Flight leader: run the compute detached from this caller's
@@ -208,7 +191,6 @@ func (c *Cache[V]) Do(ctx context.Context, key Key, compute func(context.Context
 	cl := &call[V]{done: make(chan struct{}), waiters: 1, cancel: cancel}
 	c.calls[key] = cl
 	c.mu.Unlock()
-	c.notifyEvict(expired)
 	go c.run(key, cl, cctx, cancel, compute)
 	return c.wait(ctx, cl, Miss)
 }
@@ -251,28 +233,15 @@ func (c *Cache[V]) wait(ctx context.Context, cl *call[V], oc Outcome) (V, Outcom
 	}
 }
 
-// storeLocked inserts (or refreshes) an entry and enforces the bounds,
-// returning how many entries were evicted. On a refresh the old entry's
-// bytes are released before the new size is charged (the delta update), so
-// the byte accounting cannot drift when a key is overwritten.
+// storeLocked inserts a flight's result and enforces the bounds, returning
+// how many entries were evicted. The key is never already present: a present
+// key is a hit, and only one flight per key runs at a time.
 func (c *Cache[V]) storeLocked(key Key, v V, size int64) int {
-	if size < 0 {
-		size = 0
-	}
-	var expires time.Time
-	if c.opts.TTL > 0 {
-		expires = c.opts.Now().Add(c.opts.TTL)
-	}
-	if e, ok := c.entries[key]; ok {
-		c.bytes += size - e.size
-		e.val, e.size, e.expires = v, size, expires
-		c.lru.MoveToFront(e.elem)
-	} else {
-		e := &entry[V]{key: key, val: v, size: size, expires: expires}
-		e.elem = c.lru.PushFront(e)
-		c.entries[key] = e
-		c.bytes += size
-	}
+	size = max(size, 0)
+	e := &entry[V]{key: key, val: v, size: size}
+	e.elem = c.lru.PushFront(e)
+	c.entries[key] = e
+	c.bytes += size
 	evicted := 0
 	for c.overBoundLocked() {
 		back := c.lru.Back()

@@ -10,24 +10,6 @@ import (
 	"time"
 )
 
-// fakeClock is a settable test clock.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func (f *fakeClock) now() time.Time {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.t
-}
-
-func (f *fakeClock) advance(d time.Duration) {
-	f.mu.Lock()
-	f.t = f.t.Add(d)
-	f.mu.Unlock()
-}
-
 func keyOf(s string) Key { return KeyOf([]byte(s)) }
 
 // constant returns a compute function yielding v with the given size,
@@ -128,33 +110,6 @@ func TestByteBoundEvicts(t *testing.T) {
 	mustDo(t, c, keyOf("big"), constant(&calls, 3, 1000))
 	if s := c.Stats(); s.Bytes > 100 {
 		t.Fatalf("oversized value retained: %+v", s)
-	}
-}
-
-func TestTTLExpiry(t *testing.T) {
-	clock := &fakeClock{t: time.Unix(1000, 0)}
-	var evictions atomic.Int64
-	c := New[int](Options{
-		MaxEntries: 8,
-		TTL:        time.Minute,
-		Now:        clock.now,
-		OnEvict:    func(n, _ int, _ int64) { evictions.Add(int64(n)) },
-	})
-	var calls atomic.Int64
-	mustDo(t, c, keyOf("k"), constant(&calls, 1, 1))
-	clock.advance(59 * time.Second)
-	if _, oc := mustDo(t, c, keyOf("k"), constant(&calls, 1, 1)); oc != Hit {
-		t.Fatalf("entry expired early (outcome %v)", oc)
-	}
-	clock.advance(2 * time.Second) // past the minute
-	if _, oc := mustDo(t, c, keyOf("k"), constant(&calls, 1, 1)); oc != Miss {
-		t.Fatalf("expired entry served (outcome %v)", oc)
-	}
-	if calls.Load() != 2 {
-		t.Fatalf("compute ran %d times, want 2", calls.Load())
-	}
-	if evictions.Load() != 1 {
-		t.Fatalf("expiry not reported as eviction (%d)", evictions.Load())
 	}
 }
 
@@ -351,8 +306,7 @@ func TestAllWaitersCancelAbortsCompute(t *testing.T) {
 // TestConcurrentMixedKeys hammers the cache from many goroutines across a
 // small key space; run with -race. Asserts only invariants.
 func TestConcurrentMixedKeys(t *testing.T) {
-	clock := &fakeClock{t: time.Unix(0, 0)}
-	c := New[int](Options{MaxEntries: 4, MaxBytes: 64, TTL: time.Hour, Now: clock.now})
+	c := New[int](Options{MaxEntries: 4, MaxBytes: 64})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

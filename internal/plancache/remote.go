@@ -2,9 +2,11 @@ package plancache
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"strconv"
 	"strings"
@@ -130,18 +132,22 @@ func (r *Remote) Get(ctx context.Context, key string) ([]byte, bool, error) {
 				if len(fields) != 4 || fields[1] != key {
 					return fmt.Errorf("plancache: malformed VALUE line %q", line)
 				}
-				size, err := strconv.Atoi(fields[3])
-				if err != nil || size < 0 {
+				// The size is the peer's claim: the buffer grows only as
+				// bytes arrive, under the exchange deadline, so a lying
+				// peer costs what it actually sends.
+				size, err := strconv.ParseInt(fields[3], 10, 64)
+				if err != nil || size < 0 || size > math.MaxInt64-2 {
 					return fmt.Errorf("plancache: malformed VALUE size in %q", line)
 				}
-				buf := make([]byte, size+2) // trailing \r\n
-				if _, err := io.ReadFull(rc.r, buf); err != nil {
+				var buf bytes.Buffer
+				if _, err := io.CopyN(&buf, rc.r, size+2); err != nil { // trailing \r\n
 					return err
 				}
-				if buf[size] != '\r' || buf[size+1] != '\n' {
+				body := buf.Bytes()
+				if body[size] != '\r' || body[size+1] != '\n' {
 					return fmt.Errorf("plancache: VALUE body missing terminator")
 				}
-				value, found = buf[:size:size], true
+				value, found = body[:size:size], true
 			default:
 				return fmt.Errorf("plancache: unexpected response %q to get", line)
 			}

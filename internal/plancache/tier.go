@@ -15,12 +15,13 @@ import (
 // compute it publishes the result for every other replica.
 //
 // Correctness is inherited from content addressing. Tier keys embed the
-// same canonical-problem fingerprint the L1 uses — which covers per-chunk
-// placement epochs — plus the caller's namespace (the namenode metadata
-// snapshot epoch), so replicas answering from the shared tier agree on
-// exactly the metadata the plan was computed against. Stale entries are
-// never wrong, merely unreachable, so the tier needs no invalidation
-// protocol: TTLs and backend LRU pressure collect the garbage.
+// same canonical-problem fingerprint the L1 uses — which covers every chunk's
+// replicas and placement epoch — plus the caller's namespace (a wire-format
+// version), so replicas answering from the shared tier agree on exactly the
+// layout the plan was computed against. Stale entries are never wrong, merely
+// unreachable, so the tier needs no invalidation protocol: TTLs and backend
+// LRU pressure collect the garbage, and the TTL also bounds how long plans
+// from an older binary are served fleet-wide during a rolling deploy.
 
 // Tier is a shared byte-valued cache backend. Implementations must be safe
 // for concurrent use. Errors are advisory: callers treat a failing tier as

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -196,4 +197,56 @@ func TestRemoteTierConcurrent(t *testing.T) {
 	if srv.Len() != workers*rounds {
 		t.Fatalf("server holds %d items, want %d", srv.Len(), workers*rounds)
 	}
+}
+
+// FuzzMemcachedReply answers Get and Set with arbitrary reply bytes over an
+// in-memory pipe. Whatever the peer says, the client must not panic or
+// allocate what the peer merely claims (the two seeds announce 8 EiB and
+// 1 TiB values and send none of it), and an exchange that failed must not
+// return its connection to the pool: the next call dials afresh.
+func FuzzMemcachedReply(f *testing.F) {
+	f.Add([]byte("VALUE k 0 9223372036854775807\r\n"))
+	f.Add([]byte("VALUE k 0 1099511627776\r\n"))
+	f.Add([]byte("VALUE k 0 2\r\nab\r\nEND\r\n"))
+	f.Add([]byte("END\r\nSTORED\r\n"))
+	f.Add([]byte("VALUE k 0 1\r\nxyz"))
+	f.Fuzz(func(t *testing.T, reply []byte) {
+		// Each dialed peer swallows the request and writes reply once. Both of
+		// its goroutines end when either side closes, which r.Close (pooled
+		// connections) or a failed exchange guarantees.
+		var peers sync.WaitGroup
+		dials := 0
+		r := NewRemote("pipe", RemoteOptions{Timeout: time.Second, Dial: func(context.Context) (net.Conn, error) {
+			dials++
+			client, server := net.Pipe()
+			peers.Add(2)
+			go func() {
+				defer peers.Done()
+				_, _ = io.Copy(io.Discard, server)
+			}()
+			go func() {
+				defer peers.Done()
+				_, _ = server.Write(reply) // fails once the client hangs up
+				server.Close()
+			}()
+			return client, nil
+		}})
+		defer peers.Wait()
+		defer r.Close()
+		ctx := context.Background()
+		ops := []func() error{
+			func() error { _, _, err := r.Get(ctx, "k"); return err },
+			func() error { return r.Set(ctx, "k", []byte("v"), 0) },
+			func() error { _, _, err := r.Get(ctx, "k"); return err },
+		}
+		failed := true // the first call has nothing pooled
+		for i, op := range ops {
+			before := dials
+			err := op()
+			if redialed := dials > before; redialed != failed {
+				t.Fatalf("call %d dialed=%v after a previous call that failed=%v", i, redialed, failed)
+			}
+			failed = err != nil
+		}
+	})
 }

@@ -63,7 +63,7 @@ func (r *ReplanRig) weight(node int) float64 {
 // placement — the pre-incremental baseline.
 func (r *ReplanRig) ReplanCold() error {
 	src := engine.NewListSource(r.Lists)
-	spliced, err := engine.ReplanBacklog(r.Prob, src, make([]bool, r.Prob.NumProcs()), r.weight, 1)
+	spliced, _, err := engine.ReplanBacklogDelta(r.Prob, src, make([]bool, r.Prob.NumProcs()), r.weight, 1, -1, core.PlanStamp{})
 	if err != nil {
 		return err
 	}

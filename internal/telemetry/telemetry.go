@@ -3,13 +3,12 @@
 // histograms) plus HTTP middleware that stamps a request ID, writes one
 // structured log line per request, and records status/latency per route.
 //
-// It is deliberately distinct from internal/metrics: that package computes
-// the *simulation* statistics the paper reports (I/O time summaries, Jain
-// fairness, figure histograms); this one measures the *service* serving
-// those planners — the per-operation visibility the paper's §V-A1 per-node
-// monitor provides at the storage layer, lifted to the request layer. The
-// registry's text exposition follows the Prometheus format so any standard
-// scraper can consume GET /metrics.
+// The simulation statistics the paper reports (I/O time summaries, Jain
+// fairness, figure histograms) live in internal/report; this package
+// measures the *service* serving those planners — the per-operation
+// visibility the paper's §V-A1 per-node monitor provides at the storage
+// layer, lifted to the request layer. The registry's text exposition follows
+// the Prometheus format so any standard scraper can consume GET /metrics.
 package telemetry
 
 import (
