@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -131,6 +132,7 @@ func TestValidateCatchesBadProblems(t *testing.T) {
 		{ProcNode: []int{0}, Tasks: []Task{{ID: 1, Inputs: []Input{{0, 64}}}}, FS: fs},
 		{ProcNode: []int{0}, Tasks: []Task{{ID: 0}}, FS: fs},
 		{ProcNode: []int{0}, Tasks: []Task{{ID: 0, Inputs: []Input{{0, -4}}}}, FS: fs},
+		{ProcNode: []int{0}, Tasks: []Task{{ID: 0, Inputs: []Input{{0, math.NaN()}}}}, FS: fs},
 		{ProcNode: []int{0}, Tasks: []Task{{ID: 0, Inputs: []Input{{0, 64}}}}, FS: nil},
 	}
 	for i, p := range cases {

@@ -16,9 +16,9 @@ import (
 // every (process, task) pair, an O(m·n·inputs·replicas) sweep. The index
 // inverts the problem once: node→processes from ProcNode and chunk→replicas
 // from the namenode metadata, yielding every (process, task, MB) locality
-// edge in O(edges) total. SingleData's matcher (on the task rows, in place)
-// and flow-network build, MultiData's preference lists, and the dynamic
-// scheduler's steal scan all run off it.
+// edge in O(edges) total. SingleData's matcher and MultiData's proposals
+// (on the task and process rows, in place), the flow-network build and the
+// dynamic scheduler's steal scan all run off it.
 //
 // The per-task accumulation order matches CoLocatedMB exactly (inputs in
 // declaration order, each added once per co-located process), so the
@@ -64,7 +64,7 @@ const indexCtxStride = 512
 // compare against a fresh epoch.
 type indexBuf struct {
 	byTask     bipartite.Rows // task -> edges, Proc-ascending
-	byProc     bipartite.Rows // proc -> edges, Task-ascending
+	byProc     bipartite.Rows // proc -> edges, Task-ascending until MultiData consumes them
 	byTaskRack bipartite.Rows // task -> rack-tier edges, Proc-ascending
 	pos        []int          // transpose write cursors, one per process
 
@@ -250,8 +250,8 @@ func (ix *LocalityIndex) NumEdges() int { return ix.edges }
 // slice is a read-only view owned by the index.
 func (ix *LocalityIndex) TaskEdges(t int) []LocalityEdge { return ix.buf.byTask.Row(t) }
 
-// ProcEdges returns process p's locality edges in ascending task order. The
-// slice is a read-only view owned by the index.
+// ProcEdges returns process p's locality edges in ascending task order, a
+// view owned by the index; only MultiData, on its own index, reorders it.
 func (ix *LocalityIndex) ProcEdges(p int) []LocalityEdge { return ix.buf.byProc.Row(p) }
 
 // CoLocatedMB returns the co-located megabytes for (proc, task) by binary

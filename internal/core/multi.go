@@ -1,13 +1,8 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"math/rand"
-	"runtime"
-	"slices"
-	"sync"
-	"sync/atomic"
 )
 
 // MultiData is the Opass planner for tasks with multiple data inputs
@@ -66,45 +61,41 @@ func (md MultiData) AssignContext(ctx context.Context, p *Problem) (*Assignment,
 
 	// Matching values m_i^j come from the shared locality index (one
 	// O(edges) inversion instead of m·n CoLocatedMB probes). Each process's
-	// preference list is its sparse edge set sorted by descending co-located
-	// size (ties by ascending task ID for determinism — the index hands the
-	// edges task-ascending, so a stable sort on size alone preserves the tie
-	// order). Only tasks with positive co-located data appear; tasks with
-	// zero affinity everywhere are handled by the final repair, which is
-	// equivalent to proposing with value zero.
+	// preference list is its index row, consumed in place: heapified under
+	// preferBefore and popped one proposal at a time, so a row is ordered
+	// only as far as the proposals read it. The index is this plan's alone
+	// and nothing after the loop reads its process rows. Only tasks with
+	// positive co-located data appear; tasks with zero affinity everywhere
+	// are handled by the final repair, which is equivalent to proposing with
+	// value zero.
 	ix, err := NewLocalityIndexContext(ctx, p)
 	if err != nil {
 		return nil, err
 	}
 	defer ix.Release()
-	prefs := make([][]LocalityEdge, m) // proc -> edges, best first
-	parallelFor(m, func(proc int) {
-		es := ix.ProcEdges(proc)
-		if len(es) == 0 {
-			return
-		}
-		own := append([]LocalityEdge(nil), es...)
-		// Stable + generic (no reflection-based swaps): same ordering as
-		// sort.SliceStable on descending MB, several times faster.
-		slices.SortStableFunc(own, func(a, b LocalityEdge) int { return cmp.Compare(b.MB, a.MB) })
-		prefs[proc] = own
-	})
+	left := make([]int, m) // unconsidered preferences: the heap prefix of the row
+	for proc := range left {
+		row := ix.ProcEdges(proc)
+		heapifyPrefs(row)
+		left[proc] = len(row)
+	}
 
 	owner := make([]int, n)
 	for t := range owner {
 		owner[t] = -1
 	}
 	counts := make([]int, m)
-	cursor := make([]int, m) // next preference index to consider
 
 	// Work queue of processes that are under quota and still have
-	// unconsidered tasks. Round-robin order keeps the run deterministic; a
+	// unconsidered tasks: a ring of m slots, since inQueue admits each
+	// process at most once. Round-robin order keeps the run deterministic; a
 	// process re-enters the queue when a reassignment drops it under quota.
-	queue := make([]int, 0, m)
+	queue, head, queued := make([]int, m), 0, 0
 	inQueue := make([]bool, m)
 	push := func(proc int) {
-		if !inQueue[proc] && counts[proc] < quotas[proc] && cursor[proc] < len(prefs[proc]) {
-			queue = append(queue, proc)
+		if !inQueue[proc] && counts[proc] < quotas[proc] && left[proc] > 0 {
+			queue[(head+queued)%m] = proc
+			queued++
 			inQueue[proc] = true
 		}
 	}
@@ -112,24 +103,24 @@ func (md MultiData) AssignContext(ctx context.Context, p *Problem) (*Assignment,
 		push(proc)
 	}
 	proposals := 0
-	for len(queue) > 0 {
-		k := queue[0]
-		queue = queue[1:]
+	for queued > 0 {
+		k := queue[head]
+		head, queued = (head+1)%m, queued-1
 		inQueue[k] = false
 		if counts[k] >= quotas[k] {
 			continue
 		}
 		// Propose to the best not-yet-considered task (line 7).
-		for cursor[k] < len(prefs[k]) && counts[k] < quotas[k] {
+		for left[k] > 0 && counts[k] < quotas[k] {
 			proposals++
 			if proposals%proposalCtxStride == 0 {
 				if err := ctx.Err(); err != nil {
 					return nil, err
 				}
 			}
-			e := prefs[k][cursor[k]]
+			e := popPref(ix.ProcEdges(k)[:left[k]])
 			x := e.Task
-			cursor[k]++ // record that k considered x (line 16)
+			left[k]-- // record that k considered x (line 16)
 			cur := owner[x]
 			if cur == -1 {
 				owner[x] = k // line 9
@@ -156,36 +147,45 @@ func (md MultiData) AssignContext(ctx context.Context, p *Problem) (*Assignment,
 	return finishAssignment(p, ix, owner, nil, 0, rand.New(rand.NewSource(md.Seed))), nil
 }
 
-// parallelFor runs fn(i) for i in [0, n) over a bounded GOMAXPROCS worker
-// pool. Iterations must be independent; small n runs inline. Its one caller
-// is the preference sort above, the only fan-out in the planners that
-// measured faster than its serial loop: one work item is a whole process's
-// stable sort (hundreds of edges), and at GOMAXPROCS=2 it takes
-// MultiData.Assign from 2.7 to 2.4 ms at 256 procs × 2,560 tasks and from
-// 36 to 26 ms at × 25,600 (EXPERIMENTS.md §V-C2). The per-task index build
-// and the O(n) size sums lost the same comparison and are serial.
-func parallelFor(n int, fn func(i int)) {
-	workers := min(runtime.GOMAXPROCS(0), n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
+// preferBefore is a process's preference order: more co-located MB first,
+// ties to the lower task ID. Index rows arrive Task-ascending, so this is
+// exactly the order a stable sort on MB alone would give them. Sizes are
+// positive (Validate rejects NaN), so the order is total.
+func preferBefore(a, b LocalityEdge) bool {
+	return a.MB > b.MB || a.MB == b.MB && a.Task < b.Task
+}
+
+// heapifyPrefs makes row a binary heap with its best preference at the root,
+// in O(len(row)).
+func heapifyPrefs(row []LocalityEdge) {
+	for i := len(row)/2 - 1; i >= 0; i-- {
+		siftPref(row, i)
+	}
+}
+
+// popPref removes the best preference of the non-empty heap h and returns
+// it; it lands in h's last slot, past the shrunken heap.
+func popPref(h []LocalityEdge) LocalityEdge {
+	last := len(h) - 1
+	h[0], h[last] = h[last], h[0]
+	siftPref(h[:last], 0)
+	return h[last]
+}
+
+// siftPref moves h[i] down until neither child precedes it.
+func siftPref(h []LocalityEdge, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
 		}
-		return
+		if c+1 < len(h) && preferBefore(h[c+1], h[c]) {
+			c++
+		}
+		if !preferBefore(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -86,7 +86,8 @@ func planSpec(data []byte) (s layoutSpec, weights, bias []float64) {
 // to it on the tasks its solver matched. On equal sizes the single-data plan
 // must also be maximum-locality: the tasks the matcher placed, times the
 // task size, equal the Edmonds-Karp flow value over the locality graph
-// under the same quotas.
+// under the same quotas. On every draw Algorithm 1, biased and not, must
+// choose the owners of referenceMultiData's sorted preference lists.
 func FuzzPlan(f *testing.F) {
 	f.Add([]byte{})
 	// Random byte strings long enough to fill every field: a spread of
@@ -193,5 +194,9 @@ func FuzzPlan(f *testing.F) {
 				t.Fatalf("%s: matcher placed %d tasks of %d units = %d, Edmonds-Karp flow %d", name, matched, units[0], got, oracle.LocalMB)
 			}
 		}
+		// Algorithm 1 on every draw, single-input ones (all-equal preference
+		// rows) included, against the sorted-preference reference.
+		checkMatchesReference(t, "opass-matching", MultiData{Seed: 9}, p)
+		checkMatchesReference(t, "opass-matching biased", MultiData{Seed: 9, NodeBias: bias}, p)
 	})
 }

@@ -78,7 +78,7 @@ func (p *Problem) Validate() error {
 			return fmt.Errorf("core: task %d has no inputs", i)
 		}
 		for _, in := range t.Inputs {
-			if in.SizeMB <= 0 {
+			if !(in.SizeMB > 0) { // also rejects NaN
 				return fmt.Errorf("core: task %d input chunk %d has size %v", i, in.Chunk, in.SizeMB)
 			}
 		}

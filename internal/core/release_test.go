@@ -143,18 +143,31 @@ func TestPlannersConcurrentPooledBuffers(t *testing.T) {
 // TestSingleDataPlanAllocatesLessThanItsEdges: an equal-size single-data
 // plan hands the pooled index's task rows to the matcher in place, so once
 // the pool is warm the whole plan allocates less than one copy of its
-// locality edges — no Graph, no per-file transpose. It runs at
-// GOMAXPROCS(1) with the GC off so the warm-up's Release is the buffer the
-// measured plan gets back, and is skipped under -race, where sync.Pool
-// drops Puts at random.
+// locality edges — no Graph, no per-file transpose.
 func TestSingleDataPlanAllocatesLessThanItsEdges(t *testing.T) {
+	checkWarmPlanAllocatesLessThanItsEdges(t, SingleData{}, benchSpec(256, 25600, []float64{64}, 3).csrBacked())
+}
+
+// TestMultiDataPlanAllocatesLessThanItsEdges is its Algorithm 1 twin: the
+// proposals pop the pooled index's process rows in place, so a warm 3-input
+// plan allocates less than one copy of its edges — no preference lists.
+func TestMultiDataPlanAllocatesLessThanItsEdges(t *testing.T) {
+	checkWarmPlanAllocatesLessThanItsEdges(t, MultiData{}, benchSpec(256, 2560, []float64{30, 20, 10}, 3).csrBacked())
+}
+
+// checkWarmPlanAllocatesLessThanItsEdges plans p twice and fails t if the
+// second plan allocates one edge array's bytes or more. It runs at
+// GOMAXPROCS(1) with the GC off so the warm-up's Release is the buffer the
+// measured plan gets back, and skips under -race, where sync.Pool drops Puts
+// at random.
+func checkWarmPlanAllocatesLessThanItsEdges(t *testing.T, as Assigner, p *Problem) {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under -race")
 	}
-	p := benchSpec(256, 25600, []float64{64}, 3).csrBacked()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	if _, err := (SingleData{}).Assign(p); err != nil {
+	if _, err := as.Assign(p); err != nil {
 		t.Fatal(err)
 	}
 	ix := NewLocalityIndex(p)
@@ -163,7 +176,7 @@ func TestSingleDataPlanAllocatesLessThanItsEdges(t *testing.T) {
 	budget := uint64(edges) * uint64(unsafe.Sizeof(LocalityEdge{}))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, err := (SingleData{}).Assign(p); err != nil {
+	if _, err := as.Assign(p); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
