@@ -22,7 +22,6 @@ import (
 var exportSeams = map[string]string{
 	"dfs.FileSystem.Fsck":     "engine's chaos, core's redistribute and advisor's tests end on a fsck-clean ledger; the root TestBadInputs checks a failed store leaves one",
 	"dfs.FileSystem.HostedBy": "engine's delta_replan_test reads which chunks a crashed node held",
-	"dfs.FileSystem.Epoch":    "advisor's tests check that a mutation bumped the ledger epoch; the root TestBadInputs that a failed store did not",
 	"dfs.RoundRobinPlacement": "core's and engine's tests build evenly placed fixtures with it",
 	"simnet.Network.Run":      "cluster's tests and the root benchmarks drain a network without the engine loop",
 	"simnet.Network.Scale":    "engine's chaos_test reads a resource's degradation multiplier mid-run",

@@ -10,9 +10,9 @@
 //
 // The advisor implements engine.AdvisorTicker, so an engine run drives it at
 // a fixed virtual-time interval; a tick that changed placement makes the
-// engine replan its pending backlog against the new replica sets (plan-cache
-// invalidation rides on the per-chunk placement epochs the dfs machinery
-// already bumps on every mutation).
+// engine replan its pending backlog against the new replica sets (the delta
+// replan finds the moved chunks by the per-chunk epochs every dfs mutation
+// stamps).
 package advisor
 
 import (

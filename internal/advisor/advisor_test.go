@@ -125,7 +125,7 @@ func TestHotChunkGainsReplicaAtRemoteReader(t *testing.T) {
 		t.Fatalf("stats = %+v, want at least one hot chunk", st)
 	}
 	// Each mutation (setrep, add) bumps the placement epoch exactly once, so
-	// cached plans reading the chunk are invalidated.
+	// a delta replan re-examines the tasks reading the chunk.
 	if got := fs.Epoch() - before; got < 2 {
 		t.Fatalf("epoch advanced by %d, want >= 2 (one per mutation)", got)
 	}

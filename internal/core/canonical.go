@@ -11,11 +11,12 @@ import (
 // function of (process placement, task inputs, replica placement, strategy
 // + its parameters): the encoding captures the problem side of that tuple
 // exactly — the proc→node map, every task's inputs with chunk identity and
-// size, and each referenced chunk's replica list stamped with that chunk's
-// own placement epoch (Placement.ChunkEpoch). Only the chunks the problem
-// actually reads contribute, so a placement mutation on an unrelated file
-// leaves the fingerprint — and any cached plan keyed by it — untouched,
-// while any mutation of a referenced chunk's replica set changes it.
+// size, each referenced chunk's replica list, and the rack map when it spans
+// racks. Only the chunks the problem actually reads contribute, so a
+// placement mutation on an unrelated file leaves the fingerprint — and any
+// cached plan keyed by it — untouched, while any change to a referenced
+// chunk's replica set changes it. A replica that moves away and back leaves
+// the same problem, so it keeps its fingerprint and its plan.
 // File names never enter the encoding: a renamed file keeps its fingerprint,
 // which is correct because plans depend only on placement, not on names.
 //
@@ -47,8 +48,6 @@ func (p *Problem) AppendCanonical(b []byte) []byte {
 		for _, in := range t.Inputs {
 			put(uint64(in.Chunk))
 			put(math.Float64bits(in.SizeMB))
-			put(p.FS.ChunkEpoch(in.Chunk))
-			put(math.Float64bits(p.FS.ChunkSizeMB(in.Chunk)))
 			replicas := p.FS.Replicas(in.Chunk)
 			put(uint64(len(replicas)))
 			for _, r := range replicas {
@@ -78,7 +77,7 @@ func (p *Problem) canonicalLen() int {
 	words := 2 + len(p.ProcNode) + len(p.Tasks)
 	for i := range p.Tasks {
 		for _, in := range p.Tasks[i].Inputs {
-			words += 5 + len(p.FS.Replicas(in.Chunk))
+			words += 3 + len(p.FS.Replicas(in.Chunk))
 		}
 	}
 	if p.RackTiered() {

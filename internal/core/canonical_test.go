@@ -69,8 +69,8 @@ func TestCanonicalSensitivity(t *testing.T) {
 	}
 
 	// A placement mutation NOT touching any referenced chunk leaves the
-	// encoding byte-stable: fingerprints embed per-chunk epochs, not the
-	// global counter, so unrelated churn keeps cached plans hot.
+	// encoding byte-stable: only the read chunks' replica rows are encoded,
+	// so unrelated churn keeps cached plans hot.
 	p, fs = build()
 	if _, err := fs.Create("/unrelated", 64); err != nil {
 		t.Fatal(err)
@@ -78,9 +78,8 @@ func TestCanonicalSensitivity(t *testing.T) {
 	if !bytes.Equal(baseEnc, p.AppendCanonical(nil)) {
 		t.Fatal("mutation of an unrelated file changed the canonical encoding")
 	}
-	// But a subsequent mutation that DOES touch a referenced chunk is still
-	// detected, even when the replica list round-trips back to its original
-	// value: the chunk epoch records that it moved.
+	// A referenced chunk whose replica moves away and back is the same
+	// problem again, so it keeps its encoding (and its cached plan).
 	c2 := fs.Chunk(p.Tasks[0].Inputs[0].Chunk)
 	origReplicas := append([]int(nil), c2.Replicas...)
 	dst2 := -1
@@ -96,8 +95,15 @@ func TestCanonicalSensitivity(t *testing.T) {
 	if err := fs.MoveReplica(c2.ID, dst2, origReplicas[0]); err != nil {
 		t.Fatal(err)
 	}
+	if !bytes.Equal(baseEnc, p.AppendCanonical(nil)) {
+		t.Fatal("replica move-and-return on a referenced chunk changed the encoding")
+	}
+	// A changed replica set on that same store still changes it.
+	if err := fs.AddReplica(c2.ID, dst2); err != nil {
+		t.Fatal(err)
+	}
 	if bytes.Equal(baseEnc, p.AppendCanonical(nil)) {
-		t.Fatal("replica move-and-return on a referenced chunk left the encoding unchanged")
+		t.Fatal("an added replica on a referenced chunk left the encoding unchanged")
 	}
 
 	// Process placement matters.

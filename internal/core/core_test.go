@@ -133,6 +133,7 @@ func TestValidateCatchesBadProblems(t *testing.T) {
 		{ProcNode: []int{0}, Tasks: []Task{{ID: 0}}, FS: fs},
 		{ProcNode: []int{0}, Tasks: []Task{{ID: 0, Inputs: []Input{{0, -4}}}}, FS: fs},
 		{ProcNode: []int{0}, Tasks: []Task{{ID: 0, Inputs: []Input{{0, math.NaN()}}}}, FS: fs},
+		{ProcNode: []int{0}, Tasks: []Task{{ID: 0, Inputs: []Input{{0, 1e308}}}, {ID: 1, Inputs: []Input{{0, 1e308}}}}, FS: fs},
 		{ProcNode: []int{0}, Tasks: []Task{{ID: 0, Inputs: []Input{{0, 64}}}}, FS: nil},
 	}
 	for i, p := range cases {

@@ -106,7 +106,7 @@ func (s layoutSpec) dfsBacked(t testing.TB) *Problem {
 
 // csrBacked builds the spec over a Layout, rows sorted as Layout requires.
 func (s layoutSpec) csrBacked() *Problem {
-	l := &Layout{SizesMB: s.sizes, RepOff: []int{0}}
+	l := &Layout{RepOff: []int{0}}
 	for _, row := range s.rows {
 		l.Reps = append(l.Reps, row...)
 		slices.Sort(l.Reps[l.RepOff[len(l.RepOff)-1]:])
@@ -133,8 +133,8 @@ func indexEdges(p *Problem) (out []LocalityEdge) {
 
 // TestPlacementViewParity: a layout read through a Layout and through the
 // dfs.FileSystem built from the same rows is one problem to everything in
-// this package — same canonical bytes, same index edges on both tiers, same
-// stamps, and the same plan from every strategy.
+// this package — same canonical bytes, same index edges on both tiers, and
+// the same plan from every strategy.
 func TestPlacementViewParity(t *testing.T) {
 	specs := map[string]layoutSpec{
 		"golden/multi":        specOf(goldenMultiProblem(t)),
@@ -161,15 +161,6 @@ func TestPlacementViewParity(t *testing.T) {
 			}
 			if !slices.Equal(indexEdges(viaDFS), indexEdges(viaCSR)) {
 				t.Error("locality index edges differ")
-			}
-			stamp := StampProblem(viaDFS)
-			if !reflect.DeepEqual(stamp, StampProblem(viaCSR)) {
-				t.Error("plan stamps differ")
-			}
-			for task := range spec.tasks {
-				if stamp.Dirty(viaCSR, task) {
-					t.Fatalf("task %d is dirty against the other view's stamp", task)
-				}
 			}
 
 			weights, bias := make([]float64, len(spec.procNode)), make([]float64, spec.nodes)
@@ -210,7 +201,7 @@ func TestPlacementViewParity(t *testing.T) {
 // TestLayoutRows: a row handed out by a Layout cannot be grown into the next
 // one, and an id the layout does not hold panics as dfs.FileSystem.Chunk does.
 func TestLayoutRows(t *testing.T) {
-	l := &Layout{SizesMB: []float64{8, 16, 32}, RepOff: []int{0, 2, 3, 5}, Reps: []int{0, 3, 1, 2, 4}}
+	l := &Layout{RepOff: []int{0, 2, 3, 5}, Reps: []int{0, 3, 1, 2, 4}}
 	for id, want := range [][]int{{0, 3}, {1}, {2, 4}} {
 		row := l.Replicas(dfs.ChunkID(id))
 		if !slices.Equal(row, want) || cap(row) != len(row) {
@@ -222,20 +213,14 @@ func TestLayoutRows(t *testing.T) {
 		t.Fatalf("appending to a row wrote through: %v", l.Reps)
 	}
 	for _, id := range []dfs.ChunkID{-1, 3} {
-		for name, read := range map[string]func(){
-			"Replicas":    func() { l.Replicas(id) },
-			"ChunkEpoch":  func() { l.ChunkEpoch(id) },
-			"ChunkSizeMB": func() { l.ChunkSizeMB(id) },
-		} {
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("%s(%d) did not panic", name, id)
-					}
-				}()
-				read()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Replicas(%d) did not panic", id)
+				}
 			}()
-		}
+			l.Replicas(id)
+		}()
 	}
 }
 
@@ -282,8 +267,8 @@ func fuzzSpec(data *[]byte) layoutSpec {
 }
 
 // sameProblem is structural equality over what a plan depends on: process
-// placement, every task's inputs, the size, epoch and replica set of each
-// chunk an input names, and the rack map when it spans more than one rack.
+// placement, every task's inputs, the replica set of each chunk an input
+// names, and the rack map when it spans more than one rack.
 func sameProblem(a, b *Problem) bool {
 	if !slices.Equal(a.ProcNode, b.ProcNode) || len(a.Tasks) != len(b.Tasks) || a.RackTiered() != b.RackTiered() {
 		return false
@@ -296,9 +281,7 @@ func sameProblem(a, b *Problem) bool {
 			return false
 		}
 		for _, in := range a.Tasks[t].Inputs {
-			if a.FS.ChunkSizeMB(in.Chunk) != b.FS.ChunkSizeMB(in.Chunk) ||
-				a.FS.ChunkEpoch(in.Chunk) != b.FS.ChunkEpoch(in.Chunk) ||
-				!slices.Equal(a.FS.Replicas(in.Chunk), b.FS.Replicas(in.Chunk)) {
+			if !slices.Equal(a.FS.Replicas(in.Chunk), b.FS.Replicas(in.Chunk)) {
 				return false
 			}
 		}

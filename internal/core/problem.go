@@ -83,6 +83,11 @@ func (p *Problem) Validate() error {
 			}
 		}
 	}
+	// Finite sizes can still sum past the float range, and the locality
+	// fraction would then be Inf/Inf.
+	if total := p.TotalMB(); math.IsInf(total, 0) {
+		return fmt.Errorf("core: total input size %v is not finite", total)
+	}
 	if p.NodeRack != nil {
 		for i, node := range p.ProcNode {
 			if node < 0 || node >= len(p.NodeRack) {

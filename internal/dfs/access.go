@@ -202,8 +202,8 @@ func (fs *FileSystem) RemoteReadMB(id ChunkID, now float64) map[int]float64 {
 // count queues the chunk for ReReplicate; lowering it below leaves the
 // excess copies in place until an explicit RemoveReplica trims them (the
 // advisor chooses which holder to relieve). The target must be at least 1.
-// A changed target bumps the placement epoch: the chunk's repair semantics
-// changed, and conservative invalidation of plans that read it is cheap.
+// A changed target bumps the chunk's epoch: its repair semantics changed, so
+// the engine's delta replan re-examines the tasks that read it.
 func (fs *FileSystem) SetReplicationTarget(id ChunkID, target int) error {
 	c := fs.Chunk(id)
 	if target < 1 {

@@ -105,7 +105,7 @@ func (fs *FileSystem) repairTarget(c *Chunk, live []int) int {
 // onto live nodes without one, until the target (or the live-node count) is
 // reached. Chunks with no surviving replica cannot be repaired and are
 // skipped. It returns the number of chunks repaired and bumps the
-// placement epoch when any replica was created, invalidating cached plans.
+// placement epoch, stamping the repaired chunks, when any replica was created.
 func (fs *FileSystem) ReReplicate() (repaired int) {
 	live := fs.LiveNodes()
 	var touched []ChunkID

@@ -14,10 +14,10 @@ func chunkEpochs(fs *FileSystem, f *File) []uint64 {
 	return out
 }
 
-// TestChunkEpochsStampOnlyAffectedChunks pins the surgical-invalidation
-// contract: a placement mutation advances the epochs of exactly the chunks
-// whose replica sets changed, and no others — the property that lets
-// fingerprints of unrelated problems stay byte-stable under churn.
+// TestChunkEpochsStampOnlyAffectedChunks pins the per-chunk stamp: a
+// placement mutation advances the epochs of exactly the chunks whose replica
+// sets changed, and no others — the property that lets a delta replan keep
+// the tasks whose inputs did not move.
 func TestChunkEpochsStampOnlyAffectedChunks(t *testing.T) {
 	fs := New(testView(8), Config{Seed: 45})
 	fa, err := fs.Create("/a", 256) // 4 chunks
@@ -97,8 +97,8 @@ func TestChunkEpochsStampOnlyAffectedChunks(t *testing.T) {
 }
 
 // TestEpochReadsRaceWithMutations is the race-detector regression for the
-// formerly-unsynchronized epoch counter: a reader polling Epoch() (as the
-// planning service does while fingerprinting) races admin mutations on
+// formerly-unsynchronized epoch counter: a reader polling Epoch() races
+// admin mutations on
 // another goroutine. Under `go test -race` the plain uint64 field this
 // replaced fails immediately; the atomic passes and stays monotonic.
 func TestEpochReadsRaceWithMutations(t *testing.T) {

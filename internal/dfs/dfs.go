@@ -45,12 +45,11 @@ type Chunk struct {
 	// lowered by an explicit RemoveReplica (the setrep analogy).
 	target int
 	// epoch is the value of the file system's global placement epoch at the
-	// last mutation that touched THIS chunk's replica set, so a mutation to
-	// an unrelated file leaves it (and every fingerprint derived from it)
-	// untouched. Fingerprints built from chunk epochs
-	// (core.Problem.AppendCanonical) change exactly when one of the chunks
-	// they read moved, which is what makes surgical plan-cache invalidation
-	// sound. FileSystem.ChunkEpoch reads it.
+	// last mutation that touched THIS chunk's replica set or target, so a
+	// mutation to an unrelated file leaves it untouched. A caller that
+	// remembered Epoch() at time T finds the chunks that moved since as those
+	// whose epoch exceeds it (the engine's delta replan).
+	// FileSystem.ChunkEpoch reads it.
 	epoch uint64
 }
 
@@ -144,11 +143,10 @@ func (fs *FileSystem) View() ClusterView { return fs.view }
 
 // Epoch is a monotonic placement-version counter: every operation that
 // changes which replicas live where — or which nodes may host them — bumps
-// it (writes, deletes, replica add/remove/move, node add/remove, the
-// balancer). It is a coarse "anything changed" signal; callers that want
-// surgical invalidation should consult the per-chunk epochs (ChunkEpoch)
-// instead, which move only when that chunk's replica set does. It is safe to
-// read concurrently with mutations on other goroutines.
+// it (writes, replica add/remove/move, node add/remove, the balancer) and
+// stamps the chunks it touched with the new value, so a chunk was touched
+// after Epoch() returned e exactly when its ChunkEpoch exceeds e. It is safe
+// to read concurrently with mutations on other goroutines.
 func (fs *FileSystem) Epoch() uint64 { return fs.epoch.Load() }
 
 // bumpEpoch records one placement mutation: the global counter advances
@@ -384,13 +382,12 @@ func (fs *FileSystem) Chunk(id ChunkID) *Chunk {
 // NumChunks reports the total chunk count across all files.
 func (fs *FileSystem) NumChunks() int { return len(fs.chunks) }
 
-// Replicas, ChunkEpoch and ChunkSizeMB are the read-only placement view the
-// planners consume (core.Placement): Chunk(id)'s replica list, placement
-// epoch and size. Like Chunk they panic on an unknown id, and the replica
-// slice is the ledger's own — callers must not write to it.
-func (fs *FileSystem) Replicas(id ChunkID) []int      { return fs.Chunk(id).Replicas }
-func (fs *FileSystem) ChunkEpoch(id ChunkID) uint64   { return fs.Chunk(id).epoch }
-func (fs *FileSystem) ChunkSizeMB(id ChunkID) float64 { return fs.Chunk(id).SizeMB }
+// Replicas is the read-only placement view the planners consume
+// (core.Placement): Chunk(id)'s replica list, the ledger's own slice —
+// callers must not write to it. ChunkEpoch is the epoch of the last mutation
+// that touched the chunk. Like Chunk they panic on an unknown id.
+func (fs *FileSystem) Replicas(id ChunkID) []int    { return fs.Chunk(id).Replicas }
+func (fs *FileSystem) ChunkEpoch(id ChunkID) uint64 { return fs.Chunk(id).epoch }
 
 // BlockLocation describes one chunk's placement, mirroring HDFS's
 // getFileBlockLocations response.

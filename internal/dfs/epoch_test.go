@@ -23,8 +23,8 @@ func bumped(t *testing.T, fs *FileSystem, name string, want bool, op func() erro
 }
 
 // TestEpochBumpsOnEveryPlacementMutation walks every mutating entry point of
-// the namenode and asserts it advances the epoch — the invalidation contract
-// the plan cache relies on. Failed operations and reads must leave it
+// the namenode and asserts it advances the epoch — the change signal the
+// engine's delta replan relies on. Failed operations and reads must leave it
 // untouched.
 func TestEpochBumpsOnEveryPlacementMutation(t *testing.T) {
 	fs := New(testView(8), Config{Seed: 41})

@@ -37,9 +37,11 @@ func snapshotLedger(fs *FileSystem) []ledgerEntry {
 // placement mutation — including creates and moves that must fail — and
 // checks after each step that the namenode is consistent, that no replica
 // sits on a dead node, and that a chunk whose replica set or target changed
-// got a newer epoch (the direction plan-cache invalidation relies on; a
-// rolled-back move may bump the epoch without a net change, never the
-// reverse). After ReReplicate no repairable chunk may stay below its target.
+// got a newer epoch (the direction the delta replan relies on; a rolled-back
+// move may bump the epoch without a net change, never the reverse), and that
+// a chunk's epoch exceeds the global epoch taken before the step exactly when
+// the step re-stamped it. After ReReplicate no repairable chunk may stay
+// below its target.
 func TestPropertyFsckSurvivesMutations(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -137,6 +139,14 @@ func TestPropertyFsckSurvivesMutations(t *testing.T) {
 			}
 			live := fs.LiveNodes()
 			for i, c := range fs.chunks {
+				// The one-number stamp: the chunks a step touched are exactly
+				// those whose epoch now exceeds the global epoch before it.
+				stamped := i >= len(before) || fs.ChunkEpoch(c.ID) != before[i].epoch
+				if newer := fs.ChunkEpoch(c.ID) > epochBefore; newer != stamped {
+					t.Errorf("seed %d step %d op %d: chunk %d epoch %d, global epoch before %d: newer %v, stamped %v",
+						seed, step, op, c.ID, fs.ChunkEpoch(c.ID), epochBefore, newer, stamped)
+					return false
+				}
 				for _, r := range c.Replicas {
 					if fs.dead[r] {
 						t.Errorf("seed %d step %d op %d: chunk %d has a replica on dead node %d", seed, step, op, c.ID, r)

@@ -18,19 +18,29 @@ func backlog(src *ListSource) [][]int {
 	return out
 }
 
+// chunkEpochs snapshots the epoch of every chunk in fs.
+func chunkEpochs(fs *dfs.FileSystem) []uint64 {
+	out := make([]uint64, fs.NumChunks())
+	for id := range out {
+		out[id] = fs.ChunkEpoch(dfs.ChunkID(id))
+	}
+	return out
+}
+
 // affectedSet computes, independently of the replanner, which pending tasks
-// the event at node could have moved: epoch-dirty inputs, inputs with a
-// replica on the node, or a queue on one of the node's processes.
-func affectedSet(p *core.Problem, pending [][]int, stamp core.PlanStamp, node int) map[int]bool {
+// the event at node could have moved: inputs whose epoch differs from the
+// per-chunk snapshot, inputs with a replica on the node, or a queue on one
+// of the node's processes.
+func affectedSet(p *core.Problem, fs *dfs.FileSystem, pending [][]int, epochs []uint64, node int) map[int]bool {
 	out := map[int]bool{}
 	for proc, list := range pending {
 		for _, id := range list {
-			if p.ProcNode[proc] == node || stamp.Dirty(p, id) {
+			if p.ProcNode[proc] == node {
 				out[id] = true
 				continue
 			}
 			for _, in := range p.Tasks[id].Inputs {
-				if p.HostedOn(in.Chunk, node) {
+				if fs.ChunkEpoch(in.Chunk) != epochs[in.Chunk] || p.HostedOn(in.Chunk, node) {
 					out[id] = true
 					break
 				}
@@ -54,7 +64,7 @@ func TestDeltaReplanSplicesOnlyAffectedTasks(t *testing.T) {
 	r := buildRig(t, nodes, chunks, seed, dfs.RandomPlacement{})
 	a := opassAssignment(t, r, seed)
 	src := NewListSource(a.Lists)
-	stamp := core.StampProblem(r.prob)
+	since, epochs := r.fs.Epoch(), chunkEpochs(r.fs)
 	before := backlog(src)
 
 	// The event: the victim's DataNode is lost for good and the namenode
@@ -62,14 +72,14 @@ func TestDeltaReplanSplicesOnlyAffectedTasks(t *testing.T) {
 	if _, _, err := r.fs.Crash(victim); err != nil {
 		t.Fatal(err)
 	}
-	affected := affectedSet(r.prob, before, stamp, victim)
+	affected := affectedSet(r.prob, r.fs, before, epochs, victim)
 	if len(affected) == 0 || len(affected) == chunks {
 		t.Fatalf("fixture not discriminating: %d of %d tasks affected", len(affected), chunks)
 	}
 
 	finished := make([]bool, r.prob.NumProcs())
 	weight := func(node int) float64 { return 1 }
-	spliced, rematched, err := ReplanBacklogDelta(r.prob, src, finished, weight, seed, victim, stamp)
+	spliced, rematched, err := ReplanBacklogDelta(r.prob, r.fs, src, finished, weight, seed, victim, since)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +130,7 @@ func TestDeltaReplanSplicesOnlyAffectedTasks(t *testing.T) {
 func TestDeltaReplanNoAffectedTasksIsANoOp(t *testing.T) {
 	r := buildRig(t, 8, 40, 3, dfs.RandomPlacement{})
 	// Processes only on nodes 0..3, and node 7 is drained of every replica
-	// before the stamp is taken: an event there can affect nothing.
+	// before the epoch is taken: an event there can affect nothing.
 	r.prob.ProcNode = []int{0, 1, 2, 3}
 	const spare = 7
 	for _, id := range r.fs.HostedBy(spare) {
@@ -141,9 +151,8 @@ func TestDeltaReplanNoAffectedTasksIsANoOp(t *testing.T) {
 	}
 	a := opassAssignment(t, r, 3)
 	src := NewListSource(a.Lists)
-	stamp := core.StampProblem(r.prob)
 	before := backlog(src)
-	spliced, rematched, err := ReplanBacklogDelta(r.prob, src, make([]bool, 4), func(int) float64 { return 1 }, 3, spare, stamp)
+	spliced, rematched, err := ReplanBacklogDelta(r.prob, r.fs, src, make([]bool, 4), func(int) float64 { return 1 }, 3, spare, r.fs.Epoch())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -124,9 +124,8 @@ type Options struct {
 	Degradations []NodeDegradation
 	// Repair re-replicates under-replicated chunks from surviving holders
 	// RepairDelay seconds after each permanent crash, bumping the file
-	// system's placement epoch (invalidating cached plans). Repair (and
-	// Replan) record permanent crashes in the namenode via FS.Crash, so the
-	// file system is mutated by the run.
+	// system's placement epoch. Repair (and Replan) record permanent crashes
+	// in the namenode via FS.Crash, so the file system is mutated by the run.
 	Repair      bool
 	RepairDelay float64
 	// Replan re-runs the Opass matcher over the not-yet-started backlog
@@ -234,10 +233,15 @@ func ValidateFaults(nodes int, failures []NodeFailure, degradations []NodeDegrad
 }
 
 // validateJob is the check every job passes before the loop runs it: a
-// structurally valid problem whose processes all sit on nodes of topo.
-func validateJob(p *core.Problem, topo *cluster.Topology) error {
+// structurally valid problem that reads its placement from fs, the store the
+// run crashes, repairs and replans against, and whose processes all sit on
+// nodes of topo.
+func validateJob(p *core.Problem, topo *cluster.Topology, fs *dfs.FileSystem) error {
 	if err := p.Validate(); err != nil {
 		return err
+	}
+	if p.FS != core.Placement(fs) {
+		return fmt.Errorf("engine: the problem reads a different file system than the run")
 	}
 	for _, node := range p.ProcNode {
 		if node < 0 || node >= topo.NumNodes() {
@@ -251,7 +255,7 @@ func (o *Options) validate() error {
 	if o.Topo == nil || o.FS == nil || o.Problem == nil {
 		return fmt.Errorf("engine: options require Topo, FS and Problem")
 	}
-	if err := validateJob(o.Problem, o.Topo); err != nil {
+	if err := validateJob(o.Problem, o.Topo, o.FS); err != nil {
 		return err
 	}
 	if o.Advisor != nil && o.AdvisorInterval <= 0 {

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"context"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -234,6 +236,29 @@ func TestRunValidatesOptions(t *testing.T) {
 	bad.Problem = &core.Problem{ProcNode: []int{99}, Tasks: r.prob.Tasks, FS: r.fs}
 	if _, err := Run(bad, NewListSource(make([][]int, 1))); err == nil {
 		t.Fatal("process on nonexistent node must fail")
+	}
+}
+
+// TestRunRejectsProblemOnAnotherStore: the run crashes, repairs and replans
+// against one file system, so a problem whose placement reads another — even
+// a twin built from the same seed — is refused on both entry points.
+func TestRunRejectsProblemOnAnotherStore(t *testing.T) {
+	r, twin := buildRig(t, 4, 8, 9, dfs.RandomPlacement{}), buildRig(t, 4, 8, 9, dfs.RandomPlacement{})
+	a, err := core.SingleData{Seed: 9}.Assign(r.prob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := r.opts("opass")
+	opts.FS = twin.fs
+	if _, err := RunAssignment(opts, a); err == nil || !strings.Contains(err.Error(), "different file system") {
+		t.Fatalf("Run over another store: err = %v", err)
+	}
+	jobs := []JobSpec{{Problem: r.prob, Source: NewListSource(a.Lists)}}
+	if _, err := RunJobsScheduled(context.Background(), r.topo, twin.fs, jobs, nil); err == nil || !strings.Contains(err.Error(), "different file system") {
+		t.Fatalf("RunJobsScheduled over another store: err = %v", err)
+	}
+	if _, err := RunJobsScheduled(context.Background(), r.topo, r.fs, jobs, nil); err != nil {
+		t.Fatalf("RunJobsScheduled over the problem's own store: %v", err)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 
-	"opass/internal/core"
 	"opass/internal/simnet"
 )
 
@@ -48,11 +47,10 @@ type job struct {
 	computeFactor func(proc int) float64 // Options.ComputeFactor; nil means 1.0
 	poller        PollingSource          // set when the job is released
 	// replannable is the job's source when the run replans and the source
-	// is a ListSource; stamp snapshots the placement epochs of the problem's
-	// read set at release and after every replan, for the delta replanner to
-	// diff.
+	// is a ListSource; since is the file system's epoch at release and after
+	// every replan, so the delta replanner finds the chunks touched since.
 	replannable *ListSource
-	stamp       core.PlanStamp
+	since       uint64
 	procs       []procState
 	finished    []bool
 	curReads    []int // reads of this job each node is serving right now
@@ -355,7 +353,7 @@ func (s *sim) release(j int, now float64) {
 	}
 	rt.poller = asPoller(src)
 	if rs, ok := src.(*ListSource); ok && s.opts.Replan {
-		rt.replannable, rt.stamp = rs, core.StampProblem(rt.spec.Problem)
+		rt.replannable, rt.since = rs, s.opts.FS.Epoch()
 	}
 	for proc := range rt.procs {
 		s.startTask(j, proc)
@@ -516,8 +514,8 @@ func (s *sim) maybeReplan(eventNode int) {
 			continue
 		}
 		p, res := rt.spec.Problem, rt.res
-		spliced, rematched, err := ReplanBacklogDelta(p, rt.replannable, rt.finished, s.nodeWeight,
-			s.opts.ReplanSeed+int64(res.Replans), eventNode, rt.stamp)
+		spliced, rematched, err := ReplanBacklogDelta(p, s.opts.FS, rt.replannable, rt.finished, s.nodeWeight,
+			s.opts.ReplanSeed+int64(res.Replans), eventNode, rt.since)
 		if err != nil {
 			panic(abortRun{err})
 		}
@@ -527,10 +525,10 @@ func (s *sim) maybeReplan(eventNode int) {
 				res.DeltaReplannedTasks += rematched
 			}
 		}
-		// Refresh even without a splice: every epoch change up to this event
+		// Advance even without a splice: every epoch change up to this event
 		// either re-matched a pending task just now or concerns a task that
 		// is no longer pending, so older deltas need not be re-examined.
-		rt.stamp.Refresh(p)
+		rt.since = s.opts.FS.Epoch()
 	}
 }
 

@@ -108,7 +108,7 @@ func RunJobsScheduled(ctx context.Context, topo *cluster.Topology, fs *dfs.FileS
 		if spec.Source == nil && sched == nil {
 			return nil, fmt.Errorf("engine: job %d missing source (only scheduled runs may omit it)", j)
 		}
-		if err := validateJob(spec.Problem, topo); err != nil {
+		if err := validateJob(spec.Problem, topo, fs); err != nil {
 			return nil, fmt.Errorf("engine: job %d: %w", j, err)
 		}
 		if spec.StartAt < 0 {

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"opass/internal/core"
+	"opass/internal/dfs"
 )
 
 // This file implements degraded-mode replanning: when the placement truth
@@ -19,15 +20,15 @@ import (
 // begun (§III–IV applied online).
 
 // ReplanBacklogDelta re-matches the part of src's backlog the placement event
-// at eventNode could have moved against the current placement in p.FS,
-// installs the result as src's new backlog, and leaves everything else
-// queued where it was — the O(delta) replan. stamp must have been captured
-// by core.StampProblem before the event mutated p.FS. A pending task is
-// affected when
+// at eventNode could have moved against the current placement in fs (which
+// p.FS reads), installs the result as src's new backlog, and leaves
+// everything else queued where it was — the O(delta) replan. since is
+// fs.Epoch() taken before the event mutated fs. A pending task is affected
+// when
 //
-//   - an input chunk's placement epoch changed since stamp (a permanent
-//     crash dropped its replica from the namenode, repair re-created one,
-//     the balancer moved one), or
+//   - an input chunk was touched after since, i.e. its ChunkEpoch exceeds
+//     it (a permanent crash dropped its replica from the namenode, repair
+//     re-created one, the balancer moved one), or
 //   - an input chunk currently has a replica on eventNode (a transient
 //     outage or degradation changed how attractive that copy is without
 //     touching metadata), or
@@ -52,7 +53,7 @@ import (
 // tasks are appended after each process's kept backlog.
 //
 // It reports whether a splice happened and how many tasks were re-matched.
-func ReplanBacklogDelta(p *core.Problem, src *ListSource, finished []bool, weight func(node int) float64, seed int64, eventNode int, stamp core.PlanStamp) (spliced bool, rematched int, err error) {
+func ReplanBacklogDelta(p *core.Problem, fs *dfs.FileSystem, src *ListSource, finished []bool, weight func(node int) float64, seed int64, eventNode int, since uint64) (spliced bool, rematched int, err error) {
 	if len(src.lists) != len(finished) {
 		return false, 0, fmt.Errorf("engine: replan: source holds %d processes, problem has %d", len(src.lists), len(finished))
 	}
@@ -61,11 +62,8 @@ func ReplanBacklogDelta(p *core.Problem, src *ListSource, finished []bool, weigh
 		if full || p.ProcNode[proc] == eventNode {
 			return true
 		}
-		if stamp.Dirty(p, id) {
-			return true
-		}
 		for _, in := range p.Tasks[id].Inputs {
-			if p.HostedOn(in.Chunk, eventNode) {
+			if fs.ChunkEpoch(in.Chunk) > since || p.HostedOn(in.Chunk, eventNode) {
 				return true
 			}
 		}

@@ -94,10 +94,11 @@ var (
 // decodeProblem parses and validates a request into a core.Problem whose
 // placement is the submitted block layout itself. The body is scanned once
 // through a pooled fixed-size window into pooled columnar accumulators (sizes,
-// replica offsets, replica nodes); exact-size copies of those arrays become
-// the problem's core.Layout, the read-only placement view the planners index
-// directly. No file system is built here: /v1/simulate, whose engine mutates
-// placement, mirrors the layout into one itself (mirrorFS).
+// replica offsets, replica nodes); the sizes go into the tasks' inputs and
+// exact-size copies of the replica arrays become the problem's core.Layout,
+// the read-only placement view the planners index directly. No file system
+// is built here: /v1/simulate, whose engine mutates placement, mirrors the
+// layout into one itself (mirrorFS).
 func decodeProblem(w http.ResponseWriter, r *http.Request, lim RequestLimits) (*PlanRequest, *core.Problem, *apiError) {
 	lx := newLexer(http.MaxBytesReader(w, r.Body, lim.BodyBytes))
 	defer lx.release()
@@ -264,7 +265,7 @@ func decodeRequest(lx *lexer, lim RequestLimits) (*PlanRequest, *core.Problem, *
 	// The problem keeps exact-size copies: the accumulators go back to the
 	// pool with the lexer and the next request overwrites them.
 	prob := &core.Problem{ProcNode: procNodes, FS: &core.Layout{
-		SizesMB: slices.Clone(sizes), RepOff: slices.Clone(repOff), Reps: slices.Clone(reps),
+		RepOff: slices.Clone(repOff), Reps: slices.Clone(reps),
 	}}
 	prob.Tasks = make([]core.Task, numTasks)
 	backing := make([]core.Input, numInputs)
@@ -286,17 +287,25 @@ func decodeRequest(lx *lexer, lim RequestLimits) (*PlanRequest, *core.Problem, *
 }
 
 // mirrorFS builds the in-memory file system /v1/simulate runs against, over
-// the simulated cluster view: one bulk-created file holding the layout's
-// chunks in order, so chunk ids are equal by construction. The engine
-// crashes nodes and repairs chunks, which the read-only layout cannot
-// express; /v1/plan never calls this.
-func mirrorFS(view dfs.ClusterView, l *core.Layout) (*dfs.FileSystem, error) {
-	rows := make([][]int, len(l.SizesMB))
-	for i := range rows {
-		rows[i] = l.Replicas(dfs.ChunkID(i))
+// the simulated cluster view: one bulk-created file holding the decoded
+// problem's chunks in order, so chunk ids are equal by construction. The
+// decoder numbers one chunk per input in task/input order and sizes it as
+// the input, so the sizes are read back off the tasks. The engine crashes
+// nodes and repairs chunks, which the read-only layout cannot express;
+// /v1/plan never calls this.
+func mirrorFS(view dfs.ClusterView, prob *core.Problem) (*dfs.FileSystem, error) {
+	n := 0
+	for i := range prob.Tasks {
+		n += len(prob.Tasks[i].Inputs)
+	}
+	sizes, rows := make([]float64, 0, n), make([][]int, 0, n)
+	for i := range prob.Tasks {
+		for _, in := range prob.Tasks[i].Inputs {
+			sizes, rows = append(sizes, in.SizeMB), append(rows, prob.FS.Replicas(in.Chunk))
+		}
 	}
 	fs := dfs.New(view, dfs.Config{Replication: 1})
-	_, err := fs.CreateChunksReplicated("/layout/tasks", l.SizesMB, rows)
+	_, err := fs.CreateChunksReplicated("/layout/tasks", sizes, rows)
 	return fs, err
 }
 

@@ -551,7 +551,7 @@ var staleFieldBodies = []string{
 func TestDecodeNoStaleFields(t *testing.T) {
 	for _, body := range staleFieldBodies {
 		bothPaths(t, ServerOptions{}, func(t *testing.T, srv *httptest.Server, reg *telemetry.Registry) {
-			resp, out := postRaw(t, srv, body)
+			resp, out := postRaw(t, srv, "/v1/plan", body)
 			rejection(t, reg, resp, out, http.StatusBadRequest, "invalid", "")
 		})
 	}
@@ -607,31 +607,36 @@ var grammarRows = []struct {
 	{"object for an array", `{"nodes":4,"tasks":{}}`, 400},
 	{"truncated", `{"nodes":4,"tasks":[{"inputs":[{"size_mb":1,"repl`, 400},
 	{"empty body", ``, 400},
+	{"finite sizes whose sum overflows", `{"nodes":2,"tasks":[{"inputs":[{"size_mb":1e308,"replicas":[0]}]},{"inputs":[{"size_mb":1e308,"replicas":[1]}]}]}`, 400},
 }
 
-// TestDecodeGrammar: both decoders give every row the same answer, and every
-// rejection lands in the "invalid" bucket.
+// TestDecodeGrammar: both decoders give every row the same answer on both
+// routes, and every rejection lands in the "invalid" bucket.
 func TestDecodeGrammar(t *testing.T) {
 	for _, row := range grammarRows {
 		t.Run(row.class, func(t *testing.T) {
 			bothPaths(t, ServerOptions{}, func(t *testing.T, srv *httptest.Server, reg *telemetry.Registry) {
-				resp, out := postRaw(t, srv, row.body)
-				if row.status == http.StatusOK {
-					if resp.StatusCode != http.StatusOK {
-						t.Fatalf("status %d, want 200: %.200s", resp.StatusCode, out)
+				for i, route := range []string{"/v1/plan", "/v1/simulate"} {
+					resp, out := postRaw(t, srv, route, row.body)
+					if resp.StatusCode != row.status {
+						t.Fatalf("%s: status %d, want %d: %.200s", route, resp.StatusCode, row.status, out)
 					}
-					return
+					if row.status == http.StatusOK {
+						continue
+					}
+					if got := metricValue(t, reg, MetricRequestsRejected, `reason="invalid"`); got != float64(i+1) {
+						t.Fatalf("%s: rejection counter[invalid] = %v, want %d", route, got, i+1)
+					}
 				}
-				rejection(t, reg, resp, out, row.status, "invalid", "")
 			})
 		})
 	}
 }
 
-// postRaw posts a literal body to /v1/plan.
-func postRaw(t *testing.T, srv *httptest.Server, body string) (*http.Response, []byte) {
+// postRaw posts a literal body to route.
+func postRaw(t *testing.T, srv *httptest.Server, route, body string) (*http.Response, []byte) {
 	t.Helper()
-	resp, err := http.Post(srv.URL+"/v1/plan", "application/json", strings.NewReader(body))
+	resp, err := http.Post(srv.URL+route, "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

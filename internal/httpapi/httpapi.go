@@ -517,10 +517,9 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	// The engine crashes nodes and repairs chunks, so a simulation runs
 	// against a file system mirroring the submitted layout over the
 	// simulated cluster; installed before planning, it is the one placement
-	// the plan, the engine and the replans all read. (The decoder's problems
-	// are always Layout-backed.)
+	// the plan, the engine and the replans all read.
 	topo := cluster.New(req.Nodes, cluster.Marmot())
-	fs, err := mirrorFS(topo, prob.FS.(*core.Layout))
+	fs, err := mirrorFS(topo, prob)
 	if err != nil {
 		s.writeJSON(w, r, http.StatusInternalServerError, errorBody{Error: err.Error()})
 		return
@@ -694,7 +693,7 @@ func pickAssigner(req *PlanRequest, prob *core.Problem) (core.Assigner, *apiErro
 }
 
 // planFingerprint derives the cache key: the canonical problem encoding
-// (proc→node map, task inputs, per-chunk replica lists, FS epoch) plus the
+// (proc→node map, task inputs, per-chunk replica lists, multi-rack map) plus the
 // resolved strategy and its seed. Everything a planner consults is covered,
 // so equal keys imply byte-identical plans.
 func planFingerprint(prob *core.Problem, strategy string, seed int64) plancache.Key {
@@ -722,15 +721,12 @@ type tierPlan struct {
 	TotalMB float64      `json:"total_mb"`
 }
 
-// tierKeyFor derives the remote key: the configured namespace, the placement
-// epoch of a submitted layout, and the content-addressed problem fingerprint.
-// Every request carries its complete layout and is planned as first written —
-// epoch 1, whether read through the decoder's core.Layout or /v1/simulate's
-// mirror before the engine touches it — so the segment is the constant "e1",
-// the keyspace every earlier release published into; the fingerprint, which
-// covers each chunk's replicas and epoch, is what tells layouts apart.
+// tierKeyFor derives the remote key: the configured namespace and the
+// content-addressed problem fingerprint, which covers every replica row the
+// plan read — the same bytes whether the layout is read through the decoder's
+// core.Layout or /v1/simulate's mirror.
 func (s *Server) tierKeyFor(key plancache.Key) string {
-	return plancache.TierKey(s.tierNS+"/e1", key)
+	return plancache.TierKey(s.tierNS, key)
 }
 
 // tierFetch asks the shared tier for an already-computed plan. Every

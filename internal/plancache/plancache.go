@@ -6,13 +6,12 @@
 // analogue of OS4M's reuse of global scheduling decisions across
 // operations.
 //
-// The cache is safe only because invalidation is tied to file-system
-// mutations: fingerprints embed the per-chunk placement epochs of exactly
-// the chunks a problem reads (dfs.FileSystem.ChunkEpoch via
-// core.Problem.AppendCanonical), so a plan computed against stale placement
-// can never be served for a mutated one — the delay-scheduling lesson that
-// cached placement must stay fresh — while mutations to files a problem
-// does not read leave its fingerprint, and thus its cached plan, hot.
+// The cache needs no invalidation: a fingerprint
+// (core.Problem.AppendCanonical) covers the replica rows of exactly the
+// chunks a problem reads, so a plan computed against one placement can never
+// be served for another — the delay-scheduling lesson that cached placement
+// must stay fresh — while changes to chunks a problem does not read leave its
+// fingerprint, and thus its cached plan, hot.
 //
 // Three mechanisms compose:
 //

@@ -15,8 +15,8 @@ import (
 // compute it publishes the result for every other replica.
 //
 // Correctness is inherited from content addressing. Tier keys embed the
-// same canonical-problem fingerprint the L1 uses — which covers every chunk's
-// replicas and placement epoch — plus the caller's namespace (a wire-format
+// same canonical-problem fingerprint the L1 uses — which covers every replica
+// row the problem reads — plus the caller's namespace (a wire-format
 // version), so replicas answering from the shared tier agree on exactly the
 // layout the plan was computed against. Stale entries are never wrong, merely
 // unreachable, so the tier needs no invalidation protocol: TTLs and backend
@@ -38,8 +38,8 @@ type Tier interface {
 // TierKey renders a content-addressed Key under a namespace as a key every
 // Tier backend accepts (hex keeps it within memcached's 250-byte printable
 // key rules for any namespace up to ~180 bytes). Namespaces version the
-// keyspace: the service embeds its wire-format version and the placement
-// epoch of a submitted layout (see httpapi's tierKeyFor).
+// keyspace: the service embeds its wire-format version (see httpapi's
+// tierKeyFor).
 func TierKey(namespace string, k Key) string {
 	return fmt.Sprintf("%s:%x", namespace, k[:])
 }

@@ -20,8 +20,8 @@ import (
 func tierConformance(t *testing.T, tier Tier) {
 	t.Helper()
 	ctx := context.Background()
-	k1 := TierKey("opass:epoch1", KeyOf([]byte("problem-a")))
-	k2 := TierKey("opass:epoch2", KeyOf([]byte("problem-a"))) // same fingerprint, other epoch
+	k1 := TierKey("opass1", KeyOf([]byte("problem-a")))
+	k2 := TierKey("opass2", KeyOf([]byte("problem-a"))) // same fingerprint, other version
 
 	if _, ok, err := tier.Get(ctx, k1); err != nil || ok {
 		t.Fatalf("Get on empty tier = ok=%v err=%v, want clean miss", ok, err)
@@ -38,7 +38,7 @@ func tierConformance(t *testing.T, tier Tier) {
 		t.Fatalf("round-trip corrupted value: %d bytes, want %d", len(got), len(val))
 	}
 	if _, ok, err := tier.Get(ctx, k2); err != nil || ok {
-		t.Fatalf("other-epoch key hit (ok=%v err=%v); snapshot namespaces must be disjoint", ok, err)
+		t.Fatalf("other-version key hit (ok=%v err=%v); namespaces must be disjoint", ok, err)
 	}
 	// Empty value round-trips too (a legal cached payload).
 	if err := tier.Set(ctx, k2, nil, 0); err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"opass/internal/core"
+	"opass/internal/dfs"
 	"opass/internal/engine"
 )
 
@@ -25,12 +26,13 @@ const ReplanVictim = 1
 // backlog, so calls are independent and repeatable.
 type ReplanRig struct {
 	Prob  *core.Problem
-	Lists [][]int        // the cold assignment's per-process dispatch lists
-	Stamp core.PlanStamp // placement epochs captured before the crash
+	FS    *dfs.FileSystem // the store Prob reads, after the crash
+	Lists [][]int         // the cold assignment's per-process dispatch lists
+	Since uint64          // FS.Epoch() before the crash
 }
 
 // BuildReplanRig builds the seeded workload at the given scale, plans it
-// cold, stamps the placement, and crashes ReplanVictim — bumping the
+// cold, notes the placement epoch, and crashes ReplanVictim — bumping the
 // epochs of every chunk that lost a replica, exactly what a namenode
 // processing a DataNode loss does.
 func BuildReplanRig(procs int) (*ReplanRig, error) {
@@ -43,11 +45,11 @@ func BuildReplanRig(procs int) (*ReplanRig, error) {
 	if err != nil {
 		return nil, err
 	}
-	stamp := core.StampProblem(p)
+	since := rig.FS.Epoch()
 	if _, _, err := rig.FS.Crash(ReplanVictim); err != nil {
 		return nil, err
 	}
-	return &ReplanRig{Prob: p, Lists: a.Lists, Stamp: stamp}, nil
+	return &ReplanRig{Prob: p, FS: rig.FS, Lists: a.Lists, Since: since}, nil
 }
 
 // weight excludes the dead node's process from new work, as the engine's
@@ -63,7 +65,7 @@ func (r *ReplanRig) weight(node int) float64 {
 // placement — the pre-incremental baseline.
 func (r *ReplanRig) ReplanCold() error {
 	src := engine.NewListSource(r.Lists)
-	spliced, _, err := engine.ReplanBacklogDelta(r.Prob, src, make([]bool, r.Prob.NumProcs()), r.weight, 1, -1, core.PlanStamp{})
+	spliced, _, err := engine.ReplanBacklogDelta(r.Prob, r.FS, src, make([]bool, r.Prob.NumProcs()), r.weight, 1, -1, r.Since)
 	if err != nil {
 		return err
 	}
@@ -78,7 +80,7 @@ func (r *ReplanRig) ReplanCold() error {
 func (r *ReplanRig) ReplanDelta() (int, error) {
 	src := engine.NewListSource(r.Lists)
 	spliced, rematched, err := engine.ReplanBacklogDelta(
-		r.Prob, src, make([]bool, r.Prob.NumProcs()), r.weight, 1, ReplanVictim, r.Stamp)
+		r.Prob, r.FS, src, make([]bool, r.Prob.NumProcs()), r.weight, 1, ReplanVictim, r.Since)
 	if err != nil {
 		return 0, err
 	}
