@@ -506,7 +506,9 @@ func (d *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
 
 // BenchmarkPlanRequest times the whole /v1/plan handler — middleware, decode,
 // admission, fingerprint or planner, encode — over benchShapes with the plan
-// cache off, plus the cache-hit path on the paper-single body.
+// cache off, plus two cache hits on the paper-single body: the repeated body
+// (an aliased hit: read, hash, write) and the same problem in other bytes (a
+// canonical hit: decode, fingerprint, encode, store the new alias).
 func BenchmarkPlanRequest(b *testing.B) {
 	serve := func(b *testing.B, s *Server, body []byte) {
 		w := &discardResponse{header: http.Header{}}
@@ -515,7 +517,8 @@ func BenchmarkPlanRequest(b *testing.B) {
 			b.Fatalf("status %d", w.status)
 		}
 	}
-	run := func(name string, opts ServerOptions, body []byte) {
+	// vary, when set, gives the body of iteration i.
+	run := func(name string, opts ServerOptions, body []byte, vary func(i int) []byte) {
 		b.Run(name, func(b *testing.B) {
 			s := NewServer(opts)
 			serve(b, s, body) // fills the cache when it is on
@@ -523,14 +526,28 @@ func BenchmarkPlanRequest(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				if vary != nil {
+					body = vary(i)
+				}
 				serve(b, s, body)
 			}
 		})
 	}
 	for _, w := range benchShapes {
-		run(w.name, ServerOptions{PlanCacheEntries: -1}, benchBody(256, w.tasks, w.sizes, false, 1))
+		run(w.name, ServerOptions{PlanCacheEntries: -1}, benchBody(256, w.tasks, w.sizes, false, 1), nil)
 	}
-	run("cache-hit", ServerOptions{}, benchBody(256, 2560, []float64{64}, false, 1))
+	single := benchBody(256, 2560, []float64{64}, false, 1)
+	run("cache-hit", ServerOptions{}, single, nil)
+	// Each iteration leads with 24 bytes of whitespace spelling its number in
+	// spaces and tabs, so no body repeats and none is aliased.
+	const lead = 24
+	varied := append(make([]byte, lead), single...)
+	run("cache-hit-canonical", ServerOptions{}, single, func(i int) []byte {
+		for k := range lead {
+			varied[k] = " \t"[i>>k&1]
+		}
+		return varied
+	})
 }
 
 // oneTask is the smallest valid task list, for rows that vary something else.
@@ -636,16 +653,7 @@ func TestDecodeGrammar(t *testing.T) {
 // postRaw posts a literal body to route.
 func postRaw(t *testing.T, srv *httptest.Server, route, body string) (*http.Response, []byte) {
 	t.Helper()
-	resp, err := http.Post(srv.URL+route, "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp, out
+	return postReader(t, srv, route, strings.NewReader(body))
 }
 
 // decodeOutcome is what a decoder made of one body, in comparable form.
@@ -806,33 +814,36 @@ func waysOut() (valid string, ways []wayOut) {
 	}
 }
 
-// TestDecodeWindowReleased: the pooled window goes back on every way out of
-// the decoder — success, each kind of rejection, and a client that
-// disconnects mid-body.
+// TestDecodeWindowReleased: the pooled window and the pooled body buffer go
+// back on every way out of a /v1/plan request — success (a miss, then its
+// aliased hit), each kind of rejection (each posted twice), and a client that
+// disconnects mid-body, both while the body is read ahead and, with the cache
+// off, while the decoder streams it.
 func TestDecodeWindowReleased(t *testing.T) {
 	valid, ways := waysOut()
-	lim := waysOutLimits
+	s := NewServer(ServerOptions{Limits: waysOutLimits})
 	for _, tc := range ways {
 		t.Run(tc.name, func(t *testing.T) {
-			out := lexersOut.Load()
-			r := httptest.NewRequest(http.MethodPost, "/v1/simulate", strings.NewReader(tc.body))
-			_, _, apiErr := decodeProblem(httptest.NewRecorder(), r, lim)
-			status := http.StatusOK
-			if apiErr != nil {
-				status = apiErr.status
-			}
-			if status != tc.status {
-				t.Fatalf("status %d (%v), want %d", status, apiErr, tc.status)
-			}
-			if got := lexersOut.Load(); got != out {
-				t.Fatalf("%d windows out after the request, %d before", got, out)
+			lexers, bodies := lexersOut.Load(), bodiesOut.Load()
+			for range 2 {
+				w := httptest.NewRecorder()
+				s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/plan", strings.NewReader(tc.body)))
+				if w.Code != tc.status {
+					t.Fatalf("status %d (%s), want %d", w.Code, w.Body, tc.status)
+				}
+				if got := lexersOut.Load(); got != lexers {
+					t.Fatalf("%d windows out after the request, %d before", got, lexers)
+				}
+				if got := bodiesOut.Load(); got != bodies {
+					t.Fatalf("%d body buffers out after the request, %d before", got, bodies)
+				}
 			}
 		})
 	}
-	t.Run("client disconnect mid-body", func(t *testing.T) {
-		srv := httptest.NewServer(NewServer(ServerOptions{}))
+	disconnect := func(t *testing.T, opts ServerOptions, what string, blocked func(lexers, bodies int64) bool) {
+		srv := httptest.NewServer(NewServer(opts))
 		defer srv.Close()
-		out := lexersOut.Load()
+		lexers, bodies := lexersOut.Load(), bodiesOut.Load()
 		body, feed := io.Pipe()
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
@@ -850,10 +861,20 @@ func TestDecodeWindowReleased(t *testing.T) {
 		if _, err := io.WriteString(feed, valid[:len(valid)/2]); err != nil {
 			t.Fatal(err)
 		}
-		waitFor(t, "decoder blocked on the rest of the body", func() bool { return lexersOut.Load() == out+1 })
+		waitFor(t, what, func() bool { return blocked(lexersOut.Load()-lexers, bodiesOut.Load()-bodies) })
 		cancel()
-		waitFor(t, "window returned", func() bool { return lexersOut.Load() == out })
+		waitFor(t, "window and body buffer returned", func() bool {
+			return lexersOut.Load() == lexers && bodiesOut.Load() == bodies
+		})
 		feed.Close() // the transport's write loop is still reading the body; Do returns once it stops
 		<-done
+	}
+	t.Run("client disconnect mid-body", func(t *testing.T) {
+		disconnect(t, ServerOptions{}, "read-ahead blocked on the rest of the body",
+			func(lexers, bodies int64) bool { return bodies == 1 && lexers == 0 })
+	})
+	t.Run("client disconnect mid-body, cache off", func(t *testing.T) {
+		disconnect(t, ServerOptions{PlanCacheEntries: -1}, "decoder blocked on the rest of the body",
+			func(lexers, bodies int64) bool { return lexers == 1 && bodies == 0 })
 	})
 }

@@ -35,6 +35,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -317,12 +318,15 @@ type Server struct {
 	plannerRan func()
 }
 
-// cachedPlan is the unit the plan cache stores: the response envelope plus
-// the assignment /v1/simulate feeds to the engine. Both are treated as
-// immutable once cached (the engine copies the lists it consumes).
+// cachedPlan is the unit the plan cache stores. Under a plan fingerprint it
+// is the response envelope plus the assignment /v1/simulate feeds to the
+// engine; under a body alias it is only body, the encoded 200 that body got.
+// All are treated as immutable once cached (the engine copies the lists it
+// consumes).
 type cachedPlan struct {
 	resp PlanResponse
 	a    *core.Assignment
+	body []byte
 }
 
 // routeLabel bounds metric label cardinality to the known route set.
@@ -370,8 +374,8 @@ func NewServer(opts ServerOptions) *Server {
 	reg.Help(MetricPlanCacheMisses, "Plans that ran the planner and populated the cache.")
 	reg.Help(MetricPlanCacheCoalesced, "Requests that attached to an in-flight identical planner run.")
 	reg.Help(MetricPlanCacheEvictions, "Plan-cache entries dropped by capacity bounds.")
-	reg.Help(MetricPlanCacheEntries, "Plans currently cached.")
-	reg.Help(MetricPlanCacheBytes, "Estimated bytes of plans currently cached.")
+	reg.Help(MetricPlanCacheEntries, "Plans and body aliases (encoded responses to repeated /v1/plan bodies) currently cached.")
+	reg.Help(MetricPlanCacheBytes, "Estimated bytes of plans and body aliases currently cached.")
 	reg.Help(MetricPlanCacheRemoteHits, "Plans adopted from the shared remote cache tier.")
 	reg.Help(MetricPlanCacheRemoteMisses, "Remote-tier lookups that fell through to the local planner.")
 	reg.Help(MetricPlanCacheRemoteErrors, "Remote-tier backend failures, treated as misses.")
@@ -469,10 +473,10 @@ func (s *Server) Drain() {
 	s.simAdmit.drain()
 }
 
-// decodeBody runs the request decoder under its stage clock and answers a
-// rejection itself; ok=false means the response has already been written.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request) (req *PlanRequest, prob *core.Problem, ok bool) {
-	start := time.Now()
+// decodeBody runs the request decoder under its stage clock, which started
+// at start (before any read-ahead of the body), and answers a rejection
+// itself; ok=false means the response has already been written.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, start time.Time) (req *PlanRequest, prob *core.Problem, ok bool) {
 	req, prob, apiErr := s.decode(w, r, s.limits)
 	s.reg.Histogram(MetricRequestDecodeSeconds, nil, telemetry.L("route", routeLabel(r))).Observe(time.Since(start).Seconds())
 	if apiErr != nil {
@@ -483,7 +487,25 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request) (req *PlanRe
 }
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	req, prob, ok := s.decodeBody(w, r)
+	// With the cache on, a body short enough to alias is read ahead: if its
+	// bytes under this query already got a 200, that response is the answer.
+	start := time.Now()
+	var alias plancache.Key
+	aliasable := false
+	if s.planCache != nil && r.ContentLength <= min(maxAliasBody, s.limits.BodyBytes) {
+		body := readBody(w, r, s.limits.BodyBytes)
+		defer body.release()
+		if aliasable = body.eof; aliasable {
+			alias = plancache.KeyOf(aliasRoute, []byte(r.URL.RawQuery), body.b)
+			if cp, ok := s.planCache.Lookup(alias); ok {
+				s.reg.Counter(MetricPlanCacheHits).Inc()
+				s.writeBody(w, r, cp.body)
+				return
+			}
+		}
+		r.Body = body
+	}
+	req, prob, ok := s.decodeBody(w, r, start)
 	if !ok {
 		return
 	}
@@ -499,11 +521,23 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		s.planFailed(w, r, err)
 		return
 	}
-	s.writeJSON(w, r, http.StatusOK, resp)
+	if !aliasable {
+		s.writeJSON(w, r, http.StatusOK, resp)
+		return
+	}
+	var out bodyCopy
+	if err := encodeJSON(&out, r, resp); err != nil {
+		s.writeFailed(r, http.StatusOK, err)
+		s.writeJSON(w, r, http.StatusInternalServerError, errorBody{Error: err.Error()})
+		return
+	}
+	s.writeBody(w, r, out)
+	s.planCache.Insert(alias, cachedPlan{body: out}, int64(len(out))+entryOverheadBytes)
+	s.cacheGauges()
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	req, prob, ok := s.decodeBody(w, r)
+	req, prob, ok := s.decodeBody(w, r, time.Now())
 	if !ok {
 		return
 	}
@@ -653,28 +687,71 @@ func (s *Server) planFailed(w http.ResponseWriter, r *http.Request, err error) {
 	s.writeJSON(w, r, http.StatusInternalServerError, errorBody{Error: err.Error()})
 }
 
-// writeJSON writes the response envelope. An encode failure — typically the
-// client hanging up mid-body — is logged and counted instead of silently
-// letting the telemetry middleware record a clean response.
+// writeJSON writes the response envelope. A failure — the client hanging up
+// mid-body, or a value that does not marshal — is logged and counted instead
+// of silently letting the telemetry middleware record a clean response. The
+// status goes out with the first body byte, so a value that does not marshal
+// has sent nothing yet and is answered with a 500 instead of an empty 200.
 func (s *Server) writeJSON(w http.ResponseWriter, r *http.Request, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
+	hw := &headerOnWrite{w: w, status: status}
+	err := encodeJSON(hw, r, v)
+	if err == nil {
+		return
+	}
+	s.writeFailed(r, status, err)
+	if !hw.wrote {
+		s.writeJSON(w, r, http.StatusInternalServerError, errorBody{Error: err.Error()})
+	}
+}
+
+// writeBody answers 200 with an already-encoded JSON body.
+func (s *Server) writeBody(w http.ResponseWriter, r *http.Request, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	if _, err := w.Write(body); err != nil {
+		s.writeFailed(r, http.StatusOK, err)
+	}
+}
+
+// writeFailed counts and logs a response that could not be encoded or
+// written.
+func (s *Server) writeFailed(r *http.Request, status int, err error) {
+	s.reg.Counter(MetricResponseErrors, telemetry.L("route", routeLabel(r))).Inc()
+	if s.logger != nil {
+		s.logger.Warn("response write failed",
+			slog.String("id", telemetry.RequestID(r.Context())),
+			slog.String("route", routeLabel(r)),
+			slog.Int("status", status),
+			slog.Any("error", err))
+	}
+}
+
+// encodeJSON renders v as a response body, newline-terminated: compact by
+// default — at 1M tasks the indented envelope nearly doubles the response
+// bytes — and indented under ?pretty=1. json.Encoder marshals the whole value
+// before its one Write to w.
+func encodeJSON(w io.Writer, r *http.Request, v any) error {
 	enc := json.NewEncoder(w)
-	// Compact by default — at 1M tasks the indented envelope nearly
-	// doubles the response bytes; ?pretty=1 opts into readable output.
 	if r.URL.Query().Get("pretty") == "1" {
 		enc.SetIndent("", "  ")
 	}
-	if err := enc.Encode(v); err != nil {
-		s.reg.Counter(MetricResponseErrors, telemetry.L("route", routeLabel(r))).Inc()
-		if s.logger != nil {
-			s.logger.Warn("response write failed",
-				slog.String("id", telemetry.RequestID(r.Context())),
-				slog.String("route", routeLabel(r)),
-				slog.Int("status", status),
-				slog.Any("error", err))
-		}
+	return enc.Encode(v)
+}
+
+// headerOnWrite sends a deferred status with the first body Write.
+type headerOnWrite struct {
+	w      http.ResponseWriter
+	status int
+	wrote  bool
+}
+
+func (h *headerOnWrite) Write(p []byte) (int, error) {
+	if !h.wrote {
+		h.wrote = true
+		h.w.WriteHeader(h.status)
 	}
+	return h.w.Write(p)
 }
 
 // pickAssigner resolves the request's strategy to a planner. The resolved
@@ -702,6 +779,10 @@ func planFingerprint(prob *core.Problem, strategy string, seed int64) plancache.
 	return plancache.KeyOf(prob.AppendCanonical(nil), []byte(strategy), seedBytes[:])
 }
 
+// entryOverheadBytes is what the cache's byte bound charges each entry
+// beyond its payload: the envelope, the LRU element, the map slot and key.
+const entryOverheadBytes = 256
+
 // planSizeBytes estimates a cached plan's memory footprint for the cache's
 // byte bound: slice payloads plus headers and the fixed envelope.
 func planSizeBytes(resp *PlanResponse) int64 {
@@ -709,7 +790,7 @@ func planSizeBytes(resp *PlanResponse) int64 {
 	for _, l := range resp.Lists {
 		n += 24 + int64(len(l))*8
 	}
-	return n + 256
+	return n + entryOverheadBytes
 }
 
 // tierPlan is the wire form of a cached plan in the shared tier. The
@@ -819,10 +900,15 @@ func (s *Server) plan(ctx context.Context, req *PlanRequest, prob *core.Problem)
 	default:
 		s.reg.Counter(MetricPlanCacheMisses).Inc()
 	}
+	s.cacheGauges()
+	return cached.resp, cached.a, err
+}
+
+// cacheGauges mirrors the plan cache's footprint into its gauges.
+func (s *Server) cacheGauges() {
 	stats := s.planCache.Stats()
 	s.reg.Gauge(MetricPlanCacheEntries).Set(float64(stats.Entries))
 	s.reg.Gauge(MetricPlanCacheBytes).Set(float64(stats.Bytes))
-	return cached.resp, cached.a, err
 }
 
 // computePlan runs the resolved strategy over the decoded problem under

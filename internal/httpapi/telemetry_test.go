@@ -78,10 +78,12 @@ func TestMetricsEndpoint(t *testing.T) {
 		`opass_planner_latency_seconds_bucket{strategy="opass-flow",le="+Inf"} 1`,
 		// Locality fractions: the 4-node matching layout plans fully local.
 		`opass_plan_locality_fraction_count{strategy="opass-flow"} 1`,
-		// Plan-cache accounting: opass + greedy missed, simulate hit.
+		// Plan-cache accounting: opass + greedy missed, simulate hit. Each
+		// plan is cached twice: under its fingerprint, and as the encoded
+		// response to its /v1/plan body.
 		"opass_plan_cache_misses_total 2",
 		"opass_plan_cache_hits_total 1",
-		"opass_plan_cache_entries 2",
+		"opass_plan_cache_entries 4",
 		// Engine gauges updated after /v1/simulate.
 		"opass_sim_runs_total 1",
 		"opass_sim_last_tasks_run 8",

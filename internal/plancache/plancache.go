@@ -26,7 +26,9 @@
 //     share one compute. The shared compute's context is detached from
 //     any single caller's cancellation and is cancelled only when every
 //     waiter has given up — one impatient client cannot abort work others
-//     are still waiting for, but work nobody wants stops promptly.
+//     are still waiting for, but work nobody wants stops promptly. Lookup
+//     and Insert bypass it, for values a caller derives itself (the
+//     service's body aliases).
 package plancache
 
 import (
@@ -87,8 +89,8 @@ type Options struct {
 	// MaxEntries bounds the entry count; <= 0 means no entry bound.
 	MaxEntries int
 	// MaxBytes bounds the sum of caller-reported value sizes; <= 0 means
-	// no byte bound. A single value larger than the bound is evicted
-	// immediately after insertion (it can never fit).
+	// no byte bound. A single value larger than the bound is evicted on
+	// arrival (it can never fit) and displaces nothing.
 	MaxBytes int64
 	// OnEvict, if set, is called (outside the cache lock) after evictions
 	// with the number of entries evicted and the cache's new entry/byte
@@ -194,6 +196,29 @@ func (c *Cache[V]) Do(ctx context.Context, key Key, compute func(context.Context
 	return c.wait(ctx, cl, Miss)
 }
 
+// Lookup returns the value cached under key and marks it most recently used.
+// It never starts or joins a flight: a missing key is a plain miss, whatever
+// is computing it.
+func (c *Cache[V]) Lookup(key Key) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.entries[key]; ok {
+		c.lru.MoveToFront(e.elem)
+		return e.val, true
+	}
+	var zero V
+	return zero, false
+}
+
+// Insert caches v under key with the given size, under the same bounds as Do.
+// A key already present keeps its value and size: the store has no overwrite.
+func (c *Cache[V]) Insert(key Key, v V, size int64) {
+	c.mu.Lock()
+	evicted := c.storeLocked(key, v, size)
+	c.mu.Unlock()
+	c.notifyEvict(evicted)
+}
+
 // run executes the shared compute and publishes its result.
 func (c *Cache[V]) run(key Key, cl *call[V], cctx context.Context, cancel context.CancelFunc, compute func(context.Context) (V, int64, error)) {
 	v, size, err := compute(cctx)
@@ -232,11 +257,19 @@ func (c *Cache[V]) wait(ctx context.Context, cl *call[V], oc Outcome) (V, Outcom
 	}
 }
 
-// storeLocked inserts a flight's result and enforces the bounds, returning
-// how many entries were evicted. The key is never already present: a present
-// key is a hit, and only one flight per key runs at a time.
+// storeLocked inserts a value and enforces the bounds, returning how many
+// entries were evicted. A key already present (an Insert that landed while
+// the key's flight ran) is left as it is, and a value over MaxBytes is
+// counted as evicted without displacing the entries that do fit.
 func (c *Cache[V]) storeLocked(key Key, v V, size int64) int {
+	if _, ok := c.entries[key]; ok {
+		return 0
+	}
 	size = max(size, 0)
+	if c.opts.MaxBytes > 0 && size > c.opts.MaxBytes {
+		c.evictions++
+		return 1
+	}
 	e := &entry[V]{key: key, val: v, size: size}
 	e.elem = c.lru.PushFront(e)
 	c.entries[key] = e
