@@ -47,14 +47,6 @@ type AssignResult struct {
 	// optimum split the file between processes). Unowned files are the
 	// "unmatched tasks" the paper assigns randomly afterwards.
 	Owner []int
-	// LocalMB is the maximum-flow value: the total megabytes that will be
-	// read locally under this assignment before the random repair step.
-	LocalMB int64
-	// AssignedMB[p] is the load (MB) the matching placed on process p.
-	AssignedMB []int64
-	// Full reports whether the matching is a full matching in the paper's
-	// sense: every file is assigned to a co-located process.
-	Full bool
 }
 
 // AssignMaxLocality encodes the locality graph as the flow network of
@@ -124,24 +116,18 @@ func AssignMaxLocalityContext(ctx context.Context, g *Graph, quotas, sizes []int
 		fn.AddArc(fileBase+f, t, sizes[f])
 	}
 
-	var value int64
 	fn.SetStop(ctx.Err)
 	switch algo {
 	case Dinic:
-		value = fn.MaxFlowDinic(s, t)
+		fn.MaxFlowDinic(s, t)
 	default:
-		value = fn.MaxFlowEK(s, t)
+		fn.MaxFlowEK(s, t)
 	}
 	if err := fn.StopErr(); err != nil {
 		return AssignResult{}, err
 	}
 
-	res := AssignResult{
-		Owner:      make([]int, numF),
-		LocalMB:    value,
-		AssignedMB: make([]int64, numP),
-		Full:       true,
-	}
+	res := AssignResult{Owner: make([]int, numF)}
 	// A file belongs to p only when p alone carries the file's full size.
 	carried := make([]int64, numF)
 	carrier := make([]int, numF)
@@ -164,9 +150,6 @@ func AssignMaxLocalityContext(ctx context.Context, g *Graph, quotas, sizes []int
 	for f := 0; f < numF; f++ {
 		if !split[f] && carrier[f] >= 0 && carried[f] == sizes[f] {
 			res.Owner[f] = carrier[f]
-			res.AssignedMB[carrier[f]] += sizes[f]
-		} else {
-			res.Full = false
 		}
 	}
 	return res, nil

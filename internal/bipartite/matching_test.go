@@ -1,6 +1,7 @@
 package bipartite
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -58,12 +59,6 @@ func TestAssignFigure5Shape(t *testing.T) {
 	g.AddEdge(1, 3, 64)
 	for _, algo := range []Algorithm{EdmondsKarp, Dinic} {
 		res := AssignMaxLocality(g, []int64{128, 128}, []int64{64, 64, 64, 64}, algo)
-		if !res.Full {
-			t.Fatalf("%v: expected a full matching, got %+v", algo, res)
-		}
-		if res.LocalMB != 256 {
-			t.Fatalf("%v: local MB = %d, want 256", algo, res.LocalMB)
-		}
 		if res.Owner[2] != 1 || res.Owner[3] != 1 || res.Owner[0] != 0 || res.Owner[1] != 0 {
 			t.Fatalf("%v: owners = %v", algo, res.Owner)
 		}
@@ -77,12 +72,6 @@ func TestAssignRespectsQuotas(t *testing.T) {
 		g.AddEdge(0, f, 64)
 	}
 	res := AssignMaxLocality(g, []int64{128, 128}, []int64{64, 64, 64, 64}, EdmondsKarp)
-	if res.AssignedMB[0] != 128 {
-		t.Fatalf("process 0 assigned %d MB, want quota 128", res.AssignedMB[0])
-	}
-	if res.Full {
-		t.Fatal("matching cannot be full: p1 has no locality edges")
-	}
 	owned := 0
 	for _, o := range res.Owner {
 		if o == 0 {
@@ -93,16 +82,13 @@ func TestAssignRespectsQuotas(t *testing.T) {
 		}
 	}
 	if owned != 2 {
-		t.Fatalf("p0 owns %d files, want 2", owned)
+		t.Fatalf("p0 owns %d files, want its 128 MB quota of 2", owned)
 	}
 }
 
 func TestAssignNoEdgesNothingAssigned(t *testing.T) {
 	g := NewGraph(2, 2)
 	res := AssignMaxLocality(g, []int64{64, 64}, []int64{64, 64}, EdmondsKarp)
-	if res.LocalMB != 0 || res.Full {
-		t.Fatalf("empty graph should assign nothing: %+v", res)
-	}
 	for _, o := range res.Owner {
 		if o != -1 {
 			t.Fatalf("owner = %v, want all -1", res.Owner)
@@ -184,7 +170,7 @@ func TestPropertyMatchingMatchesBruteForce(t *testing.T) {
 
 // TestPropertyAssignmentInvariants checks structural invariants of
 // AssignMaxLocality on random equal-size inputs: owners are co-located,
-// quotas never exceeded, local MB equals the sum of owned sizes when full.
+// quotas never exceeded, and EK and Dinic place the same number of files.
 func TestPropertyAssignmentInvariants(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -236,21 +222,23 @@ func TestPropertyAssignmentInvariants(t *testing.T) {
 				t.Errorf("seed %d: process %d over quota: %d > %d", seed, p, load[p], quota[p])
 				return false
 			}
-			if load[p] != res.AssignedMB[p] {
-				t.Errorf("seed %d: AssignedMB mismatch", seed)
-				return false
+		}
+		// With equal sizes the flow is integral per file, so the owned
+		// sizes are the flow value: Dinic must reach it, and so must the
+		// phased matcher under the same quotas in files.
+		var assigned2 int64
+		for _, o := range AssignMaxLocality(g, quota, sizes, Dinic).Owner {
+			if o != -1 {
+				assigned2 += size
 			}
 		}
-		if assigned != res.LocalMB {
-			// With equal sizes the flow is integral per file, so the sum of
-			// owned sizes must equal the flow value.
-			t.Errorf("seed %d: owned %d MB != flow %d MB", seed, assigned, res.LocalMB)
-			return false
+		quotaFiles := make([]int, numP)
+		for p, q := range quota {
+			quotaFiles[p] = int(q / size)
 		}
-		// Cross-algorithm agreement on the flow value.
-		res2 := AssignMaxLocality(g, quota, sizes, Dinic)
-		if res2.LocalMB != res.LocalMB {
-			t.Errorf("seed %d: EK %d vs Dinic %d", seed, res.LocalMB, res2.LocalMB)
+		_, matched, _ := MatchRows(context.Background(), rowsOf(g), quotaFiles)
+		if assigned2 != assigned || int64(matched)*size != assigned {
+			t.Errorf("seed %d: EK owns %d MB, Dinic %d MB, the matcher %d files of %d MB", seed, assigned, assigned2, matched, size)
 			return false
 		}
 		return true

@@ -182,12 +182,18 @@ func goldenGuardCases(t testing.TB) map[string]func() (*Assignment, error) {
 		w[5] = 0
 		return w
 	}
-	bias := func(nodes int) []float64 {
-		b := make([]float64, nodes)
-		for i := range b {
-			b[i] = []float64{1, 0.4, 0.85}[i%3]
+	// biased scales base (nil: all ones) by a per-node bias, giving each
+	// process the bias of its node: the weights a cluster scheduler hands a
+	// planner to steer it off hot nodes.
+	biased := func(p *Problem, base []float64) []float64 {
+		w := make([]float64, p.NumProcs())
+		for i, node := range p.ProcNode {
+			w[i] = []float64{1, 0.4, 0.85}[node%3]
+			if base != nil {
+				w[i] *= base[i]
+			}
 		}
-		return b
+		return w
 	}
 	single := goldenSingleProblems(t)
 	racked, rackedUnequal := single["racked"], single["racked-unequal"]
@@ -203,9 +209,9 @@ func goldenGuardCases(t testing.TB) map[string]func() (*Assignment, error) {
 		"racked/greedy":             run(GreedyLocality{Seed: 3}, racked),
 		"racked/multi_on_single":    run(MultiData{Seed: 3}, racked),
 		"racked/multi":              run(MultiData{Seed: 3}, multi),
-		"racked/multi_nodebias":     run(MultiData{Seed: 3, NodeBias: bias(32)}, multi),
+		"racked/multi_nodebias":     run(MultiData{Seed: 3, Weights: biased(multi, nil)}, multi),
 		"racked/single_weighted":    run(SingleData{Seed: 3, Weights: weights(32)}, racked),
-		"racked/single_nodebias":    run(SingleData{Seed: 3, NodeBias: bias(32)}, racked),
+		"racked/single_nodebias":    run(SingleData{Seed: 3, Weights: biased(racked, nil)}, racked),
 		"racked/single_unequal":     run(SingleData{Seed: 3}, rackedUnequal),
 		"racked/single_unequal_w":   run(SingleData{Seed: 3, Weights: weights(32)}, rackedUnequal),
 		"racked/greedy_unequal":     run(GreedyLocality{Seed: 3}, rackedUnequal),
@@ -216,8 +222,8 @@ func goldenGuardCases(t testing.TB) map[string]func() (*Assignment, error) {
 		"flat/single_unequal_dinic": run(SingleData{Seed: 3, Algorithm: bipartite.Dinic}, flatUnequal),
 		"flat/single_unequal_w":     run(SingleData{Seed: 3, Weights: weights(32)}, flatUnequal),
 		"replicated/weighted":       run(SingleData{Seed: 7, Weights: weights(64)}, sp),
-		"replicated/nodebias":       run(SingleData{Seed: 7, NodeBias: bias(64)}, sp),
-		"replicated/weighted_bias":  run(SingleData{Seed: 7, Weights: weights(64), NodeBias: bias(64)}, sp),
+		"replicated/nodebias":       run(SingleData{Seed: 7, Weights: biased(sp, nil)}, sp),
+		"replicated/weighted_bias":  run(SingleData{Seed: 7, Weights: biased(sp, weights(64))}, sp),
 		"replicated/greedy":         run(GreedyLocality{Seed: 7}, sp),
 		"replicated/random_static":  run(RandomStatic{Seed: 7}, sp),
 	}

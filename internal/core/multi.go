@@ -17,15 +17,15 @@ type MultiData struct {
 	// Seed drives the random placement of tasks that no process holds any
 	// data for.
 	Seed int64
-	// NodeBias optionally discounts the proposal values of every process
-	// hosted on a given node: process i proposes with
-	// NodeBias[ProcNode[i]] * m_i^j instead of the raw co-located size.
-	// Factors must be in (0, 1]; nil means no bias. A biased-down (hot)
-	// process still prefers its own most-local tasks — the factor is
-	// constant within a process, so its preference order is unchanged —
-	// but it loses contested tasks to processes on cold nodes, which is
-	// how the cluster-level scheduler trades locality for global balance.
-	NodeBias []float64
+	// Weights optionally scales each process's strength in the line-11
+	// contest: process k takes task x from its owner cur when
+	// Weights[cur]·m_cur^x < Weights[k]·m_k^x. Unlike SingleData, whose
+	// weights scale the quotas, task counts stay equal here. A down-weighted
+	// process still proposes in its own preference order (the weight is
+	// constant within a process) but loses contested tasks to up-weighted
+	// ones; a zero-weight process never takes an owned task. nil weighs
+	// every process 1; see checkWeights for the rules.
+	Weights []float64
 }
 
 // Name implements Assigner.
@@ -46,17 +46,16 @@ func (md MultiData) AssignContext(ctx context.Context, p *Problem) (*Assignment,
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	n, m := len(p.Tasks), p.NumProcs()
-	quotas := taskQuotas(n, m)
-	pb, err := procBias(p, md.NodeBias)
-	if err != nil {
+	if err := checkWeights(p, md.Weights); err != nil {
 		return nil, err
 	}
-	biasOf := func(proc int) float64 {
-		if pb == nil {
+	n, m := len(p.Tasks), p.NumProcs()
+	quotas := taskQuotas(n, m)
+	weightOf := func(proc int) float64 {
+		if md.Weights == nil {
 			return 1
 		}
-		return pb[proc]
+		return md.Weights[proc]
 	}
 
 	// Matching values m_i^j come from the shared locality index (one
@@ -127,7 +126,7 @@ func (md MultiData) AssignContext(ctx context.Context, p *Problem) (*Assignment,
 				counts[k]++
 				continue
 			}
-			if biasOf(cur)*ix.CoLocatedMB(cur, x) < biasOf(k)*e.MB { // line 11
+			if weightOf(cur)*ix.CoLocatedMB(cur, x) < weightOf(k)*e.MB { // line 11
 				owner[x] = k // lines 12-13
 				counts[k]++
 				counts[cur]--

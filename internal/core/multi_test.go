@@ -11,21 +11,20 @@ import (
 // process's index row copied out and stable-sorted by descending co-located
 // MB, a cursor per process, and a slice queue. MultiData proposes from the
 // index rows in place instead and must choose the same owners.
-func referenceMultiData(p *Problem, nodeBias []float64, seed int64) (*Assignment, error) {
+func referenceMultiData(p *Problem, weights []float64, seed int64) (*Assignment, error) {
 	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	if err := checkWeights(p, weights); err != nil {
 		return nil, err
 	}
 	n, m := len(p.Tasks), p.NumProcs()
 	quotas := taskQuotas(n, m)
-	pb, err := procBias(p, nodeBias)
-	if err != nil {
-		return nil, err
-	}
-	biasOf := func(proc int) float64 {
-		if pb == nil {
+	weightOf := func(proc int) float64 {
+		if weights == nil {
 			return 1
 		}
-		return pb[proc]
+		return weights[proc]
 	}
 	ix := NewLocalityIndex(p)
 	defer ix.Release()
@@ -62,7 +61,7 @@ func referenceMultiData(p *Problem, nodeBias []float64, seed int64) (*Assignment
 				counts[k]++
 				continue
 			}
-			if biasOf(cur)*ix.CoLocatedMB(cur, e.Task) < biasOf(k)*e.MB {
+			if weightOf(cur)*ix.CoLocatedMB(cur, e.Task) < weightOf(k)*e.MB {
 				owner[e.Task] = k
 				counts[k]++
 				counts[cur]--
@@ -89,7 +88,7 @@ func checkMatchesReference(t *testing.T, name string, md MultiData, p *Problem) 
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	ref, err := referenceMultiData(p, md.NodeBias, md.Seed)
+	ref, err := referenceMultiData(p, md.Weights, md.Seed)
 	if err != nil {
 		t.Fatalf("%s: reference: %v", name, err)
 	}
@@ -142,12 +141,12 @@ func TestPrefHeapReplaysStableSort(t *testing.T) {
 
 // TestMultiDataMatchesSortedPreferences holds Algorithm 1 to the
 // sorted-preference reference on the golden multi-input problems and a
-// paper-scale one, with and without node bias.
+// paper-scale one, with and without weights.
 func TestMultiDataMatchesSortedPreferences(t *testing.T) {
 	paper := benchSpec(256, 2560, []float64{30, 20, 10}, 5).csrBacked()
-	bias := make([]float64, 256)
-	for node := range bias {
-		bias[node] = 1 / float64(1+node%3)
+	weights := make([]float64, paper.NumProcs())
+	for proc, node := range paper.ProcNode {
+		weights[proc] = 1 / float64(1+node%3)
 	}
 	for name, p := range map[string]*Problem{
 		"golden-multi":        goldenMultiProblem(t),
@@ -156,5 +155,5 @@ func TestMultiDataMatchesSortedPreferences(t *testing.T) {
 	} {
 		checkMatchesReference(t, name, MultiData{Seed: 3}, p)
 	}
-	checkMatchesReference(t, "paper-multi biased", MultiData{Seed: 3, NodeBias: bias}, paper)
+	checkMatchesReference(t, "paper-multi weighted", MultiData{Seed: 3, Weights: weights}, paper)
 }

@@ -163,16 +163,13 @@ func TestPlacementViewParity(t *testing.T) {
 				t.Error("locality index edges differ")
 			}
 
-			weights, bias := make([]float64, len(spec.procNode)), make([]float64, spec.nodes)
+			weights := make([]float64, len(spec.procNode))
 			for i := range weights {
 				weights[i] = []float64{1, 0.5, 2.25, 0.75}[i%4]
 			}
-			for i := range bias {
-				bias[i] = []float64{1, 0.4, 0.85}[i%3]
-			}
 			planners := []Assigner{
-				SingleData{Seed: 5, Weights: weights, NodeBias: bias},
-				MultiData{Seed: 5, NodeBias: bias},
+				SingleData{Seed: 5, Weights: weights},
+				MultiData{Seed: 5, Weights: weights},
 			}
 			for _, strategy := range []string{"opass", "rank", "random", "greedy"} {
 				as, err := AssignerFor(strategy, 5, spec.multi())

@@ -15,10 +15,9 @@ import (
 // replicas, and up to 24 tasks. A mode byte picks single- or multi-input
 // tasks (1–3 inputs), and one input size for every task — so the single-data
 // planner takes its matcher path — or a size per input from a table that
-// includes sub-MB sizes. Last come a load-capacity weight per process, at
-// least one of them positive, and a bias factor per node; zero bytes draw
-// weight 1 and bias 1.
-func planSpec(data []byte) (s layoutSpec, weights, bias []float64) {
+// includes sub-MB sizes. Last comes a weight per process, zero included and
+// at least one positive; zero bytes draw weight 1.
+func planSpec(data []byte) (s layoutSpec, weights []float64) {
 	next := func(n int) int {
 		if len(data) == 0 {
 			return 0
@@ -62,7 +61,7 @@ func planSpec(data []byte) (s layoutSpec, weights, bias []float64) {
 		}
 		s.tasks = append(s.tasks, task)
 	}
-	weightTable, biasTable := []float64{1, 0, 0.5, 2, 3}, []float64{1, 0.5, 0.25}
+	weightTable := []float64{1, 0, 0.5, 2, 3}
 	positive := false
 	for range s.procNode {
 		w := weightTable[next(len(weightTable))]
@@ -71,28 +70,26 @@ func planSpec(data []byte) (s layoutSpec, weights, bias []float64) {
 	if !positive {
 		weights[next(len(weights))] = 1
 	}
-	for range s.nodes {
-		bias = append(bias, biasTable[next(len(biasTable))])
-	}
-	return s, weights, bias
+	return s, weights
 }
 
 // FuzzPlan holds every strategy AssignerFor serves, and the opass planner
-// with drawn load-capacity weights and node bias, to its contract on
-// arbitrary small Layout-backed problems: a valid assignment, and each
-// process within its quota — ⌊n/m⌋ or ⌈n/m⌉ tasks unweighted, exactly
-// weightedTaskQuotas(n, m, weight·bias) weighted, except the single-data
-// planner on unequal sizes, whose quota is the data share and which is held
-// to it on the tasks its solver matched. On equal sizes the single-data plan
-// must also be maximum-locality: the tasks the matcher placed, times the
-// task size, equal the Edmonds-Karp flow value over the locality graph
-// under the same quotas. On every draw Algorithm 1, biased and not, must
-// choose the owners of referenceMultiData's sorted preference lists.
+// under one drawn per-process weight vector, to its contract on arbitrary
+// small Layout-backed problems: a valid assignment, and each process within
+// its quota — ⌊n/m⌋ or ⌈n/m⌉ tasks unweighted and for Algorithm 1, whose
+// weights scale contests and not counts; exactly weightedTaskQuotas(n, m,
+// weights) for the weighted single-data planner, except on unequal sizes,
+// where its quota is the data share and it is held to it on the tasks its
+// solver matched. On equal sizes the single-data plan must also be
+// maximum-locality: the tasks the matcher placed, times the task size,
+// equal the Edmonds-Karp flow value over the locality graph under the same
+// quotas. On every draw Algorithm 1, weighted and not, must choose the
+// owners of referenceMultiData's sorted preference lists.
 func FuzzPlan(f *testing.F) {
 	f.Add([]byte{})
 	// Random byte strings long enough to fill every field: a spread of
 	// equal- and unequal-size, single- and multi-input, racked and flat,
-	// weighted and biased problems for the fuzzer to mutate.
+	// weighted problems for the fuzzer to mutate.
 	rng := rand.New(rand.NewSource(28))
 	for i := 0; i < 8; i++ {
 		seed := make([]byte, 160)
@@ -100,7 +97,7 @@ func FuzzPlan(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		spec, weights, bias := planSpec(data)
+		spec, weights := planSpec(data)
 		p := spec.csrBacked()
 		if err := p.Validate(); err != nil {
 			t.Fatal(err)
@@ -127,14 +124,10 @@ func FuzzPlan(f *testing.F) {
 			planners = append(planners, planner{as: as})
 		}
 		if spec.multi() {
-			// Bias reorders proposals but leaves Algorithm 1's equal counts.
-			planners = append(planners, planner{as: MultiData{Seed: 9, NodeBias: bias}})
+			// Weights decide contests but leave Algorithm 1's equal counts.
+			planners = append(planners, planner{as: MultiData{Seed: 9, Weights: weights}})
 		} else {
-			wb := make([]float64, m)
-			for proc, node := range p.ProcNode {
-				wb[proc] = weights[proc] * bias[node]
-			}
-			planners = append(planners, planner{SingleData{Seed: 9, Weights: weights, NodeBias: bias}, wb})
+			planners = append(planners, planner{SingleData{Seed: 9, Weights: weights}, weights})
 		}
 		for _, pl := range planners {
 			as, name := pl.as, pl.as.Name()
@@ -157,10 +150,7 @@ func FuzzPlan(f *testing.F) {
 			}
 			_, flow := as.(SingleData)
 			if flow && !equal {
-				share, err := shareQuotas(total, m, pl.weights)
-				if err != nil {
-					t.Fatal(err)
-				}
+				share := shareQuotas(total, m, pl.weights)
 				for proc, got := range matchedUnits {
 					if got > share[proc] {
 						t.Fatalf("%s: process %d matched %d units over its share %d", name, proc, got, share[proc])
@@ -188,15 +178,23 @@ func FuzzPlan(f *testing.F) {
 			for proc, c := range counts {
 				quotas[proc] = int64(c) * units[0]
 			}
+			// Every capacity is a multiple of the task size, so the flow
+			// moves whole tasks and its value is what its owners hold.
 			oracle := bipartite.AssignMaxLocality(localityGraph(p, ix, scale), quotas, units, bipartite.EdmondsKarp)
 			ix.Release()
-			if got := int64(matched) * units[0]; got != oracle.LocalMB {
-				t.Fatalf("%s: matcher placed %d tasks of %d units = %d, Edmonds-Karp flow %d", name, matched, units[0], got, oracle.LocalMB)
+			var flowValue int64
+			for _, o := range oracle.Owner {
+				if o >= 0 {
+					flowValue += units[0]
+				}
+			}
+			if got := int64(matched) * units[0]; got != flowValue {
+				t.Fatalf("%s: matcher placed %d tasks of %d units = %d, Edmonds-Karp flow %d", name, matched, units[0], got, flowValue)
 			}
 		}
 		// Algorithm 1 on every draw, single-input ones (all-equal preference
 		// rows) included, against the sorted-preference reference.
 		checkMatchesReference(t, "opass-matching", MultiData{Seed: 9}, p)
-		checkMatchesReference(t, "opass-matching biased", MultiData{Seed: 9, NodeBias: bias}, p)
+		checkMatchesReference(t, "opass-matching weighted", MultiData{Seed: 9, Weights: weights}, p)
 	})
 }

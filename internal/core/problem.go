@@ -78,15 +78,13 @@ func (p *Problem) Validate() error {
 			return fmt.Errorf("core: task %d has no inputs", i)
 		}
 		for _, in := range t.Inputs {
-			if !(in.SizeMB > 0) { // also rejects NaN
-				return fmt.Errorf("core: task %d input chunk %d has size %v", i, in.Chunk, in.SizeMB)
+			// maxCapUnits MB is the largest size the flow encoding holds
+			// exactly at scale 1; bounding every input there also keeps
+			// any sum of sizes finite. The negated test rejects NaN.
+			if !(in.SizeMB > 0 && in.SizeMB <= float64(maxCapUnits)) {
+				return fmt.Errorf("core: task %d input chunk %d has size %v, want (0, %d] MB", i, in.Chunk, in.SizeMB, maxCapUnits)
 			}
 		}
-	}
-	// Finite sizes can still sum past the float range, and the locality
-	// fraction would then be Inf/Inf.
-	if total := p.TotalMB(); math.IsInf(total, 0) {
-		return fmt.Errorf("core: total input size %v is not finite", total)
 	}
 	if p.NodeRack != nil {
 		for i, node := range p.ProcNode {
@@ -295,30 +293,30 @@ func AssignContext(ctx context.Context, a Assigner, p *Problem) (*Assignment, er
 	return a.Assign(p)
 }
 
-// procBias expands a per-node bias vector into per-process factors and
-// validates it: factors must be in (0, 1] and the vector must cover every
-// node hosting a process. A nil bias means "no bias" and returns nil. This
-// is the lever the cluster-level scheduler (internal/globalsched) uses to
-// steer a job's matcher away from nodes that are hot from earlier jobs: in
-// the flow formulation the factors scale the source→process arc capacities
-// (the per-process quota edges), in the matching formulation they scale the
-// proposal values.
-func procBias(p *Problem, bias []float64) ([]float64, error) {
-	if bias == nil {
-		return nil, nil
+// checkWeights validates the per-process weight vector both planners take:
+// nil, or one finite, non-negative weight per process with a positive,
+// finite sum. The bounds are what the quota arithmetic needs — an infinite
+// weight or sum would turn a share into int64(NaN) or zero every share.
+func checkWeights(p *Problem, weights []float64) error {
+	if weights == nil {
+		return nil
 	}
-	out := make([]float64, p.NumProcs())
-	for i, node := range p.ProcNode {
-		if node >= len(bias) {
-			return nil, fmt.Errorf("core: node bias covers %d nodes but process %d runs on node %d", len(bias), i, node)
-		}
-		b := bias[node]
-		if b <= 0 || b > 1 {
-			return nil, fmt.Errorf("core: node bias[%d] = %v must be in (0, 1]", node, b)
-		}
-		out[i] = b
+	if len(weights) != p.NumProcs() {
+		return fmt.Errorf("core: %d weights for %d processes", len(weights), p.NumProcs())
 	}
-	return out, nil
+	var sum float64
+	for i, w := range weights {
+		if w < 0 {
+			return fmt.Errorf("core: weight[%d] = %v must be non-negative", i, w)
+		}
+		sum += w
+	}
+	// A NaN or infinite weight, or finite ones past the float range, leave
+	// the sum NaN or infinite.
+	if !(sum > 0) || math.IsInf(sum, 1) {
+		return fmt.Errorf("core: weights sum to %v, want a positive finite total", sum)
+	}
+	return nil
 }
 
 // taskQuotas splits n tasks over m processes as evenly as possible: the
@@ -337,11 +335,12 @@ func taskQuotas(n, m int) []int {
 }
 
 // maxCapUnits bounds every quantity the flow encoding expresses in
-// capacity units. capacityScale clamps the unit so the problem's aggregate
-// size stays at or below it, and capUnits saturates individual conversions
-// at it, so any sum of fewer than 2^23 capacities — source-arc totals,
-// per-process quotas, flow bottlenecks — provably stays below 2^63 on every
-// platform. (The bound matters only for absurd inputs: at 2^40 sub-MB
+// capacity units. Problem.Validate holds every input to maxCapUnits MB, so
+// a single-input task fits at scale 1; capacityScale clamps the unit so the
+// problem's aggregate size stays at or below it, and capUnits saturates
+// individual conversions at it, so any sum of fewer than 2^23 capacities —
+// source-arc totals, per-process quotas, flow bottlenecks — provably stays
+// below 2^63 on every platform. (The bound matters only for absurd inputs: at 2^40 sub-MB
 // units a real workload is an exabyte. Normal problems never see it.)
 const maxCapUnits = int64(1) << 40
 

@@ -29,16 +29,12 @@ type SingleData struct {
 	// Weights optionally skews the per-process data share ("load
 	// capacity", as the paper's abstract calls it): process i receives a
 	// quota proportional to Weights[i] instead of the uniform TotalSize/m.
-	// Useful on heterogeneous clusters where slow nodes should read less.
-	// nil means equal shares, as in the paper's evaluation.
+	// In the flow encoding the weights scale the source→process arc
+	// capacities. Slow nodes on a heterogeneous cluster, or nodes already
+	// hot with other jobs' reads (internal/globalsched), are given less.
+	// nil means equal shares, as in the paper's evaluation; see checkWeights
+	// for the rules a vector must meet.
 	Weights []float64
-	// NodeBias optionally discounts the share of every process hosted on a
-	// given node: process i's quota is multiplied by NodeBias[ProcNode[i]].
-	// Factors must be in (0, 1]; nil means no bias. In the flow encoding
-	// the factors scale the source→process arc capacities, which is how the
-	// cluster-level scheduler steers an arriving job away from nodes that
-	// are already hot with earlier jobs' reads (locality-vs-balance knob).
-	NodeBias []float64
 }
 
 // Name implements Assigner.
@@ -60,26 +56,10 @@ func (s SingleData) AssignContext(ctx context.Context, p *Problem) (*Assignment,
 			return nil, fmt.Errorf("core: single-data planner given task %d with %d inputs; use MultiData", i, len(p.Tasks[i].Inputs))
 		}
 	}
-	n, m := len(p.Tasks), p.NumProcs()
-	// Fold the per-node bias into the per-process weights: both end up as
-	// the source-arc capacities of the flow network, so a biased-down node
-	// simply offers its processes a smaller share of the data.
-	weights := s.Weights
-	if weights != nil && len(weights) != m {
-		return nil, fmt.Errorf("core: %d weights for %d processes", len(weights), m)
-	}
-	if pb, err := procBias(p, s.NodeBias); err != nil {
+	if err := checkWeights(p, s.Weights); err != nil {
 		return nil, err
-	} else if pb != nil {
-		combined := make([]float64, m)
-		for i := range combined {
-			combined[i] = pb[i]
-			if weights != nil {
-				combined[i] *= weights[i]
-			}
-		}
-		weights = combined
 	}
+	n, m, weights := len(p.Tasks), p.NumProcs(), s.Weights
 	ix, err := NewLocalityIndexContext(ctx, p)
 	if err != nil {
 		return nil, err
@@ -99,10 +79,7 @@ func (s SingleData) AssignContext(ctx context.Context, p *Problem) (*Assignment,
 		sizes[t] = capUnits(p.Tasks[t].SizeMB(), scale)
 		total += sizes[t]
 	}
-	quotasMB, err := shareQuotas(total, m, weights)
-	if err != nil {
-		return nil, err
-	}
+	quotasMB := shareQuotas(total, m, weights)
 	equal := equalSizes(sizes)
 	if equal {
 		// With equal task sizes the paper's constraint is really "equal
@@ -167,8 +144,7 @@ func equalSizes(sizes []int64) bool {
 // weights, rounding by largest remainder so the counts sum to n exactly.
 // The deficit after flooring equals the sum of the fractional parts, so it
 // is always covered by processes with a positive remainder — zero-weight
-// processes never receive a task. Weights are validated by shareQuotas
-// before this runs.
+// processes never receive a task. The weights have passed checkWeights.
 func weightedTaskQuotas(n, m int, weights []float64) []int {
 	var sum float64
 	for _, w := range weights {
@@ -194,9 +170,10 @@ func weightedTaskQuotas(n, m int, weights []float64) []int {
 }
 
 // shareQuotas splits total MB over m processes — equally when weights is
-// nil, else proportionally to weights — spreading the integer remainder
-// over the first processes so the quotas sum exactly to total.
-func shareQuotas(total int64, m int, weights []float64) ([]int64, error) {
+// nil, else proportionally to weights, which have passed checkWeights —
+// spreading the integer remainder over the first processes so the quotas
+// sum exactly to total.
+func shareQuotas(total int64, m int, weights []float64) []int64 {
 	quotas := make([]int64, m)
 	if weights == nil {
 		base, rem := total/int64(m), total%int64(m)
@@ -206,20 +183,11 @@ func shareQuotas(total int64, m int, weights []float64) ([]int64, error) {
 				quotas[i]++
 			}
 		}
-		return quotas, nil
-	}
-	if len(weights) != m {
-		return nil, fmt.Errorf("core: %d weights for %d processes", len(weights), m)
+		return quotas
 	}
 	var sum float64
-	for i, w := range weights {
-		if w < 0 {
-			return nil, fmt.Errorf("core: weight[%d] = %v must be non-negative", i, w)
-		}
+	for _, w := range weights {
 		sum += w
-	}
-	if sum <= 0 {
-		return nil, fmt.Errorf("core: weights sum to zero")
 	}
 	var given int64
 	for i, w := range weights {
@@ -232,7 +200,7 @@ func shareQuotas(total int64, m int, weights []float64) ([]int64, error) {
 			given++
 		}
 	}
-	return quotas, nil
+	return quotas
 }
 
 // RankStatic is the baseline assignment the paper attributes to ParaView

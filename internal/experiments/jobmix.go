@@ -28,14 +28,6 @@ const (
 	jobMixJobs = 6
 	// jobMixChunksPerProc sizes each job's dataset (64 MB chunks).
 	jobMixChunksPerProc = 6
-	// jobMixBalance is the scheduler's locality-vs-balance knob for the
-	// scheduled side. 0.5 was tuned on the committed BENCH series: enough
-	// quota contrast to spread ownership across the window, low enough
-	// that the ~1% locality loss does not cost aggregate throughput. Most
-	// of the spread win comes from the serving-side balancer (the
-	// least-served remote-replica pick), which biasing alone cannot
-	// reach — see engine.ReadSteerer.
-	jobMixBalance = 0.5
 	// jobMixStaggerFrac staggers arrivals by this fraction of one job's
 	// uncontended read time, so the mix overlaps heavily but not fully.
 	jobMixStaggerFrac = 0.4
@@ -155,7 +147,7 @@ func JobMix(cfg Config) (*JobMixResult, error) {
 		Nodes:   nodes,
 		Jobs:    jobMixJobs,
 		Window:  JobMixWindow(nodes),
-		Balance: jobMixBalance,
+		Balance: globalsched.Balance,
 	}
 	iso, isoRes, err := runJobMix(nodes, cfg.Seed, "isolated", nil)
 	if err != nil {
@@ -164,7 +156,7 @@ func JobMix(cfg Config) (*JobMixResult, error) {
 	out.StagerS = iso.arrivals[1] - iso.arrivals[0]
 	out.Isolated = jobMixSide("isolated", nodes, isoRes)
 
-	gs, err := globalsched.New(nodes, globalsched.Options{Balance: jobMixBalance, Seed: cfg.Seed})
+	gs, err := globalsched.New(nodes, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}

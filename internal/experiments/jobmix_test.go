@@ -15,7 +15,7 @@ import (
 // cluster served, and the shared network drains back to idle.
 func TestJobMixInvariants(t *testing.T) {
 	const nodes = 16
-	gs, err := globalsched.New(nodes, globalsched.Options{Balance: jobMixBalance, Seed: 31})
+	gs, err := globalsched.New(nodes, 31)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestJobMixInvariants(t *testing.T) {
 func TestJobMixScheduledDeterministic(t *testing.T) {
 	const nodes = 16
 	run := func() []*engine.Result {
-		gs, err := globalsched.New(nodes, globalsched.Options{Balance: jobMixBalance, Seed: 32})
+		gs, err := globalsched.New(nodes, 32)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,17 +6,13 @@
 // (arXiv:1406.3901) and the key-distribution balancing of Fan et al.
 // (arXiv:1401.0355): it tracks cumulative per-node service load across
 // jobs, and plans each arriving job against the cluster's *residual*
-// capacity by biasing the job's matcher — through the source-arc weights
-// the flow network already supports (core.SingleData.NodeBias) and the
-// proposal values of the matching planner (core.MultiData.NodeBias) — away
-// from nodes that are hot from earlier jobs.
-//
-// The Balance knob trades locality against global balance: 0 keeps every
-// job's isolated plan (maximum locality, no coordination), 1 plans purely
-// by residual headroom (maximum balance, locality only as a tie-break in
-// each matcher). The scheduler plugs into engine.RunJobsScheduled as its
-// ClusterScheduler and reconciles its planned load estimates against the
-// actual per-node served megabytes when each job drains.
+// capacity by weighting the job's processes — the quota weights of
+// core.SingleData, the contest weights of core.MultiData — away from nodes
+// that are hot from earlier jobs. As an engine.ReadSteerer it also picks
+// the least-served holder for every remote read. The scheduler plugs into
+// engine.RunJobsScheduled as its ClusterScheduler and reconciles its
+// planned load estimates against the actual per-node served megabytes when
+// each job drains.
 package globalsched
 
 import (
@@ -28,21 +24,16 @@ import (
 	"opass/internal/engine"
 )
 
-// minBias floors every node's bias factor so no node is ever fully
-// excluded (a starving bias of 0 would be rejected by the planners).
-const minBias = 0.05
+// Balance trades locality against global balance: a node's bias is
+// (1-Balance) + Balance * (its residual headroom / the largest residual
+// headroom). 0.5 was tuned on the jobmix study: enough quota contrast to
+// spread ownership across a job's window, low enough that the ~1% locality
+// loss does not cost aggregate throughput.
+const Balance = 0.5
 
-// Options configures a Scheduler.
-type Options struct {
-	// Balance is the locality-vs-global-balance knob in [0, 1]: a node's
-	// bias is (1-Balance) + Balance * (its residual headroom / the largest
-	// residual headroom). 0 disables biasing entirely (isolated plans);
-	// 1 makes a node with no headroom as unattractive as minBias allows.
-	Balance float64
-	// Seed drives the per-job matchers' repair randomness; job j plans
-	// with Seed+j so jobs do not share coin flips.
-	Seed int64
-}
+// minBias floors every node's bias so no node is ever fully excluded from
+// a job's plan; it binds only for a Balance above 1-minBias.
+const minBias = 0.05
 
 // Scheduler is a cluster-level job-mix scheduler. It implements
 // engine.ClusterScheduler. Methods are safe for concurrent use, though the
@@ -50,23 +41,21 @@ type Options struct {
 type Scheduler struct {
 	mu      sync.Mutex
 	nodes   int
-	opts    Options
+	seed    int64             // job j plans with seed+j so jobs do not share coin flips
 	load    []float64         // per-node service MB: finished jobs' actuals, running jobs' charges
 	served  []float64         // live per-node serving, fed by ReadStarted
 	planned map[int][]float64 // job -> planned charge, until reconciled
 }
 
-// New builds a scheduler for a cluster of numNodes storage nodes.
-func New(numNodes int, opts Options) (*Scheduler, error) {
+// New builds a scheduler for a cluster of numNodes storage nodes; seed
+// drives the per-job matchers' repair randomness.
+func New(numNodes int, seed int64) (*Scheduler, error) {
 	if numNodes <= 0 {
 		return nil, fmt.Errorf("globalsched: cluster size %d must be positive", numNodes)
 	}
-	if opts.Balance < 0 || opts.Balance > 1 {
-		return nil, fmt.Errorf("globalsched: balance %v must be in [0, 1]", opts.Balance)
-	}
 	return &Scheduler{
 		nodes:   numNodes,
-		opts:    opts,
+		seed:    seed,
 		load:    make([]float64, numNodes),
 		served:  make([]float64, numNodes),
 		planned: make(map[int][]float64),
@@ -84,12 +73,12 @@ func (s *Scheduler) JobArriving(job int, spec engine.JobSpec, now float64) (engi
 			return nil, fmt.Errorf("globalsched: job %d process on node %d outside %d-node cluster", job, node, s.nodes)
 		}
 	}
-	bias := s.biases(p.TotalMB(), p.ProcNode)
+	weights, seed := s.biases(p.TotalMB(), p.ProcNode), s.seed+int64(job)
 	var as core.Assigner
 	if p.MultiInput() {
-		as = core.MultiData{Seed: s.opts.Seed + int64(job), NodeBias: bias}
+		as = core.MultiData{Seed: seed, Weights: weights}
 	} else {
-		as = core.SingleData{Seed: s.opts.Seed + int64(job), NodeBias: bias}
+		as = core.SingleData{Seed: seed, Weights: weights}
 	}
 	a, err := as.Assign(p)
 	if err != nil {
@@ -154,15 +143,16 @@ func (s *Scheduler) ReadStarted(node int, sizeMB float64) {
 	}
 }
 
-// biases computes the per-node bias for a job of jobMB total input: the
-// residual headroom of node n against the ideal even split of the cluster's
-// work including this job, normalized by the largest headroom among the
-// nodes the job can actually place work on (its processes' nodes — an
-// unreachable cold node elsewhere must not flatten the contrast the job's
-// own matcher sees), blended with 1 by the Balance knob and floored at
-// minBias. An idle cluster (or Balance 0) yields no bias at all.
+// biases computes the per-process weights for a job of jobMB total input
+// whose process i runs on procNodes[i]: the bias of that process's node.
+// A node's bias comes from its residual headroom against the ideal even
+// split of the cluster's work including this job, normalized by the largest
+// headroom among the job's own nodes (an unreachable cold node elsewhere
+// must not flatten the contrast the job's matcher sees), blended with 1 by
+// Balance and floored at minBias. An idle cluster, or one where every node
+// of the job is at or above the ideal, yields nil: no weighting at all.
 func (s *Scheduler) biases(jobMB float64, procNodes []int) []float64 {
-	if s.opts.Balance == 0 || jobMB <= 0 {
+	if jobMB <= 0 {
 		return nil
 	}
 	var total float64
@@ -173,31 +163,17 @@ func (s *Scheduler) biases(jobMB float64, procNodes []int) []float64 {
 		return nil // empty cluster: isolated plan is already optimal
 	}
 	ideal := (total + jobMB) / float64(s.nodes)
-	resid := make([]float64, s.nodes)
-	for n, l := range s.load {
-		if r := ideal - l; r > 0 {
-			resid[n] = r
-		}
-	}
+	resid := func(node int) float64 { return max(ideal-s.load[node], 0) }
 	var maxResid float64
 	for _, node := range procNodes {
-		if resid[node] > maxResid {
-			maxResid = resid[node]
-		}
+		maxResid = max(maxResid, resid(node))
 	}
 	if maxResid == 0 {
-		return nil // degenerate: every reachable node at or above ideal
+		return nil
 	}
-	bias := make([]float64, s.nodes)
-	for n := range bias {
-		b := (1 - s.opts.Balance) + s.opts.Balance*(resid[n]/maxResid)
-		if b < minBias {
-			b = minBias
-		}
-		if b > 1 {
-			b = 1
-		}
-		bias[n] = b
+	bias := make([]float64, len(procNodes))
+	for i, node := range procNodes {
+		bias[i] = max((1-Balance)+Balance*(resid(node)/maxResid), minBias)
 	}
 	return bias
 }

@@ -3,6 +3,7 @@ package globalsched
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"opass/internal/cluster"
@@ -13,26 +14,18 @@ import (
 )
 
 func TestNewValidation(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		nodes int
-		opts  Options
-	}{
-		{"zero nodes", 0, Options{}},
-		{"balance above 1", 8, Options{Balance: 1.5}},
-		{"negative balance", 8, Options{Balance: -0.1}},
-	} {
-		if _, err := New(tc.nodes, tc.opts); err == nil {
-			t.Errorf("%s: New accepted invalid options", tc.name)
+	for _, nodes := range []int{0, -1} {
+		if _, err := New(nodes, 0); err == nil {
+			t.Errorf("New accepted a %d-node cluster", nodes)
 		}
 	}
-	if _, err := New(8, Options{Balance: 0.5}); err != nil {
+	if _, err := New(8, 0); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestBiasesResidualShape(t *testing.T) {
-	s, err := New(4, Options{Balance: 0.5})
+	s, err := New(4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,8 +37,8 @@ func TestBiasesResidualShape(t *testing.T) {
 
 	s.load = []float64{300, 100, 0, 0}
 	b := s.biases(100, all)
-	if b == nil {
-		t.Fatal("loaded cluster produced no bias")
+	if len(b) != len(all) {
+		t.Fatalf("bias %v for %d processes", b, len(all))
 	}
 	// Hotter nodes must be strictly less attractive, idle nodes maximally so.
 	if !(b[0] < b[1] && b[1] < b[2]) {
@@ -54,17 +47,18 @@ func TestBiasesResidualShape(t *testing.T) {
 	if b[2] != 1 || b[3] != 1 {
 		t.Fatalf("idle nodes biased to %v/%v, want 1", b[2], b[3])
 	}
-	for n, v := range b {
+	for i, v := range b {
 		if v < minBias || v > 1 {
-			t.Fatalf("bias[%d] = %v outside [minBias, 1]", n, v)
+			t.Fatalf("bias[%d] = %v outside [minBias, 1]", i, v)
 		}
 	}
 
-	// Balance 0 disables biasing outright.
-	s0, _ := New(4, Options{Balance: 0})
-	s0.load = []float64{300, 100, 0, 0}
-	if b := s0.biases(100, all); b != nil {
-		t.Fatalf("balance 0 produced bias %v, want nil", b)
+	// One weight per process, not per node: processes sharing a node share
+	// its bias, and a node with no process has no entry.
+	shared := s.biases(100, []int{1, 0, 1, 2})
+	want := []float64{b[1], b[0], b[1], b[2]}
+	if !slices.Equal(shared, want) {
+		t.Fatalf("processes on nodes [1 0 1 2] weighted %v, want %v", shared, want)
 	}
 
 	// Window-relative normalization: when every node the job can reach is
@@ -75,8 +69,8 @@ func TestBiasesResidualShape(t *testing.T) {
 		t.Fatalf("all-hot window produced bias %v, want nil", b)
 	}
 	// ...but the same cluster with a reachable cold node does bias.
-	if b := s.biases(100, []int{0, 2}); b == nil {
-		t.Fatal("reachable cold node produced no bias")
+	if b := s.biases(100, []int{0, 2}); len(b) != 2 || !(b[0] < b[1]) {
+		t.Fatalf("reachable cold node produced bias %v, want the hot process below the cold one", b)
 	}
 }
 
@@ -114,7 +108,7 @@ func drained(src engine.TaskSource, p *core.Problem) *core.Assignment {
 
 func TestJobArrivingPlansAndCharges(t *testing.T) {
 	_, _, prob := schedRig(t, 8, 4, 5)
-	s, err := New(8, Options{Balance: 0.5})
+	s, err := New(8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +152,7 @@ func TestJobArrivingPlansAndCharges(t *testing.T) {
 
 func TestJobArrivingRejectsForeignNodes(t *testing.T) {
 	_, _, prob := schedRig(t, 8, 2, 6)
-	s, err := New(4, Options{}) // cluster smaller than the problem's nodes
+	s, err := New(4, 0) // cluster smaller than the problem's nodes
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +162,7 @@ func TestJobArrivingRejectsForeignNodes(t *testing.T) {
 }
 
 func TestPickRemoteLeastServed(t *testing.T) {
-	s, err := New(4, Options{})
+	s, err := New(4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +192,7 @@ func TestScheduledRunEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(8, Options{Balance: 0.5, Seed: 7})
+	s, err := New(8, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +227,7 @@ func TestMultiDataJobsUseMatchingPlanner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(8, Options{Balance: 0.5, Seed: 9})
+	s, err := New(8, 9)
 	if err != nil {
 		t.Fatal(err)
 	}

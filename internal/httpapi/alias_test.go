@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -285,25 +286,37 @@ func TestAliasedHitAllocatesLessThanItsBody(t *testing.T) {
 	t.Logf("aliased hit: %d B allocated, budget %d B", got, budget)
 }
 
-// TestSimulateMarshalFailureIs500 is the empty-200 regression: two inputs of
-// 1e307 MB are finite and valid, but the simulated quantities overflow and
-// the summary holds NaN, which does not marshal. The status waits for the
-// first body byte, so the answer is a 500 with the JSON envelope, counted as
-// a response failure — not a 200 with no body.
+// TestSimulateMarshalFailureIs500: a response value that does not marshal
+// (a NaN in a simulation summary) is answered with a 500 carrying the JSON
+// envelope and counted as a response failure — not a 200 with no body. The
+// status waits for the first body byte, so nothing has gone out when the
+// encoder fails.
 func TestSimulateMarshalFailureIs500(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	s := NewServer(ServerOptions{Registry: reg})
+	rec := httptest.NewRecorder()
+	r := httptest.NewRequest(http.MethodPost, "/v1/simulate", nil)
+	s.writeJSON(rec, r, http.StatusOK, map[string]float64{"makespan_s": math.NaN()})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500: %q", rec.Code, rec.Body.Bytes())
+	}
+	var e errorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || !strings.Contains(e.Error, "unsupported value") {
+		t.Fatalf("body %q is not the JSON envelope naming the marshal failure (%v)", rec.Body.Bytes(), err)
+	}
+	if got := metricValue(t, reg, MetricResponseErrors, `route="/v1/simulate"`); got != 1 {
+		t.Fatalf("response-error counter = %v, want 1", got)
+	}
+}
+
+// TestSimulateOversizedInputsAre400: two inputs of 1e307 MB are finite, but
+// each is above the 2^40 MB the planner's capacity encoding holds, so the
+// decoder's validation rejects them before anything is simulated.
+func TestSimulateOversizedInputsAre400(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	srv := httptest.NewServer(NewServer(ServerOptions{Registry: reg}))
 	defer srv.Close()
 	body := `{"nodes":2,"tasks":[{"inputs":[{"size_mb":1e307,"replicas":[0]}]},{"inputs":[{"size_mb":1e307,"replicas":[1]}]}]}`
 	resp, out := postRaw(t, srv, "/v1/simulate", body)
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("status %d, want 500: %q", resp.StatusCode, out)
-	}
-	var e errorBody
-	if err := json.Unmarshal(out, &e); err != nil || !strings.Contains(e.Error, "unsupported value") {
-		t.Fatalf("body %q is not the JSON envelope naming the marshal failure (%v)", out, err)
-	}
-	if got := metricValue(t, reg, MetricResponseErrors, `route="/v1/simulate"`); got != 1 {
-		t.Fatalf("response-error counter = %v, want 1", got)
-	}
+	rejection(t, reg, resp, out, http.StatusBadRequest, "invalid", "size 1e+307")
 }

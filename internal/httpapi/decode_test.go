@@ -72,8 +72,8 @@ func decodeProblemReference(w http.ResponseWriter, r *http.Request, lim RequestL
 				}
 				seen[rep] = true
 			}
-			if in.SizeMB <= 0 || len(in.Replicas) == 0 {
-				return nil, nil, badRequest("invalid", "task %d: input needs a positive size_mb and a replica", ti)
+			if in.SizeMB <= 0 || in.SizeMB > 1<<40 || len(in.Replicas) == 0 {
+				return nil, nil, badRequest("invalid", "task %d: input needs a size_mb in (0, 2^40] and a replica", ti)
 			}
 			prob.Tasks[ti].Inputs = append(prob.Tasks[ti].Inputs, core.Input{Chunk: dfs.ChunkID(len(sizes)), SizeMB: in.SizeMB})
 			sizes, replicas = append(sizes, in.SizeMB), append(replicas, in.Replicas)
@@ -625,6 +625,8 @@ var grammarRows = []struct {
 	{"truncated", `{"nodes":4,"tasks":[{"inputs":[{"size_mb":1,"repl`, 400},
 	{"empty body", ``, 400},
 	{"finite sizes whose sum overflows", `{"nodes":2,"tasks":[{"inputs":[{"size_mb":1e308,"replicas":[0]}]},{"inputs":[{"size_mb":1e308,"replicas":[1]}]}]}`, 400},
+	{"size of exactly 2^40 MB", `{"nodes":4,"tasks":[{"inputs":[{"size_mb":1099511627776,"replicas":[0]}]}]}`, 200},
+	{"size above 2^40 MB", `{"nodes":4,"tasks":[{"inputs":[{"size_mb":1099511627777,"replicas":[0]}]}]}`, 400},
 }
 
 // TestDecodeGrammar: both decoders give every row the same answer on both
