@@ -188,9 +188,7 @@ func decodeRequest(lx *lexer, lim RequestLimits) (*PlanRequest, *core.Problem, *
 							case "size_mb":
 								size = lx.float()
 							case "replicas":
-								for i := 0; lx.elem(i); i++ {
-									acc.reps = append(acc.reps, lx.int())
-								}
+								acc.reps = lx.ints(acc.reps)
 							}
 						}
 						if size <= 0 {

@@ -475,11 +475,26 @@ var benchShapes = []struct {
 }
 
 // BenchmarkDecodeProblem times the decoder alone (scan, validation, layout
-// copy) over benchShapes.
+// copy) over benchShapes, plus the paper-single body indented by json.Indent:
+// whitespace inside every array and after every colon keeps the lexer off
+// its compact fast paths, so that row's MB/s is the general path's.
 func BenchmarkDecodeProblem(b *testing.B) {
 	lim := RequestLimits{}.withDefaults()
+	type row struct {
+		name string
+		body []byte
+	}
+	var rows []row
 	for _, w := range benchShapes {
-		body := benchBody(256, w.tasks, w.sizes, false, 1)
+		rows = append(rows, row{w.name, benchBody(256, w.tasks, w.sizes, false, 1)})
+	}
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, rows[0].body, "", "  "); err != nil {
+		b.Fatal(err)
+	}
+	rows = append(rows, row{rows[0].name + "-indented", indented.Bytes()})
+	for _, w := range rows {
+		body := w.body
 		b.Run(w.name, func(b *testing.B) {
 			b.SetBytes(int64(len(body)))
 			b.ReportAllocs()
@@ -490,6 +505,36 @@ func BenchmarkDecodeProblem(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// decodeAllocsBudget is what decoding the paper-single body into a reused
+// lexer allocates: the request, the problem and its arrays, none per token
+// (BenchmarkDecodeProblem's 24 allocs/op also count its request, recorder
+// and pooled lexer).
+const decodeAllocsBudget = 9
+
+// TestDecodeAllocatesNoMoreObjects: a warm lexer decodes the paper-single body
+// in at most decodeAllocsBudget allocations. Skipped under -race, like the
+// other allocation clauses.
+func TestDecodeAllocatesNoMoreObjects(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation clauses run without the race detector")
+	}
+	lim := RequestLimits{}.withDefaults()
+	body := benchBody(256, 2560, []float64{64}, false, 1)
+	lx := &lexer{buf: make([]byte, windowSize)}
+	rd := bytes.NewReader(nil)
+	got := testing.AllocsPerRun(20, func() {
+		rd.Reset(body)
+		lx.reset(rd)
+		if _, _, apiErr := decodeRequest(lx, lim); apiErr != nil {
+			t.Fatal(apiErr)
+		}
+	})
+	t.Logf("paper-single decode: %.0f allocs, budget %d", got, decodeAllocsBudget)
+	if got > decodeAllocsBudget {
+		t.Fatalf("decoding paper-single allocated %.0f objects, budget %d", got, decodeAllocsBudget)
 	}
 }
 
@@ -701,6 +746,31 @@ func (a decodeOutcome) same(b decodeOutcome) string {
 	return ""
 }
 
+// fastPathEdgeBodies sit where the lexer's fast paths hand over to number,
+// elem and str: integer literals the fused scan must take whole or refuse
+// (signs, leading zeros, fractions, exponents, and runs either side of its
+// 15-digit float and 18-digit integer limits), replica arrays that are not
+// compact, keys one byte off a known name, and bodies cut inside a key.
+var fastPathEdgeBodies = func() []string {
+	input := func(obj string) string { return `{"nodes":4,"tasks":[{"inputs":[` + obj + `]}]}` }
+	var bodies []string
+	for _, lit := range []string{"0", "00", "-0", "-1", "1e0", "1.0",
+		strings.Repeat("1", 15), strings.Repeat("1", 16),
+		strings.Repeat("1", 18), strings.Repeat("1", 19), strings.Repeat("1", 20)} {
+		bodies = append(bodies,
+			input(`{"size_mb":1,"replicas":[`+lit+`]}`),
+			input(`{"size_mb":`+lit+`,"replicas":[0]}`),
+			`{"nodes":4,"seed":`+lit+`,`+oneTask+`}`)
+	}
+	for _, arr := range []string{"[ 1 , 2 ]", "[1,]", "[,1]", "[]", "[1 ,2]", "[1,2 ]", "[1 2]"} {
+		bodies = append(bodies, input(`{"size_mb":1,"replicas":`+arr+`}`))
+	}
+	for _, key := range []string{"size", "size_mbx", "replica"} {
+		bodies = append(bodies, input(`{"`+key+`":1,"replicas":[0]}`))
+	}
+	return append(bodies, `{"nodes":4,"tasks":[{"inputs":[{"size_mb`, `{"nodes":4,"tasks":[{"inputs":[{"size_m`)
+}()
+
 // fuzzWindow is the shrunken window FuzzDecode replays every body through:
 // the smallest that still holds the longest key ("repair_delay_seconds" and
 // its quotes), so a refill lands inside nearly every token.
@@ -718,6 +788,9 @@ func FuzzDecode(f *testing.F) {
 	}
 	for _, row := range grammarRows {
 		f.Add([]byte(row.body))
+	}
+	for _, body := range fastPathEdgeBodies {
+		f.Add([]byte(body))
 	}
 	lim := RequestLimits{BodyBytes: 1 << 20, Nodes: 64, Procs: 8, Tasks: 16, InputsPerTask: 3}
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -737,6 +810,31 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("scanner through a %d-byte window vs reference: %s\nbody: %q", fuzzWindow, diff, body)
 		}
 	})
+}
+
+// TestDecodeEveryWindowEdge: a multi-input body with fault fields and
+// proc_nodes, and every fastPathEdgeBodies body, decode through each window
+// size from fuzzWindow to 128 bytes exactly as the reference decodes them.
+// Each size moves every refill to another offset, so each fast path is
+// entered at, and abandoned at, every distance from the window's end, which
+// FuzzDecode's one-byte reads never leave room for.
+func TestDecodeEveryWindowEdge(t *testing.T) {
+	lim := waysOutLimits
+	faults := benchBody(8, 16, []float64{30, 2.5, 10}, true, 1)
+	bodies := append([]string{`{"proc_nodes":[0,1,2,3,4,5,6,7],` + string(faults[1:])}, fastPathEdgeBodies...)
+	for bi, body := range bodies {
+		want := outcomeOf(decodeProblemReference(httptest.NewRecorder(),
+			httptest.NewRequest(http.MethodPost, "/v1/plan", strings.NewReader(body)), lim))
+		if bi == 0 && want.status != http.StatusOK {
+			t.Fatalf("reference rejects the fault body: %v", want.err)
+		}
+		for w := fuzzWindow; w <= 128; w++ {
+			lx := &lexer{r: strings.NewReader(body), buf: make([]byte, w)}
+			if diff := outcomeOf(decodeRequest(lx, lim)).same(want); diff != "" {
+				t.Fatalf("%d-byte window vs reference: %s\nbody: %q", w, diff, body)
+			}
+		}
+	}
 }
 
 // TestDecodeHostileInputBounded: what a rejected body costs does not depend

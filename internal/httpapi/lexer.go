@@ -143,7 +143,7 @@ func (lx *lexer) peek() byte {
 func (lx *lexer) skip() byte {
 	for lx.err == nil {
 		for ; lx.pos < lx.end; lx.pos++ {
-			if c := lx.buf[lx.pos]; c != ' ' && c != '\n' && c != '\t' && c != '\r' {
+			if c := lx.buf[lx.pos]; !space[c] {
 				return c
 			}
 		}
@@ -153,6 +153,9 @@ func (lx *lexer) skip() byte {
 	}
 	return 0
 }
+
+// space marks the bytes JSON counts as whitespace.
+var space = [256]bool{' ': true, '\n': true, '\t': true, '\r': true}
 
 // finish checks that only whitespace follows and that the input ended
 // cleanly rather than on a read error.
@@ -222,19 +225,20 @@ func (lx *lexer) member(names []string, seen *uint) bool {
 			lx.unexpected("',' or '}'")
 			return false
 		}
-		key := lx.str() // aliases the window: matched before the next peek can refill it
-		i := 0
-		for i < len(names) && string(key) != names[i] {
-			i++
+		i := lx.knownKey(names)
+		if i < 0 {
+			key := lx.str() // aliases the window: matched before the next peek can refill it
+			for i = 0; i < len(names) && string(key) != names[i]; i++ {
+			}
+			if lx.err != nil {
+				return false
+			} else if i == len(names) {
+				lx.fail(fmt.Errorf("unknown field %.40q", key))
+				return false
+			}
 		}
-		switch {
-		case lx.err != nil:
-			return false
-		case i == len(names):
-			lx.fail(fmt.Errorf("unknown field %.40q", key))
-			return false
-		case *seen&(2<<i) != 0:
-			lx.fail(fmt.Errorf("duplicate field %q", key))
+		if *seen&(2<<i) != 0 {
+			lx.fail(fmt.Errorf("duplicate field %q", names[i]))
 			return false
 		}
 		*seen |= 2 << i
@@ -249,6 +253,24 @@ func (lx *lexer) member(names []string, seen *uint) bool {
 		}
 		lx.literal("null")
 	}
+}
+
+// knownKey is member's fast path: when the window holds a quoted key equal
+// to one of names, closing quote included, it consumes the key and returns
+// its index. Otherwise it consumes nothing and returns -1, and the key is
+// left to str, which refills and reports every kind of bad key.
+func (lx *lexer) knownKey(names []string) int {
+	if lx.peek() != '"' {
+		return -1
+	}
+	b := lx.buf[lx.pos+1 : lx.end]
+	for i, name := range names {
+		if len(b) > len(name) && b[len(name)] == '"' && string(b[:len(name)]) == name {
+			lx.pos += len(name) + 2
+			return i
+		}
+	}
+	return -1
 }
 
 // literal consumes word, whose first byte the caller saw at the cursor.
@@ -383,7 +405,42 @@ func small(tok []byte) int64 {
 	return v
 }
 
+// leadingUint is the one-pass scan behind the integer fast paths: the value
+// and length of the unsigned integer literal at the front of b, or length 0
+// unless b starts with 1 to max digits, without a leading zero, followed in
+// b by a byte that cannot continue a number. On 0 the caller takes number,
+// which refills, parses signs, fractions and exponents, and words the errors.
+func leadingUint(b []byte, max int) (v int64, n int) {
+	if len(b) > max {
+		b = b[:max+1] // a run that reaches the end is too long or unfinished
+	}
+	for n < len(b) {
+		c := b[n] - '0'
+		if c > 9 {
+			break
+		}
+		v = v*10 + int64(c)
+		n++
+	}
+	if n == 0 || n == len(b) || numberByte[b[n]] || b[0] == '0' && n > 1 {
+		return 0, 0
+	}
+	return v, n
+}
+
+// uint consumes the integer at the cursor when leadingUint takes it, and
+// reports whether it did.
+func (lx *lexer) uint(max int) (int64, bool) {
+	lx.peek()
+	v, n := leadingUint(lx.buf[lx.pos:lx.end], max)
+	lx.pos += n
+	return v, n > 0
+}
+
 func (lx *lexer) int64() int64 {
+	if v, ok := lx.uint(18); ok {
+		return v
+	}
 	tok, integer := lx.number()
 	switch {
 	case lx.err != nil:
@@ -411,8 +468,12 @@ func (lx *lexer) int() int {
 
 // float converts exactly as encoding/json does (strconv.ParseFloat), with a
 // shortcut for the unsigned integer literals sizes are written as: below
-// 10^15 they are exact in a float64.
+// 10^15 they are exact in a float64. uint takes them in one pass; the token
+// check below still catches one a refill cut.
 func (lx *lexer) float() float64 {
+	if v, ok := lx.uint(15); ok {
+		return float64(v)
+	}
 	tok, integer := lx.number()
 	switch {
 	case lx.err != nil:
@@ -425,4 +486,34 @@ func (lx *lexer) float() float64 {
 		lx.fail(err)
 	}
 	return v
+}
+
+// ints appends an array of integers to dst. A compact array of unsigned
+// literals that lies whole in the window ("[3,0,7]") is scanned in one loop;
+// at anything else (whitespace, a sign, an empty array, a refill) it
+// rewinds dst and takes the array again through elem and int.
+func (lx *lexer) ints(dst []int) []int {
+	n0 := len(dst)
+	if lx.peek() == '[' {
+		b := lx.buf[lx.pos:lx.end]
+		for i := 1; ; {
+			v, n := leadingUint(b[i:], 18)
+			if n == 0 || int64(int(v)) != v { // int may be 32 bits
+				break
+			}
+			dst = append(dst, int(v))
+			if i += n; b[i] == ']' {
+				lx.pos += i + 1
+				return dst
+			} else if b[i] != ',' {
+				break
+			}
+			i++
+		}
+	}
+	dst = dst[:n0]
+	for i := 0; lx.elem(i); i++ {
+		dst = append(dst, lx.int())
+	}
+	return dst
 }
