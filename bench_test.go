@@ -14,6 +14,8 @@ package opass
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"opass/internal/bipartite"
@@ -116,6 +118,57 @@ func BenchmarkPlannerMultiData(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkPlannerMultiExact measures the exact multi-data planner on
+// BenchmarkPlannerMultiData's problems, plus a skewed one where three of 256
+// nodes hold every replica: the tight matching places almost nothing there,
+// so nearly every task goes through the min-cost repair.
+func BenchmarkPlannerMultiExact(b *testing.B) {
+	plan := func(b *testing.B, p *core.Problem) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := (core.MultiExact{}).Assign(p); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	for _, nodes := range []int{32, 64, 128} {
+		b.Run(fmt.Sprintf("procs=%d", nodes), func(b *testing.B) {
+			rig, err := workload.MultiSpec{Nodes: nodes, TasksPerProc: 10, Seed: 1}.Build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			plan(b, rig.Prob)
+		})
+	}
+	b.Run("procs=256/skewed-3-holders", func(b *testing.B) {
+		plan(b, skewedMultiProblem(256, 3, 2560))
+	})
+}
+
+// skewedMultiProblem is procs processes, one per node, and tasks tasks of
+// 30/20/10 MB inputs whose three replicas all sit on the first hot nodes.
+func skewedMultiProblem(procs, hot, tasks int) *core.Problem {
+	rng := rand.New(rand.NewSource(1))
+	layout := &core.Layout{RepOff: []int{0}}
+	p := &core.Problem{ProcNode: make([]int, procs), FS: layout}
+	for i := range p.ProcNode {
+		p.ProcNode[i] = i
+	}
+	for t := 0; t < tasks; t++ {
+		task := core.Task{ID: t}
+		for _, size := range []float64{30, 20, 10} {
+			task.Inputs = append(task.Inputs, core.Input{Chunk: dfs.ChunkID(len(layout.RepOff) - 1), SizeMB: size})
+			row := rng.Perm(hot)
+			slices.Sort(row)
+			layout.Reps = append(layout.Reps, row...)
+			layout.RepOff = append(layout.RepOff, len(layout.Reps))
+		}
+		p.Tasks = append(p.Tasks, task)
+	}
+	return p
 }
 
 // BenchmarkLocalityIndexBuild isolates the index inversion itself, released

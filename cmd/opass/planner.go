@@ -110,6 +110,7 @@ func runPlannerBench(w io.Writer) (*benchReport, error) {
 		record("planner/single-dinic", procs, tasks, plan(core.SingleData{Algorithm: bipartite.Dinic}, sp))
 		record("planner/single-matcher", procs, tasks, plan(core.SingleData{Algorithm: bipartite.Kuhn}, sp))
 		record("planner/multidata", procs, tasks, plan(core.MultiData{}, mp))
+		record("planner/multidata-exact", procs, tasks, plan(core.MultiExact{}, mp))
 
 		// Incremental series: one DataNode loss answered by a full backlog
 		// re-match versus the O(delta) replan. The speedup row is the

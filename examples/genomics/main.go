@@ -1,8 +1,9 @@
 // Genomics: parallel multi-data access, the §IV-C scenario. Comparing the
 // genome sequences of humans, mice and chimpanzees requires each comparison
 // task to read three inputs that live in three different datasets — and, on
-// HDFS, usually on three different nodes. Opass's Algorithm 1 assigns each
-// task to the process co-located with the most of its data.
+// HDFS, usually on three different nodes. Opass assigns the tasks, equal
+// counts per process, so that as much of their data as possible is read
+// where it lives — the problem of Algorithm 1, solved exactly.
 //
 // Run with:
 //

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 )
 
 // This file implements the direct solver for the equal-size case of §IV-B.
@@ -67,30 +69,30 @@ func MatchRows(ctx context.Context, rows *Rows, quota []int) (owner []int, size 
 	if numF > math.MaxInt32 {
 		panic(fmt.Sprintf("bipartite: %d files exceed the matcher's int32 file ids", numF))
 	}
+	// The working arrays come from matcherPool; only owner, which the
+	// caller keeps, is allocated per call.
+	m := matcherPool.Get().(*matcher)
+	defer m.release()
+	m.rows, m.owner = rows, make([]int, numF)
 	// Process p's owned files live in slots[off[p] : off[p]+cnt[p]], carved
 	// from one backing array; a displaced file's slot is overwritten in
 	// place by the file that displaced it. off[p+1] first counts p's degree.
-	off := make([]int, numP+1)
+	m.off = resize(m.off, numP+1)
+	clear(m.off)
 	for _, e := range rows.Edges[rows.Off[0]:rows.Off[numF]] {
-		off[e.Proc+1]++
+		m.off[e.Proc+1]++
 	}
 	for p, q := range quota {
 		if q < 0 {
 			panic(fmt.Sprintf("bipartite: quota[%d] = %d must be non-negative", p, q))
 		}
-		off[p+1] = off[p] + min(q, off[p+1])
+		m.off[p+1] = m.off[p] + min(q, m.off[p+1])
 	}
-	m := matcher{
-		rows:  rows,
-		owner: make([]int, numF),
-		off:   off,
-		slots: make([]int32, off[numP]),
-		cnt:   make([]int32, numP),
-		level: make([]int32, numP),
-		itP:   make([]int32, numP),
-		itF:   make([]int32, numF),
-		free:  make([]int32, numF),
-	}
+	m.slots = resize(m.slots, m.off[numP])
+	m.cnt = resize(m.cnt, numP)
+	clear(m.cnt)
+	m.level, m.itP = resize(m.level, numP), resize(m.itP, numP)
+	m.itF, m.free = resize(m.itF, numF), resize(m.free, numF)
 	for f := range m.owner {
 		m.owner[f] = -1
 		m.free[f] = int32(f)
@@ -115,6 +117,21 @@ func MatchRows(ctx context.Context, rows *Rows, quota []int) (owner []int, size 
 		m.free = unmatched
 	}
 }
+
+// matcherPool recycles the matcher's working arrays between MatchRows
+// calls: at paper scale they are most of what a plan allocates besides the
+// answer itself.
+var matcherPool = sync.Pool{New: func() any { return new(matcher) }}
+
+// release drops the call's references and returns m to matcherPool.
+func (m *matcher) release() {
+	m.rows, m.owner = nil, nil
+	matcherPool.Put(m)
+}
+
+// resize returns s with length n, reusing its array when it is big enough.
+// The contents are stale; callers overwrite or clear what they read.
+func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
 // matcher is the working state of one MatchRows call.
 type matcher struct {

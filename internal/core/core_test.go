@@ -322,31 +322,53 @@ func multiDataValidWithinQuota(t *testing.T, p *Problem, seed int64) *Assignment
 	return a
 }
 
+// exactBeatsRank checks the property Algorithm 1 lacks: MultiExact plans at
+// least rank-static's co-located MB. Every process gets tasks/nodes tasks
+// here, so rank-static's plan is within MultiExact's quotas.
+func exactBeatsRank(t *testing.T, p *Problem, seed int64) (exact, rank *Assignment) {
+	t.Helper()
+	exact, err := MultiExact{Seed: seed}.Assign(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkCountQuotas(t, "opass-exact", p, exact)
+	if rank, err = (RankStatic{}).Assign(p); err != nil {
+		t.Fatal(err)
+	}
+	if exact.PlannedLocalMB+1e-6 < rank.PlannedLocalMB {
+		t.Fatalf("seed %d: opass-exact plans %v MB local, rank-static %v", seed, exact.PlannedLocalMB, rank.PlannedLocalMB)
+	}
+	return exact, rank
+}
+
 func TestMultiDataPropertyValidAndLocal(t *testing.T) {
 	prop := func(seed int64, rawNodes uint8) bool {
 		nodes := 4 + int(rawNodes)%12
-		multiDataValidWithinQuota(t, multiProblem(t, nodes, nodes*3, seed), seed)
+		p := multiProblem(t, nodes, nodes*3, seed)
+		multiDataValidWithinQuota(t, p, seed)
+		exactBeatsRank(t, p, seed)
 		return true
 	}
 	if err := quick.Check(prop, quickConfig(20)); err != nil {
 		t.Fatal(err)
 	}
 
-	// "At least rank-static's locality" is not part of the property: like
-	// Gale-Shapley, Algorithm 1 is optimal for each proposer, not in total.
-	// On this 4-node / 12-task problem it plans 610 MB local against
-	// rank-static's 630 MB.
+	// "At least rank-static's locality" is not part of Algorithm 1's
+	// property: like Gale-Shapley, it is optimal for each proposer, not in
+	// total. On this 4-node / 12-task problem it plans 610 MB local against
+	// rank-static's 630 MB; the exact planner reaches the optimum above both.
 	const seed = 1693867134031852014
 	p := multiProblem(t, 4, 12, seed)
 	a := multiDataValidWithinQuota(t, p, seed)
-	rank, err := RankStatic{}.Assign(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	exact, rank := exactBeatsRank(t, p, seed)
 	if a.PlannedLocalMB != 610 || rank.PlannedLocalMB != 630 {
 		t.Fatalf("counterexample drifted: multi-data %v MB local, rank-static %v MB; want 610 and 630",
 			a.PlannedLocalMB, rank.PlannedLocalMB)
 	}
+	if got, want := localUnits(p, exact), referenceTransport(p); got != want {
+		t.Fatalf("opass-exact plans %d co-located units (%v MB), the oracle %d", got, exact.PlannedLocalMB, want)
+	}
+	t.Logf("counterexample: Algorithm 1 %v MB, rank-static %v MB, opass-exact %v MB", a.PlannedLocalMB, rank.PlannedLocalMB, exact.PlannedLocalMB)
 }
 
 func TestDynamicSchedulerOwnListFirst(t *testing.T) {
@@ -492,7 +514,7 @@ func TestAssignerFor(t *testing.T) {
 		multi    bool
 		want     string
 	}{
-		{"opass", false, "opass-flow"}, {"opass", true, "opass-matching"},
+		{"opass", false, "opass-flow"}, {"opass", true, "opass-exact"},
 		{"rank", true, "rank-static"}, {"random", false, "random-static"}, {"greedy", false, "opass-greedy"},
 	} {
 		a, err := AssignerFor(c.strategy, 1, c.multi)

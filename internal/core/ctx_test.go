@@ -26,6 +26,7 @@ func TestAssignContextCancelledUpFront(t *testing.T) {
 	}{
 		{"single", SingleData{}, single},
 		{"multi", MultiData{}, multi},
+		{"multi-exact", MultiExact{}, multi},
 		{"greedy", GreedyLocality{}, single},
 		{"rank-fallback", RankStatic{}, single}, // no ctx support: helper still honors ctx
 	}
@@ -74,6 +75,7 @@ func TestPlannersPollContextInternally(t *testing.T) {
 	}{
 		{"single", SingleData{}, single},
 		{"multi", MultiData{}, multi},
+		{"multi-exact", MultiExact{}, multi},
 		{"greedy", GreedyLocality{}, single},
 	}
 	for _, c := range cases {
@@ -112,7 +114,9 @@ func TestAssignContextLiveMatchesAssign(t *testing.T) {
 
 // TestCancelledPlanLeavesNothingBehind trips the context at every poll a
 // clean plan makes — the index build's stride polls, the matcher's phases,
-// Algorithm 1's proposal loop — and asserts each cancelled plan returns
+// Algorithm 1's proposal loop, the exact planner's tight matching (stage 1)
+// and its min-cost rounds and arc-scan strides (stage 2, which only the
+// skewed problem reaches) — and asserts each cancelled plan returns
 // (nil, Canceled), leaves the goroutine count where it started, and hands
 // the pooled index buffer back: the build that follows it allocates no new
 // edge array. (testing.AllocsPerRun cannot state the last clause — its
@@ -139,8 +143,13 @@ func TestCancelledPlanLeavesNothingBehind(t *testing.T) {
 		{"racked-single", SingleData{}, racked},
 		{"greedy", GreedyLocality{}, single},
 		{"multi", MultiData{}, multiProblem(t, 16, 3000, 9)},
+		{"multi-exact", MultiExact{}, multiProblem(t, 16, 3000, 9)},
+		{"multi-exact-repair", MultiExact{}, skewedSpec(64, 4, 2048, 7).csrBacked()},
 	} {
 		t.Run(c.name, func(t *testing.T) {
+			if c.name == "multi-exact-repair" && !stage2Runs(t, c.p) {
+				t.Fatal("the tight matching places every task: no min-cost round to trip")
+			}
 			clean := &trippedCtx{Context: context.Background(), after: math.MaxInt64}
 			if _, err := AssignContext(clean, c.a, c.p); err != nil {
 				t.Fatal(err)

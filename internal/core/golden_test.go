@@ -37,6 +37,9 @@ type goldenPlans struct {
 	// Multi is the Owner array of Algorithm 1 on a seeded 64-proc x 640-task
 	// multi-data problem.
 	Multi []int `json:"multi"`
+	// MultiExact is the exact multi-data planner's Owner array on the same
+	// problem.
+	MultiExact []int `json:"multi_exact"`
 	// DynamicOrder is the exact task sequence the dynamic scheduler serves
 	// when only 16 of the 64 processes ask for work — the last three quarters
 	// of the job exercises the steal scan.
@@ -254,6 +257,11 @@ func computeGoldenPlans(t testing.TB) *goldenPlans {
 		t.Fatal(err)
 	}
 	out.Multi = ma.Owner
+	me, err := (MultiExact{Seed: 5}).Assign(mp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out.MultiExact = me.Owner
 
 	// Dynamic drain: only 16 of the 64 processes ask for work, so after
 	// their own lists empty the remaining ~480 tasks all go through the
@@ -346,6 +354,7 @@ func TestGoldenPlans(t *testing.T) {
 		{"single-data/dinic", got.SingleDinic, want.SingleDinic},
 		{"single-data/kuhn", got.SingleKuhn, want.SingleKuhn},
 		{"multi-data", got.Multi, want.Multi},
+		{"multi-data/exact", got.MultiExact, want.MultiExact},
 		{"dynamic-order", got.DynamicOrder, want.DynamicOrder},
 	}
 	if len(got.Guard) != len(want.Guard) {

@@ -56,8 +56,8 @@ type LocalityIndex struct {
 // polls during the index build.
 const indexCtxStride = 512
 
-// indexBuf holds one index's storage — the three edge views and the
-// accumulation scratch that fills them — and is what indexBufPool recycles.
+// indexBuf holds one index's storage — the edge views and the accumulation
+// scratch that fills them — and is what indexBufPool recycles.
 // Every array is regrown from length zero (slices.Grow), so a build keeps
 // what fits and reallocates what does not. Stale contents are harmless: a
 // build overwrites every element it later reads, and the stamps only ever
@@ -66,6 +66,7 @@ type indexBuf struct {
 	byTask     bipartite.Rows // task -> edges, Proc-ascending
 	byProc     bipartite.Rows // proc -> edges, Task-ascending until MultiData consumes them
 	byTaskRack bipartite.Rows // task -> rack-tier edges, Proc-ascending
+	tight      bipartite.Rows // task -> best-holder edges, MultiExact's stage 1
 	pos        []int          // transpose write cursors, one per process
 
 	// Accumulated MB per process for the current task, with an epoch stamp

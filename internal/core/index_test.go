@@ -159,6 +159,8 @@ func TestPlansIdenticalAcrossGOMAXPROCS(t *testing.T) {
 		{"multi", MultiData{Seed: 3}, goldenMultiProblem(t)},
 		{"racked-single", SingleData{Seed: 4}, goldenRackedProblem(t, func(int) float64 { return 64 })},
 		{"racked-multi", MultiData{Seed: 5}, goldenRackedMultiProblem(t)},
+		{"multi-exact", MultiExact{Seed: 3}, goldenMultiProblem(t)},
+		{"racked-multi-exact", MultiExact{Seed: 5}, goldenRackedMultiProblem(t)},
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, c := range cases {

@@ -84,7 +84,9 @@ func planSpec(data []byte) (s layoutSpec, weights []float64) {
 // maximum-locality: the tasks the matcher placed, times the task size,
 // equal the Edmonds-Karp flow value over the locality graph under the same
 // quotas. On every draw Algorithm 1, weighted and not, must choose the
-// owners of referenceMultiData's sorted preference lists.
+// owners of referenceMultiData's sorted preference lists, and the exact
+// multi-data planner must plan as much co-located data as the
+// transportation oracle (checkExactIsOptimal).
 func FuzzPlan(f *testing.F) {
 	f.Add([]byte{})
 	// Random byte strings long enough to fill every field: a spread of
@@ -196,5 +198,41 @@ func FuzzPlan(f *testing.F) {
 		// rows) included, against the sorted-preference reference.
 		checkMatchesReference(t, "opass-matching", MultiData{Seed: 9}, p)
 		checkMatchesReference(t, "opass-matching weighted", MultiData{Seed: 9, Weights: weights}, p)
+		checkExactIsOptimal(t, p)
 	})
+}
+
+// checkExactIsOptimal fails t unless MultiExact plans p within the count
+// quotas with exactly the oracle's co-located units, and so no fewer than
+// Algorithm 1 or, where its interval counts are the same quotas,
+// rank-static. (With n mod m > 0 rank-static spreads the extra tasks over
+// other processes than taskQuotas does, a plan outside the problem solved.)
+func checkExactIsOptimal(t *testing.T, p *Problem) {
+	t.Helper()
+	a, err := MultiExact{Seed: 9}.Assign(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkCountQuotas(t, "opass-exact", p, a)
+	got := localUnits(p, a)
+	if want := referenceTransport(p); got != want {
+		t.Fatalf("opass-exact plans %d co-located units, the transportation oracle %d", got, want)
+	}
+	md, err := MultiData{Seed: 9}.Assign(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alg1 := localUnits(p, md); got < alg1 {
+		t.Fatalf("opass-exact plans %d co-located units, Algorithm 1 %d", got, alg1)
+	}
+	rank, err := RankStatic{}.Assign(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	quotas := taskQuotas(len(p.Tasks), p.NumProcs())
+	if slices.EqualFunc(rank.Lists, quotas, func(l []int, q int) bool { return len(l) == q }) {
+		if r := localUnits(p, rank); got < r {
+			t.Fatalf("opass-exact plans %d co-located units, rank-static %d", got, r)
+		}
+	}
 }

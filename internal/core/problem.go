@@ -102,7 +102,7 @@ func (p *Problem) Validate() error {
 }
 
 // MultiInput reports whether any task reads more than one input: the shape
-// that takes the multi-data planner (Algorithm 1) instead of the single-data
+// that takes the multi-data planner (MultiExact) instead of the single-data
 // flow formulation.
 func (p *Problem) MultiInput() bool {
 	for i := range p.Tasks {
@@ -244,7 +244,8 @@ type Assigner interface {
 }
 
 // AssignerFor is the one strategy table: "opass" is the paper's planner
-// (MultiData when any task has several inputs, else SingleData), "rank" and
+// (SingleData for single-input tasks; MultiExact, the exact solution of the
+// problem Algorithm 1 approximates, when any task has several), "rank" and
 // "random" the locality-oblivious baselines, "greedy" the near-linear
 // heuristic. The error for any other name carries no package prefix, so the
 // facade and the service can each put their own in front of it.
@@ -252,7 +253,7 @@ func AssignerFor(strategy string, seed int64, multi bool) (Assigner, error) {
 	switch strategy {
 	case "opass":
 		if multi {
-			return MultiData{Seed: seed}, nil
+			return MultiExact{Seed: seed}, nil
 		}
 		return SingleData{Seed: seed}, nil
 	case "rank":
@@ -270,7 +271,7 @@ func AssignerFor(strategy string, seed int64, multi bool) (Assigner, error) {
 // cooperative cancellation: the planner periodically polls ctx (inside its
 // flow loop, proposal rounds, and index build) and returns ctx's error
 // instead of running a doomed plan to completion. The heavy planners
-// (SingleData, MultiData, GreedyLocality) implement it; the O(n) baselines
+// (SingleData, MultiExact, MultiData, GreedyLocality) implement it; the O(n) baselines
 // do not need to.
 type ContextAssigner interface {
 	Assigner

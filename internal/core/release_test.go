@@ -99,6 +99,7 @@ func TestPlannersConcurrentPooledBuffers(t *testing.T) {
 	p1, _ := buildSingle(t, 8, 80, 31, dfs.RandomPlacement{})
 	p2, _ := buildSingle(t, 12, 512, 32, dfs.RandomPlacement{})
 	p3 := goldenMultiProblem(t)
+	p4 := skewedSpec(32, 3, 320, 3).csrBacked()
 
 	runs := []struct {
 		name string
@@ -107,6 +108,8 @@ func TestPlannersConcurrentPooledBuffers(t *testing.T) {
 		{"single", func() (*Assignment, error) { return SingleData{Seed: 1}.Assign(p1) }},
 		{"greedy", func() (*Assignment, error) { return GreedyLocality{Seed: 2}.Assign(p2) }},
 		{"multi", func() (*Assignment, error) { return MultiData{Seed: 3}.Assign(p3) }},
+		{"multi-exact", func() (*Assignment, error) { return MultiExact{Seed: 4}.Assign(p3) }},
+		{"multi-exact-repair", func() (*Assignment, error) { return MultiExact{Seed: 5}.Assign(p4) }},
 	}
 	done := make(chan error, len(runs))
 	for _, r := range runs {
@@ -153,6 +156,14 @@ func TestSingleDataPlanAllocatesLessThanItsEdges(t *testing.T) {
 // plan allocates less than one copy of its edges — no preference lists.
 func TestMultiDataPlanAllocatesLessThanItsEdges(t *testing.T) {
 	checkWarmPlanAllocatesLessThanItsEdges(t, MultiData{}, benchSpec(256, 2560, []float64{30, 20, 10}, 3).csrBacked())
+}
+
+// TestMultiExactPlanAllocatesLessThanItsEdges is the exact planner's twin:
+// its tight rows live in the pooled index buffer and the matcher's working
+// arrays in the matcher's pool, so a warm paper-scale plan allocates less
+// than one copy of its edges.
+func TestMultiExactPlanAllocatesLessThanItsEdges(t *testing.T) {
+	checkWarmPlanAllocatesLessThanItsEdges(t, MultiExact{}, benchSpec(256, 2560, []float64{30, 20, 10}, 3).csrBacked())
 }
 
 // checkWarmPlanAllocatesLessThanItsEdges plans p twice and fails t if the

@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
+	"opass/internal/cluster"
 	"opass/internal/core"
 	"opass/internal/dfs"
 )
@@ -214,5 +216,78 @@ func TestDeltaReplanEndToEnd(t *testing.T) {
 	}
 	if full.DeltaReplannedTasks != 0 {
 		t.Fatalf("full replan counted %d delta-replanned tasks, want 0", full.DeltaReplannedTasks)
+	}
+}
+
+// TestReplanMultiInputPlansAtLeastAlgorithm1: a multi-input backlog is
+// re-matched after a DataNode crash by the exact multi-data planner, so the
+// backlog the replan installs reads at least as much data locally as
+// Algorithm 1 plans on the same sub-problem — on this fixture strictly
+// more, which is what shows the replan is not running Algorithm 1.
+func TestReplanMultiInputPlansAtLeastAlgorithm1(t *testing.T) {
+	const (
+		nodes  = 16
+		tasks  = 160
+		seed   = 3
+		victim = 2
+	)
+	topo := cluster.New(nodes, cluster.Marmot())
+	fs := dfs.New(topo, dfs.Config{Seed: seed, Placement: dfs.RandomPlacement{}})
+	prob := &core.Problem{ProcNode: make([]int, nodes), FS: fs}
+	for i := range prob.ProcNode {
+		prob.ProcNode[i] = i
+	}
+	for i := 0; i < tasks; i++ {
+		task := core.Task{ID: i}
+		for _, size := range []float64{30, 20, 10} {
+			f, err := fs.CreateChunks(fmt.Sprintf("/task%d/%v", i, size), []float64{size})
+			if err != nil {
+				t.Fatal(err)
+			}
+			task.Inputs = append(task.Inputs, core.Input{Chunk: f.Chunks[0], SizeMB: size})
+		}
+		prob.Tasks = append(prob.Tasks, task)
+	}
+	a, err := core.MultiExact{Seed: seed}.Assign(prob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := NewListSource(a.Lists)
+	for proc := range a.Lists { // every process has started one task
+		src.Next(proc)
+	}
+	since := fs.Epoch()
+	if _, _, err := fs.Crash(victim); err != nil {
+		t.Fatal(err)
+	}
+	spliced, _, err := ReplanBacklogDelta(prob, fs, src, make([]bool, nodes), func(int) float64 { return 1 }, seed, -1, since)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !spliced {
+		t.Fatal("the crash replanned nothing")
+	}
+
+	// A full re-match's sub-problem is every pending task, in ID order, over
+	// every process.
+	var ids []int
+	var local float64
+	for proc, list := range backlog(src) {
+		for _, id := range list {
+			ids = append(ids, id)
+			local += prob.CoLocatedMB(proc, id)
+		}
+	}
+	slices.Sort(ids)
+	sub := &core.Problem{ProcNode: prob.ProcNode, FS: fs}
+	for i, id := range ids {
+		sub.Tasks = append(sub.Tasks, core.Task{ID: i, Inputs: prob.Tasks[id].Inputs})
+	}
+	alg1, err := core.MultiData{Seed: seed}.Assign(sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !(local > alg1.PlannedLocalMB) {
+		t.Fatalf("replanned backlog reads %v MB locally, Algorithm 1 plans %v MB on the same %d tasks", local, alg1.PlannedLocalMB, len(ids))
 	}
 }

@@ -173,7 +173,7 @@ func ReplanBacklogDelta(p *core.Problem, fs *dfs.FileSystem, src *ListSource, fi
 
 	var a *core.Assignment
 	if sub.MultiInput() {
-		a, err = core.MultiData{Seed: seed}.Assign(sub)
+		a, err = core.MultiExact{Seed: seed}.Assign(sub)
 	} else {
 		sd := core.SingleData{Seed: seed}
 		// Skewed shares only when they differ and are usable; degenerate

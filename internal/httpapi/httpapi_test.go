@@ -110,8 +110,8 @@ func TestPlanMultiInput(t *testing.T) {
 	}
 	var out PlanResponse
 	json.Unmarshal(body, &out)
-	if out.Strategy != "opass-matching" {
-		t.Fatalf("multi-input should route to Algorithm 1, got %q", out.Strategy)
+	if out.Strategy != "opass-exact" {
+		t.Fatalf("multi-input should route to the exact multi-data planner, got %q", out.Strategy)
 	}
 }
 

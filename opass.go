@@ -42,7 +42,8 @@ type Strategy string
 // The assignment strategies available to planners.
 const (
 	// StrategyOpass is the paper's contribution: flow-based matching for
-	// single-input tasks, Algorithm 1 for multi-input tasks.
+	// single-input tasks, the exact solution of Algorithm 1's problem for
+	// multi-input tasks.
 	StrategyOpass Strategy = "opass"
 	// StrategyRank is the ParaView-style baseline: contiguous task
 	// intervals by process rank.
@@ -149,8 +150,9 @@ func (c *Cluster) PlanSingleData(s Strategy, files ...string) (*Plan, error) {
 	return c.plan(s, prob, false)
 }
 
-// PlanMultiData assigns multi-input tasks — Algorithm 1 under
-// StrategyOpass.
+// PlanMultiData assigns multi-input tasks. Under StrategyOpass that is the
+// maximum-locality plan within equal task counts (core.MultiExact), the
+// optimum Algorithm 1 of §IV-C approximates.
 func (c *Cluster) PlanMultiData(s Strategy, tasks []TaskSpec) (*Plan, error) {
 	prob := &core.Problem{ProcNode: c.procNodes(), FS: c.fs}
 	for i, spec := range tasks {
