@@ -19,6 +19,7 @@ import (
 //	opass sim -nodes 64 -chunks-per-proc 10 -strategy opass
 //	opass sim -nodes 32 -strategy rank -dynamic
 //	opass sim -nodes 16 -multi -strategy opass
+//	opass sim -nodes 16 -trace tasks.csv -dynamic -compare
 func simMain(args []string, stdout, stderr io.Writer) int {
 	fs := newFlagSet("sim", stderr)
 	nodes := fs.Int("nodes", 64, "cluster size (one process per node)")
@@ -40,13 +41,14 @@ func simMain(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	var rep *opass.Report
-	var err error
-	if *traceFile != "" {
-		rep, err = simTrace(*traceFile, *nodes, *seed, *dynamic)
-	} else {
-		rep, err = simRun(*nodes, *chunksPerProc, *chunkMB, *repl, opass.Strategy(*strategy), *dynamic, *multi, *seed)
+	// One workload, the trace or the synthetic one, for both sides of -compare.
+	sim := func(strategy string) (*opass.Report, error) {
+		if *traceFile != "" {
+			return simTrace(*traceFile, *nodes, strategy, *dynamic, *seed)
+		}
+		return simRun(*nodes, *chunksPerProc, *chunkMB, *repl, opass.Strategy(strategy), *dynamic, *multi, *seed)
 	}
+	rep, err := sim(*strategy)
 	if err != nil {
 		return fail(err)
 	}
@@ -60,7 +62,7 @@ func simMain(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprint(stdout, rep.Table())
 		return 0
 	}
-	base, err := simRun(*nodes, *chunksPerProc, *chunkMB, *repl, opass.StrategyRank, *dynamic, *multi, *seed)
+	base, err := sim(string(opass.StrategyRank))
 	if err != nil {
 		return fail(err)
 	}
@@ -118,9 +120,11 @@ func simRun(nodes, chunksPerProc int, chunkMB float64, repl int, strategy opass.
 	return c.Run(plan)
 }
 
-// simTrace replays a CSV task trace through the greedy planner (which
-// accepts mixed single-/multi-input tasks) on a fresh cluster.
-func simTrace(path string, nodes int, seed int64, dynamic bool) (*opass.Report, error) {
+// simTrace replays a CSV task trace on a fresh cluster under strategy; a
+// trace with any multi-input task is planned as a multi-data problem. The
+// dynamic master follows the facade's rule: the §IV-D scheduler for an
+// Opass plan, the random dispatcher otherwise.
+func simTrace(path string, nodes int, strategy string, dynamic bool, seed int64) (*opass.Report, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -134,21 +138,27 @@ func simTrace(path string, nodes int, seed int64, dynamic bool) (*opass.Report, 
 	if err != nil {
 		return nil, err
 	}
-	a, err := (core.GreedyLocality{Seed: seed}).Assign(rig.Prob)
+	as, err := core.AssignerFor(strategy, seed, rig.Prob.MultiInput())
+	if err != nil {
+		return nil, err
+	}
+	a, err := as.Assign(rig.Prob)
 	if err != nil {
 		return nil, err
 	}
 	var src engine.TaskSource = engine.NewListSource(a.Lists)
-	if dynamic {
-		sched, err := core.NewDynamicScheduler(rig.Prob, a)
-		if err != nil {
+	switch {
+	case !dynamic:
+	case a.Matched != nil: // an Opass planner ran
+		if src, err = core.NewDynamicScheduler(rig.Prob, a); err != nil {
 			return nil, err
 		}
-		src = sched
+	default:
+		src = core.NewRandomDispatcher(rig.Prob, seed)
 	}
 	res, err := engine.Run(engine.Options{
 		Topo: rig.Topo, FS: rig.FS, Problem: rig.Prob,
-		ComputeTime: rig.Compute, Strategy: "trace-replay",
+		ComputeTime: rig.Compute, Strategy: strategy,
 	}, src)
 	if err != nil {
 		return nil, err

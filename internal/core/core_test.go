@@ -515,7 +515,8 @@ func TestAssignerFor(t *testing.T) {
 		want     string
 	}{
 		{"opass", false, "opass-flow"}, {"opass", true, "opass-exact"},
-		{"rank", true, "rank-static"}, {"random", false, "random-static"}, {"greedy", false, "opass-greedy"},
+		{"rank", true, "rank-static"}, {"random", false, "random-static"},
+		{"greedy", false, "opass-flow"}, {"greedy", true, "opass-exact"},
 	} {
 		a, err := AssignerFor(c.strategy, 1, c.multi)
 		if err != nil || a.Name() != c.want {

@@ -27,7 +27,6 @@ func TestAssignContextCancelledUpFront(t *testing.T) {
 		{"single", SingleData{}, single},
 		{"multi", MultiData{}, multi},
 		{"multi-exact", MultiExact{}, multi},
-		{"greedy", GreedyLocality{}, single},
 		{"rank-fallback", RankStatic{}, single}, // no ctx support: helper still honors ctx
 	}
 	for _, c := range cases {
@@ -76,7 +75,6 @@ func TestPlannersPollContextInternally(t *testing.T) {
 		{"single", SingleData{}, single},
 		{"multi", MultiData{}, multi},
 		{"multi-exact", MultiExact{}, multi},
-		{"greedy", GreedyLocality{}, single},
 	}
 	for _, c := range cases {
 		ctx := &trippedCtx{Context: context.Background(), after: 1}
@@ -141,7 +139,6 @@ func TestCancelledPlanLeavesNothingBehind(t *testing.T) {
 	}{
 		{"single", SingleData{}, single},
 		{"racked-single", SingleData{}, racked},
-		{"greedy", GreedyLocality{}, single},
 		{"multi", MultiData{}, multiProblem(t, 16, 3000, 9)},
 		{"multi-exact", MultiExact{}, multiProblem(t, 16, 3000, 9)},
 		{"multi-exact-repair", MultiExact{}, skewedSpec(64, 4, 2048, 7).csrBacked()},

@@ -34,7 +34,7 @@ func referenceTransport(p *Problem) int64 {
 		adj[v] = append(adj[v], arc{to: u, rev: len(adj[u]) - 1, cost: -cost})
 	}
 	for t := 0; t < n; t++ {
-		es := ix.TaskEdges(t)
+		es := ix.taskEdges(t)
 		if len(es) == 0 {
 			continue
 		}
@@ -295,7 +295,7 @@ func TestMultiExactReachesTheBoundAtPaperScale(t *testing.T) {
 		var bound float64
 		for task := range p.Tasks {
 			best := 0.0
-			for _, e := range ix.TaskEdges(task) {
+			for _, e := range ix.taskEdges(task) {
 				best = max(best, e.MB)
 			}
 			bound += best

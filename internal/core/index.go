@@ -225,7 +225,7 @@ func NewLocalityIndexContext(ctx context.Context, p *Problem) (*LocalityIndex, e
 }
 
 // Release returns the index's storage (and with it every edge slice ever
-// returned by TaskEdges/ProcEdges/TaskRackEdges) to the package pool for
+// returned by taskEdges/ProcEdges/TaskRackEdges) to the package pool for
 // the next build. It is optional and purely a performance lever: an index
 // that is simply dropped is garbage-collected. The caller must be the sole
 // user of the index — after Release the index and any views obtained from
@@ -247,9 +247,9 @@ func (ix *LocalityIndex) Release() {
 // co-located data).
 func (ix *LocalityIndex) NumEdges() int { return ix.edges }
 
-// TaskEdges returns task t's locality edges in ascending process order. The
+// taskEdges returns task t's locality edges in ascending process order. The
 // slice is a read-only view owned by the index.
-func (ix *LocalityIndex) TaskEdges(t int) []LocalityEdge { return ix.buf.byTask.Row(t) }
+func (ix *LocalityIndex) taskEdges(t int) []LocalityEdge { return ix.buf.byTask.Row(t) }
 
 // ProcEdges returns process p's locality edges in ascending task order, a
 // view owned by the index; only MultiData, on its own index, reorders it.
@@ -259,7 +259,7 @@ func (ix *LocalityIndex) ProcEdges(p int) []LocalityEdge { return ix.buf.byProc.
 // search — the same value Problem.CoLocatedMB computes by probing, in
 // O(log degree) instead of O(inputs·replicas).
 func (ix *LocalityIndex) CoLocatedMB(proc, task int) float64 {
-	return mbOf(ix.buf.byTask.Row(task), proc)
+	return mbOf(ix.taskEdges(task), proc)
 }
 
 // mbOf looks proc up in a Proc-ascending edge row; zero when absent.

@@ -84,8 +84,8 @@ func TestLocalityIndexMatchesProbes(t *testing.T) {
 					}
 				}
 				edges += len(want)
-				if got := ix.TaskEdges(task); !slices.Equal(got, want) {
-					t.Fatalf("TaskEdges(%d) = %v, probes say %v", task, got, want)
+				if got := ix.taskEdges(task); !slices.Equal(got, want) {
+					t.Fatalf("taskEdges(%d) = %v, probes say %v", task, got, want)
 				}
 				if got := ix.TaskRackEdges(task); !slices.Equal(got, wantRack) {
 					t.Fatalf("TaskRackEdges(%d) = %v, probes say %v", task, got, wantRack)
@@ -103,7 +103,7 @@ func TestLocalityIndexMatchesProbes(t *testing.T) {
 	}
 }
 
-// TestLocalityIndexViewsSorted asserts the ordering contracts TaskEdges,
+// TestLocalityIndexViewsSorted asserts the ordering contracts taskEdges,
 // TaskRackEdges and ProcEdges document, and that the two node-tier views
 // hold NumEdges edges each.
 func TestLocalityIndexViewsSorted(t *testing.T) {
@@ -111,7 +111,7 @@ func TestLocalityIndexViewsSorted(t *testing.T) {
 		ix := NewLocalityIndex(p)
 		byTask, byProc := 0, 0
 		for task := range p.Tasks {
-			for tier, es := range [][]LocalityEdge{ix.TaskEdges(task), ix.TaskRackEdges(task)} {
+			for tier, es := range [][]LocalityEdge{ix.taskEdges(task), ix.TaskRackEdges(task)} {
 				if !sort.SliceIsSorted(es, func(a, b int) bool { return es[a].Proc < es[b].Proc }) {
 					t.Fatalf("%s: tier %d edges of task %d not process-ascending: %v", name, tier, task, es)
 				}
@@ -121,7 +121,7 @@ func TestLocalityIndexViewsSorted(t *testing.T) {
 					}
 				}
 			}
-			byTask += len(ix.TaskEdges(task))
+			byTask += len(ix.taskEdges(task))
 		}
 		for proc := 0; proc < p.NumProcs(); proc++ {
 			es := ix.ProcEdges(proc)
@@ -155,7 +155,6 @@ func TestPlansIdenticalAcrossGOMAXPROCS(t *testing.T) {
 		p    *Problem
 	}{
 		{"single", SingleData{Seed: 1}, single},
-		{"greedy", GreedyLocality{Seed: 2}, single},
 		{"multi", MultiData{Seed: 3}, goldenMultiProblem(t)},
 		{"racked-single", SingleData{Seed: 4}, goldenRackedProblem(t, func(int) float64 { return 64 })},
 		{"racked-multi", MultiData{Seed: 5}, goldenRackedMultiProblem(t)},

@@ -178,7 +178,8 @@ type Assignment struct {
 	PlannedLocalMB float64
 	PlannedTotalMB float64
 	// Matched, when non-nil, records which owners are locality decisions of
-	// the planner's solver (flow network, matcher, greedy pass, Algorithm 1)
+	// the planner's solver (flow network, matcher, MultiExact's matching and
+	// min-cost repair, Algorithm 1)
 	// as opposed to the repair stages that home the tasks it left unmatched
 	// (see finishAssignment). It is observability only — the matched
 	// fraction is how far the placement is from supporting a full matching.
@@ -246,12 +247,14 @@ type Assigner interface {
 // AssignerFor is the one strategy table: "opass" is the paper's planner
 // (SingleData for single-input tasks; MultiExact, the exact solution of the
 // problem Algorithm 1 approximates, when any task has several), "rank" and
-// "random" the locality-oblivious baselines, "greedy" the near-linear
-// heuristic. The error for any other name carries no package prefix, so the
-// facade and the service can each put their own in front of it.
+// "random" the locality-oblivious baselines. "greedy", the retired §V-C2
+// heuristic's name, is one more label for "opass": the Assigner's Name
+// says which planner ran. The error for any other name carries no package
+// prefix, so the facade and the service can each put their own in front
+// of it.
 func AssignerFor(strategy string, seed int64, multi bool) (Assigner, error) {
 	switch strategy {
-	case "opass":
+	case "opass", "greedy":
 		if multi {
 			return MultiExact{Seed: seed}, nil
 		}
@@ -260,8 +263,6 @@ func AssignerFor(strategy string, seed int64, multi bool) (Assigner, error) {
 		return RankStatic{}, nil
 	case "random":
 		return RandomStatic{Seed: seed}, nil
-	case "greedy":
-		return GreedyLocality{Seed: seed}, nil
 	default:
 		return nil, fmt.Errorf("unknown strategy %q", strategy)
 	}
@@ -271,8 +272,8 @@ func AssignerFor(strategy string, seed int64, multi bool) (Assigner, error) {
 // cooperative cancellation: the planner periodically polls ctx (inside its
 // flow loop, proposal rounds, and index build) and returns ctx's error
 // instead of running a doomed plan to completion. The heavy planners
-// (SingleData, MultiExact, MultiData, GreedyLocality) implement it; the O(n) baselines
-// do not need to.
+// (SingleData, MultiExact, MultiData) implement it; the O(n) baselines do
+// not need to.
 type ContextAssigner interface {
 	Assigner
 	// AssignContext computes a complete assignment, aborting early with

@@ -80,7 +80,6 @@ func TestSingleRackTierParity(t *testing.T) {
 	assigners := []Assigner{
 		SingleData{Seed: 7},
 		MultiData{Seed: 7},
-		GreedyLocality{Seed: 7},
 		RankStatic{},
 	}
 	for _, asg := range assigners {
@@ -152,7 +151,6 @@ func TestRackTierSteersUnmatchedTasks(t *testing.T) {
 	for _, asg := range []Assigner{
 		SingleData{Seed: 3},
 		MultiData{Seed: 3},
-		GreedyLocality{Seed: 3},
 	} {
 		p, v := buildRacked(t, 16, 4, 160, 1, 3)
 

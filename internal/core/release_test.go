@@ -14,7 +14,7 @@ import (
 func snapshotEdges(p *Problem, ix *LocalityIndex) [][]LocalityEdge {
 	out := make([][]LocalityEdge, len(p.Tasks))
 	for t := range p.Tasks {
-		out[t] = append([]LocalityEdge(nil), ix.TaskEdges(t)...)
+		out[t] = append([]LocalityEdge(nil), ix.taskEdges(t)...)
 	}
 	return out
 }
@@ -56,7 +56,7 @@ func TestLocalityIndexReleaseReuse(t *testing.T) {
 		for i, p := range probs {
 			ix := NewLocalityIndex(p)
 			for task := range p.Tasks {
-				got := ix.TaskEdges(task)
+				got := ix.taskEdges(task)
 				if len(got) != len(want[i][task]) {
 					t.Fatalf("round %d prob %d task %d: %d edges, want %d", round, i, task, len(got), len(want[i][task]))
 				}
@@ -97,7 +97,6 @@ func TestLocalityIndexReleaseReuse(t *testing.T) {
 // recycling cannot mix buffers between in-flight plans.
 func TestPlannersConcurrentPooledBuffers(t *testing.T) {
 	p1, _ := buildSingle(t, 8, 80, 31, dfs.RandomPlacement{})
-	p2, _ := buildSingle(t, 12, 512, 32, dfs.RandomPlacement{})
 	p3 := goldenMultiProblem(t)
 	p4 := skewedSpec(32, 3, 320, 3).csrBacked()
 
@@ -106,7 +105,6 @@ func TestPlannersConcurrentPooledBuffers(t *testing.T) {
 		plan func() (*Assignment, error)
 	}{
 		{"single", func() (*Assignment, error) { return SingleData{Seed: 1}.Assign(p1) }},
-		{"greedy", func() (*Assignment, error) { return GreedyLocality{Seed: 2}.Assign(p2) }},
 		{"multi", func() (*Assignment, error) { return MultiData{Seed: 3}.Assign(p3) }},
 		{"multi-exact", func() (*Assignment, error) { return MultiExact{Seed: 4}.Assign(p3) }},
 		{"multi-exact-repair", func() (*Assignment, error) { return MultiExact{Seed: 5}.Assign(p4) }},

@@ -3,8 +3,8 @@ package core
 import "math/rand"
 
 // This file is the post-solve half of every planner: a solver (max flow,
-// the direct matcher, the greedy pass, Algorithm 1) places the tasks it can
-// place node-locally, and the repair stages here home the rest — first in a
+// the direct matcher, MultiExact's transport, Algorithm 1) places the tasks
+// it can place node-locally, and the repair stages here home the rest — first in a
 // rack that holds their data, then wherever there is most room.
 
 // quotaLedger is the accounting the repair stages share: what each process

@@ -87,7 +87,6 @@ func Catalog() []Study {
 		study("ablation-placement", "skewed placement with and without the balancer", AblationPlacement),
 		study("dynamic-masters", "random vs delay-scheduling vs Opass masters", DynamicStrategies),
 		study("hetero", "§IV-D heterogeneous cluster, static vs dynamic", HeteroStaticVsDynamic),
-		study("greedy", "greedy heuristic vs optimal flow planner", GreedyVsFlow),
 		study("redistribution", "MRAP-style replica migration cost and benefit", Redistribution),
 		study("replication", "replication factor vs achievable locality", ReplicationSweep),
 		study("sensitivity", "disk seek-penalty calibration sweep", SeekPenaltySensitivity),

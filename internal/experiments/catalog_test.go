@@ -8,8 +8,8 @@ import (
 	"testing"
 )
 
-// The only wall-clock text any study renders: planner durations in scale
-// and greedy, and the matching time and its ratio in overhead.
+// The only wall-clock text any study renders: planner durations in scale,
+// and the matching time and its ratio in overhead.
 var (
 	wallRE     = regexp.MustCompile(` +(?:[0-9]+h)?(?:[0-9]+m)?[0-9.]+(?:ns|µs|ms|s)\b`)
 	overheadRE = regexp.MustCompile(`matching [0-9.]+ ms vs ([0-9]+ s of data access) \([0-9.]+%`)
@@ -17,7 +17,7 @@ var (
 
 func maskWallClock(name, text string) string {
 	switch name {
-	case "scale", "greedy":
+	case "scale":
 		return wallRE.ReplaceAllString(text, " <wall>")
 	case "overhead":
 		return overheadRE.ReplaceAllString(text, "matching <wall> ms vs $1 (<ratio>%")
@@ -132,7 +132,7 @@ func TestCatalogueNames(t *testing.T) {
 		"fig1": "fig1", "fig3": "fig3", "fig7": "fig7", "fig8": "fig7", "fig7c": "fig7c", "fig8c": "fig7c",
 		"fig9": "fig9", "fig10": "fig9", "fig11": "fig11", "fig12": "fig12", "overhead": "overhead",
 		"scale": "scale", "ablation-placement": "ablation-placement", "dynamic-masters": "dynamic-masters",
-		"hetero": "hetero", "greedy": "greedy", "redistribution": "redistribution",
+		"hetero": "hetero", "redistribution": "redistribution",
 		"replication": "replication", "sensitivity": "sensitivity", "faults": "faults", "chaos": "chaos",
 		"racks": "racks", "shared": "shared", "jobmix": "jobmix", "advisor": "advisor", "datasize": "datasize",
 	} {

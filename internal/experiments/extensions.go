@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"opass/internal/core"
 	"opass/internal/engine"
@@ -12,9 +11,8 @@ import (
 
 // This file holds the extension experiments beyond the paper's figures:
 // the related-work comparison against delay scheduling (§VI), the
-// heterogeneous-environment static-vs-dynamic study that motivates §IV-D,
-// and the greedy-vs-flow planner quality/latency trade-off that addresses
-// the §V-C2 scalability future-work item.
+// and the heterogeneous-environment static-vs-dynamic study that motivates
+// §IV-D.
 
 // DynamicStrategiesResult compares three masters on the same workload.
 type DynamicStrategiesResult struct {
@@ -124,63 +122,4 @@ func (r *HeteroResult) Render() string {
 func (r *HeteroResult) Headline() string {
 	return fmt.Sprintf("Heterogeneous cluster: dynamic dispatch %.2fx, capacity-weighted static %.2fx over equal static.",
 		r.Static.Makespan/r.Dynamic.Makespan, r.Static.Makespan/r.Weighted.Makespan)
-}
-
-// GreedyQualityRow is one size point of the greedy-vs-flow trade-off.
-type GreedyQualityRow struct {
-	Procs, Tasks     int
-	FlowLocal        float64
-	GreedyLocal      float64
-	FlowWall         time.Duration
-	GreedyWall       time.Duration
-	QualityRetention float64 // greedy locality / flow locality
-}
-
-// GreedyResult is the greedy-vs-flow trade-off across problem sizes.
-type GreedyResult struct {
-	Rows []GreedyQualityRow
-}
-
-// GreedyVsFlow measures the scalable heuristic planner against the optimal
-// flow planner across problem sizes — the §V-C2 future-work trade-off.
-func GreedyVsFlow(cfg Config) (*GreedyResult, error) {
-	out := &GreedyResult{}
-	for _, nodes := range []int{16, 32, 64, 128} {
-		rig, err := workload.SingleSpec{Nodes: nodes, ChunksPerProc: 10, Seed: cfg.Seed}.Build()
-		if err != nil {
-			return nil, err
-		}
-		row := GreedyQualityRow{Procs: nodes, Tasks: len(rig.Prob.Tasks)}
-		flow, wall, err := timePlan(core.SingleData{Seed: cfg.Seed}, rig.Prob)
-		if err != nil {
-			return nil, err
-		}
-		row.FlowWall = wall
-		greedy, wall, err := timePlan(core.GreedyLocality{Seed: cfg.Seed}, rig.Prob)
-		if err != nil {
-			return nil, err
-		}
-		row.GreedyWall = wall
-		row.FlowLocal = flow.LocalityFraction()
-		row.GreedyLocal = greedy.LocalityFraction()
-		if row.FlowLocal > 0 {
-			row.QualityRetention = row.GreedyLocal / row.FlowLocal
-		}
-		out.Rows = append(out.Rows, row)
-	}
-	return out, nil
-}
-
-// Render prints the greedy-vs-flow rows.
-func (res *GreedyResult) Render() string {
-	var b strings.Builder
-	b.WriteString("Extension — greedy heuristic vs optimal flow planner (§V-C2 future work)\n")
-	fmt.Fprintf(&b, "%6s %7s %12s %12s %10s %10s %9s\n",
-		"procs", "tasks", "flow wall", "greedy wall", "flow loc", "greedy loc", "retained")
-	for _, r := range res.Rows {
-		fmt.Fprintf(&b, "%6d %7d %12s %12s %9.1f%% %9.1f%% %8.1f%%\n",
-			r.Procs, r.Tasks, r.FlowWall, r.GreedyWall,
-			100*r.FlowLocal, 100*r.GreedyLocal, 100*r.QualityRetention)
-	}
-	return b.String()
 }

@@ -56,27 +56,6 @@ func TestHeteroDynamicBeatsStatic(t *testing.T) {
 	}
 }
 
-func TestGreedyVsFlowRows(t *testing.T) {
-	res, err := GreedyVsFlow(Config{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 4 {
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-	for _, r := range res.Rows {
-		if r.GreedyLocal > r.FlowLocal+1e-9 {
-			t.Fatalf("greedy %v beat the optimum %v", r.GreedyLocal, r.FlowLocal)
-		}
-		if r.QualityRetention < 0.85 {
-			t.Fatalf("greedy retention %v below 85%%", r.QualityRetention)
-		}
-	}
-	if !strings.Contains(res.Render(), "retained") {
-		t.Fatal("render missing header")
-	}
-}
-
 func TestHeteroWeightedBeatsEqualStatic(t *testing.T) {
 	r, err := HeteroStaticVsDynamic(quick())
 	if err != nil {

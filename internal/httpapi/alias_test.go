@@ -235,7 +235,7 @@ func TestAliasedHitSkipsAdmission(t *testing.T) {
 		t.Fatalf("repeated body while saturated: status %d, want 200: %s", resp.StatusCode, out)
 	}
 	reformatted := " " + string(raw)
-	fresh, err := json.Marshal(layoutRequest("greedy"))
+	fresh, err := json.Marshal(layoutRequest("rank"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -189,7 +189,7 @@ type PlanRequest struct {
 	// (ProcNodes overrides placement of process rank i).
 	Nodes     int        `json:"nodes"`
 	ProcNodes []int      `json:"proc_nodes,omitempty"`
-	Strategy  string     `json:"strategy,omitempty"` // opass | rank | random | greedy
+	Strategy  string     `json:"strategy,omitempty"` // opass (alias greedy) | rank | random
 	Seed      int64      `json:"seed,omitempty"`
 	Tasks     []TaskSpec `json:"tasks"`
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 )
 
@@ -79,14 +80,27 @@ func TestPlanEndpoint(t *testing.T) {
 	}
 }
 
+// TestPlanStrategies: every strategy name plans, and "greedy", the retired
+// heuristic's name, is served the opass plan under the name of the planner
+// that ran.
 func TestPlanStrategies(t *testing.T) {
 	srv := httptest.NewServer(NewServer(ServerOptions{}))
 	defer srv.Close()
+	plans := map[string]PlanResponse{}
 	for _, s := range []string{"", "opass", "rank", "random", "greedy"} {
 		resp, body := post(t, srv, "/v1/plan", layoutRequest(s))
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("strategy %q: status %d: %s", s, resp.StatusCode, body)
 		}
+		var out PlanResponse
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatal(err)
+		}
+		plans[s] = out
+	}
+	opass, greedy := plans["opass"], plans["greedy"]
+	if greedy.Strategy != "opass-flow" || greedy.Strategy != opass.Strategy || !slices.Equal(greedy.Owner, opass.Owner) {
+		t.Fatalf("greedy planned %q %v, opass %q %v", greedy.Strategy, greedy.Owner, opass.Strategy, opass.Owner)
 	}
 	resp, _ := post(t, srv, "/v1/plan", layoutRequest("bogus"))
 	if resp.StatusCode != http.StatusBadRequest {
@@ -104,14 +118,17 @@ func TestPlanMultiInput(t *testing.T) {
 			{SizeMB: 20, Replicas: []int{(i + 1) % 4}},
 		}})
 	}
-	resp, body := post(t, srv, "/v1/plan", req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var out PlanResponse
-	json.Unmarshal(body, &out)
-	if out.Strategy != "opass-exact" {
-		t.Fatalf("multi-input should route to the exact multi-data planner, got %q", out.Strategy)
+	for _, s := range []string{"", "greedy"} {
+		req.Strategy = s
+		resp, body := post(t, srv, "/v1/plan", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("strategy %q: status %d: %s", s, resp.StatusCode, body)
+		}
+		var out PlanResponse
+		json.Unmarshal(body, &out)
+		if out.Strategy != "opass-exact" {
+			t.Fatalf("strategy %q: multi-input should route to the exact multi-data planner, got %q", s, out.Strategy)
+		}
 	}
 }
 

@@ -38,7 +38,7 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	// Drive traffic: two plans (different strategies), one simulate, one
 	// rejected request.
-	for _, s := range []string{"opass", "greedy"} {
+	for _, s := range []string{"opass", "rank"} {
 		resp, body := post(t, srv, "/v1/plan", layoutRequest(s))
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("plan %s: %d %s", s, resp.StatusCode, body)
@@ -74,11 +74,11 @@ func TestMetricsEndpoint(t *testing.T) {
 		// computePlan(). The simulate request reuses the cached opass plan
 		// from the identical /v1/plan request, so opass-flow ran once.
 		`opass_planner_latency_seconds_count{strategy="opass-flow"} 1`,
-		`opass_planner_latency_seconds_count{strategy="opass-greedy"} 1`,
+		`opass_planner_latency_seconds_count{strategy="rank-static"} 1`,
 		`opass_planner_latency_seconds_bucket{strategy="opass-flow",le="+Inf"} 1`,
 		// Locality fractions: the 4-node matching layout plans fully local.
 		`opass_plan_locality_fraction_count{strategy="opass-flow"} 1`,
-		// Plan-cache accounting: opass + greedy missed, simulate hit. Each
+		// Plan-cache accounting: opass + rank missed, simulate hit. Each
 		// plan is cached twice: under its fingerprint, and as the encoded
 		// response to its /v1/plan body.
 		"opass_plan_cache_misses_total 2",
@@ -269,7 +269,7 @@ func TestConcurrentHandlers(t *testing.T) {
 		t.Error(err)
 	}
 	var total float64
-	for _, s := range []string{"opass-flow", "rank-static", "random-static", "opass-greedy"} {
+	for _, s := range []string{"opass-flow", "rank-static", "random-static"} {
 		total += reg.Counter(MetricPlans, telemetry.L("strategy", s)).Value()
 	}
 	if total != workers*iters {

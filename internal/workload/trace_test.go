@@ -63,9 +63,9 @@ func TestTraceSpecBuildAndRun(t *testing.T) {
 	if rig.Compute == nil || rig.Compute(3) != 2.5 {
 		t.Fatal("traced compute times lost")
 	}
-	// Mixed single- and multi-input tasks route through the greedy planner
-	// (handles both shapes).
-	a, err := core.GreedyLocality{}.Assign(rig.Prob)
+	// Mixed single- and multi-input tasks are one multi-data problem, which
+	// "opass" plans with the exact multi-data planner.
+	a, err := core.MultiExact{}.Assign(rig.Prob)
 	if err != nil {
 		t.Fatal(err)
 	}

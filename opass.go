@@ -50,10 +50,6 @@ const (
 	StrategyRank Strategy = "rank"
 	// StrategyRandom deals tasks to processes uniformly at random.
 	StrategyRandom Strategy = "random"
-	// StrategyGreedy is the near-linear-time heuristic variant of Opass's
-	// planner (§V-C2 scalability future work): scarcest-task-first greedy
-	// matching, typically within a few percent of the flow optimum.
-	StrategyGreedy Strategy = "greedy"
 )
 
 // Options configures a simulated cluster; zero fields take HDFS defaults.
@@ -174,7 +170,7 @@ func (c *Cluster) PlanMultiData(s Strategy, tasks []TaskSpec) (*Plan, error) {
 }
 
 // AsDynamic converts a static plan into a dynamic master/worker plan. An
-// Opass or greedy plan's master follows the §IV-D rules (own list first,
+// Opass plan's master follows the §IV-D rules (own list first,
 // then locality-aware stealing from the longest list); any other plan's
 // master hands an idle worker a uniformly random remaining task.
 func (p *Plan) AsDynamic() *Plan {
@@ -211,7 +207,7 @@ func (c *Cluster) RunWithOptions(p *Plan, opts RunOptions) (*Report, error) {
 	switch {
 	case !p.Dynamic:
 		res, err = engine.RunAssignment(eopts, p.Assignment)
-	case p.Strategy == StrategyOpass || p.Strategy == StrategyGreedy:
+	case p.Assignment.Matched != nil: // an Opass planner ran
 		var sched *core.DynamicScheduler
 		if sched, err = core.NewDynamicScheduler(p.Problem, p.Assignment); err == nil {
 			res, err = engine.Run(eopts, sched)

@@ -199,35 +199,11 @@ func TestOptionsPropagate(t *testing.T) {
 	}
 }
 
-func TestGreedyStrategyFacade(t *testing.T) {
-	c, err := NewClusterWithOptions(8, Options{Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Store("/data", 8*10*64); err != nil {
-		t.Fatal(err)
-	}
-	plan, err := c.PlanSingleData(StrategyGreedy, "/data")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Locality() < 0.85 {
-		t.Fatalf("greedy locality %v", plan.Locality())
-	}
-	rep, err := c.Run(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.TasksRun != 80 {
-		t.Fatalf("tasks = %d", rep.TasksRun)
-	}
-}
-
 // TestMasterSelection runs every strategy's plan through its dynamic
-// master: the §IV-D scheduler for opass and greedy, the random dispatcher
-// for the rest.
+// master: the §IV-D scheduler for an Opass plan (greedy is one more name
+// for opass), the random dispatcher for the rest.
 func TestMasterSelection(t *testing.T) {
-	for _, s := range []Strategy{StrategyOpass, StrategyGreedy, StrategyRank, StrategyRandom} {
+	for _, s := range []Strategy{StrategyOpass, Strategy("greedy"), StrategyRank, StrategyRandom} {
 		c, err := NewClusterWithOptions(8, Options{Seed: 12})
 		if err != nil {
 			t.Fatal(err)
