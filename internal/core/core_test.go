@@ -331,7 +331,7 @@ func exactBeatsRank(t *testing.T, p *Problem, seed int64) (exact, rank *Assignme
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkCountQuotas(t, "opass-exact", p, exact)
+	checkCountQuotas(t, "opass-exact", p, exact, taskQuotas(len(p.Tasks), p.NumProcs()))
 	if rank, err = (RankStatic{}).Assign(p); err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +365,7 @@ func TestMultiDataPropertyValidAndLocal(t *testing.T) {
 		t.Fatalf("counterexample drifted: multi-data %v MB local, rank-static %v MB; want 610 and 630",
 			a.PlannedLocalMB, rank.PlannedLocalMB)
 	}
-	if got, want := localUnits(p, exact), referenceTransport(p); got != want {
+	if got, want := localUnits(p, exact), referenceTransport(p, taskQuotas(len(p.Tasks), p.NumProcs())); got != want {
 		t.Fatalf("opass-exact plans %d co-located units (%v MB), the oracle %d", got, exact.PlannedLocalMB, want)
 	}
 	t.Logf("counterexample: Algorithm 1 %v MB, rank-static %v MB, opass-exact %v MB", a.PlannedLocalMB, rank.PlannedLocalMB, exact.PlannedLocalMB)

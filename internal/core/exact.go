@@ -11,10 +11,10 @@ import (
 
 // MultiExact is the default planner for tasks with multiple data inputs: it
 // maximises the co-located data Σ m_i^j x_ij under the paper's equal task
-// counts exactly. That is a transportation problem; Algorithm 1 (MultiData)
-// solves it only proposer-optimally and leaves a few percent of the
-// attainable node-local MB unread. The solver has three stages, all on the
-// pooled locality index:
+// counts (or their weighted form) exactly. That is a transportation
+// problem; Algorithm 1 (MultiData) solves it only proposer-optimally and
+// leaves a few percent of the attainable node-local MB unread. The solver
+// has three stages, all on the pooled locality index:
 //
 //  1. Tight matching. Each task keeps only the edges to its best holders
 //     (row maximum MB) and the phased matcher assigns them under the count
@@ -29,6 +29,11 @@ import (
 type MultiExact struct {
 	// Seed drives the random repair of tasks left without a local home.
 	Seed int64
+	// Weights optionally skews the task counts as SingleData's weights skew
+	// its data shares: process i's quota is its weightedTaskQuotas count
+	// instead of ⌊n/m⌋ or ⌈n/m⌉, so a zero-weight process gets no task. nil
+	// means equal counts; see checkWeights for the rules.
+	Weights []float64
 }
 
 // Name implements Assigner.
@@ -45,12 +50,15 @@ func (me MultiExact) AssignContext(ctx context.Context, p *Problem) (*Assignment
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	if err := checkWeights(p, me.Weights); err != nil {
+		return nil, err
+	}
 	ix, err := NewLocalityIndexContext(ctx, p)
 	if err != nil {
 		return nil, err
 	}
 	defer ix.Release()
-	quotas := taskQuotas(len(p.Tasks), p.NumProcs())
+	quotas := weightedTaskQuotas(len(p.Tasks), p.NumProcs(), me.Weights)
 	tight, holders := ix.tightRows()
 	owner, matched, err := bipartite.MatchRows(ctx, tight, quotas)
 	if err != nil {
@@ -69,7 +77,7 @@ func (me MultiExact) AssignContext(ctx context.Context, p *Problem) (*Assignment
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return finishAssignment(p, ix, owner, nil, 0, rand.New(rand.NewSource(me.Seed))), nil
+	return finishAssignment(p, ix, owner, quotas, nil, 0, rand.New(rand.NewSource(me.Seed))), nil
 }
 
 // tightRows fills the index buffer's tight view — row t keeps task t's

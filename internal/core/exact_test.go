@@ -15,8 +15,9 @@ import (
 // (every task with a holder), task → holder y at cost −m_t^y, task → hub
 // at cost 0, process → sink up to its count quota, hub → sink unbounded —
 // one unit of flow per Dijkstra. It returns the most co-located data any
-// plan within taskQuotas reaches, in costUnit units.
-func referenceTransport(p *Problem) int64 {
+// plan within the count quotas (summing to the task count) reaches, in
+// costUnit units.
+func referenceTransport(p *Problem, quotas []int) int64 {
 	n, m := len(p.Tasks), p.NumProcs()
 	unit := costUnit(p)
 	ix := NewLocalityIndex(p)
@@ -44,7 +45,7 @@ func referenceTransport(p *Problem) int64 {
 		}
 		add(t, hub, 1, 0)
 	}
-	for proc, q := range taskQuotas(n, m) {
+	for proc, q := range quotas {
 		add(n+proc, sink, q, 0)
 	}
 	add(hub, sink, n, 0)
@@ -119,12 +120,11 @@ func referenceTransport(p *Problem) int64 {
 }
 
 // enumerateBest is the oracle's own check: the most co-located units of
-// any owner vector whose per-process counts equal taskQuotas, by trying
-// them all. Only for a handful of tasks over at most three processes.
-func enumerateBest(p *Problem) int64 {
+// any owner vector whose per-process counts equal quotas, by trying them
+// all. Only for a handful of tasks over at most three processes.
+func enumerateBest(p *Problem, quotas []int) int64 {
 	n, m := len(p.Tasks), p.NumProcs()
 	unit := costUnit(p)
-	quotas := taskQuotas(n, m)
 	counts := make([]int, m)
 	best := int64(-1)
 	var walk func(t int, sum int64)
@@ -195,22 +195,33 @@ func tinySpec(rng *rand.Rand) layoutSpec {
 
 // TestReferenceTransportMatchesEnumeration holds the oracle to brute force,
 // and MultiExact to both, on every quota-respecting assignment of up to 7
-// tasks over up to 3 processes.
+// tasks over up to 3 processes: under equal counts, and under the
+// weightedTaskQuotas of a drawn weight vector, zero weights included.
 func TestReferenceTransportMatchesEnumeration(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
+	rng, wrng := rand.New(rand.NewSource(37)), rand.New(rand.NewSource(38))
 	repaired := 0
 	for i := 0; i < 2000; i++ {
 		p := tinySpec(rng).csrBacked()
-		want := enumerateBest(p)
-		if got := referenceTransport(p); got != want {
-			t.Fatalf("draw %d: oracle %d units, enumeration %d", i, got, want)
+		n, m := len(p.Tasks), p.NumProcs()
+		weights := make([]float64, m)
+		for proc := range weights {
+			weights[proc] = []float64{0, 0.5, 1, 2, 3}[wrng.Intn(5)]
 		}
-		a, err := MultiExact{Seed: 1}.Assign(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := localUnits(p, a); got != want {
-			t.Fatalf("draw %d: MultiExact plans %d units, enumeration %d", i, got, want)
+		weights[wrng.Intn(m)] = 1
+		for _, me := range []MultiExact{{Seed: 1}, {Seed: 1, Weights: weights}} {
+			quotas := weightedTaskQuotas(n, m, me.Weights)
+			want := enumerateBest(p, quotas)
+			if got := referenceTransport(p, quotas); got != want {
+				t.Fatalf("draw %d, quotas %v: oracle %d units, enumeration %d", i, quotas, got, want)
+			}
+			a, err := me.Assign(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkCountQuotas(t, "MultiExact", p, a, quotas)
+			if got := localUnits(p, a); got != want {
+				t.Fatalf("draw %d, quotas %v: MultiExact plans %d units, enumeration %d", i, quotas, got, want)
+			}
 		}
 		if stage2Runs(t, p) {
 			repaired++
@@ -263,21 +274,22 @@ func TestMultiExactEqualsOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		checkCountQuotas(t, name, p, a)
-		if got, want := localUnits(p, a), referenceTransport(p); got != want {
+		quotas := taskQuotas(len(p.Tasks), p.NumProcs())
+		checkCountQuotas(t, name, p, a, quotas)
+		if got, want := localUnits(p, a), referenceTransport(p, quotas); got != want {
 			t.Errorf("%s: MultiExact plans %d units, oracle %d (stage 2 ran: %v)", name, got, want, stage2Runs(t, p))
 		}
 	}
 }
 
 // checkCountQuotas fails t unless a is valid and every process owns exactly
-// its taskQuotas count.
-func checkCountQuotas(t *testing.T, name string, p *Problem, a *Assignment) {
+// its count of quotas.
+func checkCountQuotas(t *testing.T, name string, p *Problem, a *Assignment, quotas []int) {
 	t.Helper()
 	if err := a.Validate(p); err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	for proc, q := range taskQuotas(len(p.Tasks), p.NumProcs()) {
+	for proc, q := range quotas {
 		if len(a.Lists[proc]) != q {
 			t.Fatalf("%s: process %d owns %d tasks, quota %d", name, proc, len(a.Lists[proc]), q)
 		}
@@ -305,7 +317,7 @@ func TestMultiExactReachesTheBoundAtPaperScale(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkCountQuotas(t, "paper", p, a)
+		checkCountQuotas(t, "paper", p, a, taskQuotas(len(p.Tasks), p.NumProcs()))
 		if a.PlannedLocalMB != bound {
 			t.Errorf("seed %d: MultiExact plans %v MB local, bound %v", seed, a.PlannedLocalMB, bound)
 		}

@@ -207,24 +207,24 @@ func goldenGuardCases(t testing.TB) map[string]func() (*Assignment, error) {
 		return func() (*Assignment, error) { return a.Assign(p) }
 	}
 	return map[string]func() (*Assignment, error){
-		"racked/single_ek":          run(SingleData{Seed: 3, Algorithm: bipartite.EdmondsKarp}, racked),
-		"racked/single_kuhn":        run(SingleData{Seed: 3, Algorithm: bipartite.Kuhn}, racked),
-		"racked/multi_on_single":    run(MultiData{Seed: 3}, racked),
-		"racked/multi":              run(MultiData{Seed: 3}, multi),
-		"racked/multi_nodebias":     run(MultiData{Seed: 3, Weights: biased(multi, nil)}, multi),
-		"racked/single_weighted":    run(SingleData{Seed: 3, Weights: weights(32)}, racked),
-		"racked/single_nodebias":    run(SingleData{Seed: 3, Weights: biased(racked, nil)}, racked),
-		"racked/single_unequal":     run(SingleData{Seed: 3}, rackedUnequal),
-		"racked/single_unequal_w":   run(SingleData{Seed: 3, Weights: weights(32)}, rackedUnequal),
-		"flat/single_unreplicated":  run(SingleData{Seed: 3}, flat),
-		"flat/single_weighted":      run(SingleData{Seed: 3, Weights: weights(32)}, flat),
-		"flat/single_unequal":       run(SingleData{Seed: 3}, flatUnequal),
-		"flat/single_unequal_dinic": run(SingleData{Seed: 3, Algorithm: bipartite.Dinic}, flatUnequal),
-		"flat/single_unequal_w":     run(SingleData{Seed: 3, Weights: weights(32)}, flatUnequal),
-		"replicated/weighted":       run(SingleData{Seed: 7, Weights: weights(64)}, sp),
-		"replicated/nodebias":       run(SingleData{Seed: 7, Weights: biased(sp, nil)}, sp),
-		"replicated/weighted_bias":  run(SingleData{Seed: 7, Weights: biased(sp, weights(64))}, sp),
-		"replicated/random_static":  run(RandomStatic{Seed: 7}, sp),
+		"racked/single_ek":            run(SingleData{Seed: 3, Algorithm: bipartite.EdmondsKarp}, racked),
+		"racked/single_kuhn":          run(SingleData{Seed: 3, Algorithm: bipartite.Kuhn}, racked),
+		"racked/multi_on_single":      run(MultiData{Seed: 3}, racked),
+		"racked/multi":                run(MultiData{Seed: 3}, multi),
+		"racked/multi_exact_weighted": run(MultiExact{Seed: 3, Weights: biased(multi, nil)}, multi),
+		"racked/single_weighted":      run(SingleData{Seed: 3, Weights: weights(32)}, racked),
+		"racked/single_nodebias":      run(SingleData{Seed: 3, Weights: biased(racked, nil)}, racked),
+		"racked/single_unequal":       run(SingleData{Seed: 3}, rackedUnequal),
+		"racked/single_unequal_w":     run(SingleData{Seed: 3, Weights: weights(32)}, rackedUnequal),
+		"flat/single_unreplicated":    run(SingleData{Seed: 3}, flat),
+		"flat/single_weighted":        run(SingleData{Seed: 3, Weights: weights(32)}, flat),
+		"flat/single_unequal":         run(SingleData{Seed: 3}, flatUnequal),
+		"flat/single_unequal_dinic":   run(SingleData{Seed: 3, Algorithm: bipartite.Dinic}, flatUnequal),
+		"flat/single_unequal_w":       run(SingleData{Seed: 3, Weights: weights(32)}, flatUnequal),
+		"replicated/weighted":         run(SingleData{Seed: 7, Weights: weights(64)}, sp),
+		"replicated/nodebias":         run(SingleData{Seed: 7, Weights: biased(sp, nil)}, sp),
+		"replicated/weighted_bias":    run(SingleData{Seed: 7, Weights: biased(sp, weights(64))}, sp),
+		"replicated/random_static":    run(RandomStatic{Seed: 7}, sp),
 	}
 }
 

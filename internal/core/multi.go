@@ -17,15 +17,6 @@ type MultiData struct {
 	// Seed drives the random placement of tasks that no process holds any
 	// data for.
 	Seed int64
-	// Weights optionally scales each process's strength in the line-11
-	// contest: process k takes task x from its owner cur when
-	// Weights[cur]·m_cur^x < Weights[k]·m_k^x. Unlike SingleData, whose
-	// weights scale the quotas, task counts stay equal here. A down-weighted
-	// process still proposes in its own preference order (the weight is
-	// constant within a process) but loses contested tasks to up-weighted
-	// ones; a zero-weight process never takes an owned task. nil weighs
-	// every process 1; see checkWeights for the rules.
-	Weights []float64
 }
 
 // Name implements Assigner.
@@ -46,17 +37,8 @@ func (md MultiData) AssignContext(ctx context.Context, p *Problem) (*Assignment,
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if err := checkWeights(p, md.Weights); err != nil {
-		return nil, err
-	}
 	n, m := len(p.Tasks), p.NumProcs()
 	quotas := taskQuotas(n, m)
-	weightOf := func(proc int) float64 {
-		if md.Weights == nil {
-			return 1
-		}
-		return md.Weights[proc]
-	}
 
 	// Matching values m_i^j come from the shared locality index (one
 	// O(edges) inversion instead of m·n CoLocatedMB probes). Each process's
@@ -126,7 +108,7 @@ func (md MultiData) AssignContext(ctx context.Context, p *Problem) (*Assignment,
 				counts[k]++
 				continue
 			}
-			if weightOf(cur)*ix.CoLocatedMB(cur, x) < weightOf(k)*e.MB { // line 11
+			if ix.CoLocatedMB(cur, x) < e.MB { // line 11
 				owner[x] = k // lines 12-13
 				counts[k]++
 				counts[cur]--
@@ -143,7 +125,7 @@ func (md MultiData) AssignContext(ctx context.Context, p *Problem) (*Assignment,
 	// process under quota leaves the queue only once it has proposed to every
 	// task it holds data for, and an owned task never becomes unowned. So
 	// the shared repair pipeline places them, rack tier then random.
-	return finishAssignment(p, ix, owner, nil, 0, rand.New(rand.NewSource(md.Seed))), nil
+	return finishAssignment(p, ix, owner, quotas, nil, 0, rand.New(rand.NewSource(md.Seed))), nil
 }
 
 // preferBefore is a process's preference order: more co-located MB first,

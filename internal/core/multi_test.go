@@ -11,21 +11,12 @@ import (
 // process's index row copied out and stable-sorted by descending co-located
 // MB, a cursor per process, and a slice queue. MultiData proposes from the
 // index rows in place instead and must choose the same owners.
-func referenceMultiData(p *Problem, weights []float64, seed int64) (*Assignment, error) {
+func referenceMultiData(p *Problem, seed int64) (*Assignment, error) {
 	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if err := checkWeights(p, weights); err != nil {
 		return nil, err
 	}
 	n, m := len(p.Tasks), p.NumProcs()
 	quotas := taskQuotas(n, m)
-	weightOf := func(proc int) float64 {
-		if weights == nil {
-			return 1
-		}
-		return weights[proc]
-	}
 	ix := NewLocalityIndex(p)
 	defer ix.Release()
 	prefs := make([][]LocalityEdge, m)
@@ -61,7 +52,7 @@ func referenceMultiData(p *Problem, weights []float64, seed int64) (*Assignment,
 				counts[k]++
 				continue
 			}
-			if weightOf(cur)*ix.CoLocatedMB(cur, e.Task) < weightOf(k)*e.MB {
+			if ix.CoLocatedMB(cur, e.Task) < e.MB {
 				owner[e.Task] = k
 				counts[k]++
 				counts[cur]--
@@ -70,7 +61,7 @@ func referenceMultiData(p *Problem, weights []float64, seed int64) (*Assignment,
 		}
 		push(k)
 	}
-	return finishAssignment(p, ix, owner, nil, 0, rand.New(rand.NewSource(seed))), nil
+	return finishAssignment(p, ix, owner, quotas, nil, 0, rand.New(rand.NewSource(seed))), nil
 }
 
 // sortedByMB returns a copy of row stable-sorted by descending MB.
@@ -88,7 +79,7 @@ func checkMatchesReference(t *testing.T, name string, md MultiData, p *Problem) 
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	ref, err := referenceMultiData(p, md.Weights, md.Seed)
+	ref, err := referenceMultiData(p, md.Seed)
 	if err != nil {
 		t.Fatalf("%s: reference: %v", name, err)
 	}
@@ -141,19 +132,13 @@ func TestPrefHeapReplaysStableSort(t *testing.T) {
 
 // TestMultiDataMatchesSortedPreferences holds Algorithm 1 to the
 // sorted-preference reference on the golden multi-input problems and a
-// paper-scale one, with and without weights.
+// paper-scale one.
 func TestMultiDataMatchesSortedPreferences(t *testing.T) {
-	paper := benchSpec(256, 2560, []float64{30, 20, 10}, 5).csrBacked()
-	weights := make([]float64, paper.NumProcs())
-	for proc, node := range paper.ProcNode {
-		weights[proc] = 1 / float64(1+node%3)
-	}
 	for name, p := range map[string]*Problem{
 		"golden-multi":        goldenMultiProblem(t),
 		"golden-racked-multi": goldenRackedMultiProblem(t),
-		"paper-multi":         paper,
+		"paper-multi":         benchSpec(256, 2560, []float64{30, 20, 10}, 5).csrBacked(),
 	} {
 		checkMatchesReference(t, name, MultiData{Seed: 3}, p)
 	}
-	checkMatchesReference(t, "paper-multi weighted", MultiData{Seed: 3, Weights: weights}, paper)
 }

@@ -169,7 +169,7 @@ func TestPlacementViewParity(t *testing.T) {
 			}
 			planners := []Assigner{
 				SingleData{Seed: 5, Weights: weights},
-				MultiData{Seed: 5, Weights: weights},
+				MultiExact{Seed: 5, Weights: weights},
 			}
 			for _, strategy := range []string{"opass", "rank", "random"} {
 				as, err := AssignerFor(strategy, 5, spec.multi())

@@ -76,17 +76,17 @@ func planSpec(data []byte) (s layoutSpec, weights []float64) {
 // FuzzPlan holds every strategy AssignerFor serves, and the opass planner
 // under one drawn per-process weight vector, to its contract on arbitrary
 // small Layout-backed problems: a valid assignment, and each process within
-// its quota — ⌊n/m⌋ or ⌈n/m⌉ tasks unweighted and for Algorithm 1, whose
-// weights scale contests and not counts; exactly weightedTaskQuotas(n, m,
-// weights) for the weighted single-data planner, except on unequal sizes,
-// where its quota is the data share and it is held to it on the tasks its
-// solver matched. On equal sizes the single-data plan must also be
-// maximum-locality: the tasks the matcher placed, times the task size,
-// equal the Edmonds-Karp flow value over the locality graph under the same
-// quotas. On every draw Algorithm 1, weighted and not, must choose the
-// owners of referenceMultiData's sorted preference lists, and the exact
-// multi-data planner must plan as much co-located data as the
-// transportation oracle (checkExactIsOptimal).
+// its quota — ⌊n/m⌋ or ⌈n/m⌉ tasks unweighted; exactly
+// weightedTaskQuotas(n, m, weights) weighted, except for the single-data
+// planner on unequal sizes, where its quota is the data share and it is
+// held to it on the tasks its solver matched. On equal sizes the
+// single-data plan must also be maximum-locality: the tasks the matcher
+// placed, times the task size, equal the Edmonds-Karp flow value over the
+// locality graph under the same quotas. The weighted exact multi-data plan
+// must reach the transportation oracle under its weighted quotas. On every
+// draw Algorithm 1 must choose the owners of referenceMultiData's sorted
+// preference lists, and the unweighted exact planner must plan as much
+// co-located data as the oracle (checkExactIsOptimal).
 func FuzzPlan(f *testing.F) {
 	f.Add([]byte{})
 	// Random byte strings long enough to fill every field: a spread of
@@ -126,8 +126,7 @@ func FuzzPlan(f *testing.F) {
 			planners = append(planners, planner{as: as})
 		}
 		if spec.multi() {
-			// Weights decide contests but leave Algorithm 1's equal counts.
-			planners = append(planners, planner{as: MultiData{Seed: 9, Weights: weights}})
+			planners = append(planners, planner{MultiExact{Seed: 9, Weights: weights}, weights})
 		} else {
 			planners = append(planners, planner{SingleData{Seed: 9, Weights: weights}, weights})
 		}
@@ -160,16 +159,18 @@ func FuzzPlan(f *testing.F) {
 				}
 				continue
 			}
-			counts := taskQuotas(n, m)
-			if pl.weights != nil {
-				counts = weightedTaskQuotas(n, m, pl.weights)
-			}
+			counts := weightedTaskQuotas(n, m, pl.weights)
 			for proc, list := range a.Lists {
 				if pl.weights != nil && len(list) != counts[proc] {
 					t.Fatalf("%s: process %d owns %d tasks, its weighted quota is %d", name, proc, len(list), counts[proc])
 				}
 				if pl.weights == nil && len(list) != n/m && len(list) != (n+m-1)/m {
 					t.Fatalf("%s: process %d owns %d of %d tasks over %d processes", name, proc, len(list), n, m)
+				}
+			}
+			if _, exact := as.(MultiExact); exact && pl.weights != nil {
+				if got, want := localUnits(p, a), referenceTransport(p, counts); got != want {
+					t.Fatalf("%s: plans %d co-located units, the transportation oracle %d", name, got, want)
 				}
 			}
 			if !flow {
@@ -197,7 +198,6 @@ func FuzzPlan(f *testing.F) {
 		// Algorithm 1 on every draw, single-input ones (all-equal preference
 		// rows) included, against the sorted-preference reference.
 		checkMatchesReference(t, "opass-matching", MultiData{Seed: 9}, p)
-		checkMatchesReference(t, "opass-matching weighted", MultiData{Seed: 9, Weights: weights}, p)
 		checkExactIsOptimal(t, p)
 	})
 }
@@ -213,9 +213,10 @@ func checkExactIsOptimal(t *testing.T, p *Problem) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkCountQuotas(t, "opass-exact", p, a)
+	quotas := taskQuotas(len(p.Tasks), p.NumProcs())
+	checkCountQuotas(t, "opass-exact", p, a, quotas)
 	got := localUnits(p, a)
-	if want := referenceTransport(p); got != want {
+	if want := referenceTransport(p, quotas); got != want {
 		t.Fatalf("opass-exact plans %d co-located units, the transportation oracle %d", got, want)
 	}
 	md, err := MultiData{Seed: 9}.Assign(p)
@@ -229,7 +230,6 @@ func checkExactIsOptimal(t *testing.T, p *Problem) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	quotas := taskQuotas(len(p.Tasks), p.NumProcs())
 	if slices.EqualFunc(rank.Lists, quotas, func(l []int, q int) bool { return len(l) == q }) {
 		if r := localUnits(p, rank); got < r {
 			t.Fatalf("opass-exact plans %d co-located units, rank-static %d", got, r)

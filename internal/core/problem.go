@@ -245,20 +245,17 @@ type Assigner interface {
 }
 
 // AssignerFor is the one strategy table: "opass" is the paper's planner
-// (SingleData for single-input tasks; MultiExact, the exact solution of the
-// problem Algorithm 1 approximates, when any task has several), "rank" and
-// "random" the locality-oblivious baselines. "greedy", the retired §V-C2
-// heuristic's name, is one more label for "opass": the Assigner's Name
-// says which planner ran. The error for any other name carries no package
-// prefix, so the facade and the service can each put their own in front
-// of it.
+// (OpassPlanner with equal shares: SingleData for single-input tasks;
+// MultiExact, the exact solution of the problem Algorithm 1 approximates,
+// when any task has several), "rank" and "random" the locality-oblivious
+// baselines. "greedy", the retired §V-C2 heuristic's name, is one more
+// label for "opass": the Assigner's Name says which planner ran. The error
+// for any other name carries no package prefix, so the facade and the
+// service can each put their own in front of it.
 func AssignerFor(strategy string, seed int64, multi bool) (Assigner, error) {
 	switch strategy {
 	case "opass", "greedy":
-		if multi {
-			return MultiExact{Seed: seed}, nil
-		}
-		return SingleData{Seed: seed}, nil
+		return OpassPlanner(seed, nil, multi), nil
 	case "rank":
 		return RankStatic{}, nil
 	case "random":
@@ -266,6 +263,17 @@ func AssignerFor(strategy string, seed int64, multi bool) (Assigner, error) {
 	default:
 		return nil, fmt.Errorf("unknown strategy %q", strategy)
 	}
+}
+
+// OpassPlanner is the one place an Opass plan picks its solver: SingleData
+// for single-input problems, MultiExact when any task has several inputs.
+// weights, nil or valid for checkWeights, skew both the same way — each
+// process's share of the tasks ("load capacity", §IV-D), zero excluding it.
+func OpassPlanner(seed int64, weights []float64, multi bool) Assigner {
+	if multi {
+		return MultiExact{Seed: seed, Weights: weights}
+	}
+	return SingleData{Seed: seed, Weights: weights}
 }
 
 // ContextAssigner is implemented by planners whose Assign supports
@@ -295,10 +303,11 @@ func AssignContext(ctx context.Context, a Assigner, p *Problem) (*Assignment, er
 	return a.Assign(p)
 }
 
-// checkWeights validates the per-process weight vector both planners take:
-// nil, or one finite, non-negative weight per process with a positive,
-// finite sum. The bounds are what the quota arithmetic needs — an infinite
-// weight or sum would turn a share into int64(NaN) or zero every share.
+// checkWeights validates the per-process weight vector both Opass planners
+// take: nil, or one finite, non-negative weight per process with a
+// positive, finite sum. The bounds are what the quota arithmetic needs — an
+// infinite weight or sum would turn a share into int64(NaN) or zero every
+// share.
 func checkWeights(p *Problem, weights []float64) error {
 	if weights == nil {
 		return nil

@@ -10,29 +10,26 @@ import "math/rand"
 // quotaLedger is the accounting the repair stages share: what each process
 // has been given so far and how much more it may take. It keeps one of two
 // books, fixed at construction. The count book is the paper's "equal number
-// of tasks" constraint: process i may own quota[i] tasks, and among
-// processes with a free slot the one with the least assigned MB is the
-// better home. The MB book is the weighted planner's: process i may own
-// quotaMB[i] capacity units (1/scale MB, the solver's encoding), loads are
-// entered in the same units, and the better home is the one with more of
-// its quota left.
+// of tasks" constraint, or MultiExact's weighted counts: process i may own
+// quota[i] tasks, and among processes with a free slot the one with the
+// least assigned MB is the better home. The MB book is the weighted
+// single-data planner's: process i may own quotaMB[i] capacity units
+// (1/scale MB, the solver's encoding), loads are entered in the same units,
+// and the better home is the one with more of its quota left.
 type quotaLedger struct {
 	quotaMB []int64 // MB book, in capacity units; nil selects the count book
 	scale   int64   // MB book: capacity units per MB
-	quota   []int   // count book: taskQuotas(n, m)
+	quota   []int   // count book: the solver's task quotas
 	count   []int
 	load    []float64 // MB in the count book, capacity units in the MB book
 }
 
 // newQuotaLedger opens a ledger over p's processes with every already-owned
-// task of owner entered. A nil quotaMB selects the count book; otherwise
-// quotaMB is in 1/scale MB.
-func newQuotaLedger(p *Problem, owner []int, quotaMB []int64, scale int64) *quotaLedger {
+// task of owner entered. A nil quotaMB selects the count book over quotas,
+// which sum to the task count; otherwise quotaMB is in 1/scale MB.
+func newQuotaLedger(p *Problem, owner, quotas []int, quotaMB []int64, scale int64) *quotaLedger {
 	m := p.NumProcs()
-	l := &quotaLedger{quotaMB: quotaMB, scale: scale, count: make([]int, m), load: make([]float64, m)}
-	if quotaMB == nil {
-		l.quota = taskQuotas(len(owner), m)
-	}
+	l := &quotaLedger{quotaMB: quotaMB, scale: scale, quota: quotas, count: make([]int, m), load: make([]float64, m)}
 	for t, o := range owner {
 		if o >= 0 {
 			l.give(o, p.Tasks[t].SizeMB())
@@ -109,14 +106,14 @@ func (l *quotaLedger) pick(rng *rand.Rand) int {
 //     so rack-oblivious plans stay byte-identical;
 //  3. random repair: whatever is still unmatched goes to quotaLedger.pick.
 //
-// quotaMB selects the ledger's book (nil: equal task counts) and is in
-// 1/scale MB.
-func finishAssignment(p *Problem, ix *LocalityIndex, owner []int, quotaMB []int64, scale int64, rng *rand.Rand) *Assignment {
+// quotaMB selects the ledger's book and is in 1/scale MB; nil selects the
+// count book over quotas, the task counts the solver planned under.
+func finishAssignment(p *Problem, ix *LocalityIndex, owner, quotas []int, quotaMB []int64, scale int64, rng *rand.Rand) *Assignment {
 	matched := make([]bool, len(owner))
 	for t, o := range owner {
 		matched[t] = o >= 0
 	}
-	l := newQuotaLedger(p, owner, quotaMB, scale)
+	l := newQuotaLedger(p, owner, quotas, quotaMB, scale)
 	if ix.RackTiered() {
 		for t := range owner {
 			if owner[t] >= 0 {
@@ -142,7 +139,7 @@ func finishAssignment(p *Problem, ix *LocalityIndex, owner []int, quotaMB []int6
 		// Re-enter the steered tasks in ID order: loads are float sums and
 		// pick detects ties by exact equality, so the order of addition is
 		// part of the plan.
-		l = newQuotaLedger(p, owner, quotaMB, scale)
+		l = newQuotaLedger(p, owner, quotas, quotaMB, scale)
 	}
 	for t := range owner {
 		if owner[t] < 0 {

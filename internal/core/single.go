@@ -53,7 +53,7 @@ func (s SingleData) AssignContext(ctx context.Context, p *Problem) (*Assignment,
 	}
 	for i := range p.Tasks {
 		if len(p.Tasks[i].Inputs) != 1 {
-			return nil, fmt.Errorf("core: single-data planner given task %d with %d inputs; use MultiData", i, len(p.Tasks[i].Inputs))
+			return nil, fmt.Errorf("core: single-data planner given task %d with %d inputs; use MultiExact", i, len(p.Tasks[i].Inputs))
 		}
 	}
 	if err := checkWeights(p, s.Weights); err != nil {
@@ -90,10 +90,7 @@ func (s SingleData) AssignContext(ctx context.Context, p *Problem) (*Assignment,
 		// path needs this just as much: an MB quota of 8.5 tasks strands
 		// half a task of slack on every process, and the stranded tasks
 		// would then be re-homed with no regard for locality.
-		counts := taskQuotas(n, m)
-		if weights != nil {
-			counts = weightedTaskQuotas(n, m, weights)
-		}
+		counts := weightedTaskQuotas(n, m, weights)
 		for i := range quotasMB {
 			quotasMB[i] = int64(counts[i]) * sizes[0]
 		}
@@ -122,12 +119,12 @@ func (s SingleData) AssignContext(ctx context.Context, p *Problem) (*Assignment,
 		return nil, err
 	}
 	// Weighted shares are repaired against the MB quotas the solver used,
-	// equal shares against equal task counts (a nil ledger quota).
-	var repairMB []int64
+	// equal shares against equal task counts.
+	rng := rand.New(rand.NewSource(s.Seed))
 	if weights != nil {
-		repairMB = quotasMB
+		return finishAssignment(p, ix, owner, nil, quotasMB, scale, rng), nil
 	}
-	return finishAssignment(p, ix, owner, repairMB, scale, rand.New(rand.NewSource(s.Seed))), nil
+	return finishAssignment(p, ix, owner, taskQuotas(n, m), nil, scale, rng), nil
 }
 
 // equalSizes reports whether every task size is identical.
@@ -144,8 +141,12 @@ func equalSizes(sizes []int64) bool {
 // weights, rounding by largest remainder so the counts sum to n exactly.
 // The deficit after flooring equals the sum of the fractional parts, so it
 // is always covered by processes with a positive remainder — zero-weight
-// processes never receive a task. The weights have passed checkWeights.
+// processes never receive a task. The weights have passed checkWeights;
+// nil means taskQuotas' equal counts.
 func weightedTaskQuotas(n, m int, weights []float64) []int {
+	if weights == nil {
+		return taskQuotas(n, m)
+	}
 	var sum float64
 	for _, w := range weights {
 		sum += w

@@ -64,22 +64,29 @@ func TestSingleDataWeightShiftsQuota(t *testing.T) {
 	}
 }
 
-func TestMultiDataWeightDivertsContestedTasks(t *testing.T) {
-	p := weightRig(t, 8, 8, 24)
-	base, err := MultiData{Seed: 24}.Assign(p)
-	if err != nil {
-		t.Fatal(err)
+// TestMultiExactWeightsSetTaskCounts: MultiExact's weights are quota
+// weights, as SingleData's are — every process owns exactly its
+// weightedTaskQuotas count, and a zero-weight process nothing, also on an
+// unreplicated placement where the min-cost and random repairs place tasks.
+func TestMultiExactWeightsSetTaskCounts(t *testing.T) {
+	unreplicated := benchSpec(8, 64, []float64{30, 20, 10}, 24)
+	for i := range unreplicated.rows {
+		unreplicated.rows[i] = unreplicated.rows[i][:1]
 	}
-	weighted, err := MultiData{Seed: 24, Weights: downWeighted(8, 0.1)}.Assign(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := weighted.Validate(p); err != nil {
-		t.Fatalf("weighted multi-data assignment invalid: %v", err)
-	}
-	bc, wc := ownerCounts(p, base), ownerCounts(p, weighted)
-	if wc[0] > bc[0] {
-		t.Fatalf("weighting process 0 at 0.1 grew it to %d tasks (unweighted %d)", wc[0], bc[0])
+	weights := downWeighted(8, 0)
+	weights[1], weights[2] = 0.25, 2
+	for name, p := range map[string]*Problem{
+		"multi":        multiProblem(t, 8, 64, 24),
+		"unreplicated": unreplicated.csrBacked(),
+	} {
+		a, err := MultiExact{Seed: 24, Weights: weights}.Assign(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkCountQuotas(t, name, p, a, weightedTaskQuotas(len(p.Tasks), p.NumProcs(), weights))
+		if len(a.Lists[0]) != 0 {
+			t.Fatalf("%s: zero-weight process 0 owns tasks %v", name, a.Lists[0])
+		}
 	}
 }
 
@@ -100,8 +107,8 @@ func TestWeightsValidation(t *testing.T) {
 		if _, err := (SingleData{Weights: tc.weights}).Assign(p); err == nil {
 			t.Errorf("SingleData accepted %s weights %v", tc.name, tc.weights)
 		}
-		if _, err := (MultiData{Weights: tc.weights}).Assign(p); err == nil {
-			t.Errorf("MultiData accepted %s weights %v", tc.name, tc.weights)
+		if _, err := (MultiExact{Weights: tc.weights}).Assign(p); err == nil {
+			t.Errorf("MultiExact accepted %s weights %v", tc.name, tc.weights)
 		}
 	}
 }

@@ -219,12 +219,12 @@ func TestDeltaReplanEndToEnd(t *testing.T) {
 	}
 }
 
-// TestReplanMultiInputPlansAtLeastAlgorithm1: a multi-input backlog is
-// re-matched after a DataNode crash by the exact multi-data planner, so the
-// backlog the replan installs reads at least as much data locally as
-// Algorithm 1 plans on the same sub-problem — on this fixture strictly
-// more, which is what shows the replan is not running Algorithm 1.
-func TestReplanMultiInputPlansAtLeastAlgorithm1(t *testing.T) {
+// crashReplan plans 160 tasks of the given input sizes over 16 nodes, one
+// process each, with the Opass planner, starts one task per process, crashes
+// node 2 and re-matches the whole backlog under weight. It returns the
+// problem, its file system and the replanned source.
+func crashReplan(t *testing.T, sizes []float64, weight func(node int) float64) (*core.Problem, *dfs.FileSystem, *ListSource) {
+	t.Helper()
 	const (
 		nodes  = 16
 		tasks  = 160
@@ -239,7 +239,7 @@ func TestReplanMultiInputPlansAtLeastAlgorithm1(t *testing.T) {
 	}
 	for i := 0; i < tasks; i++ {
 		task := core.Task{ID: i}
-		for _, size := range []float64{30, 20, 10} {
+		for _, size := range sizes {
 			f, err := fs.CreateChunks(fmt.Sprintf("/task%d/%v", i, size), []float64{size})
 			if err != nil {
 				t.Fatal(err)
@@ -248,7 +248,11 @@ func TestReplanMultiInputPlansAtLeastAlgorithm1(t *testing.T) {
 		}
 		prob.Tasks = append(prob.Tasks, task)
 	}
-	a, err := core.MultiExact{Seed: seed}.Assign(prob)
+	planner, err := core.AssignerFor("opass", seed, prob.MultiInput())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := planner.Assign(prob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,13 +264,24 @@ func TestReplanMultiInputPlansAtLeastAlgorithm1(t *testing.T) {
 	if _, _, err := fs.Crash(victim); err != nil {
 		t.Fatal(err)
 	}
-	spliced, _, err := ReplanBacklogDelta(prob, fs, src, make([]bool, nodes), func(int) float64 { return 1 }, seed, -1, since)
+	spliced, _, err := ReplanBacklogDelta(prob, fs, src, make([]bool, nodes), weight, seed, -1, since)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !spliced {
 		t.Fatal("the crash replanned nothing")
 	}
+	return prob, fs, src
+}
+
+// TestReplanMultiInputPlansAtLeastAlgorithm1: a multi-input backlog is
+// re-matched after a DataNode crash by the exact multi-data planner, so the
+// backlog the replan installs reads at least as much data locally as
+// Algorithm 1 plans on the same sub-problem — on this fixture strictly
+// more, which is what shows the replan is not running Algorithm 1.
+func TestReplanMultiInputPlansAtLeastAlgorithm1(t *testing.T) {
+	const seed = 3
+	prob, fs, src := crashReplan(t, []float64{30, 20, 10}, func(int) float64 { return 1 })
 
 	// A full re-match's sub-problem is every pending task, in ID order, over
 	// every process.
@@ -289,5 +304,24 @@ func TestReplanMultiInputPlansAtLeastAlgorithm1(t *testing.T) {
 	}
 	if !(local > alg1.PlannedLocalMB) {
 		t.Fatalf("replanned backlog reads %v MB locally, Algorithm 1 plans %v MB on the same %d tasks", local, alg1.PlannedLocalMB, len(ids))
+	}
+}
+
+// TestReplanMultiInputHonoursNodeWeights: a full replan after node 2 crashes,
+// with node 2 weighted 0, leaves process 2 no backlog whether the tasks read
+// one input or three — the weights are quota weights for both planners.
+func TestReplanMultiInputHonoursNodeWeights(t *testing.T) {
+	const victim = 2
+	weight := func(node int) float64 {
+		if node == victim {
+			return 0
+		}
+		return 1
+	}
+	for _, sizes := range [][]float64{{64}, {30, 20, 10}} {
+		_, _, src := crashReplan(t, sizes, weight)
+		if n := len(backlog(src)[victim]); n != 0 {
+			t.Errorf("inputs %v: process %d on the zero-weight node keeps %d re-matched tasks", sizes, victim, n)
+		}
 	}
 }

@@ -135,8 +135,9 @@ type Options struct {
 	// it decay into random remote reads. It applies to a ListSource; other
 	// sources hold no per-process backlog and are left untouched. Processes
 	// on storage-dead nodes get weight 0 and degraded nodes their DiskFactor
-	// — the §IV-D "load capacity" skew — so survivors absorb the backlog
-	// locally.
+	// — the §IV-D "load capacity" skew, applied to the quotas of
+	// single- and multi-input backlogs alike — so survivors absorb the
+	// backlog locally.
 	Replan bool
 	// ReplanFull forces every replan to re-match the entire backlog. By
 	// default a replan triggered by a node event re-matches only the

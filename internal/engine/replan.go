@@ -44,7 +44,8 @@ import (
 // Processes that already terminated receive nothing; the rest are weighted
 // by weight(node) — fractions shrink a process's share (a degraded disk, or
 // a storage-dead node whose reads all go remote), zero excludes it —
-// mirroring the §IV-D load-capacity skew. A delta re-match uses
+// mirroring the §IV-D load-capacity skew in the quotas of whichever planner
+// core.OpassPlanner picks for the backlog. A delta re-match uses
 // slack-weighted quotas: each process's share of the re-matched data is
 // what its load-capacity share of the TOTAL backlog says it deserves, minus
 // the data it already keeps — so survivors that kept a full queue absorb
@@ -158,7 +159,7 @@ func ReplanBacklogDelta(p *core.Problem, fs *dfs.FileSystem, src *ListSource, fi
 	// Slack quotas: desired share of the whole backlog minus the data each
 	// process keeps. A full re-match keeps nothing, so its slack would only
 	// be the raw weights rescaled; it takes them as they are, which keeps
-	// its plans byte-identical to the quotas SingleData derives unaided.
+	// its plans byte-identical to the quotas the planner derives unaided.
 	slack := make([]float64, len(alive))
 	var slackSum float64
 	if !full && rawSum > 0 {
@@ -171,22 +172,17 @@ func ReplanBacklogDelta(p *core.Problem, fs *dfs.FileSystem, src *ListSource, fi
 		}
 	}
 
-	var a *core.Assignment
-	if sub.MultiInput() {
-		a, err = core.MultiExact{Seed: seed}.Assign(sub)
-	} else {
-		sd := core.SingleData{Seed: seed}
-		// Skewed shares only when they differ and are usable; degenerate
-		// slacks (every process at or over its share) fall back to the raw
-		// weights, and all-equal or all-zero raw weights to the uniform quota.
-		switch {
-		case slackSum > 0:
-			sd.Weights = slack
-		case !uniform && rawSum > 0:
-			sd.Weights = raw
-		}
-		a, err = sd.Assign(sub)
+	// Skewed shares only when they differ and are usable; degenerate slacks
+	// (every process at or over its share) fall back to the raw weights, and
+	// all-equal or all-zero raw weights to the uniform quota.
+	var weights []float64
+	switch {
+	case slackSum > 0:
+		weights = slack
+	case !uniform && rawSum > 0:
+		weights = raw
 	}
+	a, err := core.OpassPlanner(seed, weights, sub.MultiInput()).Assign(sub)
 	if err != nil {
 		return false, 0, fmt.Errorf("engine: replan: %w", err)
 	}

@@ -6,9 +6,9 @@
 // (arXiv:1406.3901) and the key-distribution balancing of Fan et al.
 // (arXiv:1401.0355): it tracks cumulative per-node service load across
 // jobs, and plans each arriving job against the cluster's *residual*
-// capacity by weighting the job's processes — the quota weights of
-// core.SingleData, the contest weights of core.MultiData — away from nodes
-// that are hot from earlier jobs. As an engine.ReadSteerer it also picks
+// capacity by weighting the job's processes' quotas (core.OpassPlanner's
+// weights, for single- and multi-input jobs alike) away from nodes that
+// are hot from earlier jobs. As an engine.ReadSteerer it also picks
 // the least-served holder for every remote read. The scheduler plugs into
 // engine.RunJobsScheduled as its ClusterScheduler and reconciles its
 // planned load estimates against the actual per-node served megabytes when
@@ -73,14 +73,7 @@ func (s *Scheduler) JobArriving(job int, spec engine.JobSpec, now float64) (engi
 			return nil, fmt.Errorf("globalsched: job %d process on node %d outside %d-node cluster", job, node, s.nodes)
 		}
 	}
-	weights, seed := s.biases(p.TotalMB(), p.ProcNode), s.seed+int64(job)
-	var as core.Assigner
-	if p.MultiInput() {
-		as = core.MultiData{Seed: seed, Weights: weights}
-	} else {
-		as = core.SingleData{Seed: seed, Weights: weights}
-	}
-	a, err := as.Assign(p)
+	a, err := core.OpassPlanner(s.seed+int64(job), s.biases(p.TotalMB(), p.ProcNode), p.MultiInput()).Assign(p)
 	if err != nil {
 		return nil, fmt.Errorf("globalsched: job %d: %w", job, err)
 	}

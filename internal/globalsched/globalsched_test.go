@@ -222,7 +222,10 @@ func TestScheduledRunEndToEnd(t *testing.T) {
 	}
 }
 
-func TestMultiDataJobsUseMatchingPlanner(t *testing.T) {
+// TestMultiInputJobsUseExactPlanner: a multi-input job arriving on a loaded
+// cluster is planned by core.MultiExact under the scheduler's node biases,
+// the same quota weights a single-input job gets.
+func TestMultiInputJobsUseExactPlanner(t *testing.T) {
 	rig, err := workload.MultiSpec{Nodes: 8, TasksPerProc: 4, Seed: 9}.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -231,14 +234,24 @@ func TestMultiDataJobsUseMatchingPlanner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := s.JobArriving(0, engine.JobSpec{Problem: rig.Prob}, 0)
+	s.load = []float64{900, 600, 300, 0, 0, 0, 0, 0}
+	weights := s.biases(rig.Prob.TotalMB(), rig.Prob.ProcNode)
+	if weights == nil {
+		t.Fatal("a loaded cluster produced no biases")
+	}
+	want, err := core.MultiExact{Seed: 9 + 1, Weights: weights}.Assign(rig.Prob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src == nil {
-		t.Fatal("no source for multi-data job")
+	src, err := s.JobArriving(1, engine.JobSpec{Problem: rig.Prob}, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := drained(src, rig.Prob).Validate(rig.Prob); err != nil {
-		t.Fatalf("multi-data plan invalid: %v", err)
+	got := drained(src, rig.Prob)
+	if err := got.Validate(rig.Prob); err != nil {
+		t.Fatalf("multi-input plan invalid: %v", err)
+	}
+	if !slices.EqualFunc(got.Lists, want.Lists, slices.Equal[[]int]) {
+		t.Fatalf("scheduler planned lists %v, weighted MultiExact %v", got.Lists, want.Lists)
 	}
 }
