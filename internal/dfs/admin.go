@@ -81,11 +81,11 @@ func (fs *FileSystem) Crash(node int) (underReplicated, lost []ChunkID, err erro
 // identical to the old rack-oblivious pick. Returns -1 when every live node
 // already holds a copy.
 func (fs *FileSystem) repairTarget(c *Chunk, live []int) int {
-	candidates := filter(live, func(n int) bool { return !c.HostedOn(n) })
-	if len(candidates) == 0 {
-		return -1
-	}
-	pool := filter(candidates, func(n int) bool {
+	candidate := func(n int) bool { return !c.HostedOn(n) }
+	pool := func(n int) bool {
+		if !candidate(n) {
+			return false
+		}
 		r := fs.view.RackOf(n)
 		for _, rep := range c.Replicas {
 			if fs.view.RackOf(rep) == r {
@@ -93,11 +93,15 @@ func (fs *FileSystem) repairTarget(c *Chunk, live []int) int {
 			}
 		}
 		return true
-	})
-	if len(pool) == 0 {
-		pool = candidates
 	}
-	return pool[fs.rng.Intn(len(pool))]
+	k := countWhere(live, pool)
+	if k == 0 {
+		pool, k = candidate, countWhere(live, candidate)
+	}
+	if k == 0 {
+		return -1
+	}
+	return nthWhere(live, pool, fs.rng.Intn(k))
 }
 
 // ReReplicate works through the namenode's needed-replications queue: every

@@ -128,7 +128,7 @@ func New(view ClusterView, cfg Config) *FileSystem {
 		view:    view,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		files:   make(map[string]*File),
-		perNode: make(map[int][]ChunkID),
+		perNode: make(map[int][]ChunkID, view.NumNodes()),
 		dead:    make(map[int]bool),
 	}
 }
@@ -333,16 +333,39 @@ func (fs *FileSystem) createFile(name string, sizesMB []float64, replicas [][]in
 	}
 	f := &File{Name: name}
 	f.Chunks = make([]ChunkID, 0, len(sizesMB))
-	// One backing array for all chunk structs: the namenode metadata of a
-	// 1M-chunk layout is one allocation, not a million.
+	// One backing array each for the chunk structs, their replica rows and
+	// the new per-node index entries: the namenode metadata of a 1M-chunk
+	// layout is a few allocations, not millions. Rows are full-capacity
+	// slices, so a later attach reallocates only the row it grows.
 	block := make([]Chunk, len(sizesMB))
+	hosted, total := make([]int, fs.view.NumNodes()), 0
+	for _, row := range replicas {
+		total += len(row)
+		for _, node := range row {
+			hosted[node]++
+		}
+	}
+	for node, k := range hosted {
+		if k > 0 {
+			total += len(fs.perNode[node])
+		}
+	}
+	rows, index := make([]int, total), make([]ChunkID, total)
+	for node, k := range hosted {
+		if k > 0 {
+			old := fs.perNode[node]
+			fs.perNode[node] = append(index[:0:len(old)+k], old...)
+			index = index[len(old)+k:]
+		}
+	}
+	fs.chunks = slices.Grow(fs.chunks, len(sizesMB))
 	for i, s := range sizesMB {
 		c := &block[i]
 		c.ID = ChunkID(len(fs.chunks))
 		c.File = name
 		c.Index = i
 		c.SizeMB = s
-		c.Replicas = make([]int, 0, len(replicas[i]))
+		c.Replicas, rows = rows[:0:len(replicas[i])], rows[len(replicas[i]):]
 		for _, node := range replicas[i] {
 			fs.attach(c, node)
 		}
@@ -451,30 +474,24 @@ var ErrNoReplica = errors.New("dfs: no live replica")
 // whole replica set, so the behavior matches the paper's single-switch
 // testbed exactly.)
 func (fs *FileSystem) PickReplicaAvoiding(id ChunkID, reader int, salt uint64, avoid func(node int) bool) (node int, local bool, err error) {
-	candidates := fs.Chunk(id).Replicas
-	if avoid != nil {
-		kept := make([]int, 0, len(candidates))
-		for _, r := range candidates {
-			if !avoid(r) {
-				kept = append(kept, r)
-			}
-		}
-		candidates = kept
-	}
-	if len(candidates) == 0 {
+	replicas := fs.Chunk(id).Replicas
+	usable := func(r int) bool { return avoid == nil || !avoid(r) }
+	tier, k := usable, countWhere(replicas, usable)
+	if k == 0 {
 		return -1, false, fmt.Errorf("%w: chunk %d", ErrNoReplica, id)
 	}
-	if slices.Contains(candidates, reader) {
+	if slices.Contains(replicas, reader) && usable(reader) {
 		return reader, true, nil
 	}
 	if reader >= 0 && reader < fs.view.NumNodes() {
 		rack := fs.view.RackOf(reader)
-		if sameRack := filter(candidates, func(r int) bool { return fs.view.RackOf(r) == rack }); len(sameRack) > 0 {
-			candidates = sameRack
+		sameRack := func(r int) bool { return usable(r) && fs.view.RackOf(r) == rack }
+		if n := countWhere(replicas, sameRack); n > 0 {
+			tier, k = sameRack, n
 		}
 	}
 	h := splitmix(uint64(fs.cfg.Seed)<<32 ^ uint64(id)<<16 ^ uint64(uint32(reader)) ^ salt<<48)
-	return candidates[int(h%uint64(len(candidates)))], false, nil
+	return nthWhere(replicas, tier, int(h%uint64(k))), false, nil
 }
 
 // splitmix is the splitmix64 finalizer, a cheap high-quality integer hash.

@@ -144,3 +144,27 @@ func filter(xs []int, keep func(int) bool) []int {
 	}
 	return out
 }
+
+// countWhere and nthWhere read filter(xs, keep) without building it: its
+// length, and its element k.
+func countWhere(xs []int, keep func(int) bool) int {
+	n := 0
+	for _, x := range xs {
+		if keep(x) {
+			n++
+		}
+	}
+	return n
+}
+
+func nthWhere(xs []int, keep func(int) bool, k int) int {
+	for _, x := range xs {
+		if keep(x) {
+			if k == 0 {
+				return x
+			}
+			k--
+		}
+	}
+	panic("dfs: nthWhere past the end")
+}

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"opass/internal/core"
@@ -75,19 +74,23 @@ func ReplanBacklogDelta(p *core.Problem, fs *dfs.FileSystem, src *ListSource, fi
 		return p.CoLocatedMB(proc, id) == 0
 	}
 
-	// Each process's pending rows are read in place; the source is written
-	// only once the new backlog is complete.
-	kept := make([][]int, len(src.lists))
+	// Each process's pending rows are read in place, and the source is
+	// written only once the new backlog is complete: a process keeps the
+	// tasks of its pending row that are not marked moved (re-matched).
+	pending := func(proc int) []int { return src.lists[proc][src.pos[proc]:] }
+	moved := make([]bool, len(p.Tasks))
 	keptMB := make([]float64, len(src.lists))
 	var taskIDs []int
 	var totalMB float64
-	for proc, list := range src.lists {
-		for _, id := range list[src.pos[proc]:] {
+	backlog := 0
+	for proc := range src.lists {
+		backlog += len(pending(proc))
+		for _, id := range pending(proc) {
 			totalMB += p.Tasks[id].SizeMB()
 			if affected(id, proc) {
 				taskIDs = append(taskIDs, id)
+				moved[id] = true
 			} else {
-				kept[proc] = append(kept[proc], id)
 				keptMB[proc] += p.Tasks[id].SizeMB()
 			}
 		}
@@ -128,13 +131,17 @@ func ReplanBacklogDelta(p *core.Problem, fs *dfs.FileSystem, src *ListSource, fi
 	if rawSum > 0 {
 		for i, proc := range alive {
 			share := raw[i] / rawSum * totalMB
-			for n := len(kept[proc]); n > 0; n-- {
-				id := kept[proc][n-1]
+			row := pending(proc)
+			for n := len(row) - 1; n >= 0; n-- {
+				id := row[n]
+				if moved[id] {
+					continue
+				}
 				sz := p.Tasks[id].SizeMB()
 				if keptMB[proc]-share <= sz {
 					break
 				}
-				kept[proc] = kept[proc][:n-1]
+				moved[id] = true
 				keptMB[proc] -= sz
 				taskIDs = append(taskIDs, id)
 			}
@@ -187,13 +194,24 @@ func ReplanBacklogDelta(p *core.Problem, fs *dfs.FileSystem, src *ListSource, fi
 		return false, 0, fmt.Errorf("engine: replan: %w", err)
 	}
 
-	for i, proc := range alive {
-		kept[proc] = slices.Grow(kept[proc], len(a.Lists[i]))
-		for _, st := range a.Lists[i] {
-			kept[proc] = append(kept[proc], taskIDs[st])
+	// The new backlog, in one buffer: each process's kept tasks, then the
+	// ones re-matched to it.
+	out, i := make([]int, 0, backlog), 0
+	for proc := range src.lists {
+		start := len(out)
+		for _, id := range pending(proc) {
+			if !moved[id] {
+				out = append(out, id)
+			}
 		}
+		if i < len(alive) && alive[i] == proc {
+			for _, st := range a.Lists[i] {
+				out = append(out, taskIDs[st])
+			}
+			i++
+		}
+		src.lists[proc] = out[start:len(out):len(out)]
 	}
-	copy(src.lists, kept)
 	clear(src.pos)
 	return true, len(taskIDs), nil
 }

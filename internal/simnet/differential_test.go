@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -241,6 +242,70 @@ func differential(t *testing.T, data []byte) []rec {
 	return got.trace
 }
 
+// Builders for hand-written scripts, one per step of runScript's vocabulary.
+// scriptHeader declares resources as {capacity code, seek code} pairs: capacity
+// 40+20*code MB/s, seek penalty 0.1*code.
+func scriptHeader(res ...[2]byte) []byte {
+	out := []byte{byte(len(res) - 2)}
+	for _, r := range res {
+		out = append(out, r[0], r[1])
+	}
+	return out
+}
+
+// opStart launches a flow over hops resources first, first+stride, ... (mod
+// the resource count) moving 8*size MB, with no startup delay.
+func opStart(hops, first, stride, size byte) []byte { return []byte{0, hops, first, stride, size} }
+
+func opStep() []byte { return []byte{7, 0} }
+
+// opRunFor advances the clock by ticks*20 ms.
+func opRunFor(ticks byte) []byte { return []byte{4, ticks} }
+
+// opScale sets resource res to 0.1+0.1*tenths of its capacity.
+func opScale(res, tenths byte) []byte { return []byte{5, res, tenths} }
+
+// targetedScripts reach the solver's short cuts and its tie rule on purpose:
+// lone flows (every resource of the path theirs alone) settle without a
+// filling round, a flow keeps only its tightest private resource, and the
+// bottleneck heap orders equal shares by resource index.
+var targetedScripts = []struct {
+	name string
+	data []byte
+}{
+	// Lone flows whose tightest resource is second (100, 40) and third
+	// (120, 100, 60) on the path, beside a pair sharing resource 5.
+	{"lone-tightest-inside-path", slices.Concat(
+		scriptHeader([2]byte{3, 0}, [2]byte{0, 0}, [2]byte{4, 1}, [2]byte{3, 0}, [2]byte{1, 0}, [2]byte{2, 2}),
+		opStart(2, 0, 1, 5), opStart(3, 2, 1, 7), opStart(1, 5, 0, 3), opStart(1, 5, 0, 4),
+		opStep(), opStep())},
+	// Resources 1 and 3 (both 100 MB/s, three flows each, 100/3 per flow)
+	// tie, and resource 3 is touched first. Flow 2 crosses both: whichever
+	// freezes it leaves the other 100-100/3 over two flows, which rounds
+	// below 100/3, so the order shows in the other flows' rates.
+	{"tied-shares-lower-index-second", slices.Concat(
+		scriptHeader([2]byte{0, 0}, [2]byte{3, 0}, [2]byte{0, 0}, [2]byte{3, 0}),
+		opStart(1, 3, 0, 2), opStart(1, 3, 0, 3), opStart(2, 1, 2, 4), opStart(1, 1, 0, 5), opStart(1, 1, 0, 6),
+		opStep(), opStep(), opStep())},
+	// Three flows on one 100 MB/s resource: 100-3*(100/3) is below zero in
+	// floating point, and the solver clamps it to 0.
+	{"remaining-capacity-clamped", slices.Concat(
+		scriptHeader([2]byte{3, 0}, [2]byte{5, 0}),
+		opStart(2, 0, 1, 2), opStart(1, 0, 0, 3), opStart(1, 0, 0, 4),
+		opStep(), opStep())},
+	// A lone flow over resources 0 (100) and 1 (80) slows mid-transfer when
+	// resource 0 drops to half and becomes its tightest, then recovers.
+	{"scale-lone-flow-disk", slices.Concat(
+		scriptHeader([2]byte{3, 0}, [2]byte{2, 0}, [2]byte{1, 1}),
+		opStart(2, 0, 1, 15), opStart(1, 2, 0, 6),
+		opRunFor(10), opScale(0, 4), opRunFor(10), opScale(0, 9), opStep())},
+	// A path naming resource 1 twice loads it twice, so its flow is never
+	// lone, even with no other flow about.
+	{"path-repeats-resource", slices.Concat(
+		scriptHeader([2]byte{2, 2}, [2]byte{3, 3}, [2]byte{1, 0}),
+		opStart(2, 1, 0, 5), opStep(), opStart(3, 0, 1, 4), opStep(), opStep())},
+}
+
 func randomScript(seed int64) []byte {
 	rng := rand.New(rand.NewSource(seed))
 	data := make([]byte, 8+rng.Intn(200))
@@ -253,6 +318,9 @@ func randomScript(seed int64) []byte {
 // instant of every completion, on every Cancel result and counter, and on the
 // work each resource did.
 func TestDifferentialSolver(t *testing.T) {
+	for _, c := range targetedScripts {
+		t.Run(c.name, func(t *testing.T) { differential(t, c.data) })
+	}
 	completions, batches, cancels := 0, 0, 0
 	for seed := int64(1); seed <= 400; seed++ {
 		t.Logf("seed %d", seed) // shown only when the comparison below fails
@@ -283,6 +351,9 @@ func TestDifferentialSolver(t *testing.T) {
 func FuzzNetwork(f *testing.F) {
 	for seed := int64(1); seed <= 4; seed++ {
 		f.Add(randomScript(seed))
+	}
+	for _, c := range targetedScripts {
+		f.Add(c.data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) { differential(t, data) })
 }

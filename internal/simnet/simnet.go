@@ -85,10 +85,13 @@ type Network struct {
 
 	// Scratch reused across rate computations. touched lists the resources
 	// some transferring flow crossed in the last recompute (load is zero on all
-	// others); byRes is the CSR body: resource r's transferring flows, by ID,
-	// are byRes[r.pos-r.load : r.pos].
+	// others); byRes is the CSR body: the transferring flows, by ID, of a
+	// resource r left to the filling rounds are byRes[r.pos-r.load : r.pos];
+	// heap is the bottleneck min-heap and changed a round's requeue list.
 	touched  []int
 	byRes    []*Flow
+	heap     []shareEntry
+	changed  []int
 	finished []*Flow // completeFinished's batch buffer
 
 	started, done, events, recomputes int64
@@ -104,8 +107,9 @@ type resource struct {
 	// material of utilization metrics (how busy each disk/NIC was).
 	workMB float64
 
-	load, cnt, pos int     // transferring flows, the unfrozen of them, CSR cursor
 	remCap         float64 // capacity not yet handed to frozen flows
+	load, cnt, pos int32   // transferring flows, the unfrozen of them, CSR cursor
+	ver            uint32  // filling round that last changed cnt and remCap
 }
 
 // timeEpsilon bounds the smallest interval the simulator will advance; it
@@ -208,93 +212,6 @@ func (n *Network) Start(path []ResourceID, sizeMB, delay float64, label string) 
 	n.started++
 	n.dirty = true
 	return id
-}
-
-// recomputeRates assigns every transferring flow its max-min fair rate by
-// progressive filling, in O(sum of path lengths + rounds x touched resources):
-// a round scans only resources some transferring flow crosses and walks only
-// the bottleneck's own flow list. Each float update keeps the operands, and
-// each resource the update order (ascending flow ID), of the all-flows-per-
-// round formulation in reference_test.go: rates are bit-identical to it.
-func (n *Network) recomputeRates() {
-	n.dirty = false
-	n.recomputes++
-	// Count transferring flows per resource; only the resources the last
-	// recompute touched hold a stale count.
-	res := n.resources
-	for _, i := range n.touched {
-		res[i].load = 0
-	}
-	n.touched = n.touched[:0]
-	left := 0
-	for _, f := range n.flows {
-		f.frozen = f.delayLeft > 0 || f.remaining <= 0 // not transferring
-		if f.frozen {
-			continue
-		}
-		left++
-		for _, i := range f.Path {
-			if res[i].load == 0 {
-				n.touched = append(n.touched, int(i))
-			}
-			res[i].load++
-		}
-	}
-	// Effective capacities, and each touched resource's slot in the CSR.
-	end := 0
-	for _, i := range n.touched {
-		r := &res[i]
-		effective := r.Capacity * r.scale
-		r.remCap = effective / (1 + r.SeekPenalty*float64(r.load-1))
-		r.cnt, r.pos = r.load, end
-		end += r.load
-	}
-	n.byRes = slices.Grow(n.byRes[:0], end)[:end]
-	for _, f := range n.flows {
-		if f.frozen {
-			continue
-		}
-		for _, i := range f.Path {
-			n.byRes[res[i].pos] = f
-			res[i].pos++ // ends one past the resource's list
-		}
-	}
-	// Progressive filling: repeatedly saturate the tightest resource.
-	for left > 0 {
-		// Find the bottleneck resource: smallest per-flow fair share, ties
-		// to the lowest resource index (touched is in first-use order).
-		best, bestShare := -1, math.Inf(1)
-		for _, i := range n.touched {
-			if res[i].cnt == 0 {
-				continue
-			}
-			share := res[i].remCap / float64(res[i].cnt)
-			if share < bestShare || (share == bestShare && i < best) {
-				best, bestShare = i, share
-			}
-		}
-		if best < 0 {
-			// Unreachable: a transferring flow has a non-empty path, so an
-			// unfrozen one keeps some touched resource's cnt above zero.
-			panic("simnet: unconstrained transferring flow")
-		}
-		// Freeze every unfrozen flow crossing the bottleneck at the share.
-		for _, f := range n.byRes[res[best].pos-res[best].load : res[best].pos] {
-			if f.frozen {
-				continue
-			}
-			f.frozen, f.rate = true, bestShare
-			left--
-			for _, i := range f.Path {
-				r := &res[i]
-				r.remCap -= bestShare
-				if r.remCap < 0 {
-					r.remCap = 0
-				}
-				r.cnt--
-			}
-		}
-	}
 }
 
 // nextEvent returns the time until the earliest delay expiry or flow
