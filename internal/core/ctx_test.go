@@ -123,9 +123,10 @@ func TestAssignContextLiveMatchesAssign(t *testing.T) {
 // is skipped.)
 //
 // Each case trips every poll twice. The goroutine clause runs at
-// GOMAXPROCS(2), so MultiData's sort fan-out spawns workers. The allocation
-// clause runs at GOMAXPROCS(1): with two Ps a Release's Put can land in the
-// other P's private pool slot, which the next Get cannot reach.
+// GOMAXPROCS(2), where a stage that fanned out would start workers; every
+// stage is serial today, so it pins that none is left running. The
+// allocation clause runs at GOMAXPROCS(1): with two Ps a Release's Put can
+// land in the other P's private pool slot, which the next Get cannot reach.
 func TestCancelledPlanLeavesNothingBehind(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a GC between Put and Get would empty the pool
@@ -172,7 +173,7 @@ func TestCancelledPlanLeavesNothingBehind(t *testing.T) {
 			runtime.GOMAXPROCS(2)
 			goroutines := runtime.NumGoroutine()
 			tripEvery(func(int64) {})
-			for i := 0; runtime.NumGoroutine() > goroutines; i++ { // fan-out workers may still be exiting
+			for i := 0; runtime.NumGoroutine() > goroutines; i++ { // a goroutine a plan started may still be exiting
 				if i == 1000 {
 					t.Fatalf("%d goroutines after the cancelled plans, %d before", runtime.NumGoroutine(), goroutines)
 				}

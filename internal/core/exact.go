@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"math"
-	"math/rand"
-	"slices"
 
 	"opass/internal/bipartite"
 )
@@ -53,18 +51,18 @@ func (me MultiExact) AssignContext(ctx context.Context, p *Problem) (*Assignment
 	if err := checkWeights(p, me.Weights); err != nil {
 		return nil, err
 	}
-	ix, err := NewLocalityIndexContext(ctx, p)
+	ix, err := newLocalityIndex(ctx, p, true)
 	if err != nil {
 		return nil, err
 	}
 	defer ix.Release()
 	quotas := weightedTaskQuotas(len(p.Tasks), p.NumProcs(), me.Weights)
-	tight, holders := ix.tightRows()
+	tight := &ix.buf.tight
 	owner, matched, err := bipartite.MatchRows(ctx, tight, quotas)
 	if err != nil {
 		return nil, err
 	}
-	if matched < holders {
+	if matched < ix.holders {
 		for t, o := range owner {
 			if row := tight.Row(t); o < 0 && len(row) > 0 {
 				owner[t] = row[0].Proc
@@ -77,37 +75,7 @@ func (me MultiExact) AssignContext(ctx context.Context, p *Problem) (*Assignment
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return finishAssignment(p, ix, owner, quotas, nil, 0, rand.New(rand.NewSource(me.Seed))), nil
-}
-
-// tightRows fills the index buffer's tight view — row t keeps task t's
-// edges whose MB equals the row maximum, Proc-ascending — and counts the
-// tasks with at least one edge. The view lives in the pooled buffer, so a
-// warm plan allocates nothing for it.
-func (ix *LocalityIndex) tightRows() (*bipartite.Rows, int) {
-	b, n := ix.buf, len(ix.p.Tasks)
-	off := slices.Grow(b.tight.Off[:0], n+1)[:n+1]
-	edges := slices.Grow(b.tight.Edges[:0], min(n, ix.edges))
-	holders := 0
-	for t := 0; t < n; t++ {
-		off[t] = len(edges)
-		row := b.byTask.Row(t)
-		best := 0.0
-		for _, e := range row {
-			best = max(best, e.MB)
-		}
-		for _, e := range row {
-			if e.MB == best {
-				edges = append(edges, e)
-			}
-		}
-		if len(row) > 0 {
-			holders++
-		}
-	}
-	off[n] = len(edges)
-	b.tight = bipartite.Rows{Edges: edges, Off: off}
-	return &b.tight, holders
+	return finishAssignment(p, ix, owner, quotas, nil, 0, me.Seed), nil
 }
 
 // transportCtxStride is how many arc scans a min-cost round makes between

@@ -160,14 +160,16 @@ func localUnits(p *Problem, a *Assignment) int64 {
 // unmatched on p, so MultiExact's min-cost repair runs.
 func stage2Runs(t *testing.T, p *Problem) bool {
 	t.Helper()
-	ix := NewLocalityIndex(p)
-	defer ix.Release()
-	tight, holders := ix.tightRows()
-	_, matched, err := bipartite.MatchRows(context.Background(), tight, taskQuotas(len(p.Tasks), p.NumProcs()))
+	ix, err := newLocalityIndex(context.Background(), p, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return matched < holders
+	defer ix.Release()
+	_, matched, err := bipartite.MatchRows(context.Background(), &ix.buf.tight, taskQuotas(len(p.Tasks), p.NumProcs()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return matched < ix.holders
 }
 
 // tinySpec draws a problem of at most 7 tasks over at most 3 processes,

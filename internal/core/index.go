@@ -20,6 +20,12 @@ import (
 // (on the task and process rows, in place), the flow-network build and the
 // dynamic scheduler's steal scan all run off it.
 //
+// The build makes only what its caller reads. The task rows are always
+// built; the process rows are a counting-sort transpose of them, made on
+// the first ProcEdges call (only Algorithm 1 and the flow network read
+// them); MultiExact's best-holder rows are appended while each task's
+// accumulation is still in the scratch arrays.
+//
 // The per-task accumulation order matches CoLocatedMB exactly (inputs in
 // declaration order, each added once per co-located process), so the
 // floating-point weights are bit-identical to the probe path — the golden
@@ -41,14 +47,17 @@ import (
 // edge type, so the phased matcher reads the index's task rows in place.
 type LocalityEdge = bipartite.LocalityEdge
 
-// LocalityIndex is the inverted locality view of a Problem. It is immutable
-// after construction; the underlying Problem and FileSystem must not change
-// while the index is in use.
+// LocalityIndex is the inverted locality view of a Problem. Its process
+// view is built on the first ProcEdges call, so an index is used by one
+// goroutine at a time; the underlying Problem and FileSystem must not
+// change while the index is in use.
 type LocalityIndex struct {
 	p          *Problem
 	buf        *indexBuf // owns every edge view until Release
 	edges      int
+	holders    int  // tasks with at least one edge; counted with the tight view
 	rackTiered bool // the rack tier (rack.go) is built only for rack-tiered problems
+	procBuilt  bool // byProc holds this index's transpose
 	released   bool
 }
 
@@ -64,9 +73,9 @@ const indexCtxStride = 512
 // compare against a fresh epoch.
 type indexBuf struct {
 	byTask     bipartite.Rows // task -> edges, Proc-ascending
-	byProc     bipartite.Rows // proc -> edges, Task-ascending until MultiData consumes them
+	byProc     bipartite.Rows // proc -> edges, Task-ascending until MultiData consumes them; built by ProcEdges
 	byTaskRack bipartite.Rows // task -> rack-tier edges, Proc-ascending
-	tight      bipartite.Rows // task -> best-holder edges, MultiExact's stage 1
+	tight      bipartite.Rows // task -> best-holder edges, MultiExact's stage 1; built only for it
 	pos        []int          // transpose write cursors, one per process
 
 	// Accumulated MB per process for the current task, with an epoch stamp
@@ -83,7 +92,7 @@ var indexBufPool = sync.Pool{New: func() any { return new(indexBuf) }}
 
 // groupRanks inverts key: group g of the result lists the ranks i with
 // key[i] == g in ascending order, all carved from one array. Negative keys
-// belong to no group.
+// belong to no group, and an empty group is nil.
 func groupRanks(key []int, groups int) [][]int {
 	off := make([]int, groups+1)
 	for _, k := range key {
@@ -95,7 +104,9 @@ func groupRanks(key []int, groups int) [][]int {
 	flat := make([]int, len(key))
 	for g := range out {
 		off[g+1] += off[g]
-		out[g] = flat[off[g]:off[g]:off[g+1]]
+		if off[g+1] > off[g] {
+			out[g] = flat[off[g]:off[g]:off[g+1]]
+		}
 	}
 	for i, k := range key {
 		if k >= 0 {
@@ -118,29 +129,61 @@ func (b *indexBuf) add(proc int, mb float64) {
 // buildTier fills one tier of the index: row t of dst receives task t's
 // edges, Proc-ascending, weighted by whatever accumulate adds for t through
 // indexBuf.add. maxEdges is an upper bound on the tier's edge count, so a
-// cold buffer is allocated once instead of grown. The loop polls ctx once
-// per indexCtxStride tasks; on a ctx error dst is partial and the caller
-// must Release the index.
-func (ix *LocalityIndex) buildTier(ctx context.Context, dst *bipartite.Rows, maxEdges int, accumulate func(b *indexBuf, t int)) error {
+// cold buffer is allocated once instead of grown. A non-nil tight receives
+// the same rows cut to their best holders (the edges whose MB is the row
+// maximum), and ix.holders counts the tasks with an edge. The loop polls
+// ctx once per indexCtxStride tasks; on a ctx error dst is partial and the
+// caller must Release the index.
+func (ix *LocalityIndex) buildTier(ctx context.Context, dst, tight *bipartite.Rows, maxEdges int, accumulate func(b *indexBuf, t int)) error {
 	n, b := len(ix.p.Tasks), ix.buf
 	dst.Off = slices.Grow(dst.Off[:0], n+1)[:n+1]
 	edges := slices.Grow(dst.Edges[:0], maxEdges)
+	var best []LocalityEdge
+	if tight != nil {
+		tight.Off = slices.Grow(tight.Off[:0], n+1)[:n+1]
+		best = slices.Grow(tight.Edges[:0], min(n, maxEdges))
+	}
 	for t := 0; t < n; t++ {
 		if t%indexCtxStride == 0 && ctx.Err() != nil {
-			dst.Edges = edges // a freshly sized array still serves the next build
+			dst.Edges = edges // freshly sized arrays still serve the next build
+			if tight != nil {
+				tight.Edges = best
+			}
 			return ctx.Err()
 		}
-		dst.Off[t] = len(edges)
+		lo := len(edges)
+		dst.Off[t] = lo
 		b.epoch++
 		b.touched = b.touched[:0]
 		accumulate(b, t)
 		sort.Ints(b.touched)
+		top := 0.0 // every weight is positive
 		for _, proc := range b.touched {
-			edges = append(edges, LocalityEdge{Proc: proc, Task: t, MB: b.mb[proc]})
+			mb := b.mb[proc]
+			edges = append(edges, LocalityEdge{Proc: proc, Task: t, MB: mb})
+			if mb > top {
+				top = mb
+			}
+		}
+		if tight == nil {
+			continue
+		}
+		tight.Off[t] = len(best)
+		for _, e := range edges[lo:] {
+			if e.MB == top {
+				best = append(best, e)
+			}
+		}
+		if len(edges) > lo {
+			ix.holders++
 		}
 	}
 	dst.Off[n] = len(edges)
 	dst.Edges = edges
+	if tight != nil {
+		tight.Off[n] = len(best)
+		tight.Edges = best
+	}
 	return nil
 }
 
@@ -155,6 +198,12 @@ func NewLocalityIndex(p *Problem) *LocalityIndex {
 // cancellation: the build polls ctx every indexCtxStride tasks and returns
 // ctx's error instead of a partial index.
 func NewLocalityIndexContext(ctx context.Context, p *Problem) (*LocalityIndex, error) {
+	return newLocalityIndex(ctx, p, false)
+}
+
+// newLocalityIndex builds the index, and with tight also the best-holder
+// rows MultiExact's stage 1 matches on.
+func newLocalityIndex(ctx context.Context, p *Problem, tight bool) (*LocalityIndex, error) {
 	m := p.NumProcs()
 	b := indexBufPool.Get().(*indexBuf)
 	ix := &LocalityIndex{p: p, buf: b}
@@ -179,7 +228,11 @@ func NewLocalityIndexContext(ctx context.Context, p *Problem) (*LocalityIndex, e
 		}
 	}
 
-	err := ix.buildTier(ctx, &b.byTask, maxEdges, func(b *indexBuf, t int) {
+	var tightDst *bipartite.Rows
+	if tight {
+		tightDst = &b.tight
+	}
+	err := ix.buildTier(ctx, &b.byTask, tightDst, maxEdges, func(b *indexBuf, t int) {
 		for _, in := range p.Tasks[t].Inputs {
 			for _, node := range p.FS.Replicas(in.Chunk) {
 				if node < 0 || node >= len(procsOn) {
@@ -195,10 +248,20 @@ func NewLocalityIndexContext(ctx context.Context, p *Problem) (*LocalityIndex, e
 		ix.Release()
 		return nil, err
 	}
+	ix.edges = len(b.byTask.Edges)
 
-	// Transpose into the per-process view with a counting sort. Tasks are
-	// visited in ascending order, so byProc stays Task-ascending without a
-	// comparison sort.
+	if err := ix.buildRackTier(ctx); err != nil {
+		ix.Release()
+		return nil, err
+	}
+	return ix, nil
+}
+
+// transpose builds the per-process view from the task rows with a counting
+// sort. Tasks are visited in ascending order, so byProc stays Task-ascending
+// without a comparison sort.
+func (ix *LocalityIndex) transpose() {
+	b, m := ix.buf, ix.p.NumProcs()
 	edges := b.byTask.Edges
 	off := slices.Grow(b.byProc.Off[:0], m+1)[:m+1]
 	clear(off)
@@ -215,13 +278,7 @@ func NewLocalityIndexContext(ctx context.Context, p *Problem) (*LocalityIndex, e
 		b.pos[e.Proc]++
 	}
 	b.byProc = bipartite.Rows{Edges: byProc, Off: off}
-	ix.edges = len(edges)
-
-	if err := ix.buildRackTier(ctx); err != nil {
-		ix.Release()
-		return nil, err
-	}
-	return ix, nil
+	ix.procBuilt = true
 }
 
 // Release returns the index's storage (and with it every edge slice ever
@@ -253,7 +310,13 @@ func (ix *LocalityIndex) taskEdges(t int) []LocalityEdge { return ix.buf.byTask.
 
 // ProcEdges returns process p's locality edges in ascending task order, a
 // view owned by the index; only MultiData, on its own index, reorders it.
-func (ix *LocalityIndex) ProcEdges(p int) []LocalityEdge { return ix.buf.byProc.Row(p) }
+// The first call builds the view for every process.
+func (ix *LocalityIndex) ProcEdges(p int) []LocalityEdge {
+	if !ix.procBuilt {
+		ix.transpose()
+	}
+	return ix.buf.byProc.Row(p)
+}
 
 // CoLocatedMB returns the co-located megabytes for (proc, task) by binary
 // search — the same value Problem.CoLocatedMB computes by probing, in

@@ -143,10 +143,10 @@ func TestLocalityIndexViewsSorted(t *testing.T) {
 }
 
 // TestPlansIdenticalAcrossGOMAXPROCS plans every index-backed planner at
-// GOMAXPROCS 1, 2 and 8 and asserts byte-identical Owner and Lists. The
-// index, the graph build and the size sums are serial; MultiData's
-// per-process preference sort is the one fan-out left, so it is the only
-// place worker count could leak into a plan.
+// GOMAXPROCS 1, 2 and 8 and asserts byte-identical Owner and Lists. Every
+// stage — the index, the graph build, the solvers and the size sums — is
+// serial, so worker count has no way into a plan; the test keeps it so if a
+// stage is ever parallelised.
 func TestPlansIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	single, _ := buildSingle(t, 24, 512, 12, dfs.RandomPlacement{})
 	cases := []struct {

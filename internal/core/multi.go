@@ -1,9 +1,6 @@
 package core
 
-import (
-	"context"
-	"math/rand"
-)
+import "context"
 
 // MultiData is the Opass planner for tasks with multiple data inputs
 // (Algorithm 1, §IV-C). It generalizes the stable-marriage procedure to a
@@ -125,7 +122,7 @@ func (md MultiData) AssignContext(ctx context.Context, p *Problem) (*Assignment,
 	// process under quota leaves the queue only once it has proposed to every
 	// task it holds data for, and an owned task never becomes unowned. So
 	// the shared repair pipeline places them, rack tier then random.
-	return finishAssignment(p, ix, owner, quotas, nil, 0, rand.New(rand.NewSource(md.Seed))), nil
+	return finishAssignment(p, ix, owner, quotas, nil, 0, md.Seed), nil
 }
 
 // preferBefore is a process's preference order: more co-located MB first,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -86,7 +87,9 @@ func planSpec(data []byte) (s layoutSpec, weights []float64) {
 // must reach the transportation oracle under its weighted quotas. On every
 // draw Algorithm 1 must choose the owners of referenceMultiData's sorted
 // preference lists, and the unweighted exact planner must plan as much
-// co-located data as the oracle (checkExactIsOptimal).
+// co-located data as the oracle (checkExactIsOptimal). Every plan's
+// PlannedLocalMB, read off the index by the Opass planners, must be the
+// probe's sum bit for bit (checkPlannedLocality).
 func FuzzPlan(f *testing.F) {
 	f.Add([]byte{})
 	// Random byte strings long enough to fill every field: a spread of
@@ -142,6 +145,7 @@ func FuzzPlan(f *testing.F) {
 			if err := a.Validate(p); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
+			checkPlannedLocality(t, name, p, a)
 			matched, matchedUnits := 0, make([]int64, m)
 			for task, ok := range a.Matched {
 				if ok {
@@ -213,6 +217,7 @@ func checkExactIsOptimal(t *testing.T, p *Problem) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkPlannedLocality(t, "opass-exact", p, a)
 	quotas := taskQuotas(len(p.Tasks), p.NumProcs())
 	checkCountQuotas(t, "opass-exact", p, a, quotas)
 	got := localUnits(p, a)
@@ -223,6 +228,7 @@ func checkExactIsOptimal(t *testing.T, p *Problem) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkPlannedLocality(t, "opass-matching", p, md)
 	if alg1 := localUnits(p, md); got < alg1 {
 		t.Fatalf("opass-exact plans %d co-located units, Algorithm 1 %d", got, alg1)
 	}
@@ -234,5 +240,22 @@ func checkExactIsOptimal(t *testing.T, p *Problem) {
 		if r := localUnits(p, rank); got < r {
 			t.Fatalf("opass-exact plans %d co-located units, rank-static %d", got, r)
 		}
+	}
+}
+
+// checkPlannedLocality fails t unless a's planned totals are the probe's:
+// PlannedLocalMB equal bit for bit to Σ_t p.CoLocatedMB(Owner[t], t) summed
+// in task order, and PlannedTotalMB to p.TotalMB().
+func checkPlannedLocality(t *testing.T, name string, p *Problem, a *Assignment) {
+	t.Helper()
+	var probed float64
+	for task, proc := range a.Owner {
+		probed += p.CoLocatedMB(proc, task)
+	}
+	if math.Float64bits(a.PlannedLocalMB) != math.Float64bits(probed) {
+		t.Fatalf("%s: PlannedLocalMB %v (%#x), the probe sums %v (%#x)", name, a.PlannedLocalMB, math.Float64bits(a.PlannedLocalMB), probed, math.Float64bits(probed))
+	}
+	if a.PlannedTotalMB != p.TotalMB() {
+		t.Fatalf("%s: PlannedTotalMB %v, the problem holds %v", name, a.PlannedTotalMB, p.TotalMB())
 	}
 }

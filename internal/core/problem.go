@@ -227,15 +227,6 @@ func (a *Assignment) Validate(p *Problem) error {
 	return nil
 }
 
-// fillLocality computes the planned locality statistics for an assignment.
-func fillLocality(p *Problem, a *Assignment) {
-	a.PlannedLocalMB = 0
-	a.PlannedTotalMB = p.TotalMB()
-	for t, proc := range a.Owner {
-		a.PlannedLocalMB += p.CoLocatedMB(proc, t)
-	}
-}
-
 // Assigner is a task-assignment strategy: Opass planners and baselines.
 type Assigner interface {
 	// Name identifies the strategy in reports ("opass-flow", "rank-static"...).

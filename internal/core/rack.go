@@ -78,7 +78,7 @@ func (ix *LocalityIndex) buildRackTier(ctx context.Context) error {
 
 	// No edge bound is passed: a tight one needs the per-input rack dedupe
 	// below, so a cold buffer grows by append instead.
-	return ix.buildTier(ctx, &ix.buf.byTaskRack, 0, func(b *indexBuf, t int) {
+	return ix.buildTier(ctx, &ix.buf.byTaskRack, nil, 0, func(b *indexBuf, t int) {
 		for _, in := range p.Tasks[t].Inputs {
 			replicas := p.FS.Replicas(in.Chunk)
 			b.racks = b.racks[:0]

@@ -77,13 +77,19 @@ func TestLocalityIndexReleaseReuse(t *testing.T) {
 					}
 				}
 			}
-			// Cross-check the transposed view against the task view too.
+			// Cross-check the transposed view against the task view too: a
+			// stale transpose left in the pooled buffer must not be served.
+			procEdges := 0
 			for proc := 0; proc < p.NumProcs(); proc++ {
+				procEdges += len(ix.ProcEdges(proc))
 				for _, e := range ix.ProcEdges(proc) {
 					if got := ix.CoLocatedMB(e.Proc, e.Task); got != e.MB {
 						t.Fatalf("round %d prob %d: views disagree on (%d,%d): %v vs %v", round, i, e.Proc, e.Task, got, e.MB)
 					}
 				}
+			}
+			if procEdges != ix.NumEdges() {
+				t.Fatalf("round %d prob %d: process view holds %d edges, the index %d", round, i, procEdges, ix.NumEdges())
 			}
 			ix.Release()
 		}
@@ -164,8 +170,15 @@ func TestMultiExactPlanAllocatesLessThanItsEdges(t *testing.T) {
 	checkWarmPlanAllocatesLessThanItsEdges(t, MultiExact{}, benchSpec(256, 2560, []float64{30, 20, 10}, 3).csrBacked())
 }
 
+// maxWarmPlanAllocs is how many objects a warm plan may allocate: its
+// owner, lists and ledger arrays, a handful of each, whatever the problem
+// size. A structure grown per process or per task (lists built one append
+// at a time) is hundreds or thousands.
+const maxWarmPlanAllocs = 32
+
 // checkWarmPlanAllocatesLessThanItsEdges plans p twice and fails t if the
-// second plan allocates one edge array's bytes or more. It runs at
+// second plan allocates one edge array's bytes or more, or more than
+// maxWarmPlanAllocs objects. It runs at
 // GOMAXPROCS(1) with the GC off so the warm-up's Release is the buffer the
 // measured plan gets back, and skips under -race, where sync.Pool drops Puts
 // at random.
@@ -189,11 +202,14 @@ func checkWarmPlanAllocatesLessThanItsEdges(t *testing.T, as Assigner, p *Proble
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	got := after.TotalAlloc - before.TotalAlloc
+	got, objects := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
 	if got >= budget {
 		t.Fatalf("a warm %d-task plan allocated %d B, one copy of its %d edges is %d B", len(p.Tasks), got, edges, budget)
 	}
-	t.Logf("%d-task plan: %d B allocated, edge budget %d B", len(p.Tasks), got, budget)
+	if objects > maxWarmPlanAllocs {
+		t.Fatalf("a warm %d-task plan made %d allocations, over %d", len(p.Tasks), objects, maxWarmPlanAllocs)
+	}
+	t.Logf("%d-task plan: %d B in %d allocations, edge budget %d B", len(p.Tasks), got, objects, budget)
 }
 
 // TestLocalityIndexDoubleReleasePanics pins the misuse guard.

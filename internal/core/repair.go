@@ -107,11 +107,18 @@ func (l *quotaLedger) pick(rng *rand.Rand) int {
 //  3. random repair: whatever is still unmatched goes to quotaLedger.pick.
 //
 // quotaMB selects the ledger's book and is in 1/scale MB; nil selects the
-// count book over quotas, the task counts the solver planned under.
-func finishAssignment(p *Problem, ix *LocalityIndex, owner, quotas []int, quotaMB []int64, scale int64, rng *rand.Rand) *Assignment {
+// count book over quotas, the task counts the solver planned under. seed
+// drives the random repair. When the solver placed every task, neither
+// repair stage has work, so neither the ledger nor the generator is built.
+func finishAssignment(p *Problem, ix *LocalityIndex, owner, quotas []int, quotaMB []int64, scale, seed int64) *Assignment {
 	matched := make([]bool, len(owner))
+	complete := true
 	for t, o := range owner {
 		matched[t] = o >= 0
+		complete = complete && matched[t]
+	}
+	if complete {
+		return newAssignment(p, ix, owner, matched)
 	}
 	l := newQuotaLedger(p, owner, quotas, quotaMB, scale)
 	if ix.RackTiered() {
@@ -141,24 +148,30 @@ func finishAssignment(p *Problem, ix *LocalityIndex, owner, quotas []int, quotaM
 		// part of the plan.
 		l = newQuotaLedger(p, owner, quotas, quotaMB, scale)
 	}
+	rng := rand.New(rand.NewSource(seed))
 	for t := range owner {
 		if owner[t] < 0 {
 			owner[t] = l.pick(rng)
 			l.give(owner[t], p.Tasks[t].SizeMB())
 		}
 	}
-	return newAssignment(p, owner, matched)
+	return newAssignment(p, ix, owner, matched)
 }
 
 // newAssignment wraps a complete owner vector: per-process lists in
-// ascending task order (the deterministic execution order) and the planned
-// locality. matched is nil for planners with no solver/repair split.
-func newAssignment(p *Problem, owner []int, matched []bool) *Assignment {
-	lists := make([][]int, p.NumProcs())
-	for t, proc := range owner { // ascending t keeps every list sorted
-		lists[proc] = append(lists[proc], t)
+// ascending task order (the deterministic execution order), carved from one
+// array, and the planned locality. A process with no task has a nil list.
+// ix, when the planner has one, supplies each owner's co-located MB, the
+// same value as the probe; nil probes. matched is nil for planners with no
+// solver/repair split.
+func newAssignment(p *Problem, ix *LocalityIndex, owner []int, matched []bool) *Assignment {
+	a := &Assignment{Owner: owner, Lists: groupRanks(owner, p.NumProcs()), Matched: matched, PlannedTotalMB: p.TotalMB()}
+	for t, proc := range owner { // task order: the sum is a float contract
+		if ix != nil {
+			a.PlannedLocalMB += mbOf(ix.taskEdges(t), proc)
+		} else {
+			a.PlannedLocalMB += p.CoLocatedMB(proc, t)
+		}
 	}
-	a := &Assignment{Owner: owner, Lists: lists, Matched: matched}
-	fillLocality(p, a)
 	return a
 }

@@ -120,11 +120,10 @@ func (s SingleData) AssignContext(ctx context.Context, p *Problem) (*Assignment,
 	}
 	// Weighted shares are repaired against the MB quotas the solver used,
 	// equal shares against equal task counts.
-	rng := rand.New(rand.NewSource(s.Seed))
 	if weights != nil {
-		return finishAssignment(p, ix, owner, nil, quotasMB, scale, rng), nil
+		return finishAssignment(p, ix, owner, nil, quotasMB, scale, s.Seed), nil
 	}
-	return finishAssignment(p, ix, owner, taskQuotas(n, m), nil, scale, rng), nil
+	return finishAssignment(p, ix, owner, taskQuotas(n, m), nil, scale, s.Seed), nil
 }
 
 // equalSizes reports whether every task size is identical.
@@ -227,7 +226,7 @@ func (RankStatic) Assign(p *Problem) (*Assignment, error) {
 			owner[t] = i
 		}
 	}
-	return newAssignment(p, owner, nil), nil
+	return newAssignment(p, nil, owner, nil), nil
 }
 
 // RandomStatic deals tasks to processes uniformly at random while keeping
@@ -259,5 +258,5 @@ func (r RandomStatic) Assign(p *Problem) (*Assignment, error) {
 		owner[t] = proc
 		used++
 	}
-	return newAssignment(p, owner, nil), nil
+	return newAssignment(p, nil, owner, nil), nil
 }
