@@ -93,16 +93,22 @@ var (
 
 // decodeProblem parses and validates a request into a core.Problem whose
 // placement is the submitted block layout itself. The body is scanned once
-// through a pooled fixed-size window into pooled columnar accumulators (sizes,
-// replica offsets, replica nodes); the sizes go into the tasks' inputs and
-// exact-size copies of the replica arrays become the problem's core.Layout,
-// the read-only placement view the planners index directly. No file system
-// is built here: /v1/simulate, whose engine mutates placement, mirrors the
-// layout into one itself (mirrorFS).
+// through a pooled fixed-size window into pooled columnar accumulators, and
+// the problem borrows them: its tasks, inputs and core.Layout (the read-only
+// placement view the planners index directly) are the lexer's arrays. On
+// success the request holds the lexer until the handler releases it, and
+// the problem is valid exactly that long. No file system is built here:
+// /v1/simulate, whose engine mutates placement, mirrors the layout into one
+// itself (mirrorFS).
 func decodeProblem(w http.ResponseWriter, r *http.Request, lim RequestLimits) (*PlanRequest, *core.Problem, *apiError) {
 	lx := newLexer(http.MaxBytesReader(w, r.Body, lim.BodyBytes))
-	defer lx.release()
-	return decodeRequest(lx, lim)
+	req, prob, apiErr := decodeRequest(lx, lim)
+	if apiErr != nil {
+		lx.release()
+		return nil, nil, apiErr
+	}
+	req.arena = lx
+	return req, prob, nil
 }
 
 // decodeRequest is decodeProblem over a caller-supplied lexer.
@@ -197,7 +203,7 @@ func decodeRequest(lx *lexer, lim RequestLimits) (*PlanRequest, *core.Problem, *
 						if len(acc.reps) == acc.repOff[len(acc.repOff)-1] {
 							lx.fail(badRequest("invalid", "task %d input %d: replicas must be non-empty", ti, ii))
 						}
-						acc.sizes = append(acc.sizes, size)
+						acc.inputs = append(acc.inputs, core.Input{Chunk: dfs.ChunkID(len(acc.inputs)), SizeMB: size})
 						acc.repOff = append(acc.repOff, len(acc.reps))
 					}
 				}
@@ -212,9 +218,8 @@ func decodeRequest(lx *lexer, lim RequestLimits) (*PlanRequest, *core.Problem, *
 		return nil, nil, decodeFailure(lx.err)
 	}
 
-	taskInputs, sizes, repOff, reps := acc.taskInputs, acc.sizes, acc.repOff, acc.reps
+	taskInputs, inputs, repOff, reps := acc.taskInputs, acc.inputs, acc.repOff, acc.reps
 	numTasks := len(taskInputs)
-	numInputs := len(sizes)
 	if req.Nodes <= 0 {
 		return nil, nil, badRequest("invalid", "nodes must be positive")
 	}
@@ -260,27 +265,20 @@ func decodeRequest(lx *lexer, lim RequestLimits) (*PlanRequest, *core.Problem, *
 			in++
 		}
 	}
-	// The problem keeps exact-size copies: the accumulators go back to the
-	// pool with the lexer and the next request overwrites them.
-	prob := &core.Problem{ProcNode: procNodes, FS: &core.Layout{
-		RepOff: slices.Clone(repOff), Reps: slices.Clone(reps),
-	}}
-	prob.Tasks = make([]core.Task, numTasks)
-	backing := make([]core.Input, numInputs)
+	// The problem borrows the accumulators; the tasks are carved over the
+	// inputs only now, when the input array has stopped growing.
+	tasks := slices.Grow(acc.tasks, numTasks)
 	in = 0
-	for ti := range prob.Tasks {
-		k := int(taskInputs[ti])
-		ins := backing[in : in+k : in+k]
-		for j := range ins {
-			ins[j] = core.Input{Chunk: dfs.ChunkID(in + j), SizeMB: sizes[in+j]}
-		}
-		prob.Tasks[ti] = core.Task{ID: ti, Inputs: ins}
-		in += k
+	for ti, k := range taskInputs {
+		tasks = append(tasks, core.Task{ID: ti, Inputs: inputs[in : in+int(k) : in+int(k)]})
+		in += int(k)
 	}
+	acc.tasks = tasks
+	prob := &core.Problem{Tasks: tasks, ProcNode: procNodes, FS: &core.Layout{RepOff: repOff, Reps: reps}}
 	if err := prob.Validate(); err != nil {
 		return nil, nil, badRequest("invalid", "%w", err)
 	}
-	req.weight = int64(numTasks + numInputs)
+	req.weight = int64(numTasks + len(inputs))
 	return req, prob, nil
 }
 

@@ -12,16 +12,18 @@ import (
 	"opass/internal/core"
 )
 
-// The decoder's accumulators ride on the pooled lexer, so one request's
-// arrays are the next request's scratch space. These tests hold the two
-// things that makes safe: whatever a request left behind — accepted, or
-// rejected at any stage — the next one decodes as in a fresh process, and a
-// decoded problem keeps nothing the pool can hand out again.
+// The decoder's accumulators ride on the pooled lexer, and a decoded problem
+// borrows them: its tasks, inputs and layout are the lexer's arrays until the
+// request releases the lexer, and the next request's scratch space after.
+// These tests hold the two things that make that safe: whatever a request
+// left behind — accepted, or rejected at any stage — a released arena decodes
+// the next body as in a fresh process, and a problem whose arena is still held
+// is never touched by another decode.
 
-// TestDecodePooledStateHygiene: after each kind of rejection (and after a
-// success) the same lexer decodes a valid body to exactly what the reference
-// decoder makes of it, and scribbling over everything the lexer retains
-// afterwards does not reach the problem.
+// TestDecodePooledStateHygiene: after each way out, the lexer is released as
+// the pool would take it back and everything it retains is scribbled over,
+// and it then decodes a valid body to exactly what the reference decoder
+// makes of it.
 func TestDecodePooledStateHygiene(t *testing.T) {
 	v, ways := waysOut()
 	lim := waysOutLimits
@@ -40,20 +42,19 @@ func TestDecodePooledStateHygiene(t *testing.T) {
 			if got := outcomeOf(decodeRequest(lx, lim)); got.status != tc.status {
 				t.Fatalf("first body: status %d (%v), want %d", got.status, got.err, tc.status)
 			}
+			// What release puts back in the pool, overwritten as the
+			// next request would overwrite it.
+			lx.reset(nil)
+			scribble(lx.buf, '?')
+			scribble(lx.acc.taskInputs, -1)
+			scribble(lx.acc.inputs, core.Input{Chunk: -1, SizeMB: -1})
+			scribble(lx.acc.repOff, -1)
+			scribble(lx.acc.reps, -1)
+			scribble(lx.acc.tasks, core.Task{ID: -1})
 			lx.reset(limited(v))
 			req, prob, apiErr := decodeRequest(lx, lim)
 			if diff := outcomeOf(req, prob, apiErr).same(want); diff != "" {
 				t.Fatalf("valid body after %s: %s", tc.name, diff)
-			}
-			// What release would put back in the pool, overwritten as the
-			// next request would overwrite it.
-			lx.reset(nil)
-			scribble(lx.acc.taskInputs, -1)
-			scribble(lx.acc.sizes, -1)
-			scribble(lx.acc.repOff, -1)
-			scribble(lx.acc.reps, -1)
-			if !bytes.Equal(prob.AppendCanonical(nil), want.canon) {
-				t.Fatal("the problem aliases the lexer's accumulators")
 			}
 			if _, err := (core.MultiData{Seed: 1}).Assign(prob); err != nil {
 				t.Fatal(err)
@@ -71,24 +72,30 @@ func scribble[T any](s []T, v T) {
 }
 
 // TestDecodeConcurrentNoAlias: decoders running side by side through the
-// shared pool never see each other's rows — every problem still encodes to
-// its own reference bytes after the others have come and gone. Under -race an
-// aliased array is also a reported write/read race.
+// shared pool, each holding a few arenas and releasing the oldest, never
+// touch a problem whose arena is held — every held problem still encodes to
+// its own reference bytes while the others come and go. Under -race an
+// arena handed out twice is also a reported write/read race.
 func TestDecodeConcurrentNoAlias(t *testing.T) {
 	lim := RequestLimits{}.withDefaults()
-	decode := func(body []byte, dec func(http.ResponseWriter, *http.Request, RequestLimits) (*PlanRequest, *core.Problem, *apiError)) *core.Problem {
-		_, prob, apiErr := dec(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/plan", bytes.NewReader(body)), lim)
+	decode := func(body []byte, dec func(http.ResponseWriter, *http.Request, RequestLimits) (*PlanRequest, *core.Problem, *apiError)) (*PlanRequest, *core.Problem) {
+		req, prob, apiErr := dec(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/plan", bytes.NewReader(body)), lim)
 		if apiErr != nil {
 			t.Error(apiErr)
-			return nil
+			return nil, nil
 		}
-		return prob
+		return req, prob
 	}
+	type held struct {
+		req  *PlanRequest
+		prob *core.Problem
+	}
+	const keep = 3
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		// Different shapes, so a swapped or overwritten row cannot go unseen.
 		body := benchBody(16+g, 200+50*g, [][]float64{{64}, {30, 20, 10}}[g%2], false, int64(g))
-		ref := decode(body, decodeProblemReference)
+		_, ref := decode(body, decodeProblemReference)
 		if ref == nil {
 			t.FailNow()
 		}
@@ -96,18 +103,27 @@ func TestDecodeConcurrentNoAlias(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var held []*core.Problem
+			var hold []held
+			defer func() {
+				for _, h := range hold {
+					h.req.release()
+				}
+			}()
 			for i := 0; i < 20; i++ {
-				prob := decode(body, decodeProblem)
+				req, prob := decode(body, decodeProblem)
 				if prob == nil {
 					return
 				}
-				held = append(held, prob)
-				for _, p := range held {
-					if !bytes.Equal(p.AppendCanonical(nil), want) {
-						t.Error("a decoded problem changed under a concurrent decode")
+				hold = append(hold, held{req, prob})
+				for _, h := range hold {
+					if !bytes.Equal(h.prob.AppendCanonical(nil), want) {
+						t.Error("a held problem changed under a concurrent decode")
 						return
 					}
+				}
+				if len(hold) == keep {
+					hold[0].req.release()
+					hold = hold[1:]
 				}
 			}
 		}()

@@ -474,10 +474,10 @@ var benchShapes = []struct {
 	{"fleet-bulk", 25600, []float64{64}},
 }
 
-// BenchmarkDecodeProblem times the decoder alone (scan, validation, layout
-// copy) over benchShapes, plus the paper-single body indented by json.Indent:
-// whitespace inside every array and after every colon keeps the lexer off
-// its compact fast paths, so that row's MB/s is the general path's.
+// BenchmarkDecodeProblem times the decoder alone (scan, validation, carving
+// the problem) over benchShapes, plus the paper-single body indented by
+// json.Indent: whitespace inside every array and after every colon keeps the
+// lexer off its compact fast paths, so that row's MB/s is the general path's.
 func BenchmarkDecodeProblem(b *testing.B) {
 	lim := RequestLimits{}.withDefaults()
 	type row struct {
@@ -500,41 +500,60 @@ func BenchmarkDecodeProblem(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				r := httptest.NewRequest(http.MethodPost, "/v1/plan", bytes.NewReader(body))
-				if _, _, apiErr := decodeProblem(httptest.NewRecorder(), r, lim); apiErr != nil {
+				req, _, apiErr := decodeProblem(httptest.NewRecorder(), r, lim)
+				if apiErr != nil {
 					b.Fatal(apiErr)
 				}
+				req.release() // or the next iteration pulls a cold lexer
 			}
 		})
 	}
 }
 
-// decodeAllocsBudget is what decoding the paper-single body into a reused
-// lexer allocates: the request, the problem and its arrays, none per token
-// (BenchmarkDecodeProblem's 24 allocs/op also count its request, recorder
-// and pooled lexer).
-const decodeAllocsBudget = 9
+// decodeAllocsBudget is what decoding a bench body into a warm lexer
+// allocates: the request, the problem, its layout header, the replica check's
+// stamp array and the default process list — none per token, task or input,
+// since the problem borrows the lexer's arrays (BenchmarkDecodeProblem's
+// allocs/op also count its request, recorder and pooled lexer).
+// decodeBytesBudget bounds their size: the last two hold one word per node.
+const (
+	decodeAllocsBudget = 5
+	decodeBytesBudget  = 8 << 10
+)
 
-// TestDecodeAllocatesNoMoreObjects: a warm lexer decodes the paper-single body
-// in at most decodeAllocsBudget allocations. Skipped under -race, like the
-// other allocation clauses.
+// TestDecodeAllocatesNoMoreObjects: a warm lexer decodes each bench body in
+// at most decodeAllocsBudget allocations and decodeBytesBudget bytes, whatever
+// the number of tasks. Skipped under -race, like the other allocation
+// clauses.
 func TestDecodeAllocatesNoMoreObjects(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation clauses run without the race detector")
 	}
 	lim := RequestLimits{}.withDefaults()
-	body := benchBody(256, 2560, []float64{64}, false, 1)
-	lx := &lexer{buf: make([]byte, windowSize)}
-	rd := bytes.NewReader(nil)
-	got := testing.AllocsPerRun(20, func() {
-		rd.Reset(body)
-		lx.reset(rd)
-		if _, _, apiErr := decodeRequest(lx, lim); apiErr != nil {
-			t.Fatal(apiErr)
-		}
-	})
-	t.Logf("paper-single decode: %.0f allocs, budget %d", got, decodeAllocsBudget)
-	if got > decodeAllocsBudget {
-		t.Fatalf("decoding paper-single allocated %.0f objects, budget %d", got, decodeAllocsBudget)
+	for _, w := range benchShapes {
+		t.Run(w.name, func(t *testing.T) {
+			body := benchBody(256, w.tasks, w.sizes, false, 1)
+			lx := &lexer{buf: make([]byte, windowSize)}
+			rd := bytes.NewReader(nil)
+			decode := func() {
+				rd.Reset(body)
+				lx.reset(rd)
+				if _, _, apiErr := decodeRequest(lx, lim); apiErr != nil {
+					t.Fatal(apiErr)
+				}
+			}
+			decode() // grows the accumulators to the body
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			allocs := testing.AllocsPerRun(20, decode) // 21 runs: AllocsPerRun warms up once
+			runtime.ReadMemStats(&after)
+			bytesPerRun := (after.TotalAlloc - before.TotalAlloc) / 21
+			t.Logf("%s decode: %.0f allocs, %d B (budget %d, %d B)", w.name, allocs, bytesPerRun, decodeAllocsBudget, decodeBytesBudget)
+			if allocs > decodeAllocsBudget || bytesPerRun > decodeBytesBudget {
+				t.Fatalf("decoding %s allocated %.0f objects, %d B; budget %d, %d B",
+					w.name, allocs, bytesPerRun, decodeAllocsBudget, decodeBytesBudget)
+			}
+		})
 	}
 }
 
@@ -716,6 +735,7 @@ func outcomeOf(req *PlanRequest, prob *core.Problem, apiErr *apiError) decodeOut
 	if apiErr != nil {
 		return decodeOutcome{status: apiErr.status, reason: apiErr.reason, err: apiErr}
 	}
+	defer req.release() // the canonical bytes are all the outcome keeps of the problem
 	return decodeOutcome{req: req, canon: prob.AppendCanonical(nil), status: http.StatusOK}
 }
 

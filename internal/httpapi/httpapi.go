@@ -207,8 +207,32 @@ type PlanRequest struct {
 	RepairDelaySeconds float64                  `json:"repair_delay_seconds,omitempty"`
 
 	// weight caches the admission work estimate (tasks + inputs) computed
-	// by the decoder, which never materializes Tasks.
+	// by the decoder, which leaves Tasks empty: the decoded problem's tasks
+	// are arena arrays.
 	weight int64
+	// arena is the pooled lexer whose arrays the decoded problem borrows;
+	// nil when the problem borrows nothing (the reference decoder's).
+	arena *lexer
+}
+
+// release returns the arena the request's problem borrows to the pool; the
+// problem must not be read afterwards. A request that holds none is a no-op.
+func (req *PlanRequest) release() {
+	if req.arena != nil {
+		req.arena.release()
+		req.arena = nil
+	}
+}
+
+// abandon gives the arena up to the GC instead of the pool, counting it as
+// returned. After a planner error the problem may still be read: plancache.Do
+// runs a flight leader's compute detached, so a leader that left keeps
+// planning its problem.
+func (req *PlanRequest) abandon() {
+	if req.arena != nil {
+		lexersOut.Add(-1)
+		req.arena = nil
+	}
 }
 
 // PlanResponse is the body returned by POST /v1/plan.
@@ -509,6 +533,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	defer req.release()
 	release, ok := s.admit(w, r, s.planAdmit, workWeight(req))
 	if !ok {
 		return
@@ -518,6 +543,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	resp, _, err := s.plan(ctx, req, prob)
 	if err != nil {
+		req.abandon()
 		s.planFailed(w, r, err)
 		return
 	}
@@ -541,6 +567,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	defer req.release()
 	release, ok := s.admit(w, r, s.simAdmit, workWeight(req))
 	if !ok {
 		return
@@ -561,6 +588,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	prob.FS = fs
 	resp, assignment, err := s.plan(ctx, req, prob)
 	if err != nil {
+		req.abandon()
 		s.planFailed(w, r, err)
 		return
 	}

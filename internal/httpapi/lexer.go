@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+
+	"opass/internal/core"
 )
 
 // windowSize is the lexer's fixed read window. No token of a well-formed
@@ -37,17 +39,21 @@ type lexer struct {
 }
 
 // layoutAcc accumulates a request's layout as it streams in, task-major:
-// compact columns instead of a materialized []TaskSpec.
+// compact columns instead of a materialized []TaskSpec. It is also the
+// decoded problem's storage: the problem's tasks, inputs and core.Layout are
+// these arrays, so the problem is valid only while its request holds the
+// lexer.
 type layoutAcc struct {
-	taskInputs []int32   // inputs per task, in task order
-	sizes      []float64 // per-input sizes
-	repOff     []int     // input i's replicas are reps[repOff[i]:repOff[i+1]]
+	taskInputs []int32      // inputs per task, in task order
+	inputs     []core.Input // input i is chunk i, in task order
+	repOff     []int        // input i's replicas are reps[repOff[i]:repOff[i+1]]
 	reps       []int
+	tasks      []core.Task // carved over inputs once the scan is done
 }
 
 // reset empties the accumulator, keeping its storage.
 func (a *layoutAcc) reset() {
-	*a = layoutAcc{a.taskInputs[:0], a.sizes[:0], append(a.repOff[:0], 0), a.reps[:0]}
+	*a = layoutAcc{a.taskInputs[:0], a.inputs[:0], append(a.repOff[:0], 0), a.reps[:0], a.tasks[:0]}
 }
 
 var lexerPool = sync.Pool{New: func() any { return &lexer{buf: make([]byte, windowSize)} }}
@@ -70,7 +76,8 @@ func (lx *lexer) reset(r io.Reader) {
 
 // release returns the lexer, its window and its accumulator storage to the
 // pool. Nothing the lexer handed out (str, number) or accumulated may be used
-// afterwards: the next request overwrites both.
+// afterwards, the problem decoded into it included: the next request
+// overwrites both.
 func (lx *lexer) release() {
 	lx.reset(nil)
 	lexersOut.Add(-1)

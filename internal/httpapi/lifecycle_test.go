@@ -7,6 +7,9 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -261,11 +264,141 @@ func TestWorkWeight(t *testing.T) {
 	if apiErr != nil {
 		t.Fatal(apiErr)
 	}
+	defer req.release()
 	if got := workWeight(req); got != 16 {
 		t.Fatalf("workWeight = %d, want 16 (8 tasks + 8 inputs)", got)
 	}
 	empty := PlanRequest{}
 	if got := workWeight(&empty); got != 1 {
 		t.Fatalf("workWeight(empty) = %d, want floor 1", got)
+	}
+}
+
+// TestArenaWindowReleasedOnEveryWayOut: a decoded problem borrows its
+// request's pooled lexer, and every way out past the decoder gives it back
+// (TestDecodeWindowReleased covers the ways out of the decoder itself). After
+// a planner error it goes to the GC, not the pool, since a detached flight
+// leader may still be planning the problem; it counts as returned either way.
+func TestArenaWindowReleasedOnEveryWayOut(t *testing.T) {
+	raw, err := json.Marshal(layoutRequest("opass"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		opts     ServerOptions
+		route    string
+		saturate bool // hold the route's whole admission budget
+		status   int
+	}{
+		{"plan success", ServerOptions{}, "/v1/plan", false, http.StatusOK},
+		{"plan success, cache off", ServerOptions{PlanCacheEntries: -1}, "/v1/plan", false, http.StatusOK},
+		{"simulate success", ServerOptions{}, "/v1/simulate", false, http.StatusOK},
+		{"admission shed", ServerOptions{MaxInflight: 1, QueueWait: time.Millisecond}, "/v1/plan", true, http.StatusTooManyRequests},
+		{"plan deadline", ServerOptions{RequestTimeout: time.Nanosecond}, "/v1/plan", false, http.StatusServiceUnavailable},
+		{"simulate deadline", ServerOptions{RequestTimeout: time.Nanosecond}, "/v1/simulate", false, http.StatusServiceUnavailable},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewServer(tc.opts)
+			if tc.saturate {
+				if err := s.planAdmit.acquire(context.Background(), 1, time.Second); err != nil {
+					t.Fatal(err)
+				}
+				defer s.planAdmit.release(1)
+			}
+			lexers := lexersOut.Load()
+			w := httptest.NewRecorder()
+			s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, tc.route, bytes.NewReader(raw)))
+			if w.Code != tc.status {
+				t.Fatalf("status %d (%s), want %d", w.Code, w.Body, tc.status)
+			}
+			if got := lexersOut.Load(); got != lexers {
+				t.Fatalf("%d windows out after the request, %d before", got, lexers)
+			}
+		})
+	}
+	t.Run("flight leader disconnects", flightLeaderDisconnects)
+}
+
+// flightLeaderDisconnects: a plan-cache flight's leader hangs up mid-plan
+// while a coalesced follower waits. The leader's arena counts as returned at
+// once, yet its problem is still what the detached flight plans: a different
+// body of the same shape decoded meanwhile, into whatever the pool hands out,
+// must not reach the follower's answer. It runs at GOMAXPROCS(1) with the GC
+// off so a lexer wrongly pooled on the leader's way out is the one handed out.
+func flightLeaderDisconnects(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	body := benchBody(16, 256, []float64{30, 20}, false, 1)
+	other := benchBody(16, 256, []float64{30, 20}, false, 2)
+	reg := telemetry.NewRegistry()
+	s := NewServer(ServerOptions{Registry: reg})
+	entered, unblock := make(chan struct{}, 1), make(chan struct{})
+	s.plannerRan = func() {
+		entered <- struct{}{}
+		<-unblock
+	}
+	lexers := lexersOut.Load()
+	serve := func(ctx context.Context, w *httptest.ResponseRecorder, done chan<- struct{}) {
+		defer close(done)
+		s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/plan", bytes.NewReader(body)).WithContext(ctx))
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	leader, leaderDone := httptest.NewRecorder(), make(chan struct{})
+	go serve(ctx, leader, leaderDone)
+	<-entered
+	follower, followerDone := httptest.NewRecorder(), make(chan struct{})
+	go serve(context.Background(), follower, followerDone)
+	// The coalesced counter moves only once the follower is answered, so
+	// its joining shows as a second goroutine parked in the flight's wait.
+	waitFor(t, "follower coalesced", func() bool {
+		buf := make([]byte, 1<<20)
+		return strings.Count(string(buf[:runtime.Stack(buf, true)]), "plancache.(*Cache[...]).wait(") == 2
+	})
+	cancel()
+	<-leaderDone
+	if leader.Code != statusClientClosedRequest {
+		t.Errorf("leader status %d, want %d", leader.Code, statusClientClosedRequest)
+	}
+	if got := lexersOut.Load(); got != lexers+1 {
+		t.Errorf("%d windows out with the follower waiting, want %d", got, lexers+1)
+	}
+	var held []*PlanRequest
+	for range 4 {
+		req, _, apiErr := decodeProblem(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/plan", bytes.NewReader(other)), s.limits)
+		if apiErr != nil {
+			t.Fatal(apiErr)
+		}
+		held = append(held, req)
+	}
+	for _, req := range held {
+		req.release()
+	}
+	close(unblock)
+	<-followerDone
+	if got := reg.Counter(MetricPlanCacheCoalesced).Value(); got != 1 {
+		t.Fatalf("coalesced counter = %v, want 1", got)
+	}
+	if got := lexersOut.Load(); got != lexers {
+		t.Fatalf("%d windows out after both requests, %d before", got, lexers)
+	}
+	fresh := httptest.NewRecorder()
+	NewServer(ServerOptions{PlanCacheEntries: -1}).ServeHTTP(fresh, httptest.NewRequest(http.MethodPost, "/v1/plan", bytes.NewReader(body)))
+	var got, want PlanResponse
+	for _, r := range []struct {
+		w   *httptest.ResponseRecorder
+		out *PlanResponse
+	}{{follower, &got}, {fresh, &want}} {
+		if r.w.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", r.w.Code, r.w.Body)
+		}
+		if err := json.Unmarshal(r.w.Body.Bytes(), r.out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got.PlannerMillis, want.PlannerMillis = 0, 0
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("the follower's plan is not the plan of its own body")
 	}
 }
