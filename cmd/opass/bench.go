@@ -36,8 +36,8 @@ var extras = map[string]func(io.Writer, options) error{
 // arguments every one runs in catalogue order. Two names run more than a
 // catalogue study:
 //
-//	scale    after the §V-C2 planner timings, drives the full streaming
-//	         request path at bulk scale (1k→10k procs carrying 100k→1M
+//	scale    after the §V-C2 planner timings, times the /v1/plan handler
+//	         in process at bulk scale (1k→10k procs carrying 100k→1M
 //	         tasks at -scale 1; see -scalejson)
 //	planner  planner hot-path microbenchmarks (probe vs locality index;
 //	         see -benchjson); not part of the default run
@@ -49,7 +49,7 @@ func benchMain(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.outDir, "out", "", "directory to write figure data as CSV (created if missing)")
 	fs.IntVar(&o.repeats, "repeat", 1, "repeat trace studies over this many seeds and report mean±sd")
 	fs.StringVar(&o.benchJSON, "benchjson", "", "merge planner, jobmix, advisor and racks results into this JSON file")
-	fs.StringVar(&o.scaleJSON, "scalejson", "", "write the scale study's streaming-path trajectory as JSON to this file (the committed BENCH_scale.json is generated this way)")
+	fs.StringVar(&o.scaleJSON, "scalejson", "", "write the scale study's /v1/plan handler trajectory as JSON to this file (the committed BENCH_scale.json is generated this way)")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: opass bench [flags] [study ...]\n\nstudies:\n")
 		for _, st := range experiments.Catalog() {

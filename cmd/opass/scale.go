@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -8,8 +9,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"sync"
-	"sync/atomic"
+	"runtime/metrics"
+	"strconv"
 	"time"
 
 	"opass/internal/httpapi"
@@ -17,12 +18,14 @@ import (
 )
 
 // This file implements the fleet-scale half of the "scale" experiment: the
-// full request path — streaming JSON decode, pooled locality index, planner —
-// driven end to end over HTTP at bulk sizes (1k→10k processes carrying
-// 100k→1M single-input tasks at paper scale). Each row records wall time,
-// planner time, request-body bytes, and the sampled peak heap, so the
-// committed BENCH_scale.json pins the memory-amplification trajectory: peak
-// heap should stay within a small constant of the problem's resident size.
+// /v1/plan handler — MaxBytesReader, 64 KiB lexer window, pooled locality
+// index, planner, response encode — called in process at bulk sizes (1k→10k
+// processes carrying 100k→1M single-input tasks at -scale 1). Each body is
+// built in memory before the clock starts, so a row charges the service for
+// its own work only. Each row records wall time, planner time, request-body
+// bytes and the sampled peak heap beyond the body, so the committed
+// BENCH_scale.json pins the memory-amplification trajectory: peak heap should
+// stay within a small constant of the body.
 
 // scaleSizes is the proc-count trajectory at -scale 1; tasks are always
 // scaleTasksPerProc per process. -scale divides every entry: -scale 20 walks
@@ -32,6 +35,11 @@ import (
 var scaleSizes = []int{1280, 2560, 5120, 10240}
 
 const scaleTasksPerProc = 100
+
+// scaleMeasures is every report's statement of what its columns cover.
+const scaleMeasures = "wall_seconds: one in-process /v1/plan ServeHTTP call on a prebuilt body " +
+	"(decode, index, plan, encode; no network, no body generation); peak_heap_bytes: the largest " +
+	"/memory/classes/heap/objects:bytes read every 5 ms during that call, less the body the harness holds"
 
 // scaleRow is one serialized trajectory point.
 type scaleRow struct {
@@ -50,123 +58,101 @@ type scaleRow struct {
 // BENCH_scale.json document.
 type scaleReport struct {
 	GeneratedBy string     `json:"generated_by"`
+	Measures    string     `json:"measures"`
 	GoMaxProcs  int        `json:"go_max_procs"`
 	Scale       int        `json:"scale"`
 	Rows        []scaleRow `json:"rows"`
 }
 
-// writeScaleBody streams the plan request for one trajectory point as JSON:
-// procs processes pinned one per node, tasks single-input 64 MB tasks with 3
-// distinct random replicas each. Streaming generation keeps the bench's own
-// footprint out of the heap measurement — the body is never resident. It
-// returns the number of body bytes produced.
-func writeScaleBody(w io.Writer, procs, tasks int, seed int64) (int64, error) {
-	bw := newCountingWriter(w)
+// scaleBody builds the plan request for one trajectory point: procs
+// processes pinned one per node, tasks single-input 64 MB tasks with 3
+// distinct random replicas each. The buffer is sized for the longest
+// possible body up front, so building it never reallocates.
+func scaleBody(procs, tasks int, seed int64) []byte {
 	rng := rand.New(rand.NewSource(seed))
-	fmt.Fprintf(bw, `{"nodes":%d,"strategy":"opass","seed":%d,"proc_nodes":[`, procs, seed)
+	digits := len(strconv.Itoa(procs))
+	const task = `{"inputs":[{"size_mb":64,"replicas":[`
+	b := make([]byte, 0, 96+procs*(digits+1)+tasks*(len(task)+3*digits+7))
+	b = append(b, `{"nodes":`...)
+	b = strconv.AppendInt(b, int64(procs), 10)
+	b = append(b, `,"strategy":"opass","seed":`...)
+	b = strconv.AppendInt(b, seed, 10)
+	b = append(b, `,"proc_nodes":[`...)
 	for i := 0; i < procs; i++ {
 		if i > 0 {
-			io.WriteString(bw, ",")
+			b = append(b, ',')
 		}
-		fmt.Fprintf(bw, "%d", i)
+		b = strconv.AppendInt(b, int64(i), 10)
 	}
-	io.WriteString(bw, `],"tasks":[`)
+	b = append(b, `],"tasks":[`...)
 	for t := 0; t < tasks; t++ {
 		if t > 0 {
-			io.WriteString(bw, ",")
+			b = append(b, ',')
 		}
 		a := rng.Intn(procs)
-		b := (a + 1 + rng.Intn(procs-1)) % procs
-		c := (a + 1 + rng.Intn(procs-1)) % procs
-		if c == b {
-			c = (b + 1) % procs
-			if c == a {
-				c = (c + 1) % procs
+		r1 := (a + 1 + rng.Intn(procs-1)) % procs
+		r2 := (a + 1 + rng.Intn(procs-1)) % procs
+		if r2 == r1 {
+			r2 = (r1 + 1) % procs
+			if r2 == a {
+				r2 = (r2 + 1) % procs
 			}
 		}
-		fmt.Fprintf(bw, `{"inputs":[{"size_mb":64,"replicas":[%d,%d,%d]}]}`, a, b, c)
+		b = append(b, task...)
+		b = strconv.AppendInt(b, int64(a), 10)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(r1), 10)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(r2), 10)
+		b = append(b, "]}]}"...)
 	}
-	_, err := io.WriteString(bw, "]}")
-	if err == nil {
-		err = bw.err
-	}
-	return bw.n, err
+	return append(b, "]}"...)
 }
 
-// countingWriter tracks bytes written and the first error, so the generator
-// reports the body size without buffering it.
-type countingWriter struct {
-	w   io.Writer
-	n   int64
-	err error
-}
-
-func newCountingWriter(w io.Writer) *countingWriter { return &countingWriter{w: w} }
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	if c.err != nil {
-		return 0, c.err
-	}
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	c.err = err
-	return n, err
-}
-
-// heapSampler polls HeapAlloc until stopped and remembers the maximum.
-type heapSampler struct {
-	peak atomic.Uint64
-	stop chan struct{}
-	done sync.WaitGroup
-}
-
-func startHeapSampler() *heapSampler {
-	s := &heapSampler{stop: make(chan struct{})}
-	s.done.Add(1)
+// heapPeakDuring runs fn while a goroutine reads the heap's object bytes
+// every 5 ms, and returns the largest reading. A runtime/metrics read does
+// not stop the world, so the probe adds no pause to what it measures.
+func heapPeakDuring(fn func()) uint64 {
+	stop, peak := make(chan struct{}), make(chan uint64)
 	go func() {
-		defer s.done.Done()
-		var m runtime.MemStats
+		s := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+		var top uint64
 		tick := time.NewTicker(5 * time.Millisecond)
 		defer tick.Stop()
 		for {
-			runtime.ReadMemStats(&m)
-			if m.HeapAlloc > s.peak.Load() {
-				s.peak.Store(m.HeapAlloc)
-			}
+			metrics.Read(s)
+			top = max(top, s[0].Value.Uint64())
 			select {
-			case <-s.stop:
+			case <-stop:
+				peak <- top
 				return
 			case <-tick.C:
 			}
 		}
 	}()
-	return s
+	fn()
+	close(stop)
+	return <-peak
 }
 
-func (s *heapSampler) Peak() uint64 {
-	close(s.stop)
-	s.done.Wait()
-	return s.peak.Load()
-}
-
-// scaleStudy runs the streaming-path trajectory and optionally writes
+// scaleStudy runs the trajectory and optionally merges it into
 // BENCH_scale.json. The plan cache is disabled so every point pays for a
-// real planner run, and the request deadline is lifted so paper-scale rows
-// are bounded by the planner, not by the serving default.
+// real planner run and the service never holds the body, and the request
+// deadline is lifted so the largest rows are bounded by the planner, not by
+// the serving default.
 func scaleStudy(w io.Writer, cfg int, seed int64, jsonPath string) error {
-	srv := httptest.NewServer(httpapi.NewServer(httpapi.ServerOptions{
+	api := httpapi.NewServer(httpapi.ServerOptions{
 		Registry:         telemetry.NewRegistry(),
 		PlanCacheEntries: -1,
 		RequestTimeout:   time.Hour,
-	}))
-	defer srv.Close()
-
+	})
 	rep := &scaleReport{
 		GeneratedBy: "opass bench scale",
+		Measures:    scaleMeasures,
 		GoMaxProcs:  runtime.GOMAXPROCS(0),
 		Scale:       cfg,
 	}
-	fmt.Fprintln(w, "\nstreaming request path at bulk scale (decode + plan over HTTP):")
+	fmt.Fprintln(w, "\n/v1/plan handler at bulk scale (decode + plan + encode, in process):")
 	fmt.Fprintf(w, "  %-7s %-9s %12s %10s %10s %12s %9s\n",
 		"procs", "tasks", "body", "wall", "planner", "peak heap", "heap/body")
 	for _, base := range scaleSizes {
@@ -175,50 +161,39 @@ func scaleStudy(w io.Writer, cfg int, seed int64, jsonPath string) error {
 			continue
 		}
 		tasks := procs * scaleTasksPerProc
-
+		body := scaleBody(procs, tasks, seed)
+		rec := httptest.NewRecorder()
 		runtime.GC()
-		sampler := startHeapSampler()
-		pr, pw := io.Pipe()
-		sized := make(chan int64, 1)
-		go func() {
-			n, err := writeScaleBody(pw, procs, tasks, seed)
-			sized <- n
-			pw.CloseWithError(err)
-		}()
-		start := time.Now()
-		resp, err := http.Post(srv.URL+"/v1/plan", "application/json", pr)
-		if err != nil {
-			return fmt.Errorf("scale %d procs: %w", procs, err)
-		}
-		// Decode only the scalar fields; the owner/list arrays stream
-		// through the decoder without being retained.
+
+		var wall time.Duration
+		peak := heapPeakDuring(func() {
+			start := time.Now()
+			api.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/plan", bytes.NewReader(body)))
+			wall = time.Since(start)
+		})
+		peak -= min(peak, uint64(cap(body)))
+
 		var out struct {
 			LocalityFraction float64 `json:"locality_fraction"`
 			PlannerMillis    float64 `json:"planner_ms"`
 			Error            string  `json:"error"`
 		}
-		decErr := json.NewDecoder(resp.Body).Decode(&out)
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		wall := time.Since(start)
-		peak := sampler.Peak()
-		bodyBytes := <-sized
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("scale %d procs: status %d: %s", procs, resp.StatusCode, out.Error)
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			return fmt.Errorf("scale %d procs: status %d, decode response: %w", procs, rec.Code, err)
 		}
-		if decErr != nil {
-			return fmt.Errorf("scale %d procs: decode response: %w", procs, decErr)
+		if rec.Code != http.StatusOK {
+			return fmt.Errorf("scale %d procs: status %d: %s", procs, rec.Code, out.Error)
 		}
 
 		row := scaleRow{
 			Procs:            procs,
 			Tasks:            tasks,
 			Nodes:            procs,
-			BodyBytes:        bodyBytes,
+			BodyBytes:        int64(len(body)),
 			WallSeconds:      wall.Seconds(),
 			PlannerSeconds:   out.PlannerMillis / 1e3,
 			PeakHeapBytes:    peak,
-			HeapPerBodyByte:  float64(peak) / float64(bodyBytes),
+			HeapPerBodyByte:  float64(peak) / float64(len(body)),
 			LocalityFraction: out.LocalityFraction,
 		}
 		rep.Rows = append(rep.Rows, row)

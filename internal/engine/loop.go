@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 
+	"opass/internal/cluster"
 	"opass/internal/simnet"
 )
 
@@ -134,7 +135,7 @@ type sim struct {
 	failed       map[int]bool
 	avoidFailed  func(node int) bool
 	degraded     map[int]float64 // node -> disk factor currently in effect
-	remoteFactor float64         // weight of a process whose node lost its storage service
+	remoteFactor float64         // StorageDeadWeight of the run's topology
 	holders      []int           // scratch for the steered replica pick
 
 	// Cluster-wide outcomes, copied into every job's Result at the end.
@@ -155,20 +156,14 @@ func simulate(ctx context.Context, opts *Options, jobs []*job, sched ClusterSche
 		return fmt.Errorf("engine: network busy with %d flows at run start", net.Active())
 	}
 	s := &sim{
-		opts:     opts,
-		sched:    sched,
-		net:      net,
-		start:    net.Now(),
-		jobs:     jobs,
-		failed:   make(map[int]bool),
-		degraded: make(map[int]float64),
-		// Failures take down a node's storage service, not its process: the
-		// process keeps computing but every read it issues goes remote, so
-		// its replanning share is discounted by the remote/local read-speed
-		// ratio rather than zeroed — zeroing it would idle a live worker
-		// (and, for a transient outage, drain its list and terminate it
-		// before the node comes back).
-		remoteFactor: opts.Topo.UncontendedLocalRead(64) / opts.Topo.UncontendedRemoteRead(64),
+		opts:         opts,
+		sched:        sched,
+		net:          net,
+		start:        net.Now(),
+		jobs:         jobs,
+		failed:       make(map[int]bool),
+		degraded:     make(map[int]float64),
+		remoteFactor: StorageDeadWeight(opts.Topo),
 	}
 	s.avoidFailed = func(node int) bool { return s.failed[node] }
 	for _, rt := range jobs {
@@ -489,6 +484,16 @@ func (s *sim) nodeFailed(pd pending) {
 		s.startInput(victim.job, victim.proc) // re-picks avoiding failed nodes
 	}
 	s.maybeReplan(pd.node)
+}
+
+// StorageDeadWeight is the replanning weight of a process whose node lost its
+// storage service. A failure takes down the DataNode, not the process: it
+// keeps computing but every read it issues goes remote, so its share is
+// discounted by the remote/local read-time ratio of a 64 MB chunk rather
+// than zeroed — zeroing it would idle a live worker (and, for a transient
+// outage, drain its list and terminate it before the node comes back).
+func StorageDeadWeight(topo *cluster.Topology) float64 {
+	return topo.UncontendedLocalRead(64) / topo.UncontendedRemoteRead(64)
 }
 
 // nodeWeight is a process's current "load capacity" (§IV-D) for replanning:

@@ -29,6 +29,8 @@ type ReplanRig struct {
 	FS    *dfs.FileSystem // the store Prob reads, after the crash
 	Lists [][]int         // the cold assignment's per-process dispatch lists
 	Since uint64          // FS.Epoch() before the crash
+
+	deadWeight float64 // engine.StorageDeadWeight of the rig's topology
 }
 
 // BuildReplanRig builds the seeded workload at the given scale, plans it
@@ -49,14 +51,15 @@ func BuildReplanRig(procs int) (*ReplanRig, error) {
 	if _, _, err := rig.FS.Crash(ReplanVictim); err != nil {
 		return nil, err
 	}
-	return &ReplanRig{Prob: p, FS: rig.FS, Lists: a.Lists, Since: since}, nil
+	return &ReplanRig{Prob: p, FS: rig.FS, Lists: a.Lists, Since: since,
+		deadWeight: engine.StorageDeadWeight(rig.Topo)}, nil
 }
 
-// weight excludes the dead node's process from new work, as the engine's
-// fault hooks do.
+// weight gives the victim's process what the engine's fault hooks give a
+// storage-dead node (its node lost storage, not compute); the rest weigh 1.
 func (r *ReplanRig) weight(node int) float64 {
 	if node == ReplanVictim {
-		return 0
+		return r.deadWeight
 	}
 	return 1
 }
