@@ -89,15 +89,3 @@ func (bb *bodyBuf) release() {
 	bodiesOut.Add(-1)
 	bodyPool.Put(bb)
 }
-
-// bodyCopy is an io.Writer keeping an exact-size copy of what json.Encoder
-// writes: the whole encoded value, in one Write.
-type bodyCopy []byte
-
-func (c *bodyCopy) Write(p []byte) (int, error) {
-	if *c == nil {
-		*c = make([]byte, 0, len(p))
-	}
-	*c = append(*c, p...)
-	return len(p), nil
-}

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"opass/internal/report"
 	"opass/internal/telemetry"
 )
 
@@ -319,4 +320,27 @@ func TestSimulateOversizedInputsAre400(t *testing.T) {
 	body := `{"nodes":2,"tasks":[{"inputs":[{"size_mb":1e307,"replicas":[0]}]},{"inputs":[{"size_mb":1e307,"replicas":[1]}]}]}`
 	resp, out := postRaw(t, srv, "/v1/simulate", body)
 	rejection(t, reg, resp, out, http.StatusBadRequest, "invalid", "size 1e+307")
+}
+
+// TestSimulateRenderNaNSummaryIs500: the simulate renderer, handed a summary
+// that does not marshal, answers as writeJSON does in
+// TestSimulateMarshalFailureIs500: a 500 with the JSON envelope, counted as a
+// response failure, and no 200 byte written.
+func TestSimulateRenderNaNSummaryIs500(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	s := NewServer(ServerOptions{Registry: reg})
+	rec := httptest.NewRecorder()
+	r := httptest.NewRequest(http.MethodPost, "/v1/simulate", nil)
+	plan := PlanResponse{Strategy: "opass-flow", Owner: []int{0}, Lists: [][]int{{0}}, LocalityFraction: 1}
+	s.writeSimulate(rec, r, &SimulateResponse{Plan: plan, Summary: report.Summary{Makespan: math.NaN()}})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500: %q", rec.Code, rec.Body.Bytes())
+	}
+	var e errorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || !strings.Contains(e.Error, "unsupported value") {
+		t.Fatalf("body %q is not the JSON envelope naming the marshal failure (%v)", rec.Body.Bytes(), err)
+	}
+	if got := metricValue(t, reg, MetricResponseErrors, `route="/v1/simulate"`); got != 1 {
+		t.Fatalf("response-error counter = %v, want 1", got)
+	}
 }

@@ -224,6 +224,16 @@ func (req *PlanRequest) release() {
 	}
 }
 
+// window is the request's decode window, idle once the problem is decoded,
+// for the response to stream through; a request without an arena gets a
+// fresh one.
+func (req *PlanRequest) window() []byte {
+	if req.arena != nil {
+		return req.arena.buf
+	}
+	return make([]byte, windowSize)
+}
+
 // abandon gives the arena up to the GC instead of the pool, counting it as
 // returned. After a planner error the problem may still be read: plancache.Do
 // runs a flight leader's compute detached, so a leader that left keeps
@@ -547,19 +557,20 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		s.planFailed(w, r, err)
 		return
 	}
-	if !aliasable {
-		s.writeJSON(w, r, http.StatusOK, resp)
+	if !aliasable && !wantsPretty(r) {
+		s.streamPlan(w, r, &resp, req.window())
 		return
 	}
-	var out bodyCopy
-	if err := encodeJSON(&out, r, resp); err != nil {
-		s.writeFailed(r, http.StatusOK, err)
-		s.writeJSON(w, r, http.StatusInternalServerError, errorBody{Error: err.Error()})
+	out, err := planBody(r, &resp)
+	if err != nil {
+		s.renderFailed(w, r, err)
 		return
 	}
 	s.writeBody(w, r, out)
-	s.planCache.Insert(alias, cachedPlan{body: out}, int64(len(out))+entryOverheadBytes)
-	s.cacheGauges()
+	if aliasable {
+		s.planCache.Insert(alias, cachedPlan{body: out}, int64(len(out))+entryOverheadBytes)
+		s.cacheGauges()
+	}
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
@@ -624,7 +635,17 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	s.reg.Gauge(MetricSimLastTasksRun).Set(float64(res.TasksRun))
 	s.reg.Gauge(MetricSimLastRetries).Set(float64(res.Retries))
 	s.reg.Gauge(MetricSimLastLocality).Set(res.LocalFraction())
-	s.writeJSON(w, r, http.StatusOK, SimulateResponse{Plan: resp, Summary: report.Summarize(res)})
+	s.writeSimulate(w, r, &SimulateResponse{Plan: resp, Summary: report.Summarize(res)})
+}
+
+// writeSimulate answers 200 with v.
+func (s *Server) writeSimulate(w http.ResponseWriter, r *http.Request, v *SimulateResponse) {
+	body, err := simulateBody(r, v)
+	if err != nil {
+		s.renderFailed(w, r, err)
+		return
+	}
+	s.writeBody(w, r, body)
 }
 
 // reject answers a decode failure, bucketing it in the rejection counter.
@@ -735,7 +756,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, r *http.Request, status int, v
 
 // writeBody answers 200 with an already-encoded JSON body.
 func (s *Server) writeBody(w http.ResponseWriter, r *http.Request, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(http.StatusOK)
 	if _, err := w.Write(body); err != nil {
 		s.writeFailed(r, http.StatusOK, err)
@@ -755,13 +776,13 @@ func (s *Server) writeFailed(r *http.Request, status int, err error) {
 	}
 }
 
-// encodeJSON renders v as a response body, newline-terminated: compact by
-// default — at 1M tasks the indented envelope nearly doubles the response
-// bytes — and indented under ?pretty=1. json.Encoder marshals the whole value
-// before its one Write to w.
+// encodeJSON renders v, an error envelope (plan bodies go through
+// render.go), as a response body, newline-terminated: compact by default and
+// indented under ?pretty=1. json.Encoder marshals the whole value before its
+// one Write to w.
 func encodeJSON(w io.Writer, r *http.Request, v any) error {
 	enc := json.NewEncoder(w)
-	if r.URL.Query().Get("pretty") == "1" {
+	if wantsPretty(r) {
 		enc.SetIndent("", "  ")
 	}
 	return enc.Encode(v)
@@ -812,10 +833,12 @@ func planFingerprint(prob *core.Problem, strategy string, seed int64) plancache.
 const entryOverheadBytes = 256
 
 // planSizeBytes estimates a cached plan's memory footprint for the cache's
-// byte bound: slice payloads plus headers and the fixed envelope.
-func planSizeBytes(resp *PlanResponse) int64 {
-	n := int64(len(resp.Owner)) * 8
-	for _, l := range resp.Lists {
+// byte bound: slice payloads plus headers and the fixed envelope. The
+// assignment shares Owner and Lists with the response; its Matched flags (nil
+// on a plan adopted from the shared tier) are its own.
+func planSizeBytes(cp *cachedPlan) int64 {
+	n := int64(len(cp.resp.Owner))*8 + int64(len(cp.a.Matched))
+	for _, l := range cp.resp.Lists {
 		n += 24 + int64(len(l))*8
 	}
 	return n + entryOverheadBytes
@@ -838,10 +861,11 @@ func (s *Server) tierKeyFor(key plancache.Key) string {
 	return plancache.TierKey(s.tierNS, key)
 }
 
-// tierFetch asks the shared tier for an already-computed plan. Every
-// failure mode — backend error, undecodable bytes, a plan that does not
-// validate against the problem — degrades to a miss.
-func (s *Server) tierFetch(ctx context.Context, prob *core.Problem, key plancache.Key) (cachedPlan, bool) {
+// tierFetch asks the shared tier for an already-computed plan of strategy.
+// Every failure mode — backend error, undecodable bytes, a plan of another
+// strategy or one that does not validate against the problem — degrades to a
+// miss.
+func (s *Server) tierFetch(ctx context.Context, prob *core.Problem, strategy string, key plancache.Key) (cachedPlan, bool) {
 	if s.tier == nil {
 		return cachedPlan{}, false
 	}
@@ -855,7 +879,7 @@ func (s *Server) tierFetch(ctx context.Context, prob *core.Problem, key plancach
 		return cachedPlan{}, false
 	}
 	var tp tierPlan
-	if err := json.Unmarshal(data, &tp); err != nil {
+	if err := json.Unmarshal(data, &tp); err != nil || tp.Resp.Strategy != strategy {
 		s.reg.Counter(MetricPlanCacheRemoteErrors).Inc()
 		return cachedPlan{}, false
 	}
@@ -877,7 +901,7 @@ func (s *Server) tierPublish(ctx context.Context, key plancache.Key, resp *PlanR
 	if s.tier == nil {
 		return
 	}
-	data, err := json.Marshal(tierPlan{Resp: *resp, LocalMB: a.PlannedLocalMB, TotalMB: a.PlannedTotalMB})
+	data, err := tierValue(resp, a.PlannedLocalMB, a.PlannedTotalMB)
 	if err != nil {
 		s.reg.Counter(MetricPlanCacheRemoteErrors).Inc()
 		return
@@ -905,15 +929,16 @@ func (s *Server) plan(ctx context.Context, req *PlanRequest, prob *core.Problem)
 	// inside the flight: when another replica already planned this
 	// fingerprint, its plan is adopted and the local planner never runs.
 	compute := func(cctx context.Context) (cachedPlan, int64, error) {
-		if cp, ok := s.tierFetch(cctx, prob, key); ok {
-			return cp, planSizeBytes(&cp.resp), nil
+		if cp, ok := s.tierFetch(cctx, prob, assigner.Name(), key); ok {
+			return cp, planSizeBytes(&cp), nil
 		}
 		resp, a, err := s.computePlan(cctx, assigner, prob)
 		if err != nil {
 			return cachedPlan{}, 0, err
 		}
 		s.tierPublish(cctx, key, &resp, a)
-		return cachedPlan{resp: resp, a: a}, planSizeBytes(&resp), nil
+		cp := cachedPlan{resp: resp, a: a}
+		return cp, planSizeBytes(&cp), nil
 	}
 	if s.planCache == nil { // no L1: nothing to coalesce on or count
 		cached, _, err := compute(ctx)

@@ -216,3 +216,27 @@ func TestSimulateSharesPlanCache(t *testing.T) {
 		t.Fatalf("planner ran %d times across plan+simulate of one layout, want 1", got)
 	}
 }
+
+// TestPlanCacheBytesCountEveryEntry: after one cold /v1/plan the byte gauge
+// is the plan entry's estimate — owner and list payloads, list headers, one
+// Matched flag per task (the single-data planner records one for each), the
+// envelope — plus the body alias: the response bytes and their envelope.
+func TestPlanCacheBytesCountEveryEntry(t *testing.T) {
+	srv, _, reg := countingServer(t, ServerOptions{})
+	resp, body := post(t, srv, "/v1/plan", layoutRequest("opass"))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	var plan PlanResponse
+	if err := json.Unmarshal(body, &plan); err != nil {
+		t.Fatal(err)
+	}
+	want := 8*len(plan.Owner) + len(plan.Owner) + entryOverheadBytes
+	for _, l := range plan.Lists {
+		want += 24 + 8*len(l)
+	}
+	want += len(body) + entryOverheadBytes
+	if got := reg.Gauge(MetricPlanCacheBytes).Value(); got != float64(want) {
+		t.Fatalf("%s = %v, want %d", MetricPlanCacheBytes, got, want)
+	}
+}

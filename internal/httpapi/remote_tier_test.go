@@ -178,3 +178,29 @@ func TestRemoteTierKeyPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestTierPlanOfAnotherStrategyIsAMiss: a tier value under the right key
+// whose plan names another strategy is a miss, counted as a remote error,
+// so every strategy the renderer writes is one the service resolved.
+func TestTierPlanOfAnotherStrategyIsAMiss(t *testing.T) {
+	tier := &recordingTier{}
+	srvA, _, _ := replica(t, tier)
+	if resp, body := post(t, srvA, "/v1/plan", layoutRequest("opass")); resp.StatusCode != http.StatusOK {
+		t.Fatalf("replica A: %d %s", resp.StatusCode, body)
+	}
+	for k, v := range tier.data {
+		tier.data[k] = []byte(strings.Replace(string(v), `"strategy":"opass-flow"`, `"strategy":"rank-static"`, 1))
+	}
+	srvB, regB, ranB := replica(t, tier)
+	resp, body := post(t, srvB, "/v1/plan", layoutRequest("opass"))
+	var plan PlanResponse
+	if err := json.Unmarshal(body, &plan); resp.StatusCode != http.StatusOK || err != nil || plan.Strategy != "opass-flow" {
+		t.Fatalf("replica B: %d %s (%v)", resp.StatusCode, body, err)
+	}
+	if ranB.Load() != 1 {
+		t.Fatalf("replica B planner runs = %d, want 1", ranB.Load())
+	}
+	if got := metricValue(t, regB, MetricPlanCacheRemoteErrors); got != 1 {
+		t.Fatalf("replica B remote errors = %v, want 1", got)
+	}
+}
