@@ -181,6 +181,9 @@ func decodeRequest(lx *lexer, lim RequestLimits) (*PlanRequest, *core.Problem, *
 					lx.fail(badRequest("too_many_tasks",
 						"request lists more than maximum %d tasks", lim.Tasks))
 				}
+				if lx.compactTask(lim.InputsPerTask) {
+					continue
+				}
 				ii := 0
 				for seen := uint(0); lx.member(taskFields, &seen); { // "inputs" is the only field
 					for ; lx.elem(ii); ii++ {
@@ -237,15 +240,11 @@ func decodeRequest(lx *lexer, lim RequestLimits) (*PlanRequest, *core.Problem, *
 		return nil, nil, apiErr
 	}
 	// Replica range/distinctness, deferred from the streaming loop because
-	// JSON key order does not guarantee nodes arrives before tasks. The
-	// stamp array replaces a per-input set: stamp[n] == i marks node n as
-	// already seen for input i. Each checked row is then insertion-sorted in
-	// place: the placement view promises ascending rows, the order the dfs
-	// ledger keeps and every fingerprint was defined over.
-	stamp := make([]int, req.Nodes)
-	for i := range stamp {
-		stamp[i] = -1
-	}
+	// JSON key order does not guarantee nodes arrives before tasks. Each row
+	// is insertion-sorted in place as it is checked (the placement view
+	// promises ascending rows, the order the dfs ledger keeps and every
+	// fingerprint was defined over), so a replica already in the row's prefix
+	// lands next to its twin: the neighbour test is the distinctness check.
 	in := 0
 	for ti := 0; ti < numTasks; ti++ {
 		for ii := 0; ii < int(taskInputs[ti]); ii++ {
@@ -254,12 +253,11 @@ func decodeRequest(lx *lexer, lim RequestLimits) (*PlanRequest, *core.Problem, *
 				if rep < 0 || rep >= req.Nodes {
 					return nil, nil, badRequest("invalid", "task %d input %d: replica node %d outside cluster", ti, ii, rep)
 				}
-				if stamp[rep] == in {
-					return nil, nil, badRequest("invalid", "task %d input %d: duplicate replica node %d", ti, ii, rep)
-				}
-				stamp[rep] = in
 				for ; k > 0 && row[k-1] > rep; k-- {
 					row[k-1], row[k] = rep, row[k-1]
+				}
+				if k > 0 && row[k-1] == rep {
+					return nil, nil, badRequest("invalid", "task %d input %d: duplicate replica node %d", ti, ii, rep)
 				}
 			}
 			in++

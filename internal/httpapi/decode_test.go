@@ -7,11 +7,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -511,13 +513,14 @@ func BenchmarkDecodeProblem(b *testing.B) {
 }
 
 // decodeAllocsBudget is what decoding a bench body into a warm lexer
-// allocates: the request, the problem, its layout header, the replica check's
-// stamp array and the default process list — none per token, task or input,
-// since the problem borrows the lexer's arrays (BenchmarkDecodeProblem's
-// allocs/op also count its request, recorder and pooled lexer).
-// decodeBytesBudget bounds their size: the last two hold one word per node.
+// allocates: the request, the problem, its layout header and the default
+// process list — none per token, task, input or node checked, since the
+// problem borrows the lexer's arrays and the replica check runs in place
+// (BenchmarkDecodeProblem's allocs/op also count its request, recorder and
+// pooled lexer). decodeBytesBudget bounds their size: the process list holds
+// one word per node.
 const (
-	decodeAllocsBudget = 5
+	decodeAllocsBudget = 4
 	decodeBytesBudget  = 8 << 10
 )
 
@@ -766,11 +769,155 @@ func (a decodeOutcome) same(b decodeOutcome) string {
 	return ""
 }
 
+// compactInput and compactTaskOf write an input and a task the way
+// encoding/json writes an InputSpec and a TaskSpec.
+func compactInput(size, replicas string) string {
+	return `{"size_mb":` + size + `,"replicas":[` + replicas + `]}`
+}
+
+func compactTaskOf(inputs ...string) string {
+	return `{"inputs":[` + strings.Join(inputs, ",") + `]}`
+}
+
+// compactTaskInputs is the inputs cap the compactTask tests run under, the
+// same as FuzzDecode's and waysOutLimits'.
+const compactTaskInputs = 3
+
+// compactTaskRefusals are tasks one deviation away from the shape
+// compactTask takes whole: whitespace at every offset of a compact task, the
+// other key order, a repeated key, signs, fractions, exponents, leading
+// zeros and over-long runs in either number, a zero size, empty or
+// malformed replica arrays, no inputs, one input past compactTaskInputs, and
+// (where int is 32 bits) a replica that overflows int.
+var compactTaskRefusals = func() []string {
+	base := compactTaskOf(compactInput("64", "0,2"), compactInput("8", "1"))
+	var tasks []string
+	for i := 1; i < len(base); i++ {
+		tasks = append(tasks, base[:i]+" "+base[i:])
+	}
+	for _, size := range []string{"-1", "1.5", "1.0", "1e2", "01", "0", "-0", strings.Repeat("1", 16), "null"} {
+		tasks = append(tasks, compactTaskOf(compactInput(size, "0")))
+	}
+	for _, reps := range []string{"-1", "1.0", "1e0", "01", "", "0,", ",0", "0,,1", strings.Repeat("1", 19)} {
+		tasks = append(tasks, compactTaskOf(compactInput("1", reps)))
+	}
+	if strconv.IntSize == 32 {
+		tasks = append(tasks, compactTaskOf(compactInput("1", strconv.Itoa(math.MaxInt32)+"0")))
+	}
+	return append(tasks,
+		`{"inputs":[{"replicas":[0],"size_mb":1}]}`,
+		`{"inputs":[{"size_mb":1,"replicas":[0],"size_mb":1}]}`,
+		`{"inputs":[{"size_mb":1}]}`,
+		`{"inputs":[]}`,
+		`{"inputs":null}`,
+		compactTaskOf(compactInput("1", "0"), compactInput("2", "1"), compactInput("3", "2"), compactInput("4", "3")))
+}()
+
+// compactTaskAccepts are compact tasks compactTask takes whole, with the
+// sizes and replica rows it must accumulate.
+var compactTaskAccepts = []struct {
+	name, task string
+	sizes      []float64
+	reps       [][]int
+}{
+	{"one input", compactTaskOf(compactInput("64", "2")), []float64{64}, [][]int{{2}}},
+	{"inputs up to the cap", compactTaskOf(compactInput("30", "3,1,2"), compactInput("20", "0"), compactInput("10", "2,0")),
+		[]float64{30, 20, 10}, [][]int{{3, 1, 2}, {0}, {2, 0}}},
+	{"multi-digit values", compactTaskOf(compactInput("999999999999999", "2147483647,0,10")),
+		[]float64{999999999999999}, [][]int{{2147483647, 0, 10}}},
+}
+
+// TestCompactTask: compactTask takes each accepted task whole, past an
+// earlier task in the same accumulator, and declines every refusal, and
+// every accepted task cut short by the window's end, consuming nothing and
+// leaving every accumulator length as it was.
+func TestCompactTask(t *testing.T) {
+	const prior = `{"inputs":[{"size_mb":5,"replicas":[1,0]}]},`
+	lens := func(a *layoutAcc) [4]int { return [4]int{len(a.taskInputs), len(a.inputs), len(a.repOff), len(a.reps)} }
+	// primed returns a lexer whose accumulator holds the prior task and whose
+	// cursor is on text.
+	primed := func(t *testing.T, text string) *lexer {
+		lx := &lexer{buf: []byte(prior + text), end: len(prior) + len(text)}
+		lx.acc.reset()
+		if !lx.compactTask(compactTaskInputs) {
+			t.Fatal("the prior task was declined")
+		}
+		lx.pos++ // the ','
+		return lx
+	}
+	declines := func(t *testing.T, text string) {
+		lx := primed(t, text)
+		before, pos := lens(&lx.acc), lx.pos
+		if lx.compactTask(compactTaskInputs) {
+			t.Fatalf("took %q", text)
+		}
+		if got := lens(&lx.acc); got != before || lx.pos != pos {
+			t.Fatalf("declining %q moved the cursor %d → %d or the accumulator lengths %v → %v", text, pos, lx.pos, before, got)
+		}
+	}
+	for _, tc := range compactTaskAccepts {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, tail := range []string{"", "]}", ","} { // the last task of a window, of a list, or not
+				lx := primed(t, tc.task+tail)
+				if !lx.compactTask(compactTaskInputs) {
+					t.Fatalf("declined with %q after it", tail)
+				}
+				a := &lx.acc
+				if lx.pos != len(prior)+len(tc.task) || !slices.Equal(a.taskInputs, []int32{1, int32(len(tc.sizes))}) {
+					t.Fatalf("cursor %d, inputs per task %v", lx.pos, a.taskInputs)
+				}
+				for i, size := range tc.sizes {
+					in, row := a.inputs[1+i], a.reps[a.repOff[1+i]:a.repOff[2+i]]
+					if in.SizeMB != size || in.Chunk != dfs.ChunkID(1+i) || !slices.Equal(row, tc.reps[i]) {
+						t.Fatalf("input %d: %+v with replicas %v, want size %v, replicas %v", i, in, row, size, tc.reps[i])
+					}
+				}
+				if len(a.inputs) != 1+len(tc.sizes) || len(a.repOff) != 2+len(tc.sizes) || a.repOff[len(a.repOff)-1] != len(a.reps) {
+					t.Fatalf("%d inputs, repOff %v over %d replicas", len(a.inputs), a.repOff, len(a.reps))
+				}
+			}
+			for cut := 1; cut < len(tc.task); cut++ {
+				declines(t, tc.task[:cut])
+			}
+		})
+	}
+	for _, task := range compactTaskRefusals {
+		declines(t, task+"]}")
+	}
+}
+
+// TestDecodeReplicaRowErrors pins the replica post-pass's messages and the
+// element each fires at: rows in task and input order, each left to right,
+// the range test before the distinctness test, whichever path scanned the
+// row.
+func TestDecodeReplicaRowErrors(t *testing.T) {
+	one := func(reps string) string {
+		return `{"nodes":4,"tasks":[` + compactTaskOf(compactInput("1", reps)) + `]}`
+	}
+	for _, tc := range []struct{ body, want string }{
+		{one("1,3,1"), "task 0 input 0: duplicate replica node 1"},
+		{one("3,2,1,0,3"), "task 0 input 0: duplicate replica node 3"},
+		{one("2,9,2"), "task 0 input 0: replica node 9 outside cluster"},
+		{one("2,2,9"), "task 0 input 0: duplicate replica node 2"},
+		{one("-1,0"), "task 0 input 0: replica node -1 outside cluster"},
+		{one("0, 0"), "task 0 input 0: duplicate replica node 0"},
+		{`{"nodes":4,"tasks":[` + compactTaskOf(compactInput("1", "0")) + `,` +
+			compactTaskOf(compactInput("1", "0"), compactInput("1", "3,0,3")) + `]}`, "task 1 input 1: duplicate replica node 3"},
+	} {
+		lx := &lexer{r: strings.NewReader(tc.body), buf: make([]byte, windowSize)}
+		if _, _, apiErr := decodeRequest(lx, waysOutLimits); apiErr == nil || apiErr.reason != "invalid" || apiErr.Error() != tc.want {
+			t.Errorf("%s: got %v, want invalid %q", tc.body, apiErr, tc.want)
+		}
+	}
+}
+
 // fastPathEdgeBodies sit where the lexer's fast paths hand over to number,
 // elem and str: integer literals the fused scan must take whole or refuse
 // (signs, leading zeros, fractions, exponents, and runs either side of its
 // 15-digit float and 18-digit integer limits), replica arrays that are not
-// compact, keys one byte off a known name, and bodies cut inside a key.
+// compact, keys one byte off a known name, bodies cut inside a key, and
+// every compactTask refusal and acceptance as a request's only task or
+// between two compact tasks.
 var fastPathEdgeBodies = func() []string {
 	input := func(obj string) string { return `{"nodes":4,"tasks":[{"inputs":[` + obj + `]}]}` }
 	var bodies []string
@@ -787,6 +934,14 @@ var fastPathEdgeBodies = func() []string {
 	}
 	for _, key := range []string{"size", "size_mbx", "replica"} {
 		bodies = append(bodies, input(`{"`+key+`":1,"replicas":[0]}`))
+	}
+	var tasks []string
+	for _, tc := range compactTaskAccepts {
+		tasks = append(tasks, tc.task)
+	}
+	for _, task := range append(tasks, compactTaskRefusals...) {
+		bodies = append(bodies, `{"nodes":4,"tasks":[`+task+`]}`,
+			`{"nodes":4,"tasks":[`+tasks[1]+`,`+task+`,`+tasks[0]+`]}`)
 	}
 	return append(bodies, `{"nodes":4,"tasks":[{"inputs":[{"size_mb`, `{"nodes":4,"tasks":[{"inputs":[{"size_m`)
 }()

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"opass/internal/core"
+	"opass/internal/dfs"
 )
 
 // windowSize is the lexer's fixed read window. No token of a well-formed
@@ -496,31 +497,90 @@ func (lx *lexer) float() float64 {
 }
 
 // ints appends an array of integers to dst. A compact array of unsigned
-// literals that lies whole in the window ("[3,0,7]") is scanned in one loop;
-// at anything else (whitespace, a sign, an empty array, a refill) it
-// rewinds dst and takes the array again through elem and int.
+// literals that lies whole in the window ("[3,0,7]") is taken by compactInts;
+// at anything else (whitespace, a sign, an empty array, a refill) elem and
+// int take the array from its '[', appending to dst as it was passed in.
 func (lx *lexer) ints(dst []int) []int {
-	n0 := len(dst)
 	if lx.peek() == '[' {
-		b := lx.buf[lx.pos:lx.end]
-		for i := 1; ; {
-			v, n := leadingUint(b[i:], 18)
-			if n == 0 || int64(int(v)) != v { // int may be 32 bits
-				break
-			}
-			dst = append(dst, int(v))
-			if i += n; b[i] == ']' {
-				lx.pos += i + 1
-				return dst
-			} else if b[i] != ',' {
-				break
-			}
-			i++
+		if out, n := compactInts(dst, lx.buf[lx.pos+1:lx.end]); n > 0 {
+			lx.pos += n + 1
+			return out
 		}
 	}
-	dst = dst[:n0]
 	for i := 0; lx.elem(i); i++ {
 		dst = append(dst, lx.int())
 	}
 	return dst
+}
+
+// compactInts is the one-loop scan of a compact array of unsigned integer
+// literals: b follows the '[', and on success it returns dst with the values
+// appended and the bytes taken through the ']'. It returns n == 0 at the
+// first byte of any other shape, an empty array, a value that overflows int
+// (which may be 32 bits) or the end of b.
+func compactInts(dst []int, b []byte) (out []int, n int) {
+	for i := 0; ; i++ {
+		v, k := leadingUint(b[i:], 18)
+		if k == 0 || int64(int(v)) != v {
+			return dst, 0
+		}
+		dst = append(dst, int(v))
+		if i += k; b[i] == ']' { // leadingUint leaves a byte behind the literal
+			return dst, i + 1
+		} else if b[i] != ',' {
+			return dst, 0
+		}
+	}
+}
+
+// compactTask is the tasks loop's fast path. When the window holds a whole
+// task in the shape encoding/json writes a TaskSpec in, with no whitespace —
+// {"inputs":[{"size_mb":N,"replicas":[a,b,…]},…]} — and every size a nonzero
+// unsigned integer literal of at most 15 digits, every replica array
+// non-empty and at most maxInputs inputs, it appends the task to the
+// accumulator, consumes it and returns true. At the first byte that differs
+// it returns false having consumed and accumulated nothing: the general path
+// then takes the task and reports whatever is wrong with it.
+func (lx *lexer) compactTask(maxInputs int) bool {
+	// The keys are compared as constants (a helper taking them as arguments
+	// compiles to a memequal call per key).
+	const open, size, replicas = `{"inputs":[`, `{"size_mb":`, `,"replicas":[`
+	b := lx.buf[lx.pos:lx.end]
+	if len(b) < len(open) || string(b[:len(open)]) != open {
+		return false
+	}
+	// The task grows copies of the accumulator's slice headers, stored back
+	// only once it is whole.
+	inputs, repOff, reps := lx.acc.inputs, lx.acc.repOff, lx.acc.reps
+	for i, ii := len(open), 1; ii <= maxInputs; ii++ {
+		if len(b) < i+len(size) || string(b[i:i+len(size)]) != size {
+			return false
+		}
+		v, n := leadingUint(b[i+len(size):], 15)
+		if i += len(size) + n; n == 0 || v == 0 || len(b) < i+len(replicas) || string(b[i:i+len(replicas)]) != replicas {
+			return false
+		}
+		if reps, n = compactInts(reps, b[i+len(replicas):]); n == 0 {
+			return false
+		}
+		// The input's '}' and at least two bytes after it: ',' and the next
+		// input's first, or the task's "]}".
+		if i += len(replicas) + n; i+2 >= len(b) || b[i] != '}' {
+			return false
+		}
+		inputs = append(inputs, core.Input{Chunk: dfs.ChunkID(len(inputs)), SizeMB: float64(v)})
+		repOff = append(repOff, len(reps))
+		switch {
+		case b[i+1] == ',':
+			i += 2
+		case b[i+1] == ']' && b[i+2] == '}':
+			lx.acc.inputs, lx.acc.repOff, lx.acc.reps = inputs, repOff, reps
+			lx.acc.taskInputs = append(lx.acc.taskInputs, int32(ii))
+			lx.pos += i + 3
+			return true
+		default:
+			return false
+		}
+	}
+	return false
 }
