@@ -102,6 +102,62 @@ func BenchmarkPlannerSingleDataMatcher(b *testing.B) {
 	}
 }
 
+// BenchmarkPlannerSingleDataTailChunk measures the default single-data
+// planner where every 10th chunk is a file's tail: unequal sizes, so it runs
+// one Dinic max flow instead of the matcher. Edmonds-Karp, the paper's
+// solver, runs beside it at the sizes where one plan takes under a second.
+func BenchmarkPlannerSingleDataTailChunk(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		algo  bipartite.Algorithm
+		procs []int
+	}{
+		{"default", bipartite.Kuhn, []int{64, 256, 1024}},
+		{"edmonds-karp", bipartite.EdmondsKarp, []int{64, 256}},
+	} {
+		for _, procs := range c.procs {
+			b.Run(fmt.Sprintf("%s/procs=%d", c.name, procs), func(b *testing.B) {
+				p := tailChunkProblem(procs, 1)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := (core.SingleData{Algorithm: c.algo}).Assign(p); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// tailChunkProblem is procs processes, one per node, and 10 tasks each of
+// one 64 MB chunk, every 10th cut to a 1–63 MB tail, with three distinct
+// random replicas per chunk.
+func tailChunkProblem(procs int, seed int64) *core.Problem {
+	rng := rand.New(rand.NewSource(seed))
+	layout := &core.Layout{RepOff: []int{0}}
+	p := &core.Problem{ProcNode: make([]int, procs), FS: layout}
+	for i := range p.ProcNode {
+		p.ProcNode[i] = i
+	}
+	row := make([]int, 0, 3)
+	for t := 0; t < 10*procs; t++ {
+		size := 64.0
+		if t%10 == 9 {
+			size = float64(1 + rng.Intn(63))
+		}
+		p.Tasks = append(p.Tasks, core.Task{ID: t, Inputs: []core.Input{{Chunk: dfs.ChunkID(t), SizeMB: size}}})
+		for row = row[:0]; len(row) < 3; {
+			if node := rng.Intn(procs); !slices.Contains(row, node) {
+				row = append(row, node)
+			}
+		}
+		slices.Sort(row)
+		layout.Reps = append(layout.Reps, row...)
+		layout.RepOff = append(layout.RepOff, len(layout.Reps))
+	}
+	return p
+}
+
 // BenchmarkPlannerMultiData measures Algorithm 1 across problem sizes.
 func BenchmarkPlannerMultiData(b *testing.B) {
 	for _, nodes := range []int{32, 64, 128} {

@@ -39,6 +39,17 @@ func (g *Graph) AddEdge(p, f int, weight int64) {
 	g.edges++
 }
 
+// NumP reports the number of process vertices.
+func (g *Graph) NumP() int { return g.numP }
+
+// NumF reports the number of file vertices.
+func (g *Graph) NumF() int { return g.numF }
+
+// EdgesOfP lists the edges incident to process p in ascending file order.
+// The returned slice is a read-only view owned by the graph: callers must
+// not modify it.
+func (g *Graph) EdgesOfP(p int) []Edge { return g.byP[p] }
+
 // EdgesOfF lists the edges incident to file f in ascending process order,
 // gathered from every process's list.
 func (g *Graph) EdgesOfF(f int) []Edge {

@@ -51,7 +51,7 @@ func TestAssignMaxLocalityContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, algo := range []Algorithm{EdmondsKarp, Dinic} {
-		res, err := AssignMaxLocalityContext(ctx, figure5Graph(),
+		res, err := AssignMaxLocalityContext(ctx, figure5Graph().procRows(),
 			[]int64{128, 128}, []int64{64, 64, 64, 64}, algo)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%v: err = %v, want context.Canceled", algo, err)
@@ -64,7 +64,7 @@ func TestAssignMaxLocalityContextCancelled(t *testing.T) {
 
 func TestAssignMaxLocalityContextLiveMatchesPlain(t *testing.T) {
 	for _, algo := range []Algorithm{EdmondsKarp, Dinic} {
-		res, err := AssignMaxLocalityContext(context.Background(), figure5Graph(),
+		res, err := AssignMaxLocalityContext(context.Background(), figure5Graph().procRows(),
 			[]int64{128, 128}, []int64{64, 64, 64, 64}, algo)
 		if err != nil {
 			t.Fatal(err)

@@ -1,8 +1,10 @@
 // Package bipartite holds the solvers of Opass's single-data planner (§IV-B)
-// over the §IV-A locality relation: the phased matcher (MatchRows), which
-// reads file-side Rows — the locality index's task rows, in place — and max
-// flow over the Figure 5 network built from a process-side Graph, by
-// Edmonds-Karp (the paper's) or Dinic (the scalability ablation's).
+// over the §IV-A locality relation, both reading the locality index's rows
+// in place: the phased matcher (MatchRows) on file-side Rows, and max flow
+// over the Figure 5 network built from process-side Rows, by Dinic (the
+// request path's) or Edmonds-Karp (the paper's, for the §V-C2 ablation and
+// the tests' oracle). Graph is the process-list form bench/'s tracer
+// builds; MatchAugmenting and AssignMaxLocality transcribe it into rows.
 package bipartite
 
 import "fmt"
@@ -40,18 +42,12 @@ type Edge struct {
 
 // Graph is the process side of the §IV-A locality graph G = (P, F, E): for
 // each process, an edge to every file that has a replica co-located with
-// it. It is the flow solvers' input (AssignMaxLocality).
+// it, in per-process lists.
 type Graph struct {
 	numP, numF int
 	byP        [][]Edge // edges grouped by process, file-ascending
 	edges      int
 }
-
-// NumP reports the number of process vertices.
-func (g *Graph) NumP() int { return g.numP }
-
-// NumF reports the number of file vertices.
-func (g *Graph) NumF() int { return g.numF }
 
 // NumEdges reports the number of locality edges.
 func (g *Graph) NumEdges() int { return g.edges }
@@ -87,8 +83,3 @@ func NewGraphFromSorted(numP, numF int, byP [][]Edge) *Graph {
 	}
 	return g
 }
-
-// EdgesOfP lists the edges incident to process p in ascending file order.
-// The returned slice is a read-only view owned by the graph: callers must
-// not modify it.
-func (g *Graph) EdgesOfP(p int) []Edge { return g.byP[p] }

@@ -15,13 +15,14 @@ const (
 	// value. It only applies when every task has the same size, where the
 	// flow problem degenerates to quota-constrained bipartite matching;
 	// AssignMaxLocality and the single-data planner on unequal sizes treat
-	// it as Edmonds-Karp. The name predates the phased algorithm.
+	// it as Dinic. The name predates the phased algorithm.
 	Kuhn Algorithm = iota
 	// EdmondsKarp is Ford-Fulkerson with BFS augmenting paths — the
-	// algorithm the paper's implementation uses.
+	// algorithm the paper's implementation uses, kept for the §V-C2
+	// ablation and as the tests' oracle.
 	EdmondsKarp
-	// Dinic is the blocking-flow algorithm, used by the scalability
-	// ablation.
+	// Dinic is the blocking-flow algorithm: the flow solver on the
+	// request path.
 	Dinic
 )
 
@@ -49,107 +50,88 @@ type AssignResult struct {
 	Owner []int
 }
 
-// AssignMaxLocality encodes the locality graph as the flow network of
-// Figure 5 and computes a maximum locality assignment:
+// AssignMaxLocality runs AssignMaxLocalityContext, uncancellable, over g's
+// edges; bench/'s tracer times a Graph build and the solve as two spans.
+func AssignMaxLocality(g *Graph, quotas, sizes []int64, algo Algorithm) AssignResult {
+	res, _ := AssignMaxLocalityContext(context.Background(), g.procRows(), quotas, sizes, algo)
+	return res
+}
+
+// procRows transcribes g's process lists, in order, into process rows.
+func (g *Graph) procRows() *Rows {
+	rows := &Rows{Edges: make([]LocalityEdge, 0, g.edges), Off: make([]int, 1, g.numP+1)}
+	for _, es := range g.byP {
+		for _, e := range es {
+			rows.Edges = append(rows.Edges, LocalityEdge{Proc: e.P, Task: e.F, MB: float64(e.Weight)})
+		}
+		rows.Off = append(rows.Off, len(rows.Edges))
+	}
+	return rows
+}
+
+// AssignMaxLocalityContext encodes the locality relation as the flow
+// network of Figure 5 and computes a maximum locality assignment:
 //
 //	s --quota[p]--> p --size[f]--> f --size[f]--> t
 //
 // with one s->p arc per process (capacity: the process's data quota,
 // typically TotalSize/m), one p->f arc per locality edge, and one f->t arc
-// per file. The max flow saturates as many f->t arcs as capacities allow;
-// a file whose f->t arc is saturated through a single process is assigned
-// to that process.
+// per file. Row p of procRows lists process p's edges (Proc p), one per
+// co-located file (Task); MB is not read, since a single-input file is
+// co-located whole. The max flow saturates as many f->t arcs as capacities
+// allow; a file whose whole size crosses one p->f arc is assigned to that
+// process. Dinic solves it unless algo names EdmondsKarp.
 //
 // sizes[f] must be positive; quotas must be non-negative and should sum to
-// at least the total size for a full matching to be possible.
-func AssignMaxLocality(g *Graph, quotas, sizes []int64, algo Algorithm) AssignResult {
-	res, _ := AssignMaxLocalityContext(context.Background(), g, quotas, sizes, algo)
-	return res
-}
-
-// AssignMaxLocalityContext is AssignMaxLocality under cooperative
-// cancellation: the solver checks ctx between augmenting rounds and returns
-// ctx's error instead of a partial assignment when it fires.
-func AssignMaxLocalityContext(ctx context.Context, g *Graph, quotas, sizes []int64, algo Algorithm) (AssignResult, error) {
+// at least the total size for a full matching to be possible. The solver
+// checks ctx between augmenting rounds (Edmonds-Karp) or phases (Dinic) and
+// returns ctx's error instead of a partial assignment when it fires.
+func AssignMaxLocalityContext(ctx context.Context, procRows *Rows, quotas, sizes []int64, algo Algorithm) (AssignResult, error) {
 	if err := ctx.Err(); err != nil {
 		return AssignResult{}, err
 	}
-	if len(quotas) != g.NumP() {
-		panic(fmt.Sprintf("bipartite: %d quotas for %d processes", len(quotas), g.NumP()))
+	numP, numF := len(quotas), len(sizes)
+	if len(procRows.Off) != numP+1 {
+		panic(fmt.Sprintf("bipartite: %d quotas for %d process rows", numP, len(procRows.Off)-1))
 	}
-	if len(sizes) != g.NumF() {
-		panic(fmt.Sprintf("bipartite: %d sizes for %d files", len(sizes), g.NumF()))
-	}
-	numP, numF := g.NumP(), g.NumF()
-	s := 0
-	procBase := 1
-	fileBase := 1 + numP
-	t := 1 + numP + numF
+	s, t := 0, 1+numP+numF
 	fn := NewFlowNetwork(t + 1)
-
-	for p := 0; p < numP; p++ {
-		if quotas[p] < 0 {
-			panic(fmt.Sprintf("bipartite: quota[%d] = %d must be non-negative", p, quotas[p]))
+	for p, q := range quotas {
+		if q < 0 {
+			panic(fmt.Sprintf("bipartite: quota[%d] = %d must be non-negative", p, q))
 		}
-		fn.AddArc(s, procBase+p, quotas[p])
+		fn.AddArc(s, 1+p, q)
 	}
-	type pfArc struct {
-		p, f, id int
+	// Edge k's p->f arc is arc 2·(numP+k).
+	edges := procRows.Edges[procRows.Off[0]:procRows.Off[numP]]
+	for _, e := range edges {
+		fn.AddArc(1+e.Proc, 1+numP+e.Task, sizes[e.Task])
 	}
-	var pf []pfArc
-	for p := 0; p < numP; p++ {
-		for _, e := range g.EdgesOfP(p) {
-			// The paper caps the process->file edge at the file size; the
-			// locality weight is per-chunk data co-located, which for
-			// single-chunk files equals the size.
-			c := sizes[e.F]
-			if e.Weight < c {
-				c = e.Weight
-			}
-			pf = append(pf, pfArc{p: p, f: e.F, id: fn.AddArc(procBase+p, fileBase+e.F, c)})
+	for f, size := range sizes {
+		if size <= 0 {
+			panic(fmt.Sprintf("bipartite: size[%d] = %d must be positive", f, size))
 		}
-	}
-	for f := 0; f < numF; f++ {
-		if sizes[f] <= 0 {
-			panic(fmt.Sprintf("bipartite: size[%d] = %d must be positive", f, sizes[f]))
-		}
-		fn.AddArc(fileBase+f, t, sizes[f])
+		fn.AddArc(1+numP+f, t, size)
 	}
 
 	fn.SetStop(ctx.Err)
-	switch algo {
-	case Dinic:
-		fn.MaxFlowDinic(s, t)
-	default:
+	if algo == EdmondsKarp {
 		fn.MaxFlowEK(s, t)
+	} else {
+		fn.MaxFlowDinic(s, t)
 	}
 	if err := fn.StopErr(); err != nil {
 		return AssignResult{}, err
 	}
-
+	// The f->t arc admits at most sizes[f], so at most one p->f arc carries
+	// all of it: that process owns f.
 	res := AssignResult{Owner: make([]int, numF)}
-	// A file belongs to p only when p alone carries the file's full size.
-	carried := make([]int64, numF)
-	carrier := make([]int, numF)
-	split := make([]bool, numF)
 	for f := range res.Owner {
 		res.Owner[f] = -1
-		carrier[f] = -1
 	}
-	for _, a := range pf {
-		fl := fn.Flow(a.id)
-		if fl <= 0 {
-			continue
-		}
-		if carrier[a.f] != -1 {
-			split[a.f] = true
-		}
-		carrier[a.f] = a.p
-		carried[a.f] += fl
-	}
-	for f := 0; f < numF; f++ {
-		if !split[f] && carrier[f] >= 0 && carried[f] == sizes[f] {
-			res.Owner[f] = carrier[f]
+	for k, e := range edges {
+		if fn.Flow(2*(numP+k)) == sizes[e.Task] {
+			res.Owner[e.Task] = e.Proc
 		}
 	}
 	return res, nil

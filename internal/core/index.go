@@ -311,11 +311,14 @@ func (ix *LocalityIndex) taskEdges(t int) []LocalityEdge { return ix.buf.byTask.
 // ProcEdges returns process p's locality edges in ascending task order, a
 // view owned by the index; only MultiData, on its own index, reorders it.
 // The first call builds the view for every process.
-func (ix *LocalityIndex) ProcEdges(p int) []LocalityEdge {
+func (ix *LocalityIndex) ProcEdges(p int) []LocalityEdge { return ix.procRows().Row(p) }
+
+// procRows returns the process rows, building them on the first call.
+func (ix *LocalityIndex) procRows() *bipartite.Rows {
 	if !ix.procBuilt {
 		ix.transpose()
 	}
-	return ix.buf.byProc.Row(p)
+	return &ix.buf.byProc
 }
 
 // CoLocatedMB returns the co-located megabytes for (proc, task) by binary

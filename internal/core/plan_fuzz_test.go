@@ -16,7 +16,8 @@ import (
 // replicas, and up to 24 tasks. A mode byte picks single- or multi-input
 // tasks (1–3 inputs), and one input size for every task — so the single-data
 // planner takes its matcher path — or a size per input from a table that
-// includes sub-MB sizes. Last comes a weight per process, zero included and
+// includes sub-MB sizes, or one size with some inputs cut to a file's tail
+// (1/64 to 63/64 of it). Last comes a weight per process, zero included and
 // at least one positive; zero bytes draw weight 1.
 func planSpec(data []byte) (s layoutSpec, weights []float64) {
 	next := func(n int) int {
@@ -46,17 +47,20 @@ func planSpec(data []byte) (s layoutSpec, weights []float64) {
 		}
 		s.sizes, s.rows = append(s.sizes, 64), append(s.rows, row)
 	}
-	mode, maxInputs := next(4), 1
-	if mode&2 != 0 {
+	mode, maxInputs := next(6), 1
+	if mode >= 3 {
 		maxInputs = 3
 	}
-	equal, size := mode&1 == 0, sizeTable[next(len(sizeTable))]
+	shape, size := mode%3, sizeTable[next(len(sizeTable))]
 	for t, tasks := 0, 1+next(24); t < tasks; t++ {
 		task := Task{ID: t}
 		for i, inputs := 0, 1+next(maxInputs); i < inputs; i++ {
 			in := Input{Chunk: dfs.ChunkID(next(len(s.sizes))), SizeMB: size}
-			if !equal {
+			switch {
+			case shape == 1:
 				in.SizeMB = sizeTable[next(len(sizeTable))]
+			case shape == 2 && next(4) == 0: // a file's tail chunk
+				in.SizeMB = size * float64(1+next(63)) / 64
 			}
 			task.Inputs = append(task.Inputs, in)
 		}
@@ -83,11 +87,15 @@ func planSpec(data []byte) (s layoutSpec, weights []float64) {
 // held to it on the tasks its solver matched. On equal sizes the
 // single-data plan must also be maximum-locality: the tasks the matcher
 // placed, times the task size, equal the Edmonds-Karp flow value over the
-// locality graph under the same quotas. The weighted exact multi-data plan
-// must reach the transportation oracle under its weighted quotas. On every
-// draw Algorithm 1 must choose the owners of referenceMultiData's sorted
-// preference lists, and the unweighted exact planner must plan as much
-// co-located data as the oracle (checkExactIsOptimal). Every plan's
+// locality relation under the same quotas. On unequal sizes its owners must
+// be SingleData{Algorithm: Dinic}'s, every task its solver matched must be
+// held whole by its owner, and Dinic and Edmonds-Karp must reach one flow
+// value on the Figure 5 network under the data shares. The weighted exact
+// multi-data plan must reach the transportation oracle under its weighted
+// quotas. On every draw Algorithm 1 must choose the owners of
+// referenceMultiData's sorted preference lists, and the unweighted exact
+// planner must plan as much co-located data as the oracle
+// (checkExactIsOptimal). Every plan's
 // PlannedLocalMB, read off the index by the Opass planners, must be the
 // probe's sum bit for bit (checkPlannedLocality).
 func FuzzPlan(f *testing.F) {
@@ -161,6 +169,21 @@ func FuzzPlan(f *testing.F) {
 						t.Fatalf("%s: process %d matched %d units over its share %d", name, proc, got, share[proc])
 					}
 				}
+				dinic, err := SingleData{Seed: 9, Weights: pl.weights, Algorithm: bipartite.Dinic}.Assign(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(a.Owner, dinic.Owner) {
+					t.Fatalf("%s: owners %v, Dinic's %v", name, a.Owner, dinic.Owner)
+				}
+				for task, ok := range a.Matched {
+					if held := p.CoLocatedMB(a.Owner[task], task); ok && held != p.Tasks[task].SizeMB() {
+						t.Fatalf("%s: task %d of %v MB matched to process %d, which holds %v MB of it", name, task, p.Tasks[task].SizeMB(), a.Owner[task], held)
+					}
+				}
+				if d, ek := figure5Flow(p, share, units, bipartite.Dinic), figure5Flow(p, share, units, bipartite.EdmondsKarp); d != ek {
+					t.Fatalf("%s: Dinic flow %d, Edmonds-Karp flow %d", name, d, ek)
+				}
 				continue
 			}
 			counts := weightedTaskQuotas(n, m, pl.weights)
@@ -180,22 +203,13 @@ func FuzzPlan(f *testing.F) {
 			if !flow {
 				continue
 			}
-			ix := NewLocalityIndex(p)
 			quotas := make([]int64, m)
 			for proc, c := range counts {
 				quotas[proc] = int64(c) * units[0]
 			}
 			// Every capacity is a multiple of the task size, so the flow
 			// moves whole tasks and its value is what its owners hold.
-			oracle := bipartite.AssignMaxLocality(localityGraph(p, ix, scale), quotas, units, bipartite.EdmondsKarp)
-			ix.Release()
-			var flowValue int64
-			for _, o := range oracle.Owner {
-				if o >= 0 {
-					flowValue += units[0]
-				}
-			}
-			if got := int64(matched) * units[0]; got != flowValue {
+			if got, flowValue := int64(matched)*units[0], figure5Flow(p, quotas, units, bipartite.EdmondsKarp); got != flowValue {
 				t.Fatalf("%s: matcher placed %d tasks of %d units = %d, Edmonds-Karp flow %d", name, matched, units[0], got, flowValue)
 			}
 		}
@@ -258,4 +272,30 @@ func checkPlannedLocality(t *testing.T, name string, p *Problem, a *Assignment) 
 	if a.PlannedTotalMB != p.TotalMB() {
 		t.Fatalf("%s: PlannedTotalMB %v, the problem holds %v", name, a.PlannedTotalMB, p.TotalMB())
 	}
+}
+
+// figure5Flow is the value of the Figure 5 network over p's locality
+// relation under the given data quotas and task sizes (capacity units),
+// built straight from the probe so it shares no code with the planner.
+func figure5Flow(p *Problem, quotas, sizes []int64, algo bipartite.Algorithm) int64 {
+	m, n := len(quotas), len(sizes)
+	s, t := 0, 1+m+n
+	fn := bipartite.NewFlowNetwork(t + 1)
+	for proc, q := range quotas {
+		fn.AddArc(s, 1+proc, q)
+	}
+	for proc := 0; proc < m; proc++ {
+		for task := 0; task < n; task++ {
+			if p.CoLocatedMB(proc, task) > 0 {
+				fn.AddArc(1+proc, 1+m+task, sizes[task])
+			}
+		}
+	}
+	for task, size := range sizes {
+		fn.AddArc(1+m+task, t, size)
+	}
+	if algo == bipartite.Dinic {
+		return fn.MaxFlowDinic(s, t)
+	}
+	return fn.MaxFlowEK(s, t)
 }

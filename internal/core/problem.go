@@ -12,7 +12,6 @@ import (
 	"math"
 	"slices"
 
-	"opass/internal/bipartite"
 	"opass/internal/dfs"
 )
 
@@ -393,24 +392,4 @@ func capUnits(size float64, scale int64) int64 {
 		return maxCapUnits
 	}
 	return int64(v)
-}
-
-// localityGraph builds the §IV-A bipartite graph from the locality index:
-// an edge (p, t) weighted by the co-located data in capacity units
-// whenever any input of task t has a replica on process p's node. The
-// index's per-process adjacency is already in the graph's insertion order,
-// so the build is a pure transcription into one shared backing array carved
-// by per-process offsets. Only the flow solvers read it.
-func localityGraph(p *Problem, ix *LocalityIndex, scale int64) *bipartite.Graph {
-	m, n := p.NumProcs(), len(p.Tasks)
-	backing := make([]bipartite.Edge, 0, ix.NumEdges())
-	byP := make([][]bipartite.Edge, m)
-	for proc := range byP {
-		lo := len(backing)
-		for _, e := range ix.ProcEdges(proc) {
-			backing = append(backing, bipartite.Edge{P: proc, F: e.Task, Weight: capUnits(e.MB, scale)})
-		}
-		byP[proc] = backing[lo:len(backing):len(backing)]
-	}
-	return bipartite.NewGraphFromSorted(m, n, byP)
 }

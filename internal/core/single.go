@@ -21,8 +21,8 @@ import (
 type SingleData struct {
 	// Algorithm names the solver. The zero value (bipartite.Kuhn) is the
 	// phased matcher, which solves equal-size problems directly; on unequal
-	// sizes it falls back to Edmonds-Karp. EdmondsKarp and Dinic force that
-	// flow solver at any sizes, for tests and the §V-C2 ablation.
+	// sizes it falls back to Dinic. EdmondsKarp and Dinic force that flow
+	// solver at any sizes, for tests and the §V-C2 ablation.
 	Algorithm bipartite.Algorithm
 	// Seed drives the random repair step for unmatched tasks.
 	Seed int64
@@ -70,46 +70,42 @@ func (s SingleData) AssignContext(ctx context.Context, p *Problem) (*Assignment,
 	defer ix.Release()
 	scale := capacityScale(p)
 
-	// Per-process data quota: TotalSize/m (or weight-proportional shares),
-	// in whole capacity units (1/scale MB) with the rounding remainder
-	// spread over the first processes so quotas sum to the total.
+	// Task sizes in whole capacity units (1/scale MB).
 	sizes := make([]int64, n)
 	var total int64
 	for t := range sizes {
 		sizes[t] = capUnits(p.Tasks[t].SizeMB(), scale)
 		total += sizes[t]
 	}
-	quotasMB := shareQuotas(total, m, weights)
-	equal := equalSizes(sizes)
-	if equal {
-		// With equal task sizes the paper's constraint is really "equal
-		// (or weight-proportional) task counts"; expressing the quota as
-		// counts*size keeps the flow formulation correct even when there
-		// are fewer tasks than processes (TotalSize/m would then be
-		// smaller than one task and nothing could match). The weighted
-		// path needs this just as much: an MB quota of 8.5 tasks strands
-		// half a task of slack on every process, and the stranded tasks
-		// would then be re-homed with no regard for locality.
-		counts := weightedTaskQuotas(n, m, weights)
-		for i := range quotasMB {
-			quotasMB[i] = int64(counts[i]) * sizes[0]
-		}
-	}
-
 	// The solver seam. Equal sizes degenerate the flow problem to quota-
-	// constrained bipartite matching, which the matcher solves in place on
-	// the index's task rows; unequal sizes, or a named flow solver, build the
-	// locality graph and go through the network of Figure 5.
-	var owner []int
-	if equal && s.Algorithm == bipartite.Kuhn {
-		quotaTasks := make([]int, m)
-		for i, q := range quotasMB {
-			quotaTasks[i] = int(q / sizes[0])
+	// constrained bipartite matching, whose constraint is really "equal (or
+	// weight-proportional) task counts": the matcher solves it in place on
+	// the index's task rows. Unequal sizes, or a named flow solver, run one
+	// max flow over the index's process rows under per-process data quotas:
+	// TotalSize/m (or weight-proportional shares), with the rounding
+	// remainder spread over the first processes. On equal sizes the data
+	// quota is the count times the size, which keeps the flow correct even
+	// with fewer tasks than processes (TotalSize/m would then be smaller
+	// than one task and nothing could match) and strands no slack on a
+	// weighted process (an MB quota of 8.5 tasks would, and the stranded
+	// tasks would be re-homed with no regard for locality).
+	var counts []int
+	var quotasMB []int64
+	if equalSizes(sizes) {
+		counts = weightedTaskQuotas(n, m, weights)
+		quotasMB = make([]int64, m)
+		for i, c := range counts {
+			quotasMB[i] = int64(c) * sizes[0]
 		}
-		owner, _, err = bipartite.MatchRows(ctx, &ix.buf.byTask, quotaTasks)
+	} else {
+		quotasMB = shareQuotas(total, m, weights)
+	}
+	var owner []int
+	if counts != nil && s.Algorithm == bipartite.Kuhn {
+		owner, _, err = bipartite.MatchRows(ctx, &ix.buf.byTask, counts)
 	} else {
 		var res bipartite.AssignResult
-		res, err = bipartite.AssignMaxLocalityContext(ctx, localityGraph(p, ix, scale), quotasMB, sizes, s.Algorithm)
+		res, err = bipartite.AssignMaxLocalityContext(ctx, ix.procRows(), quotasMB, sizes, s.Algorithm)
 		owner = res.Owner
 	}
 	if err != nil {

@@ -400,6 +400,7 @@ func TestStreamingValidationParity(t *testing.T) {
 		`{"nodes": 4, "tasks": [{"inputs": [{"size_mb": 1}]}]}`,
 		`{"nodes": 4, "tasks": [{"inputs": [{"size_mb": 1, "replicas": [9]}]}]}`,
 		`{"nodes": 4, "tasks": [{"inputs": [{"size_mb": 1, "replicas": [1, 1]}]}]}`,
+		`{"nodes": 4, "tasks": [{"inputs": [{"size_mb": 1, "replicas": [1, 3, 1]}]}]}`,
 		`{"nodes": 4, "proc_nodes": [9], "tasks": [{"inputs": [{"size_mb": 1, "replicas": [0]}]}]}`,
 		`{"nodes": 4, "failures": [{"node": 9, "at_seconds": 1}], "tasks": [{"inputs": [{"size_mb": 1, "replicas": [0]}]}]}`,
 		`{"nodes": 4, "repair_delay_seconds": -1, "tasks": [{"inputs": [{"size_mb": 1, "replicas": [0]}]}]}`,
@@ -769,6 +770,15 @@ func (a decodeOutcome) same(b decodeOutcome) string {
 	return ""
 }
 
+// identical is same without its relaxation, for two runs of one decoder:
+// the same reason bucket and the same error message too.
+func (a decodeOutcome) identical(b decodeOutcome) string {
+	if a.reason != b.reason || fmt.Sprint(a.err) != fmt.Sprint(b.err) {
+		return fmt.Sprintf("%s (%v) vs %s (%v)", a.reason, a.err, b.reason, b.err)
+	}
+	return a.same(b)
+}
+
 // compactInput and compactTaskOf write an input and a task the way
 // encoding/json writes an InputSpec and a TaskSpec.
 func compactInput(size, replicas string) string {
@@ -917,7 +927,8 @@ func TestDecodeReplicaRowErrors(t *testing.T) {
 // 15-digit float and 18-digit integer limits), replica arrays that are not
 // compact, keys one byte off a known name, bodies cut inside a key, and
 // every compactTask refusal and acceptance as a request's only task or
-// between two compact tasks.
+// between two compact tasks, and a row whose duplicate replica is not its
+// neighbour until the post-pass sorts it.
 var fastPathEdgeBodies = func() []string {
 	input := func(obj string) string { return `{"nodes":4,"tasks":[{"inputs":[` + obj + `]}]}` }
 	var bodies []string
@@ -943,7 +954,8 @@ var fastPathEdgeBodies = func() []string {
 		bodies = append(bodies, `{"nodes":4,"tasks":[`+task+`]}`,
 			`{"nodes":4,"tasks":[`+tasks[1]+`,`+task+`,`+tasks[0]+`]}`)
 	}
-	return append(bodies, `{"nodes":4,"tasks":[{"inputs":[{"size_mb`, `{"nodes":4,"tasks":[{"inputs":[{"size_m`)
+	return append(bodies, `{"nodes":4,"tasks":[{"inputs":[{"size_mb`, `{"nodes":4,"tasks":[{"inputs":[{"size_m`,
+		`{"nodes":4,"tasks":[`+compactTaskOf(compactInput("1", "1,3,1"))+`]}`)
 }()
 
 // fuzzWindow is the shrunken window FuzzDecode replays every body through:
@@ -955,8 +967,10 @@ const fuzzWindow = 24
 // same accept/reject and status, same reason bucket, and on accept the same
 // problem and request scalars. Each body is decoded twice by the scanner —
 // whole, and one byte per Read through a fuzzWindow-byte window — so every
-// token meets a refill boundary. The caps are small enough for the fuzzer to
-// reach.
+// token meets a refill boundary. A body json.Indent accepts is decoded a
+// third time re-indented, where no compactTask fast path applies, and must
+// come out identical to the body as sent, error message included. The caps
+// are small enough for the fuzzer to reach.
 func FuzzDecode(f *testing.F) {
 	for _, body := range staleFieldBodies {
 		f.Add([]byte(body))
@@ -973,8 +987,16 @@ func FuzzDecode(f *testing.F) {
 			return httptest.NewRequest(http.MethodPost, "/v1/plan", bytes.NewReader(body))
 		}
 		want := outcomeOf(decodeProblemReference(httptest.NewRecorder(), request(), lim))
-		if diff := outcomeOf(decodeProblem(httptest.NewRecorder(), request(), lim)).same(want); diff != "" {
+		sent := outcomeOf(decodeProblem(httptest.NewRecorder(), request(), lim))
+		if diff := sent.same(want); diff != "" {
 			t.Fatalf("scanner vs reference: %s\nbody: %q", diff, body)
+		}
+		var indented bytes.Buffer
+		if json.Indent(&indented, body, "", "  ") == nil {
+			re := httptest.NewRequest(http.MethodPost, "/v1/plan", &indented)
+			if diff := outcomeOf(decodeProblem(httptest.NewRecorder(), re, lim)).identical(sent); diff != "" {
+				t.Fatalf("scanner on the re-indented body vs as sent: %s\nbody: %q", diff, body)
+			}
 		}
 		small := &lexer{r: iotest.OneByteReader(bytes.NewReader(body)), buf: make([]byte, fuzzWindow)}
 		got := outcomeOf(decodeRequest(small, lim))
