@@ -376,7 +376,7 @@ func BenchmarkSimnetContendedDisk(b *testing.B) {
 		n := simnet.New()
 		disk := n.AddResource("disk", 75, 0.3)
 		for f := 0; f < 64; f++ {
-			n.Start([]simnet.ResourceID{disk}, 64, 0.015, "r")
+			n.Start([]simnet.ResourceID{disk}, 64, 0.015, 0)
 		}
 		n.Run()
 	}

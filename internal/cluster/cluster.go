@@ -104,13 +104,16 @@ func NewHeterogeneousRacked(profiles []Profile, racks int) *Topology {
 		tx:       make([]simnet.ResourceID, n),
 		rx:       make([]simnet.ResourceID, n),
 	}
+	// Resources are named by kind only: node i's disk, tx and rx are
+	// resources 3i, 3i+1 and 3i+2.
+	t.net.Grow(3 * n)
 	for i, p := range t.profiles {
 		if p.DiskMBps <= 0 || p.NICMBps <= 0 || p.ReadLatency < 0 || p.DiskSeekPenalty < 0 {
 			panic(fmt.Sprintf("cluster: invalid profile for node %d: %+v", i, p))
 		}
-		t.disk[i] = t.net.AddResource(fmt.Sprintf("node%d/disk", i), p.DiskMBps, p.DiskSeekPenalty)
-		t.tx[i] = t.net.AddResource(fmt.Sprintf("node%d/tx", i), p.NICMBps, 0)
-		t.rx[i] = t.net.AddResource(fmt.Sprintf("node%d/rx", i), p.NICMBps, 0)
+		t.disk[i] = t.net.AddResource("disk", p.DiskMBps, p.DiskSeekPenalty)
+		t.tx[i] = t.net.AddResource("tx", p.NICMBps, 0)
+		t.rx[i] = t.net.AddResource("rx", p.NICMBps, 0)
 	}
 	return t
 }
@@ -184,13 +187,14 @@ func (t *Topology) SetPerRackUplinks(uplinkMBps []float64) {
 	}
 	t.uplinkOut = make([]simnet.ResourceID, t.racks)
 	t.uplinkIn = make([]simnet.ResourceID, t.racks)
+	t.net.Grow(2 * t.racks)
 	for r := 0; r < t.racks; r++ {
 		bw := uplinkMBps[r]
 		if bw <= 0 {
 			panic(fmt.Sprintf("cluster: rack %d uplink bandwidth %v must be positive", r, bw))
 		}
-		t.uplinkOut[r] = t.net.AddResource(fmt.Sprintf("rack%d/uplink-out", r), bw, 0)
-		t.uplinkIn[r] = t.net.AddResource(fmt.Sprintf("rack%d/uplink-in", r), bw, 0)
+		t.uplinkOut[r] = t.net.AddResource("uplink-out", bw, 0)
+		t.uplinkIn[r] = t.net.AddResource("uplink-in", bw, 0)
 	}
 }
 
@@ -214,31 +218,24 @@ func (t *Topology) SetRackOversubscription(ratio float64) {
 	t.SetPerRackUplinks(per)
 }
 
-// RemoteReadPath is the resource path of a read served by src on behalf of a
-// process running on dst: the source disk, the source NIC transmit
-// direction, and the destination NIC receive direction. With rack uplinks
-// configured, cross-rack reads also traverse the two rack uplinks; a
-// non-blocking core switch itself adds no resource.
-func (t *Topology) RemoteReadPath(src, dst int) []simnet.ResourceID {
+// AppendReadPath appends to path the resources a read served by src for a
+// process running on dst traverses, and returns the extended slice. A local
+// read (src == dst) is LocalReadPath(src). A remote one crosses the source
+// disk, the source NIC transmit direction and the destination NIC receive
+// direction; with rack uplinks configured, a cross-rack read also crosses
+// the two rack uplinks, while a non-blocking core switch itself adds no
+// resource. It allocates nothing when path has room for 5 more resources.
+func (t *Topology) AppendReadPath(path []simnet.ResourceID, src, dst int) []simnet.ResourceID {
+	if src == dst {
+		return append(path, t.LocalReadPath(src)...)
+	}
 	t.check(src)
 	t.check(dst)
-	if src == dst {
-		return t.LocalReadPath(src)
-	}
-	path := []simnet.ResourceID{t.disk[src], t.tx[src]}
+	path = append(path, t.disk[src], t.tx[src])
 	if t.uplinkOut != nil && t.RackOf(src) != t.RackOf(dst) {
 		path = append(path, t.uplinkOut[t.RackOf(src)], t.uplinkIn[t.RackOf(dst)])
 	}
 	return append(path, t.rx[dst])
-}
-
-// ReadPath returns the appropriate path for a read served by src for a
-// process on dst, local or remote.
-func (t *Topology) ReadPath(src, dst int) []simnet.ResourceID {
-	if src == dst {
-		return t.LocalReadPath(src)
-	}
-	return t.RemoteReadPath(src, dst)
 }
 
 // DegradeNode scales a node's device throughput to the given fractions of

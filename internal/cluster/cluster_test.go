@@ -28,7 +28,7 @@ func TestLocalPathUsesOnlyDisk(t *testing.T) {
 
 func TestRemotePathCrossesThreeResources(t *testing.T) {
 	topo := New(3, Marmot())
-	p := topo.RemoteReadPath(0, 2)
+	p := topo.AppendReadPath(nil, 0, 2)
 	if len(p) != 3 {
 		t.Fatalf("remote path length = %d, want 3 (disk, tx, rx)", len(p))
 	}
@@ -39,7 +39,7 @@ func TestRemotePathCrossesThreeResources(t *testing.T) {
 
 func TestRemotePathDegeneratesToLocal(t *testing.T) {
 	topo := New(3, Marmot())
-	p := topo.RemoteReadPath(1, 1)
+	p := topo.AppendReadPath(nil, 1, 1)
 	if len(p) != 1 {
 		t.Fatalf("same-node remote read should be local, got path %v", p)
 	}
@@ -48,7 +48,7 @@ func TestRemotePathDegeneratesToLocal(t *testing.T) {
 func TestSimulatedLocalReadMatchesCalibration(t *testing.T) {
 	topo := New(2, Marmot())
 	net := topo.Net()
-	net.Start(topo.LocalReadPath(0), 64, topo.NodeProfile(0).ReadLatency, "read")
+	net.Start(topo.LocalReadPath(0), 64, topo.NodeProfile(0).ReadLatency, 0)
 	end := net.Run()
 	want := topo.UncontendedLocalRead(64)
 	if math.Abs(end-want) > 1e-6 {
@@ -94,7 +94,7 @@ func TestDiskContentionInflatesReads(t *testing.T) {
 	topo := New(9, Marmot())
 	net := topo.Net()
 	for dst := 1; dst <= 8; dst++ {
-		net.Start(topo.RemoteReadPath(0, dst), 64, topo.NodeProfile(0).ReadLatency, "r")
+		net.Start(topo.AppendReadPath(nil, 0, dst), 64, topo.NodeProfile(0).ReadLatency, 0)
 	}
 	end := net.Run()
 	ideal := 8 * 64.0 / topo.NodeProfile(0).DiskMBps // fair share, no penalty

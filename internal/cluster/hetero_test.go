@@ -18,9 +18,9 @@ func TestHeterogeneousProfilesApply(t *testing.T) {
 	}
 	// A local read on the slow node takes ~3x the fast node's time.
 	net := topo.Net()
-	net.Start(topo.LocalReadPath(0), 64, topo.ReadLatency(0), "fast")
+	net.Start(topo.LocalReadPath(0), 64, topo.ReadLatency(0), 0)
 	tFast := net.Run()
-	net.Start(topo.LocalReadPath(1), 64, topo.ReadLatency(1), "slow")
+	net.Start(topo.LocalReadPath(1), 64, topo.ReadLatency(1), 0)
 	tSlow := net.Run() - tFast
 	if ratio := tSlow / tFast; math.Abs(ratio-3.0) > 0.1 {
 		t.Fatalf("slow/fast read ratio = %v, want ~3", ratio)
@@ -67,11 +67,11 @@ func TestRackUplinksAddedToCrossRackPaths(t *testing.T) {
 	topo := NewRacked(8, 2, Marmot())
 	topo.SetPerRackUplinks([]float64{500, 500})
 	// Same rack (0 and 2 are both rack 0): 3 resources.
-	if p := topo.RemoteReadPath(0, 2); len(p) != 3 {
+	if p := topo.AppendReadPath(nil, 0, 2); len(p) != 3 {
 		t.Fatalf("same-rack path length %d, want 3", len(p))
 	}
 	// Cross rack (0 is rack 0, 1 is rack 1): 5 resources.
-	if p := topo.RemoteReadPath(0, 1); len(p) != 5 {
+	if p := topo.AppendReadPath(nil, 0, 1); len(p) != 5 {
 		t.Fatalf("cross-rack path length %d, want 5", len(p))
 	}
 }
@@ -86,7 +86,7 @@ func TestRackUplinkContention(t *testing.T) {
 	// Readers on rack 1 (nodes 1,3,5) pull from distinct rack-0 disks
 	// (nodes 0,2,4): all three flows share rack0's uplink-out.
 	for i := 0; i < 3; i++ {
-		net.Start(topo.RemoteReadPath(2*i, 2*i+1), 64, 0, "cross")
+		net.Start(topo.AppendReadPath(nil, 2*i, 2*i+1), 64, 0, 0)
 	}
 	end := net.Run()
 	// 3x64 MB over a 100 MB/s shared uplink: at least 1.92s.

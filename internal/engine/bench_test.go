@@ -1,38 +1,47 @@
 package engine
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"opass/internal/core"
 	"opass/internal/dfs"
 )
 
-// BenchmarkSimulateFaults times the engine stage of the benchmark's
-// simulate-faults workload: 128 processes x 1,280 single-chunk tasks under an
-// Opass plan, one permanent crash at t=3 s, one half-speed node from t=1 s,
-// replan and repair on (repair 2 s after the crash). Planning and fixture
-// construction are outside the timer; us/read is what bench/ reports as
-// engine.us_per_read.
-func BenchmarkSimulateFaults(b *testing.B) {
+// simulateFaultsRig is the benchmark's simulate-faults workload at 128
+// processes over chunks single-chunk tasks under an Opass plan: one
+// permanent crash at t=3 s, one half-speed node from t=1 s, replan and
+// repair on (repair 2 s after the crash). A crash rewrites placement, so
+// every run needs its own rig.
+func simulateFaultsRig(tb testing.TB, chunks int) (*rig, Options, *core.Assignment) {
 	const (
-		nodes  = 128
-		chunks = 1280
-		seed   = 1
+		nodes = 128
+		seed  = 1
 	)
+	r := buildRig(tb, nodes, chunks, seed, dfs.RandomPlacement{})
+	a, err := core.SingleData{Seed: seed}.Assign(r.prob)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	opts := r.opts("opass")
+	opts.Failures = []NodeFailure{{Node: 17, At: 3}}
+	opts.Degradations = []NodeDegradation{{Node: 90, At: 1, DiskFactor: 0.5, NICFactor: 0.5}}
+	opts.Replan, opts.Repair, opts.RepairDelay, opts.ReplanSeed = true, true, 2, seed
+	return r, opts, a
+}
+
+// BenchmarkSimulateFaults times the engine stage of the benchmark's
+// simulate-faults workload (simulateFaultsRig at 1,280 tasks). Planning and
+// fixture construction are outside the timer; us/read is what bench/
+// reports as engine.us_per_read.
+func BenchmarkSimulateFaults(b *testing.B) {
+	const chunks = 1280
 	var reads, events int64
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		// A crash rewrites placement, so every iteration needs its own world.
-		r := buildRig(b, nodes, chunks, seed, dfs.RandomPlacement{})
-		a, err := core.SingleData{Seed: seed}.Assign(r.prob)
-		if err != nil {
-			b.Fatal(err)
-		}
-		opts := r.opts("opass")
-		opts.Failures = []NodeFailure{{Node: 17, At: 3}}
-		opts.Degradations = []NodeDegradation{{Node: 90, At: 1, DiskFactor: 0.5, NICFactor: 0.5}}
-		opts.Replan, opts.Repair, opts.RepairDelay, opts.ReplanSeed = true, true, 2, seed
+		r, opts, a := simulateFaultsRig(b, chunks)
 		b.StartTimer()
 		res, err := RunAssignment(opts, a)
 		if err != nil {
@@ -46,4 +55,38 @@ func BenchmarkSimulateFaults(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(reads), "us/read")
 	b.ReportMetric(float64(events)/float64(b.N), "flows/op")
+}
+
+// TestSimulatedReadAllocatesNothing: a read costs the engine no allocation
+// — no per-flow record, label or path copy. Four times the tasks on the same
+// 128 processes (3,840 more reads, each retired into the next) may add only
+// what the larger repair and replans allocate: at most 64 objects. Pools are
+// emptied and the collector held off, so both runs count the same way.
+func TestSimulatedReadAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	mallocs := func(chunks int) uint64 {
+		_, opts, a := simulateFaultsRig(t, chunks)
+		runtime.GC()
+		runtime.GC() // a pooled buffer survives one collection, not two
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := RunAssignment(opts, a)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.TasksRun != chunks || res.Retries == 0 || res.Replans == 0 || res.RepairedChunks == 0 {
+			t.Fatalf("%d tasks: run %d, retries %d, replans %d, repaired %d: not the simulate-faults shape",
+				chunks, res.TasksRun, res.Retries, res.Replans, res.RepairedChunks)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	small, large := mallocs(1280), mallocs(5120)
+	t.Logf("1,280 tasks: %d allocations; 5,120 tasks: %d", small, large)
+	if large > small+64 {
+		t.Fatalf("5,120 tasks allocate %d objects, 1,280 tasks %d: %d more, want at most 64", large, small, large-small)
+	}
 }

@@ -1,10 +1,10 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 
 	"opass/internal/cluster"
 	"opass/internal/simnet"
@@ -17,11 +17,11 @@ import (
 // steering, replanning — comes from Options; everything that belongs to one
 // application lives in its job.
 
-// pendingKind distinguishes the flow types the engine launches.
-type pendingKind int
+// flowKind distinguishes the flow types the engine launches.
+type flowKind int
 
 const (
-	kindRead pendingKind = iota
+	kindRead flowKind = iota
 	kindCompute
 	// The kinds from here on are aux timers, not work (see sim.auxTimers).
 	kindArrival
@@ -33,13 +33,25 @@ const (
 	kindAdvisor
 )
 
-type pending struct {
-	kind pendingKind
-	job  int        // kindRead / kindCompute / kindArrival
-	proc int        // kindRead / kindCompute
-	node int        // kindFailure/kindRecovery/kindRepair/kindRestore: the node
-	idx  int        // kindFailure: Failures index; kindDegrade: Degradations index
-	rec  ReadRecord // valid for kindRead
+// slot is the one flow a process has in flight at a time: a read or its
+// compute phase. Its index in sim.slots is the flow's simnet handle.
+type slot struct {
+	job, proc int
+	busy      bool
+	kind      flowKind // kindRead or kindCompute
+	id        simnet.FlowID
+	rec       ReadRecord // valid for kindRead
+}
+
+// timer is an aux timer; its index i in sim.aux is the flow's handle as ^i,
+// which keeps it apart from the slots' non-negative handles.
+type timer struct {
+	kind flowKind
+	job  int // kindArrival
+	node int // kindFailure/kindRecovery/kindRepair/kindRestore: the node
+	idx  int // kindFailure: Failures index; kindDegrade: Degradations index
+	id   simnet.FlowID
+	live bool
 }
 
 // job is one application's state inside the loop.
@@ -54,6 +66,7 @@ type job struct {
 	since       uint64
 	procs       []procState
 	finished    []bool
+	base        int   // index of the job's process 0 in sim.slots
 	curReads    []int // reads of this job each node is serving right now
 	waiting     []int // processes told to wait, in the order they were told
 	remaining   int   // processes not yet finished
@@ -122,7 +135,9 @@ type sim struct {
 	start float64
 	jobs  []*job
 
-	inflight map[simnet.FlowID]pending
+	slots []slot              // one per (job, process), job by job
+	aux   []timer             // every aux timer armed, live or fired
+	path  []simnet.ResourceID // read path scratch; Start copies it
 	// auxTimers counts the pending arrival, fault, repair, degradation and
 	// advisor timers. They are simnet flows, but they are not work: counting
 	// them as active would keep "stalled" false while every worker sits in a
@@ -166,64 +181,31 @@ func simulate(ctx context.Context, opts *Options, jobs []*job, sched ClusterSche
 		remoteFactor: StorageDeadWeight(opts.Topo),
 	}
 	s.avoidFailed = func(node int) bool { return s.failed[node] }
+	procs := 0
 	for _, rt := range jobs {
+		rt.base = procs
+		procs += len(rt.procs)
 		s.remaining += rt.remaining
 	}
-	// Each process has one read or compute phase in flight at a time.
-	s.inflight = make(map[simnet.FlowID]pending, s.remaining)
+	s.slots = make([]slot, procs)
 
 	net.OnComplete(func(now float64, f *simnet.Flow) {
-		pd, ok := s.inflight[f.ID]
-		if !ok {
-			panic(fmt.Sprintf("engine: completion for unknown flow %d (%s)", f.ID, f.Label))
-		}
-		delete(s.inflight, f.ID)
-		if pd.kind >= kindArrival {
+		h := f.Handle
+		switch {
+		case h >= 0 && h < len(s.slots) && s.slots[h].busy && s.slots[h].id == f.ID:
+			sl := &s.slots[h]
+			sl.busy = false
+			if sl.kind == kindRead {
+				s.readDone(sl.job, sl.proc, sl.rec, now)
+			} else {
+				s.startTask(sl.job, sl.proc)
+			}
+		case h < 0 && ^h < len(s.aux) && s.aux[^h].live && s.aux[^h].id == f.ID:
+			s.aux[^h].live = false
 			s.auxTimers--
-		}
-		switch pd.kind {
-		case kindRead:
-			s.readDone(pd, now)
-		case kindCompute:
-			s.startTask(pd.job, pd.proc)
-		case kindArrival:
-			s.release(pd.job, now-s.start)
-		case kindFailure:
-			s.nodeFailed(pd)
-		case kindRecovery:
-			// The DataNode process restarted; its replicas serve again. The
-			// per-read replica pick re-captures locality on its own, and a
-			// replan rebalances the surviving backlog shares.
-			delete(s.failed, pd.node)
-			s.recoveredNodes = append(s.recoveredNodes, pd.node)
-			s.maybeReplan(pd.node)
-		case kindRepair:
-			// The namenode's replication monitor caught up: under-replicated
-			// chunks regain copies on live nodes, changing the placement
-			// truth — exactly when a replan can win back locality.
-			s.repairedChunks += opts.FS.ReReplicate()
-			s.maybeReplan(pd.node)
-		case kindDegrade:
-			d := opts.Degradations[pd.idx]
-			s.degraded[d.Node] = d.DiskFactor
-			opts.Topo.DegradeNode(d.Node, d.DiskFactor, d.NICFactor)
-			s.maybeReplan(d.Node)
-		case kindRestore:
-			delete(s.degraded, pd.node)
-			opts.Topo.DegradeNode(pd.node, 1, 1)
-			s.maybeReplan(pd.node)
-		case kindAdvisor:
-			// Periodic placement-advisory pass: the advisor reads the access
-			// telemetry and may move replicas; a change makes a full replan
-			// of the pending backlog worthwhile (the new copies are placement
-			// truth the in-flight lists know nothing about).
-			s.advisorTicks++
-			if opts.Advisor.Tick(now) {
-				s.maybeReplan(-1)
-			}
-			if s.remaining > 0 {
-				s.scheduleAdvisor()
-			}
+			s.fire(s.aux[^h], now)
+		default:
+			panic(fmt.Sprintf("engine: completion for unknown flow %d (handle %d)", f.ID, h))
 		}
 		// A completion may free up a task a waiting process was hoping for
 		// (or leave the cluster stalled, forcing the source's hand).
@@ -243,8 +225,15 @@ func simulate(ctx context.Context, opts *Options, jobs []*job, sched ClusterSche
 		// Tear down whatever the aborted run left in flight (reads, compute
 		// and aux timers): sequential rounds and retried requests reuse the
 		// same network and clock.
-		for id := range s.inflight {
-			net.Cancel(id)
+		for _, sl := range s.slots {
+			if sl.busy {
+				net.Cancel(sl.id)
+			}
+		}
+		for _, t := range s.aux {
+			if t.live {
+				net.Cancel(t.id)
+			}
 		}
 		return err
 	}
@@ -259,6 +248,51 @@ func simulate(ctx context.Context, opts *Options, jobs []*job, sched ClusterSche
 		res.RepairedChunks, res.AdvisorTicks = s.repairedChunks, s.advisorTicks
 	}
 	return nil
+}
+
+// fire puts an aux timer's event into effect.
+func (s *sim) fire(t timer, now float64) {
+	opts := s.opts
+	switch t.kind {
+	case kindArrival:
+		s.release(t.job, now-s.start)
+	case kindFailure:
+		s.nodeFailed(t)
+	case kindRecovery:
+		// The DataNode process restarted; its replicas serve again. The
+		// per-read replica pick re-captures locality on its own, and a
+		// replan rebalances the surviving backlog shares.
+		delete(s.failed, t.node)
+		s.recoveredNodes = append(s.recoveredNodes, t.node)
+		s.maybeReplan(t.node)
+	case kindRepair:
+		// The namenode's replication monitor caught up: under-replicated
+		// chunks regain copies on live nodes, changing the placement
+		// truth — exactly when a replan can win back locality.
+		s.repairedChunks += opts.FS.ReReplicate()
+		s.maybeReplan(t.node)
+	case kindDegrade:
+		d := opts.Degradations[t.idx]
+		s.degraded[d.Node] = d.DiskFactor
+		opts.Topo.DegradeNode(d.Node, d.DiskFactor, d.NICFactor)
+		s.maybeReplan(d.Node)
+	case kindRestore:
+		delete(s.degraded, t.node)
+		opts.Topo.DegradeNode(t.node, 1, 1)
+		s.maybeReplan(t.node)
+	case kindAdvisor:
+		// Periodic placement-advisory pass: the advisor reads the access
+		// telemetry and may move replicas; a change makes a full replan of
+		// the pending backlog worthwhile (the new copies are placement truth
+		// the in-flight lists know nothing about).
+		s.advisorTicks++
+		if opts.Advisor.Tick(now) {
+			s.maybeReplan(-1)
+		}
+		if s.remaining > 0 {
+			s.scheduleAdvisor()
+		}
+	}
 }
 
 // drain arms the timers, releases the jobs that arrive at time zero and
@@ -278,15 +312,15 @@ func (s *sim) drain(ctx context.Context) (err error) {
 	for i, fail := range s.opts.Failures {
 		// A zero delay would complete before any read begins; nudge it to
 		// "immediately after start" semantics either way.
-		s.startAux(fail.At+1e-9, fmt.Sprintf("fail/node%d", fail.Node), pending{kind: kindFailure, node: fail.Node, idx: i})
+		s.startAux(fail.At+1e-9, timer{kind: kindFailure, node: fail.Node, idx: i})
 		if fail.RecoverAt > 0 {
-			s.startAux(fail.RecoverAt+1e-9, fmt.Sprintf("recover/node%d", fail.Node), pending{kind: kindRecovery, node: fail.Node})
+			s.startAux(fail.RecoverAt+1e-9, timer{kind: kindRecovery, node: fail.Node})
 		}
 	}
 	for i, d := range s.opts.Degradations {
-		s.startAux(d.At+1e-9, fmt.Sprintf("degrade/node%d", d.Node), pending{kind: kindDegrade, node: d.Node, idx: i})
+		s.startAux(d.At+1e-9, timer{kind: kindDegrade, node: d.Node, idx: i})
 		if d.Until > 0 {
-			s.startAux(d.Until+1e-9, fmt.Sprintf("restore/node%d", d.Node), pending{kind: kindRestore, node: d.Node})
+			s.startAux(d.Until+1e-9, timer{kind: kindRestore, node: d.Node})
 		}
 	}
 	if s.opts.Advisor != nil {
@@ -294,7 +328,7 @@ func (s *sim) drain(ctx context.Context) (err error) {
 	}
 	for j, rt := range s.jobs {
 		if rt.spec.StartAt > 0 {
-			s.startAux(rt.spec.StartAt, fmt.Sprintf("j%d/arrival", j), pending{kind: kindArrival, job: j})
+			s.startAux(rt.spec.StartAt, timer{kind: kindArrival, job: j})
 			continue
 		}
 		s.release(j, 0)
@@ -316,14 +350,15 @@ func (s *sim) drain(ctx context.Context) (err error) {
 }
 
 // startAux arms a timer that is bookkeeping rather than work.
-func (s *sim) startAux(delay float64, label string, pd pending) {
-	s.inflight[s.net.Start(nil, 0, delay, label)] = pd
+func (s *sim) startAux(delay float64, t timer) {
+	t.id, t.live = s.net.Start(nil, 0, delay, ^len(s.aux)), true
+	s.aux = append(s.aux, t)
 	s.auxTimers++
 }
 
 // scheduleAdvisor arms the next advisory pass.
 func (s *sim) scheduleAdvisor() {
-	s.startAux(s.opts.AdvisorInterval, fmt.Sprintf("advisor/t%d", s.advisorTicks), pending{kind: kindAdvisor})
+	s.startAux(s.opts.AdvisorInterval, timer{kind: kindAdvisor})
 }
 
 func (s *sim) activeWork() int { return s.net.Active() - s.auxTimers }
@@ -395,22 +430,22 @@ func (s *sim) startInput(j, proc int) {
 	fs.RecordRead(in.Chunk, node, local, in.SizeMB, s.net.Now())
 	rt.curReads[srcNode]++
 	rt.res.PeakConcurrentReads[srcNode] = max(rt.res.PeakConcurrentReads[srcNode], rt.curReads[srcNode])
-	// One label per kind, not per flow: what a flow is doing for whom is in
-	// its pending record.
-	id := s.net.Start(topo.ReadPath(srcNode, node), in.SizeMB, topo.ReadLatency(srcNode), "read")
-	s.inflight[id] = pending{kind: kindRead, job: j, proc: proc, rec: ReadRecord{
-		Proc: proc, Task: st.task, Chunk: in.Chunk,
-		SrcNode: srcNode, DstNode: node, Local: local,
-		SizeMB: in.SizeMB, Start: s.net.Now() - s.start,
-	}}
+	s.path = topo.AppendReadPath(s.path[:0], srcNode, node)
+	h := rt.base + proc
+	s.slots[h] = slot{job: j, proc: proc, busy: true, kind: kindRead,
+		id: s.net.Start(s.path, in.SizeMB, topo.ReadLatency(srcNode), h),
+		rec: ReadRecord{
+			Proc: proc, Task: st.task, Chunk: in.Chunk,
+			SrcNode: srcNode, DstNode: node, Local: local,
+			SizeMB: in.SizeMB, Start: s.net.Now() - s.start,
+		}}
 }
 
 // readDone records a finished read and moves its process on: to the task's
 // next input, its compute phase, or its next task.
-func (s *sim) readDone(pd pending, now float64) {
-	rt := s.jobs[pd.job]
+func (s *sim) readDone(j, proc int, rec ReadRecord, now float64) {
+	rt := s.jobs[j]
 	res, topo := rt.res, s.opts.Topo
-	rec := pd.rec
 	rec.End = now - s.start
 	rt.curReads[rec.SrcNode]--
 	res.Records = append(res.Records, rec)
@@ -422,68 +457,68 @@ func (s *sim) readDone(pd pending, now float64) {
 			res.CrossRackMB += rec.SizeMB
 		}
 	}
-	st := &rt.procs[pd.proc]
+	st := &rt.procs[proc]
 	st.input++
 	if st.input < len(rt.spec.Problem.Tasks[st.task].Inputs) {
-		s.startInput(pd.job, pd.proc)
+		s.startInput(j, proc)
 		return
 	}
 	// All inputs read: compute phase, if any.
 	if rt.spec.ComputeTime != nil {
 		ct := rt.spec.ComputeTime(st.task)
 		if rt.computeFactor != nil {
-			ct *= rt.computeFactor(pd.proc)
+			ct *= rt.computeFactor(proc)
 		}
 		if ct > 0 {
-			id := s.net.Start(nil, 0, ct, "compute")
-			s.inflight[id] = pending{kind: kindCompute, job: pd.job, proc: pd.proc}
+			h := rt.base + proc
+			s.slots[h] = slot{job: j, proc: proc, busy: true, kind: kindCompute, id: s.net.Start(nil, 0, ct, h)}
 			return
 		}
 	}
-	s.startTask(pd.job, pd.proc)
+	s.startTask(j, proc)
 }
 
 // nodeFailed handles a DataNode crash: the node's storage service is gone,
 // future picks avoid it and every read it was serving restarts against
 // another replica.
-func (s *sim) nodeFailed(pd pending) {
+func (s *sim) nodeFailed(t timer) {
 	opts := s.opts
-	s.failed[pd.node] = true
-	s.failedNodes = append(s.failedNodes, pd.node)
-	if opts.Failures[pd.idx].RecoverAt == 0 && (opts.Repair || opts.Replan) {
+	s.failed[t.node] = true
+	s.failedNodes = append(s.failedNodes, t.node)
+	if opts.Failures[t.idx].RecoverAt == 0 && (opts.Repair || opts.Replan) {
 		// A permanent loss with the recovery subsystem on: record the crash
 		// in the namenode so repair and replanning see the true placement.
 		// (Transient outages never touch metadata — the node returns with
 		// its data intact.)
-		if _, _, err := opts.FS.Crash(pd.node); err != nil {
-			panic(abortRun{fmt.Errorf("engine: crash of node %d: %w", pd.node, err)})
+		if _, _, err := opts.FS.Crash(t.node); err != nil {
+			panic(abortRun{fmt.Errorf("engine: crash of node %d: %w", t.node, err)})
 		}
 		if opts.Repair {
-			s.startAux(opts.RepairDelay+1e-9, fmt.Sprintf("repair/node%d", pd.node), pending{kind: kindRepair, node: pd.node})
+			s.startAux(opts.RepairDelay+1e-9, timer{kind: kindRepair, node: t.node})
 		}
 	}
-	var victims []simnet.FlowID
-	for id, infl := range s.inflight {
-		if infl.kind == kindRead && infl.rec.SrcNode == pd.node {
-			victims = append(victims, id)
+	var victims []int // slots reading from the node
+	for h, sl := range s.slots {
+		if sl.busy && sl.kind == kindRead && sl.rec.SrcNode == t.node {
+			victims = append(victims, h)
 		}
 	}
-	// Deterministic retry order.
-	sort.Slice(victims, func(i, j int) bool { return victims[i] < victims[j] })
-	for _, id := range victims {
-		if s.net.Cancel(id) < 0 {
+	// Deterministic retry order: the victims' flow IDs.
+	slices.SortFunc(victims, func(a, b int) int { return cmp.Compare(s.slots[a].id, s.slots[b].id) })
+	for _, h := range victims {
+		sl := &s.slots[h]
+		if s.net.Cancel(sl.id) < 0 {
 			// Completed in the same event batch: its handler will run
 			// normally, no retry needed.
 			continue
 		}
-		victim := s.inflight[id]
-		delete(s.inflight, id)
-		rt := s.jobs[victim.job]
-		rt.curReads[pd.node]--
+		sl.busy = false
+		rt := s.jobs[sl.job]
+		rt.curReads[t.node]--
 		rt.res.Retries++
-		s.startInput(victim.job, victim.proc) // re-picks avoiding failed nodes
+		s.startInput(sl.job, sl.proc) // re-picks avoiding failed nodes
 	}
-	s.maybeReplan(pd.node)
+	s.maybeReplan(t.node)
 }
 
 // StorageDeadWeight is the replanning weight of a process whose node lost its

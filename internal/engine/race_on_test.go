@@ -1,0 +1,7 @@
+//go:build race
+
+package engine
+
+// raceEnabled reports that the race detector is on, whose instrumentation
+// allocates and so voids allocation counts.
+const raceEnabled = true

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 
 	"opass/internal/core"
 	"opass/internal/dfs"
@@ -80,22 +79,21 @@ func ReplanBacklogDelta(p *core.Problem, fs *dfs.FileSystem, src *ListSource, fi
 	pending := func(proc int) []int { return src.lists[proc][src.pos[proc]:] }
 	moved := make([]bool, len(p.Tasks))
 	keptMB := make([]float64, len(src.lists))
-	var taskIDs []int
 	var totalMB float64
-	backlog := 0
+	backlog, nMoved := 0, 0
 	for proc := range src.lists {
 		backlog += len(pending(proc))
 		for _, id := range pending(proc) {
 			totalMB += p.Tasks[id].SizeMB()
 			if affected(id, proc) {
-				taskIDs = append(taskIDs, id)
 				moved[id] = true
+				nMoved++
 			} else {
 				keptMB[proc] += p.Tasks[id].SizeMB()
 			}
 		}
 	}
-	if len(taskIDs) == 0 {
+	if nMoved == 0 {
 		return false, 0, nil
 	}
 	var alive []int
@@ -142,12 +140,17 @@ func ReplanBacklogDelta(p *core.Problem, fs *dfs.FileSystem, src *ListSource, fi
 					break
 				}
 				moved[id] = true
+				nMoved++
 				keptMB[proc] -= sz
-				taskIDs = append(taskIDs, id)
 			}
 		}
 	}
-	sort.Ints(taskIDs)
+	taskIDs := make([]int, 0, nMoved) // ascending
+	for id, m := range moved {
+		if m {
+			taskIDs = append(taskIDs, id)
+		}
+	}
 
 	// Build a dense sub-problem over the re-matched tasks and the live
 	// processes.

@@ -618,6 +618,27 @@ func BenchmarkPlanRequest(b *testing.B) {
 	})
 }
 
+// BenchmarkSimulateRequest times the whole /v1/simulate handler — decode,
+// mirror file system, plan, engine, summary — over the bench's
+// simulate-faults bodies (128 processes x 1,280 tasks, a crash, a slow node,
+// replan and repair), one of 32 seeds per iteration, with the plan cache off.
+func BenchmarkSimulateRequest(b *testing.B) {
+	bodies := make([][]byte, 32)
+	for i := range bodies {
+		bodies[i] = benchBody(128, 1280, []float64{64}, true, int64(i+1))
+	}
+	s := NewServer(ServerOptions{PlanCacheEntries: -1})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := &discardResponse{header: http.Header{}}
+		s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/simulate", bytes.NewReader(bodies[i%len(bodies)])))
+		if w.status != http.StatusOK {
+			b.Fatalf("status %d", w.status)
+		}
+	}
+}
+
 // oneTask is the smallest valid task list, for rows that vary something else.
 const oneTask = `"tasks":[{"inputs":[{"size_mb":1,"replicas":[0]}]}]`
 

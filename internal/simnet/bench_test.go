@@ -59,7 +59,7 @@ func drainCluster(nodes, reads int, remoteFrac float64) int64 {
 			path = []ResourceID{disk[src], tx[src], rx[node]}
 		}
 		// Sizes vary a little so completions do not all share one instant.
-		owner[n.Start(path, 60+8*rng.Float64(), 0.012, "read")] = node
+		owner[n.Start(path, 60+8*rng.Float64(), 0.012, 0)] = node
 	}
 	n.OnComplete(func(now float64, f *Flow) {
 		node := owner[f.ID]

@@ -17,7 +17,7 @@ import (
 type simulator interface {
 	AddResource(name string, capacity, seekPenalty float64) ResourceID
 	SetScale(id ResourceID, scale float64)
-	Start(path []ResourceID, sizeMB, delay float64, label string) FlowID
+	Start(path []ResourceID, sizeMB, delay float64, handle int) FlowID
 	Cancel(id FlowID) float64
 	Step() bool
 	RunUntil(deadline float64) bool
@@ -173,7 +173,7 @@ func (r *scriptRun) start(shape, a, b, c byte) {
 	if len(path) > 0 {
 		size = float64(c%16) * 8 // coarse, so equal flows finish together
 	}
-	r.sim.Start(path, size, float64(shape/6%8)*0.04, "f")
+	r.sim.Start(path, size, float64(shape/6%8)*0.04, 0)
 }
 
 func (r *scriptRun) cancel(id FlowID) {

@@ -54,12 +54,12 @@ func (n *refNetwork) Completed() int64               { return n.done }
 func (n *refNetwork) Active() int                    { return len(n.flows) }
 func (n *refNetwork) OnComplete(h CompletionHandler) { n.onDone = h }
 
-func (n *refNetwork) Start(path []ResourceID, sizeMB, delay float64, label string) FlowID {
+func (n *refNetwork) Start(path []ResourceID, sizeMB, delay float64, handle int) FlowID {
 	id := n.nextID
 	n.nextID++
 	f := &Flow{
 		ID:        id,
-		Label:     label,
+		Handle:    handle,
 		Path:      append([]ResourceID(nil), path...),
 		Size:      sizeMB,
 		Delay:     delay,

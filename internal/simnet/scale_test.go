@@ -10,7 +10,7 @@ import (
 func TestSetScaleChangesRatesMidFlight(t *testing.T) {
 	n := New()
 	disk := n.AddResource("disk", 100, 0)
-	n.Start([]ResourceID{disk}, 100, 0, "xfer") // 1s at full speed
+	n.Start([]ResourceID{disk}, 100, 0, 0) // 1s at full speed
 
 	// Run the first half at full speed.
 	if !n.RunUntil(0.5) {
@@ -30,7 +30,7 @@ func TestSetScaleChangesRatesMidFlight(t *testing.T) {
 
 	// Restore and run a fresh transfer at nominal speed.
 	n.SetScale(disk, 1)
-	n.Start([]ResourceID{disk}, 100, 0, "xfer2")
+	n.Start([]ResourceID{disk}, 100, 0, 0)
 	n.Run()
 	if math.Abs(end-6.5) > 1e-6 {
 		t.Fatalf("restored completion at %v, want 6.5", end)
@@ -43,8 +43,8 @@ func TestSetScaleComposesWithSeekPenalty(t *testing.T) {
 	n := New()
 	disk := n.AddResource("disk", 100, 1) // alpha=1: 2 streams halve throughput
 	n.SetScale(disk, 0.5)
-	n.Start([]ResourceID{disk}, 25, 0, "a")
-	n.Start([]ResourceID{disk}, 25, 0, "b")
+	n.Start([]ResourceID{disk}, 25, 0, 0)
+	n.Start([]ResourceID{disk}, 25, 0, 0)
 	// Aggregate = 0.5*100/(1+1) = 25 MB/s, 12.5 each => both end at t=2.
 	var last float64
 	n.OnComplete(func(now float64, f *Flow) { last = now })

@@ -49,14 +49,15 @@ type Resource struct {
 }
 
 // Flow is one in-flight transfer. Flows are created by Network.Start and
-// owned by the Network; callers receive the pointer in completion callbacks
-// and must not mutate it.
+// owned by the Network, which recycles them: a *Flow handed to a completion
+// handler is valid only until that handler returns, and callers must not
+// mutate it. Callers keep the FlowID and the handle, never the pointer.
 type Flow struct {
-	ID    FlowID
-	Label string
-	Path  []ResourceID // resources traversed; empty for pure timers
-	Size  float64      // MB to transfer
-	Delay float64      // startup latency in seconds
+	ID     FlowID
+	Handle int          // the caller's handle, as passed to Start
+	Path   []ResourceID // resources traversed; empty for pure timers
+	Size   float64      // MB to transfer
+	Delay  float64      // startup latency in seconds
 
 	Start float64 // virtual time the flow was started
 	End   float64 // virtual time the flow completed (set on completion)
@@ -65,10 +66,14 @@ type Flow struct {
 	delayLeft float64
 	rate      float64
 	frozen    bool // recomputeRates scratch: rate settled, or not transferring
+	// inline holds Path when it fits: a local read crosses 1 resource, a
+	// remote one 3 and a cross-rack one 5.
+	inline [5]ResourceID
 }
 
 // CompletionHandler is invoked by Run whenever a flow finishes. The handler
-// runs with the clock at the completion instant and may start new flows.
+// runs with the clock at the completion instant and may start new flows. f
+// is recycled once the handler returns: it must not be retained.
 type CompletionHandler func(now float64, f *Flow)
 
 // Network is a set of resources and the flows sharing them. The zero value
@@ -93,6 +98,9 @@ type Network struct {
 	heap     []shareEntry
 	changed  []int
 	finished []*Flow // completeFinished's batch buffer
+	// free holds retired flows for Start to reuse: a completed flow once its
+	// handler has returned, a cancelled one at once.
+	free []*Flow
 
 	started, done, events, recomputes int64
 }
@@ -122,17 +130,23 @@ const sizeEpsilon = 1e-9
 // New returns an empty Network with its clock at zero.
 func New() *Network { return &Network{} }
 
+// Grow reserves room for another k resources, so registering them does not
+// regrow the resource table.
+func (n *Network) Grow(k int) { n.resources = slices.Grow(n.resources, k) }
+
 // AddResource registers a resource and returns its ID. Capacity must be
-// positive and seekPenalty non-negative.
+// positive and seekPenalty non-negative. The name need not be unique: the ID
+// identifies the resource.
 func (n *Network) AddResource(name string, capacity, seekPenalty float64) ResourceID {
+	id := ResourceID(len(n.resources))
 	if capacity <= 0 {
-		panic(fmt.Sprintf("simnet: resource %q capacity %v must be positive", name, capacity))
+		panic(fmt.Sprintf("simnet: resource %d (%s) capacity %v must be positive", id, name, capacity))
 	}
 	if seekPenalty < 0 {
-		panic(fmt.Sprintf("simnet: resource %q seek penalty %v must be non-negative", name, seekPenalty))
+		panic(fmt.Sprintf("simnet: resource %d (%s) seek penalty %v must be non-negative", id, name, seekPenalty))
 	}
 	n.resources = append(n.resources, resource{Resource: Resource{name, capacity, seekPenalty}, scale: 1})
-	return ResourceID(len(n.resources) - 1)
+	return id
 }
 
 // SetScale sets the capacity multiplier of resource id: a degraded device
@@ -144,7 +158,7 @@ func (n *Network) AddResource(name string, capacity, seekPenalty float64) Resour
 // as low utilization of its rated bandwidth.
 func (n *Network) SetScale(id ResourceID, scale float64) {
 	if scale <= 0 || math.IsNaN(scale) || math.IsInf(scale, 0) {
-		panic(fmt.Sprintf("simnet: resource %q scale %v must be positive and finite", n.resources[int(id)].Name, scale))
+		panic(fmt.Sprintf("simnet: resource %d (%s) scale %v must be positive and finite", id, n.resources[id].Name, scale))
 	}
 	n.resources[id].scale = scale
 	n.dirty = true
@@ -181,37 +195,47 @@ func (n *Network) OnComplete(h CompletionHandler) { n.onDone = h }
 
 // Start launches a flow over path transferring sizeMB megabytes after a
 // startup delay of delay seconds. A nil or empty path with sizeMB==0 acts as
-// a pure timer that fires after delay. It returns the new flow's ID.
-func (n *Network) Start(path []ResourceID, sizeMB, delay float64, label string) FlowID {
+// a pure timer that fires after delay. handle is the caller's, handed back
+// on the flow; the network reads it only to name the flow in a panic. Start
+// copies path, and reuses a retired flow when one is free, so once warm it
+// allocates nothing. It returns the new flow's ID.
+func (n *Network) Start(path []ResourceID, sizeMB, delay float64, handle int) FlowID {
 	if sizeMB < 0 {
-		panic(fmt.Sprintf("simnet: flow %q size %v must be non-negative", label, sizeMB))
+		panic(fmt.Sprintf("simnet: flow (handle %d) size %v must be non-negative", handle, sizeMB))
 	}
 	if delay < 0 {
-		panic(fmt.Sprintf("simnet: flow %q delay %v must be non-negative", label, delay))
+		panic(fmt.Sprintf("simnet: flow (handle %d) delay %v must be non-negative", handle, delay))
 	}
 	if sizeMB > 0 && len(path) == 0 {
-		panic(fmt.Sprintf("simnet: flow %q transfers data but has no path", label))
+		panic(fmt.Sprintf("simnet: flow (handle %d) transfers data but has no path", handle))
 	}
 	for _, r := range path {
 		if int(r) < 0 || int(r) >= len(n.resources) {
-			panic(fmt.Sprintf("simnet: flow %q references unknown resource %d", label, r))
+			panic(fmt.Sprintf("simnet: flow (handle %d) references unknown resource %d", handle, r))
 		}
 	}
-	id := FlowID(n.started) // IDs count up from zero, which keeps flows sorted
-	f := &Flow{
-		ID:        id,
-		Label:     label,
-		Path:      append([]ResourceID(nil), path...),
+	var f *Flow
+	if k := len(n.free); k > 0 {
+		f, n.free = n.free[k-1], n.free[:k-1]
+	} else {
+		f = new(Flow)
+	}
+	*f = Flow{
+		ID:        FlowID(n.started), // IDs count up from zero, which keeps flows sorted
+		Handle:    handle,
 		Size:      sizeMB,
 		Delay:     delay,
 		Start:     n.now,
 		remaining: sizeMB,
 		delayLeft: delay,
 	}
+	if len(path) > 0 {
+		f.Path = append(f.inline[:0], path...) // a path over 5 resources gets its own array
+	}
 	n.flows = append(n.flows, f)
 	n.started++
 	n.dirty = true
-	return id
+	return f.ID
 }
 
 // nextEvent returns the time until the earliest delay expiry or flow
@@ -301,7 +325,9 @@ func (n *Network) advance(dt float64) {
 // completeFinished retires every flow that has no delay and no data left,
 // invoking the completion handler. One pass collects the batch (in table, so
 // ID, order) and compacts the table: finished flows are gone before handlers
-// run, which may start new flows and get -1 cancelling a batch-mate.
+// run, which may start new flows and get -1 cancelling a batch-mate. Each
+// flow is freed once its own handler has returned, so a flow a handler
+// starts never reuses a batch-mate still waiting for its handler.
 func (n *Network) completeFinished() {
 	batch, keep := n.finished[:0], n.flows[:0]
 	for _, f := range n.flows {
@@ -327,7 +353,10 @@ func (n *Network) completeFinished() {
 		n.finished = nil
 		for _, f := range batch {
 			n.onDone(n.now, f)
+			n.free = append(n.free, f)
 		}
+	} else {
+		n.free = append(n.free, batch...)
 	}
 	clear(batch)
 	n.finished = batch
@@ -345,6 +374,7 @@ func (n *Network) Cancel(id FlowID) float64 {
 	}
 	f := n.flows[i]
 	n.flows = slices.Delete(n.flows, i, i+1)
+	n.free = append(n.free, f)
 	n.dirty = true
 	return f.remaining
 }

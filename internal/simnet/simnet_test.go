@@ -14,7 +14,7 @@ func almostEqual(a, b, tol float64) bool {
 func TestSingleFlowUncontended(t *testing.T) {
 	n := New()
 	disk := n.AddResource("disk", 100, 0)
-	n.Start([]ResourceID{disk}, 50, 0.5, "read")
+	n.Start([]ResourceID{disk}, 50, 0.5, 0)
 	end := n.Run()
 	// 0.5 s delay + 50 MB at 100 MB/s = 1.0 s total.
 	if !almostEqual(end, 1.0, 1e-6) {
@@ -26,7 +26,7 @@ func TestPureTimer(t *testing.T) {
 	n := New()
 	var fired float64 = -1
 	n.OnComplete(func(now float64, f *Flow) { fired = now })
-	n.Start(nil, 0, 2.5, "compute")
+	n.Start(nil, 0, 2.5, 0)
 	end := n.Run()
 	if !almostEqual(end, 2.5, 1e-9) || !almostEqual(fired, 2.5, 1e-9) {
 		t.Fatalf("end=%v fired=%v, want 2.5", end, fired)
@@ -36,8 +36,8 @@ func TestPureTimer(t *testing.T) {
 func TestTwoFlowsShareIdeally(t *testing.T) {
 	n := New()
 	disk := n.AddResource("disk", 100, 0)
-	n.Start([]ResourceID{disk}, 100, 0, "a")
-	n.Start([]ResourceID{disk}, 100, 0, "b")
+	n.Start([]ResourceID{disk}, 100, 0, 0)
+	n.Start([]ResourceID{disk}, 100, 0, 0)
 	end := n.Run()
 	// Two equal flows share 100 MB/s: each runs at 50 MB/s, both finish at 2 s.
 	if !almostEqual(end, 2.0, 1e-6) {
@@ -50,8 +50,8 @@ func TestUnequalFlowsWorkConserving(t *testing.T) {
 	disk := n.AddResource("disk", 100, 0)
 	var ends []float64
 	n.OnComplete(func(now float64, f *Flow) { ends = append(ends, now) })
-	n.Start([]ResourceID{disk}, 50, 0, "small")
-	n.Start([]ResourceID{disk}, 150, 0, "big")
+	n.Start([]ResourceID{disk}, 50, 0, 0)
+	n.Start([]ResourceID{disk}, 150, 0, 0)
 	n.Run()
 	// Both at 50 MB/s until small finishes at t=1 (50 MB each transferred);
 	// big then gets the full 100 MB/s for its remaining 100 MB: ends at t=2.
@@ -64,8 +64,8 @@ func TestSeekPenaltyDegradesAggregate(t *testing.T) {
 	n := New()
 	// alpha = 0.5: with 2 streams the aggregate is 100/1.5 = 66.67 MB/s.
 	disk := n.AddResource("disk", 100, 0.5)
-	n.Start([]ResourceID{disk}, 100, 0, "a")
-	n.Start([]ResourceID{disk}, 100, 0, "b")
+	n.Start([]ResourceID{disk}, 100, 0, 0)
+	n.Start([]ResourceID{disk}, 100, 0, 0)
 	end := n.Run()
 	want := 200.0 / (100.0 / 1.5)
 	if !almostEqual(end, want, 1e-6) {
@@ -76,7 +76,7 @@ func TestSeekPenaltyDegradesAggregate(t *testing.T) {
 func TestSeekPenaltySingleStreamUnaffected(t *testing.T) {
 	n := New()
 	disk := n.AddResource("disk", 100, 0.5)
-	n.Start([]ResourceID{disk}, 100, 0, "solo")
+	n.Start([]ResourceID{disk}, 100, 0, 0)
 	end := n.Run()
 	if !almostEqual(end, 1.0, 1e-6) {
 		t.Fatalf("end = %v, want 1.0 (no penalty for k=1)", end)
@@ -89,12 +89,13 @@ func TestMaxMinBottleneck(t *testing.T) {
 	n := New()
 	l1 := n.AddResource("l1", 100, 0)
 	l2 := n.AddResource("l2", 30, 0)
-	ends := map[string]float64{}
-	n.OnComplete(func(now float64, f *Flow) { ends[f.Label] = now })
-	n.Start([]ResourceID{l1}, 70, 0, "A")
-	n.Start([]ResourceID{l1, l2}, 30, 0, "B")
+	const A, B = 0, 1
+	ends := map[int]float64{}
+	n.OnComplete(func(now float64, f *Flow) { ends[f.Handle] = now })
+	n.Start([]ResourceID{l1}, 70, 0, A)
+	n.Start([]ResourceID{l1, l2}, 30, 0, B)
 	n.Run()
-	if !almostEqual(ends["A"], 1.0, 1e-6) || !almostEqual(ends["B"], 1.0, 1e-6) {
+	if !almostEqual(ends[A], 1.0, 1e-6) || !almostEqual(ends[B], 1.0, 1e-6) {
 		t.Fatalf("ends = %v, want both 1.0", ends)
 	}
 }
@@ -106,7 +107,7 @@ func TestRemotePathMinOfResources(t *testing.T) {
 	disk := n.AddResource("disk", 75, 0)
 	tx := n.AddResource("tx", 117, 0)
 	rx := n.AddResource("rx", 117, 0)
-	n.Start([]ResourceID{disk, tx, rx}, 75, 0, "remote")
+	n.Start([]ResourceID{disk, tx, rx}, 75, 0, 0)
 	end := n.Run()
 	if !almostEqual(end, 1.0, 1e-6) {
 		t.Fatalf("end = %v, want 1.0", end)
@@ -116,18 +117,19 @@ func TestRemotePathMinOfResources(t *testing.T) {
 func TestDelayDefersBandwidthUse(t *testing.T) {
 	n := New()
 	disk := n.AddResource("disk", 100, 0)
-	ends := map[string]float64{}
-	n.OnComplete(func(now float64, f *Flow) { ends[f.Label] = now })
-	n.Start([]ResourceID{disk}, 100, 0, "eager")
-	n.Start([]ResourceID{disk}, 100, 1.0, "late")
+	const eager, late = 0, 1
+	ends := map[int]float64{}
+	n.OnComplete(func(now float64, f *Flow) { ends[f.Handle] = now })
+	n.Start([]ResourceID{disk}, 100, 0, eager)
+	n.Start([]ResourceID{disk}, 100, 1.0, late)
 	n.Run()
 	// eager runs alone for 1 s (100 MB done? no: 100 MB at 100 MB/s would
 	// finish exactly at 1.0 s, just as late starts).
-	if !almostEqual(ends["eager"], 1.0, 1e-6) {
-		t.Fatalf("eager end = %v, want 1.0", ends["eager"])
+	if !almostEqual(ends[eager], 1.0, 1e-6) {
+		t.Fatalf("eager end = %v, want 1.0", ends[eager])
 	}
-	if !almostEqual(ends["late"], 2.0, 1e-6) {
-		t.Fatalf("late end = %v, want 2.0", ends["late"])
+	if !almostEqual(ends[late], 2.0, 1e-6) {
+		t.Fatalf("late end = %v, want 2.0", ends[late])
 	}
 }
 
@@ -140,10 +142,10 @@ func TestCompletionHandlerChainsFlows(t *testing.T) {
 	n.OnComplete(func(now float64, f *Flow) {
 		remaining--
 		if remaining > 0 {
-			n.Start([]ResourceID{disk}, 100, 0, "next")
+			n.Start([]ResourceID{disk}, 100, 0, 0)
 		}
 	})
-	n.Start([]ResourceID{disk}, 100, 0, "first")
+	n.Start([]ResourceID{disk}, 100, 0, 0)
 	end := n.Run()
 	if !almostEqual(end, 4.0, 1e-6) {
 		t.Fatalf("end = %v, want 4.0", end)
@@ -156,7 +158,7 @@ func TestCompletionHandlerChainsFlows(t *testing.T) {
 func TestRunUntilPausesMidFlow(t *testing.T) {
 	n := New()
 	disk := n.AddResource("disk", 100, 0)
-	id := n.Start([]ResourceID{disk}, 100, 0, "slow")
+	id := n.Start([]ResourceID{disk}, 100, 0, 0)
 	_ = id
 	active := n.RunUntil(0.5)
 	if !active {
@@ -173,10 +175,10 @@ func TestRunUntilPausesMidFlow(t *testing.T) {
 
 func TestStartPanicsOnBadArgs(t *testing.T) {
 	cases := []func(n *Network, r ResourceID){
-		func(n *Network, r ResourceID) { n.Start([]ResourceID{r}, -1, 0, "neg size") },
-		func(n *Network, r ResourceID) { n.Start([]ResourceID{r}, 1, -1, "neg delay") },
-		func(n *Network, r ResourceID) { n.Start(nil, 1, 0, "no path") },
-		func(n *Network, r ResourceID) { n.Start([]ResourceID{99}, 1, 0, "bad resource") },
+		func(n *Network, r ResourceID) { n.Start([]ResourceID{r}, -1, 0, 0) },
+		func(n *Network, r ResourceID) { n.Start([]ResourceID{r}, 1, -1, 0) },
+		func(n *Network, r ResourceID) { n.Start(nil, 1, 0, 0) },
+		func(n *Network, r ResourceID) { n.Start([]ResourceID{99}, 1, 0, 0) },
 	}
 	for i, fn := range cases {
 		func() {
@@ -253,7 +255,7 @@ func TestPropertyAllFlowsComplete(t *testing.T) {
 			}
 		})
 		for _, s := range specs {
-			n.Start(s.path, s.size, s.delay, "f")
+			n.Start(s.path, s.size, s.delay, 0)
 		}
 		end := n.Run()
 		if completions != numFlows {
@@ -301,7 +303,7 @@ func TestPropertyRatesRespectCapacity(t *testing.T) {
 		for j, p := range perm {
 			path[j] = ids[p]
 		}
-		flows = append(flows, n.Start(path, 50+rng.Float64()*100, 0, "f"))
+		flows = append(flows, n.Start(path, 50+rng.Float64()*100, 0, 0))
 	}
 	n.recomputeRates()
 	// Sum of rates through each resource must not exceed its effective
@@ -345,7 +347,7 @@ func TestDeterminism(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				path = append(path, ids[(int(path[0])+1)%2])
 			}
-			n.Start(path, rng.Float64()*64, rng.Float64()*0.05, "f")
+			n.Start(path, rng.Float64()*64, rng.Float64()*0.05, 0)
 		}
 		n.Run()
 		return ends
@@ -364,8 +366,8 @@ func TestDeterminism(t *testing.T) {
 func TestCancelRedistributesBandwidth(t *testing.T) {
 	n := New()
 	disk := n.AddResource("disk", 100, 0)
-	a := n.Start([]ResourceID{disk}, 100, 0, "victim")
-	n.Start([]ResourceID{disk}, 100, 0, "survivor")
+	a := n.Start([]ResourceID{disk}, 100, 0, 0)
+	n.Start([]ResourceID{disk}, 100, 0, 0)
 	// Run to t=0.5: both at 50 MB/s have moved 25 MB, 75 MB left each.
 	n.RunUntil(0.5)
 	left := n.Cancel(a)
@@ -394,7 +396,7 @@ func TestCancelDoesNotFireHandler(t *testing.T) {
 	disk := n.AddResource("disk", 100, 0)
 	fired := 0
 	n.OnComplete(func(now float64, f *Flow) { fired++ })
-	id := n.Start([]ResourceID{disk}, 100, 0, "x")
+	id := n.Start([]ResourceID{disk}, 100, 0, 0)
 	n.Cancel(id)
 	n.Run()
 	if fired != 0 {
@@ -406,8 +408,8 @@ func TestWorkAccounting(t *testing.T) {
 	n := New()
 	disk := n.AddResource("disk", 100, 0)
 	tx := n.AddResource("tx", 200, 0)
-	n.Start([]ResourceID{disk, tx}, 100, 0, "remote")
-	n.Start([]ResourceID{disk}, 50, 0, "local")
+	n.Start([]ResourceID{disk, tx}, 100, 0, 0)
+	n.Start([]ResourceID{disk}, 50, 0, 0)
 	n.Run()
 	if !almostEqual(n.WorkMB(disk), 150, 1e-6) {
 		t.Fatalf("disk work = %v, want 150", n.WorkMB(disk))
@@ -420,13 +422,13 @@ func TestWorkAccounting(t *testing.T) {
 func TestUtilization(t *testing.T) {
 	n := New()
 	disk := n.AddResource("disk", 100, 0)
-	n.Start([]ResourceID{disk}, 100, 0, "r")
+	n.Start([]ResourceID{disk}, 100, 0, 0)
 	n.Run() // takes exactly 1s at full rate: utilization 1.0
 	if u := n.Utilization(disk, 0); !almostEqual(u, 1.0, 1e-6) {
 		t.Fatalf("utilization = %v, want 1.0", u)
 	}
 	// Idle time dilutes utilization: a timer doubles elapsed time.
-	n.Start(nil, 0, 1.0, "idle")
+	n.Start(nil, 0, 1.0, 0)
 	n.Run()
 	if u := n.Utilization(disk, 0); !almostEqual(u, 0.5, 1e-6) {
 		t.Fatalf("utilization after idle = %v, want 0.5", u)

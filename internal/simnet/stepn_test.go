@@ -5,8 +5,8 @@ import "testing"
 func TestStepNBudgetedDrain(t *testing.T) {
 	n := New()
 	disk := n.AddResource("disk", 100, 0)
-	n.Start([]ResourceID{disk}, 50, 0, "small")
-	n.Start([]ResourceID{disk}, 150, 0, "big")
+	n.Start([]ResourceID{disk}, 50, 0, 0)
+	n.Start([]ResourceID{disk}, 150, 0, 0)
 	// Two completion events remain; a budget of 1 consumes exactly one and
 	// reports more work pending.
 	if !n.StepN(1) {
@@ -33,9 +33,9 @@ func TestStepNMatchesRun(t *testing.T) {
 		n := New()
 		disk := n.AddResource("disk", 100, 0)
 		nic := n.AddResource("nic", 120, 0)
-		n.Start([]ResourceID{disk}, 50, 0.1, "a")
-		n.Start([]ResourceID{disk, nic}, 100, 0, "b")
-		n.Start([]ResourceID{nic}, 30, 0.25, "c")
+		n.Start([]ResourceID{disk}, 50, 0.1, 0)
+		n.Start([]ResourceID{disk, nic}, 100, 0, 0)
+		n.Start([]ResourceID{nic}, 30, 0.25, 0)
 		return n
 	}
 	ref := build()

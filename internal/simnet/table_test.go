@@ -12,8 +12,8 @@ import (
 func TestCancelOfBatchMateFromHandler(t *testing.T) {
 	n := New()
 	disk := n.AddResource("disk", 100, 0)
-	a := n.Start([]ResourceID{disk}, 50, 0, "a")
-	b := n.Start([]ResourceID{disk}, 50, 0, "b") // same size, same disk: one batch
+	a := n.Start([]ResourceID{disk}, 50, 0, 0)
+	b := n.Start([]ResourceID{disk}, 50, 0, 0) // same size, same disk: one batch
 	var order []FlowID
 	cancelled := 0.0
 	n.OnComplete(func(now float64, f *Flow) {
@@ -44,15 +44,15 @@ func TestStartFromHandlerDuringBatch(t *testing.T) {
 	d0 := n.AddResource("d0", 100, 0)
 	d1 := n.AddResource("d1", 100, 0)
 	d2 := n.AddResource("d2", 100, 0)
-	a := n.Start([]ResourceID{d0}, 100, 0, "a")
-	n.Start([]ResourceID{d0}, 100, 0, "b")          // a and b end together at t=2
-	slow := n.Start([]ResourceID{d1}, 1000, 0, "c") // survives the batch
+	a := n.Start([]ResourceID{d0}, 100, 0, 0)
+	n.Start([]ResourceID{d0}, 100, 0, 0)          // a and b end together at t=2
+	slow := n.Start([]ResourceID{d1}, 1000, 0, 0) // survives the batch
 	var child FlowID = -1
 	ends := map[FlowID]float64{}
 	n.OnComplete(func(now float64, f *Flow) {
 		ends[f.ID] = now
 		if f.ID == a {
-			child = n.Start([]ResourceID{d2}, 100, 0, "child")
+			child = n.Start([]ResourceID{d2}, 100, 0, 0)
 		}
 	})
 	if !n.Step() || n.Now() != 2 {
@@ -81,7 +81,7 @@ func TestCancelKeepsTableOrdered(t *testing.T) {
 	disk := n.AddResource("disk", 100, 0)
 	var ids []FlowID
 	for i := 0; i < 7; i++ {
-		ids = append(ids, n.Start([]ResourceID{disk}, 10, 0, "f"))
+		ids = append(ids, n.Start([]ResourceID{disk}, 10, 0, 0))
 	}
 	for _, i := range []int{3, 0, 6, 3, 5} { // middle, first, last, repeat, new last
 		want := 10.0
@@ -116,9 +116,9 @@ func TestStepSteadyStateAllocatesNothing(t *testing.T) {
 	start := func(i int, delay float64) FlowID {
 		src, dst := i%nodes, (i*7+1)%nodes
 		if i%3 == 0 {
-			return n.Start([]ResourceID{disk[src]}, 1e9, delay, "local")
+			return n.Start([]ResourceID{disk[src]}, 1e9, delay, 0)
 		}
-		return n.Start([]ResourceID{disk[src], tx[src], rx[dst]}, 1e9, delay, "remote")
+		return n.Start([]ResourceID{disk[src], tx[src], rx[dst]}, 1e9, delay, 0)
 	}
 	// Warm the scratch with every flow transferring at once, then put the
 	// second half back behind staggered delays.
@@ -170,7 +170,7 @@ func TestRecomputeRatesWarmAllocatesNothing(t *testing.T) {
 			src := (node + 1 + rng.Intn(nodes-1)) % nodes
 			path = []ResourceID{disk[src], tx[src], rx[node]}
 		}
-		n.Start(path, 60+8*rng.Float64(), 0, "read")
+		n.Start(path, 60+8*rng.Float64(), 0, 0)
 	}
 	n.recomputeRates()
 	if cap(n.heap) == 0 {
@@ -186,8 +186,8 @@ func TestRecomputeRatesWarmAllocatesNothing(t *testing.T) {
 func TestWorkCounters(t *testing.T) {
 	n := New()
 	disk := n.AddResource("disk", 100, 0)
-	n.Start([]ResourceID{disk}, 100, 0.5, "a") // delay expiry, then completion
-	n.Start(nil, 0, 2, "timer")                // fires after a is done
+	n.Start([]ResourceID{disk}, 100, 0.5, 0) // delay expiry, then completion
+	n.Start(nil, 0, 2, 0)                    // fires after a is done
 	n.Run()
 	if n.Events() != 3 {
 		t.Fatalf("events = %d, want 3", n.Events())
@@ -197,7 +197,7 @@ func TestWorkCounters(t *testing.T) {
 		t.Fatalf("recomputes = %d, want 3", n.RateRecomputes())
 	}
 	// A RunUntil that stops short of the next event is not an event.
-	n.Start([]ResourceID{disk}, 100, 0, "b")
+	n.Start([]ResourceID{disk}, 100, 0, 0)
 	n.RunUntil(n.Now() + 0.25)
 	if n.Events() != 3 {
 		t.Fatalf("events after a partial advance = %d, want 3", n.Events())
