@@ -56,10 +56,11 @@ func MatchAugmenting(g *Graph, quota []int) (owner []int, size int) {
 // files → … → process with spare quota. Each phase layers the processes by
 // BFS distance from the free files, stopping at the first layer that holds a
 // process with spare quota, then runs one depth-first search per free file
-// along strictly increasing layers. Both sides keep a current-arc cursor
-// that only moves forward within a phase (a file's into its row, a
-// process's into the files it owns), so a dead end is never re-entered and
-// the phase touches every edge at most once.
+// along strictly increasing layers. The first phase, with every file free
+// and every process empty, is a plain greedy pass (greedy). Both sides keep
+// a current-arc cursor that only moves forward within a phase (a file's
+// into its row, a process's into the files it owns), so a dead end is never
+// re-entered and the phase touches every edge at most once.
 //
 // Quotas must be non-negative. A process can never own more files than it
 // has edges, so its slots are carved for min(quota, degree): quotas far
@@ -93,10 +94,13 @@ func MatchRows(ctx context.Context, rows *Rows, quota []int) (owner []int, size 
 	clear(m.cnt)
 	m.level, m.itP = resize(m.level, numP), resize(m.itP, numP)
 	m.itF, m.free = resize(m.itF, numF), resize(m.free, numF)
-	for f := range m.owner {
-		m.owner[f] = -1
-		m.free[f] = int32(f)
+	// A layer holds each process at most once: sized here, the BFS queues
+	// never grow, however the phases unfold.
+	m.frontier, m.next = resize(m.frontier, numP), resize(m.next, numP)
+	if err := ctx.Err(); err != nil {
+		return nil, 0, err
 	}
+	size = m.greedy()
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, 0, err
@@ -152,6 +156,35 @@ type matcher struct {
 }
 
 func (m *matcher) spare(p int32) bool { return int(m.cnt[p]) < m.off[p+1]-m.off[p] }
+
+// greedy is the first phase without its BFS. With every file free, the
+// layering puts every process that has slots on layer 0 and stops there,
+// as each has spare quota, so every augmenting path is one edge: each file
+// in ascending order takes the first process in its row with a free slot.
+// It sets every owner, fills the slots in the order the phase would, leaves
+// the unmatched files as the ascending free list, and returns the number
+// matched.
+func (m *matcher) greedy() (size int) {
+	free := m.free[:0]
+	for f := range m.owner {
+		m.owner[f] = -1
+		for _, e := range m.rows.Row(f) {
+			if p := int32(e.Proc); m.spare(p) {
+				m.slots[m.off[p]+int(m.cnt[p])] = int32(f)
+				m.cnt[p]++
+				m.owner[f] = e.Proc
+				break
+			}
+		}
+		if m.owner[f] < 0 {
+			free = append(free, int32(f))
+		} else {
+			size++
+		}
+	}
+	m.free = free
+	return size
+}
 
 // layer assigns BFS layers to the processes reachable from the free files
 // and reports whether some process with spare quota was reached, i.e.

@@ -289,7 +289,8 @@ func fuzzGraph(data []byte) (*Rows, *Graph, []int) {
 
 // FuzzMatchAugmenting holds the matcher to both flow oracles on arbitrary
 // small relations: same size, only real edges, quotas respected, the same
-// owners on a second call, and the same owners through the Graph adapter.
+// owners and size as the layered-first-phase reference, the same owners on
+// a second call, and the same owners through the Graph adapter.
 func FuzzMatchAugmenting(f *testing.F) {
 	f.Add([]byte{1, 1, 1, 1, 0b11, 0b01})                                                   // TestMatchAugmentingNeedsDisplacement
 	f.Add([]byte{4, 4, 1, 1, 1, 1, 1, 0b00011, 0b00110, 0b00001, 0b11000, 0b01000})         // phasedChain: three phases
@@ -304,6 +305,9 @@ func FuzzMatchAugmenting(f *testing.F) {
 		}
 		if msg := checkMatching(g, quota, owner, size); msg != "" {
 			t.Fatalf("quota %v: %s (owner %v)", quota, msg, owner)
+		}
+		if ref, n, _ := referenceMatchRows(context.Background(), rows, quota); n != size || !slices.Equal(owner, ref) {
+			t.Fatalf("quota %v: owners %v (size %d), layered first phase %v (size %d)", quota, owner, size, ref, n)
 		}
 		if again, _, _ := MatchRows(context.Background(), rows, quota); !slices.Equal(owner, again) {
 			t.Fatalf("quota %v: second call returned %v, first %v", quota, again, owner)

@@ -163,10 +163,14 @@ func costUnit(p *Problem) float64 {
 // on a best holder, and rewrites it in place: tasks sent to the hub come
 // back -1 for the repair pipeline.
 func drainOverQuota(ctx context.Context, p *Problem, ix *LocalityIndex, owner, quotas []int) error {
+	rows, err := ix.taskRows(ctx)
+	if err != nil {
+		return err
+	}
 	n, m := len(owner), len(quotas)
 	tr := &transport{
 		ctx:   ctx,
-		rows:  &ix.buf.byTask,
+		rows:  rows,
 		unit:  costUnit(p),
 		m:     m,
 		quota: quotas,
@@ -188,7 +192,7 @@ func drainOverQuota(ctx context.Context, p *Problem, ix *LocalityIndex, owner, q
 	for t := n - 1; t >= 0; t-- { // head insertion leaves every list task-ascending
 		if x := owner[t]; x >= 0 {
 			tr.load[x]++
-			tr.own[t] = tr.units(ix.CoLocatedMB(x, t))
+			tr.own[t] = tr.units(mbOf(rows.Row(t), x))
 			tr.link(int32(t), int32(x))
 		}
 	}

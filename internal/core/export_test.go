@@ -7,3 +7,13 @@ func (s *DynamicScheduler) Remaining() int { return s.remain }
 
 // Remaining reports how many tasks have not yet been handed out.
 func (d *RandomDispatcher) Remaining() int { return len(d.pool) }
+
+// countTaskRowSorts runs f and reports how many times an index sorted its
+// deferred task rows meanwhile.
+func countTaskRowSorts(f func()) int {
+	sorts := 0
+	testHookTaskRowSort = func() { sorts++ }
+	defer func() { testHookTaskRowSort = nil }()
+	f()
+	return sorts
+}

@@ -24,7 +24,10 @@ import (
 // built; the process rows are a counting-sort transpose of them, made on
 // the first ProcEdges call (only Algorithm 1 and the flow network read
 // them); MultiExact's best-holder rows are appended while each task's
-// accumulation is still in the scratch arrays.
+// accumulation is still in the scratch arrays. MultiExact's stage 1 reads
+// only those, so its build leaves the task rows in the order the
+// accumulation touched the processes and sorts them on their first read,
+// which only stage 2 makes.
 //
 // The per-task accumulation order matches CoLocatedMB exactly (inputs in
 // declaration order, each added once per co-located process), so the
@@ -58,7 +61,11 @@ type LocalityIndex struct {
 	holders    int  // tasks with at least one edge; counted with the tight view
 	rackTiered bool // the rack tier (rack.go) is built only for rack-tiered problems
 	procBuilt  bool // byProc holds this index's transpose
-	released   bool
+	// unsorted: byTask's rows are in touch order, not Proc-ascending (a
+	// tight build before its first taskRows). It lives here, not in the
+	// pooled indexBuf, so no later build can inherit it.
+	unsorted bool
+	released bool
 }
 
 // indexCtxStride is how many per-task accumulations run between context
@@ -72,10 +79,10 @@ const indexCtxStride = 512
 // build overwrites every element it later reads, and the stamps only ever
 // compare against a fresh epoch.
 type indexBuf struct {
-	byTask     bipartite.Rows // task -> edges, Proc-ascending
+	byTask     bipartite.Rows // task -> edges, Proc-ascending once taskRows returns them
 	byProc     bipartite.Rows // proc -> edges, Task-ascending until MultiData consumes them; built by ProcEdges
 	byTaskRack bipartite.Rows // task -> rack-tier edges, Proc-ascending
-	tight      bipartite.Rows // task -> best-holder edges, MultiExact's stage 1; built only for it
+	tight      bipartite.Rows // task -> best-holder edges, Proc-ascending, MultiExact's stage 1; built only for it
 	pos        []int          // transpose write cursors, one per process
 
 	// Accumulated MB per process for the current task, with an epoch stamp
@@ -131,9 +138,10 @@ func (b *indexBuf) add(proc int, mb float64) {
 // indexBuf.add. maxEdges is an upper bound on the tier's edge count, so a
 // cold buffer is allocated once instead of grown. A non-nil tight receives
 // the same rows cut to their best holders (the edges whose MB is the row
-// maximum), and ix.holders counts the tasks with an edge. The loop polls
-// ctx once per indexCtxStride tasks; on a ctx error dst is partial and the
-// caller must Release the index.
+// maximum), Proc-ascending, and ix.holders counts the tasks with an edge;
+// dst's rows are then left in touch order for taskRows to sort. The loop
+// polls ctx once per indexCtxStride tasks; on a ctx error dst is partial
+// and the caller must Release the index.
 func (ix *LocalityIndex) buildTier(ctx context.Context, dst, tight *bipartite.Rows, maxEdges int, accumulate func(b *indexBuf, t int)) error {
 	n, b := len(ix.p.Tasks), ix.buf
 	dst.Off = slices.Grow(dst.Off[:0], n+1)[:n+1]
@@ -156,7 +164,9 @@ func (ix *LocalityIndex) buildTier(ctx context.Context, dst, tight *bipartite.Ro
 		b.epoch++
 		b.touched = b.touched[:0]
 		accumulate(b, t)
-		sort.Ints(b.touched)
+		if tight == nil {
+			sort.Ints(b.touched)
+		}
 		top := 0.0 // every weight is positive
 		for _, proc := range b.touched {
 			mb := b.mb[proc]
@@ -174,6 +184,7 @@ func (ix *LocalityIndex) buildTier(ctx context.Context, dst, tight *bipartite.Ro
 				best = append(best, e)
 			}
 		}
+		slices.SortFunc(best[tight.Off[t]:], byProc)
 		if len(edges) > lo {
 			ix.holders++
 		}
@@ -249,6 +260,7 @@ func newLocalityIndex(ctx context.Context, p *Problem, tight bool) (*LocalityInd
 		return nil, err
 	}
 	ix.edges = len(b.byTask.Edges)
+	ix.unsorted = tight
 
 	if err := ix.buildRackTier(ctx); err != nil {
 		ix.Release()
@@ -306,7 +318,51 @@ func (ix *LocalityIndex) NumEdges() int { return ix.edges }
 
 // taskEdges returns task t's locality edges in ascending process order. The
 // slice is a read-only view owned by the index.
-func (ix *LocalityIndex) taskEdges(t int) []LocalityEdge { return ix.buf.byTask.Row(t) }
+func (ix *LocalityIndex) taskEdges(t int) []LocalityEdge {
+	rows, _ := ix.taskRows(context.Background())
+	return rows.Row(t)
+}
+
+// taskRows returns the task rows, every row Proc-ascending. A tight build
+// leaves them in touch order; the first call sorts them, polling ctx once
+// per indexCtxStride rows. On a ctx error the rows stay marked unsorted
+// (sorting is idempotent, so a later call finishes the job).
+func (ix *LocalityIndex) taskRows(ctx context.Context) (*bipartite.Rows, error) {
+	rows := &ix.buf.byTask
+	if !ix.unsorted {
+		return rows, nil
+	}
+	for t := 0; t < len(rows.Off)-1; t++ {
+		if t%indexCtxStride == 0 && ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		slices.SortFunc(rows.Row(t), byProc)
+	}
+	ix.unsorted = false
+	if testHookTaskRowSort != nil {
+		testHookTaskRowSort()
+	}
+	return rows, nil
+}
+
+// testHookTaskRowSort, when set, runs each time taskRows sorts an index's
+// task rows.
+var testHookTaskRowSort func()
+
+// byProc orders edges by process.
+func byProc(a, b LocalityEdge) int { return a.Proc - b.Proc }
+
+// ownedMB returns task t's co-located MB on proc, the value CoLocatedMB
+// returns, by one scan of the task's row, sorted or not (a row is a few
+// edges: inputs × replicas × processes per node).
+func (ix *LocalityIndex) ownedMB(t, proc int) float64 {
+	for _, e := range ix.buf.byTask.Row(t) {
+		if e.Proc == proc {
+			return e.MB
+		}
+	}
+	return 0
+}
 
 // ProcEdges returns process p's locality edges in ascending task order, a
 // view owned by the index; only MultiData, on its own index, reorders it.

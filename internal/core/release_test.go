@@ -1,30 +1,26 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 	"unsafe"
 
 	"opass/internal/dfs"
 )
 
-// snapshotEdges deep-copies every byTask edge of an index so it can be
-// compared after the index's buffers have been recycled into later builds.
-func snapshotEdges(p *Problem, ix *LocalityIndex) [][]LocalityEdge {
-	out := make([][]LocalityEdge, len(p.Tasks))
-	for t := range p.Tasks {
-		out[t] = append([]LocalityEdge(nil), ix.taskEdges(t)...)
-	}
-	return out
-}
-
 // TestLocalityIndexReleaseReuse cycles pooled buffers through builds of
 // different shapes — small, large, rack-tiered, different
-// process counts — asserting every rebuilt index is identical to a
-// snapshot taken before any buffer recycling. Stale pool contents (old
-// epochs in scratch stamps, leftover edges in the flat arrays and transpose
-// backings) must never leak into a later index.
+// process counts — asserting every rebuilt index's task rows equal the
+// probe's and its rack rows a snapshot taken before any buffer recycling.
+// Stale pool contents (old epochs in scratch stamps, leftover edges in the
+// flat arrays and transpose backings) must never leak into a later index.
+// Every build follows a MultiExact plan, which hands back a buffer whose
+// task rows it left unsorted (or, on the skewed problem, sorted for stage
+// 2): the eager build that takes it must not sort again, SingleData's
+// PlannedLocalMB must stay the probe's, and the exact plans must not drift.
 func TestLocalityIndexReleaseReuse(t *testing.T) {
 	small, _ := buildSingle(t, 8, 64, 21, dfs.RandomPlacement{})
 	large, _ := buildSingle(t, 24, 512+64, 22, dfs.RandomPlacement{})
@@ -36,11 +32,23 @@ func TestLocalityIndexReleaseReuse(t *testing.T) {
 	tiered.NodeRack = racks
 
 	probs := []*Problem{small, large, tiered, goldenMultiProblem(t)}
+	exactProbs := []*Problem{goldenMultiProblem(t), skewedSpec(32, 3, 320, 3).csrBacked()}
+	exactOwners := make([][]int, len(exactProbs))
+	for i, p := range exactProbs {
+		a, err := MultiExact{}.Assign(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exactOwners[i] = a.Owner
+	}
 	want := make([][][]LocalityEdge, len(probs))
 	wantRack := make([][][]LocalityEdge, len(probs))
 	for i, p := range probs {
+		want[i] = make([][]LocalityEdge, len(p.Tasks))
+		for task := range p.Tasks {
+			want[i][task] = probeEdges(p, task)
+		}
 		ix := NewLocalityIndex(p)
-		want[i] = snapshotEdges(p, ix)
 		if ix.RackTiered() {
 			wantRack[i] = make([][]LocalityEdge, len(p.Tasks))
 			for task := range p.Tasks {
@@ -54,7 +62,26 @@ func TestLocalityIndexReleaseReuse(t *testing.T) {
 	// boundaries (growing and shrinking proc counts, node vs rack tiers).
 	for round := 0; round < 4; round++ {
 		for i, p := range probs {
-			ix := NewLocalityIndex(p)
+			exact := (round + i) % len(exactProbs)
+			a, err := MultiExact{}.Assign(exactProbs[exact])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(a.Owner, exactOwners[exact]) {
+				t.Fatalf("round %d: MultiExact plan of problem %d drifted after pooled reuse", round, exact)
+			}
+			checkPlannedLocality(t, "MultiExact", exactProbs[exact], a)
+			if i < 3 { // single-input
+				a, err := SingleData{}.Assign(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkPlannedLocality(t, fmt.Sprintf("round %d SingleData on prob %d", round, i), p, a)
+			}
+			var ix *LocalityIndex
+			if sorts := countTaskRowSorts(func() { ix = NewLocalityIndex(p); ix.taskEdges(0) }); sorts != 0 {
+				t.Fatalf("round %d prob %d: an eager build sorted its task rows again", round, i)
+			}
 			for task := range p.Tasks {
 				got := ix.taskEdges(task)
 				if len(got) != len(want[i][task]) {

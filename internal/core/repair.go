@@ -168,7 +168,7 @@ func newAssignment(p *Problem, ix *LocalityIndex, owner []int, matched []bool) *
 	a := &Assignment{Owner: owner, Lists: groupRanks(owner, p.NumProcs()), Matched: matched, PlannedTotalMB: p.TotalMB()}
 	for t, proc := range owner { // task order: the sum is a float contract
 		if ix != nil {
-			a.PlannedLocalMB += mbOf(ix.taskEdges(t), proc)
+			a.PlannedLocalMB += ix.ownedMB(t, proc)
 		} else {
 			a.PlannedLocalMB += p.CoLocatedMB(proc, t)
 		}

@@ -102,7 +102,10 @@ func (s SingleData) AssignContext(ctx context.Context, p *Problem) (*Assignment,
 	}
 	var owner []int
 	if counts != nil && s.Algorithm == bipartite.Kuhn {
-		owner, _, err = bipartite.MatchRows(ctx, &ix.buf.byTask, counts)
+		var rows *bipartite.Rows
+		if rows, err = ix.taskRows(ctx); err == nil {
+			owner, _, err = bipartite.MatchRows(ctx, rows, counts)
+		}
 	} else {
 		var res bipartite.AssignResult
 		res, err = bipartite.AssignMaxLocalityContext(ctx, ix.procRows(), quotasMB, sizes, s.Algorithm)

@@ -3,6 +3,7 @@ package engine
 import (
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"opass/internal/core"
@@ -55,6 +56,27 @@ func BenchmarkSimulateFaults(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(reads), "us/read")
 	b.ReportMetric(float64(events)/float64(b.N), "flows/op")
+}
+
+// TestRunLeavesThePlanAlone: NewListSource shares the plan's per-process
+// lists with the caller, so a run that replans and repairs must install its
+// new backlogs without writing into them.
+func TestRunLeavesThePlanAlone(t *testing.T) {
+	_, opts, a := simulateFaultsRig(t, 1280)
+	want := make([][]int, len(a.Lists))
+	for i, l := range a.Lists {
+		want[i] = slices.Clone(l)
+	}
+	res, err := RunAssignment(opts, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Replans == 0 || res.DeltaReplannedTasks == 0 {
+		t.Fatalf("%d replans moved %d tasks: not the simulate-faults shape", res.Replans, res.DeltaReplannedTasks)
+	}
+	if !slices.EqualFunc(a.Lists, want, slices.Equal[[]int]) {
+		t.Fatal("the run wrote into the plan's lists")
+	}
 }
 
 // TestSimulatedReadAllocatesNothing: a read costs the engine no allocation

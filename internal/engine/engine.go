@@ -17,6 +17,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"opass/internal/cluster"
 	"opass/internal/core"
@@ -75,13 +76,11 @@ type ListSource struct {
 	pos   []int
 }
 
-// NewListSource builds a static source from per-process task lists.
+// NewListSource builds a static source from per-process task lists. It
+// copies only the slice of list headers: the source never writes into a
+// list, and a replan installs new lists in its own copy.
 func NewListSource(lists [][]int) *ListSource {
-	cp := make([][]int, len(lists))
-	for i := range lists {
-		cp[i] = append([]int(nil), lists[i]...)
-	}
-	return &ListSource{lists: cp, pos: make([]int, len(lists))}
+	return &ListSource{lists: slices.Clone(lists), pos: make([]int, len(lists))}
 }
 
 // Next implements TaskSource.
