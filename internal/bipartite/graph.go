@@ -42,7 +42,8 @@ type Edge struct {
 
 // Graph is the process side of the §IV-A locality graph G = (P, F, E): for
 // each process, an edge to every file that has a replica co-located with
-// it, in per-process lists.
+// it, in per-process lists. Bench/trace only: the service's planners read
+// the locality index's rows instead.
 type Graph struct {
 	numP, numF int
 	byP        [][]Edge // edges grouped by process, file-ascending
@@ -55,7 +56,7 @@ func (g *Graph) NumEdges() int { return g.edges }
 // NewGraphFromSorted builds a graph from complete per-process adjacency
 // lists: byP[p] must hold process p's edges in ascending file order with
 // distinct files, positive weights, and P set to p. The graph takes
-// ownership of byP without copying. Invalid input panics.
+// ownership of byP without copying. Invalid input panics. Bench/trace only.
 func NewGraphFromSorted(numP, numF int, byP [][]Edge) *Graph {
 	if numP < 0 || numF < 0 {
 		panic(fmt.Sprintf("bipartite: invalid graph dimensions %dx%d", numP, numF))

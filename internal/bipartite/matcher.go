@@ -19,8 +19,8 @@ import (
 // handful of phases where Edmonds-Karp pays one BFS per task. It reads file-
 // side Rows, so the planner hands it the locality index's task rows as is.
 
-// MatchAugmenting runs MatchRows, uncancellable, over g's edges; bench/'s
-// tracer times a Graph build and the match as two spans. The rows come from
+// MatchAugmenting runs MatchRows, uncancellable, over g's edges. Bench/trace
+// only: bench/'s tracer times a Graph build and the match as two spans. The rows come from
 // a counting sort by file that visits processes in ascending order, so each
 // lands process-ascending; off[f+1] is file f's write cursor.
 func MatchAugmenting(g *Graph, quota []int) (owner []int, size int) {

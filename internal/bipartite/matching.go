@@ -51,7 +51,8 @@ type AssignResult struct {
 }
 
 // AssignMaxLocality runs AssignMaxLocalityContext, uncancellable, over g's
-// edges; bench/'s tracer times a Graph build and the solve as two spans.
+// edges. Bench/trace only: bench/'s tracer times a Graph build and the solve
+// as two spans.
 func AssignMaxLocality(g *Graph, quotas, sizes []int64, algo Algorithm) AssignResult {
 	res, _ := AssignMaxLocalityContext(context.Background(), g.procRows(), quotas, sizes, algo)
 	return res

@@ -25,7 +25,9 @@ import (
 // Edmonds-Karp on every single-data golden problem). Unequal sizes run
 // Dinic by default; its plans there equal Edmonds-Karp's, and
 // repair_guard's flat/single_unequal_ek keeps the paper's solver pinned on
-// them. Regenerate with:
+// them. flat/single_unequal, flat/single_unequal_ek and racked/single_unequal
+// were re-locked when unweighted unequal-size plans moved to the MB repair
+// book: the same matched tasks, other random owners. Regenerate with:
 //
 //	go test ./internal/core -run TestGoldenPlans -update
 var updateGolden = flag.Bool("update", false, "rewrite the golden plan file")

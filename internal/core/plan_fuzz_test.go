@@ -84,7 +84,9 @@ func planSpec(data []byte) (s layoutSpec, weights []float64) {
 // its quota — ⌊n/m⌋ or ⌈n/m⌉ tasks unweighted; exactly
 // weightedTaskQuotas(n, m, weights) weighted, except for the single-data
 // planner on unequal sizes, where its quota is the data share and it is
-// held to it on the tasks its solver matched. On equal sizes the
+// held to it on the tasks its solver matched and, over all its tasks, to the
+// quota plus the largest task, planning alike under no weights and all-ones
+// weights. On equal sizes the
 // single-data plan must also be maximum-locality: the tasks the matcher
 // placed, times the task size, equal the Edmonds-Karp flow value over the
 // locality relation under the same quotas. On unequal sizes its owners must
@@ -169,6 +171,16 @@ func FuzzPlan(f *testing.F) {
 						t.Fatalf("%s: process %d matched %d units over its share %d", name, proc, got, share[proc])
 					}
 				}
+				checkMBQuotas(t, name, a, units, share)
+				if pl.weights == nil {
+					ones := make([]float64, m)
+					for i := range ones {
+						ones[i] = 1
+					}
+					if w, err := (SingleData{Seed: 9, Weights: ones}).Assign(p); err != nil || !slices.Equal(a.Owner, w.Owner) {
+						t.Fatalf("%s: owners %v, under all-ones weights %v (%v)", name, a.Owner, w.Owner, err)
+					}
+				}
 				dinic, err := SingleData{Seed: 9, Weights: pl.weights, Algorithm: bipartite.Dinic}.Assign(p)
 				if err != nil {
 					t.Fatal(err)
@@ -218,6 +230,21 @@ func FuzzPlan(f *testing.F) {
 		checkMatchesReference(t, "opass-matching", MultiData{Seed: 9}, p)
 		checkExactIsOptimal(t, p)
 	})
+}
+
+// checkMBQuotas fails t unless every process of a holds at most its data
+// quota plus the largest task, in capacity units: the MB book's bound.
+func checkMBQuotas(t *testing.T, name string, a *Assignment, units, quotas []int64) {
+	t.Helper()
+	load, largest := make([]int64, len(quotas)), slices.Max(units)
+	for task, proc := range a.Owner {
+		load[proc] += units[task]
+	}
+	for proc, got := range load {
+		if got > quotas[proc]+largest {
+			t.Fatalf("%s: process %d holds %d units, over its quota %d plus the largest task %d", name, proc, got, quotas[proc], largest)
+		}
+	}
 }
 
 // checkExactIsOptimal fails t unless MultiExact plans p within the count

@@ -12,10 +12,10 @@ import "math/rand"
 // books, fixed at construction. The count book is the paper's "equal number
 // of tasks" constraint, or MultiExact's weighted counts: process i may own
 // quota[i] tasks, and among processes with a free slot the one with the
-// least assigned MB is the better home. The MB book is the weighted
-// single-data planner's: process i may own quotaMB[i] capacity units
-// (1/scale MB, the solver's encoding), loads are entered in the same units,
-// and the better home is the one with more of its quota left.
+// least assigned MB is the better home. The MB book is the single-data
+// planner's on unequal sizes or under weights: process i may own quotaMB[i]
+// capacity units (1/scale MB, the solver's encoding), loads are entered in
+// the same units, and the better home is the one with more of its quota left.
 type quotaLedger struct {
 	quotaMB []int64 // MB book, in capacity units; nil selects the count book
 	scale   int64   // MB book: capacity units per MB

@@ -117,12 +117,16 @@ func (s SingleData) AssignContext(ctx context.Context, p *Problem) (*Assignment,
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Weighted shares are repaired against the MB quotas the solver used,
-	// equal shares against equal task counts.
-	if weights != nil {
-		return finishAssignment(p, ix, owner, nil, quotasMB, scale, s.Seed), nil
+	// The repair keeps the book the solver planned under: equal task counts
+	// for unweighted equal sizes, else the MB quotas — so no weights and
+	// all-ones weights plan alike. Every process then ends within its quota
+	// plus one task: the solver's loads are within quota, and while a task
+	// remains some process is under its quota, so the repair only ever gives
+	// to a process with headroom.
+	if counts != nil && weights == nil {
+		return finishAssignment(p, ix, owner, counts, nil, scale, s.Seed), nil
 	}
-	return finishAssignment(p, ix, owner, taskQuotas(n, m), nil, scale, s.Seed), nil
+	return finishAssignment(p, ix, owner, nil, quotasMB, scale, s.Seed), nil
 }
 
 // equalSizes reports whether every task size is identical.

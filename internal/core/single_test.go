@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"opass/internal/bipartite"
@@ -146,5 +147,38 @@ func TestFewerTasksThanProcs(t *testing.T) {
 	}
 	if o := a.Owner[1]; o != 1 && o != 3 {
 		t.Fatalf("task 1 owned by %d, want 1 or 3", o)
+	}
+}
+
+// TestUnequalSizesKeepTheMBBook: on unequal sizes the repair keeps the MB
+// quotas the flow planned under, so no weights and all-ones weights give one
+// plan, and no process ends more than one task over its TotalSize/m share.
+func TestUnequalSizesKeepTheMBBook(t *testing.T) {
+	single := goldenSingleProblems(t)
+	for _, name := range []string{"flat-unequal", "racked-unequal"} {
+		p := single[name]
+		a, err := SingleData{Seed: 3}.Assign(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ones := make([]float64, p.NumProcs())
+		for i := range ones {
+			ones[i] = 1
+		}
+		w, err := SingleData{Seed: 3, Weights: ones}.Assign(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(a.Owner, w.Owner) {
+			t.Fatalf("%s: no weights and all-ones weights plan differently", name)
+		}
+		scale := capacityScale(p)
+		units := make([]int64, len(p.Tasks))
+		var total int64
+		for task := range units {
+			units[task] = capUnits(p.Tasks[task].SizeMB(), scale)
+			total += units[task]
+		}
+		checkMBQuotas(t, name, a, units, shareQuotas(total, p.NumProcs(), nil))
 	}
 }

@@ -12,18 +12,15 @@ import (
 // on, the handler reads the body ahead into a pooled buffer, and a body whose
 // bytes (under the same query) already produced a 200 is answered with that
 // response's stored bytes — no admission, no decode, no fingerprint, no
-// encode. Anything else is decoded from the buffer as if it had streamed in.
+// encode: the one pass over the body is its alias key, a GMAC
+// (plancache.Keyer) at memory speed. Anything else is decoded from the buffer
+// as if it had streamed in.
 
 // maxAliasBody caps the bodies that are read ahead and aliased, about six
 // times fleet-bulk's 1.3 MB body. A longer body streams through the decoder's
 // window as it does with the cache off, so memory at fleet scale stays the
 // decoder's, not a copy of the body.
 const maxAliasBody = 8 << 20
-
-// aliasRoute is the first section of an alias key. The canonical plan keys
-// (planFingerprint) start with a problem encoding instead, so an alias can
-// never be mistaken for a plan.
-var aliasRoute = []byte("/v1/plan")
 
 // bodyBuf is a request body read ahead into a pooled buffer. As an io.Reader
 // it replays the buffered bytes and then the rest of the body: nothing when

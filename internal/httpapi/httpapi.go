@@ -234,6 +234,16 @@ func (req *PlanRequest) window() []byte {
 	return make([]byte, windowSize)
 }
 
+// canonical appends prob's canonical encoding (core.Problem.AppendCanonical)
+// to the arena's pooled buffer, which is valid exactly as long as the problem.
+func (req *PlanRequest) canonical(prob *core.Problem) []byte {
+	if req.arena == nil {
+		return prob.AppendCanonical(nil)
+	}
+	req.arena.canon = prob.AppendCanonical(req.arena.canon[:0])
+	return req.arena.canon
+}
+
 // abandon gives the arena up to the GC instead of the pool, counting it as
 // returned. After a planner error the problem may still be read: plancache.Do
 // runs a flight leader's compute detached, so a leader that left keeps
@@ -344,8 +354,10 @@ type Server struct {
 	tierTTL time.Duration
 	// planCache memoizes planner results by problem fingerprint; nil when
 	// disabled. /v1/plan and /v1/simulate share it (the simulation itself
-	// is never cached).
+	// is never cached). keyer derives its keys — body aliases and plan
+	// fingerprints — as MACs under a key no one outside the process sees.
 	planCache *plancache.Cache[cachedPlan]
+	keyer     *plancache.Keyer
 	// plannerRan, when set, is called once per actual planner invocation —
 	// a test hook proving cache hits and coalesced requests skip the
 	// planner.
@@ -474,6 +486,7 @@ func NewServer(opts ServerOptions) *Server {
 				reg.Gauge(MetricPlanCacheBytes).Set(float64(bytes))
 			},
 		})
+		s.keyer = plancache.NewKeyer()
 		reg.Gauge(MetricPlanCacheEntries).Set(0)
 		reg.Gauge(MetricPlanCacheBytes).Set(0)
 	}
@@ -530,7 +543,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		body := readBody(w, r, s.limits.BodyBytes)
 		defer body.release()
 		if aliasable = body.eof; aliasable {
-			alias = plancache.KeyOf(aliasRoute, []byte(r.URL.RawQuery), body.b)
+			alias = s.aliasKey(r.URL.RawQuery, body.b)
 			if cp, ok := s.planCache.Lookup(alias); ok {
 				s.reg.Counter(MetricPlanCacheHits).Inc()
 				s.writeBody(w, r, cp.body)
@@ -818,14 +831,24 @@ func pickAssigner(req *PlanRequest, prob *core.Problem) (core.Assigner, *apiErro
 	return as, nil
 }
 
-// planFingerprint derives the cache key: the canonical problem encoding
-// (proc→node map, task inputs, per-chunk replica lists, multi-rack map) plus the
-// resolved strategy and its seed. Everything a planner consults is covered,
-// so equal keys imply byte-identical plans.
-func planFingerprint(prob *core.Problem, strategy string, seed int64) plancache.Key {
-	var seedBytes [8]byte
-	binary.LittleEndian.PutUint64(seedBytes[:], uint64(seed))
-	return plancache.KeyOf(prob.AppendCanonical(nil), []byte(strategy), seedBytes[:])
+// planFingerprint derives the shared tier's key: a SHA-256 over the
+// canonical problem encoding (proc→node map, task inputs, per-chunk replica
+// lists, multi-rack map) plus the resolved strategy and its seed. Everything a
+// planner consults is covered, so equal keys imply byte-identical plans. The
+// L1 keys the same sections with the server's Keyer instead.
+func planFingerprint(canon []byte, strategy string, seed []byte) plancache.Key {
+	return plancache.KeyOf(canon, []byte(strategy), seed)
+}
+
+// aliasKey is the plan cache's key for body posted under query.
+func (s *Server) aliasKey(query string, body []byte) plancache.Key {
+	return s.keyer.KeyOf(plancache.DomainAlias, body, []byte(query))
+}
+
+// planKey is the plan cache's key for the sections planFingerprint hashes
+// for the shared tier: canon planned by strategy under seed.
+func (s *Server) planKey(canon []byte, strategy string, seed []byte) plancache.Key {
+	return s.keyer.KeyOf(plancache.DomainFingerprint, canon, []byte(strategy), seed)
 }
 
 // entryOverheadBytes is what the cache's byte bound charges each entry
@@ -853,23 +876,12 @@ type tierPlan struct {
 	TotalMB float64      `json:"total_mb"`
 }
 
-// tierKeyFor derives the remote key: the configured namespace and the
-// content-addressed problem fingerprint, which covers every replica row the
-// plan read — the same bytes whether the layout is read through the decoder's
-// core.Layout or /v1/simulate's mirror.
-func (s *Server) tierKeyFor(key plancache.Key) string {
-	return plancache.TierKey(s.tierNS, key)
-}
-
 // tierFetch asks the shared tier for an already-computed plan of strategy.
 // Every failure mode — backend error, undecodable bytes, a plan of another
 // strategy or one that does not validate against the problem — degrades to a
 // miss.
-func (s *Server) tierFetch(ctx context.Context, prob *core.Problem, strategy string, key plancache.Key) (cachedPlan, bool) {
-	if s.tier == nil {
-		return cachedPlan{}, false
-	}
-	data, ok, err := s.tier.Get(ctx, s.tierKeyFor(key))
+func (s *Server) tierFetch(ctx context.Context, prob *core.Problem, strategy, key string) (cachedPlan, bool) {
+	data, ok, err := s.tier.Get(ctx, key)
 	if err != nil {
 		s.reg.Counter(MetricPlanCacheRemoteErrors).Inc()
 		return cachedPlan{}, false
@@ -897,16 +909,13 @@ func (s *Server) tierFetch(ctx context.Context, prob *core.Problem, strategy str
 
 // tierPublish offers a freshly computed plan to the shared tier; failures
 // are counted and otherwise ignored (the local response is already in hand).
-func (s *Server) tierPublish(ctx context.Context, key plancache.Key, resp *PlanResponse, a *core.Assignment) {
-	if s.tier == nil {
-		return
-	}
+func (s *Server) tierPublish(ctx context.Context, key string, resp *PlanResponse, a *core.Assignment) {
 	data, err := tierValue(resp, a.PlannedLocalMB, a.PlannedTotalMB)
 	if err != nil {
 		s.reg.Counter(MetricPlanCacheRemoteErrors).Inc()
 		return
 	}
-	if err := s.tier.Set(ctx, s.tierKeyFor(key), data, s.tierTTL); err != nil {
+	if err := s.tier.Set(ctx, key, data, s.tierTTL); err != nil {
 		s.reg.Counter(MetricPlanCacheRemoteErrors).Inc()
 		return
 	}
@@ -924,19 +933,28 @@ func (s *Server) plan(ctx context.Context, req *PlanRequest, prob *core.Problem)
 	if s.planCache == nil && s.tier == nil {
 		return s.computePlan(ctx, assigner, prob)
 	}
-	key := planFingerprint(prob, assigner.Name(), req.Seed)
+	strategy := assigner.Name()
+	canon := req.canonical(prob)
+	var seed [8]byte
+	binary.LittleEndian.PutUint64(seed[:], uint64(req.Seed))
 	// compute is what a cache miss costs. The shared tier is consulted
 	// inside the flight: when another replica already planned this
 	// fingerprint, its plan is adopted and the local planner never runs.
 	compute := func(cctx context.Context) (cachedPlan, int64, error) {
-		if cp, ok := s.tierFetch(cctx, prob, assigner.Name(), key); ok {
-			return cp, planSizeBytes(&cp), nil
+		var tierKey string
+		if s.tier != nil {
+			tierKey = plancache.TierKey(s.tierNS, planFingerprint(canon, strategy, seed[:]))
+			if cp, ok := s.tierFetch(cctx, prob, strategy, tierKey); ok {
+				return cp, planSizeBytes(&cp), nil
+			}
 		}
 		resp, a, err := s.computePlan(cctx, assigner, prob)
 		if err != nil {
 			return cachedPlan{}, 0, err
 		}
-		s.tierPublish(cctx, key, &resp, a)
+		if s.tier != nil {
+			s.tierPublish(cctx, tierKey, &resp, a)
+		}
 		cp := cachedPlan{resp: resp, a: a}
 		return cp, planSizeBytes(&cp), nil
 	}
@@ -944,7 +962,7 @@ func (s *Server) plan(ctx context.Context, req *PlanRequest, prob *core.Problem)
 		cached, _, err := compute(ctx)
 		return cached.resp, cached.a, err
 	}
-	cached, outcome, err := s.planCache.Do(ctx, key, compute)
+	cached, outcome, err := s.planCache.Do(ctx, s.planKey(canon, strategy, seed[:]), compute)
 	switch outcome {
 	case plancache.Hit:
 		s.reg.Counter(MetricPlanCacheHits).Inc()

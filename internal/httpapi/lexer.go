@@ -37,6 +37,9 @@ type lexer struct {
 	// the lexer so the grown arrays are pooled with the window, under the one
 	// release discipline.
 	acc layoutAcc
+	// canon holds the decoded problem's canonical encoding while the plan
+	// cache keys it (PlanRequest.canonical); pooled the same way.
+	canon []byte
 }
 
 // layoutAcc accumulates a request's layout as it streams in, task-major:
@@ -69,10 +72,10 @@ func newLexer(r io.Reader) *lexer {
 	return lx
 }
 
-// reset readies the lexer for another body, keeping only its window and its
-// accumulator storage.
+// reset readies the lexer for another body, keeping only its window, its
+// accumulator storage and its canonical-encoding buffer.
 func (lx *lexer) reset(r io.Reader) {
-	*lx = lexer{r: r, buf: lx.buf, acc: lx.acc}
+	*lx = lexer{r: r, buf: lx.buf, acc: lx.acc, canon: lx.canon[:0]}
 }
 
 // release returns the lexer, its window and its accumulator storage to the

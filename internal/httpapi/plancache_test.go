@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"opass/internal/dfs"
+	"opass/internal/plancache"
 	"opass/internal/telemetry"
 )
 
@@ -238,5 +239,45 @@ func TestPlanCacheBytesCountEveryEntry(t *testing.T) {
 	want += len(body) + entryOverheadBytes
 	if got := reg.Gauge(MetricPlanCacheBytes).Value(); got != float64(want) {
 		t.Fatalf("%s = %v, want %d", MetricPlanCacheBytes, got, want)
+	}
+}
+
+// TestCacheKeysAreProcessLocal: the plan cache's keys are MACs under a key
+// each server draws for itself — one body gets one alias key from a server
+// and another from a second server — and their framing holds: moving bytes
+// between the query and the body, or between the canonical bytes, the
+// strategy and the seed, changes the key, and an alias key is never a plan
+// key.
+func TestCacheKeysAreProcessLocal(t *testing.T) {
+	a, b := NewServer(ServerOptions{}), NewServer(ServerOptions{})
+	raw, err := json.Marshal(layoutRequest("opass"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.aliasKey("", raw) != a.aliasKey("", raw) {
+		t.Fatal("one server keys one body two ways")
+	}
+	if a.aliasKey("", raw) == b.aliasKey("", raw) {
+		t.Fatal("two servers key one body alike")
+	}
+	if a.aliasKey("pretty=1", raw) == a.aliasKey("pretty=", append([]byte("1"), raw...)) {
+		t.Fatal("a byte moved from the query into the body keeps the alias key")
+	}
+	canon := []byte("canonical")
+	seed := []byte{7, 0, 0, 0, 0, 0, 0, 0}
+	keys := []plancache.Key{
+		a.planKey(canon, "opass", seed),
+		a.planKey(canon[:8], "lopass", seed),
+		a.planKey(canon, "opass\x07", seed[1:]),
+		a.planKey(append(canon, 's'), "opas", seed),
+		a.aliasKey("opass", canon),
+		a.aliasKey("", canon),
+	}
+	for i := range keys {
+		for j := range i {
+			if keys[i] == keys[j] {
+				t.Fatalf("keys %d and %d are equal", j, i)
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -128,16 +129,18 @@ func TestTierFailureDegradesToLocal(t *testing.T) {
 }
 
 // recordingTier is an in-memory Tier that remembers the keys it was asked
-// to store.
+// to fetch and to store.
 type recordingTier struct {
 	mu   sync.Mutex
 	data map[string][]byte
+	gets []string
 	sets []string
 }
 
 func (r *recordingTier) Get(_ context.Context, key string) ([]byte, bool, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.gets = append(r.gets, key)
 	v, ok := r.data[key]
 	return v, ok, nil
 }
@@ -202,5 +205,57 @@ func TestTierPlanOfAnotherStrategyIsAMiss(t *testing.T) {
 	}
 	if got := metricValue(t, regB, MetricPlanCacheRemoteErrors); got != 1 {
 		t.Fatalf("replica B remote errors = %v, want 1", got)
+	}
+}
+
+// TestTierSeesOnlySHA256Keys: whatever reaches the server — new bodies,
+// repeated ones, other bytes for a cached problem, both routes — the shared
+// tier is asked only for TierKey(namespace, KeyOf(canonical, strategy, seed))
+// keys, never for a process-local MAC.
+func TestTierSeesOnlySHA256Keys(t *testing.T) {
+	tier := &recordingTier{}
+	srv, _, _ := replica(t, tier)
+	want := map[string]bool{}
+	var bodies []string
+	for _, strategy := range []string{"opass", "rank", "random"} {
+		for _, seed := range []int64{1, 2} {
+			req := layoutRequest(strategy)
+			req.Seed = seed
+			raw, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bodies = append(bodies, string(raw), string(raw), " "+string(raw))
+			dreq, prob, apiErr := decodeProblemReference(httptest.NewRecorder(),
+				httptest.NewRequest(http.MethodPost, "/v1/plan", strings.NewReader(string(raw))), RequestLimits{}.withDefaults())
+			if apiErr != nil {
+				t.Fatal(apiErr)
+			}
+			as, apiErr := pickAssigner(dreq, prob)
+			if apiErr != nil {
+				t.Fatal(apiErr)
+			}
+			var seedBytes [8]byte
+			binary.LittleEndian.PutUint64(seedBytes[:], uint64(seed))
+			want[plancache.TierKey(DefaultRemoteTierNamespace,
+				plancache.KeyOf(prob.AppendCanonical(nil), []byte(as.Name()), seedBytes[:]))] = true
+		}
+	}
+	for _, route := range []string{"/v1/plan", "/v1/simulate"} {
+		for _, body := range bodies {
+			if resp, out := postRaw(t, srv, route, body); resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", route, resp.StatusCode, out)
+			}
+		}
+	}
+	tier.mu.Lock()
+	defer tier.mu.Unlock()
+	if len(tier.gets) == 0 || len(tier.sets) != len(want) {
+		t.Fatalf("%d gets and %d sets, want some gets and %d sets", len(tier.gets), len(tier.sets), len(want))
+	}
+	for _, key := range append(tier.gets, tier.sets...) {
+		if !want[key] {
+			t.Fatalf("the tier saw %q, not a TierKey of a request's fingerprint", key)
+		}
 	}
 }

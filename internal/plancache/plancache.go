@@ -15,9 +15,11 @@
 //
 // Three mechanisms compose:
 //
-//   - Content addressing: Key is a SHA-256 over length-framed sections
-//     (KeyOf), so distinct problems cannot collide by field aliasing and
-//     equality of keys is equality of problems.
+//   - Content addressing: Key is a digest of length-framed sections, so
+//     distinct problems cannot collide by field aliasing and equality of
+//     keys is equality of problems. Keys that are shared (the tier's) are
+//     SHA-256 (KeyOf); keys that never leave the process are a keyed GMAC
+//     (Keyer), several times faster.
 //   - Bounded retention: an LRU doubly-linked list enforces entry and
 //     byte bounds. Entries have no age limit: a key covers every byte its
 //     value was computed from, so an entry cannot go stale, and expiring it

@@ -16,6 +16,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -163,15 +164,10 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	}
 }
 
-// metricKey identifies one labeled series.
-type metricKey struct {
-	name   string
-	labels string // canonical serialized form
-}
-
 type series struct {
 	name    string
-	labels  []Label
+	labels  []Label // sorted by key
+	key     string  // name, a NUL byte and the labels' canonical form
 	kind    metricKind
 	counter *Counter
 	gauge   *Gauge
@@ -182,7 +178,7 @@ type series struct {
 // NewRegistry. All methods are safe for concurrent use.
 type Registry struct {
 	mu     sync.Mutex
-	series map[metricKey]*series
+	series map[string]*series // by series.key
 	help   map[string]string
 	kinds  map[string]metricKind
 }
@@ -190,7 +186,7 @@ type Registry struct {
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		series: make(map[metricKey]*series),
+		series: make(map[string]*series),
 		help:   make(map[string]string),
 		kinds:  make(map[string]metricKind),
 	}
@@ -204,29 +200,40 @@ func (r *Registry) Help(name, text string) {
 	r.help[name] = text
 }
 
-func canonLabels(labels []Label) ([]Label, string) {
-	cp := append([]Label(nil), labels...)
-	sort.Slice(cp, func(i, j int) bool { return cp[i].Key < cp[j].Key })
-	var b strings.Builder
-	for i, l := range cp {
-		if i > 0 {
-			b.WriteByte(',')
+// appendSeriesKey appends a series' map key to b: the name, a NUL byte, then
+// the labels sorted by key (stably), each as key="value" with the value quoted
+// as %q quotes it, comma-separated. It allocates only past eight labels.
+func appendSeriesKey(b []byte, name string, labels []Label) []byte {
+	var small [8]int
+	order := small[:0]
+	for i := range labels {
+		order = append(order, i)
+		for j := len(order) - 1; j > 0 && labels[order[j]].Key < labels[order[j-1]].Key; j-- {
+			order[j], order[j-1] = order[j-1], order[j]
 		}
-		fmt.Fprintf(&b, "%s=%q", l.Key, l.Value)
 	}
-	return cp, b.String()
+	b = append(append(b, name...), 0)
+	for n, i := range order {
+		if n > 0 {
+			b = append(b, ',')
+		}
+		b = append(append(b, labels[i].Key...), '=')
+		b = strconv.AppendQuote(b, labels[i].Value)
+	}
+	return b
 }
 
 // lookup returns the series for name+labels, creating it — metric included —
 // on first use. Everything happens under the one lock, so a series is
 // complete and immutable from the moment a scrape can see it. buckets is
-// consulted only when a histogram is created; nil means DefBuckets.
+// consulted only when a histogram is created; nil means DefBuckets. Finding a
+// series that exists allocates nothing: its key is built on the stack.
 func (r *Registry) lookup(name string, kind metricKind, buckets []float64, labels []Label) *series {
-	cp, ls := canonLabels(labels)
-	key := metricKey{name: name, labels: ls}
+	var buf [256]byte
+	key := appendSeriesKey(buf[:0], name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if s, ok := r.series[key]; ok {
+	if s, ok := r.series[string(key)]; ok {
 		if s.kind != kind {
 			panic(fmt.Sprintf("telemetry: metric %q re-registered with a different type", name))
 		}
@@ -235,7 +242,9 @@ func (r *Registry) lookup(name string, kind metricKind, buckets []float64, label
 	if k, ok := r.kinds[name]; ok && k != kind {
 		panic(fmt.Sprintf("telemetry: metric %q re-registered with a different type", name))
 	}
-	s := &series{name: name, labels: cp, kind: kind}
+	cp := append([]Label(nil), labels...)
+	sort.SliceStable(cp, func(i, j int) bool { return cp[i].Key < cp[j].Key })
+	s := &series{name: name, labels: cp, key: string(key), kind: kind}
 	switch kind {
 	case kindCounter:
 		s.counter = &Counter{}
@@ -247,7 +256,7 @@ func (r *Registry) lookup(name string, kind metricKind, buckets []float64, label
 		}
 		s.hist = newHistogram(buckets)
 	}
-	r.series[key] = s
+	r.series[s.key] = s
 	r.kinds[name] = kind
 	return s
 }
@@ -323,9 +332,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		if all[i].name != all[j].name {
 			return all[i].name < all[j].name
 		}
-		_, li := canonLabels(all[i].labels)
-		_, lj := canonLabels(all[j].labels)
-		return li < lj
+		return all[i].key < all[j].key
 	})
 
 	var b strings.Builder

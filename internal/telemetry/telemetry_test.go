@@ -174,3 +174,39 @@ func TestRegistryConcurrency(t *testing.T) {
 		t.Fatalf("lost gauge adds: %v", got)
 	}
 }
+
+// TestLabelOrderAndQuoting pins the exposition of labelled series: labels in
+// key order whatever order they were given in, values quoted as %q quotes
+// them, and the series of a family ordered by that labelled form.
+func TestLabelOrderAndQuoting(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("m", L("b", "2"), L("a", "1")).Inc()
+	r.Counter("m", L("a", "\"q\"\n")).Add(2)
+	r.Counter("m", L("a", "1"), L("b", "2")).Inc()
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	const want = "# TYPE m counter\n" +
+		`m{a="1",b="2"} 2` + "\n" +
+		`m{a="\"q\"\n"} 2` + "\n"
+	if b.String() != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", b.String(), want)
+	}
+}
+
+// TestWarmLookupAllocatesNothing: once a labelled series exists, finding it
+// again — as every request does for its route counters — allocates nothing.
+func TestWarmLookupAllocatesNothing(t *testing.T) {
+	r := NewRegistry()
+	route := "/v1/plan"
+	r.Counter("req_total", L("route", route), L("status", "200")).Inc()
+	r.Histogram("lat_seconds", nil, L("route", route), L("strategy", "opass")).Observe(1)
+	n := testing.AllocsPerRun(100, func() {
+		r.Counter("req_total", L("status", "200"), L("route", route)).Inc()
+		r.Histogram("lat_seconds", nil, L("route", route), L("strategy", "opass")).Observe(0.5)
+	})
+	if n != 0 {
+		t.Fatalf("a warm two-label lookup allocated %v times, want 0", n)
+	}
+}
