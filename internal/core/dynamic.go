@@ -28,8 +28,8 @@ type DynamicScheduler struct {
 
 // NewDynamicScheduler builds a scheduler from a planned assignment
 // (normally produced by SingleData or MultiData). It builds the locality
-// index once so every steal scan resolves co-located sizes by binary
-// search instead of re-probing chunk replica lists.
+// index once so every steal scan resolves co-located sizes from the task's
+// index row instead of re-probing chunk replica lists.
 func NewDynamicScheduler(p *Problem, a *Assignment) (*DynamicScheduler, error) {
 	if err := a.Validate(p); err != nil {
 		return nil, err

@@ -51,18 +51,18 @@ func (me MultiExact) AssignContext(ctx context.Context, p *Problem) (*Assignment
 	if err := checkWeights(p, me.Weights); err != nil {
 		return nil, err
 	}
-	ix, err := newLocalityIndex(ctx, p, true)
+	ix, err := NewLocalityIndexContext(ctx, p)
 	if err != nil {
 		return nil, err
 	}
 	defer ix.Release()
 	quotas := weightedTaskQuotas(len(p.Tasks), p.NumProcs(), me.Weights)
-	tight := &ix.buf.tight
+	tight, holders := ix.tightRows()
 	owner, matched, err := bipartite.MatchRows(ctx, tight, quotas)
 	if err != nil {
 		return nil, err
 	}
-	if matched < ix.holders {
+	if matched < holders {
 		for t, o := range owner {
 			if row := tight.Row(t); o < 0 && len(row) > 0 {
 				owner[t] = row[0].Proc
@@ -192,7 +192,7 @@ func drainOverQuota(ctx context.Context, p *Problem, ix *LocalityIndex, owner, q
 	for t := n - 1; t >= 0; t-- { // head insertion leaves every list task-ascending
 		if x := owner[t]; x >= 0 {
 			tr.load[x]++
-			tr.own[t] = tr.units(mbOf(rows.Row(t), x))
+			tr.own[t] = tr.units(rowMB(rows.Row(t), x))
 			tr.link(int32(t), int32(x))
 		}
 	}

@@ -160,16 +160,14 @@ func localUnits(p *Problem, a *Assignment) int64 {
 // unmatched on p, so MultiExact's min-cost repair runs.
 func stage2Runs(t *testing.T, p *Problem) bool {
 	t.Helper()
-	ix, err := newLocalityIndex(context.Background(), p, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ix := NewLocalityIndex(p)
 	defer ix.Release()
-	_, matched, err := bipartite.MatchRows(context.Background(), &ix.buf.tight, taskQuotas(len(p.Tasks), p.NumProcs()))
+	tight, holders := ix.tightRows()
+	_, matched, err := bipartite.MatchRows(context.Background(), tight, taskQuotas(len(p.Tasks), p.NumProcs()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return matched < ix.holders
+	return matched < holders
 }
 
 // tinySpec draws a problem of at most 7 tasks over at most 3 processes,

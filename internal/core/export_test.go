@@ -1,5 +1,7 @@
 package core
 
+import "context"
+
 // Accessors only this package's tests read.
 
 // Remaining reports how many tasks have not yet been handed out.
@@ -16,4 +18,11 @@ func countTaskRowSorts(f func()) int {
 	defer func() { testHookTaskRowSort = nil }()
 	f()
 	return sorts
+}
+
+// taskEdges returns task t's locality edges in ascending process order,
+// sorting the index's task rows on the first read.
+func (ix *LocalityIndex) taskEdges(t int) []LocalityEdge {
+	rows, _ := ix.taskRows(context.Background())
+	return rows.Row(t)
 }

@@ -20,14 +20,15 @@ import (
 // (on the task and process rows, in place), the flow-network build and the
 // dynamic scheduler's steal scan all run off it.
 //
-// The build makes only what its caller reads. The task rows are always
-// built; the process rows are a counting-sort transpose of them, made on
-// the first ProcEdges call (only Algorithm 1 and the flow network read
-// them); MultiExact's best-holder rows are appended while each task's
-// accumulation is still in the scratch arrays. MultiExact's stage 1 reads
-// only those, so its build leaves the task rows in the order the
-// accumulation touched the processes and sorts them on their first read,
-// which only stage 2 makes.
+// There is one build, and order is something a reader asks for. The build
+// leaves every row in the order its accumulation touched the processes; a
+// lookup (CoLocatedMB, RackCoLocatedMB) scans a row in whatever order it is
+// in. Only the two solvers whose tie-breaks read row order — the equal-size
+// matcher and MultiExact's stage 2 — ask taskRows for Proc-ascending rows,
+// and the first such read sorts them once. The process rows are a
+// counting-sort transpose, made on the first ProcEdges call (only Algorithm
+// 1 and the flow network read them); MultiExact's best-holder rows are cut
+// from the task rows when its stage 1 asks (tightRows).
 //
 // The per-task accumulation order matches CoLocatedMB exactly (inputs in
 // declaration order, each added once per co-located process), so the
@@ -58,13 +59,11 @@ type LocalityIndex struct {
 	p          *Problem
 	buf        *indexBuf // owns every edge view until Release
 	edges      int
-	holders    int  // tasks with at least one edge; counted with the tight view
 	rackTiered bool // the rack tier (rack.go) is built only for rack-tiered problems
 	procBuilt  bool // byProc holds this index's transpose
-	// unsorted: byTask's rows are in touch order, not Proc-ascending (a
-	// tight build before its first taskRows). It lives here, not in the
-	// pooled indexBuf, so no later build can inherit it.
-	unsorted bool
+	// sorted: taskRows has put byTask's rows Proc-ascending. It lives here,
+	// not in the pooled indexBuf, so a fresh index reads as unsorted.
+	sorted   bool
 	released bool
 }
 
@@ -79,15 +78,16 @@ const indexCtxStride = 512
 // build overwrites every element it later reads, and the stamps only ever
 // compare against a fresh epoch.
 type indexBuf struct {
-	byTask     bipartite.Rows // task -> edges, Proc-ascending once taskRows returns them
+	byTask     bipartite.Rows // task -> edges, touch order until taskRows sorts them
 	byProc     bipartite.Rows // proc -> edges, Task-ascending until MultiData consumes them; built by ProcEdges
-	byTaskRack bipartite.Rows // task -> rack-tier edges, Proc-ascending
-	tight      bipartite.Rows // task -> best-holder edges, Proc-ascending, MultiExact's stage 1; built only for it
+	byTaskRack bipartite.Rows // task -> rack-tier edges, touch order
+	tight      bipartite.Rows // task -> best-holder edges, Proc-ascending; built by tightRows
 	pos        []int          // transpose write cursors, one per process
 
 	// Accumulated MB per process for the current task, with an epoch stamp
 	// so the arrays reset in O(touched) instead of O(m) per task. The epoch
-	// survives pooling — it only ever increments.
+	// survives pooling — it only ever increments. sortRow reuses mb and
+	// touched once the build is done.
 	mb      []float64
 	stamp   []int
 	epoch   int
@@ -134,67 +134,30 @@ func (b *indexBuf) add(proc int, mb float64) {
 }
 
 // buildTier fills one tier of the index: row t of dst receives task t's
-// edges, Proc-ascending, weighted by whatever accumulate adds for t through
+// edges, in the order accumulate first touches their processes through
 // indexBuf.add. maxEdges is an upper bound on the tier's edge count, so a
-// cold buffer is allocated once instead of grown. A non-nil tight receives
-// the same rows cut to their best holders (the edges whose MB is the row
-// maximum), Proc-ascending, and ix.holders counts the tasks with an edge;
-// dst's rows are then left in touch order for taskRows to sort. The loop
-// polls ctx once per indexCtxStride tasks; on a ctx error dst is partial
-// and the caller must Release the index.
-func (ix *LocalityIndex) buildTier(ctx context.Context, dst, tight *bipartite.Rows, maxEdges int, accumulate func(b *indexBuf, t int)) error {
+// cold buffer is allocated once instead of grown. The loop polls ctx once
+// per indexCtxStride tasks; on a ctx error dst is partial and the caller
+// must Release the index.
+func (ix *LocalityIndex) buildTier(ctx context.Context, dst *bipartite.Rows, maxEdges int, accumulate func(b *indexBuf, t int)) error {
 	n, b := len(ix.p.Tasks), ix.buf
 	dst.Off = slices.Grow(dst.Off[:0], n+1)[:n+1]
 	edges := slices.Grow(dst.Edges[:0], maxEdges)
-	var best []LocalityEdge
-	if tight != nil {
-		tight.Off = slices.Grow(tight.Off[:0], n+1)[:n+1]
-		best = slices.Grow(tight.Edges[:0], min(n, maxEdges))
-	}
 	for t := 0; t < n; t++ {
 		if t%indexCtxStride == 0 && ctx.Err() != nil {
 			dst.Edges = edges // freshly sized arrays still serve the next build
-			if tight != nil {
-				tight.Edges = best
-			}
 			return ctx.Err()
 		}
-		lo := len(edges)
-		dst.Off[t] = lo
+		dst.Off[t] = len(edges)
 		b.epoch++
 		b.touched = b.touched[:0]
 		accumulate(b, t)
-		if tight == nil {
-			sort.Ints(b.touched)
-		}
-		top := 0.0 // every weight is positive
 		for _, proc := range b.touched {
-			mb := b.mb[proc]
-			edges = append(edges, LocalityEdge{Proc: proc, Task: t, MB: mb})
-			if mb > top {
-				top = mb
-			}
-		}
-		if tight == nil {
-			continue
-		}
-		tight.Off[t] = len(best)
-		for _, e := range edges[lo:] {
-			if e.MB == top {
-				best = append(best, e)
-			}
-		}
-		slices.SortFunc(best[tight.Off[t]:], byProc)
-		if len(edges) > lo {
-			ix.holders++
+			edges = append(edges, LocalityEdge{Proc: proc, Task: t, MB: b.mb[proc]})
 		}
 	}
 	dst.Off[n] = len(edges)
 	dst.Edges = edges
-	if tight != nil {
-		tight.Off[n] = len(best)
-		tight.Edges = best
-	}
 	return nil
 }
 
@@ -209,12 +172,6 @@ func NewLocalityIndex(p *Problem) *LocalityIndex {
 // cancellation: the build polls ctx every indexCtxStride tasks and returns
 // ctx's error instead of a partial index.
 func NewLocalityIndexContext(ctx context.Context, p *Problem) (*LocalityIndex, error) {
-	return newLocalityIndex(ctx, p, false)
-}
-
-// newLocalityIndex builds the index, and with tight also the best-holder
-// rows MultiExact's stage 1 matches on.
-func newLocalityIndex(ctx context.Context, p *Problem, tight bool) (*LocalityIndex, error) {
 	m := p.NumProcs()
 	b := indexBufPool.Get().(*indexBuf)
 	ix := &LocalityIndex{p: p, buf: b}
@@ -239,11 +196,7 @@ func newLocalityIndex(ctx context.Context, p *Problem, tight bool) (*LocalityInd
 		}
 	}
 
-	var tightDst *bipartite.Rows
-	if tight {
-		tightDst = &b.tight
-	}
-	err := ix.buildTier(ctx, &b.byTask, tightDst, maxEdges, func(b *indexBuf, t int) {
+	err := ix.buildTier(ctx, &b.byTask, maxEdges, func(b *indexBuf, t int) {
 		for _, in := range p.Tasks[t].Inputs {
 			for _, node := range p.FS.Replicas(in.Chunk) {
 				if node < 0 || node >= len(procsOn) {
@@ -260,7 +213,6 @@ func newLocalityIndex(ctx context.Context, p *Problem, tight bool) (*LocalityInd
 		return nil, err
 	}
 	ix.edges = len(b.byTask.Edges)
-	ix.unsorted = tight
 
 	if err := ix.buildRackTier(ctx); err != nil {
 		ix.Release()
@@ -294,12 +246,12 @@ func (ix *LocalityIndex) transpose() {
 }
 
 // Release returns the index's storage (and with it every edge slice ever
-// returned by taskEdges/ProcEdges/TaskRackEdges) to the package pool for
-// the next build. It is optional and purely a performance lever: an index
-// that is simply dropped is garbage-collected. The caller must be the sole
-// user of the index — after Release the index and any views obtained from
-// it are invalid. Releasing twice panics; releasing a nil index is a no-op
-// so error paths can call it unconditionally.
+// returned by ProcEdges/TaskRackEdges, taskRows or tightRows) to the package
+// pool for the next build. It is optional and purely a performance lever: an
+// index that is simply dropped is garbage-collected. The caller must be the
+// sole user of the index — after Release the index and any views obtained
+// from it are invalid. Releasing twice panics; releasing a nil index is a
+// no-op so error paths can call it unconditionally.
 func (ix *LocalityIndex) Release() {
 	if ix == nil {
 		return
@@ -316,29 +268,23 @@ func (ix *LocalityIndex) Release() {
 // co-located data).
 func (ix *LocalityIndex) NumEdges() int { return ix.edges }
 
-// taskEdges returns task t's locality edges in ascending process order. The
-// slice is a read-only view owned by the index.
-func (ix *LocalityIndex) taskEdges(t int) []LocalityEdge {
-	rows, _ := ix.taskRows(context.Background())
-	return rows.Row(t)
-}
-
-// taskRows returns the task rows, every row Proc-ascending. A tight build
-// leaves them in touch order; the first call sorts them, polling ctx once
-// per indexCtxStride rows. On a ctx error the rows stay marked unsorted
-// (sorting is idempotent, so a later call finishes the job).
+// taskRows returns the task rows, every row Proc-ascending, for the solvers
+// whose tie-breaks read row order. The build leaves them in touch order; the
+// first call sorts them, polling ctx once per indexCtxStride rows. On a ctx
+// error the rows stay marked unsorted (sorting is idempotent, so a later
+// call finishes the job).
 func (ix *LocalityIndex) taskRows(ctx context.Context) (*bipartite.Rows, error) {
 	rows := &ix.buf.byTask
-	if !ix.unsorted {
+	if ix.sorted {
 		return rows, nil
 	}
 	for t := 0; t < len(rows.Off)-1; t++ {
 		if t%indexCtxStride == 0 && ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		slices.SortFunc(rows.Row(t), byProc)
+		ix.buf.sortRow(rows.Row(t))
 	}
-	ix.unsorted = false
+	ix.sorted = true
 	if testHookTaskRowSort != nil {
 		testHookTaskRowSort()
 	}
@@ -349,19 +295,62 @@ func (ix *LocalityIndex) taskRows(ctx context.Context) (*bipartite.Rows, error) 
 // task rows.
 var testHookTaskRowSort func()
 
-// byProc orders edges by process.
-func byProc(a, b LocalityEdge) int { return a.Proc - b.Proc }
+// sortRow puts one task's row in ascending process order. A row is
+// usually a few edges (inputs × replicas × processes per node), which
+// insertion sorts in place. A long one, from many processes per node, sorts
+// its processes as ints with their MB parked in the mb scratch: insertion
+// is quadratic there, and a comparator sort of the 24-byte edges costs
+// about twice the int sort.
+func (b *indexBuf) sortRow(row []LocalityEdge) {
+	if len(row) <= 12 {
+		for i := 1; i < len(row); i++ {
+			for j := i; j > 0 && row[j].Proc < row[j-1].Proc; j-- {
+				row[j], row[j-1] = row[j-1], row[j]
+			}
+		}
+		return
+	}
+	b.touched = b.touched[:0]
+	for _, e := range row {
+		b.mb[e.Proc] = e.MB
+		b.touched = append(b.touched, e.Proc)
+	}
+	sort.Ints(b.touched)
+	for i, proc := range b.touched {
+		row[i].Proc, row[i].MB = proc, b.mb[proc]
+	}
+}
 
-// ownedMB returns task t's co-located MB on proc, the value CoLocatedMB
-// returns, by one scan of the task's row, sorted or not (a row is a few
-// edges: inputs × replicas × processes per node).
-func (ix *LocalityIndex) ownedMB(t, proc int) float64 {
-	for _, e := range ix.buf.byTask.Row(t) {
-		if e.Proc == proc {
-			return e.MB
+// tightRows returns MultiExact's stage-1 rows — each task row cut to its
+// best holders, the edges whose MB is the row maximum, Proc-ascending — and
+// how many tasks have an edge. Each row is cut in one pass over the task
+// row, in whatever order that is in.
+func (ix *LocalityIndex) tightRows() (*bipartite.Rows, int) {
+	b, n := ix.buf, len(ix.p.Tasks)
+	tight := &b.tight
+	tight.Off = slices.Grow(tight.Off[:0], n+1)[:n+1]
+	best := slices.Grow(tight.Edges[:0], min(n, ix.edges))
+	holders := 0
+	for t := 0; t < n; t++ {
+		lo := len(best)
+		tight.Off[t] = lo
+		top := 0.0 // every weight is positive
+		for _, e := range b.byTask.Row(t) {
+			switch {
+			case e.MB > top:
+				best, top = append(best[:lo], e), e.MB
+			case e.MB == top:
+				best = append(best, e)
+			}
+		}
+		if len(best) > lo {
+			holders++
+			b.sortRow(best[lo:])
 		}
 	}
-	return 0
+	tight.Off[n] = len(best)
+	tight.Edges = best
+	return tight, holders
 }
 
 // ProcEdges returns process p's locality edges in ascending task order, a
@@ -377,18 +366,20 @@ func (ix *LocalityIndex) procRows() *bipartite.Rows {
 	return &ix.buf.byProc
 }
 
-// CoLocatedMB returns the co-located megabytes for (proc, task) by binary
-// search — the same value Problem.CoLocatedMB computes by probing, in
-// O(log degree) instead of O(inputs·replicas).
+// CoLocatedMB returns the co-located megabytes for (proc, task) — the same
+// value Problem.CoLocatedMB computes by probing — by one scan of the task's
+// row.
 func (ix *LocalityIndex) CoLocatedMB(proc, task int) float64 {
-	return mbOf(ix.taskEdges(task), proc)
+	return rowMB(ix.buf.byTask.Row(task), proc)
 }
 
-// mbOf looks proc up in a Proc-ascending edge row; zero when absent.
-func mbOf(es []LocalityEdge, proc int) float64 {
-	i := sort.Search(len(es), func(k int) bool { return es[k].Proc >= proc })
-	if i < len(es) && es[i].Proc == proc {
-		return es[i].MB
+// rowMB looks proc up in an edge row, in whatever order the row is in; zero
+// when absent.
+func rowMB(row []LocalityEdge, proc int) float64 {
+	for _, e := range row {
+		if e.Proc == proc {
+			return e.MB
+		}
 	}
 	return 0
 }

@@ -115,14 +115,15 @@ func (s layoutSpec) csrBacked() *Problem {
 	return &Problem{ProcNode: s.procNode, NodeRack: s.nodeRack, Tasks: s.tasks, FS: l}
 }
 
-// indexEdges flattens every row of a locality index, both tiers.
+// indexEdges flattens every row of a locality index, both tiers, each row
+// Proc-ascending.
 func indexEdges(p *Problem) (out []LocalityEdge) {
 	ix := NewLocalityIndex(p)
 	defer ix.Release()
 	for t := range p.Tasks {
 		out = append(out, ix.taskEdges(t)...)
 		out = append(out, LocalityEdge{Proc: -1})
-		out = append(out, ix.TaskRackEdges(t)...)
+		out = append(out, procOrder(ix.TaskRackEdges(t))...) // rack rows promise no order
 	}
 	for proc := range p.ProcNode {
 		out = append(out, LocalityEdge{Proc: -2})

@@ -78,7 +78,7 @@ func (ix *LocalityIndex) buildRackTier(ctx context.Context) error {
 
 	// No edge bound is passed: a tight one needs the per-input rack dedupe
 	// below, so a cold buffer grows by append instead.
-	return ix.buildTier(ctx, &ix.buf.byTaskRack, nil, 0, func(b *indexBuf, t int) {
+	return ix.buildTier(ctx, &ix.buf.byTaskRack, 0, func(b *indexBuf, t int) {
 		for _, in := range p.Tasks[t].Inputs {
 			replicas := p.FS.Replicas(in.Chunk)
 			b.racks = b.racks[:0]
@@ -101,9 +101,9 @@ func (ix *LocalityIndex) buildRackTier(ctx context.Context) error {
 // RackTiered reports whether the index carries rack-tier edges.
 func (ix *LocalityIndex) RackTiered() bool { return ix.rackTiered }
 
-// TaskRackEdges returns task t's rack-tier edges in ascending process
-// order, or nil when the problem is not rack-tiered. The slice is a
-// read-only view owned by the index.
+// TaskRackEdges returns task t's rack-tier edges, in no promised order, or
+// nil when the problem is not rack-tiered. The slice is a read-only view
+// owned by the index.
 func (ix *LocalityIndex) TaskRackEdges(t int) []LocalityEdge {
 	if !ix.rackTiered {
 		return nil
@@ -118,5 +118,5 @@ func (ix *LocalityIndex) RackCoLocatedMB(proc, task int) float64 {
 	if !ix.rackTiered {
 		return 0
 	}
-	return mbOf(ix.buf.byTaskRack.Row(task), proc)
+	return rowMB(ix.buf.byTaskRack.Row(task), proc)
 }

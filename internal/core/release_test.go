@@ -19,8 +19,13 @@ import (
 // flat arrays and transpose backings) must never leak into a later index.
 // Every build follows a MultiExact plan, which hands back a buffer whose
 // task rows it left unsorted (or, on the skewed problem, sorted for stage
-// 2): the eager build that takes it must not sort again, SingleData's
-// PlannedLocalMB must stay the probe's, and the exact plans must not drift.
+// 2): the build that takes it must read as unsorted, its first taskEdges
+// read must sort once, SingleData's PlannedLocalMB must stay the probe's,
+// and the exact plans must not drift. Each plan also sorts the task rows
+// exactly as often as its solver's tie-breaks read row order: once for the
+// equal-size matcher and MultiExact's stage 2, never for the flow network
+// (a tail-chunk problem), MultiData, a dynamic-scheduler drain or a
+// MultiExact plan that stage 1 places.
 func TestLocalityIndexReleaseReuse(t *testing.T) {
 	small, _ := buildSingle(t, 8, 64, 21, dfs.RandomPlacement{})
 	large, _ := buildSingle(t, 24, 512+64, 22, dfs.RandomPlacement{})
@@ -30,16 +35,50 @@ func TestLocalityIndexReleaseReuse(t *testing.T) {
 		racks[i] = i % 4
 	}
 	tiered.NodeRack = racks
+	tailFS := dfs.New(view{8}, dfs.Config{Seed: 25, Placement: dfs.RandomPlacement{}})
+	if _, err := tailFS.Create("/data", 64*64-10); err != nil { // the last chunk is a 54 MB tail
+		t.Fatal(err)
+	}
+	tail, err := SingleDataProblem(tailFS, []string{"/data"}, small.ProcNode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans := map[string]struct {
+		sorts int
+		plan  func() (*Assignment, error)
+	}{
+		"SingleData equal sizes": {1, func() (*Assignment, error) { return SingleData{}.Assign(small) }},
+		"SingleData tail chunk":  {0, func() (*Assignment, error) { return SingleData{}.Assign(tail) }},
+		"MultiData":              {0, func() (*Assignment, error) { return MultiData{}.Assign(goldenMultiProblem(t)) }},
+		"dynamic drain": {0, func() (*Assignment, error) {
+			a, err := SingleData{}.Assign(tail)
+			if err != nil {
+				return nil, err
+			}
+			s, err := NewDynamicScheduler(tail, a)
+			for proc := 0; err == nil && s.Remaining() > 0; proc = (proc + 1) % tail.NumProcs() {
+				s.Next(proc)
+			}
+			return a, err
+		}},
+	}
 
 	probs := []*Problem{small, large, tiered, goldenMultiProblem(t)}
 	exactProbs := []*Problem{goldenMultiProblem(t), skewedSpec(32, 3, 320, 3).csrBacked()}
 	exactOwners := make([][]int, len(exactProbs))
+	exactSorts := make([]int, len(exactProbs))
 	for i, p := range exactProbs {
 		a, err := MultiExact{}.Assign(p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		exactOwners[i] = a.Owner
+		if stage2Runs(t, p) {
+			exactSorts[i] = 1
+		}
+	}
+	if exactSorts[0] != 0 || exactSorts[1] != 1 {
+		t.Fatalf("stage 2 runs on the golden multi and skewed problems: %v, want [0 1]", exactSorts)
 	}
 	want := make([][][]LocalityEdge, len(probs))
 	wantRack := make([][][]LocalityEdge, len(probs))
@@ -63,9 +102,12 @@ func TestLocalityIndexReleaseReuse(t *testing.T) {
 	for round := 0; round < 4; round++ {
 		for i, p := range probs {
 			exact := (round + i) % len(exactProbs)
-			a, err := MultiExact{}.Assign(exactProbs[exact])
-			if err != nil {
+			var a *Assignment
+			var err error
+			if sorts := countTaskRowSorts(func() { a, err = MultiExact{}.Assign(exactProbs[exact]) }); err != nil {
 				t.Fatal(err)
+			} else if sorts != exactSorts[exact] {
+				t.Fatalf("round %d: MultiExact on problem %d sorted its task rows %d times, want %d", round, exact, sorts, exactSorts[exact])
 			}
 			if !slices.Equal(a.Owner, exactOwners[exact]) {
 				t.Fatalf("round %d: MultiExact plan of problem %d drifted after pooled reuse", round, exact)
@@ -78,9 +120,18 @@ func TestLocalityIndexReleaseReuse(t *testing.T) {
 				}
 				checkPlannedLocality(t, fmt.Sprintf("round %d SingleData on prob %d", round, i), p, a)
 			}
+			for name, c := range plans {
+				if sorts := countTaskRowSorts(func() {
+					if _, err := c.plan(); err != nil {
+						t.Fatal(err)
+					}
+				}); sorts != c.sorts {
+					t.Fatalf("round %d: %s sorted its task rows %d times, want %d", round, name, sorts, c.sorts)
+				}
+			}
 			var ix *LocalityIndex
-			if sorts := countTaskRowSorts(func() { ix = NewLocalityIndex(p); ix.taskEdges(0) }); sorts != 0 {
-				t.Fatalf("round %d prob %d: an eager build sorted its task rows again", round, i)
+			if sorts := countTaskRowSorts(func() { ix = NewLocalityIndex(p); ix.taskEdges(0); ix.taskEdges(1) }); sorts != 1 {
+				t.Fatalf("round %d prob %d: a build's first reads sorted its task rows %d times, want once", round, i, sorts)
 			}
 			for task := range p.Tasks {
 				got := ix.taskEdges(task)

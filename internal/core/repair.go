@@ -126,16 +126,16 @@ func finishAssignment(p *Problem, ix *LocalityIndex, owner, quotas []int, quotaM
 			if owner[t] >= 0 {
 				continue
 			}
-			best, bestMB := -1, 0.0
+			best, bestMB, bestRoom := -1, 0.0, 0.0
 			for _, e := range ix.TaskRackEdges(t) {
 				if !l.hasRoom(e.Proc) {
 					continue
 				}
-				// Strict comparisons keep the lowest rank on full ties: edges
-				// arrive process-ascending.
-				if best == -1 || e.MB > bestMB ||
-					(e.MB == bestMB && l.headroom(e.Proc) > l.headroom(best)) {
-					best, bestMB = e.Proc, e.MB
+				// Rack rows are in touch order, so every tie-break is
+				// explicit: more MB, then more headroom, then lower rank.
+				room := l.headroom(e.Proc)
+				if best == -1 || e.MB > bestMB || e.MB == bestMB && (room > bestRoom || room == bestRoom && e.Proc < best) {
+					best, bestMB, bestRoom = e.Proc, e.MB, room
 				}
 			}
 			if best >= 0 {
@@ -168,7 +168,7 @@ func newAssignment(p *Problem, ix *LocalityIndex, owner []int, matched []bool) *
 	a := &Assignment{Owner: owner, Lists: groupRanks(owner, p.NumProcs()), Matched: matched, PlannedTotalMB: p.TotalMB()}
 	for t, proc := range owner { // task order: the sum is a float contract
 		if ix != nil {
-			a.PlannedLocalMB += ix.ownedMB(t, proc)
+			a.PlannedLocalMB += ix.CoLocatedMB(proc, t)
 		} else {
 			a.PlannedLocalMB += p.CoLocatedMB(proc, t)
 		}

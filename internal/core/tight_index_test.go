@@ -21,22 +21,20 @@ func probeEdges(p *Problem, task int) []LocalityEdge {
 	return es
 }
 
-// TestTightIndexMatchesProbes: a tight build's best-holder rows are the
-// probe's maximum-MB edges in process order, ownedMB answers every
-// (process, task) pair as the probe does without sorting anything, and the
-// first taskEdges read sorts the task rows once into the probe's rows.
+// TestTightIndexMatchesProbes: tightRows are the probe's maximum-MB edges in
+// process order and CoLocatedMB answers every (process, task) pair as the
+// probe does, neither sorting the task rows; the first taskEdges read sorts
+// them once into the probe's rows, and later reads do not sort again.
 func TestTightIndexMatchesProbes(t *testing.T) {
 	probs := indexOracleProblems(t)
 	probs["skewed"] = skewedSpec(32, 3, 320, 3).csrBacked()
 	for name, p := range probs {
 		t.Run(name, func(t *testing.T) {
-			ix, err := newLocalityIndex(context.Background(), p, true)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ix := NewLocalityIndex(p)
 			defer ix.Release()
-			holders := 0
 			if sorts := countTaskRowSorts(func() {
+				tight, holders := ix.tightRows()
+				wantHolders := 0
 				for task := range p.Tasks {
 					want := probeEdges(p, task)
 					top := 0.0
@@ -44,32 +42,34 @@ func TestTightIndexMatchesProbes(t *testing.T) {
 						top = max(top, e.MB)
 					}
 					want = slices.DeleteFunc(want, func(e LocalityEdge) bool { return e.MB != top })
-					if got := ix.buf.tight.Row(task); !slices.Equal(got, want) {
+					if got := tight.Row(task); !slices.Equal(got, want) {
 						t.Fatalf("tight row of task %d = %v, probes say %v", task, got, want)
 					}
 					if len(want) > 0 {
-						holders++
+						wantHolders++
 					}
 					for proc := 0; proc < p.NumProcs(); proc++ {
-						if got, mb := ix.ownedMB(task, proc), p.CoLocatedMB(proc, task); got != mb {
-							t.Fatalf("ownedMB(task=%d, proc=%d) = %v, probe says %v", task, proc, got, mb)
+						if got, mb := ix.CoLocatedMB(proc, task), p.CoLocatedMB(proc, task); got != mb {
+							t.Fatalf("CoLocatedMB(proc=%d, task=%d) = %v, probe says %v", proc, task, got, mb)
 						}
 					}
 				}
-			}); sorts != 0 {
-				t.Fatalf("reading the tight rows and ownedMB sorted the task rows %d times", sorts)
-			}
-			if holders != ix.holders {
-				t.Fatalf("index counts %d tasks with a holder, probes %d", ix.holders, holders)
-			}
-			if sorts := countTaskRowSorts(func() {
-				for task := range p.Tasks {
-					if got, want := ix.taskEdges(task), probeEdges(p, task); !slices.Equal(got, want) {
-						t.Fatalf("taskEdges(%d) = %v, probes say %v", task, got, want)
-					}
+				if holders != wantHolders {
+					t.Fatalf("tightRows counts %d tasks with a holder, probes %d", holders, wantHolders)
 				}
-			}); sorts != 1 {
-				t.Fatalf("reading every task row sorted them %d times, want once", sorts)
+			}); sorts != 0 {
+				t.Fatalf("reading the tight rows and CoLocatedMB sorted the task rows %d times", sorts)
+			}
+			for read := 0; read < 2; read++ {
+				if sorts := countTaskRowSorts(func() {
+					for task := range p.Tasks {
+						if got, want := ix.taskEdges(task), probeEdges(p, task); !slices.Equal(got, want) {
+							t.Fatalf("taskEdges(%d) = %v, probes say %v", task, got, want)
+						}
+					}
+				}); sorts != 1-read {
+					t.Fatalf("read %d of every task row sorted them %d times, want %d", read, sorts, 1-read)
+				}
 			}
 		})
 	}
@@ -126,16 +126,13 @@ func TestMultiExactSortsTaskRowsOnlyForStage2(t *testing.T) {
 // still sorts them all.
 func TestDeferredSortHonoursCancel(t *testing.T) {
 	p := skewedSpec(32, 3, 2*indexCtxStride+1, 3).csrBacked()
-	ix, err := newLocalityIndex(context.Background(), p, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ix := NewLocalityIndex(p)
 	defer ix.Release()
 	ctx := &trippedCtx{Context: context.Background(), after: 1} // the first row poll passes, the second trips
 	if rows, err := ix.taskRows(ctx); rows != nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("taskRows under a cancelled context = (%v, %v), want (nil, context.Canceled)", rows, err)
 	}
-	if !ix.unsorted {
+	if ix.sorted {
 		t.Fatal("a cancelled sort marked the task rows sorted")
 	}
 	for task := range p.Tasks {

@@ -287,29 +287,6 @@ func TestAliasedHitAllocatesLessThanItsBody(t *testing.T) {
 	t.Logf("aliased hit: %d B allocated, budget %d B", got, budget)
 }
 
-// TestSimulateMarshalFailureIs500: a response value that does not marshal
-// (a NaN in a simulation summary) is answered with a 500 carrying the JSON
-// envelope and counted as a response failure — not a 200 with no body. The
-// status waits for the first body byte, so nothing has gone out when the
-// encoder fails.
-func TestSimulateMarshalFailureIs500(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	s := NewServer(ServerOptions{Registry: reg})
-	rec := httptest.NewRecorder()
-	r := httptest.NewRequest(http.MethodPost, "/v1/simulate", nil)
-	s.writeJSON(rec, r, http.StatusOK, map[string]float64{"makespan_s": math.NaN()})
-	if rec.Code != http.StatusInternalServerError {
-		t.Fatalf("status %d, want 500: %q", rec.Code, rec.Body.Bytes())
-	}
-	var e errorBody
-	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || !strings.Contains(e.Error, "unsupported value") {
-		t.Fatalf("body %q is not the JSON envelope naming the marshal failure (%v)", rec.Body.Bytes(), err)
-	}
-	if got := metricValue(t, reg, MetricResponseErrors, `route="/v1/simulate"`); got != 1 {
-		t.Fatalf("response-error counter = %v, want 1", got)
-	}
-}
-
 // TestSimulateOversizedInputsAre400: two inputs of 1e307 MB are finite, but
 // each is above the 2^40 MB the planner's capacity encoding holds, so the
 // decoder's validation rejects them before anything is simulated.
@@ -323,9 +300,8 @@ func TestSimulateOversizedInputsAre400(t *testing.T) {
 }
 
 // TestSimulateRenderNaNSummaryIs500: the simulate renderer, handed a summary
-// that does not marshal, answers as writeJSON does in
-// TestSimulateMarshalFailureIs500: a 500 with the JSON envelope, counted as a
-// response failure, and no 200 byte written.
+// that does not marshal, answers with a 500 carrying the JSON envelope,
+// counted as a response failure, and no 200 byte written.
 func TestSimulateRenderNaNSummaryIs500(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	s := NewServer(ServerOptions{Registry: reg})

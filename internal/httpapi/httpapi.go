@@ -35,7 +35,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -546,7 +545,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 			alias = s.aliasKey(r.URL.RawQuery, body.b)
 			if cp, ok := s.planCache.Lookup(alias); ok {
 				s.reg.Counter(MetricPlanCacheHits).Inc()
-				s.writeBody(w, r, cp.body)
+				s.writeBody(w, r, http.StatusOK, cp.body)
 				return
 			}
 		}
@@ -579,7 +578,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		s.renderFailed(w, r, err)
 		return
 	}
-	s.writeBody(w, r, out)
+	s.writeBody(w, r, http.StatusOK, out)
 	if aliasable {
 		s.planCache.Insert(alias, cachedPlan{body: out}, int64(len(out))+entryOverheadBytes)
 		s.cacheGauges()
@@ -606,7 +605,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	topo := cluster.New(req.Nodes, cluster.Marmot())
 	fs, err := mirrorFS(topo, prob)
 	if err != nil {
-		s.writeJSON(w, r, http.StatusInternalServerError, errorBody{Error: err.Error()})
+		s.writeError(w, r, http.StatusInternalServerError, err.Error())
 		return
 	}
 	prob.FS = fs
@@ -629,7 +628,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		if s.aborted(w, r, err) {
 			return
 		}
-		s.writeJSON(w, r, http.StatusInternalServerError, errorBody{Error: err.Error()})
+		s.writeError(w, r, http.StatusInternalServerError, err.Error())
 		return
 	}
 	// Engine counters surface as gauges (last run) and counters
@@ -658,7 +657,7 @@ func (s *Server) writeSimulate(w http.ResponseWriter, r *http.Request, v *Simula
 		s.renderFailed(w, r, err)
 		return
 	}
-	s.writeBody(w, r, body)
+	s.writeBody(w, r, http.StatusOK, body)
 }
 
 // reject answers a decode failure, bucketing it in the rejection counter.
@@ -670,7 +669,7 @@ func (s *Server) reject(w http.ResponseWriter, r *http.Request, apiErr *apiError
 	if apiErr.status == http.StatusRequestEntityTooLarge {
 		w.Header().Set("Connection", "close")
 	}
-	s.writeJSON(w, r, apiErr.status, errorBody{Error: apiErr.Error()})
+	s.writeError(w, r, apiErr.status, apiErr.Error())
 }
 
 // workWeight estimates a request's planner + simulation work in admission
@@ -697,10 +696,10 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, a *admitter, weig
 		// Retry-After: the queue-wait bound is the natural horizon after
 		// which a retry has a fresh chance at the queue.
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.queueWait)))
-		s.writeJSON(w, r, http.StatusTooManyRequests, errorBody{Error: "server saturated; retry later"})
+		s.writeError(w, r, http.StatusTooManyRequests, "server saturated; retry later")
 	case errors.Is(err, errDraining):
 		s.reg.Counter(MetricRequestsShed, route, telemetry.L("reason", "draining")).Inc()
-		s.writeJSON(w, r, http.StatusServiceUnavailable, errorBody{Error: "server draining"})
+		s.writeError(w, r, http.StatusServiceUnavailable, "server draining")
 	default: // client went away while queued
 		s.reg.Counter(MetricRequestsCancelled, route, telemetry.L("reason", "disconnect")).Inc()
 		w.WriteHeader(statusClientClosedRequest)
@@ -725,7 +724,7 @@ func (s *Server) aborted(w http.ResponseWriter, r *http.Request, err error) bool
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		s.reg.Counter(MetricRequestsCancelled, route, telemetry.L("reason", "deadline")).Inc()
-		s.writeJSON(w, r, http.StatusServiceUnavailable, errorBody{Error: "request deadline exceeded"})
+		s.writeError(w, r, http.StatusServiceUnavailable, "request deadline exceeded")
 		return true
 	case errors.Is(err, context.Canceled):
 		s.reg.Counter(MetricRequestsCancelled, route, telemetry.L("reason", "disconnect")).Inc()
@@ -743,36 +742,27 @@ func (s *Server) planFailed(w http.ResponseWriter, r *http.Request, err error) {
 	}
 	var apiErr *apiError
 	if errors.As(err, &apiErr) {
-		s.writeJSON(w, r, apiErr.status, errorBody{Error: apiErr.Error()})
+		s.writeError(w, r, apiErr.status, apiErr.Error())
 		return
 	}
-	s.writeJSON(w, r, http.StatusInternalServerError, errorBody{Error: err.Error()})
+	s.writeError(w, r, http.StatusInternalServerError, err.Error())
 }
 
-// writeJSON writes the response envelope. A failure — the client hanging up
-// mid-body, or a value that does not marshal — is logged and counted instead
-// of silently letting the telemetry middleware record a clean response. The
-// status goes out with the first body byte, so a value that does not marshal
-// has sent nothing yet and is answered with a 500 instead of an empty 200.
-func (s *Server) writeJSON(w http.ResponseWriter, r *http.Request, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	hw := &headerOnWrite{w: w, status: status}
-	err := encodeJSON(hw, r, v)
-	if err == nil {
-		return
-	}
-	s.writeFailed(r, status, err)
-	if !hw.wrote {
-		s.writeJSON(w, r, http.StatusInternalServerError, errorBody{Error: err.Error()})
-	}
+// writeError answers status with the JSON error envelope naming msg: the
+// bytes json.Encoder writes for errorBody{msg}, indented under ?pretty=1.
+func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, msg string) {
+	b, _ := json.Marshal(errorBody{Error: msg}) // a string always marshals
+	s.writeBody(w, r, status, prettyIf(r, append(b, '\n')))
 }
 
-// writeBody answers 200 with an already-encoded JSON body.
-func (s *Server) writeBody(w http.ResponseWriter, r *http.Request, body []byte) {
+// writeBody answers status with an already-encoded JSON body. A failed
+// write — the client hanging up mid-body — is logged and counted instead of
+// silently letting the telemetry middleware record a clean response.
+func (s *Server) writeBody(w http.ResponseWriter, r *http.Request, status int, body []byte) {
 	w.Header()["Content-Type"] = jsonContentType
-	w.WriteHeader(http.StatusOK)
+	w.WriteHeader(status)
 	if _, err := w.Write(body); err != nil {
-		s.writeFailed(r, http.StatusOK, err)
+		s.writeFailed(r, status, err)
 	}
 }
 
@@ -787,33 +777,6 @@ func (s *Server) writeFailed(r *http.Request, status int, err error) {
 			slog.Int("status", status),
 			slog.Any("error", err))
 	}
-}
-
-// encodeJSON renders v, an error envelope (plan bodies go through
-// render.go), as a response body, newline-terminated: compact by default and
-// indented under ?pretty=1. json.Encoder marshals the whole value before its
-// one Write to w.
-func encodeJSON(w io.Writer, r *http.Request, v any) error {
-	enc := json.NewEncoder(w)
-	if wantsPretty(r) {
-		enc.SetIndent("", "  ")
-	}
-	return enc.Encode(v)
-}
-
-// headerOnWrite sends a deferred status with the first body Write.
-type headerOnWrite struct {
-	w      http.ResponseWriter
-	status int
-	wrote  bool
-}
-
-func (h *headerOnWrite) Write(p []byte) (int, error) {
-	if !h.wrote {
-		h.wrote = true
-		h.w.WriteHeader(h.status)
-	}
-	return h.w.Write(p)
 }
 
 // pickAssigner resolves the request's strategy to a planner. The resolved

@@ -244,11 +244,11 @@ func (w *brokenWriter) Header() http.Header {
 func (w *brokenWriter) WriteHeader(code int)      { w.status = code }
 func (w *brokenWriter) Write([]byte) (int, error) { return 0, errors.New("connection reset") }
 
-func TestWriteJSONCountsEncodeFailures(t *testing.T) {
+func TestWriteErrorCountsWriteFailures(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	s := NewServer(ServerOptions{Registry: reg})
 	r := httptest.NewRequest(http.MethodPost, "/v1/plan", nil)
-	s.writeJSON(&brokenWriter{}, r, http.StatusOK, map[string]string{"k": "v"})
+	s.writeError(&brokenWriter{}, r, http.StatusBadRequest, "bad body")
 	if got := metricValue(t, reg, MetricResponseErrors, `route="/v1/plan"`); got != 1 {
 		t.Fatalf("response-error counter = %v, want 1", got)
 	}

@@ -325,5 +325,5 @@ func (s *Server) streamPlan(w http.ResponseWriter, r *http.Request, resp *PlanRe
 // it was written, with the JSON error envelope and a 500.
 func (s *Server) renderFailed(w http.ResponseWriter, r *http.Request, err error) {
 	s.writeFailed(r, http.StatusOK, err)
-	s.writeJSON(w, r, http.StatusInternalServerError, errorBody{Error: err.Error()})
+	s.writeError(w, r, http.StatusInternalServerError, err.Error())
 }

@@ -219,6 +219,29 @@ func (w *writeRecorder) Write(p []byte) (int, error) {
 
 // TestStreamedPlanWritesWindows: a 25,600-task plan streams in window-sized
 // Writes, at least three of them, that concatenate to json.Encoder's bytes.
+// TestErrorBodyMatchesEncodingJSON holds writeError's body to json.Encoder's
+// bytes for the same envelope, compact and under ?pretty=1, over messages
+// with HTML characters, quotes, control characters and invalid UTF-8.
+func TestErrorBodyMatchesEncodingJSON(t *testing.T) {
+	s := NewServer(ServerOptions{})
+	for _, msg := range []string{"", "server draining", `<a href="x">&amp;</a>`, "tab\tnew\nline\x00\x1f\x7f", "bad \xff\xfe utf-8 \u2028\u2029", `back\slash "quoted"`} {
+		for pretty, r := range planRequests() {
+			want, err := encodeReference(errorBody{Error: msg}, pretty)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := httptest.NewRecorder()
+			s.writeError(rec, r, http.StatusBadRequest, msg)
+			if rec.Code != http.StatusBadRequest || rec.Header().Get("Content-Type") != "application/json" {
+				t.Fatalf("%q (pretty %v): status %d, Content-Type %q", msg, pretty, rec.Code, rec.Header().Get("Content-Type"))
+			}
+			if !bytes.Equal(rec.Body.Bytes(), want) {
+				t.Fatalf("%q (pretty %v):\n got %q\nwant %q", msg, pretty, rec.Body.Bytes(), want)
+			}
+		}
+	}
+}
+
 func TestStreamedPlanWritesWindows(t *testing.T) {
 	resp := syntheticPlan(256, 25600)
 	r := httptest.NewRequest(http.MethodPost, "/v1/plan", nil)
@@ -298,8 +321,8 @@ func TestStrategyNamesNeedNoEscaping(t *testing.T) {
 }
 
 // BenchmarkRenderPlan times one /v1/plan 200 body over a 256-process plan of
-// 2,560 and 25,600 tasks: encoding-json is writeJSON, the reflecting encoder
-// the renderer replaced, and render is streamPlan through a window.
+// 2,560 and 25,600 tasks: encoding-json is json.Encoder, the reflecting
+// encoder the renderer replaced, and render is streamPlan through a window.
 func BenchmarkRenderPlan(b *testing.B) {
 	s := NewServer(ServerOptions{})
 	r := httptest.NewRequest(http.MethodPost, "/v1/plan", nil)
@@ -307,7 +330,7 @@ func BenchmarkRenderPlan(b *testing.B) {
 	for _, tasks := range []int{2560, 25600} {
 		resp := syntheticPlan(256, tasks)
 		arms := map[string]func(w http.ResponseWriter){
-			"encoding-json": func(w http.ResponseWriter) { s.writeJSON(w, r, http.StatusOK, resp) },
+			"encoding-json": func(w http.ResponseWriter) { _ = json.NewEncoder(w).Encode(resp) },
 			"render":        func(w http.ResponseWriter) { s.streamPlan(w, r, &resp, win) },
 		}
 		for _, arm := range []string{"encoding-json", "render"} {
