@@ -9,7 +9,7 @@
 //	       [-quiet] [-drain-timeout 15s] [-max-inflight N] [-queue-wait 2s]
 //	       [-request-timeout 55s] [-plan-cache-entries 4096] [-plan-cache-mb 64]
 //	       [-plan-cache-remote host:port] [-plan-cache-remote-timeout 250ms]
-//	       [-plan-cache-remote-namespace opass1] [-plan-cache-remote-ttl 10m]
+//	       [-plan-cache-remote-namespace opass2] [-plan-cache-remote-ttl 10m]
 //	       [-max-body-mb 1024] [-max-nodes N] [-max-procs N] [-max-tasks N]
 //	       [-max-inputs-per-task N]
 //

@@ -3,6 +3,7 @@ package httpapi
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"math"
@@ -13,7 +14,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
+	"opass/internal/plancache"
 	"opass/internal/report"
 	"opass/internal/telemetry"
 )
@@ -127,9 +130,12 @@ func TestRejectionsNeverAliased(t *testing.T) {
 }
 
 // TestReformattedBodyIsCanonicalHit: other bytes for the same problem miss
-// the alias, are decoded, and hit the plan under its fingerprint.
+// the alias, are decoded, and hit the plan under its fingerprint. Under a
+// compact query every alias holds its plan entry's own bytes, so a cold body
+// retains one body and the entries that point at it.
 func TestReformattedBodyIsCanonicalHit(t *testing.T) {
 	srv, runs, reg := countingServer(t, ServerOptions{})
+	s := srv.Config.Handler.(*Server)
 	compact, err := json.Marshal(layoutRequest("opass"))
 	if err != nil {
 		t.Fatal(err)
@@ -139,10 +145,23 @@ func TestReformattedBodyIsCanonicalHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, want := postRaw(t, srv, "/v1/plan", string(compact))
+	plan, ok := s.planCache.Lookup(planKeyOf(t, s, compact))
+	if !ok || !bytes.Equal(plan.body, want) {
+		t.Fatalf("plan entry (found %v) holds %q, want the 200 %q", ok, plan.body, want)
+	}
+	sharesPlanBody := func(body []byte) {
+		t.Helper()
+		alias, ok := s.planCache.Lookup(s.aliasKey("", body))
+		if !ok || unsafe.SliceData(alias.body) != unsafe.SliceData(plan.body) || len(alias.body) != len(plan.body) {
+			t.Fatalf("the alias of %.40q (found %v) does not share its plan entry's body", body, ok)
+		}
+	}
+	sharesPlanBody(compact)
 	resp, got := postRaw(t, srv, "/v1/plan", string(indented))
 	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
 		t.Fatalf("status %d, body %s, want %s", resp.StatusCode, got, want)
 	}
+	sharesPlanBody(indented)
 	if n := reg.Counter(MetricPlanCacheHits).Value(); n != 1 {
 		t.Fatalf("hits = %v, want 1", n)
 	}
@@ -252,10 +271,11 @@ func TestAliasedHitSkipsAdmission(t *testing.T) {
 
 // TestAliasedHitAllocatesLessThanItsBody: a warm aliased hit of the
 // paper-single body (256 processes x 2,560 tasks, ~132 KB) allocates less
-// than an eighth of the body's bytes — it reads into a pooled buffer, hashes
-// it and writes stored bytes. Decoding the body alone allocates more than the
-// body. It runs at GOMAXPROCS(1) with the GC off so the pooled buffer comes
-// back, and skips under -race, where sync.Pool drops Puts at random.
+// than an eighth of the body's bytes, in at most 20 objects — it reads into a
+// pooled buffer, hashes it and writes stored bytes. Decoding the body alone
+// allocates more than the body. It runs at GOMAXPROCS(1) with the GC off so
+// the pooled buffer comes back, and skips under -race, where sync.Pool drops
+// Puts at random.
 func TestAliasedHitAllocatesLessThanItsBody(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under -race")
@@ -284,7 +304,13 @@ func TestAliasedHitAllocatesLessThanItsBody(t *testing.T) {
 	if got >= budget {
 		t.Fatalf("a warm aliased hit allocated %d B, budget %d B (1/8 of the %d B body)", got, budget, len(body))
 	}
-	t.Logf("aliased hit: %d B allocated, budget %d B", got, budget)
+	// The request and recorder this harness builds are counted too.
+	const maxObjects = 20
+	objects := (after.Mallocs - before.Mallocs) / hits
+	if objects > maxObjects {
+		t.Fatalf("a warm aliased hit allocated %d objects, want at most %d", objects, maxObjects)
+	}
+	t.Logf("aliased hit: %d B allocated, budget %d B; %d objects", got, budget, objects)
 }
 
 // TestSimulateOversizedInputsAre400: two inputs of 1e307 MB are finite, but
@@ -319,4 +345,21 @@ func TestSimulateRenderNaNSummaryIs500(t *testing.T) {
 	if got := metricValue(t, reg, MetricResponseErrors, `route="/v1/simulate"`); got != 1 {
 		t.Fatalf("response-error counter = %v, want 1", got)
 	}
+}
+
+// planKeyOf is the plan cache's key for the problem body posts.
+func planKeyOf(t *testing.T, s *Server, body []byte) plancache.Key {
+	t.Helper()
+	req, prob, apiErr := decodeProblemReference(httptest.NewRecorder(),
+		httptest.NewRequest(http.MethodPost, "/v1/plan", bytes.NewReader(body)), s.limits)
+	if apiErr != nil {
+		t.Fatal(apiErr)
+	}
+	as, apiErr := pickAssigner(req, prob)
+	if apiErr != nil {
+		t.Fatal(apiErr)
+	}
+	var seed [8]byte
+	binary.LittleEndian.PutUint64(seed[:], uint64(req.Seed))
+	return s.planKey(prob.AppendCanonical(nil), as.Name(), seed[:])
 }

@@ -38,6 +38,7 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"opass/internal/cluster"
@@ -156,9 +157,10 @@ const (
 // them as flags.
 const (
 	// DefaultRemoteTierNamespace prefixes every remote tier key. Bump it
-	// when the tierPlan wire format changes so mixed-version fleets land
-	// in disjoint keyspaces instead of failing to decode each other.
-	DefaultRemoteTierNamespace = "opass1"
+	// when the tier's wire format (a compact /v1/plan 200) changes so
+	// mixed-version fleets land in disjoint keyspaces instead of failing to
+	// decode each other.
+	DefaultRemoteTierNamespace = "opass2"
 	// DefaultRemoteTierTTL bounds a published plan's remote lifetime, and so
 	// how long plans from an older binary stay reachable fleet-wide during a
 	// rolling deploy.
@@ -357,6 +359,8 @@ type Server struct {
 	// fingerprints — as MACs under a key no one outside the process sees.
 	planCache *plancache.Cache[cachedPlan]
 	keyer     *plancache.Keyer
+	// scrapeMu orders cacheMetrics' copies of the cache's totals.
+	scrapeMu sync.Mutex
 	// plannerRan, when set, is called once per actual planner invocation —
 	// a test hook proving cache hits and coalesced requests skip the
 	// planner.
@@ -364,13 +368,12 @@ type Server struct {
 }
 
 // cachedPlan is the unit the plan cache stores. Under a plan fingerprint it
-// is the response envelope plus the assignment /v1/simulate feeds to the
-// engine; under a body alias it is only body, the encoded 200 that body got.
-// All are treated as immutable once cached (the engine copies the lists it
+// is the response and body, its compact /v1/plan 200; under a body alias it
+// is only body, the 200 that body got (for a compact query, the plan entry's
+// own bytes). Both are immutable once cached (the engine copies the lists it
 // consumes).
 type cachedPlan struct {
 	resp PlanResponse
-	a    *core.Assignment
 	body []byte
 }
 
@@ -476,18 +479,9 @@ func NewServer(opts ServerOptions) *Server {
 		if mb <= 0 {
 			mb = DefaultPlanCacheMB
 		}
-		s.planCache = plancache.New[cachedPlan](plancache.Options{
-			MaxEntries: entries,
-			MaxBytes:   int64(mb) << 20,
-			OnEvict: func(evicted, entries int, bytes int64) {
-				reg.Counter(MetricPlanCacheEvictions).Add(float64(evicted))
-				reg.Gauge(MetricPlanCacheEntries).Set(float64(entries))
-				reg.Gauge(MetricPlanCacheBytes).Set(float64(bytes))
-			},
-		})
+		s.planCache = plancache.New[cachedPlan](plancache.Options{MaxEntries: entries, MaxBytes: int64(mb) << 20})
 		s.keyer = plancache.NewKeyer()
-		reg.Gauge(MetricPlanCacheEntries).Set(0)
-		reg.Gauge(MetricPlanCacheBytes).Set(0)
+		s.cacheMetrics()
 	}
 
 	mux := http.NewServeMux()
@@ -496,6 +490,7 @@ func NewServer(opts ServerOptions) *Server {
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
+		s.cacheMetrics()
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = reg.WritePrometheus(w)
 	})
@@ -563,25 +558,27 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	ctx, cancel := context.WithTimeout(r.Context(), s.reqTimeout)
 	defer cancel()
-	resp, _, err := s.plan(ctx, req, prob)
+	cp, err := s.plan(ctx, req, prob)
 	if err != nil {
 		req.abandon()
 		s.planFailed(w, r, err)
 		return
 	}
-	if !aliasable && !wantsPretty(r) {
-		s.streamPlan(w, r, &resp, req.window())
-		return
+	out := cp.body
+	if out == nil { // the cache and the tier are off: nothing rendered the plan yet
+		if !wantsPretty(r) {
+			s.streamPlan(w, r, &cp.resp, req.window())
+			return
+		}
+		if out, err = planBody(&cp.resp); err != nil {
+			s.renderFailed(w, r, err)
+			return
+		}
 	}
-	out, err := planBody(r, &resp)
-	if err != nil {
-		s.renderFailed(w, r, err)
-		return
-	}
+	out = prettyIf(r, out)
 	s.writeBody(w, r, http.StatusOK, out)
 	if aliasable {
 		s.planCache.Insert(alias, cachedPlan{body: out}, int64(len(out))+entryOverheadBytes)
-		s.cacheGauges()
 	}
 }
 
@@ -609,20 +606,20 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	prob.FS = fs
-	resp, assignment, err := s.plan(ctx, req, prob)
+	cp, err := s.plan(ctx, req, prob)
 	if err != nil {
 		req.abandon()
 		s.planFailed(w, r, err)
 		return
 	}
 	eopts := engine.Options{
-		Topo: topo, FS: fs, Problem: prob, Strategy: resp.Strategy,
+		Topo: topo, FS: fs, Problem: prob, Strategy: cp.resp.Strategy,
 		Failures: req.Failures, Degradations: req.Degradations,
 		Replan: req.Replan, Repair: req.Repair,
 		RepairDelay: req.RepairDelaySeconds, ReplanSeed: req.Seed,
 	}
 	engineStart := time.Now()
-	res, err := engine.RunAssignmentContext(ctx, eopts, assignment)
+	res, err := engine.RunAssignmentContext(ctx, eopts, &core.Assignment{Owner: cp.resp.Owner, Lists: cp.resp.Lists})
 	s.reg.Histogram(MetricSimEngineSeconds, nil).Observe(time.Since(engineStart).Seconds())
 	if err != nil {
 		if s.aborted(w, r, err) {
@@ -647,7 +644,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	s.reg.Gauge(MetricSimLastTasksRun).Set(float64(res.TasksRun))
 	s.reg.Gauge(MetricSimLastRetries).Set(float64(res.Retries))
 	s.reg.Gauge(MetricSimLastLocality).Set(res.LocalFraction())
-	s.writeSimulate(w, r, &SimulateResponse{Plan: resp, Summary: report.Summarize(res)})
+	s.writeSimulate(w, r, &SimulateResponse{Plan: cp.resp, Summary: report.Summarize(res)})
 }
 
 // writeSimulate answers 200 with v.
@@ -762,17 +759,17 @@ func (s *Server) writeBody(w http.ResponseWriter, r *http.Request, status int, b
 	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	if _, err := w.Write(body); err != nil {
-		s.writeFailed(r, status, err)
+		s.writeFailed(w, r, status, err)
 	}
 }
 
 // writeFailed counts and logs a response that could not be encoded or
-// written.
-func (s *Server) writeFailed(r *http.Request, status int, err error) {
+// written, under the request ID the telemetry middleware put on w.
+func (s *Server) writeFailed(w http.ResponseWriter, r *http.Request, status int, err error) {
 	s.reg.Counter(MetricResponseErrors, telemetry.L("route", routeLabel(r))).Inc()
 	if s.logger != nil {
 		s.logger.Warn("response write failed",
-			slog.String("id", telemetry.RequestID(r.Context())),
+			slog.String("id", w.Header().Get(telemetry.RequestIDHeader)),
 			slog.String("route", routeLabel(r)),
 			slog.Int("status", status),
 			slog.Any("error", err))
@@ -818,31 +815,23 @@ func (s *Server) planKey(canon []byte, strategy string, seed []byte) plancache.K
 // beyond its payload: the envelope, the LRU element, the map slot and key.
 const entryOverheadBytes = 256
 
-// planSizeBytes estimates a cached plan's memory footprint for the cache's
-// byte bound: slice payloads plus headers and the fixed envelope. The
-// assignment shares Owner and Lists with the response; its Matched flags (nil
-// on a plan adopted from the shared tier) are its own.
+// planSizeBytes estimates a plan entry's memory footprint for the cache's
+// byte bound: owner and list payloads, list headers, the body and the fixed
+// envelope. A compact query's alias shares the body and charges it again, so
+// the bound over-estimates rather than under.
 func planSizeBytes(cp *cachedPlan) int64 {
-	n := int64(len(cp.resp.Owner))*8 + int64(len(cp.a.Matched))
+	n := int64(len(cp.resp.Owner))*8 + int64(len(cp.body))
 	for _, l := range cp.resp.Lists {
 		n += 24 + int64(len(l))*8
 	}
 	return n + entryOverheadBytes
 }
 
-// tierPlan is the wire form of a cached plan in the shared tier. The
-// assignment is rebuilt from the envelope on the way in, so only the
-// locality numerator/denominator ride alongside the response.
-type tierPlan struct {
-	Resp    PlanResponse `json:"resp"`
-	LocalMB float64      `json:"local_mb"`
-	TotalMB float64      `json:"total_mb"`
-}
-
 // tierFetch asks the shared tier for an already-computed plan of strategy.
 // Every failure mode — backend error, undecodable bytes, a plan of another
 // strategy or one that does not validate against the problem — degrades to a
-// miss.
+// miss. The body is rendered afresh from the decoded plan, so no byte the
+// tier sent reaches a response unchecked.
 func (s *Server) tierFetch(ctx context.Context, prob *core.Problem, strategy, key string) (cachedPlan, bool) {
 	data, ok, err := s.tier.Get(ctx, key)
 	if err != nil {
@@ -853,32 +842,28 @@ func (s *Server) tierFetch(ctx context.Context, prob *core.Problem, strategy, ke
 		s.reg.Counter(MetricPlanCacheRemoteMisses).Inc()
 		return cachedPlan{}, false
 	}
-	var tp tierPlan
-	if err := json.Unmarshal(data, &tp); err != nil || tp.Resp.Strategy != strategy {
+	var cp cachedPlan
+	if err := json.Unmarshal(data, &cp.resp); err != nil || cp.resp.Strategy != strategy {
 		s.reg.Counter(MetricPlanCacheRemoteErrors).Inc()
 		return cachedPlan{}, false
 	}
-	a := &core.Assignment{
-		Owner: tp.Resp.Owner, Lists: tp.Resp.Lists,
-		PlannedLocalMB: tp.LocalMB, PlannedTotalMB: tp.TotalMB,
+	if err := (&core.Assignment{Owner: cp.resp.Owner, Lists: cp.resp.Lists}).Validate(prob); err != nil {
+		s.reg.Counter(MetricPlanCacheRemoteErrors).Inc()
+		return cachedPlan{}, false
 	}
-	if err := a.Validate(prob); err != nil {
+	if cp.body, err = planBody(&cp.resp); err != nil {
 		s.reg.Counter(MetricPlanCacheRemoteErrors).Inc()
 		return cachedPlan{}, false
 	}
 	s.reg.Counter(MetricPlanCacheRemoteHits).Inc()
-	return cachedPlan{resp: tp.Resp, a: a}, true
+	return cp, true
 }
 
-// tierPublish offers a freshly computed plan to the shared tier; failures
-// are counted and otherwise ignored (the local response is already in hand).
-func (s *Server) tierPublish(ctx context.Context, key string, resp *PlanResponse, a *core.Assignment) {
-	data, err := tierValue(resp, a.PlannedLocalMB, a.PlannedTotalMB)
-	if err != nil {
-		s.reg.Counter(MetricPlanCacheRemoteErrors).Inc()
-		return
-	}
-	if err := s.tier.Set(ctx, key, data, s.tierTTL); err != nil {
+// tierPublish offers a freshly computed plan's body to the shared tier;
+// failures are counted and otherwise ignored (the local response is already
+// in hand).
+func (s *Server) tierPublish(ctx context.Context, key string, body []byte) {
+	if err := s.tier.Set(ctx, key, body, s.tierTTL); err != nil {
 		s.reg.Counter(MetricPlanCacheRemoteErrors).Inc()
 		return
 	}
@@ -887,14 +872,16 @@ func (s *Server) tierPublish(ctx context.Context, key string, resp *PlanResponse
 
 // plan answers the request from the fingerprinted plan cache or the shared
 // tier when it can, running the planner when it cannot — at most once
-// across concurrent identical requests when the cache is on.
-func (s *Server) plan(ctx context.Context, req *PlanRequest, prob *core.Problem) (PlanResponse, *core.Assignment, error) {
+// across concurrent identical requests when the cache is on. With either on,
+// the plan comes with its compact /v1/plan body; with both off, body is nil.
+func (s *Server) plan(ctx context.Context, req *PlanRequest, prob *core.Problem) (cachedPlan, error) {
 	assigner, apiErr := pickAssigner(req, prob)
 	if apiErr != nil {
-		return PlanResponse{}, nil, apiErr
+		return cachedPlan{}, apiErr
 	}
 	if s.planCache == nil && s.tier == nil {
-		return s.computePlan(ctx, assigner, prob)
+		resp, err := s.computePlan(ctx, assigner, prob)
+		return cachedPlan{resp: resp}, err
 	}
 	strategy := assigner.Name()
 	canon := req.canonical(prob)
@@ -911,21 +898,24 @@ func (s *Server) plan(ctx context.Context, req *PlanRequest, prob *core.Problem)
 				return cp, planSizeBytes(&cp), nil
 			}
 		}
-		resp, a, err := s.computePlan(cctx, assigner, prob)
+		resp, err := s.computePlan(cctx, assigner, prob)
 		if err != nil {
 			return cachedPlan{}, 0, err
 		}
-		if s.tier != nil {
-			s.tierPublish(cctx, tierKey, &resp, a)
+		cp := cachedPlan{resp: resp}
+		if cp.body, err = planBody(&resp); err != nil {
+			return cachedPlan{}, 0, err
 		}
-		cp := cachedPlan{resp: resp, a: a}
+		if s.tier != nil {
+			s.tierPublish(cctx, tierKey, cp.body)
+		}
 		return cp, planSizeBytes(&cp), nil
 	}
 	if s.planCache == nil { // no L1: nothing to coalesce on or count
-		cached, _, err := compute(ctx)
-		return cached.resp, cached.a, err
+		cp, _, err := compute(ctx)
+		return cp, err
 	}
-	cached, outcome, err := s.planCache.Do(ctx, s.planKey(canon, strategy, seed[:]), compute)
+	cp, outcome, err := s.planCache.Do(ctx, s.planKey(canon, strategy, seed[:]), compute)
 	switch outcome {
 	case plancache.Hit:
 		s.reg.Counter(MetricPlanCacheHits).Inc()
@@ -934,20 +924,29 @@ func (s *Server) plan(ctx context.Context, req *PlanRequest, prob *core.Problem)
 	default:
 		s.reg.Counter(MetricPlanCacheMisses).Inc()
 	}
-	s.cacheGauges()
-	return cached.resp, cached.a, err
+	return cp, err
 }
 
-// cacheGauges mirrors the plan cache's footprint into its gauges.
-func (s *Server) cacheGauges() {
+// cacheMetrics copies the plan cache's own totals into its families: the
+// entry and byte gauges, and the evictions counter advanced to the cache's
+// lifetime count. It runs at start, so the families exist at zero, and at
+// the top of every /metrics scrape.
+func (s *Server) cacheMetrics() {
+	if s.planCache == nil {
+		return
+	}
+	s.scrapeMu.Lock()
+	defer s.scrapeMu.Unlock()
 	stats := s.planCache.Stats()
 	s.reg.Gauge(MetricPlanCacheEntries).Set(float64(stats.Entries))
 	s.reg.Gauge(MetricPlanCacheBytes).Set(float64(stats.Bytes))
+	evictions := s.reg.Counter(MetricPlanCacheEvictions)
+	evictions.Add(float64(stats.Evictions) - evictions.Value())
 }
 
 // computePlan runs the resolved strategy over the decoded problem under
 // ctx, recording per-strategy planner latency and achieved locality.
-func (s *Server) computePlan(ctx context.Context, assigner core.Assigner, prob *core.Problem) (PlanResponse, *core.Assignment, error) {
+func (s *Server) computePlan(ctx context.Context, assigner core.Assigner, prob *core.Problem) (PlanResponse, error) {
 	if s.plannerRan != nil {
 		s.plannerRan()
 	}
@@ -955,7 +954,7 @@ func (s *Server) computePlan(ctx context.Context, assigner core.Assigner, prob *
 	a, err := core.AssignContext(ctx, assigner, prob)
 	elapsed := time.Since(start)
 	if err != nil {
-		return PlanResponse{}, nil, err
+		return PlanResponse{}, err
 	}
 	strategy := telemetry.L("strategy", assigner.Name())
 	s.reg.Histogram(MetricPlannerLatency, nil, strategy).Observe(elapsed.Seconds())
@@ -967,5 +966,5 @@ func (s *Server) computePlan(ctx context.Context, assigner core.Assigner, prob *
 		Lists:            a.Lists,
 		LocalityFraction: a.LocalityFraction(),
 		PlannerMillis:    float64(elapsed.Microseconds()) / 1000,
-	}, a, nil
+	}, nil
 }

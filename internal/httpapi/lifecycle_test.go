@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -244,13 +245,22 @@ func (w *brokenWriter) Header() http.Header {
 func (w *brokenWriter) WriteHeader(code int)      { w.status = code }
 func (w *brokenWriter) Write([]byte) (int, error) { return 0, errors.New("connection reset") }
 
+// TestWriteErrorCountsWriteFailures: a failed write is counted and logged
+// under the request ID on the response header.
 func TestWriteErrorCountsWriteFailures(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	s := NewServer(ServerOptions{Registry: reg})
+	var log bytes.Buffer
+	s := NewServer(ServerOptions{Registry: reg, Logger: slog.New(slog.NewJSONHandler(&log, nil))})
 	r := httptest.NewRequest(http.MethodPost, "/v1/plan", nil)
-	s.writeError(&brokenWriter{}, r, http.StatusBadRequest, "bad body")
+	w := &brokenWriter{}
+	w.Header().Set(telemetry.RequestIDHeader, "req-7")
+	s.writeError(w, r, http.StatusBadRequest, "bad body")
 	if got := metricValue(t, reg, MetricResponseErrors, `route="/v1/plan"`); got != 1 {
 		t.Fatalf("response-error counter = %v, want 1", got)
+	}
+	var entry map[string]any
+	if err := json.Unmarshal(log.Bytes(), &entry); err != nil || entry["id"] != "req-7" {
+		t.Fatalf("log line %q (%v) does not carry the request ID", log.Bytes(), err)
 	}
 }
 

@@ -218,10 +218,10 @@ func TestSimulateSharesPlanCache(t *testing.T) {
 	}
 }
 
-// TestPlanCacheBytesCountEveryEntry: after one cold /v1/plan the byte gauge
-// is the plan entry's estimate — owner and list payloads, list headers, one
-// Matched flag per task (the single-data planner records one for each), the
-// envelope — plus the body alias: the response bytes and their envelope.
+// TestPlanCacheBytesCountEveryEntry: after one cold /v1/plan a scrape reads
+// the plan entry's estimate — owner and list payloads, list headers, the
+// body, the envelope — plus the body alias, which charges the body it shares
+// and its own envelope.
 func TestPlanCacheBytesCountEveryEntry(t *testing.T) {
 	srv, _, reg := countingServer(t, ServerOptions{})
 	resp, body := post(t, srv, "/v1/plan", layoutRequest("opass"))
@@ -232,13 +232,67 @@ func TestPlanCacheBytesCountEveryEntry(t *testing.T) {
 	if err := json.Unmarshal(body, &plan); err != nil {
 		t.Fatal(err)
 	}
-	want := 8*len(plan.Owner) + len(plan.Owner) + entryOverheadBytes
+	want := 8*len(plan.Owner) + len(body) + entryOverheadBytes
 	for _, l := range plan.Lists {
 		want += 24 + 8*len(l)
 	}
 	want += len(body) + entryOverheadBytes
-	if got := reg.Gauge(MetricPlanCacheBytes).Value(); got != float64(want) {
+	scrape(t, srv)
+	if got := metricValue(t, reg, MetricPlanCacheBytes); got != float64(want) {
 		t.Fatalf("%s = %v, want %d", MetricPlanCacheBytes, got, want)
+	}
+}
+
+// TestScrapedCacheMetricsMatchTheCache: eight clients post distinct cold
+// bodies against a four-entry cache, evicting as they race; one scrape then
+// reads the cache's own entry, byte and eviction totals. 32 bodies store 32
+// plans and 32 aliases, so 60 entries were evicted.
+func TestScrapedCacheMetricsMatchTheCache(t *testing.T) {
+	srv, _, reg := countingServer(t, ServerOptions{PlanCacheEntries: 4})
+	s := srv.Config.Handler.(*Server)
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 4 {
+				req := layoutRequest("opass")
+				req.Seed = int64(g*4 + i)
+				raw, err := json.Marshal(req)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp, err := http.Post(srv.URL+"/v1/plan", "application/json", bytes.NewReader(raw))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("status %d", resp.StatusCode)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	scrape(t, srv)
+	stats := s.planCache.Stats()
+	if stats.Evictions != 60 {
+		t.Errorf("cache counted %d evictions, want 60", stats.Evictions)
+	}
+	for name, want := range map[string]float64{
+		MetricPlanCacheEntries:   float64(stats.Entries),
+		MetricPlanCacheBytes:     float64(stats.Bytes),
+		MetricPlanCacheEvictions: float64(stats.Evictions),
+	} {
+		if got := metricValue(t, reg, name+" "); got != want {
+			t.Errorf("%s = %v, the cache holds %v", name, got, want)
+		}
 	}
 }
 

@@ -164,7 +164,7 @@ func (r *recordingTier) Set(_ context.Context, key string, value []byte, _ time.
 // ascending row, as the dfs ledger keeps it.
 func TestRemoteTierKeyPinned(t *testing.T) {
 	const body = `{"nodes":4,"seed":7,"tasks":[{"inputs":[{"size_mb":64,"replicas":[2,0]}]},{"inputs":[{"size_mb":32,"replicas":[3,1,0]}]}]}`
-	const want = "opass1:58cfa1f55e98a65600012c36da01818d437a03e05308d0efe3f26dbcd19b1a68"
+	const want = "opass2:58cfa1f55e98a65600012c36da01818d437a03e05308d0efe3f26dbcd19b1a68"
 	for _, route := range []string{"/v1/plan", "/v1/simulate"} {
 		tier := &recordingTier{}
 		srv, _, _ := replica(t, tier)
@@ -257,5 +257,39 @@ func TestTierSeesOnlySHA256Keys(t *testing.T) {
 		if !want[key] {
 			t.Fatalf("the tier saw %q, not a TierKey of a request's fingerprint", key)
 		}
+	}
+}
+
+// TestTierWithoutL1: with the plan cache off and a shared tier on, the first
+// /v1/plan publishes its compact 200 as the tier value, and a second such
+// server adopts it without running its planner and answers the same bytes,
+// compact and under ?pretty=1.
+func TestTierWithoutL1(t *testing.T) {
+	tier := &recordingTier{}
+	raw, err := json.Marshal(layoutRequest("opass"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var compact, pretty [2][]byte
+	for i := range 2 {
+		srv, runs, _ := countingServer(t, ServerOptions{PlanCacheEntries: -1, RemoteTier: tier})
+		resp, out := postRaw(t, srv, "/v1/plan", string(raw))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("server %d: status %d: %s", i, resp.StatusCode, out)
+		}
+		compact[i] = out
+		_, pretty[i] = postRaw(t, srv, "/v1/plan?pretty=1", string(raw))
+		if want := int64(1 - i); runs.Load() != want {
+			t.Fatalf("server %d ran its planner %d times, want %d", i, runs.Load(), want)
+		}
+	}
+	if len(tier.sets) != 1 || string(tier.data[tier.sets[0]]) != string(compact[0]) {
+		t.Fatalf("the tier holds %q under %q, want the first 200 %q", tier.data, tier.sets, compact[0])
+	}
+	if string(compact[1]) != string(compact[0]) {
+		t.Fatalf("the adopted plan answers %q, want %q", compact[1], compact[0])
+	}
+	if !strings.Contains(string(pretty[0]), "\n  ") || string(pretty[1]) != string(pretty[0]) {
+		t.Fatalf("pretty bodies %.80q and %.80q: want equal indented bodies", pretty[0], pretty[1])
 	}
 }

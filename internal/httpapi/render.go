@@ -15,11 +15,12 @@ import (
 // so the renderer writes its keys as constants and its ints from a two-digit
 // table, byte for byte what encoding/json writes for the same value: a nil
 // slice is null, an empty one [], floats follow its 'f'/'e' rule, and the
-// strategy, always an assigner's name, needs no escaping. A cold /v1/plan 200
-// streams through the request's decode window, idle once the problem is
-// decoded; every other plan-bearing body (the alias bytes, /v1/simulate's
-// envelope, a shared-tier value, ?pretty=1) is rendered whole into a buffer
-// a digit-count pass sized exactly.
+// strategy, always an assigner's name, needs no escaping. With the plan cache
+// and the shared tier off, a /v1/plan 200 streams through the request's decode
+// window, idle once the problem is decoded; every other plan-bearing body (a
+// cached plan's compact 200, which is also its tier value, /v1/simulate's
+// envelope, ?pretty=1) is rendered whole into a buffer a digit-count pass
+// sized exactly.
 
 // intRoom is the room the renderer makes before each int: the longest int64
 // and the comma before it.
@@ -243,14 +244,10 @@ func renderBody(head string, resp *PlanResponse, rest ...[]byte) ([]byte, error)
 	return pw.b, nil
 }
 
-// planBody is the /v1/plan body json.Encoder writes for resp: compact JSON
-// and a newline, indented under ?pretty=1.
-func planBody(r *http.Request, resp *PlanResponse) ([]byte, error) {
-	b, err := renderBody("", resp, newline)
-	if err != nil {
-		return nil, err
-	}
-	return prettyIf(r, b), nil
+// planBody is the compact /v1/plan body json.Encoder writes for resp: the
+// JSON and a newline.
+func planBody(resp *PlanResponse) ([]byte, error) {
+	return renderBody("", resp, newline)
 }
 
 // simulateBody is the /v1/simulate body json.Encoder writes for v. The
@@ -264,22 +261,6 @@ func simulateBody(r *http.Request, v *SimulateResponse) ([]byte, error) {
 		return nil, err
 	}
 	return prettyIf(r, b), nil
-}
-
-// tierValue is json.Marshal(tierPlan{*resp, localMB, totalMB}): the bytes the
-// shared tier has always stored, so the keyspace needs no new namespace.
-func tierValue(resp *PlanResponse, localMB, totalMB float64) ([]byte, error) {
-	var rb [tailRoom]byte
-	rest := append(rb[:0], `,"local_mb":`...)
-	rest, errLocal := appendFloat(rest, localMB)
-	rest = append(rest, `,"total_mb":`...)
-	rest, errTotal := appendFloat(rest, totalMB)
-	b, err := renderBody(`{"resp":`, resp, append(rest, '}'))
-	// encoding/json reports the first refused float in field order.
-	if err = cmp.Or(err, errLocal, errTotal); err != nil {
-		return nil, err
-	}
-	return b, nil
 }
 
 // wantsPretty reports whether the request asked for indented output.
@@ -317,13 +298,13 @@ func (s *Server) streamPlan(w http.ResponseWriter, r *http.Request, resp *PlanRe
 	pw.raw(newline)
 	pw.flush()
 	if pw.err != nil {
-		s.writeFailed(r, http.StatusOK, pw.err)
+		s.writeFailed(w, r, http.StatusOK, pw.err)
 	}
 }
 
 // renderFailed answers a 200 body that could not be rendered, before any of
 // it was written, with the JSON error envelope and a 500.
 func (s *Server) renderFailed(w http.ResponseWriter, r *http.Request, err error) {
-	s.writeFailed(r, http.StatusOK, err)
+	s.writeFailed(w, r, http.StatusOK, err)
 	s.writeError(w, r, http.StatusInternalServerError, err.Error())
 }

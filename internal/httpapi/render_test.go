@@ -38,16 +38,15 @@ func planRequests() map[bool]*http.Request {
 }
 
 // checkRender holds every body the renderer builds for resp to encoding/json's
-// bytes for the same value: the /v1/plan body compact and indented, the
-// streamed /v1/plan 200, the /v1/simulate envelope, and the shared-tier
-// value. A value encoding/json refuses must fail with its error text and
-// have written no byte.
+// bytes for the same value: the /v1/plan body compact (a cached plan's bytes
+// and its shared-tier value) and indented, the streamed /v1/plan 200, and the
+// /v1/simulate envelope. A value encoding/json refuses must fail with its
+// error text and have written no byte.
 func checkRender(t *testing.T, resp PlanResponse) {
 	t.Helper()
-	// The summary's and the tier's floats differ from the plan's (3x overflows
-	// to +Inf where the plan's is finite), so error order is checked too.
-	local, total := resp.LocalityFraction*3, resp.PlannerMillis
-	sum := report.Summary{Strategy: resp.Strategy, Tasks: len(resp.Owner), Makespan: local}
+	// The summary's float differs from the plan's (3x overflows to +Inf
+	// where the plan's is finite), so error order is checked too.
+	sum := report.Summary{Strategy: resp.Strategy, Tasks: len(resp.Owner), Makespan: resp.LocalityFraction * 3}
 	same := func(what string, got []byte, gotErr error, want []byte, wantErr error) {
 		t.Helper()
 		if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
@@ -65,7 +64,10 @@ func checkRender(t *testing.T, resp PlanResponse) {
 	}
 	for pretty, r := range planRequests() {
 		want, wantErr := encodeReference(resp, pretty)
-		got, err := planBody(r, &resp)
+		got, err := planBody(&resp)
+		if err == nil {
+			got = prettyIf(r, got)
+		}
 		same("plan body", got, err, want, wantErr)
 		if !pretty {
 			if err == nil && cap(got) != len(got) {
@@ -78,9 +80,6 @@ func checkRender(t *testing.T, resp PlanResponse) {
 		got, err = simulateBody(r, &sim)
 		same("simulate body", got, err, want, wantErr)
 	}
-	want, wantErr := json.Marshal(tierPlan{Resp: resp, LocalMB: local, TotalMB: total})
-	got, err := tierValue(&resp, local, total)
-	same("tier value", got, err, want, wantErr)
 }
 
 // checkStreamed holds streamPlan's 200 to want, or, when encoding/json

@@ -72,43 +72,27 @@ func TestInsertKeepsPresentValue(t *testing.T) {
 }
 
 // TestInsertEnforcesBounds: Insert evicts least recently used entries past
-// MaxEntries and MaxBytes, drops a value too big to ever fit, and reports
-// each eviction to OnEvict with the cache's totals after it.
+// MaxEntries and MaxBytes, drops a value too big to ever fit, and Stats
+// counts each eviction with the cache's totals after it.
 func TestInsertEnforcesBounds(t *testing.T) {
-	type report struct {
-		evicted, entries int
-		bytes            int64
-	}
-	var reports []report
-	c := New[int](Options{
-		MaxEntries: 3,
-		MaxBytes:   100,
-		OnEvict: func(evicted, entries int, bytes int64) {
-			reports = append(reports, report{evicted, entries, bytes})
-		},
-	})
-	c.Insert(keyOf("a"), 1, 10)
-	c.Insert(keyOf("b"), 2, 10)
-	c.Insert(keyOf("c"), 3, 10)
-	c.Insert(keyOf("d"), 4, 10) // over MaxEntries: a goes
-	c.Insert(keyOf("e"), 5, 75) // 105 bytes: b goes
-	c.Insert(keyOf("f"), 6, 500)
-	want := []report{{1, 3, 30}, {1, 3, 95}, {1, 3, 95}}
-	if len(reports) != len(want) {
-		t.Fatalf("OnEvict reports %v, want %v", reports, want)
-	}
-	for i := range want {
-		if reports[i] != want[i] {
-			t.Fatalf("OnEvict reports %v, want %v", reports, want)
+	c := New[int](Options{MaxEntries: 3, MaxBytes: 100})
+	insert := func(k string, v int, size int64, want Stats) {
+		t.Helper()
+		c.Insert(keyOf(k), v, size)
+		if s := c.Stats(); s != want {
+			t.Fatalf("after inserting %s: stats = %+v, want %+v", k, s, want)
 		}
 	}
+	insert("a", 1, 10, Stats{1, 10, 0})
+	insert("b", 2, 10, Stats{2, 20, 0})
+	insert("c", 3, 10, Stats{3, 30, 0})
+	insert("d", 4, 10, Stats{3, 30, 1}) // over MaxEntries: a goes
+	insert("e", 5, 75, Stats{3, 95, 2}) // 105 bytes: b goes
+	insert("f", 6, 500, Stats{3, 95, 3})
 	for _, k := range []string{"a", "b", "f"} {
 		if _, ok := c.Lookup(keyOf(k)); ok {
 			t.Errorf("%s should have been evicted", k)
 		}
-	}
-	if s := c.Stats(); s.Entries != 3 || s.Bytes != 95 || s.Evictions != 3 {
-		t.Fatalf("stats = %+v, want 3 entries / 95 bytes / 3 evictions", s)
 	}
 }
 

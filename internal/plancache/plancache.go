@@ -94,10 +94,6 @@ type Options struct {
 	// no byte bound. A single value larger than the bound is evicted on
 	// arrival (it can never fit) and displaces nothing.
 	MaxBytes int64
-	// OnEvict, if set, is called (outside the cache lock) after evictions
-	// with the number of entries evicted and the cache's new entry/byte
-	// totals.
-	OnEvict func(evicted int, entries int, bytes int64)
 }
 
 type entry[V any] struct {
@@ -128,12 +124,6 @@ type Cache[V any] struct {
 	bytes     int64
 	calls     map[Key]*call[V]
 	evictions uint64
-
-	// notifyMu serializes OnEvict callbacks. Totals are re-read under mu
-	// inside the critical section, so callbacks observe entry/byte totals in
-	// a consistent, time-monotonic order — concurrent evictors can no longer
-	// deliver stale snapshots out of order and wedge a gauge on an old value.
-	notifyMu sync.Mutex
 }
 
 // New creates a cache with the given bounds.
@@ -216,9 +206,8 @@ func (c *Cache[V]) Lookup(key Key) (V, bool) {
 // A key already present keeps its value and size: the store has no overwrite.
 func (c *Cache[V]) Insert(key Key, v V, size int64) {
 	c.mu.Lock()
-	evicted := c.storeLocked(key, v, size)
+	c.storeLocked(key, v, size)
 	c.mu.Unlock()
-	c.notifyEvict(evicted)
 }
 
 // run executes the shared compute and publishes its result.
@@ -228,15 +217,13 @@ func (c *Cache[V]) run(key Key, cl *call[V], cctx context.Context, cancel contex
 	c.mu.Lock()
 	cl.val, cl.size, cl.err = v, size, err
 	delete(c.calls, key)
-	evicted := 0
 	if err == nil {
-		evicted = c.storeLocked(key, v, size)
+		c.storeLocked(key, v, size)
 	}
 	c.mu.Unlock()
 	// close(done) happens after the fields above are set; waiters that see
 	// the close observe them without taking the lock.
 	close(cl.done)
-	c.notifyEvict(evicted)
 }
 
 // wait blocks until the shared compute finishes or ctx is done. A departing
@@ -259,34 +246,31 @@ func (c *Cache[V]) wait(ctx context.Context, cl *call[V], oc Outcome) (V, Outcom
 	}
 }
 
-// storeLocked inserts a value and enforces the bounds, returning how many
-// entries were evicted. A key already present (an Insert that landed while
-// the key's flight ran) is left as it is, and a value over MaxBytes is
-// counted as evicted without displacing the entries that do fit.
-func (c *Cache[V]) storeLocked(key Key, v V, size int64) int {
+// storeLocked inserts a value and enforces the bounds, counting each
+// eviction. A key already present (an Insert that landed while the key's
+// flight ran) is left as it is, and a value over MaxBytes is counted as
+// evicted without displacing the entries that do fit.
+func (c *Cache[V]) storeLocked(key Key, v V, size int64) {
 	if _, ok := c.entries[key]; ok {
-		return 0
+		return
 	}
 	size = max(size, 0)
 	if c.opts.MaxBytes > 0 && size > c.opts.MaxBytes {
 		c.evictions++
-		return 1
+		return
 	}
 	e := &entry[V]{key: key, val: v, size: size}
 	e.elem = c.lru.PushFront(e)
 	c.entries[key] = e
 	c.bytes += size
-	evicted := 0
 	for c.overBoundLocked() {
 		back := c.lru.Back()
 		if back == nil {
 			break
 		}
 		c.removeLocked(back.Value.(*entry[V]))
-		evicted++
+		c.evictions++
 	}
-	c.evictions += uint64(evicted)
-	return evicted
 }
 
 func (c *Cache[V]) overBoundLocked() bool {
@@ -303,22 +287,4 @@ func (c *Cache[V]) removeLocked(e *entry[V]) {
 	c.lru.Remove(e.elem)
 	delete(c.entries, e.key)
 	c.bytes -= e.size
-}
-
-// notifyEvict delivers an OnEvict callback for evicted entries. The caller
-// must NOT hold c.mu. Callbacks are serialized under notifyMu with totals
-// read fresh inside the critical section: two concurrent evictors therefore
-// deliver totals in a consistent order, and a gauge mirroring them always
-// converges to the cache's true state (the old code captured snapshots
-// before racing to the callback, so a stale pair could land last).
-func (c *Cache[V]) notifyEvict(evicted int) {
-	if c.opts.OnEvict == nil || evicted == 0 {
-		return
-	}
-	c.notifyMu.Lock()
-	defer c.notifyMu.Unlock()
-	c.mu.Lock()
-	entries, bytes := c.lru.Len(), c.bytes
-	c.mu.Unlock()
-	c.opts.OnEvict(evicted, entries, bytes)
 }

@@ -70,11 +70,7 @@ func TestHitAfterMiss(t *testing.T) {
 }
 
 func TestEntryBoundEvictsLRU(t *testing.T) {
-	var evictions atomic.Int64
-	c := New[int](Options{
-		MaxEntries: 2,
-		OnEvict:    func(n, _ int, _ int64) { evictions.Add(int64(n)) },
-	})
+	c := New[int](Options{MaxEntries: 2})
 	var calls atomic.Int64
 	mustDo(t, c, keyOf("a"), constant(&calls, 1, 1))
 	mustDo(t, c, keyOf("b"), constant(&calls, 2, 1))
@@ -86,11 +82,9 @@ func TestEntryBoundEvictsLRU(t *testing.T) {
 	if _, oc := mustDo(t, c, keyOf("b"), constant(&calls, 2, 1)); oc != Miss {
 		t.Fatalf("b should have been evicted (outcome %v)", oc)
 	}
-	if evictions.Load() != 1+1 { // b once, then c or a when b re-added over bound
-		t.Fatalf("OnEvict saw %d evictions", evictions.Load())
-	}
-	if s := c.Stats(); s.Entries != 2 {
-		t.Fatalf("entries = %d, want 2", s.Entries)
+	// b once, then c or a when b re-added over bound.
+	if s := c.Stats(); s.Entries != 2 || s.Evictions != 1+1 {
+		t.Fatalf("stats = %+v, want 2 entries / 2 evictions", s)
 	}
 }
 

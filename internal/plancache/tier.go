@@ -39,7 +39,7 @@ type Tier interface {
 // Tier backend accepts (hex keeps it within memcached's 250-byte printable
 // key rules for any namespace up to ~180 bytes). Namespaces version the
 // keyspace: the service embeds its wire-format version (see httpapi's
-// tierKeyFor).
+// DefaultRemoteTierNamespace).
 func TierKey(namespace string, k Key) string {
 	return fmt.Sprintf("%s:%x", namespace, k[:])
 }

@@ -3,7 +3,6 @@
 package telemetry
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"log/slog"
@@ -21,18 +20,10 @@ const (
 )
 
 // RequestIDHeader carries the per-request ID on responses (and is honored
-// on requests, so upstream proxies can thread their own IDs through).
+// on requests, so upstream proxies can thread their own IDs through). The
+// middleware sets it before the handler runs, so a handler reads its
+// request's ID from its own response header.
 const RequestIDHeader = "X-Request-Id"
-
-type ctxKey int
-
-const requestIDKey ctxKey = 0
-
-// RequestID extracts the request ID stamped by the middleware, or "".
-func RequestID(ctx context.Context) string {
-	id, _ := ctx.Value(requestIDKey).(string)
-	return id
-}
 
 // newRequestID returns 8 random bytes hex-encoded; on entropy failure it
 // degrades to a fixed marker rather than failing the request.
@@ -103,7 +94,7 @@ func (m Middleware) Wrap(next http.Handler) http.Handler {
 		rec := &statusRecorder{ResponseWriter: w}
 		inflight.Add(1)
 		start := time.Now()
-		next.ServeHTTP(rec, r.WithContext(context.WithValue(r.Context(), requestIDKey, id)))
+		next.ServeHTTP(rec, r)
 		elapsed := time.Since(start)
 		inflight.Add(-1)
 		if rec.status == 0 { // handler wrote nothing: net/http sends 200

@@ -10,18 +10,20 @@ import (
 	"testing"
 )
 
+// TestMiddlewareStampsRequestID: the ID is on the response header before the
+// handler runs, so the handler reads the ID the client will see.
 func TestMiddlewareStampsRequestID(t *testing.T) {
 	reg := NewRegistry()
 	var sawID string
 	h := Middleware{Reg: reg}.Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		sawID = RequestID(r.Context())
+		sawID = w.Header().Get(RequestIDHeader)
 		w.WriteHeader(http.StatusTeapot)
 	}))
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/x", nil))
 	hdr := rec.Header().Get(RequestIDHeader)
 	if hdr == "" || hdr != sawID {
-		t.Fatalf("request ID header %q vs context %q", hdr, sawID)
+		t.Fatalf("request ID header %q, handler saw %q", hdr, sawID)
 	}
 	// A caller-supplied ID is threaded through untouched.
 	req := httptest.NewRequest("GET", "/x", nil)
@@ -29,7 +31,7 @@ func TestMiddlewareStampsRequestID(t *testing.T) {
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	if rec.Header().Get(RequestIDHeader) != "upstream-7" || sawID != "upstream-7" {
-		t.Fatalf("upstream ID not honored: header %q, ctx %q", rec.Header().Get(RequestIDHeader), sawID)
+		t.Fatalf("upstream ID not honored: header %q, handler saw %q", rec.Header().Get(RequestIDHeader), sawID)
 	}
 }
 
