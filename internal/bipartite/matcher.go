@@ -40,17 +40,19 @@ func MatchAugmenting(g *Graph, quota []int) (owner []int, size int) {
 			off[e.F+1]++
 		}
 	}
-	owner, size, _ = MatchRows(context.Background(), &rows, quota)
+	owner = make([]int, g.numF)
+	size, _ = MatchRows(context.Background(), &rows, quota, owner)
 	return owner, size
 }
 
 // MatchRows computes a maximum matching of files to processes in which
 // process p owns at most quota[p] files. Row f of rows lists the processes
 // co-located with file f, distinct and ascending; only Proc is read. It
-// returns owner[f] = process or -1 and the matching size, which always
-// equals the max-flow formulation's (FuzzMatchAugmenting); only the specific
-// assignment may differ. ctx is polled once per O(E) phase, and its error
-// is returned instead of a partial matching.
+// fills the caller's owner, one slot per file, with owner[f] = process or -1
+// and returns the matching size, which always equals the max-flow
+// formulation's (FuzzMatchAugmenting); only the specific assignment may
+// differ. ctx is polled once per O(E) phase, and its error is returned
+// instead of a matching size; owner then holds a partial matching.
 //
 // An augmenting path alternates free file → full process → one of its
 // files → … → process with spare quota. Each phase layers the processes by
@@ -65,16 +67,19 @@ func MatchAugmenting(g *Graph, quota []int) (owner []int, size int) {
 // Quotas must be non-negative. A process can never own more files than it
 // has edges, so its slots are carved for min(quota, degree): quotas far
 // above the file count cost nothing.
-func MatchRows(ctx context.Context, rows *Rows, quota []int) (owner []int, size int, err error) {
+func MatchRows(ctx context.Context, rows *Rows, quota, owner []int) (size int, err error) {
 	numP, numF := len(quota), len(rows.Off)-1
 	if numF > math.MaxInt32 {
 		panic(fmt.Sprintf("bipartite: %d files exceed the matcher's int32 file ids", numF))
 	}
-	// The working arrays come from matcherPool; only owner, which the
-	// caller keeps, is allocated per call.
+	if len(owner) != numF {
+		panic(fmt.Sprintf("bipartite: owner has %d slots for %d files", len(owner), numF))
+	}
+	// The working arrays come from matcherPool and owner from the caller, so
+	// a call allocates nothing once the pool is warm.
 	m := matcherPool.Get().(*matcher)
 	defer m.release()
-	m.rows, m.owner = rows, make([]int, numF)
+	m.rows, m.owner = rows, owner
 	// Process p's owned files live in slots[off[p] : off[p]+cnt[p]], carved
 	// from one backing array; a displaced file's slot is overwritten in
 	// place by the file that displaced it. off[p+1] first counts p's degree.
@@ -98,15 +103,15 @@ func MatchRows(ctx context.Context, rows *Rows, quota []int) (owner []int, size 
 	// never grow, however the phases unfold.
 	m.frontier, m.next = resize(m.frontier, numP), resize(m.next, numP)
 	if err := ctx.Err(); err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	size = m.greedy()
 	for {
 		if err := ctx.Err(); err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 		if !m.layer() {
-			return m.owner, size, nil
+			return size, nil
 		}
 		clear(m.itP)
 		clear(m.itF)

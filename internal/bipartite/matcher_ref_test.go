@@ -9,6 +9,16 @@ import (
 	"testing"
 )
 
+// matchRows runs MatchRows into a fresh owner vector, returning no owner
+// with an error, as referenceMatchRows does.
+func matchRows(ctx context.Context, rows *Rows, quota []int) (owner []int, size int, err error) {
+	owner = make([]int, len(rows.Off)-1)
+	if size, err = MatchRows(ctx, rows, quota, owner); err != nil {
+		return nil, 0, err
+	}
+	return owner, size, nil
+}
+
 // referenceMatchRows is MatchRows with its first phase layered like every
 // other: a BFS from all the files, then one depth-first search per file.
 // MatchRows replaces that phase with a greedy pass (matcher.greedy) that
@@ -71,7 +81,7 @@ func rowsFrom(files [][]int) *Rows {
 // the same owners and size on rows under quota.
 func sameAsReference(t *testing.T, name string, rows *Rows, quota []int) {
 	t.Helper()
-	owner, size, err := MatchRows(context.Background(), rows, quota)
+	owner, size, err := matchRows(context.Background(), rows, quota)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +154,7 @@ func (c *cancelledCtx) Err() error {
 // seen at the first poll, before the greedy phase places any file.
 func TestMatchRowsCancelledBeforeFirstPhase(t *testing.T) {
 	ctx := &cancelledCtx{Context: context.Background()}
-	owner, size, err := MatchRows(ctx, rowsOf(figure5Graph()), []int{2, 2})
+	owner, size, err := matchRows(ctx, rowsOf(figure5Graph()), []int{2, 2})
 	if owner != nil || size != 0 || !errors.Is(err, context.Canceled) {
 		t.Fatalf("got (%v, %d, %v), want (nil, 0, context.Canceled)", owner, size, err)
 	}

@@ -223,7 +223,7 @@ func (c *flipCtx) Err() error {
 func TestMatchAugmentingCancelMidway(t *testing.T) {
 	g, quota := phasedChain()
 	ctx := &flipCtx{Context: context.Background()}
-	owner, size, err := MatchRows(ctx, rowsOf(g), quota)
+	owner, size, err := matchRows(ctx, rowsOf(g), quota)
 	if owner != nil || size != 0 || !errors.Is(err, context.Canceled) {
 		t.Fatalf("got (%v, %d, %v), want (nil, 0, context.Canceled)", owner, size, err)
 	}
@@ -299,7 +299,7 @@ func FuzzMatchAugmenting(f *testing.F) {
 	f.Add([]byte{1, 23, 31, 0, 1, 3, 1, 3, 1, 3, 1, 3, 1, 3, 1, 3, 1, 3, 1, 3, 1, 3, 1, 3}) // quota above the file count
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rows, g, quota := fuzzGraph(data)
-		owner, size, err := MatchRows(context.Background(), rows, quota)
+		owner, size, err := matchRows(context.Background(), rows, quota)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,7 +309,7 @@ func FuzzMatchAugmenting(f *testing.F) {
 		if ref, n, _ := referenceMatchRows(context.Background(), rows, quota); n != size || !slices.Equal(owner, ref) {
 			t.Fatalf("quota %v: owners %v (size %d), layered first phase %v (size %d)", quota, owner, size, ref, n)
 		}
-		if again, _, _ := MatchRows(context.Background(), rows, quota); !slices.Equal(owner, again) {
+		if again, _, _ := matchRows(context.Background(), rows, quota); !slices.Equal(owner, again) {
 			t.Fatalf("quota %v: second call returned %v, first %v", quota, again, owner)
 		}
 		if viaGraph, n := MatchAugmenting(g, quota); n != size || !slices.Equal(owner, viaGraph) {

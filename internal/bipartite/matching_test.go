@@ -236,7 +236,7 @@ func TestPropertyAssignmentInvariants(t *testing.T) {
 		for p, q := range quota {
 			quotaFiles[p] = int(q / size)
 		}
-		_, matched, _ := MatchRows(context.Background(), rowsOf(g), quotaFiles)
+		_, matched, _ := matchRows(context.Background(), rowsOf(g), quotaFiles)
 		if assigned2 != assigned || int64(matched)*size != assigned {
 			t.Errorf("seed %d: EK owns %d MB, Dinic %d MB, the matcher %d files of %d MB", seed, assigned, assigned2, matched, size)
 			return false

@@ -58,24 +58,25 @@ func (me MultiExact) AssignContext(ctx context.Context, p *Problem) (*Assignment
 	defer ix.Release()
 	quotas := weightedTaskQuotas(len(p.Tasks), p.NumProcs(), me.Weights)
 	tight, holders := ix.tightRows()
-	owner, matched, err := bipartite.MatchRows(ctx, tight, quotas)
-	if err != nil {
-		return nil, err
-	}
-	if matched < holders {
+	b := takeAnswer(len(p.Tasks))
+	owner := b.owner
+	matched, err := bipartite.MatchRows(ctx, tight, quotas, owner)
+	if err == nil && matched < holders {
 		for t, o := range owner {
 			if row := tight.Row(t); o < 0 && len(row) > 0 {
 				owner[t] = row[0].Proc
 			}
 		}
-		if err := drainOverQuota(ctx, p, ix, owner, quotas); err != nil {
-			return nil, err
-		}
+		err = drainOverQuota(ctx, p, ix, owner, quotas)
 	}
-	if err := ctx.Err(); err != nil {
+	if err == nil {
+		err = ctx.Err()
+	}
+	if err != nil {
+		answerPool.Put(b)
 		return nil, err
 	}
-	return finishAssignment(p, ix, owner, quotas, nil, 0, me.Seed), nil
+	return finishAssignment(p, ix, b, quotas, nil, 0, me.Seed), nil
 }
 
 // transportCtxStride is how many arc scans a min-cost round makes between

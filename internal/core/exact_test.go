@@ -163,7 +163,7 @@ func stage2Runs(t *testing.T, p *Problem) bool {
 	ix := NewLocalityIndex(p)
 	defer ix.Release()
 	tight, holders := ix.tightRows()
-	_, matched, err := bipartite.MatchRows(context.Background(), tight, taskQuotas(len(p.Tasks), p.NumProcs()))
+	matched, err := bipartite.MatchRows(context.Background(), tight, taskQuotas(len(p.Tasks), p.NumProcs()), make([]int, len(p.Tasks)))
 	if err != nil {
 		t.Fatal(err)
 	}

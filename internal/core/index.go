@@ -101,16 +101,22 @@ var indexBufPool = sync.Pool{New: func() any { return new(indexBuf) }}
 // key[i] == g in ascending order, all carved from one array. Negative keys
 // belong to no group, and an empty group is nil.
 func groupRanks(key []int, groups int) [][]int {
-	off := make([]int, groups+1)
+	return groupRanksInto(make([][]int, groups), make([]int, len(key)), make([]int, groups+1), key)
+}
+
+// groupRanksInto is groupRanks over the caller's storage, whose contents may
+// be stale: out holds the groups, flat one slot per key and off one more
+// than there are groups.
+func groupRanksInto(out [][]int, flat, off, key []int) [][]int {
+	clear(off)
 	for _, k := range key {
 		if k >= 0 {
 			off[k+1]++
 		}
 	}
-	out := make([][]int, groups)
-	flat := make([]int, len(key))
 	for g := range out {
 		off[g+1] += off[g]
+		out[g] = nil
 		if off[g+1] > off[g] {
 			out[g] = flat[off[g]:off[g]:off[g+1]]
 		}

@@ -58,7 +58,8 @@ func (md MultiData) AssignContext(ctx context.Context, p *Problem) (*Assignment,
 		left[proc] = len(row)
 	}
 
-	owner := make([]int, n)
+	b := takeAnswer(n)
+	owner := b.owner
 	for t := range owner {
 		owner[t] = -1
 	}
@@ -93,6 +94,7 @@ func (md MultiData) AssignContext(ctx context.Context, p *Problem) (*Assignment,
 			proposals++
 			if proposals%proposalCtxStride == 0 {
 				if err := ctx.Err(); err != nil {
+					answerPool.Put(b)
 					return nil, err
 				}
 			}
@@ -116,13 +118,14 @@ func (md MultiData) AssignContext(ctx context.Context, p *Problem) (*Assignment,
 	}
 
 	if err := ctx.Err(); err != nil {
+		answerPool.Put(b)
 		return nil, err
 	}
 	// Tasks nobody claimed have no co-located process left with room: a
 	// process under quota leaves the queue only once it has proposed to every
 	// task it holds data for, and an owned task never becomes unowned. So
 	// the shared repair pipeline places them, rack tier then random.
-	return finishAssignment(p, ix, owner, quotas, nil, 0, md.Seed), nil
+	return finishAssignment(p, ix, b, quotas, nil, 0, md.Seed), nil
 }
 
 // preferBefore is a process's preference order: more co-located MB first,

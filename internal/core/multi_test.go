@@ -61,7 +61,7 @@ func referenceMultiData(p *Problem, seed int64) (*Assignment, error) {
 		}
 		push(k)
 	}
-	return finishAssignment(p, ix, owner, quotas, nil, 0, seed), nil
+	return finishAssignment(p, ix, &answerBuf{owner: owner}, quotas, nil, 0, seed), nil
 }
 
 // sortedByMB returns a copy of row stable-sorted by descending MB.

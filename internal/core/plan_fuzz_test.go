@@ -125,7 +125,7 @@ func FuzzPlan(f *testing.F) {
 			units[task] = capUnits(p.Tasks[task].SizeMB(), scale)
 			total += units[task]
 		}
-		equal := equalSizes(units)
+		equal := !slices.ContainsFunc(units, func(u int64) bool { return u != units[0] })
 		type planner struct {
 			as      Assigner
 			weights []float64 // the quota weights it plans under; nil is equal shares

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"opass/internal/dfs"
 )
@@ -184,6 +185,53 @@ type Assignment struct {
 	// fraction is how far the placement is from supporting a full matching.
 	// Planners with no solver/repair split (the baselines) leave it nil.
 	Matched []bool
+
+	// buf is the pooled storage a planner carved Owner, Lists and Matched
+	// from; nil for an assignment built by hand.
+	buf      *answerBuf
+	released bool
+}
+
+// answerBuf is one planner answer's storage, recycled through answerPool:
+// the owner vector, the lists' backing, headers and offsets, and the matched
+// flags. Like indexBuf, every array is regrown from length zero and its
+// stale contents are overwritten before they are read.
+type answerBuf struct {
+	owner   []int
+	flat    []int
+	lists   [][]int
+	off     []int
+	matched []bool
+}
+
+var answerPool = sync.Pool{New: func() any { return new(answerBuf) }}
+
+// takeAnswer draws an answer buffer whose owner vector has one (stale) slot
+// per task of an n-task plan.
+func takeAnswer(n int) *answerBuf {
+	b := answerPool.Get().(*answerBuf)
+	b.owner = slices.Grow(b.owner[:0], n)[:n]
+	return b
+}
+
+// Release returns the assignment's Owner, Lists and Matched to the package
+// pool for the next plan. Like LocalityIndex.Release it is optional: an
+// assignment that is simply dropped is garbage-collected. The caller must be
+// the sole user of the assignment and of every slice read from it; after
+// Release they are invalid. Releasing twice panics; releasing a nil
+// assignment, or one built by hand, only clears it.
+func (a *Assignment) Release() {
+	if a == nil {
+		return
+	}
+	if a.released {
+		panic("core: Assignment.Release called twice")
+	}
+	a.released = true
+	if a.buf != nil {
+		answerPool.Put(a.buf)
+	}
+	a.Owner, a.Lists, a.Matched, a.buf = nil, nil, nil, nil
 }
 
 // LocalityFraction is the planned fraction of data readable locally.

@@ -31,7 +31,7 @@ func TestRedistributionMakesAssignmentLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Recompute locality of the SAME assignment on the mutated placement.
-	a = newAssignment(p, nil, a.Owner, a.Matched)
+	a = newAssignment(p, nil, &answerBuf{owner: a.Owner}, a.Matched)
 	if a.LocalityFraction() != 1.0 {
 		t.Fatalf("post-redistribution locality %v, want 1.0", a.LocalityFraction())
 	}
@@ -94,7 +94,7 @@ func TestRedistributionMultiData(t *testing.T) {
 	if err := plan.Apply(storeOf(p)); err != nil {
 		t.Fatal(err)
 	}
-	a = newAssignment(p, nil, a.Owner, a.Matched)
+	a = newAssignment(p, nil, &answerBuf{owner: a.Owner}, a.Matched)
 	if a.LocalityFraction() <= before {
 		t.Fatalf("redistribution did not improve multi-data locality: %v -> %v",
 			before, a.LocalityFraction())
@@ -157,7 +157,7 @@ func TestRedistributionSharedChunkAcrossOwners(t *testing.T) {
 	if err := plan.Apply(storeOf(p)); err != nil {
 		t.Fatal(err)
 	}
-	a = newAssignment(p, nil, a.Owner, a.Matched)
+	a = newAssignment(p, nil, &answerBuf{owner: a.Owner}, a.Matched)
 	wantLocal := (128.0 - 64.0) / 128.0
 	if got := a.LocalityFraction(); got != wantLocal {
 		t.Fatalf("post-apply locality = %v, want %v (doc claim of full locality is false for shared chunks)",

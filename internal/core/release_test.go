@@ -2,12 +2,14 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"slices"
 	"testing"
 	"unsafe"
 
+	"opass/internal/bipartite"
 	"opass/internal/dfs"
 )
 
@@ -176,8 +178,8 @@ func TestLocalityIndexReleaseReuse(t *testing.T) {
 
 // TestPlannersConcurrentPooledBuffers runs the three pooled-index planners
 // concurrently against independent problems, each goroutine checking its
-// plans stay identical across iterations — the service's concurrent
-// request path in miniature. Run with -race this proves the sync.Pool
+// plans stay identical across iterations and releasing each answer after
+// reading it — the service's concurrent request path in miniature. Run with -race this proves the sync.Pool
 // recycling cannot mix buffers between in-flight plans.
 func TestPlannersConcurrentPooledBuffers(t *testing.T) {
 	p1, _ := buildSingle(t, 8, 80, 31, dfs.RandomPlacement{})
@@ -214,6 +216,7 @@ func TestPlannersConcurrentPooledBuffers(t *testing.T) {
 						return
 					}
 				}
+				a.Release() // the next plan, here or in another goroutine, may take its storage
 			}
 			done <- nil
 		}(r.name, r.plan)
@@ -249,15 +252,16 @@ func TestMultiExactPlanAllocatesLessThanItsEdges(t *testing.T) {
 }
 
 // maxWarmPlanAllocs is how many objects a warm plan may allocate: its
-// owner, lists and ledger arrays, a handful of each, whatever the problem
-// size. A structure grown per process or per task (lists built one append
+// quota and ledger arrays and the Assignment, a handful of each, whatever
+// the problem size (the answer's arrays come back from the released
+// warm-up plan). A structure grown per process or per task (lists built one append
 // at a time) is hundreds or thousands.
 const maxWarmPlanAllocs = 32
 
-// checkWarmPlanAllocatesLessThanItsEdges plans p twice and fails t if the
-// second plan allocates one edge array's bytes or more, or more than
-// maxWarmPlanAllocs objects. It runs at
-// GOMAXPROCS(1) with the GC off so the warm-up's Release is the buffer the
+// checkWarmPlanAllocatesLessThanItsEdges plans p twice, releasing the
+// first plan, and fails t if the second plan allocates one edge array's
+// bytes or more, or more than maxWarmPlanAllocs objects. It runs at
+// GOMAXPROCS(1) with the GC off so the warm-up's Releases are the buffers the
 // measured plan gets back, and skips under -race, where sync.Pool drops Puts
 // at random.
 func checkWarmPlanAllocatesLessThanItsEdges(t *testing.T, as Assigner, p *Problem) {
@@ -267,9 +271,11 @@ func checkWarmPlanAllocatesLessThanItsEdges(t *testing.T, as Assigner, p *Proble
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	if _, err := as.Assign(p); err != nil {
+	warm, err := as.Assign(p)
+	if err != nil {
 		t.Fatal(err)
 	}
+	warm.Release()
 	ix := NewLocalityIndex(p)
 	edges := ix.NumEdges()
 	ix.Release()
@@ -308,4 +314,72 @@ func TestLocalityIndexDoubleReleasePanics(t *testing.T) {
 func TestLocalityIndexNilRelease(t *testing.T) {
 	var ix *LocalityIndex
 	ix.Release() // must not panic
+}
+
+// TestAssignmentReleaseReuse cycles answer buffers through plans of
+// different shapes — task and process counts up and down, processes left
+// without a task, every planner — releasing each plan, and holds every plan
+// to the one its planner made before any buffer was recycled: the same
+// owners, matched flags and lists, an empty list still nil. Stale owners,
+// list headers or offsets must never leak into a later answer.
+func TestAssignmentReleaseReuse(t *testing.T) {
+	big, _ := buildSingle(t, 16, 400, 3, dfs.RandomPlacement{})
+	small, _ := buildSingle(t, 4, 24, 5, dfs.RandomPlacement{})
+	few, _ := buildSingle(t, 12, 5, 7, dfs.RandomPlacement{}) // 7 processes get nothing
+	multi := multiProblem(t, 8, 120, 9)
+	cases := []struct {
+		as Assigner
+		p  *Problem
+	}{
+		{SingleData{Seed: 1}, big}, {SingleData{Seed: 2}, small}, {SingleData{Seed: 3}, few},
+		{SingleData{Algorithm: bipartite.Dinic}, small}, {MultiData{Seed: 4}, multi},
+		{MultiExact{Seed: 5}, multi}, {RankStatic{}, few}, {RandomStatic{Seed: 6}, big},
+	}
+	want := make([]*Assignment, len(cases))
+	for i, c := range cases {
+		a, err := c.as.Assign(c.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = &Assignment{Owner: slices.Clone(a.Owner), Lists: make([][]int, len(a.Lists)), Matched: slices.Clone(a.Matched)}
+		for p, l := range a.Lists {
+			want[i].Lists[p] = slices.Clone(l)
+		}
+	}
+	for round := range 3 {
+		for k := range cases {
+			i := (k*5 + round) % len(cases)
+			a, err := cases[i].as.Assign(cases[i].p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(a.Owner, want[i].Owner) || !reflect.DeepEqual(a.Lists, want[i].Lists) || !reflect.DeepEqual(a.Matched, want[i].Matched) {
+				t.Fatalf("round %d, %s on %d tasks: the plan drifted on a recycled buffer", round, cases[i].as.Name(), len(cases[i].p.Tasks))
+			}
+			a.Release()
+			if a.Owner != nil || a.Lists != nil || a.Matched != nil {
+				t.Fatal("a released assignment still shows its storage")
+			}
+		}
+	}
+}
+
+// TestAssignmentDoubleReleasePanics pins the misuse guard; a nil
+// assignment, or one built by hand, releases quietly.
+func TestAssignmentDoubleReleasePanics(t *testing.T) {
+	var none *Assignment
+	none.Release()
+	(&Assignment{Owner: []int{0}, Lists: [][]int{{0}}}).Release()
+	p, _ := buildSingle(t, 4, 16, 24, dfs.RandomPlacement{})
+	a, err := SingleData{}.Assign(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Release()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second Release did not panic")
+		}
+	}()
+	a.Release()
 }

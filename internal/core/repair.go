@@ -1,6 +1,9 @@
 package core
 
-import "math/rand"
+import (
+	"math/rand"
+	"slices"
+)
 
 // This file is the post-solve half of every planner: a solver (max flow,
 // the direct matcher, MultiExact's transport, Algorithm 1) places the tasks
@@ -106,19 +109,22 @@ func (l *quotaLedger) pick(rng *rand.Rand) int {
 //     so rack-oblivious plans stay byte-identical;
 //  3. random repair: whatever is still unmatched goes to quotaLedger.pick.
 //
-// quotaMB selects the ledger's book and is in 1/scale MB; nil selects the
-// count book over quotas, the task counts the solver planned under. seed
-// drives the random repair. When the solver placed every task, neither
-// repair stage has work, so neither the ledger nor the generator is built.
-func finishAssignment(p *Problem, ix *LocalityIndex, owner, quotas []int, quotaMB []int64, scale, seed int64) *Assignment {
-	matched := make([]bool, len(owner))
+// The owner vector is b's, which the assignment keeps. quotaMB selects the
+// ledger's book and is in 1/scale MB; nil selects the count book over
+// quotas, the task counts the solver planned under. seed drives the random
+// repair. When the solver placed every task, neither repair stage has work,
+// so neither the ledger nor the generator is built.
+func finishAssignment(p *Problem, ix *LocalityIndex, b *answerBuf, quotas []int, quotaMB []int64, scale, seed int64) *Assignment {
+	owner := b.owner
+	b.matched = slices.Grow(b.matched[:0], len(owner))[:len(owner)]
+	matched := b.matched
 	complete := true
 	for t, o := range owner {
 		matched[t] = o >= 0
 		complete = complete && matched[t]
 	}
 	if complete {
-		return newAssignment(p, ix, owner, matched)
+		return newAssignment(p, ix, b, matched)
 	}
 	l := newQuotaLedger(p, owner, quotas, quotaMB, scale)
 	if ix.RackTiered() {
@@ -155,17 +161,22 @@ func finishAssignment(p *Problem, ix *LocalityIndex, owner, quotas []int, quotaM
 			l.give(owner[t], p.Tasks[t].SizeMB())
 		}
 	}
-	return newAssignment(p, ix, owner, matched)
+	return newAssignment(p, ix, b, matched)
 }
 
-// newAssignment wraps a complete owner vector: per-process lists in
-// ascending task order (the deterministic execution order), carved from one
-// array, and the planned locality. A process with no task has a nil list.
-// ix, when the planner has one, supplies each owner's co-located MB, the
-// same value as the probe; nil probes. matched is nil for planners with no
-// solver/repair split.
-func newAssignment(p *Problem, ix *LocalityIndex, owner []int, matched []bool) *Assignment {
-	a := &Assignment{Owner: owner, Lists: groupRanks(owner, p.NumProcs()), Matched: matched, PlannedTotalMB: p.TotalMB()}
+// newAssignment wraps b's complete owner vector: per-process lists in
+// ascending task order (the deterministic execution order), carved from b
+// like the owner, and the planned locality. A process with no task has a nil
+// list. ix, when the planner has one, supplies each owner's co-located MB,
+// the same value as the probe; nil probes. matched is nil for planners with
+// no solver/repair split.
+func newAssignment(p *Problem, ix *LocalityIndex, b *answerBuf, matched []bool) *Assignment {
+	owner, m := b.owner, p.NumProcs()
+	b.lists = slices.Grow(b.lists[:0], m)[:m]
+	b.flat = slices.Grow(b.flat[:0], len(owner))[:len(owner)]
+	b.off = slices.Grow(b.off[:0], m+1)[:m+1]
+	lists := groupRanksInto(b.lists, b.flat, b.off, owner)
+	a := &Assignment{Owner: owner, Lists: lists, Matched: matched, PlannedTotalMB: p.TotalMB(), buf: b}
 	for t, proc := range owner { // task order: the sum is a float contract
 		if ix != nil {
 			a.PlannedLocalMB += ix.CoLocatedMB(proc, t)

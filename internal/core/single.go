@@ -70,13 +70,6 @@ func (s SingleData) AssignContext(ctx context.Context, p *Problem) (*Assignment,
 	defer ix.Release()
 	scale := capacityScale(p)
 
-	// Task sizes in whole capacity units (1/scale MB).
-	sizes := make([]int64, n)
-	var total int64
-	for t := range sizes {
-		sizes[t] = capUnits(p.Tasks[t].SizeMB(), scale)
-		total += sizes[t]
-	}
 	// The solver seam. Equal sizes degenerate the flow problem to quota-
 	// constrained bipartite matching, whose constraint is really "equal (or
 	// weight-proportional) task counts": the matcher solves it in place on
@@ -88,33 +81,50 @@ func (s SingleData) AssignContext(ctx context.Context, p *Problem) (*Assignment,
 	// with fewer tasks than processes (TotalSize/m would then be smaller
 	// than one task and nothing could match) and strands no slack on a
 	// weighted process (an MB quota of 8.5 tasks would, and the stranded
-	// tasks would be re-homed with no regard for locality).
+	// tasks would be re-homed with no regard for locality). Sizes are
+	// compared in whole capacity units (1/scale MB); unit is the common one,
+	// or 0 when they differ, and only the flow reads per-task sizes.
+	unit := capUnits(p.Tasks[0].SizeMB(), scale)
+	for t := 1; t < n && unit != 0; t++ {
+		if capUnits(p.Tasks[t].SizeMB(), scale) != unit {
+			unit = 0
+		}
+	}
 	var counts []int
 	var quotasMB []int64
-	if equalSizes(sizes) {
+	if unit != 0 {
 		counts = weightedTaskQuotas(n, m, weights)
 		quotasMB = make([]int64, m)
 		for i, c := range counts {
-			quotasMB[i] = int64(c) * sizes[0]
+			quotasMB[i] = int64(c) * unit
 		}
-	} else {
-		quotasMB = shareQuotas(total, m, weights)
 	}
-	var owner []int
+	b := takeAnswer(n)
 	if counts != nil && s.Algorithm == bipartite.Kuhn {
 		var rows *bipartite.Rows
 		if rows, err = ix.taskRows(ctx); err == nil {
-			owner, _, err = bipartite.MatchRows(ctx, rows, counts)
+			_, err = bipartite.MatchRows(ctx, rows, counts, b.owner)
 		}
 	} else {
+		sizes := make([]int64, n)
+		var total int64
+		for t := range sizes {
+			sizes[t] = capUnits(p.Tasks[t].SizeMB(), scale)
+			total += sizes[t]
+		}
+		if quotasMB == nil {
+			quotasMB = shareQuotas(total, m, weights)
+		}
 		var res bipartite.AssignResult
-		res, err = bipartite.AssignMaxLocalityContext(ctx, ix.procRows(), quotasMB, sizes, s.Algorithm)
-		owner = res.Owner
+		if res, err = bipartite.AssignMaxLocalityContext(ctx, ix.procRows(), quotasMB, sizes, s.Algorithm); err == nil {
+			copy(b.owner, res.Owner)
+		}
+	}
+	if err == nil {
+		err = ctx.Err()
 	}
 	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
+		answerPool.Put(b)
 		return nil, err
 	}
 	// The repair keeps the book the solver planned under: equal task counts
@@ -124,19 +134,9 @@ func (s SingleData) AssignContext(ctx context.Context, p *Problem) (*Assignment,
 	// remains some process is under its quota, so the repair only ever gives
 	// to a process with headroom.
 	if counts != nil && weights == nil {
-		return finishAssignment(p, ix, owner, counts, nil, scale, s.Seed), nil
+		return finishAssignment(p, ix, b, counts, nil, scale, s.Seed), nil
 	}
-	return finishAssignment(p, ix, owner, nil, quotasMB, scale, s.Seed), nil
-}
-
-// equalSizes reports whether every task size is identical.
-func equalSizes(sizes []int64) bool {
-	for _, s := range sizes[1:] {
-		if s != sizes[0] {
-			return false
-		}
-	}
-	return true
+	return finishAssignment(p, ix, b, nil, quotasMB, scale, s.Seed), nil
 }
 
 // weightedTaskQuotas splits n tasks over m processes proportionally to
@@ -221,15 +221,15 @@ func (RankStatic) Assign(p *Problem) (*Assignment, error) {
 		return nil, err
 	}
 	n, m := len(p.Tasks), p.NumProcs()
-	owner := make([]int, n)
+	b := takeAnswer(n)
 	for i := 0; i < m; i++ {
 		lo := i * n / m
 		hi := (i + 1) * n / m
 		for t := lo; t < hi; t++ {
-			owner[t] = i
+			b.owner[t] = i
 		}
 	}
-	return newAssignment(p, nil, owner, nil), nil
+	return newAssignment(p, nil, b, nil), nil
 }
 
 // RandomStatic deals tasks to processes uniformly at random while keeping
@@ -250,7 +250,7 @@ func (r RandomStatic) Assign(p *Problem) (*Assignment, error) {
 	n, m := len(p.Tasks), p.NumProcs()
 	rng := rand.New(rand.NewSource(r.Seed))
 	perm := rng.Perm(n)
-	owner := make([]int, n)
+	b := takeAnswer(n)
 	quotas := taskQuotas(n, m)
 	proc, used := 0, 0
 	for _, t := range perm {
@@ -258,8 +258,8 @@ func (r RandomStatic) Assign(p *Problem) (*Assignment, error) {
 			proc++
 			used = 0
 		}
-		owner[t] = proc
+		b.owner[t] = proc
 		used++
 	}
-	return newAssignment(p, nil, owner, nil), nil
+	return newAssignment(p, nil, b, nil), nil
 }

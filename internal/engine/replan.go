@@ -215,6 +215,9 @@ func ReplanBacklogDelta(p *core.Problem, fs *dfs.FileSystem, src *ListSource, fi
 		}
 		src.lists[proc] = out[start:len(out):len(out)]
 	}
+	// The backlog holds task IDs copied out of the sub-plan, which nothing
+	// reads again: its storage goes back to the planners' pool.
+	a.Release()
 	clear(src.pos)
 	return true, len(taskIDs), nil
 }

@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -372,9 +373,16 @@ type Server struct {
 // is only body, the 200 that body got (for a compact query, the plan entry's
 // own bytes). Both are immutable once cached (the engine copies the lists it
 // consumes).
+//
+// Outside the cache, a plan the planner just made may borrow its answer:
+// resp's Owner and Lists are then asg's pooled storage, valid until
+// asg.Release, which the handler calls once the response is written. A plan
+// a cache entry keeps, or one the shared tier sent, owns heap storage and
+// has no asg.
 type cachedPlan struct {
 	resp PlanResponse
 	body []byte
+	asg  *core.Assignment
 }
 
 // routeLabel bounds metric label cardinality to the known route set.
@@ -564,6 +572,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		s.planFailed(w, r, err)
 		return
 	}
+	defer cp.asg.Release() // the response below is the answer's last reader
 	out := cp.body
 	if out == nil { // the cache and the tier are off: nothing rendered the plan yet
 		if !wantsPretty(r) {
@@ -612,6 +621,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.planFailed(w, r, err)
 		return
 	}
+	defer cp.asg.Release() // the engine and the response below are the answer's last readers
 	eopts := engine.Options{
 		Topo: topo, FS: fs, Problem: prob, Strategy: cp.resp.Strategy,
 		Failures: req.Failures, Degradations: req.Degradations,
@@ -874,14 +884,15 @@ func (s *Server) tierPublish(ctx context.Context, key string, body []byte) {
 // tier when it can, running the planner when it cannot — at most once
 // across concurrent identical requests when the cache is on. With either on,
 // the plan comes with its compact /v1/plan body; with both off, body is nil.
+// Unless the cache is on, a plan the planner made borrows its answer
+// (cachedPlan.asg), which the caller releases.
 func (s *Server) plan(ctx context.Context, req *PlanRequest, prob *core.Problem) (cachedPlan, error) {
 	assigner, apiErr := pickAssigner(req, prob)
 	if apiErr != nil {
 		return cachedPlan{}, apiErr
 	}
 	if s.planCache == nil && s.tier == nil {
-		resp, err := s.computePlan(ctx, assigner, prob)
-		return cachedPlan{resp: resp}, err
+		return s.computePlan(ctx, assigner, prob)
 	}
 	strategy := assigner.Name()
 	canon := req.canonical(prob)
@@ -898,16 +909,21 @@ func (s *Server) plan(ctx context.Context, req *PlanRequest, prob *core.Problem)
 				return cp, planSizeBytes(&cp), nil
 			}
 		}
-		resp, err := s.computePlan(cctx, assigner, prob)
+		cp, err := s.computePlan(cctx, assigner, prob)
 		if err != nil {
 			return cachedPlan{}, 0, err
 		}
-		cp := cachedPlan{resp: resp}
-		if cp.body, err = planBody(&resp); err != nil {
+		if cp.body, err = planBody(&cp.resp); err != nil {
+			cp.asg.Release()
 			return cachedPlan{}, 0, err
 		}
 		if s.tier != nil {
 			s.tierPublish(cctx, tierKey, cp.body)
+		}
+		if s.planCache != nil { // the entry outlives the request: give it storage of its own
+			cp.resp = ownedResponse(cp.resp)
+			cp.asg.Release()
+			cp.asg = nil
 		}
 		return cp, planSizeBytes(&cp), nil
 	}
@@ -945,8 +961,9 @@ func (s *Server) cacheMetrics() {
 }
 
 // computePlan runs the resolved strategy over the decoded problem under
-// ctx, recording per-strategy planner latency and achieved locality.
-func (s *Server) computePlan(ctx context.Context, assigner core.Assigner, prob *core.Problem) (PlanResponse, error) {
+// ctx, recording per-strategy planner latency and achieved locality. The
+// response borrows the planner's answer, which the plan carries as asg.
+func (s *Server) computePlan(ctx context.Context, assigner core.Assigner, prob *core.Problem) (cachedPlan, error) {
 	if s.plannerRan != nil {
 		s.plannerRan()
 	}
@@ -954,17 +971,34 @@ func (s *Server) computePlan(ctx context.Context, assigner core.Assigner, prob *
 	a, err := core.AssignContext(ctx, assigner, prob)
 	elapsed := time.Since(start)
 	if err != nil {
-		return PlanResponse{}, err
+		return cachedPlan{}, err
 	}
 	strategy := telemetry.L("strategy", assigner.Name())
 	s.reg.Histogram(MetricPlannerLatency, nil, strategy).Observe(elapsed.Seconds())
 	s.reg.Histogram(MetricPlanLocality, telemetry.FractionBuckets, strategy).Observe(a.LocalityFraction())
 	s.reg.Counter(MetricPlans, strategy).Inc()
-	return PlanResponse{
+	return cachedPlan{asg: a, resp: PlanResponse{
 		Strategy:         assigner.Name(),
 		Owner:            a.Owner,
 		Lists:            a.Lists,
 		LocalityFraction: a.LocalityFraction(),
 		PlannerMillis:    float64(elapsed.Microseconds()) / 1000,
-	}, nil
+	}}, nil
+}
+
+// ownedResponse returns resp with Owner and Lists copied to storage of their
+// own: an owner vector and one backing array for every list. A nil list
+// stays nil, so the plan renders the same bytes.
+func ownedResponse(resp PlanResponse) PlanResponse {
+	resp.Owner = slices.Clone(resp.Owner)
+	flat := make([]int, 0, len(resp.Owner))
+	lists := make([][]int, len(resp.Lists))
+	for p, l := range resp.Lists {
+		if l != nil {
+			flat = append(flat, l...)
+			lists[p] = flat[len(flat)-len(l) : len(flat) : len(flat)]
+		}
+	}
+	resp.Lists = lists
+	return resp
 }

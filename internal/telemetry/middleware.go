@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"strconv"
 	"time"
+	"unsafe"
 )
 
 // Metric family names recorded by the middleware.
@@ -25,21 +26,49 @@ const (
 // request's ID from its own response header.
 const RequestIDHeader = "X-Request-Id"
 
-// newRequestID returns 8 random bytes hex-encoded; on entropy failure it
-// degrades to a fixed marker rather than failing the request.
-func newRequestID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "unavailable"
-	}
-	return hex.EncodeToString(b[:])
-}
-
 // statusRecorder captures the status code and bytes written by a handler.
+// It also carries the request ID's storage — a generated ID's bytes and the
+// header's value slice — so the three cost the middleware one allocation.
 type statusRecorder struct {
 	http.ResponseWriter
 	status int
 	bytes  int64
+	raw    [8]byte
+	hexID  [16]byte
+	header [1]string
+}
+
+// newRequestID returns 8 random bytes hex-encoded into r; on entropy failure
+// it degrades to a fixed marker rather than failing the request. The string
+// shares r's bytes, which are never written again.
+func (r *statusRecorder) newRequestID() string {
+	if _, err := rand.Read(r.raw[:]); err != nil {
+		return "unavailable"
+	}
+	hex.Encode(r.hexID[:], r.raw[:])
+	return unsafe.String(&r.hexID[0], len(r.hexID))
+}
+
+// statusLabels are the status label values of the codes the service sends,
+// so counting a request builds no string; any other code is formatted.
+var statusLabels = map[int]string{
+	http.StatusOK:                    "200",
+	http.StatusBadRequest:            "400",
+	http.StatusNotFound:              "404",
+	http.StatusMethodNotAllowed:      "405",
+	http.StatusRequestEntityTooLarge: "413",
+	http.StatusTooManyRequests:       "429",
+	499:                              "499", // client closed the request
+	http.StatusInternalServerError:   "500",
+	http.StatusServiceUnavailable:    "503",
+}
+
+// statusLabel is code's status label value.
+func statusLabel(code int) string {
+	if l, ok := statusLabels[code]; ok {
+		return l
+	}
+	return strconv.Itoa(code)
 }
 
 func (r *statusRecorder) WriteHeader(code int) {
@@ -86,12 +115,13 @@ func (m Middleware) Wrap(next http.Handler) http.Handler {
 		if m.Route != nil {
 			route = m.Route(r)
 		}
+		rec := &statusRecorder{ResponseWriter: w}
 		id := r.Header.Get(RequestIDHeader)
 		if id == "" {
-			id = newRequestID()
+			id = rec.newRequestID()
 		}
-		w.Header().Set(RequestIDHeader, id)
-		rec := &statusRecorder{ResponseWriter: w}
+		rec.header[0] = id
+		w.Header()[RequestIDHeader] = rec.header[:]
 		inflight.Add(1)
 		start := time.Now()
 		next.ServeHTTP(rec, r)
@@ -101,7 +131,7 @@ func (m Middleware) Wrap(next http.Handler) http.Handler {
 			rec.status = http.StatusOK
 		}
 		m.Reg.Counter(MetricHTTPRequests,
-			L("route", route), L("method", r.Method), L("status", strconv.Itoa(rec.status))).Inc()
+			L("route", route), L("method", r.Method), L("status", statusLabel(rec.status))).Inc()
 		m.Reg.Histogram(MetricHTTPDuration, nil, L("route", route)).Observe(elapsed.Seconds())
 		m.Reg.Counter(MetricHTTPRespBytes, L("route", route)).Add(float64(rec.bytes))
 		if m.Logger != nil {
