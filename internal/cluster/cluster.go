@@ -11,6 +11,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"opass/internal/simnet"
 )
@@ -88,22 +89,42 @@ func NewRacked(n, racks int, p Profile) *Topology {
 
 // NewHeterogeneousRacked builds a heterogeneous Topology across racks.
 func NewHeterogeneousRacked(profiles []Profile, racks int) *Topology {
-	n := len(profiles)
-	if n == 0 {
+	if len(profiles) == 0 {
 		panic("cluster: no node profiles")
 	}
+	t := &Topology{profiles: append([]Profile(nil), profiles...), net: simnet.New()}
+	t.wire(racks)
+	return t
+}
+
+// Reset rebuilds t in place as New(n, p) builds it, over the storage t
+// already holds: its network is reset (simnet.Network.Reset) and every node's
+// devices are registered afresh, at nominal bandwidth with no work done, on
+// one rack and no uplinks. A different node count regrows the per-node
+// arrays.
+func (t *Topology) Reset(n int, p Profile) {
+	if n <= 0 {
+		panic(fmt.Sprintf("cluster: node count %d must be positive", n))
+	}
+	t.profiles = slices.Grow(t.profiles[:0], n)[:n]
+	for i := range t.profiles {
+		t.profiles[i] = p
+	}
+	t.net.Reset()
+	t.wire(1)
+}
+
+// wire registers t.profiles' devices with t.net, an empty network, and
+// spreads the nodes across racks.
+func (t *Topology) wire(racks int) {
 	if racks <= 0 {
 		panic(fmt.Sprintf("cluster: rack count %d must be positive", racks))
 	}
-	t := &Topology{
-		n:        n,
-		racks:    racks,
-		profiles: append([]Profile(nil), profiles...),
-		net:      simnet.New(),
-		disk:     make([]simnet.ResourceID, n),
-		tx:       make([]simnet.ResourceID, n),
-		rx:       make([]simnet.ResourceID, n),
-	}
+	n := len(t.profiles)
+	t.n, t.racks, t.uplinkOut, t.uplinkIn = n, racks, nil, nil
+	t.disk = slices.Grow(t.disk[:0], n)[:n]
+	t.tx = slices.Grow(t.tx[:0], n)[:n]
+	t.rx = slices.Grow(t.rx[:0], n)[:n]
 	// Resources are named by kind only: node i's disk, tx and rx are
 	// resources 3i, 3i+1 and 3i+2.
 	t.net.Grow(3 * n)
@@ -115,7 +136,6 @@ func NewHeterogeneousRacked(profiles []Profile, racks int) *Topology {
 		t.tx[i] = t.net.AddResource("tx", p.NICMBps, 0)
 		t.rx[i] = t.net.AddResource("rx", p.NICMBps, 0)
 	}
-	return t
 }
 
 // Net exposes the underlying fluid-flow network.

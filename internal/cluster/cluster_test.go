@@ -108,3 +108,46 @@ func TestDiskContentionInflatesReads(t *testing.T) {
 		t.Fatalf("contended end %v exceeds modeled worst case %v", end, worst)
 	}
 }
+
+// TestResetMatchesNew: a racked topology with uplinks, a degraded node and a
+// read in flight, Reset to another size, is the topology New builds: the
+// same nodes, racks, paths and resource IDs, every device at nominal
+// bandwidth with no work done, an idle network at time zero — and the same
+// reads take the same simulated time on both.
+func TestResetMatchesNew(t *testing.T) {
+	reset := NewRacked(12, 3, Marmot())
+	reset.SetRackOversubscription(4)
+	reset.DegradeNode(2, 0.5, 0.25)
+	net := reset.Net()
+	net.Start(reset.AppendReadPath(nil, 2, 7), 64, reset.ReadLatency(2), 0)
+	net.Step()
+	for _, nodes := range []int{5, 12, 20} {
+		reset.Reset(nodes, Marmot())
+		fresh := New(nodes, Marmot())
+		if reset.NumNodes() != nodes || reset.racks != 1 || reset.uplinkOut != nil {
+			t.Fatalf("reset to %d nodes: %d nodes, %d racks, uplinks %v", nodes, reset.NumNodes(), reset.racks, reset.uplinkOut)
+		}
+		rn, fn := reset.Net(), fresh.Net()
+		if rn.Now() != 0 || rn.Started() != 0 || rn.Active() != 0 {
+			t.Fatalf("reset to %d nodes: clock %v, %d flows started, %d active", nodes, rn.Now(), rn.Started(), rn.Active())
+		}
+		for node := 0; node < nodes; node++ {
+			for _, id := range reset.AppendReadPath(nil, node, (node+1)%nodes) {
+				if rn.Scale(id) != 1 || rn.WorkMB(id) != 0 {
+					t.Fatalf("reset to %d nodes: resource %d at scale %v with %v MB of work", nodes, id, rn.Scale(id), rn.WorkMB(id))
+				}
+			}
+			if reset.DiskResource(node) != fresh.DiskResource(node) || reset.NodeProfile(node) != fresh.NodeProfile(node) {
+				t.Fatalf("reset to %d nodes: node %d differs from a new topology's", nodes, node)
+			}
+		}
+		for _, topo := range []*Topology{reset, fresh} {
+			for node := 0; node < nodes; node++ {
+				topo.Net().Start(topo.AppendReadPath(nil, node, (node*5+3)%nodes), 64, topo.ReadLatency(node), node)
+			}
+		}
+		if r, f := rn.Run(), fn.Run(); math.Float64bits(r) != math.Float64bits(f) {
+			t.Fatalf("reset to %d nodes: the reads end at %v, on a new topology at %v", nodes, r, f)
+		}
+	}
+}

@@ -93,6 +93,11 @@ type indexBuf struct {
 	epoch   int
 	touched []int
 	racks   []int // rack tier only: racks of the current input
+
+	// The node -> process-ranks inversion of ProcNode the build walks
+	// (groupRanksInto's out, flat and off).
+	procsOn            [][]int
+	procFlat, procsOff []int
 }
 
 var indexBufPool = sync.Pool{New: func() any { return new(indexBuf) }}
@@ -188,7 +193,11 @@ func NewLocalityIndexContext(ctx context.Context, p *Problem) (*LocalityIndex, e
 	for _, node := range p.ProcNode {
 		maxNode = max(maxNode, node)
 	}
-	procsOn := groupRanks(p.ProcNode, maxNode+1)
+	groups := maxNode + 1
+	b.procsOn = slices.Grow(b.procsOn[:0], groups)[:groups]
+	b.procFlat = slices.Grow(b.procFlat[:0], m)[:m]
+	b.procsOff = slices.Grow(b.procsOff[:0], groups+1)[:groups+1]
+	procsOn := groupRanksInto(b.procsOn, b.procFlat, b.procsOff, p.ProcNode)
 	// One edge per (input, replica, co-located process) at most; exact for
 	// single-input tasks, where no two inputs can share a process.
 	maxEdges := 0

@@ -112,6 +112,37 @@ type FileSystem struct {
 	// access is the per-chunk access accounting (nil until
 	// EnableAccessStats) feeding the replication advisor.
 	access *accessStats
+	// store is the storage createFile carves new chunks from; Reset keeps it.
+	store store
+}
+
+// store holds the arrays createFile carves a file's chunk structs, replica
+// rows, chunk-ID list and per-node index rows from, plus its per-node count
+// scratch. Each array is used from the front; Reset empties them, so a
+// file system rebuilt in place reuses what its last life grew.
+type store struct {
+	chunks []Chunk
+	rows   []int
+	ids    []ChunkID
+	index  []ChunkID
+	hosted []int
+}
+
+// carve takes n elements off the front of spare's unused capacity, capped so
+// an append cannot reach past them. When they do not fit it returns a fresh
+// array, which spare adopts if it is larger than the one it holds: a store
+// keeps its largest array, not its last. Contents may be stale.
+func carve[T any](spare *[]T, n int) []T {
+	s := *spare
+	if cap(s)-len(s) < n {
+		fresh := make([]T, n)
+		if n > cap(s) {
+			*spare = fresh
+		}
+		return fresh
+	}
+	*spare = s[:len(s)+n]
+	return s[len(s) : len(s)+n : len(s)+n]
 }
 
 // New creates an empty FileSystem over the given cluster view.
@@ -131,6 +162,27 @@ func New(view ClusterView, cfg Config) *FileSystem {
 		perNode: make(map[int][]ChunkID, view.NumNodes()),
 		dead:    make(map[int]bool),
 	}
+}
+
+// Reset empties the file system for reuse over its view, whose node count
+// may have changed since. To every reader it is then the file system New
+// returns for that view and configuration: no files or chunks, every node
+// live, epoch 0, no access accounting, and the RNG re-seeded with Seed,
+// which restarts the stream NewSource(Seed) gives. It keeps the storage new
+// files are carved from. Chunks, files and rows read before are invalid.
+func (fs *FileSystem) Reset() {
+	fs.rng.Seed(fs.cfg.Seed)
+	clear(fs.files)
+	clear(fs.order)
+	fs.order = fs.order[:0]
+	clear(fs.chunks)
+	fs.chunks = fs.chunks[:0]
+	clear(fs.perNode)
+	clear(fs.dead)
+	fs.epoch.Store(0)
+	fs.access = nil
+	st := &fs.store
+	st.chunks, st.rows, st.ids, st.index = st.chunks[:0], st.rows[:0], st.ids[:0], st.index[:0]
 }
 
 // Config returns the (defaulted) configuration.
@@ -291,7 +343,21 @@ func (fs *FileSystem) CreateChunks(name string, sizesMB []float64) (*File, error
 			return nil, fmt.Errorf("dfs: create %q: placement returned %d replicas for chunk %d, want %d", name, len(rows[i]), i, r)
 		}
 	}
-	return fs.createFile(name, sizesMB, rows)
+	return fs.createFile(name, chunkRows(sizesMB, rows))
+}
+
+// ChunkSource hands a bulk create its chunks: it calls each once per chunk,
+// in order, with the chunk's size and replica row. The create reads the row
+// and keeps none of it, and may call the source more than once.
+type ChunkSource func(each func(sizeMB float64, replicas []int))
+
+// chunkRows is the ChunkSource over parallel size and replica slices.
+func chunkRows(sizesMB []float64, replicas [][]int) ChunkSource {
+	return func(each func(float64, []int)) {
+		for i, s := range sizesMB {
+			each(s, replicas[i])
+		}
+	}
 }
 
 // CreateChunksReplicated writes a file from explicit per-chunk sizes AND
@@ -310,74 +376,108 @@ func (fs *FileSystem) CreateChunksReplicated(name string, sizesMB []float64, rep
 	if len(replicas) != len(sizesMB) {
 		return nil, fmt.Errorf("dfs: create %q: %d replica lists for %d chunks", name, len(replicas), len(sizesMB))
 	}
-	return fs.createFile(name, sizesMB, replicas)
+	return fs.createFile(name, chunkRows(sizesMB, replicas))
+}
+
+// CreateChunksFrom is CreateChunksReplicated over a ChunkSource: a caller
+// whose layout is already in memory (/v1/simulate's decoded request) hands
+// its rows over without first copying them into two slices.
+func (fs *FileSystem) CreateChunksFrom(name string, chunks ChunkSource) (*File, error) {
+	if err := fs.nameFree(name); err != nil {
+		return nil, err
+	}
+	return fs.createFile(name, chunks)
 }
 
 // createFile is the one place chunks come into being: it validates every
-// replica row before mutating any state, so a bad row cannot leave a
-// half-created file behind, then builds the file with one epoch bump.
-// checkCreate has already passed name and sizesMB.
-func (fs *FileSystem) createFile(name string, sizesMB []float64, replicas [][]int) (*File, error) {
-	for i, row := range replicas {
-		if len(row) == 0 {
-			return nil, fmt.Errorf("dfs: create %q: chunk %d has no replicas", name, i)
+// chunk before mutating any state, so a bad row cannot leave a half-created
+// file behind, then builds the file with one epoch bump. The name is free.
+func (fs *FileSystem) createFile(name string, chunks ChunkSource) (*File, error) {
+	st, nodes := &fs.store, fs.view.NumNodes()
+	hosted := slices.Grow(st.hosted[:0], nodes)[:nodes] // chunks per node
+	st.hosted = hosted
+	clear(hosted)
+	var err error
+	n, reps := 0, 0
+	chunks(func(s float64, row []int) {
+		if err == nil {
+			err = fs.checkChunk(name, n, s, row, hosted)
 		}
-		for j, node := range row {
-			if node < 0 || node >= fs.view.NumNodes() || fs.dead[node] {
-				return nil, fmt.Errorf("dfs: create %q: chunk %d replica node %d not live", name, i, node)
-			}
-			if slices.Contains(row[:j], node) {
-				return nil, fmt.Errorf("dfs: create %q: chunk %d duplicate replica node %d", name, i, node)
-			}
-		}
+		n, reps = n+1, reps+len(row)
+	})
+	if err == nil && n == 0 {
+		err = fmt.Errorf("dfs: create %q: no chunks", name)
 	}
-	f := &File{Name: name}
-	f.Chunks = make([]ChunkID, 0, len(sizesMB))
-	// One backing array each for the chunk structs, their replica rows and
-	// the new per-node index entries: the namenode metadata of a 1M-chunk
-	// layout is a few allocations, not millions. Rows are full-capacity
-	// slices, so a later attach reallocates only the row it grows.
-	block := make([]Chunk, len(sizesMB))
-	hosted, total := make([]int, fs.view.NumNodes()), 0
-	for _, row := range replicas {
-		total += len(row)
-		for _, node := range row {
-			hosted[node]++
-		}
+	if err != nil {
+		return nil, err
 	}
+	// The chunk structs, their replica rows, the file's chunk list and the
+	// hosting nodes' index rows are carved from the store: the namenode
+	// metadata of a 1M-chunk layout is a few allocations, not millions, and
+	// none once a reset store has grown to it. A replica row is exactly its
+	// chunk's replica count, which a repair never exceeds; an index row keeps
+	// headroom, so a repair attaching to its node stays in place.
+	total := 0
 	for node, k := range hosted {
 		if k > 0 {
-			total += len(fs.perNode[node])
+			total += indexCap(len(fs.perNode[node])+k, fs.cfg.Replication)
 		}
 	}
-	rows, index := make([]int, total), make([]ChunkID, total)
+	index := carve(&st.index, total)
 	for node, k := range hosted {
 		if k > 0 {
 			old := fs.perNode[node]
-			fs.perNode[node] = append(index[:0:len(old)+k], old...)
-			index = index[len(old)+k:]
+			c := indexCap(len(old)+k, fs.cfg.Replication)
+			fs.perNode[node] = append(index[:0:c], old...)
+			index = index[c:]
 		}
 	}
-	fs.chunks = slices.Grow(fs.chunks, len(sizesMB))
-	for i, s := range sizesMB {
-		c := &block[i]
-		c.ID = ChunkID(len(fs.chunks))
-		c.File = name
-		c.Index = i
-		c.SizeMB = s
-		c.Replicas, rows = rows[:0:len(replicas[i])], rows[len(replicas[i]):]
-		for _, node := range replicas[i] {
+	block, rows := carve(&st.chunks, n), carve(&st.rows, reps)
+	f := &File{Name: name, Chunks: carve(&st.ids, n)[:0]}
+	fs.chunks = slices.Grow(fs.chunks, n)
+	chunks(func(s float64, row []int) {
+		c := &block[len(f.Chunks)]
+		*c = Chunk{ID: ChunkID(len(fs.chunks)), File: name, Index: len(f.Chunks), SizeMB: s}
+		c.Replicas, rows = rows[:0:len(row)], rows[len(row):]
+		for _, node := range row {
 			fs.attach(c, node)
 		}
 		c.target = len(c.Replicas)
 		fs.chunks = append(fs.chunks, c)
 		f.Chunks = append(f.Chunks, c.ID)
 		f.SizeMB += s
-	}
+	})
 	fs.files[name] = f
 	fs.order = append(fs.order, name)
 	fs.bumpEpoch(f.Chunks...)
 	return f, nil
+}
+
+// checkChunk checks chunk i of a create — a positive size and a non-empty
+// row of distinct live nodes — and counts the row's nodes on hosted.
+func (fs *FileSystem) checkChunk(name string, i int, sizeMB float64, row, hosted []int) error {
+	if sizeMB <= 0 {
+		return fmt.Errorf("dfs: create %q: chunk %d size %v must be positive", name, i, sizeMB)
+	}
+	if len(row) == 0 {
+		return fmt.Errorf("dfs: create %q: chunk %d has no replicas", name, i)
+	}
+	for j, node := range row {
+		if node < 0 || node >= len(hosted) || fs.dead[node] {
+			return fmt.Errorf("dfs: create %q: chunk %d replica node %d not live", name, i, node)
+		}
+		if slices.Contains(row[:j], node) {
+			return fmt.Errorf("dfs: create %q: chunk %d duplicate replica node %d", name, i, node)
+		}
+		hosted[node]++
+	}
+	return nil
+}
+
+// indexCap is the capacity createFile gives a per-node index row of count
+// entries: an eighth more, and at least the replication factor more.
+func indexCap(count, replication int) int {
+	return count + max(count/8, replication)
 }
 
 // Stat returns the file metadata for name.

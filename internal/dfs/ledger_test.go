@@ -60,7 +60,34 @@ func localMark(local bool) string {
 // consumed. A deliberate behaviour change deletes the
 // file and runs this test once to write the new one.
 func TestLedgerTranscript(t *testing.T) {
-	fs := New(rackedView(12, 3), Config{Seed: 20150525})
+	checkTranscript(t, ledgerTranscript(t, New(rackedView(12, 3), Config{Seed: 20150525})))
+}
+
+// TestResetReplaysTheTranscript: a file system that lived on a larger
+// cluster — every mutation of the script, crashes and repairs, access
+// accounting, a store grown past what the script needs — and was then Reset
+// over the transcript's 12-node view replays the script exactly as a new one
+// does: every replica list, index row, epoch, pick and RNG draw.
+func TestResetReplaysTheTranscript(t *testing.T) {
+	v := &view{nodes: 20, racks: 4}
+	fs := New(v, Config{Seed: 20150525})
+	fs.EnableAccessStats(30)
+	ledgerTranscript(t, fs)
+	if _, err := fs.Create("/big", 64*400); err != nil {
+		t.Fatal(err)
+	}
+	v.nodes, v.racks = 12, 3
+	fs.Reset()
+	if fs.access != nil {
+		t.Fatal("access accounting survived Reset")
+	}
+	checkTranscript(t, ledgerTranscript(t, fs))
+}
+
+// ledgerTranscript runs the transcript's mutation script on fs, a file
+// system as New returns it over a 12-node, 3-rack view seeded 20150525, and
+// returns the ledger after each step.
+func ledgerTranscript(t *testing.T, fs *FileSystem) string {
 	var b strings.Builder
 	step := func(desc string, result ...interface{}) {
 		fmt.Fprintf(&b, "== %s -> %v\n", desc, result)
@@ -112,8 +139,13 @@ func TestLedgerTranscript(t *testing.T) {
 	step(`Create("/d", 100)`, errOf(fs.Create("/d", 100)))
 	step("Balance(0.05)", fs.Balance(0.05))
 	fmt.Fprintf(&b, "rng=%d\n", fs.rng.Int63())
+	return b.String()
+}
 
-	got := b.String()
+// checkTranscript compares got with testdata/ledger_transcript.txt, writing
+// the file when there is none.
+func checkTranscript(t *testing.T, got string) {
+	t.Helper()
 	path := filepath.Join("testdata", "ledger_transcript.txt")
 	want, err := os.ReadFile(path)
 	if os.IsNotExist(err) {

@@ -1,6 +1,7 @@
 package dfs
 
 import (
+	"math/rand"
 	"testing"
 )
 
@@ -196,5 +197,56 @@ func TestReReplicateSkipsLostChunksAndSmallClusters(t *testing.T) {
 	}
 	if problems := fs.Fsck(); len(problems) != 0 {
 		t.Fatalf("fsck: %v", problems)
+	}
+}
+
+// TestRepairAttachStaysInPlace: createFile gives every per-node index row
+// headroom, so re-replicating a crashed node's chunks — the simulate-faults
+// repair, 1,280 or 5,120 three-way chunks on 128 nodes — attaches to each
+// row in place instead of reallocating it, in a new file system and in one
+// Reset after a life of its own.
+func TestRepairAttachStaysInPlace(t *testing.T) {
+	layout := func(seed int64, chunks int) ([]float64, [][]int) {
+		rng := rand.New(rand.NewSource(seed))
+		sizes, rows := make([]float64, chunks), make([][]int, chunks)
+		for i := range rows {
+			sizes[i], rows[i] = 64, rng.Perm(128)[:3]
+		}
+		return sizes, rows
+	}
+	for _, chunks := range []int{1280, 5120} {
+		for _, reset := range []bool{false, true} {
+			fs := New(testView(128), Config{Seed: 1, Replication: 1})
+			if reset {
+				sizes, rows := layout(99, chunks/2)
+				if _, err := fs.CreateChunksReplicated("/before", sizes, rows); err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := fs.Crash(5); err != nil {
+					t.Fatal(err)
+				}
+				fs.ReReplicate()
+				fs.Reset()
+			}
+			sizes, rows := layout(1, chunks)
+			if _, err := fs.CreateChunksReplicated("/layout", sizes, rows); err != nil {
+				t.Fatal(err)
+			}
+			first := make(map[int]*ChunkID)
+			for node, row := range fs.perNode {
+				first[node] = &row[0]
+			}
+			if _, _, err := fs.Crash(17); err != nil {
+				t.Fatal(err)
+			}
+			if fs.ReReplicate() == 0 {
+				t.Fatal("nothing to repair: not the simulate-faults shape")
+			}
+			for node, row := range fs.perNode {
+				if &row[0] != first[node] {
+					t.Errorf("%d chunks, reset %v: node %d's index row was reallocated by the repair (%d entries)", chunks, reset, node, len(row))
+				}
+			}
+		}
 	}
 }

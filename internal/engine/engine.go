@@ -341,6 +341,31 @@ type Result struct {
 	// every remote byte is rack-local.
 	RackLocalMB float64
 	CrossRackMB float64
+
+	// buf is the storage Records and the per-node and per-process vectors
+	// are carved from, lent until Release.
+	buf      *runBuf
+	released bool
+}
+
+// Release returns the result's storage — Records and the per-node and
+// per-process vectors — to the package pool for the next run. Like
+// core.Assignment.Release it is optional: a result that is simply dropped is
+// garbage-collected. The caller must be the sole user of the result and of
+// every slice read from it; after Release they are invalid and the result's
+// slices are nil. Releasing twice panics; releasing a nil result is a no-op.
+func (r *Result) Release() {
+	if r == nil {
+		return
+	}
+	if r.released {
+		panic("engine: Result.Release called twice")
+	}
+	r.released = true
+	if r.buf != nil {
+		runPool.Put(r.buf)
+	}
+	r.Records, r.ServedMB, r.ProcFinish, r.PeakConcurrentReads, r.DiskUtilization, r.buf = nil, nil, nil, nil, nil, nil
 }
 
 // JobMakespan is the job's execution time measured from its own arrival
@@ -398,7 +423,9 @@ func RunContext(ctx context.Context, opts Options, src TaskSource) (*Result, err
 		return nil, err
 	}
 	net, nodes := opts.Topo.Net(), opts.Topo.NumNodes()
-	diskWork0 := make([]float64, nodes)
+	b := runPool.Get().(*runBuf)
+	b.diskWork0 = slices.Grow(b.diskWork0[:0], nodes)[:nodes]
+	diskWork0 := b.diskWork0
 	for n := range diskWork0 {
 		diskWork0[n] = net.WorkMB(opts.Topo.DiskResource(n))
 	}
@@ -407,13 +434,15 @@ func RunContext(ctx context.Context, opts Options, src TaskSource) (*Result, err
 		Source:      src,
 		ComputeTime: opts.ComputeTime,
 		Strategy:    opts.Strategy,
-	}, nodes)
+	}, nodes, b)
 	rt.computeFactor = opts.ComputeFactor
 	if err := simulate(ctx, &opts, []*job{rt}, nil); err != nil {
+		rt.res.Release()
 		return nil, err
 	}
 	res := rt.res
-	res.DiskUtilization = make([]float64, nodes)
+	b.diskUtil = zeroed(b.diskUtil, nodes)
+	res.DiskUtilization = b.diskUtil
 	if res.Makespan > 0 {
 		for n := range diskWork0 {
 			moved := net.WorkMB(opts.Topo.DiskResource(n)) - diskWork0[n]

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync"
 
 	"opass/internal/cluster"
 	"opass/internal/simnet"
@@ -66,35 +67,67 @@ type job struct {
 	since       uint64
 	procs       []procState
 	finished    []bool
-	base        int   // index of the job's process 0 in sim.slots
-	curReads    []int // reads of this job each node is serving right now
-	waiting     []int // processes told to wait, in the order they were told
-	remaining   int   // processes not yet finished
-	res         *Result
+	base        int     // index of the job's process 0 in sim.slots
+	curReads    []int   // reads of this job each node is serving right now
+	waiting     []int   // processes told to wait, in the order they were told
+	remaining   int     // processes not yet finished
+	res         *Result // lent the job's runBuf until it is released
+}
+
+// runBuf is one job's run storage, recycled through runPool when its Result
+// is released: the Result's records and vectors, the job's process state and,
+// for the first job of a run, the loop's slots. Like core's answerBuf, every
+// array is regrown from length zero, and cleared where the run reads before
+// it writes.
+type runBuf struct {
+	records    []ReadRecord
+	served     []float64
+	procFinish []float64
+	diskUtil   []float64
+	diskWork0  []float64
+	peak       []int
+	curReads   []int
+	procs      []procState
+	finished   []bool
+	slots      []slot
+}
+
+var runPool = sync.Pool{New: func() any { return new(runBuf) }}
+
+// zeroed returns s regrown to n zero elements.
+func zeroed[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
 }
 
 // procState is a process's progress: its task and how many inputs it read.
 type procState struct{ task, input int }
 
-func newJob(spec JobSpec, nodes int) *job {
+// newJob readies spec's job on a cluster of nodes over b's storage.
+func newJob(spec JobSpec, nodes int, b *runBuf) *job {
 	procs := spec.Problem.NumProcs()
 	reads := 0 // every input is read to completion exactly once
 	for i := range spec.Problem.Tasks {
 		reads += len(spec.Problem.Tasks[i].Inputs)
 	}
+	b.procs, b.finished, b.curReads = zeroed(b.procs, procs), zeroed(b.finished, procs), zeroed(b.curReads, nodes)
+	b.served, b.procFinish, b.peak = zeroed(b.served, nodes), zeroed(b.procFinish, procs), zeroed(b.peak, nodes)
+	b.records = slices.Grow(b.records[:0], reads)
 	return &job{
 		spec:      spec,
-		procs:     make([]procState, procs),
-		finished:  make([]bool, procs),
-		curReads:  make([]int, nodes),
+		procs:     b.procs,
+		finished:  b.finished,
+		curReads:  b.curReads,
 		remaining: procs,
 		res: &Result{
 			Strategy:            spec.Strategy,
 			Arrival:             spec.StartAt,
-			ServedMB:            make([]float64, nodes),
-			ProcFinish:          make([]float64, procs),
-			PeakConcurrentReads: make([]int, nodes),
-			Records:             make([]ReadRecord, 0, reads),
+			ServedMB:            b.served,
+			ProcFinish:          b.procFinish,
+			PeakConcurrentReads: b.peak,
+			Records:             b.records,
+			buf:                 b,
 		},
 	}
 }
@@ -187,7 +220,9 @@ func simulate(ctx context.Context, opts *Options, jobs []*job, sched ClusterSche
 		procs += len(rt.procs)
 		s.remaining += rt.remaining
 	}
-	s.slots = make([]slot, procs)
+	b := jobs[0].res.buf
+	b.slots = zeroed(b.slots, procs)
+	s.slots = b.slots
 
 	net.OnComplete(func(now float64, f *simnet.Flow) {
 		h := f.Handle

@@ -114,7 +114,7 @@ func RunJobsScheduled(ctx context.Context, topo *cluster.Topology, fs *dfs.FileS
 		if spec.StartAt < 0 {
 			return nil, fmt.Errorf("engine: job %d negative start time", j)
 		}
-		rts[j] = newJob(spec, topo.NumNodes())
+		rts[j] = newJob(spec, topo.NumNodes(), new(runBuf))
 	}
 	opts := Options{Topo: topo, FS: fs}
 	opts.Balancer, _ = sched.(ReadSteerer)

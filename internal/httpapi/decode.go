@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"slices"
 
+	"opass/internal/cluster"
 	"opass/internal/core"
 	"opass/internal/dfs"
 	"opass/internal/engine"
@@ -99,7 +100,7 @@ var (
 // success the request holds the lexer until the handler releases it, and
 // the problem is valid exactly that long. No file system is built here:
 // /v1/simulate, whose engine mutates placement, mirrors the layout into one
-// itself (mirrorFS).
+// itself (world.build).
 func decodeProblem(w http.ResponseWriter, r *http.Request, lim RequestLimits) (*PlanRequest, *core.Problem, *apiError) {
 	lx := newLexer(http.MaxBytesReader(w, r.Body, lim.BodyBytes))
 	req, prob, apiErr := decodeRequest(lx, lim)
@@ -280,27 +281,36 @@ func decodeRequest(lx *lexer, lim RequestLimits) (*PlanRequest, *core.Problem, *
 	return req, prob, nil
 }
 
-// mirrorFS builds the in-memory file system /v1/simulate runs against, over
-// the simulated cluster view: one bulk-created file holding the decoded
-// problem's chunks in order, so chunk ids are equal by construction. The
-// decoder numbers one chunk per input in task/input order and sizes it as
-// the input, so the sizes are read back off the tasks. The engine crashes
-// nodes and repairs chunks, which the read-only layout cannot express;
-// /v1/plan never calls this.
-func mirrorFS(view dfs.ClusterView, prob *core.Problem) (*dfs.FileSystem, error) {
-	n := 0
-	for i := range prob.Tasks {
-		n += len(prob.Tasks[i].Inputs)
+// world is what /v1/simulate runs against: the simulated cluster and the
+// in-memory file system mirroring the decoded layout over it. The engine
+// crashes nodes and repairs chunks, which the read-only layout cannot
+// express; /v1/plan never builds one. A world rides on the request's arena
+// and is rebuilt in place by each request that borrows it.
+type world struct {
+	topo *cluster.Topology
+	fs   *dfs.FileSystem
+}
+
+// build makes w the Marmot cluster of the given size with one bulk-created
+// file holding prob's chunks in order, so chunk ids are equal by
+// construction: the decoder numbers one chunk per input in task/input order
+// and sizes it as the input, so sizes and rows are read off the problem.
+func (w *world) build(nodes int, prob *core.Problem) error {
+	if w.topo == nil {
+		w.topo = cluster.New(nodes, cluster.Marmot())
+		w.fs = dfs.New(w.topo, dfs.Config{Replication: 1})
+	} else {
+		w.topo.Reset(nodes, cluster.Marmot())
+		w.fs.Reset()
 	}
-	sizes, rows := make([]float64, 0, n), make([][]int, 0, n)
-	for i := range prob.Tasks {
-		for _, in := range prob.Tasks[i].Inputs {
-			sizes, rows = append(sizes, in.SizeMB), append(rows, prob.FS.Replicas(in.Chunk))
+	_, err := w.fs.CreateChunksFrom("/layout/tasks", func(each func(float64, []int)) {
+		for i := range prob.Tasks {
+			for _, in := range prob.Tasks[i].Inputs {
+				each(in.SizeMB, prob.FS.Replicas(in.Chunk))
+			}
 		}
-	}
-	fs := dfs.New(view, dfs.Config{Replication: 1})
-	_, err := fs.CreateChunksReplicated("/layout/tasks", sizes, rows)
-	return fs, err
+	})
+	return err
 }
 
 // resolveProcNodes validates the submitted process list (or synthesizes

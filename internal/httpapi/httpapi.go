@@ -42,7 +42,6 @@ import (
 	"sync"
 	"time"
 
-	"opass/internal/cluster"
 	"opass/internal/core"
 	"opass/internal/engine"
 	"opass/internal/plancache"
@@ -244,6 +243,19 @@ func (req *PlanRequest) canonical(prob *core.Problem) []byte {
 	}
 	req.arena.canon = prob.AppendCanonical(req.arena.canon[:0])
 	return req.arena.canon
+}
+
+// world is the simulation world the arena carries for the request to
+// rebuild, valid as long as the problem; a request without an arena gets a
+// fresh one.
+func (req *PlanRequest) world() *world {
+	if req.arena == nil {
+		return new(world)
+	}
+	if req.arena.world == nil {
+		req.arena.world = new(world)
+	}
+	return req.arena.world
 }
 
 // abandon gives the arena up to the GC instead of the pool, counting it as
@@ -607,13 +619,15 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	// The engine crashes nodes and repairs chunks, so a simulation runs
 	// against a file system mirroring the submitted layout over the
 	// simulated cluster; installed before planning, it is the one placement
-	// the plan, the engine and the replans all read.
-	topo := cluster.New(req.Nodes, cluster.Marmot())
-	fs, err := mirrorFS(topo, prob)
-	if err != nil {
+	// the plan, the engine and the replans all read. Both are the arena's,
+	// rebuilt in place, so they go where it goes: back to the pool after the
+	// response, or to the collector with a plan still running over them.
+	sim := req.world()
+	if err := sim.build(req.Nodes, prob); err != nil {
 		s.writeError(w, r, http.StatusInternalServerError, err.Error())
 		return
 	}
+	topo, fs := sim.topo, sim.fs
 	prob.FS = fs
 	cp, err := s.plan(ctx, req, prob)
 	if err != nil {
@@ -655,6 +669,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	s.reg.Gauge(MetricSimLastRetries).Set(float64(res.Retries))
 	s.reg.Gauge(MetricSimLastLocality).Set(res.LocalFraction())
 	s.writeSimulate(w, r, &SimulateResponse{Plan: cp.resp, Summary: report.Summarize(res)})
+	res.Release() // the response above was the run's last reader
 }
 
 // writeSimulate answers 200 with v.

@@ -40,6 +40,10 @@ type lexer struct {
 	// canon holds the decoded problem's canonical encoding while the plan
 	// cache keys it (PlanRequest.canonical); pooled the same way.
 	canon []byte
+	// world is the simulated cluster and mirror file system a /v1/simulate
+	// request rebuilds in place (PlanRequest.world); nil until the lexer
+	// first serves one.
+	world *world
 }
 
 // layoutAcc accumulates a request's layout as it streams in, task-major:
@@ -73,9 +77,9 @@ func newLexer(r io.Reader) *lexer {
 }
 
 // reset readies the lexer for another body, keeping only its window, its
-// accumulator storage and its canonical-encoding buffer.
+// accumulator storage, its canonical-encoding buffer and its world.
 func (lx *lexer) reset(r io.Reader) {
-	*lx = lexer{r: r, buf: lx.buf, acc: lx.acc, canon: lx.canon[:0]}
+	*lx = lexer{r: r, buf: lx.buf, acc: lx.acc, canon: lx.canon[:0], world: lx.world}
 }
 
 // release returns the lexer, its window and its accumulator storage to the

@@ -44,7 +44,7 @@ func Summarize(res *engine.Result) Summary {
 		Strategy:       res.Strategy,
 		Tasks:          res.TasksRun,
 		Makespan:       res.Makespan,
-		IO:             StatsOf(res.IOTimes()),
+		IO:             statsOver(len(res.Records), func(i int) float64 { return res.Records[i].Duration() }),
 		Served:         StatsOf(res.ServedMB),
 		LocalFraction:  res.LocalFraction(),
 		Fairness:       JainIndex(res.ServedMB),

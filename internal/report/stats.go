@@ -19,26 +19,33 @@ type Stats struct {
 
 // StatsOf computes the Stats of xs. An empty sample yields a zero Stats.
 func StatsOf(xs []float64) Stats {
+	return statsOver(len(xs), func(i int) float64 { return xs[i] })
+}
+
+// statsOver is StatsOf over the n-sample x(0), …, x(n-1), read twice, so a
+// sample derived from other data needs no array of its own.
+func statsOver(n int, x func(i int) float64) Stats {
 	var s Stats
-	if len(xs) == 0 {
+	if n == 0 {
 		return s
 	}
-	s.Count = len(xs)
+	s.Count = n
 	s.Min = math.Inf(1)
 	s.Max = math.Inf(-1)
-	for _, x := range xs {
-		s.Sum += x
-		if x < s.Min {
-			s.Min = x
+	for i := range n {
+		v := x(i)
+		s.Sum += v
+		if v < s.Min {
+			s.Min = v
 		}
-		if x > s.Max {
-			s.Max = x
+		if v > s.Max {
+			s.Max = v
 		}
 	}
 	s.Mean = s.Sum / float64(s.Count)
 	var ss float64
-	for _, x := range xs {
-		d := x - s.Mean
+	for i := range n {
+		d := x(i) - s.Mean
 		ss += d * d
 	}
 	s.StdDev = math.Sqrt(ss / float64(s.Count))

@@ -135,3 +135,29 @@ func TestFlowCycleAllocatesNothing(t *testing.T) {
 		t.Fatalf("a warm flow cycle allocated %v times, want 0", allocs)
 	}
 }
+
+// TestResetRunsLikeNew: a network Reset after a life of its own — a script
+// run, a resource scaled, flows left in flight, the clock and counters
+// advanced — traces the next script exactly as a new network does: every
+// rate, completion instant, flow ID, Cancel result, counter and resource's
+// work, bit for bit.
+func TestResetRunsLikeNew(t *testing.T) {
+	for seed := int64(1); seed <= 60; seed++ {
+		n := New()
+		runScript(n, randomScript(seed), false)
+		n.SetScale(0, 0.3)
+		n.Start([]ResourceID{0}, 64, 0.5, 7)
+		n.Step()
+		n.Start(nil, 0, 3, 8)
+		n.Reset()
+		if n.Now() != 0 || n.Started() != 0 || n.Completed() != 0 || n.Events() != 0 || n.RateRecomputes() != 0 || n.Active() != 0 || len(n.resources) != 0 {
+			t.Fatalf("seed %d: Reset left clock %v, %d started, %d completed, %d events, %d solves, %d active, %d resources",
+				seed, n.Now(), n.Started(), n.Completed(), n.Events(), n.RateRecomputes(), n.Active(), len(n.resources))
+		}
+		script := randomScript(seed + 1000)
+		got, want := runScript(n, script, false).trace, runScript(New(), script, false).trace
+		if !slices.Equal(got, want) {
+			t.Fatalf("seed %d: a reset network traced %d observations unlike a new one's %d", seed, len(got), len(want))
+		}
+	}
+}

@@ -130,6 +130,27 @@ const sizeEpsilon = 1e-9
 // New returns an empty Network with its clock at zero.
 func New() *Network { return &Network{} }
 
+// Reset empties the network for reuse: it is then what New returns — no
+// resources, no flows, the clock, counters and flow IDs at zero, no
+// completion handler — but it keeps its storage: the resource table's
+// capacity, the solver's scratch and the free list, to which any flow still
+// in flight is retired without its handler running. Resources must be
+// registered again, each at scale 1 with no work done.
+func (n *Network) Reset() {
+	free := append(n.free, n.flows...)
+	clear(n.flows)
+	*n = Network{
+		resources: n.resources[:0],
+		flows:     n.flows[:0],
+		touched:   n.touched[:0],
+		byRes:     n.byRes[:0],
+		heap:      n.heap[:0],
+		changed:   n.changed[:0],
+		finished:  n.finished[:0],
+		free:      free,
+	}
+}
+
 // Grow reserves room for another k resources, so registering them does not
 // regrow the resource table.
 func (n *Network) Grow(k int) { n.resources = slices.Grow(n.resources, k) }
